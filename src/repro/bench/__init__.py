@@ -1,14 +1,13 @@
-"""Benchmark harness for the exchange hot path (``repro bench``).
+"""Benchmark scenarios behind ``repro bench``.
 
-Measures what the zero-copy batched exchange and the pooled data-loader
-buy over the original per-sample path, and writes machine-readable
-artifacts (``BENCH_exchange.json`` / ``BENCH_epoch.json``) the CI
-``bench-smoke`` job gates on.  See ``docs/performance.md`` for how to run
-it and how to read the numbers.
+Each scenario (exchange, telemetry, serve, robustness, backend) runs one
+subsystem at a fixed size and writes a machine-readable
+``BENCH_<scenario>.json`` artifact the CI smoke jobs gate on.  See
+``docs/performance.md`` for how to run them and how to read the numbers;
+the end-to-end training benchmark lives in ``benchmarks/perf/``.
 """
 
 from .backend import MIN_PROCS_SPEEDUP, bench_backend
-from .epoch import bench_epoch_loader
 from .exchange import bench_exchange, exchange_q_sweep
 from .runner import (
     DEFAULT_RESULTS_DIR,
@@ -27,7 +26,6 @@ __all__ = [
     "bench_backend",
     "bench_exchange",
     "exchange_q_sweep",
-    "bench_epoch_loader",
     "bench_telemetry",
     "bench_serve",
     "bench_robustness",

@@ -1,14 +1,13 @@
-"""Threads-vs-procs backend comparison on the batched exchange hot path.
+"""Threads-vs-procs backend comparison on the exchange hot path.
 
-Runs the *same* zero-copy batched exchange (same seed, same plan, same
-CRC/ACK protocol) once under each communicator backend and compares wall
-time.  The threads backend serialises compute-heavy sections behind the
-GIL; the ``procs`` backend runs ranks as real OS processes with
-shared-memory transport, so on a multi-core machine the exchange should
-get faster.  On a single-core machine (or an over-subscribed CI runner)
-process scheduling adds overhead instead, so the report records
-``cores`` / ``multicore`` and the speedup gate only binds when
-``multicore`` is true.
+Runs the *same* exchange (same seed, same plan, same CRC/ACK protocol)
+once under each communicator backend and compares wall time.  The threads
+backend serialises compute-heavy sections behind the GIL; the ``procs``
+backend runs ranks as real OS processes with shared-memory transport, so
+on a multi-core machine the exchange should get faster.  On a single-core
+machine (or an over-subscribed CI runner) process scheduling adds overhead
+instead, so the report records ``cores`` / ``multicore`` and the speedup
+gate only binds when ``multicore`` is true.
 
 Correctness is gated unconditionally: both backends must produce
 bit-identical post-exchange shards (order-independent per-rank content
@@ -23,7 +22,7 @@ from typing import Any
 
 from repro.mpi.shm_pool import live_segments
 
-from .exchange import _run_mode
+from .exchange import _run_exchange
 
 __all__ = ["bench_backend", "MIN_PROCS_SPEEDUP"]
 
@@ -43,7 +42,7 @@ def bench_backend(
     epochs: int = 3,
     seed: int = 0,
 ) -> dict[str, Any]:
-    """Run the batched exchange under both backends and report the comparison.
+    """Run the exchange under both backends and report the comparison.
 
     Returns a dict with per-backend mode reports (wall time, bytes, pool
     stats), the ``procs_speedup`` ratio, ``identical_shards`` (must always
@@ -51,12 +50,11 @@ def bench_backend(
     run), and the core count that decides whether the speedup gate binds.
     """
     common = dict(
-        batched=True, ranks=ranks, samples=samples, shape=shape,
-        q=q, epochs=epochs, seed=seed,
+        ranks=ranks, samples=samples, shape=shape, q=q, epochs=epochs, seed=seed,
     )
-    threads = _run_mode(backend="threads", **common)
+    threads = _run_exchange(backend="threads", **common)
     threads["backend"] = "threads"
-    procs = _run_mode(backend="procs", **common)
+    procs = _run_exchange(backend="procs", **common)
     procs["backend"] = "procs"
     leaked = live_segments()
     if threads["shard_checksums"] != procs["shard_checksums"]:

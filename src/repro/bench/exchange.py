@@ -1,17 +1,16 @@
-"""Exchange hot-path micro-benchmark: per-sample vs zero-copy batched.
+"""Exchange hot-path micro-benchmark.
 
-Both modes run the *same* reliable PLS exchange (same seed, same plan,
-same CRC/ACK protocol) over the in-process world; only the payload
-representation differs.  Besides wall time, the world's copy counters
-give a machine-independent account of the work avoided: the per-sample
-path pays a pickle copy per send plus a ``tobytes()`` walk per checksum
-(wrap and verify), while the batched path pays exactly one gather copy
-per round into a pooled buffer.
+Runs the PLS exchange (``Scheduler.run_exchange``) over the in-process
+world and reports wall time next to the world's copy and pool counters,
+which give a machine-independent account of the work done: the exchange
+pays exactly one gather copy per round into a pooled buffer, so
+``bytes_copied`` should sit at about ``sent_bytes``.
 """
 
 from __future__ import annotations
 
 import time
+import zlib
 from typing import Any
 
 import numpy as np
@@ -23,13 +22,13 @@ __all__ = ["bench_exchange", "exchange_q_sweep"]
 
 
 def _exchange_worker(
-    comm, batched: bool, q: float, samples: int, shape: tuple, epochs: int, seed: int
+    comm, q: float, samples: int, shape: tuple, epochs: int, seed: int
 ) -> dict:
     storage = StorageArea()
     rng = np.random.default_rng(seed + comm.rank)
     for _ in range(samples):
         storage.add(rng.random(shape).astype(np.float32), int(rng.integers(0, 10)))
-    sched = Scheduler(storage, comm, fraction=q, seed=seed, batched=batched)
+    sched = Scheduler(storage, comm, fraction=q, seed=seed)
     comm.barrier()
     t0 = time.perf_counter()
     for epoch in range(epochs):
@@ -46,22 +45,20 @@ def _exchange_worker(
 
 def _shard_checksum(storage: StorageArea) -> int:
     """Order-independent content hash of the hot shard (equivalence probe)."""
-    import zlib
-
     acc = 0
     for _sid, sample, label in storage.items():
         acc ^= zlib.crc32(np.ascontiguousarray(sample).tobytes() + bytes([label % 251]))
     return acc
 
 
-def _run_mode(
-    *, batched: bool, ranks: int, samples: int, shape: tuple, q: float,
+def _run_exchange(
+    *, ranks: int, samples: int, shape: tuple, q: float,
     epochs: int, seed: int, backend: str | None = None,
 ) -> dict[str, Any]:
     result = run_spmd(
         _exchange_worker,
         ranks,
-        args=(batched, q, samples, tuple(shape), epochs, seed),
+        args=(q, samples, tuple(shape), epochs, seed),
         backend=backend,
     )
     per_rank = list(result)
@@ -70,19 +67,14 @@ def _run_mode(
     sent_samples = sum(r["sent_samples"] for r in per_rank)
     sent_bytes = sum(r["sent_bytes"] for r in per_rank)
     pool = world.pool.stats()
-    copies = sum(world.copies)
-    # "Allocations" on the batched path are pool misses (steady state
-    # re-uses buffers); the per-sample path allocates on every copy.
-    allocations = pool["misses"] if batched else copies
     return {
-        "mode": "batched" if batched else "persample",
         "wall_time_s": wall,
         "ops_per_s": sent_samples / wall if wall > 0 else 0.0,
         "sent_samples": sent_samples,
         "sent_bytes": sent_bytes,
         "bytes_copied": world.total_bytes_copied(),
-        "copies": copies,
-        "allocations": allocations,
+        "copies": sum(world.copies),
+        "allocations": pool["misses"],
         "pool": pool,
         "shard_checksums": sorted(r["shard_checksum"] for r in per_rank),
     }
@@ -98,44 +90,24 @@ def bench_exchange(
     seed: int = 0,
     backend: str | None = None,
 ) -> dict[str, Any]:
-    """Run the exchange in both modes and report the comparison.
+    """Run the exchange and report its time, copies and pool traffic.
 
-    The two runs share seed and plan, so the resulting shards must be
-    bit-identical (asserted via per-rank content checksums) — the speedup
-    is measured on provably equivalent work.  ``backend`` selects the rank
-    host (``"threads"`` / ``"procs"``; ``None`` defers to ``REPRO_BACKEND``).
+    ``ratios.bytes_copied_per_sent_byte`` is deterministic for a given
+    configuration (envelope bytes over logical sample bytes), so it is
+    comparable across machines; wall time is not.  ``backend`` selects the
+    rank host (``"threads"`` / ``"procs"``; ``None`` defers to
+    ``REPRO_BACKEND``).
     """
-    common = dict(
-        ranks=ranks, samples=samples, shape=shape, q=q, epochs=epochs, seed=seed,
-        backend=backend,
-    )
-    persample = _run_mode(batched=False, **common)
-    batched = _run_mode(batched=True, **common)
-    if persample["shard_checksums"] != batched["shard_checksums"]:
-        raise AssertionError(
-            "batched exchange diverged from the per-sample reference: "
-            f"{batched['shard_checksums']} != {persample['shard_checksums']}"
-        )
-    common.pop("backend")
+    config = dict(ranks=ranks, samples=samples, shape=shape, q=q, epochs=epochs, seed=seed)
+    run = _run_exchange(backend=backend, **config)
     return {
-        "config": {**common, "shape": list(shape), "backend": backend},
-        "modes": {"persample": persample, "batched": batched},
+        "config": {**config, "shape": list(shape), "backend": backend},
+        "exchange": run,
         "ratios": {
-            # Both ratios are self-normalised within one run, so they are
-            # comparable across machines of different speeds.
-            "speedup": persample["wall_time_s"] / batched["wall_time_s"],
-            "bytes_copied_ratio": (
-                persample["bytes_copied"] / batched["bytes_copied"]
-                if batched["bytes_copied"]
-                else float("inf")
-            ),
-            "allocation_ratio": (
-                persample["allocations"] / batched["allocations"]
-                if batched["allocations"]
-                else float("inf")
+            "bytes_copied_per_sent_byte": (
+                run["bytes_copied"] / run["sent_bytes"] if run["sent_bytes"] else 0.0
             ),
         },
-        "identical_shards": True,
     }
 
 
@@ -149,11 +121,11 @@ def exchange_q_sweep(
     seed: int = 0,
     backend: str | None = None,
 ) -> list[dict[str, Any]]:
-    """Batched-exchange wall time as a function of the exchange fraction Q."""
+    """Exchange wall time as a function of the exchange fraction Q."""
     rows = []
     for q in qs:
-        r = _run_mode(
-            batched=True, ranks=ranks, samples=samples, shape=shape,
+        r = _run_exchange(
+            ranks=ranks, samples=samples, shape=shape,
             q=q, epochs=epochs, seed=seed, backend=backend,
         )
         rows.append(

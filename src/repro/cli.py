@@ -323,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="exchange fast-path benchmarks (writes BENCH_exchange.json / "
-        "BENCH_epoch.json)",
+        help="subsystem benchmarks (writes one BENCH_<scenario>.json each)",
     )
     p_bench.add_argument(
         "--smoke", action="store_true",
@@ -337,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--check", action="store_true",
         help="fail on >20%% ratio regression vs the committed baseline, or "
-        "if the batched path copies less than 2x fewer bytes",
+        "if the exchange copies more than 1.1 bytes per sent byte",
     )
     p_bench.add_argument(
         "--baseline", default=None, metavar="DIR",
@@ -347,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--scenario",
         choices=[
-            "all", "exchange", "epoch", "telemetry", "serve", "robustness",
-            "backend",
+            "all", "exchange", "telemetry", "serve", "robustness", "backend",
         ],
         default="all",
         help="which benchmark to run (default: all)",
@@ -947,7 +945,7 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         scenarios=scenarios,
     )
-    ex, ep, tel = result["exchange"], result["epoch"], result["telemetry"]
+    ex, tel = result["exchange"], result["telemetry"]
     srv, rob, bk = result["serve"], result["robustness"], result["backend"]
     artifact_names = {"robustness": "robustness_rejoin"}
     artifacts = ", ".join(
@@ -955,12 +953,14 @@ def _cmd_bench(args) -> int:
     )
     print(f"wrote {artifacts} to {result['out_dir']}")
     if ex is not None:
+        pool = ex["exchange"]["pool"]
         print(
-            "exchange: {speedup:.2f}x faster, {copied:.2f}x fewer bytes copied, "
-            "{alloc:.1f}x fewer allocations (batched vs per-sample)".format(
-                speedup=ex["ratios"]["speedup"],
-                copied=ex["ratios"]["bytes_copied_ratio"],
-                alloc=ex["ratios"]["allocation_ratio"],
+            "exchange: {rate:.0f} samples/s, {copied:.3f} bytes copied per "
+            "sent byte, pool {hits}/{acquires} hits".format(
+                rate=ex["exchange"]["ops_per_s"],
+                copied=ex["ratios"]["bytes_copied_per_sent_byte"],
+                hits=pool["hits"],
+                acquires=pool["acquires"],
             )
         )
         for q_row in ex["q_sweep"]:
@@ -968,14 +968,6 @@ def _cmd_bench(args) -> int:
                 f"  Q={q_row['q']:<5g} exchange {q_row['wall_time_s'] * 1e3:8.1f} ms  "
                 f"{q_row['ops_per_s']:10.0f} samples/s"
             )
-    if ep is not None:
-        print(
-            "epoch loader: {speedup:.2f}x faster, {alloc:.1f}x fewer allocations "
-            "(pooled vs default collate)".format(
-                speedup=ep["ratios"]["speedup"],
-                alloc=ep["ratios"]["allocation_ratio"],
-            )
-        )
     if tel is not None:
         print(
             "telemetry: flight recorder {flight:.3f}x vs disabled "
@@ -1001,7 +993,7 @@ def _cmd_bench(args) -> int:
         )
     if bk is not None:
         print(
-            "backend: procs {speed:.2f}x vs threads on the batched exchange "
+            "backend: procs {speed:.2f}x vs threads on the exchange "
             "({cores} core(s), speedup gate {gate}); shards identical={bit}, "
             "/dev/shm clean={shm}".format(
                 speed=bk["ratios"]["procs_speedup"],

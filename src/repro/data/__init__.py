@@ -7,7 +7,7 @@ generators standing in for the paper's datasets, and the worker-shard
 partitioners of Figure 2.
 """
 
-from .dataloader import DataLoader, PooledCollate, default_collate
+from .dataloader import DataLoader, default_collate
 from .dataset import (
     CachedDataset,
     ConcatDataset,
@@ -49,7 +49,6 @@ from .transforms import (
 __all__ = [
     "DataLoader",
     "default_collate",
-    "PooledCollate",
     "CachedDataset",
     "ConcatDataset",
     "Dataset",

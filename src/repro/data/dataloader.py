@@ -15,7 +15,7 @@ import numpy as np
 from .dataset import Dataset
 from .sampler import RandomSampler, Sampler, SequentialSampler
 
-__all__ = ["DataLoader", "default_collate", "PooledCollate"]
+__all__ = ["DataLoader", "default_collate"]
 
 
 def default_collate(samples: Sequence[tuple[Any, Any]]) -> tuple[np.ndarray, np.ndarray]:
@@ -25,59 +25,6 @@ def default_collate(samples: Sequence[tuple[Any, Any]]) -> tuple[np.ndarray, np.
     xs = np.stack([np.asarray(x) for x, _ in samples])
     ys = np.asarray([y for _, y in samples])
     return xs, ys
-
-
-class PooledCollate:
-    """Collate that stacks batches into pool-backed arrays.
-
-    ``default_collate`` allocates a fresh ``(B, ...)`` array every batch —
-    steady allocator churn for a training loop that only ever holds a couple
-    of batches in flight.  This collate stacks straight into a buffer
-    acquired from a :class:`~repro.mpi.pool.BufferPool` (``np.stack`` with
-    ``out=``, so the copy count is unchanged: one gather, no intermediate),
-    and :meth:`recycle` returns the buffer once the consumer is done — which
-    :class:`~repro.data.prefetch.PrefetchLoader` does automatically when
-    constructed with ``recycler=collate.recycle``.
-
-    Batches whose samples disagree in shape or dtype fall back to
-    :func:`default_collate` (nothing to recycle for those).
-    """
-
-    def __init__(self, pool) -> None:
-        self.pool = pool
-        self._bufs: dict[int, Any] = {}  # id(X) -> PoolBuffer backing it
-
-    def __call__(
-        self, samples: Sequence[tuple[Any, Any]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stack ``[(x, y), ...]`` into ``(X, y)`` with pool-backed ``X``."""
-        if not samples:
-            raise ValueError("cannot collate an empty batch")
-        xs = [np.asarray(x) for x, _ in samples]
-        first = xs[0]
-        if any(x.shape != first.shape or x.dtype != first.dtype for x in xs[1:]):
-            return default_collate(samples)
-        buf = self.pool.acquire(len(xs) * first.nbytes)
-        batch = np.frombuffer(
-            buf.raw, dtype=first.dtype, count=len(xs) * first.size
-        ).reshape(len(xs), *first.shape)
-        np.stack(xs, out=batch)
-        self._bufs[id(batch)] = buf
-        ys = np.asarray([y for _, y in samples])
-        return batch, ys
-
-    def recycle(self, batch: Any) -> None:
-        """Return a batch's backing buffer to the pool.  Only call once the
-        consumer holds no reference into ``X`` — the bytes are reused by the
-        very next batch of the same size class."""
-        x = batch[0] if isinstance(batch, tuple) else batch
-        buf = self._bufs.pop(id(x), None)
-        if buf is not None:
-            buf.release()
-
-    def outstanding(self) -> int:
-        """Batches handed out and not yet recycled (leak balance)."""
-        return len(self._bufs)
 
 
 class DataLoader:

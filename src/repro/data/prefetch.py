@@ -8,20 +8,13 @@ a producer thread and a bounded queue, preserving batch order exactly.
 
 Exceptions raised by the underlying loader are re-raised at the consumer's
 next ``__next__`` (not swallowed in the producer thread).
-
-With a pool-backed collate (:class:`~repro.data.dataloader.PooledCollate`)
-the loader's batches live in reusable pooled buffers; pass the collate's
-``recycle`` as ``recycler`` and the prefetcher returns each batch's buffer
-as soon as the consumer asks for the next one — the batch is handed to the
-training step without any intermediate copy, and a steady-state epoch
-cycles ``depth + 2`` buffers instead of allocating one per iteration.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 __all__ = ["PrefetchLoader"]
 
@@ -34,27 +27,13 @@ class PrefetchLoader:
     Each ``iter()`` spawns a fresh producer thread, so the object can be
     iterated once per epoch like a plain DataLoader.  ``depth`` bounds the
     memory held in flight.
-
-    ``recycler`` (optional) is called with each yielded batch once the
-    consumer requests the *next* one — i.e. exactly when a well-behaved
-    training loop is done with it.  Consumers that retain batch references
-    across iterations must not install a recycler.  Abandoning the iterator
-    mid-epoch skips the outstanding callbacks (the GC still reclaims the
-    batches; only pool-reuse accounting notices).
     """
 
-    def __init__(
-        self,
-        loader: Iterable[Any],
-        *,
-        depth: int = 2,
-        recycler: Callable[[Any], None] | None = None,
-    ):
+    def __init__(self, loader: Iterable[Any], *, depth: int = 2):
         if depth < 1:
             raise ValueError(f"prefetch depth must be >= 1, got {depth}")
         self.loader = loader
         self.depth = depth
-        self.recycler = recycler
 
     def __len__(self) -> int:
         return len(self.loader)  # type: ignore[arg-type]
@@ -83,7 +62,3 @@ class PrefetchLoader:
                     raise error[0]
                 return
             yield item
-            # Control is back: the consumer asked for the next batch, so the
-            # previous one is out of scope for a non-retaining training loop.
-            if self.recycler is not None:
-                self.recycler(item)

@@ -42,14 +42,13 @@ an uninterrupted run executing the same shrink/expand schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from repro.mpi.errors import PeerFailure, RankDied
 from repro.mpi.launcher import run_spmd
-from repro.nn.lr_scheduler import MultiStepLR, WarmupWrapper
-from repro.nn.models import build_model
 from repro.obs.telemetry import drain_pending
 from repro.shuffle.partial import PartialLocalShuffle
 from repro.shuffle.storage import StorageArea
@@ -61,15 +60,14 @@ from repro.train.checkpoint import (
     load_job_snapshot,
     save_job_snapshot,
 )
-from repro.train.distributed import broadcast_model
 from repro.train.history import RunHistory
-from repro.train.trainer import TrainConfig, _build_optimizer
+from repro.train.trainer import TrainConfig, build_replica, train_one_epoch
 from repro.utils.rng import default_rng_state, restore_default_rng_state
 
 from .failure import FailurePlan
 from .ledger import ReplicaLedger
 from .rejoin import RankRejoin, join_handshake, rebalance_targets
-from .trainer import _recover, _snapshot, _train_one_epoch
+from .trainer import _recover, _restore, _snapshot
 
 __all__ = [
     "Crashed",
@@ -341,10 +339,10 @@ class _LifecycleRank:
             mem = _snapshot(self.model, self.optimizer)
             try:
                 lr = self.schedule.step(epoch)
-                record = _train_one_epoch(
+                record = train_one_epoch(
                     self.comm, self.config, self.strategy, self.model,
-                    self.optimizer, self.plan.kills, epoch, lr,
-                    self.val_X, self.val_y,
+                    self.optimizer, epoch, lr, self.val_X, self.val_y,
+                    failure_point=partial(self.plan.kills.check, self.me, epoch),
                 )
             except RankDied as exc:
                 return self._die(exc)
@@ -492,10 +490,7 @@ class _LifecycleRank:
     def _adopt_state(self, comm, state: dict, joiners: tuple[int, ...]) -> None:
         """Joiner side: rebuild replicated state from the handshake, then
         receive the rebalanced shard."""
-        self._build_model_optimizer(
-            state["model_state"], state["optimizer_velocity"],
-            state["optimizer_lr"], state["total_workers"],
-        )
+        self._restore_replica(state)
         ledger = ReplicaLedger()
         ledger.holder = {int(g): int(r) for g, r in state["ledger"].items()}
         storage = StorageArea(capacity_bytes=state["capacity_bytes"])
@@ -523,11 +518,7 @@ class _LifecycleRank:
 
     def _fresh_setup(self) -> None:
         cfg = self.config
-        self.model = build_model(
-            cfg.model, in_shape=cfg.in_shape, num_classes=cfg.num_classes,
-            seed=cfg.seed, norm=cfg.norm,
-        )
-        broadcast_model(self.model, self.comm)
+        self.model, self.optimizer, self.schedule = build_replica(cfg, self.comm)
         self.strategy = PartialLocalShuffle(
             self.q, ledger=ReplicaLedger(), **self.strategy_kwargs
         )
@@ -535,8 +526,6 @@ class _LifecycleRank:
             self.comm, self.dataset,
             labels=self.labels, partition=cfg.partition, seed=cfg.seed,
         )
-        self.optimizer = _build_optimizer(cfg, self.model, self.comm.size)
-        self.schedule = self._build_schedule()
         self.history = RunHistory(
             strategy=self.strategy.name, workers=self.comm.size
         )
@@ -546,10 +535,7 @@ class _LifecycleRank:
         snapshot — replicated state directly, the shard by re-reading the
         manifest's gids from the source dataset in hot order."""
         snap = self.snapshot
-        self._build_model_optimizer(
-            snap["model_state"], snap["optimizer_velocity"],
-            snap["optimizer_lr"], snap["total_workers"],
-        )
+        self._restore_replica(snap)
         ledger = ReplicaLedger()
         ledger.holder = {int(g): int(r) for g, r in snap["ledger"].items()}
         manifest = snap["manifests"][self.me]
@@ -576,38 +562,22 @@ class _LifecycleRank:
             live=list(self.comm.group),
         )
 
-    def _build_model_optimizer(
-        self, model_state, velocity, lr, total_workers
-    ) -> None:
+    def _restore_replica(self, state: dict) -> None:
         """Replicated state from a snapshot or handshake.  The optimizer is
-        built for the *original* worker count (lr scaling follows the job,
-        not the current incarnation's size) and the schedule captures its
-        base lr before the decayed value is spliced back in."""
-        cfg = self.config
-        self.model = build_model(
-            cfg.model, in_shape=cfg.in_shape, num_classes=cfg.num_classes,
-            seed=cfg.seed, norm=cfg.norm,
+        built for the *original* worker count: lr scaling follows the job,
+        not the current incarnation's size."""
+        self.model, self.optimizer, self.schedule = build_replica(
+            self.config, workers=state["total_workers"]
         )
-        self.model.load_state_dict(
-            {k: np.copy(v) for k, v in model_state.items()}
+        _restore(
+            self.model,
+            self.optimizer,
+            {
+                "model": state["model_state"],
+                "velocity": state["optimizer_velocity"],
+                "lr": state["optimizer_lr"],
+            },
         )
-        self.optimizer = _build_optimizer(cfg, self.model, total_workers)
-        self.schedule = self._build_schedule()
-        if velocity is not None and hasattr(self.optimizer, "_velocity"):
-            self.optimizer._velocity = [
-                None if v is None else v.copy() for v in velocity
-            ]
-        self.optimizer.lr = lr
-
-    def _build_schedule(self):
-        cfg = self.config
-        schedule = MultiStepLR(
-            self.optimizer, milestones=list(cfg.lr_milestones),
-            gamma=cfg.lr_gamma,
-        )
-        if cfg.warmup_epochs:
-            schedule = WarmupWrapper(schedule, cfg.warmup_epochs)
-        return schedule
 
     # -------------------------------------------------------------- checkpoint
     def _checkpoint(self, epoch: int) -> None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -38,21 +39,10 @@ from repro.data.dataset import Dataset
 from repro.mpi.communicator import Communicator
 from repro.mpi.errors import PeerFailure, RankDied
 from repro.mpi.launcher import SpmdResult, run_spmd
-from repro.nn import functional as F
-from repro.nn.lr_scheduler import MultiStepLR, WarmupWrapper
-from repro.nn.metrics import RunningAverage
-from repro.nn.models import build_model
-from repro.nn.tensor import Tensor
-from repro.obs.telemetry import PhaseClock, drain_pending, push_metrics
+from repro.obs.telemetry import drain_pending
 from repro.shuffle.partial import PartialLocalShuffle
-from repro.train.distributed import (
-    allreduce_batchnorm_stats,
-    allreduce_gradients,
-    broadcast_model,
-)
-from repro.train.evaluate import evaluate
-from repro.train.history import EpochRecord, RunHistory
-from repro.train.trainer import TrainConfig, _build_optimizer
+from repro.train.history import RunHistory
+from repro.train.trainer import TrainConfig, build_replica, train_one_epoch
 
 from .failure import FailurePlan
 from .ledger import ReplicaLedger
@@ -117,37 +107,23 @@ def elastic_train_worker(
     if getattr(strategy, "ledger", None) is None:
         strategy.ledger = ReplicaLedger()
 
-    if model is None:
-        model = build_model(
-            config.model,
-            in_shape=config.in_shape,
-            num_classes=config.num_classes,
-            seed=config.seed,
-            norm=config.norm,
-        )
-    broadcast_model(model, comm)
+    model, optimizer, schedule = build_replica(config, comm, model=model)
     strategy.setup(
         comm, train_dataset,
         labels=labels, partition=config.partition, seed=config.seed,
     )
-    optimizer = _build_optimizer(config, model, comm.size)
-    schedule = MultiStepLR(
-        optimizer, milestones=list(config.lr_milestones), gamma=config.lr_gamma
-    )
-    if config.warmup_epochs:
-        schedule = WarmupWrapper(schedule, config.warmup_epochs)
 
     history = RunHistory(strategy=strategy.name, workers=comm.size)
     recoveries: list[RecoveryReport] = []
-    tr = comm.tracer
     epoch = 0
     while epoch < config.epochs:
         snapshot = _snapshot(model, optimizer)
         try:
             lr = schedule.step(epoch)
-            record = _train_one_epoch(
-                comm, config, strategy, model, optimizer, plan, epoch, lr,
+            record = train_one_epoch(
+                comm, config, strategy, model, optimizer, epoch, lr,
                 val_X, val_y,
+                failure_point=partial(plan.check, comm.group[comm.rank], epoch),
             )
         except PeerFailure:
             comm, report = _recover(
@@ -155,7 +131,6 @@ def elastic_train_worker(
                 epoch,
             )
             recoveries.append(report)
-            tr = comm.tracer
             continue  # redo the same epoch over the survivors
         history.add(record)
         if (
@@ -182,89 +157,6 @@ def elastic_train_worker(
     if return_model:
         return history, model
     return history
-
-
-def _train_one_epoch(
-    comm: Communicator,
-    config: TrainConfig,
-    strategy: PartialLocalShuffle,
-    model,
-    optimizer,
-    plan: FailurePlan,
-    epoch: int,
-    lr: float,
-    val_X: np.ndarray,
-    val_y: np.ndarray,
-) -> EpochRecord:
-    """One epoch of the Figure-3 loop with failure-injection points.
-
-    Body mirrors :func:`repro.train.trainer.train_worker`'s epoch; the
-    ``plan.check`` calls are where a doomed rank raises
-    :class:`~repro.mpi.errors.RankDied`.
-    """
-    world_rank = comm.group[comm.rank]
-    tr = comm.tracer
-    clock = PhaseClock(tr)
-    flight = comm.flight
-    plan.check(world_rank, epoch, "begin")
-    with tr.span("epoch", cat="train", epoch=epoch, lr=lr, elastic=True):
-        with clock.phase("exchange"):
-            strategy.begin_epoch(epoch)
-        loader = strategy.epoch_loader(epoch, config.batch_size)
-        iters = comm.allreduce(len(loader), op=min)
-        loss_avg = RunningAverage()
-        samples = 0
-        model.train()
-        it = iter(loader)
-        for i in range(iters):
-            if i == iters // 2:
-                plan.check(world_rank, epoch, "mid_exchange")
-            with clock.phase("io"):
-                xb, yb = next(it)
-            with clock.phase("fw_bw"):
-                logits = model(Tensor(np.asarray(xb, dtype=np.float32)))
-                loss = F.cross_entropy(logits, yb)
-                model.zero_grad()
-                loss.backward()
-            with clock.phase("ge_wu"):
-                allreduce_gradients(model, comm)
-                optimizer.step()
-            with clock.phase("exchange"):
-                strategy.on_iteration()
-            loss_avg.update(loss.item(), weight=len(yb))
-            samples += len(yb)
-        plan.check(world_rank, epoch, "end")
-        with clock.phase("exchange"):
-            strategy.end_epoch()
-        if config.sync_batchnorm_stats:
-            allreduce_batchnorm_stats(model, comm)
-        with tr.span("validate", cat="train"):
-            if comm.rank == 0:
-                val_acc, _val_loss = evaluate(model, val_X, val_y)
-            else:
-                val_acc = None
-            val_acc = comm.bcast(val_acc, root=0)
-        # Same push-before-allreduce ordering as the plain trainer; the
-        # world-owned aggregator keeps the series across a later shrink.
-        if flight.enabled:
-            phases = clock.take()
-            flight.record("epoch.phases", epoch=epoch, **phases)
-            metrics = {f"phase.{k}_s": v for k, v in phases.items()}
-            metrics["train.loss"] = loss_avg.value
-            sched = getattr(strategy, "scheduler", None)
-            if sched is not None:
-                metrics["exchange.q_deficit"] = sched.q_deficit
-            metrics["pool.in_use"] = comm.pool.stats()["in_use"]
-            push_metrics(comm, epoch, metrics)
-        mean_loss = comm.allreduce(loss_avg.value) / comm.size
-        total_samples = comm.allreduce(samples)
-    return EpochRecord(
-        epoch=epoch,
-        train_loss=mean_loss,
-        val_accuracy=val_acc,
-        lr=lr,
-        samples_seen=total_samples,
-    )
 
 
 def _recover(

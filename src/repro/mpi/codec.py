@@ -1,10 +1,8 @@
 """Zero-copy batch codec for the exchange hot path.
 
-The original exchange sent each round's samples as a Python list of
-``(sample, label, gid)`` tuples — which the wire layer pickled object by
-object, and the integrity layer checksummed by walking the structure and
-calling ``tobytes()`` on every array (a full copy per checksum).  This
-module replaces that with one flat envelope per round:
+Each exchange round's ``(sample, label, gid)`` triples travel as one flat
+envelope, so the wire layer never pickles a sample and the integrity layer
+never walks a structure calling ``tobytes()`` (a full copy per checksum):
 
 * a compact ``struct``-packed **header** (dtype / shape / label / gid /
   offset per sample) — no pickle anywhere on the data plane;

@@ -45,15 +45,10 @@ class PartialLocalShuffle(LocalShuffle):
     ledger:
         Optional :class:`~repro.elastic.ReplicaLedger` the scheduler commits
         every epoch's sample movements to (see :class:`Scheduler`).
-    reliable / exchange_deadline_s / resend_timeout_s / max_attempts:
-        Transient-fault controls forwarded to :class:`Scheduler`: checksummed
-        ACK/NACK exchange (on by default), the per-epoch exchange deadline
-        that turns stragglers into graceful Q-degradation, and the resend
-        timing/budget.
-    batched:
-        Forwarded to :class:`Scheduler`: send each exchange round as one
-        zero-copy :class:`~repro.mpi.codec.PackedBatch` envelope (default)
-        instead of a per-sample tuple list.
+    exchange_deadline_s / resend_timeout_s / max_attempts:
+        Transient-fault controls forwarded to :class:`Scheduler`: the
+        per-epoch exchange deadline that turns stragglers into graceful
+        Q-degradation, and the resend timing/budget.
     """
 
     def __init__(
@@ -67,11 +62,9 @@ class PartialLocalShuffle(LocalShuffle):
         granularity: int = 1,
         selection: str = "random",
         ledger=None,
-        reliable: bool = True,
         exchange_deadline_s: float | None = None,
         resend_timeout_s: float = 0.25,
         max_attempts: int = 16,
-        batched: bool = True,
     ) -> None:
         super().__init__(capacity_bytes=capacity_bytes)
         if not 0.0 <= q <= 1.0:
@@ -83,8 +76,6 @@ class PartialLocalShuffle(LocalShuffle):
         self.granularity = granularity
         self.selection = selection
         self.ledger = ledger
-        self.reliable = reliable
-        self.batched = batched
         self.exchange_deadline_s = exchange_deadline_s
         self.resend_timeout_s = resend_timeout_s
         self.max_attempts = max_attempts
@@ -118,11 +109,9 @@ class PartialLocalShuffle(LocalShuffle):
             granularity=self.granularity,
             selection=self.selection,
             ledger=self.ledger,
-            reliable=self.reliable,
             deadline_s=self.exchange_deadline_s,
             resend_timeout_s=self.resend_timeout_s,
             max_attempts=self.max_attempts,
-            batched=self.batched,
         )
 
     # ------------------------------------------------------------ epoch hooks
@@ -233,9 +222,8 @@ class PartialLocalShuffle(LocalShuffle):
                 sent_samples=self.scheduler.total_sent_samples,
                 recv_samples=self.scheduler.total_recv_samples,
                 sent_bytes=self.scheduler.total_sent_bytes,
+                **self.scheduler.fault_stats(),
             )
-            if self.scheduler.reliable:
-                out.update(self.scheduler.fault_stats())
         return out
 
 

@@ -20,12 +20,14 @@ chunking sends ``Q*b`` samples per training iteration, which is exactly the
 paper's overlap granularity ("in each iteration, Q*b samples are
 sent/received", §III-C).
 
-Reliable mode (the default) hardens the exchange against *transient* faults
-— corrupted or dropped messages, stragglers — without changing the clean-run
-results:
+The exchange is hardened against *transient* faults — corrupted or dropped
+messages, stragglers — without changing the clean-run results:
 
-* every data payload travels in a CRC32 :class:`~repro.mpi.message.Checksummed`
-  envelope tagged ``(epoch, round, attempt)``;
+* each round's samples are coalesced into one zero-copy
+  :class:`~repro.mpi.codec.PackedBatch` (struct header + one contiguous
+  pooled payload) and travel in a CRC32
+  :class:`~repro.mpi.message.Checksummed` envelope tagged
+  ``(epoch, round, attempt)``;
 * the receiver verifies on receipt and answers with an ACK, or a NACK that
   makes the sender retransmit from its retained buffer (bounded attempts,
   exponential NACK backoff) — a send buffer is only released once ACKed;
@@ -36,20 +38,14 @@ results:
   enlarging the next epochs' exchange, so the long-run exchanged fraction
   converges to the configured Q.
 
-Fail-stop faults remain :mod:`repro.elastic`'s business: the reliable loop
+Ownership of the pooled buffer travels with the message: the sender packs
+it, and the receiver either adopts it into storage (commit) or releases it
+back to the pool (rollback) — see ``docs/performance.md``.
+
+Fail-stop faults remain :mod:`repro.elastic`'s business: the completion loop
 polls ``comm.dead_peers()`` and re-raises a genuine death as
 :class:`~repro.mpi.errors.PeerFailure`, so a transient fault is never
 misdiagnosed as a rank death and vice versa.
-
-Batched fast path (the default, ``batched=True``): each round's samples are
-coalesced into one zero-copy :class:`~repro.mpi.codec.PackedBatch` envelope
-— struct header + one contiguous pooled payload — instead of a Python list
-the wire layer would pickle and the CRC layer would ``tobytes()``-walk.
-The reliable protocol is unchanged (same tags, same ACK/NACK control plane,
-same degraded-Q commit); only the payload representation and its copy count
-differ.  Ownership of the pooled buffer travels with the message: the
-sender packs it, and the receiver either adopts it into storage (commit) or
-releases it back to the pool (rollback) — see ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -64,7 +60,7 @@ from repro.mpi.codec import PackedBatch, pack_samples, unpack_samples
 from repro.mpi.communicator import Communicator
 from repro.mpi.errors import PeerFailure, UnrecoveredFaultError
 from repro.mpi.message import ANY_SOURCE, Checksummed, payload_nbytes
-from repro.mpi.request import Request, waitall
+from repro.mpi.request import Request
 from repro.mpi.tags import EXCHANGE_CTRL, EXCHANGE_DATA, PARITY_BIT
 from repro.utils.retry import Backoff
 from repro.utils.rng import SeedTree
@@ -87,12 +83,12 @@ __all__ = [
 # repro.mpi.tags; the module-level constants remain for compatibility.
 EXCHANGE_TAG_BASE = EXCHANGE_DATA.base
 _EPOCH_PARITY_BIT = PARITY_BIT
-# Control plane of the reliable exchange: ACK/NACK messages, one tag per
+# Control plane of the exchange: ACK/NACK messages, one tag per
 # epoch parity.  Kept outside the data-round tag range so a control message
 # can never be matched by a data irecv.
 EXCHANGE_CTRL_TAG = EXCHANGE_CTRL.base
 
-#: The reliable-exchange round state machine, as an explicit transition
+#: The exchange round state machine, as an explicit transition
 #: table keyed ``(side, state, event) -> new state``.  This is the
 #: load-bearing definition: :meth:`_Round.advance` refuses any transition
 #: not listed here, and the protocol model checker
@@ -144,7 +140,7 @@ TERMINAL_ROUND_STATES = frozenset(
 
 
 class _Round:
-    """Per-round protocol state of one reliable exchange round."""
+    """Per-round protocol state of one exchange round."""
 
     __slots__ = (
         "index", "dest", "src", "tag", "buffer", "moves", "nbytes", "samples",
@@ -214,14 +210,9 @@ class Scheduler:
         (a small allgather of ``(gid, dest)`` deltas), keeping a replicated
         record of which rank holds which sample — the map shard recovery
         consults after a failure.
-    reliable:
-        When True (default) payloads travel checksummed with ACK/NACK
-        retransmission and the degraded-Q deadline machinery is available.
-        When False the exchange is the bare fire-and-forget protocol of the
-        original Algorithm 1 (no envelopes, no control traffic).
     resend_timeout_s:
         Base interval after which an unverified round is NACKed again
-        (exponential backoff, deterministic jitter).  Reliable mode only.
+        (exponential backoff, deterministic jitter).
     max_attempts:
         Per-round bound on both resends and NACKs before the exchange gives
         up with :class:`~repro.mpi.errors.UnrecoveredFaultError`.
@@ -229,14 +220,6 @@ class Scheduler:
         Optional per-epoch exchange deadline (seconds, measured from
         ``scheduling()``); on expiry the remaining rounds are abandoned and
         the epoch commits at a lower effective Q.  ``None`` waits forever.
-    batched:
-        When True (default) each round travels as one zero-copy
-        :class:`~repro.mpi.codec.PackedBatch` envelope packed into the
-        communicator's buffer pool; received samples are installed as
-        views into the envelope (no per-sample copies).  When False the
-        round is the original per-sample tuple list (pickled on send,
-        ``tobytes()``-walked per checksum) — kept as the reference path
-        the regression tests compare bit-for-bit against.
     """
 
     def __init__(
@@ -251,11 +234,9 @@ class Scheduler:
         granularity: int = 1,
         selection: str = "random",
         ledger=None,
-        reliable: bool = True,
         resend_timeout_s: float = 0.25,
         max_attempts: int = 16,
         deadline_s: float | None = None,
-        batched: bool = True,
     ):
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction Q must be in [0,1], got {fraction}")
@@ -285,8 +266,6 @@ class Scheduler:
         # §IV-B future-work hook for importance-sampling-aware exchange.
         self.selection = selection
         self.ledger = ledger
-        self.reliable = reliable
-        self.batched = batched
         self.resend_timeout_s = resend_timeout_s
         self.max_attempts = max_attempts
         self.deadline_s = deadline_s
@@ -323,14 +302,14 @@ class Scheduler:
         # Statistics for the performance/accounting benchmarks.  Byte counts
         # use the wire-size model (payload_nbytes: sample array + label), so
         # they agree with the tracer's nbytes tags and the world's counters.
-        # In reliable mode sent totals are counted at *commit* (what the
-        # exchange actually achieved); retransmissions go to resent_bytes.
+        # Sent totals are counted at *commit* (what the exchange actually
+        # achieved); retransmissions go to resent_bytes.
         self.total_sent_samples = 0
         self.total_recv_samples = 0
         self.total_sent_bytes = 0
         self.resent_bytes = 0
 
-        # Fault-recovery accounting (reliable mode).
+        # Fault-recovery accounting.
         self.resends = 0            # payload retransmissions performed
         self.crc_rejects = 0        # received payloads that failed their CRC
         self.timeout_nacks = 0      # NACKs sent because a round timed out
@@ -344,8 +323,8 @@ class Scheduler:
         """Line 1-3 of Algorithm 1: pick the global partition and the
         destination permutations for this epoch.
 
-        In reliable mode the agreed exchange size also repays any Q-deficit
-        left by earlier degraded epochs: each rank offers
+        The agreed exchange size also repays any Q-deficit left by earlier
+        degraded epochs: each rank offers
         ``base + q_deficit`` (capped at its shard size), and the global
         minimum of the offers is adopted — still a uniform collective, still
         balanced, and never *below* what a deficit-free run would pick."""
@@ -373,18 +352,14 @@ class Scheduler:
             # Agree on the global minimum (collective call: scheduling() must be
             # invoked on every rank, which is already its contract).
             base = exchange_count(n_local, self.fraction)
-            if self.reliable:
-                want = min(n_local, base + self.q_deficit)
-                agreed = self.comm.allreduce(
-                    np.array([want, base], dtype=np.int64), op=np.minimum
-                )
-                k = int(agreed[0])
-                # How much of this plan is repayment rather than baseline:
-                # settled against q_deficit at commit time.
-                self._planned_extra = k - int(agreed[1])
-            else:
-                k = self.comm.allreduce(base, op=min)
-                self._planned_extra = 0
+            want = min(n_local, base + self.q_deficit)
+            agreed = self.comm.allreduce(
+                np.array([want, base], dtype=np.int64), op=np.minimum
+            )
+            k = int(agreed[0])
+            # How much of this plan is repayment rather than baseline:
+            # settled against q_deficit at commit time.
+            self._planned_extra = k - int(agreed[1])
             self._selected_ids = self._select_samples(k, epoch)
             # Messages carry ``granularity`` samples each; the plan is built at
             # message granularity so balance holds per message AND per sample.
@@ -516,17 +491,13 @@ class Scheduler:
                 if gid is not None:
                     moves.append((gid, int(dests[i])))
             # Byte accounting stays in logical sample bytes (the shared
-            # payload_nbytes wire-size model) in both modes, so stats and
-            # traces are representation-independent.
+            # payload_nbytes wire-size model), not envelope bytes.
             nbytes = payload_nbytes(entries)
-            if self.batched:
-                # One flat envelope per round: a single gather copy into a
-                # pooled buffer; after this neither the wire (pass-through)
-                # nor the CRC (contiguous) touches the sample bytes again.
-                payload = pack_samples(entries, pool=self.comm.pool)
-                self.comm.count_copy(payload.payload.nbytes)
-            else:
-                payload = entries
+            # One flat envelope per round: a single gather copy into a
+            # pooled buffer; after this neither the wire (pass-through)
+            # nor the CRC (contiguous) touches the sample bytes again.
+            payload = pack_samples(entries, pool=self.comm.pool)
+            self.comm.count_copy(payload.payload.nbytes)
             tag = EXCHANGE_DATA.tag(i, parity=parity)
             self.flight.record(
                 "round.post",
@@ -550,48 +521,33 @@ class Scheduler:
                 dest=int(dests[i]),
                 src=int(srcs[i]),
             ):
-                if self.reliable:
-                    st = _Round(i, int(dests[i]), int(srcs[i]), tag)
-                    st.buffer = payload
-                    st.moves = moves
-                    st.nbytes = nbytes
-                    st.samples = len(entries)
-                    env = Checksummed.wrap(payload, meta=(self.epoch, i, 0))
-                    if not self.batched:
-                        # The structural CRC walk materialised every array
-                        # via tobytes(): charge that hidden copy.
-                        self.comm.count_copy(nbytes)
-                    # Wire ops run untraced; the deterministic equivalent
-                    # events are emitted below (see _Suspension: the racy
-                    # protocol must not make traces unreproducible).
-                    with tr.suspended():
-                        self._send_reqs.append(
-                            self.comm.isend(env, dest=st.dest, tag=tag)
-                        )
-                        st.recv_req = self.comm.irecv(source=st.src, tag=tag)
-                    if tr.enabled:
-                        with tr.span(
-                            "isend", cat="comm.p2p", peer=st.dest, tag=tag,
-                            nbytes=nbytes,
-                        ):
-                            pass
-                        tr.metrics.counter("comm.p2p.msgs_sent").inc()
-                        tr.metrics.counter("comm.p2p.bytes_sent").inc(nbytes)
-                    self._recv_reqs.append(st.recv_req)
-                    self._rounds.append(st)
-                else:
-                    self._sent_moves.extend(moves)
-                    self.total_sent_samples += len(entries)
-                    self.total_sent_bytes += nbytes
+                st = _Round(i, int(dests[i]), int(srcs[i]), tag)
+                st.buffer = payload
+                st.moves = moves
+                st.nbytes = nbytes
+                st.samples = len(entries)
+                env = Checksummed.wrap(payload, meta=(self.epoch, i, 0))
+                # Wire ops run untraced; the deterministic equivalent
+                # events are emitted below (see _Suspension: the racy
+                # protocol must not make traces unreproducible).
+                with tr.suspended():
                     self._send_reqs.append(
-                        self.comm.isend(payload, dest=int(dests[i]), tag=tag)
+                        self.comm.isend(env, dest=st.dest, tag=tag)
                     )
-                    # The shared seed tells us the source; matched irecv is
-                    # deterministic while remaining wire-identical to
+                    # The shared seed tells us the source; a matched irecv
+                    # is deterministic while remaining wire-identical to
                     # ANY_SOURCE.
-                    self._recv_reqs.append(
-                        self.comm.irecv(source=int(srcs[i]), tag=tag)
-                    )
+                    st.recv_req = self.comm.irecv(source=st.src, tag=tag)
+                if tr.enabled:
+                    with tr.span(
+                        "isend", cat="comm.p2p", peer=st.dest, tag=tag,
+                        nbytes=nbytes,
+                    ):
+                        pass
+                    tr.metrics.counter("comm.p2p.msgs_sent").inc()
+                    tr.metrics.counter("comm.p2p.bytes_sent").inc(nbytes)
+                self._recv_reqs.append(st.recv_req)
+                self._rounds.append(st)
         self._next_round += n
 
     # -------------------------------------------------------------- complete
@@ -602,11 +558,10 @@ class Scheduler:
     ) -> None:
         """Line 7 of Algorithm 1: wait for all outstanding requests.
 
-        The request lists are optional (the scheduler tracks its own); they
-        are accepted to mirror the paper's script-facing API.  In reliable
-        mode this runs the verify/ACK/NACK/resend event loop and then the
-        commit collective; the request lists are ignored (the per-round
-        state supersedes them)."""
+        Runs the verify/ACK/NACK/resend event loop and then the commit
+        collective.  The request lists are accepted to mirror the paper's
+        script-facing API and otherwise ignored (the per-round state
+        supersedes them)."""
         self._require_scheduled()
         if self._next_round < self.plan.rounds:
             raise RuntimeError(
@@ -617,30 +572,10 @@ class Scheduler:
             "exchange.synchronize", cat="exchange", epoch=self.epoch,
             q=self.fraction, rounds=self.plan.rounds,
         ) as sp:
-            if self.reliable:
-                committed = self._complete_reliable()
-                self._apply_commit(committed, sp)
-            else:
-                waitall(send_reqs if send_reqs is not None else self._send_reqs)
-                payloads = waitall(
-                    recv_reqs if recv_reqs is not None else self._recv_reqs
-                )
-                received: list[tuple[np.ndarray, int, int | None]] = []
-                for group in payloads:
-                    if isinstance(group, PackedBatch):
-                        # Fire-and-forget hand-off: the sender packed it,
-                        # this rank installs the views and owns the buffer.
-                        received.extend(unpack_samples(group))
-                        group.adopt()
-                    else:
-                        received.extend(
-                            (np.asarray(s), int(lbl), gid) for s, lbl, gid in group
-                        )
-                self._received = received
-                sp.set(samples=len(self._received))
-                self.total_recv_samples += len(self._received)
+            committed = self._complete_rounds()
+            self._apply_commit(committed, sp)
 
-    # ----------------------------------------------------- reliable protocol
+    # -------------------------------------------------------- round protocol
     def _metric_inc(self, name: str, n: int = 1) -> None:
         tr = self.tracer
         if tr.enabled:
@@ -661,7 +596,7 @@ class Scheduler:
         )
         raise UnrecoveredFaultError(message)
 
-    def _complete_reliable(self) -> int:
+    def _complete_rounds(self) -> int:
         """Run the verify/ACK/NACK/resend loop, then agree what to commit.
 
         Returns the globally agreed number of committed rounds: the minimum
@@ -766,10 +701,6 @@ class Scheduler:
                 env = Checksummed.wrap(
                     st.buffer, meta=(self.epoch, idx, st.send_attempts)
                 )
-                if not isinstance(st.buffer, PackedBatch):
-                    # Re-wrapping the tuple list re-walks every array via
-                    # tobytes(); the packed path re-CRCs without copying.
-                    self.comm.count_copy(st.nbytes)
                 with self.tracer.suspended():
                     self._send_reqs.append(
                         self.comm.isend(env, dest=st.dest, tag=st.tag)
@@ -779,10 +710,15 @@ class Scheduler:
 
     def _handle_data(self, st: _Round, env, ctrl_tag: int) -> None:
         """Classify one completed data receive for round ``st``."""
-        if not isinstance(env, Checksummed) or len(env.meta) != 3:
+        if (
+            not isinstance(env, Checksummed)
+            or len(env.meta) != 3
+            or not isinstance(env.payload, PackedBatch)
+        ):
             self._unrecovered(
-                f"exchange round {st.index}: rank {st.src} sent an "
-                "unchecksummed payload; reliable mode must match on all ranks",
+                f"exchange round {st.index}: rank {st.src} sent a malformed "
+                "envelope; expected a checksummed PackedBatch tagged "
+                "(epoch, round, attempt)",
                 round=st.index,
                 peer=st.src,
             )
@@ -798,10 +734,6 @@ class Scheduler:
             )
             st.recv_req = self.comm.irecv(source=st.src, tag=st.tag)
             return
-        if not isinstance(env.payload, PackedBatch):
-            # Receiver-side verify walks the structure and copies every
-            # array via tobytes(); the packed CRC is copy-free.
-            self.comm.count_copy(st.nbytes)
         if env.ok():
             st.advance("recv", "data_ok")
             st.verified = True
@@ -900,15 +832,14 @@ class Scheduler:
         for st in self._rounds:
             if not st.acked:
                 st.advance("send", "reclaim")
-                if isinstance(st.buffer, PackedBatch):
-                    st.buffer.release()
+                st.buffer.release()
                 st.buffer = None
         for st in self._rounds[committed:]:
             # Rolled back after verification: the payload was never
             # installed, so its buffer goes straight back to the pool.
             if st.recv_state == "verified":
                 st.advance("recv", "rollback")
-            if isinstance(st.payload, PackedBatch):
+            if st.payload is not None:
                 st.payload.release()
                 st.payload = None
         for i, st in enumerate(self._rounds):
@@ -933,15 +864,10 @@ class Scheduler:
                 tr.metrics.counter("comm.p2p.bytes_recv").inc(st.nbytes)
         received: list[tuple[np.ndarray, int, int | None]] = []
         for st in kept:
-            if isinstance(st.payload, PackedBatch):
-                # Zero-copy install: frombuffer views go straight into
-                # storage; adopting the buffer hands its lifetime to them.
-                received.extend(unpack_samples(st.payload))
-                st.payload.adopt()
-            else:
-                received.extend(
-                    (np.asarray(s), int(lbl), gid) for s, lbl, gid in st.payload
-                )
+            # Zero-copy install: frombuffer views go straight into
+            # storage; adopting the buffer hands its lifetime to them.
+            received.extend(unpack_samples(st.payload))
+            st.payload.adopt()
         self._received = received
         committed_samples = sum(st.samples for st in kept)
         self._selected_ids = self._selected_ids[:committed_samples]
@@ -1004,8 +930,8 @@ class Scheduler:
         ACK and then enters the commit allreduce; the allreduce acts as a
         barrier, so by the time the sender is here that ACK is guaranteed
         to be in its mailbox even if its event loop had stopped servicing
-        control.  This makes ACK state definitive — which the batched path
-        relies on to reclaim send buffers safely.  Late NACKs are dropped:
+        control.  This makes ACK state definitive — which reclaiming the
+        send buffers safely relies on.  Late NACKs are dropped:
         the epoch is sealed and nobody is listening for resends."""
         ctrl_tag = EXCHANGE_CTRL.tag(parity=(self.epoch % 2) * _EPOCH_PARITY_BIT)
         while self.comm.iprobe(source=ANY_SOURCE, tag=ctrl_tag):
@@ -1020,7 +946,7 @@ class Scheduler:
                 st.buffer = None  # receiver verified: it owns the buffer now
 
     def fault_stats(self) -> dict:
-        """Fault-recovery counters (reliable mode) for reporting layers."""
+        """Fault-recovery counters for reporting layers."""
         return {
             "resends": self.resends,
             "resent_bytes": self.resent_bytes,
@@ -1124,7 +1050,7 @@ class Scheduler:
         """Abandon a partially posted exchange after a peer failure.
 
         Cancels every outstanding request — including irecvs re-posted by
-        the reliable loop after a NACK — and resets the per-epoch state so
+        the completion loop after a NACK — and resets the per-epoch state so
         :meth:`scheduling` can be called again (typically on a shrunk
         communicator via a rebuilt scheduler).  Local storage is untouched:
         nothing was installed or evicted, so the hot set is exactly what it
@@ -1142,10 +1068,10 @@ class Scheduler:
             # the same in-flight batch (abort is not synchronised), so the
             # bytes must never be recycled.  try_adopt() is idempotent —
             # whichever side gets here first wins the retirement.
-            if isinstance(st.buffer, PackedBatch):
+            if st.buffer is not None:
                 st.buffer.try_adopt()
             st.buffer = None
-            if isinstance(st.payload, PackedBatch):
+            if st.payload is not None:
                 st.payload.try_adopt()
                 st.payload = None
         for req in self._send_reqs + self._recv_reqs:
@@ -1167,7 +1093,7 @@ class Scheduler:
         """Convenience: the full blocking exchange for one epoch.
 
         ``deadline_s`` overrides the scheduler's per-epoch exchange deadline
-        for this call only (reliable mode)."""
+        for this call only."""
         prev = self.deadline_s
         if deadline_s is not None:
             self.deadline_s = deadline_s

@@ -6,12 +6,18 @@ stay consistent through an initial broadcast plus per-iteration gradient
 allreduce (Eq. 1), the strategy's ``on_iteration`` hook overlaps the PLS
 sample exchange with compute (Figure 4), and validation accuracy is
 measured per epoch — the Y axis of every accuracy figure in the paper.
+
+:func:`train_one_epoch` is the only place that loop is written: the plain
+:func:`train_worker` below, the elastic trainer and the self-healing
+lifecycle (:mod:`repro.elastic`) all drive it, differing only in what they
+do between epochs and on a :class:`~repro.mpi.errors.PeerFailure`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from .distributed import allreduce_batchnorm_stats, allreduce_gradients, broadca
 from .evaluate import evaluate
 from .history import EpochRecord, RunHistory
 
-__all__ = ["TrainConfig", "train_worker"]
+__all__ = ["TrainConfig", "build_replica", "train_one_epoch", "train_worker"]
 
 
 @dataclass(frozen=True)
@@ -70,17 +76,167 @@ class TrainConfig:
             raise ValueError(f"optimizer must be sgd or lars, got {self.optimizer!r}")
 
 
-def _build_optimizer(config: TrainConfig, model, workers: int):
-    lr = config.base_lr * (workers if config.scale_lr else 1)
-    if config.optimizer == "lars":
-        return LARS(
-            model.parameters(), lr,
-            momentum=config.momentum, weight_decay=config.weight_decay,
+def build_replica(
+    config: TrainConfig,
+    comm: Communicator | None = None,
+    *,
+    model=None,
+    workers: int | None = None,
+):
+    """This rank's ``(model, optimizer, lr schedule)`` for ``config``.
+
+    With ``comm``, rank 0's weights (``model``'s, if given) are broadcast.
+    Without it nothing is communicated: the caller splices snapshot or
+    handshake state into the returned objects — after the schedule has
+    captured the optimizer's base lr here.  ``workers`` is the count the
+    lr is scaled for (the *job's*, not a shrunk incarnation's); it
+    defaults to ``comm.size``.
+    """
+    if model is None:
+        model = build_model(
+            config.model,
+            in_shape=config.in_shape,
+            num_classes=config.num_classes,
+            seed=config.seed,
+            norm=config.norm,
         )
-    return SGD(
-        model.parameters(), lr,
+    if comm is not None:
+        broadcast_model(model, comm)
+    if workers is None:
+        workers = comm.size
+    make = LARS if config.optimizer == "lars" else SGD
+    optimizer = make(
+        model.parameters(),
+        config.base_lr * (workers if config.scale_lr else 1),
         momentum=config.momentum, weight_decay=config.weight_decay,
     )
+    schedule = MultiStepLR(
+        optimizer, milestones=list(config.lr_milestones), gamma=config.lr_gamma
+    )
+    if config.warmup_epochs:
+        schedule = WarmupWrapper(schedule, config.warmup_epochs)
+    return model, optimizer, schedule
+
+
+def train_one_epoch(
+    comm: Communicator,
+    config: TrainConfig,
+    strategy: ShuffleStrategy,
+    model,
+    optimizer,
+    epoch: int,
+    lr: float,
+    val_X: np.ndarray,
+    val_y: np.ndarray,
+    *,
+    failure_point: Callable[[str], None] | None = None,
+) -> EpochRecord:
+    """One epoch of the Figure-3 loop on this rank.
+
+    ``failure_point`` is called with each of
+    :data:`repro.elastic.failure.POINTS` as the epoch reaches it; a
+    :class:`~repro.elastic.FailurePlan` check raises
+    :class:`~repro.mpi.errors.RankDied` there on a doomed rank.
+
+    Phase regions follow the Figure 10 accounting (io / exchange / fw_bw /
+    ge_wu).  The :class:`PhaseClock` accumulates them always-on (feeding
+    the flight ring and the telemetry push) and mirrors each region as a
+    ``cat="phase"`` span whenever tracing is enabled, so a traced run
+    yields the same breakdown ``measure_phase_breakdown`` reports;
+    loss/accuracy land in gauges and the allreduce's straggler wait in a
+    histogram.
+    """
+    check = failure_point or _no_failure
+    tr = comm.tracer
+    clock = PhaseClock(tr)
+    flight = comm.flight
+    check("begin")
+    with tr.span("epoch", cat="train", epoch=epoch, lr=lr):
+        with clock.phase("exchange"):
+            strategy.begin_epoch(epoch)
+        loader = strategy.epoch_loader(epoch, config.batch_size)
+        # Every rank must run the same number of iterations or the gradient
+        # allreduce deadlocks; take the collective minimum.
+        iters = comm.allreduce(len(loader), op=min)
+        loss_avg = RunningAverage()
+        samples = 0
+        model.train()
+        it = iter(loader)
+        midpoint = iters // 2
+        for i in range(iters):
+            if i == midpoint:
+                check("mid_exchange")
+            with clock.phase("io"):
+                xb, yb = next(it)
+            with clock.phase("fw_bw"):
+                logits = model(Tensor(np.asarray(xb, dtype=np.float32)))
+                loss = F.cross_entropy(logits, yb)
+                model.zero_grad()
+                loss.backward()
+            with clock.phase("ge_wu"):
+                if tr.enabled:
+                    t0 = time.perf_counter()
+                    allreduce_gradients(model, comm)
+                    tr.metrics.histogram("train.straggler_wait_s").observe(
+                        time.perf_counter() - t0
+                    )
+                else:
+                    allreduce_gradients(model, comm)
+                optimizer.step()
+            with clock.phase("exchange"):
+                strategy.on_iteration()
+            loss_avg.update(loss.item(), weight=len(yb))
+            samples += len(yb)
+        check("end")
+        with clock.phase("exchange"):
+            strategy.end_epoch()
+
+        if config.sync_batchnorm_stats:
+            with clock.phase("ge_wu"):
+                allreduce_batchnorm_stats(model, comm)
+        # Validation on rank 0 (replicas are identical after the reduce),
+        # then shared with everyone.
+        with tr.span("validate", cat="train"):
+            if comm.rank == 0:
+                val_acc, _val_loss = evaluate(model, val_X, val_y)
+            else:
+                val_acc = None
+            val_acc = comm.bcast(val_acc, root=0)
+        # Always-on telemetry: record the epoch's phase breakdown in the
+        # flight ring and push it (plus local loss and exchange health)
+        # to the aggregator.  Pushed *before* the mean-loss allreduce:
+        # that collective is a barrier, so rank 0 passing it proves every
+        # peer's push of this epoch is already deposited.  The aggregator
+        # is world-owned, so the series survives a later shrink.
+        if flight.enabled:
+            phases = clock.take()
+            flight.record("epoch.phases", epoch=epoch, **phases)
+            metrics = {f"phase.{k}_s": v for k, v in phases.items()}
+            metrics["train.loss"] = loss_avg.value
+            sched = getattr(strategy, "scheduler", None)
+            if sched is not None:
+                metrics["exchange.q_deficit"] = sched.q_deficit
+            metrics["pool.in_use"] = comm.pool.stats()["in_use"]
+            push_metrics(comm, epoch, metrics)
+        mean_loss = comm.allreduce(loss_avg.value) / comm.size
+        total_samples = comm.allreduce(samples)
+    if tr.enabled:
+        tr.metrics.gauge("train.loss").set(mean_loss)
+        tr.metrics.gauge("train.val_accuracy").set(val_acc)
+        tr.metrics.counter("train.samples_seen").inc(samples)
+        tr.counter("train.loss", mean_loss, cat="train")
+        tr.counter("train.val_accuracy", val_acc, cat="train")
+    return EpochRecord(
+        epoch=epoch,
+        train_loss=mean_loss,
+        val_accuracy=val_acc,
+        lr=lr,
+        samples_seen=total_samples,
+    )
+
+
+def _no_failure(point: str) -> None:
+    """The default ``failure_point``: nothing is scheduled to die."""
 
 
 def train_worker(
@@ -115,25 +271,11 @@ def train_worker(
     uninterrupted run (everything epoch-dependent derives from
     ``(seed, epoch)``).
     """
-    if model is None:
-        model = build_model(
-            config.model,
-            in_shape=config.in_shape,
-            num_classes=config.num_classes,
-            seed=config.seed,
-            norm=config.norm,
-        )
-    broadcast_model(model, comm)
-
+    model, optimizer, schedule = build_replica(config, comm, model=model)
     strategy.setup(
         comm, train_dataset,
         labels=labels, partition=config.partition, seed=config.seed,
     )
-
-    optimizer = _build_optimizer(config, model, comm.size)
-    schedule = MultiStepLR(optimizer, milestones=list(config.lr_milestones), gamma=config.lr_gamma)
-    if config.warmup_epochs:
-        schedule = WarmupWrapper(schedule, config.warmup_epochs)
 
     history = RunHistory(strategy=strategy.name, workers=comm.size)
     start_epoch = 0
@@ -152,95 +294,11 @@ def train_worker(
             start_epoch = ckpt.epoch + 1
             strategy.fast_forward(start_epoch)
 
-    # Per-rank observability: phase regions follow the Figure 10 accounting
-    # (io / exchange / fw_bw / ge_wu).  The PhaseClock accumulates them
-    # always-on (feeding the flight ring and the telemetry push) and mirrors
-    # each region as a cat="phase" span whenever tracing is enabled, so a
-    # traced run yields the same breakdown `measure_phase_breakdown`
-    # reports; loss/accuracy land in gauges and the allreduce's straggler
-    # wait in a histogram.
-    tr = comm.tracer
-    clock = PhaseClock(tr)
-    flight = comm.flight
     for epoch in range(start_epoch, config.epochs):
         lr = schedule.step(epoch)
-        with tr.span("epoch", cat="train", epoch=epoch, lr=lr):
-            with clock.phase("exchange"):
-                strategy.begin_epoch(epoch)
-            loader = strategy.epoch_loader(epoch, config.batch_size)
-            # Every rank must run the same number of iterations or the gradient
-            # allreduce deadlocks; take the collective minimum.
-            iters = comm.allreduce(len(loader), op=min)
-            loss_avg = RunningAverage()
-            samples = 0
-            model.train()
-            it = iter(loader)
-            for _ in range(iters):
-                with clock.phase("io"):
-                    xb, yb = next(it)
-                with clock.phase("fw_bw"):
-                    logits = model(Tensor(np.asarray(xb, dtype=np.float32)))
-                    loss = F.cross_entropy(logits, yb)
-                    model.zero_grad()
-                    loss.backward()
-                with clock.phase("ge_wu"):
-                    if tr.enabled:
-                        t0 = time.perf_counter()
-                        allreduce_gradients(model, comm)
-                        tr.metrics.histogram("train.straggler_wait_s").observe(
-                            time.perf_counter() - t0
-                        )
-                    else:
-                        allreduce_gradients(model, comm)
-                    optimizer.step()
-                with clock.phase("exchange"):
-                    strategy.on_iteration()
-                loss_avg.update(loss.item(), weight=len(yb))
-                samples += len(yb)
-            with clock.phase("exchange"):
-                strategy.end_epoch()
-
-            if config.sync_batchnorm_stats:
-                with clock.phase("ge_wu"):
-                    allreduce_batchnorm_stats(model, comm)
-            # Validation on rank 0 (replicas are identical after the reduce),
-            # then shared with everyone.
-            with tr.span("validate", cat="train"):
-                if comm.rank == 0:
-                    val_acc, _val_loss = evaluate(model, val_X, val_y)
-                else:
-                    val_acc = None
-                val_acc = comm.bcast(val_acc, root=0)
-            # Always-on telemetry: record the epoch's phase breakdown in the
-            # flight ring and push it (plus local loss and exchange health)
-            # to the aggregator.  Pushed *before* the mean-loss allreduce:
-            # that collective is a barrier, so rank 0 passing it proves every
-            # peer's push of this epoch is already deposited.
-            if flight.enabled:
-                phases = clock.take()
-                flight.record("epoch.phases", epoch=epoch, **phases)
-                metrics = {f"phase.{k}_s": v for k, v in phases.items()}
-                metrics["train.loss"] = loss_avg.value
-                sched = getattr(strategy, "scheduler", None)
-                if sched is not None:
-                    metrics["exchange.q_deficit"] = sched.q_deficit
-                metrics["pool.in_use"] = comm.pool.stats()["in_use"]
-                push_metrics(comm, epoch, metrics)
-            mean_loss = comm.allreduce(loss_avg.value) / comm.size
-            total_samples = comm.allreduce(samples)
-        if tr.enabled:
-            tr.metrics.gauge("train.loss").set(mean_loss)
-            tr.metrics.gauge("train.val_accuracy").set(val_acc)
-            tr.metrics.counter("train.samples_seen").inc(samples)
-            tr.counter("train.loss", mean_loss, cat="train")
-            tr.counter("train.val_accuracy", val_acc, cat="train")
         history.add(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=mean_loss,
-                val_accuracy=val_acc,
-                lr=lr,
-                samples_seen=total_samples,
+            train_one_epoch(
+                comm, config, strategy, model, optimizer, epoch, lr, val_X, val_y
             )
         )
         if (
@@ -262,7 +320,7 @@ def train_worker(
     # Final drain: rank 0's per-epoch drain ran *before* the last epoch's
     # barrier, so the peers' final pushes are still queued.  They are all
     # deposited by now (each peer pushed before entering that barrier).
-    if flight.enabled and comm.rank == 0:
+    if comm.flight.enabled and comm.rank == 0:
         drain_pending(comm)
     history.stats = strategy.stats()
     if return_model:

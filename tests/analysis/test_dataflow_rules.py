@@ -252,7 +252,7 @@ class TestUnreleasedPoolBuffer:
         assert rule_ids(src) == []
 
     def test_escape_via_container_store_clean(self):
-        # The PooledCollate shape: ownership moves to self._bufs.
+        # A collate-style owner: ownership moves to self._bufs.
         src = """
         def f(self, key):
             buf = self.pool.acquire(64)

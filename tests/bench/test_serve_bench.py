@@ -65,21 +65,21 @@ def fake_serve(fairness=1.0, hit_rate=0.5, errors=0, served=8, submitted=8):
 
 class TestServeGate:
     def test_healthy_run_passes(self):
-        assert check_regression(None, None, {}, serve=fake_serve()) == []
+        assert check_regression(None, {}, serve=fake_serve()) == []
 
     def test_unfair_run_fails(self):
-        problems = check_regression(None, None, {}, serve=fake_serve(fairness=0.5))
+        problems = check_regression(None, {}, serve=fake_serve(fairness=0.5))
         assert any("Jain" in p for p in problems)
 
     def test_cold_shared_cache_fails(self):
-        problems = check_regression(None, None, {}, serve=fake_serve(hit_rate=0.0))
+        problems = check_regression(None, {}, serve=fake_serve(hit_rate=0.0))
         assert any("hot-cache" in p for p in problems)
 
     def test_leaked_faults_fail(self):
-        problems = check_regression(None, None, {}, serve=fake_serve(errors=2))
+        problems = check_regression(None, {}, serve=fake_serve(errors=2))
         assert any("flaky" in p for p in problems)
         problems = check_regression(
-            None, None, {}, serve=fake_serve(served=6, submitted=8)
+            None, {}, serve=fake_serve(served=6, submitted=8)
         )
         assert any("6/8" in p for p in problems)
 
@@ -87,7 +87,7 @@ class TestServeGate:
         baseline = fake_serve(fairness=1.0, hit_rate=0.6)
         fresh = fake_serve(fairness=0.95, hit_rate=0.3)  # hit rate halved
         problems = check_regression(
-            None, None, {SERVE_ARTIFACT: baseline}, serve=fresh
+            None, {SERVE_ARTIFACT: baseline}, serve=fresh
         )
         assert any("hot_hit_rate" in p for p in problems)
 
@@ -95,11 +95,11 @@ class TestServeGate:
         baseline = fake_serve(fairness=1.0, hit_rate=0.5)
         fresh = fake_serve(fairness=0.95, hit_rate=0.45)
         assert check_regression(
-            None, None, {SERVE_ARTIFACT: baseline}, serve=fresh
+            None, {SERVE_ARTIFACT: baseline}, serve=fresh
         ) == []
 
     def test_skipped_scenario_skips_gate(self):
-        assert check_regression(None, None, {}, serve=None) == []
+        assert check_regression(None, {}, serve=None) == []
 
 
 class TestRunBenchServe:

@@ -59,22 +59,22 @@ def fake_telemetry(overhead=1.01, identical=True):
 
 class TestOverheadGate:
     def test_within_budget_passes(self):
-        assert check_regression(None, None, {}, telemetry=fake_telemetry()) == []
+        assert check_regression(None, {}, telemetry=fake_telemetry()) == []
 
     def test_budget_breach_fails(self):
         problems = check_regression(
-            None, None, {}, telemetry=fake_telemetry(overhead=1.2)
+            None, {}, telemetry=fake_telemetry(overhead=1.2)
         )
         assert any("budget" in p for p in problems)
 
     def test_perturbed_training_fails(self):
         problems = check_regression(
-            None, None, {}, telemetry=fake_telemetry(identical=False)
+            None, {}, telemetry=fake_telemetry(identical=False)
         )
         assert any("changed the training result" in p for p in problems)
 
     def test_skipped_scenario_skips_gate(self):
-        assert check_regression(None, None, {}, telemetry=None) == []
+        assert check_regression(None, {}, telemetry=None) == []
 
 
 class TestScenarioSelection:
@@ -88,7 +88,6 @@ class TestScenarioSelection:
             baseline_dir=tmp_path, scenarios=("telemetry",),
         )
         assert out["exchange"] is None
-        assert out["epoch"] is None
         assert out["telemetry"] is not None
         assert (tmp_path / "BENCH_telemetry.json").is_file()
         assert not (tmp_path / "BENCH_exchange.json").exists()
@@ -101,6 +100,5 @@ class TestScenarioSelection:
 
     def test_scenarios_constant(self):
         assert SCENARIOS == (
-            "exchange", "epoch", "telemetry", "serve", "robustness",
-            "backend",
+            "exchange", "telemetry", "serve", "robustness", "backend",
         )

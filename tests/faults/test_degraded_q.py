@@ -20,7 +20,7 @@ def worker(comm):
         st.add(np.array([comm.rank, i], dtype=np.float32), label=comm.rank)
     sched = Scheduler(
         st, comm, fraction=Q, batch_size=4, seed=11,
-        reliable=True, resend_timeout_s=0.05, deadline_s=0.15,
+        resend_timeout_s=0.05, deadline_s=0.15,
     )
     for e in range(EPOCHS):
         sched.run_exchange(e)
@@ -81,7 +81,7 @@ class TestDegradedQ:
                 st.add(np.array([comm.rank, i], dtype=np.float32), label=comm.rank)
             sched = Scheduler(
                 st, comm, fraction=Q, batch_size=4, seed=11,
-                reliable=True, resend_timeout_s=0.05,
+                resend_timeout_s=0.05,
             )
             for e in range(EPOCHS):
                 sched.run_exchange(e)

@@ -27,7 +27,7 @@ def exchange_worker(comm):
     storage = fill_storage(comm.rank)
     sched = Scheduler(
         storage, comm, fraction=0.5, batch_size=4, seed=11,
-        reliable=True, resend_timeout_s=0.05,
+        resend_timeout_s=0.05,
     )
     for e in range(EPOCHS):
         sched.run_exchange(e)
@@ -119,7 +119,7 @@ class TestAbortAfterPeerFailure:
             storage = fill_storage(comm.rank)
             sched = Scheduler(
                 storage, comm, fraction=0.5, batch_size=4, seed=3,
-                reliable=True, resend_timeout_s=0.05,
+                resend_timeout_s=0.05,
             )
             if comm.rank == 1:
                 sched.scheduling(0)  # join the collectives, then die

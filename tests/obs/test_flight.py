@@ -129,7 +129,7 @@ class TestUnrecoveredFaultDump:
         def worker(comm):
             sched = Scheduler(
                 _fill_storage(comm.rank), comm, fraction=0.5, batch_size=4,
-                seed=7, reliable=True, resend_timeout_s=0.02, max_attempts=2,
+                seed=7, resend_timeout_s=0.02, max_attempts=2,
             )
             sched.run_exchange(0)  # clean epoch: every ring fills up
             comm.barrier()

@@ -8,8 +8,6 @@ The abort test additionally pins the shared-memory cleanup contract: a
 rank failing mid-run must not leave ``/dev/shm`` segments behind.
 """
 
-import zlib
-
 import numpy as np
 import pytest
 
@@ -35,34 +33,76 @@ def _once(key, thunk):
     return _REFERENCE[key]
 
 
-def _exchange_worker(comm, batched, samples, q, seed):
+# ---------------------------------------------------------------- the oracle
+# One differential test for the exchange: whatever the backend, the fault
+# profile or the message granularity, every rank must end each epoch holding
+# exactly the samples ``reconstruct_ledger`` — a communicator-free replay of
+# Algorithm 1 — says it holds, with the source dataset's bytes.
+_ORACLE_RANKS = 3
+_ORACLE_N_LOCAL = 12
+_ORACLE_Q = 0.5
+_ORACLE_SEED = 7
+_ORACLE_EPOCHS = 3
+_ORACLE_X = np.random.default_rng(0).random(
+    (_ORACLE_RANKS * _ORACLE_N_LOCAL, 8, 8)
+).astype(np.float32)
+_ORACLE_Y = np.arange(len(_ORACLE_X)) % 5
+_ORACLE_SHARDS = [
+    list(range(r * _ORACLE_N_LOCAL, (r + 1) * _ORACLE_N_LOCAL))
+    for r in range(_ORACLE_RANKS)
+]
+
+
+def _oracle_worker(comm, granularity):
     storage = StorageArea()
-    rng = np.random.default_rng(seed + comm.rank)
-    for _ in range(samples):
-        storage.add(rng.random((16, 16)).astype(np.float32), int(rng.integers(0, 8)))
-    sched = Scheduler(storage, comm, fraction=q, seed=seed, batched=batched)
-    for epoch in range(2):
-        sched.run_exchange(epoch)
-    acc = 0
-    for _sid, sample, label in storage.items():
-        acc ^= zlib.crc32(np.ascontiguousarray(sample).tobytes() + bytes([label % 251]))
-    return acc, sched.total_sent_samples, sched.total_sent_bytes
-
-
-@pytest.mark.parametrize("batched", [False, True], ids=["persample", "batched"])
-def test_exchange_parity(backend, batched):
-    def run(bk):
-        result = run_spmd(
-            _exchange_worker, 2, args=(batched, 32, 0.5, 7), backend=bk
-        )
-        return list(result)
-
-    got = run(backend)
-    ref = _once(
-        ("exchange", batched),
-        lambda: got if backend == "threads" else run("threads"),
+    for gid in _ORACLE_SHARDS[comm.rank]:
+        storage.add(_ORACLE_X[gid], int(_ORACLE_Y[gid]), gid=gid)
+    sched = Scheduler(
+        storage, comm, fraction=_ORACLE_Q, seed=_ORACLE_SEED,
+        granularity=granularity, resend_timeout_s=0.05,
     )
-    assert got == ref
+    after_epoch = []
+    for epoch in range(_ORACLE_EPOCHS):
+        sched.run_exchange(epoch)
+        after_epoch.append(
+            [
+                (storage.gid_of(sid), int(label), np.asarray(sample).tobytes())
+                for sid, sample, label in storage.items()
+            ]
+        )
+    return after_epoch
+
+
+@pytest.mark.parametrize("granularity", [1, 4])
+@pytest.mark.parametrize(
+    "profile", ["", "corrupt:p=0.1;drop:p=0.05;dup:p=0.05"], ids=["clean", "chaos"]
+)
+def test_exchange_matches_oracle(backend, profile, granularity):
+    from repro.elastic import reconstruct_ledger
+    from repro.faults import ChaosEngine, ChaosWorld
+
+    engine = ChaosEngine(profile, seed=1)
+
+    def chaos_world(size, **kwargs):
+        return ChaosWorld(size, chaos=engine, **kwargs)
+
+    result = run_spmd(
+        _oracle_worker, _ORACLE_RANKS, args=(granularity,), backend=backend,
+        deadline_s=120, world_factory=chaos_world if profile else None,
+    )
+    if profile:
+        assert sum(engine.snapshot().values()) > 0, "chaos injected nothing"
+    for epochs in range(1, _ORACLE_EPOCHS + 1):
+        oracle = reconstruct_ledger(
+            _ORACLE_SEED, _ORACLE_SHARDS, epochs, _ORACLE_Q,
+            granularity=granularity,
+        )
+        for rank, after_epoch in enumerate(result):
+            hot = after_epoch[epochs - 1]
+            assert sorted(gid for gid, _, _ in hot) == oracle.held_by(rank)
+            for gid, label, raw in hot:
+                assert label == _ORACLE_Y[gid]
+                assert raw == _ORACLE_X[gid].tobytes()
 
 
 def test_dead_peer_epitaph_crosses_backends(backend):
@@ -86,7 +126,7 @@ def _abort_worker(comm, samples, q, seed):
     rng = np.random.default_rng(seed + comm.rank)
     for _ in range(samples):
         storage.add(rng.random((16, 16)).astype(np.float32), int(rng.integers(0, 8)))
-    sched = Scheduler(storage, comm, fraction=q, seed=seed, batched=True)
+    sched = Scheduler(storage, comm, fraction=q, seed=seed)
     sched.run_exchange(0)
     if comm.rank == 1:
         raise ValueError("injected mid-run failure")

@@ -242,7 +242,7 @@ class TestBenchScenario:
         assert build_parser().parse_args(["bench"]).scenario == "all"
 
     def test_parser_accepts_each_scenario(self):
-        for name in ("exchange", "epoch", "telemetry"):
+        for name in ("exchange", "telemetry", "backend"):
             assert build_parser().parse_args(
                 ["bench", "--scenario", name]
             ).scenario == name
