@@ -1,14 +1,15 @@
 """Explicit-state model checker for the reliable-exchange protocol.
 
 The scheduler's reliable exchange (CRC/ACK/NACK with bounded resends,
-deadline-based degraded-Q commit/rollback, zero-copy buffer ownership
-settled at ACK/commit time) is interleaving-sensitive code: its unit tests
-exercise *some* schedules, this module exhaustively explores *all* of them
-on small worlds.
+deadline-based degraded-Q commit/rollback, pooled frame buffers whose
+ownership is settled at ACK/commit time) is interleaving-sensitive code:
+its unit tests exercise *some* schedules, this module exhaustively explores
+*all* of them on small worlds.
 
 The abstract model mirrors the live protocol one-to-one:
 
-* **Round state machine** — each rank's per-round send/recv halves advance
+* **Round state machine** — a model *round* is one frame each way: every
+  rank posts one frame and is owed one, and the two halves advance
   through :data:`repro.shuffle.scheduler.ROUND_TRANSITIONS`, imported
   from the scheduler itself so the checked model and the shipped protocol
   share one transition table and cannot drift silently.
@@ -20,7 +21,9 @@ The abstract model mirrors the live protocol one-to-one:
   faults ``scope="all"`` clauses can apply to them.
 * **Buffer pool** — a ledger of buffer states (``in_use`` / ``released``
   / ``adopted``) with the live pool's strict double-retire semantics and
-  the idempotent ``try_adopt`` used by abort teardown.
+  the idempotent ``try_adopt`` used by abort teardown.  A committing
+  receiver copies the samples out and *releases* the frame, so the model
+  also tracks which settled rank still references a buffer.
 
 Explored faults (budget-bounded): ``drop`` / ``dup`` / ``corrupt`` /
 ``delay`` (head-to-tail reordering) on channels, ``stale`` injection (a
@@ -34,6 +37,8 @@ Checked invariants:
   checked at application time, and every ``in_use`` buffer at a terminal
   state must still be referenced by a dead/failed rank (bytes stranded by
   fail-stop death are the one sanctioned loss);
+* no use after release — a settled rank never keeps a reference (an
+  installed view) to a buffer it returned to the pool;
 * stale messages never commit — a committed payload's epoch must be the
   current epoch;
 * agreement — all settled ranks commit the same round count;
@@ -139,13 +144,13 @@ class CheckResult:
 MUTATIONS: dict[str, str] = {
     "release_before_ack": (
         "sender releases its pooled buffer right after isend instead of "
-        "retaining it until the ACK — the receiver's commit-time adopt "
-        "becomes a use-after-free"
+        "retaining it until the ACK — the receiver's commit-time release "
+        "becomes a double free"
     ),
     "skip_drain_late_acks": (
         "commit settlement skips _drain_late_acks, so an ACK posted just "
         "before the receiver's deadline is never seen and the sender "
-        "reclaims a buffer the receiver adopts"
+        "reclaims a buffer the receiver releases too"
     ),
     "no_adopt_guard": (
         "abort teardown uses strict adopt() instead of the idempotent "
@@ -158,7 +163,7 @@ MUTATIONS: dict[str, str] = {
     ),
     "ack_before_verify": (
         "receiver ACKs on arrival instead of after the CRC check — a "
-        "corrupt delivery transfers ownership of bytes nobody ever adopts"
+        "corrupt delivery transfers ownership of bytes nobody ever settles"
     ),
     "no_timeout_nack": (
         "receiver never NACKs on timeout, so a dropped data message "
@@ -171,6 +176,11 @@ MUTATIONS: dict[str, str] = {
     "forget_unacked_release": (
         "commit settlement forgets to release un-ACKed send buffers after "
         "the late-ACK drain"
+    ),
+    "release_under_view": (
+        "commit installs zero-copy views of a frame instead of copying the "
+        "samples out, and still releases the frame — storage reads bytes "
+        "the pool hands to the next acquirer"
     ),
     "ack_join_before_barrier": (
         "a joining rank ACKs its admission immediately instead of after "
@@ -203,7 +213,8 @@ class _Bug(Exception):
 # round record keys (order is the frozen tuple layout):
 #   send, recv   -- ROUND_TRANSITIONS states of each half
 #   att, nacks   -- resend attempts honoured / NACKs sent
-#   sbuf, rpay   -- buffer ids referenced by sender / verified receiver
+#   sbuf, rpay   -- buffer ids referenced by sender / receiver (a verified
+#                   frame, or views of it installed without a copy-out)
 #   pep          -- epoch of the verified payload
 #   posted       -- an irecv is outstanding
 _RKEYS = ("send", "recv", "att", "nacks", "sbuf", "rpay", "pep", "posted")
@@ -343,7 +354,8 @@ def _abort_rank(cov, cfg: CheckConfig, st: _State, r: int) -> None:
 
 
 def _settle_rank(cov, cfg: CheckConfig, st: _State, r: int, committed: int) -> None:
-    """One rank's _apply_commit: drain, reclaim, rollback, adopt."""
+    """One rank's _apply_commit: drain, reclaim, rollback, copy out and
+    release."""
     rank = st.ranks[r]
     mut = cfg.mutation
     if mut != "skip_drain_late_acks":
@@ -375,8 +387,9 @@ def _settle_rank(cov, cfg: CheckConfig, st: _State, r: int, committed: int) -> N
                         f"rank {r} committed round {i} with a payload from "
                         f"epoch {rd['pep']} (current epoch {EPOCH})",
                     )
-                _retire(st.ledger, rd["rpay"], "adopted", strict=True)
-                rd["rpay"] = None
+                _retire(st.ledger, rd["rpay"], "released", strict=True)
+                if mut != "release_under_view":
+                    rd["rpay"] = None  # samples copied out: no view remains
             else:
                 _advance(cov, rd, "recv", "rollback")
                 if mut != "forget_rollback_release":
@@ -650,6 +663,20 @@ def _terminal_bugs(cfg: CheckConfig, frozen) -> list[tuple[str, str]]:
                     "dead rank holding it",
                 )
             )
+    # Use after release: a settled rank still references (installed views
+    # of) a buffer that went back to the pool.
+    released = {bid for bid, state in ledger_f if state == "released"}
+    rpay = _RKEYS.index("rpay")
+    for r, (status, _p, _c, rounds) in enumerate(ranks_f):
+        for i, rd in enumerate(rounds if status == "settled" else ()):
+            if rd[rpay] in released:
+                bugs.append(
+                    (
+                        "use_after_release",
+                        f"rank {r} still views buffer {rd[rpay]} of round "
+                        f"{i} after releasing it to the pool",
+                    )
+                )
     # Agreement on the committed prefix.
     committed = {rf[2] for rf in ranks_f if rf[0] == "settled"}
     if len(committed) > 1:

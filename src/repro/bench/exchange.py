@@ -2,9 +2,10 @@
 
 Runs the PLS exchange (``Scheduler.run_exchange``) over the in-process
 world and reports wall time next to the world's copy and pool counters,
-which give a machine-independent account of the work done: the exchange
-pays exactly one gather copy per round into a pooled buffer, so
-``bytes_copied`` should sit at about ``sent_bytes``.
+which give a machine-independent account of the work done: a sample is
+gathered once into a pooled frame and copied once out of it at install, so
+``bytes_copied`` should sit at about twice ``sent_bytes``, and the frames
+released at commit should serve the next epoch's acquires.
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ def bench_exchange(
 ) -> dict[str, Any]:
     """Run the exchange and report its time, copies and pool traffic.
 
-    ``ratios.bytes_copied_per_sent_byte`` is deterministic for a given
-    configuration (envelope bytes over logical sample bytes), so it is
-    comparable across machines; wall time is not.  ``backend`` selects the
+    ``ratios.bytes_copied_per_sent_byte`` and ``ratios.pool_hit_rate`` are
+    deterministic for a given configuration (envelope bytes over logical
+    sample bytes; acquires served from a free list), so they are comparable
+    across machines; wall time is not.  ``backend`` selects the
     rank host (``"threads"`` / ``"procs"``; ``None`` defers to
     ``REPRO_BACKEND``).
     """
@@ -106,6 +108,10 @@ def bench_exchange(
         "ratios": {
             "bytes_copied_per_sent_byte": (
                 run["bytes_copied"] / run["sent_bytes"] if run["sent_bytes"] else 0.0
+            ),
+            "pool_hit_rate": (
+                run["pool"]["hits"] / run["pool"]["acquires"]
+                if run["pool"]["acquires"] else 0.0
             ),
         },
     }

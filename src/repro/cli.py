@@ -336,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--check", action="store_true",
         help="fail on >20%% ratio regression vs the committed baseline, or "
-        "if the exchange copies more than 1.1 bytes per sent byte",
+        "if the exchange copies more than 2.1 bytes per sent byte or "
+        "recycles no frame",
     )
     p_bench.add_argument(
         "--baseline", default=None, metavar="DIR",

@@ -1,6 +1,6 @@
 """Zero-copy batch codec for the exchange hot path.
 
-Each exchange round's ``(sample, label, gid)`` triples travel as one flat
+Each exchange frame's ``(sample, label, gid)`` triples travel as one flat
 envelope, so the wire layer never pickles a sample and the integrity layer
 never walks a structure calling ``tobytes()`` (a full copy per checksum):
 
@@ -17,8 +17,9 @@ A :class:`PackedBatch` is frozen and its payload view is read-only, so it
 is safe to share by reference across ranks (the in-process transport
 passes it through un-copied — see ``copy_payload``).  Ownership of a
 pooled backing buffer travels with the batch: the producing rank packs,
-the consuming rank either ``adopt()``\\ s the buffer (zero-copy install:
-storage keeps the views alive) or ``release()``\\ s it (rollback).
+the consuming rank ``release()``\\ s the buffer once no view of it is
+left (the exchange copies the samples out first, so its frames recycle)
+or ``adopt()``\\ s it to keep long-lived views valid (the serve tier).
 """
 
 from __future__ import annotations
@@ -174,11 +175,12 @@ def unpack_samples(
 ) -> list[tuple[np.ndarray, int, int | None]]:
     """Decode a :class:`PackedBatch` back into ``(sample, label, gid)``.
 
-    With ``copy=False`` (the default, the hot path) the returned arrays are
-    read-only ``np.frombuffer`` views into the batch payload: installing
-    them into storage costs zero byte copies, at the price of keeping the
-    backing buffer alive (``batch.adopt()`` records that hand-off).
-    ``copy=True`` materialises private writable arrays instead.
+    With ``copy=False`` (the default) the returned arrays are read-only
+    ``np.frombuffer`` views into the batch payload: zero byte copies, at
+    the price of every view pinning the *whole* backing buffer
+    (``batch.adopt()`` records that hand-off).  ``copy=True`` materialises
+    private writable arrays instead — what the exchange installs, so it
+    can ``release()`` the buffer for reuse.
     """
     n = batch.count
     payload = batch.payload

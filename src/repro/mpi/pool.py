@@ -1,7 +1,7 @@
 """Size-classed pool of reusable exchange buffers.
 
 The per-epoch exchange allocates the same handful of buffer sizes over and
-over: one packed envelope per round, one batch array per training
+over: one packed frame per (window, peer), one batch array per training
 iteration.  Allocating them fresh each time is pure allocator churn — RINAS
 (Zhong et al., 2023) measures shuffled-ingest throughput as dominated by
 exactly this kind of serialization/allocation overhead, not by the shuffle
@@ -16,8 +16,9 @@ Ownership protocol (enforced by accounting, relied on for zero-copy):
   no live view can reach: the pool WILL hand the same bytes to the next
   acquirer of that size class.
 * :meth:`~BufferPool.adopt` transfers ownership *out* of the pool — used
-  when a zero-copy consumer (the storage area installing received sample
-  views) keeps the bytes alive indefinitely.  Adopted buffers are never
+  when a zero-copy consumer (the serve tier's storage installing received
+  sample views, or an aborted exchange whose peer may still read the
+  frame) keeps the bytes alive indefinitely.  Adopted buffers are never
   reused; Python's GC frees them when the last view dies.
 
 ``in_use()`` counts acquired-but-neither-released-nor-adopted buffers, so

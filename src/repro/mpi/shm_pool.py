@@ -18,11 +18,17 @@ Ownership protocol (identical to the in-process pool, with one twist):
 * a segment travels on the wire as a *handle envelope* (name + id + length),
   never as payload bytes — the receiving process attaches the same segment
   and reads the bytes in place;
-* **every** segment this pool ever created is unlinked at
-  :meth:`~SharedSegmentPool.shutdown`, which the launcher invokes on every
-  exit path (normal return, rank kill, exception, deadline) and which is
-  additionally registered with :mod:`atexit` as a backstop, so repeated runs
-  never leak ``/dev/shm`` entries.
+* a released segment **always** goes back on its size class's free list:
+  rank processes keep every segment they ever attached mapped (two fds
+  each), so unlinking one behind their backs would only orphan those
+  mappings.  The exchange's frames in flight bound the high-water mark, so
+  the free lists — and every rank's mappings — stop growing after the
+  first epoch;
+* segments are unlinked only by :meth:`~SharedSegmentPool.clear` and
+  :meth:`~SharedSegmentPool.shutdown`; the launcher invokes the latter on
+  every exit path (normal return, rank kill, exception, deadline) and it is
+  additionally registered with :mod:`atexit` as a backstop, so repeated
+  runs never leak ``/dev/shm`` entries.
 
 Segment names carry the :data:`SEGMENT_PREFIX` so tests (and operators) can
 assert a clean ``/dev/shm`` namespace between runs.
@@ -120,15 +126,8 @@ class SharedSegmentPool:
     retires a buffer it did not locally create.
     """
 
-    def __init__(
-        self, *, max_buffers_per_class: int = 32, name: str = "shm-pool"
-    ) -> None:
-        if max_buffers_per_class < 1:
-            raise ValueError(
-                f"max_buffers_per_class must be >= 1, got {max_buffers_per_class}"
-            )
+    def __init__(self, *, name: str = "shm-pool") -> None:
         self.name = name
-        self.max_buffers_per_class = max_buffers_per_class
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._token = secrets.token_hex(4)
@@ -237,11 +236,7 @@ class SharedSegmentPool:
                 del self._records[buf_id]
                 seg = self._segments.get(buf.segment_name)
                 if seg is not None:
-                    free = self._free.setdefault(buf.size_class, [])
-                    if len(free) < self.max_buffers_per_class:
-                        free.append(seg)
-                    else:
-                        self._unlink_locked(seg)
+                    self._free.setdefault(buf.size_class, []).append(seg)
             else:
                 # Adopted: keep the record (views may still arrive on the
                 # wire) but never hand the segment out again.

@@ -41,9 +41,9 @@ __all__ = [
 #: Schema tag written into every dump.
 FLIGHT_SCHEMA = "repro.obs.flight/v1"
 
-#: Events retained per rank.  A reliable-exchange round emits ~4 events
-#: (post / verified / ack / commit share), so 512 covers the last ~100
-#: rounds plus epoch markers — several epochs of context at ~100 B/event.
+#: Events retained per rank.  An exchange frame emits ~3 events (post /
+#: verified / ack), so 512 covers the last ~170 frames plus epoch markers
+#: — several epochs of context at ~100 B/event.
 DEFAULT_FLIGHT_CAPACITY = 512
 
 #: Environment variable naming the directory dumps are written to.

@@ -14,33 +14,42 @@ Mirrors the paper's user-facing object (Figure 3)::
     scheduler.run_exchange(epoch)            # or: all four steps at once
 
 The exchange follows :class:`~repro.shuffle.exchange_plan.ExchangePlan`
-(Algorithm 1): per round one isend/irecv pair per rank, matched by round
-tag, seed-synchronised destinations, hence balanced traffic.  Per-iteration
-chunking sends ``Q*b`` samples per training iteration, which is exactly the
-paper's overlap granularity ("in each iteration, Q*b samples are
-sent/received", §III-C).
+(Algorithm 1): per plan round every rank sends one message's worth of
+samples and receives one, seed-synchronised destinations, hence balanced
+traffic.  The *plan* is per sample; the *wire* is per **frame**: the
+``Q*b`` rounds one training iteration posts ("in each iteration, Q*b
+samples are sent/received", §III-C) form a **window**, and a window's
+rounds are grouped by destination into one frame per peer — one pack, one
+checksum, one isend / matched irecv, one ACK.  Both sides derive a frame's
+contents from the shared plan, so an empty ``(window, peer)`` pair sends
+nothing, self is a peer like any other, and at ``M >> Q*b`` a frame
+degenerates to a single round's message.
 
 The exchange is hardened against *transient* faults — corrupted or dropped
 messages, stragglers — without changing the clean-run results:
 
-* each round's samples are coalesced into one zero-copy
+* a frame's samples are coalesced into one
   :class:`~repro.mpi.codec.PackedBatch` (struct header + one contiguous
   pooled payload) and travel in a CRC32
   :class:`~repro.mpi.message.Checksummed` envelope tagged
-  ``(epoch, round, attempt)``;
+  ``(epoch, window, attempt)``;
 * the receiver verifies on receipt and answers with an ACK, or a NACK that
   makes the sender retransmit from its retained buffer (bounded attempts,
-  exponential NACK backoff) — a send buffer is only released once ACKed;
+  exponential NACK backoff measured from the last sign of life, so a slow
+  but progressing peer is never NACKed) — a send buffer is only released
+  once ACKed;
 * an optional per-epoch ``deadline_s`` turns a straggling exchange into
   *graceful degradation*: the ranks agree (via an allreduce of their longest
-  contiguous verified-round prefix) on how many rounds to commit, train this
-  epoch at the lower effective Q, and repay the recorded Q-deficit by
-  enlarging the next epochs' exchange, so the long-run exchanged fraction
-  converges to the configured Q.
+  contiguous verified-window prefix) on how many whole windows to commit,
+  train this epoch at the lower effective Q, and repay the recorded
+  Q-deficit by enlarging the next epochs' exchange, so the long-run
+  exchanged fraction converges to the configured Q.
 
-Ownership of the pooled buffer travels with the message: the sender packs
-it, and the receiver either adopts it into storage (commit) or releases it
-back to the pool (rollback) — see ``docs/performance.md``.
+Ownership of the pooled buffer travels with the frame: the sender packs
+it; at commit the receiver copies the samples out into storage in plan-round
+order and *releases* the buffer back to the pool (the commit allreduce plus
+the late-ACK drain guarantee nobody else can still read it), so frames
+recycle and no storage entry pins one — see ``docs/performance.md``.
 
 Fail-stop faults remain :mod:`repro.elastic`'s business: the completion loop
 polls ``comm.dead_peers()`` and re-raises a genuine death as
@@ -52,14 +61,15 @@ from __future__ import annotations
 
 import time
 import zlib
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.mpi.codec import PackedBatch, pack_samples, unpack_samples
 from repro.mpi.communicator import Communicator
 from repro.mpi.errors import PeerFailure, UnrecoveredFaultError
-from repro.mpi.message import ANY_SOURCE, Checksummed, payload_nbytes
+from repro.mpi.message import ANY_SOURCE, Checksummed, Status, payload_nbytes
 from repro.mpi.request import Request
 from repro.mpi.tags import EXCHANGE_CTRL, EXCHANGE_DATA, PARITY_BIT
 from repro.utils.retry import Backoff
@@ -76,8 +86,9 @@ __all__ = [
     "TERMINAL_ROUND_STATES",
 ]
 
-# Tag space reserved for sample-exchange rounds: one tag per round within an
-# epoch, plus an epoch-parity bit.  Ranks can be at most one epoch apart
+# Tag space reserved for sample-exchange frames: one tag per window within an
+# epoch (the channel's source tells the frames of a window apart), plus an
+# epoch-parity bit.  Ranks can be at most one epoch apart
 # (synchronize() blocks until all sources posted), so parity plus per-channel
 # FIFO matching keeps epochs unambiguous.  Allocated centrally in
 # repro.mpi.tags; the module-level constants remain for compatibility.
@@ -88,27 +99,28 @@ _EPOCH_PARITY_BIT = PARITY_BIT
 # can never be matched by a data irecv.
 EXCHANGE_CTRL_TAG = EXCHANGE_CTRL.base
 
-#: The exchange round state machine, as an explicit transition
-#: table keyed ``(side, state, event) -> new state``.  This is the
-#: load-bearing definition: :meth:`_Round.advance` refuses any transition
-#: not listed here, and the protocol model checker
-#: (:mod:`repro.analysis.protocol`) imports this table as its round-level
-#: transition function, so the checked model and the live protocol cannot
-#: drift apart silently.
+#: The exchange protocol state machine, as an explicit transition table
+#: keyed ``(side, state, event) -> new state``.  One protocol round is one
+#: frame's trip: its sender runs the ``send`` side, its receiver the
+#: ``recv`` side.  This is the load-bearing definition:
+#: :meth:`_Frame.advance` refuses any transition not listed here, and the
+#: protocol model checker (:mod:`repro.analysis.protocol`) imports this
+#: table as its transition function, so the checked model and the live
+#: protocol cannot drift apart silently.
 #:
-#: Send side (our outgoing half of a round): ``inflight`` until the
-#: receiver's ACK confirms a verified delivery (``acked``), looping through
-#: bounded resends on NACKs; at commit time an acked round inside the
-#: agreed prefix commits, an acked round beyond it rolls back, and an
-#: un-ACKed round (possible only under a deadline) is reclaimed — its
-#: buffer provably unobserved after :meth:`Scheduler._drain_late_acks`.
+#: Send side (a frame we posted): ``inflight`` until the receiver's ACK
+#: confirms a verified delivery (``acked``), looping through bounded
+#: resends on NACKs; at commit time an acked frame inside the agreed window
+#: prefix commits, an acked frame beyond it rolls back, and an un-ACKed
+#: frame (possible only under a deadline) is reclaimed — its buffer
+#: provably unobserved after :meth:`Scheduler._drain_late_acks`.
 #:
-#: Recv side (our incoming half): ``waiting`` absorbs stale/corrupt
-#: deliveries and timeout NACKs without leaving the state; a CRC-verified
-#: payload moves to ``verified``; commit/rollback settle it, an expired
-#: deadline abandons a still-waiting round, and NACK-budget exhaustion
-#: fails it.  ``abort`` (peer death) tears down either side from any
-#: non-terminal state.
+#: Recv side (a frame the plan says we are owed): ``waiting`` absorbs
+#: stale/corrupt deliveries and timeout NACKs without leaving the state; a
+#: CRC-verified payload moves to ``verified``; commit/rollback settle it,
+#: an expired deadline abandons a still-waiting frame, and NACK-budget
+#: exhaustion fails it.  ``abort`` (peer death) tears down either side
+#: from any non-terminal state.
 ROUND_TRANSITIONS: dict[tuple[str, str, str], str] = {
     # --- send side ---
     ("send", "inflight", "ack"): "acked",
@@ -132,57 +144,49 @@ ROUND_TRANSITIONS: dict[tuple[str, str, str], str] = {
     ("recv", "verified", "abort"): "aborted",
 }
 
-#: States with no outgoing transitions: every exchange must leave each round
-#: half in exactly one of these (the model checker's liveness invariant).
+#: States with no outgoing transitions: every exchange must leave each frame
+#: in exactly one of these (the model checker's liveness invariant).
 TERMINAL_ROUND_STATES = frozenset(
     {"committed", "rolled_back", "reclaimed", "abandoned", "failed", "aborted"}
 )
 
 
-class _Round:
-    """Per-round protocol state of one exchange round."""
+class _Frame:
+    """Protocol state of one frame: the samples of one window bound for (or
+    owed by) one peer."""
 
     __slots__ = (
-        "index", "dest", "src", "tag", "buffer", "moves", "nbytes", "samples",
-        "send_attempts", "acked", "verified", "payload", "recv_req", "nacks",
-        "next_nack_t", "send_state", "recv_state",
+        "side", "window", "peer", "tag", "samples", "nbytes", "payload",
+        "recv_req", "attempts", "nack_t", "nack_wait", "state",
     )
 
-    def __init__(self, index: int, dest: int, src: int, tag: int) -> None:
-        self.index = index
-        self.dest = dest            # where our round-``index`` send goes
-        self.src = src              # who our round-``index`` receive is from
+    def __init__(self, side: str, window: int, peer: int, tag: int, samples: int):
+        self.side = side            # "send" (we posted it) / "recv" (owed to us)
+        self.window = window
+        self.peer = peer            # destination of a send, source of a recv
         self.tag = tag
-        self.buffer = None          # retained send payload until ACKed
-        self.moves: list[tuple[int, int]] = []
-        self.nbytes = 0
-        self.samples = 0
-        self.send_attempts = 0      # resends performed (0 = original only)
-        self.acked = False          # our send was verified by the receiver
-        self.verified = False       # our receive passed its CRC check
-        self.payload = None         # the verified received payload
+        self.samples = samples      # what the plan puts in this frame
+        self.nbytes = 0             # logical sample bytes (payload_nbytes model)
+        self.payload = None         # send: retained until ACKed; recv: verified
         self.recv_req = None        # outstanding irecv (None once verified)
-        self.nacks = 0              # NACKs we sent for this round
-        self.next_nack_t = 0.0      # when to NACK again absent progress
-        self.send_state = "inflight"
-        self.recv_state = "waiting"
+        self.attempts = 0           # send: resends performed; recv: NACKs sent
+        self.nack_t = 0.0           # recv: when we last NACKed this frame
+        self.nack_wait = 0.0        # recv: silence tolerated before the next NACK
+        self.state = "inflight" if side == "send" else "waiting"
 
-    def advance(self, side: str, event: str) -> str:
-        """Advance one side's protocol state through :data:`ROUND_TRANSITIONS`.
+    def advance(self, event: str) -> str:
+        """Advance the protocol state through :data:`ROUND_TRANSITIONS`.
 
         Raises ``RuntimeError`` on a transition the table does not allow —
         an illegal transition here is a protocol bug, not a transient."""
-        state = self.send_state if side == "send" else self.recv_state
-        new = ROUND_TRANSITIONS.get((side, state, event))
+        new = ROUND_TRANSITIONS.get((self.side, self.state, event))
         if new is None:
             raise RuntimeError(
-                f"illegal protocol transition: {side} half of round "
-                f"{self.index} in state {state!r} got event {event!r}"
+                f"illegal protocol transition: {self.side} frame (window "
+                f"{self.window}, peer {self.peer}) in state {self.state!r} "
+                f"got event {event!r}"
             )
-        if side == "send":
-            self.send_state = new
-        else:
-            self.recv_state = new
+        self.state = new
         return new
 
 
@@ -211,14 +215,14 @@ class Scheduler:
         record of which rank holds which sample — the map shard recovery
         consults after a failure.
     resend_timeout_s:
-        Base interval after which an unverified round is NACKed again
-        (exponential backoff, deterministic jitter).
+        Base interval of silence after which an unverified frame is NACKed
+        again (exponential backoff, deterministic jitter).
     max_attempts:
-        Per-round bound on both resends and NACKs before the exchange gives
+        Per-frame bound on both resends and NACKs before the exchange gives
         up with :class:`~repro.mpi.errors.UnrecoveredFaultError`.
     deadline_s:
         Optional per-epoch exchange deadline (seconds, measured from
-        ``scheduling()``); on expiry the remaining rounds are abandoned and
+        ``scheduling()``); on expiry the remaining windows are abandoned and
         the epoch commits at a lower effective Q.  ``None`` waits forever.
     """
 
@@ -258,7 +262,7 @@ class Scheduler:
         self.allow_self = allow_self
         # §III-E: "our scheduler could however be simply extended to exchange
         # batches of samples instead of individual samples" — ``granularity``
-        # samples ride in each message (LMDB-style grouped datasets).
+        # samples share each plan round's destination (LMDB-style groups).
         self.granularity = granularity
         # Which local samples to exchange: "random" is Algorithm 1's draw;
         # "stale" evicts the samples that have sat in the shard longest;
@@ -279,13 +283,17 @@ class Scheduler:
         self.epoch: int | None = None
         self.plan: ExchangePlan | None = None
         self._selected_ids: list[int] = []
-        self._next_round = 0  # chunked-communication cursor
+        self._next_round = 0  # chunked-communication cursor (whole windows)
+        self._window = 0      # rounds per window, frozen at the first post
         self._send_reqs: list[Request] = []
         self._recv_reqs: list[Request] = []
         self._received: list[tuple[np.ndarray, int, int | None]] = []
-        self._sent_moves: list[tuple[int, int]] = []  # (gid, dest local rank)
+        # (gid, dest local rank) per posted sample in plan-round order;
+        # cut to the committed, gid-tracked ones at commit.
+        self._sent_moves: list[tuple[int | None, int]] = []
         self._cleaned = True
-        self._rounds: list[_Round] = []
+        self._sends: dict[tuple[int, int], _Frame] = {}  # by (window, dest)
+        self._recvs: list[_Frame] = []                   # (window, src) order
         self._epoch_t0 = 0.0        # monotonic clock at scheduling()
         self._n_local = 0           # shard size at scheduling()
         self._planned_extra = 0     # deficit repayment baked into this plan
@@ -295,7 +303,7 @@ class Scheduler:
         self.tracer = comm.tracer
         # Always-on flight recorder ring: every protocol step (plan, post,
         # verify, ACK, NACK, resend, commit, rollback) leaves a bounded
-        # breadcrumb, so a fault dump reconstructs the last K rounds even
+        # breadcrumb, so a fault dump reconstructs the last K frames even
         # with tracing off.
         self.flight = comm.flight
 
@@ -312,7 +320,7 @@ class Scheduler:
         # Fault-recovery accounting.
         self.resends = 0            # payload retransmissions performed
         self.crc_rejects = 0        # received payloads that failed their CRC
-        self.timeout_nacks = 0      # NACKs sent because a round timed out
+        self.timeout_nacks = 0      # NACKs sent because a frame timed out
         self.stale_discards = 0     # leftover messages of a previous epoch
         self.degraded_epochs = 0    # epochs committed below their plan
         self.q_deficit = 0          # samples owed to the configured Q
@@ -361,8 +369,8 @@ class Scheduler:
             # settled against q_deficit at commit time.
             self._planned_extra = k - int(agreed[1])
             self._selected_ids = self._select_samples(k, epoch)
-            # Messages carry ``granularity`` samples each; the plan is built at
-            # message granularity so balance holds per message AND per sample.
+            # A plan round moves ``granularity`` samples; the plan is built at
+            # round granularity so balance holds per round AND per sample.
             n_messages = -(-k // self.granularity) if k else 0
             self.plan = ExchangePlan.for_epoch(
                 seed=self.seed,
@@ -395,11 +403,13 @@ class Scheduler:
             rng_fingerprint=zlib.crc32(self.plan.destinations.tobytes()),
         )
         self._next_round = 0
+        self._window = 0
         self._send_reqs = []
         self._recv_reqs = []
         self._received = []
         self._sent_moves = []
-        self._rounds = []
+        self._sends = {}
+        self._recvs = []
         self._cleaned = False
 
     def _select_samples(self, k: int, epoch: int) -> list[int]:
@@ -435,15 +445,15 @@ class Scheduler:
 
     @property
     def rounds(self) -> int:
-        """Messages this worker sends (= receives) this epoch.  With
-        ``granularity`` g this is ceil(k / g) for k exchanged samples."""
+        """Plan rounds this worker plays this epoch.  With ``granularity``
+        g this is ceil(k / g) for k exchanged samples."""
         self._require_scheduled()
         return self.plan.rounds
 
     @property
     def chunk_rounds(self) -> int:
-        """Messages per training iteration under overlap: Q*b samples'
-        worth (>= 1 while messages remain)."""
+        """Plan rounds per window — what one training iteration posts under
+        overlap: Q*b samples' worth (>= 1)."""
         return max(1, int(round(self.fraction * self.batch_size / self.granularity)))
 
     def _require_scheduled(self) -> None:
@@ -452,103 +462,115 @@ class Scheduler:
 
     # ------------------------------------------------------------ communicate
     def communicate(self) -> tuple[list[Request], list[Request]]:
-        """Issue all remaining isend/irecv pairs (lines 2-6 of Algorithm 1).
+        """Post every remaining window (lines 2-6 of Algorithm 1).
 
         Non-blocking: returns (send_requests, recv_requests) to pass to
         :meth:`synchronize`.  Can be called after zero or more
         :meth:`communicate_chunk` calls; it completes the posting.
         """
         self._require_scheduled()
-        self._post_rounds(self.plan.rounds - self._next_round, mode="blocking")
+        self._post_windows(self.plan.rounds, mode="blocking")
         return self._send_reqs, self._recv_reqs
 
     def communicate_chunk(self) -> int:
-        """Post the next Q*b rounds (one training iteration's share of the
-        exchange — the Figure 4 overlap step).  Returns rounds posted."""
+        """Post the next window — Q*b rounds, one training iteration's share
+        of the exchange (the Figure 4 overlap step).  Returns rounds posted."""
         self._require_scheduled()
-        remaining = self.plan.rounds - self._next_round
-        n = min(self.chunk_rounds, remaining)
-        self._post_rounds(n, mode="overlap")
-        return n
+        before = self._next_round
+        self._post_windows(before + 1, mode="overlap")
+        return self._next_round - before
 
-    def _post_rounds(self, n: int, *, mode: str = "blocking") -> None:
-        if n <= 0:
+    def _frame_samples(self, lo: int, hi: int) -> int:
+        """Samples the plan puts in rounds ``[lo, hi)`` (the last round of
+        an epoch may be short of ``granularity``)."""
+        g, k = self.granularity, len(self._selected_ids)
+        return min(hi * g, k) - min(lo * g, k)
+
+    def _post_windows(self, upto: int, *, mode: str) -> None:
+        """Post whole windows until the cursor reaches plan round ``upto``.
+
+        The window grid is fixed for the epoch (``chunk_rounds`` at the
+        first post), so every rank cuts the plan into the same frames no
+        matter how many ``communicate_chunk`` calls it made."""
+        upto = min(upto, self.plan.rounds)
+        if self._next_round >= upto:
             return
+        if not self._window:
+            self._window = self.chunk_rounds
         rank = self.comm.rank
-        dests = self.plan.sends_for(rank)
-        srcs = self.plan.recvs_for(rank)
+        dests = self.plan.destinations[:, rank]
+        srcs = self.plan.sources[:, rank]
         parity = (self.epoch % 2) * _EPOCH_PARITY_BIT
         g = self.granularity
         tr = self.tracer
-        for i in range(self._next_round, self._next_round + n):
-            group_ids = self._selected_ids[i * g : (i + 1) * g]
-            entries = []
-            moves = []
-            for sid in group_ids:
-                sample, label = self.storage.get(sid)
-                gid = self.storage.gid_of(sid)
-                entries.append((sample, label, gid))
-                if gid is not None:
-                    moves.append((gid, int(dests[i])))
-            # Byte accounting stays in logical sample bytes (the shared
-            # payload_nbytes wire-size model), not envelope bytes.
-            nbytes = payload_nbytes(entries)
-            # One flat envelope per round: a single gather copy into a
-            # pooled buffer; after this neither the wire (pass-through)
-            # nor the CRC (contiguous) touches the sample bytes again.
-            payload = pack_samples(entries, pool=self.comm.pool)
-            self.comm.count_copy(payload.payload.nbytes)
-            tag = EXCHANGE_DATA.tag(i, parity=parity)
-            self.flight.record(
-                "round.post",
-                epoch=self.epoch,
-                round=i,
-                dest=int(dests[i]),
-                src=int(srcs[i]),
-                nbytes=nbytes,
-                samples=len(entries),
-                mode=mode,
-            )
-            with tr.span(
-                "exchange.round",
-                cat="exchange",
-                epoch=self.epoch,
-                q=self.fraction,
-                round=i,
-                mode=mode,
-                samples=len(entries),
-                nbytes=nbytes,
-                dest=int(dests[i]),
-                src=int(srcs[i]),
-            ):
-                st = _Round(i, int(dests[i]), int(srcs[i]), tag)
-                st.buffer = payload
-                st.moves = moves
-                st.nbytes = nbytes
-                st.samples = len(entries)
-                env = Checksummed.wrap(payload, meta=(self.epoch, i, 0))
-                # Wire ops run untraced; the deterministic equivalent
-                # events are emitted below (see _Suspension: the racy
-                # protocol must not make traces unreproducible).
+        while self._next_round < upto:
+            lo = self._next_round
+            hi = min(lo + self._window, self.plan.rounds)
+            window = lo // self._window
+            tag = EXCHANGE_DATA.tag(window, parity=parity)
+            # Group the window's rounds by peer; both sides read the same
+            # plan, so a receiver knows which frames it is owed and how
+            # many samples each carries without any announcement.
+            outgoing: dict[int, list] = {}
+            owed: dict[int, int] = {}
+            for i in range(lo, hi):
+                dest, src = int(dests[i]), int(srcs[i])
+                entries = outgoing.setdefault(dest, [])
+                for sid in self._selected_ids[i * g : (i + 1) * g]:
+                    sample, label = self.storage.get(sid)
+                    gid = self.storage.gid_of(sid)
+                    entries.append((sample, label, gid))
+                    self._sent_moves.append((gid, dest))
+                owed[src] = owed.get(src, 0) + self._frame_samples(i, i + 1)
+            for dest in sorted(outgoing):
+                self._post_frame(window, dest, tag, outgoing[dest], mode)
+            for src in sorted(owed):
+                fr = _Frame("recv", window, src, tag, owed[src])
+                # The shared seed tells us the source; a matched irecv is
+                # deterministic while remaining wire-identical to ANY_SOURCE.
                 with tr.suspended():
-                    self._send_reqs.append(
-                        self.comm.isend(env, dest=st.dest, tag=tag)
-                    )
-                    # The shared seed tells us the source; a matched irecv
-                    # is deterministic while remaining wire-identical to
-                    # ANY_SOURCE.
-                    st.recv_req = self.comm.irecv(source=st.src, tag=tag)
-                if tr.enabled:
-                    with tr.span(
-                        "isend", cat="comm.p2p", peer=st.dest, tag=tag,
-                        nbytes=nbytes,
-                    ):
-                        pass
-                    tr.metrics.counter("comm.p2p.msgs_sent").inc()
-                    tr.metrics.counter("comm.p2p.bytes_sent").inc(nbytes)
-                self._recv_reqs.append(st.recv_req)
-                self._rounds.append(st)
-        self._next_round += n
+                    fr.recv_req = self.comm.irecv(source=src, tag=tag)
+                self._recv_reqs.append(fr.recv_req)
+                self._recvs.append(fr)
+            self._next_round = hi
+
+    def _post_frame(
+        self, window: int, dest: int, tag: int, entries: list, mode: str
+    ) -> None:
+        """Pack, seal and isend one frame; retain its buffer until ACKed."""
+        tr = self.tracer
+        fr = _Frame("send", window, dest, tag, len(entries))
+        # Byte accounting stays in logical sample bytes (the shared
+        # payload_nbytes wire-size model), not envelope bytes.
+        fr.nbytes = payload_nbytes(entries)
+        # One flat envelope per frame: a single gather copy into a pooled
+        # buffer; after this neither the wire (pass-through) nor the CRC
+        # (contiguous) touches the sample bytes until the install copy.
+        fr.payload = pack_samples(entries, pool=self.comm.pool)
+        self.comm.count_copy(fr.payload.payload.nbytes)
+        self.flight.record(
+            "round.post", epoch=self.epoch, window=window, peer=dest,
+            nbytes=fr.nbytes, samples=fr.samples, mode=mode,
+        )
+        with tr.span(
+            "exchange.round", cat="exchange", epoch=self.epoch, q=self.fraction,
+            window=window, mode=mode, samples=fr.samples, nbytes=fr.nbytes,
+            dest=dest,
+        ):
+            env = Checksummed.wrap(fr.payload, meta=(self.epoch, window, 0))
+            # Wire ops run untraced; the deterministic equivalent events
+            # are emitted below (see _Suspension: the racy protocol must
+            # not make traces unreproducible).
+            with tr.suspended():
+                self._send_reqs.append(self.comm.isend(env, dest=dest, tag=tag))
+            if tr.enabled:
+                with tr.span(
+                    "isend", cat="comm.p2p", peer=dest, tag=tag, nbytes=fr.nbytes
+                ):
+                    pass
+                tr.metrics.counter("comm.p2p.msgs_sent").inc()
+                tr.metrics.counter("comm.p2p.bytes_sent").inc(fr.nbytes)
+        self._sends[window, dest] = fr
 
     # -------------------------------------------------------------- complete
     def synchronize(
@@ -560,7 +582,7 @@ class Scheduler:
 
         Runs the verify/ACK/NACK/resend event loop and then the commit
         collective.  The request lists are accepted to mirror the paper's
-        script-facing API and otherwise ignored (the per-round state
+        script-facing API and otherwise ignored (the per-frame state
         supersedes them)."""
         self._require_scheduled()
         if self._next_round < self.plan.rounds:
@@ -575,7 +597,7 @@ class Scheduler:
             committed = self._complete_rounds()
             self._apply_commit(committed, sp)
 
-    # -------------------------------------------------------- round protocol
+    # -------------------------------------------------------- frame protocol
     def _metric_inc(self, name: str, n: int = 1) -> None:
         tr = self.tracer
         if tr.enabled:
@@ -599,11 +621,17 @@ class Scheduler:
     def _complete_rounds(self) -> int:
         """Run the verify/ACK/NACK/resend loop, then agree what to commit.
 
-        Returns the globally agreed number of committed rounds: the minimum
-        over ranks of each rank's longest contiguous verified-round prefix.
-        Without a deadline the loop runs until every send is ACKed and every
-        receive verified (so the commit is total); with one, expiry stops
-        the waiting and the commit shrinks accordingly.
+        Returns the globally agreed number of committed *windows*: the
+        minimum over ranks of each rank's longest prefix of windows whose
+        every owed frame verified.  Without a deadline the loop runs until
+        every send is ACKed and every receive verified (so the commit is
+        total); with one, expiry stops the waiting and the commit shrinks
+        accordingly.
+
+        A frame is NACKed only after a backoff interval of *silence*: any
+        delivery or ACK re-arms every pending frame's timer, so a peer that
+        is merely still posting (or draining a long queue) is never asked
+        to resend what it has not lost.
 
         Termination: epochs are in lockstep (the training loop allreduces
         every iteration), so every rank is inside this loop for the same
@@ -616,28 +644,29 @@ class Scheduler:
         deadline = (
             None if self.deadline_s is None else self._epoch_t0 + self.deadline_s
         )
-        now = time.monotonic()
-        for st in self._rounds:
-            st.next_nack_t = now + self._nack_backoff.delay(
-                0, key=(self.epoch, st.index)
-            )
-        pending = [st for st in self._rounds if not st.verified]
-        unacked = {st.index: st for st in self._rounds if not st.acked}
+        pending = [fr for fr in self._recvs if fr.state == "waiting"]
+        unacked = {key for key, fr in self._sends.items() if fr.state == "inflight"}
+        for fr in pending:
+            fr.nack_wait = self._nack_delay(fr)
+        quiet_since = time.monotonic()
         while pending or unacked:
             self.comm.world.check_alive()
             self._raise_on_dead_peers(pending, unacked)
             progress = self._service_control(ctrl_tag, unacked)
+            if progress:
+                quiet_since = time.monotonic()
             still = []
-            for st in pending:
-                done, env = st.recv_req.test()
+            for fr in pending:
+                done, env = fr.recv_req.test()
                 if done:
                     progress = True
-                    self._handle_data(st, env, ctrl_tag)
-                if st.verified:
-                    continue
-                if time.monotonic() >= st.next_nack_t:
-                    self._nack(st, ctrl_tag, timed_out=True)
-                still.append(st)
+                    self._handle_data(fr, env, ctrl_tag)
+                    quiet_since = time.monotonic()
+                    if fr.state == "verified":
+                        continue
+                elif time.monotonic() >= max(quiet_since, fr.nack_t) + fr.nack_wait:
+                    self._nack(fr, ctrl_tag, timed_out=True)
+                still.append(fr)
             pending = still
             if not progress:
                 # Deadline check only on idle passes: content already
@@ -646,234 +675,249 @@ class Scheduler:
                     break
                 if pending or unacked:
                     time.sleep(0.001)
-        prefix = 0
-        for st in self._rounds:
-            if not st.verified:
-                break
-            prefix += 1
+        # Frames are kept in window order: the first one still unverified
+        # bounds the prefix of complete windows (all of them if none is).
+        windows = -(-self.plan.rounds // self._window) if self._window else 0
+        prefix = next(
+            (fr.window for fr in self._recvs if fr.state != "verified"), windows
+        )
         # Uniform collective: every rank reaches it exactly once per epoch
         # (either with a full prefix or at its deadline).
         return int(self.comm.allreduce(prefix, op=min))
 
-    def _service_control(self, ctrl_tag: int, unacked: dict[int, _Round]) -> bool:
+    def _nack_delay(self, fr: _Frame) -> float:
+        return self._nack_backoff.delay(
+            fr.attempts, key=(self.epoch, fr.window, fr.peer)
+        )
+
+    def _service_control(self, ctrl_tag: int, unacked: set) -> bool:
         """Drain ACK/NACK traffic; returns whether anything advanced."""
         progress = False
+        status = Status()
         while self.comm.iprobe(source=ANY_SOURCE, tag=ctrl_tag):
             with self.tracer.suspended():
-                kind, ep, idx = self.comm.recv(source=ANY_SOURCE, tag=ctrl_tag)
-            if ep != self.epoch or not 0 <= idx < len(self._rounds):
+                kind, ep, window = self.comm.recv(
+                    source=ANY_SOURCE, tag=ctrl_tag, status=status
+                )
+            key = (window, status.source)
+            fr = self._sends.get(key) if ep == self.epoch else None
+            if fr is None:
                 self.stale_discards += 1
                 self._metric_inc("exchange.stale_discards")
                 continue
-            st = self._rounds[idx]
+            if fr.state != "inflight":
+                continue  # duplicate ACK, or a NACK that crossed our ACK
             if kind == "ack":
-                if not st.acked:
-                    st.advance("send", "ack")
-                    st.acked = True
-                    st.buffer = None  # released: receiver verified the bytes
-                    unacked.pop(idx, None)
-                    progress = True
-                    self.flight.record(
-                        "round.ack", epoch=self.epoch, round=idx, peer=st.dest
-                    )
-            elif not st.acked:  # NACK for a round we still owe
-                st.send_attempts += 1
-                if st.send_attempts > self.max_attempts:
-                    st.advance("send", "nack_overflow")
+                fr.advance("ack")
+                fr.payload = None  # the receiver verified: it settles the buffer
+                unacked.discard(key)
+                self.flight.record(
+                    "round.ack", epoch=self.epoch, window=window, peer=fr.peer
+                )
+            else:  # NACK for a frame we still owe
+                fr.attempts += 1
+                if fr.attempts > self.max_attempts:
+                    fr.advance("nack_overflow")
                     self._unrecovered(
-                        f"exchange round {idx} of epoch {self.epoch}: "
-                        f"{st.send_attempts} attempts to rank {st.dest} all "
-                        "failed",
-                        round=idx,
-                        peer=st.dest,
+                        f"exchange window {window} of epoch {self.epoch}: "
+                        f"{fr.attempts} attempts to rank {fr.peer} all failed",
+                        window=window,
+                        peer=fr.peer,
                     )
-                st.advance("send", "nack")
+                fr.advance("nack")
                 self.resends += 1
-                self.resent_bytes += st.nbytes
+                self.resent_bytes += fr.nbytes
                 self._metric_inc("exchange.resends")
                 self.flight.record(
-                    "round.resend",
-                    epoch=self.epoch,
-                    round=idx,
-                    peer=st.dest,
-                    attempt=st.send_attempts,
+                    "round.resend", epoch=self.epoch, window=window,
+                    peer=fr.peer, attempt=fr.attempts,
                 )
                 env = Checksummed.wrap(
-                    st.buffer, meta=(self.epoch, idx, st.send_attempts)
+                    fr.payload, meta=(self.epoch, window, fr.attempts)
                 )
                 with self.tracer.suspended():
                     self._send_reqs.append(
-                        self.comm.isend(env, dest=st.dest, tag=st.tag)
+                        self.comm.isend(env, dest=fr.peer, tag=fr.tag)
                     )
-                progress = True
+            progress = True
         return progress
 
-    def _handle_data(self, st: _Round, env, ctrl_tag: int) -> None:
-        """Classify one completed data receive for round ``st``."""
+    def _handle_data(self, fr: _Frame, env, ctrl_tag: int) -> None:
+        """Classify one completed data receive for frame ``fr``."""
         if (
             not isinstance(env, Checksummed)
             or len(env.meta) != 3
             or not isinstance(env.payload, PackedBatch)
         ):
-            self._unrecovered(
-                f"exchange round {st.index}: rank {st.src} sent a malformed "
-                "envelope; expected a checksummed PackedBatch tagged "
-                "(epoch, round, attempt)",
-                round=st.index,
-                peer=st.src,
-            )
-        ep, idx, _attempt = env.meta
-        if ep != self.epoch or idx != st.index:
+            self._malformed(fr, "expected a checksummed PackedBatch tagged "
+                            "(epoch, window, attempt)")
+        ep, window, _attempt = env.meta
+        if ep != self.epoch or window != fr.window:
             # Leftover of an earlier same-parity epoch (a duplicate delivery
             # or a resend that raced a deadline): discard, keep listening.
-            st.advance("recv", "data_stale")
+            fr.advance("data_stale")
             self.stale_discards += 1
             self._metric_inc("exchange.stale_discards")
             self.flight.record(
-                "round.stale", epoch=self.epoch, round=st.index, got=(ep, idx)
+                "round.stale", epoch=self.epoch, window=fr.window,
+                peer=fr.peer, got=(ep, window),
             )
-            st.recv_req = self.comm.irecv(source=st.src, tag=st.tag)
+            fr.recv_req = self.comm.irecv(source=fr.peer, tag=fr.tag)
             return
         if env.ok():
-            st.advance("recv", "data_ok")
-            st.verified = True
-            st.payload = env.payload
-            st.recv_req = None
+            if env.payload.count != fr.samples:
+                # Intact bytes that disagree with the shared plan: the two
+                # ranks cut the epoch differently.  Never install.
+                self._malformed(
+                    fr, f"it carries {env.payload.count} samples where the "
+                    f"plan puts {fr.samples}"
+                )
+            fr.advance("data_ok")
+            fr.payload = env.payload
+            fr.recv_req = None
             self.flight.record(
-                "round.verified",
-                epoch=self.epoch,
-                round=st.index,
-                peer=st.src,
-                nbytes=st.nbytes,
+                "round.verified", epoch=self.epoch, window=fr.window,
+                peer=fr.peer, nbytes=env.payload.nbytes, samples=fr.samples,
             )
             with self.tracer.suspended():
                 self.comm.send(
-                    ("ack", self.epoch, st.index), dest=st.src, tag=ctrl_tag
+                    ("ack", self.epoch, fr.window), dest=fr.peer, tag=ctrl_tag
                 )
         else:
             self.crc_rejects += 1
             self._metric_inc("exchange.crc_rejects")
             self.flight.record(
-                "round.crc_reject", epoch=self.epoch, round=st.index, peer=st.src
+                "round.crc_reject", epoch=self.epoch, window=fr.window,
+                peer=fr.peer,
             )
-            self._nack(st, ctrl_tag, timed_out=False)
-            st.recv_req = self.comm.irecv(source=st.src, tag=st.tag)
+            self._nack(fr, ctrl_tag, timed_out=False)
+            fr.recv_req = self.comm.irecv(source=fr.peer, tag=fr.tag)
 
-    def _nack(self, st: _Round, ctrl_tag: int, *, timed_out: bool) -> None:
-        """Ask ``st.src`` to retransmit round ``st.index``."""
-        st.advance("recv", "timeout" if timed_out else "data_corrupt")
-        st.nacks += 1
-        if st.nacks > self.max_attempts:
-            st.advance("recv", "nack_overflow")
+    def _malformed(self, fr: _Frame, why: str) -> None:
+        self._unrecovered(
+            f"exchange window {fr.window}: rank {fr.peer} sent a malformed "
+            f"envelope; {why}",
+            window=fr.window,
+            peer=fr.peer,
+        )
+
+    def _nack(self, fr: _Frame, ctrl_tag: int, *, timed_out: bool) -> None:
+        """Ask ``fr.peer`` to retransmit its window-``fr.window`` frame."""
+        fr.advance("timeout" if timed_out else "data_corrupt")
+        fr.attempts += 1
+        if fr.attempts > self.max_attempts:
+            fr.advance("nack_overflow")
             self._unrecovered(
-                f"exchange round {st.index} of epoch {self.epoch}: no valid "
-                f"payload from rank {st.src} after {st.nacks - 1} NACKs",
-                round=st.index,
-                peer=st.src,
+                f"exchange window {fr.window} of epoch {self.epoch}: no valid "
+                f"payload from rank {fr.peer} after {fr.attempts - 1} NACKs",
+                window=fr.window,
+                peer=fr.peer,
             )
         if timed_out:
             self.timeout_nacks += 1
             self._metric_inc("exchange.timeout_nacks")
         self.flight.record(
-            "round.nack",
-            epoch=self.epoch,
-            round=st.index,
-            peer=st.src,
-            timed_out=timed_out,
-            nacks=st.nacks,
+            "round.nack", epoch=self.epoch, window=fr.window, peer=fr.peer,
+            timed_out=timed_out, nacks=fr.attempts,
         )
         with self.tracer.suspended():
             self.comm.send(
-                ("nack", self.epoch, st.index), dest=st.src, tag=ctrl_tag
+                ("nack", self.epoch, fr.window), dest=fr.peer, tag=ctrl_tag
             )
-        st.next_nack_t = time.monotonic() + self._nack_backoff.delay(
-            st.nacks, key=(self.epoch, st.index)
-        )
+        fr.nack_t = time.monotonic()
+        fr.nack_wait = self._nack_delay(fr)
 
-    def _raise_on_dead_peers(
-        self, pending: list[_Round], unacked: dict[int, _Round]
-    ) -> None:
+    def _raise_on_dead_peers(self, pending: list[_Frame], unacked: set) -> None:
         """A genuinely dead counterparty is fail-stop, not transient: hand
         it to the elastic layer as a PeerFailure instead of NACKing a corpse
         until the attempt budget runs out."""
         dead = self.comm.dead_peers()
         if not dead:
             return
-        for st in pending:
-            if st.src in dead:
+        for peer in [fr.peer for fr in pending] + [dest for _w, dest in unacked]:
+            if peer in dead:
                 raise PeerFailure(
-                    self.comm.group[st.src], dead[st.src] or None, op="exchange"
-                )
-        for st in unacked.values():
-            if st.dest in dead:
-                raise PeerFailure(
-                    self.comm.group[st.dest], dead[st.dest] or None, op="exchange"
+                    self.comm.group[peer], dead[peer] or None, op="exchange"
                 )
 
     def _apply_commit(self, committed: int, sp) -> None:
-        """Install the agreed prefix of rounds as this epoch's exchange.
+        """Install the agreed prefix of windows as this epoch's exchange.
 
-        Rounds beyond ``committed`` are rolled back symmetrically: the
-        receiver discards their payloads (even if verified) and the sender
+        Windows beyond ``committed`` are rolled back symmetrically: the
+        receiver discards their frames (even if verified) and the sender
         keeps their samples (they drop out of ``_selected_ids``), so no
         sample is lost or duplicated and every shard keeps its size."""
-        rounds = len(self._rounds)
-        for st in self._rounds:
-            if st.recv_req is not None and not st.recv_req.completed:
-                st.recv_req.cancel()
-                st.recv_req = None
-        kept = self._rounds[:committed]
-        # Settle zero-copy buffer ownership.  The commit allreduce is a
-        # barrier, so every ACK a receiver posted before committing is
-        # already in our mailbox: after this drain, "un-ACKed" provably
-        # means the receiver never verified (never decoded) the round, no
-        # view of that buffer exists anywhere, and the sender reclaims it.
+        rounds = self.plan.rounds
+        committed_rounds = min(committed * self._window, rounds)
+        for fr in self._recvs:
+            if fr.recv_req is not None and not fr.recv_req.completed:
+                fr.recv_req.cancel()
+            fr.recv_req = None
+        # Settle buffer ownership.  The commit allreduce is a barrier, so
+        # every ACK a receiver posted before committing is already in our
+        # mailbox: after this drain, "un-ACKed" provably means the receiver
+        # never verified (never decoded) the frame, no reader of that
+        # buffer exists anywhere, and the sender reclaims it.
         self._drain_late_acks()
-        for st in self._rounds:
-            if not st.acked:
-                st.advance("send", "reclaim")
-                st.buffer.release()
-                st.buffer = None
-        for st in self._rounds[committed:]:
-            # Rolled back after verification: the payload was never
-            # installed, so its buffer goes straight back to the pool.
-            if st.recv_state == "verified":
-                st.advance("recv", "rollback")
-            if st.payload is not None:
-                st.payload.release()
-                st.payload = None
-        for i, st in enumerate(self._rounds):
-            if st.send_state == "acked":
-                st.advance("send", "commit" if i < committed else "rollback")
-            if st.recv_state == "waiting":
-                st.advance("recv", "deadline")
-            elif st.recv_state == "verified":
-                st.advance("recv", "commit")
+        for fr in self._sends.values():
+            if fr.state == "inflight":
+                fr.advance("reclaim")
+                fr.payload.release()
+                fr.payload = None
+            else:
+                fr.advance("commit" if fr.window < committed else "rollback")
+        # Copy-out install: every committed frame is decoded into private
+        # arrays and released at once — the commit allreduce plus the drain
+        # above mean its sender is done with it — so frames recycle and no
+        # storage entry keeps one alive.  This is the second (and last)
+        # copy of a sample's bytes, charged like the pack gather.  A frame
+        # rolled back after verification was never installed and goes
+        # straight back to the pool.
         tr = self.tracer
-        if tr.enabled:
-            # Receive events are emitted here, in round order, rather than at
-            # the (racy) moment each payload verified — keeping per-rank
-            # traces deterministic while preserving the byte accounting.
-            for st in kept:
-                with tr.span(
-                    "recv", cat="comm.p2p", peer=st.src, tag=st.tag,
-                    nbytes=st.nbytes,
-                ):
-                    pass
-                tr.metrics.counter("comm.p2p.msgs_recv").inc()
-                tr.metrics.counter("comm.p2p.bytes_recv").inc(st.nbytes)
+        decoded: dict[tuple[int, int], Iterator] = {}
+        for fr in self._recvs:
+            if fr.state == "waiting":
+                fr.advance("deadline")
+                continue
+            if fr.window < committed:
+                fr.advance("commit")
+                entries = unpack_samples(fr.payload, copy=True)
+                decoded[fr.window, fr.peer] = iter(entries)
+                self.comm.count_copy(fr.payload.payload.nbytes)
+                if tr.enabled:
+                    # Receive events are emitted here, in frame order, not at
+                    # the (racy) moment each payload verified — keeping
+                    # per-rank traces deterministic, byte accounting intact.
+                    nbytes = payload_nbytes(entries)
+                    with tr.span(
+                        "recv", cat="comm.p2p", peer=fr.peer, tag=fr.tag,
+                        nbytes=nbytes,
+                    ):
+                        pass
+                    tr.metrics.counter("comm.p2p.msgs_recv").inc()
+                    tr.metrics.counter("comm.p2p.bytes_recv").inc(nbytes)
+            else:
+                fr.advance("rollback")
+            fr.payload.release()
+            fr.payload = None
+        # Merge the frames back into plan-round order, so storage sees the
+        # same install sequence whatever the framing.
+        srcs = self.plan.sources[:, self.comm.rank]
         received: list[tuple[np.ndarray, int, int | None]] = []
-        for st in kept:
-            # Zero-copy install: frombuffer views go straight into
-            # storage; adopting the buffer hands its lifetime to them.
-            received.extend(unpack_samples(st.payload))
-            st.payload.adopt()
+        for i in range(committed_rounds):
+            frame = decoded[i // self._window, int(srcs[i])]
+            received.extend(islice(frame, self._frame_samples(i, i + 1)))
         self._received = received
-        committed_samples = sum(st.samples for st in kept)
+        planned_samples = len(self._selected_ids)
+        committed_samples = self._frame_samples(0, committed_rounds)
         self._selected_ids = self._selected_ids[:committed_samples]
-        self._sent_moves = [mv for st in kept for mv in st.moves]
+        self._sent_moves = [
+            mv for mv in self._sent_moves[:committed_samples] if mv[0] is not None
+        ]
         self.total_sent_samples += committed_samples
-        self.total_sent_bytes += sum(st.nbytes for st in kept)
+        self.total_sent_bytes += sum(
+            fr.nbytes for fr in self._sends.values() if fr.state == "committed"
+        )
         self.total_recv_samples += len(self._received)
 
         # Deficit bookkeeping: this plan contained ``_planned_extra`` samples
@@ -881,32 +925,31 @@ class Scheduler:
         # owed.  Both quantities are globally agreed, so q_deficit stays
         # identical on every rank (and provably >= 0: the agreed k never
         # exceeds min(base) + deficit).
-        planned_samples = sum(st.samples for st in self._rounds)
         short = planned_samples - committed_samples
         self.q_deficit = self.q_deficit - self._planned_extra + short
-        if committed < rounds:
+        if committed_rounds < rounds:
             self.degraded_epochs += 1
             self._metric_inc("exchange.degraded_epochs")
         self.effective_q.append(
             committed_samples / self._n_local if self._n_local else 0.0
         )
-        if committed < rounds:
+        if committed_rounds < rounds:
             self.flight.record(
                 "epoch.rollback",
                 epoch=self.epoch,
-                committed=committed,
-                rolled_back=rounds - committed,
+                committed=committed_rounds,
+                rolled_back=rounds - committed_rounds,
             )
         self.flight.record(
             "epoch.commit",
             epoch=self.epoch,
-            committed=committed,
+            committed=committed_rounds,
             planned=rounds,
+            windows=committed,
             samples=committed_samples,
             q_deficit=self.q_deficit,
             pool_in_use=self.comm.pool.stats()["in_use"],
         )
-        tr = self.tracer
         if tr.enabled:
             tr.metrics.gauge("exchange.q_deficit").set(self.q_deficit)
             # Pool health after settlement.  The pool is world-shared, so
@@ -919,31 +962,33 @@ class Scheduler:
             tr.metrics.gauge("pool.high_water").set(pool["high_water"])
         sp.set(
             samples=len(self._received),
-            committed_rounds=committed,
+            committed_rounds=committed_rounds,
             planned_rounds=rounds,
         )
 
     def _drain_late_acks(self) -> None:
         """Drain control traffic once more after the commit collective.
 
-        A receiver that verified a round just before its deadline posts the
+        A receiver that verified a frame just before its deadline posts the
         ACK and then enters the commit allreduce; the allreduce acts as a
         barrier, so by the time the sender is here that ACK is guaranteed
         to be in its mailbox even if its event loop had stopped servicing
         control.  This makes ACK state definitive — which reclaiming the
-        send buffers safely relies on.  Late NACKs are dropped:
-        the epoch is sealed and nobody is listening for resends."""
+        send buffers (and the receiver releasing committed ones) safely
+        relies on.  Late NACKs are dropped: the epoch is sealed and nobody
+        is listening for resends."""
         ctrl_tag = EXCHANGE_CTRL.tag(parity=(self.epoch % 2) * _EPOCH_PARITY_BIT)
+        status = Status()
         while self.comm.iprobe(source=ANY_SOURCE, tag=ctrl_tag):
             with self.tracer.suspended():
-                kind, ep, idx = self.comm.recv(source=ANY_SOURCE, tag=ctrl_tag)
-            if kind != "ack" or ep != self.epoch or not 0 <= idx < len(self._rounds):
-                continue
-            st = self._rounds[idx]
-            if not st.acked:
-                st.advance("send", "ack")
-                st.acked = True
-                st.buffer = None  # receiver verified: it owns the buffer now
+                kind, ep, window = self.comm.recv(
+                    source=ANY_SOURCE, tag=ctrl_tag, status=status
+                )
+            fr = self._sends.get((window, status.source))
+            if kind == "ack" and ep == self.epoch and fr is not None:
+                if fr.state == "inflight":
+                    fr.advance("ack")
+                    fr.payload = None  # the receiver settles the buffer now
 
     def fault_stats(self) -> dict:
         """Fault-recovery counters for reporting layers."""
@@ -1043,7 +1088,8 @@ class Scheduler:
         self._received = []
         self._selected_ids = []
         self._sent_moves = []
-        self._rounds = []
+        self._sends = {}
+        self._recvs = []
         self._cleaned = True
 
     def abort_exchange(self) -> None:
@@ -1055,25 +1101,20 @@ class Scheduler:
         communicator via a rebuilt scheduler).  Local storage is untouched:
         nothing was installed or evicted, so the hot set is exactly what it
         was at ``scheduling()`` time."""
-        for st in self._rounds:
-            if st.send_state not in TERMINAL_ROUND_STATES:
-                st.advance("send", "abort")
-            if st.recv_state not in TERMINAL_ROUND_STATES:
-                st.advance("recv", "abort")
-            if st.recv_req is not None and not st.recv_req.completed:
-                st.recv_req.cancel()
-            st.recv_req = None
+        for fr in [*self._sends.values(), *self._recvs]:
+            if fr.state not in TERMINAL_ROUND_STATES:
+                fr.advance("abort")
+            if fr.recv_req is not None and not fr.recv_req.completed:
+                fr.recv_req.cancel()
+            fr.recv_req = None
             # Pooled buffers of a torn-down exchange are *adopted*, not
             # released: the counterparty rank may still hold a reference to
-            # the same in-flight batch (abort is not synchronised), so the
+            # the same in-flight frame (abort is not synchronised), so the
             # bytes must never be recycled.  try_adopt() is idempotent —
             # whichever side gets here first wins the retirement.
-            if st.buffer is not None:
-                st.buffer.try_adopt()
-            st.buffer = None
-            if st.payload is not None:
-                st.payload.try_adopt()
-                st.payload = None
+            if fr.payload is not None:
+                fr.payload.try_adopt()
+                fr.payload = None
         for req in self._send_reqs + self._recv_reqs:
             if not req.completed:
                 req.cancel()
@@ -1082,7 +1123,8 @@ class Scheduler:
         self._received = []
         self._selected_ids = []
         self._sent_moves = []
-        self._rounds = []
+        self._sends = {}
+        self._recvs = []
         self._next_round = 0
         self._planned_extra = 0
         self.plan = None

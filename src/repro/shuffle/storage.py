@@ -123,10 +123,10 @@ class StorageArea:
     ) -> list[int]:
         """Store ``(sample, label, gid)`` triples in order; returns their ids.
 
-        The batched exchange installs a whole committed epoch with one call;
-        the samples may be read-only zero-copy views into a received
-        envelope — ``add`` keeps them un-copied, so the envelope's backing
-        buffer stays alive exactly as long as the entries do."""
+        The exchange installs a whole committed epoch with one call, as
+        private copies.  Samples may also be read-only zero-copy views into
+        a received envelope (the serve tier) — ``add`` keeps them un-copied,
+        so the envelope's backing buffer stays alive as long as they do."""
         with self._lock:
             return [self.add(sample, label, gid=gid) for sample, label, gid in entries]
 

@@ -128,6 +128,15 @@ class TestMutants:
         assert res.violations[0].kind == "stale_commit"
         assert str(EPOCH - 2) in res.violations[0].detail
 
+    def test_release_under_a_live_view_is_a_use_after_release(self):
+        # The receiver's commit action is copy-out + release; installing
+        # views of the frame instead and still releasing it must be caught.
+        results = run_mutation_sweep(mutations=("release_under_view",))
+        v = results["release_under_view"]
+        assert isinstance(v, Violation), "mutant survived the sweep"
+        assert v.kind == "use_after_release"
+        assert any("commit" in step for step in v.trace)
+
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ValueError, match="unknown mutation"):
             run_mutation_sweep(mutations=("not_a_mutation",))

@@ -1,9 +1,10 @@
-"""Exchange benchmark: artifact shape and the absolute copy gate.
+"""Exchange benchmark: artifact shape and the absolute copy / recycle gates.
 
-The exchange gathers each round once into its pooled envelope and never
-copies the bytes again; ``check_regression`` must fail an artifact whose
-copy counter says otherwise.  The ratio is deterministic (envelope bytes
-over logical sample bytes), so no baseline is needed.
+The exchange gathers each sample once into a pooled frame and copies it
+once out at install, then releases the frame for the next epoch;
+``check_regression`` must fail an artifact whose copy counter or pool
+counters say otherwise.  Both ratios are deterministic, so no baseline is
+needed.
 """
 
 import json
@@ -12,17 +13,29 @@ from repro.bench import check_regression, run_bench
 from repro.bench.runner import EXCHANGE_ARTIFACT, MAX_BYTES_COPIED_PER_SENT_BYTE
 
 
-def fake_exchange(copied_per_sent=1.0):
-    return {"ratios": {"bytes_copied_per_sent_byte": copied_per_sent}}
+def fake_exchange(copied_per_sent=1.0, hit_rate=0.5):
+    return {
+        "ratios": {
+            "bytes_copied_per_sent_byte": copied_per_sent,
+            "pool_hit_rate": hit_rate,
+        }
+    }
 
 
 class TestExchangeGate:
     def test_single_gather_passes(self):
         assert check_regression(fake_exchange(), {}) == []
 
-    def test_second_copy_flagged(self):
-        problems = check_regression(fake_exchange(2.0), {})
+    def test_gather_plus_install_copy_passes(self):
+        assert check_regression(fake_exchange(2.0), {}) == []
+
+    def test_third_copy_flagged(self):
+        problems = check_regression(fake_exchange(3.0), {})
         assert any("bytes copied per sent byte" in p for p in problems)
+
+    def test_cold_pool_flagged(self):
+        problems = check_regression(fake_exchange(hit_rate=0.0), {})
+        assert any("pool hit rate" in p for p in problems)
 
     def test_cap_is_inclusive(self):
         assert check_regression(
@@ -43,4 +56,7 @@ def test_smoke_run_writes_single_mode_artifact(tmp_path):
     # Allocations are pool misses, reported as measured.
     assert run["allocations"] == run["pool"]["misses"]
     assert run["pool"]["in_use"] == 0
+    assert run["pool"]["adopts"] == 0  # frames are released, never pinned
+    assert 1.9 < art["ratios"]["bytes_copied_per_sent_byte"] <= 2.1
+    assert art["ratios"]["pool_hit_rate"] > 0
     assert [row["q"] for row in art["q_sweep"]] == [0.25, 0.5, 1.0]

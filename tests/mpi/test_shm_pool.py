@@ -104,12 +104,24 @@ def test_shutdown_unlinks_everything():
     del kept
 
 
-def test_free_list_overflow_unlinks():
-    pool = SharedSegmentPool(name="test-shm-cap", max_buffers_per_class=1)
-    a, b = pool.acquire(64), pool.acquire(64)
-    pool.release(a)
-    pool.release(b)  # free list full -> second segment unlinked
-    assert pool.free_buffers() == 1
-    assert len(live_segments()) == 1
+def test_release_never_unlinks():
+    """Rank processes keep every segment they attached mapped, so a release
+    must park the segment, never unlink it behind their backs: only
+    ``clear()`` and ``shutdown()`` remove names from ``/dev/shm``."""
+    pool = SharedSegmentPool(name="test-shm-keep")
+    bufs = [pool.acquire(64) for _ in range(40)]
+    names = {b.segment_name for b in bufs}
+    for buf in bufs:
+        pool.release(buf)
+    assert pool.free_buffers() == 40
+    assert names <= set(live_segments())
+    again = [pool.acquire(64) for _ in range(40)]
+    assert {b.segment_name for b in again} == names  # all hits, no new segment
+    assert pool.stats()["segments"] == 40
+    for buf in again:
+        pool.release(buf)
+    pool.clear()
+    assert pool.free_buffers() == 0
+    assert not names & set(live_segments())
     pool.shutdown()
     assert live_segments() == []

@@ -159,11 +159,21 @@ class TestUnrecoveredFaultDump:
             kinds = {e["kind"] for e in events}
             assert "exchange.plan" in kinds, f"rank {rank} missing plan event"
             assert any(k.startswith("round.") for k in kinds), (
-                f"rank {rank} has no per-round exchange events"
+                f"rank {rank} has no per-frame exchange events"
             )
-            # The clean epoch committed before the fault: its full round
+            # The clean epoch committed before the fault: its full frame
             # history is what the ring preserves for the post-mortem.
             assert "epoch.commit" in kinds, f"rank {rank} missing epoch 0"
+            # One record per frame, addressed by (window, peer): epoch 0's
+            # 4 samples left in two Q*b = 2-round windows, each cut into at
+            # most one frame per destination.
+            posts = [
+                e for e in events if e["kind"] == "round.post" and e["epoch"] == 0
+            ]
+            assert 2 <= len(posts) <= 4
+            assert sum(e["samples"] for e in posts) == 4
+            assert {e["window"] for e in posts} == {0, 1}
+            assert all(0 <= e["peer"] < 4 for e in posts)
 
 
 class TestChaosKillDump:

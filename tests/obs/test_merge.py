@@ -84,8 +84,13 @@ class TestMergeDeterminism:
             assert ev.args["q"] == 0.5
             assert ev.args["samples"] >= 1
             assert ev.args["nbytes"] > 0
-            assert 0 <= ev.args["round"] < 4
+            # One span per frame: 4 rounds fit one Q*b = 16-round window.
+            assert ev.args["window"] == 0
             assert 0 <= ev.args["dest"] < RANKS
+        # A frame per (epoch, rank, destination drawn), never per sample —
+        # but between them the frames carry every planned sample.
+        assert len(rounds) <= 2 * RANKS * RANKS
+        assert sum(ev.args["samples"] for ev in rounds) == 2 * RANKS * 4
 
     def test_overlap_report_attributes_blocking_rounds(self):
         result = run_traced()

@@ -34,28 +34,31 @@ def _once(key, thunk):
 
 
 # ---------------------------------------------------------------- the oracle
-# One differential test for the exchange: whatever the backend, the fault
-# profile or the message granularity, every rank must end each epoch holding
-# exactly the samples ``reconstruct_ledger`` — a communicator-free replay of
-# Algorithm 1 — says it holds, with the source dataset's bytes.
-_ORACLE_RANKS = 3
+# One differential test for the exchange: whatever the backend, the world
+# size, the fault profile or the plan granularity, every rank must end each
+# epoch holding exactly the samples ``reconstruct_ledger`` — a
+# communicator-free replay of Algorithm 1 that knows nothing of windows or
+# frames — says it holds, with the source dataset's bytes.
 _ORACLE_N_LOCAL = 12
 _ORACLE_Q = 0.5
 _ORACLE_SEED = 7
 _ORACLE_EPOCHS = 3
-_ORACLE_X = np.random.default_rng(0).random(
-    (_ORACLE_RANKS * _ORACLE_N_LOCAL, 8, 8)
-).astype(np.float32)
+_ORACLE_X = np.random.default_rng(0).random((5 * _ORACLE_N_LOCAL, 8, 8)).astype(
+    np.float32
+)
 _ORACLE_Y = np.arange(len(_ORACLE_X)) % 5
-_ORACLE_SHARDS = [
-    list(range(r * _ORACLE_N_LOCAL, (r + 1) * _ORACLE_N_LOCAL))
-    for r in range(_ORACLE_RANKS)
-]
+
+
+def _oracle_shards(ranks):
+    return [
+        list(range(r * _ORACLE_N_LOCAL, (r + 1) * _ORACLE_N_LOCAL))
+        for r in range(ranks)
+    ]
 
 
 def _oracle_worker(comm, granularity):
     storage = StorageArea()
-    for gid in _ORACLE_SHARDS[comm.rank]:
+    for gid in _oracle_shards(comm.size)[comm.rank]:
         storage.add(_ORACLE_X[gid], int(_ORACLE_Y[gid]), gid=gid)
     sched = Scheduler(
         storage, comm, fraction=_ORACLE_Q, seed=_ORACLE_SEED,
@@ -73,11 +76,7 @@ def _oracle_worker(comm, granularity):
     return after_epoch
 
 
-@pytest.mark.parametrize("granularity", [1, 4])
-@pytest.mark.parametrize(
-    "profile", ["", "corrupt:p=0.1;drop:p=0.05;dup:p=0.05"], ids=["clean", "chaos"]
-)
-def test_exchange_matches_oracle(backend, profile, granularity):
+def _check_against_oracle(backend, profile, granularity, ranks):
     from repro.elastic import reconstruct_ledger
     from repro.faults import ChaosEngine, ChaosWorld
 
@@ -87,15 +86,15 @@ def test_exchange_matches_oracle(backend, profile, granularity):
         return ChaosWorld(size, chaos=engine, **kwargs)
 
     result = run_spmd(
-        _oracle_worker, _ORACLE_RANKS, args=(granularity,), backend=backend,
+        _oracle_worker, ranks, args=(granularity,), backend=backend,
         deadline_s=120, world_factory=chaos_world if profile else None,
     )
     if profile:
         assert sum(engine.snapshot().values()) > 0, "chaos injected nothing"
+    shards = _oracle_shards(ranks)
     for epochs in range(1, _ORACLE_EPOCHS + 1):
         oracle = reconstruct_ledger(
-            _ORACLE_SEED, _ORACLE_SHARDS, epochs, _ORACLE_Q,
-            granularity=granularity,
+            _ORACLE_SEED, shards, epochs, _ORACLE_Q, granularity=granularity,
         )
         for rank, after_epoch in enumerate(result):
             hot = after_epoch[epochs - 1]
@@ -103,6 +102,174 @@ def test_exchange_matches_oracle(backend, profile, granularity):
             for gid, label, raw in hot:
                 assert label == _ORACLE_Y[gid]
                 assert raw == _ORACLE_X[gid].tobytes()
+
+
+_CHAOS = pytest.mark.parametrize(
+    "profile", ["", "corrupt:p=0.1;drop:p=0.05;dup:p=0.05"], ids=["clean", "chaos"]
+)
+
+
+@pytest.mark.parametrize("granularity", [1, 4])
+@_CHAOS
+def test_exchange_matches_oracle(backend, profile, granularity):
+    _check_against_oracle(backend, profile, granularity, ranks=3)
+
+
+@pytest.mark.parametrize("ranks", [2, 5])
+@pytest.mark.parametrize("granularity", [1, 4])
+@_CHAOS
+def test_exchange_matches_oracle_at_other_world_sizes(
+    backend, profile, granularity, ranks
+):
+    """M=2: every window is two fat frames (one to self); M=5: the epoch's
+    rounds spread so thin that some (window, peer) pairs have no frame."""
+    _check_against_oracle(backend, profile, granularity, ranks)
+
+
+def test_oracle_grid_covers_an_empty_window_peer_pair():
+    """At M=5 the 6 rounds of an epoch fall in one Q*b window, so some rank
+    draws no round for some peer: that (window, peer) pair has no frame, on
+    either side, and the oracle test above still holds."""
+    from repro.shuffle.exchange_plan import ExchangePlan
+
+    plan = ExchangePlan.for_epoch(seed=_ORACLE_SEED, epoch=0, size=5, rounds=6)
+    assert any(
+        set(plan.sends_for(rank).tolist()) != set(range(5)) for rank in range(5)
+    )
+
+
+def _miscounting_world(size, **kwargs):
+    """A world that re-seals the first data frame with its last sample cut
+    off: bytes intact, CRC valid, sample count disagreeing with the plan."""
+    from repro.mpi.codec import pack_samples, unpack_samples
+    from repro.mpi.message import Checksummed, Message
+    from repro.mpi.world import World
+
+    class _MiscountingWorld(World):
+        tampered = False
+
+        def _deliver(self, msg):
+            env = msg.payload
+            if not self.tampered and isinstance(env, Checksummed):
+                samples = unpack_samples(env.payload, copy=True)
+                if len(samples) > 1:
+                    self.tampered = True
+                    short = Checksummed.wrap(pack_samples(samples[:-1]), env.meta)
+                    msg = Message(msg.source, msg.dest, msg.tag, short, msg.seq)
+            super()._deliver(msg)
+
+    return _MiscountingWorld(size, **kwargs)
+
+
+def _miscount_worker(comm):
+    from repro.mpi.errors import UnrecoveredFaultError
+
+    storage = StorageArea()
+    for gid in _oracle_shards(comm.size)[comm.rank]:
+        storage.add(_ORACLE_X[gid], int(_ORACLE_Y[gid]), gid=gid)
+    before = storage.hot_gids()
+    sched = Scheduler(storage, comm, fraction=1.0, seed=_ORACLE_SEED)
+    try:
+        sched.run_exchange(0)
+    except UnrecoveredFaultError:
+        assert storage.hot_gids() == before, "a malformed frame was installed"
+        raise
+    return True
+
+
+def test_frame_count_disagreeing_with_plan_is_malformed(backend):
+    from repro.mpi.errors import UnrecoveredFaultError
+
+    with pytest.raises(RankFailed) as info:
+        run_spmd(
+            _miscount_worker, 2, backend=backend, deadline_s=60,
+            world_factory=_miscounting_world,
+        )
+    errors = [
+        e for e in info.value.failures.values()
+        if isinstance(e, UnrecoveredFaultError)
+    ]
+    assert errors and "malformed envelope" in str(errors[0])
+    assert live_segments() == []
+
+
+# ------------------------------------------------------- frames recycle
+def _pinned_bytes(storage):
+    """Bytes kept alive by the hot samples' root buffers (following
+    ``.base`` / ``memoryview.obj`` to whatever owns the memory)."""
+    roots = {}
+    for _sid, sample, _label in storage.items():
+        root = sample
+        while True:
+            if isinstance(root, np.ndarray) and root.base is not None:
+                root = root.base
+            elif isinstance(root, memoryview):
+                root = root.obj
+            else:
+                break
+        roots[id(root)] = root.nbytes if isinstance(root, np.ndarray) else len(root)
+    return sum(roots.values())
+
+
+def _recycling_worker(comm, epochs):
+    storage = StorageArea()
+    x = np.random.default_rng(comm.rank).random((64, 32)).astype(np.float32)
+    for i in range(len(x)):
+        storage.add(x[i], i % 5, gid=comm.rank * len(x) + i)
+    sched = Scheduler(storage, comm, fraction=1.0, batch_size=8, seed=3)
+    per_epoch = []
+    for epoch in range(epochs):
+        sched.run_exchange(epoch)
+        comm.barrier()  # every rank settled its frames: the pool is quiet
+        stats = comm.pool.stats()
+        per_epoch.append(
+            {
+                "pinned": _pinned_bytes(storage),
+                "nbytes": storage.nbytes,
+                "hits": stats["hits"],
+                "in_use": stats["in_use"],
+            }
+        )
+        comm.barrier()
+    return per_epoch
+
+
+def test_frames_recycle_and_pin_nothing(backend):
+    result = run_spmd(_recycling_worker, 2, args=(3,), backend=backend, deadline_s=120)
+    for per_epoch in result:
+        for epoch, seen in enumerate(per_epoch):
+            # Q=1: every hot sample was installed by the exchange, as a
+            # private copy — no entry keeps a frame (or the dataset) alive.
+            assert seen["pinned"] == seen["nbytes"]
+            assert seen["in_use"] == 0
+            if epoch >= 1:
+                assert seen["hits"] > 0, "epoch 1 did not reuse epoch 0's frames"
+    result.world.pool.assert_balanced()
+    assert result.world.pool.stats()["adopts"] == 0
+
+
+def test_procs_exchange_fits_a_small_fd_budget():
+    """Regression: a rank process used to map one fresh segment (two fds)
+    per message and never let go, running out of descriptors after a few
+    epochs.  Released segments now always return to the free list, so six
+    epochs of partial-1 fit under RLIMIT_NOFILE = 512."""
+    import resource
+
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (512, hard))
+    try:
+        result = run_spmd(
+            _recycling_worker, 2, args=(6,), backend="procs", deadline_s=120
+        )
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    stats = result.world.pool.stats()
+    # 64 rounds in Q*b = 8-round windows, two peers, two ranks: at most 32
+    # frames are in flight in one epoch, and later epochs reuse them.
+    assert stats["high_water"] <= 32
+    assert stats["segments"] <= 32
+    assert stats["acquires"] > 4 * stats["segments"]
+    assert live_segments() == []
 
 
 def test_dead_peer_epitaph_crosses_backends(backend):
