@@ -1,9 +1,11 @@
-"""Functional ops: stable softmax/losses, im2col convolution, pooling.
+"""Functional ops: stable softmax/losses, patch-gather convolution, pooling.
 
-Convolution and pooling implement custom backward closures (im2col /
-col2im) rather than being composed from primitives — the composite graph
-would be orders of magnitude slower, and these are the hot path of every
-accuracy experiment.
+Convolution and pooling implement custom backward closures rather than
+being composed from primitives — the composite graph would be orders of
+magnitude slower, and these are the hot path of every accuracy experiment.
+Both read their windows through one channels-last gather (``im2col``);
+convolution uses it again for its input gradient, pooling scatters back
+with ``col2im``.
 """
 
 from __future__ import annotations
@@ -116,28 +118,56 @@ def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def _place(count: int, offset: int, step: int, size: int) -> tuple[slice, slice]:
+    """Source / destination slices putting item ``i`` of ``count`` at
+    ``offset + i * step``, keeping only what lands in ``[0, size)``."""
+    lo = max(0, -(offset // step))
+    hi = max(lo, min(count, (size - 1 - offset) // step + 1))
+    return slice(lo, hi), slice(offset + lo * step, offset + hi * step, step)
+
+
+def _patches(
+    x: np.ndarray, kh: int, kw: int, stride: int, top: int, left: int, oh: int, ow: int,
+    step: int = 1,
+) -> np.ndarray:
+    """The one gather: (N,C,H,W) -> (N*oh*ow, kh*kw*C) patch matrix.
+
+    ``x`` is copied once into a zeroed channels-last buffer, ``step - 1``
+    zeros between its pixels and zeros beyond its edges; row ``(n, i, j)``
+    is the window whose corner sits ``(top, left)`` buffer pixels before
+    ``x``'s first pixel plus ``(i, j) * stride``.  A window row is ``kw*C``
+    contiguous floats, so materialising the matrix copies long runs.
+    """
+    n, c, h, w = x.shape
+    buf = np.zeros((n, (oh - 1) * stride + kh, (ow - 1) * stride + kw, c), dtype=x.dtype)
+    src_h, dst_h = _place(h, top, step, buf.shape[1])
+    src_w, dst_w = _place(w, left, step, buf.shape[2])
+    buf[:, dst_h, dst_w] = x[:, :, src_h, src_w].transpose(0, 2, 3, 1)
+    sn, sh, sw, sc = buf.strides
+    windows = np.lib.stride_tricks.as_strided(
+        buf,
+        shape=(n, oh, ow, kh, kw * c),
+        strides=(sn, sh * stride, sw * stride, sh, sc),
+        writeable=False,
+    )
+    return windows.reshape(n * oh * ow, kh * kw * c)
+
+
 def im2col(
     x: np.ndarray, kh: int, kw: int, stride: int, padding: int
 ) -> tuple[np.ndarray, int, int]:
-    """(N,C,H,W) -> (N*OH*OW, C*kh*kw) patch matrix, plus output dims."""
-    n, c, h, w = x.shape
+    """(N,C,H,W) -> (N*OH*OW, kh*kw*C) channels-last patch matrix, plus output dims."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ValueError(f"padding must be >= 0, got {padding}")
+    h, w = x.shape[2:]
     oh, ow = _out_size(h, kh, stride, padding), _out_size(w, kw, stride, padding)
     if oh <= 0 or ow <= 0:
         raise ValueError(
             f"kernel {kh}x{kw} stride {stride} padding {padding} too large for input {h}x{w}"
         )
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # Strided sliding windows: (N, C, OH, OW, KH, KW) view, no copy.
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, oh, ow, kh, kw),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), oh, ow
+    return _patches(x, kh, kw, stride, padding, padding, oh, ow), oh, ow
 
 
 def col2im(
@@ -148,16 +178,14 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Scatter-add the inverse of :func:`im2col` (gradient w.r.t. the input)."""
+    """Scatter-add adjoint of :func:`im2col` (pooling's input gradient)."""
     n, c, h, w = x_shape
     oh, ow = _out_size(h, kh, stride, padding), _out_size(w, kw, stride, padding)
     padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    cols6 = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    cols6 = cols.reshape(n, oh, ow, kh, kw, c).transpose(3, 4, 0, 5, 1, 2)
     for i in range(kh):
         for j in range(kw):
-            padded[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += cols6[
-                :, :, :, :, i, j
-            ]
+            padded[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += cols6[i, j]
     if padding:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded
@@ -171,7 +199,12 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2-D cross-correlation: x (N,C,H,W), weight (F,C,KH,KW) -> (N,F,OH,OW)."""
+    """2-D cross-correlation: x (N,C,H,W), weight (F,C,KH,KW) -> (N,F,OH,OW).
+
+    Forward and input gradient are the same gather + one matmul: ``dx`` is
+    the stride-1 correlation of the upstream gradient (zero-dilated by
+    ``stride``) with the 180-degree-flipped kernel.
+    """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError(f"conv2d expects 4-D input/weight, got {x.shape}/{weight.shape}")
     n, c, h, w = x.shape
@@ -179,24 +212,25 @@ def conv2d(
     if cw != c:
         raise ValueError(f"input channels {c} != weight channels {cw}")
     cols, oh, ow = im2col(x.data, kh, kw, stride, padding)
-    wmat = weight.data.reshape(f, -1)  # (F, C*KH*KW)
-    out_data = (cols @ wmat.T).reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
+    out_data = cols @ weight.data.transpose(2, 3, 1, 0).reshape(-1, f)  # (N*OH*OW, F)
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, f, 1, 1)
+        out_data = out_data + bias.data.reshape(f)
+    out_data = out_data.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = x._make(np.ascontiguousarray(out_data), parents, "conv2d")
     if out.requires_grad:
 
         def backward(g: np.ndarray) -> None:
-            gmat = g.transpose(0, 2, 3, 1).reshape(-1, f)  # (N*OH*OW, F)
             if weight.requires_grad or weight._prev:
-                weight._push((gmat.T @ cols).reshape(weight.shape))
+                gmat = g.transpose(0, 2, 3, 1).reshape(-1, f)  # (N*OH*OW, F)
+                weight._push((cols.T @ gmat).reshape(kh, kw, c, f).transpose(3, 2, 0, 1))
             if bias is not None and (bias.requires_grad or bias._prev):
-                bias._push(gmat.sum(axis=0).reshape(bias.shape))
+                bias._push(g.sum(axis=(0, 2, 3)).reshape(bias.shape))
             if x.requires_grad or x._prev:
-                gcols = gmat @ wmat  # (N*OH*OW, C*KH*KW)
-                x._push(col2im(gcols, (n, c, h, w), kh, kw, stride, padding))
+                gcols = _patches(g, kh, kw, 1, kh - 1 - padding, kw - 1 - padding, h, w, stride)
+                flipped = weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
+                x._push((gcols @ flipped).reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
         out._backward = backward
     return out

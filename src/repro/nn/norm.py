@@ -19,85 +19,103 @@ from .tensor import Tensor
 __all__ = ["BatchNorm1d", "BatchNorm2d", "GroupNorm", "LayerNorm"]
 
 
-class _BatchNormBase(Module):
-    def __init__(self, num_features: int, *, eps: float = 1e-5, momentum: float = 0.1):
+class _Norm(Module):
+    """What every layer here is: a per-channel affine over one fused standardise
+    node.  They differ in the axes and in the shape the parameters broadcast from."""
+
+    def __init__(self, channels: int, eps: float):
         super().__init__()
+        self.eps = eps
+        self.weight = Parameter(np.ones(channels))
+        self.bias = Parameter(np.zeros(channels))
+
+    def _normalize(self, x: Tensor, axes, param_shape):
+        """One tape node: ``x`` standardised over ``axes`` (biased variance) times
+        weight plus bias, both seen as ``param_shape`` (same rank as ``x``).
+        Returns the node and the batch mean and variance (``keepdims``)."""
+        weight, bias = self.weight, self.bias
+        mean = x.data.mean(axis=axes, keepdims=True)
+        x_hat = x.data - mean
+        var = np.square(x_hat).mean(axis=axes, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        x_hat *= inv_std
+        w = weight.data.reshape(param_shape)
+        out = x._make(x_hat * w + bias.data.reshape(param_shape), (x, weight, bias), "normalize")
+        if out.requires_grad:
+            param_axes = tuple(i for i, s in enumerate(param_shape) if s == 1)
+
+            def backward(g: np.ndarray) -> None:
+                if bias.requires_grad or bias._prev:
+                    bias._push(g.sum(axis=param_axes).reshape(bias.shape))
+                if weight.requires_grad or weight._prev:
+                    weight._push((g * x_hat).sum(axis=param_axes).reshape(weight.shape))
+                if x.requires_grad or x._prev:
+                    # gx = inv_std * (gh - mean(gh) - x_hat * mean(gh * x_hat)), gh = g * w
+                    gh = g * w
+                    gx = gh - gh.mean(axis=axes, keepdims=True)
+                    gx -= x_hat * (gh * x_hat).mean(axis=axes, keepdims=True)
+                    gx *= inv_std
+                    x._push(gx)
+
+            out._backward = backward
+        return out, mean, var
+
+
+class _BatchNormBase(_Norm):
+    _axes: tuple[int, ...]  # what statistics are taken over: every axis but the channel one
+
+    def __init__(self, num_features: int, *, eps: float = 1e-5, momentum: float = 0.1):
         if num_features < 1:
             raise ValueError(f"num_features must be >= 1, got {num_features}")
+        super().__init__(num_features, eps)
         self.num_features = num_features
-        self.eps = eps
         self.momentum = momentum
-        self.weight = Parameter(np.ones(num_features))
-        self.bias = Parameter(np.zeros(num_features))
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
-    def _normalize(self, x: Tensor, axes: tuple[int, ...], param_shape: tuple[int, ...]) -> Tensor:
-        if self.training:
-            mean = x.mean(axis=axes, keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=axes, keepdims=True)
-            # Update running statistics outside the graph.
-            batch_mean = mean.data.reshape(-1)
-            batch_var = var.data.reshape(-1)
-            n = x.data.size / self.num_features
-            unbiased = batch_var * (n / max(n - 1, 1))
-            self.running_mean[...] = (
-                (1 - self.momentum) * self.running_mean + self.momentum * batch_mean
-            )
-            self.running_var[...] = (
-                (1 - self.momentum) * self.running_var + self.momentum * unbiased
-            )
-            inv_std = (var + self.eps) ** -0.5
-            x_hat = centered * inv_std
-        else:
-            mean = Tensor(self.running_mean.reshape(param_shape))
-            var = Tensor(self.running_var.reshape(param_shape))
-            x_hat = (x - mean) * ((var + self.eps) ** -0.5)
-        return x_hat * self.weight.reshape(param_shape) + self.bias.reshape(param_shape)
+    def forward(self, x: Tensor) -> Tensor:
+        """Apply this module to the input."""
+        name, ndim = type(self).__name__, len(self._axes) + 1
+        if x.ndim != ndim or x.shape[1] != self.num_features:
+            raise ValueError(f"{name} expects {ndim}-D (N,{self.num_features},...), got {x.shape}")
+        shape = (1, self.num_features) + (1,) * (ndim - 2)
+        if not self.training:
+            # Running stats and affine folded into one per-channel multiply-add.
+            scale = self.weight * Tensor(1.0 / np.sqrt(self.running_var + self.eps))
+            shift = self.bias - Tensor(self.running_mean) * scale
+            return x * scale.reshape(shape) + shift.reshape(shape)
+        n = x.size // self.num_features
+        if n < 2:
+            raise ValueError(f"{name} requires more than one value per channel in training mode")
+        out, mean, var = self._normalize(x, self._axes, shape)
+        # Update running statistics outside the graph (unbiased variance).
+        for running, batch in ((self.running_mean, mean), (self.running_var, var * (n / (n - 1)))):
+            running[...] = (1 - self.momentum) * running + self.momentum * batch.reshape(-1)
+        return out
 
 
 class BatchNorm1d(_BatchNormBase):
     """BatchNorm over (N, C) feature batches."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply this module to the input."""
-        if x.ndim != 2 or x.shape[1] != self.num_features:
-            raise ValueError(
-                f"BatchNorm1d expects (N,{self.num_features}), got {x.shape}"
-            )
-        if self.training and x.shape[0] < 2:
-            raise ValueError("BatchNorm1d requires batch size >= 2 in training mode")
-        return self._normalize(x, axes=(0,), param_shape=(1, self.num_features))
+    _axes = (0,)
 
 
 class BatchNorm2d(_BatchNormBase):
     """BatchNorm over (N, C, H, W) image batches (per-channel statistics)."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply this module to the input."""
-        if x.ndim != 4 or x.shape[1] != self.num_features:
-            raise ValueError(
-                f"BatchNorm2d expects (N,{self.num_features},H,W), got {x.shape}"
-            )
-        return self._normalize(x, axes=(0, 2, 3), param_shape=(1, self.num_features, 1, 1))
+    _axes = (0, 2, 3)
 
 
-class GroupNorm(Module):
+class GroupNorm(_Norm):
     """Group normalisation (Wu & He) — batch-size independent, the paper's
     suggested remedy for small per-worker batches (§IV-A-1)."""
 
     def __init__(self, num_groups: int, num_channels: int, *, eps: float = 1e-5):
-        super().__init__()
         if num_channels % num_groups != 0:
-            raise ValueError(
-                f"num_channels {num_channels} not divisible by num_groups {num_groups}"
-            )
+            raise ValueError(f"{num_channels} channels not divisible into {num_groups} groups")
+        super().__init__(num_channels, eps)
         self.num_groups = num_groups
         self.num_channels = num_channels
-        self.eps = eps
-        self.weight = Parameter(np.ones(num_channels))
-        self.bias = Parameter(np.zeros(num_channels))
 
     def forward(self, x: Tensor) -> Tensor:
         """Apply this module to the input."""
@@ -105,39 +123,20 @@ class GroupNorm(Module):
             raise ValueError(
                 f"GroupNorm expects (N,{self.num_channels},...) with 2 or 4 dims, got {x.shape}"
             )
-        n = x.shape[0]
-        orig_shape = x.shape
-        g = self.num_groups
-        grouped = x.reshape(n, g, -1)
-        mean = grouped.mean(axis=2, keepdims=True)
-        centered = grouped - mean
-        var = (centered * centered).mean(axis=2, keepdims=True)
-        x_hat = (centered * ((var + self.eps) ** -0.5)).reshape(*orig_shape)
-        if x.ndim == 2:
-            shape = (1, self.num_channels)
-        else:
-            shape = (1, self.num_channels, 1, 1)
-        return x_hat * self.weight.reshape(shape) + self.bias.reshape(shape)
+        # Statistics per (sample, group), affine per channel.
+        view = (x.shape[0], self.num_groups, self.num_channels // self.num_groups, -1)
+        return self._normalize(x.reshape(view), (2, 3), (1, *view[1:3], 1))[0].reshape(x.shape)
 
 
-class LayerNorm(Module):
+class LayerNorm(_Norm):
     """Layer normalisation over the trailing feature dimension."""
 
     def __init__(self, normalized_shape: int, *, eps: float = 1e-5):
-        super().__init__()
+        super().__init__(normalized_shape, eps)
         self.normalized_shape = normalized_shape
-        self.eps = eps
-        self.weight = Parameter(np.ones(normalized_shape))
-        self.bias = Parameter(np.zeros(normalized_shape))
 
     def forward(self, x: Tensor) -> Tensor:
         """Apply this module to the input."""
         if x.shape[-1] != self.normalized_shape:
-            raise ValueError(
-                f"LayerNorm expects trailing dim {self.normalized_shape}, got {x.shape}"
-            )
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        x_hat = centered * ((var + self.eps) ** -0.5)
-        return x_hat * self.weight + self.bias
+            raise ValueError(f"LayerNorm expects last dim {self.normalized_shape}, got {x.shape}")
+        return self._normalize(x, (-1,), (1,) * (x.ndim - 1) + x.shape[-1:])[0]

@@ -147,7 +147,8 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+            # C order: closures may push transposed views (conv2d does).
+            self.grad = grad.astype(self.data.dtype, order="C", copy=True)
         else:
             self.grad += grad
 
@@ -257,7 +258,7 @@ class Tensor:
         return out
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Mean across seeds."""
+        """Differentiable mean over ``axis`` (all elements by default)."""
         n = self.data.size if axis is None else _axis_size(self.shape, axis)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
@@ -372,9 +373,9 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         """Elementwise max(x, 0)."""
-        mask = self.data > 0
-        out = self._make(self.data * mask, (self,), "relu")
+        out = self._make(np.maximum(self.data, 0), (self,), "relu")
         if out.requires_grad:
+            mask = self.data > 0
             out._backward = lambda g: self._push(g * mask)
         return out
 

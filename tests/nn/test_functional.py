@@ -113,7 +113,100 @@ class TestConv:
             )
 
 
+def conv_loops(x, w, b, g, stride, padding):
+    """Nested-loop conv2d: the output, then the x / weight / bias gradients under
+    the upstream gradient ``g``.  Float64, no vectorisation: the reference."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    xp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    oh, ow = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, f, oh, ow))
+    gxp, gw, gb = np.zeros_like(xp), np.zeros_like(w), np.zeros_like(b)
+    for i in range(n):
+        for o in range(f):
+            for r in range(oh):
+                for s in range(ow):
+                    top, left = r * stride, s * stride
+                    window = xp[i, :, top : top + kh, left : left + kw]
+                    out[i, o, r, s] = (window * w[o]).sum() + b[o]
+                    gxp[i, :, top : top + kh, left : left + kw] += g[i, o, r, s] * w[o]
+                    gw[o] += g[i, o, r, s] * window
+                    gb[o] += g[i, o, r, s]
+    return out, gxp[:, :, padding : padding + h, padding : padding + wd], gw, gb
+
+
+class TestConvAgainstLoops:
+    """conv2d's gather-form forward and input gradient against plain loops."""
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_forward_and_all_three_gradients(self, kernel, stride, padding):
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+        x = rng.normal(size=(2, 3, 7, 10))  # odd, non-square; most strides leave a remainder
+        w = rng.normal(size=(4, 3, kernel, kernel))
+        b = rng.normal(size=4)
+        tx, tw, tb = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        out = F.conv2d(tx, tw, tb, stride=stride, padding=padding)
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        ref_out, ref_gx, ref_gw, ref_gb = conv_loops(x, w, b, g, stride, padding)
+        assert out.data.flags.c_contiguous
+        pairs = ((out.data, ref_out), (tx.grad, ref_gx), (tw.grad, ref_gw), (tb.grad, ref_gb))
+        for got, ref in pairs:
+            assert got.shape == ref.shape
+            assert np.allclose(got, ref, rtol=1e-10, atol=1e-10)
+
+    def test_non_square_kernel(self):
+        rng = np.random.default_rng(0)
+        x, w, b = rng.normal(size=(1, 2, 6, 9)), rng.normal(size=(3, 2, 1, 4)), np.zeros(3)
+        tx, tw = Tensor(x.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)
+        out = F.conv2d(tx, tw, stride=2, padding=1)
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        ref_out, ref_gx, ref_gw, _ = conv_loops(x, w, b, g, 2, 1)
+        assert np.allclose(out.data, ref_out, atol=1e-10)
+        assert np.allclose(tx.grad, ref_gx, atol=1e-10)
+        assert np.allclose(tw.grad, ref_gw, atol=1e-10)
+
+    def test_rows_no_window_reaches_get_zero_gradient(self):
+        # (8 + 0 - 3) % 2 == 1: the last row and column are never read.
+        t = Tensor(randn(1, 2, 8, 8).astype(np.float32), requires_grad=True)
+        w = Tensor(randn(3, 2, 3, 3, seed=1).astype(np.float32))
+        F.conv2d(t, w, stride=2).sum().backward()
+        assert t.grad.shape == (1, 2, 8, 8)
+        assert not t.grad[:, :, 7, :].any() and not t.grad[:, :, :, 7].any()
+        assert t.grad[:, :, :7, :7].all()
+
+    def test_stride_two_gradcheck(self):
+        w = randn(2, 2, 3, 3, seed=1).astype(np.float32)
+        proj = Tensor(randn(2, 2, 3, 4, seed=2).astype(np.float32))
+        gradcheck(
+            lambda t: F.conv2d(t, Tensor(w), stride=2, padding=1) * proj, randn(2, 2, 6, 7)
+        )
+        x = Tensor(randn(2, 2, 6, 7).astype(np.float32))
+        gradcheck(lambda t: F.conv2d(x, t, stride=2, padding=1) * proj, w)
+
+    @pytest.mark.parametrize(
+        "kwargs, name", [({"stride": 0}, "stride"), ({"padding": -1}, "padding")]
+    )
+    def test_bad_stride_and_padding_name_the_argument(self, kwargs, name):
+        x = Tensor(randn(1, 1, 4, 4).astype(np.float32))
+        w = Tensor(randn(1, 1, 3, 3).astype(np.float32))
+        with pytest.raises(ValueError, match=name):
+            F.conv2d(x, w, **kwargs)
+
+
 class TestPooling:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pool", [F.max_pool2d, F.avg_pool2d])
+    def test_pool_gradcheck_by_stride(self, pool, stride):
+        oh, ow = (5 - 2) // stride + 1, (6 - 2) // stride + 1
+        proj = Tensor(randn(2, 3, oh, ow, seed=1).astype(np.float32))
+        gradcheck(lambda t: pool(t, 2, stride) * proj, randn(2, 3, 5, 6))
+
+
     def test_max_pool_values(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         out = F.max_pool2d(Tensor(x), 2).data

@@ -57,6 +57,20 @@ class TestFactory:
         loss.backward()
         assert all(p.grad is not None for p in model.parameters())
 
+    def test_resnet_step_stays_fused(self):
+        """A later edit must not silently un-fuse the norm (92 tape nodes when
+        each BatchNorm was ~12 composed ops, 27 with one node per layer)."""
+        model = build_model("resnet_tiny", in_shape=(3, 16, 16), num_classes=8, seed=0)
+        loss = F.cross_entropy(model(Tensor(randn(32, 3, 16, 16))), np.arange(32) % 8)
+        seen, stack, nodes = set(), [loss], 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes += node._backward is not None
+                stack.extend(node._prev)
+        assert nodes <= 45
+
     def test_mlp_learns_separable_data(self):
         X, y = make_classification(SyntheticSpec(300, 3, n_features=12, separation=3.0, seed=1))
         model = build_model("mlp", in_shape=(12,), num_classes=3, seed=0)

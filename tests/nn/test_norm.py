@@ -132,3 +132,141 @@ class TestLayerNorm:
     def test_grad_flows(self):
         ln = LayerNorm(6)
         gradcheck(lambda t: ln(t), np.random.default_rng(0).normal(size=(4, 6)))
+
+
+def composed(x, weight, bias, axes, eps=1e-5):
+    """Normalise + affine spelled out in primitive Tensor ops: the reference
+    the fused node replaced."""
+    centered = x - x.mean(axis=axes, keepdims=True)
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    return centered * ((var + eps) ** -0.5) * weight + bias
+
+
+def bn1d_ref(layer, x):
+    return composed(x, layer.weight.reshape(1, -1), layer.bias.reshape(1, -1), (0,))
+
+
+def bn2d_ref(layer, x):
+    shape = (1, -1, 1, 1)
+    return composed(x, layer.weight.reshape(shape), layer.bias.reshape(shape), (0, 2, 3))
+
+
+def gn_ref(layer, x):
+    n, g = x.shape[0], layer.num_groups
+    shape = (1, g, layer.num_channels // g, 1)
+    grouped = x.reshape(n, g, layer.num_channels // g, -1)
+    out = composed(grouped, layer.weight.reshape(shape), layer.bias.reshape(shape), (2, 3))
+    return out.reshape(*x.shape)
+
+
+def ln_ref(layer, x):
+    return composed(x, layer.weight, layer.bias, (-1,))
+
+
+FUSED_CASES = {
+    "bn1d": (lambda: BatchNorm1d(3), (6, 3), bn1d_ref),
+    "bn2d": (lambda: BatchNorm2d(2), (3, 2, 3, 2), bn2d_ref),
+    "gn4d": (lambda: GroupNorm(2, 4), (2, 4, 2, 3), gn_ref),
+    "gn2d": (lambda: GroupNorm(2, 6), (3, 6), gn_ref),
+    "ln": (lambda: LayerNorm(5), (2, 3, 5), ln_ref),
+}
+
+
+@pytest.fixture(params=sorted(FUSED_CASES))
+def fused_case(request):
+    make, shape, ref = FUSED_CASES[request.param]
+    rng = np.random.default_rng(7)
+    layer = make()
+    layer.weight.data[...] = rng.normal(1.0, 0.5, size=layer.weight.shape)
+    layer.bias.data[...] = rng.normal(size=layer.bias.shape)
+    x = rng.normal(1.0, 2.0, size=shape).astype(np.float32)
+    # sum(layer(x)) is flat in x for a normalised output; a fixed random
+    # projection makes every gradient non-trivial.
+    proj = Tensor(rng.normal(size=shape).astype(np.float32))
+    return layer, x, proj, ref
+
+
+class TestFusedNormalize:
+    def test_one_tape_node(self, fused_case):
+        layer, x, _proj, _ref = fused_case
+        out = layer(Tensor(x, requires_grad=True))
+        while out._op == "reshape":  # GroupNorm views the input per group
+            (out,) = out._prev
+        assert out._op == "normalize"
+        assert {p._op for p in out._prev} <= {"", "reshape"}
+
+    def test_matches_composed_primitives(self, fused_case):
+        layer, x, proj, ref = fused_case
+        results = []
+        for fn in (lambda t: layer(t), lambda t: ref(layer, t)):
+            layer.zero_grad()
+            t = Tensor(x.copy(), requires_grad=True)
+            out = fn(t)
+            (out * proj).sum().backward()
+            results.append((out.data, t.grad, layer.weight.grad.copy(), layer.bias.grad.copy()))
+        for fused, reference in zip(*results):
+            assert fused.shape == reference.shape
+            assert np.allclose(fused, reference, rtol=1e-4, atol=1e-5)
+
+    def test_gradcheck_input(self, fused_case):
+        layer, x, proj, _ref = fused_case
+        gradcheck(lambda t: layer(t) * proj, x)
+
+    @pytest.mark.parametrize("name", ["weight", "bias"])
+    def test_gradcheck_parameters(self, fused_case, name):
+        layer, x, proj, _ref = fused_case
+        start = getattr(layer, name).data.copy()
+
+        def fn(t):
+            setattr(layer, name, t)  # a plain tracked Tensor in the parameter's place
+            return layer(Tensor(x)) * proj
+
+        gradcheck(fn, start)
+
+
+class TestBatchNormStatistics:
+    @pytest.mark.parametrize("cls, shape, axes", [
+        (BatchNorm1d, (16, 3), (0,)),
+        (BatchNorm2d, (4, 3, 5, 2), (0, 2, 3)),
+    ])
+    def test_running_stats_follow_the_numpy_formula(self, cls, shape, axes):
+        bn = cls(3, momentum=0.3)
+        mean, var = np.zeros(3), np.ones(3)
+        for seed in range(3):
+            x = randn(*shape, seed=seed)
+            bn(Tensor(x))
+            n = x.size // 3
+            mean = 0.7 * mean + 0.3 * x.mean(axis=axes, dtype=np.float64)
+            var = 0.7 * var + 0.3 * x.var(axis=axes, dtype=np.float64) * n / (n - 1)
+        assert bn.running_mean.dtype == np.float32
+        assert np.allclose(bn.running_mean, mean, rtol=1e-5)
+        assert np.allclose(bn.running_var, var, rtol=1e-5)
+
+    def test_single_value_per_channel_rejected_in_train(self):
+        with pytest.raises(ValueError, match="BatchNorm2d"):
+            BatchNorm2d(2)(Tensor(randn(1, 2, 1, 1)))
+
+    def test_eval_is_the_folded_scale_and_shift(self):
+        bn = BatchNorm2d(3)
+        rng = np.random.default_rng(0)
+        bn.weight.data[...] = rng.normal(1.0, 0.5, size=3)
+        bn.bias.data[...] = rng.normal(size=3)
+        for seed in range(2):
+            bn(Tensor(randn(4, 3, 2, 2, seed=seed)))
+        bn.eval()
+        x = randn(5, 3, 2, 2, seed=9)
+        shape = (1, 3, 1, 1)
+        expected = (x - bn.running_mean.reshape(shape)) / np.sqrt(
+            bn.running_var.reshape(shape) + bn.eps
+        ) * bn.weight.data.reshape(shape) + bn.bias.data.reshape(shape)
+        assert np.allclose(bn(Tensor(x)).data, expected, rtol=1e-5, atol=1e-6)
+
+    def test_eval_gradients_reach_input_and_parameters(self):
+        bn = BatchNorm1d(3)
+        bn(Tensor(randn(8, 3)))
+        bn.eval()
+        proj = Tensor(randn(4, 3, seed=1))
+        gradcheck(lambda t: bn(t) * proj, randn(4, 3, seed=2))
+        bn.zero_grad()
+        (bn(Tensor(randn(4, 3, seed=2))) * proj).sum().backward()
+        assert bn.weight.grad is not None and bn.bias.grad is not None

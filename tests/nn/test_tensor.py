@@ -134,6 +134,12 @@ class TestElementwise:
         x[np.abs(x) < 0.05] = 0.5  # keep away from the kink
         gradcheck(lambda t: t.relu(), x)
 
+    def test_relu_values_have_no_negative_zero(self):
+        out = Tensor(np.array([-2.0, -0.5, 0.0, 3.0], dtype=np.float32)).relu().data
+        assert out.dtype == np.float32
+        assert out.tolist() == [0.0, 0.0, 0.0, 3.0]
+        assert not np.signbit(out).any()
+
 
 class TestBackwardMechanics:
     def test_grad_accumulates_across_backwards(self):

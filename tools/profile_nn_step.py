@@ -1,0 +1,118 @@
+#!/usr/bin/env python
+"""Profile one ``repro.nn`` training step (ROADMAP item 2's deliverable).
+
+Runs the step the ``compute_*`` benchmark workloads spend 95 % of their
+time in — ``resnet_tiny`` on ``(3, 16, 16)`` samples, batch 32: forward,
+``cross_entropy``, ``zero_grad``, ``backward``, SGD update — and prints
+
+* the step's wall time with the profiler off (median of ``--steps``),
+* how many tape nodes one forward + loss records,
+* per-function *self* time under ``cProfile`` as ms per step and share.
+
+cProfile charges every Python call but not the work inside numpy, so the
+shares overstate call-heavy code; they find candidates, the benchmark
+(``benchmarks/perf/run.py``) decides.  BLAS is pinned to one thread so the
+numbers do not depend on the core count.
+
+Usage: ``python tools/profile_nn_step.py [--steps N] [--top K]``
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import os
+import pstats
+import statistics
+import sys
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+BATCH = 32
+SAMPLE_SHAPE = (3, 16, 16)
+CLASSES = 8
+WARMUP_STEPS = 3
+
+
+def tape_nodes(root) -> int:
+    """Tensors reachable from ``root`` that carry a backward closure."""
+    seen: set[int] = set()
+    stack = [root]
+    count = 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += node._backward is not None
+        stack.extend(node._prev)
+    return count
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the profile and print the report."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--steps", type=int, default=30, help="steps after warm-up")
+    parser.add_argument("--top", type=int, default=14, help="functions to list")
+    args = parser.parse_args(argv)
+    if args.steps < 1:
+        parser.error("--steps must be >= 1")
+
+    # Before numpy loads its BLAS.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    sys.path.insert(0, str(REPO / "src"))
+    import numpy as np
+
+    from repro.nn import SGD, Tensor, build_model
+    from repro.nn import functional as F
+
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(BATCH, *SAMPLE_SHAPE)).astype(np.float32)
+    y = rng.integers(0, CLASSES, size=BATCH)
+    model = build_model("resnet_tiny", in_shape=SAMPLE_SHAPE, num_classes=CLASSES, seed=0)
+    optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+
+    def step():
+        loss = F.cross_entropy(model(Tensor(x)), y)
+        model.zero_grad()
+        loss.backward()
+        optimizer.step()
+        return loss
+
+    for _ in range(WARMUP_STEPS):
+        loss = step()
+    nodes = tape_nodes(loss)
+
+    walls = []
+    for _ in range(args.steps):
+        t0 = time.perf_counter()
+        step()
+        walls.append((time.perf_counter() - t0) * 1e3)
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for _ in range(args.steps):
+        step()
+    profiler.disable()
+    stats = pstats.Stats(profiler).stats  # (file, line, name) -> (cc, nc, tt, ct, callers)
+    total = sum(row[2] for row in stats.values())
+    rows = sorted(stats.items(), key=lambda kv: kv[1][2], reverse=True)[: args.top]
+
+    print(f"resnet_tiny step, batch {BATCH}, sample {SAMPLE_SHAPE}, "
+          f"OPENBLAS_NUM_THREADS=1, {args.steps} steps after {WARMUP_STEPS} warm-up")
+    print(f"step wall (profiler off): median {statistics.median(walls):.2f} ms, "
+          f"min {min(walls):.2f} ms, max {max(walls):.2f} ms")
+    print(f"tape nodes per forward + cross_entropy: {nodes}")
+    print(f"self time under cProfile: {total / args.steps * 1e3:.2f} ms per step")
+    print(f"{'ms/step':>8} {'share':>6} {'calls/step':>10}  function")
+    for (filename, lineno, name), (_cc, ncalls, tottime, _ct, _callers) in rows:
+        where = name if filename == "~" else f"{Path(filename).name}:{lineno}({name})"
+        print(f"{tottime / args.steps * 1e3:8.3f} {tottime / total:6.1%} "
+              f"{ncalls / args.steps:10.1f}  {where}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
