@@ -264,8 +264,11 @@ class ShardRecovery:
             if src is not None and src != dst:
                 if me == src:
                     sample, label = self.storage.get_by_gid(gid)
+                    # A copy: the by-reference transport would hand the peer
+                    # a view of our storage, valid only while our entry lives
+                    # (StorageArea's view-validity rule).
                     send_reqs.append(
-                        comm.isend((sample, label, gid), dest=dst, tag=tag)
+                        comm.isend((np.array(sample), label, gid), dest=dst, tag=tag)
                     )
                 if me == dst:
                     recv_reqs.append((gid, comm.irecv(source=src, tag=tag)))

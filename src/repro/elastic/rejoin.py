@@ -301,9 +301,12 @@ class RankRejoin:
             transfers += 1
             if me == src:
                 sample, label = self.storage.get_by_gid(gid)
+                # A copy: the by-reference transport would hand the peer a
+                # view of our storage, valid only while our entry lives
+                # (StorageArea's view-validity rule).
                 send_reqs.append(
                     comm.isend(
-                        (sample, label, gid),
+                        (np.array(sample), label, gid),
                         dest=comm.group.index(dst),
                         tag=tag,
                     )

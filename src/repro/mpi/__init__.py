@@ -32,7 +32,7 @@ from .backends import (
     register_backend,
     resolve_backend_name,
 )
-from .codec import PackedBatch, pack_samples, unpack_samples
+from .codec import PackedBatch, SampleBlock, pack_samples, unpack_samples
 from .communicator import ANY_SOURCE, ANY_TAG, Communicator
 from .errors import (
     MPIAbort,
@@ -68,6 +68,7 @@ __all__ = [
     "BufferPool",
     "PoolBuffer",
     "PackedBatch",
+    "SampleBlock",
     "pack_samples",
     "unpack_samples",
     "Communicator",

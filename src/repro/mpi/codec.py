@@ -9,9 +9,18 @@ never walks a structure calling ``tobytes()`` (a full copy per checksum):
 * one **contiguous payload** holding every sample's bytes back to back,
   64-byte aligned, filled by straight ``memoryview`` copies (optionally
   into a :class:`~repro.mpi.pool.BufferPool` buffer);
-* **zero-copy decode**: :func:`unpack_samples` returns ``np.frombuffer``
-  views into the payload — no per-sample materialisation, and CRC32 runs
-  over the contiguous buffer without copying anything.
+* **zero-copy decode**: :func:`unpack_samples` returns views into the
+  payload — no per-sample materialisation, and CRC32 runs over the
+  contiguous buffer without copying anything.
+
+Both directions speak in **columns** (:class:`SampleBlock`: samples,
+label vector, gid vector).  A *homogeneous* frame — one dtype and shape,
+which is every frame the exchange packs — has equal-sized header records
+and equally spaced sample extents, so it is written from and read back as
+one ``(n, *shape)`` block and one structured header array: no per-record
+``struct`` call, dtype parse or ``np.frombuffer``.  Anything else (mixed
+shapes, the empty batch) walks the records.  The wire format is the same
+either way, and the decoder picks by what the header says.
 
 A :class:`PackedBatch` is frozen and its payload view is read-only, so it
 is safe to share by reference across ranks (the in-process transport
@@ -24,16 +33,21 @@ or ``adopt()``\\ s it to keep long-lived views valid (the serve tier).
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from functools import lru_cache
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .pool import BufferPool, PoolBuffer
 
-__all__ = ["PackedBatch", "pack_samples", "unpack_samples", "packed_size"]
+__all__ = [
+    "PackedBatch", "SampleBlock", "pack_samples", "unpack_samples", "packed_size",
+]
 
 _MAGIC = b"RPB1"
 # Per-record fixed part: dtype-string length (u8), ndim (u8), label (i64),
@@ -104,6 +118,140 @@ class PackedBatch:
         return False
 
 
+@dataclass(frozen=True, eq=False)
+class SampleBlock(SequenceABC):
+    """``n`` samples as columns; reads as a sequence of
+    ``(sample, label, gid)`` triples.
+
+    ``samples`` is one ``(n, *shape)`` array — a *block* — when the samples
+    share a dtype and a shape of at least one dimension, else a list of
+    ``n`` arrays.  ``labels`` and ``gids`` are int64 vectors; gid ``-1``
+    means untracked (``None`` in a triple).  Indexing with an integer array
+    returns the reordered columns.
+    """
+
+    samples: np.ndarray | Sequence[np.ndarray]
+    labels: np.ndarray
+    gids: np.ndarray
+
+    @classmethod
+    def from_entries(
+        cls, entries: Iterable[tuple[np.ndarray, int, int | None]]
+    ) -> "SampleBlock":
+        """Columns of ``(sample, label, gid)`` triples (samples kept as a
+        list: nothing is copied)."""
+        entries = list(entries)
+        return cls(
+            [np.asarray(sample) for sample, _label, _gid in entries],
+            np.array([label for _s, label, _g in entries], dtype=np.int64),
+            np.array(
+                [-1 if gid is None else gid for _s, _l, gid in entries],
+                dtype=np.int64,
+            ),
+        )
+
+    @classmethod
+    def concat(cls, blocks: Sequence["SampleBlock"]) -> "SampleBlock":
+        """One block holding ``blocks`` back to back (samples as a list of
+        the inputs' rows: nothing is copied)."""
+        return cls(
+            [row for block in blocks for row in block.samples],
+            np.concatenate([block.labels for block in blocks]),
+            np.concatenate([block.gids for block in blocks]),
+        )
+
+    @property
+    def nbytes(self) -> int:
+        """Logical size under the shared wire-size model
+        (:func:`~repro.mpi.message.payload_nbytes` of the triples): sample
+        bytes plus 8 for the label and 8 for the gid, tracked or not."""
+        samples = self.samples
+        if not isinstance(samples, np.ndarray):
+            return sum(sample.nbytes for sample in samples) + 16 * len(samples)
+        return samples.nbytes + 16 * len(samples)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, int, int | None]]:
+        gids = (None if gid < 0 else gid for gid in self.gids.tolist())
+        return zip(self.samples, self.labels.tolist(), gids)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            gid = int(self.gids[key])
+            return self.samples[key], int(self.labels[key]), None if gid < 0 else gid
+        samples = self.samples
+        if isinstance(samples, np.ndarray) or isinstance(key, slice):
+            samples = samples[key]
+        else:
+            samples = [samples[i] for i in np.asarray(key).tolist()]
+        return SampleBlock(samples, self.labels[key], self.gids[key])
+
+
+@lru_cache(maxsize=32)
+def _record_dtype(dt_len: int, ndim: int) -> np.dtype:
+    """One header record (``_REC_FIXED`` + dtype string + dims) as a packed
+    structured dtype, so ``n`` equal-sized records are one array."""
+    names = ["dt_len", "ndim", "label", "gid", "offset", "nbytes", "dt"]
+    formats = ["u1", "u1", "<i8", "<i8", "<u8", "<u8", f"S{dt_len}"]
+    offsets = [0, 1, 2, 10, 18, 26, _REC_FIXED.size]
+    if ndim:
+        names.append("dims")
+        formats.append(("<u8", (ndim,)))
+        offsets.append(_REC_FIXED.size + dt_len)
+    return np.dtype(
+        {
+            "names": names, "formats": formats, "offsets": offsets,
+            "itemsize": _REC_FIXED.size + dt_len + ndim * _DIM.size,
+        }
+    )
+
+
+@lru_cache(maxsize=32)
+def _extent_offsets(n: int, stride: int) -> np.ndarray:
+    """Payload offsets of ``n`` equally spaced sample extents.  Cached
+    (frames come in a handful of sizes) because ``np.arange`` drops the GIL
+    even for sixteen elements, and a rank thread that drops it at the end
+    of an epoch waits milliseconds to get it back."""
+    offsets = np.arange(n, dtype=np.uint64) * np.uint64(stride)
+    offsets.flags.writeable = False
+    return offsets
+
+
+#: Bytes of a record that name its class: (dt_len, ndim) lead it, and
+#: (nbytes, dtype string, dims) are its tail from this offset on.
+_CLASS_TAIL = 26
+
+
+def _block_view(
+    buffer: memoryview, n: int, dtype: np.dtype, shape: tuple[int, ...], stride: int
+) -> np.ndarray:
+    """``n`` aligned sample extents of ``buffer`` as one ``(n, *shape)``
+    array (writable iff the buffer is)."""
+    inner = [dtype.itemsize] * len(shape)
+    for axis in range(len(shape) - 2, -1, -1):
+        inner[axis] = inner[axis + 1] * shape[axis + 1]
+    # Through frombuffer so the view's base chain ends at the memoryview
+    # (np.ndarray(buffer=memoryview) would unwrap it to the raw exporter).
+    flat = np.frombuffer(buffer, dtype=np.uint8)
+    return np.ndarray((n, *shape), dtype, buffer=flat, strides=(stride, *inner))
+
+
+def _block_class(samples) -> tuple[np.dtype, tuple[int, ...]] | None:
+    """``(dtype, shape)`` if ``samples`` can travel as a block, else None."""
+    if isinstance(samples, np.ndarray):
+        dtype, shape = samples.dtype, samples.shape[1:]
+    else:
+        dtype, shape = samples[0].dtype, samples[0].shape
+        for sample in samples:
+            if sample.dtype != dtype or sample.shape != shape:
+                return None
+    if not shape or dtype.hasobject or len(dtype.str) > 255 or len(shape) > 255:
+        return None
+    return dtype, shape
+
+
 def packed_size(entries: Sequence[tuple[np.ndarray, int, int | None]]) -> int:
     """Payload bytes :func:`pack_samples` will need for ``entries``
     (aligned sample extents, excluding the header)."""
@@ -111,6 +259,23 @@ def packed_size(entries: Sequence[tuple[np.ndarray, int, int | None]]) -> int:
     for sample, _label, _gid in entries:
         offset = _aligned(offset) + np.asarray(sample).nbytes
     return offset
+
+
+def _acquire(nbytes: int, pool: BufferPool | None) -> tuple[Any, memoryview]:
+    """A payload buffer of ``nbytes`` and its writable view."""
+    if pool is not None:
+        buf = pool.acquire(nbytes)
+        return buf, buf.view
+    buf = bytearray(nbytes)
+    return buf, memoryview(buf)
+
+
+def _sealed(header: bytes, buf: Any) -> PackedBatch:
+    payload = (
+        buf.readonly() if isinstance(buf, PoolBuffer)
+        else memoryview(buf).toreadonly()
+    )
+    return PackedBatch(header=header, payload=payload, buf=buf)
 
 
 def pack_samples(
@@ -124,7 +289,14 @@ def pack_samples(
     (the unavoidable gather into wire form) into a contiguous buffer
     acquired from ``pool`` when given.  Object-dtype arrays are rejected:
     the codec's whole point is that payload bytes never meet pickle.
+
+    A :class:`SampleBlock` of one dtype and shape is written column-wise —
+    the same bytes the record walk produces, without visiting the records.
     """
+    if isinstance(entries, SampleBlock) and len(entries):
+        cls = _block_class(entries.samples)
+        if cls is not None:
+            return _pack_block(entries, *cls, pool)
     entries = list(entries)
     parts: list[bytes] = [_HEAD.pack(_MAGIC, len(entries))]
     arrays: list[tuple[np.ndarray, int]] = []
@@ -152,39 +324,120 @@ def pack_samples(
             parts.append(_DIM.pack(dim))
         arrays.append((arr, offset))
         offset += arr.nbytes
-    header = b"".join(parts)
-
-    if pool is not None:
-        buf: Any = pool.acquire(offset)
-        dest = buf.view
-    else:
-        buf = bytearray(offset)
-        dest = memoryview(buf)
+    buf, dest = _acquire(offset, pool)
     for arr, off in arrays:
         if arr.nbytes:
             dest[off : off + arr.nbytes] = memoryview(arr).cast("B")
-    payload = (
-        buf.readonly() if isinstance(buf, PoolBuffer)
-        else memoryview(buf).toreadonly()
-    )
-    return PackedBatch(header=header, payload=payload, buf=buf)
+    return _sealed(b"".join(parts), buf)
 
 
-def unpack_samples(
-    batch: PackedBatch, *, copy: bool = False
-) -> list[tuple[np.ndarray, int, int | None]]:
-    """Decode a :class:`PackedBatch` back into ``(sample, label, gid)``.
+def _pack_block(
+    block: SampleBlock, dtype: np.dtype, shape: tuple[int, ...],
+    pool: BufferPool | None,
+) -> PackedBatch:
+    """Column-wise :func:`pack_samples` of a one-class block."""
+    n = len(block)
+    dt = dtype.str.encode("ascii")
+    nbytes = dtype.itemsize * math.prod(shape)
+    stride = _aligned(nbytes)
+    recs = np.empty(n, _record_dtype(len(dt), len(shape)))
+    recs["dt_len"], recs["ndim"], recs["dt"] = len(dt), len(shape), dt
+    recs["label"], recs["gid"] = block.labels, block.gids
+    recs["offset"] = _extent_offsets(n, stride)
+    recs["nbytes"], recs["dims"] = nbytes, shape
+    buf, dest = _acquire((n - 1) * stride + nbytes, pool)
+    samples = block.samples
+    if nbytes and isinstance(samples, np.ndarray):
+        _block_view(dest, n, dtype, shape, stride)[...] = samples
+    elif nbytes:
+        # Row by row through the buffer protocol: unlike an ndarray
+        # assignment this never drops the GIL, and retaking it from a
+        # training thread costs far more than the 12 KB memcpy.
+        for off, row in zip(range(0, n * stride, stride), samples):
+            if not row.flags.c_contiguous:
+                row = np.ascontiguousarray(row)
+            dest[off : off + nbytes] = memoryview(row).cast("B")
+    return _sealed(_HEAD.pack(_MAGIC, n) + recs.tobytes(), buf)
+
+
+def unpack_samples(batch: PackedBatch, *, copy: bool = False) -> SampleBlock:
+    """Decode a :class:`PackedBatch` back into ``(sample, label, gid)``
+    triples, held as the columns of a :class:`SampleBlock`.
 
     With ``copy=False`` (the default) the returned arrays are read-only
-    ``np.frombuffer`` views into the batch payload: zero byte copies, at
-    the price of every view pinning the *whole* backing buffer
-    (``batch.adopt()`` records that hand-off).  ``copy=True`` materialises
-    private writable arrays instead — what the exchange installs, so it
-    can ``release()`` the buffer for reuse.
+    views into the batch payload: zero byte copies, at the price of every
+    view pinning the *whole* backing buffer (``batch.adopt()`` records that
+    hand-off; the exchange instead copies the block into storage-owned
+    slots and ``release()``\\ s the buffer).  ``copy=True`` materialises
+    private writable arrays.
+
+    A header of equal-sized records describing one dtype and shape at
+    evenly spaced extents decodes into one ``(n, *shape)`` block; any other
+    header is walked record by record into a list of arrays.
     """
     n = batch.count
+    block = _unpack_block(batch, n) if n else None
+    if block is None:
+        block = _unpack_records(batch, n)
+    if not copy:
+        return block
+    samples = block.samples
+    if isinstance(samples, np.ndarray):
+        samples = np.array(samples)
+    else:
+        samples = [sample.copy() for sample in samples]
+    return SampleBlock(samples, block.labels, block.gids)
+
+
+def _unpack_block(batch: PackedBatch, n: int) -> SampleBlock | None:
+    """Column-wise decode, or None if the header is not one class at evenly
+    spaced extents (the record walk then decodes, or names the damage)."""
+    header, payload = batch.header, batch.payload
+    if len(header) < _HEAD.size + _REC_FIXED.size:
+        return None
+    dt_len, ndim, _label, _gid, _offset, nbytes = _REC_FIXED.unpack_from(
+        header, _HEAD.size
+    )
+    if not (ndim and dt_len):
+        return None
+    rec = _record_dtype(dt_len, ndim)
+    if len(header) != _HEAD.size + n * rec.itemsize:
+        return None
+    recs = np.frombuffer(header, rec, n, _HEAD.size)
+    raw = recs.view(np.uint8).reshape(n, rec.itemsize)
+    stride = _aligned(nbytes)
+    # Record i starts where the walk would find it as long as records
+    # 0..i-1 have record 0's (dt_len, ndim), so these comparisons are the
+    # walk's answer, not a guess.
+    if not (
+        (raw[:, :2] == raw[0, :2]).all()
+        and (raw[:, _CLASS_TAIL:] == raw[0, _CLASS_TAIL:]).all()
+        and (recs["offset"] == _extent_offsets(n, stride)).all()
+    ):
+        return None
+    try:
+        dtype = np.dtype(bytes(recs["dt"][0]).decode("ascii"))
+    except (TypeError, UnicodeDecodeError):
+        return None
+    shape = tuple(recs["dims"][0].tolist())
+    if dtype.hasobject or nbytes != dtype.itemsize * math.prod(shape):
+        return None
+    if (n - 1) * stride + nbytes > payload.nbytes:
+        raise ValueError(
+            f"corrupt header: sample extents end at {(n - 1) * stride + nbytes} B, "
+            f"outside payload of {payload.nbytes} B"
+        )
+    return SampleBlock(
+        _block_view(payload, n, dtype, shape, stride), recs["label"], recs["gid"]
+    )
+
+
+def _unpack_records(batch: PackedBatch, n: int) -> SampleBlock:
+    """Record-by-record decode of any well-formed header."""
     payload = batch.payload
-    out: list[tuple[np.ndarray, int, int | None]] = []
+    samples: list[np.ndarray] = []
+    labels: list[int] = []
+    gids: list[int] = []
     pos = _HEAD.size
     header = batch.header
     for _ in range(n):
@@ -202,8 +455,9 @@ def unpack_samples(
                 f"outside payload of {payload.nbytes} B"
             )
         arr = np.frombuffer(payload[offset : offset + nbytes], dtype=dtype)
-        arr = arr.reshape(shape)
-        if copy:
-            arr = arr.copy()
-        out.append((arr, int(label), None if gid == -1 else int(gid)))
-    return out
+        samples.append(arr.reshape(shape))
+        labels.append(label)
+        gids.append(gid)
+    return SampleBlock(
+        samples, np.array(labels, dtype=np.int64), np.array(gids, dtype=np.int64)
+    )

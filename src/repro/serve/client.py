@@ -6,7 +6,7 @@ Two client shapes cover the two ways training code consumes samples:
   whose entries start as zero-byte *stubs* and materialise lazily through
   the server.  It satisfies the exact seam the PLS
   :class:`~repro.shuffle.scheduler.Scheduler` exercises (``ids`` /
-  ``get`` / ``gid_of`` / ``add_many`` / ``demote``), so a tenant can run
+  ``take`` / ``stage`` / ``add_many`` / ``demote``), so a tenant can run
   the paper's exchange schedule against a shared service instead of a
   pre-loaded private shard.
 * :class:`ServedDataset` — a map-style :class:`~repro.data.dataset.Dataset`
@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.prefetch import PrefetchLoader
-from repro.mpi.codec import unpack_samples
+from repro.mpi.codec import SampleBlock, unpack_samples
 from repro.shuffle.storage import StorageArea
 
 __all__ = ["ServedDataset", "ServedStorageArea"]
@@ -109,6 +109,14 @@ class ServedStorageArea(StorageArea):
             for (stub_sid, _gid), (sample, label, _g) in zip(want, entries):
                 self._materialize(stub_sid, sample, label)
             return super().get(sid)
+
+    def take(self, sids: Sequence[int]) -> SampleBlock:
+        """Entries as columns, materialising any that are still stubs (an
+        exchange must send the bytes, not the placeholder)."""
+        for sid in sids:
+            if self.is_stub(sid):
+                self.get(sid)
+        return super().take(sids)
 
     def remove(self, sid: int) -> None:
         """Delete an entry; removing an unread stub skips the fetch."""

@@ -390,7 +390,10 @@ class ShardServer:
                 self.fault_hook("read", read_key, n)
             if entry.storage is not None:
                 try:
-                    return entry.storage.get_by_gid(gid)
+                    sample, label = entry.storage.get_by_gid(gid)
+                    # Copied: the caches keep what is read here, and a view
+                    # of the area is valid only while its entry lives.
+                    return np.array(sample), label
                 except KeyError:
                     if entry.backing is None:
                         raise

@@ -81,18 +81,10 @@ class ExchangePlan:
             raise ValueError(f"size must be >= 1, got {size}")
         if rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {rounds}")
-        tree = SeedTree(seed)
-        rng = tree.shared("exchange-dest", epoch)
-        destinations = np.empty((rounds, size), dtype=np.int64)
-        for i in range(rounds):
-            perm = rng.permutation(size)
-            if not allow_self and size > 1:
-                perm = _deranged(perm, rng)
-            destinations[i] = perm
-        sources = np.empty_like(destinations)
-        for i in range(rounds):
-            # sources[i, dest] = src  <=>  destinations[i, src] = dest
-            sources[i, destinations[i]] = np.arange(size)
+        rng = SeedTree(seed).shared("exchange-dest", epoch)
+        destinations = _draw_destinations(rng, rounds, size, allow_self)
+        # sources[i, dest] = src  <=>  destinations[i, src] = dest
+        sources = np.argsort(destinations, axis=1)
         return cls(
             epoch=epoch, size=size, rounds=rounds,
             destinations=destinations, sources=sources,
@@ -116,14 +108,32 @@ class ExchangePlan:
     # ------------------------------------------------------------ invariants
     def is_balanced(self) -> bool:
         """Every rank sends and receives exactly ``rounds`` samples."""
-        for i in range(self.rounds):
-            if sorted(self.destinations[i].tolist()) != list(range(self.size)):
-                return False
-        return True
+        return bool(
+            (np.sort(self.destinations, axis=1) == np.arange(self.size)).all()
+        )
 
     def self_send_count(self, rank: int) -> int:
         """How many of this rank's sends map back to itself."""
         return int((self.destinations[:, rank] == rank).sum())
+
+
+def _draw_destinations(
+    rng: np.random.Generator, rounds: int, size: int, allow_self: bool
+) -> np.ndarray:
+    """``rounds`` destination permutations of ``range(size)`` off ``rng``.
+
+    One ``Generator.permuted`` call over a ``(rounds, size)`` matrix
+    consumes the stream exactly as ``rounds`` successive
+    ``rng.permutation(size)`` calls do, so the plan (and the generator's
+    end state) is the row loop's.  Only ``allow_self=False`` draws row by
+    row: :func:`_deranged` takes from the same stream between rows.
+    """
+    if allow_self or size == 1:
+        return rng.permuted(np.tile(np.arange(size), (rounds, 1)), axis=1)
+    destinations = np.empty((rounds, size), dtype=np.int64)
+    for i in range(rounds):
+        destinations[i] = _deranged(rng.permutation(size), rng)
+    return destinations
 
 
 def _deranged(perm: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -46,10 +46,14 @@ messages, stragglers — without changing the clean-run results:
   exchanged fraction converges to the configured Q.
 
 Ownership of the pooled buffer travels with the frame: the sender packs
-it; at commit the receiver copies the samples out into storage in plan-round
-order and *releases* the buffer back to the pool (the commit allreduce plus
-the late-ACK drain guarantee nobody else can still read it), so frames
-recycle and no storage entry pins one — see ``docs/performance.md``.
+it; at commit the receiver copies the frame's block into slots the storage
+area owns and *releases* the buffer back to the pool (the commit allreduce
+plus the late-ACK drain guarantee nobody else can still read it), so frames
+recycle and no storage entry pins one; the staged rows become entries, in
+plan-round order, at ``clean_local_storage()`` — see
+``docs/performance.md``.  The codec and storage calls the training thread
+makes here are per frame; what is left per sample is a buffer-protocol
+memcpy, and the registration and retirement of ready-made row views.
 
 Fail-stop faults remain :mod:`repro.elastic`'s business: the completion loop
 polls ``comm.dead_peers()`` and re-raises a genuine death as
@@ -61,15 +65,14 @@ from __future__ import annotations
 
 import time
 import zlib
-from itertools import islice
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.mpi.codec import PackedBatch, pack_samples, unpack_samples
+from repro.mpi.codec import PackedBatch, SampleBlock, pack_samples, unpack_samples
 from repro.mpi.communicator import Communicator
 from repro.mpi.errors import PeerFailure, UnrecoveredFaultError
-from repro.mpi.message import ANY_SOURCE, Checksummed, Status, payload_nbytes
+from repro.mpi.message import ANY_SOURCE, Checksummed, Status
 from repro.mpi.request import Request
 from repro.mpi.tags import EXCHANGE_CTRL, EXCHANGE_DATA, PARITY_BIT
 from repro.utils.retry import Backoff
@@ -149,6 +152,8 @@ ROUND_TRANSITIONS: dict[tuple[str, str, str], str] = {
 TERMINAL_ROUND_STATES = frozenset(
     {"committed", "rolled_back", "reclaimed", "abandoned", "failed", "aborted"}
 )
+
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 
 class _Frame:
@@ -283,14 +288,18 @@ class Scheduler:
         self.epoch: int | None = None
         self.plan: ExchangePlan | None = None
         self._selected_ids: list[int] = []
+        # Per selected sample, in plan-round order: where the plan sends it,
+        # who sends us its counterpart, and its gid once posted (-1 =
+        # untracked).
+        self._dest_of = self._src_of = self._sent_gids = _NO_IDS
         self._next_round = 0  # chunked-communication cursor (whole windows)
         self._window = 0      # rounds per window, frozen at the first post
         self._send_reqs: list[Request] = []
         self._recv_reqs: list[Request] = []
-        self._received: list[tuple[np.ndarray, int, int | None]] = []
-        # (gid, dest local rank) per posted sample in plan-round order;
-        # cut to the committed, gid-tracked ones at commit.
-        self._sent_moves: list[tuple[int | None, int]] = []
+        # What the commit staged into storage slots, in plan-round order.
+        self._received: Sequence[tuple[np.ndarray, int, int | None]] = ()
+        # (gid, dest local rank) of the committed, gid-tracked sends.
+        self._sent_moves: list[tuple[int, int]] = []
         self._cleaned = True
         self._sends: dict[tuple[int, int], _Frame] = {}  # by (window, dest)
         self._recvs: list[_Frame] = []                   # (window, src) order
@@ -379,6 +388,10 @@ class Scheduler:
                 rounds=n_messages,
                 allow_self=self.allow_self,
             )
+            rank, g = self.comm.rank, self.granularity
+            self._dest_of = np.repeat(self.plan.destinations[:, rank], g)[:k]
+            self._src_of = np.repeat(self.plan.sources[:, rank], g)[:k]
+            self._sent_gids = np.full(k, -1, dtype=np.int64)
             # Under run_spmd(verify=True) the communicator can prove the
             # Algorithm-1 precondition: every rank derived bit-identical
             # destination permutations from the shared seed.  scheduling()
@@ -406,7 +419,7 @@ class Scheduler:
         self._window = 0
         self._send_reqs = []
         self._recv_reqs = []
-        self._received = []
+        self._received = ()
         self._sent_moves = []
         self._sends = {}
         self._recvs = []
@@ -418,7 +431,7 @@ class Scheduler:
         rng = self._tree.per_rank("select", self.comm.rank, epoch)
         if self.selection == "random":
             perm = rng.permutation(len(ids))
-            return [ids[int(i)] for i in perm[:k]]
+            return [ids[i] for i in perm[:k].tolist()]
         if self.selection == "stale":
             # Oldest arrivals leave first; ties broken by the rank stream so
             # the initial epoch (all ties) is still a uniform draw.
@@ -497,35 +510,25 @@ class Scheduler:
             return
         if not self._window:
             self._window = self.chunk_rounds
-        rank = self.comm.rank
-        dests = self.plan.destinations[:, rank]
-        srcs = self.plan.sources[:, rank]
         parity = (self.epoch % 2) * _EPOCH_PARITY_BIT
-        g = self.granularity
+        size = self.comm.size
         tr = self.tracer
         while self._next_round < upto:
             lo = self._next_round
             hi = min(lo + self._window, self.plan.rounds)
             window = lo // self._window
             tag = EXCHANGE_DATA.tag(window, parity=parity)
-            # Group the window's rounds by peer; both sides read the same
+            # Group the window's samples by peer; both sides read the same
             # plan, so a receiver knows which frames it is owed and how
             # many samples each carries without any announcement.
-            outgoing: dict[int, list] = {}
-            owed: dict[int, int] = {}
-            for i in range(lo, hi):
-                dest, src = int(dests[i]), int(srcs[i])
-                entries = outgoing.setdefault(dest, [])
-                for sid in self._selected_ids[i * g : (i + 1) * g]:
-                    sample, label = self.storage.get(sid)
-                    gid = self.storage.gid_of(sid)
-                    entries.append((sample, label, gid))
-                    self._sent_moves.append((gid, dest))
-                owed[src] = owed.get(src, 0) + self._frame_samples(i, i + 1)
-            for dest in sorted(outgoing):
-                self._post_frame(window, dest, tag, outgoing[dest], mode)
-            for src in sorted(owed):
-                fr = _Frame("recv", window, src, tag, owed[src])
+            first, dest_of, src_of = self._window_samples(lo, hi)
+            for dest in np.flatnonzero(np.bincount(dest_of, minlength=size)).tolist():
+                self._post_frame(
+                    window, dest, tag, first + np.flatnonzero(dest_of == dest), mode
+                )
+            owed = np.bincount(src_of, minlength=size)
+            for src in np.flatnonzero(owed).tolist():
+                fr = _Frame("recv", window, src, tag, int(owed[src]))
                 # The shared seed tells us the source; a matched irecv is
                 # deterministic while remaining wire-identical to ANY_SOURCE.
                 with tr.suspended():
@@ -534,19 +537,30 @@ class Scheduler:
                 self._recvs.append(fr)
             self._next_round = hi
 
+    def _window_samples(self, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """Plan rounds ``[lo, hi)`` as a run of selected samples: the index
+        of its first sample, and each sample's destination and source."""
+        g, k = self.granularity, len(self._selected_ids)
+        a, b = min(lo * g, k), min(hi * g, k)
+        return a, self._dest_of[a:b], self._src_of[a:b]
+
     def _post_frame(
-        self, window: int, dest: int, tag: int, entries: list, mode: str
+        self, window: int, dest: int, tag: int, picked: np.ndarray, mode: str
     ) -> None:
-        """Pack, seal and isend one frame; retain its buffer until ACKed."""
+        """Pack, seal and isend one frame — the selected samples at indices
+        ``picked`` (plan-round order); retain its buffer until ACKed."""
         tr = self.tracer
-        fr = _Frame("send", window, dest, tag, len(entries))
+        ids = self._selected_ids
+        block = self.storage.take([ids[i] for i in picked.tolist()])
+        self._sent_gids[picked] = block.gids
+        fr = _Frame("send", window, dest, tag, len(block))
         # Byte accounting stays in logical sample bytes (the shared
         # payload_nbytes wire-size model), not envelope bytes.
-        fr.nbytes = payload_nbytes(entries)
+        fr.nbytes = block.nbytes
         # One flat envelope per frame: a single gather copy into a pooled
         # buffer; after this neither the wire (pass-through) nor the CRC
         # (contiguous) touches the sample bytes until the install copy.
-        fr.payload = pack_samples(entries, pool=self.comm.pool)
+        fr.payload = pack_samples(block, pool=self.comm.pool)
         self.comm.count_copy(fr.payload.payload.nbytes)
         self.flight.record(
             "round.post", epoch=self.epoch, window=window, peer=dest,
@@ -866,54 +880,62 @@ class Scheduler:
                 fr.payload = None
             else:
                 fr.advance("commit" if fr.window < committed else "rollback")
-        # Copy-out install: every committed frame is decoded into private
-        # arrays and released at once — the commit allreduce plus the drain
-        # above mean its sender is done with it — so frames recycle and no
-        # storage entry keeps one alive.  This is the second (and last)
-        # copy of a sample's bytes, charged like the pack gather.  A frame
-        # rolled back after verification was never installed and goes
-        # straight back to the pool.
+        # Install copy: every committed frame's block is copied into slots
+        # the storage area owns — the second (and last) copy of a sample's
+        # bytes, charged like the pack gather — and the frame is released at
+        # once: the commit allreduce plus the drain above mean its sender is
+        # done with it, so frames recycle and no storage entry keeps one
+        # alive.  A frame rolled back after verification was never installed
+        # and goes straight back to the pool.
         tr = self.tracer
-        decoded: dict[tuple[int, int], Iterator] = {}
+        staged: list[SampleBlock] = []
+        positions: list[np.ndarray] = []
         for fr in self._recvs:
             if fr.state == "waiting":
                 fr.advance("deadline")
                 continue
             if fr.window < committed:
                 fr.advance("commit")
-                entries = unpack_samples(fr.payload, copy=True)
-                decoded[fr.window, fr.peer] = iter(entries)
+                block = unpack_samples(fr.payload)
+                staged.append(self.storage.stage(block))
+                first, _dest_of, src_of = self._window_samples(
+                    fr.window * self._window, (fr.window + 1) * self._window
+                )
+                positions.append(first + np.flatnonzero(src_of == fr.peer))
                 self.comm.count_copy(fr.payload.payload.nbytes)
                 if tr.enabled:
                     # Receive events are emitted here, in frame order, not at
                     # the (racy) moment each payload verified — keeping
                     # per-rank traces deterministic, byte accounting intact.
-                    nbytes = payload_nbytes(entries)
                     with tr.span(
                         "recv", cat="comm.p2p", peer=fr.peer, tag=fr.tag,
-                        nbytes=nbytes,
+                        nbytes=block.nbytes,
                     ):
                         pass
                     tr.metrics.counter("comm.p2p.msgs_recv").inc()
-                    tr.metrics.counter("comm.p2p.bytes_recv").inc(nbytes)
+                    tr.metrics.counter("comm.p2p.bytes_recv").inc(block.nbytes)
+                del block  # the last view of the frame's payload
             else:
                 fr.advance("rollback")
             fr.payload.release()
             fr.payload = None
         # Merge the frames back into plan-round order, so storage sees the
-        # same install sequence whatever the framing.
-        srcs = self.plan.sources[:, self.comm.rank]
-        received: list[tuple[np.ndarray, int, int | None]] = []
-        for i in range(committed_rounds):
-            frame = decoded[i // self._window, int(srcs[i])]
-            received.extend(islice(frame, self._frame_samples(i, i + 1)))
-        self._received = received
+        # same install sequence whatever the framing: a frame's samples sit
+        # where the plan names its sender as the source.
+        if staged:
+            merged = SampleBlock.concat(staged)
+            self._received = merged[np.argsort(np.concatenate(positions))]
         planned_samples = len(self._selected_ids)
         committed_samples = self._frame_samples(0, committed_rounds)
         self._selected_ids = self._selected_ids[:committed_samples]
-        self._sent_moves = [
-            mv for mv in self._sent_moves[:committed_samples] if mv[0] is not None
-        ]
+        gids = self._sent_gids[:committed_samples]
+        tracked = gids >= 0
+        self._sent_moves = list(
+            zip(
+                gids[tracked].tolist(),
+                self._dest_of[:committed_samples][tracked].tolist(),
+            )
+        )
         self.total_sent_samples += committed_samples
         self.total_sent_bytes += sum(
             fr.nbytes for fr in self._sends.values() if fr.state == "committed"
@@ -1079,13 +1101,13 @@ class Scheduler:
             # PeerFailure on every survivor with both ledger and storage
             # untouched, so abort_exchange() leaves a consistent state.
             self.ledger.commit_epoch(self.comm, self.epoch, self._sent_moves)
-        for new_id in self.storage.add_many(self._received):
-            self._arrival_epoch[new_id] = self.epoch
+        new_ids = self.storage.add_many(self._received)
+        self._arrival_epoch.update(dict.fromkeys(new_ids, self.epoch))
         for sid in self._selected_ids:
             self.storage.demote(sid)
             self._arrival_epoch.pop(sid, None)
             self._scores.pop(sid, None)
-        self._received = []
+        self._received = ()
         self._selected_ids = []
         self._sent_moves = []
         self._sends = {}
@@ -1098,9 +1120,10 @@ class Scheduler:
         Cancels every outstanding request — including irecvs re-posted by
         the completion loop after a NACK — and resets the per-epoch state so
         :meth:`scheduling` can be called again (typically on a shrunk
-        communicator via a rebuilt scheduler).  Local storage is untouched:
-        nothing was installed or evicted, so the hot set is exactly what it
-        was at ``scheduling()`` time."""
+        communicator via a rebuilt scheduler).  Nothing was installed or
+        retired, so the hot set is exactly what it was at ``scheduling()``
+        time; samples a commit had already staged are not dropped but kept
+        as cold replicas (``StorageArea.unstage``)."""
         for fr in [*self._sends.values(), *self._recvs]:
             if fr.state not in TERMINAL_ROUND_STATES:
                 fr.advance("abort")
@@ -1120,7 +1143,11 @@ class Scheduler:
                 req.cancel()
         self._send_reqs = []
         self._recv_reqs = []
-        self._received = []
+        # A commit that staged its frames but never installed them: the
+        # ledger allgather met a dead peer.
+        if self._received:
+            self.storage.unstage(self._received)
+        self._received = ()
         self._selected_ids = []
         self._sent_moves = []
         self._sends = {}

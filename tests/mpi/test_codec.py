@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.mpi import BufferPool, PackedBatch, pack_samples, unpack_samples
+from repro.mpi import BufferPool, PackedBatch, SampleBlock, pack_samples, unpack_samples
 from repro.mpi.codec import ALIGN, packed_size
 from repro.mpi.message import Checksummed, copy_payload, payload_crc32, payload_nbytes
 
@@ -41,7 +41,7 @@ class TestRoundtrip:
 
     def test_empty_batch(self):
         batch, out = roundtrip([])
-        assert out == []
+        assert list(out) == []
         assert batch.count == 0
         assert batch.payload.nbytes == 0
 
@@ -168,3 +168,110 @@ class TestWireSemantics:
         assert pool.stats()["hits"] == 1
         b2.release()
         pool.assert_balanced()
+
+
+class TestColumns:
+    """The column path writes and reads the record walk's wire format."""
+
+    @staticmethod
+    def _triples(samples, gids):
+        return [(s, 10 + i, g) for i, (s, g) in enumerate(zip(samples, gids))]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hnp.arrays(
+            dtype=st.sampled_from([np.uint8, np.int16, np.float32, np.float64]),
+            shape=hnp.array_shapes(min_dims=2, max_dims=4, max_side=6),
+        ),
+        st.data(),
+    )
+    def test_block_bytes_equal_the_record_walk(self, block, data):
+        n = len(block)
+        gids = data.draw(
+            st.lists(
+                st.one_of(st.none(), st.integers(0, 2**40)), min_size=n, max_size=n
+            )
+        )
+        triples = self._triples(list(block), gids)
+        walked = pack_samples(triples)
+        columns = SampleBlock.from_entries(triples)
+        as_rows = pack_samples(columns)
+        as_block = pack_samples(
+            SampleBlock(np.ascontiguousarray(block), columns.labels, columns.gids)
+        )
+        for packed in (as_rows, as_block):
+            assert packed.header == walked.header
+            assert bytes(packed.payload) == bytes(walked.payload)
+        out = unpack_samples(walked)
+        assert isinstance(out.samples, np.ndarray)  # one class: one block
+        assert out.samples.shape == block.shape and out.samples.dtype == block.dtype
+        assert_entries_equal(out, triples)
+
+    def test_padded_extents_decode_as_a_strided_block(self):
+        # 3-byte samples sit 64 bytes apart: the block is a strided view.
+        triples = self._triples(
+            [np.full(3, i, dtype=np.uint8) for i in range(5)], [7, None, 9, None, 11]
+        )
+        out = unpack_samples(pack_samples(SampleBlock.from_entries(triples)))
+        assert isinstance(out.samples, np.ndarray)
+        assert out.samples.strides == (ALIGN, 1)
+        assert not out.samples.flags.writeable
+        assert_entries_equal(out, triples)
+
+    def test_noncontiguous_rows_are_gathered(self):
+        base = np.arange(64, dtype=np.int32).reshape(4, 16)
+        triples = self._triples([base[i, ::2] for i in range(4)], [0, 1, 2, 3])
+        packed = pack_samples(SampleBlock.from_entries(triples))
+        assert packed.header == pack_samples(triples).header
+        assert_entries_equal(unpack_samples(packed), triples)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [np.zeros(4, np.float32), np.zeros(4, np.int32)],   # same record size
+            [np.zeros((2, 3), np.uint8), np.zeros((3, 2), np.uint8)],
+            [np.zeros(4, np.float32), np.zeros(5, np.float32)],
+            [np.array(1, np.int64), np.array(2, np.int64)],      # 0-d samples
+        ],
+    )
+    def test_mixed_classes_keep_the_record_walk(self, samples):
+        triples = self._triples(samples, [1, None])
+        columns = SampleBlock.from_entries(triples)
+        packed = pack_samples(columns)
+        assert packed.header == pack_samples(triples).header
+        out = unpack_samples(packed)
+        assert isinstance(out.samples, list)
+        assert_entries_equal(out, triples)
+
+    def test_nbytes_is_the_wire_size_model(self):
+        # Tracked and untracked gids both weigh 8 bytes, like the label.
+        triples = self._triples(
+            [np.zeros(6, np.float32), np.ones(6, np.float32), np.ones(6, np.float32)],
+            [None, 5, 2**33],
+        )
+        rows = SampleBlock.from_entries(triples)
+        block = unpack_samples(pack_samples(rows))
+        assert rows.nbytes == block.nbytes == payload_nbytes(triples)
+        assert payload_nbytes(triples) == 3 * (24 + 8 + 8)
+
+    def test_copy_materialises_one_private_block(self):
+        triples = self._triples([np.arange(8.0), np.arange(8.0) + 1], [None, None])
+        batch = pack_samples(triples)
+        out = unpack_samples(batch, copy=True)
+        assert out.samples.flags.writeable and out.samples.base is None
+        assert_entries_equal(out, triples)
+
+    def test_reordering_and_concatenation_keep_columns_aligned(self):
+        triples = self._triples([np.full(2, i, np.int16) for i in range(4)], [3, None, 1, 0])
+        block = unpack_samples(pack_samples(triples))
+        picked = block[np.array([2, 0])]
+        assert_entries_equal(picked, [triples[2], triples[0]])
+        both = SampleBlock.concat([picked, SampleBlock.from_entries(triples[1:2])])
+        assert_entries_equal(both, [triples[2], triples[0], triples[1]])
+        assert block[1][2] is None and block[0][2] == 3
+
+    def test_truncated_payload_under_a_block_header_is_rejected(self):
+        batch = pack_samples(self._triples([np.arange(16.0), np.arange(16.0)], [0, 1]))
+        bad = PackedBatch(header=batch.header, payload=batch.payload[:200])
+        with pytest.raises(ValueError, match="corrupt header"):
+            unpack_samples(bad)

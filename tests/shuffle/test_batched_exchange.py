@@ -98,6 +98,30 @@ class TestCopyAccounting:
         sent = sum(r["sent_bytes"] for r in out)
         assert 1.9 * sent <= copied <= 2.1 * sent, (copied, sent)
 
+    def test_frame_bytes_follow_the_payload_nbytes_model(self):
+        """Frames are sized from their columns, not by walking the triples:
+        the totals must still be ``payload_nbytes`` of what was sent —
+        ``sample.nbytes + 8 + 8`` per entry, whether or not it has a gid."""
+        from repro.mpi import payload_nbytes
+
+        def worker(comm):
+            storage = StorageArea()
+            for i in range(8):  # every other sample is gid-tracked
+                gid = comm.rank * 8 + i if i % 2 else None
+                storage.add(np.full(5, i, dtype=np.float32), comm.rank, gid=gid)
+            sched = Scheduler(storage, comm, fraction=1.0, batch_size=4, seed=4)
+            sched.scheduling(0)
+            sent = [
+                (*storage.get(sid), storage.gid_of(sid)) for sid in sched._selected_ids
+            ]
+            assert {gid is None for _s, _l, gid in sent} == {True, False}
+            sched.synchronize(*sched.communicate())
+            sched.clean_local_storage()
+            return sched.total_sent_bytes, payload_nbytes(sent)
+
+        for total, model in run_spmd(worker, RANKS, deadline_s=60):
+            assert total == model == 8 * (20 + 8 + 8)
+
     def test_pool_balanced_after_clean_run(self):
         out, world = run_exchange()
         for r in out:

@@ -111,3 +111,50 @@ def test_plan_always_balanced_property(seed, epoch, size, rounds, no_self):
     if no_self and size > 1:
         for r in range(size):
             assert plan.self_send_count(r) == 0
+
+
+# --------------------------------------------------- plan stream identity
+def _row_loop_plan(rng, rounds, size):
+    """The plan as it was drawn before the vectorised draw: one
+    ``rng.permutation(size)`` per round, each inverted on its own.  Kept
+    here as the reference the one-call draw must reproduce, stream position
+    included."""
+    destinations = np.empty((rounds, size), dtype=np.int64)
+    for i in range(rounds):
+        destinations[i] = rng.permutation(size)
+    sources = np.empty_like(destinations)
+    for i in range(rounds):
+        sources[i, destinations[i]] = np.arange(size)
+    return destinations, sources
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 7, 1024])
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 64])
+def test_vectorised_draw_consumes_the_stream_like_the_row_loop(size, rounds):
+    from repro.shuffle.exchange_plan import _draw_destinations
+    from repro.utils.rng import SeedTree
+
+    seed, epoch = 11, 3
+    reference_rng = SeedTree(seed).shared("exchange-dest", epoch)
+    destinations, sources = _row_loop_plan(reference_rng, rounds, size)
+
+    plan = ExchangePlan.for_epoch(seed=seed, epoch=epoch, size=size, rounds=rounds)
+    assert plan.destinations.dtype == destinations.dtype
+    assert np.array_equal(plan.destinations, destinations)
+    assert np.array_equal(plan.sources, sources)
+
+    # The helper for_epoch hands its generator to leaves it exactly where
+    # the row loop does, so whatever is drawn next is unchanged too.
+    rng = SeedTree(seed).shared("exchange-dest", epoch)
+    assert np.array_equal(_draw_destinations(rng, rounds, size, True), destinations)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_is_balanced_rejects_a_repeated_destination():
+    plan = ExchangePlan.for_epoch(seed=3, epoch=0, size=4, rounds=3)
+    broken = plan.destinations.copy()
+    broken[1, 0] = broken[1, 1]
+    unbalanced = ExchangePlan(
+        epoch=0, size=4, rounds=3, destinations=broken, sources=plan.sources
+    )
+    assert plan.is_balanced() and not unbalanced.is_balanced()

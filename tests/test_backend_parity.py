@@ -194,9 +194,11 @@ def test_frame_count_disagreeing_with_plan_is_malformed(backend):
 
 
 # ------------------------------------------------------- frames recycle
-def _pinned_bytes(storage):
-    """Bytes kept alive by the hot samples' root buffers (following
-    ``.base`` / ``memoryview.obj`` to whatever owns the memory)."""
+def _pinned_outside_slots(storage):
+    """Bytes the hot samples keep alive that are not the storage area's own
+    slot chunks (following ``.base`` / ``memoryview.obj`` to whatever owns
+    the memory): a pinned frame or dataset array would show up here."""
+    chunks = {id(c) for pool in storage._pools.values() for c in pool.chunks}
     roots = {}
     for _sid, sample, _label in storage.items():
         root = sample
@@ -207,7 +209,8 @@ def _pinned_bytes(storage):
                 root = root.obj
             else:
                 break
-        roots[id(root)] = root.nbytes if isinstance(root, np.ndarray) else len(root)
+        if id(root) not in chunks:
+            roots[id(root)] = root.nbytes if isinstance(root, np.ndarray) else len(root)
     return sum(roots.values())
 
 
@@ -224,8 +227,8 @@ def _recycling_worker(comm, epochs):
         stats = comm.pool.stats()
         per_epoch.append(
             {
-                "pinned": _pinned_bytes(storage),
-                "nbytes": storage.nbytes,
+                "pinned": _pinned_outside_slots(storage),
+                "slots": storage.slots(),
                 "hits": stats["hits"],
                 "in_use": stats["in_use"],
             }
@@ -238,9 +241,13 @@ def test_frames_recycle_and_pin_nothing(backend):
     result = run_spmd(_recycling_worker, 2, args=(3,), backend=backend, deadline_s=120)
     for per_epoch in result:
         for epoch, seen in enumerate(per_epoch):
-            # Q=1: every hot sample was installed by the exchange, as a
-            # private copy — no entry keeps a frame (or the dataset) alive.
-            assert seen["pinned"] == seen["nbytes"]
+            # Q=1: every hot sample was installed by the exchange, into the
+            # area's own slots — no entry keeps a frame (or the dataset)
+            # alive — and those never outgrow hot + cold + one epoch's
+            # arrivals by more than a chunk (64 slots).
+            assert seen["pinned"] == 0
+            assert seen["slots"]["live"] >= 64 and seen["slots"]["staged"] == 0
+            assert seen["slots"]["allocated"] <= 4 * 64
             assert seen["in_use"] == 0
             if epoch >= 1:
                 assert seen["hits"] > 0, "epoch 1 did not reuse epoch 0's frames"
