@@ -7,7 +7,7 @@ subsystem at a fixed size and writes a machine-readable
 the end-to-end training benchmark lives in ``benchmarks/perf/``.
 """
 
-from .backend import MIN_PROCS_SPEEDUP, bench_backend
+from .backend import bench_backend
 from .exchange import bench_exchange, exchange_q_sweep
 from .runner import (
     DEFAULT_RESULTS_DIR,
@@ -35,7 +35,6 @@ __all__ = [
     "SCENARIOS",
     "FLIGHT_OVERHEAD_BUDGET",
     "MAX_MIGRATION_SHARE",
-    "MIN_PROCS_SPEEDUP",
     "MIN_REJOIN_SPEED",
     "MIN_SERVE_FAIRNESS",
 ]

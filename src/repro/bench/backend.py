@@ -1,18 +1,14 @@
 """Threads-vs-procs backend comparison on the exchange hot path.
 
 Runs the *same* exchange (same seed, same plan, same CRC/ACK protocol)
-once under each communicator backend and compares wall time.  The threads
-backend serialises compute-heavy sections behind the GIL; the ``procs``
-backend runs ranks as real OS processes with shared-memory transport, so
-on a multi-core machine the exchange should get faster.  On a single-core
-machine (or an over-subscribed CI runner) process scheduling adds overhead
-instead, so the report records ``cores`` / ``multicore`` and the speedup
-gate only binds when ``multicore`` is true.
-
-Correctness is gated unconditionally: both backends must produce
-bit-identical post-exchange shards (order-independent per-rank content
-checksums), and the shared-memory pool must end the run balanced with a
-clean ``/dev/shm`` namespace.
+once under each communicator backend.  What is gated is deterministic:
+both backends must produce bit-identical post-exchange shards
+(order-independent per-rank content checksums), and the shared-memory pool
+must end the run balanced with a clean ``/dev/shm`` namespace.  The wall
+times (and their ``procs_speedup`` ratio) are recorded, never gated — a
+millisecond smoke exchange says nothing about which backend is faster;
+``compute_procs`` / ``exchange_procs`` in ``benchmarks/perf/`` are the judge
+of that question.
 """
 
 from __future__ import annotations
@@ -24,13 +20,7 @@ from repro.mpi.shm_pool import live_segments
 
 from .exchange import _run_exchange
 
-__all__ = ["bench_backend", "MIN_PROCS_SPEEDUP"]
-
-#: Floor on the procs-over-threads exchange speedup, applied only when the
-#: machine has >= 2 cores (``multicore`` in the artifact).  Kept modest:
-#: the claim gated here is "real cores beat the GIL on the exchange", not
-#: a specific scaling factor, and CI runners are noisy.
-MIN_PROCS_SPEEDUP = 1.05
+__all__ = ["bench_backend"]
 
 
 def bench_backend(
@@ -47,7 +37,7 @@ def bench_backend(
     Returns a dict with per-backend mode reports (wall time, bytes, pool
     stats), the ``procs_speedup`` ratio, ``identical_shards`` (must always
     hold), ``shm_clean`` (no leaked ``/dev/shm`` segments after the procs
-    run), and the core count that decides whether the speedup gate binds.
+    run), and the host's core count.
     """
     common = dict(
         ranks=ranks, samples=samples, shape=shape, q=q, epochs=epochs, seed=seed,
@@ -62,16 +52,12 @@ def bench_backend(
             "procs backend diverged from the threads reference: "
             f"{procs['shard_checksums']} != {threads['shard_checksums']}"
         )
-    cores = os.cpu_count() or 1
     return {
         "config": {
             "ranks": ranks, "samples": samples, "shape": list(shape),
             "q": q, "epochs": epochs, "seed": seed,
         },
-        "cores": cores,
-        # The speedup claim needs real parallelism to be measurable; the
-        # regression gate consults this flag before applying the floor.
-        "multicore": cores >= 2,
+        "cores": os.cpu_count() or 1,
         "modes": {"threads": threads, "procs": procs},
         "ratios": {
             "procs_speedup": (

@@ -17,27 +17,20 @@ Subcommands
 ``trace``
     Summarize a trace file produced by a ``--trace`` run: per-phase totals,
     per-rank byte counts, top spans and an ASCII Gantt timeline.
-``elastic-train``
-    PLS training with injected rank failures and shard recovery: kill
-    ranks mid-run per ``--kill rank@epoch[:point]``, recover from replicas
-    and the source dataset, and optionally compare the final accuracy to an
-    uninterrupted run (``--compare-clean``).
 ``chaos-train``
-    PLS training under a deterministic transient-fault profile
-    (``--chaos "corrupt:p=0.01;flaky-read:p=0.05;..."``): message
-    corruption/drops/delays/duplicates, flaky or torn storage reads,
-    per-rank slowdown, and fail-stop kills, all recovered by the
-    checksummed exchange, retrying I/O and (with ``--exchange-deadline``)
-    degraded-Q machinery.  ``--compare-clean`` asserts the final accuracy
-    matches an un-faulted run (default tolerance 0: bit-identical).
-``lifecycle-train``
-    Supervised self-healing training: rank kills (``--kill``), whole-job
-    crash/restart from the latest complete snapshot (``--restart-after``),
-    and rank rejoin with deterministic shard rebalance (``--rejoin``),
-    all driven by the elastic :class:`~repro.elastic.Supervisor` and
-    recorded as flight-recorder transitions.  ``--compare-clean`` asserts
-    the crashed-and-restarted run ends bit-identical to one that never
-    crashed.
+    Supervised PLS training under a deterministic fault profile
+    (``--chaos "corrupt:p=0.01;flaky-read:p=0.05;kill:rank=1,epoch=1;..."``),
+    the one failure-aware command: message corruption/drops/delays/
+    duplicates, flaky or torn storage reads and per-rank slowdown are
+    absorbed by the checksummed exchange, retrying I/O and (with
+    ``--exchange-deadline``) degraded-Q machinery; ``kill:`` clauses
+    fail-stop a rank (shrink + shard recovery), ``rejoin:`` re-admits it
+    with a deterministic shard rebalance, ``crash:`` kills the whole job,
+    which restarts from the latest complete snapshot (``--snapshot-dir``;
+    a directory that already holds one is resumed).  Exits 1 unless the
+    run ends with the expected workers at their ``N/M`` share;
+    ``--compare-clean`` also asserts the final accuracy matches an
+    un-faulted run (default tolerance 0: bit-identical weights).
 ``lint``
     SPMD correctness lint (rules SPMD001-SPMD009, the latter four
     interprocedural-dataflow) over python sources; exits nonzero on
@@ -173,43 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--no-gantt", action="store_true",
                          help="skip the ASCII timeline")
 
-    p_el = sub.add_parser(
-        "elastic-train",
-        help="PLS training with injected rank failures and shard recovery",
-    )
-    p_el.add_argument("--samples", type=int, default=512)
-    p_el.add_argument("--classes", type=int, default=4)
-    p_el.add_argument("--features", type=int, default=32)
-    p_el.add_argument("--workers", type=int, default=4)
-    p_el.add_argument("--epochs", type=int, default=6)
-    p_el.add_argument("--batch-size", type=int, default=8)
-    p_el.add_argument("--lr", type=float, default=0.05)
-    p_el.add_argument("--q", type=float, default=0.3, help="exchange fraction Q")
-    p_el.add_argument(
-        "--partition",
-        choices=["random", "contiguous", "strided", "class_sorted", "dirichlet"],
-        default="class_sorted",
-    )
-    p_el.add_argument("--seed", type=int, default=0)
-    p_el.add_argument(
-        "--kill", default="", metavar="SPEC",
-        help="failure schedule: rank@epoch[:point][,...] with point one of "
-        "begin/mid_exchange/end (e.g. '1@2:mid_exchange')",
-    )
-    p_el.add_argument(
-        "--compare-clean", action="store_true",
-        help="also run uninterrupted with the same seed and report the "
-        "accuracy delta; exits 1 if it exceeds --tolerance",
-    )
-    p_el.add_argument(
-        "--tolerance", type=float, default=0.05,
-        help="max |acc(elastic) - acc(clean)| allowed with --compare-clean",
-    )
-    add_backend_arg(p_el)
-
     p_ch = sub.add_parser(
         "chaos-train",
-        help="PLS training under a deterministic transient-fault profile",
+        help="supervised PLS training under a deterministic fault profile: "
+        "transient faults, rank kills and rejoins, whole-job crash/restart",
     )
     p_ch.add_argument("--samples", type=int, default=512)
     p_ch.add_argument("--classes", type=int, default=4)
@@ -228,8 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.add_argument(
         "--chaos", default="", metavar="SPEC",
         help="fault profile: ';'-separated clauses, e.g. "
-        "'corrupt:p=0.01;drop:p=0.01;flaky-read:p=0.05;"
-        "slow:rank=3,x=10;kill:rank=1,epoch=2'",
+        "'corrupt:p=0.01;drop:p=0.01;flaky-read:p=0.05;slow:rank=3,x=10;"
+        "kill:rank=1,epoch=1,point=mid_exchange;rejoin:rank=1,epoch=3;"
+        "crash:epoch=2'",
     )
     p_ch.add_argument(
         "--chaos-seed", type=int, default=0,
@@ -255,71 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0: recoverable faults must be bit-invisible)",
     )
     p_ch.add_argument(
+        "--snapshot-dir", default=None, metavar="DIR",
+        help="write a full-job snapshot into DIR after every epoch; a DIR "
+        "that already holds a complete snapshot is resumed from it "
+        "(default: no snapshots, or a temporary directory when the "
+        "profile has a crash: clause)",
+    )
+    p_ch.add_argument(
         "--flight-dir", default=None, metavar="DIR",
-        help="write flight-recorder dumps (fault post-mortems plus one "
-        "end-of-run snapshot) as JSON files into DIR",
+        help="write flight-recorder dumps (fault and lifecycle-transition "
+        "post-mortems plus the final 'lifecycle complete' timeline) as "
+        "JSON files into DIR — readable by 'repro health <file>'",
     )
     add_backend_arg(p_ch)
-
-    p_lc = sub.add_parser(
-        "lifecycle-train",
-        help="supervised self-healing PLS training: kill ranks, crash and "
-        "restart the whole job, rejoin dead ranks and rebalance shards",
-    )
-    p_lc.add_argument("--samples", type=int, default=240)
-    p_lc.add_argument("--classes", type=int, default=4)
-    p_lc.add_argument("--features", type=int, default=16)
-    p_lc.add_argument("--workers", type=int, default=4)
-    p_lc.add_argument("--epochs", type=int, default=5)
-    p_lc.add_argument("--batch-size", type=int, default=8)
-    p_lc.add_argument("--lr", type=float, default=0.05)
-    p_lc.add_argument("--q", type=float, default=0.3, help="exchange fraction Q")
-    p_lc.add_argument(
-        "--partition",
-        choices=["random", "contiguous", "strided", "class_sorted", "dirichlet"],
-        default="class_sorted",
-    )
-    p_lc.add_argument("--seed", type=int, default=0)
-    p_lc.add_argument(
-        "--kill", default="", metavar="SPEC",
-        help="rank fail-stop schedule: rank@epoch[:point][,...] "
-        "(e.g. '1@1:mid_exchange')",
-    )
-    p_lc.add_argument(
-        "--rejoin", default="", metavar="SPEC",
-        help="rejoin schedule: rank@epoch[,...] — the killed rank is "
-        "re-admitted at that epoch's boundary and shards rebalance back "
-        "toward N/M (e.g. '1@3')",
-    )
-    p_lc.add_argument(
-        "--restart-after", default="", metavar="EPOCHS",
-        help="crash the whole job after these epochs' snapshots commit "
-        "(e.g. '1': the job dies at the start of epoch 2 and the "
-        "supervisor restarts it from epoch 1's snapshot)",
-    )
-    p_lc.add_argument(
-        "--snapshot-dir", default=None, metavar="DIR",
-        help="where full-job snapshots live (default: a temporary "
-        "directory; pass a real path to resume across invocations)",
-    )
-    p_lc.add_argument(
-        "--flight-dir", default=None, metavar="DIR",
-        help="write flight-recorder dumps (every lifecycle transition "
-        "post-mortem plus the final timeline) as JSON files into DIR — "
-        "readable by 'repro health <file>'",
-    )
-    p_lc.add_argument(
-        "--compare-clean", action="store_true",
-        help="also run with the same kill/rejoin schedule but no "
-        "crash/restart and compare the final model weights; exits 1 on "
-        "divergence beyond --tolerance",
-    )
-    p_lc.add_argument(
-        "--tolerance", type=float, default=0.0,
-        help="max |final accuracy delta| allowed with --compare-clean "
-        "(default 0: the restarted run must be bit-identical)",
-    )
-    add_backend_arg(p_lc)
 
     p_bench = sub.add_parser(
         "bench",
@@ -643,76 +552,20 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_elastic_train(args) -> int:
-    from repro.data import SyntheticSpec
-    from repro.elastic import run_elastic
-    from repro.train import TrainConfig
-    from repro.train.experiments import make_experiment_data
-
-    spec = SyntheticSpec(
-        n_samples=args.samples, n_classes=args.classes,
-        n_features=args.features, seed=args.seed,
-    )
-    config = TrainConfig(
-        model="mlp", in_shape=(args.features,), num_classes=args.classes,
-        epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr,
-        partition=args.partition, seed=args.seed,
-    )
-    train_ds, labels, val_X, val_y = make_experiment_data(spec)
-    result = run_elastic(
-        config=config, workers=args.workers, q=args.q, failures=args.kill,
-        train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
-        backend=args.backend,
-    )
-    rows = [
-        [
-            f"rank {r['dead_ranks']}", f"epoch {r['epoch']}",
-            r["lost_gids"], r["from_replica"], r["from_source"],
-            format_size(r["bytes_transferred"]),
-            f"{1e3 * (r['detection_latency_s'] + r['wall_s']):.1f} ms",
-        ]
-        for r in result.recoveries
-    ]
-    if rows:
-        print_table(
-            ["died", "at", "lost", "replica", "source", "moved", "recovery"],
-            rows,
-            title=f"failures injected: {args.kill}",
-        )
-    else:
-        print("no failures injected")
-    print(
-        f"elastic run: {args.workers} -> "
-        f"{result.history.stats.get('final_workers', args.workers)} workers, "
-        f"final top-1 {result.final_accuracy:.3f}"
-    )
-    if not args.compare_clean:
-        return 0
-
-    clean = run_elastic(
-        config=config, workers=args.workers, q=args.q, failures="",
-        train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
-        backend=args.backend,
-    )
-    delta = abs(result.final_accuracy - clean.final_accuracy)
-    print(
-        f"clean run final top-1 {clean.final_accuracy:.3f} "
-        f"(|delta| = {delta:.3f}, tolerance {args.tolerance:.3f})"
-    )
-    if delta > args.tolerance:
-        print("accuracy after failure outside tolerance", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_chaos_train(args) -> int:
+    import os
+
+    import numpy as np
+
     from repro.data import SyntheticSpec
     from repro.faults import FaultProfile, run_chaos_train
+    from repro.obs.telemetry import FLIGHT_DIR_ENV
     from repro.train import TrainConfig
     from repro.train.experiments import make_experiment_data
 
     try:
         profile = FaultProfile.parse(args.chaos)
+        profile.lifecycle_plan()  # rejoin-without-kill, crash at epoch 0, ...
     except ValueError as exc:
         print(f"bad --chaos spec: {exc}", file=sys.stderr)
         return 2
@@ -734,29 +587,15 @@ def _cmd_chaos_train(args) -> int:
         backend=args.backend,
     )
     if args.flight_dir:
-        # The world creates its FlightLog from this environment seam; any
-        # fault dump taken during the run lands in the directory too.
-        import os
-
-        from repro.obs.telemetry import FLIGHT_DIR_ENV
-
+        # The world creates its FlightLog from this environment seam; every
+        # dump taken during the run (fault post-mortems, lifecycle
+        # transitions, the supervisor's final timeline) lands there.
         os.environ[FLIGHT_DIR_ENV] = args.flight_dir
     result = run_chaos_train(
-        profile=profile, seed=args.chaos_seed, **common,
+        profile=profile, seed=args.chaos_seed,
+        snapshot_dir=args.snapshot_dir, **common,
     )
-    if args.flight_dir and result.elastic is not None:
-        # Always leave at least one artifact: the end-of-run ring snapshot.
-        flight = result.elastic.results.world.flight
-        dump = flight.dump(
-            "end of chaos run", key=("cli-final",),
-            extra={"chaos": args.chaos, "workers": args.workers},
-        )
-        n_dumps = len(flight.dumps)
-        print(
-            f"flight recorder: {n_dumps} dump(s) in {args.flight_dir} "
-            f"(latest: {dump.get('path', '(memory only)') if dump else '-'})",
-            file=sys.stderr,
-        )
+    run = result.lifecycle
 
     injected = result.injected or {"(none)": 0}
     print_table(
@@ -776,111 +615,20 @@ def _cmd_chaos_train(args) -> int:
         )
         print(
             f"degraded epochs: {fs.get('degraded_epochs', 0)}, "
-            f"final q deficit: {fs.get('q_deficit', 0)}, "
+            f"final q deficit: {run.q_deficit:g}, "
             f"effective Q: [{', '.join(f'{x:.2f}' for x in eq)}]"
         )
     rs = result.retry_stats
     if rs.get("retries") or rs.get("giveups"):
         print(f"storage reads: {rs.get('retries', 0)} retried, "
               f"{rs.get('giveups', 0)} gave up")
-    for r in result.recoveries:
+    for r in run.recoveries:
         print(
             f"rank {r['dead_ranks']} died at epoch {r['epoch']}: recovered "
             f"{r['lost_gids']} samples ({r['from_replica']} replica, "
             f"{r['from_source']} source)"
         )
-    print(
-        f"chaos run: {args.workers} -> "
-        f"{result.history.stats.get('final_workers', args.workers)} workers, "
-        f"final top-1 {result.final_accuracy:.3f}"
-    )
-    if not args.compare_clean:
-        return 0
-
-    # Same training seed, zero injections, and — when the profile touched
-    # storage — the same on-disk substrate (folder layout reorders samples
-    # by class, so only a materialized baseline sees the same partition).
-    clean = run_chaos_train(
-        profile="", seed=args.chaos_seed,
-        materialize=profile.has_storage_faults, **common,
-    )
-    delta = abs(result.final_accuracy - clean.final_accuracy)
-    print(
-        f"clean run final top-1 {clean.final_accuracy:.3f} "
-        f"(|delta| = {delta:.6f}, tolerance {args.tolerance:.6f})"
-    )
-    if delta > args.tolerance:
-        print("accuracy under chaos outside tolerance", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_lifecycle_train(args) -> int:
-    import tempfile
-
-    import numpy as np
-
-    from repro.data import SyntheticSpec
-    from repro.elastic import LifecyclePlan, run_lifecycle
-    from repro.train import TrainConfig
-    from repro.train.experiments import make_experiment_data
-
-    try:
-        plan = LifecyclePlan.parse(
-            kills=args.kill, rejoins=args.rejoin,
-            restart_after=args.restart_after,
-        )
-    except ValueError as exc:
-        print(f"bad lifecycle schedule: {exc}", file=sys.stderr)
-        return 2
-    spec = SyntheticSpec(
-        n_samples=args.samples, n_classes=args.classes,
-        n_features=args.features, seed=args.seed,
-    )
-    config = TrainConfig(
-        model="mlp", in_shape=(args.features,), num_classes=args.classes,
-        epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr,
-        partition=args.partition, seed=args.seed,
-    )
-    train_ds, labels, val_X, val_y = make_experiment_data(spec)
-    if args.flight_dir:
-        import os
-
-        from repro.obs.telemetry import FLIGHT_DIR_ENV
-
-        os.environ[FLIGHT_DIR_ENV] = args.flight_dir
-    common = dict(
-        config=config, workers=args.workers, q=args.q,
-        train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
-        backend=args.backend,
-    )
-
-    def launch(lifecycle_plan, directory):
-        return run_lifecycle(
-            plan=lifecycle_plan, snapshot_dir=directory, **common,
-        )
-
-    if args.snapshot_dir:
-        result = launch(plan, args.snapshot_dir)
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-lifecycle-") as tmp:
-            result = launch(plan, tmp)
-
-    print_table(
-        ["segment", "rank", "transition", "detail"],
-        [
-            [
-                e["segment"], e["rank"], e["kind"],
-                ", ".join(
-                    f"{k}={v}" for k, v in e.items()
-                    if k not in ("segment", "rank", "kind", "ts")
-                ),
-            ]
-            for e in result.events
-        ],
-        title=f"lifecycle: {plan}",
-    )
-    for r in result.rejoins:
+    for r in run.rejoins:
         print(
             f"rejoin at epoch {r['epoch']}: ranks {r['joiners']} re-admitted, "
             f"{r['moved_gids']} samples migrated back "
@@ -888,38 +636,42 @@ def _cmd_lifecycle_train(args) -> int:
             f"from cold replicas)"
         )
     print(
-        f"lifecycle run: {result.segments} segment(s), {result.restarts} "
-        f"restart(s), final {result.final_workers} worker(s) "
-        f"{list(result.final_group)}, capacity_ok={result.capacity_ok}, "
-        f"q_deficit={result.q_deficit:g}, verified={result.verified}, "
+        f"chaos run: {args.workers} -> {run.final_workers} workers "
+        f"{list(run.final_group)}, {run.segments} segment(s), "
+        f"{run.restarts} restart(s), capacity_ok={run.capacity_ok}, "
         f"final top-1 {result.final_accuracy:.3f}"
     )
-    if not result.verified:
-        print("lifecycle end-state verification failed", file=sys.stderr)
+    # A Q-deficit still owed is reported, not failed: it is what a run whose
+    # last epochs degraded under --exchange-deadline legitimately ends with.
+    if not run.capacity_ok or run.final_workers != args.workers - len(run.dead_ranks):
+        print("end-state verification failed", file=sys.stderr)
         return 1
     if not args.compare_clean:
         return 0
 
-    # Same kill/rejoin schedule, no crash/restart: the supervised restart
-    # must be invisible in the final weights.
-    clean_plan = LifecyclePlan(kills=plan.kills, rejoins=plan.rejoins)
-    with tempfile.TemporaryDirectory(prefix="repro-lifecycle-clean-") as tmp:
-        clean = launch(clean_plan, tmp)
-    identical = set(result.model_state) == set(clean.model_state) and all(
-        np.array_equal(result.model_state[k], clean.model_state[k])
-        for k in result.model_state
+    # Same training seed, zero injections, no snapshots to resume from, and
+    # — when the profile touched storage — the same on-disk substrate
+    # (folder layout reorders samples by class, so only a materialized
+    # baseline sees the same partition).  No flight dumps either: dump
+    # names restart at 001 in every world, so the baseline's timeline
+    # would overwrite the run's.
+    os.environ.pop(FLIGHT_DIR_ENV, None)
+    clean = run_chaos_train(
+        profile="", seed=args.chaos_seed,
+        materialize=profile.has_storage_faults, **common,
+    )
+    mine, ref = run.model_state, clean.lifecycle.model_state
+    identical = set(mine) == set(ref) and all(
+        np.array_equal(mine[k], ref[k]) for k in mine
     )
     delta = abs(result.final_accuracy - clean.final_accuracy)
     print(
-        f"no-crash run final top-1 {clean.final_accuracy:.3f} "
+        f"clean run final top-1 {clean.final_accuracy:.3f} "
         f"(|delta| = {delta:.6f}, tolerance {args.tolerance:.6f}, "
         f"weights bit-identical: {identical})"
     )
-    if args.tolerance == 0 and not identical:
-        print("restarted run diverged from the no-crash run", file=sys.stderr)
-        return 1
-    if delta > args.tolerance:
-        print("accuracy after restart outside tolerance", file=sys.stderr)
+    if delta > args.tolerance or (args.tolerance == 0 and not identical):
+        print("run under chaos diverged from the clean run", file=sys.stderr)
         return 1
     return 0
 
@@ -995,11 +747,10 @@ def _cmd_bench(args) -> int:
     if bk is not None:
         print(
             "backend: procs {speed:.2f}x vs threads on the exchange "
-            "({cores} core(s), speedup gate {gate}); shards identical={bit}, "
+            "({cores} core(s), recorded not gated); shards identical={bit}, "
             "/dev/shm clean={shm}".format(
                 speed=bk["ratios"]["procs_speedup"],
                 cores=bk["cores"],
-                gate="armed" if bk["multicore"] else "off (single core)",
                 bit=bk["identical_shards"],
                 shm=bk["shm_clean"],
             )
@@ -1173,7 +924,7 @@ def _cmd_health(args) -> int:
             print(f"{path} is not valid JSON: {exc}", file=sys.stderr)
             return 1
         if isinstance(snapshot, dict) and snapshot.get("schema") == FLIGHT_SCHEMA:
-            # A flight-recorder dump (e.g. from lifecycle-train
+            # A flight-recorder dump (e.g. from chaos-train
             # --flight-dir): render the lifecycle transition timeline
             # instead of the metric detectors.
             print(render_flight_timeline(snapshot))
@@ -1417,9 +1168,7 @@ _HANDLERS = {
     "volumes": _cmd_volumes,
     "report": _cmd_report,
     "trace": _cmd_trace,
-    "elastic-train": _cmd_elastic_train,
     "chaos-train": _cmd_chaos_train,
-    "lifecycle-train": _cmd_lifecycle_train,
     "bench": _cmd_bench,
     "serve": _cmd_serve,
     "serve-bench": _cmd_serve_bench,

@@ -9,18 +9,20 @@ package removes that assumption.  The MPI layer's epitaph channel
 exchanges; :class:`ShardRecovery` re-homes a dead rank's samples onto the
 survivors (cold exchange replicas first, source-dataset re-read as the PFS
 fallback) under the re-based ``(1+Q)·N/(M-1)`` storage bound; and
-:func:`elastic_train_worker` ties it together: snapshot at each epoch
+:func:`lifecycle_train_worker` ties it together: snapshot at each epoch
 boundary, catch the failure, shrink, recover, redo the epoch over ``M-1``
 workers — with zero sample loss.
 
-The lifecycle layer closes the loop from *degrade* to *heal*:
+The same loop closes the circle from *degrade* to *heal*:
 :class:`RankRejoin` migrates shards back toward ``N/M`` when a dead rank
 returns through :meth:`repro.mpi.Communicator.expand` (the JOIN
 handshake + deterministic :func:`plan_rebalance`), and
-:class:`Supervisor` drives the whole self-healing sequence — detect,
-shrink, continue degraded, checkpoint, crash/restart from the latest
-complete job snapshot, rejoin, rebalance, verify — under a
-:class:`~repro.faults.FaultProfile` chaos schedule.
+:class:`Supervisor` / :func:`run_lifecycle` — the one failure-aware
+launcher — drives the whole sequence: detect, shrink, continue degraded,
+checkpoint, crash/restart (or resume) from the latest complete job
+snapshot, rejoin, rebalance, verify.  :func:`repro.faults.run_chaos_train`
+composes it with transient-fault injection under one
+:class:`~repro.faults.FaultProfile`.
 
 Failure schedules for tests/benchmarks come from :class:`FailurePlan`
 (``"1@2:mid_exchange"`` kills rank 1 midway through epoch 2).
@@ -34,12 +36,10 @@ from .lifecycle import (
     LifecycleResult,
     Supervisor,
     lifecycle_train_worker,
-    resume_elastic_train,
     run_lifecycle,
 )
 from .recovery import RecoveryReport, ShardRecovery
 from .rejoin import RankRejoin, RejoinReport, join_handshake, plan_rebalance, rebalance_targets
-from .trainer import ElasticRunResult, elastic_train_worker, run_elastic
 
 __all__ = [
     "FailureEvent",
@@ -58,9 +58,5 @@ __all__ = [
     "LifecycleResult",
     "Supervisor",
     "lifecycle_train_worker",
-    "resume_elastic_train",
     "run_lifecycle",
-    "ElasticRunResult",
-    "elastic_train_worker",
-    "run_elastic",
 ]

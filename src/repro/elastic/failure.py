@@ -2,12 +2,12 @@
 
 A :class:`FailurePlan` is a schedule of simulated node crashes: *kill world
 rank r at epoch e*, optionally pinned to a point within the epoch.  The
-elastic trainer consults the plan at each injection point; a matching event
+lifecycle worker consults the plan at each injection point; a matching event
 raises :class:`~repro.mpi.errors.RankDied`, which the launcher records as a
 non-fatal death (the epitaph channel) so the survivors can detect it, shrink
 and recover.
 
-Plans parse from a compact CLI spec::
+Plans parse from a compact spec::
 
     1@2                      kill rank 1 at the start of epoch 2
     1@2:mid_exchange         ... midway through epoch 2's overlapped exchange

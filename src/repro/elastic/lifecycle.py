@@ -1,35 +1,58 @@
-"""The self-healing elastic lifecycle: degrade, checkpoint, restart, heal.
+"""The fault-tolerant run path: degrade, checkpoint, restart, heal.
 
-:mod:`repro.elastic.trainer` survives a rank death (*degrade*);
-:mod:`repro.elastic.rejoin` brings the rank back (*heal*).  This module
-composes them into a supervised loop that also survives losing the whole
-job: every epoch ends with a crash-consistent full-job snapshot
-(:func:`repro.train.checkpoint.save_job_snapshot`), and a
-:class:`Supervisor` outside the SPMD world restarts a crashed job from the
-latest complete snapshot and replays it to bit-identity.
+One worker loop (:class:`_LifecycleRank`) wraps the Figure-3 epoch body
+with a failure boundary, and one launcher (:class:`Supervisor` /
+:func:`run_lifecycle`) drives it.  Each epoch starts from an in-memory
+snapshot of the replicated state (model, optimizer).  When a peer dies,
+every survivor observes a :class:`~repro.mpi.errors.PeerFailure` on the
+next operation that needs the dead rank; the handler (:func:`_recover`)
+
+1. shrinks the communicator over the survivors (ULFM-style consensus),
+2. restores the epoch-start snapshot (survivors may be torn mid-epoch, but
+   all of them identically — collectives complete on all ranks or none),
+3. aborts the in-flight exchange (nothing was installed or evicted, so
+   storage and ledger are exactly their epoch-start state),
+4. runs :class:`~repro.elastic.ShardRecovery` to re-home the dead rank's
+   samples onto survivors (cold replicas first, source dataset as the PFS
+   fallback) under the re-based ``(1+Q)·N/(M-1)`` capacity bound,
+5. re-binds the shuffling strategy to the shrunk communicator and redoes
+   the epoch over ``M-1`` workers (*degrade*).
+
+:mod:`repro.elastic.rejoin` brings the rank back (*heal*), and with a
+snapshot directory the run also survives losing the whole job: every
+epoch ends with a crash-consistent full-job snapshot
+(:func:`repro.train.checkpoint.save_job_snapshot`), and the supervisor,
+outside the SPMD world, restarts a crashed job from the latest complete
+snapshot and replays it to bit-identity.
 
 The pieces:
 
-* :class:`LifecyclePlan` — the chaos schedule: *kills* (a
+* :class:`LifecyclePlan` — the failure schedule: *kills* (a
   :class:`~repro.elastic.FailurePlan`), *rejoins* (``rank@epoch``: the
   dead rank is re-admitted at that epoch's boundary), and *crashes*
   (whole-job fail-stops at an epoch boundary, each followed by a
   supervised restart).
-* :func:`lifecycle_train_worker` — one rank's view.  A killed rank whose
-  plan schedules a rejoin does not exit: it performs the launcher's death
-  bookkeeping itself (flight dump + epitaph), discards its node-local
-  state, and parks in :meth:`~repro.mpi.communicator.Communicator.rejoin`
-  until the survivors re-admit it through
+* :func:`lifecycle_train_worker` — one rank's view.  A killed rank raises
+  :class:`~repro.mpi.errors.RankDied`, which the launcher records as a
+  non-fatal death (the world's epitaph channel) — unless the plan
+  schedules its rejoin: then it performs the launcher's death bookkeeping
+  itself (flight dump + epitaph), discards its node-local state, and
+  parks in :meth:`~repro.mpi.communicator.Communicator.rejoin` until the
+  survivors re-admit it through
   :meth:`~repro.mpi.communicator.Communicator.expand`.  A crash makes
   every live rank return a :class:`Crashed` marker (cooperatively — the
   world is not poisoned, so parked joiners unwind too).
 * :class:`Supervisor` / :func:`run_lifecycle` — drives segments of
   ``run_spmd`` until no rank reports a crash, restoring the process-wide
   RNG stream and the per-rank shard state between segments, then verifies
-  the healed end state: capacity back at ``N/M`` per rank, Q-deficit
-  repaid, every lifecycle transition present in the flight record.
-* :func:`resume_elastic_train` — the operator entry point: restart a job
-  that died for real from whatever its snapshot directory holds.
+  the end state: capacity at ``N/M`` per live rank, Q-deficit repaid,
+  every lifecycle transition present in the flight record.
+  ``resume=True`` starts from whatever the snapshot directory holds: the
+  way back for a job that died for real.
+
+One failure at a time is supported end-to-end; a second failure during an
+epoch is caught by the same handler on the next attempt, but a death during
+*recovery itself* propagates (survivors re-raise and the run fails).
 
 Bit-identity is the design invariant, not an aspiration: everything epoch
 ``e`` consumes is either replicated deterministic state (model, optimizer,
@@ -41,14 +64,17 @@ an uninterrupted run executing the same shrink/expand schedule.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from repro.data.dataset import Dataset
+from repro.mpi.communicator import Communicator
 from repro.mpi.errors import PeerFailure, RankDied
-from repro.mpi.launcher import run_spmd
+from repro.mpi.launcher import SpmdResult, run_spmd
 from repro.obs.telemetry import drain_pending
 from repro.shuffle.partial import PartialLocalShuffle
 from repro.shuffle.storage import StorageArea
@@ -66,8 +92,8 @@ from repro.utils.rng import default_rng_state, restore_default_rng_state
 
 from .failure import FailurePlan
 from .ledger import ReplicaLedger
+from .recovery import RecoveryReport, ShardRecovery
 from .rejoin import RankRejoin, join_handshake, rebalance_targets
-from .trainer import _recover, _restore, _snapshot
 
 __all__ = [
     "Crashed",
@@ -75,7 +101,6 @@ __all__ = [
     "LifecycleResult",
     "Supervisor",
     "lifecycle_train_worker",
-    "resume_elastic_train",
     "run_lifecycle",
 ]
 
@@ -218,6 +243,92 @@ class LifecyclePlan:
         return "; ".join(parts) or "<no events>"
 
 
+# ------------------------------------------------------- the failure boundary
+def _snapshot(model, optimizer) -> dict:
+    """Deep-copy the replicated state (an in-memory epoch-start checkpoint)."""
+    velocity = getattr(optimizer, "_velocity", None)
+    return {
+        "model": {k: np.copy(v) for k, v in model.state_dict().items()},
+        "velocity": None
+        if velocity is None
+        else [None if v is None else v.copy() for v in velocity],
+        "lr": optimizer.lr,
+    }
+
+
+def _restore(model, optimizer, snapshot: dict) -> None:
+    model.load_state_dict({k: np.copy(v) for k, v in snapshot["model"].items()})
+    if snapshot["velocity"] is not None and hasattr(optimizer, "_velocity"):
+        optimizer._velocity = [
+            None if v is None else v.copy() for v in snapshot["velocity"]
+        ]
+    optimizer.lr = snapshot["lr"]
+
+
+def _recover(
+    comm: Communicator,
+    strategy: PartialLocalShuffle,
+    model,
+    optimizer,
+    snapshot: dict,
+    dataset: Dataset,
+    epoch: int,
+) -> tuple[Communicator, RecoveryReport]:
+    """The PeerFailure handler: shrink, restore, re-home, re-bind.
+
+    Runs identically on every survivor (each one caught the failure on a
+    collective or matched receive that could not complete)."""
+    t0 = time.perf_counter()
+    tr = comm.tracer
+    dead_before = dict(comm.dead_peers())
+    if tr.enabled:
+        tr.instant(
+            "elastic.failure_detected", cat="elastic", epoch=epoch,
+            dead={comm.group[lr]: e for lr, e in dead_before.items()},
+        )
+    # Post-mortem first, while the pre-shrink state is intact: one survivor
+    # dumps every rank's flight ring (keyed, so N survivors produce one
+    # artifact), and the surviving rank 0 rescues telemetry pushes still
+    # queued in the dying communicator's mailbox.
+    dead_world = tuple(sorted(comm.group[lr] for lr in dead_before))
+    comm.flight.record(
+        "elastic.failure_detected", epoch=epoch, dead=dead_world
+    )
+    comm.world.flight.dump(
+        f"rank death at epoch {epoch}: ranks {list(dead_world)}",
+        key=("shrink", epoch, dead_world),
+        extra={"epoch": epoch, "dead_ranks": list(dead_world)},
+    )
+    if comm.rank == 0:
+        drain_pending(comm)
+    old_size = comm.size
+    old_group = comm.group
+    newcomm = comm.shrink()
+    detection_s = time.perf_counter() - t0
+    dead = tuple(sorted(set(old_group) - set(newcomm.group)))
+    _restore(model, optimizer, snapshot)
+    strategy.abort_epoch()
+    recovery = ShardRecovery(
+        newcomm, strategy.storage, strategy.ledger,
+        dataset=dataset, old_size=old_size,
+    )
+    report = recovery.recover(dead_ranks=dead)
+    strategy.attach_comm(newcomm)
+    report.detection_latency_s = detection_s
+    report.epoch = epoch
+    newcomm.flight.record(
+        "elastic.recovered",
+        epoch=epoch,
+        dead=dead,
+        survivors=len(newcomm.group),
+        wall_s=report.wall_s,
+    )
+    if tr.enabled:
+        tr.metrics.histogram("elastic.detection_latency_s").observe(detection_s)
+        tr.metrics.histogram("elastic.recovery_wall_s").observe(report.wall_s)
+    return newcomm, report
+
+
 # ------------------------------------------------------------------ the worker
 def lifecycle_train_worker(
     comm,
@@ -242,8 +353,8 @@ def lifecycle_train_worker(
     :class:`Crashed` on every rank when the plan crashes the job, and
     ``None`` on a restarted segment's permanently dead ranks.  A rank
     killed *without* a scheduled rejoin raises
-    :class:`~repro.mpi.errors.RankDied` exactly like the plain elastic
-    trainer, so the launcher records its epitaph.
+    :class:`~repro.mpi.errors.RankDied`, so the launcher records its
+    epitaph.  ``snapshot_dir=None`` writes no job snapshots.
     """
     rank = _LifecycleRank(
         comm,
@@ -660,6 +771,9 @@ class LifecycleResult:
     #: capacity_ok and deficit repaid and worker count as expected.
     verified: bool
     dead_ranks: tuple[int, ...]
+    #: The final segment's raw per-rank results (and through ``.world`` its
+    #: flight dumps and telemetry).
+    results: SpmdResult
 
     @property
     def final_accuracy(self) -> float:
@@ -679,7 +793,8 @@ class Supervisor:
     stream, and relaunches with the snapshot's live group — dead ranks
     re-park for their scheduled rejoin.  When a segment finishes cleanly it
     verifies the healed state and assembles the cross-segment flight-event
-    timeline.
+    timeline.  ``snapshot_dir=None`` runs without job snapshots, which a
+    plan with crashes (or a resume) cannot do.
     """
 
     def __init__(
@@ -689,7 +804,7 @@ class Supervisor:
         workers: int,
         q: float = 0.2,
         plan: LifecyclePlan | None = None,
-        snapshot_dir: str | Path,
+        snapshot_dir: str | Path | None = None,
         train_dataset,
         labels,
         val_X,
@@ -698,14 +813,13 @@ class Supervisor:
         deadline_s: float = 600.0,
         tracing: bool = False,
         world_factory=None,
-        max_restarts: int = 8,
         backend: str | None = None,
     ) -> None:
         self.config = config
         self.workers = workers
         self.q = q
         self.plan = plan if plan is not None else LifecyclePlan()
-        self.snapshot_dir = Path(snapshot_dir)
+        self.snapshot_dir = None if snapshot_dir is None else Path(snapshot_dir)
         self.train_dataset = train_dataset
         self.labels = labels
         self.val_X = val_X
@@ -714,47 +828,47 @@ class Supervisor:
         self.deadline_s = deadline_s
         self.tracing = tracing
         self.world_factory = world_factory
-        self.max_restarts = max_restarts
         self.backend = backend
         if self.plan.max_epoch() >= config.epochs:
             raise ValueError(
                 f"lifecycle plan touches epoch {self.plan.max_epoch()} but "
                 f"the run only has {config.epochs} epochs"
             )
+        if self.plan.crashes and self.snapshot_dir is None:
+            raise ValueError(
+                "a plan with crashes needs a snapshot_dir to restart from"
+            )
 
     def run(self, *, resume: bool = False) -> LifecycleResult:
-        start_epoch, snapshot, live_group = 0, None, None
+        """Run to completion; ``resume=True`` starts from the snapshot
+        directory's latest complete snapshot instead of epoch 0."""
+        restart = (0, None, None)
         if resume:
-            snapshot = self._load_latest("resume requested")
-            restore_default_rng_state(snapshot["rng"])
-            start_epoch = int(snapshot["epoch"]) + 1
-            live_group = tuple(int(r) for r in snapshot["live_group"])
+            restart = self._restart_point("resume requested")
         segments = 0
         events: list[dict] = []
         while True:
             segments += 1
-            results = self._segment(start_epoch, snapshot, live_group)
+            results = self._segment(*restart)
+            events.extend(_lifecycle_events(results.world, segments))
             crashed = [r for r in results if isinstance(r, Crashed)]
             if not crashed:
-                events.extend(_lifecycle_events(results.world, segments))
                 break
             results.world.flight.dump(
                 f"lifecycle segment {segments} crashed",
                 key=("lifecycle-segment", segments),
                 extra={"segment": segments},
             )
-            events.extend(_lifecycle_events(results.world, segments))
-            if segments > self.max_restarts:
+            # A segment only returns Crashed at one of the plan's crash
+            # epochs, and each fires once.
+            if segments > len(self.plan.crashes):
                 raise RuntimeError(
-                    f"lifecycle still crashing after {self.max_restarts} "
-                    "restarts; giving up"
+                    f"segment {segments} crashed but the plan schedules only "
+                    f"{len(self.plan.crashes)} crash(es)"
                 )
-            snapshot = self._load_latest(
+            restart = self._restart_point(
                 f"crash at epoch {max(c.epoch for c in crashed)}"
             )
-            restore_default_rng_state(snapshot["rng"])
-            start_epoch = int(snapshot["epoch"]) + 1
-            live_group = tuple(int(r) for r in snapshot["live_group"])
         return self._verify(results, segments, events)
 
     # --------------------------------------------------------------- internals
@@ -778,14 +892,26 @@ class Supervisor:
             world_factory=self.world_factory, backend=self.backend,
         )
 
-    def _load_latest(self, why: str) -> dict:
-        path = latest_complete_snapshot(self.snapshot_dir)
+    def _restart_point(self, why: str) -> tuple[int, dict, tuple[int, ...]]:
+        """``(start_epoch, snapshot, live_group)`` of the latest complete
+        snapshot, with the process-wide RNG stream put back where the
+        snapshot left it."""
+        path = (
+            None if self.snapshot_dir is None
+            else latest_complete_snapshot(self.snapshot_dir)
+        )
         if path is None:
             raise RuntimeError(
                 f"cannot restart ({why}): no complete snapshot in "
                 f"{self.snapshot_dir}"
             )
-        return load_job_snapshot(path)
+        snapshot = load_job_snapshot(path)
+        restore_default_rng_state(snapshot["rng"])
+        return (
+            int(snapshot["epoch"]) + 1,
+            snapshot,
+            tuple(int(r) for r in snapshot["live_group"]),
+        )
 
     def _verify(self, results, segments: int, events: list[dict]) -> LifecycleResult:
         finals = {
@@ -855,6 +981,7 @@ class Supervisor:
             capacity_ok=capacity_ok,
             verified=verified,
             dead_ranks=self.plan.dead_forever(),
+            results=results,
         )
 
 
@@ -882,7 +1009,8 @@ def run_lifecycle(
     kills: str = "",
     rejoins: str = "",
     restart_after: str = "",
-    snapshot_dir: str | Path,
+    snapshot_dir: str | Path | None = None,
+    resume: bool = False,
     train_dataset,
     labels,
     val_X,
@@ -893,7 +1021,16 @@ def run_lifecycle(
     world_factory=None,
     backend: str | None = None,
 ) -> LifecycleResult:
-    """Launch one supervised lifecycle run (the CLI/bench entry point)."""
+    """Launch one supervised run: the entry point of tests, benchmarks and
+    :func:`repro.faults.run_chaos_train` (and through it the CLI).
+
+    The schedule is ``plan``, or the :meth:`LifecyclePlan.parse` triple
+    ``kills`` / ``rejoins`` / ``restart_after``.  ``snapshot_dir`` turns on
+    end-of-epoch job snapshots (required by crashes); ``resume=True``
+    restarts a job that died — for real, on schedule, by SIGKILL — from the
+    last epoch whose two-phase snapshot committed and replays it
+    bit-identically to a run that never died.
+    """
     if plan is None:
         plan = LifecyclePlan.parse(
             kills=kills, rejoins=rejoins, restart_after=restart_after
@@ -904,38 +1041,4 @@ def run_lifecycle(
         val_X=val_X, val_y=val_y, strategy_kwargs=strategy_kwargs,
         deadline_s=deadline_s, tracing=tracing, world_factory=world_factory,
         backend=backend,
-    ).run()
-
-
-def resume_elastic_train(
-    snapshot_dir: str | Path,
-    *,
-    config: TrainConfig,
-    workers: int,
-    q: float = 0.2,
-    plan: LifecyclePlan | None = None,
-    train_dataset,
-    labels,
-    val_X,
-    val_y,
-    strategy_kwargs: dict | None = None,
-    deadline_s: float = 600.0,
-    tracing: bool = False,
-    world_factory=None,
-    backend: str | None = None,
-) -> LifecycleResult:
-    """Restart a killed job from ``snapshot_dir``'s latest complete snapshot.
-
-    The operator-facing half of crash consistency: whatever killed the
-    previous incarnation (a real crash, a scheduled one, a SIGKILL), the
-    restarted run resumes from the last epoch whose two-phase snapshot
-    committed and replays bit-identically to a run that never died.
-    """
-    return Supervisor(
-        config=config, workers=workers, q=q,
-        plan=plan if plan is not None else LifecyclePlan(),
-        snapshot_dir=snapshot_dir, train_dataset=train_dataset, labels=labels,
-        val_X=val_X, val_y=val_y, strategy_kwargs=strategy_kwargs,
-        deadline_s=deadline_s, tracing=tracing, world_factory=world_factory,
-        backend=backend,
-    ).run(resume=True)
+    ).run(resume=resume)

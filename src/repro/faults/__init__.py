@@ -12,10 +12,11 @@ fault is recoverable by the defensive machinery in ``mpi``/``shuffle``
 degraded-Q), the same final model.
 
 Division of labour with :mod:`repro.elastic`: elastic handles *fail-stop*
-(a rank dies and never comes back — shrink, recover shards, retrain);
-faults handles *transient* (the rank and its data survive, the operation
-is retried/resent until it succeeds).  A ``kill:`` clause in a profile is
-simply forwarded to a ``FailurePlan``, so one spec can exercise both.
+(a rank or the whole job dies — shrink, recover shards, retrain, re-admit,
+restart); faults handles *transient* (the rank and its data survive, the
+operation is retried/resent until it succeeds).  The ``kill:`` / ``rejoin:``
+/ ``crash:`` clauses of a profile become the ``LifecyclePlan`` of the one
+supervised launcher, so one spec exercises both.
 """
 
 from .engine import ChaosEngine, ChaosWorld

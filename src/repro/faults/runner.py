@@ -1,4 +1,4 @@
-"""Chaos-train harness: elastic PLS training under a transient-fault profile.
+"""Chaos-train harness: supervised PLS training under a fault profile.
 
 :func:`run_chaos_train` is the composition point of the whole fault stack:
 
@@ -6,9 +6,11 @@
   message delivery via a :class:`ChaosWorld` (the ``world_factory`` seam of
   :func:`~repro.mpi.launcher.run_spmd`) and into storage reads via the
   engine's ``storage_hook``;
-* its ``kill`` clauses become an :class:`~repro.elastic.FailurePlan`, so one
-  spec exercises fail-stop recovery and transient recovery together — and
-  the run proves a transient fault is never misdiagnosed as a rank death;
+* its ``kill`` / ``rejoin`` / ``crash`` clauses become the
+  :class:`~repro.elastic.LifecyclePlan` of the one failure-aware launcher
+  (:func:`~repro.elastic.run_lifecycle`), so one spec exercises fail-stop
+  recovery, healing, restart and transient recovery together — and the run
+  proves a transient fault is never misdiagnosed as a rank death;
 * the scheduler's reliable exchange (checksums + NACK/resend + deadline
   degradation) and the retrying storage readers absorb everything injected,
   which is why a chaotic run's final model is bit-identical to a clean one
@@ -17,12 +19,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.elastic.trainer import ElasticRunResult, run_elastic
+from repro.elastic.lifecycle import LifecycleResult, run_lifecycle
+from repro.train.checkpoint import latest_complete_snapshot
 from repro.train.history import RunHistory
 from repro.train.trainer import TrainConfig
 from repro.utils.retry import default_retrier
@@ -37,19 +41,28 @@ __all__ = ["ChaosRunResult", "run_chaos_train"]
 class ChaosRunResult:
     """Outcome of one :func:`run_chaos_train` launch."""
 
-    history: RunHistory
+    #: The supervised run: history, recoveries, rejoins, segments, verdict.
+    lifecycle: LifecycleResult
     #: The profile that was injected (parsed form).
     profile: FaultProfile
     #: Injected-fault counts by kind, as the engine recorded them.
     injected: dict = field(default_factory=dict)
     #: Storage-read retry counters (process-wide policy snapshot delta).
     retry_stats: dict = field(default_factory=dict)
-    #: World ranks killed by ``kill`` clauses.
-    dead_ranks: tuple[int, ...] = ()
-    #: Fail-stop recovery summaries (one dict per recovery).
-    recoveries: list = field(default_factory=list)
-    #: The underlying elastic result (world, tracers, raw per-rank returns).
-    elastic: ElasticRunResult | None = None
+
+    @property
+    def history(self) -> RunHistory:
+        return self.lifecycle.history
+
+    @property
+    def dead_ranks(self) -> tuple[int, ...]:
+        """World ranks killed by ``kill`` clauses and never re-admitted."""
+        return self.lifecycle.dead_ranks
+
+    @property
+    def recoveries(self) -> list:
+        """Fail-stop recovery summaries (one dict per recovery)."""
+        return self.lifecycle.recoveries
 
     @property
     def final_accuracy(self) -> float:
@@ -79,18 +92,15 @@ class ChaosRunResult:
 
     @property
     def flight_dumps(self) -> list:
-        """Flight-recorder post-mortems the run produced (chaos kills and
-        shrinks each dump every rank's recent event ring)."""
-        if self.elastic is None or self.elastic.results is None:
-            return []
-        return list(self.elastic.results.world.flight.dumps)
+        """Flight-recorder post-mortems of the final segment (kills and
+        shrinks each dump every rank's recent event ring; the supervisor
+        adds the ``lifecycle complete`` timeline)."""
+        return list(self.lifecycle.results.world.flight.dumps)
 
     @property
     def telemetry(self) -> dict:
         """The aggregated cross-rank telemetry snapshot of the run."""
-        if self.elastic is None or self.elastic.results is None:
-            return {}
-        return self.elastic.results.world.telemetry.snapshot()
+        return self.lifecycle.results.world.telemetry.snapshot()
 
 
 def run_chaos_train(
@@ -108,13 +118,14 @@ def run_chaos_train(
     val_y=None,
     data_root=None,
     materialize: bool | None = None,
+    snapshot_dir=None,
     deadline_s: float = 600.0,
     tracing: bool = False,
     backend: str | None = None,
 ) -> ChaosRunResult:
-    """Run elastic PLS training with ``profile``'s faults injected.
+    """Run supervised PLS training with ``profile``'s faults injected.
 
-    Parameters mirror :func:`~repro.elastic.run_elastic`, plus:
+    Parameters mirror :func:`~repro.elastic.run_lifecycle`, plus:
 
     profile:
         Chaos spec (string grammar of :mod:`repro.faults.profile`) or a
@@ -139,6 +150,11 @@ def run_chaos_train(
         ``materialize=True``: the folder layout orders samples by class, so
         only a baseline on the same substrate sees the same global indices
         (and can be bit-identical).
+    snapshot_dir:
+        Where end-of-epoch full-job snapshots go.  A directory that already
+        holds a complete snapshot is *resumed* from it.  Omitted, no
+        snapshots are written — except that a profile with ``crash:``
+        clauses gets a temporary directory to restart from.
     """
     prof = FaultProfile.parse(profile) if isinstance(profile, str) else profile
     engine = ChaosEngine(prof, seed=seed)
@@ -165,34 +181,40 @@ def run_chaos_train(
             fault_hook=engine.storage_hook,
         )
 
-    retry_before = default_retrier().stats()
-    elastic = run_elastic(
-        config=config,
-        workers=workers,
-        q=q,
-        failures=prof.failure_plan(),
-        train_dataset=dataset,
-        labels=labels,
-        val_X=val_X,
-        val_y=val_y,
-        strategy_kwargs=dict(
-            exchange_deadline_s=exchange_deadline_s,
-            resend_timeout_s=resend_timeout_s,
-        ),
-        deadline_s=deadline_s,
-        tracing=tracing,
-        world_factory=world_factory,
-        backend=backend,
-    )
+    plan = prof.lifecycle_plan()
+    with contextlib.ExitStack() as stack:
+        if snapshot_dir is None and plan.crashes:
+            snapshot_dir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="chaos-snapshots-")
+            )
+        retry_before = default_retrier().stats()
+        lifecycle = run_lifecycle(
+            config=config,
+            workers=workers,
+            q=q,
+            plan=plan,
+            snapshot_dir=snapshot_dir,
+            resume=snapshot_dir is not None
+            and latest_complete_snapshot(snapshot_dir) is not None,
+            train_dataset=dataset,
+            labels=labels,
+            val_X=val_X,
+            val_y=val_y,
+            strategy_kwargs=dict(
+                exchange_deadline_s=exchange_deadline_s,
+                resend_timeout_s=resend_timeout_s,
+            ),
+            deadline_s=deadline_s,
+            tracing=tracing,
+            world_factory=world_factory,
+            backend=backend,
+        )
     retry_after = default_retrier().stats()
     return ChaosRunResult(
-        history=elastic.history,
+        lifecycle=lifecycle,
         profile=prof,
         injected=engine.snapshot(),
         retry_stats={
             k: retry_after[k] - retry_before.get(k, 0) for k in retry_after
         },
-        dead_ranks=elastic.dead_ranks,
-        recoveries=list(elastic.recoveries),
-        elastic=elastic,
     )

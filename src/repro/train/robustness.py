@@ -46,7 +46,7 @@ class StrategyStats:
 
     @property
     def max(self) -> float:
-        """Differentiable maximum over ``axis`` (ties split the gradient)."""
+        """Maximum across seeds."""
         return float(np.max(self.accuracies))
 
 

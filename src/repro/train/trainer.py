@@ -8,9 +8,9 @@ sample exchange with compute (Figure 4), and validation accuracy is
 measured per epoch — the Y axis of every accuracy figure in the paper.
 
 :func:`train_one_epoch` is the only place that loop is written: the plain
-:func:`train_worker` below, the elastic trainer and the self-healing
-lifecycle (:mod:`repro.elastic`) all drive it, differing only in what they
-do between epochs and on a :class:`~repro.mpi.errors.PeerFailure`.
+:func:`train_worker` below and the failure-aware lifecycle loop
+(:mod:`repro.elastic`) both drive it, differing only in what they do
+between epochs and on a :class:`~repro.mpi.errors.PeerFailure`.
 """
 
 from __future__ import annotations

@@ -1,18 +1,17 @@
-"""ElasticTrainer end-to-end: kill a rank mid-run, finish with zero loss."""
+"""Elastic training end-to-end: kill a rank mid-run, finish with zero loss.
+
+The degrade half of the one fault-tolerant run path
+(:func:`repro.elastic.run_lifecycle` with a kill-only schedule and no
+snapshot directory); rejoin, crash/restart and resume are in
+``test_lifecycle.py`` and ``test_lifecycle_resume.py``.
+"""
 
 import pytest
 
 from repro.data import SyntheticSpec
-from repro.elastic import (
-    ElasticRunResult,
-    FailureEvent,
-    FailurePlan,
-    ReplicaLedger,
-    elastic_train_worker,
-    run_elastic,
-)
-from repro.mpi import RankDied, run_spmd
-from repro.shuffle import LocalShuffle, PartialLocalShuffle
+from repro.elastic import FailureEvent, FailurePlan, LifecycleResult, run_lifecycle
+from repro.mpi import RankDied
+from repro.train.checkpoint import latest_complete_snapshot, load_job_snapshot
 from repro.train.experiments import make_experiment_data
 from repro.train.trainer import TrainConfig
 
@@ -57,14 +56,16 @@ class TestFailurePlan:
 class TestElasticRun:
     def test_run_completes_after_failure(self):
         config, train_ds, labels, val_X, val_y = make_setup()
-        result = run_elastic(
-            config=config, workers=4, q=0.3, failures="1@2",
+        result = run_lifecycle(
+            config=config, workers=4, q=0.3, kills="1@2",
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
-        assert isinstance(result, ElasticRunResult)
+        assert isinstance(result, LifecycleResult)
         assert result.dead_ranks == (1,)
+        assert isinstance(result.results[1], RankDied)
         assert len(result.history.records) == config.epochs
-        assert result.history.stats["final_workers"] == 3
+        assert result.final_workers == 3
+        assert result.segments == 1
         assert len(result.recoveries) == 1
         rec = result.recoveries[0]
         assert rec["epoch"] == 2 and rec["dead_ranks"] == [1]
@@ -74,30 +75,31 @@ class TestElasticRun:
     @pytest.mark.parametrize("point", ["begin", "mid_exchange", "end"])
     def test_all_injection_points_recover(self, point):
         config, train_ds, labels, val_X, val_y = make_setup(epochs=3)
-        result = run_elastic(
-            config=config, workers=3, q=0.25, failures=f"2@1:{point}",
+        result = run_lifecycle(
+            config=config, workers=3, q=0.25, kills=f"2@1:{point}",
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
         assert result.dead_ranks == (2,)
         assert len(result.history.records) == config.epochs
-        assert result.history.stats["final_workers"] == 2
+        assert result.final_workers == 2
+        assert result.verified
 
-    def test_zero_sample_loss_across_survivors(self):
+    def test_zero_sample_loss_across_survivors(self, tmp_path):
         config, train_ds, labels, val_X, val_y = make_setup()
-        plan = FailurePlan.parse("1@2:mid_exchange")
-
-        def worker(comm):
-            strategy = PartialLocalShuffle(0.3, ledger=ReplicaLedger())
-            history = elastic_train_worker(
-                comm, config, strategy, train_ds, labels, val_X, val_y,
-                failure_plan=plan,
-            )
-            return history, sorted(strategy.storage.hot_gids())
-
-        out = run_spmd(worker, 4, copy_on_send=False, deadline_s=300)
-        survivors = [r for r in out if not isinstance(r, RankDied)]
-        assert len(survivors) == 3
-        held = sorted(g for _, gids in survivors for g in gids)
+        result = run_lifecycle(
+            config=config, workers=4, q=0.3, kills="1@2:mid_exchange",
+            snapshot_dir=tmp_path,
+            train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
+        )
+        assert result.final_group == (0, 2, 3)
+        # What every survivor held hot when the last epoch ended, as each
+        # rank reported it into the job snapshot.
+        final = load_job_snapshot(latest_complete_snapshot(tmp_path))
+        assert final["epoch"] == config.epochs - 1
+        assert sorted(final["manifests"]) == [0, 2, 3]
+        held = sorted(
+            g for manifest in final["manifests"].values() for g in manifest["hot"]
+        )
         # Every training sample exactly once across survivors: zero loss.
         assert held == list(range(len(train_ds)))
 
@@ -109,8 +111,8 @@ class TestElasticRun:
             config=config, workers=4, q=0.3,
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
-        failed = run_elastic(failures="1@2", **kwargs)
-        clean = run_elastic(failures="", **kwargs)
+        failed = run_lifecycle(kills="1@2", **kwargs)
+        clean = run_lifecycle(**kwargs)
         assert clean.dead_ranks == ()
         delta = abs(failed.final_accuracy - clean.final_accuracy)
         assert delta <= 0.2, (
@@ -118,15 +120,11 @@ class TestElasticRun:
             f"vs clean {clean.final_accuracy:.3f}"
         )
 
-    def test_non_elastic_strategy_rejected(self):
-        config, train_ds, labels, val_X, val_y = make_setup(epochs=1)
-
-        def worker(comm):
-            with pytest.raises(TypeError, match="abort_epoch"):
-                elastic_train_worker(
-                    comm, config, LocalShuffle(), train_ds, labels,
-                    val_X, val_y,
-                )
-            return True
-
-        assert run_spmd(worker, 1)[0] is True
+    def test_crash_without_snapshot_dir_rejected(self):
+        config, train_ds, labels, val_X, val_y = make_setup(epochs=3)
+        with pytest.raises(ValueError, match="snapshot_dir"):
+            run_lifecycle(
+                config=config, workers=2, restart_after="1",
+                train_dataset=train_ds, labels=labels,
+                val_X=val_X, val_y=val_y,
+            )

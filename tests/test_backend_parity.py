@@ -320,7 +320,7 @@ def test_abort_mid_exchange_cleans_segments(backend):
 
 def test_elastic_kill_parity(backend):
     from repro.data import SyntheticSpec
-    from repro.elastic import run_elastic
+    from repro.elastic import run_lifecycle
     from repro.train import TrainConfig
     from repro.train.experiments import make_experiment_data
 
@@ -332,15 +332,15 @@ def test_elastic_kill_parity(backend):
     train_ds, labels, val_X, val_y = make_experiment_data(spec)
 
     def run(bk):
-        result = run_elastic(
-            config=config, workers=3, q=0.3, failures="1@1:mid_exchange",
+        result = run_lifecycle(
+            config=config, workers=3, q=0.3, kills="1@1:mid_exchange",
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
             backend=bk,
         )
         return (
             result.final_accuracy,
             tuple(r["dead_ranks"] for r in result.recoveries),
-            result.history.stats.get("final_workers"),
+            result.final_workers,
         )
 
     got = run(backend)

@@ -258,41 +258,85 @@ class TestBenchScenario:
         assert args.flight_dir == "/tmp/fl"
 
 
+HEAL = "kill:rank=1,epoch=1,point=mid_exchange;rejoin:rank=1,epoch=3;crash:epoch=2"
+
+
 class TestLifecycleTrain:
+    """The lifecycle schedule is spelled in ``chaos-train --chaos``."""
+
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["lifecycle-train"])
-        assert args.kill == "" and args.rejoin == "" and args.restart_after == ""
+        args = build_parser().parse_args(["chaos-train"])
+        assert args.chaos == "" and args.snapshot_dir is None
         assert not args.compare_clean and args.tolerance == 0.0
 
     def test_parser_accepts_full_schedule(self):
         args = build_parser().parse_args([
-            "lifecycle-train", "--kill", "1@1:mid_exchange",
-            "--rejoin", "1@3", "--restart-after", "1",
+            "chaos-train", "--chaos", HEAL, "--snapshot-dir", "/tmp/snap",
             "--compare-clean", "--flight-dir", "/tmp/fl",
         ])
-        assert args.kill == "1@1:mid_exchange"
-        assert args.rejoin == "1@3" and args.restart_after == "1"
+        assert args.chaos == HEAL and args.snapshot_dir == "/tmp/snap"
         assert args.compare_clean and args.flight_dir == "/tmp/fl"
+
+    @pytest.mark.parametrize("gone", ["elastic-train", "lifecycle-train"])
+    def test_forked_commands_are_gone(self, gone):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([gone])
+
+    @pytest.mark.parametrize("flag", ["--kill", "--rejoin", "--restart-after"])
+    def test_no_schedule_shorthand_flags(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["chaos-train", flag, "1@1"])
 
     def test_bad_schedule_exits_2(self, capsys):
         # A rejoin for a rank that was never killed is a schedule error,
         # caught before any training starts.
-        rc = main(["lifecycle-train", "--rejoin", "1@2"])
+        rc = main(["chaos-train", "--chaos", "rejoin:rank=1,epoch=2"])
         assert rc == 2
-        assert "bad lifecycle schedule" in capsys.readouterr().err
+        assert "bad --chaos spec" in capsys.readouterr().err
 
     def test_crash_restart_run_verifies_and_compares_clean(
         self, tmp_path, capsys
     ):
         rc = main([
-            "lifecycle-train", "--samples", "96", "--workers", "2",
-            "--epochs", "3", "--restart-after", "1",
+            "chaos-train", "--samples", "96", "--workers", "2",
+            "--epochs", "3", "--chaos", "crash:epoch=2",
             "--snapshot-dir", str(tmp_path), "--compare-clean",
         ])
         out = capsys.readouterr().out
         assert rc == 0, out
-        assert "lifecycle run: 2 segment(s), 1 restart(s)" in out
-        assert "verified=True" in out
+        assert "2 segment(s), 1 restart(s)" in out
+        assert "capacity_ok=True" in out
         assert "weights bit-identical: True" in out
         # The two-phase snapshots are on disk where --snapshot-dir said.
         assert any(p.name.endswith(".ok") for p in tmp_path.iterdir())
+
+    def test_snapshot_dir_resumes_across_invocations(self, tmp_path, capsys):
+        base = [
+            "chaos-train", "--samples", "96", "--workers", "2",
+            "--snapshot-dir", str(tmp_path),
+        ]
+        assert main(base + ["--epochs", "2"]) == 0
+        capsys.readouterr()
+        first = (tmp_path / "snap-0.ckpt").stat().st_mtime_ns
+        assert main(base + ["--epochs", "4", "--compare-clean"]) == 0
+        out = capsys.readouterr().out
+        # Epochs 2-3 only were trained, on top of the first invocation's
+        # snapshots, and the result is the uninterrupted 4-epoch run's.
+        assert (tmp_path / "snap-0.ckpt").stat().st_mtime_ns == first
+        assert sorted(p.name for p in tmp_path.glob("*.ok")) == [
+            f"snap-{e}.ok" for e in range(4)
+        ]
+        assert "weights bit-identical: True" in out
+
+    def test_owed_q_deficit_is_reported_not_failed(self, capsys):
+        # The last epoch runs under a deadline with a straggler: the run
+        # legitimately ends owing Q-deficit.
+        rc = main([
+            "chaos-train", "--samples", "128", "--workers", "2",
+            "--epochs", "2", "--chaos", "slow:rank=1,x=40,epochs=1",
+            "--exchange-deadline", "0.15", "--resend-timeout", "0.05",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "final q deficit: " in out
+        assert "final q deficit: 0," not in out
