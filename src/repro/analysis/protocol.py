@@ -182,6 +182,11 @@ MUTATIONS: dict[str, str] = {
         "samples out, and still releases the frame — storage reads bytes "
         "the pool hands to the next acquirer"
     ),
+    "dead_peer_filter": (
+        "the completion loop raises PeerFailure only for a dead peer of its "
+        "own pending or un-ACKed frames — a bystander whose frames involve "
+        "no dead rank waits forever on a live peer that already aborted"
+    ),
     "ack_join_before_barrier": (
         "a joining rank ACKs its admission immediately instead of after "
         "receiving the handed-over job state, so the admission barrier no "
@@ -420,6 +425,7 @@ def _successors(cov, cfg: CheckConfig, frozen):
     chans = dict(frozen[1])
     faults_used = frozen[3]
     statuses = [rf[0] for rf in ranks_f]
+    any_gone = any(s in _GONE for s in statuses)
 
     for r in range(cfg.size):
         if statuses[r] != "loop":
@@ -490,20 +496,25 @@ def _successors(cov, cfg: CheckConfig, frozen):
                 )
             )
 
-        # Dead-peer detection on unsettled counterparties.
-        for i in range(cfg.rounds):
-            rf = rounds_f[i]
-            if (rf[0] == "inflight" and statuses[cfg.dest(r, i)] in _GONE) or (
-                rf[1] == "waiting" and statuses[cfg.src(r, i)] in _GONE
-            ):
-                out.append(
-                    attempt(
-                        f"rank{r}: peer failure detected, abort",
-                        False,
-                        lambda st, r=r: _abort_rank(cov, cfg, st, r),
-                    )
+        # Dead-peer detection: any gone member of the communicator ends the
+        # epoch (live: _raise_on_dead_peers) — the commit collective cannot
+        # complete without it, and a live peer that already aborted will
+        # never send the ACK or the data this rank would go on waiting for.
+        gone = any_gone
+        if cfg.mutation == "dead_peer_filter":
+            gone = any(
+                (rf[0] == "inflight" and statuses[cfg.dest(r, i)] in _GONE)
+                or (rf[1] == "waiting" and statuses[cfg.src(r, i)] in _GONE)
+                for i, rf in enumerate(rounds_f)
+            )
+        if gone:
+            out.append(
+                attempt(
+                    f"rank{r}: peer failure detected, abort",
+                    False,
+                    lambda st, r=r: _abort_rank(cov, cfg, st, r),
                 )
-                break
+            )
 
     # Commit collective: all ranks arrived -> atomic min-allreduce + settle.
     if all(s == "commit" for s in statuses):
@@ -516,7 +527,7 @@ def _successors(cov, cfg: CheckConfig, frozen):
     else:
         # A rank blocked in the collective while a peer is dead/failed gets
         # PeerFailure from the rendezvous and aborts.
-        if any(s in _GONE for s in statuses):
+        if any_gone:
             for r in range(cfg.size):
                 if statuses[r] == "commit":
                     out.append(
@@ -1130,7 +1141,8 @@ def check(
 
 #: The CI matrix: exhaustive M=2 sweeps over the full fault alphabet in
 #: both deadline modes (plus a two-round world for partial-commit
-#: rollback), and a bounded-depth M=3 world where three-party races (the
+#: rollback), a small M=3 world with one death and no deadline (the
+#: bystander), and a bounded-depth M=3 world where three-party races (the
 #: abort-abort adopt race) live.
 DEFAULT_CONFIGS: tuple[CheckConfig, ...] = (
     # Tiny state space first: the elastic rejoin admission handshake
@@ -1159,6 +1171,17 @@ DEFAULT_CONFIGS: tuple[CheckConfig, ...] = (
         deadline=True,
         faults=("drop", "dup", "corrupt", "delay", "stale", "kill"),
         fault_budget=2,
+    ),
+    # The bystander: three ranks, no deadline to hide behind, one death.
+    # A survivor whose own frames are settled with the dead rank must still
+    # leave the loop when its other peer aborts.
+    CheckConfig(
+        name="m3-nodeadline-kill",
+        size=3,
+        rounds=1,
+        deadline=False,
+        faults=("kill",),
+        fault_budget=1,
     ),
     CheckConfig(
         name="m3-deadline",

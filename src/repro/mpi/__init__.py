@@ -17,21 +17,13 @@ Quick example::
     results = run_spmd(main, size=4)
     assert list(results) == [6, 6, 6, 6]
 
-Rank *hosting* is pluggable (:mod:`repro.mpi.backends`): the default
-``threads`` backend runs ranks as OS threads; ``run_spmd(..., backend="procs")``
-runs them as forked processes with a shared-memory transport for real-core
-parallelism.  See ``docs/backends.md``.
+Where ranks execute is the backend: the default ``threads`` backend runs
+them as OS threads; ``run_spmd(..., backend="procs")`` runs them as forked
+processes that reach the same world over a pipe, payloads in shared memory
+— for a rank that can really be killed and for per-process RSS, not for
+speed.  See ``docs/backends.md``.
 """
 
-from .backends import (
-    DEFAULT_BACKEND,
-    REPRO_BACKEND_ENV,
-    available_backends,
-    create_world,
-    get_backend,
-    register_backend,
-    resolve_backend_name,
-)
 from .codec import PackedBatch, SampleBlock, pack_samples, unpack_samples
 from .communicator import ANY_SOURCE, ANY_TAG, Communicator
 from .errors import (
@@ -43,11 +35,18 @@ from .errors import (
     RankFailed,
     VerificationError,
 )
-from .launcher import SpmdResult, run_spmd
+from .launcher import (
+    DEFAULT_BACKEND,
+    REPRO_BACKEND_ENV,
+    SpmdResult,
+    available_backends,
+    resolve_backend_name,
+    run_spmd,
+)
 from .message import Message, Status, payload_nbytes
-from .pool import BufferPool, PoolBuffer
+from .pool import BufferPool, HeapAllocator, PoolBuffer
 from .request import RecvRequest, Request, SendRequest, testall, waitall
-from .shm_pool import SharedSegmentPool, ShmPoolBuffer
+from .shm_pool import SegmentAllocator
 from .tags import TagRange
 from .tags import lookup as lookup_tag
 from .tags import ranges as tag_ranges
@@ -59,13 +58,10 @@ __all__ = [
     "DEFAULT_BACKEND",
     "REPRO_BACKEND_ENV",
     "available_backends",
-    "create_world",
-    "get_backend",
-    "register_backend",
     "resolve_backend_name",
-    "SharedSegmentPool",
-    "ShmPoolBuffer",
     "BufferPool",
+    "HeapAllocator",
+    "SegmentAllocator",
     "PoolBuffer",
     "PackedBatch",
     "SampleBlock",

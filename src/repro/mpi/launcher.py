@@ -8,28 +8,81 @@ rank raises, the world is aborted (unblocking every other rank) and a
 :class:`~repro.mpi.errors.RankFailed` carrying all per-rank exceptions is
 raised in the caller.
 
-*How* a rank is hosted is a pluggable backend (see
-:mod:`repro.mpi.backends`): the default ``threads`` backend runs each rank
-as an OS thread in this process, the ``procs`` backend as a forked
-``multiprocessing`` process with a shared-memory transport.  Select with
-``run_spmd(..., backend="procs")`` or the ``REPRO_BACKEND`` environment
-variable; the returned :class:`SpmdResult` has the same shape either way.
+*Where* a rank executes is the backend.  ``threads`` (the default) runs each
+rank as an OS thread in this process, zero-copy on one shared heap; numpy
+releases the GIL, so compute overlaps there too.  ``procs``
+(:mod:`repro.mpi.procs`) forks one process per rank and reaches the same
+world over a pipe, ``PackedBatch`` payloads riding ``/dev/shm`` segments: it
+is there for what threads cannot give — a rank that can really be
+``SIGKILL``-ed, per-process RSS — and pays one pipe round trip per world
+call for it (``docs/backends.md`` has the measured matrix).  The world, the
+tracers, what happens when a rank ends (:func:`_run_rank`) and the
+:class:`SpmdResult` / :class:`~repro.mpi.errors.RankFailed` assembly are
+the same code either way.  Select with ``run_spmd(..., backend="procs")`` or
+the ``REPRO_BACKEND`` environment variable.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import warnings
 from typing import Any, Callable, Sequence
 
 from repro.obs.tracer import Tracer
 
-from . import backends as _backends
 from .communicator import Communicator
 from .errors import MPIAbort, RankDied, RankFailed, VerificationError
 from .world import World
 
-__all__ = ["run_spmd", "SpmdResult"]
+__all__ = [
+    "DEFAULT_BACKEND",
+    "REPRO_BACKEND_ENV",
+    "SpmdResult",
+    "available_backends",
+    "resolve_backend_name",
+    "run_spmd",
+]
+
+#: Environment variable consulted when no explicit backend is requested.
+REPRO_BACKEND_ENV = "REPRO_BACKEND"
+
+#: Backend used when neither the call site nor the environment names one.
+DEFAULT_BACKEND = "threads"
+
+
+def _load_procs() -> Callable[..., list]:
+    # Imported at launch: ``import repro.mpi`` never pays for the fork and
+    # pipe machinery of a backend it does not use.
+    from .procs import host_procs
+
+    return host_procs
+
+
+#: Backend name -> loader of the function that hosts the ranks: called as
+#: ``host(world, fn, args, tracers, verify=, name_prefix=, deadline_s=)``,
+#: returns one :func:`_run_rank` outcome per rank.
+_BACKENDS: dict[str, Callable[[], Callable[..., list]]] = {
+    "threads": lambda: _host_threads,
+    "procs": _load_procs,
+}
+
+
+def available_backends() -> tuple[str, ...]:
+    """Backend names, sorted."""
+    return tuple(sorted(_BACKENDS))
+
+
+def resolve_backend_name(name: str | None = None) -> str:
+    """Resolve an explicit name, the :data:`REPRO_BACKEND_ENV` variable, or
+    the default — in that order — rejecting a name that is not a backend."""
+    resolved = name or os.environ.get(REPRO_BACKEND_ENV) or DEFAULT_BACKEND
+    if resolved not in _BACKENDS:
+        raise ValueError(
+            f"unknown backend {resolved!r}; available: "
+            f"{', '.join(available_backends())}"
+        )
+    return resolved
 
 
 class SpmdResult(list):
@@ -99,9 +152,8 @@ def run_spmd(
         both backends (the ``procs`` backend hosts the factory's world in
         the parent process).
     backend:
-        Which :mod:`repro.mpi.backends` entry hosts the ranks:
-        ``"threads"`` (default) or ``"procs"``.  ``None`` consults the
-        ``REPRO_BACKEND`` environment variable.
+        Where the ranks execute: ``"threads"`` (default) or ``"procs"``.
+        ``None`` consults the ``REPRO_BACKEND`` environment variable.
 
     Returns
     -------
@@ -110,41 +162,7 @@ def run_spmd(
         traffic counters (``bytes_sent`` etc.) and ``result.tracers`` the
         per-rank event streams.
     """
-    launch = _backends.get_backend(backend).runner()
-    return launch(
-        fn,
-        size,
-        args=args,
-        copy_on_send=copy_on_send,
-        deadline_s=deadline_s,
-        thread_name_prefix=thread_name_prefix,
-        tracing=tracing,
-        tracers=tracers,
-        verify=verify,
-        flight=flight,
-        world_factory=world_factory,
-    )
-
-
-def _run_spmd_threads(
-    fn: Callable[..., Any],
-    size: int,
-    *,
-    args: Sequence[Any] = (),
-    copy_on_send: bool = True,
-    deadline_s: float | None = 300.0,
-    thread_name_prefix: str = "rank",
-    tracing: bool = False,
-    tracers: Sequence[Tracer] | None = None,
-    verify: bool = False,
-    flight: bool = True,
-    world_factory: Callable[..., World] | None = None,
-) -> SpmdResult:
-    """The ``threads`` backend: one OS thread per rank, one shared world.
-
-    This is the historical ``run_spmd`` body, unchanged; ``run_spmd``
-    dispatches here by default.
-    """
+    host = _BACKENDS[resolve_backend_name(backend)]()
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     if tracers is not None and len(tracers) != size:
@@ -158,41 +176,97 @@ def _run_spmd_threads(
         if tracers is not None
         else [Tracer(rank=r, enabled=tracing) for r in range(size)]
     )
+    outcomes = host(
+        world, fn, tuple(args), rank_tracers,
+        verify=verify, name_prefix=thread_name_prefix, deadline_s=deadline_s,
+    )
+    failures = {r: value for r, (ok, value) in enumerate(outcomes) if not ok}
+    if failures:
+        # An MPIAbort is the echo of another rank's failure: report it only
+        # when no rank has a failure of its own.
+        primary = {
+            r: e for r, e in failures.items() if not isinstance(e, MPIAbort)
+        } or failures
+        raise RankFailed(primary)
+    return SpmdResult([value for _ok, value in outcomes], world, rank_tracers)
+
+
+def _host_threads(
+    world: World,
+    fn: Callable[..., Any],
+    args: tuple,
+    tracers: Sequence[Tracer],
+    *,
+    verify: bool,
+    name_prefix: str,
+    deadline_s: float | None,
+) -> list[tuple[bool, Any]]:
+    """The ``threads`` backend: one OS thread per rank, each holding the
+    world object itself (the world enforces ``deadline_s`` from inside
+    every blocking call, so there is nothing to police from here)."""
+    outcomes: list[Any] = [None] * world.size
+
+    def runner(rank: int) -> None:
+        outcomes[rank] = _run_rank(world, rank, fn, args, tracers[rank], verify)
+
+    threads = [
+        threading.Thread(target=runner, args=(r,), name=f"{name_prefix}{r}", daemon=True)
+        for r in range(world.size)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return outcomes
+
+
+def _run_rank(
+    world: Any,
+    rank: int,
+    fn: Callable[..., Any],
+    args: tuple,
+    tracer: Tracer,
+    verify: bool,
+) -> tuple[bool, Any]:
+    """Run ``fn(comm, *args)`` as ``rank`` of ``world`` and classify how it
+    ended: ``(True, return value)`` — for a simulated crash the
+    :class:`RankDied` itself — or ``(False, exception)``.
+
+    The one place a rank's end is handled, on both backends: ``world`` is
+    the world object under ``threads`` and its rank-side facade under
+    ``procs``; the thread stores the outcome, the child process pickles it.
+    """
     if verify:
         # Imported lazily: repro.analysis depends on repro.mpi, so a
         # top-level import here would be circular.
         from repro.analysis.runtime import CheckedCommunicator as comm_cls
     else:
         comm_cls = Communicator
-    results: list[Any] = [None] * size
-    failures: dict[int, BaseException] = {}
-    failures_lock = threading.Lock()
-
-    def runner(rank: int) -> None:
-        comm = comm_cls(world, rank, tracer=rank_tracers[rank])
+    try:
+        comm = comm_cls(world, rank, tracer=tracer)
+        value = fn(comm, *args)
+        _check_pending(comm, rank, verify)
+        return True, value
+    except RankDied as exc:
+        # A simulated node crash, not a program error: record the death
+        # in the world's epitaph channel so survivors observe it as a
+        # PeerFailure, and keep the world alive.  The dead rank's
+        # "result" is its epitaph; pending requests are expected (the
+        # crash interrupted it mid-flight) and are not checked.
         try:
-            results[rank] = fn(comm, *args)
-            _check_pending(comm, rank, verify)
-        except RankDied as exc:
-            # A simulated node crash, not a program error: record the death
-            # in the world's epitaph channel so survivors observe it as a
-            # PeerFailure, and keep the world alive.  The dead rank's
-            # "result" is its epitaph; pending requests are expected (the
-            # crash interrupted it mid-flight) and are not checked.
             world.flight.for_rank(rank).record("rank.died", reason=str(exc))
-            world.flight.dump(
-                f"rank {rank} died: {exc}", key=("rank-died", rank)
-            )
+            world.flight.dump(f"rank {rank} died: {exc}", key=("rank-died", rank))
             world.mark_dead(rank, str(exc))
-            results[rank] = exc
-        except MPIAbort as exc:
-            # Secondary failure caused by another rank's abort; record it
-            # only if no primary failure exists for this rank.
-            with failures_lock:
-                failures.setdefault(rank, exc)
-        except BaseException as exc:  # noqa: BLE001 - must propagate everything
-            with failures_lock:
-                failures[rank] = exc
+        except Exception:
+            # The outcome must reach the launcher even when the world cannot
+            # be told (under ``procs``: the parent already hung up).
+            pass
+        return True, exc
+    except MPIAbort as exc:
+        # Secondary failure caused by another rank's abort.
+        return False, exc
+    except BaseException as exc:  # noqa: BLE001 - handed to the launcher, which raises RankFailed
+        try:
             world.flight.for_rank(rank).record(
                 "rank.failed", error=type(exc).__name__, detail=str(exc)
             )
@@ -202,22 +276,9 @@ def _run_spmd_threads(
                 extra={"rank": rank, "error": str(exc)},
             )
             world.abort(f"rank {rank} raised {type(exc).__name__}: {exc}")
-
-    threads = [
-        threading.Thread(target=runner, args=(r,), name=f"{thread_name_prefix}{r}", daemon=True)
-        for r in range(size)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-
-    if failures:
-        primary = {
-            r: e for r, e in failures.items() if not isinstance(e, MPIAbort)
-        } or failures
-        raise RankFailed(primary)
-    return SpmdResult(results, world, rank_tracers)
+        except Exception:
+            pass  # as above
+        return False, exc
 
 
 def _check_pending(comm: Communicator, rank: int, verify: bool) -> None:

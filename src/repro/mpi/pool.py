@@ -1,12 +1,24 @@
 """Size-classed pool of reusable exchange buffers.
 
 The per-epoch exchange allocates the same handful of buffer sizes over and
-over: one packed frame per (window, peer), one batch array per training
-iteration.  Allocating them fresh each time is pure allocator churn — RINAS
-(Zhong et al., 2023) measures shuffled-ingest throughput as dominated by
-exactly this kind of serialization/allocation overhead, not by the shuffle
-itself.  :class:`BufferPool` keeps freed buffers on power-of-two free lists
-so steady-state exchange rounds run allocation-free.
+over: one packed frame per (window, peer).  Allocating them fresh each time
+is pure allocator churn — RINAS (Zhong et al., 2023) measures
+shuffled-ingest throughput as dominated by exactly this kind of
+serialization/allocation overhead, not by the shuffle itself.
+:class:`BufferPool` keeps freed buffers on power-of-two free lists so
+steady-state exchange windows run allocation-free.
+
+There is one pool class.  Size classes, free lists, the ownership state
+machine, the accounting and the id -> buffer ledger live here; where the
+bytes come from, and when they may be given back, is the *allocator*'s
+business:
+
+* :class:`HeapAllocator` (the default — the ``threads`` world, the serve
+  tier): one ``bytearray`` per buffer.  Whatever the pool lets go of — a
+  release beyond the free-list bound, an adopted buffer — is the GC's.
+* :class:`~repro.mpi.shm_pool.SegmentAllocator` (the ``procs`` world): one
+  named ``/dev/shm`` segment per buffer, parked without bound on release
+  and unlinked only by ``clear()`` / ``shutdown()``.
 
 Ownership protocol (enforced by accounting, relied on for zero-copy):
 
@@ -19,7 +31,7 @@ Ownership protocol (enforced by accounting, relied on for zero-copy):
   when a zero-copy consumer (the serve tier's storage installing received
   sample views, or an aborted exchange whose peer may still read the
   frame) keeps the bytes alive indefinitely.  Adopted buffers are never
-  reused; Python's GC frees them when the last view dies.
+  reused.
 
 ``in_use()`` counts acquired-but-neither-released-nor-adopted buffers, so
 a leak (a code path that drops a buffer on the floor) shows up as a
@@ -28,9 +40,10 @@ non-zero balance the tests assert against.
 
 from __future__ import annotations
 
+import itertools
 import threading
 
-__all__ = ["BufferPool", "PoolBuffer"]
+__all__ = ["BufferPool", "HeapAllocator", "PoolBuffer"]
 
 
 def _size_class(nbytes: int) -> int:
@@ -42,22 +55,32 @@ def _size_class(nbytes: int) -> int:
 
 
 class PoolBuffer:
-    """One pooled allocation: a ``bytearray`` plus its active length.
+    """One pooled allocation: its bytes plus the active length.
 
     ``view`` exposes exactly the first ``nbytes`` bytes (the requested
     length, not the size-class capacity) as a writable memoryview; fill it,
     then freeze the contents behind ``readonly()`` before letting the
-    buffer escape to other threads.
+    buffer escape to other threads.  ``buf_id`` is the buffer's identity in
+    its pool's ledger — what crosses a process boundary in place of the
+    bytes; ``segment_name`` is the ``/dev/shm`` name another process maps
+    the same bytes by (``None`` for heap bytes).
     """
 
-    __slots__ = ("raw", "nbytes", "size_class", "pool", "state")
+    __slots__ = (
+        "raw", "nbytes", "size_class", "pool", "state", "buf_id", "segment_name"
+    )
 
-    def __init__(self, raw: bytearray, nbytes: int, size_class: int, pool) -> None:
+    def __init__(
+        self, raw, nbytes: int, size_class: int, pool, buf_id: int,
+        segment_name: str | None = None,
+    ) -> None:
         self.raw = raw
         self.nbytes = nbytes
         self.size_class = size_class
         self.pool = pool
         self.state = "in_use"  # in_use | released | adopted
+        self.buf_id = buf_id
+        self.segment_name = segment_name
 
     @property
     def view(self) -> memoryview:
@@ -77,28 +100,51 @@ class PoolBuffer:
         self.pool.adopt(self)
 
 
+class HeapAllocator:
+    """Bytes from the interpreter heap: one ``bytearray`` per buffer, given
+    back by dropping the reference (the GC frees it)."""
+
+    #: Free-list bound per size class: a release beyond it hands the bytes
+    #: back instead of growing the pool without limit (``None``: no bound).
+    park_limit: int | None = 32
+
+    def allocate(self, size: int) -> tuple[bytearray, None]:
+        """A block of ``size`` fresh bytes: ``(bytes, segment name)``."""
+        return bytearray(size), None
+
+    def free(self, blocks: list) -> None:
+        """Take blocks back: the pool dropped its references, nothing else
+        holds a ``bytearray``."""
+
+    def stats(self) -> dict:
+        """Allocator-specific ``stats()`` keys (none)."""
+        return {}
+
+    def shutdown(self) -> None:
+        """Nothing outlives the process on the heap."""
+
+
 class BufferPool:
-    """Thread-safe pool of size-classed ``bytearray`` buffers.
+    """Thread-safe pool of size-classed buffers over one allocator.
 
     Parameters
     ----------
-    max_buffers_per_class:
-        Free-list bound per size class; releases beyond it drop the buffer
-        to the GC instead of growing the pool without limit.
+    allocator:
+        Where the bytes come from (default: a :class:`HeapAllocator`).
     name:
         Label used in stats (several pools can coexist: one per world for
-        the exchange, one per loader for batch buffers).
+        the exchange, one per serve-tier server).
     """
 
-    def __init__(self, *, max_buffers_per_class: int = 32, name: str = "pool") -> None:
-        if max_buffers_per_class < 1:
-            raise ValueError(
-                f"max_buffers_per_class must be >= 1, got {max_buffers_per_class}"
-            )
+    def __init__(self, allocator=None, *, name: str = "pool") -> None:
         self.name = name
-        self.max_buffers_per_class = max_buffers_per_class
+        self._allocator = HeapAllocator() if allocator is None else allocator
         self._lock = threading.Lock()
-        self._free: dict[int, list[bytearray]] = {}
+        self._ids = itertools.count(1)
+        self._free: dict[int, list[tuple]] = {}
+        # In-use buffers by id, plus adopted ones whose bytes have a name:
+        # another process can still send a handle to those.
+        self._ledger: dict[int, PoolBuffer] = {}
         # Accounting (guarded by _lock; all monotone except the balance).
         self.acquires = 0
         self.releases = 0
@@ -123,10 +169,10 @@ class BufferPool:
         with self._lock:
             free = self._free.get(cls)
             if free:
-                raw = free.pop()
+                raw, segment_name = free.pop()
                 self.hits += 1
             else:
-                raw = bytearray(cls)
+                raw, segment_name = self._allocator.allocate(cls)
                 self.misses += 1
                 self.bytes_allocated += cls
             self.acquires += 1
@@ -134,47 +180,62 @@ class BufferPool:
             in_use = self.acquires - self.releases - self.adopts
             if in_use > self.high_water:
                 self.high_water = in_use
-        return PoolBuffer(raw, nbytes, cls, self)
+            buf = PoolBuffer(raw, nbytes, cls, self, next(self._ids), segment_name)
+            self._ledger[buf.buf_id] = buf
+        return buf
+
+    def buffer(self, buf_id: int) -> PoolBuffer:
+        """The pool's own handle for ``buf_id`` — how a transport that sent
+        the id in place of the bytes finds them again.  ``KeyError`` once
+        the buffer was released (ids are issued once, never reused)."""
+        with self._lock:
+            return self._ledger[buf_id]
 
     def release(self, buf: PoolBuffer) -> None:
         """Return ``buf`` for reuse.  The caller must hold the only live
         reference to its bytes — the pool will recycle them immediately."""
-        self._retire(buf, "released", keep=True)
+        self._retire(buf, "released")
 
     def adopt(self, buf: PoolBuffer) -> None:
         """Transfer ``buf`` out of the pool: long-lived views (e.g. samples
         installed zero-copy into a storage area) keep the bytes alive and
-        the pool must never hand them out again.  Accounting-only — the GC
-        frees the bytes when the last view dies."""
-        self._retire(buf, "adopted", keep=False)
+        the pool must never hand them out again.  Heap bytes are freed by
+        the GC when the last view dies; a segment stays mapped until
+        :meth:`shutdown`."""
+        self._retire(buf, "adopted")
 
     def adopt_if_in_use(self, buf: PoolBuffer) -> bool:
         """Idempotent adopt for teardown paths (exchange abort), where the
         sending and receiving rank of a zero-copy transfer may both try to
         retire the same buffer; returns whether this call retired it."""
-        return self._retire(buf, "adopted", keep=False, strict=False)
+        return self._retire(buf, "adopted", strict=False)
 
-    def _retire(
-        self, buf: PoolBuffer, new_state: str, *, keep: bool, strict: bool = True
-    ) -> bool:
+    def _retire(self, buf: PoolBuffer, new_state: str, *, strict: bool = True) -> bool:
         if buf.pool is not self:
             raise ValueError(f"buffer belongs to pool {buf.pool.name!r}, not {self.name!r}")
         with self._lock:
             if buf.state != "in_use":
                 if strict:
                     raise RuntimeError(
-                        f"buffer already {buf.state}; double release/adopt is "
-                        "a use-after-free in waiting"
+                        f"buffer #{buf.buf_id} already {buf.state}; double "
+                        "release/adopt is a use-after-free in waiting"
                     )
                 return False
             buf.state = new_state
-            if keep:
+            if new_state == "released":
                 self.releases += 1
+                del self._ledger[buf.buf_id]
+                block = (buf.raw, buf.segment_name)
                 free = self._free.setdefault(buf.size_class, [])
-                if len(free) < self.max_buffers_per_class:
-                    free.append(buf.raw)
+                limit = self._allocator.park_limit
+                if limit is None or len(free) < limit:
+                    free.append(block)
+                else:
+                    self._allocator.free([block])
             else:
                 self.adopts += 1
+                if buf.segment_name is None:
+                    del self._ledger[buf.buf_id]
         return True
 
     # ------------------------------------------------------------ accounting
@@ -201,7 +262,8 @@ class BufferPool:
 
     def stats(self) -> dict:
         """Plain-dict accounting snapshot (feeds BENCH_exchange.json and
-        the ``pool.*`` metrics gauges the scheduler emits when traced)."""
+        the ``pool.*`` metrics gauges the scheduler emits when traced),
+        plus the allocator's own keys (``segments`` for shared memory)."""
         with self._lock:
             return {
                 "name": self.name,
@@ -215,9 +277,22 @@ class BufferPool:
                 "bytes_served": self.bytes_served,
                 "bytes_allocated": self.bytes_allocated,
                 "high_water": self.high_water,
+                **self._allocator.stats(),
             }
 
     def clear(self) -> None:
-        """Drop every free-listed buffer (in-use/adopted ones unaffected)."""
+        """Give every free-listed buffer back to the allocator (in-use and
+        adopted ones unaffected)."""
+        with self._lock:
+            for blocks in self._free.values():
+                self._allocator.free(blocks)
+            self._free.clear()
+
+    def shutdown(self) -> None:
+        """End of the pool's life: drop the free lists and let the
+        allocator reclaim everything it ever handed out — for shared memory
+        that unlinks every segment, in use or not, and a later ``acquire``
+        that has to allocate raises.  Idempotent."""
         with self._lock:
             self._free.clear()
+            self._allocator.shutdown()

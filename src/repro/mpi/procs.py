@@ -1,28 +1,35 @@
 """``procs`` backend: ranks as forked processes, shared-memory transport.
 
-The design keeps every behavioural contract of the threaded world by
-*hosting the world in the parent*:
+``procs`` is a transport under the one :class:`~repro.mpi.world.World`, not
+a second implementation of it:
 
-* ``run_spmd_procs`` constructs the real :class:`~repro.mpi.world.World`
-  (or the ``world_factory`` chaos world) in the launching process, exactly
-  as the ``threads`` backend does — rendezvous bookkeeping, the epitaph
-  channel, the chaos ``_deliver`` seam and the flight-recorder rings are
-  the very same objects and code paths.
-* Each rank runs ``fn(comm, *args)`` in a **forked** child process whose
-  :class:`~repro.mpi.Communicator` wraps a :class:`_ClientWorld` facade.
-  Every world call becomes one RPC over a per-rank duplex pipe.
-* In the parent, one **broker thread per rank** services that rank's RPCs
+* :func:`~repro.mpi.launcher.run_spmd` builds the real world (or the
+  ``world_factory`` chaos world) in the launching process exactly as it
+  does for ``threads`` — rendezvous bookkeeping, the epitaph channel, the
+  chaos ``_deliver`` seam and the flight-recorder rings are the very same
+  objects and code paths.
+* Each rank runs the shared rank runner (``launcher._run_rank``) in a
+  **forked** child process whose :class:`~repro.mpi.Communicator` wraps a
+  :class:`_ClientWorld` facade.  Every world call becomes one message over
+  a per-rank duplex pipe.
+* In the parent, one **broker thread per rank** services that rank's calls
   *in order*, calling the real world methods on the rank's behalf.  A
   blocking call (``take_blocking``, a rendezvous) blocks the broker thread
   just as it would block the rank's thread under the ``threads`` backend —
   so all cross-rank blocking semantics hold by construction.
 
+What may cross the pipe is written down once, in the RPC table
+(:data:`_RPC`): the facade's forwarders are generated from it and the
+broker dispatches by it, so the two ends cannot drift, and a name that is
+not in the table is refused.
+
 Bulk payloads never ride the pipe: a :class:`~repro.mpi.codec.PackedBatch`
 packed through the pool travels as a :class:`_ShmRef` *handle envelope*
 (segment name + pool id), and both sides map the same
-``multiprocessing.shared_memory`` segment, managed by the
-parent-authoritative :class:`~repro.mpi.shm_pool.SharedSegmentPool` so the
-acquire/adopt/release ownership discipline — including the idempotent
+``multiprocessing.shared_memory`` segment.  The world's pool is the same
+:class:`~repro.mpi.pool.BufferPool`, over a
+:class:`~repro.mpi.shm_pool.SegmentAllocator`, and stays in the parent, so
+the acquire/adopt/release ownership discipline — including the idempotent
 teardown adopt on abort paths — stays globally exact.  Control messages,
 plans and gradients are small and simply pickle through the pipe.
 
@@ -32,6 +39,7 @@ not mix), and the parent unlinks every shared segment on every exit path.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import multiprocessing
 import pickle
@@ -39,19 +47,19 @@ import threading
 import time
 from dataclasses import replace as _dc_replace
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.obs.tracer import Tracer
 
 from .codec import PackedBatch
-from .communicator import Communicator
-from .errors import MPIAbort, RankDied, RankFailed
+from .errors import MPIAbort
+from .launcher import _run_rank
 from .message import Checksummed, Message
-from .pool import PoolBuffer
-from .shm_pool import SharedSegmentPool, ShmPoolBuffer, quiet_close
+from .pool import BufferPool, PoolBuffer
+from .shm_pool import SegmentAllocator, quiet_close
 from .world import World
 
-__all__ = ["run_spmd_procs"]
+__all__ = ["host_procs"]
 
 
 # --------------------------------------------------------------------------
@@ -90,7 +98,7 @@ def _encode(obj: Any) -> Any:
     object graph pickles without copying bulk bytes."""
     if isinstance(obj, PackedBatch):
         buf = obj.buf
-        if isinstance(buf, ShmPoolBuffer):
+        if isinstance(buf, PoolBuffer) and buf.segment_name is not None:
             return _ShmRef(
                 bytes(obj.header), buf.buf_id, buf.segment_name, buf.nbytes, buf.size_class
             )
@@ -161,6 +169,91 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 
 
 # --------------------------------------------------------------------------
+# The RPC table: every operation a rank may invoke on the parent, once.
+# --------------------------------------------------------------------------
+
+#: How an operation's arguments and result cross the pipe.
+_PLAIN = "plain"  # pickled as they are
+_BUF = "buf"      # argument 0 is a pool buffer: its ``buf_id`` crosses, the
+                 # parent finds the buffer again in its pool's ledger
+_HAND = "hand"    # something is built on one side (a ``_ShmRef`` through
+                 # ``_encode`` / ``_decode``, an attached segment, a pickle
+                 # guard): both halves are written out by hand below
+
+
+class _Op(NamedTuple):
+    """One row: ``name`` on ``target``, reached from a rank.
+
+    ``target`` is ``"world"`` or the name of one of its attributes;
+    ``"mailbox"`` and ``"recorder"`` are per-rank (``world.mailboxes[r]``,
+    ``world.flight.for_rank(r)``, ``r`` the leading argument).  ``kind`` is
+    ``"call"`` (one round trip), ``"cast"`` (fire-and-forget: no reply
+    crosses the pipe) or ``"get"`` (an attribute read, one round trip).
+    """
+
+    target: str
+    name: str
+    kind: str = "call"
+    codec: str = _PLAIN
+
+
+_OPS = (
+    _Op("world", "post", codec=_HAND),
+    _Op("world", "take_blocking", codec=_HAND),
+    _Op("world", "rendezvous", codec=_HAND),
+    _Op("world", "check_alive"),
+    _Op("world", "count_copy", "cast"),
+    _Op("world", "abort"),
+    _Op("world", "mark_dead"),
+    _Op("world", "dead_ranks"),
+    _Op("world", "is_dead"),
+    _Op("world", "epitaphs", "get"),
+    _Op("world", "flush_mailbox"),
+    _Op("world", "announce_crash"),
+    _Op("world", "shrink_rendezvous"),
+    _Op("world", "expand_rendezvous"),
+    _Op("world", "request_join"),
+    _Op("world", "join_requests"),
+    _Op("world", "await_admission"),
+    _Op("world", "aborted", "get"),
+    _Op("world", "abort_reason", "get"),
+    _Op("world", "crashed", "get"),
+    _Op("world", "crash_reason", "get"),
+    _Op("world", "total_bytes_sent"),
+    _Op("world", "total_bytes_copied"),
+    _Op("mailbox", "try_take", codec=_HAND),
+    _Op("mailbox", "peek", codec=_HAND),
+    _Op("pool", "acquire", codec=_HAND),
+    _Op("pool", "release", codec=_BUF),
+    _Op("pool", "adopt", codec=_BUF),
+    _Op("pool", "adopt_if_in_use", codec=_BUF),
+    _Op("pool", "stats"),
+    _Op("pool", "in_use"),
+    _Op("pool", "free_buffers"),
+    _Op("pool", "assert_balanced"),
+    _Op("recorder", "record", "cast", codec=_HAND),
+    _Op("flight", "dump", codec=_HAND),
+    _Op("flight", "set_enabled"),
+    _Op("telemetry", "ingest"),
+    _Op("chaos", "note_epoch"),
+)
+
+#: Name on the wire -> row.  The whitelist: the broker refuses any other name.
+_RPC: dict[str, _Op] = {f"{op.target}.{op.name}": op for op in _OPS}
+
+
+def _target(world: World, op: _Op, args: tuple) -> tuple[Any, tuple]:
+    """The parent-side object a row names, and the arguments left for it."""
+    if op.target == "world":
+        return world, args
+    if op.target == "mailbox":
+        return world.mailboxes[args[0]], args[1:]
+    if op.target == "recorder":
+        return world.flight.for_rank(args[0]), args[1:]
+    return getattr(world, op.target), args
+
+
+# --------------------------------------------------------------------------
 # Child side: the RPC client and the World facade rank code talks to.
 # --------------------------------------------------------------------------
 
@@ -203,19 +296,72 @@ class _Rpc:
             pass
 
 
-class _SegmentCache:
-    """Per-process cache of attached shared-memory segments (attach once,
-    reuse for every buffer the segment ever backs)."""
+def _forwarder(wire: str, op: _Op) -> Any:
+    """The rank-side half of a row that needs no code of its own."""
+    if op.kind == "get":
+        return property(
+            lambda self: self._rpc.call(wire),
+            doc=f"``{wire}`` as the parent sees it now (one round trip).",
+        )
+    if op.kind == "cast":
+        def forward(self, *args: Any) -> None:
+            self._rpc.cast(wire, *args)
+    elif op.codec == _BUF:
+        def forward(self, buf: PoolBuffer, *args: Any) -> Any:
+            return self._rpc.call(wire, buf.buf_id, *args)
+    else:
+        def forward(self, *args: Any) -> Any:
+            return self._rpc.call(wire, *args)
+    forward.__name__ = op.name
+    forward.__doc__ = (
+        f"``{wire}`` on the parent-hosted world "
+        f"({'a cast, no reply' if op.kind == 'cast' else 'one round trip'})."
+    )
+    return forward
 
-    def __init__(self) -> None:
+
+def _facade(target: str) -> Callable[[type], type]:
+    """Class decorator: the rank-side facade of ``target`` gets one
+    class-level forwarder per row of the table it does not spell out
+    itself — and must spell out the rows marked :data:`_HAND`."""
+
+    def install(cls: type) -> type:
+        for wire, op in _RPC.items():
+            if op.target != target:
+                continue
+            if op.name in vars(cls):
+                continue
+            if op.codec == _HAND:
+                raise TypeError(f"{cls.__name__} must implement {wire} by hand")
+            setattr(cls, op.name, _forwarder(wire, op))
+        return cls
+
+    return install
+
+
+@_facade("pool")
+class _ClientPool:
+    """Rank-process facade of the parent's pool.
+
+    A rank's :class:`PoolBuffer` maps the segment the parent's buffer of
+    the same ``buf_id`` names; every ownership transition is an RPC against
+    the parent's authoritative ledger (the rank-side ``state`` is not kept
+    up), so double-release detection and idempotent teardown adopts work
+    across process boundaries.
+    """
+
+    name = "world-shm"
+
+    def __init__(self, rpc: _Rpc) -> None:
+        self._rpc = rpc
+        # Attach once, reuse for every buffer the segment ever backs.
         self._segments: dict[str, shared_memory.SharedMemory] = {}
 
-    def attach(self, name: str) -> shared_memory.SharedMemory:
-        """Map ``name`` (idempotent), keeping the tracker out of it."""
+    def _attached(self, buf_id: int, name: str, nbytes: int, size_class: int) -> PoolBuffer:
         seg = self._segments.get(name)
         if seg is None:
             seg = self._segments[name] = _attach_untracked(name)
-        return seg
+        return PoolBuffer(seg.buf, nbytes, size_class, self, buf_id, name)
 
     def close_all(self) -> None:
         """Unmap every attachment (called at rank-process exit); mappings
@@ -224,77 +370,14 @@ class _SegmentCache:
             quiet_close(seg)
         self._segments.clear()
 
-
-class _ClientPool:
-    """Rank-process facade of the parent's :class:`SharedSegmentPool`.
-
-    Mirrors the ``BufferPool`` surface the codec and scheduler use; every
-    ownership transition is an RPC against the parent's authoritative
-    accounting, so double-release detection and idempotent teardown adopts
-    work across process boundaries.
-    """
-
-    name = "world-shm"
-
-    def __init__(self, rpc: _Rpc, cache: _SegmentCache) -> None:
-        self._rpc = rpc
-        self._cache = cache
-
-    def acquire(self, nbytes: int) -> ShmPoolBuffer:
+    def acquire(self, nbytes: int) -> PoolBuffer:
         """Acquire a segment-backed buffer from the parent pool."""
-        buf_id, name, nb, cls = self._rpc.call("pool_acquire", int(nbytes))
-        seg = self._cache.attach(name)
-        return ShmPoolBuffer(seg.buf, nb, cls, self, buf_id, name)
+        return self._attached(*self._rpc.call("pool.acquire", int(nbytes)))
 
     def ref_batch(self, ref: _ShmRef) -> PackedBatch:
         """Rebuild a received ``PackedBatch`` view onto its shared segment."""
-        seg = self._cache.attach(ref.name)
-        buf = ShmPoolBuffer(seg.buf, ref.nbytes, ref.size_class, self, ref.buf_id, ref.name)
+        buf = self._attached(ref.buf_id, ref.name, ref.nbytes, ref.size_class)
         return PackedBatch(header=ref.header, payload=buf.readonly(), buf=buf)
-
-    def release(self, buf: PoolBuffer) -> None:
-        """Strict release by pool-global id (parent enforces the protocol)."""
-        self._rpc.call("pool_release", buf.buf_id)
-        buf.state = "released"
-
-    def adopt(self, buf: PoolBuffer) -> None:
-        """Strict ownership transfer out of the pool."""
-        self._rpc.call("pool_adopt", buf.buf_id)
-        buf.state = "adopted"
-
-    def adopt_if_in_use(self, buf: PoolBuffer) -> bool:
-        """Idempotent adopt for teardown paths; globally exactly-once."""
-        took = self._rpc.call("pool_try_adopt", buf.buf_id)
-        if took:
-            buf.state = "adopted"
-        return bool(took)
-
-    def stats(self) -> dict:
-        """Parent pool accounting snapshot."""
-        return self._rpc.call("pool_stats")
-
-    def in_use(self) -> int:
-        """Parent pool leak balance."""
-        return self._rpc.call("pool_in_use")
-
-    def free_buffers(self) -> int:
-        """Segments parked on the parent pool's free lists."""
-        return self._rpc.call("pool_free")
-
-    def assert_balanced(self) -> None:
-        """Raise (in the parent, propagated here) on a leaked buffer."""
-        self._rpc.call("pool_assert_balanced")
-
-
-class _PeekInfo:
-    """Lightweight stand-in for a peeked message (source/tag only — all a
-    probe reads)."""
-
-    __slots__ = ("source", "tag")
-
-    def __init__(self, source: int, tag: int) -> None:
-        self.source = source
-        self.tag = tag
 
 
 class _PollCond:
@@ -315,6 +398,7 @@ class _PollCond:
         """No-op (deliveries happen in the parent)."""
 
 
+@_facade("mailbox")
 class _ClientMailbox:
     """RPC-backed view of one parent-side mailbox (peek / try_take)."""
 
@@ -324,17 +408,21 @@ class _ClientMailbox:
         self._world = world
         self.cond = _PollCond()
 
-    def peek(self, source: int, tag: int):
-        """Source/tag of the first matching queued message, or ``None``."""
-        info = self._rpc.call("peek", self._rank, source, tag)
-        return None if info is None else _PeekInfo(*info)
+    def peek(self, source: int, tag: int) -> Message | None:
+        """The first matching queued message, or ``None`` — its envelope
+        only (source and tag are all a probe reads), the payload stays put."""
+        info = self._rpc.call("mailbox.peek", self._rank, source, tag)
+        if info is None:
+            return None
+        return Message(source=info[0], dest=self._rank, tag=info[1], payload=None)
 
     def try_take(self, source: int, tag: int) -> Message | None:
         """Non-blocking matched take, decoding any shared-segment payloads."""
-        wire = self._rpc.call("try_take", self._rank, source, tag)
+        wire = self._rpc.call("mailbox.try_take", self._rank, source, tag)
         return None if wire is None else self._world._wire_to_msg(wire)
 
 
+@_facade("recorder")
 class _ClientFlightRecorder:
     """Rank-side proxy of one flight-recorder ring (fire-and-forget appends)."""
 
@@ -346,73 +434,67 @@ class _ClientFlightRecorder:
     def record(self, kind: str, **fields: Any) -> None:
         """Append to the parent-side ring for this rank (no round-trip)."""
         if self.enabled:
-            self._rpc.cast("flight_record", self._rank, kind, fields)
+            self._rpc.cast("recorder.record", self._rank, kind, fields)
 
 
+@_facade("flight")
 class _ClientFlightLog:
     """Rank-side proxy of the world's :class:`FlightLog`."""
 
     def __init__(self, rpc: _Rpc, enabled: bool) -> None:
         self._rpc = rpc
-        self._enabled = enabled
+        #: Whether ring appends are on (as the parent's log was at launch).
+        self.enabled = enabled
         self._recorders: dict[int, _ClientFlightRecorder] = {}
-
-    @property
-    def enabled(self) -> bool:
-        """Whether ring appends are on (fixed at launch for rank processes)."""
-        return self._enabled
 
     def set_enabled(self, flag: bool) -> None:
         """Toggle appends in the parent and locally."""
-        self._enabled = bool(flag)
+        self.enabled = bool(flag)
         for rec in self._recorders.values():
-            rec.enabled = self._enabled
-        self._rpc.call("flight_set_enabled", self._enabled)
+            rec.enabled = self.enabled
+        self._rpc.call("flight.set_enabled", self.enabled)
 
     def for_rank(self, rank: int) -> _ClientFlightRecorder:
         """The (cached) recorder proxy for ``rank``."""
         rec = self._recorders.get(rank)
         if rec is None:
             rec = self._recorders[rank] = _ClientFlightRecorder(
-                self._rpc, rank, self._enabled
+                self._rpc, rank, self.enabled
             )
         return rec
 
     def dump(self, reason: str, *, key: object = None, extra: dict | None = None):
         """Trigger a parent-side post-mortem dump (blocking, deduped by key)."""
-        return self._rpc.call("flight_dump", reason, key, extra)
+        return self._rpc.call("flight.dump", reason, key, extra)
 
 
-class _ClientTelemetry:
+class _Remote:
+    """A facade that is nothing but generated forwarders."""
+
+    def __init__(self, rpc: _Rpc) -> None:
+        self._rpc = rpc
+
+
+@_facade("telemetry")
+class _ClientTelemetry(_Remote):
     """Rank-side proxy of the world's telemetry aggregator (rank 0 ingests)."""
 
-    def __init__(self, rpc: _Rpc) -> None:
-        self._rpc = rpc
 
-    def ingest(self, rank: int, seq: int, metrics: dict) -> None:
-        """Forward one metrics snapshot into the parent aggregator."""
-        self._rpc.call("telemetry_ingest", rank, seq, dict(metrics))
-
-
-class _ClientChaos:
+@_facade("chaos")
+class _ClientChaos(_Remote):
     """Rank-side proxy of the chaos engine's epoch hook (present only when
-    the parent world is a ``ChaosWorld``, preserving the duck-typed seam)."""
-
-    def __init__(self, rpc: _Rpc) -> None:
-        self._rpc = rpc
-
-    def note_epoch(self, world_rank: int, epoch: int) -> None:
-        """Tell the parent engine which epoch this rank entered (synchronous,
-        so epoch-scoped fault clauses activate before the next send)."""
-        self._rpc.call("chaos_note_epoch", world_rank, epoch)
+    the parent world is a ``ChaosWorld``, preserving the duck-typed seam).
+    ``note_epoch`` is a round trip, so epoch-scoped fault clauses activate
+    before the rank's next send."""
 
 
-class _ClientWorld:
+@_facade("world")
+class _ClientWorld(_Remote):
     """The World facade a rank process programs against.
 
-    Implements every attribute and method the :class:`Communicator`,
+    Carries every attribute and method the :class:`Communicator`,
     :class:`~repro.mpi.request.RecvRequest`, scheduler, elastic and
-    telemetry layers touch, each as an RPC against the real parent-hosted
+    telemetry layers touch, each an RPC against the real parent-hosted
     world.  Blocking calls block in the parent broker with the same
     semantics (abort/deadline/PeerFailure) as the threaded world.
     """
@@ -425,13 +507,12 @@ class _ClientWorld:
         copy_on_send: bool,
         flight_enabled: bool,
         has_chaos: bool,
-        cache: _SegmentCache,
     ) -> None:
-        self._rpc = rpc
+        super().__init__(rpc)
         self.rank = rank
         self.size = size
         self.copy_on_send = copy_on_send
-        self.pool = _ClientPool(rpc, cache)
+        self.pool = _ClientPool(rpc)
         self.flight = _ClientFlightLog(rpc, flight_enabled)
         self.telemetry = _ClientTelemetry(rpc)
         if has_chaos:
@@ -439,7 +520,6 @@ class _ClientWorld:
             self.chaos = _ClientChaos(rpc)
         self.mailboxes = [_ClientMailbox(rpc, r, self) for r in range(size)]
 
-    # ------------------------------------------------------------- messaging
     def _wire_to_msg(self, wire: tuple) -> Message:
         source, dest, tag, seq, enc = wire
         payload = _decode(enc, self.pool.ref_batch)
@@ -449,120 +529,24 @@ class _ClientWorld:
         """Send: the parent constructs the authoritative ``Message`` (with a
         parent-global sequence number) and runs the real delivery path —
         including the chaos ``_deliver`` seam."""
-        self._rpc.call("post", msg.source, msg.dest, msg.tag, _encode(msg.payload))
+        self._rpc.call("world.post", msg.source, msg.dest, msg.tag, _encode(msg.payload))
 
     def take_blocking(self, dest: int, source: int, tag: int) -> Message:
         """Blocking matched receive (parks the parent broker, exactly like a
         rank thread; PeerFailure/MPIAbort/MPITimeout propagate)."""
-        return self._wire_to_msg(self._rpc.call("take_blocking", dest, source, tag))
+        return self._wire_to_msg(self._rpc.call("world.take_blocking", dest, source, tag))
 
-    def check_alive(self) -> None:
-        """Raise MPIAbort/MPITimeout if the world is dead or over deadline."""
-        self._rpc.call("check_alive")
-
-    def count_copy(self, rank: int, nbytes: int) -> None:
-        """Charge a payload copy to the world's counters (fire-and-forget)."""
-        self._rpc.cast("count_copy", rank, nbytes)
-
-    # ------------------------------------------------------------ collectives
     def rendezvous(self, key: tuple, rank: int, contribution: Any, group=None):
         """Collective rendezvous; contributions round-trip through the wire
         codec so pooled batches travel as segment handles."""
         slots = self._rpc.call(
-            "rendezvous",
+            "world.rendezvous",
             key,
             rank,
             _encode(contribution),
             None if group is None else tuple(group),
         )
         return {r: _decode(v, self.pool.ref_batch) for r, v in slots.items()}
-
-    # ---------------------------------------------------------- fault channel
-    def abort(self, reason: str) -> None:
-        """Mark the world dead (wakes every blocked rank)."""
-        self._rpc.call("abort", reason)
-
-    def mark_dead(self, rank: int, reason: str = "rank died") -> None:
-        """Record a simulated node crash in the epitaph channel."""
-        self._rpc.call("mark_dead", rank, reason)
-
-    def dead_ranks(self) -> frozenset[int]:
-        """Snapshot of ranks that died as faults."""
-        return self._rpc.call("dead_ranks")
-
-    def is_dead(self, rank: int) -> bool:
-        """Whether ``rank`` has died as a fault."""
-        return self._rpc.call("is_dead", rank)
-
-    @property
-    def epitaphs(self) -> dict[int, str]:
-        """Snapshot of each dead rank's recorded reason."""
-        return self._rpc.call("epitaphs")
-
-    def flush_mailbox(self, rank: int) -> int:
-        """Discard a dead rank's queued messages; returns how many."""
-        return self._rpc.call("flush_mailbox", rank)
-
-    def announce_crash(self, reason: str) -> None:
-        """Soft full-job crash (cooperative unwind, not an abort)."""
-        self._rpc.call("announce_crash", reason)
-
-    # ------------------------------------------------------- elastic membership
-    def shrink_rendezvous(self, key: tuple, rank: int, group):
-        """Survivor consensus (ULFM-style shrink)."""
-        return self._rpc.call("shrink_rendezvous", key, rank, tuple(group))
-
-    def expand_rendezvous(self, key: tuple, rank: int, group, joiners):
-        """Re-admission consensus (the grow counterpart)."""
-        return self._rpc.call(
-            "expand_rendezvous", key, rank, tuple(group), tuple(joiners)
-        )
-
-    def request_join(self, rank: int) -> None:
-        """Knock: ask the live group to re-admit ``rank``."""
-        self._rpc.call("request_join", rank)
-
-    def join_requests(self) -> frozenset[int]:
-        """Ranks currently knocking."""
-        return self._rpc.call("join_requests")
-
-    def await_admission(self, rank: int):
-        """Block until an expand admits ``rank`` (None on cooperative crash)."""
-        return self._rpc.call("await_admission", rank)
-
-    # ------------------------------------------------------------------ flags
-    def _flag(self, name: str) -> Any:
-        flags = self._rpc.call("flags")
-        return flags[name]
-
-    @property
-    def aborted(self) -> bool:
-        """Whether the world was aborted."""
-        return self._flag("aborted")
-
-    @property
-    def abort_reason(self) -> str | None:
-        """The abort reason, if aborted."""
-        return self._flag("abort_reason")
-
-    @property
-    def crashed(self) -> bool:
-        """Whether a cooperative full-job crash was announced."""
-        return self._flag("crashed")
-
-    @property
-    def crash_reason(self) -> str | None:
-        """The announced crash reason, if any."""
-        return self._flag("crash_reason")
-
-    # ------------------------------------------------------------- accounting
-    def total_bytes_sent(self) -> int:
-        """World-wide bytes sent (parent counters)."""
-        return self._rpc.call("total_bytes_sent")
-
-    def total_bytes_copied(self) -> int:
-        """World-wide bytes copied (parent counters)."""
-        return self._rpc.call("total_bytes_copied")
 
 
 def _child_main(
@@ -577,66 +561,21 @@ def _child_main(
     has_chaos: bool,
     tracing_enabled: bool,
 ) -> None:
-    """Rank-process entry point: mirror the threads backend's per-rank
-    runner, reporting the outcome (and the tracer's events) over the pipe
+    """Rank-process entry point: run the shared rank runner against the
+    facade and report its outcome (and the tracer's events) over the pipe
     as a final ``__exit__`` record."""
-    # Lazy import to keep module import light in the parent.
-    from .launcher import _check_pending
-
-    cache = _SegmentCache()
-    rpc = _Rpc(conn)
-    world = _ClientWorld(
-        rpc, rank, size, copy_on_send, flight_enabled, has_chaos, cache
-    )
+    world = _ClientWorld(_Rpc(conn), rank, size, copy_on_send, flight_enabled, has_chaos)
     tracer = Tracer(rank=rank, enabled=tracing_enabled)
-    if verify:
-        from repro.analysis.runtime import CheckedCommunicator as comm_cls
-    else:
-        comm_cls = Communicator
-    kind: str = "result"
-    payload: Any = None
+    ok, value = _run_rank(world, rank, fn, args, tracer, verify)
     try:
-        comm = comm_cls(world, rank, tracer=tracer)
-        value = fn(comm, *args)
-        _check_pending(comm, rank, verify)
-        kind, payload = "result", _encode(value)
-    except RankDied as exc:
-        # Simulated node crash: record + epitaph, world stays alive.
-        try:
-            world.flight.for_rank(rank).record("rank.died", reason=str(exc))
-            world.flight.dump(f"rank {rank} died: {exc}", key=("rank-died", rank))
-            world.mark_dead(rank, str(exc))
-        except Exception:
-            pass
-        kind, payload = "died", exc.reason
-    except MPIAbort as exc:
-        # Secondary failure caused by another rank's abort.
-        kind, payload = "abort", _pickle_safe(exc)
-    except BaseException as exc:  # noqa: BLE001 - must propagate everything
-        try:
-            world.flight.for_rank(rank).record(
-                "rank.failed", error=type(exc).__name__, detail=str(exc)
-            )
-            world.flight.dump(
-                f"rank {rank} raised {type(exc).__name__}",
-                key=("abort", type(exc).__name__),
-                extra={"rank": rank, "error": str(exc)},
-            )
-            world.abort(f"rank {rank} raised {type(exc).__name__}: {exc}")
-        except Exception:
-            pass
-        kind, payload = "failure", _pickle_safe(exc)
-    finally:
-        events = list(getattr(tracer, "_events", ()))
-        try:
-            conn.send((None, "__exit__", (kind, payload, events)))
-        except Exception:
-            pass
-        try:
-            conn.close()
-        except Exception:
-            pass
-        cache.close_all()
+        payload = _encode(value) if ok else _pickle_safe(value)
+        conn.send((None, "__exit__", (ok, payload, list(tracer.events))))
+        conn.close()
+    except Exception:
+        # Nothing left to tell the parent with: its broker sees the pipe
+        # close without a record and reports the rank as lost.
+        pass
+    world.pool.close_all()
 
 
 # --------------------------------------------------------------------------
@@ -644,58 +583,24 @@ def _child_main(
 # --------------------------------------------------------------------------
 
 
-class _RunState:
-    """Per-rank outcome collection shared by the broker threads."""
-
-    def __init__(self, size: int, world: World) -> None:
-        self.lock = threading.Lock()
-        self.outcomes: list[tuple | None] = [None] * size
-        self.world = world
-
-    def finish(self, rank: int, outcome: tuple) -> None:
-        """A rank reported its final (kind, payload, tracer-events) record."""
-        with self.lock:
-            self.outcomes[rank] = outcome
-
-    def lost(self, rank: int) -> None:
-        """A rank's pipe died without a final record: a hard process death.
-        Abort the world so surviving ranks unwind instead of hanging."""
-        abort = False
-        with self.lock:
-            if self.outcomes[rank] is None:
-                self.outcomes[rank] = ("lost", None, [])
-                abort = True
-        if abort and not self.world.aborted:
-            self.world.abort(f"rank {rank} process terminated unexpectedly")
-
-
 class _Broker:
     """One rank's parent-side servant: executes that rank's world calls,
     in order, on its own thread — the thread *is* the rank as far as the
     world's blocking semantics are concerned."""
 
-    def __init__(
-        self,
-        rank: int,
-        conn,
-        world: World,
-        pool: SharedSegmentPool,
-        state: _RunState,
-    ) -> None:
+    def __init__(self, rank: int, conn, world: World) -> None:
         self._rank = rank
         self._conn = conn
         self._world = world
-        self._pool = pool
-        self._state = state
+        #: The rank's final ``(ok, payload, tracer events)`` record; stays
+        #: ``None`` when its pipe dies first.
+        self.outcome: tuple | None = None
 
-    def _ref_batch(self, ref: _ShmRef) -> PackedBatch:
-        """Rebuild a ``PackedBatch`` on the parent's canonical pool handle
-        (so chaos corruption and accounting see real payload bytes)."""
-        buf = self._pool.handle(ref.buf_id)
-        return PackedBatch(header=ref.header, payload=buf.readonly(), buf=buf)
-
-    def _msg_to_wire(self, msg: Message) -> tuple:
-        return (msg.source, msg.dest, msg.tag, msg.seq, _encode(msg.payload))
+    def _lost(self) -> None:
+        """The pipe died without a final record: a hard process death.
+        Abort the world so surviving ranks unwind instead of hanging."""
+        if not self._world.aborted:
+            self._world.abort(f"rank {self._rank} process terminated unexpectedly")
 
     def run(self) -> None:
         """Service RPCs until the rank reports its outcome or its pipe dies."""
@@ -704,11 +609,11 @@ class _Broker:
             try:
                 req = conn.recv()
             except (EOFError, OSError):
-                self._state.lost(self._rank)
+                self._lost()
                 return
             rid, method, args = req
             if method == "__exit__":
-                self._state.finish(self._rank, args)
+                self.outcome = args
                 try:
                     conn.close()
                 except Exception:
@@ -724,116 +629,83 @@ class _Broker:
             try:
                 conn.send(reply)
             except (EOFError, OSError):
-                self._state.lost(self._rank)
+                self._lost()
                 return
 
     def _dispatch(self, method: str, args: tuple) -> Any:
-        """Execute one RPC against the real world/pool."""
-        w, p = self._world, self._pool
-        if method == "post":
-            source, dest, tag, enc = args
-            w.post(
-                Message(
-                    source=source,
-                    dest=dest,
-                    tag=tag,
-                    payload=_decode(enc, self._ref_batch),
-                )
-            )
+        """Execute one RPC against the real world, as its table row says."""
+        op = _RPC.get(method)
+        if op is None:
+            raise ValueError(f"unknown backend RPC {method!r}")
+        if op.codec == _HAND:
+            return getattr(self, f"_{op.target}_{op.name}")(*args)
+        target, args = _target(self._world, op, args)
+        if op.kind == "get":
+            # A snapshot: the reply is pickled after this returns, while
+            # the other ranks' brokers keep running.
+            return copy.copy(getattr(target, op.name))
+        if op.codec == _BUF:
+            args = (self._buffer(args[0]), *args[1:])
+        return getattr(target, op.name)(*args)
+
+    def _buffer(self, buf_id: int) -> PoolBuffer:
+        """The parent pool's own handle for a rank's ``buf_id``."""
+        try:
+            return self._world.pool.buffer(buf_id)
+        except KeyError:
+            # Ids are issued once and the ledger forgets a buffer only when
+            # it is released, so this names a released buffer: a handle in
+            # that state (no bytes) makes a strict retire raise and the
+            # idempotent adopt lose quietly, as they would in-process.
+            gone = PoolBuffer(None, 0, 0, self._world.pool, buf_id)
+            gone.state = "released"
+            return gone
+
+    def _ref_batch(self, ref: _ShmRef) -> PackedBatch:
+        """Rebuild a ``PackedBatch`` on the parent's canonical pool handle
+        (so chaos corruption and accounting see real payload bytes)."""
+        buf = self._world.pool.buffer(ref.buf_id)
+        return PackedBatch(header=ref.header, payload=buf.readonly(), buf=buf)
+
+    def _msg_to_wire(self, msg: Message | None) -> tuple | None:
+        if msg is None:
             return None
-        if method == "take_blocking":
-            dest, source, tag = args
-            return self._msg_to_wire(w.take_blocking(dest, source, tag))
-        if method == "try_take":
-            rank, source, tag = args
-            msg = w.mailboxes[rank].try_take(source, tag)
-            return None if msg is None else self._msg_to_wire(msg)
-        if method == "peek":
-            rank, source, tag = args
-            msg = w.mailboxes[rank].peek(source, tag)
-            return None if msg is None else (msg.source, msg.tag)
-        if method == "check_alive":
-            return w.check_alive()
-        if method == "count_copy":
-            rank, nbytes = args
-            return w.count_copy(rank, nbytes)
-        if method == "rendezvous":
-            key, rank, enc, group = args
-            slots = w.rendezvous(key, rank, _decode(enc, self._ref_batch), group=group)
-            return {r: _encode(v) for r, v in slots.items()}
-        if method == "abort":
-            return w.abort(args[0])
-        if method == "mark_dead":
-            return w.mark_dead(args[0], args[1])
-        if method == "dead_ranks":
-            return w.dead_ranks()
-        if method == "is_dead":
-            return w.is_dead(args[0])
-        if method == "epitaphs":
-            return dict(w.epitaphs)
-        if method == "flush_mailbox":
-            return w.flush_mailbox(args[0])
-        if method == "announce_crash":
-            return w.announce_crash(args[0])
-        if method == "shrink_rendezvous":
-            key, rank, group = args
-            return w.shrink_rendezvous(key, rank, group)
-        if method == "expand_rendezvous":
-            key, rank, group, joiners = args
-            return w.expand_rendezvous(key, rank, group, joiners)
-        if method == "request_join":
-            return w.request_join(args[0])
-        if method == "join_requests":
-            return w.join_requests()
-        if method == "await_admission":
-            return w.await_admission(args[0])
-        if method == "flags":
-            return {
-                "aborted": w.aborted,
-                "abort_reason": w.abort_reason,
-                "crashed": w.crashed,
-                "crash_reason": w.crash_reason,
-            }
-        if method == "total_bytes_sent":
-            return w.total_bytes_sent()
-        if method == "total_bytes_copied":
-            return w.total_bytes_copied()
-        if method == "pool_acquire":
-            return p.acquire_handle(args[0])
-        if method == "pool_release":
-            return p.release_id(args[0])
-        if method == "pool_adopt":
-            return p.adopt_id(args[0])
-        if method == "pool_try_adopt":
-            return p.adopt_if_in_use_id(args[0])
-        if method == "pool_stats":
-            return p.stats()
-        if method == "pool_in_use":
-            return p.in_use()
-        if method == "pool_free":
-            return p.free_buffers()
-        if method == "pool_assert_balanced":
-            return p.assert_balanced()
-        if method == "flight_record":
-            rank, kind, fields = args
-            return w.flight.for_rank(rank).record(kind, **fields)
-        if method == "flight_dump":
-            reason, key, extra = args
-            value = w.flight.dump(reason, key=key, extra=extra)
-            try:
-                pickle.dumps(value)
-                return value
-            except Exception:
-                return None
-        if method == "flight_set_enabled":
-            return w.flight.set_enabled(args[0])
-        if method == "telemetry_ingest":
-            rank, seq, metrics = args
-            return w.telemetry.ingest(rank, seq, metrics)
-        if method == "chaos_note_epoch":
-            rank, epoch = args
-            return w.chaos.note_epoch(rank, epoch)
-        raise ValueError(f"unknown backend RPC {method!r}")
+        return (msg.source, msg.dest, msg.tag, msg.seq, _encode(msg.payload))
+
+    # The parent halves of the rows marked _HAND, named _<target>_<name>.
+    def _world_post(self, source: int, dest: int, tag: int, enc: Any) -> None:
+        payload = _decode(enc, self._ref_batch)
+        self._world.post(Message(source=source, dest=dest, tag=tag, payload=payload))
+
+    def _world_take_blocking(self, dest: int, source: int, tag: int) -> tuple:
+        return self._msg_to_wire(self._world.take_blocking(dest, source, tag))
+
+    def _world_rendezvous(self, key: tuple, rank: int, enc: Any, group) -> dict:
+        contribution = _decode(enc, self._ref_batch)
+        slots = self._world.rendezvous(key, rank, contribution, group=group)
+        return {r: _encode(v) for r, v in slots.items()}
+
+    def _mailbox_try_take(self, rank: int, source: int, tag: int) -> tuple | None:
+        return self._msg_to_wire(self._world.mailboxes[rank].try_take(source, tag))
+
+    def _mailbox_peek(self, rank: int, source: int, tag: int) -> tuple | None:
+        msg = self._world.mailboxes[rank].peek(source, tag)
+        return None if msg is None else (msg.source, msg.tag)
+
+    def _pool_acquire(self, nbytes: int) -> tuple[int, str, int, int]:
+        buf = self._world.pool.acquire(nbytes)
+        return (buf.buf_id, buf.segment_name, buf.nbytes, buf.size_class)
+
+    def _recorder_record(self, rank: int, kind: str, fields: dict) -> None:
+        self._world.flight.for_rank(rank).record(kind, **fields)
+
+    def _flight_dump(self, reason: str, key: object, extra: dict | None):
+        value = self._world.flight.dump(reason, key=key, extra=extra)
+        try:
+            pickle.dumps(value)
+            return value
+        except Exception:
+            return None
 
 
 def _await_children(procs: list, world: World, deadline_s: float | None) -> None:
@@ -861,143 +733,85 @@ def _await_children(procs: list, world: World, deadline_s: float | None) -> None
             proc.join(timeout=5.0)
 
 
-def _assemble(
-    state: _RunState,
-    procs: list,
-    rank_tracers: Sequence[Tracer],
-    world: World,
-    pool: SharedSegmentPool,
-) -> tuple[list, dict]:
-    """Turn per-rank outcome records into (results, failures), merging each
-    rank's tracer events into the parent-side tracers."""
-    results: list[Any] = [None] * len(procs)
-    failures: dict[int, BaseException] = {}
-    for r, outcome in enumerate(state.outcomes):
-        if outcome is None or outcome[0] == "lost":
-            if world.aborted:
-                failures.setdefault(r, MPIAbort(world.abort_reason or "aborted"))
-            else:
-                failures[r] = RuntimeError(
-                    f"rank {r} process died unexpectedly "
-                    f"(exitcode {procs[r].exitcode})"
-                )
-            continue
-        kind, payload, events = outcome
-        try:
-            rank_tracers[r]._events.extend(events)
-        except Exception:
-            pass
-        if kind == "result":
-            results[r] = _decode(payload, lambda ref: _copy_out(ref, pool))
-        elif kind == "died":
-            results[r] = RankDied(payload)
-        elif kind == "abort":
-            failures.setdefault(r, payload)
-        else:
-            failures[r] = payload
-    return results, failures
-
-
-def _copy_out(ref: _ShmRef, pool: SharedSegmentPool) -> PackedBatch:
+def _copy_out(ref: _ShmRef, pool: BufferPool) -> PackedBatch:
     """Materialise a returned shared-segment batch into private bytes (the
     segments are unlinked when the run ends, so results must not view them)."""
-    buf = pool.handle(ref.buf_id)
-    raw = bytearray(buf.readonly())
+    raw = bytearray(pool.buffer(ref.buf_id).readonly())
     return PackedBatch(header=ref.header, payload=memoryview(raw).toreadonly(), buf=raw)
 
 
-def run_spmd_procs(
+def host_procs(
+    world: World,
     fn: Callable[..., Any],
-    size: int,
+    args: tuple,
+    tracers: Sequence[Tracer],
     *,
-    args: Sequence[Any] = (),
-    copy_on_send: bool = True,
-    deadline_s: float | None = 300.0,
-    thread_name_prefix: str = "rank",
-    tracing: bool = False,
-    tracers: Sequence[Tracer] | None = None,
-    verify: bool = False,
-    flight: bool = True,
-    world_factory: Callable[..., World] | None = None,
-) -> "Any":
-    """The ``procs`` backend's launch function (same contract as
-    ``run_spmd``): host the world in this process, fork one rank process
-    per slot, broker their world calls, and assemble an ``SpmdResult``.
+    verify: bool,
+    name_prefix: str,
+    deadline_s: float | None,
+) -> list[tuple[bool, Any]]:
+    """The ``procs`` backend: fork one rank process per slot of ``world``,
+    broker their world calls, and return one outcome per rank (each child's
+    tracer events merged into ``tracers``).
 
     Shared-memory segments are unlinked on **every** exit path — normal
     return, rank kill, exception, deadline — plus an ``atexit`` backstop in
-    the pool itself.
+    the allocator itself.
     """
-    from .launcher import SpmdResult
-
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if tracers is not None and len(tracers) != size:
-        raise ValueError(f"need {size} tracers, got {len(tracers)}")
+    size = world.size
     ctx = multiprocessing.get_context("fork")
-    make_world = world_factory if world_factory is not None else World
-    world = make_world(size, copy_on_send=copy_on_send, deadline_s=deadline_s)
-    if not flight:
-        world.flight.set_enabled(False)
-    rank_tracers = (
-        list(tracers)
-        if tracers is not None
-        else [Tracer(rank=r, enabled=tracing) for r in range(size)]
-    )
-    pool = SharedSegmentPool(name="world-shm")
     # The world's pool *is* the shared pool in this backend, so stats and
     # leak assertions read from one authoritative place.
-    world.pool = pool
+    pool = world.pool = BufferPool(SegmentAllocator(), name="world-shm")
     has_chaos = getattr(world, "chaos", None) is not None
     pipes = [ctx.Pipe() for _ in range(size)]
-    procs: list = []
+    # Fork every child BEFORE starting broker threads: forking a
+    # multi-threaded process can deadlock the child on inherited locks.
+    procs = [
+        ctx.Process(
+            target=_child_main,
+            args=(
+                pipes[r][1], r, size, fn, args, world.copy_on_send, verify,
+                bool(world.flight.enabled), has_chaos, bool(tracers[r].enabled),
+            ),
+            name=f"{name_prefix}{r}",
+            daemon=True,
+        )
+        for r in range(size)
+    ]
     try:
-        # Fork every child BEFORE starting broker threads: forking a
-        # multi-threaded process can deadlock the child on inherited locks.
-        for r in range(size):
-            proc = ctx.Process(
-                target=_child_main,
-                args=(
-                    pipes[r][1],
-                    r,
-                    size,
-                    fn,
-                    tuple(args),
-                    copy_on_send,
-                    verify,
-                    bool(world.flight.enabled),
-                    has_chaos,
-                    bool(rank_tracers[r].enabled),
-                ),
-                name=f"{thread_name_prefix}{r}",
-                daemon=True,
-            )
-            procs.append(proc)
         for proc in procs:
             proc.start()
         for _parent_end, child_end in pipes:
             child_end.close()
-        state = _RunState(size, world)
-        brokers = [
-            threading.Thread(
-                target=_Broker(r, pipes[r][0], world, pool, state).run,
-                name=f"{thread_name_prefix}{r}-broker",
-                daemon=True,
-            )
-            for r in range(size)
+        brokers = [_Broker(r, pipes[r][0], world) for r in range(size)]
+        threads = [
+            threading.Thread(target=b.run, name=f"{name_prefix}{r}-broker", daemon=True)
+            for r, b in enumerate(brokers)
         ]
-        for broker in brokers:
-            broker.start()
+        for thread in threads:
+            thread.start()
         _await_children(procs, world, deadline_s)
-        for broker in brokers:
-            broker.join(timeout=10.0)
-        results, failures = _assemble(state, procs, rank_tracers, world, pool)
-        if failures:
-            primary = {
-                r: e for r, e in failures.items() if not isinstance(e, MPIAbort)
-            } or failures
-            raise RankFailed(primary)
-        return SpmdResult(results, world, rank_tracers)
+        for thread in threads:
+            thread.join(timeout=10.0)
+        outcomes: list[tuple[bool, Any]] = []
+        for r, broker in enumerate(brokers):
+            if broker.outcome is None:
+                # No final record: the process died (or was terminated).
+                outcomes.append((False, (
+                    MPIAbort(world.abort_reason or "aborted") if world.aborted
+                    else RuntimeError(
+                        f"rank {r} process died unexpectedly "
+                        f"(exitcode {procs[r].exitcode})"
+                    )
+                )))
+                continue
+            ok, payload, events = broker.outcome
+            tracers[r].events.extend(events)
+            if ok:
+                payload = _decode(payload, lambda ref: _copy_out(ref, pool))
+            outcomes.append((ok, payload))
+        return outcomes
     finally:
         for proc in procs:
             if proc.is_alive():

@@ -665,7 +665,7 @@ class Scheduler:
         quiet_since = time.monotonic()
         while pending or unacked:
             self.comm.world.check_alive()
-            self._raise_on_dead_peers(pending, unacked)
+            self._raise_on_dead_peers()
             progress = self._service_control(ctrl_tag, unacked)
             if progress:
                 quiet_since = time.monotonic()
@@ -841,18 +841,19 @@ class Scheduler:
         fr.nack_t = time.monotonic()
         fr.nack_wait = self._nack_delay(fr)
 
-    def _raise_on_dead_peers(self, pending: list[_Frame], unacked: set) -> None:
+    def _raise_on_dead_peers(self) -> None:
         """A genuinely dead counterparty is fail-stop, not transient: hand
         it to the elastic layer as a PeerFailure instead of NACKing a corpse
-        until the attempt budget runs out."""
+        until the attempt budget runs out.
+
+        *Any* dead member of the communicator ends the epoch, not only one
+        this rank still owes or is owed a frame: the commit allreduce cannot
+        complete without it, and a live peer that already raised is in
+        ``shrink()`` and will never send the ACK this loop would wait for."""
         dead = self.comm.dead_peers()
-        if not dead:
-            return
-        for peer in [fr.peer for fr in pending] + [dest for _w, dest in unacked]:
-            if peer in dead:
-                raise PeerFailure(
-                    self.comm.group[peer], dead[peer] or None, op="exchange"
-                )
+        if dead:
+            peer = min(dead)
+            raise PeerFailure(self.comm.group[peer], dead[peer] or None, op="exchange")
 
     def _apply_commit(self, committed: int, sp) -> None:
         """Install the agreed prefix of windows as this epoch's exchange.

@@ -6,6 +6,8 @@ the tier-1 suite fast by exhausting the three quick configs and the whole
 mutation sweep.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.protocol import (
@@ -98,6 +100,19 @@ class TestMutants:
         m3 = tuple(c for c in DEFAULT_CONFIGS if c.size == 3)
         results = check_model(m3, mutation="no_adopt_guard", stop_on_violation=True)
         assert any(not r.ok for r in results)
+
+    def test_dead_peer_filter_strands_a_bystander_only_without_a_deadline(self):
+        # Raising only for dead peers of one's own frames leaves a survivor
+        # whose frames involve no dead rank waiting on a live peer that
+        # already aborted.  It takes three ranks, and a deadline hides it:
+        # the stranded rank then leaves through the commit collective.
+        bystander = next(c for c in DEFAULT_CONFIGS if c.name == "m3-nodeadline-kill")
+        assert check(bystander).ok
+        mutant = replace(bystander, mutation="dead_peer_filter")
+        res = check(mutant, stop_on_violation=True)
+        assert res.violations and res.violations[0].kind == "deadlock"
+        assert "'loop', 'aborted', 'dead'" in res.violations[0].detail
+        assert check(replace(mutant, deadline=True)).ok
 
     def test_timeout_mutant_deadlocks_without_deadline(self):
         cfg = CheckConfig(

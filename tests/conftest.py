@@ -19,5 +19,5 @@ def _no_leaked_shm_segments():
     leaked = [name for name in after if name not in before]
     assert not leaked, (
         f"test leaked shared-memory segments in /dev/shm: {leaked} — "
-        "every SharedSegmentPool exit path must unlink its segments"
+        "every exit path of a BufferPool over a SegmentAllocator must unlink its segments"
     )

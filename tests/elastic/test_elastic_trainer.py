@@ -103,6 +103,26 @@ class TestElasticRun:
         # Every training sample exactly once across survivors: zero loss.
         assert held == list(range(len(train_ds)))
 
+    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    def test_bystander_survivor_leaves_the_exchange(self, backend):
+        """At 120 samples some survivor's frames of epoch 2 involve no dead
+        rank.  It must still leave the exchange when rank 3 dies — the peers
+        it waits on have raised PeerFailure and sit in shrink() — or the run
+        ends in the world deadline (most runs did, before any dead member
+        of the communicator ended the epoch).  Timing-dependent, so
+        repeated; a regression costs one short deadline, not 300 s."""
+        config, train_ds, labels, val_X, val_y = make_setup(samples=120, epochs=3)
+        for _ in range(8):
+            result = run_lifecycle(
+                config=config, workers=4, q=0.3, kills="1@1:end,3@2:mid_exchange",
+                deadline_s=10, backend=backend,
+                train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
+            )
+            assert result.dead_ranks == (1, 3)
+            assert result.final_workers == 2
+            assert len(result.history.records) == config.epochs
+            assert result.verified
+
     def test_accuracy_within_noise_of_clean_run(self):
         config, train_ds, labels, val_X, val_y = make_setup(
             samples=320, epochs=5

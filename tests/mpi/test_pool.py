@@ -1,11 +1,41 @@
-"""BufferPool: size classes, reuse, leak accounting, ownership protocol."""
+"""BufferPool: size classes, reuse, leak accounting, ownership protocol.
+
+The protocol cases are written once (the ``*Cases`` classes) and run over
+both allocators: ``TestReuse`` / ``TestOwnership`` / ``TestStats`` on the
+heap, ``TestSharedMemory`` on ``/dev/shm`` segments.  What only one
+allocator does stays beside it: the heap's free-list bound below, the
+segment lifetime rules in ``test_shm_pool.py``.
+"""
 
 import threading
 
 import pytest
 
-from repro.mpi import BufferPool
+from repro.mpi import BufferPool, HeapAllocator, SegmentAllocator
 from repro.mpi.pool import _size_class
+
+
+class _OverAnAllocator:
+    """``make_pool(name=...)`` builds pools over ``self.allocator`` and
+    shuts them down after the test (segments must not outlive it)."""
+
+    allocator = HeapAllocator
+
+    @pytest.fixture
+    def make_pool(self):
+        pools = []
+
+        def make(name="pool"):
+            pools.append(BufferPool(self.allocator(), name=name))
+            return pools[-1]
+
+        yield make
+        for pool in pools:
+            pool.shutdown()
+
+    @pytest.fixture
+    def pool(self, make_pool):
+        return make_pool()
 
 
 class TestSizeClasses:
@@ -26,20 +56,20 @@ class TestSizeClasses:
         buf.release()
 
 
-class TestReuse:
-    def test_release_then_acquire_recycles(self):
-        pool = BufferPool()
+class ReuseCases(_OverAnAllocator):
+    def test_release_then_acquire_recycles(self, pool):
         a = pool.acquire(100)
         raw = a.raw
         a.release()
         b = pool.acquire(200)  # same 256 B class
         assert b.raw is raw
+        assert b.segment_name == a.segment_name
+        assert b.buf_id != a.buf_id  # an id names one acquisition, not the bytes
         assert pool.stats()["hits"] == 1
         assert pool.stats()["misses"] == 1
         b.release()
 
-    def test_different_classes_do_not_mix(self):
-        pool = BufferPool()
+    def test_different_classes_do_not_mix(self, pool):
         a = pool.acquire(100)
         a.release()
         b = pool.acquire(1000)
@@ -47,32 +77,21 @@ class TestReuse:
         assert pool.stats()["misses"] == 2
         b.release()
 
-    def test_free_list_bounded(self):
-        pool = BufferPool(max_buffers_per_class=2)
-        bufs = [pool.acquire(64) for _ in range(5)]
-        for b in bufs:
-            b.release()
-        assert pool.free_buffers() == 2  # excess dropped to the GC
-        assert pool.stats()["releases"] == 5
-
-    def test_clear_drops_free_lists(self):
-        pool = BufferPool()
+    def test_clear_drops_free_lists(self, pool):
         pool.acquire(64).release()
         assert pool.free_buffers() == 1
         pool.clear()
         assert pool.free_buffers() == 0
         pool.assert_balanced()  # clear does not touch the balance
 
-    def test_invalid_config_rejected(self):
+    def test_negative_size_rejected(self, pool):
         with pytest.raises(ValueError):
-            BufferPool(max_buffers_per_class=0)
-        with pytest.raises(ValueError):
-            BufferPool().acquire(-1)
+            pool.acquire(-1)
 
 
-class TestOwnership:
-    def test_leak_accounting(self):
-        pool = BufferPool(name="leaky")
+class OwnershipCases(_OverAnAllocator):
+    def test_leak_accounting(self, make_pool):
+        pool = make_pool(name="leaky")
         a = pool.acquire(10)
         b = pool.acquire(10)
         assert pool.in_use() == 2
@@ -81,12 +100,11 @@ class TestOwnership:
         assert pool.in_use() == 0
         pool.assert_balanced()
         leaked = pool.acquire(10)
-        with pytest.raises(RuntimeError, match="leaked 1 buffer"):
+        with pytest.raises(RuntimeError, match="'leaky' leaked 1 buffer"):
             pool.assert_balanced()
         leaked.release()
 
-    def test_adopted_buffers_never_reused(self):
-        pool = BufferPool()
+    def test_adopted_buffers_never_reused(self, pool):
         a = pool.acquire(64)
         raw = a.raw
         a.adopt()
@@ -94,29 +112,26 @@ class TestOwnership:
         assert b.raw is not raw
         b.release()
 
-    def test_double_release_raises(self):
-        pool = BufferPool()
+    def test_double_release_raises(self, pool):
         a = pool.acquire(10)
         a.release()
         with pytest.raises(RuntimeError, match="use-after-free"):
             a.release()
 
-    def test_release_after_adopt_raises(self):
-        pool = BufferPool()
+    def test_release_after_adopt_raises(self, pool):
         a = pool.acquire(10)
         a.adopt()
         with pytest.raises(RuntimeError, match="already adopted"):
             a.release()
 
-    def test_wrong_pool_rejected(self):
-        p1, p2 = BufferPool(name="p1"), BufferPool(name="p2")
+    def test_wrong_pool_rejected(self, make_pool):
+        p1, p2 = make_pool(name="p1"), make_pool(name="p2")
         a = p1.acquire(10)
         with pytest.raises(ValueError, match="belongs to pool 'p1'"):
             p2.release(a)
         a.release()
 
-    def test_adopt_if_in_use_is_idempotent(self):
-        pool = BufferPool()
+    def test_adopt_if_in_use_is_idempotent(self, pool):
         a = pool.acquire(10)
         assert pool.adopt_if_in_use(a) is True
         assert pool.adopt_if_in_use(a) is False  # second caller loses quietly
@@ -125,10 +140,10 @@ class TestOwnership:
         b.release()
         assert pool.adopt_if_in_use(b) is False  # released is not in_use
 
-    def test_concurrent_retire_exactly_one_winner(self):
+    def test_concurrent_retire_exactly_one_winner(self, pool):
         # The exchange-abort race: sender and receiver both try to retire
-        # the same in-flight buffer from their own threads.
-        pool = BufferPool()
+        # the same in-flight buffer (from their own threads here; under
+        # ``procs`` from their ranks' broker threads, on this very object).
         for _ in range(50):
             buf = pool.acquire(128)
             wins = []
@@ -147,9 +162,9 @@ class TestOwnership:
         pool.assert_balanced()
 
 
-class TestStats:
-    def test_counters(self):
-        pool = BufferPool(name="s")
+class StatsCases(_OverAnAllocator):
+    def test_counters(self, make_pool):
+        pool = make_pool(name="s")
         a = pool.acquire(100)
         b = pool.acquire(1000)
         a.release()
@@ -163,9 +178,34 @@ class TestStats:
         assert st["bytes_allocated"] == 256 + 1024
         assert st["high_water"] == 2
         assert st["in_use"] == 2
+        assert st["free_buffers"] == 0
         b.release()
         c.adopt()
         st = pool.stats()
         assert st["releases"] == 2
         assert st["adopts"] == 1
         assert st["in_use"] == 0
+        assert st["free_buffers"] == 1
+
+
+class TestReuse(ReuseCases):
+    def test_free_list_bounded(self, pool):
+        limit = HeapAllocator.park_limit
+        assert limit == 32
+        bufs = [pool.acquire(64) for _ in range(limit + 3)]
+        for b in bufs:
+            b.release()
+        assert pool.free_buffers() == limit  # excess dropped to the GC
+        assert pool.stats()["releases"] == limit + 3
+
+
+class TestOwnership(OwnershipCases):
+    pass
+
+
+class TestStats(StatsCases):
+    pass
+
+
+class TestSharedMemory(ReuseCases, OwnershipCases, StatsCases):
+    allocator = SegmentAllocator
