@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--output", default="REPORT.md")
 
     p_trace = sub.add_parser(
-        "trace", help="summarize a trace file (Chrome JSON or JSONL)"
+        "trace", help="summarize a trace file (flight dump or Chrome JSON)"
     )
     p_trace.add_argument("file", help="trace produced by `repro train --trace`")
     p_trace.add_argument("--top", type=int, default=10,
@@ -412,17 +412,17 @@ def _cmd_train(args) -> int:
     if args.trace is not None:
         from pathlib import Path
 
-        from repro.obs import write_chrome_trace
+        from repro.obs import merge_ranks, write_chrome_trace
 
         base = Path(args.trace)
-        for sname, tracers in result.tracers.items():
+        for sname, flight in result.flight.items():
             # One pid per rank inside a file; one file per strategy so pids
             # stay unambiguous when several strategies were compared.
-            if len(result.tracers) == 1:
+            if len(result.flight) == 1:
                 path = base
             else:
                 path = base.with_name(f"{base.stem}-{sname}{base.suffix or '.json'}")
-            write_chrome_trace(tracers, path)
+            write_chrome_trace(merge_ranks(flight), path)
             print(f"wrote trace: {path}", file=sys.stderr)
     rows = [
         [name, f"{h.best_accuracy:.3f}", f"{h.final_accuracy:.3f}",
@@ -542,7 +542,7 @@ def _cmd_trace(args) -> int:
     try:
         summary = summarize_trace(path, top=args.top)
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        print(f"{path} is not a trace file (Chrome JSON or JSONL): {exc}",
+        print(f"{path} is not a trace file (flight dump or Chrome JSON): {exc}",
               file=sys.stderr)
         return 1
     if not summary.n_events:

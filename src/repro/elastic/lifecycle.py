@@ -279,13 +279,7 @@ def _recover(
     Runs identically on every survivor (each one caught the failure on a
     collective or matched receive that could not complete)."""
     t0 = time.perf_counter()
-    tr = comm.tracer
     dead_before = dict(comm.dead_peers())
-    if tr.enabled:
-        tr.instant(
-            "elastic.failure_detected", cat="elastic", epoch=epoch,
-            dead={comm.group[lr]: e for lr, e in dead_before.items()},
-        )
     # Post-mortem first, while the pre-shrink state is intact: one survivor
     # dumps every rank's flight ring (keyed, so N survivors produce one
     # artifact), and the surviving rank 0 rescues telemetry pushes still
@@ -323,9 +317,6 @@ def _recover(
         survivors=len(newcomm.group),
         wall_s=report.wall_s,
     )
-    if tr.enabled:
-        tr.metrics.histogram("elastic.detection_latency_s").observe(detection_s)
-        tr.metrics.histogram("elastic.recovery_wall_s").observe(report.wall_s)
     return newcomm, report
 
 

@@ -127,43 +127,32 @@ class ShardRecovery:
             )
         dead_ranks = tuple(int(r) for r in dead_ranks)
         lost = self.ledger.lost_to(dead_ranks)
-        tr = comm.tracer
-        with tr.span(
-            "elastic.recover", cat="elastic", dead=list(dead_ranks),
-            lost=len(lost), survivors=comm.size,
-        ) as sp:
-            self._rebase_capacity()
-            # Step 1: one picture of the world on every survivor.
-            lost_set = set(lost)
-            my_cold = [
-                (g, int(np.asarray(self.storage.get_by_gid(g)[0]).nbytes))
-                for g in self.storage.cold_gids()
-                if g in lost_set
-            ]
-            cold_by_rank = comm.allgather(my_cold)
-            loads = comm.allgather(
-                (len(self.storage), self.storage.nbytes, self.storage.capacity_bytes)
+        self._rebase_capacity()
+        # Step 1: one picture of the world on every survivor.
+        lost_set = set(lost)
+        my_cold = [
+            (g, int(np.asarray(self.storage.get_by_gid(g)[0]).nbytes))
+            for g in self.storage.cold_gids()
+            if g in lost_set
+        ]
+        cold_by_rank = comm.allgather(my_cold)
+        loads = comm.allgather(
+            (len(self.storage), self.storage.nbytes, self.storage.capacity_bytes)
+        )
+        # Step 2: deterministic assignment.
+        assignments = self._assign(lost, cold_by_rank, loads)
+        # Step 3: move the bytes.
+        from_replica, from_source, transfers, nbytes = self._execute(assignments)
+        # Step 4: re-point the (replicated) ledger.
+        for gid, _src, dst in assignments:
+            self.ledger.reassign(gid, comm.group[dst])
+        missing = self.ledger.missing_from(comm.group)
+        if missing:
+            raise RuntimeError(
+                f"recovery incomplete: {len(missing)} gid(s) still "
+                f"unheld (first: {missing[:5]})"
             )
-            # Step 2: deterministic assignment.
-            assignments = self._assign(lost, cold_by_rank, loads)
-            # Step 3: move the bytes.
-            from_replica, from_source, transfers, nbytes = self._execute(assignments)
-            # Step 4: re-point the (replicated) ledger.
-            for gid, _src, dst in assignments:
-                self.ledger.reassign(gid, comm.group[dst])
-            missing = self.ledger.missing_from(comm.group)
-            if missing:
-                raise RuntimeError(
-                    f"recovery incomplete: {len(missing)} gid(s) still "
-                    f"unheld (first: {missing[:5]})"
-                )
-            sp.set(refetched=len(assignments), bytes=nbytes)
         wall = time.perf_counter() - t0
-        if tr.enabled:
-            tr.metrics.counter("elastic.recoveries").inc()
-            tr.metrics.counter("elastic.samples_refetched").inc(len(assignments))
-            tr.metrics.counter("elastic.recovery_bytes").inc(nbytes)
-            tr.metrics.counter("elastic.pfs_reads").inc(from_source)
         return RecoveryReport(
             dead_ranks=dead_ranks,
             lost_gids=len(lost),

@@ -242,34 +242,24 @@ class RankRejoin:
         comm = self.comm
         t0 = time.perf_counter()
         joiners = tuple(sorted(int(j) for j in joiners))
-        tr = comm.tracer
-        with tr.span(
-            "elastic.rejoin", cat="elastic", joiners=list(joiners),
-            members=comm.size,
-        ) as sp:
-            # One picture of the world on every member (the same allgather
-            # discipline recovery uses).
-            hot_orders = comm.allgather(list(self.storage.hot_gids()))
-            cold_gids = comm.allgather(list(self.storage.cold_gids()))
-            hot_by_rank = {comm.group[i]: h for i, h in enumerate(hot_orders)}
-            cold_by_rank = {comm.group[i]: c for i, c in enumerate(cold_gids)}
-            plan = plan_rebalance(self.ledger, comm.group, hot_by_rank, cold_by_rank)
-            promoted, transfers, nbytes = self._execute(plan)
-            for gid, _src, dst, _prom in plan:
-                self.ledger.reassign(gid, dst)
-            missing = self.ledger.missing_from(comm.group)
-            if missing:
-                raise RuntimeError(
-                    f"rejoin incomplete: {len(missing)} gid(s) still unheld "
-                    f"(first: {missing[:5]})"
-                )
-            self._shrink_capacity()
-            sp.set(moved=len(plan), bytes=nbytes)
+        # One picture of the world on every member (the same allgather
+        # discipline recovery uses).
+        hot_orders = comm.allgather(list(self.storage.hot_gids()))
+        cold_gids = comm.allgather(list(self.storage.cold_gids()))
+        hot_by_rank = {comm.group[i]: h for i, h in enumerate(hot_orders)}
+        cold_by_rank = {comm.group[i]: c for i, c in enumerate(cold_gids)}
+        plan = plan_rebalance(self.ledger, comm.group, hot_by_rank, cold_by_rank)
+        promoted, transfers, nbytes = self._execute(plan)
+        for gid, _src, dst, _prom in plan:
+            self.ledger.reassign(gid, dst)
+        missing = self.ledger.missing_from(comm.group)
+        if missing:
+            raise RuntimeError(
+                f"rejoin incomplete: {len(missing)} gid(s) still unheld "
+                f"(first: {missing[:5]})"
+            )
+        self._shrink_capacity()
         wall = time.perf_counter() - t0
-        if tr.enabled:
-            tr.metrics.counter("elastic.rejoins").inc()
-            tr.metrics.counter("elastic.samples_rebalanced").inc(len(plan))
-            tr.metrics.counter("elastic.rejoin_bytes").inc(nbytes)
         return RejoinReport(
             joiners=joiners,
             moved_gids=len(plan),

@@ -15,8 +15,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.obs.tracer import NULL_TRACER
-
 from .message import (
     ANY_SOURCE,
     ANY_TAG,
@@ -69,16 +67,18 @@ class Communicator:
         *,
         context_id: int = 0,
         group: Sequence[int] | None = None,
-        tracer=None,
     ) -> None:
         if not 0 <= rank < world.size:
             raise ValueError(f"rank {rank} out of range for world of size {world.size}")
         self.world = world
         self._world_rank = rank
         self.context_id = context_id
-        #: Per-rank observability sink (see :mod:`repro.obs`).  Defaults to
-        #: the shared disabled tracer, so instrumentation costs one branch.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: This rank's recorder (:class:`~repro.obs.FlightRecorder`) — the
+        #: one thing instrumented code writes to.  Keyed by *world* rank, so
+        #: the same ring follows the rank through ``split``/``dup``/
+        #: ``shrink``: a dump shows one continuous history per physical rank
+        #: regardless of how many communicators it lived in.
+        self.flight = world.flight.for_rank(rank)
         # ``group`` maps communicator-local rank -> world rank.
         self.group: tuple[int, ...] = tuple(group) if group is not None else tuple(
             range(world.size)
@@ -121,31 +121,16 @@ class Communicator:
         the exchange packs its envelopes and returns them after commit."""
         return self.world.pool
 
-    @property
-    def flight(self):
-        """This rank's always-on flight recorder ring.
-
-        Keyed by *world* rank, so the same ring follows the rank through
-        ``split``/``dup``/``shrink`` — a post-mortem dump shows one
-        continuous history per physical rank regardless of how many
-        communicators it lived in.
-        """
-        return self.world.flight.for_rank(self._world_rank)
-
     def count_copy(self, nbytes: int) -> None:
         """Charge a payload copy of ``nbytes`` to this rank.
 
-        Feeds the world's deterministic ``bytes_copied`` counters and, when
-        tracing, the ``comm.copies`` / ``comm.bytes_copied`` metrics — the
-        numbers the fast-path benchmark gates on.  Called by the message
-        layer for send-time buffering and by the scheduler for checksum
-        ``tobytes()`` walks and pack gathers.
+        Feeds the world's deterministic ``bytes_copied`` counters
+        (``world.total_bytes_copied()``) — the numbers the fast-path
+        benchmark gates on.  Called by the message layer for send-time
+        buffering and by the scheduler for checksum ``tobytes()`` walks and
+        pack gathers.
         """
         self.world.count_copy(self._world_rank, nbytes)
-        tr = self.tracer
-        if tr.enabled:
-            tr.metrics.counter("comm.copies").inc()
-            tr.metrics.counter("comm.bytes_copied").inc(nbytes)
 
     def _to_world(self, local: int) -> int:
         if local == ANY_SOURCE:
@@ -215,13 +200,10 @@ class Communicator:
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send; completes immediately (buffered semantics)."""
-        tr = self.tracer
-        if tr.enabled:
-            nb = payload_nbytes(obj)
-            with tr.span("isend", cat="comm.p2p", peer=dest, tag=tag, nbytes=nb):
+        fl = self.flight
+        if fl.detail:
+            with fl.span("p2p.isend", peer=dest, tag=tag, nbytes=payload_nbytes(obj)):
                 req = self._post_send(obj, dest, tag)
-            tr.metrics.counter("comm.p2p.msgs_sent").inc()
-            tr.metrics.counter("comm.p2p.bytes_sent").inc(nb)
             return self._track_request(req)
         return self._track_request(self._post_send(obj, dest, tag))
 
@@ -247,14 +229,14 @@ class Communicator:
         status: Status | None = None,
     ) -> Any:
         """Blocking receive; returns the payload."""
-        tr = self.tracer
-        if tr.enabled:
-            with tr.span("recv", cat="comm.p2p", peer=source, tag=tag) as sp:
+        fl = self.flight
+        if fl.detail:
+            with fl.span("p2p.recv", peer=source, tag=tag) as sp:
                 msg = self._take_msg(source, tag)
-                nb = payload_nbytes(msg.payload)
-                sp.set(src=self._from_world(msg.source), nbytes=nb)
-            tr.metrics.counter("comm.p2p.msgs_recv").inc()
-            tr.metrics.counter("comm.p2p.bytes_recv").inc(nb)
+                sp.set(
+                    src=self._from_world(msg.source),
+                    nbytes=payload_nbytes(msg.payload),
+                )
         else:
             msg = self._take_msg(source, tag)
         if status is not None:
@@ -275,7 +257,6 @@ class Communicator:
             self._world_rank,
             self._to_world(source),
             self._wire_tag(tag),
-            tracer=self.tracer,
         )
         self._track_request(req)
         return req
@@ -309,18 +290,15 @@ class Communicator:
     def _rendezvous(self, op: str, contribution: Any) -> dict[int, Any]:
         gen = next(self._coll_gen)
         key = (self.context_id, op, gen, self.size)
-        tr = self.tracer
-        if tr.enabled:
+        fl = self.flight
+        if fl.detail:
             # The span covers the whole rendezvous wait, so its duration is
             # this rank's synchronisation (straggler) time for the call.
             nb = 0 if contribution is None else payload_nbytes(contribution)
-            with tr.span(f"coll.{op}", cat="comm.coll", op=op, gen=gen, nbytes=nb):
-                slots = self.world.rendezvous(
+            with fl.span(f"coll.{op}", gen=gen, nbytes=nb):
+                return self.world.rendezvous(
                     key, self._local_rank, contribution, group=self.group
                 )
-            tr.metrics.counter("comm.coll.calls").inc()
-            tr.metrics.counter("comm.coll.bytes_contrib").inc(nb)
-            return slots
         return self.world.rendezvous(
             key, self._local_rank, contribution, group=self.group
         )
@@ -431,7 +409,6 @@ class Communicator:
             self._world_rank,
             context_id=new_ctx * 131 + color,
             group=group,
-            tracer=self.tracer,
         )
 
     def dup(self) -> "Communicator":
@@ -443,7 +420,6 @@ class Communicator:
             self._world_rank,
             context_id=new_ctx * 131 + 7,
             group=self.group,
-            tracer=self.tracer,
         )
 
     # ---------------------------------------------------------------- failures
@@ -489,7 +465,6 @@ class Communicator:
             self._world_rank,
             context_id=_shrink_context(gen),
             group=survivors,
-            tracer=self.tracer,
         )
 
     def expand(self, joiners: Sequence[int]) -> "Communicator":
@@ -519,7 +494,6 @@ class Communicator:
             self._world_rank,
             context_id=_expand_context(gen),
             group=new_group,
-            tracer=self.tracer,
         )
 
     def rejoin(self) -> "Communicator | None":
@@ -542,7 +516,6 @@ class Communicator:
             self._world_rank,
             context_id=_expand_context(gen),
             group=new_group,
-            tracer=self.tracer,
         )
 
 

@@ -15,8 +15,8 @@ releases the GIL, so compute overlaps there too.  ``procs``
 world over a pipe, ``PackedBatch`` payloads riding ``/dev/shm`` segments: it
 is there for what threads cannot give — a rank that can really be
 ``SIGKILL``-ed, per-process RSS — and pays one pipe round trip per world
-call for it (``docs/backends.md`` has the measured matrix).  The world, the
-tracers, what happens when a rank ends (:func:`_run_rank`) and the
+call for it (``docs/backends.md`` has the measured matrix).  The world, its
+flight recorders, what happens when a rank ends (:func:`_run_rank`) and the
 :class:`SpmdResult` / :class:`~repro.mpi.errors.RankFailed` assembly are
 the same code either way.  Select with ``run_spmd(..., backend="procs")`` or
 the ``REPRO_BACKEND`` environment variable.
@@ -28,8 +28,6 @@ import os
 import threading
 import warnings
 from typing import Any, Callable, Sequence
-
-from repro.obs.tracer import Tracer
 
 from .communicator import Communicator
 from .errors import MPIAbort, RankDied, RankFailed, VerificationError
@@ -60,7 +58,7 @@ def _load_procs() -> Callable[..., list]:
 
 
 #: Backend name -> loader of the function that hosts the ranks: called as
-#: ``host(world, fn, args, tracers, verify=, name_prefix=, deadline_s=)``,
+#: ``host(world, fn, args, verify=, name_prefix=, deadline_s=)``,
 #: returns one :func:`_run_rank` outcome per rank.
 _BACKENDS: dict[str, Callable[[], Callable[..., list]]] = {
     "threads": lambda: _host_threads,
@@ -86,14 +84,13 @@ def resolve_backend_name(name: str | None = None) -> str:
 
 
 class SpmdResult(list):
-    """Per-rank return values, with the world attached for traffic stats and
-    the per-rank tracers for observability (empty event lists unless the run
-    was launched with ``tracing=True``)."""
+    """Per-rank return values, with the world attached: traffic stats, and
+    the run's events in ``world.flight`` (the last K per rank; all of them
+    when the run was launched with ``tracing=True``)."""
 
-    def __init__(self, values: Sequence[Any], world: World, tracers: Sequence[Tracer]):
+    def __init__(self, values: Sequence[Any], world: World):
         super().__init__(values)
         self.world = world
-        self.tracers = list(tracers)
 
 
 def run_spmd(
@@ -105,7 +102,6 @@ def run_spmd(
     deadline_s: float | None = 300.0,
     thread_name_prefix: str = "rank",
     tracing: bool = False,
-    tracers: Sequence[Tracer] | None = None,
     verify: bool = False,
     flight: bool = True,
     world_factory: Callable[..., World] | None = None,
@@ -126,12 +122,11 @@ def run_spmd(
     deadline_s:
         Wall-clock budget guarding against deadlock; ``None`` disables.
     tracing:
-        When True each rank gets an enabled :class:`~repro.obs.Tracer`
-        (reachable as ``comm.tracer`` inside ``fn``); the MPI layer records
-        every p2p call and collective with byte counts.  When False the
-        ranks share disabled tracers and the instrumentation is a no-op.
-    tracers:
-        Explicit per-rank tracers (length ``size``); overrides ``tracing``.
+        When True every rank's flight recorder (``comm.flight``) keeps all
+        its events instead of the last K, and records per-message detail:
+        every p2p call and collective with byte counts, every Figure-10
+        phase region.  When False those sites cost one flag test.  Needs
+        the recorder on: ignored with ``flight=False``.
     verify:
         When True each rank gets a
         :class:`~repro.analysis.runtime.CheckedCommunicator`: every
@@ -159,25 +154,20 @@ def run_spmd(
     -------
     SpmdResult
         ``result[r]`` is rank *r*'s return value; ``result.world`` exposes
-        traffic counters (``bytes_sent`` etc.) and ``result.tracers`` the
+        traffic counters (``bytes_sent`` etc.) and, as ``world.flight``, the
         per-rank event streams.
     """
     host = _BACKENDS[resolve_backend_name(backend)]()
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    if tracers is not None and len(tracers) != size:
-        raise ValueError(f"need {size} tracers, got {len(tracers)}")
     make_world = world_factory if world_factory is not None else World
     world = make_world(size, copy_on_send=copy_on_send, deadline_s=deadline_s)
     if not flight:
         world.flight.set_enabled(False)
-    rank_tracers = (
-        list(tracers)
-        if tracers is not None
-        else [Tracer(rank=r, enabled=tracing) for r in range(size)]
-    )
+    elif tracing:
+        world.flight.enable_detail()
     outcomes = host(
-        world, fn, tuple(args), rank_tracers,
+        world, fn, tuple(args),
         verify=verify, name_prefix=thread_name_prefix, deadline_s=deadline_s,
     )
     failures = {r: value for r, (ok, value) in enumerate(outcomes) if not ok}
@@ -188,14 +178,13 @@ def run_spmd(
             r: e for r, e in failures.items() if not isinstance(e, MPIAbort)
         } or failures
         raise RankFailed(primary)
-    return SpmdResult([value for _ok, value in outcomes], world, rank_tracers)
+    return SpmdResult([value for _ok, value in outcomes], world)
 
 
 def _host_threads(
     world: World,
     fn: Callable[..., Any],
     args: tuple,
-    tracers: Sequence[Tracer],
     *,
     verify: bool,
     name_prefix: str,
@@ -207,7 +196,7 @@ def _host_threads(
     outcomes: list[Any] = [None] * world.size
 
     def runner(rank: int) -> None:
-        outcomes[rank] = _run_rank(world, rank, fn, args, tracers[rank], verify)
+        outcomes[rank] = _run_rank(world, rank, fn, args, verify)
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"{name_prefix}{r}", daemon=True)
@@ -225,7 +214,6 @@ def _run_rank(
     rank: int,
     fn: Callable[..., Any],
     args: tuple,
-    tracer: Tracer,
     verify: bool,
 ) -> tuple[bool, Any]:
     """Run ``fn(comm, *args)`` as ``rank`` of ``world`` and classify how it
@@ -243,7 +231,7 @@ def _run_rank(
     else:
         comm_cls = Communicator
     try:
-        comm = comm_cls(world, rank, tracer=tracer)
+        comm = comm_cls(world, rank)
         value = fn(comm, *args)
         _check_pending(comm, rank, verify)
         return True, value

@@ -194,7 +194,7 @@ def payload_nbytes(obj: Any) -> int:
     """Approximate the wire size of a payload in bytes.
 
     The single size model shared by the world's traffic counters, the
-    per-rank tracer (``nbytes`` span tags) and the shuffle-layer volume
+    flight recorder (``nbytes`` event fields) and the shuffle-layer volume
     accounting — arrays report ``.nbytes``, scalars a fixed 8 bytes,
     containers recurse, and anything else falls back to its pickled size.
     """

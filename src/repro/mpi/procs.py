@@ -40,6 +40,7 @@ not mix), and the parent unlinks every shared segment on every exit path.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import multiprocessing
 import pickle
@@ -47,9 +48,9 @@ import threading
 import time
 from dataclasses import replace as _dc_replace
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
-from repro.obs.tracer import Tracer
+from repro.obs.telemetry.flight import FlightRecorder
 
 from .codec import PackedBatch
 from .errors import MPIAbort
@@ -231,7 +232,7 @@ _OPS = (
     _Op("pool", "in_use"),
     _Op("pool", "free_buffers"),
     _Op("pool", "assert_balanced"),
-    _Op("recorder", "record", "cast", codec=_HAND),
+    _Op("recorder", "append", "cast"),
     _Op("flight", "dump", codec=_HAND),
     _Op("flight", "set_enabled"),
     _Op("telemetry", "ingest"),
@@ -422,30 +423,17 @@ class _ClientMailbox:
         return None if wire is None else self._world._wire_to_msg(wire)
 
 
-@_facade("recorder")
-class _ClientFlightRecorder:
-    """Rank-side proxy of one flight-recorder ring (fire-and-forget appends)."""
-
-    def __init__(self, rpc: _Rpc, rank: int, enabled: bool) -> None:
-        self._rpc = rpc
-        self._rank = rank
-        self.enabled = enabled
-
-    def record(self, kind: str, **fields: Any) -> None:
-        """Append to the parent-side ring for this rank (no round-trip)."""
-        if self.enabled:
-            self._rpc.cast("recorder.record", self._rank, kind, fields)
-
-
 @_facade("flight")
 class _ClientFlightLog:
     """Rank-side proxy of the world's :class:`FlightLog`."""
 
-    def __init__(self, rpc: _Rpc, enabled: bool) -> None:
+    def __init__(self, rpc: _Rpc, enabled: bool, detail: bool) -> None:
         self._rpc = rpc
-        #: Whether ring appends are on (as the parent's log was at launch).
+        #: Whether ring appends / per-message detail are on (as the
+        #: parent's log had them at launch).
         self.enabled = enabled
-        self._recorders: dict[int, _ClientFlightRecorder] = {}
+        self.detail = detail
+        self._recorders: dict[int, FlightRecorder] = {}
 
     def set_enabled(self, flag: bool) -> None:
         """Toggle appends in the parent and locally."""
@@ -454,13 +442,15 @@ class _ClientFlightLog:
             rec.enabled = self.enabled
         self._rpc.call("flight.set_enabled", self.enabled)
 
-    def for_rank(self, rank: int) -> _ClientFlightRecorder:
-        """The (cached) recorder proxy for ``rank``."""
+    def for_rank(self, rank: int) -> FlightRecorder:
+        """The (cached) recorder of ``rank``: the same class as in-process,
+        stamping each event here, at the rank — only its ``append`` is a
+        fire-and-forget cast to the parent-hosted ring (no round trip)."""
         rec = self._recorders.get(rank)
         if rec is None:
-            rec = self._recorders[rank] = _ClientFlightRecorder(
-                self._rpc, rank, self.enabled
-            )
+            rec = self._recorders[rank] = FlightRecorder(rank)
+            rec.enabled, rec.detail = self.enabled, self.detail
+            rec.append = functools.partial(self._rpc.cast, "recorder.append", rank)
         return rec
 
     def dump(self, reason: str, *, key: object = None, extra: dict | None = None):
@@ -506,6 +496,7 @@ class _ClientWorld(_Remote):
         size: int,
         copy_on_send: bool,
         flight_enabled: bool,
+        flight_detail: bool,
         has_chaos: bool,
     ) -> None:
         super().__init__(rpc)
@@ -513,7 +504,7 @@ class _ClientWorld(_Remote):
         self.size = size
         self.copy_on_send = copy_on_send
         self.pool = _ClientPool(rpc)
-        self.flight = _ClientFlightLog(rpc, flight_enabled)
+        self.flight = _ClientFlightLog(rpc, flight_enabled, flight_detail)
         self.telemetry = _ClientTelemetry(rpc)
         if has_chaos:
             # Duck-typed: plain worlds must NOT have the attribute at all.
@@ -558,18 +549,19 @@ def _child_main(
     copy_on_send: bool,
     verify: bool,
     flight_enabled: bool,
+    flight_detail: bool,
     has_chaos: bool,
-    tracing_enabled: bool,
 ) -> None:
     """Rank-process entry point: run the shared rank runner against the
-    facade and report its outcome (and the tracer's events) over the pipe
-    as a final ``__exit__`` record."""
-    world = _ClientWorld(_Rpc(conn), rank, size, copy_on_send, flight_enabled, has_chaos)
-    tracer = Tracer(rank=rank, enabled=tracing_enabled)
-    ok, value = _run_rank(world, rank, fn, args, tracer, verify)
+    facade and report its outcome over the pipe as a final ``__exit__``
+    record."""
+    world = _ClientWorld(
+        _Rpc(conn), rank, size, copy_on_send, flight_enabled, flight_detail, has_chaos
+    )
+    ok, value = _run_rank(world, rank, fn, args, verify)
     try:
         payload = _encode(value) if ok else _pickle_safe(value)
-        conn.send((None, "__exit__", (ok, payload, list(tracer.events))))
+        conn.send((None, "__exit__", (ok, payload)))
         conn.close()
     except Exception:
         # Nothing left to tell the parent with: its broker sees the pipe
@@ -592,7 +584,7 @@ class _Broker:
         self._rank = rank
         self._conn = conn
         self._world = world
-        #: The rank's final ``(ok, payload, tracer events)`` record; stays
+        #: The rank's final ``(ok, payload)`` record; stays
         #: ``None`` when its pipe dies first.
         self.outcome: tuple | None = None
 
@@ -696,9 +688,6 @@ class _Broker:
         buf = self._world.pool.acquire(nbytes)
         return (buf.buf_id, buf.segment_name, buf.nbytes, buf.size_class)
 
-    def _recorder_record(self, rank: int, kind: str, fields: dict) -> None:
-        self._world.flight.for_rank(rank).record(kind, **fields)
-
     def _flight_dump(self, reason: str, key: object, extra: dict | None):
         value = self._world.flight.dump(reason, key=key, extra=extra)
         try:
@@ -744,15 +733,13 @@ def host_procs(
     world: World,
     fn: Callable[..., Any],
     args: tuple,
-    tracers: Sequence[Tracer],
     *,
     verify: bool,
     name_prefix: str,
     deadline_s: float | None,
 ) -> list[tuple[bool, Any]]:
     """The ``procs`` backend: fork one rank process per slot of ``world``,
-    broker their world calls, and return one outcome per rank (each child's
-    tracer events merged into ``tracers``).
+    broker their world calls, and return one outcome per rank.
 
     Shared-memory segments are unlinked on **every** exit path — normal
     return, rank kill, exception, deadline — plus an ``atexit`` backstop in
@@ -772,7 +759,7 @@ def host_procs(
             target=_child_main,
             args=(
                 pipes[r][1], r, size, fn, args, world.copy_on_send, verify,
-                bool(world.flight.enabled), has_chaos, bool(tracers[r].enabled),
+                world.flight.enabled, world.flight.detail, has_chaos,
             ),
             name=f"{name_prefix}{r}",
             daemon=True,
@@ -806,8 +793,7 @@ def host_procs(
                     )
                 )))
                 continue
-            ok, payload, events = broker.outcome
-            tracers[r].events.extend(events)
+            ok, payload = broker.outcome
             if ok:
                 payload = _decode(payload, lambda ref: _copy_out(ref, pool))
             outcomes.append((ok, payload))

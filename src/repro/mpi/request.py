@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-from repro.obs.tracer import NULL_TRACER
-
 from .errors import MPIError
 from .message import ANY_SOURCE, ANY_TAG, Status, payload_nbytes
 
@@ -79,8 +77,6 @@ class RecvRequest(Request):
         rank: int,
         source: int = ANY_SOURCE,
         tag: int = ANY_TAG,
-        *,
-        tracer=None,
     ):
         self._world = world
         self._rank = rank
@@ -89,7 +85,6 @@ class RecvRequest(Request):
         self.status = Status()
         self._done = False
         self._payload: Any = None
-        self._tracer = tracer if tracer is not None else NULL_TRACER
 
     def test(self) -> tuple[bool, Any]:
         """Non-blocking completion check: (done, payload_or_None)."""
@@ -106,17 +101,13 @@ class RecvRequest(Request):
         """Block until complete; returns the payload (None for sends)."""
         if self._done:
             return self._payload
-        tr = self._tracer
-        if tr.enabled:
+        fl = self._world.flight.for_rank(self._rank)
+        if fl.detail:
             # The span is the receive's blocking time: message wait plus any
             # sender-side delay — the straggler component of the exchange.
-            with tr.span("irecv.wait", cat="comm.p2p", peer=self.source,
-                         tag=self.tag) as sp:
+            with fl.span("p2p.irecv.wait", peer=self.source, tag=self.tag) as sp:
                 msg = self._world.take_blocking(self._rank, self.source, self.tag)
-                nb = payload_nbytes(msg.payload)
-                sp.set(src=msg.source, nbytes=nb)
-            tr.metrics.counter("comm.p2p.msgs_recv").inc()
-            tr.metrics.counter("comm.p2p.bytes_recv").inc(nb)
+                sp.set(src=msg.source, nbytes=payload_nbytes(msg.payload))
         else:
             msg = self._world.take_blocking(self._rank, self.source, self.tag)
         self._complete(msg)

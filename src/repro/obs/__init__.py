@@ -1,43 +1,37 @@
-"""Observability: per-rank tracing, metrics and trace tooling.
+"""Observability: one recorder per rank, and the readers of its stream.
 
 The subsystem the paper's measurements hang off:
 
-* :class:`Tracer` / :class:`TraceEvent` — per-rank spans + instant events
-  with monotonic timestamps; :data:`NULL_TRACER` is the zero-overhead
-  disabled default every instrumented layer points at until a run opts in.
-* :class:`MetricsRegistry` — counters / gauges / histograms for totals that
-  don't need one event per observation.
-* Exporters — lossless JSONL and Chrome trace-event JSON (one ``pid`` per
-  rank; opens directly in ``chrome://tracing`` / Perfetto).
-* Merge + summary — cross-rank timeline reconstruction (Figure 4 overlap),
-  Figure 10 phase totals as a view over ``cat="phase"`` spans, and the
-  digest behind the ``repro trace`` CLI.
-* :mod:`~repro.obs.telemetry` — the always-on layer: :class:`FlightLog`
-  (bounded per-rank event rings, dumped on faults),
-  :class:`TelemetryAggregator` (collective-free cross-rank metric series
+* :class:`FlightRecorder` / :class:`FlightLog` — the one thing
+  instrumented code writes to (``comm.flight``): a bounded ring of the
+  last K events per rank, always on and dumped on faults;
+  ``run_spmd(tracing=True)`` lifts the bound and turns on the per-message
+  / per-step events, so the full stream is the same ring.  One event
+  shape, :class:`Event`.
+* Merge + summary — cross-rank timeline reconstruction, Figure 10 phase
+  totals, §III-B byte volumes and the overlap / blocking attribution as
+  views over event kinds, and the digest behind the ``repro trace`` CLI.
+* Exporters — the flight dump itself and Chrome trace-event JSON (one
+  ``pid`` per rank; opens directly in ``chrome://tracing`` / Perfetto);
+  :func:`load_trace` reads both.
+* :class:`TelemetryAggregator` (collective-free cross-rank metric series
   with streaming quantiles) and the health detectors behind
-  ``repro health``.
+  ``repro health``; :class:`MetricsRegistry` for the serve tier's totals.
 
 Quick example::
 
     from repro.mpi import run_spmd
-    from repro.obs import write_chrome_trace
+    from repro.obs import merge_ranks, write_chrome_trace
 
     def main(comm):
-        with comm.tracer.span("work", cat="app"):
+        with comm.flight.span("app.work"):
             comm.allreduce(comm.rank)
 
     result = run_spmd(main, size=4, tracing=True)
-    write_chrome_trace(result.tracers, "trace.json")
+    write_chrome_trace(merge_ranks(result.world.flight), "trace.json")
 """
 
-from .export import (
-    chrome_trace_events,
-    load_trace,
-    read_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
+from .export import chrome_trace_events, load_trace, write_chrome_trace
 from .merge import (
     PHASE_ORDER,
     bytes_by_rank,
@@ -56,30 +50,24 @@ from .metrics import (
 )
 from .summary import TraceSummary, render_summary, summarize_events, summarize_trace
 from .telemetry import (
+    Event,
     FlightLog,
     FlightRecorder,
     HealthFinding,
-    PhaseClock,
     TelemetryAggregator,
     push_metrics,
     run_health_checks,
     to_openmetrics,
 )
-from .tracer import NULL_TRACER, NullTracer, TraceEvent, Tracer
 
 __all__ = [
-    "Tracer",
-    "TraceEvent",
-    "NullTracer",
-    "NULL_TRACER",
+    "Event",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "chrome_trace_events",
     "write_chrome_trace",
-    "write_jsonl",
-    "read_jsonl",
     "load_trace",
     "merge_ranks",
     "phase_totals",
@@ -95,7 +83,6 @@ __all__ = [
     "quantile_key",
     "FlightLog",
     "FlightRecorder",
-    "PhaseClock",
     "TelemetryAggregator",
     "HealthFinding",
     "push_metrics",

@@ -1,79 +1,77 @@
-"""Trace exporters: JSONL (lossless) and Chrome trace-event JSON.
+"""On-disk forms of the event stream: the flight dump and the Chrome trace.
 
-Two on-disk formats:
-
-* **JSONL** — one event per line with raw monotonic-second timestamps; the
-  lossless round-trip format used by tests and tooling.
+* **Flight dump** (``repro.obs.flight/v1``) — what :meth:`FlightLog.dump
+  <repro.obs.telemetry.FlightLog.dump>` writes: every rank's ring with raw
+  monotonic-second timestamps.  Lossless; the dump of a traced run is its
+  trace.
 * **Chrome trace-event JSON** — a single JSON *array* of events with
   microsecond timestamps, ``pid`` = rank (one process lane per rank, named
   via ``ph="M"`` metadata), directly loadable in ``chrome://tracing`` and
-  Perfetto.  This is what a multi-rank training run writes for the Figure 4
+  Perfetto.  This is what ``repro train --trace`` writes for the Figure 4
   style overlap inspection.
 
-Both loaders accept either format, so ``repro trace`` works on any file the
+:func:`load_trace` reads either, so ``repro trace`` works on any file the
 subsystem produced.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .tracer import PH_COMPLETE, TraceEvent, Tracer
+from .merge import merge_ranks
+from .telemetry.flight import Event
 
 __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
-    "write_jsonl",
-    "read_jsonl",
     "load_trace",
 ]
 
 
-def _event_lists(
-    tracers: Sequence[Tracer] | Tracer | Sequence[TraceEvent],
-) -> list[TraceEvent]:
-    """Flatten one tracer / many tracers / a plain event list into events."""
-    if isinstance(tracers, Tracer):
-        return list(tracers.events)
-    items = list(tracers)
-    if items and isinstance(items[0], Tracer):
-        return [ev for tr in items for ev in tr.events]
-    return items  # already events
-
-
 def chrome_trace_events(
-    tracers: Sequence[Tracer] | Tracer | Sequence[TraceEvent],
+    events: Iterable[Event],
     *,
     rank_names: dict[int, str] | None = None,
 ) -> list[dict]:
-    """Convert events to a Chrome trace-event list (one ``pid`` per rank).
+    """Convert a timeline (:func:`~repro.obs.merge_ranks`) to a Chrome
+    trace-event list: one ``pid`` per rank, the event's kind as its name
+    and the kind's first component as its category.
 
     Timestamps are rebased to the earliest event so the trace opens at t=0.
     Metadata events name each process lane ``rank <r>`` (override via
     ``rank_names``).
     """
-    events = _event_lists(tracers)
-    base_ts = min((ev.ts for ev in events), default=0.0)
-    ranks = sorted({ev.rank for ev in events})
+    events = sorted(events, key=lambda ev: (ev.ts, ev.rank))
+    base_ts = events[0].ts if events else 0.0
     out: list[dict] = []
-    for rank in ranks:
+    for rank in sorted({ev.rank for ev in events}):
         name = (rank_names or {}).get(rank, f"rank {rank}")
         out.append({"name": "process_name", "ph": "M", "pid": rank, "tid": 0,
                     "args": {"name": name}})
         out.append({"name": "process_sort_index", "ph": "M", "pid": rank,
                     "tid": 0, "args": {"sort_index": rank}})
-    out.extend(
-        ev.to_chrome(base_ts=base_ts)
-        for ev in sorted(events, key=lambda e: (e.ts, e.rank))
-    )
+    for ev in events:
+        row = {
+            "name": ev.kind,
+            "cat": ev.kind.partition(".")[0],
+            "ph": "X" if ev.dur else "i",
+            "ts": (ev.ts - base_ts) * 1e6,
+            "pid": ev.rank,
+            "tid": 0,
+            "args": ev.fields,
+        }
+        if ev.dur:
+            row["dur"] = ev.dur * 1e6
+        else:
+            row["s"] = "t"  # thread-scoped instant
+        out.append(row)
     return out
 
 
 def write_chrome_trace(
-    tracers: Sequence[Tracer] | Tracer | Sequence[TraceEvent],
+    events: Iterable[Event],
     path: str | Path,
     *,
     rank_names: dict[int, str] | None = None,
@@ -82,86 +80,29 @@ def write_chrome_trace(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
-        json.dump(chrome_trace_events(tracers, rank_names=rank_names), fh)
+        json.dump(chrome_trace_events(events, rank_names=rank_names), fh, default=str)
     return path
 
 
-def write_jsonl(
-    tracers: Sequence[Tracer] | Tracer | Sequence[TraceEvent],
-    path: str | Path,
-) -> Path:
-    """Write one JSON object per event, raw-second timestamps; lossless."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    events = sorted(_event_lists(tracers), key=lambda e: (e.ts, e.rank))
-    with path.open("w") as fh:
-        for ev in events:
-            fh.write(json.dumps({
-                "name": ev.name, "cat": ev.cat, "ph": ev.ph, "ts": ev.ts,
-                "dur": ev.dur, "rank": ev.rank, "tid": ev.tid, "args": ev.args,
-            }))
-            fh.write("\n")
-    return path
+def load_trace(path: str | Path) -> list[Event]:
+    """Load a flight dump or a Chrome trace-event array as one timeline.
 
-
-def read_jsonl(path: str | Path) -> list[TraceEvent]:
-    """Load events written by :func:`write_jsonl`.
-
-    Tolerant of damaged files: a line that is not valid JSON (e.g. the
-    truncated final line of a rank that died mid-write) or that lacks the
-    required fields is skipped with a warning instead of losing the whole
-    trace.
+    Chrome-format metadata events (``ph="M"``) are dropped; timestamps come
+    back in seconds.  Anything else raises ``ValueError``.
     """
-    events: list[TraceEvent] = []
-    bad = 0
-    path = Path(path)
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                events.append(TraceEvent(
-                    name=row["name"], cat=row.get("cat", ""),
-                    ph=row.get("ph", PH_COMPLETE), ts=float(row["ts"]),
-                    dur=float(row.get("dur", 0.0)), rank=row.get("rank", 0),
-                    tid=row.get("tid", 0), args=row.get("args", {}),
-                ))
-            except (ValueError, KeyError, TypeError):
-                bad += 1
-    if bad and not events:
-        # Nothing parsed at all: this is not a damaged trace, it is not a
-        # trace.  Raising beats silently returning an empty timeline.
-        raise ValueError(f"no valid JSONL events ({bad} malformed line(s))")
-    if bad:
-        warnings.warn(
-            f"{path}: skipped {bad} malformed JSONL line(s)",
-            RuntimeWarning,
-            stacklevel=2,
+    data = json.loads(Path(path).read_text())
+    if isinstance(data, dict) and "ranks" in data:
+        return merge_ranks(data)
+    if not isinstance(data, list):
+        raise ValueError("neither a flight dump nor a Chrome trace-event array")
+    return [
+        Event(
+            ts=row.get("ts", 0.0) / 1e6,
+            dur=row.get("dur", 0.0) / 1e6,
+            kind=row.get("name", ""),
+            fields=dict(row.get("args", {})),
+            rank=int(row.get("pid", 0)),
         )
-    return events
-
-
-def load_trace(path: str | Path) -> list[TraceEvent]:
-    """Load a trace file in either supported format.
-
-    Chrome-format metadata events (``ph="M"``) are dropped; real events come
-    back as :class:`TraceEvent` with second-resolution timestamps.
-    """
-    path = Path(path)
-    text = path.read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        rows = json.loads(text)
-        return [
-            TraceEvent.from_chrome(row)
-            for row in rows
-            if row.get("ph") not in ("M",)
-        ]
-    return read_jsonl(path)
-
-
-def iter_spans(events: Iterable[TraceEvent]) -> Iterable[TraceEvent]:
-    """Only the complete (``ph="X"``) spans of an event stream."""
-    return (ev for ev in events if ev.ph == PH_COMPLETE)
+        for row in data
+        if row.get("ph") != "M"
+    ]

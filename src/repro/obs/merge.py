@@ -1,19 +1,20 @@
-"""Cross-rank trace analysis: merging, phase totals and overlap accounting.
+"""Cross-rank analysis of the event stream: merging, phase totals, bytes.
 
-Simulated ranks are threads sharing one ``perf_counter`` clock, so their
-events are directly comparable: a merge is a stable sort by timestamp with
-rank attribution intact.  On top of the merged timeline this module derives
-the paper's empirical objects:
+Every rank stamps its events with ``time.perf_counter`` (one monotonic
+clock for rank threads and forked rank processes alike), so the streams
+are directly comparable: a merge is a stable sort by timestamp with rank
+attribution intact.  On top of the merged timeline this module derives the
+paper's empirical objects, each a view over event kinds:
 
 * :func:`phase_totals` — the Figure 10 accounting (I/O, EXCHANGE, FW+BW,
-  GE+WU) as a view over ``cat="phase"`` spans, the single source of truth
-  that :func:`repro.train.telemetry.measure_phase_breakdown` now reports.
+  GE+WU) over the ``phase.<name>`` regions a traced run records; summing
+  an epoch's regions reproduces the ``epoch.phases`` totals the trainer
+  records and pushes every epoch.
 * :func:`overlap_report` — the Figure 4 question: how much of the PLS
-  exchange was posted *under* the training iterations (overlap chunks)
-  versus blocking at the epoch boundary, and how much wall-clock the
-  exchange spans share with FW+BW compute.
+  exchange was posted *under* the training iterations (overlap frames)
+  versus blocking at the epoch boundary (``mode`` of ``round.post``).
 * :func:`bytes_by_rank` — the §III-B communication volumes, from the
-  ``nbytes`` tags the communicator attaches to every send and collective.
+  ``nbytes`` the communicator and the scheduler attach to what they move.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import warnings
 from collections import defaultdict
 from typing import Iterable, Sequence
 
-from .tracer import PH_COMPLETE, TraceEvent, Tracer
+from .telemetry.flight import Event, FlightLog, rank_streams
 
 __all__ = [
     "merge_ranks",
@@ -33,34 +34,39 @@ __all__ = [
     "overlap_report",
 ]
 
-#: Category used by the training layers for Figure-10 phase spans.
-PHASE_CAT = "phase"
+#: Kind prefix of the Figure-10 phase regions.
+PHASE_PREFIX = "phase."
 
 #: Canonical Figure 10 phase order.
 PHASE_ORDER = ("io", "exchange", "fw_bw", "ge_wu")
 
 
 def merge_ranks(
-    per_rank: Sequence[Tracer] | Sequence[Iterable[TraceEvent]],
-) -> list[TraceEvent]:
+    source: FlightLog | dict | Sequence[Iterable[Event] | None],
+) -> list[Event]:
     """Merge per-rank event streams into one timestamp-ordered timeline.
 
-    Accepts tracers or raw event iterables; the sort is stable and keyed by
-    ``(ts, rank, name)`` so merging the same run twice yields the same
-    sequence (determinism is what the tests pin down).
+    ``source`` is a run's :class:`FlightLog` (``result.world.flight``), a
+    flight dump, or per-rank :class:`Event` iterables; the sort is stable
+    and keyed by ``(ts, rank, kind)`` so merging the same run twice yields
+    the same sequence (determinism is what the tests pin down).
 
     Degrades rather than raises on damaged input: a ``None`` stream (a rank
-    that died before producing a trace) is skipped, and events with
-    non-finite or negative timestamps/durations (clock skew, corrupted
-    rows) are dropped — each with one warning naming what was lost.
+    that died before leaving one) is skipped, and events with non-finite or
+    negative timestamps/durations (clock skew, corrupted rows) are dropped
+    — each with one warning naming what was lost.
     """
-    events: list[TraceEvent] = []
+    if isinstance(source, FlightLog):
+        source = [[Event(*ev, rec.rank) for ev in rec] for rec in source.recorders]
+    elif isinstance(source, dict):
+        source = rank_streams(source)
+    events: list[Event] = []
     missing = 0
-    for item in per_rank:
-        if item is None:
+    for stream in source:
+        if stream is None:
             missing += 1
             continue
-        events.extend(item.events if isinstance(item, Tracer) else item)
+        events.extend(stream)
     kept = [
         ev for ev in events
         if math.isfinite(ev.ts) and math.isfinite(ev.dur)
@@ -79,123 +85,87 @@ def merge_ranks(
             RuntimeWarning,
             stacklevel=2,
         )
-    kept.sort(key=lambda ev: (ev.ts, ev.rank, ev.name))
+    kept.sort(key=lambda ev: (ev.ts, ev.rank, ev.kind))
     return kept
 
 
-def phase_totals(events: Iterable[TraceEvent]) -> dict[str, float]:
-    """Total seconds per phase name over ``cat="phase"`` spans (all ranks).
-
-    This is the trace-side definition of the Figure 10 breakdown: summing a
-    rank's phase spans reproduces what a :class:`~repro.utils.timing.PhaseTimer`
-    wrapped around the same regions would have accumulated.
-    """
-    totals: dict[str, float] = {}
-    for ev in events:
-        if ev.ph == PH_COMPLETE and ev.cat == PHASE_CAT:
-            totals[ev.name] = totals.get(ev.name, 0.0) + ev.dur
-    return totals
-
-
-def phase_totals_by_rank(events: Iterable[TraceEvent]) -> dict[int, dict[str, float]]:
-    """Per-rank phase totals: ``{rank: {phase: seconds}}``."""
+def phase_totals_by_rank(events: Iterable[Event]) -> dict[int, dict[str, float]]:
+    """Per-rank seconds per phase: ``{rank: {phase: seconds}}``, summed
+    over the ``phase.<name>`` regions."""
     totals: dict[int, dict[str, float]] = defaultdict(dict)
     for ev in events:
-        if ev.ph == PH_COMPLETE and ev.cat == PHASE_CAT:
+        if ev.kind.startswith(PHASE_PREFIX):
+            name = ev.kind[len(PHASE_PREFIX):]
             row = totals[ev.rank]
-            row[ev.name] = row.get(ev.name, 0.0) + ev.dur
+            row[name] = row.get(name, 0.0) + ev.dur
     return dict(totals)
 
 
-def bytes_by_rank(events: Iterable[TraceEvent]) -> dict[int, dict[str, int]]:
+def phase_totals(events: Iterable[Event]) -> dict[str, float]:
+    """Total seconds per phase name over all ranks — the trace-side
+    definition of the Figure 10 breakdown."""
+    totals: dict[str, float] = {}
+    for per in phase_totals_by_rank(events).values():
+        for name, seconds in per.items():
+            totals[name] = totals.get(name, 0.0) + seconds
+    return totals
+
+
+def bytes_by_rank(events: Iterable[Event]) -> dict[int, dict[str, int]]:
     """Bytes moved per rank, split by traffic class.
 
-    Sums the ``nbytes`` argument of communicator spans: ``comm.p2p`` sends
-    count as ``p2p_sent``, received payloads as ``p2p_recv``, and collective
-    contributions as ``coll_contrib``.
+    ``p2p_sent`` sums the ``nbytes`` of ``p2p.isend`` and of the exchange's
+    own ``round.post`` (whose wire operation runs suspended, so a frame is
+    counted once, in logical sample bytes); ``p2p_recv`` the received
+    payloads of ``p2p.recv`` / ``p2p.irecv.wait`` and the ``recv_nbytes``
+    an ``epoch.commit`` installed; ``coll_contrib`` each ``coll.<op>``
+    contribution.
     """
     out: dict[int, dict[str, int]] = defaultdict(
         lambda: {"p2p_sent": 0, "p2p_recv": 0, "coll_contrib": 0}
     )
     for ev in events:
-        nbytes = ev.args.get("nbytes")
-        if nbytes is None:
-            continue
-        if ev.cat == "comm.p2p":
-            if ev.name in ("isend", "send"):
-                out[ev.rank]["p2p_sent"] += int(nbytes)
-            elif ev.name in ("recv", "irecv.wait"):
-                out[ev.rank]["p2p_recv"] += int(nbytes)
-        elif ev.cat == "comm.coll":
-            out[ev.rank]["coll_contrib"] += int(nbytes)
+        kind, fields = ev.kind, ev.fields
+        if kind in ("p2p.isend", "round.post"):
+            out[ev.rank]["p2p_sent"] += int(fields.get("nbytes", 0))
+        elif kind in ("p2p.recv", "p2p.irecv.wait"):
+            out[ev.rank]["p2p_recv"] += int(fields.get("nbytes", 0))
+        elif kind == "epoch.commit":
+            out[ev.rank]["p2p_recv"] += int(fields.get("recv_nbytes", 0))
+        elif kind.startswith("coll."):
+            out[ev.rank]["coll_contrib"] += int(fields.get("nbytes", 0))
     return dict(out)
 
 
-def _intervals(events: Iterable[TraceEvent], cat: str, name: str | None = None):
-    """(start, end) intervals of matching spans, per rank."""
-    per_rank: dict[int, list[tuple[float, float]]] = defaultdict(list)
-    for ev in events:
-        if ev.ph == PH_COMPLETE and ev.cat == cat and (name is None or ev.name == name):
-            per_rank[ev.rank].append((ev.ts, ev.end))
-    for spans in per_rank.values():
-        spans.sort()
-    return per_rank
-
-
-def _overlap_seconds(
-    a: list[tuple[float, float]], b: list[tuple[float, float]]
-) -> float:
-    """Total length of the intersection of two sorted interval lists."""
-    total = 0.0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi > lo:
-            total += hi - lo
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
-
-
-def overlap_report(events: Iterable[TraceEvent]) -> dict[int, dict[str, float]]:
+def overlap_report(events: Iterable[Event]) -> dict[int, dict[str, float]]:
     """Per-rank Figure 4 attribution of the PLS exchange.
 
     For each rank returns::
 
         {
-          "exchange_s":          total seconds in exchange-phase spans,
-          "overlap_rounds_s":    seconds in rounds posted from on_iteration,
-          "blocking_rounds_s":   seconds in rounds posted at the epoch edge,
-          "overlap_with_fw_bw_s": exchange wall-clock shared with FW+BW spans,
+          "exchange_s":        total seconds in exchange-phase regions,
+          "overlap_rounds_s":  seconds posting frames from on_iteration,
+          "blocking_rounds_s": seconds posting frames at the epoch edge,
         }
 
-    ``mode`` comes from the scheduler's per-round spans ("overlap" when
-    posted by ``communicate_chunk``, "blocking" otherwise).
+    ``mode`` comes from the scheduler's ``round.post`` events ("overlap"
+    when posted by ``communicate_chunk``, "blocking" otherwise).
     """
     events = list(events)
-    report: dict[int, dict[str, float]] = {}
-    exchange_phase = _intervals(events, PHASE_CAT, "exchange")
-    fw_bw_phase = _intervals(events, PHASE_CAT, "fw_bw")
+    phases = phase_totals_by_rank(events)
     mode_time: dict[int, dict[str, float]] = defaultdict(
         lambda: {"overlap": 0.0, "blocking": 0.0}
     )
     for ev in events:
-        if ev.ph == PH_COMPLETE and ev.cat == "exchange" and "mode" in ev.args:
-            mode = str(ev.args["mode"])
+        if ev.kind == "round.post":
+            mode = str(ev.fields.get("mode"))
             if mode in ("overlap", "blocking"):
                 mode_time[ev.rank][mode] += ev.dur
-    ranks = set(exchange_phase) | set(mode_time)
-    for rank in sorted(ranks):
-        exch = exchange_phase.get(rank, [])
-        report[rank] = {
-            "exchange_s": sum(hi - lo for lo, hi in exch),
+    return {
+        rank: {
+            "exchange_s": phases.get(rank, {}).get("exchange", 0.0),
             "overlap_rounds_s": mode_time[rank]["overlap"],
             "blocking_rounds_s": mode_time[rank]["blocking"],
-            "overlap_with_fw_bw_s": _overlap_seconds(
-                exch, fw_bw_phase.get(rank, [])
-            ),
         }
-    return report
+        for rank in sorted(set(mode_time) | set(phases))
+    }

@@ -1,15 +1,16 @@
-"""Counters, gauges and histograms for per-rank runtime metrics.
+"""Counters, gauges and histograms for runtime totals.
 
-The tracer answers *when*; the registry answers *how much in total* —
-bytes sent per peer, loss per epoch, allreduce wait distributions — without
-the cost of storing one event per observation.  Instruments are
-created-on-first-use (Prometheus style) so instrumented code never has to
-declare them up front::
+The flight recorder answers *when*; the registry answers *how much in
+total* — requests served per tenant, queue depth, latency distributions —
+without the cost of storing one event per observation.  Its users are the
+serve tier (:mod:`repro.serve`) and, through :class:`Reservoir`, the
+telemetry aggregator.  Instruments are created-on-first-use (Prometheus
+style) so instrumented code never has to declare them up front::
 
     reg = MetricsRegistry()
-    reg.counter("comm.p2p.bytes_sent").inc(4096)
-    reg.gauge("train.loss").set(0.41)
-    reg.histogram("train.straggler_wait_s").observe(0.002)
+    reg.counter("serve.requests").inc()
+    reg.gauge("serve.queue_depth").set(3)
+    reg.histogram("serve.latency_s").observe(0.002)
     reg.snapshot()  # plain-dict view for export / assertions
 
 All instruments are thread-safe: ranks are threads and a registry may be

@@ -1,7 +1,7 @@
 """Trace summarisation: what ``repro trace <file>`` prints.
 
-Turns a trace file (Chrome JSON array or JSONL) into the tables an
-experimenter actually wants on the terminal:
+Turns an event stream (a flight dump or a Chrome JSON array) into the
+tables an experimenter actually wants on the terminal:
 
 * per-phase totals — the Figure 10 split, per rank and aggregated;
 * per-rank byte counts — the §III-B traffic view;
@@ -22,14 +22,14 @@ from repro.utils.units import format_size
 
 from .export import load_trace
 from .merge import (
-    PHASE_CAT,
     PHASE_ORDER,
+    PHASE_PREFIX,
     bytes_by_rank,
     overlap_report,
     phase_totals,
     phase_totals_by_rank,
 )
-from .tracer import PH_COMPLETE, TraceEvent
+from .telemetry.flight import Event
 
 __all__ = ["TraceSummary", "summarize_events", "summarize_trace", "render_summary"]
 
@@ -45,15 +45,15 @@ class TraceSummary:
     phase_by_rank: dict[int, dict[str, float]]
     bytes_by_rank: dict[int, dict[str, int]]
     overlap: dict[int, dict[str, float]]
-    top_spans: list[TraceEvent] = field(default_factory=list)
-    events: list[TraceEvent] = field(default_factory=list, repr=False)
+    top_spans: list[Event] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list, repr=False)
 
 
 def summarize_events(
-    events: Sequence[TraceEvent], *, top: int = 10
+    events: Sequence[Event], *, top: int = 10
 ) -> TraceSummary:
     """Digest an event list (see :class:`TraceSummary`)."""
-    spans = [ev for ev in events if ev.ph == PH_COMPLETE]
+    spans = [ev for ev in events if ev.dur]
     ranks = sorted({ev.rank for ev in events})
     t_lo = min((ev.ts for ev in events), default=0.0)
     t_hi = max((ev.end for ev in events), default=0.0)
@@ -71,17 +71,17 @@ def summarize_events(
 
 
 def summarize_trace(path: str | Path, *, top: int = 10) -> TraceSummary:
-    """Load + digest a trace file in either supported format."""
+    """Load + digest a flight dump or a Chrome trace file."""
     return summarize_events(load_trace(path), top=top)
 
 
-def _phase_lanes(events: Sequence[TraceEvent]) -> dict[str, list[tuple[float, float]]]:
+def _phase_lanes(events: Sequence[Event]) -> dict[str, list[tuple[float, float]]]:
     """One Gantt lane per (rank, phase), ordered rank-major, Figure-10 phase
     order within a rank."""
     lanes: dict[tuple[int, str], list[tuple[float, float]]] = defaultdict(list)
     for ev in events:
-        if ev.ph == PH_COMPLETE and ev.cat == PHASE_CAT:
-            lanes[(ev.rank, ev.name)].append((ev.ts, ev.end))
+        if ev.kind.startswith(PHASE_PREFIX):
+            lanes[(ev.rank, ev.kind[len(PHASE_PREFIX):])].append((ev.ts, ev.end))
     order = {name: i for i, name in enumerate(PHASE_ORDER)}
 
     def key(rank_phase: tuple[int, str]):
@@ -134,24 +134,22 @@ def render_summary(
            for v in summary.overlap.values()):
         rows = [
             [f"rank {rank}", f"{v['exchange_s']:.4f}",
-             f"{v['overlap_rounds_s']:.4f}", f"{v['blocking_rounds_s']:.4f}",
-             f"{v['overlap_with_fw_bw_s']:.4f}"]
+             f"{v['overlap_rounds_s']:.4f}", f"{v['blocking_rounds_s']:.4f}"]
             for rank, v in sorted(summary.overlap.items())
         ]
         parts.append(render_table(
-            ["", "exchange (s)", "overlap rounds (s)", "blocking rounds (s)",
-             "shared w/ FW+BW (s)"],
+            ["", "exchange (s)", "overlap rounds (s)", "blocking rounds (s)"],
             rows, title="exchange overlap attribution (Figure 4)",
         ))
 
     if summary.top_spans:
         rows = [
-            [ev.name, ev.cat, f"rank {ev.rank}", f"{ev.dur:.5f}",
-             format_size(ev.args["nbytes"]) if "nbytes" in ev.args else "-"]
+            [ev.kind, f"rank {ev.rank}", f"{ev.dur:.5f}",
+             format_size(ev.fields["nbytes"]) if "nbytes" in ev.fields else "-"]
             for ev in summary.top_spans
         ]
         parts.append(render_table(
-            ["span", "cat", "rank", "dur (s)", "bytes"], rows,
+            ["span", "rank", "dur (s)", "bytes"], rows,
             title="top spans by duration",
         ))
 

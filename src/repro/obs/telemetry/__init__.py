@@ -1,9 +1,8 @@
-"""Always-on telemetry: flight recorder, cross-rank aggregation, health.
+"""The recorder, cross-rank aggregation, health.
 
-Three layers, all cheap enough to leave on while full tracing stays off:
-
-* :mod:`~repro.obs.telemetry.flight` — bounded per-rank rings of the last
-  K structured events, dumped automatically on faults;
+* :mod:`~repro.obs.telemetry.flight` — the one recorder per rank: a
+  bounded ring of the last K structured events, dumped automatically on
+  faults; unbounded and with per-message detail under ``tracing=True``;
 * :mod:`~repro.obs.telemetry.aggregate` — collective-free per-epoch metric
   pushes folded into cross-rank time-series with streaming quantiles,
   exported as JSON + OpenMetrics;
@@ -29,8 +28,10 @@ from .flight import (
     DEFAULT_FLIGHT_CAPACITY,
     FLIGHT_DIR_ENV,
     FLIGHT_SCHEMA,
+    Event,
     FlightLog,
     FlightRecorder,
+    rank_streams,
 )
 from .health import (
     HealthFinding,
@@ -43,16 +44,15 @@ from .health import (
     render_rank_summary,
     run_health_checks,
 )
-from .phases import PhaseClock
 
 __all__ = [
     "DEFAULT_FLIGHT_CAPACITY",
+    "Event",
     "FLIGHT_DIR_ENV",
     "FLIGHT_SCHEMA",
     "FlightLog",
     "FlightRecorder",
     "HealthFinding",
-    "PhaseClock",
     "TELEMETRY_SCHEMA",
     "TELEMETRY_TAG",
     "TelemetryAggregator",
@@ -62,6 +62,7 @@ __all__ = [
     "detect_stragglers",
     "drain_pending",
     "push_metrics",
+    "rank_streams",
     "render_findings",
     "render_flight_timeline",
     "render_rank_summary",

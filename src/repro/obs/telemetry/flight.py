@@ -1,21 +1,35 @@
-"""The flight recorder: bounded per-rank rings of structured events.
+"""The flight recorder: the one thing instrumented code writes to.
 
-Full tracing stores everything and therefore stays opt-in; the flight
-recorder is the always-on complement — a fixed-size ring per rank holding
-the *last K* structured events (exchange attempts, ACKs, NACKs, rollbacks,
-phase durations, RNG fingerprints, recovery steps) at near-zero cost:
-recording is one ``deque.append`` of a small tuple behind one enabled
-check, and an idle recorder costs nothing.
+Every rank has one :class:`FlightRecorder`, reached as ``comm.flight`` on
+both backends.  What a layer knows about a run — a frame posted, a NACK, a
+commit, a rank death, a collective's wait, a Figure-10 phase region — is
+one event ``(ts, dur, kind, fields)`` appended to that rank's ring
+(``dur = 0`` for an instant; ``ts`` is ``time.perf_counter`` read *at the
+rank*, ``CLOCK_MONOTONIC``, so events of different ranks — threads or
+forked processes — sort on one axis).
+
+Two regimes, one stream:
+
+* **Always on.**  The protocol-level events (``exchange.plan``,
+  ``round.*``, ``epoch.*``, ``lifecycle.*``, ``elastic.*``, ``rank.died``)
+  go into a bounded ring of the last K events at near-zero cost: one
+  ``enabled`` test, one or two clock reads, one ``deque.append``.  Phase
+  regions (:meth:`FlightRecorder.phase`) always add into per-epoch totals.
+* **Detail** (``run_spmd(tracing=True)``, and nothing else).  The
+  per-message and per-step sites (p2p calls, collectives, phase regions)
+  test :attr:`FlightRecorder.detail` before they build an event, and the
+  ring loses its bound — so the full stream *is* the ring, and a flight
+  dump of a traced run is its trace.
 
 When something dies — a chaos kill, an :class:`UnrecoveredFaultError`, a
 shrink after a rank death, a world abort — the fault path calls
 :meth:`FlightLog.dump` and gets a post-mortem artifact containing every
-rank's recent history, because the ring buffers live on the shared
-:class:`~repro.mpi.world.World` (ranks are threads): the survivors' state
-is right there, no collection protocol needed.  Dumps are deduplicated by
-key so N survivors observing one failure produce one artifact, and are
-optionally written as JSON next to the run (``dump_dir`` or the
-``REPRO_FLIGHT_DIR`` environment variable).
+rank's recent history, because the rings live on the shared
+:class:`~repro.mpi.world.World`: the survivors' state is right there, no
+collection protocol needed.  Dumps are deduplicated by key so N survivors
+observing one failure produce one artifact, and are optionally written as
+JSON next to the run (``dump_dir`` or the ``REPRO_FLIGHT_DIR`` environment
+variable).
 
 This module is deliberately free of :mod:`repro.mpi` imports: the mpi
 layer owns a ``FlightLog``, not the other way round.
@@ -29,10 +43,13 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
+from typing import Any, Iterator, NamedTuple
 
 __all__ = [
+    "Event",
     "FlightRecorder",
     "FlightLog",
+    "rank_streams",
     "FLIGHT_SCHEMA",
     "DEFAULT_FLIGHT_CAPACITY",
     "FLIGHT_DIR_ENV",
@@ -50,33 +67,219 @@ DEFAULT_FLIGHT_CAPACITY = 512
 FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
 
 
-class FlightRecorder:
-    """One rank's bounded event ring.
+class Event(NamedTuple):
+    """One event of one rank — the shape every reader works on.
 
-    ``record`` is the hot path: one enabled check, one ``perf_counter``
-    read, one deque append (atomic under CPython, so no lock).  Events are
-    ``(ts, kind, fields)`` tuples; ``fields`` must be JSON-serialisable
-    scalars/tuples so a dump can always be written.
+    A ring holds the first four fields; the rank is attached when streams
+    of several ranks are put side by side (:func:`rank_streams`,
+    :func:`repro.obs.merge_ranks`).
     """
 
-    __slots__ = ("rank", "enabled", "_ring")
+    ts: float  # start time (perf_counter seconds)
+    dur: float  # seconds; 0.0 for an instant
+    kind: str  # dotted name, e.g. "round.post", "coll.allreduce", "phase.io"
+    fields: dict[str, Any]
+    rank: int
+
+    @property
+    def end(self) -> float:
+        """End timestamp (``ts + dur``)."""
+        return self.ts + self.dur
+
+
+def rank_streams(dump: dict) -> list[list[Event]]:
+    """The per-rank event lists of a flight dump (:data:`FLIGHT_SCHEMA`).
+
+    Inverse of the dict view :meth:`FlightRecorder.events` writes: ``ts``,
+    ``kind`` and (on timed events) ``dur`` are the event's own, every other
+    key is a field.
+    """
+    return [
+        [
+            Event(
+                float(row.get("ts", 0.0)), float(row.get("dur", 0.0)),
+                row.get("kind", ""),
+                {k: v for k, v in row.items() if k not in ("ts", "dur", "kind")},
+                int(rank),
+            )
+            for row in rows
+        ]
+        for rank, rows in dump.get("ranks", {}).items()
+    ]
+
+
+class _NullSpan:
+    """Shared do-nothing context manager of a disabled recorder."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        return False
+
+    def set(self, **fields: Any) -> None:
+        """Ignore post-hoc fields."""
+
+
+_NULL_SPAN = _NullSpan()
+
+
+class _Span:
+    """Times one region; appends one event on exit."""
+
+    __slots__ = ("_rec", "_kind", "_fields", "_t0")
+
+    def __init__(self, rec: "FlightRecorder", kind: str, fields: dict[str, Any]):
+        self._rec = rec
+        self._kind = kind
+        self._fields = fields
+        self._t0 = 0.0
+
+    def set(self, **fields: Any) -> None:
+        """Attach fields discovered while the region is open (e.g. the byte
+        count of a message that only exists after the receive completes)."""
+        self._fields.update(fields)
+
+    def __enter__(self) -> "_Span":
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, *exc: object) -> bool:
+        t1 = time.perf_counter()
+        if exc_type is not None:
+            # The kind says what was attempted; a post-mortem reader must
+            # be able to tell that it did not happen.
+            self._fields["error"] = exc_type.__name__
+        self._rec.append((self._t0, t1 - self._t0, self._kind, self._fields))
+        return False
+
+
+class _Phase:
+    """Times one phase region; adds into the epoch's totals."""
+
+    __slots__ = ("_rec", "_name", "_t0")
+
+    def __init__(self, rec: "FlightRecorder", name: str) -> None:
+        self._rec = rec
+        self._name = name
+        self._t0 = 0.0
+
+    def __enter__(self) -> "_Phase":
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        dur = time.perf_counter() - self._t0
+        rec = self._rec
+        totals = rec._phases
+        totals[self._name] = totals.get(self._name, 0.0) + dur
+        if rec.detail:
+            rec.append((self._t0, dur, "phase." + self._name, {}))
+        return False
+
+
+class _Suspension:
+    """Context manager flipping a recorder's ``detail`` off and back.
+
+    Re-entrant on one rank's thread (the previous state is restored on
+    exit); a recorder belongs to one rank, so no cross-thread state is
+    involved.
+    """
+
+    __slots__ = ("_rec", "_prev")
+
+    def __init__(self, rec: "FlightRecorder") -> None:
+        self._rec = rec
+        self._prev = False
+
+    def __enter__(self) -> "_Suspension":
+        self._prev = self._rec.detail
+        self._rec.detail = False
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        self._rec.detail = self._prev
+        return False
+
+
+class FlightRecorder:
+    """One rank's event ring.
+
+    Events are ``(ts, dur, kind, fields)`` tuples; ``fields`` must be
+    JSON-serialisable scalars/tuples so a dump can always be written.
+    ``append`` is the one step that differs between backends: the ring's
+    own ``append`` here (atomic under CPython, so no lock), a
+    fire-and-forget cast to the parent-hosted ring in a ``procs`` rank
+    process (:mod:`repro.mpi.procs`).
+    """
+
+    __slots__ = ("rank", "enabled", "detail", "append", "_phases", "_ring")
 
     def __init__(self, rank: int, capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
         self.rank = rank
         self.enabled = True
+        #: True exactly when the run was launched with ``tracing=True``:
+        #: the per-message / per-step sites test it before building a span.
+        self.detail = False
+        self._phases: dict[str, float] = {}
         self._ring: deque = deque(maxlen=capacity)
+        self.append = self._ring.append
 
-    def record(self, kind: str, **fields) -> None:
-        """Append one event to the ring (drops the oldest when full)."""
+    def record(self, kind: str, **fields: Any) -> None:
+        """Append one instant event (drops the oldest when the ring is full)."""
         if self.enabled:
-            self._ring.append((time.perf_counter(), kind, fields))
+            self.append((time.perf_counter(), 0.0, kind, fields))
+
+    def span(self, kind: str, **fields: Any):
+        """Context manager timing one region: one event on exit, with an
+        ``error`` field naming the exception if the region raised.  More
+        fields can be attached inside the region with ``.set(**fields)``."""
+        if not self.enabled:
+            return _NULL_SPAN
+        return _Span(self, kind, fields)
+
+    def phase(self, name: str) -> _Phase:
+        """Context manager timing one Figure-10 phase region (``io`` /
+        ``exchange`` / ``fw_bw`` / ``ge_wu``): two clock reads and a dict
+        update into the totals :meth:`take_phases` hands out, plus — under
+        ``detail`` only — one ``phase.<name>`` event per region."""
+        return _Phase(self, name)
+
+    def take_phases(self) -> dict[str, float]:
+        """Seconds per phase since the last call (the epoch's totals)."""
+        totals = self._phases
+        self._phases = {}
+        return totals
+
+    def suspended(self) -> _Suspension:
+        """Context manager: no detail events from this rank for a while.
+
+        Used by instrumentation that performs wire operations whose *timing*
+        is inherently racy (the exchange's ACK/NACK control plane) and are
+        already covered by a deterministically ordered event of its own —
+        keeping a traced run's per-rank stream reproducible run-to-run.
+        """
+        return _Suspension(self)
+
+    def enable_detail(self) -> None:
+        """Turn ``detail`` on and keep every event from here on."""
+        self.detail = True
+        self._ring = deque(self._ring)
+        self.append = self._ring.append
 
     def events(self) -> list[dict]:
-        """Snapshot of the ring, oldest first, as plain dicts."""
-        return [
-            {"ts": ts, "kind": kind, **fields}
-            for ts, kind, fields in list(self._ring)
-        ]
+        """Snapshot of the ring, oldest first, as plain dicts:
+        ``{"ts", "kind", **fields}``, plus ``"dur"`` on timed events."""
+        out = []
+        for ts, dur, kind, fields in self:
+            view = {"ts": ts, "kind": kind}
+            if dur:
+                view["dur"] = dur
+            view.update(fields)
+            out.append(view)
+        return out
 
     def clear(self) -> None:
         """Drop all retained events."""
@@ -84,6 +287,10 @@ class FlightRecorder:
 
     def __len__(self) -> int:
         return len(self._ring)
+
+    def __iter__(self) -> Iterator[tuple]:
+        """The ring's ``(ts, dur, kind, fields)`` tuples, oldest first."""
+        return iter(list(self._ring))
 
 
 class FlightLog:
@@ -112,7 +319,7 @@ class FlightLog:
         capacity: int = DEFAULT_FLIGHT_CAPACITY,
         dump_dir: str | Path | None = None,
     ) -> None:
-        self.capacity = capacity
+        self.capacity: int | None = capacity
         self.recorders = [FlightRecorder(r, capacity) for r in range(size)]
         env_dir = os.environ.get(FLIGHT_DIR_ENV)
         self.dump_dir: Path | None = (
@@ -140,6 +347,18 @@ class FlightLog:
         """Enable/disable every rank's recorder (the overhead-bench knob)."""
         for rec in self.recorders:
             rec.enabled = bool(flag)
+
+    @property
+    def detail(self) -> bool:
+        """Whether the run records per-message / per-step events."""
+        return bool(self.recorders) and self.recorders[0].detail
+
+    def enable_detail(self) -> None:
+        """What ``run_spmd(tracing=True)`` does: every rank's ``detail`` on
+        and no bound on the rings, from before the first rank starts."""
+        self.capacity = None
+        for rec in self.recorders:
+            rec.enable_detail()
 
     # ----------------------------------------------------------------- dumps
     def dump(self, reason: str, *, key: object = None, extra: dict | None = None) -> dict | None:

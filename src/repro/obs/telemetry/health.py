@@ -41,6 +41,8 @@ from dataclasses import dataclass, field
 from repro.utils.ascii_plot import sparkline
 from repro.utils.tables import render_table
 
+from .flight import rank_streams
+
 __all__ = [
     "HealthFinding",
     "detect_stragglers",
@@ -391,27 +393,24 @@ def render_flight_timeline(
     shrink, degraded continue, checkpoint, crash, restart, rejoin,
     rebalance — from the post-mortem file alone.
     """
-    rows = []
-    for rank_s, events in dump.get("ranks", {}).items():
-        for event in events:
-            kind = event.get("kind", "")
-            if kind.startswith(prefixes):
-                rows.append((float(event.get("ts", 0.0)), int(rank_s), event))
+    rows = sorted(
+        (
+            ev for stream in rank_streams(dump) for ev in stream
+            if ev.kind.startswith(prefixes)
+        ),
+        key=lambda ev: ev.ts,
+    )
     if not rows:
         return "flight: no lifecycle events recorded"
-    rows.sort(key=lambda r: r[0])
-    t0 = rows[0][0]
+    t0 = rows[0].ts
     table = [
         [
-            f"+{ts - t0:.3f}s",
-            rank,
-            event["kind"],
-            ", ".join(
-                f"{k}={v}" for k, v in event.items()
-                if k not in ("ts", "kind")
-            ),
+            f"+{ev.ts - t0:.3f}s",
+            ev.rank,
+            ev.kind,
+            ", ".join(f"{k}={v}" for k, v in ev.fields.items()),
         ]
-        for ts, rank, event in rows
+        for ev in rows
     ]
     return render_table(
         ["t", "rank", "transition", "detail"],

@@ -306,19 +306,16 @@ class Scheduler:
         self._epoch_t0 = 0.0        # monotonic clock at scheduling()
         self._n_local = 0           # shard size at scheduling()
         self._planned_extra = 0     # deficit repayment baked into this plan
-        # Observability: the communicator's per-rank tracer (disabled no-op
-        # by default).  Exchange spans carry cat="exchange" so the Figure 4
-        # overlap attribution can tell posting modes apart.
-        self.tracer = comm.tracer
-        # Always-on flight recorder ring: every protocol step (plan, post,
-        # verify, ACK, NACK, resend, commit, rollback) leaves a bounded
-        # breadcrumb, so a fault dump reconstructs the last K frames even
-        # with tracing off.
+        # This rank's recorder: every protocol step (plan, post, verify,
+        # ACK, NACK, resend, commit, rollback) is one event, so a fault dump
+        # reconstructs the last K frames even with tracing off; ``round.post``
+        # carries its ``mode`` so the Figure 4 overlap attribution can tell
+        # posting modes apart.
         self.flight = comm.flight
 
         # Statistics for the performance/accounting benchmarks.  Byte counts
         # use the wire-size model (payload_nbytes: sample array + label), so
-        # they agree with the tracer's nbytes tags and the world's counters.
+        # they agree with the events' nbytes fields and the world's counters.
         # Sent totals are counted at *commit* (what the exchange actually
         # achieved); retransmissions go to resent_bytes.
         self.total_sent_samples = 0
@@ -360,8 +357,9 @@ class Scheduler:
             chaos.note_epoch(self.comm.group[self.comm.rank], self.epoch)
         n_local = len(self.storage)
         self._n_local = n_local
-        with self.tracer.span(
-            "exchange.scheduling", cat="exchange", epoch=self.epoch, q=self.fraction
+        with self.flight.span(
+            "exchange.plan", epoch=self.epoch, q=self.fraction,
+            deficit=self.q_deficit,
         ) as sp:
             # Shard sizes may differ by one across ranks (N mod M != 0), but the
             # balanced exchange requires every rank to play the same number of
@@ -402,19 +400,14 @@ class Scheduler:
                 check_identical(
                     self.plan.destinations, label=f"exchange-plan/epoch{epoch}"
                 )
-            sp.set(samples=k, rounds=n_messages)
-        self.flight.record(
-            "exchange.plan",
-            epoch=self.epoch,
-            rounds=n_messages,
-            samples=k,
-            q=self.fraction,
-            deficit=self.q_deficit,
-            # CRC of the destination matrix: two ranks whose fingerprints
-            # differ diverged on the shared-seed plan — the first thing a
-            # post-mortem checks.
-            rng_fingerprint=zlib.crc32(self.plan.destinations.tobytes()),
-        )
+            sp.set(
+                rounds=n_messages,
+                samples=k,
+                # CRC of the destination matrix: two ranks whose fingerprints
+                # differ diverged on the shared-seed plan — the first thing a
+                # post-mortem checks.
+                rng_fingerprint=zlib.crc32(self.plan.destinations.tobytes()),
+            )
         self._next_round = 0
         self._window = 0
         self._send_reqs = []
@@ -512,7 +505,6 @@ class Scheduler:
             self._window = self.chunk_rounds
         parity = (self.epoch % 2) * _EPOCH_PARITY_BIT
         size = self.comm.size
-        tr = self.tracer
         while self._next_round < upto:
             lo = self._next_round
             hi = min(lo + self._window, self.plan.rounds)
@@ -531,8 +523,7 @@ class Scheduler:
                 fr = _Frame("recv", window, src, tag, int(owed[src]))
                 # The shared seed tells us the source; a matched irecv is
                 # deterministic while remaining wire-identical to ANY_SOURCE.
-                with tr.suspended():
-                    fr.recv_req = self.comm.irecv(source=src, tag=tag)
+                fr.recv_req = self.comm.irecv(source=src, tag=tag)
                 self._recv_reqs.append(fr.recv_req)
                 self._recvs.append(fr)
             self._next_round = hi
@@ -549,7 +540,6 @@ class Scheduler:
     ) -> None:
         """Pack, seal and isend one frame — the selected samples at indices
         ``picked`` (plan-round order); retain its buffer until ACKed."""
-        tr = self.tracer
         ids = self._selected_ids
         block = self.storage.take([ids[i] for i in picked.tolist()])
         self._sent_gids[picked] = block.gids
@@ -562,28 +552,15 @@ class Scheduler:
         # (contiguous) touches the sample bytes until the install copy.
         fr.payload = pack_samples(block, pool=self.comm.pool)
         self.comm.count_copy(fr.payload.payload.nbytes)
-        self.flight.record(
+        # The timed post.  The wire op under it runs suspended: this event,
+        # in logical sample bytes and plan order, is the frame's one record
+        # (the racy protocol must not make traces unreproducible).
+        with self.flight.span(
             "round.post", epoch=self.epoch, window=window, peer=dest,
             nbytes=fr.nbytes, samples=fr.samples, mode=mode,
-        )
-        with tr.span(
-            "exchange.round", cat="exchange", epoch=self.epoch, q=self.fraction,
-            window=window, mode=mode, samples=fr.samples, nbytes=fr.nbytes,
-            dest=dest,
-        ):
+        ), self.flight.suspended():
             env = Checksummed.wrap(fr.payload, meta=(self.epoch, window, 0))
-            # Wire ops run untraced; the deterministic equivalent events
-            # are emitted below (see _Suspension: the racy protocol must
-            # not make traces unreproducible).
-            with tr.suspended():
-                self._send_reqs.append(self.comm.isend(env, dest=dest, tag=tag))
-            if tr.enabled:
-                with tr.span(
-                    "isend", cat="comm.p2p", peer=dest, tag=tag, nbytes=fr.nbytes
-                ):
-                    pass
-                tr.metrics.counter("comm.p2p.msgs_sent").inc()
-                tr.metrics.counter("comm.p2p.bytes_sent").inc(fr.nbytes)
+            self._send_reqs.append(self.comm.isend(env, dest=dest, tag=tag))
         self._sends[window, dest] = fr
 
     # -------------------------------------------------------------- complete
@@ -604,19 +581,11 @@ class Scheduler:
                 f"only {self._next_round}/{self.plan.rounds} rounds posted; "
                 "call communicate() before synchronize()"
             )
-        with self.tracer.span(
-            "exchange.synchronize", cat="exchange", epoch=self.epoch,
-            q=self.fraction, rounds=self.plan.rounds,
-        ) as sp:
+        with self.flight.span("epoch.commit", epoch=self.epoch) as sp:
             committed = self._complete_rounds()
             self._apply_commit(committed, sp)
 
     # -------------------------------------------------------- frame protocol
-    def _metric_inc(self, name: str, n: int = 1) -> None:
-        tr = self.tracer
-        if tr.enabled:
-            tr.metrics.counter(name).inc(n)
-
     def _unrecovered(self, message: str, **fields) -> None:
         """Give up on the exchange: record, dump the flight log, raise.
 
@@ -709,7 +678,7 @@ class Scheduler:
         progress = False
         status = Status()
         while self.comm.iprobe(source=ANY_SOURCE, tag=ctrl_tag):
-            with self.tracer.suspended():
+            with self.flight.suspended():
                 kind, ep, window = self.comm.recv(
                     source=ANY_SOURCE, tag=ctrl_tag, status=status
                 )
@@ -717,7 +686,6 @@ class Scheduler:
             fr = self._sends.get(key) if ep == self.epoch else None
             if fr is None:
                 self.stale_discards += 1
-                self._metric_inc("exchange.stale_discards")
                 continue
             if fr.state != "inflight":
                 continue  # duplicate ACK, or a NACK that crossed our ACK
@@ -741,7 +709,6 @@ class Scheduler:
                 fr.advance("nack")
                 self.resends += 1
                 self.resent_bytes += fr.nbytes
-                self._metric_inc("exchange.resends")
                 self.flight.record(
                     "round.resend", epoch=self.epoch, window=window,
                     peer=fr.peer, attempt=fr.attempts,
@@ -749,7 +716,7 @@ class Scheduler:
                 env = Checksummed.wrap(
                     fr.payload, meta=(self.epoch, window, fr.attempts)
                 )
-                with self.tracer.suspended():
+                with self.flight.suspended():
                     self._send_reqs.append(
                         self.comm.isend(env, dest=fr.peer, tag=fr.tag)
                     )
@@ -771,7 +738,6 @@ class Scheduler:
             # or a resend that raced a deadline): discard, keep listening.
             fr.advance("data_stale")
             self.stale_discards += 1
-            self._metric_inc("exchange.stale_discards")
             self.flight.record(
                 "round.stale", epoch=self.epoch, window=fr.window,
                 peer=fr.peer, got=(ep, window),
@@ -793,13 +759,12 @@ class Scheduler:
                 "round.verified", epoch=self.epoch, window=fr.window,
                 peer=fr.peer, nbytes=env.payload.nbytes, samples=fr.samples,
             )
-            with self.tracer.suspended():
+            with self.flight.suspended():
                 self.comm.send(
                     ("ack", self.epoch, fr.window), dest=fr.peer, tag=ctrl_tag
                 )
         else:
             self.crc_rejects += 1
-            self._metric_inc("exchange.crc_rejects")
             self.flight.record(
                 "round.crc_reject", epoch=self.epoch, window=fr.window,
                 peer=fr.peer,
@@ -829,12 +794,11 @@ class Scheduler:
             )
         if timed_out:
             self.timeout_nacks += 1
-            self._metric_inc("exchange.timeout_nacks")
         self.flight.record(
             "round.nack", epoch=self.epoch, window=fr.window, peer=fr.peer,
             timed_out=timed_out, nacks=fr.attempts,
         )
-        with self.tracer.suspended():
+        with self.flight.suspended():
             self.comm.send(
                 ("nack", self.epoch, fr.window), dest=fr.peer, tag=ctrl_tag
             )
@@ -888,7 +852,6 @@ class Scheduler:
         # done with it, so frames recycle and no storage entry keeps one
         # alive.  A frame rolled back after verification was never installed
         # and goes straight back to the pool.
-        tr = self.tracer
         staged: list[SampleBlock] = []
         positions: list[np.ndarray] = []
         for fr in self._recvs:
@@ -904,17 +867,6 @@ class Scheduler:
                 )
                 positions.append(first + np.flatnonzero(src_of == fr.peer))
                 self.comm.count_copy(fr.payload.payload.nbytes)
-                if tr.enabled:
-                    # Receive events are emitted here, in frame order, not at
-                    # the (racy) moment each payload verified — keeping
-                    # per-rank traces deterministic, byte accounting intact.
-                    with tr.span(
-                        "recv", cat="comm.p2p", peer=fr.peer, tag=fr.tag,
-                        nbytes=block.nbytes,
-                    ):
-                        pass
-                    tr.metrics.counter("comm.p2p.msgs_recv").inc()
-                    tr.metrics.counter("comm.p2p.bytes_recv").inc(block.nbytes)
                 del block  # the last view of the frame's payload
             else:
                 fr.advance("rollback")
@@ -950,43 +902,27 @@ class Scheduler:
         # exceeds min(base) + deficit).
         short = planned_samples - committed_samples
         self.q_deficit = self.q_deficit - self._planned_extra + short
-        if committed_rounds < rounds:
-            self.degraded_epochs += 1
-            self._metric_inc("exchange.degraded_epochs")
         self.effective_q.append(
             committed_samples / self._n_local if self._n_local else 0.0
         )
         if committed_rounds < rounds:
+            self.degraded_epochs += 1
             self.flight.record(
                 "epoch.rollback",
                 epoch=self.epoch,
                 committed=committed_rounds,
                 rolled_back=rounds - committed_rounds,
             )
-        self.flight.record(
-            "epoch.commit",
-            epoch=self.epoch,
+        sp.set(
             committed=committed_rounds,
             planned=rounds,
             windows=committed,
             samples=committed_samples,
+            # Logical bytes installed — the receive side of ``round.post``'s
+            # nbytes, taken at the commit rather than at each (racy) arrival.
+            recv_nbytes=self._received.nbytes if staged else 0,
             q_deficit=self.q_deficit,
             pool_in_use=self.comm.pool.stats()["in_use"],
-        )
-        if tr.enabled:
-            tr.metrics.gauge("exchange.q_deficit").set(self.q_deficit)
-            # Pool health after settlement.  The pool is world-shared, so
-            # these gauges are observational (cross-rank interleaving may
-            # vary), unlike the deterministic per-rank copy counters.
-            pool = self.comm.pool.stats()
-            tr.metrics.gauge("pool.in_use").set(pool["in_use"])
-            tr.metrics.gauge("pool.hits").set(pool["hits"])
-            tr.metrics.gauge("pool.misses").set(pool["misses"])
-            tr.metrics.gauge("pool.high_water").set(pool["high_water"])
-        sp.set(
-            samples=len(self._received),
-            committed_rounds=committed_rounds,
-            planned_rounds=rounds,
         )
 
     def _drain_late_acks(self) -> None:
@@ -1003,7 +939,7 @@ class Scheduler:
         ctrl_tag = EXCHANGE_CTRL.tag(parity=(self.epoch % 2) * _EPOCH_PARITY_BIT)
         status = Status()
         while self.comm.iprobe(source=ANY_SOURCE, tag=ctrl_tag):
-            with self.tracer.suspended():
+            with self.flight.suspended():
                 kind, ep, window = self.comm.recv(
                     source=ANY_SOURCE, tag=ctrl_tag, status=status
                 )

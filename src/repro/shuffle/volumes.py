@@ -115,7 +115,7 @@ class MeasuredVolumes:
     """Observed per-worker volumes from a live PLS scheduler.
 
     The measured mirror of :class:`ShuffleVolumes`: byte counts come from
-    the same wire-size model the tracer tags messages with
+    the same wire-size model the flight recorder's events carry
     (:func:`repro.mpi.message.payload_nbytes`), so analytic predictions,
     trace ``nbytes`` sums and these counters are directly comparable.
     """

@@ -12,7 +12,6 @@ from .experiments import (
     transfer_backbone,
 )
 from .history import EpochRecord, RunHistory
-from .telemetry import PhaseBreakdownResult, measure_phase_breakdown
 from .trainer import TrainConfig, train_worker
 from .robustness import RobustnessReport, StrategyStats, run_multi_seed
 from .tuning import TuningResult, tune_exchange_fraction
@@ -33,8 +32,6 @@ __all__ = [
     "transfer_backbone",
     "EpochRecord",
     "RunHistory",
-    "PhaseBreakdownResult",
-    "measure_phase_breakdown",
     "TrainConfig",
     "train_worker",
     "RobustnessReport",

@@ -17,6 +17,7 @@ from repro.data.dataset import TensorDataset
 from repro.data.synthetic import SyntheticSpec, make_classification, train_val_split
 from repro.mpi.launcher import run_spmd
 from repro.nn.models import build_model
+from repro.obs.telemetry import FlightLog
 from repro.shuffle.partial import strategy_from_name
 
 from .history import RunHistory
@@ -38,9 +39,10 @@ class ExperimentResult:
 
     workers: int
     histories: dict[str, RunHistory]
-    #: Per-strategy per-rank tracers when the comparison ran with
-    #: ``tracing=True`` ({strategy: [Tracer, ...]}); empty otherwise.
-    tracers: dict[str, list] = field(default_factory=dict)
+    #: Each strategy's run as its world recorded it
+    #: ({strategy: :class:`~repro.obs.FlightLog`}): the last K events per
+    #: rank, all of them when the comparison ran with ``tracing=True``.
+    flight: dict[str, FlightLog] = field(default_factory=dict)
 
     def final(self, strategy: str) -> float:
         """Final-epoch accuracy of the named strategy."""
@@ -78,10 +80,10 @@ def run_comparison(
     to the partial-local constructors (e.g. ``granularity``, ``selection``,
     ``overlap``); global/local shuffling take none and ignore them.
 
-    With ``tracing=True`` every rank records spans (communicator traffic,
-    exchange rounds, Figure-10 phases); the per-strategy tracers come back
-    on ``ExperimentResult.tracers``, ready for
-    :func:`repro.obs.write_chrome_trace`.
+    With ``tracing=True`` every rank keeps all its events and adds the
+    per-message ones (communicator traffic, Figure-10 phase regions); each
+    strategy's stream comes back on ``ExperimentResult.flight``, ready for
+    :func:`repro.obs.merge_ranks` and :func:`repro.obs.write_chrome_trace`.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -94,7 +96,7 @@ def run_comparison(
     strategy_kwargs = strategy_kwargs or {}
 
     histories: dict[str, RunHistory] = {}
-    tracers: dict[str, list] = {}
+    flight: dict[str, FlightLog] = {}
     for name in strategies:
         def worker(comm):
             kwargs = strategy_kwargs if name.startswith("partial") else {}
@@ -106,9 +108,8 @@ def run_comparison(
             tracing=tracing, backend=backend,
         )
         histories[name] = results[0]
-        if tracing:
-            tracers[name] = results.tracers
-    return ExperimentResult(workers=workers, histories=histories, tracers=tracers)
+        flight[name] = results.world.flight
+    return ExperimentResult(workers=workers, histories=histories, flight=flight)
 
 
 def run_pretrain_finetune(

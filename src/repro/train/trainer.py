@@ -15,7 +15,7 @@ between epochs and on a :class:`~repro.mpi.errors.PeerFailure`.
 
 from __future__ import annotations
 
-import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,7 +29,7 @@ from repro.nn.metrics import RunningAverage
 from repro.nn.models import build_model
 from repro.nn.optim import LARS, SGD
 from repro.nn.tensor import Tensor
-from repro.obs.telemetry import PhaseClock, drain_pending, push_metrics
+from repro.obs.telemetry import drain_pending, push_metrics
 from repro.shuffle.base import ShuffleStrategy
 
 from .distributed import allreduce_batchnorm_stats, allreduce_gradients, broadcast_model
@@ -139,20 +139,23 @@ def train_one_epoch(
     :class:`~repro.mpi.errors.RankDied` there on a doomed rank.
 
     Phase regions follow the Figure 10 accounting (io / exchange / fw_bw /
-    ge_wu).  The :class:`PhaseClock` accumulates them always-on (feeding
-    the flight ring and the telemetry push) and mirrors each region as a
-    ``cat="phase"`` span whenever tracing is enabled, so a traced run
-    yields the same breakdown ``measure_phase_breakdown`` reports;
-    loss/accuracy land in gauges and the allreduce's straggler wait in a
-    histogram.
+    ge_wu).  ``comm.flight`` accumulates them always-on — the epoch's
+    totals are its ``epoch.phases`` event and the ``phase.*_s`` series of
+    the telemetry push — and, in a traced run, records each region as a
+    ``phase.<name>`` event, so the Gantt and the totals are one
+    measurement; the allreduce's straggler wait is the ``coll.allreduce``
+    event under ``ge_wu``.
     """
     check = failure_point or _no_failure
-    tr = comm.tracer
-    clock = PhaseClock(tr)
     flight = comm.flight
+    # Per-epoch regions only a traced run records.
+    detail = flight.span if flight.detail else _no_span
+    # Totals are this epoch's: an attempt a PeerFailure cut short left its
+    # regions behind.
+    flight.take_phases()
     check("begin")
-    with tr.span("epoch", cat="train", epoch=epoch, lr=lr):
-        with clock.phase("exchange"):
+    with detail("train.epoch", epoch=epoch, lr=lr):
+        with flight.phase("exchange"):
             strategy.begin_epoch(epoch)
         loader = strategy.epoch_loader(epoch, config.batch_size)
         # Every rank must run the same number of iterations or the gradient
@@ -166,50 +169,43 @@ def train_one_epoch(
         for i in range(iters):
             if i == midpoint:
                 check("mid_exchange")
-            with clock.phase("io"):
+            with flight.phase("io"):
                 xb, yb = next(it)
-            with clock.phase("fw_bw"):
+            with flight.phase("fw_bw"):
                 logits = model(Tensor(np.asarray(xb, dtype=np.float32)))
                 loss = F.cross_entropy(logits, yb)
                 model.zero_grad()
                 loss.backward()
-            with clock.phase("ge_wu"):
-                if tr.enabled:
-                    t0 = time.perf_counter()
-                    allreduce_gradients(model, comm)
-                    tr.metrics.histogram("train.straggler_wait_s").observe(
-                        time.perf_counter() - t0
-                    )
-                else:
-                    allreduce_gradients(model, comm)
+            with flight.phase("ge_wu"):
+                allreduce_gradients(model, comm)
                 optimizer.step()
-            with clock.phase("exchange"):
+            with flight.phase("exchange"):
                 strategy.on_iteration()
             loss_avg.update(loss.item(), weight=len(yb))
             samples += len(yb)
         check("end")
-        with clock.phase("exchange"):
+        with flight.phase("exchange"):
             strategy.end_epoch()
 
         if config.sync_batchnorm_stats:
-            with clock.phase("ge_wu"):
+            with flight.phase("ge_wu"):
                 allreduce_batchnorm_stats(model, comm)
         # Validation on rank 0 (replicas are identical after the reduce),
         # then shared with everyone.
-        with tr.span("validate", cat="train"):
+        with detail("train.validate"):
             if comm.rank == 0:
                 val_acc, _val_loss = evaluate(model, val_X, val_y)
             else:
                 val_acc = None
             val_acc = comm.bcast(val_acc, root=0)
-        # Always-on telemetry: record the epoch's phase breakdown in the
-        # flight ring and push it (plus local loss and exchange health)
+        # Always-on telemetry: record the epoch's phase breakdown as one
+        # event and push it (plus local loss and exchange health)
         # to the aggregator.  Pushed *before* the mean-loss allreduce:
         # that collective is a barrier, so rank 0 passing it proves every
         # peer's push of this epoch is already deposited.  The aggregator
         # is world-owned, so the series survives a later shrink.
         if flight.enabled:
-            phases = clock.take()
+            phases = flight.take_phases()
             flight.record("epoch.phases", epoch=epoch, **phases)
             metrics = {f"phase.{k}_s": v for k, v in phases.items()}
             metrics["train.loss"] = loss_avg.value
@@ -220,12 +216,6 @@ def train_one_epoch(
             push_metrics(comm, epoch, metrics)
         mean_loss = comm.allreduce(loss_avg.value) / comm.size
         total_samples = comm.allreduce(samples)
-    if tr.enabled:
-        tr.metrics.gauge("train.loss").set(mean_loss)
-        tr.metrics.gauge("train.val_accuracy").set(val_acc)
-        tr.metrics.counter("train.samples_seen").inc(samples)
-        tr.counter("train.loss", mean_loss, cat="train")
-        tr.counter("train.val_accuracy", val_acc, cat="train")
     return EpochRecord(
         epoch=epoch,
         train_loss=mean_loss,
@@ -237,6 +227,11 @@ def train_one_epoch(
 
 def _no_failure(point: str) -> None:
     """The default ``failure_point``: nothing is scheduled to die."""
+
+
+def _no_span(kind: str, **fields) -> nullcontext:
+    """What ``train_one_epoch`` opens in place of a span in an untraced run."""
+    return nullcontext()
 
 
 def train_worker(

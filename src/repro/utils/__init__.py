@@ -1,12 +1,11 @@
 """Shared utilities: size units, RNG trees, retry/backoff, ASCII tables,
-phase timers, crash-safe file writes."""
+crash-safe file writes."""
 
 from .ascii_plot import ascii_chart, sparkline
 from .fileio import atomic_save
 from .retry import Backoff, Retrier, default_retrier, retry_call
 from .rng import SeedTree, default_rng, hash_unit, rank_rng, seed_default_rng, shared_rng
 from .tables import print_table, render_table
-from .timing import PhaseTimer, Stopwatch
 from .units import GB, GIB, KB, KIB, MB, MIB, PB, PIB, TB, TIB, format_size, parse_size
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "shared_rng",
     "print_table",
     "render_table",
-    "PhaseTimer",
-    "Stopwatch",
     "format_size",
     "parse_size",
     "KIB",

@@ -7,10 +7,12 @@ surviving rank — without tracing, without any flag, at ring-buffer cost.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.data import SyntheticSpec
 from repro.faults import ChaosEngine, ChaosWorld, run_chaos_train
 from repro.mpi import RankFailed, run_spmd
@@ -213,12 +215,80 @@ class TestChaosKillDump:
                 f"survivor {rank} has no phase breakdown events"
             )
 
+    def test_lifecycle_complete_dump_loads_through_repro_trace(
+        self, result, tmp_path, capsys
+    ):
+        # One loader: the dump `repro health` renders as a timeline is also
+        # a stream `repro trace` can summarise — the always-on events alone
+        # give the exchange's bytes and its timed posts and commits.
+        dump = result.flight_dumps[-1]
+        assert dump["reason"] == "lifecycle complete"
+        path = tmp_path / "complete.json"
+        path.write_text(json.dumps(dump, default=str))
+        assert main(["trace", str(path), "--no-gantt"]) == 0
+        out = capsys.readouterr().out
+        assert "bytes moved per rank" in out
+        assert "exchange overlap attribution" in out
+        assert "epoch.commit" in out  # among the top spans
+        assert main(["health", str(path)]) == 0
+        assert "lifecycle timeline" in capsys.readouterr().out
+
     def test_telemetry_survived_the_shrink(self, result):
         # The aggregator lives on the world: series keep flowing after the
         # shrink, keyed by world rank.
         snap = result.telemetry
         assert snap["pushes"] > 0
         assert "train.loss" in snap["series"]
+
+
+class TestStampedAtTheRank:
+    """An event's ``ts`` is when it happened at the rank — not when a
+    ``procs`` parent's broker thread got round to the cast (which was
+    hundreds of µs later, and later than a whole frame post under load)."""
+
+    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    def test_ts_is_the_ranks_own_clock(self, backend):
+        n = 200
+
+        def worker(comm):
+            for _ in range(n):
+                comm.flight.record("probe", t_rank=time.perf_counter())
+            comm.barrier()
+
+        result = run_spmd(worker, 2, backend=backend)
+        for rec in result.world.flight.recorders:
+            lag = sorted(
+                abs(e["ts"] - e["t_rank"])
+                for e in rec.events() if e["kind"] == "probe"
+            )
+            assert len(lag) == n
+            # Two adjacent clock reads.  Every event, bar the very few where
+            # the scheduler took the rank off its core between them.
+            assert lag[int(0.98 * n)] < 50e-6, lag[-10:]
+
+
+class TestTracedDump:
+    def test_a_traced_runs_dump_is_its_trace(self, tmp_path, capsys):
+        """`tracing=True` adds no second stream: the dump holds the detail
+        events, unbounded, and loads through both commands."""
+
+        def worker(comm):
+            for _ in range(400):  # more than the always-on ring keeps
+                comm.allreduce(1.0)
+            comm.flight.record("lifecycle.checkpoint", epoch=0)
+
+        result = run_spmd(worker, 2, tracing=True)
+        log = result.world.flight
+        log.dump_dir = tmp_path
+        dump = log.dump("traced run")
+        assert dump["capacity"] is None
+        for events in dump["ranks"].values():
+            colls = [e for e in events if e["kind"] == "coll.allreduce"]
+            assert len(colls) == 400 and all(e["dur"] > 0 for e in colls)
+        assert main(["trace", dump["path"], "--no-gantt", "--top", "3"]) == 0
+        assert "coll.allreduce" in capsys.readouterr().out
+        assert main(["health", dump["path"]]) == 0
+        assert "lifecycle.checkpoint" in capsys.readouterr().out
 
 
 class TestFlightDisabled:

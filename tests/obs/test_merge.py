@@ -1,21 +1,34 @@
-"""Multi-rank trace merge: determinism, byte accounting, overlap report."""
+"""Multi-rank stream merge: determinism, byte accounting, overlap report."""
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.mpi import run_spmd
 from repro.obs import (
+    Event,
+    FlightRecorder,
     bytes_by_rank,
     merge_ranks,
     overlap_report,
     phase_totals,
     phase_totals_by_rank,
 )
-from repro.obs.tracer import TraceEvent, Tracer
 from repro.shuffle import Scheduler, StorageArea
 
 SEED = 7
 RANKS = 4
+
+#: What a seeded run does *not* repeat event for event, and why.  The
+#: receiver verifies a frame, and the sender sees its ACK, whenever the
+#: message happens to arrive — so these two kinds interleave differently
+#: with the rest of the rank's stream from run to run (their multiset is
+#: checked separately below).
+ARRIVAL_ORDERED = ("round.verified", "round.ack")
+#: The pool is one object for the whole world: how many buffers the *other*
+#: ranks hold at the instant this rank commits depends on who got there first.
+WORLD_SHARED = {"epoch.commit": ("pool_in_use",)}
 
 
 def exchange_worker(comm):
@@ -30,30 +43,53 @@ def exchange_worker(comm):
     return sched.total_sent_bytes
 
 
-def run_traced():
-    return run_spmd(exchange_worker, RANKS, copy_on_send=False, tracing=True)
+def run_traced(ranks=RANKS, backend=None):
+    return run_spmd(
+        exchange_worker, ranks, copy_on_send=False, tracing=True, backend=backend
+    )
+
+
+def stream_shape(flight):
+    """Per rank: the ordered ``(kind, fields)`` sequence of everything a
+    seeded run repeats, and the sorted rest."""
+    ordered, arrivals = [], []
+    for rec in flight.recorders:
+        events = [(kind, dict(fields)) for _ts, _dur, kind, fields in rec]
+        for kind, fields in events:
+            for name in WORLD_SHARED.get(kind, ()):
+                del fields[name]
+        ordered.append([e for e in events if e[0] not in ARRIVAL_ORDERED])
+        arrivals.append(sorted(
+            (e for e in events if e[0] in ARRIVAL_ORDERED),
+            key=lambda e: (e[0], sorted(e[1].items())),
+        ))
+    return ordered, arrivals
 
 
 class TestMergeDeterminism:
     def test_per_rank_sequences_identical_across_runs(self):
-        """Same seeded program twice => byte-identical per-rank span logs
-        (names, categories, byte counts — everything but wall-clock)."""
+        """Same seeded program twice => identical per-rank streams (kinds,
+        byte counts, plan fingerprints — everything but wall-clock)."""
         a, b = run_traced(), run_traced()
+        assert stream_shape(a.world.flight) == stream_shape(b.world.flight)
 
-        def shape(tracers):
-            return [
-                [(ev.name, ev.cat, ev.ph,
-                  {k: v for k, v in ev.args.items()})
-                 for ev in tr.events]
-                for tr in tracers
-            ]
-
-        assert shape(a.tracers) == shape(b.tracers)
+    def test_stream_identical_across_backends(self):
+        """One traced 2-rank exchange records the same stream whether its
+        ranks are threads or forked processes: same sites, same order, the
+        events stamped at the rank either way."""
+        threads = run_traced(2, "threads").world.flight
+        procs = run_traced(2, "procs").world.flight
+        ordered, arrivals = stream_shape(threads)
+        assert (ordered, arrivals) == stream_shape(procs)
+        kinds = {kind for events in ordered for kind, _ in events}
+        assert {"exchange.plan", "round.post", "epoch.commit",
+                "coll.allreduce"} <= kinds
+        assert all(arrivals)
 
     def test_merge_is_stable_and_ordered(self):
         result = run_traced()
-        merged1 = merge_ranks(result.tracers)
-        merged2 = merge_ranks(result.tracers)
+        merged1 = merge_ranks(result.world.flight)
+        merged2 = merge_ranks(result.world.flight)
         assert merged1 == merged2
         ts = [ev.ts for ev in merged1]
         assert ts == sorted(ts)
@@ -61,10 +97,9 @@ class TestMergeDeterminism:
 
     def test_bytes_by_rank_matches_scheduler_counters(self):
         result = run_traced()
-        merged = merge_ranks(result.tracers)
-        per_rank = bytes_by_rank(merged)
+        per_rank = bytes_by_rank(merge_ranks(result.world.flight))
         for rank in range(RANKS):
-            # isend nbytes tags must add up to what the scheduler counted
+            # round.post nbytes must add up to what the scheduler counted
             # (both use the shared payload_nbytes wire-size model).
             assert per_rank[rank]["p2p_sent"] == result[rank]
             # Balanced exchange: every rank receives what it sends.
@@ -72,45 +107,44 @@ class TestMergeDeterminism:
 
     def test_exchange_round_spans_carry_attribution(self):
         result = run_traced()
-        rounds = [
-            ev
-            for ev in merge_ranks(result.tracers)
-            if ev.name == "exchange.round"
-        ]
-        assert rounds
-        for ev in rounds:
-            assert ev.cat == "exchange"
-            assert ev.args["mode"] == "blocking"  # run_exchange posts at once
-            assert ev.args["q"] == 0.5
-            assert ev.args["samples"] >= 1
-            assert ev.args["nbytes"] > 0
-            # One span per frame: 4 rounds fit one Q*b = 16-round window.
-            assert ev.args["window"] == 0
-            assert 0 <= ev.args["dest"] < RANKS
+        merged = merge_ranks(result.world.flight)
+        posts = [ev for ev in merged if ev.kind == "round.post"]
+        assert posts
+        for ev in posts:
+            assert ev.dur > 0  # the timed post
+            assert ev.fields["mode"] == "blocking"  # run_exchange posts at once
+            assert ev.fields["samples"] >= 1
+            assert ev.fields["nbytes"] > 0
+            # One event per frame: 4 rounds fit one Q*b = 16-round window.
+            assert ev.fields["window"] == 0
+            assert 0 <= ev.fields["peer"] < RANKS
+        assert all(
+            ev.fields["q"] == 0.5 for ev in merged if ev.kind == "exchange.plan"
+        )
         # A frame per (epoch, rank, destination drawn), never per sample —
         # but between them the frames carry every planned sample.
-        assert len(rounds) <= 2 * RANKS * RANKS
-        assert sum(ev.args["samples"] for ev in rounds) == 2 * RANKS * 4
+        assert len(posts) <= 2 * RANKS * RANKS
+        assert sum(ev.fields["samples"] for ev in posts) == 2 * RANKS * 4
 
     def test_overlap_report_attributes_blocking_rounds(self):
         result = run_traced()
-        report = overlap_report(merge_ranks(result.tracers))
+        report = overlap_report(merge_ranks(result.world.flight))
         for rank in range(RANKS):
             assert report[rank]["blocking_rounds_s"] > 0
             assert report[rank]["overlap_rounds_s"] == 0.0
 
 
 class TestPhaseTotals:
-    def _mk(self, rank, name, ts, dur, cat="phase"):
-        return TraceEvent(name=name, cat=cat, ph="X", ts=ts, dur=dur, rank=rank)
+    def _mk(self, rank, kind, ts, dur):
+        return Event(ts=ts, dur=dur, kind=kind, fields={}, rank=rank)
 
     def test_sums_phase_spans_only(self):
         events = [
-            self._mk(0, "io", 0.0, 1.0),
-            self._mk(0, "io", 2.0, 0.5),
-            self._mk(0, "fw_bw", 3.0, 2.0),
-            self._mk(1, "io", 0.0, 0.25),
-            self._mk(0, "not_a_phase", 0.0, 9.0, cat="train"),
+            self._mk(0, "phase.io", 0.0, 1.0),
+            self._mk(0, "phase.io", 2.0, 0.5),
+            self._mk(0, "phase.fw_bw", 3.0, 2.0),
+            self._mk(1, "phase.io", 0.0, 0.25),
+            self._mk(0, "train.not_a_phase", 0.0, 9.0),
         ]
         totals = phase_totals(events)
         assert totals == {"io": 1.75, "fw_bw": 2.0}
@@ -119,17 +153,17 @@ class TestPhaseTotals:
         assert per_rank[1] == {"io": 0.25}
 
     def test_phase_timer_equivalence(self):
-        """Summing a rank's phase spans reproduces a PhaseTimer wrapped
-        around the same regions — the timer is now a view over the trace."""
-        import time
-
-        from repro.utils import PhaseTimer
-
-        tr = Tracer(rank=0)
-        timer = PhaseTimer()
+        """Summing a rank's phase regions reproduces a plain clock bracket
+        around the same regions — and the always-on totals exactly."""
+        rec = FlightRecorder(0)
+        rec.enable_detail()
+        bracket = 0.0
         for _ in range(3):
-            with timer.phase("io"), tr.span("io", cat="phase"):
+            t0 = time.perf_counter()
+            with rec.phase("io"):
                 time.sleep(0.002)
-        trace_total = phase_totals(tr.events)["io"]
-        assert trace_total == pytest.approx(timer.total("io"), rel=0.2, abs=0.002)
-        assert len([ev for ev in tr.events if ev.name == "io"]) == timer.count("io")
+            bracket += time.perf_counter() - t0
+        events = merge_ranks([[Event(*ev, 0) for ev in rec]])
+        assert phase_totals(events)["io"] == pytest.approx(bracket, rel=0.2, abs=0.002)
+        assert phase_totals(events)["io"] == pytest.approx(rec.take_phases()["io"])
+        assert len([ev for ev in events if ev.kind == "phase.io"]) == 3

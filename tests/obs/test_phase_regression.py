@@ -1,16 +1,15 @@
 """Regression: Figure 10 totals == trace-derived totals.
 
-`measure_phase_breakdown` must be a *view* over the tracing layer: the
-result it returns and the phase spans in an exported trace of the same run
-can never disagree.
+The ``phase.*_s`` series a run pushes and its ``epoch.phases`` events are
+the always-on totals; the ``phase.<name>`` regions of a traced run are the
+same clock reads, event by event.  The series, the events and an exported
+trace of the same run can never disagree.
 """
 
-import numpy as np
 import pytest
 
 from repro.data import SyntheticSpec, TensorDataset, make_classification
 from repro.mpi import run_spmd
-from repro.nn import build_model
 from repro.obs import (
     load_trace,
     merge_ranks,
@@ -18,73 +17,74 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.shuffle import strategy_from_name
-from repro.train import measure_phase_breakdown
+from repro.train import TrainConfig, train_worker
 
 PHASES = ("io", "exchange", "fw_bw", "ge_wu")
+RANKS = 2
 
 
 @pytest.fixture(scope="module")
 def traced_run():
     X, y = make_classification(SyntheticSpec(128, 4, n_features=16, seed=3))
     ds = TensorDataset(X, y)
+    config = TrainConfig(
+        model="mlp", in_shape=(16,), num_classes=4, epochs=2, batch_size=8
+    )
 
     def worker(comm):
-        model = build_model("mlp", in_shape=(16,), num_classes=4, seed=0)
-        return measure_phase_breakdown(
-            comm, strategy_from_name("partial-0.5"), ds, y, model=model,
-            epochs=2, batch_size=8,
+        return train_worker(
+            comm, config, strategy_from_name("partial-0.5"), ds, y, X[:16], y[:16]
         )
 
-    return run_spmd(worker, 2, copy_on_send=False, tracing=True, deadline_s=300)
+    return run_spmd(worker, RANKS, copy_on_send=False, tracing=True, deadline_s=300)
+
+
+def pushed_totals(result):
+    """Seconds per phase per rank, from the series the ranks pushed."""
+    series = result.world.telemetry.snapshot()["series"]
+    return {
+        rank: {
+            phase: sum(v for _seq, v in series[f"phase.{phase}_s"][str(rank)])
+            for phase in PHASES
+        }
+        for rank in range(RANKS)
+    }
 
 
 class TestPhaseBreakdownMatchesTrace:
     def test_result_equals_trace_derived_totals(self, traced_run):
-        result = traced_run[0]
-        per_rank = phase_totals_by_rank(merge_ranks(traced_run.tracers))
-        for phase in PHASES:
-            trace_mean = float(np.mean(
-                [per_rank[r].get(phase, 0.0) for r in range(2)]
-            ))
-            assert getattr(result, phase) == pytest.approx(trace_mean, rel=1e-9), phase
+        per_rank = phase_totals_by_rank(merge_ranks(traced_run.world.flight))
+        pushed = pushed_totals(traced_run)
+        for rank in range(RANKS):
+            for phase in PHASES:
+                assert pushed[rank][phase] == pytest.approx(
+                    per_rank[rank][phase], rel=1e-9
+                ), (rank, phase)
+
+    def test_epoch_phases_event_is_the_pushed_snapshot(self, traced_run):
+        series = traced_run.world.telemetry.snapshot()["series"]
+        for rec in traced_run.world.flight.recorders:
+            epochs = [e for e in rec.events() if e["kind"] == "epoch.phases"]
+            assert [e["epoch"] for e in epochs] == [0, 1]
+            for e in epochs:
+                for phase in PHASES:
+                    points = dict(series[f"phase.{phase}_s"][str(rec.rank)])
+                    assert e[phase] == points[e["epoch"]]
 
     def test_totals_survive_chrome_export(self, traced_run, tmp_path):
         """Round-trip through the on-disk format keeps the breakdown within
         the µs resolution of the Chrome timestamp encoding."""
-        result = traced_run[0]
-        path = write_chrome_trace(traced_run.tracers, tmp_path / "t.json")
+        events = merge_ranks(traced_run.world.flight)
+        path = write_chrome_trace(events, tmp_path / "t.json")
         per_rank = phase_totals_by_rank(load_trace(path))
-        for phase in PHASES:
-            trace_mean = float(np.mean(
-                [per_rank[r].get(phase, 0.0) for r in range(2)]
-            ))
-            # Tolerance: each span loses < 1 µs to microsecond rounding.
-            n_spans = sum(
-                1 for tr in traced_run.tracers for ev in tr.events
-                if ev.cat == "phase" and ev.name == phase
-            )
-            assert getattr(result, phase) == pytest.approx(
-                trace_mean, abs=max(1e-6 * n_spans, 1e-6), rel=0.01
-            ), phase
-
-    def test_every_rank_reports_identical_result(self, traced_run):
-        a, b = traced_run[0], traced_run[1]
-        assert a.as_dict() == b.as_dict()
-
-    def test_private_tracer_used_when_run_untraced(self):
-        """Without tracing the measurement still works (own tracer)."""
-        X, y = make_classification(SyntheticSpec(64, 4, n_features=8, seed=5))
-        ds = TensorDataset(X, y)
-
-        def worker(comm):
-            model = build_model("mlp", in_shape=(8,), num_classes=4, seed=0)
-            return measure_phase_breakdown(
-                comm, strategy_from_name("local"), ds, y, model=model,
-                epochs=1, batch_size=8,
-            )
-
-        result = run_spmd(worker, 2, copy_on_send=False)
-        assert result[0].fw_bw > 0
-        assert result[0].total > 0
-        # The run-level tracers stay empty: measurement used a private one.
-        assert all(len(tr.events) == 0 for tr in result.tracers)
+        pushed = pushed_totals(traced_run)
+        for rank in range(RANKS):
+            for phase in PHASES:
+                # Tolerance: each region loses < 1 µs to microsecond rounding.
+                n_regions = sum(
+                    1 for ev in events
+                    if ev.rank == rank and ev.kind == f"phase.{phase}"
+                )
+                assert pushed[rank][phase] == pytest.approx(
+                    per_rank[rank][phase], abs=max(1e-6 * n_regions, 1e-6), rel=0.01
+                ), (rank, phase)

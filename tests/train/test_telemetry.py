@@ -1,60 +1,61 @@
-"""Measured phase breakdown (telemetry)."""
+"""Measured phase breakdown: what every ``train_worker`` run records."""
 
 import numpy as np
 import pytest
 
 from repro.data import SyntheticSpec, TensorDataset, make_classification
 from repro.mpi import run_spmd
-from repro.nn import build_model
 from repro.shuffle import strategy_from_name
-from repro.train import measure_phase_breakdown
+from repro.train import TrainConfig, train_worker
+
+PHASES = ("io", "exchange", "fw_bw", "ge_wu")
 
 
 @pytest.fixture(scope="module")
 def problem():
     X, y = make_classification(SyntheticSpec(256, 4, n_features=16, seed=1))
-    return TensorDataset(X, y), y
+    return TensorDataset(X, y), y, X[:32], y[:32]
 
 
-def measure(name, problem, workers=2, **kw):
-    ds, y = problem
+def measure(name, problem, workers=2):
+    """Seconds per phase of an ordinary two-epoch run, per rank: the
+    ``phase.*_s`` series its ranks pushed, summed over the epochs."""
+    ds, y, val_X, val_y = problem
+    config = TrainConfig(
+        model="mlp", in_shape=(16,), num_classes=4, epochs=2, batch_size=8
+    )
 
     def worker(comm):
-        model = build_model("mlp", in_shape=(16,), num_classes=4, seed=0)
-        return measure_phase_breakdown(
-            comm, strategy_from_name(name), ds, y, model=model,
-            epochs=2, batch_size=8, **kw,
+        return train_worker(
+            comm, config, strategy_from_name(name), ds, y, val_X, val_y
         )
 
-    return run_spmd(worker, workers, copy_on_send=False, deadline_s=300)
+    result = run_spmd(worker, workers, copy_on_send=False, deadline_s=300)
+    series = result.world.telemetry.snapshot()["series"]
+    return {
+        phase: [
+            sum(v for _seq, v in series[f"phase.{phase}_s"][str(rank)])
+            for rank in range(workers)
+        ]
+        for phase in PHASES
+    }
 
 
 class TestMeasurePhaseBreakdown:
     def test_all_phases_recorded(self, problem):
-        r = measure("partial-0.5", problem)[0]
-        assert r.fw_bw > 0
-        assert r.ge_wu > 0
-        assert r.io >= 0
-        assert r.exchange > 0
-        assert r.total == pytest.approx(r.io + r.exchange + r.fw_bw + r.ge_wu)
+        r = measure("partial-0.5", problem)
+        for rank in range(2):
+            assert r["fw_bw"][rank] > 0
+            assert r["ge_wu"][rank] > 0
+            assert r["io"][rank] >= 0
+            assert r["exchange"][rank] > 0
 
     def test_local_has_no_exchange(self, problem):
-        r = measure("local", problem)[0]
-        assert r.exchange < 1e-4
-
-    def test_all_ranks_agree(self, problem):
-        out = measure("partial-0.3", problem, workers=3)
-        totals = {round(r.total, 9) for r in out}
-        assert len(totals) == 1  # allreduce-averaged
-
-    def test_metadata(self, problem):
-        r = measure("global", problem, workers=2)[0]
-        assert r.strategy == "global"
-        assert r.workers == 2
-        assert r.epochs == 2
-        assert set(r.as_dict()) == {"io", "exchange", "fw_bw", "ge_wu", "total"}
+        # min over ranks: one thread hand-off inside a region costs more
+        # than every empty exchange region of the run together.
+        assert min(measure("local", problem)["exchange"]) < 1e-4
 
     def test_exchange_grows_with_q(self, problem):
-        lo = measure("partial-0.1", problem)[0]
-        hi = measure("partial-0.9", problem)[0]
-        assert hi.exchange > lo.exchange
+        lo = measure("partial-0.1", problem)
+        hi = measure("partial-0.9", problem)
+        assert np.mean(hi["exchange"]) > np.mean(lo["exchange"])
