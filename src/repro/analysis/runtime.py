@@ -90,13 +90,13 @@ class CheckedCommunicator(Communicator):
         self._verify_gen = itertools.count()
 
     # ------------------------------------------------------------ sequencing
-    def _rendezvous(self, op: str, contribution: Any) -> dict[int, Any]:
+    def _rendezvous(self, op: str, contribution: Any, fold=None) -> Any:
         gen = next(self._verify_gen)
         sig = (op, payload_signature(contribution))
         key = ("spmd-verify", self.context_id, gen, self.size)
         slots = self.world.rendezvous(key, self._local_rank, sig, group=self.group)
         self._check_signatures(gen, sig, slots)
-        return super()._rendezvous(op, contribution)
+        return super()._rendezvous(op, contribution, fold)
 
     def _check_signatures(
         self, gen: int, own: tuple, slots: dict[int, Any]

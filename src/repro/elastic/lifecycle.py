@@ -81,6 +81,7 @@ from repro.shuffle.storage import StorageArea
 from repro.train.checkpoint import (
     _history_payload,
     _history_restore,
+    _load_optimizer_velocity,
     _optimizer_velocity,
     latest_complete_snapshot,
     load_job_snapshot,
@@ -246,22 +247,16 @@ class LifecyclePlan:
 # ------------------------------------------------------- the failure boundary
 def _snapshot(model, optimizer) -> dict:
     """Deep-copy the replicated state (an in-memory epoch-start checkpoint)."""
-    velocity = getattr(optimizer, "_velocity", None)
     return {
         "model": {k: np.copy(v) for k, v in model.state_dict().items()},
-        "velocity": None
-        if velocity is None
-        else [None if v is None else v.copy() for v in velocity],
+        "velocity": _optimizer_velocity(optimizer),
         "lr": optimizer.lr,
     }
 
 
 def _restore(model, optimizer, snapshot: dict) -> None:
     model.load_state_dict({k: np.copy(v) for k, v in snapshot["model"].items()})
-    if snapshot["velocity"] is not None and hasattr(optimizer, "_velocity"):
-        optimizer._velocity = [
-            None if v is None else v.copy() for v in snapshot["velocity"]
-        ]
+    _load_optimizer_velocity(optimizer, snapshot["velocity"])
     optimizer.lr = snapshot["lr"]
 
 

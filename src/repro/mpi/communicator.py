@@ -11,6 +11,7 @@ paper's Algorithm 1 and PyTorch-side scheduler consume.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -287,7 +288,7 @@ class Communicator:
         return msg is not None
 
     # --------------------------------------------------------------- collectives
-    def _rendezvous(self, op: str, contribution: Any) -> dict[int, Any]:
+    def _rendezvous(self, op: str, contribution: Any, fold: Callable | None = None) -> Any:
         gen = next(self._coll_gen)
         key = (self.context_id, op, gen, self.size)
         fl = self.flight
@@ -297,10 +298,10 @@ class Communicator:
             nb = 0 if contribution is None else payload_nbytes(contribution)
             with fl.span(f"coll.{op}", gen=gen, nbytes=nb):
                 return self.world.rendezvous(
-                    key, self._local_rank, contribution, group=self.group
+                    key, self._local_rank, contribution, self.group, fold
                 )
         return self.world.rendezvous(
-            key, self._local_rank, contribution, group=self.group
+            key, self._local_rank, contribution, self.group, fold
         )
 
     def _copy_in(self, value: Any) -> Any:
@@ -350,6 +351,16 @@ class Communicator:
             return value
         return self._copy_in(value) if self.world.copy_on_send else value
 
+    def _take_reduced(self, total: Any) -> Any:
+        """This rank's hold on the one result the world folded for everyone: a
+        private copy in a copying world, else the shared object — read-only
+        if an array, so an in-place edit raises instead of racing the peers."""
+        if self.world.copy_on_send:
+            return self._copy_in(total)
+        if isinstance(total, np.ndarray):
+            total.flags.writeable = False
+        return total
+
     def reduce(
         self,
         obj: Any,
@@ -357,20 +368,18 @@ class Communicator:
         root: int = 0,
     ) -> Any:
         """Reduce one value per rank to ``root`` with ``op`` (default: sum)."""
-        slots = self._rendezvous("reduce", obj)
-        if self._local_rank != root:
-            return None
-        return _fold([slots[r] for r in range(self.size)], op)
+        total = self._rendezvous("reduce", obj, op or operator.add)
+        return self._take_reduced(total) if self._local_rank == root else None
 
     def allreduce(self, obj: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
         """Reduce one value per rank and distribute the result to every rank.
 
         This is the gradient-averaging primitive of synchronous SGD
         (Equation 1 of the paper): every rank contributes its local gradient
-        and receives the sum.
+        and receives the sum — folded once, in rank order, by the world; a
+        contribution is the rank's own again as soon as the call returns.
         """
-        slots = self._rendezvous("allreduce", obj)
-        return _fold([slots[r] for r in range(self.size)], op)
+        return self._take_reduced(self._rendezvous("allreduce", obj, op or operator.add))
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         """Personalised all-to-all: rank ``r`` sends ``objs[d]`` to rank ``d``
@@ -517,24 +526,3 @@ class Communicator:
             context_id=_expand_context(gen),
             group=new_group,
         )
-
-
-def _fold(values: list[Any], op: Callable[[Any, Any], Any] | None) -> Any:
-    if not values:
-        raise ValueError("cannot reduce zero values")
-    if op is None:
-        # Default: elementwise sum. NumPy arrays fold without copies of the
-        # contributions (they were already copied at deposit when enabled).
-        acc = values[0]
-        if isinstance(acc, np.ndarray):
-            acc = acc.copy()
-            for v in values[1:]:
-                acc += v
-            return acc
-        for v in values[1:]:
-            acc = acc + v
-        return acc
-    acc = values[0]
-    for v in values[1:]:
-        acc = op(acc, v)
-    return acc

@@ -31,7 +31,9 @@ packed through the pool travels as a :class:`_ShmRef` *handle envelope*
 :class:`~repro.mpi.shm_pool.SegmentAllocator`, and stays in the parent, so
 the acquire/adopt/release ownership discipline — including the idempotent
 teardown adopt on abort paths — stays globally exact.  Control messages,
-plans and gradients are small and simply pickle through the pipe.
+plans and gradients are small and simply pickle through the pipe — a
+reduction's operator too, and what comes back is the one result the world
+folded, not the ranks' contributions.
 
 Children are forked *before* the broker threads start (fork + threads do
 not mix), and the parent unlinks every shared segment on every exit path.
@@ -527,17 +529,19 @@ class _ClientWorld(_Remote):
         rank thread; PeerFailure/MPIAbort/MPITimeout propagate)."""
         return self._wire_to_msg(self._rpc.call("world.take_blocking", dest, source, tag))
 
-    def rendezvous(self, key: tuple, rank: int, contribution: Any, group=None):
-        """Collective rendezvous; contributions round-trip through the wire
-        codec so pooled batches travel as segment handles."""
-        slots = self._rpc.call(
+    def rendezvous(self, key: tuple, rank: int, contribution: Any, group=None, fold=None):
+        """Collective rendezvous; the contribution and the reply (the slot
+        map, or with ``fold`` the one reduced result) round-trip through the
+        wire codec so pooled batches travel as segment handles."""
+        reply = self._rpc.call(
             "world.rendezvous",
             key,
             rank,
             _encode(contribution),
             None if group is None else tuple(group),
+            fold,
         )
-        return {r: _decode(v, self.pool.ref_batch) for r, v in slots.items()}
+        return _decode(reply, self.pool.ref_batch)
 
 
 def _child_main(
@@ -672,10 +676,9 @@ class _Broker:
     def _world_take_blocking(self, dest: int, source: int, tag: int) -> tuple:
         return self._msg_to_wire(self._world.take_blocking(dest, source, tag))
 
-    def _world_rendezvous(self, key: tuple, rank: int, enc: Any, group) -> dict:
+    def _world_rendezvous(self, key: tuple, rank: int, enc: Any, group, fold) -> Any:
         contribution = _decode(enc, self._ref_batch)
-        slots = self._world.rendezvous(key, rank, contribution, group=group)
-        return {r: _encode(v) for r, v in slots.items()}
+        return _encode(self._world.rendezvous(key, rank, contribution, group, fold))
 
     def _mailbox_try_take(self, rank: int, source: int, tag: int) -> tuple | None:
         return self._msg_to_wire(self._world.mailboxes[rank].try_take(source, tag))

@@ -9,9 +9,12 @@ wait polls the world's ``aborted`` flag so that a crash on one rank unblocks
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from repro.obs.telemetry.aggregate import TelemetryAggregator
 from repro.obs.telemetry.flight import FlightLog
@@ -24,6 +27,21 @@ __all__ = ["World"]
 
 # How often a blocked wait re-checks the abort flag / deadline (seconds).
 _POLL_INTERVAL = 0.05
+
+
+def _fold(values: list[Any], op: Callable[[Any, Any], Any]) -> Any:
+    """Left fold of ``values`` (rank order) under ``op``; an ndarray result
+    is fresh memory, never one of the contributions."""
+    acc = values[0]
+    if isinstance(acc, np.ndarray):
+        acc = acc.copy()
+        if op is operator.add:
+            for v in values[1:]:
+                acc += v
+            return acc
+    for v in values[1:]:
+        acc = op(acc, v)
+    return acc
 
 
 class _Mailbox:
@@ -102,6 +120,7 @@ class World:
         self._coll_lock = threading.Lock()
         self._coll_cond = threading.Condition(self._coll_lock)
         self._coll_slots: dict[tuple, dict[int, Any]] = {}
+        self._coll_done: dict[tuple, Any] = {}
         self._coll_readers: dict[tuple, int] = {}
 
         # Traffic accounting (bytes sent per rank) for the benchmarks that
@@ -255,11 +274,15 @@ class World:
         rank: int,
         contribution: Any,
         group: Sequence[int] | None = None,
-    ) -> dict[int, Any]:
+        fold: Callable[[Any, Any], Any] | None = None,
+    ) -> Any:
         """Deposit ``contribution`` under ``key`` and block until all ranks of
         the participant count embedded in the key have deposited.  Returns the
-        full ``{rank: contribution}`` map.  The slot is garbage-collected once
-        every participant has read it.
+        full ``{rank: contribution}`` map — or, with ``fold`` (the same on
+        every participant), the contributions reduced under it in rank order.
+        The last participant to deposit folds, once, and everyone is handed
+        that one object.  The slot is garbage-collected once every
+        participant has read it.
 
         ``group`` (communicator-local rank -> world rank) enables failure
         detection: if a participant that has not yet deposited is dead, the
@@ -275,14 +298,17 @@ class World:
                     "collectives must be called in the same order on every rank"
                 )
             slots[rank] = contribution
-            self._coll_cond.notify_all()
-            while len(self._coll_slots.get(key, slots)) < nparticipants:
+            if len(slots) == nparticipants:
+                self._coll_done[key] = slots if fold is None else _fold(
+                    [slots[r] for r in range(nparticipants)], fold
+                )
+                self._coll_cond.notify_all()
+            while key not in self._coll_done:
                 if self.aborted:
                     raise MPIAbort(f"world aborted: {self.abort_reason}")
                 if group is not None and self._dead:
-                    current = self._coll_slots.get(key, slots)
                     for local, world_rank in enumerate(group):
-                        if world_rank in self._dead and local not in current:
+                        if world_rank in self._dead and local not in slots:
                             raise PeerFailure(
                                 world_rank,
                                 self.epitaphs.get(world_rank),
@@ -290,10 +316,10 @@ class World:
                             )
                 self._check_deadline_locked()
                 self._coll_cond.wait(timeout=_POLL_INTERVAL)
-            result = dict(self._coll_slots[key])
+            result = self._coll_done[key]
             readers = self._coll_readers.get(key, 0) + 1
             if readers == nparticipants:
-                del self._coll_slots[key]
+                del self._coll_slots[key], self._coll_done[key]
                 self._coll_readers.pop(key, None)
             else:
                 self._coll_readers[key] = readers

@@ -13,14 +13,72 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Parameter", "Module"]
+__all__ = ["Parameter", "FlatParameters", "Module", "flat_views"]
 
 
 class Parameter(Tensor):
     """A leaf tensor registered as a learnable parameter."""
 
+    #: Where a step's first accumulation lands under a flattened model: this
+    #: parameter's view of the flat gradient (``None``: allocate, as a Tensor).
+    _grad_view: np.ndarray | None = None
+
     def __init__(self, data):
         super().__init__(np.asarray(data, dtype=np.float32), requires_grad=True)
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        if self.grad is None and self._grad_view is not None:
+            self._grad_view[...] = grad
+            self.grad = self._grad_view
+        else:
+            super()._accumulate(grad)
+
+
+def flat_views(like: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A zeroed flat float32 array, and one view of it per array of ``like``
+    (back to back, same shapes)."""
+    flat = np.zeros(sum(a.size for a in like), dtype=np.float32)
+    offsets = np.cumsum([0] + [a.size for a in like])
+    return flat, [flat[i:j].reshape(a.shape) for a, i, j in zip(like, offsets, offsets[1:])]
+
+
+class FlatParameters(list):
+    """A model's trainable parameters re-homed in flat float32 arrays
+    (ChainerMN's ``flat`` packing, done once instead of per step): each
+    ``p.data`` is a view of :attr:`data`, each gradient lands in a view of
+    :attr:`grad`, and :attr:`stats` holds the float32 buffers (BatchNorm's
+    running statistics) — so one allreduce carries the model and an
+    optimiser updates it as *one* parameter.  The layout is fixed here: a
+    parameter frozen or unfrozen later does not move."""
+
+    def __init__(self, model: "Module"):
+        super().__init__(model.trainable_parameters())
+        self.data, views = flat_views([p.data for p in self])
+        self._grad, grad_views = flat_views(views)
+        for p, view, grad_view in zip(self, views, grad_views):
+            view[...] = p.data
+            p.data, p._grad_view = view, grad_view
+        owners = [
+            (mod, name) for mod in model.modules()
+            for name, buf in mod._buffers.items() if buf.dtype == np.float32
+        ]
+        self.stats, views = flat_views([mod._buffers[name] for mod, name in owners])
+        for (mod, name), view in zip(owners, views):
+            view[...] = mod._buffers[name]
+            mod.set_buffer(name, view)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """This step's flat gradient, or ``None`` before any ``backward()``
+        (``zero_grad()`` keeps its meaning).  A parameter the tape did not
+        reach counts as zeros; a gradient assigned by hand is copied in."""
+        if all(p.grad is None for p in self):
+            return None
+        for p in self:
+            if p.grad is not p._grad_view:
+                p._grad_view[...] = 0.0 if p.grad is None else p.grad
+                p.grad = p._grad_view
+        return self._grad
 
 
 class Module:
@@ -115,6 +173,17 @@ class Module:
     def trainable_parameters(self) -> list["Parameter"]:
         """Parameters with ``requires_grad`` — what an optimiser should own."""
         return [p for p in self.parameters() if p.requires_grad]
+
+    def flatten(self) -> FlatParameters:
+        """The model's :class:`FlatParameters`; the first call lays it out."""
+        if "_flat" not in self.__dict__:
+            object.__setattr__(self, "_flat", FlatParameters(self))
+        return self._flat
+
+    def __getstate__(self) -> dict:
+        # A copy (a model returned across the ``procs`` pipe) owns separate
+        # arrays: the views no longer alias, so it lays itself out afresh.
+        return {k: v for k, v in self.__dict__.items() if k != "_flat"}
 
     # ------------------------------------------------------------- state dict
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .module import Parameter
+from .module import FlatParameters, Parameter, flat_views
 
 __all__ = ["Optimizer", "SGD", "LARS", "Adam"]
 
@@ -21,6 +21,8 @@ class Optimizer:
     """Base optimiser over a flat list of parameters."""
 
     def __init__(self, params: Sequence[Parameter], lr: float):
+        #: The model's flat layout when ``params`` is ``model.flatten()``.
+        self._flat = params if isinstance(params, FlatParameters) else None
         params = list(params)
         if not params:
             raise ValueError("optimiser got an empty parameter list")
@@ -28,6 +30,18 @@ class Optimizer:
             raise ValueError(f"learning rate must be > 0, got {lr}")
         self.params = params
         self.lr = lr
+
+    def _momentum_groups(self, momentum: float) -> tuple[list, list]:
+        """``(per-parameter momentum, (owner, momentum) groups)``: what a
+        checkpoint stores, and what an elementwise update walks — ``owner``
+        is anything with ``data`` and ``grad``: the flat model as one group,
+        or each parameter of a bare list.  Momentum is zeroed views of one
+        flat array, or ``None`` throughout when there is none."""
+        owners = self.params if self._flat is None else [self._flat]
+        if not momentum:
+            return [None] * len(self.params), [(g, None) for g in owners]
+        flat, views = flat_views([p.data for p in self.params])
+        return views, list(zip(owners, views if self._flat is None else [flat]))
 
     def zero_grad(self) -> None:
         """Clear all parameter gradients."""
@@ -63,24 +77,22 @@ class SGD(Optimizer):
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.nesterov = nesterov
-        self._velocity: list[np.ndarray | None] = [None] * len(self.params)
+        #: ``_velocity`` is per parameter: what a checkpoint stores.
+        self._velocity, self._groups = self._momentum_groups(momentum)
 
     def step(self) -> None:
         """Apply one update using the current gradients."""
-        for i, p in enumerate(self.params):
-            if p.grad is None:
+        for g, v in self._groups:
+            grad = g.grad
+            if grad is None:
                 continue
-            grad = p.grad
             if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
+                grad = grad + self.weight_decay * g.data
             if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(p.data)
-                v = self._velocity[i]
                 v *= self.momentum
                 v += grad
                 grad = grad + self.momentum * v if self.nesterov else v
-            p.data -= self.lr * grad
+            g.data -= self.lr * grad
 
 
 class LARS(Optimizer):
@@ -108,7 +120,8 @@ class LARS(Optimizer):
         self.weight_decay = weight_decay
         self.trust_coefficient = trust_coefficient
         self.eps = eps
-        self._velocity: list[np.ndarray | None] = [None] * len(self.params)
+        # Layer-wise, so the update walks parameters either way.
+        self._velocity = self._momentum_groups(momentum)[0]
 
     def step(self) -> None:
         """Apply one update using the current gradients."""
@@ -126,8 +139,6 @@ class LARS(Optimizer):
                 trust = 1.0
             update = trust * grad
             if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(p.data)
                 v = self._velocity[i]
                 v *= self.momentum
                 v += update

@@ -15,30 +15,39 @@ recomputing; broadcasting gradients are reduced with a single
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable
 
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Whether this thread records the graph: rank threads validate at the
+    same time, and one's ``no_grad()`` must not switch the others off."""
+
+    enabled = True
+
+
+_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction (validation / running-stat updates)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph construction on this thread (validation / running-stat
+    updates)."""
+    prev = _mode.enabled
+    _mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _mode.enabled = prev
 
 
 def is_grad_enabled() -> bool:
-    """Whether operations currently record the autograd graph."""
-    return _grad_enabled
+    """Whether operations on this thread currently record the autograd graph."""
+    return _mode.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -77,7 +86,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._prev: tuple[Tensor, ...] = _prev if _grad_enabled else ()
+        self._prev: tuple[Tensor, ...] = _prev if _mode.enabled else ()
         self._op = _op
 
     # ------------------------------------------------------------- properties
@@ -126,7 +135,7 @@ class Tensor:
 
     # ------------------------------------------------------------ graph build
     def _needs_graph(self, *others: "Tensor") -> bool:
-        return _grad_enabled and (
+        return _mode.enabled and (
             self.requires_grad
             or any(o.requires_grad for o in others)
             or bool(self._prev)
@@ -138,7 +147,7 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     def _make(self, data: np.ndarray, parents: tuple, op: str) -> "Tensor":
-        if not _grad_enabled:
+        if not _mode.enabled:
             return Tensor(data)
         tracked = tuple(p for p in parents if p.requires_grad or p._prev)
         out = Tensor(data, _prev=tracked, _op=op)
@@ -457,7 +466,7 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     tensors = [Tensor._coerce(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     tracked = tuple(t for t in tensors if t.requires_grad or t._prev)
-    if not _grad_enabled or not tracked:
+    if not _mode.enabled or not tracked:
         return Tensor(data)
     out = Tensor(data, _prev=tracked, _op="concat")
     out.requires_grad = True

@@ -9,7 +9,7 @@ paper's empirical objects, each a view over event kinds:
 * :func:`phase_totals` — the Figure 10 accounting (I/O, EXCHANGE, FW+BW,
   GE+WU) over the ``phase.<name>`` regions a traced run records; summing
   an epoch's regions reproduces the ``epoch.phases`` totals the trainer
-  records and pushes every epoch.
+  records and pushes every epoch, which an untraced stream falls back to.
 * :func:`overlap_report` — the Figure 4 question: how much of the PLS
   exchange was posted *under* the training iterations (overlap frames)
   versus blocking at the epoch boundary (``mode`` of ``round.post``).
@@ -91,14 +91,20 @@ def merge_ranks(
 
 def phase_totals_by_rank(events: Iterable[Event]) -> dict[int, dict[str, float]]:
     """Per-rank seconds per phase: ``{rank: {phase: seconds}}``, summed
-    over the ``phase.<name>`` regions."""
-    totals: dict[int, dict[str, float]] = defaultdict(dict)
+    over the ``phase.<name>`` regions — or, for a stream recorded untraced
+    (no region in it at all), over the always-on ``epoch.phases`` totals."""
+    regions: dict[int, dict[str, float]] = defaultdict(dict)
+    epochs: dict[int, dict[str, float]] = defaultdict(dict)
     for ev in events:
         if ev.kind.startswith(PHASE_PREFIX):
-            name = ev.kind[len(PHASE_PREFIX):]
-            row = totals[ev.rank]
+            row, name = regions[ev.rank], ev.kind[len(PHASE_PREFIX):]
             row[name] = row.get(name, 0.0) + ev.dur
-    return dict(totals)
+        elif ev.kind == "epoch.phases":
+            row = epochs[ev.rank]
+            for name, seconds in ev.fields.items():
+                if name != "epoch":
+                    row[name] = row.get(name, 0.0) + seconds
+    return dict(regions or epochs)
 
 
 def phase_totals(events: Iterable[Event]) -> dict[str, float]:

@@ -100,6 +100,15 @@ def _optimizer_velocity(optimizer: Optimizer) -> list[np.ndarray | None]:
     return [None if v is None else v.copy() for v in velocity]
 
 
+def _load_optimizer_velocity(optimizer: Optimizer, saved: list[np.ndarray | None]) -> None:
+    """Restore momentum *through* the optimizer's buffers: under a flat
+    model they are views of the array its update walks, so rebinding the
+    list would leave that array untouched."""
+    for v, value in zip(getattr(optimizer, "_velocity", ()), saved):
+        if v is not None:
+            v[...] = 0.0 if value is None else value
+
+
 def _validate(payload: object, path: Path, schema: str, version: int, keys: tuple) -> dict:
     """Schema/version/key validation shared by both loaders."""
     if not isinstance(payload, dict):
@@ -220,10 +229,7 @@ def load_checkpoint(
                 f"optimizer has {len(optimizer.params)} params but checkpoint "
                 f"holds {len(ckpt.optimizer_state)} velocity buffers"
             )
-        if hasattr(optimizer, "_velocity"):
-            optimizer._velocity = [
-                None if v is None else v.copy() for v in ckpt.optimizer_state
-            ]
+        _load_optimizer_velocity(optimizer, ckpt.optimizer_state)
         optimizer.lr = payload["optimizer_lr"]
     return ckpt
 

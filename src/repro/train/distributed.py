@@ -33,21 +33,15 @@ def broadcast_model(model: Module, comm: Communicator, root: int = 0) -> None:
 def allreduce_gradients(model: Module, comm: Communicator) -> None:
     """Average parameter gradients across all ranks (Eq. 1's 1/M sum).
 
-    Gradients are flattened into a single buffer so one allreduce carries
-    the whole model — the same bucketing trick real frameworks use to
-    avoid per-tensor latency.
+    The gradients already live in the model's one flat buffer
+    (:meth:`~repro.nn.module.Module.flatten`), so one allreduce carries the
+    whole model — the bucketing trick real frameworks use to avoid
+    per-tensor latency, with no gather before it and no scatter after.
     """
-    params = [p for p in model.parameters() if p.grad is not None]
-    if not params:
+    grads = model.flatten().grad
+    if grads is None:
         raise ValueError("no gradients to reduce; run backward() first")
-    flat = np.concatenate([p.grad.ravel() for p in params])
-    total = comm.allreduce(flat)
-    total /= comm.size
-    offset = 0
-    for p in params:
-        n = p.grad.size
-        p.grad[...] = total[offset : offset + n].reshape(p.grad.shape)
-        offset += n
+    np.divide(comm.allreduce(grads), comm.size, out=grads)
 
 
 def allreduce_batchnorm_stats(model: Module, comm: Communicator) -> None:
@@ -56,16 +50,10 @@ def allreduce_batchnorm_stats(model: Module, comm: Communicator) -> None:
     Under local/partial-local shuffling each worker's running stats are
     biased toward its shard (§IV-A-1).  Synchronising them before
     validation mirrors what distributed frameworks do when checkpointing
-    rank 0's model after allreduce-based BN-sync.
+    rank 0's model after allreduce-based BN-sync.  The statistics are the
+    model's float32 buffers, one flat array: one allreduce, none for a
+    model without any.
     """
-    from repro.nn.norm import _BatchNormBase
-
-    for module in model.modules():
-        if isinstance(module, _BatchNormBase):
-            # Contribute copies: under zero-copy worlds the live buffer is
-            # shared with peers until every rank has folded it, and the
-            # in-place write below would race with their reads.
-            mean = comm.allreduce(module.running_mean.copy()) / comm.size
-            var = comm.allreduce(module.running_var.copy()) / comm.size
-            module.running_mean[...] = mean
-            module.running_var[...] = var
+    stats = model.flatten().stats
+    if stats.size:
+        np.divide(comm.allreduce(stats), comm.size, out=stats)

@@ -105,8 +105,10 @@ def build_replica(
     if workers is None:
         workers = comm.size
     make = LARS if config.optimizer == "lars" else SGD
+    # The flat layout is fixed here, over the parameters that require grad
+    # now (a frozen backbone stays out of the gradient allreduce).
     optimizer = make(
-        model.parameters(),
+        model.flatten(),
         config.base_lr * (workers if config.scale_lr else 1),
         momentum=config.momentum, weight_decay=config.weight_decay,
     )
@@ -190,17 +192,15 @@ def train_one_epoch(
         if config.sync_batchnorm_stats:
             with flight.phase("ge_wu"):
                 allreduce_batchnorm_stats(model, comm)
-        # Validation on rank 0 (replicas are identical after the reduce),
-        # then shared with everyone.
+        # Replicas are identical after the reduce, so every rank validates
+        # a stride of the set and the counts are summed below.
         with detail("train.validate"):
-            if comm.rank == 0:
-                val_acc, _val_loss = evaluate(model, val_X, val_y)
-            else:
-                val_acc = None
-            val_acc = comm.bcast(val_acc, root=0)
+            correct = _validate_stride(
+                model, val_X, val_y, comm.rank, comm.size, config.batch_size
+            )
         # Always-on telemetry: record the epoch's phase breakdown as one
         # event and push it (plus local loss and exchange health)
-        # to the aggregator.  Pushed *before* the mean-loss allreduce:
+        # to the aggregator.  Pushed *before* the epoch's last allreduce:
         # that collective is a barrier, so rank 0 passing it proves every
         # peer's push of this epoch is already deposited.  The aggregator
         # is world-owned, so the series survives a later shrink.
@@ -214,15 +214,35 @@ def train_one_epoch(
                 metrics["exchange.q_deficit"] = sched.q_deficit
             metrics["pool.in_use"] = comm.pool.stats()["in_use"]
             push_metrics(comm, epoch, metrics)
-        mean_loss = comm.allreduce(loss_avg.value) / comm.size
-        total_samples = comm.allreduce(samples)
+        # One collective for the epoch's three sums (float64 holds the
+        # integer counts exactly).
+        loss_sum, total_samples, total_correct = comm.allreduce(
+            np.array([loss_avg.value, samples, correct], dtype=np.float64)
+        ).tolist()
     return EpochRecord(
         epoch=epoch,
-        train_loss=mean_loss,
-        val_accuracy=val_acc,
+        train_loss=loss_sum / comm.size,
+        val_accuracy=int(total_correct) / len(val_y),
         lr=lr,
-        samples_seen=total_samples,
+        samples_seen=int(total_samples),
     )
+
+
+def _validate_stride(
+    model, val_X: np.ndarray, val_y: np.ndarray, rank: int, size: int, batch_size: int
+) -> int:
+    """How many of ``val[rank::size]`` the model gets right (an empty
+    stride — fewer validation samples than ranks — counts zero).  The epoch
+    validates in training-sized batches: every rank is in here at once, and
+    the working set of a training step is what they can all hold."""
+    if len(val_y) == 0:
+        raise ValueError("empty validation set")
+    X, y = val_X[rank::size], val_y[rank::size]
+    if len(y) == 0:
+        return 0
+    accuracy, _loss = evaluate(model, X, y, batch_size=batch_size)
+    # ``evaluate`` reports the ratio; times the count it is the integer again.
+    return round(accuracy * len(y))
 
 
 def _no_failure(point: str) -> None:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Tensor, concatenate, no_grad
+from repro.nn import Tensor, concatenate, is_grad_enabled, no_grad
 from repro.nn.gradcheck import gradcheck
 
 
@@ -166,6 +166,39 @@ class TestBackwardMechanics:
             out = t * 2 + 1
         assert out._prev == ()
         assert not out.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        """Rank threads validate at the same time: one sitting inside
+        ``no_grad()`` must not switch recording off for the other, and
+        interleaved exits must not leave it off for anyone."""
+        import threading
+
+        inside, may_leave = threading.Event(), threading.Event()
+        seen = {}
+
+        def validating():
+            with no_grad():
+                inside.set()
+                assert may_leave.wait(timeout=10)
+            seen["validating"] = is_grad_enabled()
+
+        def training():
+            assert inside.wait(timeout=10)
+            t = Tensor([1.0, 2.0], requires_grad=True)
+            (t * 3.0).sum().backward()
+            seen["grad"] = t.grad
+            may_leave.set()
+            seen["training"] = is_grad_enabled()
+
+        threads = [threading.Thread(target=f) for f in (validating, training)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=20)
+        assert not any(th.is_alive() for th in threads)
+        assert np.array_equal(seen["grad"], [3.0, 3.0])
+        assert seen["validating"] is True and seen["training"] is True
+        assert is_grad_enabled()
 
     def test_non_requires_grad_builds_no_graph(self):
         out = Tensor([1.0]) * Tensor([2.0])

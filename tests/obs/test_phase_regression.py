@@ -23,8 +23,7 @@ PHASES = ("io", "exchange", "fw_bw", "ge_wu")
 RANKS = 2
 
 
-@pytest.fixture(scope="module")
-def traced_run():
+def run(tracing):
     X, y = make_classification(SyntheticSpec(128, 4, n_features=16, seed=3))
     ds = TensorDataset(X, y)
     config = TrainConfig(
@@ -36,7 +35,12 @@ def traced_run():
             comm, config, strategy_from_name("partial-0.5"), ds, y, X[:16], y[:16]
         )
 
-    return run_spmd(worker, RANKS, copy_on_send=False, tracing=True, deadline_s=300)
+    return run_spmd(worker, RANKS, copy_on_send=False, tracing=tracing, deadline_s=300)
+
+
+@pytest.fixture(scope="module")
+def traced_run():
+    return run(tracing=True)
 
 
 def pushed_totals(result):
@@ -88,3 +92,26 @@ class TestPhaseBreakdownMatchesTrace:
                 assert pushed[rank][phase] == pytest.approx(
                     per_rank[rank][phase], abs=max(1e-6 * n_regions, 1e-6), rel=0.01
                 ), (rank, phase)
+
+
+class TestUntracedDump:
+    def test_phase_table_falls_back_to_the_epoch_totals(self, tmp_path, capsys):
+        """An untraced stream has no ``phase.<name>`` region, only each
+        epoch's ``epoch.phases`` totals: the breakdown (and `repro trace`'s
+        per-phase table) is read from those."""
+        from repro.cli import main
+
+        result = run(tracing=False)
+        log = result.world.flight
+        log.dump_dir = tmp_path
+        dump = log.dump("untraced run")
+        events = load_trace(dump["path"])
+        assert not any(ev.kind.startswith("phase.") for ev in events)
+        per_rank = phase_totals_by_rank(events)
+        pushed = pushed_totals(result)
+        for rank in range(RANKS):
+            for phase in PHASES:
+                assert per_rank[rank][phase] == pytest.approx(pushed[rank][phase], rel=1e-9)
+        assert main(["trace", dump["path"], "--no-gantt"]) == 0
+        out = capsys.readouterr().out
+        assert all(phase in out for phase in PHASES)
