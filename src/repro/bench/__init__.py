@@ -1,6 +1,6 @@
 """Benchmark scenarios behind ``repro bench``.
 
-Each scenario (exchange, telemetry, serve, robustness, backend) runs one
+Each scenario (exchange, telemetry, robustness, backend) runs one
 subsystem at a fixed size and writes a machine-readable
 ``BENCH_<scenario>.json`` artifact the CI smoke jobs gate on.  See
 ``docs/performance.md`` for how to run them and how to read the numbers;
@@ -13,13 +13,11 @@ from .runner import (
     DEFAULT_RESULTS_DIR,
     MAX_MIGRATION_SHARE,
     MIN_REJOIN_SPEED,
-    MIN_SERVE_FAIRNESS,
     SCENARIOS,
     check_regression,
     run_bench,
 )
 from .robustness import bench_robustness
-from .serve import bench_serve
 from .telemetry import FLIGHT_OVERHEAD_BUDGET, bench_telemetry
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "bench_exchange",
     "exchange_q_sweep",
     "bench_telemetry",
-    "bench_serve",
     "bench_robustness",
     "run_bench",
     "check_regression",
@@ -36,5 +33,4 @@ __all__ = [
     "FLIGHT_OVERHEAD_BUDGET",
     "MAX_MIGRATION_SHARE",
     "MIN_REJOIN_SPEED",
-    "MIN_SERVE_FAIRNESS",
 ]

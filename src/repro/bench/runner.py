@@ -1,13 +1,19 @@
 """Orchestration for ``repro bench``: run, persist, and gate on artifacts.
 
 ``run_bench`` executes the selected scenarios and writes one
-``BENCH_<scenario>.json`` artifact each.  With ``check=True`` it first
-loads the committed baselines and then applies each scenario's gates:
-absolute floors and caps on deterministic or self-normalised quantities
-(bytes copied per sent byte, pool hit rate, flight-recorder overhead, Jain
-fairness, bit-identity flags), plus a >20 % drop check against the baseline
-for the ratios that are comparable across machines.  Wall times are recorded but
-never gated: CI runners differ in speed.
+``BENCH_<scenario>.json`` artifact each.  With ``check=True`` it then
+applies each scenario's gates, all of them absolute — nothing is compared
+with an earlier run:
+
+* exchange — at most 2.1 bytes copied per sent byte, pool hit rate > 0;
+* telemetry — flight-recorder overhead inside its budget, training
+  history bit-identical with the always-on layer enabled;
+* robustness — crash-and-restart bit-identical to the clean run, shard
+  capacity restored, Q-deficit repaid, ``rejoin_speed`` >= 5,
+  ``migration_share`` <= 0.5;
+* backend — ``procs`` shards identical to ``threads``, ``/dev/shm`` clean.
+
+Wall times are recorded but never gated: CI runners differ in speed.
 """
 
 from __future__ import annotations
@@ -19,23 +25,21 @@ from typing import Any
 from .backend import bench_backend
 from .exchange import bench_exchange, exchange_q_sweep
 from .robustness import bench_robustness
-from .serve import bench_serve
 from .telemetry import FLIGHT_OVERHEAD_BUDGET, bench_telemetry
 
 __all__ = ["run_bench", "check_regression", "DEFAULT_RESULTS_DIR", "SCENARIOS"]
 
-#: Where artifacts are read from and written to by default: the committed
-#: baselines live next to the paper-figure benchmark tables.
+#: Where artifacts are written by default: next to the paper-figure
+#: benchmark tables.
 DEFAULT_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 EXCHANGE_ARTIFACT = "BENCH_exchange.json"
 TELEMETRY_ARTIFACT = "BENCH_telemetry.json"
-SERVE_ARTIFACT = "BENCH_serve.json"
 ROBUSTNESS_ARTIFACT = "BENCH_robustness_rejoin.json"
 BACKEND_ARTIFACT = "BENCH_backend.json"
 
 #: Selectable benchmark scenarios (``repro bench --scenario``).
-SCENARIOS = ("exchange", "telemetry", "serve", "robustness", "backend")
+SCENARIOS = ("exchange", "telemetry", "robustness", "backend")
 
 #: Cap on bytes copied per logical sample byte sent.  Deterministic, not a
 #: timing: a sample is gathered once into its frame and scattered once out
@@ -44,13 +48,9 @@ SCENARIOS = ("exchange", "telemetry", "serve", "robustness", "backend")
 #: pushes it to 3.
 MAX_BYTES_COPIED_PER_SENT_BYTE = 2.1
 
-#: Floor on the grant-order Jain index for symmetric tenants: equal-weight
-#: backlogged tenants must share service near-evenly in every prefix.
-MIN_SERVE_FAIRNESS = 0.9
-
 #: Floor on run-wall over rejoin-rebalance-wall.  An absolute gate, not a
-#: baseline ratio: the rebalance is milliseconds, so run-to-run noise on
-#: its wall time swings the ratio far more than any real regression —
+#: ratio to an earlier run: the rebalance is milliseconds, so run-to-run
+#: noise on its wall time swings the ratio far more than any real regression —
 #: what must hold is the order-of-magnitude claim that healing is much
 #: cheaper than the run it heals (a pathological rebalance that
 #: re-exchanges everything drives this toward 1).
@@ -65,7 +65,6 @@ _SMOKE = {
     "exchange": dict(ranks=2, samples=48, shape=(32, 32), q=0.5, epochs=2),
     "q_sweep": dict(ranks=2, samples=48, shape=(32, 32), qs=(0.25, 0.5, 1.0), epochs=1),
     "telemetry": dict(ranks=2, samples=96, epochs=2, repeats=3),
-    "serve": dict(tenants=2, samples=96, shape=(3, 8, 8), requests=8, batch=6, workers=2),
     "robustness": dict(workers=3, samples=120, epochs=4, q=0.3),
     "backend": dict(ranks=2, samples=64, shape=(32, 32), q=0.5, epochs=2),
 }
@@ -73,7 +72,6 @@ _FULL = {
     "exchange": dict(ranks=4, samples=256, shape=(3, 32, 32), q=0.5, epochs=3),
     "q_sweep": dict(ranks=4, samples=256, shape=(3, 32, 32), qs=(0.1, 0.25, 0.5, 1.0), epochs=2),
     "telemetry": dict(ranks=4, samples=256, epochs=3, repeats=5),
-    "serve": dict(tenants=4, samples=512, shape=(3, 16, 16), requests=32, batch=8, workers=3),
     "robustness": dict(workers=4, samples=240, epochs=6, q=0.3),
     "backend": dict(ranks=4, samples=192, shape=(3, 32, 32), q=0.5, epochs=3),
 }
@@ -84,16 +82,15 @@ def run_bench(
     smoke: bool = False,
     out_dir: str | Path | None = None,
     check: bool = False,
-    baseline_dir: str | Path | None = None,
     seed: int = 0,
     scenarios: tuple = SCENARIOS,
 ) -> dict[str, Any]:
     """Run the selected benchmarks; returns their results plus ``"problems"``.
 
     Artifacts are written to ``out_dir`` (default: ``benchmarks/results``).
-    With ``check=True`` the baselines are loaded from ``baseline_dir``
-    *before* anything is overwritten, and detected regressions are
-    returned under ``"problems"`` (empty means the gate passes).
+    With ``check=True`` the gates of :func:`check_regression` are applied
+    to what was just measured and the violations are returned under
+    ``"problems"`` (empty means the gate passes).
     ``scenarios`` selects which benchmarks run (default: all); skipped
     scenarios come back as ``None`` and their gates do not apply.
     """
@@ -101,20 +98,9 @@ def run_bench(
     if unknown:
         raise ValueError(f"unknown scenario(s) {sorted(unknown)}; pick from {SCENARIOS}")
     out = Path(out_dir) if out_dir is not None else DEFAULT_RESULTS_DIR
-    base = Path(baseline_dir) if baseline_dir is not None else DEFAULT_RESULTS_DIR
-    baselines: dict[str, Any] = {}
-    if check:
-        for name in (
-            EXCHANGE_ARTIFACT, TELEMETRY_ARTIFACT,
-            SERVE_ARTIFACT, ROBUSTNESS_ARTIFACT,
-        ):
-            path = base / name
-            if path.is_file():
-                baselines[name] = json.loads(path.read_text())
-
     params = _SMOKE if smoke else _FULL
     out.mkdir(parents=True, exist_ok=True)
-    exchange = telemetry = serve = robustness = backend = None
+    exchange = telemetry = robustness = backend = None
     if "exchange" in scenarios:
         exchange = bench_exchange(seed=seed, **params["exchange"])
         exchange["q_sweep"] = exchange_q_sweep(seed=seed, **params["q_sweep"])
@@ -126,11 +112,6 @@ def run_bench(
         telemetry["schema"] = "repro.bench.telemetry/v1"
         telemetry["smoke"] = smoke
         (out / TELEMETRY_ARTIFACT).write_text(json.dumps(telemetry, indent=2) + "\n")
-    if "serve" in scenarios:
-        serve = bench_serve(seed=seed, **params["serve"])
-        serve["schema"] = "repro.bench.serve/v1"
-        serve["smoke"] = smoke
-        (out / SERVE_ARTIFACT).write_text(json.dumps(serve, indent=2) + "\n")
     if "robustness" in scenarios:
         robustness = bench_robustness(seed=seed, **params["robustness"])
         robustness["schema"] = "repro.bench.robustness/v1"
@@ -147,13 +128,11 @@ def run_bench(
     problems: list[str] = []
     if check:
         problems = check_regression(
-            exchange, baselines, telemetry=telemetry, serve=serve,
-            robustness=robustness, backend=backend,
+            exchange, telemetry=telemetry, robustness=robustness, backend=backend
         )
     return {
         "exchange": exchange,
         "telemetry": telemetry,
-        "serve": serve,
         "robustness": robustness,
         "backend": backend,
         "problems": problems,
@@ -161,47 +140,20 @@ def run_bench(
     }
 
 
-def _ratio_regressions(
-    label: str, current: dict, baseline: dict | None, keys: tuple, tolerance: float
-) -> list[str]:
-    problems = []
-    for key in keys:
-        cur = current.get("ratios", {}).get(key)
-        if cur is None:
-            problems.append(f"{label}: ratio {key!r} missing from current run")
-            continue
-        if baseline is None:
-            continue
-        ref = baseline.get("ratios", {}).get(key)
-        if ref is None or ref == float("inf"):
-            continue
-        if cur < (1.0 - tolerance) * ref:
-            problems.append(
-                f"{label}: {key} regressed to {cur:.3g} "
-                f"(< {1 - tolerance:.0%} of baseline {ref:.3g})"
-            )
-    return problems
-
-
 def check_regression(
     exchange: dict | None,
-    baselines: dict[str, Any],
     *,
     telemetry: dict | None = None,
-    serve: dict | None = None,
     robustness: dict | None = None,
     backend: dict | None = None,
-    tolerance: float = 0.2,
 ) -> list[str]:
-    """Compare a fresh run against the committed baselines.
+    """Hold a fresh run to the absolute gates in the module docstring.
 
-    Returns a list of human-readable problems (empty = pass).  A missing
-    baseline file is not a failure — the absolute gates still apply (the
-    copy cap and the pool-hit floor for the exchange, the flight-overhead
-    budget for telemetry), so a fresh checkout cannot silently grow a third
-    copy on the exchange path, stop recycling frames, or ship an always-on
-    layer that got expensive.  A scenario passed as
-    ``None`` was not run and its gates are skipped.
+    Returns a list of human-readable problems (empty = pass).  Every gate
+    is a cap, a floor or a flag on the run itself, so a fresh checkout
+    cannot silently grow a third copy on the exchange path, stop recycling
+    frames, or ship an always-on layer that got expensive.  A scenario
+    passed as ``None`` was not run and its gates are skipped.
     """
     problems = []
     if exchange is not None:
@@ -233,36 +185,9 @@ def check_regression(
                 "telemetry: enabling the always-on layer changed the training "
                 "result"
             )
-    if serve is not None:
-        fairness = serve["ratios"]["fairness_jain"]
-        if fairness < MIN_SERVE_FAIRNESS:
-            problems.append(
-                f"serve: grant-order Jain index {fairness:.3f} below the "
-                f"{MIN_SERVE_FAIRNESS} floor — symmetric tenants are not "
-                "being served fairly"
-            )
-        if serve["ratios"]["hot_hit_rate"] <= 0.0:
-            problems.append(
-                "serve: hot-cache hit rate is zero on the overlapping-dataset "
-                "scenario — cross-tenant sharing is broken"
-            )
-        faults = serve["faults"]
-        if faults["errors"] or faults["served"] < faults["submitted"]:
-            problems.append(
-                f"serve: {faults['errors']} request(s) failed under injected "
-                f"flaky reads ({faults['served']}/{faults['submitted']} "
-                "served) — the retry discipline is not absorbing faults"
-            )
-        problems += _ratio_regressions(
-            "serve",
-            serve,
-            baselines.get(SERVE_ARTIFACT),
-            ("fairness_jain", "hot_hit_rate"),
-            tolerance,
-        )
     if robustness is not None:
         # Absolute gates: healing must be invisible and complete.  These
-        # are determinism properties, not timings, so no baseline needed.
+        # are determinism properties, not timings.
         if not robustness.get("bit_identical"):
             problems.append(
                 "robustness: crashed-and-restarted lifecycle run is not "

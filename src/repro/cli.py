@@ -42,17 +42,6 @@ Subcommands
     buffer-pool ownership) under message drop/dup/delay/stale/corruption
     and rank kills; also re-checks seeded protocol mutations and fails if
     any survives undetected.
-``serve``
-    Run a multi-tenant shard-service demo in-process: N tenants (one may
-    be rate-limited aggressive) fetch batches from a shared dataset
-    through the admission-controlled :class:`~repro.serve.ShardServer`;
-    prints the per-tenant latency/fairness table and the tenant health
-    findings.  ``--strict`` exits 1 when a tenant is starved or abusive.
-``serve-bench``
-    Shard-service traffic benchmark (writes ``BENCH_serve.json``):
-    per-tenant p50/p99 latency, grant-order Jain fairness, shared-cache
-    hit rate, and served-under-faults counts.  ``--check`` gates on the
-    fairness/hit-rate floors and the committed baseline.
 ``health``
     Anomaly/straggler report over a telemetry snapshot: read a JSON file
     written by a previous run (``repro health telemetry.json``) or run a
@@ -244,78 +233,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--check", action="store_true",
-        help="fail on >20%% ratio regression vs the committed baseline, or "
-        "if the exchange copies more than 2.1 bytes per sent byte or "
-        "recycles no frame",
-    )
-    p_bench.add_argument(
-        "--baseline", default=None, metavar="DIR",
-        help="baseline directory for --check (default: benchmarks/results)",
+        help="fail unless every absolute gate holds: <= 2.1 bytes copied "
+        "per sent byte, pool hit rate > 0, flight overhead inside its "
+        "budget, bit-identical histories, capacity restored, Q-deficit "
+        "repaid, rejoin_speed >= 5, migration_share <= 0.5, identical "
+        "shards, /dev/shm clean",
     )
     p_bench.add_argument("--seed", type=int, default=0, help="benchmark seed")
     p_bench.add_argument(
         "--scenario",
-        choices=[
-            "all", "exchange", "telemetry", "serve", "robustness", "backend",
-        ],
+        choices=["all", "exchange", "telemetry", "robustness", "backend"],
         default="all",
         help="which benchmark to run (default: all)",
     )
     add_backend_arg(p_bench)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="multi-tenant shard-service demo with per-tenant fairness report",
-    )
-    p_serve.add_argument("--tenants", type=int, default=3, help="number of tenants")
-    p_serve.add_argument("--samples", type=int, default=256, help="dataset size")
-    p_serve.add_argument(
-        "--requests", type=int, default=24, help="requests per tenant"
-    )
-    p_serve.add_argument("--batch", type=int, default=8, help="samples per request")
-    p_serve.add_argument("--workers", type=int, default=2, help="server worker threads")
-    p_serve.add_argument(
-        "--aggressive-rate", type=float, default=None, metavar="R",
-        help="rate-limit tenant 0 to R requests/s (it will submit far "
-        "faster and accumulate throttles)",
-    )
-    p_serve.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="storage fault profile at the server boundary, e.g. "
-        "'flaky-read:p=0.05'",
-    )
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="also write the service stats JSON here",
-    )
-    p_serve.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 when a tenant health finding is raised",
-    )
-
-    p_sb = sub.add_parser(
-        "serve-bench",
-        help="shard-service traffic benchmark (writes BENCH_serve.json)",
-    )
-    p_sb.add_argument(
-        "--smoke", action="store_true",
-        help="small problem sizes for CI (seconds, not minutes)",
-    )
-    p_sb.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="artifact directory (default: benchmarks/results)",
-    )
-    p_sb.add_argument(
-        "--check", action="store_true",
-        help="fail on fairness < 0.9, zero cache sharing, unserved faulted "
-        "requests, or a >20%% ratio regression vs the committed baseline",
-    )
-    p_sb.add_argument(
-        "--baseline", default=None, metavar="DIR",
-        help="baseline directory for --check (default: benchmarks/results)",
-    )
-    p_sb.add_argument("--seed", type=int, default=0, help="benchmark seed")
 
     p_health = sub.add_parser(
         "health",
@@ -694,12 +625,11 @@ def _cmd_bench(args) -> int:
         smoke=args.smoke,
         out_dir=args.out,
         check=args.check,
-        baseline_dir=args.baseline,
         seed=args.seed,
         scenarios=scenarios,
     )
     ex, tel = result["exchange"], result["telemetry"]
-    srv, rob, bk = result["serve"], result["robustness"], result["backend"]
+    rob, bk = result["robustness"], result["backend"]
     artifact_names = {"robustness": "robustness_rejoin"}
     artifacts = ", ".join(
         f"BENCH_{artifact_names.get(name, name)}.json" for name in scenarios
@@ -730,8 +660,6 @@ def _cmd_bench(args) -> int:
                 tracing=tel["ratios"]["tracing_overhead"],
             )
         )
-    if srv is not None:
-        _print_serve_summary(srv)
     if rob is not None:
         print(
             "robustness: rejoin rebalance {speed:.1f}x cheaper than the run "
@@ -760,138 +688,8 @@ def _cmd_bench(args) -> int:
             for p in result["problems"]:
                 print(f"REGRESSION: {p}", file=sys.stderr)
             return 1
-        print("bench check passed (no regression vs baseline)")
+        print("bench check passed (every absolute gate holds)")
     return 0
-
-
-def _cmd_serve(args) -> int:
-    import json
-
-    import numpy as np
-
-    from repro.bench.serve import _make_dataset
-    from repro.obs.telemetry.health import render_findings, run_health_checks
-    from repro.serve import ServedDataset, ShardServer, TenantConfig
-    from repro.utils.tables import render_table
-
-    fault_hook = None
-    chaos = None
-    if args.chaos:
-        from repro.faults import ChaosEngine
-
-        chaos = ChaosEngine(args.chaos, seed=args.seed)
-        fault_hook = chaos.storage_hook
-    dataset = _make_dataset(args.samples, (3, 16, 16), args.seed)
-    server = ShardServer(fault_hook=fault_hook)
-    server.register_dataset("shared", backing=dataset)
-    names = []
-    for i in range(args.tenants):
-        name = f"tenant-{i}"
-        names.append(name)
-        if i == 0 and args.aggressive_rate is not None:
-            server.add_tenant(
-                TenantConfig(name, rate=args.aggressive_rate, burst=1.0)
-            )
-        else:
-            server.add_tenant(TenantConfig(name))
-    n = len(dataset)
-    server.start(workers=args.workers)
-    try:
-        for r in range(args.requests):
-            for i, name in enumerate(names):
-                gids = [(r * args.batch + k + i * 31) % n for k in range(args.batch)]
-                if args.aggressive_rate is not None and i == 0:
-                    # The aggressive tenant fires without waiting out its
-                    # throttles — that is the point of the demo.
-                    req = server.submit(name, "shared", gids)
-                    if req.error is None:
-                        req.result(timeout=60.0).try_adopt()
-                else:
-                    server.fetch(name, "shared", gids, timeout=60.0).try_adopt()
-        stats = server.stats()
-        snapshot = server.telemetry_snapshot()
-    finally:
-        server.stop()
-
-    rows = []
-    for name in names:
-        t = stats["tenants"][name]
-        rows.append([
-            name, t["submitted"], t["served"], t["throttled"],
-            t["latency"]["p50"] * 1e3, t["latency"]["p99"] * 1e3,
-        ])
-    print(render_table(
-        ["tenant", "submitted", "served", "throttled", "p50 ms", "p99 ms"],
-        rows, title="shard service"
-    ))
-    hot, cold = stats["caches"]["hot"], stats["caches"]["cold"]
-    print(
-        f"fairness (Jain over served): {stats['fairness']['jain_served']:.3f}   "
-        f"hot cache: {hot['hit_rate']:.1%} hits   "
-        f"cold cache: {cold['hit_rate']:.1%} hits"
-    )
-    if chaos is not None and chaos.counts:
-        print("injected faults:", dict(sorted(chaos.counts.items())))
-    findings = run_health_checks(snapshot)
-    if findings:
-        print(render_findings(findings))
-    else:
-        print("tenant health: no findings")
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(json.dumps(
-            {"stats": stats, "findings": [f.to_dict() for f in findings]},
-            indent=2, default=float,
-        ) + "\n")
-        print(f"wrote stats to {args.out}")
-    if args.strict and findings:
-        return 1
-    return 0
-
-
-def _cmd_serve_bench(args) -> int:
-    from repro.bench import run_bench
-
-    result = run_bench(
-        smoke=args.smoke,
-        out_dir=args.out,
-        check=args.check,
-        baseline_dir=args.baseline,
-        seed=args.seed,
-        scenarios=("serve",),
-    )
-    serve = result["serve"]
-    print(f"wrote BENCH_serve.json to {result['out_dir']}")
-    _print_serve_summary(serve)
-    if args.check:
-        if result["problems"]:
-            for p in result["problems"]:
-                print(f"REGRESSION: {p}", file=sys.stderr)
-            return 1
-        print("serve bench check passed")
-    return 0
-
-
-def _print_serve_summary(serve: dict) -> None:
-    sym = serve["symmetric"]
-    for name, t in sorted(sym["tenants"].items()):
-        print(
-            f"  {name}: served {t['served']}, "
-            f"p50 {t['p50_s'] * 1e3:.2f} ms, p99 {t['p99_s'] * 1e3:.2f} ms"
-        )
-    print(
-        "serve: Jain fairness {jain:.3f} over {grants} grants, "
-        "hot-cache hit rate {hit:.1%}, {served}/{sub} served under "
-        "{inj} injected faults".format(
-            jain=serve["ratios"]["fairness_jain"],
-            grants=sym["grants"],
-            hit=serve["ratios"]["hot_hit_rate"],
-            served=serve["faults"]["served"],
-            sub=serve["faults"]["submitted"],
-            inj=serve["faults"]["injected"],
-        )
-    )
 
 
 def _cmd_health(args) -> int:
@@ -1170,8 +968,6 @@ _HANDLERS = {
     "trace": _cmd_trace,
     "chaos-train": _cmd_chaos_train,
     "bench": _cmd_bench,
-    "serve": _cmd_serve,
-    "serve-bench": _cmd_serve_bench,
     "health": _cmd_health,
     "lint": _cmd_lint,
     "verify-protocol": _cmd_verify_protocol,

@@ -28,7 +28,8 @@ passes it through un-copied — see ``copy_payload``).  Ownership of a
 pooled backing buffer travels with the batch: the producing rank packs,
 the consuming rank ``release()``\\ s the buffer once no view of it is
 left (the exchange copies the samples out first, so its frames recycle)
-or ``adopt()``\\ s it to keep long-lived views valid (the serve tier).
+or ``adopt()``\\ s it to keep long-lived views valid (an aborted exchange
+whose peer may still read the frame).
 """
 
 from __future__ import annotations

@@ -160,8 +160,8 @@ def copy_payload(obj: Any) -> Any:
         )
     if isinstance(obj, tuple):
         # Element-wise, so pass-through members (a PackedBatch riding in a
-        # protocol tuple, e.g. the serve response envelope) stay zero-copy
-        # while mutable siblings are still defensively copied.
+        # protocol tuple) stay zero-copy while mutable siblings are still
+        # defensively copied.
         return tuple(copy_payload(x) for x in obj)
     if isinstance(obj, list):
         return [copy_payload(x) for x in obj]

@@ -13,8 +13,8 @@ machine, the accounting and the id -> buffer ledger live here; where the
 bytes come from, and when they may be given back, is the *allocator*'s
 business:
 
-* :class:`HeapAllocator` (the default — the ``threads`` world, the serve
-  tier): one ``bytearray`` per buffer.  Whatever the pool lets go of — a
+* :class:`HeapAllocator` (the default — the ``threads`` world): one
+  ``bytearray`` per buffer.  Whatever the pool lets go of — a
   release beyond the free-list bound, an adopted buffer — is the GC's.
 * :class:`~repro.mpi.shm_pool.SegmentAllocator` (the ``procs`` world): one
   named ``/dev/shm`` segment per buffer, parked without bound on release
@@ -28,9 +28,9 @@ Ownership protocol (enforced by accounting, relied on for zero-copy):
   no live view can reach: the pool WILL hand the same bytes to the next
   acquirer of that size class.
 * :meth:`~BufferPool.adopt` transfers ownership *out* of the pool — used
-  when a zero-copy consumer (the serve tier's storage installing received
-  sample views, or an aborted exchange whose peer may still read the
-  frame) keeps the bytes alive indefinitely.  Adopted buffers are never
+  when a zero-copy consumer (a storage area installing received sample
+  views, or an aborted exchange whose peer may still read the frame)
+  keeps the bytes alive indefinitely.  Adopted buffers are never
   reused.
 
 ``in_use()`` counts acquired-but-neither-released-nor-adopted buffers, so
@@ -132,8 +132,8 @@ class BufferPool:
     allocator:
         Where the bytes come from (default: a :class:`HeapAllocator`).
     name:
-        Label used in stats (several pools can coexist: one per world for
-        the exchange, one per serve-tier server).
+        Label used in stats (several pools can coexist; the exchange
+        uses one per world).
     """
 
     def __init__(self, allocator=None, *, name: str = "pool") -> None:

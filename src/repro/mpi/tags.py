@@ -33,7 +33,6 @@ __all__ = [
     "RING",
     "TREE",
     "BARRIER",
-    "SERVE",
     "JOIN",
     "EXCHANGE_DATA",
     "EXCHANGE_CTRL",
@@ -127,12 +126,6 @@ TREE = TagRange("tree_broadcast", base=(1 << 14) + 4096, width=4096, owner="repr
 #: Recursive-doubling barrier: fold-in/out plus one tag per doubling mask.
 BARRIER = TagRange("barrier", base=(1 << 14) + 8192, width=4096, owner="repro.mpi")
 
-#: Multi-tenant shard service (request/response planes of
-#: :mod:`repro.serve.wire`).  Offset 0 carries tenant requests to the
-#: server rank; offset 1 carries responses back.  Per-channel FIFO matching
-#: keeps a client's in-flight requests ordered, so two offsets suffice.
-SERVE = TagRange("serve", base=1 << 15, width=4096, owner="repro.serve")
-
 #: Elastic rank-rejoin (JOIN) handshake and rebalance transfers.  Offset 0
 #: carries the admission state snapshot from rank 0 to each joiner, offset 1
 #: the joiner's ACK back, and offsets 2+ the shard-rebalance transfers (one
@@ -157,7 +150,6 @@ REGISTRY: tuple[TagRange, ...] = (
     RING,
     TREE,
     BARRIER,
-    SERVE,
     JOIN,
     EXCHANGE_DATA,
     EXCHANGE_CTRL,

@@ -16,7 +16,7 @@ The subsystem the paper's measurements hang off:
   :func:`load_trace` reads both.
 * :class:`TelemetryAggregator` (collective-free cross-rank metric series
   with streaming quantiles) and the health detectors behind
-  ``repro health``; :class:`MetricsRegistry` for the serve tier's totals.
+  ``repro health``.
 
 Quick example::
 
@@ -40,14 +40,7 @@ from .merge import (
     phase_totals,
     phase_totals_by_rank,
 )
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Reservoir,
-    quantile_key,
-)
+from .metrics import Reservoir, quantile_key
 from .summary import TraceSummary, render_summary, summarize_events, summarize_trace
 from .telemetry import (
     Event,
@@ -62,10 +55,6 @@ from .telemetry import (
 
 __all__ = [
     "Event",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "chrome_trace_events",
     "write_chrome_trace",
     "load_trace",

@@ -37,7 +37,6 @@ from .health import (
     HealthFinding,
     detect_deficit_growth,
     detect_pool_leak,
-    detect_tenant_imbalance,
     detect_stragglers,
     render_findings,
     render_flight_timeline,
@@ -58,7 +57,6 @@ __all__ = [
     "TelemetryAggregator",
     "detect_deficit_growth",
     "detect_pool_leak",
-    "detect_tenant_imbalance",
     "detect_stragglers",
     "drain_pending",
     "push_metrics",

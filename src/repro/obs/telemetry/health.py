@@ -26,11 +26,6 @@ Detectors:
   planned shares, not just hiccuping once.
 * :func:`detect_pool_leak` — buffer-pool occupancy drifting upward across
   epochs: acquired buffers are not being released.
-* :func:`detect_tenant_imbalance` — shard-service fairness over a
-  :meth:`~repro.serve.ShardServer.telemetry_snapshot` (tenant indices
-  stand in for ranks): a *starved* tenant's served share falls far below
-  its weight share, an *aggressive* tenant racks up more throttles than
-  grants.  Snapshots without serve series produce no findings.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ __all__ = [
     "detect_stragglers",
     "detect_deficit_growth",
     "detect_pool_leak",
-    "detect_tenant_imbalance",
     "run_health_checks",
     "render_findings",
     "render_rank_summary",
@@ -76,19 +70,6 @@ DEFICIT_GROWTH_EPOCHS = 2
 #: Pool-leak flag: occupancy at the last push exceeds the first by this
 #: many buffers while never decreasing.
 POOL_LEAK_MIN_GROWTH = 1
-
-#: A tenant is starved when its served share is below this fraction of its
-#: weight share (and critical below half of that).
-TENANT_STARVED_SHARE = 0.5
-
-#: Grants across all tenants before the starvation test is meaningful.
-TENANT_MIN_GRANTS = 10
-
-#: A tenant is aggressive when throttles exceed grants by this ratio.
-TENANT_AGGRESSIVE_RATIO = 1.0
-
-#: Throttles before the aggressiveness test is meaningful.
-TENANT_MIN_THROTTLES = 5
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,83 +259,12 @@ def detect_pool_leak(
     return findings
 
 
-def detect_tenant_imbalance(
-    snapshot: dict,
-    *,
-    starved_share: float = TENANT_STARVED_SHARE,
-    aggressive_ratio: float = TENANT_AGGRESSIVE_RATIO,
-) -> list[HealthFinding]:
-    """Flag starved and aggressive tenants in a shard-service snapshot.
-
-    Reads the ``serve.tenant.*`` series a
-    :meth:`~repro.serve.ShardServer.telemetry_snapshot` publishes, where
-    the "rank" axis is the tenant's registration index.  A tenant is
-    *starved* when its share of grants falls below ``starved_share`` of
-    its weight share (critical below half of that); *aggressive* when its
-    throttle count exceeds ``aggressive_ratio`` x its grant count.
-    Telemetry snapshots without serve series return no findings.
-    """
-    served = {r: v[-1] for r, v in _series(snapshot, "serve.tenant.served").items()}
-    throttled = {r: v[-1] for r, v in _series(snapshot, "serve.tenant.throttled").items()}
-    weights = {r: v[-1] for r, v in _series(snapshot, "serve.tenant.weight").items()}
-    if not served:
-        return []
-    names = snapshot.get("tenant_names", [])
-
-    def label(idx: int) -> str:
-        return names[idx] if 0 <= idx < len(names) else f"tenant[{idx}]"
-
-    findings = []
-    total_served = sum(served.values())
-    total_weight = sum(weights.get(r, 1.0) for r in served)
-    if total_served >= TENANT_MIN_GRANTS and total_weight > 0:
-        for rank in sorted(served):
-            share = served[rank] / total_served
-            fair = weights.get(rank, 1.0) / total_weight
-            if fair > 0 and share < starved_share * fair:
-                findings.append(
-                    HealthFinding(
-                        kind="tenant-starved",
-                        severity="critical" if share < 0.5 * starved_share * fair else "warn",
-                        rank=rank,
-                        metric="serve.tenant.served",
-                        value=share,
-                        threshold=starved_share * fair,
-                        detail=(
-                            f"{label(rank)} got {share:.1%} of grants against a "
-                            f"{fair:.1%} weight share"
-                        ),
-                        extra={"served": served[rank], "total": total_served},
-                    )
-                )
-    for rank in sorted(throttled):
-        t, s_count = throttled[rank], served.get(rank, 0.0)
-        if t >= TENANT_MIN_THROTTLES and t > aggressive_ratio * s_count:
-            findings.append(
-                HealthFinding(
-                    kind="tenant-aggressive",
-                    severity="warn",
-                    rank=rank,
-                    metric="serve.tenant.throttled",
-                    value=t,
-                    threshold=aggressive_ratio * max(s_count, 1.0),
-                    detail=(
-                        f"{label(rank)} was throttled {t:.0f}x against "
-                        f"{s_count:.0f} grants — submitting far above its rate"
-                    ),
-                    extra={"throttled": t, "served": s_count},
-                )
-            )
-    return findings
-
-
 def run_health_checks(snapshot: dict) -> list[HealthFinding]:
     """Run every detector; findings ordered critical-first, then by rank."""
     findings = (
         detect_stragglers(snapshot)
         + detect_deficit_growth(snapshot)
         + detect_pool_leak(snapshot)
-        + detect_tenant_imbalance(snapshot)
     )
     sev_rank = {"critical": 0, "warn": 1}
     return sorted(findings, key=lambda f: (sev_rank.get(f.severity, 2), f.rank, f.kind))

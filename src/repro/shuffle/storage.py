@@ -142,13 +142,12 @@ class StorageArea:
     at ``clean_local_storage()`` time even though receives interleave.
 
     Thread-safe: every mutating operation (and every multi-field read)
-    runs under one re-entrant lock.  A storage area used to be touched by
-    exactly one rank thread; the shard server
-    (:class:`~repro.serve.ShardServer`) shares one area across its worker
-    threads, so the add/demote/promote cache paths — the same shape as the
-    PR-5 ``_load_chunk`` race — must be atomic.  The lock is re-entrant
-    because ``demote`` reads through ``get`` and ``add_many`` / ``unstage``
-    compose ``add`` / ``add_cold``.
+    runs under one re-entrant lock, so an area shared between threads
+    never shows a half-applied add / demote / promote — the byte and
+    count totals, the sid <-> gid maps and the cold cache move together
+    (``tests/shuffle/test_storage_concurrency.py``).  The lock is
+    re-entrant because ``demote`` reads through ``get`` and ``add_many`` /
+    ``unstage`` compose ``add`` / ``add_cold``.
 
     **Slots.**  :meth:`stage` copies a block of same-shaped samples into
     free slots of chunked arrays this area owns and hands back one
@@ -243,9 +242,8 @@ class StorageArea:
         superseded, then cold evicted oldest-first, then
         :class:`StorageFullError` with nothing installed).  Any other
         iterable goes through :meth:`add` sample by sample; read-only
-        zero-copy views into a received envelope (the serve tier) are kept
-        un-copied, so the envelope's backing buffer stays alive as long as
-        they do."""
+        zero-copy views into a received envelope are kept un-copied, so
+        the envelope's backing buffer stays alive as long as they do."""
         with self._lock:
             if isinstance(entries, SampleBlock):
                 slots = self._staged_slots(entries.samples)

@@ -3,14 +3,15 @@
 The exchange gathers each sample once into a pooled frame and copies it
 once out at install, then releases the frame for the next epoch;
 ``check_regression`` must fail an artifact whose copy counter or pool
-counters say otherwise.  Both ratios are deterministic, so no baseline is
-needed.
+counters say otherwise.  Both ratios are deterministic, so the gates are
+absolute.  Also pins the scenario set ``repro bench`` offers.
 """
 
 import json
 
-from repro.bench import check_regression, run_bench
+from repro.bench import SCENARIOS, check_regression, run_bench
 from repro.bench.runner import EXCHANGE_ARTIFACT, MAX_BYTES_COPIED_PER_SENT_BYTE
+from repro.cli import main
 
 
 def fake_exchange(copied_per_sent=1.0, hit_rate=0.5):
@@ -24,29 +25,28 @@ def fake_exchange(copied_per_sent=1.0, hit_rate=0.5):
 
 class TestExchangeGate:
     def test_single_gather_passes(self):
-        assert check_regression(fake_exchange(), {}) == []
+        assert check_regression(fake_exchange()) == []
 
     def test_gather_plus_install_copy_passes(self):
-        assert check_regression(fake_exchange(2.0), {}) == []
+        assert check_regression(fake_exchange(2.0)) == []
 
     def test_third_copy_flagged(self):
-        problems = check_regression(fake_exchange(3.0), {})
+        problems = check_regression(fake_exchange(3.0))
         assert any("bytes copied per sent byte" in p for p in problems)
 
     def test_cold_pool_flagged(self):
-        problems = check_regression(fake_exchange(hit_rate=0.0), {})
+        problems = check_regression(fake_exchange(hit_rate=0.0))
         assert any("pool hit rate" in p for p in problems)
 
     def test_cap_is_inclusive(self):
         assert check_regression(
-            fake_exchange(MAX_BYTES_COPIED_PER_SENT_BYTE), {}
+            fake_exchange(MAX_BYTES_COPIED_PER_SENT_BYTE)
         ) == []
 
 
 def test_smoke_run_writes_single_mode_artifact(tmp_path):
     result = run_bench(
         scenarios=("exchange",), smoke=True, out_dir=tmp_path, check=True,
-        baseline_dir=tmp_path,
     )
     assert result["problems"] == []
     art = json.loads((tmp_path / EXCHANGE_ARTIFACT).read_text())
@@ -60,3 +60,17 @@ def test_smoke_run_writes_single_mode_artifact(tmp_path):
     assert 1.9 < art["ratios"]["bytes_copied_per_sent_byte"] <= 2.1
     assert art["ratios"]["pool_hit_rate"] > 0
     assert [row["q"] for row in art["q_sweep"]] == [0.25, 0.5, 1.0]
+
+
+def test_scenario_set_is_the_four_that_remain(tmp_path, capsys):
+    # Where a fifth scenario would be added: the constant, the CLI choice
+    # and the artifacts ``--scenario all`` leaves behind move together.
+    assert SCENARIOS == ("exchange", "telemetry", "robustness", "backend")
+    assert main(["bench", "--smoke", "--scenario", "all", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "BENCH_backend.json",
+        "BENCH_exchange.json",
+        "BENCH_robustness_rejoin.json",
+        "BENCH_telemetry.json",
+    ]

@@ -27,29 +27,29 @@ def fake_robustness(
 
 class TestRobustnessGate:
     def test_healthy_run_passes(self):
-        assert check_regression(None, {}, robustness=fake_robustness()) == []
+        assert check_regression(None, robustness=fake_robustness()) == []
 
     def test_divergent_weights_fail(self):
         problems = check_regression(
-            None, {}, robustness=fake_robustness(bit_identical=False)
+            None, robustness=fake_robustness(bit_identical=False)
         )
         assert any("bit-identical" in p for p in problems)
 
     def test_unrestored_capacity_fails(self):
         problems = check_regression(
-            None, {}, robustness=fake_robustness(capacity_restored=False)
+            None, robustness=fake_robustness(capacity_restored=False)
         )
         assert any("N/M" in p for p in problems)
 
     def test_outstanding_q_deficit_fails(self):
         problems = check_regression(
-            None, {}, robustness=fake_robustness(q_deficit=0.25)
+            None, robustness=fake_robustness(q_deficit=0.25)
         )
         assert any("deficit" in p and "0.25" in p for p in problems)
 
     def test_slow_rebalance_fails_the_floor(self):
         problems = check_regression(
-            None, {},
+            None,
             robustness=fake_robustness(speed=MIN_REJOIN_SPEED - 1),
         )
         assert any("floor" in p for p in problems)
@@ -60,14 +60,14 @@ class TestRobustnessGate:
         for speed in (MIN_REJOIN_SPEED, 61.0, 88.0, 500.0):
             assert (
                 check_regression(
-                    None, {}, robustness=fake_robustness(speed=speed)
+                    None, robustness=fake_robustness(speed=speed)
                 )
                 == []
             )
 
     def test_reshuffling_planner_fails_the_share_cap(self):
         problems = check_regression(
-            None, {},
+            None,
             robustness=fake_robustness(share=MAX_MIGRATION_SHARE + 0.1),
         )
         assert any("reshuffled" in p for p in problems)
@@ -75,9 +75,9 @@ class TestRobustnessGate:
     def test_missing_ratios_reported(self):
         broken = fake_robustness()
         broken["ratios"] = {}
-        problems = check_regression(None, {}, robustness=broken)
+        problems = check_regression(None, robustness=broken)
         assert any("rejoin_speed" in p for p in problems)
         assert any("migration_share" in p for p in problems)
 
     def test_skipped_scenario_stays_silent(self):
-        assert check_regression(None, {}, robustness=None) == []
+        assert check_regression(None, robustness=None) == []

@@ -59,22 +59,22 @@ def fake_telemetry(overhead=1.01, identical=True):
 
 class TestOverheadGate:
     def test_within_budget_passes(self):
-        assert check_regression(None, {}, telemetry=fake_telemetry()) == []
+        assert check_regression(None, telemetry=fake_telemetry()) == []
 
     def test_budget_breach_fails(self):
         problems = check_regression(
-            None, {}, telemetry=fake_telemetry(overhead=1.2)
+            None, telemetry=fake_telemetry(overhead=1.2)
         )
         assert any("budget" in p for p in problems)
 
     def test_perturbed_training_fails(self):
         problems = check_regression(
-            None, {}, telemetry=fake_telemetry(identical=False)
+            None, telemetry=fake_telemetry(identical=False)
         )
         assert any("changed the training result" in p for p in problems)
 
     def test_skipped_scenario_skips_gate(self):
-        assert check_regression(None, {}, telemetry=None) == []
+        assert check_regression(None, telemetry=None) == []
 
 
 class TestScenarioSelection:
@@ -85,13 +85,13 @@ class TestScenarioSelection:
     def test_telemetry_only_run_writes_one_artifact(self, tmp_path):
         out = run_bench(
             smoke=True, out_dir=tmp_path, check=True,
-            baseline_dir=tmp_path, scenarios=("telemetry",),
+            scenarios=("telemetry",),
         )
         assert out["exchange"] is None
         assert out["telemetry"] is not None
         assert (tmp_path / "BENCH_telemetry.json").is_file()
         assert not (tmp_path / "BENCH_exchange.json").exists()
-        # The absolute budget gate ran even with no baseline present.
+        # The absolute budget gate ran on the fresh measurement.
         art = json.loads((tmp_path / "BENCH_telemetry.json").read_text())
         assert art["schema"] == "repro.bench.telemetry/v1"
         assert out["problems"] == [] or all(
@@ -99,6 +99,4 @@ class TestScenarioSelection:
         )
 
     def test_scenarios_constant(self):
-        assert SCENARIOS == (
-            "exchange", "telemetry", "serve", "robustness", "backend",
-        )
+        assert SCENARIOS == ("exchange", "telemetry", "robustness", "backend")

@@ -97,6 +97,10 @@ class TestBitIdenticalRecovery:
             assert stats["q_deficit"] == 0
 
 
+#: Counters that are a function of the chaos seed alone.
+SEEDED = ("crc_rejects", "degraded_epochs", "q_deficit", "effective_q")
+
+
 class TestDeterminism:
     def test_same_seed_same_faults_same_result(self):
         profile = "corrupt:p=0.05;drop:p=0.05;dup:p=0.03"
@@ -106,7 +110,23 @@ class TestDeterminism:
         assert sum(counts1.values()) > 0
         for a, b in zip(out1, out2):
             assert a["sig"] == b["sig"]
-            assert a["stats"] == b["stats"]
+            assert {k: a["stats"][k] for k in SEEDED} == {
+                k: b["stats"][k] for k in SEEDED
+            }
+        # A dropped frame is only noticed by a *timeout* NACK, and a slow
+        # scheduler pass can time out on a frame that was merely late, so
+        # these counters depend on thread scheduling: the injected counts
+        # bound them from below, nothing bounds them from above.
+        dropped = counts1.get("drop", 0)
+        corrupted = counts1.get("corrupt", 0)
+        for out in (out1, out2):
+            total = {
+                k: sum(r["stats"][k] for r in out)
+                for k in ("crc_rejects", "timeout_nacks", "resends")
+            }
+            assert total["crc_rejects"] == corrupted
+            assert total["timeout_nacks"] >= dropped
+            assert total["resends"] >= dropped + corrupted
 
 
 class TestAbortAfterPeerFailure:

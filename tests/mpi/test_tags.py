@@ -12,7 +12,6 @@ from repro.mpi.tags import (
     RECOVERY,
     REGISTRY,
     RING,
-    SERVE,
     TAG_SPACE,
     TELEMETRY,
     TREE,
@@ -85,25 +84,6 @@ class TestTagArithmetic:
         assert owner_of(TELEMETRY.base) == "repro.obs"
         assert lookup(0) is None
         assert owner_of(0) is None
-
-    def test_serve_range_registered_and_disjoint_from_planes(self):
-        # Serve wire traffic must never be matched by an exchange or
-        # telemetry receive, in either epoch parity.
-        assert SERVE in REGISTRY
-        assert owner_of(SERVE.base) == "repro.serve"
-        for offset in (0, 1):
-            tag = SERVE.tag(offset)
-            assert lookup(tag) is SERVE
-            assert not EXCHANGE_DATA.contains(tag)
-            assert not EXCHANGE_CTRL.contains(tag)
-            assert not TELEMETRY.contains(tag)
-            assert not RECOVERY.contains(tag)
-
-    def test_serve_wire_mirror(self):
-        from repro.serve.wire import REQUEST_TAG, RESPONSE_TAG
-
-        assert REQUEST_TAG == SERVE.tag(0)
-        assert RESPONSE_TAG == SERVE.tag(1)
 
 
 class TestMirroredConstants:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.obs.metrics import Histogram, MetricsRegistry, Reservoir, quantile_key
+from repro.obs.metrics import Reservoir, quantile_key
 
 
 class TestQuantileKey:
@@ -47,24 +47,3 @@ class TestReservoirQuantiles:
         with pytest.raises(ValueError):
             r.quantiles([-0.1])
 
-
-class TestHistogramQuantiles:
-    def test_delegates_to_reservoir(self):
-        h = Histogram("serve.latency_s")
-        for v in range(1, 11):
-            h.observe(v / 10.0)
-        out = h.quantiles((0.5, 0.95, 0.99))
-        assert out["p50"] == pytest.approx(0.5, abs=0.1)
-        assert out["p99"] == pytest.approx(1.0, abs=0.1)
-
-    def test_empty_histogram_yields_nan(self):
-        out = Histogram("x").quantiles([0.5])
-        assert math.isnan(out["p50"])
-
-    def test_registry_histogram_exposes_quantiles(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("serve.tenant.a.latency_s")
-        h.observe(0.25)
-        assert reg.histogram("serve.tenant.a.latency_s").quantiles([0.5]) == {
-            "p50": 0.25
-        }

@@ -1,6 +1,6 @@
-"""Concurrent-access audit: StorageArea under server-thread contention.
+"""Concurrent-access audit: StorageArea under thread contention.
 
-The shard server shares one StorageArea across worker threads, so
+A StorageArea may be shared between threads, so
 add_many/demote/promote/get/remove must hold their invariants under
 interleaving — byte accounting, sid<->gid inverse maps, hot/cold
 disjointness, and the capacity bound.  These tests hammer the area from
@@ -54,7 +54,7 @@ class TestAuditInvariant:
 
 class TestConcurrentHammer:
     def test_add_many_demote_promote_from_threads(self):
-        """The server-worker shape: several threads adding, demoting and
+        """Several threads adding, demoting and
         promoting disjoint gid ranges against one shared area."""
         area = StorageArea(capacity_bytes=512 * 1024)
         n_threads, per_thread = 4, 60

@@ -24,7 +24,6 @@ from hypothesis.stateful import (
 from repro.elastic import ReplicaLedger, ShardRecovery
 from repro.elastic.rejoin import RankRejoin
 from repro.mpi import SampleBlock, run_spmd
-from repro.serve import ServedStorageArea, ShardServer, TenantConfig
 from repro.shuffle import DiskStorageArea, Scheduler, StorageArea, StorageFullError
 
 # Two slot classes of the same byte size, so capacity arithmetic stays in
@@ -437,42 +436,31 @@ def test_exchange_into_disk_storage_leaves_one_file_per_installed_sample(tmp_pat
     assert all(received == 12 for _gids, received in result)
 
 
-def test_exchange_into_served_storage_keeps_stub_sids_valid():
-    width = 4
-    feats = np.arange(24 * width, dtype=np.float32).reshape(24, width)
-    from repro.data.dataset import TensorDataset
-
-    server = ShardServer()
-    server.register_dataset("main", backing=TensorDataset(feats, np.arange(24) % 3))
-    server.add_tenant(TenantConfig("t"))
-    server.start()
+def test_exchange_into_added_storage_keeps_unsent_sids_valid():
+    """A shard seeded through ``add`` holds the caller's arrays, not slots:
+    the sids the exchange does not send keep reading those arrays, and what
+    arrives lands in slots beside them."""
+    feats = np.arange(24 * 4, dtype=np.float32).reshape(24, 4)
 
     def worker(comm):
-        area = ServedStorageArea(server, "t", "main", fetch_span=2)
-        stubs = dict(zip(area.attach_gids(range(comm.rank * 12, comm.rank * 12 + 12)),
-                         range(comm.rank * 12, comm.rank * 12 + 12)))
-        sched = Scheduler(area, comm, fraction=0.5, seed=9)
-        sched.run_exchange(0)
-        # Stubs the exchange did not send are still addressable by the sid
-        # attach_gids handed out, materialised or not.
-        kept = [sid for sid in stubs if sid in area]
+        area = StorageArea()
+        mine = range(comm.rank * 12, comm.rank * 12 + 12)
+        seeded = {area.add(feats[gid], gid % 3, gid=gid): gid for gid in mine}
+        assert area.slots()["live"] == 0
+        Scheduler(area, comm, fraction=0.5, seed=9).run_exchange(0)
+        kept = [sid for sid in seeded if sid in area]
         assert len(kept) == 6
         for sid in kept:
             sample, label = area.get(sid)
-            np.testing.assert_array_equal(sample, feats[stubs[sid]])
-            assert area.gid_of(sid) == stubs[sid] and label == stubs[sid] % 3
-        # What arrived are real bytes (the sender materialised its stubs
-        # before packing), installed in slots.
+            assert np.shares_memory(sample, feats)
+            assert area.gid_of(sid) == seeded[sid] and label == seeded[sid] % 3
         for sid, sample, _label in area.items():
             np.testing.assert_array_equal(sample, feats[area.gid_of(sid)])
-        assert area.slots()["live"] >= 6
+        assert area.slots()["live"] == 6
         area.audit()
         return area.hot_gids()
 
-    try:
-        result = run_spmd(worker, 2, deadline_s=60)
-    finally:
-        server.stop()
+    result = run_spmd(worker, 2, deadline_s=60)
     assert sorted(g for gids in result for g in gids) == list(range(24))
 
 

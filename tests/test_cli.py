@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _HANDLERS, build_parser, main
 
 
 class TestParser:
@@ -23,6 +23,24 @@ class TestParser:
     def test_invalid_partition_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--partition", "by-vibes"])
+
+    def test_subcommand_set_is_the_twelve_that_remain(self, capsys):
+        # Where a thirteenth command would be registered: the dispatch
+        # table and the parser agree on exactly this set.
+        expected = {
+            "train", "plan", "perf", "theory", "volumes", "report", "trace",
+            "chaos-train", "bench", "health", "lint", "verify-protocol",
+        }
+        assert set(_HANDLERS) == expected
+        (sub,) = [
+            a for a in build_parser()._actions if hasattr(a, "choices") and a.choices
+        ]
+        assert set(sub.choices) == expected
+        # ``repro bench`` gates are absolute: there is no baseline to name.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench", "--baseline", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 class TestCommands:
