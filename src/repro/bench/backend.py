@@ -4,7 +4,9 @@ Runs the *same* exchange (same seed, same plan, same CRC/ACK protocol)
 once under each communicator backend.  What is gated is deterministic:
 both backends must produce bit-identical post-exchange shards
 (order-independent per-rank content checksums), and the shared-memory pool
-must end the run balanced with a clean ``/dev/shm`` namespace.  The wall
+must end the run balanced with a clean ``/dev/shm`` namespace, and a sent
+frame may cost the ranks at most :data:`MAX_ROUND_TRIPS_PER_FRAME` pipe
+round trips (counted by the brokers per wire name).  The wall
 times (and their ``procs_speedup`` ratio) are recorded, never gated — a
 millisecond smoke exchange says nothing about which backend is faster;
 ``compute_procs`` / ``exchange_procs`` in ``benchmarks/perf/`` are the judge
@@ -20,7 +22,15 @@ from repro.mpi.shm_pool import live_segments
 
 from .exchange import _run_exchange
 
-__all__ = ["bench_backend"]
+__all__ = ["bench_backend", "MAX_ROUND_TRIPS_PER_FRAME"]
+
+#: Cap on pipe round trips per sent frame under ``procs``.  A count, not a
+#: timing: a frame costs its ``pool.acquire`` plus its share of the epoch's
+#: collectives and completion sweeps (about 1.6 here; only the number of
+#: idle sweeps varies with how long a rank waits for its peers; 9.9 when
+#: every world call was a round trip).  A post that waits for a reply or a
+#: poll per pending receive coming back adds at least 1 each.
+MAX_ROUND_TRIPS_PER_FRAME = 3.0
 
 
 def bench_backend(
@@ -47,6 +57,8 @@ def bench_backend(
     procs = _run_exchange(backend="procs", **common)
     procs["backend"] = "procs"
     leaked = live_segments()
+    # A clean exchange posts each frame once, and one ACK for it.
+    frames = procs["messages_sent"] / 2
     if threads["shard_checksums"] != procs["shard_checksums"]:
         raise AssertionError(
             "procs backend diverged from the threads reference: "
@@ -64,6 +76,10 @@ def bench_backend(
                 threads["wall_time_s"] / procs["wall_time_s"]
                 if procs["wall_time_s"] > 0
                 else float("inf")
+            ),
+            "round_trips_per_frame": (
+                sum(calls for rank in procs["rpc"] for calls, _casts in rank.values())
+                / frames
             ),
         },
         "identical_shards": True,

@@ -69,6 +69,9 @@ def _run_exchange(
     sent_bytes = sum(r["sent_bytes"] for r in per_rank)
     pool = world.pool.stats()
     return {
+        # Under procs, per rank: pipe wire name -> [round trips, casts].
+        "rpc": world.rpc_counts or [],
+        "messages_sent": sum(world.messages_sent),
         "wall_time_s": wall,
         "ops_per_s": sent_samples / wall if wall > 0 else 0.0,
         "sent_samples": sent_samples,

@@ -11,7 +11,8 @@ with an earlier run:
 * robustness — crash-and-restart bit-identical to the clean run, shard
   capacity restored, Q-deficit repaid, ``rejoin_speed`` >= 5,
   ``migration_share`` <= 0.5;
-* backend — ``procs`` shards identical to ``threads``, ``/dev/shm`` clean.
+* backend — ``procs`` shards identical to ``threads``, ``/dev/shm`` clean,
+  at most 3 pipe round trips per sent frame.
 
 Wall times are recorded but never gated: CI runners differ in speed.
 """
@@ -22,7 +23,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .backend import bench_backend
+from .backend import MAX_ROUND_TRIPS_PER_FRAME, bench_backend
 from .exchange import bench_exchange, exchange_q_sweep
 from .robustness import bench_robustness
 from .telemetry import FLIGHT_OVERHEAD_BUDGET, bench_telemetry
@@ -66,7 +67,9 @@ _SMOKE = {
     "q_sweep": dict(ranks=2, samples=48, shape=(32, 32), qs=(0.25, 0.5, 1.0), epochs=1),
     "telemetry": dict(ranks=2, samples=96, epochs=2, repeats=3),
     "robustness": dict(workers=3, samples=120, epochs=4, q=0.3),
-    "backend": dict(ranks=2, samples=64, shape=(32, 32), q=0.5, epochs=2),
+    # 8 windows an epoch: enough frames for the per-frame round-trip gate
+    # to see past the epoch's fixed collectives.
+    "backend": dict(ranks=2, samples=256, shape=(32, 32), q=0.5, epochs=2),
 }
 _FULL = {
     "exchange": dict(ranks=4, samples=256, shape=(3, 32, 32), q=0.5, epochs=3),
@@ -121,7 +124,7 @@ def run_bench(
         )
     if "backend" in scenarios:
         backend = bench_backend(seed=seed, **params["backend"])
-        backend["schema"] = "repro.bench.backend/v1"
+        backend["schema"] = "repro.bench.backend/v2"
         backend["smoke"] = smoke
         (out / BACKEND_ARTIFACT).write_text(json.dumps(backend, indent=2) + "\n")
 
@@ -236,5 +239,12 @@ def check_regression(
             problems.append(
                 f"backend: leaked /dev/shm segments after the procs run: "
                 f"{backend.get('leaked_segments')}"
+            )
+        trips = backend["ratios"]["round_trips_per_frame"]
+        if trips > MAX_ROUND_TRIPS_PER_FRAME:
+            problems.append(
+                f"backend: {trips:.2f} pipe round trips per sent frame, above "
+                f"the {MAX_ROUND_TRIPS_PER_FRAME:g} cap — a per-frame round "
+                "trip is back on the procs exchange path (see modes.procs.rpc)"
             )
     return problems

@@ -675,9 +675,11 @@ def _cmd_bench(args) -> int:
     if bk is not None:
         print(
             "backend: procs {speed:.2f}x vs threads on the exchange "
-            "({cores} core(s), recorded not gated); shards identical={bit}, "
+            "({cores} core(s), recorded not gated), {trips:.2f} pipe round "
+            "trips per sent frame; shards identical={bit}, "
             "/dev/shm clean={shm}".format(
                 speed=bk["ratios"]["procs_speedup"],
+                trips=bk["ratios"]["round_trips_per_frame"],
                 cores=bk["cores"],
                 bit=bk["identical_shards"],
                 shm=bk["shm_clean"],

@@ -268,7 +268,6 @@ class Communicator:
         box = self.world.mailboxes[self._world_rank]
         wsource, wtag = self._to_world(source), self._wire_tag(tag)
         while True:
-            self.world.check_alive()
             msg = box.peek(wsource, wtag)
             if msg is not None:
                 return Status(
@@ -281,11 +280,30 @@ class Communicator:
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Non-blocking probe."""
-        self.world.check_alive()
         msg = self.world.mailboxes[self._world_rank].peek(
             self._to_world(source), self._wire_tag(tag)
         )
         return msg is not None
+
+    def testsome(
+        self, requests: Sequence[RecvRequest], drain_tag: int | None = None
+    ) -> list[tuple[Any, int]]:
+        """Complete whichever of this rank's pending ``requests`` have a
+        message waiting (MPI_Testsome: read ``.completed`` afterwards) and,
+        with ``drain_tag``, also receive everything queued under that tag
+        from any source — returned as ``(payload, source)`` pairs in send
+        order.  One mailbox operation however many requests: one lock
+        acquisition, or under ``procs`` one round trip."""
+        wants = [(req.source, req.tag, False) for req in requests]
+        if drain_tag is not None:
+            wants.append((ANY_SOURCE, self._wire_tag(drain_tag), True))
+        taken = self.world.mailboxes[self._world_rank].try_take_many(wants)
+        for req, got in zip(requests, taken):
+            if got:
+                req._complete(got[0])
+        if drain_tag is None:
+            return []
+        return [(msg.payload, self._from_world(msg.source)) for msg in taken[-1]]
 
     # --------------------------------------------------------------- collectives
     def _rendezvous(self, op: str, contribution: Any, fold: Callable | None = None) -> Any:

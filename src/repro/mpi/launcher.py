@@ -12,10 +12,11 @@ raised in the caller.
 rank as an OS thread in this process, zero-copy on one shared heap; numpy
 releases the GIL, so compute overlaps there too.  ``procs``
 (:mod:`repro.mpi.procs`) forks one process per rank and reaches the same
-world over a pipe, ``PackedBatch`` payloads riding ``/dev/shm`` segments: it
-is there for what threads cannot give — a rank that can really be
-``SIGKILL``-ed, per-process RSS — and pays one pipe round trip per world
-call for it (``docs/backends.md`` has the measured matrix).  The world, its
+world over a pipe, ``PackedBatch`` payloads and gradients riding ``/dev/shm``
+segments: it is there for what threads cannot give — a rank that can really
+be ``SIGKILL``-ed, per-process RSS — and pays one pipe round trip per world
+call that returns something for it; one that returns nothing is a queued
+cast (``docs/backends.md`` has the measured matrix).  The world, its
 flight recorders, what happens when a rank ends (:func:`_run_rank`) and the
 :class:`SpmdResult` / :class:`~repro.mpi.errors.RankFailed` assembly are
 the same code either way.  Select with ``run_spmd(..., backend="procs")`` or

@@ -43,12 +43,15 @@ from __future__ import annotations
 import itertools
 import threading
 
-__all__ = ["BufferPool", "HeapAllocator", "PoolBuffer"]
+__all__ = ["BufferPool", "HeapAllocator", "MIN_SIZE_CLASS", "PoolBuffer"]
+
+#: Capacity of the smallest size class.
+MIN_SIZE_CLASS = 256
 
 
 def _size_class(nbytes: int) -> int:
-    """Smallest power-of-two capacity >= nbytes (minimum 256 B)."""
-    cls = 256
+    """Smallest power-of-two capacity >= nbytes (at least MIN_SIZE_CLASS)."""
+    cls = MIN_SIZE_CLASS
     while cls < nbytes:
         cls <<= 1
     return cls

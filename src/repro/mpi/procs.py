@@ -10,13 +10,18 @@ a second implementation of it:
   objects and code paths.
 * Each rank runs the shared rank runner (``launcher._run_rank``) in a
   **forked** child process whose :class:`~repro.mpi.Communicator` wraps a
-  :class:`_ClientWorld` facade.  Every world call becomes one message over
-  a per-rank duplex pipe.
-* In the parent, one **broker thread per rank** services that rank's calls
-  *in order*, calling the real world methods on the rank's behalf.  A
-  blocking call (``take_blocking``, a rendezvous) blocks the broker thread
+  :class:`_ClientWorld` facade.  A world call that returns something is one
+  round trip over a per-rank duplex pipe; one that returns nothing (a
+  ``post``, a buffer release, a flight event) is a **cast**: queued, it
+  rides the rank's next message out and no reply crosses back.
+* In the parent, one **broker thread per rank** services that rank's casts
+  and calls *in order*, calling the real world methods on the rank's behalf.
+  A blocking call (``take_blocking``, a rendezvous) blocks the broker thread
   just as it would block the rank's thread under the ``threads`` backend —
-  so all cross-rank blocking semantics hold by construction.
+  so all cross-rank blocking semantics hold by construction.  A cast that
+  raises is raised by the rank's next round trip (:meth:`_Broker.run`): a
+  strict double release or a post into an aborted world surfaces one call
+  later, never not at all.
 
 What may cross the pipe is written down once, in the RPC table
 (:data:`_RPC`): the facade's forwarders are generated from it and the
@@ -25,15 +30,17 @@ not in the table is refused.
 
 Bulk payloads never ride the pipe: a :class:`~repro.mpi.codec.PackedBatch`
 packed through the pool travels as a :class:`_ShmRef` *handle envelope*
-(segment name + pool id), and both sides map the same
+(segment name + pool id), an ndarray of a collective — a gradient — as a
+:class:`_ShmArray` handle to a segment its sender lends
+(:class:`_Lender`), and both sides map the same
 ``multiprocessing.shared_memory`` segment.  The world's pool is the same
 :class:`~repro.mpi.pool.BufferPool`, over a
 :class:`~repro.mpi.shm_pool.SegmentAllocator`, and stays in the parent, so
 the acquire/adopt/release ownership discipline — including the idempotent
 teardown adopt on abort paths — stays globally exact.  Control messages,
-plans and gradients are small and simply pickle through the pipe — a
-reduction's operator too, and what comes back is the one result the world
-folded, not the ranks' contributions.
+plans and small values simply pickle through the pipe — a reduction's
+operator too, and what comes back is the one result the world folded, not
+the ranks' contributions.
 
 Children are forked *before* the broker threads start (fork + threads do
 not mix), and the parent unlinks every shared segment on every exit path.
@@ -43,7 +50,7 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
+import math
 import multiprocessing
 import pickle
 import threading
@@ -52,13 +59,15 @@ from dataclasses import replace as _dc_replace
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable, NamedTuple
 
+import numpy as np
+
 from repro.obs.telemetry.flight import FlightRecorder
 
 from .codec import PackedBatch
 from .errors import MPIAbort
 from .launcher import _run_rank
 from .message import Checksummed, Message
-from .pool import BufferPool, PoolBuffer
+from .pool import MIN_SIZE_CLASS, BufferPool, PoolBuffer, _size_class
 from .shm_pool import SegmentAllocator, quiet_close
 from .world import World
 
@@ -95,8 +104,65 @@ class _RawBatch:
         self.payload = payload
 
 
-def _encode(obj: Any) -> Any:
-    """Replace shared-pool ``PackedBatch`` payloads with handle envelopes
+class _ShmArray:
+    """Handle envelope for an ndarray of a collective: its bytes lie in a
+    segment the sending side lends for the one message."""
+
+    __slots__ = ("buf_id", "name", "dtype", "shape")
+
+    def __init__(self, buf_id: int, name: str, dtype: str, shape: tuple):
+        self.buf_id = buf_id
+        self.name = name
+        self.dtype = dtype
+        self.shape = shape
+
+    def view(self, raw: Any) -> np.ndarray:
+        """The array, in place on the mapped segment ``raw``."""
+        count = math.prod(self.shape)
+        return np.frombuffer(raw, np.dtype(self.dtype), count).reshape(self.shape)
+
+
+class _Lender:
+    """The segments one end of a pipe lends to the ndarrays it sends.
+
+    The reader is done with a message's arrays before this end sends its
+    next one (a rank copies them out as it decodes a reply; the parent folds
+    or copies a contribution before it replies), so every message reuses
+    the same buffers: one per array and size class, acquired at first use
+    and ``in_use`` in the pool's ledger until :meth:`release_all`.
+    """
+
+    def __init__(self, acquire: Callable[[int], PoolBuffer]) -> None:
+        self._acquire = acquire
+        self._bufs: dict[int, list[PoolBuffer]] = {}
+        self._lent: dict[int, int] = {}  # per size class, to this message
+
+    def encode(self, obj: Any) -> Any:
+        """:func:`_encode` with every large ndarray in a lent segment."""
+        self._lent = {}
+        return _encode(obj, self._lend)
+
+    def _lend(self, arr: np.ndarray) -> _ShmArray:
+        cls = _size_class(arr.nbytes)
+        nth = self._lent[cls] = self._lent.get(cls, -1) + 1
+        bufs = self._bufs.setdefault(cls, [])
+        if nth == len(bufs):
+            bufs.append(self._acquire(cls))
+        ref = _ShmArray(bufs[nth].buf_id, bufs[nth].segment_name, arr.dtype.str, arr.shape)
+        ref.view(bufs[nth].raw)[...] = arr
+        return ref
+
+    def release_all(self) -> None:
+        """Hand every lent segment back to the pool (the rank has ended)."""
+        for bufs in self._bufs.values():
+            for buf in bufs:
+                buf.release()
+        self._bufs = {}
+
+
+def _encode(obj: Any, lend: Callable[[np.ndarray], _ShmArray] | None = None) -> Any:
+    """Replace shared-pool ``PackedBatch`` payloads — and, given ``lend``,
+    ndarrays from the pool's smallest size class up — with handle envelopes
     (recursing through ``Checksummed``/tuple/list/dict containers) so the
     object graph pickles without copying bulk bytes."""
     if isinstance(obj, PackedBatch):
@@ -106,41 +172,52 @@ def _encode(obj: Any) -> Any:
                 bytes(obj.header), buf.buf_id, buf.segment_name, buf.nbytes, buf.size_class
             )
         return _RawBatch(bytes(obj.header), bytes(obj.payload))
+    if isinstance(obj, np.ndarray):
+        if lend is not None and obj.nbytes >= MIN_SIZE_CLASS and obj.dtype.kind in "biufc":
+            return lend(obj)
+        return obj
     if isinstance(obj, Checksummed):
-        return _dc_replace(obj, payload=_encode(obj.payload))
+        return _dc_replace(obj, payload=_encode(obj.payload, lend))
     if isinstance(obj, tuple):
-        items = [_encode(v) for v in obj]
+        items = [_encode(v, lend) for v in obj]
         if hasattr(obj, "_fields"):  # namedtuple
             return type(obj)(*items)
         return tuple(items)
     if isinstance(obj, list):
-        return [_encode(v) for v in obj]
+        return [_encode(v, lend) for v in obj]
     if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
+        return {k: _encode(v, lend) for k, v in obj.items()}
     return obj
 
 
-def _decode(obj: Any, make_batch: Callable[[Any], PackedBatch]) -> Any:
-    """Inverse of :func:`_encode`; ``make_batch`` rebuilds a ``PackedBatch``
-    from a :class:`_ShmRef` for whichever side (parent or rank) is decoding."""
+def _decode(
+    obj: Any,
+    make_batch: Callable[[Any], PackedBatch],
+    make_array: Callable[[_ShmArray], np.ndarray] | None = None,
+) -> Any:
+    """Inverse of :func:`_encode`; ``make_batch`` / ``make_array`` rebuild a
+    ``PackedBatch`` / ndarray from its handle for whichever side (parent or
+    rank) is decoding."""
     if isinstance(obj, _ShmRef):
         return make_batch(obj)
+    if isinstance(obj, _ShmArray):
+        return make_array(obj)
     if isinstance(obj, _RawBatch):
         raw = bytearray(obj.payload)
         return PackedBatch(
             header=obj.header, payload=memoryview(raw).toreadonly(), buf=raw
         )
     if isinstance(obj, Checksummed):
-        return _dc_replace(obj, payload=_decode(obj.payload, make_batch))
+        return _dc_replace(obj, payload=_decode(obj.payload, make_batch, make_array))
     if isinstance(obj, tuple):
-        items = [_decode(v, make_batch) for v in obj]
+        items = [_decode(v, make_batch, make_array) for v in obj]
         if hasattr(obj, "_fields"):
             return type(obj)(*items)
         return tuple(items)
     if isinstance(obj, list):
-        return [_decode(v, make_batch) for v in obj]
+        return [_decode(v, make_batch, make_array) for v in obj]
     if isinstance(obj, dict):
-        return {k: _decode(v, make_batch) for k, v in obj.items()}
+        return {k: _decode(v, make_batch, make_array) for k, v in obj.items()}
     return obj
 
 
@@ -190,8 +267,9 @@ class _Op(NamedTuple):
     ``target`` is ``"world"`` or the name of one of its attributes;
     ``"mailbox"`` and ``"recorder"`` are per-rank (``world.mailboxes[r]``,
     ``world.flight.for_rank(r)``, ``r`` the leading argument).  ``kind`` is
-    ``"call"`` (one round trip), ``"cast"`` (fire-and-forget: no reply
-    crosses the pipe) or ``"get"`` (an attribute read, one round trip).
+    ``"call"`` (one round trip), ``"cast"`` (returns nothing: queued at the
+    rank, no reply crosses the pipe, a failure is raised by the rank's next
+    round trip) or ``"get"`` (an attribute read, one round trip).
     """
 
     target: str
@@ -201,7 +279,7 @@ class _Op(NamedTuple):
 
 
 _OPS = (
-    _Op("world", "post", codec=_HAND),
+    _Op("world", "post", "cast", codec=_HAND),
     _Op("world", "take_blocking", codec=_HAND),
     _Op("world", "rendezvous", codec=_HAND),
     _Op("world", "check_alive"),
@@ -224,11 +302,11 @@ _OPS = (
     _Op("world", "crash_reason", "get"),
     _Op("world", "total_bytes_sent"),
     _Op("world", "total_bytes_copied"),
-    _Op("mailbox", "try_take", codec=_HAND),
+    _Op("mailbox", "try_take_many", codec=_HAND),
     _Op("mailbox", "peek", codec=_HAND),
     _Op("pool", "acquire", codec=_HAND),
-    _Op("pool", "release", codec=_BUF),
-    _Op("pool", "adopt", codec=_BUF),
+    _Op("pool", "release", "cast", codec=_BUF),
+    _Op("pool", "adopt", "cast", codec=_BUF),
     _Op("pool", "adopt_if_in_use", codec=_BUF),
     _Op("pool", "stats"),
     _Op("pool", "in_use"),
@@ -261,40 +339,56 @@ def _target(world: World, op: _Op, args: tuple) -> tuple[Any, tuple]:
 # --------------------------------------------------------------------------
 
 
-class _Rpc:
-    """Serialized request/reply channel over the rank's pipe end.
+#: Casts queued at a rank before they go out on their own.
+_MAX_QUEUED = 64
 
-    Rank code is single-threaded, the pipe is FIFO and the parent broker
-    replies in order, so a plain send-then-recv is a complete protocol.
-    ``cast`` is the fire-and-forget variant for hot-path accounting
-    (flight-ring appends, copy counters) where a round-trip per call would
-    distort what the flight recorder is trying to measure.
+
+class _Rpc:
+    """The rank's end of the pipe: ordered casts, one call at a time.
+
+    A message to the parent is ``(casts, call)``: the ``(method, args)``
+    casts queued since the last message, then at most one call, whose
+    ``(ok, value)`` reply is all that crosses back.  A cast rides the next
+    message out — a call, a :meth:`flush` (a ``post`` flushes: a peer is
+    waiting for it), the exit record — or leaves once :data:`_MAX_QUEUED`
+    have gathered.  The pipe is FIFO and one broker serves it, so the
+    parent sees casts and calls in program order.
     """
 
     def __init__(self, conn) -> None:
         self._conn = conn
-        self._ids = itertools.count(1)
+        self._queued: list[tuple[str, tuple]] = []
         self._lock = threading.Lock()
 
+    def send(self, call: tuple | None, reply: bool = False) -> Any:
+        """One message: the queued casts, then ``call`` (its reply awaited)."""
+        with self._lock:
+            casts, self._queued = self._queued, []
+            self._conn.send((casts, call))
+            return self._conn.recv() if reply else None
+
     def call(self, method: str, *args: Any) -> Any:
-        """Invoke ``method`` in the parent and return (or raise) its result."""
-        rid = next(self._ids)
+        """Invoke ``method`` in the parent and return (or raise) its result;
+        raises the failure of an earlier cast in place of running."""
         try:
-            with self._lock:
-                self._conn.send((rid, method, args))
-                reply = self._conn.recv()
+            ok, value = self.send((method, args), reply=True)
         except (EOFError, OSError) as exc:
             raise MPIAbort(f"lost connection to world host: {exc}") from exc
-        _rid, ok, value = reply
         if ok:
             return value
         raise value
 
     def cast(self, method: str, *args: Any) -> None:
-        """Fire-and-forget invoke (ordered before any later ``call``)."""
+        """Queue a no-reply invoke (ordered before any later ``call``)."""
+        self._queued.append((method, args))
+        if len(self._queued) >= _MAX_QUEUED:
+            self.flush()
+
+    def flush(self) -> None:
+        """Send the queued casts now."""
         try:
-            with self._lock:
-                self._conn.send((None, method, args))
+            if self._queued:
+                self.send(None)
         except (EOFError, OSError):
             pass
 
@@ -306,15 +400,13 @@ def _forwarder(wire: str, op: _Op) -> Any:
             lambda self: self._rpc.call(wire),
             doc=f"``{wire}`` as the parent sees it now (one round trip).",
         )
-    if op.kind == "cast":
-        def forward(self, *args: Any) -> None:
-            self._rpc.cast(wire, *args)
-    elif op.codec == _BUF:
+    send = _Rpc.cast if op.kind == "cast" else _Rpc.call
+    if op.codec == _BUF:
         def forward(self, buf: PoolBuffer, *args: Any) -> Any:
-            return self._rpc.call(wire, buf.buf_id, *args)
+            return send(self._rpc, wire, buf.buf_id, *args)
     else:
         def forward(self, *args: Any) -> Any:
-            return self._rpc.call(wire, *args)
+            return send(self._rpc, wire, *args)
     forward.__name__ = op.name
     forward.__doc__ = (
         f"``{wire}`` on the parent-hosted world "
@@ -360,11 +452,14 @@ class _ClientPool:
         # Attach once, reuse for every buffer the segment ever backs.
         self._segments: dict[str, shared_memory.SharedMemory] = {}
 
-    def _attached(self, buf_id: int, name: str, nbytes: int, size_class: int) -> PoolBuffer:
+    def _mapped(self, name: str) -> memoryview:
         seg = self._segments.get(name)
         if seg is None:
             seg = self._segments[name] = _attach_untracked(name)
-        return PoolBuffer(seg.buf, nbytes, size_class, self, buf_id, name)
+        return seg.buf
+
+    def _attached(self, buf_id: int, name: str, nbytes: int, size_class: int) -> PoolBuffer:
+        return PoolBuffer(self._mapped(name), nbytes, size_class, self, buf_id, name)
 
     def close_all(self) -> None:
         """Unmap every attachment (called at rank-process exit); mappings
@@ -381,6 +476,11 @@ class _ClientPool:
         """Rebuild a received ``PackedBatch`` view onto its shared segment."""
         buf = self._attached(ref.buf_id, ref.name, ref.nbytes, ref.size_class)
         return PackedBatch(header=ref.header, payload=buf.readonly(), buf=buf)
+
+    def copy_array(self, ref: _ShmArray) -> np.ndarray:
+        """A received ndarray, copied out of the segment the parent lent
+        (which its next reply overwrites) into memory the rank owns."""
+        return ref.view(self._mapped(ref.name)).copy()
 
 
 class _PollCond:
@@ -403,7 +503,8 @@ class _PollCond:
 
 @_facade("mailbox")
 class _ClientMailbox:
-    """RPC-backed view of one parent-side mailbox (peek / try_take)."""
+    """RPC-backed view of one parent-side mailbox (peek / try_take /
+    try_take_many; each checks the world is alive in the same round trip)."""
 
     def __init__(self, rpc: _Rpc, rank: int, world: "_ClientWorld") -> None:
         self._rpc = rpc
@@ -420,9 +521,15 @@ class _ClientMailbox:
         return Message(source=info[0], dest=self._rank, tag=info[1], payload=None)
 
     def try_take(self, source: int, tag: int) -> Message | None:
-        """Non-blocking matched take, decoding any shared-segment payloads."""
-        wire = self._rpc.call("mailbox.try_take", self._rank, source, tag)
-        return None if wire is None else self._world._wire_to_msg(wire)
+        """Non-blocking matched take: a batch of one."""
+        got = self.try_take_many([(source, tag, False)])[0]
+        return got[0] if got else None
+
+    def try_take_many(self, wants) -> list[list[Message]]:
+        """Every want's matches, taken in one round trip, with any
+        shared-segment payloads decoded."""
+        taken = self._rpc.call("mailbox.try_take_many", self._rank, wants)
+        return [[self._world._wire_to_msg(wire) for wire in got] for got in taken]
 
 
 @_facade("flight")
@@ -447,7 +554,7 @@ class _ClientFlightLog:
     def for_rank(self, rank: int) -> FlightRecorder:
         """The (cached) recorder of ``rank``: the same class as in-process,
         stamping each event here, at the rank — only its ``append`` is a
-        fire-and-forget cast to the parent-hosted ring (no round trip)."""
+        cast to the parent-hosted ring (it rides the next message out)."""
         rec = self._recorders.get(rank)
         if rec is None:
             rec = self._recorders[rank] = FlightRecorder(rank)
@@ -506,6 +613,8 @@ class _ClientWorld(_Remote):
         self.size = size
         self.copy_on_send = copy_on_send
         self.pool = _ClientPool(rpc)
+        #: Segments lent to the arrays this rank contributes to collectives.
+        self.lender = _Lender(self.pool.acquire)
         self.flight = _ClientFlightLog(rpc, flight_enabled, flight_detail)
         self.telemetry = _ClientTelemetry(rpc)
         if has_chaos:
@@ -519,10 +628,14 @@ class _ClientWorld(_Remote):
         return Message(source=source, dest=dest, tag=tag, payload=payload, seq=seq)
 
     def post(self, msg: Message) -> None:
-        """Send: the parent constructs the authoritative ``Message`` (with a
-        parent-global sequence number) and runs the real delivery path —
-        including the chaos ``_deliver`` seam."""
-        self._rpc.call("world.post", msg.source, msg.dest, msg.tag, _encode(msg.payload))
+        """Send (a cast, flushed at once): the parent constructs the
+        authoritative ``Message`` (with a parent-global sequence number) and
+        runs the real delivery path — liveness check, accounting and the
+        chaos ``_deliver`` seam; only the destination range is checked here."""
+        if not 0 <= msg.dest < self.size:
+            raise ValueError(f"destination rank {msg.dest} out of range [0,{self.size})")
+        self._rpc.cast("world.post", msg.source, msg.dest, msg.tag, _encode(msg.payload))
+        self._rpc.flush()
 
     def take_blocking(self, dest: int, source: int, tag: int) -> Message:
         """Blocking matched receive (parks the parent broker, exactly like a
@@ -532,20 +645,21 @@ class _ClientWorld(_Remote):
     def rendezvous(self, key: tuple, rank: int, contribution: Any, group=None, fold=None):
         """Collective rendezvous; the contribution and the reply (the slot
         map, or with ``fold`` the one reduced result) round-trip through the
-        wire codec so pooled batches travel as segment handles."""
+        wire codec, so pooled batches and large ndarrays travel as segment
+        handles (an ndarray comes back as the rank's own memory)."""
         reply = self._rpc.call(
             "world.rendezvous",
             key,
             rank,
-            _encode(contribution),
+            self.lender.encode(contribution),
             None if group is None else tuple(group),
             fold,
         )
-        return _decode(reply, self.pool.ref_batch)
+        return _decode(reply, self.pool.ref_batch, self.pool.copy_array)
 
 
 def _child_main(
-    conn,
+    pipes: list,
     rank: int,
     size: int,
     fn: Callable[..., Any],
@@ -559,13 +673,22 @@ def _child_main(
     """Rank-process entry point: run the shared rank runner against the
     facade and report its outcome over the pipe as a final ``__exit__``
     record."""
+    # The fork copied every rank's pipe: keep this rank's end only, so a
+    # broker reads EOF the moment its own rank dies, not when the last
+    # sibling holding a copy exits.
+    conn = pipes[rank][1]
+    for parent_end, child_end in pipes:
+        parent_end.close()
+        if child_end is not conn:
+            child_end.close()
+    rpc = _Rpc(conn)
     world = _ClientWorld(
-        _Rpc(conn), rank, size, copy_on_send, flight_enabled, flight_detail, has_chaos
+        rpc, rank, size, copy_on_send, flight_enabled, flight_detail, has_chaos
     )
     ok, value = _run_rank(world, rank, fn, args, verify)
+    world.lender.release_all()  # casts: they ride the exit record
     try:
-        payload = _encode(value) if ok else _pickle_safe(value)
-        conn.send((None, "__exit__", (ok, payload)))
+        rpc.send(("__exit__", (ok, _encode(value) if ok else _pickle_safe(value))))
         conn.close()
     except Exception:
         # Nothing left to tell the parent with: its broker sees the pipe
@@ -588,9 +711,16 @@ class _Broker:
         self._rank = rank
         self._conn = conn
         self._world = world
+        #: Segments lent to the arrays of this rank's replies.
+        self._lender = _Lender(world.pool.acquire)
+        #: What the first cast to raise since the last round trip raised:
+        #: the rank's next call gets it in place of running.
+        self._failed_cast: BaseException | None = None
         #: The rank's final ``(ok, payload)`` record; stays
         #: ``None`` when its pipe dies first.
         self.outcome: tuple | None = None
+        #: What crossed the pipe: wire name -> ``[round trips, casts]``.
+        self.counts: dict[str, list[int]] = {}
 
     def _lost(self) -> None:
         """The pipe died without a final record: a hard process death.
@@ -599,34 +729,50 @@ class _Broker:
             self._world.abort(f"rank {self._rank} process terminated unexpectedly")
 
     def run(self) -> None:
-        """Service RPCs until the rank reports its outcome or its pipe dies."""
+        """Service the rank's messages until it reports its outcome or its
+        pipe dies (what it wrote before dying is served first: the pipe
+        drains before it reads EOF)."""
         conn = self._conn
-        while True:
-            try:
-                req = conn.recv()
-            except (EOFError, OSError):
-                self._lost()
-                return
-            rid, method, args = req
-            if method == "__exit__":
-                self.outcome = args
-                try:
-                    conn.close()
-                except Exception:
-                    pass
-                return
-            try:
-                value = self._dispatch(method, args)
-                reply = (rid, True, value)
-            except BaseException as exc:  # noqa: BLE001 - ship errors to the rank
-                reply = (rid, False, _pickle_safe(exc))
-            if rid is None:
-                continue
-            try:
-                conn.send(reply)
-            except (EOFError, OSError):
-                self._lost()
-                return
+        try:
+            while self.outcome is None:
+                casts, call = conn.recv()
+                for method, args in casts:
+                    self.counts.setdefault(method, [0, 0])[1] += 1
+                    try:
+                        self._dispatch(method, args)
+                    except BaseException as exc:  # noqa: BLE001 - raised by the next call
+                        if self._failed_cast is None:
+                            self._failed_cast = _pickle_safe(exc)
+                if call is not None:
+                    failed, self._failed_cast = self._failed_cast, None
+                    self._call(*call, failed)
+        except (EOFError, OSError):
+            self._lost()
+        finally:
+            self._lender.release_all()
+
+    def _call(self, method: str, args: tuple, failed: BaseException | None) -> None:
+        """Run one call and reply — with ``failed``, an earlier cast's
+        exception, in place of running it.  The exit record has no reply: a
+        cast that failed behind the rank's last round trip becomes its
+        outcome, and aborts the world as the raise would have."""
+        if method == "__exit__":
+            ok, payload = args
+            if ok and failed is not None:
+                ok, payload = False, failed
+                if not self._world.aborted:
+                    self._world.abort(f"rank {self._rank}: {type(failed).__name__}: {failed}")
+            self.outcome = (ok, payload)
+            self._conn.close()
+            return
+        self.counts.setdefault(method, [0, 0])[0] += 1
+        try:
+            if failed is not None:
+                raise failed
+            reply = (True, self._dispatch(method, args))
+        except BaseException as exc:  # noqa: BLE001 - ship errors to the rank
+            reply = (False, _pickle_safe(exc))
+        self._conn.send(reply)
 
     def _dispatch(self, method: str, args: tuple) -> Any:
         """Execute one RPC against the real world, as its table row says."""
@@ -663,9 +809,7 @@ class _Broker:
         buf = self._world.pool.buffer(ref.buf_id)
         return PackedBatch(header=ref.header, payload=buf.readonly(), buf=buf)
 
-    def _msg_to_wire(self, msg: Message | None) -> tuple | None:
-        if msg is None:
-            return None
+    def _msg_to_wire(self, msg: Message) -> tuple:
         return (msg.source, msg.dest, msg.tag, msg.seq, _encode(msg.payload))
 
     # The parent halves of the rows marked _HAND, named _<target>_<name>.
@@ -677,11 +821,26 @@ class _Broker:
         return self._msg_to_wire(self._world.take_blocking(dest, source, tag))
 
     def _world_rendezvous(self, key: tuple, rank: int, enc: Any, group, fold) -> Any:
-        contribution = _decode(enc, self._ref_batch)
-        return _encode(self._world.rendezvous(key, rank, contribution, group, fold))
+        contribution = _decode(
+            enc, self._ref_batch, self._copy_array if fold is None else self._read_array
+        )
+        return self._lender.encode(
+            self._world.rendezvous(key, rank, contribution, group, fold)
+        )
 
-    def _mailbox_try_take(self, rank: int, source: int, tag: int) -> tuple | None:
-        return self._msg_to_wire(self._world.mailboxes[rank].try_take(source, tag))
+    def _read_array(self, ref: _ShmArray) -> np.ndarray:
+        """A contribution where it lies, in the segment its rank lent: the
+        fold has read it by the time the rank is replied to."""
+        return ref.view(self._world.pool.buffer(ref.buf_id).raw)
+
+    def _copy_array(self, ref: _ShmArray) -> np.ndarray:
+        """A contribution with no fold outlives the call in the slot map its
+        peers are handed, so it is copied out of the lent segment."""
+        return self._read_array(ref).copy()
+
+    def _mailbox_try_take_many(self, rank: int, wants: list) -> list[list[tuple]]:
+        taken = self._world.mailboxes[rank].try_take_many(wants)
+        return [[self._msg_to_wire(msg) for msg in got] for got in taken]
 
     def _mailbox_peek(self, rank: int, source: int, tag: int) -> tuple | None:
         msg = self._world.mailboxes[rank].peek(source, tag)
@@ -761,7 +920,7 @@ def host_procs(
         ctx.Process(
             target=_child_main,
             args=(
-                pipes[r][1], r, size, fn, args, world.copy_on_send, verify,
+                pipes, r, size, fn, args, world.copy_on_send, verify,
                 world.flight.enabled, world.flight.detail, has_chaos,
             ),
             name=f"{name_prefix}{r}",
@@ -800,6 +959,7 @@ def host_procs(
             if ok:
                 payload = _decode(payload, lambda ref: _copy_out(ref, pool))
             outcomes.append((ok, payload))
+        world.rpc_counts = [broker.counts for broker in brokers]
         return outcomes
     finally:
         for proc in procs:

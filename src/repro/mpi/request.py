@@ -90,7 +90,6 @@ class RecvRequest(Request):
         """Non-blocking completion check: (done, payload_or_None)."""
         if self._done:
             return True, self._payload
-        self._world.check_alive()
         msg = self._world.mailboxes[self._rank].try_take(self.source, self.tag)
         if msg is None:
             return False, None

@@ -45,12 +45,18 @@ def _fold(values: list[Any], op: Callable[[Any, Any], Any]) -> Any:
 
 
 class _Mailbox:
-    """Per-rank inbox of undelivered messages, ordered by send sequence."""
+    """Per-rank inbox of undelivered messages, ordered by send sequence.
 
-    def __init__(self) -> None:
+    Every non-blocking read first runs ``check_alive`` (the owning world's),
+    so a poll observes an abort or the deadline in the same operation —
+    under ``procs`` in the same round trip — as the read itself.
+    """
+
+    def __init__(self, check_alive: Callable[[], None] = lambda: None) -> None:
         self.lock = threading.Lock()
         self.cond = threading.Condition(self.lock)
         self.messages: list[Message] = []
+        self._check_alive = check_alive
 
     def deposit(self, msg: Message) -> None:
         """Append a message to this mailbox and wake waiters."""
@@ -71,11 +77,32 @@ class _Mailbox:
 
     def try_take(self, source: int, tag: int) -> Message | None:
         """Remove and return the earliest matching message, if any."""
+        self._check_alive()
         with self.lock:
             return self._take_locked(source, tag)
 
+    def try_take_many(
+        self, wants: Sequence[tuple[int, int, bool]]
+    ) -> list[list[Message]]:
+        """One list per ``(source, tag, every)`` want: what :meth:`try_take`
+        would have returned for it, asked want by want in order — the
+        earliest match, or with ``every`` all of them in send order — in one
+        operation (one lock acquisition; under ``procs`` one round trip)."""
+        self._check_alive()
+        taken: list[list[Message]] = []
+        with self.lock:
+            for source, tag, every in wants:
+                got: list[Message] = []
+                while (msg := self._take_locked(source, tag)) is not None:
+                    got.append(msg)
+                    if not every:
+                        break
+                taken.append(got)
+        return taken
+
     def peek(self, source: int, tag: int) -> Message | None:
         """Earliest matching message without removing it (None if none)."""
+        self._check_alive()
         with self.lock:
             candidates = [m for m in self.messages if m.matches(source, tag)]
             if not candidates:
@@ -111,7 +138,7 @@ class World:
             raise ValueError(f"world size must be >= 1, got {size}")
         self.size = size
         self.copy_on_send = copy_on_send
-        self.mailboxes = [_Mailbox() for _ in range(size)]
+        self.mailboxes = [_Mailbox(self.check_alive) for _ in range(size)]
         self.aborted = False
         self.abort_reason: str | None = None
         self._deadline = None if deadline_s is None else time.monotonic() + deadline_s
@@ -137,6 +164,9 @@ class World:
         #: Shared exchange buffer pool: packed envelopes are gathered into
         #: pooled buffers and the pool's leak balance is asserted by tests.
         self.pool = BufferPool(name="world")
+        #: After a ``procs`` run, per rank: pipe wire name -> ``[round
+        #: trips, casts]`` (``None``: the ranks were threads, no pipe).
+        self.rpc_counts: list[dict[str, list[int]]] | None = None
 
         #: Always-on flight recorder: one bounded event ring per rank.  Any
         #: fault path (chaos kill, unrecovered exchange, shrink, abort) can

@@ -72,7 +72,7 @@ import numpy as np
 from repro.mpi.codec import PackedBatch, SampleBlock, pack_samples, unpack_samples
 from repro.mpi.communicator import Communicator
 from repro.mpi.errors import PeerFailure, UnrecoveredFaultError
-from repro.mpi.message import ANY_SOURCE, Checksummed, Status
+from repro.mpi.message import Checksummed
 from repro.mpi.request import Request
 from repro.mpi.tags import EXCHANGE_CTRL, EXCHANGE_DATA, PARITY_BIT
 from repro.utils.retry import Backoff
@@ -633,17 +633,19 @@ class Scheduler:
             fr.nack_wait = self._nack_delay(fr)
         quiet_since = time.monotonic()
         while pending or unacked:
-            self.comm.world.check_alive()
             self._raise_on_dead_peers()
-            progress = self._service_control(ctrl_tag, unacked)
+            # One mailbox operation per pass takes everything that has
+            # arrived: the frames still owed and the whole control backlog.
+            acks = self.comm.testsome([fr.recv_req for fr in pending], ctrl_tag)
+            progress = self._service_control(acks, unacked)
             if progress:
                 quiet_since = time.monotonic()
             still = []
             for fr in pending:
-                done, env = fr.recv_req.test()
-                if done:
+                req = fr.recv_req
+                if req.completed:
                     progress = True
-                    self._handle_data(fr, env, ctrl_tag)
+                    self._handle_data(fr, req.wait(), ctrl_tag)
                     quiet_since = time.monotonic()
                     if fr.state == "verified":
                         continue
@@ -673,16 +675,12 @@ class Scheduler:
             fr.attempts, key=(self.epoch, fr.window, fr.peer)
         )
 
-    def _service_control(self, ctrl_tag: int, unacked: set) -> bool:
-        """Drain ACK/NACK traffic; returns whether anything advanced."""
+    def _service_control(self, acks: list, unacked: set) -> bool:
+        """Apply the ACK/NACK messages one sweep took (``(payload, source)``
+        pairs, send order); returns whether anything advanced."""
         progress = False
-        status = Status()
-        while self.comm.iprobe(source=ANY_SOURCE, tag=ctrl_tag):
-            with self.flight.suspended():
-                kind, ep, window = self.comm.recv(
-                    source=ANY_SOURCE, tag=ctrl_tag, status=status
-                )
-            key = (window, status.source)
+        for (kind, ep, window), source in acks:
+            key = (window, source)
             fr = self._sends.get(key) if ep == self.epoch else None
             if fr is None:
                 self.stale_discards += 1
@@ -922,7 +920,7 @@ class Scheduler:
             # nbytes, taken at the commit rather than at each (racy) arrival.
             recv_nbytes=self._received.nbytes if staged else 0,
             q_deficit=self.q_deficit,
-            pool_in_use=self.comm.pool.stats()["in_use"],
+            pool_in_use=self.comm.pool.in_use(),
         )
 
     def _drain_late_acks(self) -> None:
@@ -937,13 +935,8 @@ class Scheduler:
         relies on.  Late NACKs are dropped: the epoch is sealed and nobody
         is listening for resends."""
         ctrl_tag = EXCHANGE_CTRL.tag(parity=(self.epoch % 2) * _EPOCH_PARITY_BIT)
-        status = Status()
-        while self.comm.iprobe(source=ANY_SOURCE, tag=ctrl_tag):
-            with self.flight.suspended():
-                kind, ep, window = self.comm.recv(
-                    source=ANY_SOURCE, tag=ctrl_tag, status=status
-                )
-            fr = self._sends.get((window, status.source))
+        for (kind, ep, window), source in self.comm.testsome((), ctrl_tag):
+            fr = self._sends.get((window, source))
             if kind == "ack" and ep == self.epoch and fr is not None:
                 if fr.state == "inflight":
                     fr.advance("ack")

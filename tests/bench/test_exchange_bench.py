@@ -74,3 +74,17 @@ def test_scenario_set_is_the_four_that_remain(tmp_path, capsys):
         "BENCH_robustness_rejoin.json",
         "BENCH_telemetry.json",
     ]
+
+
+def test_backend_gate_caps_pipe_round_trips_per_frame():
+    from repro.bench.backend import MAX_ROUND_TRIPS_PER_FRAME
+
+    def artifact(trips):
+        return {
+            "identical_shards": True, "shm_clean": True,
+            "ratios": {"procs_speedup": 0.3, "round_trips_per_frame": trips},
+        }
+
+    assert check_regression(None, backend=artifact(MAX_ROUND_TRIPS_PER_FRAME)) == []
+    (problem,) = check_regression(None, backend=artifact(9.2))
+    assert "9.20 pipe round trips per sent frame" in problem

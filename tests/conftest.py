@@ -6,17 +6,37 @@ segment carrying the pool prefix that survives a test is a leak in the
 test that left it behind.
 """
 
+import os
+
 import pytest
 
-from repro.mpi.shm_pool import live_segments
+from repro.mpi.shm_pool import SEGMENT_PREFIX, live_segments
+
+
+def _ours_or_orphaned(name: str) -> bool:
+    """Whether segment ``repro-shm-<pid>-<token>-<n>`` was created by this
+    process or by one that no longer exists — not by another pytest run on
+    the host, whose live segments are its own business."""
+    pid = int(name[len(SEGMENT_PREFIX):].split("-", 1)[0])
+    if pid == os.getpid():
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:
+        pass
+    return False
 
 
 @pytest.fixture(autouse=True)
 def _no_leaked_shm_segments():
     before = live_segments()
     yield
-    after = live_segments()
-    leaked = [name for name in after if name not in before]
+    leaked = [
+        name for name in live_segments()
+        if name not in before and _ours_or_orphaned(name)
+    ]
     assert not leaked, (
         f"test leaked shared-memory segments in /dev/shm: {leaked} — "
         "every exit path of a BufferPool over a SegmentAllocator must unlink its segments"

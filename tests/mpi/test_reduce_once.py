@@ -183,3 +183,43 @@ def test_one_result_not_m_contributions_crosses_the_procs_pipe():
         assert isinstance(folded, np.ndarray) and folded.shape == (8,)
         assert np.array_equal(folded, np.full(8, 3.0, dtype=np.float32))
         assert sorted(replies["map", rank]) == [0, 1, 2]  # M contributions
+
+
+def test_a_large_allreduce_crosses_the_procs_pipe_as_handles_both_ways():
+    """At the pool's smallest size class and up, the contribution goes up
+    and the folded result comes down as a segment handle: the gradient's
+    bytes never meet pickle."""
+    from repro.mpi.pool import MIN_SIZE_CLASS, BufferPool
+    from repro.mpi.procs import _Lender, _ShmArray
+    from repro.mpi.shm_pool import SegmentAllocator
+
+    size = 2
+    world = World(size, copy_on_send=False)
+    world.pool = BufferPool(SegmentAllocator(), name="world-shm")
+    replies = {}
+
+    def rank_side(rank):
+        broker = _Broker(rank, None, world)
+        lender = _Lender(world.pool.acquire)  # the rank's end of the pipe
+        grad = np.full(MIN_SIZE_CLASS // 4, float(rank + 1), dtype=np.float32)
+        sent = lender.encode(grad)
+        replies[rank] = sent, broker._dispatch(
+            "world.rendezvous", ((0, "allreduce", 0, size), rank, sent, (0, 1), SUM)
+        )
+
+    try:
+        threads = [threading.Thread(target=rank_side, args=(r,)) for r in range(size)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        for rank in range(size):
+            sent, reply = replies[rank]
+            assert isinstance(sent, _ShmArray) and isinstance(reply, _ShmArray)
+            folded = reply.view(world.pool.buffer(reply.buf_id).raw)
+            assert np.array_equal(folded, np.full(MIN_SIZE_CLASS // 4, 3.0, dtype=np.float32))
+            # One byte short of the threshold still pickles.
+            assert isinstance(_Lender(None).encode(np.zeros(MIN_SIZE_CLASS - 1, np.uint8)), np.ndarray)
+    finally:
+        world.pool.shutdown()

@@ -318,6 +318,64 @@ def test_abort_mid_exchange_cleans_segments(backend):
     assert live_segments() == []
 
 
+def _sigkill_worker(comm, deadline_s, kill=True):
+    import os
+    import signal
+    import time
+
+    storage = StorageArea()
+    rng = np.random.default_rng(comm.rank)
+    for _ in range(32):
+        storage.add(rng.random((16, 16)).astype(np.float32), int(rng.integers(0, 8)))
+    sched = Scheduler(storage, comm, fraction=1.0, batch_size=8, seed=5)
+    sched.scheduling(0)
+    if comm.rank == 1:
+        sched.communicate_chunk()  # one window: a frame per peer, each a cast
+        if kill:
+            os.kill(os.getpid(), signal.SIGKILL)  # right behind its last isend
+    if not kill:  # the reference: what rank 1's one window puts on the wire
+        comm.barrier()
+        return sched.abort_exchange()
+    t0 = time.monotonic()
+    try:
+        sched.synchronize(*sched.communicate())
+    finally:
+        assert time.monotonic() - t0 < deadline_s
+
+
+def test_a_sigkilled_rank_delivers_what_it_cast_and_strands_nobody():
+    """What only ``procs`` can do: a rank really dies, between two
+    instructions.  The frames it cast just before are still served (the
+    pipe drains before its broker reads EOF), the survivors leave the
+    exchange with MPIAbort / PeerFailure well inside the deadline, and no
+    segment outlives the run."""
+    from repro.mpi import MPIAbort, World
+
+    worlds = []
+
+    def factory(size, **kwargs):
+        worlds.append(World(size, **kwargs))
+        return worlds[0]
+
+    deadline_s = 60.0
+    with pytest.raises(RankFailed) as info:
+        run_spmd(
+            _sigkill_worker, 3, args=(deadline_s,), backend="procs",
+            deadline_s=deadline_s, world_factory=factory,
+        )
+    assert set(info.value.failures) == {0, 1, 2}
+    assert all(
+        isinstance(exc, (MPIAbort, PeerFailure)) for exc in info.value.failures.values()
+    )
+    world = worlds[0]
+    assert "rank 1 process terminated unexpectedly" in world.abort_reason
+    # Every frame of the window rank 1 posted before it died was delivered.
+    alive = run_spmd(_sigkill_worker, 3, args=(deadline_s, False)).world
+    assert world.messages_sent[1] == alive.messages_sent[1] >= 1
+    assert world.bytes_sent[1] == alive.bytes_sent[1]
+    assert live_segments() == []
+
+
 def test_elastic_kill_parity(backend):
     from repro.data import SyntheticSpec
     from repro.elastic import run_lifecycle
