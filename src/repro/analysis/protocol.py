@@ -1,8 +1,8 @@
 """Explicit-state model checker for the reliable-exchange protocol.
 
 The scheduler's reliable exchange (CRC/ACK/NACK with bounded resends,
-deadline-based degraded-Q commit/rollback, pooled frame buffers whose
-ownership is settled at ACK/commit time) is interleaving-sensitive code:
+deadline-based degraded-Q commit/rollback, pooled frame buffers that go
+back to their sender on ACK) is interleaving-sensitive code:
 its unit tests exercise *some* schedules, this module exhaustively explores
 *all* of them on small worlds.
 
@@ -12,7 +12,9 @@ The abstract model mirrors the live protocol one-to-one:
   rank posts one frame and is owed one, and the two halves advance
   through :data:`repro.shuffle.scheduler.ROUND_TRANSITIONS`, imported
   from the scheduler itself so the checked model and the shipped protocol
-  share one transition table and cannot drift silently.
+  share one transition table and cannot drift silently.  Rounds after the
+  first are posted one by one, interleaved with everything else — so an
+  ACK is consumed, and its frame reused, while later rounds are unposted.
 * **Network** — per ``(src, dst, tag)`` FIFO channels, matching the
   in-process world's per-(source, tag) mailbox ordering.  Control
   channels are loss-free (the chaos engine drops and corrupts *data*
@@ -21,9 +23,10 @@ The abstract model mirrors the live protocol one-to-one:
   faults ``scope="all"`` clauses can apply to them.
 * **Buffer pool** — a ledger of buffer states (``in_use`` / ``released``
   / ``adopted``) with the live pool's strict double-retire semantics and
-  the idempotent ``try_adopt`` used by abort teardown.  A committing
-  receiver copies the samples out and *releases* the frame, so the model
-  also tracks which settled rank still references a buffer.
+  the idempotent ``try_adopt`` used by abort teardown, plus which round's
+  samples a buffer holds.  A receiver verifies a frame, then copies it out
+  and only then ACKs it; the ACK hands the buffer back to its sender,
+  which packs a later round into it or returns it at commit.
 
 Explored faults (budget-bounded): ``drop`` / ``dup`` / ``corrupt`` /
 ``delay`` (head-to-tail reordering) on channels, ``stale`` injection (a
@@ -37,8 +40,11 @@ Checked invariants:
   checked at application time, and every ``in_use`` buffer at a terminal
   state must still be referenced by a dead/failed rank (bytes stranded by
   fail-stop death are the one sanctioned loss);
-* no use after release — a settled rank never keeps a reference (an
-  installed view) to a buffer it returned to the pool;
+* no use after release — a receiver never verifies or copies out bytes
+  its sender has since packed another round into, and a settled rank
+  never keeps a reference (an installed view) to a released buffer;
+* the halves of a frame settle alike, and what a settled rank keeps
+  installed is exactly the agreed commit (shard size);
 * stale messages never commit — a committed payload's epoch must be the
   current epoch;
 * agreement — all settled ranks commit the same round count;
@@ -54,7 +60,7 @@ installed — is exactly what the barrier buys, and the
 
 **Mutant mode** re-checks seeded protocol mutations (:data:`MUTATIONS`)
 — e.g. dropping the ``adopt_if_in_use`` abort-race guard, skipping
-``_drain_late_acks``, releasing the send buffer before its ACK — and
+``_drain_late_acks``, ACKing a frame before it is copied out — and
 requires every one of them to produce at least one counterexample trace.
 A surviving mutant means the invariant net has a hole.
 """
@@ -143,44 +149,54 @@ class CheckResult:
 #: counterexample for every one of them.
 MUTATIONS: dict[str, str] = {
     "release_before_ack": (
-        "sender releases its pooled buffer right after isend instead of "
-        "retaining it until the ACK — the receiver's commit-time release "
-        "becomes a double free"
+        "sender hands its frame back to the pool right after isend instead "
+        "of holding it until the ACK brings it back — returning the held "
+        "frames at commit retires it a second time"
     ),
     "skip_drain_late_acks": (
         "commit settlement skips _drain_late_acks, so an ACK posted just "
-        "before the receiver's deadline is never seen and the sender "
-        "reclaims a buffer the receiver releases too"
+        "before the receiver's deadline is never seen and the sender books "
+        "as reclaimed a frame its receiver commits"
     ),
     "no_adopt_guard": (
         "abort teardown uses strict adopt() instead of the idempotent "
         "try_adopt(), losing the race where both sides of an in-flight "
-        "batch retire the same buffer"
+        "batch (verified, not yet copied out) retire the same buffer"
     ),
     "skip_stale_check": (
         "_handle_data drops the (epoch, round) identity check, letting a "
         "stale same-parity envelope verify and commit"
     ),
     "ack_before_verify": (
-        "receiver ACKs on arrival instead of after the CRC check — a "
-        "corrupt delivery transfers ownership of bytes nobody ever settles"
+        "receiver ACKs on arrival instead of after the CRC check — the "
+        "sender takes back, and settles as delivered, a frame whose "
+        "receiver never got a valid copy"
+    ),
+    "ack_before_stage": (
+        "receiver ACKs a verified frame first and copies it out after — the "
+        "sender packs a later round into bytes still being read"
+    ),
+    "stage_counts_as_commit": (
+        "a verified round beyond the agreed prefix is rolled back without "
+        "unstaging its rows — the receiver keeps samples their sender kept "
+        "too"
     ),
     "no_timeout_nack": (
         "receiver never NACKs on timeout, so a dropped data message "
         "stalls the exchange forever without a deadline"
     ),
     "forget_rollback_release": (
-        "commit settlement keeps rolled-back verified payloads instead of "
-        "releasing them back to the pool"
+        "a degraded commit (some round rolled back) skips returning the "
+        "frames the sender holds to the pool"
     ),
     "forget_unacked_release": (
         "commit settlement forgets to release un-ACKed send buffers after "
         "the late-ACK drain"
     ),
     "release_under_view": (
-        "commit installs zero-copy views of a frame instead of copying the "
-        "samples out, and still releases the frame — storage reads bytes "
-        "the pool hands to the next acquirer"
+        "the sweep installs zero-copy views of a frame instead of copying "
+        "the samples out, and still ACKs it — storage reads bytes the "
+        "sender reuses and returns to the pool"
     ),
     "dead_peer_filter": (
         "the completion loop raises PeerFailure only for a dead peer of its "
@@ -218,11 +234,17 @@ class _Bug(Exception):
 # round record keys (order is the frozen tuple layout):
 #   send, recv   -- ROUND_TRANSITIONS states of each half
 #   att, nacks   -- resend attempts honoured / NACKs sent
-#   sbuf, rpay   -- buffer ids referenced by sender / receiver (a verified
-#                   frame, or views of it installed without a copy-out)
+#   sbuf         -- the buffer the sender's frame is out in (until its ACK)
+#   rpay         -- the buffer a receiver has verified and not yet copied
+#                   out (or views of it installed without a copy-out)
 #   pep          -- epoch of the verified payload
 #   posted       -- an irecv is outstanding
-_RKEYS = ("send", "recv", "att", "nacks", "sbuf", "rpay", "pep", "posted")
+#   staged       -- the round's rows sit in this rank's storage slots
+_RKEYS = ("send", "recv", "att", "nacks", "sbuf", "rpay", "pep", "posted", "staged")
+_SBUF, _RPAY, _STAGED = (_RKEYS.index(k) for k in ("sbuf", "rpay", "staged"))
+# Per rank: status, agreed prefix / commit, rounds posted so far, the frames
+# that came back on ACK and are held for a later round, the round records.
+_NKEYS = ("status", "prefix", "committed", "nposted", "free")
 
 
 class _State:
@@ -231,15 +253,15 @@ class _State:
     def __init__(self, ranks, chans, ledger, faults_used):
         self.ranks = ranks          # list of dicts
         self.chans = chans          # dict key -> list of messages
-        self.ledger = ledger        # dict bid -> "in_use"|"released"|"adopted"
+        # bid -> (pool state "in_use"|"released"|"adopted", round whose
+        # samples the bytes hold)
+        self.ledger = ledger
         self.faults_used = faults_used
 
     def freeze(self):
         ranks = tuple(
             (
-                r["status"],
-                r["prefix"],
-                r["committed"],
+                *(r[k] for k in _NKEYS),
                 tuple(tuple(rd[k] for k in _RKEYS) for rd in r["rounds"]),
             )
             for r in self.ranks
@@ -254,49 +276,32 @@ class _State:
     def thaw(cls, frozen):
         ranks_f, chans_f, ledger_f, faults_used = frozen
         ranks = [
-            {
-                "status": status,
-                "prefix": prefix,
-                "committed": committed,
-                "rounds": [dict(zip(_RKEYS, rd)) for rd in rounds],
-            }
-            for status, prefix, committed, rounds in ranks_f
+            {**dict(zip(_NKEYS, rf)), "rounds": [dict(zip(_RKEYS, rd)) for rd in rf[-1]]}
+            for rf in ranks_f
         ]
         chans = {k: list(v) for k, v in chans_f}
-        ledger = dict(ledger_f)
-        return cls(ranks, chans, ledger, faults_used)
+        return cls(ranks, chans, dict(ledger_f), faults_used)
 
 
 def _initial(cfg: CheckConfig):
-    """The state right after every rank posted its sends and irecvs."""
+    """The state right after every rank posted its first round (send and
+    irecv); later rounds are posted one by one, interleaved with the rest."""
     st = _State([], {}, {}, 0)
     for r in range(cfg.size):
-        rounds = []
-        for i in range(cfg.rounds):
-            bid = (r, i)
-            if cfg.mutation == "release_before_ack":
-                st.ledger[bid] = "released"
-                sbuf = None
-            else:
-                st.ledger[bid] = "in_use"
-                sbuf = bid
-            rounds.append(
-                {
-                    "send": "inflight",
-                    "recv": "waiting",
-                    "att": 0,
-                    "nacks": 0,
-                    "sbuf": sbuf,
-                    "rpay": None,
-                    "pep": None,
-                    "posted": True,
-                }
-            )
-            chan = (r, cfg.dest(r, i), "data", i)
-            st.chans.setdefault(chan, []).append((EPOCH, i, bid, True))
+        rounds = [
+            {
+                "send": "inflight", "recv": "waiting", "att": 0, "nacks": 0,
+                "sbuf": None, "rpay": None, "pep": None, "posted": False,
+                "staged": False,
+            }
+            for _ in range(cfg.rounds)
+        ]
         st.ranks.append(
-            {"status": "loop", "prefix": -1, "committed": -1, "rounds": rounds}
+            {"status": "loop", "prefix": -1, "committed": -1, "nposted": 0,
+             "free": (), "rounds": rounds}
         )
+    for r in range(cfg.size):
+        _apply_post(cfg, st, r)
     return st
 
 
@@ -317,7 +322,7 @@ def _retire(ledger: dict, bid, to: str, *, strict: bool) -> None:
     """Pool release/adopt with the live pool's double-retire semantics."""
     if bid is None:
         return
-    state = ledger[bid]
+    state, holds = ledger[bid]
     if state != "in_use":
         if strict:
             raise _Bug(
@@ -325,7 +330,7 @@ def _retire(ledger: dict, bid, to: str, *, strict: bool) -> None:
                 f"buffer {bid} already {state}; {to} is a use-after-free",
             )
         return  # try_adopt: the other side already settled it
-    ledger[bid] = to
+    ledger[bid] = (to, holds)
 
 
 def _push(st: _State, chan, msg) -> None:
@@ -341,8 +346,45 @@ def _prefix(rank: dict) -> int:
     return n
 
 
+def _apply_post(cfg: CheckConfig, st: _State, r: int) -> None:
+    """_post_frame + the matched irecv of the rank's next round: pack into a
+    frame the rank holds (it came back on an ACK), else into a pool buffer."""
+    rank = st.ranks[r]
+    i = rank["nposted"]
+    rd = rank["rounds"][i]
+    if rank["free"]:
+        *rest, bid = rank["free"]
+        rank["free"] = tuple(rest)
+        st.ledger[bid] = (st.ledger[bid][0], i)  # the bytes are round i's now
+    else:
+        bid = (r, i)
+        # Mutant: the frame goes back to the pool right after isend, while
+        # the sender still counts on getting it back with the ACK.
+        released = cfg.mutation == "release_before_ack"
+        st.ledger[bid] = ("released" if released else "in_use", i)
+    rd["sbuf"] = bid
+    rd["posted"] = True
+    rank["nposted"] = i + 1
+    _push(st, (r, cfg.dest(r, i), "data", i), (EPOCH, i, bid, True))
+
+
+def _take_back(cov, rank: dict, rd: dict) -> None:
+    """An ACK: the receiver copied the frame out, its buffer is the
+    sender's again (live: Scheduler._acked)."""
+    _advance(cov, rd, "send", "ack")
+    rank["free"] += (rd["sbuf"],)
+    rd["sbuf"] = None
+
+
+def _release_held(st: _State, rank: dict) -> None:
+    for bid in rank["free"]:
+        _retire(st.ledger, bid, "released", strict=True)
+    rank["free"] = ()
+
+
 def _abort_rank(cov, cfg: CheckConfig, st: _State, r: int) -> None:
-    """PeerFailure teardown: cancel, try_adopt both halves' buffers."""
+    """PeerFailure teardown: cancel, try_adopt the frames still out (and one
+    verified but not yet copied out), unstage, release the held frames."""
     rank = st.ranks[r]
     strict = cfg.mutation == "no_adopt_guard"
     for rd in rank["rounds"]:
@@ -354,13 +396,14 @@ def _abort_rank(cov, cfg: CheckConfig, st: _State, r: int) -> None:
         rd["sbuf"] = None
         _retire(st.ledger, rd["rpay"], "adopted", strict=strict)
         rd["rpay"] = None
-        rd["posted"] = False
+        rd["posted"] = rd["staged"] = False
+    _release_held(st, rank)
     rank["status"] = "aborted"
 
 
 def _settle_rank(cov, cfg: CheckConfig, st: _State, r: int, committed: int) -> None:
-    """One rank's _apply_commit: drain, reclaim, rollback, copy out and
-    release."""
+    """One rank's _apply_commit: drain, reclaim, return the held frames,
+    install or unstage."""
     rank = st.ranks[r]
     mut = cfg.mutation
     if mut != "skip_drain_late_acks":
@@ -373,8 +416,7 @@ def _settle_rank(cov, cfg: CheckConfig, st: _State, r: int, committed: int) -> N
                     continue
                 rd = rank["rounds"][idx]
                 if rd["send"] == "inflight":
-                    _advance(cov, rd, "send", "ack")
-                    rd["sbuf"] = None  # receiver verified: it owns the bytes
+                    _take_back(cov, rank, rd)
     for i, rd in enumerate(rank["rounds"]):
         if rd["send"] == "inflight":
             _advance(cov, rd, "send", "reclaim")
@@ -392,17 +434,15 @@ def _settle_rank(cov, cfg: CheckConfig, st: _State, r: int, committed: int) -> N
                         f"rank {r} committed round {i} with a payload from "
                         f"epoch {rd['pep']} (current epoch {EPOCH})",
                     )
-                _retire(st.ledger, rd["rpay"], "released", strict=True)
-                if mut != "release_under_view":
-                    rd["rpay"] = None  # samples copied out: no view remains
             else:
                 _advance(cov, rd, "recv", "rollback")
-                if mut != "forget_rollback_release":
-                    _retire(st.ledger, rd["rpay"], "released", strict=True)
-                    rd["rpay"] = None
+                if mut != "stage_counts_as_commit":
+                    rd["staged"] = False  # unstage
         elif rd["recv"] == "waiting":
             _advance(cov, rd, "recv", "deadline")
             rd["posted"] = False
+    if not (mut == "forget_rollback_release" and committed < cfg.rounds):
+        _release_held(st, rank)
     rank["status"] = "settled"
     rank["committed"] = committed
 
@@ -411,90 +451,89 @@ def _settle_rank(cov, cfg: CheckConfig, st: _State, r: int, committed: int) -> N
 def _successors(cov, cfg: CheckConfig, frozen):
     """Yield ``(label, is_fault, outcome)`` where outcome is a frozen next
     state or a :class:`_Bug`."""
+    out = []
 
-    def attempt(label, is_fault, fn):
+    def act(label, fn, *, fault=False):
+        """One enabled action: ``fn`` applied, now, to a copy of the state."""
         st = _State.thaw(frozen)
         try:
+            if fault:
+                st.faults_used += 1
             fn(st)
         except _Bug as bug:
-            return (label, is_fault, bug)
-        return (label, is_fault, st.freeze())
+            out.append((label, fault, bug))
+        else:
+            out.append((label, fault, st.freeze()))
 
-    out = []
     ranks_f = frozen[0]
     chans = dict(frozen[1])
-    faults_used = frozen[3]
     statuses = [rf[0] for rf in ranks_f]
     any_gone = any(s in _GONE for s in statuses)
+    # Epochs are in lockstep (the training loop's collective every
+    # iteration), so a rank is in synchronize() — timers armed, the deadline
+    # checked — only once every rank has posted its last round.
+    all_posted = all(rf[3] == cfg.rounds for rf in ranks_f)
 
     for r in range(cfg.size):
         if statuses[r] != "loop":
             continue
-        rounds_f = ranks_f[r][3]
+        nposted, rounds_f = ranks_f[r][3], ranks_f[r][-1]
+
+        # Post the next round (live: communicate_chunk, between sweeps — so
+        # an ACK may already have brought an earlier round's frame back).
+        if nposted < cfg.rounds:
+            act(f"rank{r}: post round {nposted}", lambda st: _apply_post(cfg, st, r))
 
         # Service one control message (live: _service_control drains FIFO).
         for s in range(cfg.size):
             chan = (s, r, "ctrl", 0)
             if chans.get(chan):
-                out.append(
-                    attempt(
-                        f"rank{r}: ctrl from rank{s}",
-                        False,
-                        lambda st, r=r, chan=chan: _apply_ctrl(cov, cfg, st, r, chan),
-                    )
-                )
+                act(f"rank{r}: ctrl from rank{s}",
+                    lambda st: _apply_ctrl(cov, cfg, st, r, chan))
 
         for i in range(cfg.rounds):
             rd = dict(zip(_RKEYS, rounds_f[i]))
             src = cfg.src(r, i)
             dchan = (src, r, "data", i)
-            # Deliver the head data message into the posted irecv.
+            # Deliver the head data message into the posted irecv: verify,
+            # copy out, ACK — one sweep, unless a peer failure interrupts it
+            # between its two passes.
             if rd["posted"] and chans.get(dchan):
-                out.append(
-                    attempt(
-                        f"rank{r}: data round {i} from rank{src}",
-                        False,
-                        lambda st, r=r, i=i, chan=dchan: _apply_data(
-                            cov, cfg, st, r, i, chan
-                        ),
-                    )
-                )
-            # Timeout NACK: only when no deliverable data is waiting (the
-            # live loop tests the irecv before checking next_nack_t).
+                act(f"rank{r}: data round {i} from rank{src}",
+                    lambda st: _apply_data(cov, cfg, st, r, i, dchan))
+                if any_gone:
+                    def cut_short(st):
+                        _apply_data(cov, cfg, st, r, i, dchan, stage=False)
+                        _abort_rank(cov, cfg, st, r)
+
+                    act(f"rank{r}: data round {i} from rank{src}, peer failure "
+                        "before the copy-out, abort", cut_short)
+            # Only a mutant leaves a verified round for a later copy-out.
+            if rd["recv"] == "verified" and not rd["staged"]:
+                act(f"rank{r}: copy out round {i}", lambda st: _apply_stage(cfg, st, r, i))
+            # Timeout NACK: timers run in synchronize() only, and only when
+            # no deliverable data is waiting (the live loop sweeps before it
+            # looks at them).
             if (
                 cfg.mutation != "no_timeout_nack"
+                and all_posted
                 and rd["recv"] == "waiting"
                 and rd["posted"]
                 and not chans.get(dchan)
                 and rd["nacks"] <= cfg.max_attempts
             ):
-                out.append(
-                    attempt(
-                        f"rank{r}: timeout NACK round {i}",
-                        False,
-                        lambda st, r=r, i=i: _apply_nack(
-                            cov, cfg, st, r, i, timed_out=True
-                        ),
-                    )
-                )
+                act(f"rank{r}: timeout NACK round {i}",
+                    lambda st: _apply_nack(cov, cfg, st, r, i, timed_out=True))
 
-        # Leave the loop: everything settled, or the deadline expired.
-        if all(rf[0] == "acked" and rf[1] == "verified" for rf in rounds_f):
-            out.append(
-                attempt(
-                    f"rank{r}: all rounds done, enter commit",
-                    False,
-                    lambda st, r=r: _apply_exit(st, r),
-                )
-            )
-        elif cfg.deadline:
-            out.append(
-                attempt(
-                    f"rank{r}: deadline expires",
-                    False,
-                    lambda st, r=r: _apply_exit(st, r),
-                )
-            )
+        # Leave the loop (no sweep half done): everything settled, or the
+        # deadline expired.
+        swept = all_posted and all(
+            rf[_STAGED] or rf[1] != "verified" for rf in rounds_f
+        )
+        if swept and all(rf[0] == "acked" and rf[1] == "verified" for rf in rounds_f):
+            act(f"rank{r}: all rounds done, enter commit", lambda st: _apply_exit(st, r))
+        elif swept and cfg.deadline:
+            act(f"rank{r}: deadline expires", lambda st: _apply_exit(st, r))
 
         # Dead-peer detection: any gone member of the communicator ends the
         # epoch (live: _raise_on_dead_peers) — the commit collective cannot
@@ -508,13 +547,8 @@ def _successors(cov, cfg: CheckConfig, frozen):
                 for i, rf in enumerate(rounds_f)
             )
         if gone:
-            out.append(
-                attempt(
-                    f"rank{r}: peer failure detected, abort",
-                    False,
-                    lambda st, r=r: _abort_rank(cov, cfg, st, r),
-                )
-            )
+            act(f"rank{r}: peer failure detected, abort",
+                lambda st: _abort_rank(cov, cfg, st, r))
 
     # Commit collective: all ranks arrived -> atomic min-allreduce + settle.
     if all(s == "commit" for s in statuses):
@@ -523,100 +557,86 @@ def _successors(cov, cfg: CheckConfig, frozen):
             for r in range(cfg.size):
                 _settle_rank(cov, cfg, st, r, committed)
 
-        out.append(attempt(f"commit allreduce (all {cfg.size} ranks)", False, commit_all))
-    else:
+        act(f"commit allreduce (all {cfg.size} ranks)", commit_all)
+    elif any_gone:
         # A rank blocked in the collective while a peer is dead/failed gets
         # PeerFailure from the rendezvous and aborts.
-        if any_gone:
-            for r in range(cfg.size):
-                if statuses[r] == "commit":
-                    out.append(
-                        attempt(
-                            f"rank{r}: peer failure at commit, abort",
-                            False,
-                            lambda st, r=r: _abort_rank(cov, cfg, st, r),
-                        )
-                    )
+        for r in range(cfg.size):
+            if statuses[r] == "commit":
+                act(f"rank{r}: peer failure at commit, abort",
+                    lambda st: _abort_rank(cov, cfg, st, r))
 
     # ------------------------------------------------------------- faults
-    if faults_used < cfg.fault_budget:
-        def fault(label, fn):
-            def run(st):
-                st.faults_used += 1
-                fn(st)
+    if frozen[3] >= cfg.fault_budget:
+        return out
+    for chan, msgs in chans.items():
+        if not msgs:
+            continue
+        src, dst, kind, i = chan
+        where = f"head of {kind}[{src}->{dst},{i}]"
+        if "drop" in cfg.faults and kind == "data":
+            act(f"fault: drop {where}", lambda st: st.chans[chan].pop(0), fault=True)
+        if "corrupt" in cfg.faults and kind == "data" and msgs[0][3]:
+            def corrupt(st):
+                ep, idx, bid, _ok = st.chans[chan][0]
+                st.chans[chan][0] = (ep, idx, bid, False)
 
-            out.append(attempt(label, True, run))
-
-        for chan, msgs in chans.items():
-            if not msgs:
-                continue
-            src, dst, kind, i = chan
-            if "drop" in cfg.faults and kind == "data":
-                fault(
-                    f"fault: drop head of {kind}[{src}->{dst},{i}]",
-                    lambda st, chan=chan: st.chans[chan].pop(0),
-                )
-            if "corrupt" in cfg.faults and kind == "data" and msgs[0][3]:
-                def corrupt(st, chan=chan):
-                    ep, idx, bid, _ok = st.chans[chan][0]
-                    st.chans[chan][0] = (ep, idx, bid, False)
-
-                fault(f"fault: corrupt head of data[{src}->{dst},{i}]", corrupt)
-            if "dup" in cfg.faults:
-                fault(
-                    f"fault: duplicate head of {kind}[{src}->{dst},{i}]",
-                    lambda st, chan=chan: st.chans[chan].append(st.chans[chan][0]),
-                )
-            if "delay" in cfg.faults and len(msgs) >= 2:
-                fault(
-                    f"fault: delay head of {kind}[{src}->{dst},{i}]",
-                    lambda st, chan=chan: st.chans[chan].append(st.chans[chan].pop(0)),
-                )
-        if "stale" in cfg.faults:
-            for r in range(cfg.size):
-                if statuses[r] != "loop":
-                    continue
-                for i in range(cfg.rounds):
-                    src = cfg.src(r, i)
-                    fault(
-                        f"fault: stale epoch-{STALE_EPOCH} data[{src}->{r},{i}]",
-                        lambda st, src=src, r=r, i=i: _push(
-                            st, (src, r, "data", i), (STALE_EPOCH, i, None, True)
-                        ),
-                    )
-        if "kill" in cfg.faults:
-            for r in range(cfg.size):
-                if statuses[r] in _LIVE:
-                    def kill(st, r=r):
-                        st.ranks[r]["status"] = "dead"
-
-                    fault(f"fault: kill rank{r}", kill)
-
+            act(f"fault: corrupt {where}", corrupt, fault=True)
+        if "dup" in cfg.faults:
+            act(f"fault: duplicate {where}",
+                lambda st: st.chans[chan].append(st.chans[chan][0]), fault=True)
+        if "delay" in cfg.faults and len(msgs) >= 2:
+            act(f"fault: delay {where}",
+                lambda st: st.chans[chan].append(st.chans[chan].pop(0)), fault=True)
+    for r in range(cfg.size):
+        if "stale" in cfg.faults and statuses[r] == "loop":
+            for i in range(cfg.rounds):
+                src = cfg.src(r, i)
+                act(f"fault: stale epoch-{STALE_EPOCH} data[{src}->{r},{i}]",
+                    lambda st: _push(st, (src, r, "data", i), (STALE_EPOCH, i, None, True)),
+                    fault=True)
+        if "kill" in cfg.faults and statuses[r] in _LIVE:
+            act(f"fault: kill rank{r}",
+                lambda st: st.ranks[r].update(status="dead"), fault=True)
     return out
 
 
 def _apply_ctrl(cov, cfg: CheckConfig, st: _State, r: int, chan) -> None:
     kind, ep, idx = st.chans[chan].pop(0)
-    if ep != EPOCH or not 0 <= idx < cfg.rounds:
-        return  # stale control: discarded by the epoch check
-    rd = st.ranks[r]["rounds"][idx]
+    rank = st.ranks[r]
+    if ep != EPOCH or not 0 <= idx < rank["nposted"]:
+        return  # stale control: discarded by the epoch / frame lookup
+    rd = rank["rounds"][idx]
     if kind == "ack":
         if rd["send"] == "inflight":
-            _advance(cov, rd, "send", "ack")
-            rd["sbuf"] = None  # receiver verified: ownership transferred
+            _take_back(cov, rank, rd)
         return
     if rd["send"] != "inflight":
         return  # NACK for an already-ACKed round: duplicate, ignore
     rd["att"] += 1
     if rd["att"] > cfg.max_attempts:
         _advance(cov, rd, "send", "nack_overflow")
-        st.ranks[r]["status"] = "failed"  # UnrecoveredFaultError
+        rank["status"] = "failed"  # UnrecoveredFaultError
         return
     _advance(cov, rd, "send", "nack")
     _push(st, (r, cfg.dest(r, idx), "data", idx), (EPOCH, idx, rd["sbuf"], True))
 
 
-def _apply_data(cov, cfg: CheckConfig, st: _State, r: int, i: int, chan) -> None:
+def _read(st: _State, r: int, i: int, bid, doing: str) -> None:
+    """The use-after-release check where bytes are read: the buffer must
+    still hold the round the reader takes it for."""
+    holds = st.ledger[bid][1]
+    if holds != i:
+        raise _Bug(
+            "use_after_release",
+            f"rank {r} {doing} round {i} from buffer {bid}, which its sender "
+            f"has already packed round {holds} into",
+        )
+
+
+def _apply_data(
+    cov, cfg: CheckConfig, st: _State, r: int, i: int, chan, *, stage: bool = True
+) -> None:
     ep, idx, bid, ok = st.chans[chan].pop(0)
     rd = st.ranks[r]["rounds"][i]
     src = cfg.src(r, i)
@@ -626,14 +646,31 @@ def _apply_data(cov, cfg: CheckConfig, st: _State, r: int, i: int, chan) -> None
     if cfg.mutation == "ack_before_verify":
         _push(st, (r, src, "ctrl", 0), ("ack", EPOCH, i))
     if ok:
+        if bid is not None:
+            _read(st, r, i, bid, "verifies")
         _advance(cov, rd, "recv", "data_ok")
         rd["rpay"] = bid
         rd["pep"] = ep
         rd["posted"] = False
-        if cfg.mutation != "ack_before_verify":
+        if cfg.mutation == "ack_before_stage":
             _push(st, (r, src, "ctrl", 0), ("ack", EPOCH, i))
+        elif stage:
+            _apply_stage(cfg, st, r, i)
     else:
         _apply_nack(cov, cfg, st, r, i, timed_out=False)
+
+
+def _apply_stage(cfg: CheckConfig, st: _State, r: int, i: int) -> None:
+    """The sweep's second pass: copy the verified block into storage
+    slots; only then ACK."""
+    rd = st.ranks[r]["rounds"][i]
+    if rd["rpay"] is not None:
+        _read(st, r, i, rd["rpay"], "copies out")
+    rd["staged"] = True
+    if cfg.mutation != "release_under_view":
+        rd["rpay"] = None  # samples copied out: no view remains
+    if cfg.mutation not in ("ack_before_verify", "ack_before_stage"):
+        _push(st, (r, cfg.src(r, i), "ctrl", 0), ("ack", EPOCH, i))
 
 
 def _apply_nack(cov, cfg, st: _State, r: int, i: int, *, timed_out: bool) -> None:
@@ -654,60 +691,65 @@ def _apply_exit(st: _State, r: int) -> None:
 
 
 # ------------------------------------------------------------------ checking
+#: What the two halves of one frame may end as when both ranks settled.
+_SETTLED_PAIRS = {
+    ("committed", "committed"), ("rolled_back", "rolled_back"),
+    ("reclaimed", "abandoned"),
+}
+
+
 def _terminal_bugs(cfg: CheckConfig, frozen) -> list[tuple[str, str]]:
     """Invariant checks on a terminal state (no live rank remains)."""
     bugs = []
     ranks_f, chans_f, ledger_f, _ = frozen
     # Buffer leak: an in_use buffer not referenced by a dead/failed rank.
     refs_dead = set()
-    for r, (status, _p, _c, rounds) in enumerate(ranks_f):
-        if status in _GONE:
-            for rd in rounds:
-                refs_dead.add(rd[_RKEYS.index("sbuf")])
-                refs_dead.add(rd[_RKEYS.index("rpay")])
-    for bid, state in ledger_f:
+    for rf in ranks_f:
+        if rf[0] in _GONE:
+            refs_dead.update(rf[4])
+            for rd in rf[-1]:
+                refs_dead.update((rd[_SBUF], rd[_RPAY]))
+    for bid, (state, _holds) in ledger_f:
         if state == "in_use" and bid not in refs_dead:
-            bugs.append(
-                (
-                    "buffer_leak",
-                    f"buffer {bid} still in_use at exchange end with no "
-                    "dead rank holding it",
-                )
-            )
-    # Use after release: a settled rank still references (installed views
-    # of) a buffer that went back to the pool.
-    released = {bid for bid, state in ledger_f if state == "released"}
-    rpay = _RKEYS.index("rpay")
-    for r, (status, _p, _c, rounds) in enumerate(ranks_f):
-        for i, rd in enumerate(rounds if status == "settled" else ()):
-            if rd[rpay] in released:
-                bugs.append(
-                    (
-                        "use_after_release",
-                        f"rank {r} still views buffer {rd[rpay]} of round "
-                        f"{i} after releasing it to the pool",
-                    )
-                )
+            bugs.append(("buffer_leak", f"buffer {bid} still in_use at exchange "
+                         "end with no dead rank holding it"))
+    released = {bid for bid, (state, _holds) in ledger_f if state == "released"}
+    settled = [r for r, rf in enumerate(ranks_f) if rf[0] == "settled"]
+    for r in settled:
+        committed, rounds = ranks_f[r][2], ranks_f[r][-1]
+        for i, rd in enumerate(rounds):
+            # Use after release: a settled rank still references (installed
+            # views of) a buffer that went back to the pool.
+            if rd[_RPAY] in released:
+                bugs.append(("use_after_release", f"rank {r} still views buffer "
+                             f"{rd[_RPAY]} of round {i} after its sender "
+                             "released it to the pool"))
+            # The two halves of a frame settle alike (so a committed window
+            # is committed on its sender too, and an ACK means "verified").
+            peer = cfg.dest(r, i)
+            pair = (rd[0], ranks_f[peer][-1][i][1])
+            if peer in settled and pair not in _SETTLED_PAIRS:
+                bugs.append(("half_divergence", f"round {i} ended {pair[0]} on its "
+                             f"sender rank {r} and {pair[1]} on its receiver "
+                             f"rank {peer}"))
+        # Shard size: what stays installed is what the ranks agreed on.
+        installed = sum(rd[_STAGED] for rd in rounds)
+        if installed != committed:
+            bugs.append(("shard_size", f"rank {r} keeps {installed} received "
+                         f"round(s) installed where the agreed commit is {committed}"))
     # Agreement on the committed prefix.
-    committed = {rf[2] for rf in ranks_f if rf[0] == "settled"}
+    committed = {ranks_f[r][2] for r in settled}
     if len(committed) > 1:
         bugs.append(
             ("commit_divergence", f"settled ranks disagree on commit: {sorted(committed)}")
         )
     # Round-machine liveness: settled/aborted ranks fully terminal.
-    for r, (status, _p, _c, rounds) in enumerate(ranks_f):
-        if status not in ("settled", "aborted"):
-            continue
-        for i, rd in enumerate(rounds):
+    for r, rf in enumerate(ranks_f):
+        for i, rd in enumerate(rf[-1] if rf[0] in ("settled", "aborted") else ()):
             for side_idx, side in ((0, "send"), (1, "recv")):
                 if rd[side_idx] not in TERMINAL_ROUND_STATES:
-                    bugs.append(
-                        (
-                            "nonterminal_round",
-                            f"rank {r} ended with {side} half of round {i} "
-                            f"in state {rd[side_idx]!r}",
-                        )
-                    )
+                    bugs.append(("nonterminal_round", f"rank {r} ended with {side} "
+                                 f"half of round {i} in state {rd[side_idx]!r}"))
     return bugs
 
 
@@ -754,6 +796,9 @@ def _join_roles(cfg: CheckConfig):
     return joiners
 
 
+_JKEYS = ("phases", "sent", "acked", "installed", "xfer_sent", "chans", "faults_used")
+
+
 def _join_initial(cfg: CheckConfig):
     joiners = _join_roles(cfg)
     phases = tuple(
@@ -761,175 +806,86 @@ def _join_initial(cfg: CheckConfig):
         else ("announce" if r == 0 else "barrier")
         for r in range(cfg.size)
     )
-    installed = tuple(False for _ in joiners)
-    sent = tuple(False for _ in joiners)
-    acked = tuple(False for _ in joiners)
-    xfer_sent = tuple(False for _ in joiners)
-    chans: tuple = ()
-    return (phases, sent, acked, installed, xfer_sent, chans, 0)
+    nothing = tuple(False for _ in joiners)
+    return (phases, nothing, nothing, nothing, nothing, (), 0)
 
 
 def _join_successors(cov, cfg: CheckConfig, frozen):
     """``(label, is_fault, next_frozen | _Bug)`` for the join model."""
-    phases, sent, acked, installed, xfer_sent, chans_f, faults_used = frozen
+    cur = dict(zip(_JKEYS, frozen))
+    phases, sent, acked, installed, xfer_sent = frozen[:5]
     joiners = _join_roles(cfg)
-    chans = {k: list(v) for k, v in chans_f}
+    chans = {k: list(v) for k, v in cur["chans"]}
     out = []
 
-    def freeze(phases, sent, acked, installed, xfer_sent, chans, fu):
-        return (
-            phases, sent, acked, installed, xfer_sent,
-            tuple(sorted((k, tuple(v)) for k, v in chans.items() if v)),
-            fu,
-        )
+    def emit(label, *, fault=False, chans=chans, **new):
+        """One enabled action: the current state with ``new`` replaced."""
+        state = {**cur, **new, "faults_used": cur["faults_used"] + fault}
+        state["chans"] = tuple(sorted((k, tuple(v)) for k, v in chans.items() if v))
+        out.append((label, fault, tuple(state[k] for k in _JKEYS)))
 
-    def push(ch, chan, msg):
-        ch = {k: list(v) for k, v in ch.items()}
-        ch.setdefault(chan, []).append(msg)
-        return ch
+    def push(chan, msg):
+        return {**chans, chan: [*chans.get(chan, ()), msg]}
 
-    def pop(ch, chan):
-        ch = {k: list(v) for k, v in ch.items()}
-        msg = ch[chan].pop(0)
-        return ch, msg
+    def pop(chan):
+        return {**chans, chan: chans[chan][1:]}
 
     def setat(tup, idx, value):
         return tup[:idx] + (value,) + tup[idx + 1:]
 
-    # Root sends the job state to each joiner, one action per joiner.
-    if phases[0] == "announce":
-        for ji, j in enumerate(joiners):
-            if sent[ji]:
-                continue
+    for ji, j in enumerate(joiners):
+        # Root sends the job state to each joiner, one action per joiner.
+        if phases[0] == "announce" and not sent[ji]:
             cov.add(("join-root", "announce", f"state->j{ji}"))
             new_sent = setat(sent, ji, True)
-            new_phase = "collect" if all(new_sent) else "announce"
-            out.append(
-                (
-                    f"root: send state to joiner {j}",
-                    False,
-                    freeze(
-                        setat(phases, 0, new_phase), new_sent, acked,
-                        installed, xfer_sent,
-                        push(chans, (0, j, "state"), "state"), faults_used,
-                    ),
-                )
+            emit(
+                f"root: send state to joiner {j}", sent=new_sent,
+                phases=setat(phases, 0, "collect" if all(new_sent) else "announce"),
+                chans=push((0, j, "state"), "state"),
             )
-
-    # Root collects one ACK.
-    if phases[0] == "collect":
-        for ji, j in enumerate(joiners):
-            chan = (j, 0, "ack")
-            if not chans.get(chan):
-                continue
+        # Root collects one ACK.
+        if phases[0] == "collect" and chans.get((j, 0, "ack")):
             cov.add(("join-root", "collect", f"ack<-j{ji}"))
-            ch, _msg = pop(chans, chan)
             new_acked = setat(acked, ji, True)
-            new_phase = "barrier" if all(new_acked) else "collect"
-            out.append(
-                (
-                    f"root: ACK from joiner {j}",
-                    False,
-                    freeze(
-                        setat(phases, 0, new_phase), sent, new_acked,
-                        installed, xfer_sent, ch, faults_used,
-                    ),
-                )
+            emit(
+                f"root: ACK from joiner {j}", acked=new_acked,
+                phases=setat(phases, 0, "barrier" if all(new_acked) else "collect"),
+                chans=pop((j, 0, "ack")),
             )
-
-    # Joiner receives the state (its sole blocking recv in the real
-    # handshake; the model also allows late delivery after the mutant let
-    # it run ahead).
-    for ji, j in enumerate(joiners):
-        chan = (0, j, "state")
-        if chans.get(chan):
-            ch, _msg = pop(chans, chan)
+        # Joiner receives the state (its sole blocking recv in the real
+        # handshake; the model also allows late delivery after the mutant let
+        # it run ahead).
+        if chans.get((0, j, "state")):
+            rest = pop((0, j, "state"))
             new_installed = setat(installed, ji, True)
             if phases[j] == "await_state":
                 cov.add(("join-joiner", "await_state", "state"))
-                out.append(
-                    (
-                        f"joiner {j}: receive state, ACK",
-                        False,
-                        freeze(
-                            setat(phases, j, "barrier"), sent, acked,
-                            new_installed, xfer_sent,
-                            push(ch, (j, 0, "ack"), "ack"), faults_used,
-                        ),
-                    )
+                emit(
+                    f"joiner {j}: receive state, ACK", installed=new_installed,
+                    phases=setat(phases, j, "barrier"),
+                    chans={**rest, (j, 0, "ack"): [*rest.get((j, 0, "ack"), ()), "ack"]},
                 )
             else:
                 cov.add(("join-joiner", phases[j], "late_state"))
-                out.append(
-                    (
-                        f"joiner {j}: late state delivery",
-                        False,
-                        freeze(
-                            phases, sent, acked, new_installed,
-                            xfer_sent, ch, faults_used,
-                        ),
-                    )
-                )
+                emit(f"joiner {j}: late state delivery", installed=new_installed, chans=rest)
         # The seeded mutation: ACK admission without waiting for the state.
         if cfg.mutation == "ack_join_before_barrier" and phases[j] == "await_state":
             cov.add(("join-joiner", "await_state", "early_ack"))
-            out.append(
-                (
-                    f"joiner {j}: ACK before receiving state (mutant)",
-                    False,
-                    freeze(
-                        setat(phases, j, "barrier"), sent, acked,
-                        installed, xfer_sent,
-                        push(chans, (j, 0, "ack"), "ack"), faults_used,
-                    ),
-                )
+            emit(
+                f"joiner {j}: ACK before receiving state (mutant)",
+                phases=setat(phases, j, "barrier"), chans=push((j, 0, "ack"), "ack"),
             )
-
-    # The admission barrier: everyone arrived -> collective release.
-    if all(
-        p == "barrier" for p in phases
-    ):
-        cov.add(("join-all", "barrier", "release"))
-        new_phases = tuple(
-            "transfer" if r == 0
-            else ("await_xfer" if r in joiners else "done")
-            for r in range(cfg.size)
-        )
-        out.append(
-            (
-                f"barrier (all {cfg.size} members)",
-                False,
-                freeze(
-                    new_phases, sent, acked, installed, xfer_sent,
-                    chans, faults_used,
-                ),
-            )
-        )
-
-    # Root posts the rebalance transfers (one per joiner), then is done.
-    if phases[0] == "transfer":
-        for ji, j in enumerate(joiners):
-            if xfer_sent[ji]:
-                continue
+        # Root posts the rebalance transfers (one per joiner), then is done.
+        if phases[0] == "transfer" and not xfer_sent[ji]:
             cov.add(("join-root", "transfer", f"xfer->j{ji}"))
             new_xs = setat(xfer_sent, ji, True)
-            new_phase = "done" if all(new_xs) else "transfer"
-            out.append(
-                (
-                    f"root: rebalance transfer to joiner {j}",
-                    False,
-                    freeze(
-                        setat(phases, 0, new_phase), sent, acked,
-                        installed, new_xs,
-                        push(chans, (0, j, "xfer"), "xfer"), faults_used,
-                    ),
-                )
+            emit(
+                f"root: rebalance transfer to joiner {j}", xfer_sent=new_xs,
+                phases=setat(phases, 0, "done" if all(new_xs) else "transfer"),
+                chans=push((0, j, "xfer"), "xfer"),
             )
-
-    # Joiner applies a transfer — THE checked property lives here.
-    for ji, j in enumerate(joiners):
-        chan = (0, j, "xfer")
-        if phases[j] == "await_xfer" and chans.get(chan):
+        # Joiner applies a transfer — THE checked property lives here.
+        if phases[j] == "await_xfer" and chans.get((0, j, "xfer")):
             if not installed[ji]:
                 out.append(
                     (
@@ -945,48 +901,32 @@ def _join_successors(cov, cfg: CheckConfig, frozen):
                 )
                 continue
             cov.add(("join-joiner", "await_xfer", "xfer"))
-            ch, _msg = pop(chans, chan)
-            out.append(
-                (
-                    f"joiner {j}: apply transfer",
-                    False,
-                    freeze(
-                        setat(phases, j, "done"), sent, acked, installed,
-                        xfer_sent, ch, faults_used,
-                    ),
-                )
+            emit(
+                f"joiner {j}: apply transfer", phases=setat(phases, j, "done"),
+                chans=pop((0, j, "xfer")),
             )
+
+    # The admission barrier: everyone arrived -> collective release.
+    if all(p == "barrier" for p in phases):
+        cov.add(("join-all", "barrier", "release"))
+        emit(
+            f"barrier (all {cfg.size} members)",
+            phases=tuple(
+                "transfer" if r == 0 else ("await_xfer" if r in joiners else "done")
+                for r in range(cfg.size)
+            ),
+        )
 
     # Faults: duplication and delay-reordering on populated channels (the
     # in-process JOIN channels are loss-free, like the control plane).
-    if faults_used < cfg.fault_budget:
+    if cur["faults_used"] < cfg.fault_budget:
         for chan, msgs in chans.items():
-            if not msgs:
-                continue
-            if "dup" in cfg.faults:
-                out.append(
-                    (
-                        f"fault: duplicate head of {chan}",
-                        True,
-                        freeze(
-                            phases, sent, acked, installed, xfer_sent,
-                            push(chans, chan, msgs[0]), faults_used + 1,
-                        ),
-                    )
-                )
+            if msgs and "dup" in cfg.faults:
+                emit(f"fault: duplicate head of {chan}", fault=True,
+                     chans=push(chan, msgs[0]))
             if "delay" in cfg.faults and len(msgs) >= 2:
-                ch = {k: list(v) for k, v in chans.items()}
-                ch[chan] = ch[chan][1:] + ch[chan][:1]
-                out.append(
-                    (
-                        f"fault: delay head of {chan}",
-                        True,
-                        freeze(
-                            phases, sent, acked, installed, xfer_sent,
-                            ch, faults_used + 1,
-                        ),
-                    )
-                )
+                emit(f"fault: delay head of {chan}", fault=True,
+                     chans={**chans, chan: msgs[1:] + msgs[:1]})
     return out
 
 
@@ -1010,63 +950,25 @@ def _join_terminal_bugs(cfg: CheckConfig, frozen) -> list[tuple[str, str]]:
     return bugs
 
 
-def _check_join(
-    cfg: CheckConfig, *, stop_on_violation: bool, max_violations: int
-) -> CheckResult:
-    """BFS over the join-handshake model (same harness shape as check())."""
-    res = CheckResult(config=cfg)
-    cov = res.coverage
-    init = _join_initial(cfg)
-    seen = {init: (None, None, 0)}
-    frontier = deque([init])
-    while frontier:
-        frozen = frontier.popleft()
-        depth = seen[frozen][2]
-        res.states += 1
-        phases = frozen[0]
-        if all(p == "done" for p in phases):
-            res.violations.extend(
-                Violation(kind, detail, _trace(seen, frozen))
-                for kind, detail in _join_terminal_bugs(cfg, frozen)
-            )
-            if stop_on_violation and res.violations:
-                return res
-            continue
-        if cfg.max_depth is not None and depth >= cfg.max_depth:
-            res.truncated = True
-            continue
-        succ = _join_successors(cov, cfg, frozen)
-        if not any(not is_fault for _, is_fault, _o in succ):
-            res.violations.append(
-                Violation(
-                    "deadlock",
-                    f"non-terminal join state with no enabled action "
-                    f"(phases: {list(phases)})",
-                    _trace(seen, frozen),
-                )
-            )
-            if stop_on_violation:
-                return res
-        for label, _is_fault, outcome in succ:
-            res.transitions += 1
-            if isinstance(outcome, _Bug):
-                res.violations.append(
-                    Violation(
-                        outcome.kind,
-                        outcome.detail,
-                        _trace(seen, frozen) + (label,),
-                    )
-                )
-                if stop_on_violation:
-                    return res
-                continue
-            if outcome not in seen:
-                seen[outcome] = (frozen, label, depth + 1)
-                frontier.append(outcome)
-        if len(res.violations) >= max_violations:
-            res.truncated = True
-            break
-    return res
+def _exchange_statuses(frozen) -> list[str]:
+    return [rf[0] for rf in frozen[0]]
+
+
+def _join_phases(frozen) -> list[str]:
+    return list(frozen[0])
+
+
+#: protocol -> (initial state, successors, terminal-state checks, per-rank
+#: status, the statuses a rank ends in).
+_MODELS = {
+    "exchange": (
+        lambda cfg: _initial(cfg).freeze(), _successors, _terminal_bugs,
+        _exchange_statuses, ("settled", "aborted", *_GONE),
+    ),
+    "join": (
+        _join_initial, _join_successors, _join_terminal_bugs, _join_phases, ("done",)
+    ),
+}
 
 
 def check(
@@ -1076,28 +978,21 @@ def check(
     max_violations: int = 25,
 ) -> CheckResult:
     """Breadth-first exploration of every interleaving under ``cfg``."""
-    if cfg.protocol == "join":
-        return _check_join(
-            cfg,
-            stop_on_violation=stop_on_violation,
-            max_violations=max_violations,
-        )
-    if cfg.protocol != "exchange":
+    if cfg.protocol not in _MODELS:
         raise ValueError(f"unknown protocol {cfg.protocol!r}")
+    initial, successors, bugs_at, statuses, ended = _MODELS[cfg.protocol]
+    init = initial(cfg)
     res = CheckResult(config=cfg)
-    cov = res.coverage
-    init = _initial(cfg).freeze()
     seen = {init: (None, None, 0)}
     frontier = deque([init])
     while frontier:
         frozen = frontier.popleft()
         depth = seen[frozen][2]
         res.states += 1
-        statuses = [rf[0] for rf in frozen[0]]
-        if all(s not in _LIVE for s in statuses):
+        if all(status in ended for status in statuses(frozen)):
             res.violations.extend(
                 Violation(kind, detail, _trace(seen, frozen))
-                for kind, detail in _terminal_bugs(cfg, frozen)
+                for kind, detail in bugs_at(cfg, frozen)
             )
             if stop_on_violation and res.violations:
                 return res
@@ -1105,13 +1000,13 @@ def check(
         if cfg.max_depth is not None and depth >= cfg.max_depth:
             res.truncated = True
             continue
-        succ = _successors(cov, cfg, frozen)
+        succ = successors(res.coverage, cfg, frozen)
         if not any(not is_fault for _, is_fault, _o in succ):
             res.violations.append(
                 Violation(
                     "deadlock",
-                    f"non-terminal state with no enabled action (ranks: "
-                    f"{statuses})",
+                    f"non-terminal {cfg.protocol} state with no enabled "
+                    f"action (ranks: {statuses(frozen)})",
                     _trace(seen, frozen),
                 )
             )

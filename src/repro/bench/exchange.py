@@ -1,11 +1,14 @@
 """Exchange hot-path micro-benchmark.
 
-Runs the PLS exchange (``Scheduler.run_exchange``) over the in-process
+Runs the PLS exchange the way the training loop drives it — one window
+posted per iteration, a collective between iterations — over the in-process
 world and reports wall time next to the world's copy and pool counters,
 which give a machine-independent account of the work done: a sample is
-gathered once into a pooled frame and copied once out of it at install, so
-``bytes_copied`` should sit at about twice ``sent_bytes``, and the frames
-released at commit should serve the next epoch's acquires.
+gathered once into a pooled frame and copied once out of it when the frame
+is serviced, so ``bytes_copied`` should sit at about twice ``sent_bytes``;
+a frame goes back to its sender on ACK, so a rank has a few windows of
+frames out however long the epoch, and what it returns at commit serves
+the next epoch's acquires.
 """
 
 from __future__ import annotations
@@ -23,23 +26,34 @@ __all__ = ["bench_exchange", "exchange_q_sweep"]
 
 
 def _exchange_worker(
-    comm, q: float, samples: int, shape: tuple, epochs: int, seed: int
+    comm, q: float, samples: int, shape: tuple, epochs: int, seed: int,
+    batch_size: int,
 ) -> dict:
     storage = StorageArea()
     rng = np.random.default_rng(seed + comm.rank)
     for _ in range(samples):
         storage.add(rng.random(shape).astype(np.float32), int(rng.integers(0, 10)))
-    sched = Scheduler(storage, comm, fraction=q, seed=seed)
+    sched = Scheduler(storage, comm, fraction=q, seed=seed, batch_size=batch_size)
     comm.barrier()
     t0 = time.perf_counter()
+    warm = None
     for epoch in range(epochs):
-        sched.run_exchange(epoch)
+        sched.scheduling(epoch)
+        while sched.communicate_chunk():
+            comm.barrier()  # the training step's gradient allreduce
+        sched.synchronize()
+        sched.clean_local_storage()
+        if epoch == 0:
+            comm.barrier()  # every rank has returned its frames
+            warm = comm.pool.stats() if comm.rank == 0 else None
     comm.barrier()
     wall = time.perf_counter() - t0
     return {
         "wall_time_s": wall,
         "sent_samples": sched.total_sent_samples,
         "sent_bytes": sched.total_sent_bytes,
+        "max_windows_in_flight": sched.max_windows_in_flight,
+        "pool_after_epoch0": warm,
         "shard_checksum": _shard_checksum(storage),
     }
 
@@ -54,12 +68,12 @@ def _shard_checksum(storage: StorageArea) -> int:
 
 def _run_exchange(
     *, ranks: int, samples: int, shape: tuple, q: float,
-    epochs: int, seed: int, backend: str | None = None,
+    epochs: int, seed: int, batch_size: int = 8, backend: str | None = None,
 ) -> dict[str, Any]:
     result = run_spmd(
         _exchange_worker,
         ranks,
-        args=(q, samples, tuple(shape), epochs, seed),
+        args=(q, samples, tuple(shape), epochs, seed, batch_size),
         backend=backend,
     )
     per_rank = list(result)
@@ -68,6 +82,7 @@ def _run_exchange(
     sent_samples = sum(r["sent_samples"] for r in per_rank)
     sent_bytes = sum(r["sent_bytes"] for r in per_rank)
     pool = world.pool.stats()
+    warm = per_rank[0]["pool_after_epoch0"]
     return {
         # Under procs, per rank: pipe wire name -> [round trips, casts].
         "rpc": world.rpc_counts or [],
@@ -80,6 +95,10 @@ def _run_exchange(
         "copies": sum(world.copies),
         "allocations": pool["misses"],
         "pool": pool,
+        # Over the epochs after the first (whose acquires all allocate).
+        "steady_pool_hit_rate": (pool["hits"] - warm["hits"])
+        / max(1, pool["acquires"] - warm["acquires"]),
+        "max_windows_in_flight": max(r["max_windows_in_flight"] for r in per_rank),
         "shard_checksums": sorted(r["shard_checksum"] for r in per_rank),
     }
 
@@ -92,18 +111,24 @@ def bench_exchange(
     q: float = 0.5,
     epochs: int = 3,
     seed: int = 0,
+    batch_size: int = 8,
     backend: str | None = None,
 ) -> dict[str, Any]:
     """Run the exchange and report its time, copies and pool traffic.
 
-    ``ratios.bytes_copied_per_sent_byte`` and ``ratios.pool_hit_rate`` are
-    deterministic for a given configuration (envelope bytes over logical
-    sample bytes; acquires served from a free list), so they are comparable
-    across machines; wall time is not.  ``backend`` selects the
-    rank host (``"threads"`` / ``"procs"``; ``None`` defers to
+    ``ratios.bytes_copied_per_sent_byte`` is deterministic for a given
+    configuration (envelope bytes over logical sample bytes) and
+    ``ratios.pool_hit_rate`` (acquires served from a free list, over the
+    epochs after the first) and ``exchange.max_windows_in_flight`` have
+    deterministic bounds, so they are comparable across machines; wall time
+    is not.  ``batch_size`` sets the window (``Q*b`` rounds).  ``backend``
+    selects the rank host (``"threads"`` / ``"procs"``; ``None`` defers to
     ``REPRO_BACKEND``).
     """
-    config = dict(ranks=ranks, samples=samples, shape=shape, q=q, epochs=epochs, seed=seed)
+    config = dict(
+        ranks=ranks, samples=samples, shape=shape, q=q, epochs=epochs, seed=seed,
+        batch_size=batch_size,
+    )
     run = _run_exchange(backend=backend, **config)
     return {
         "config": {**config, "shape": list(shape), "backend": backend},
@@ -112,10 +137,7 @@ def bench_exchange(
             "bytes_copied_per_sent_byte": (
                 run["bytes_copied"] / run["sent_bytes"] if run["sent_bytes"] else 0.0
             ),
-            "pool_hit_rate": (
-                run["pool"]["hits"] / run["pool"]["acquires"]
-                if run["pool"]["acquires"] else 0.0
-            ),
+            "pool_hit_rate": run["steady_pool_hit_rate"],
         },
     }
 

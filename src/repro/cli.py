@@ -319,6 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-mutants", action="store_true",
         help="list the seeded protocol mutations and exit",
     )
+    p_vp.add_argument(
+        "--expect-mutants", type=int, default=None, metavar="N",
+        help="fail unless the sweep ran exactly N mutants (CI pins the count, "
+        "so a mutant cannot drop out of the sweep unnoticed)",
+    )
 
     return parser
 
@@ -639,11 +644,14 @@ def _cmd_bench(args) -> int:
         pool = ex["exchange"]["pool"]
         print(
             "exchange: {rate:.0f} samples/s, {copied:.3f} bytes copied per "
-            "sent byte, pool {hits}/{acquires} hits".format(
+            "sent byte, pool {hits}/{acquires} hits, {high} frames at most, "
+            "{windows} windows of a rank's frames out at most".format(
                 rate=ex["exchange"]["ops_per_s"],
                 copied=ex["ratios"]["bytes_copied_per_sent_byte"],
                 hits=pool["hits"],
                 acquires=pool["acquires"],
+                high=pool["high_water"],
+                windows=ex["exchange"]["max_windows_in_flight"],
             )
         )
         for q_row in ex["q_sweep"]:
@@ -818,6 +826,8 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_verify_protocol(args) -> int:
+    import time
+
     from repro.analysis.protocol import (
         DEFAULT_CONFIGS,
         MUTATIONS,
@@ -841,8 +851,10 @@ def _cmd_verify_protocol(args) -> int:
             return 2
 
     failed = False
+    t0, states, caught, swept = time.perf_counter(), 0, 0, 0
     for cfg in configs:
         res = check(cfg)
+        states += res.states
         marker = "bounded" if res.truncated else "exhaustive"
         print(
             f"{cfg.name}: {res.states} states, {res.transitions} "
@@ -863,6 +875,8 @@ def _cmd_verify_protocol(args) -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
+        swept = len(sweep)
+        caught = sum(verdict is not None for verdict in sweep.values())
         for name in sorted(sweep):
             verdict = sweep[name]
             if verdict is None:
@@ -878,6 +892,14 @@ def _cmd_verify_protocol(args) -> int:
             else:
                 print(f"mutant {name}: detected ({verdict.kind})")
 
+    print(
+        f"{len(configs)} config(s), {states} states; {caught}/{swept} mutants "
+        f"caught; {time.perf_counter() - t0:.1f} s"
+    )
+    if args.expect_mutants is not None and swept != args.expect_mutants:
+        failed = True
+        print(f"expected a sweep of {args.expect_mutants} mutants, ran {swept}",
+              file=sys.stderr)
     if failed:
         print("verify-protocol: FAILED", file=sys.stderr)
         return 1

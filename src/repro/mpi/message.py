@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Any
@@ -43,6 +44,8 @@ class Status:
     source: int = ANY_SOURCE
     tag: int = ANY_TAG
     count: int = 0
+    #: ``Message.posted_s`` of the matched message.
+    posted_s: float = 0.0
 
     def Get_source(self) -> int:  # mpi4py-compatible spelling
         """mpi4py-compatible accessor for the source rank."""
@@ -56,13 +59,17 @@ class Status:
 @dataclass(order=False)
 class Message:
     """An in-flight message. ``seq`` preserves global send order so that the
-    non-overtaking guarantee holds for wildcard receives too."""
+    non-overtaking guarantee holds for wildcard receives too; ``posted_s``
+    is ``time.monotonic()`` when the message was built for ``World.post``
+    (in the parent under ``procs``) — what a receiver's service time is
+    measured from."""
 
     source: int
     dest: int
     tag: int
     payload: Any
     seq: int = field(default_factory=lambda: next(_seq))
+    posted_s: float = field(default_factory=time.monotonic)
 
     def matches(self, source: int, tag: int) -> bool:
         """Whether this message satisfies a (source, tag) pattern."""

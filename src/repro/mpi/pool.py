@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 import threading
 
-__all__ = ["BufferPool", "HeapAllocator", "MIN_SIZE_CLASS", "PoolBuffer"]
+__all__ = ["BufferPool", "FrameCache", "HeapAllocator", "MIN_SIZE_CLASS", "PoolBuffer"]
 
 #: Capacity of the smallest size class.
 MIN_SIZE_CLASS = 256
@@ -109,6 +109,10 @@ class HeapAllocator:
 
     #: Free-list bound per size class: a release beyond it hands the bytes
     #: back instead of growing the pool without limit (``None``: no bound).
+    #: The overlapped exchange keeps a few windows of frames per rank, far
+    #: below it; it can still bind when more than 32 frames of one class are
+    #: alive at once — a blocking ``run_exchange`` of a long epoch, or many
+    #: ranks' frames returned at the same commit.
     park_limit: int | None = 32
 
     def allocate(self, size: int) -> tuple[bytearray, None]:
@@ -125,6 +129,39 @@ class HeapAllocator:
 
     def shutdown(self) -> None:
         """Nothing outlives the process on the heap."""
+
+
+class FrameCache:
+    """The buffers one owner holds on to between uses: ``acquire`` hands a
+    held buffer of the size class out again — with the new active length,
+    without visiting the pool — and falls back to ``pool.acquire``; ``put``
+    takes back a buffer nobody else can still read.  Whatever is held stays
+    ``in_use`` in the pool's ledger until :meth:`release_all`.  Not
+    thread-safe: one exchange scheduler, one cache."""
+
+    def __init__(self, pool) -> None:
+        self.pool = pool
+        self._held: dict[int, list[PoolBuffer]] = {}
+
+    def acquire(self, nbytes: int) -> PoolBuffer:
+        """A held buffer of the size class, else one from the pool."""
+        held = self._held.get(_size_class(nbytes))
+        if not held:
+            return self.pool.acquire(nbytes)
+        buf = held.pop()
+        buf.nbytes = nbytes
+        return buf
+
+    def put(self, buf: PoolBuffer) -> None:
+        """Hold ``buf`` (no reader left) for a later :meth:`acquire`."""
+        self._held.setdefault(buf.size_class, []).append(buf)
+
+    def release_all(self) -> None:
+        """Return every held buffer to the pool."""
+        for held in self._held.values():
+            for buf in held:
+                buf.release()
+        self._held = {}
 
 
 class BufferPool:

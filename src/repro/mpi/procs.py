@@ -168,8 +168,11 @@ def _encode(obj: Any, lend: Callable[[np.ndarray], _ShmArray] | None = None) -> 
     if isinstance(obj, PackedBatch):
         buf = obj.buf
         if isinstance(buf, PoolBuffer) and buf.segment_name is not None:
+            # The batch's own length: a frame its sender reused is shorter
+            # or longer than the pool recorded when it was first acquired.
             return _ShmRef(
-                bytes(obj.header), buf.buf_id, buf.segment_name, buf.nbytes, buf.size_class
+                bytes(obj.header), buf.buf_id, buf.segment_name,
+                obj.payload.nbytes, buf.size_class,
             )
         return _RawBatch(bytes(obj.header), bytes(obj.payload))
     if isinstance(obj, np.ndarray):
@@ -623,9 +626,9 @@ class _ClientWorld(_Remote):
         self.mailboxes = [_ClientMailbox(rpc, r, self) for r in range(size)]
 
     def _wire_to_msg(self, wire: tuple) -> Message:
-        source, dest, tag, seq, enc = wire
+        source, dest, tag, seq, posted_s, enc = wire
         payload = _decode(enc, self.pool.ref_batch)
-        return Message(source=source, dest=dest, tag=tag, payload=payload, seq=seq)
+        return Message(source, dest, tag, payload, seq=seq, posted_s=posted_s)
 
     def post(self, msg: Message) -> None:
         """Send (a cast, flushed at once): the parent constructs the
@@ -807,10 +810,11 @@ class _Broker:
         """Rebuild a ``PackedBatch`` on the parent's canonical pool handle
         (so chaos corruption and accounting see real payload bytes)."""
         buf = self._world.pool.buffer(ref.buf_id)
-        return PackedBatch(header=ref.header, payload=buf.readonly(), buf=buf)
+        payload = memoryview(buf.raw)[: ref.nbytes].toreadonly()
+        return PackedBatch(header=ref.header, payload=payload, buf=buf)
 
     def _msg_to_wire(self, msg: Message) -> tuple:
-        return (msg.source, msg.dest, msg.tag, msg.seq, _encode(msg.payload))
+        return (msg.source, msg.dest, msg.tag, msg.seq, msg.posted_s, _encode(msg.payload))
 
     # The parent halves of the rows marked _HAND, named _<target>_<name>.
     def _world_post(self, source: int, dest: int, tag: int, enc: Any) -> None:
@@ -887,7 +891,7 @@ def _await_children(procs: list, world: World, deadline_s: float | None) -> None
 def _copy_out(ref: _ShmRef, pool: BufferPool) -> PackedBatch:
     """Materialise a returned shared-segment batch into private bytes (the
     segments are unlinked when the run ends, so results must not view them)."""
-    raw = bytearray(pool.buffer(ref.buf_id).readonly())
+    raw = bytearray(memoryview(pool.buffer(ref.buf_id).raw)[: ref.nbytes])
     return PackedBatch(header=ref.header, payload=memoryview(raw).toreadonly(), buf=raw)
 
 

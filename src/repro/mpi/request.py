@@ -114,7 +114,7 @@ class RecvRequest(Request):
 
     def _complete(self, msg) -> None:
         self._payload = msg.payload
-        self.status = Status(source=msg.source, tag=msg.tag, count=1)
+        self.status = Status(msg.source, msg.tag, 1, msg.posted_s)
         self._done = True
 
     def cancel(self) -> None:

@@ -37,6 +37,7 @@ from .merge import (
     bytes_by_rank,
     merge_ranks,
     overlap_report,
+    service_report,
     phase_totals,
     phase_totals_by_rank,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "phase_totals_by_rank",
     "bytes_by_rank",
     "overlap_report",
+    "service_report",
     "PHASE_ORDER",
     "TraceSummary",
     "summarize_events",

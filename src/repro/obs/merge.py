@@ -32,6 +32,7 @@ __all__ = [
     "phase_totals_by_rank",
     "bytes_by_rank",
     "overlap_report",
+    "service_report",
 ]
 
 #: Kind prefix of the Figure-10 phase regions.
@@ -174,4 +175,33 @@ def overlap_report(events: Iterable[Event]) -> dict[int, dict[str, float]]:
             "blocking_rounds_s": mode_time[rank]["blocking"],
         }
         for rank in sorted(set(mode_time) | set(phases))
+    }
+
+
+def service_report(events: Iterable[Event]) -> dict[tuple[int, int], dict[str, float]]:
+    """Per ``(epoch, rank)``: how the exchange's deliveries were serviced.
+
+    ``frames_in_flight_max`` is the most send frames the rank had out at
+    once (a ``round.post`` takes one out, the ``round.ack`` that hands its
+    buffer back returns it); ``queued_mean_s`` / ``queued_max_s`` are over
+    the ``queued_s`` of its ``round.verified`` events — the time a delivery
+    sat in the mailbox before a sweep took it.
+    """
+    flying: dict[tuple[int, int], int] = defaultdict(int)
+    most: dict[tuple[int, int], int] = defaultdict(int)
+    queued: dict[tuple[int, int], list[float]] = defaultdict(list)
+    for ev in events:
+        key = (ev.fields.get("epoch"), ev.rank)
+        if ev.kind == "round.verified":
+            queued[key].append(float(ev.fields.get("queued_s", 0.0)))
+        elif ev.kind in ("round.post", "round.ack"):
+            flying[key] += 1 if ev.kind == "round.post" else -1
+            most[key] = max(most[key], flying[key])
+    return {
+        key: {
+            "frames_in_flight_max": most[key],
+            "queued_mean_s": sum(queued[key]) / max(1, len(queued[key])),
+            "queued_max_s": max(queued[key], default=0.0),
+        }
+        for key in sorted({*most, *queued})
     }

@@ -28,6 +28,7 @@ from .merge import (
     overlap_report,
     phase_totals,
     phase_totals_by_rank,
+    service_report,
 )
 from .telemetry.flight import Event
 
@@ -45,6 +46,7 @@ class TraceSummary:
     phase_by_rank: dict[int, dict[str, float]]
     bytes_by_rank: dict[int, dict[str, int]]
     overlap: dict[int, dict[str, float]]
+    service: dict[tuple[int, int], dict[str, float]]
     top_spans: list[Event] = field(default_factory=list)
     events: list[Event] = field(default_factory=list, repr=False)
 
@@ -65,6 +67,7 @@ def summarize_events(
         phase_by_rank=phase_totals_by_rank(events),
         bytes_by_rank=bytes_by_rank(events),
         overlap=overlap_report(events),
+        service=service_report(events),
         top_spans=sorted(spans, key=lambda ev: ev.dur, reverse=True)[:top],
         events=list(events),
     )
@@ -140,6 +143,18 @@ def render_summary(
         parts.append(render_table(
             ["", "exchange (s)", "overlap rounds (s)", "blocking rounds (s)"],
             rows, title="exchange overlap attribution (Figure 4)",
+        ))
+
+    if summary.service:
+        rows = [
+            [f"{epoch}", f"rank {rank}", f"{v['frames_in_flight_max']}",
+             f"{v['queued_mean_s']:.5f}", f"{v['queued_max_s']:.5f}"]
+            for (epoch, rank), v in summary.service.items()
+        ]
+        parts.append(render_table(
+            ["epoch", "", "frames in flight (max)", "queued mean (s)", "queued max (s)"],
+            rows, title="exchange servicing (send frames out at once; time a "
+            "delivery waited for its sweep)",
         ))
 
     if summary.top_spans:

@@ -36,7 +36,7 @@ messages, stragglers — without changing the clean-run results:
 * the receiver verifies on receipt and answers with an ACK, or a NACK that
   makes the sender retransmit from its retained buffer (bounded attempts,
   exponential NACK backoff measured from the last sign of life, so a slow
-  but progressing peer is never NACKed) — a send buffer is only released
+  but progressing peer is never NACKed) — a send buffer is only reused
   once ACKed;
 * an optional per-epoch ``deadline_s`` turns a straggling exchange into
   *graceful degradation*: the ranks agree (via an allreduce of their longest
@@ -45,15 +45,19 @@ messages, stragglers — without changing the clean-run results:
   Q-deficit by enlarging the next epochs' exchange, so the long-run
   exchanged fraction converges to the configured Q.
 
-Ownership of the pooled buffer travels with the frame: the sender packs
-it; at commit the receiver copies the frame's block into slots the storage
-area owns and *releases* the buffer back to the pool (the commit allreduce
-plus the late-ACK drain guarantee nobody else can still read it), so frames
-recycle and no storage entry pins one; the staged rows become entries, in
-plan-round order, at ``clean_local_storage()`` — see
-``docs/performance.md``.  The codec and storage calls the training thread
-makes here are per frame; what is left per sample is a buffer-protocol
-memcpy, and the registration and retirement of ready-made row views.
+A frame's buffer never leaves its sender.  The exchange has one servicing
+routine, :meth:`Scheduler._sweep`: a non-blocking pass that CRC-verifies
+every owed frame that has arrived, then copies each verified block into
+slots the storage area owns (``StorageArea.stage``) and only then ACKs it,
+and consumes the ACKs addressed to this rank.  ``communicate_chunk()`` runs
+it under compute after every :data:`SERVICE_EVERY`-th window,
+``synchronize()`` runs it to completion.  Stage-before-ACK means an ACK
+proves the receiver is done with the bytes, so the sender takes its frame
+back on ACK, packs a later window into it without visiting the pool, and
+returns what it holds at commit (``pool.in_use() == 0`` between epochs).
+The staged rows become entries, in plan-round order, at
+``clean_local_storage()``; a verified window beyond the agreed prefix is
+unstaged — see ``docs/performance.md``.
 
 Fail-stop faults remain :mod:`repro.elastic`'s business: the completion loop
 polls ``comm.dead_peers()`` and re-raises a genuine death as
@@ -73,6 +77,7 @@ from repro.mpi.codec import PackedBatch, SampleBlock, pack_samples, unpack_sampl
 from repro.mpi.communicator import Communicator
 from repro.mpi.errors import PeerFailure, UnrecoveredFaultError
 from repro.mpi.message import Checksummed
+from repro.mpi.pool import FrameCache
 from repro.mpi.request import Request
 from repro.mpi.tags import EXCHANGE_CTRL, EXCHANGE_DATA, PARITY_BIT
 from repro.utils.retry import Backoff
@@ -87,6 +92,8 @@ __all__ = [
     "EXCHANGE_CTRL_TAG",
     "ROUND_TRANSITIONS",
     "TERMINAL_ROUND_STATES",
+    "SERVICE_EVERY",
+    "WINDOWS_IN_FLIGHT_BOUND",
 ]
 
 # Tag space reserved for sample-exchange frames: one tag per window within an
@@ -102,6 +109,18 @@ _EPOCH_PARITY_BIT = PARITY_BIT
 # can never be matched by a data irecv.
 EXCHANGE_CTRL_TAG = EXCHANGE_CTRL.base
 
+#: Servicing cadence: ``communicate_chunk()`` sweeps after every
+#: ``SERVICE_EVERY``-th window it posts (a sweep is one mailbox operation,
+#: under ``procs`` one round trip).  Stated as what it buys: in lockstep
+#: training — a collective every iteration — a peer's sweep ACKs a window at
+#: most ``SERVICE_EVERY`` iterations after its post and the sender's own
+#: sweep takes the ACK at most ``SERVICE_EVERY`` later, so a rank has send
+#: frames of at most :data:`WINDOWS_IN_FLIGHT_BOUND` windows out however
+#: long the epoch: ``WINDOWS_IN_FLIGHT_BOUND * Q*b`` samples in flight
+#: beside the paper's ``(1+Q)*N/M``, not ``Q*N/M``.
+SERVICE_EVERY = 2
+WINDOWS_IN_FLIGHT_BOUND = 2 * SERVICE_EVERY + 1
+
 #: The exchange protocol state machine, as an explicit transition table
 #: keyed ``(side, state, event) -> new state``.  One protocol round is one
 #: frame's trip: its sender runs the ``send`` side, its receiver the
@@ -112,15 +131,17 @@ EXCHANGE_CTRL_TAG = EXCHANGE_CTRL.base
 #: protocol cannot drift apart silently.
 #:
 #: Send side (a frame we posted): ``inflight`` until the receiver's ACK
-#: confirms a verified delivery (``acked``), looping through bounded
-#: resends on NACKs; at commit time an acked frame inside the agreed window
-#: prefix commits, an acked frame beyond it rolls back, and an un-ACKed
-#: frame (possible only under a deadline) is reclaimed — its buffer
-#: provably unobserved after :meth:`Scheduler._drain_late_acks`.
+#: confirms a verified, copied-out delivery (``acked`` — the buffer is the
+#: sender's to reuse), looping through bounded resends on NACKs; at commit
+#: time an acked frame inside the agreed window prefix commits, an acked
+#: frame beyond it rolls back, and an un-ACKed frame (possible only under a
+#: deadline) is reclaimed — its buffer provably unobserved after
+#: :meth:`Scheduler._drain_late_acks`.
 #:
 #: Recv side (a frame the plan says we are owed): ``waiting`` absorbs
 #: stale/corrupt deliveries and timeout NACKs without leaving the state; a
-#: CRC-verified payload moves to ``verified``; commit/rollback settle it,
+#: CRC-verified payload moves to ``verified`` (staged, then ACKed, in the
+#: same sweep); commit installs the staged rows, rollback unstages them,
 #: an expired deadline abandons a still-waiting frame, and NACK-budget
 #: exhaustion fails it.  ``abort`` (peer death) tears down either side
 #: from any non-terminal state.
@@ -162,7 +183,7 @@ class _Frame:
 
     __slots__ = (
         "side", "window", "peer", "tag", "samples", "nbytes", "payload",
-        "recv_req", "attempts", "nack_t", "nack_wait", "state",
+        "staged", "recv_req", "attempts", "nack_t", "nack_wait", "state",
     )
 
     def __init__(self, side: str, window: int, peer: int, tag: int, samples: int):
@@ -172,7 +193,8 @@ class _Frame:
         self.tag = tag
         self.samples = samples      # what the plan puts in this frame
         self.nbytes = 0             # logical sample bytes (payload_nbytes model)
-        self.payload = None         # send: retained until ACKed; recv: verified
+        self.payload = None         # send: until ACKed; recv: verified, not staged
+        self.staged = None          # recv: the rows staged in storage slots
         self.recv_req = None        # outstanding irecv (None once verified)
         self.attempts = 0           # send: resends performed; recv: NACKs sent
         self.nack_t = 0.0           # recv: when we last NACKed this frame
@@ -303,6 +325,13 @@ class Scheduler:
         self._cleaned = True
         self._sends: dict[tuple[int, int], _Frame] = {}  # by (window, dest)
         self._recvs: list[_Frame] = []                   # (window, src) order
+        # What a sweep works on: the owed frames not yet verified, and the
+        # sent ones not yet ACKed (both in post order).
+        self._pending: list[_Frame] = []
+        self._unacked: dict[tuple[int, int], _Frame] = {}
+        # Send buffers this rank got back on ACK, held for a later window.
+        self._frames = FrameCache(comm.pool)
+        self._ctrl_tag = EXCHANGE_CTRL_TAG
         self._epoch_t0 = 0.0        # monotonic clock at scheduling()
         self._n_local = 0           # shard size at scheduling()
         self._planned_extra = 0     # deficit repayment baked into this plan
@@ -322,6 +351,9 @@ class Scheduler:
         self.total_recv_samples = 0
         self.total_sent_bytes = 0
         self.resent_bytes = 0
+        #: Most windows this rank had send frames out of at once (oldest
+        #: un-ACKed to newest posted); see :data:`WINDOWS_IN_FLIGHT_BOUND`.
+        self.max_windows_in_flight = 0
 
         # Fault-recovery accounting.
         self.resends = 0            # payload retransmissions performed
@@ -416,6 +448,9 @@ class Scheduler:
         self._sent_moves = []
         self._sends = {}
         self._recvs = []
+        self._pending = []
+        self._unacked = {}
+        self._ctrl_tag = EXCHANGE_CTRL.tag(parity=(self.epoch % 2) * _EPOCH_PARITY_BIT)
         self._cleaned = False
 
     def _select_samples(self, k: int, epoch: int) -> list[int]:
@@ -480,11 +515,16 @@ class Scheduler:
 
     def communicate_chunk(self) -> int:
         """Post the next window — Q*b rounds, one training iteration's share
-        of the exchange (the Figure 4 overlap step).  Returns rounds posted."""
+        of the exchange (the Figure 4 overlap step) — and, after every
+        :data:`SERVICE_EVERY`-th, service what has arrived (:meth:`_sweep`).
+        Returns rounds posted."""
         self._require_scheduled()
         before = self._next_round
         self._post_windows(before + 1, mode="overlap")
-        return self._next_round - before
+        posted = self._next_round - before
+        if posted and -(-self._next_round // self._window) % SERVICE_EVERY == 0:
+            self._sweep()
+        return posted
 
     def _frame_samples(self, lo: int, hi: int) -> int:
         """Samples the plan puts in rounds ``[lo, hi)`` (the last round of
@@ -526,7 +566,13 @@ class Scheduler:
                 fr.recv_req = self.comm.irecv(source=src, tag=tag)
                 self._recv_reqs.append(fr.recv_req)
                 self._recvs.append(fr)
+                self._pending.append(fr)
             self._next_round = hi
+            if self._unacked:
+                oldest = next(iter(self._unacked))[0]
+                self.max_windows_in_flight = max(
+                    self.max_windows_in_flight, window - oldest + 1
+                )
 
     def _window_samples(self, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
         """Plan rounds ``[lo, hi)`` as a run of selected samples: the index
@@ -539,7 +585,8 @@ class Scheduler:
         self, window: int, dest: int, tag: int, picked: np.ndarray, mode: str
     ) -> None:
         """Pack, seal and isend one frame — the selected samples at indices
-        ``picked`` (plan-round order); retain its buffer until ACKed."""
+        ``picked`` (plan-round order) into a buffer this rank holds (else a
+        pool buffer); it stays out until the frame's ACK brings it back."""
         ids = self._selected_ids
         block = self.storage.take([ids[i] for i in picked.tolist()])
         self._sent_gids[picked] = block.gids
@@ -550,7 +597,7 @@ class Scheduler:
         # One flat envelope per frame: a single gather copy into a pooled
         # buffer; after this neither the wire (pass-through) nor the CRC
         # (contiguous) touches the sample bytes until the install copy.
-        fr.payload = pack_samples(block, pool=self.comm.pool)
+        fr.payload = pack_samples(block, pool=self._frames)
         self.comm.count_copy(fr.payload.payload.nbytes)
         # The timed post.  The wire op under it runs suspended: this event,
         # in logical sample bytes and plan order, is the frame's one record
@@ -561,7 +608,7 @@ class Scheduler:
         ), self.flight.suspended():
             env = Checksummed.wrap(fr.payload, meta=(self.epoch, window, 0))
             self._send_reqs.append(self.comm.isend(env, dest=dest, tag=tag))
-        self._sends[window, dest] = fr
+        self._sends[window, dest] = self._unacked[window, dest] = fr
 
     # -------------------------------------------------------------- complete
     def synchronize(
@@ -571,7 +618,8 @@ class Scheduler:
     ) -> None:
         """Line 7 of Algorithm 1: wait for all outstanding requests.
 
-        Runs the verify/ACK/NACK/resend event loop and then the commit
+        Runs the progress engine to completion (the residue the sweeps under
+        compute left, timeout NACKs, the deadline) and then the commit
         collective.  The request lists are accepted to mirror the paper's
         script-facing API and otherwise ignored (the per-frame state
         supersedes them)."""
@@ -601,8 +649,43 @@ class Scheduler:
         )
         raise UnrecoveredFaultError(message)
 
+    def _sweep(self) -> bool:
+        """One non-blocking pass of the progress engine; returns whether
+        anything advanced.
+
+        One mailbox operation takes everything that has arrived: the frames
+        still owed and the whole control backlog (ACKs bring this rank's
+        frames back, NACKs are answered with a resend).  Every arrived frame
+        is classified and CRC-verified (pass 1), and only then is each
+        verified block copied into storage slots and, after that, ACKed
+        (pass 2).  The passes are not interleaved: ``zlib.crc32`` drops the
+        GIL and the row copies hold it, and alternating them made the same
+        checksums take 2.5x as long under ``threads``."""
+        pending = self._pending
+        acks = self.comm.testsome([fr.recv_req for fr in pending], self._ctrl_tag)
+        progress = self._service_control(acks)
+        now = time.monotonic()
+        verified, still = [], []
+        for fr in pending:
+            if fr.recv_req.completed:
+                progress = True
+                self._handle_data(fr, fr.recv_req, now)
+            (still if fr.state == "waiting" else verified).append(fr)
+        self._pending = still
+        for fr in verified:
+            block = unpack_samples(fr.payload)
+            fr.staged = self.storage.stage(block)
+            self.comm.count_copy(fr.payload.payload.nbytes)
+            del block  # the last view of the frame's payload
+            fr.payload = None
+            with self.flight.suspended():
+                self.comm.send(
+                    ("ack", self.epoch, fr.window), dest=fr.peer, tag=self._ctrl_tag
+                )
+        return progress
+
     def _complete_rounds(self) -> int:
-        """Run the verify/ACK/NACK/resend loop, then agree what to commit.
+        """Sweep until nothing is owed or un-ACKed, then agree what to commit.
 
         Returns the globally agreed number of committed *windows*: the
         minimum over ranks of each rank's longest prefix of windows whose
@@ -622,50 +705,30 @@ class Scheduler:
         NACK always finds its sender still serving resends; leftover control
         or duplicate data messages are discarded by the epoch check when the
         same-parity tag comes around again."""
-        parity = (self.epoch % 2) * _EPOCH_PARITY_BIT
-        ctrl_tag = EXCHANGE_CTRL.tag(parity=parity)
         deadline = (
             None if self.deadline_s is None else self._epoch_t0 + self.deadline_s
         )
-        pending = [fr for fr in self._recvs if fr.state == "waiting"]
-        unacked = {key for key, fr in self._sends.items() if fr.state == "inflight"}
-        for fr in pending:
+        for fr in self._pending:
             fr.nack_wait = self._nack_delay(fr)
         quiet_since = time.monotonic()
-        while pending or unacked:
+        while self._pending or self._unacked:
             self._raise_on_dead_peers()
-            # One mailbox operation per pass takes everything that has
-            # arrived: the frames still owed and the whole control backlog.
-            acks = self.comm.testsome([fr.recv_req for fr in pending], ctrl_tag)
-            progress = self._service_control(acks, unacked)
-            if progress:
+            if self._sweep():
                 quiet_since = time.monotonic()
-            still = []
-            for fr in pending:
-                req = fr.recv_req
-                if req.completed:
-                    progress = True
-                    self._handle_data(fr, req.wait(), ctrl_tag)
-                    quiet_since = time.monotonic()
-                    if fr.state == "verified":
-                        continue
-                elif time.monotonic() >= max(quiet_since, fr.nack_t) + fr.nack_wait:
-                    self._nack(fr, ctrl_tag, timed_out=True)
-                still.append(fr)
-            pending = still
-            if not progress:
-                # Deadline check only on idle passes: content already
-                # delivered is always drained and verified, even late.
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                if pending or unacked:
-                    time.sleep(0.001)
+                continue
+            # Timers and the deadline only on idle passes: content already
+            # delivered is always drained and verified, even late.
+            now = time.monotonic()
+            for fr in self._pending:
+                if now >= max(quiet_since, fr.nack_t) + fr.nack_wait:
+                    self._nack(fr, timed_out=True)
+            if deadline is not None and now >= deadline:
+                break
+            time.sleep(0.001)
         # Frames are kept in window order: the first one still unverified
         # bounds the prefix of complete windows (all of them if none is).
         windows = -(-self.plan.rounds // self._window) if self._window else 0
-        prefix = next(
-            (fr.window for fr in self._recvs if fr.state != "verified"), windows
-        )
+        prefix = self._pending[0].window if self._pending else windows
         # Uniform collective: every rank reaches it exactly once per epoch
         # (either with a full prefix or at its deadline).
         return int(self.comm.allreduce(prefix, op=min))
@@ -675,22 +738,26 @@ class Scheduler:
             fr.attempts, key=(self.epoch, fr.window, fr.peer)
         )
 
-    def _service_control(self, acks: list, unacked: set) -> bool:
+    def _acked(self, fr: _Frame) -> None:
+        """The receiver copied the frame out: its buffer is ours again."""
+        fr.advance("ack")
+        self._frames.put(fr.payload.buf)
+        fr.payload = None
+        del self._unacked[fr.window, fr.peer]
+
+    def _service_control(self, acks: list) -> bool:
         """Apply the ACK/NACK messages one sweep took (``(payload, source)``
         pairs, send order); returns whether anything advanced."""
         progress = False
         for (kind, ep, window), source in acks:
-            key = (window, source)
-            fr = self._sends.get(key) if ep == self.epoch else None
+            fr = self._sends.get((window, source)) if ep == self.epoch else None
             if fr is None:
                 self.stale_discards += 1
                 continue
             if fr.state != "inflight":
                 continue  # duplicate ACK, or a NACK that crossed our ACK
             if kind == "ack":
-                fr.advance("ack")
-                fr.payload = None  # the receiver verified: it settles the buffer
-                unacked.discard(key)
+                self._acked(fr)
                 self.flight.record(
                     "round.ack", epoch=self.epoch, window=window, peer=fr.peer
                 )
@@ -721,8 +788,10 @@ class Scheduler:
             progress = True
         return progress
 
-    def _handle_data(self, fr: _Frame, env, ctrl_tag: int) -> None:
-        """Classify one completed data receive for frame ``fr``."""
+    def _handle_data(self, fr: _Frame, req, now: float) -> None:
+        """Classify one completed data receive for frame ``fr``; a verified
+        payload is left on the frame for the sweep's copy-out pass."""
+        env = req.wait()
         if (
             not isinstance(env, Checksummed)
             or len(env.meta) != 3
@@ -756,18 +825,17 @@ class Scheduler:
             self.flight.record(
                 "round.verified", epoch=self.epoch, window=fr.window,
                 peer=fr.peer, nbytes=env.payload.nbytes, samples=fr.samples,
+                # How long the delivery sat in the mailbox before a sweep
+                # took it: service time minus post time.
+                queued_s=now - req.status.posted_s,
             )
-            with self.flight.suspended():
-                self.comm.send(
-                    ("ack", self.epoch, fr.window), dest=fr.peer, tag=ctrl_tag
-                )
         else:
             self.crc_rejects += 1
             self.flight.record(
                 "round.crc_reject", epoch=self.epoch, window=fr.window,
                 peer=fr.peer,
             )
-            self._nack(fr, ctrl_tag, timed_out=False)
+            self._nack(fr, timed_out=False)
             fr.recv_req = self.comm.irecv(source=fr.peer, tag=fr.tag)
 
     def _malformed(self, fr: _Frame, why: str) -> None:
@@ -778,7 +846,7 @@ class Scheduler:
             peer=fr.peer,
         )
 
-    def _nack(self, fr: _Frame, ctrl_tag: int, *, timed_out: bool) -> None:
+    def _nack(self, fr: _Frame, *, timed_out: bool) -> None:
         """Ask ``fr.peer`` to retransmit its window-``fr.window`` frame."""
         fr.advance("timeout" if timed_out else "data_corrupt")
         fr.attempts += 1
@@ -798,7 +866,7 @@ class Scheduler:
         )
         with self.flight.suspended():
             self.comm.send(
-                ("nack", self.epoch, fr.window), dest=fr.peer, tag=ctrl_tag
+                ("nack", self.epoch, fr.window), dest=fr.peer, tag=self._ctrl_tag
             )
         fr.nack_t = time.monotonic()
         fr.nack_wait = self._nack_delay(fr)
@@ -818,23 +886,24 @@ class Scheduler:
             raise PeerFailure(self.comm.group[peer], dead[peer] or None, op="exchange")
 
     def _apply_commit(self, committed: int, sp) -> None:
-        """Install the agreed prefix of windows as this epoch's exchange.
+        """Make the agreed prefix of windows this epoch's exchange.
 
         Windows beyond ``committed`` are rolled back symmetrically: the
-        receiver discards their frames (even if verified) and the sender
+        receiver unstages their rows (if they verified) and the sender
         keeps their samples (they drop out of ``_selected_ids``), so no
         sample is lost or duplicated and every shard keeps its size."""
         rounds = self.plan.rounds
         committed_rounds = min(committed * self._window, rounds)
-        for fr in self._recvs:
-            if fr.recv_req is not None and not fr.recv_req.completed:
+        for fr in self._pending:
+            if not fr.recv_req.completed:
                 fr.recv_req.cancel()
             fr.recv_req = None
-        # Settle buffer ownership.  The commit allreduce is a barrier, so
-        # every ACK a receiver posted before committing is already in our
-        # mailbox: after this drain, "un-ACKed" provably means the receiver
-        # never verified (never decoded) the frame, no reader of that
-        # buffer exists anywhere, and the sender reclaims it.
+            fr.advance("deadline")
+        self._pending = []
+        # Settle the send side.  The commit allreduce is a barrier, so every
+        # ACK a receiver posted before committing is already in our mailbox:
+        # after this drain, "un-ACKed" provably means the receiver never
+        # verified (never read) the frame, and the sender reclaims it.
         self._drain_late_acks()
         for fr in self._sends.values():
             if fr.state == "inflight":
@@ -843,33 +912,28 @@ class Scheduler:
                 fr.payload = None
             else:
                 fr.advance("commit" if fr.window < committed else "rollback")
-        # Install copy: every committed frame's block is copied into slots
-        # the storage area owns — the second (and last) copy of a sample's
-        # bytes, charged like the pack gather — and the frame is released at
-        # once: the commit allreduce plus the drain above mean its sender is
-        # done with it, so frames recycle and no storage entry keeps one
-        # alive.  A frame rolled back after verification was never installed
-        # and goes straight back to the pool.
+        self._unacked = {}
+        # The frames that came back on ACK go home: the pool's in-use balance
+        # between epochs is zero and its free lists serve the next epoch.
+        self._frames.release_all()
+        # The rows were staged — the second (and last) copy of a sample's
+        # bytes, charged like the pack gather — as each frame verified.
         staged: list[SampleBlock] = []
         positions: list[np.ndarray] = []
         for fr in self._recvs:
-            if fr.state == "waiting":
-                fr.advance("deadline")
+            if fr.state != "verified":
                 continue
             if fr.window < committed:
                 fr.advance("commit")
-                block = unpack_samples(fr.payload)
-                staged.append(self.storage.stage(block))
+                staged.append(fr.staged)
                 first, _dest_of, src_of = self._window_samples(
                     fr.window * self._window, (fr.window + 1) * self._window
                 )
                 positions.append(first + np.flatnonzero(src_of == fr.peer))
-                self.comm.count_copy(fr.payload.payload.nbytes)
-                del block  # the last view of the frame's payload
             else:
                 fr.advance("rollback")
-            fr.payload.release()
-            fr.payload = None
+                self.storage.unstage(fr.staged, keep=False)
+            fr.staged = None
         # Merge the frames back into plan-round order, so storage sees the
         # same install sequence whatever the framing: a frame's samples sit
         # where the plan names its sender as the source.
@@ -930,17 +994,15 @@ class Scheduler:
         ACK and then enters the commit allreduce; the allreduce acts as a
         barrier, so by the time the sender is here that ACK is guaranteed
         to be in its mailbox even if its event loop had stopped servicing
-        control.  This makes ACK state definitive — which reclaiming the
-        send buffers (and the receiver releasing committed ones) safely
+        control.  This makes ACK state definitive — what the commit/rollback
+        bookkeeping of a sent frame, and reclaiming the un-ACKed ones,
         relies on.  Late NACKs are dropped: the epoch is sealed and nobody
         is listening for resends."""
-        ctrl_tag = EXCHANGE_CTRL.tag(parity=(self.epoch % 2) * _EPOCH_PARITY_BIT)
-        for (kind, ep, window), source in self.comm.testsome((), ctrl_tag):
+        for (kind, ep, window), source in self.comm.testsome((), self._ctrl_tag):
             fr = self._sends.get((window, source))
             if kind == "ack" and ep == self.epoch and fr is not None:
                 if fr.state == "inflight":
-                    fr.advance("ack")
-                    fr.payload = None  # the receiver settles the buffer now
+                    self._acked(fr)
 
     def fault_stats(self) -> dict:
         """Fault-recovery counters for reporting layers."""
@@ -1052,29 +1114,33 @@ class Scheduler:
         :meth:`scheduling` can be called again (typically on a shrunk
         communicator via a rebuilt scheduler).  Nothing was installed or
         retired, so the hot set is exactly what it was at ``scheduling()``
-        time; samples a commit had already staged are not dropped but kept
-        as cold replicas (``StorageArea.unstage``)."""
+        time and the rows the sweeps staged are given up; samples a commit
+        had already merged (its ledger allgather met a dead peer) are not
+        dropped but kept as cold replicas (``StorageArea.unstage``)."""
         for fr in [*self._sends.values(), *self._recvs]:
             if fr.state not in TERMINAL_ROUND_STATES:
                 fr.advance("abort")
             if fr.recv_req is not None and not fr.recv_req.completed:
                 fr.recv_req.cancel()
             fr.recv_req = None
-            # Pooled buffers of a torn-down exchange are *adopted*, not
-            # released: the counterparty rank may still hold a reference to
-            # the same in-flight frame (abort is not synchronised), so the
-            # bytes must never be recycled.  try_adopt() is idempotent —
-            # whichever side gets here first wins the retirement.
+            # The buffer of a frame still out (or verified, the sweep cut
+            # short before its copy-out) is *adopted*, not released: abort
+            # is not synchronised, the counterparty may still read or resend
+            # it.  try_adopt() is idempotent — whichever side gets here
+            # first wins the retirement.
             if fr.payload is not None:
                 fr.payload.try_adopt()
                 fr.payload = None
+            if fr.staged is not None:
+                self.storage.unstage(fr.staged, keep=False)
+                fr.staged = None
+        # Frames that came back on ACK have no reader left: they go home.
+        self._frames.release_all()
         for req in self._send_reqs + self._recv_reqs:
             if not req.completed:
                 req.cancel()
         self._send_reqs = []
         self._recv_reqs = []
-        # A commit that staged its frames but never installed them: the
-        # ledger allgather met a dead peer.
         if self._received:
             self.storage.unstage(self._received)
         self._received = ()
@@ -1082,6 +1148,8 @@ class Scheduler:
         self._sent_moves = []
         self._sends = {}
         self._recvs = []
+        self._pending = []
+        self._unacked = {}
         self._next_round = 0
         self._planned_extra = 0
         self.plan = None

@@ -193,6 +193,9 @@ class StorageArea:
         # a row view (by identity) belongs to.
         self._pools: dict[tuple, _SlotPool] = {}
         self._slot_of: dict[int, tuple[_SlotPool, int]] = {}
+        # Gids whose cold replica a stage() evicted and whose staged
+        # successor is neither installed nor unstaged yet.
+        self._displaced: set[int] = set()
 
     # ------------------------------------------------------------------ CRUD
     def add(self, sample: np.ndarray, label: int, gid: int | None = None) -> int:
@@ -336,8 +339,10 @@ class StorageArea:
         (which makes them entries) or :meth:`unstage`."""
         samples = block.samples
         with self._lock:
-            for gid in self._cold.keys() & set(block.gids.tolist()):
+            displaced = self._cold.keys() & set(block.gids.tolist())
+            for gid in displaced:
                 self._evict_cold_gid(gid)
+            self._displaced |= displaced
             if isinstance(samples, np.ndarray):
                 rows = self._stage_rows(samples)
             else:
@@ -362,18 +367,28 @@ class StorageArea:
         rows = pool.rows
         return [rows[slot] for slot in slots]
 
-    def unstage(self, block: SampleBlock) -> None:
-        """Give up staged rows that will not be installed (an exchange
-        aborted between its commit and its install).  A row with a gid that
-        is not hot here stays as a cold replica, budget permitting — its
-        bytes are resident anyway, and :meth:`stage` may have evicted the
-        replica it was about to supersede; the rest are freed."""
+    def unstage(self, block: SampleBlock, *, keep: bool = True) -> None:
+        """Give up staged rows that will not be installed.
+
+        With ``keep`` (an exchange aborted between its commit and its
+        install) a row with a gid that is not hot here stays as a cold
+        replica, budget permitting — its bytes are resident anyway.
+        Without (a window rolled back, an exchange aborted before its
+        commit: the sender still holds the sample) the area goes back to
+        what it was before the rows were staged: a row takes the place of
+        the cold replica :meth:`stage` evicted for it, if it did.  The rest
+        are freed."""
         with self._lock:
             for row, label, gid in block:
                 pool, slot = self._slot_of.get(id(row), (None, None))
                 if pool is None or pool.state[slot] != _STAGED:
                     continue
-                if gid is None or gid in self._sid_of or not self.add_cold(row, label, gid):
+                wanted = keep or gid in self._displaced
+                self._displaced.discard(gid)
+                if (
+                    not wanted or gid is None or gid in self._sid_of
+                    or not self.add_cold(row, label, gid)
+                ):
                     pool.release(slot)
 
     def slots(self) -> dict[str, int]:
@@ -439,9 +454,11 @@ class StorageArea:
         labels = block.labels.tolist()
         size = sum(row.nbytes for row in rows)
         tracked = [(i, gid) for i, gid in enumerate(block.gids.tolist()) if gid >= 0]
-        for gid in self._cold.keys() & {gid for _i, gid in tracked}:
+        gids = {gid for _i, gid in tracked}
+        for gid in self._cold.keys() & gids:
             self._evict_cold_gid(gid)
         self._make_room(size)
+        self._displaced -= gids
         sids = list(itertools.islice(self._ids, len(rows)))
         for pool, slot in slots:
             pool.state[slot] = _LIVE

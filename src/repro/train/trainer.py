@@ -212,7 +212,7 @@ def train_one_epoch(
             sched = getattr(strategy, "scheduler", None)
             if sched is not None:
                 metrics["exchange.q_deficit"] = sched.q_deficit
-            metrics["pool.in_use"] = comm.pool.stats()["in_use"]
+            metrics["pool.in_use"] = comm.pool.in_use()
             push_metrics(comm, epoch, metrics)
         # One collective for the epoch's three sums (float64 holds the
         # integer counts exactly).

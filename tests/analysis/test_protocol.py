@@ -77,7 +77,7 @@ class TestMutants:
         results = run_mutation_sweep()
         survivors = [name for name, v in results.items() if v is None]
         assert not survivors, f"mutants survived undetected: {survivors}"
-        assert set(results) == set(MUTATIONS)
+        assert set(results) == set(MUTATIONS) and len(results) == 13
 
     def test_counterexamples_carry_a_trace(self):
         results = run_mutation_sweep(mutations=("release_before_ack",))
@@ -151,6 +151,30 @@ class TestMutants:
         assert isinstance(v, Violation), "mutant survived the sweep"
         assert v.kind == "use_after_release"
         assert any("commit" in step for step in v.trace)
+
+    def test_ack_before_the_copy_out_lets_the_sender_overwrite_bytes_being_read(self):
+        # It takes a second round for the sender to pack into the frame it
+        # got back — and that round must still be unposted when the ACK is
+        # consumed: the interleaving the lazily posted two-round world adds.
+        r2 = next(c for c in DEFAULT_CONFIGS if c.name == "m2-r2-deadline")
+        assert check(replace(r2, faults=(), fault_budget=0)).ok
+        res = check(replace(r2, mutation="ack_before_stage"), stop_on_violation=True)
+        v = res.violations[0]
+        assert v.kind == "use_after_release" and "copies out round 0" in v.detail
+        ctrl = next(i for i, step in enumerate(v.trace) if "ctrl from" in step)
+        post = next(i for i, step in enumerate(v.trace) if "post round 1" in step)
+        assert ctrl < post < len(v.trace) - 1  # ACK consumed, frame reused, read
+
+    def test_a_rolled_back_round_left_installed_breaks_the_shard_size(self):
+        results = run_mutation_sweep(mutations=("stage_counts_as_commit",))
+        v = results["stage_counts_as_commit"]
+        assert isinstance(v, Violation), "mutant survived the sweep"
+        assert v.kind == "shard_size"
+        assert any("deadline expires" in step for step in v.trace)
+
+    def test_a_frame_released_before_its_ack_is_retired_twice(self):
+        v = run_mutation_sweep(mutations=("release_before_ack",))["release_before_ack"]
+        assert v.kind == "double_retire" and "already released" in v.detail
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ValueError, match="unknown mutation"):

@@ -29,14 +29,22 @@ def _ours_or_orphaned(name: str) -> bool:
     return False
 
 
+def _own_segments() -> list[str]:
+    return [name for name in live_segments() if _ours_or_orphaned(name)]
+
+
+@pytest.fixture
+def own_segments():
+    """``live_segments()`` minus those of another live process: what a test
+    body may assert is empty while a second pytest run shares the host."""
+    return _own_segments
+
+
 @pytest.fixture(autouse=True)
 def _no_leaked_shm_segments():
     before = live_segments()
     yield
-    leaked = [
-        name for name in live_segments()
-        if name not in before and _ours_or_orphaned(name)
-    ]
+    leaked = [name for name in _own_segments() if name not in before]
     assert not leaked, (
         f"test leaked shared-memory segments in /dev/shm: {leaked} — "
         "every exit path of a BufferPool over a SegmentAllocator must unlink its segments"

@@ -52,21 +52,21 @@ def test_id_addressing_matches_handles(pool):
     assert pool.acquire(48).buf_id != buf.buf_id  # same segment, new id
 
 
-def test_shutdown_unlinks_everything():
+def test_shutdown_unlinks_everything(own_segments):
     pool = _shm_pool("test-shm-shutdown")
     kept = pool.acquire(128)       # still in use at shutdown
     pool.adopt(pool.acquire(64))   # adopted
     pool.release(pool.acquire(32))  # parked on a free list
     assert live_segments()
     pool.shutdown()
-    assert live_segments() == []
+    assert own_segments() == []
     pool.shutdown()  # idempotent
     with pytest.raises(RuntimeError, match="shut down"):
         pool.acquire(8)
     del kept
 
 
-def test_release_never_unlinks():
+def test_release_never_unlinks(own_segments):
     """Rank processes keep every segment they attached mapped, so a release
     must park the segment, never unlink it behind their backs: only
     ``clear()`` and ``shutdown()`` remove names from ``/dev/shm``."""
@@ -86,4 +86,4 @@ def test_release_never_unlinks():
     assert pool.free_buffers() == 0
     assert not names & set(live_segments())
     pool.shutdown()
-    assert live_segments() == []
+    assert own_segments() == []

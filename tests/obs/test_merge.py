@@ -29,6 +29,9 @@ ARRIVAL_ORDERED = ("round.verified", "round.ack")
 #: The pool is one object for the whole world: how many buffers the *other*
 #: ranks hold at the instant this rank commits depends on who got there first.
 WORLD_SHARED = {"epoch.commit": ("pool_in_use",)}
+#: A wall-clock reading among the fields: how long a delivery waited for the
+#: sweep that serviced it.
+WALL_CLOCK = {"round.verified": ("queued_s",)}
 
 
 def exchange_worker(comm):
@@ -56,7 +59,7 @@ def stream_shape(flight):
     for rec in flight.recorders:
         events = [(kind, dict(fields)) for _ts, _dur, kind, fields in rec]
         for kind, fields in events:
-            for name in WORLD_SHARED.get(kind, ()):
+            for name in (*WORLD_SHARED.get(kind, ()), *WALL_CLOCK.get(kind, ())):
                 del fields[name]
         ordered.append([e for e in events if e[0] not in ARRIVAL_ORDERED])
         arrivals.append(sorted(

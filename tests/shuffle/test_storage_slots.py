@@ -5,7 +5,9 @@ A hypothesis state machine drives every mutating entry point of
 step, that each hot and cold entry still reads back the model's bytes — a
 slot reused under a live entry shows up as a wrong byte — that ``audit()``
 is clean, and that the slots allocated never exceed the most ever in use
-plus one chunk.  Around it: the block path through the two subclasses that
+plus one chunk — including while a block the exchange staged under compute
+waits, across other installs and demotes, to be installed or rolled back.
+Around it: the block path through the two subclasses that
 override ``add`` / ``get`` / ``remove``, and the view-validity rule under
 the by-reference ``threads`` transport.
 """
@@ -54,6 +56,10 @@ class SlotOwnership(RuleBasedStateMachine):
         self.next_gid = 0
         self.fill = 0
         self.peak = [0, 0]  # most slots of each class in use at once
+        # Gids whose cold replica a stage evicted (the area's own rule), and
+        # the block staged early: (staged rows, model entries, class).
+        self.displaced: set[int] = set()
+        self.early = None
 
     # ------------------------------------------------------------ the model
     def _hot_bytes(self):
@@ -74,7 +80,22 @@ class SlotOwnership(RuleBasedStateMachine):
     def _in_use(self, cls, staged=0):
         owned = sum(e[3] == cls for e in self.hot.values())
         owned += sum(e[2] == cls for e in self.cold.values())
+        if self.early is not None and self.early[2] == cls:
+            staged += len(self.early[1])
         self.peak[cls] = max(self.peak[cls], owned + staged)
+
+    def _model_stage(self, gids):
+        for gid in gids:
+            if gid in self.cold:
+                self.displaced.add(gid)
+            self._evict_cold(gid)
+
+    def _model_unstage(self, entries, cls, *, keep):
+        for data, label, gid, _cls in entries:
+            wanted = keep or gid in self.displaced
+            self.displaced.discard(gid)
+            if wanted and gid is not None and gid not in self._hot_gids():
+                self._model_add_cold(data, label, gid, cls)
 
     def _fresh_gid(self, tracked):
         if not tracked:
@@ -126,24 +147,63 @@ class SlotOwnership(RuleBasedStateMachine):
             np.array([-1 if g is None else g for g in gids], dtype=np.int64),
         )
         staged = self.area.stage(columns)
-        for gid in gids:
-            self._evict_cold(gid)
+        self._model_stage(gids)
         self._in_use(cls, staged=n)
         entries = [
             [block[i].tobytes(), int(labels[i]), gids[i], cls] for i in range(n)
         ]
-        if self._make_room(n * SIZE):
+        self._install_or(staged, entries, cls, keep=True)
+
+    def _install_or(self, staged, entries, cls, *, keep):
+        """``add_many`` the staged rows, or — no room — ``unstage`` them."""
+        if self._make_room(len(entries) * SIZE):
             sids = self.area.add_many(staged)
-            assert len(sids) == n
+            assert len(sids) == len(entries)
+            self.displaced -= {e[2] for e in entries}
             self.hot.update(zip(sids, entries))
         else:
             with pytest.raises(StorageFullError):
                 self.area.add_many(staged)
-            assert self.area.slots()["staged"] == n
-            self.area.unstage(staged)
-            for data, label, gid, _cls in entries:
-                if gid is not None:
-                    self._model_add_cold(data, label, gid, cls)
+            self.area.unstage(staged, keep=keep)
+            self._model_unstage(entries, cls, keep=keep)
+
+    @precondition(lambda self: self.early is None)
+    @rule(cls=st.integers(0, 1), n=st.integers(1, 4), recycle=st.booleans())
+    def stage_early(self, cls, n, recycle):
+        """What a sweep does under compute: stage a verified frame and leave
+        it staged while other installs, demotes and evictions go on."""
+        self.fill += 1
+        block = _block(cls, n, self.fill)
+        gids = [self._fresh_gid(i % 2 == 0) for i in range(n)]
+        if recycle:
+            for i, gid in enumerate(list(self.cold)[:n]):
+                if gid not in self._hot_gids():
+                    gids[i] = gid
+        staged = self.area.stage(
+            SampleBlock(
+                block, np.zeros(n, dtype=np.int64),
+                np.array([-1 if g is None else g for g in gids], dtype=np.int64),
+            )
+        )
+        self._model_stage(gids)
+        entries = [[block[i].tobytes(), 0, gids[i], cls] for i in range(n)]
+        self.early = (staged, entries, cls)
+        self._in_use(cls)
+
+    @precondition(lambda self: self.early is not None)
+    @rule(commit=st.booleans())
+    def settle_early(self, commit):
+        """The epoch's commit: the early block is installed, or its window
+        fell beyond the agreed prefix and it is rolled back — the area is as
+        if it had never been staged (a displaced replica is back)."""
+        staged, entries, cls = self.early
+        self.early = None
+        if commit:
+            self._install_or(staged, entries, cls, keep=False)
+        else:
+            self.area.unstage(staged, keep=False)
+            self._model_unstage(entries, cls, keep=False)
+        self._in_use(cls)
 
     @rule(cls=st.integers(0, 1), n=st.integers(1, 4))
     def stage_then_abort(self, cls, n):
@@ -160,9 +220,9 @@ class SlotOwnership(RuleBasedStateMachine):
         )
         self._in_use(cls, staged=n)
         self.area.unstage(staged)
-        for i, gid in enumerate(gids):
-            if gid is not None:
-                self._model_add_cold(block[i].tobytes(), 0, gid, cls)
+        self._model_unstage(
+            [[block[i].tobytes(), 0, gids[i], cls] for i in range(n)], cls, keep=True
+        )
         self._in_use(cls)
 
     @precondition(lambda self: self.hot)
@@ -253,8 +313,9 @@ class SlotOwnership(RuleBasedStateMachine):
     def audit_is_clean_and_slots_are_bounded(self):
         self.area.audit()
         counts = self.area.slots()
-        assert counts["staged"] == 0
-        assert counts["allocated"] == counts["free"] + counts["live"]
+        early = 0 if self.early is None else len(self.early[1])
+        assert counts["staged"] == early
+        assert counts["allocated"] == counts["free"] + counts["live"] + early
         for cls, key in enumerate(CLASSES):
             self._in_use(cls)
             pool = self.area._pools.get(key)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.mpi import PeerFailure, RankDied, RankFailed, run_spmd
-from repro.mpi.shm_pool import live_segments
 from repro.shuffle import Scheduler, StorageArea
 
 
@@ -56,27 +55,31 @@ def _oracle_shards(ranks):
     ]
 
 
-def _oracle_worker(comm, granularity):
+def _oracle_worker(comm, granularity, batch_size):
     storage = StorageArea()
     for gid in _oracle_shards(comm.size)[comm.rank]:
         storage.add(_ORACLE_X[gid], int(_ORACLE_Y[gid]), gid=gid)
     sched = Scheduler(
         storage, comm, fraction=_ORACLE_Q, seed=_ORACLE_SEED,
-        granularity=granularity, resend_timeout_s=0.05,
+        granularity=granularity, resend_timeout_s=0.05, batch_size=batch_size,
     )
     after_epoch = []
     for epoch in range(_ORACLE_EPOCHS):
-        sched.run_exchange(epoch)
+        sched.scheduling(epoch)
+        while sched.communicate_chunk():  # a window at a time, as training does
+            pass
+        sched.synchronize()
+        sched.clean_local_storage()
         after_epoch.append(
             [
-                (storage.gid_of(sid), int(label), np.asarray(sample).tobytes())
+                (sid, storage.gid_of(sid), int(label), np.asarray(sample).tobytes())
                 for sid, sample, label in storage.items()
             ]
         )
     return after_epoch
 
 
-def _check_against_oracle(backend, profile, granularity, ranks):
+def _check_against_oracle(backend, profile, granularity, ranks, batch_size=32):
     from repro.elastic import reconstruct_ledger
     from repro.faults import ChaosEngine, ChaosWorld
 
@@ -86,7 +89,7 @@ def _check_against_oracle(backend, profile, granularity, ranks):
         return ChaosWorld(size, chaos=engine, **kwargs)
 
     result = run_spmd(
-        _oracle_worker, ranks, args=(granularity,), backend=backend,
+        _oracle_worker, ranks, args=(granularity, batch_size), backend=backend,
         deadline_s=120, world_factory=chaos_world if profile else None,
     )
     if profile:
@@ -98,10 +101,11 @@ def _check_against_oracle(backend, profile, granularity, ranks):
         )
         for rank, after_epoch in enumerate(result):
             hot = after_epoch[epochs - 1]
-            assert sorted(gid for gid, _, _ in hot) == oracle.held_by(rank)
-            for gid, label, raw in hot:
+            assert sorted(gid for _sid, gid, _, _ in hot) == oracle.held_by(rank)
+            for _sid, gid, label, raw in hot:
                 assert label == _ORACLE_Y[gid]
                 assert raw == _ORACLE_X[gid].tobytes()
+    return list(result)
 
 
 _CHAOS = pytest.mark.parametrize(
@@ -111,8 +115,20 @@ _CHAOS = pytest.mark.parametrize(
 
 @pytest.mark.parametrize("granularity", [1, 4])
 @_CHAOS
-def test_exchange_matches_oracle(backend, profile, granularity):
+def test_exchange_matches_oracle(backend, profile, granularity, monkeypatch):
+    """... and the servicing schedule is not observable: swept after every
+    window or only in ``synchronize()`` (six one-round windows an epoch), a
+    rank ends every epoch with the same samples under the same ids."""
+    import repro.shuffle.scheduler as scheduler_mod
+
     _check_against_oracle(backend, profile, granularity, ranks=3)
+    shards = []
+    for every in (1, 10**6):
+        monkeypatch.setattr(scheduler_mod, "SERVICE_EVERY", every)
+        shards.append(
+            _check_against_oracle(backend, profile, granularity, ranks=3, batch_size=2)
+        )
+    assert shards[0] == shards[1]
 
 
 @pytest.mark.parametrize("ranks", [2, 5])
@@ -177,7 +193,7 @@ def _miscount_worker(comm):
     return True
 
 
-def test_frame_count_disagreeing_with_plan_is_malformed(backend):
+def test_frame_count_disagreeing_with_plan_is_malformed(backend, own_segments):
     from repro.mpi.errors import UnrecoveredFaultError
 
     with pytest.raises(RankFailed) as info:
@@ -190,7 +206,7 @@ def test_frame_count_disagreeing_with_plan_is_malformed(backend):
         if isinstance(e, UnrecoveredFaultError)
     ]
     assert errors and "malformed envelope" in str(errors[0])
-    assert live_segments() == []
+    assert own_segments() == []
 
 
 # ------------------------------------------------------- frames recycle
@@ -255,7 +271,7 @@ def test_frames_recycle_and_pin_nothing(backend):
     assert result.world.pool.stats()["adopts"] == 0
 
 
-def test_procs_exchange_fits_a_small_fd_budget():
+def test_procs_exchange_fits_a_small_fd_budget(own_segments):
     """Regression: a rank process used to map one fresh segment (two fds)
     per message and never let go, running out of descriptors after a few
     epochs.  Released segments now always return to the free list, so six
@@ -276,7 +292,7 @@ def test_procs_exchange_fits_a_small_fd_budget():
     assert stats["high_water"] <= 32
     assert stats["segments"] <= 32
     assert stats["acquires"] > 4 * stats["segments"]
-    assert live_segments() == []
+    assert own_segments() == []
 
 
 def test_dead_peer_epitaph_crosses_backends(backend):
@@ -309,13 +325,13 @@ def _abort_worker(comm, samples, q, seed):
     return True
 
 
-def test_abort_mid_exchange_cleans_segments(backend):
+def test_abort_mid_exchange_cleans_segments(backend, own_segments):
     with pytest.raises(RankFailed) as info:
         run_spmd(_abort_worker, 2, args=(32, 0.5, 3), backend=backend)
     assert isinstance(info.value.failures[1], ValueError)
     # The launcher's exit path must have unlinked every shared-memory
     # segment even though buffers were in flight when rank 1 died.
-    assert live_segments() == []
+    assert own_segments() == []
 
 
 def _sigkill_worker(comm, deadline_s, kill=True):
@@ -343,7 +359,7 @@ def _sigkill_worker(comm, deadline_s, kill=True):
         assert time.monotonic() - t0 < deadline_s
 
 
-def test_a_sigkilled_rank_delivers_what_it_cast_and_strands_nobody():
+def test_a_sigkilled_rank_delivers_what_it_cast_and_strands_nobody(own_segments):
     """What only ``procs`` can do: a rank really dies, between two
     instructions.  The frames it cast just before are still served (the
     pipe drains before its broker reads EOF), the survivors leave the
@@ -373,7 +389,7 @@ def test_a_sigkilled_rank_delivers_what_it_cast_and_strands_nobody():
     alive = run_spmd(_sigkill_worker, 3, args=(deadline_s, False)).world
     assert world.messages_sent[1] == alive.messages_sent[1] >= 1
     assert world.bytes_sent[1] == alive.bytes_sent[1]
-    assert live_segments() == []
+    assert own_segments() == []
 
 
 def test_elastic_kill_parity(backend):

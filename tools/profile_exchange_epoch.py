@@ -10,9 +10,11 @@ outside the benchmark harness, and prints
 * ms per epoch (min / median / max over the timed epochs, mean of the two
   ranks) spent in each part of the exchange the training thread executes:
   **plan** (``scheduling``), **post** (``communicate_chunk`` +
-  ``communicate``), **complete** (the verify / ACK loop and the commit
-  collective), **commit-decode** (``_apply_commit``: decode, install copy,
-  frame release), **install** (``clean_local_storage``), and the loader's
+  ``communicate``: posting, and the sweeps under compute that verify, copy
+  out and ACK what has arrived), **complete** (the residue of that in
+  ``synchronize`` and the commit collective), **commit-decode**
+  (``_apply_commit``: frames back to the pool, staged rows merged),
+  **install** (``clean_local_storage``), and the loader's
   **collate** for comparison;
 * how many Python-level calls one epoch's exchange hooks (``begin_epoch`` /
   ``on_iteration`` / ``end_epoch``) make into the codec and storage entry
