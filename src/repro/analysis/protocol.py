@@ -796,9 +796,6 @@ def _join_roles(cfg: CheckConfig):
     return joiners
 
 
-_JKEYS = ("phases", "sent", "acked", "installed", "xfer_sent", "chans", "faults_used")
-
-
 def _join_initial(cfg: CheckConfig):
     joiners = _join_roles(cfg)
     phases = tuple(
@@ -806,86 +803,175 @@ def _join_initial(cfg: CheckConfig):
         else ("announce" if r == 0 else "barrier")
         for r in range(cfg.size)
     )
-    nothing = tuple(False for _ in joiners)
-    return (phases, nothing, nothing, nothing, nothing, (), 0)
+    installed = tuple(False for _ in joiners)
+    sent = tuple(False for _ in joiners)
+    acked = tuple(False for _ in joiners)
+    xfer_sent = tuple(False for _ in joiners)
+    chans: tuple = ()
+    return (phases, sent, acked, installed, xfer_sent, chans, 0)
 
 
 def _join_successors(cov, cfg: CheckConfig, frozen):
     """``(label, is_fault, next_frozen | _Bug)`` for the join model."""
-    cur = dict(zip(_JKEYS, frozen))
-    phases, sent, acked, installed, xfer_sent = frozen[:5]
+    phases, sent, acked, installed, xfer_sent, chans_f, faults_used = frozen
     joiners = _join_roles(cfg)
-    chans = {k: list(v) for k, v in cur["chans"]}
+    chans = {k: list(v) for k, v in chans_f}
     out = []
 
-    def emit(label, *, fault=False, chans=chans, **new):
-        """One enabled action: the current state with ``new`` replaced."""
-        state = {**cur, **new, "faults_used": cur["faults_used"] + fault}
-        state["chans"] = tuple(sorted((k, tuple(v)) for k, v in chans.items() if v))
-        out.append((label, fault, tuple(state[k] for k in _JKEYS)))
+    def freeze(phases, sent, acked, installed, xfer_sent, chans, fu):
+        return (
+            phases, sent, acked, installed, xfer_sent,
+            tuple(sorted((k, tuple(v)) for k, v in chans.items() if v)),
+            fu,
+        )
 
-    def push(chan, msg):
-        return {**chans, chan: [*chans.get(chan, ()), msg]}
+    def push(ch, chan, msg):
+        ch = {k: list(v) for k, v in ch.items()}
+        ch.setdefault(chan, []).append(msg)
+        return ch
 
-    def pop(chan):
-        return {**chans, chan: chans[chan][1:]}
+    def pop(ch, chan):
+        ch = {k: list(v) for k, v in ch.items()}
+        msg = ch[chan].pop(0)
+        return ch, msg
 
     def setat(tup, idx, value):
         return tup[:idx] + (value,) + tup[idx + 1:]
 
-    for ji, j in enumerate(joiners):
-        # Root sends the job state to each joiner, one action per joiner.
-        if phases[0] == "announce" and not sent[ji]:
+    # Root sends the job state to each joiner, one action per joiner.
+    if phases[0] == "announce":
+        for ji, j in enumerate(joiners):
+            if sent[ji]:
+                continue
             cov.add(("join-root", "announce", f"state->j{ji}"))
             new_sent = setat(sent, ji, True)
-            emit(
-                f"root: send state to joiner {j}", sent=new_sent,
-                phases=setat(phases, 0, "collect" if all(new_sent) else "announce"),
-                chans=push((0, j, "state"), "state"),
+            new_phase = "collect" if all(new_sent) else "announce"
+            out.append(
+                (
+                    f"root: send state to joiner {j}",
+                    False,
+                    freeze(
+                        setat(phases, 0, new_phase), new_sent, acked,
+                        installed, xfer_sent,
+                        push(chans, (0, j, "state"), "state"), faults_used,
+                    ),
+                )
             )
-        # Root collects one ACK.
-        if phases[0] == "collect" and chans.get((j, 0, "ack")):
+
+    # Root collects one ACK.
+    if phases[0] == "collect":
+        for ji, j in enumerate(joiners):
+            chan = (j, 0, "ack")
+            if not chans.get(chan):
+                continue
             cov.add(("join-root", "collect", f"ack<-j{ji}"))
+            ch, _msg = pop(chans, chan)
             new_acked = setat(acked, ji, True)
-            emit(
-                f"root: ACK from joiner {j}", acked=new_acked,
-                phases=setat(phases, 0, "barrier" if all(new_acked) else "collect"),
-                chans=pop((j, 0, "ack")),
+            new_phase = "barrier" if all(new_acked) else "collect"
+            out.append(
+                (
+                    f"root: ACK from joiner {j}",
+                    False,
+                    freeze(
+                        setat(phases, 0, new_phase), sent, new_acked,
+                        installed, xfer_sent, ch, faults_used,
+                    ),
+                )
             )
-        # Joiner receives the state (its sole blocking recv in the real
-        # handshake; the model also allows late delivery after the mutant let
-        # it run ahead).
-        if chans.get((0, j, "state")):
-            rest = pop((0, j, "state"))
+
+    # Joiner receives the state (its sole blocking recv in the real
+    # handshake; the model also allows late delivery after the mutant let
+    # it run ahead).
+    for ji, j in enumerate(joiners):
+        chan = (0, j, "state")
+        if chans.get(chan):
+            ch, _msg = pop(chans, chan)
             new_installed = setat(installed, ji, True)
             if phases[j] == "await_state":
                 cov.add(("join-joiner", "await_state", "state"))
-                emit(
-                    f"joiner {j}: receive state, ACK", installed=new_installed,
-                    phases=setat(phases, j, "barrier"),
-                    chans={**rest, (j, 0, "ack"): [*rest.get((j, 0, "ack"), ()), "ack"]},
+                out.append(
+                    (
+                        f"joiner {j}: receive state, ACK",
+                        False,
+                        freeze(
+                            setat(phases, j, "barrier"), sent, acked,
+                            new_installed, xfer_sent,
+                            push(ch, (j, 0, "ack"), "ack"), faults_used,
+                        ),
+                    )
                 )
             else:
                 cov.add(("join-joiner", phases[j], "late_state"))
-                emit(f"joiner {j}: late state delivery", installed=new_installed, chans=rest)
+                out.append(
+                    (
+                        f"joiner {j}: late state delivery",
+                        False,
+                        freeze(
+                            phases, sent, acked, new_installed,
+                            xfer_sent, ch, faults_used,
+                        ),
+                    )
+                )
         # The seeded mutation: ACK admission without waiting for the state.
         if cfg.mutation == "ack_join_before_barrier" and phases[j] == "await_state":
             cov.add(("join-joiner", "await_state", "early_ack"))
-            emit(
-                f"joiner {j}: ACK before receiving state (mutant)",
-                phases=setat(phases, j, "barrier"), chans=push((j, 0, "ack"), "ack"),
+            out.append(
+                (
+                    f"joiner {j}: ACK before receiving state (mutant)",
+                    False,
+                    freeze(
+                        setat(phases, j, "barrier"), sent, acked,
+                        installed, xfer_sent,
+                        push(chans, (j, 0, "ack"), "ack"), faults_used,
+                    ),
+                )
             )
-        # Root posts the rebalance transfers (one per joiner), then is done.
-        if phases[0] == "transfer" and not xfer_sent[ji]:
+
+    # The admission barrier: everyone arrived -> collective release.
+    if all(
+        p == "barrier" for p in phases
+    ):
+        cov.add(("join-all", "barrier", "release"))
+        new_phases = tuple(
+            "transfer" if r == 0
+            else ("await_xfer" if r in joiners else "done")
+            for r in range(cfg.size)
+        )
+        out.append(
+            (
+                f"barrier (all {cfg.size} members)",
+                False,
+                freeze(
+                    new_phases, sent, acked, installed, xfer_sent,
+                    chans, faults_used,
+                ),
+            )
+        )
+
+    # Root posts the rebalance transfers (one per joiner), then is done.
+    if phases[0] == "transfer":
+        for ji, j in enumerate(joiners):
+            if xfer_sent[ji]:
+                continue
             cov.add(("join-root", "transfer", f"xfer->j{ji}"))
             new_xs = setat(xfer_sent, ji, True)
-            emit(
-                f"root: rebalance transfer to joiner {j}", xfer_sent=new_xs,
-                phases=setat(phases, 0, "done" if all(new_xs) else "transfer"),
-                chans=push((0, j, "xfer"), "xfer"),
+            new_phase = "done" if all(new_xs) else "transfer"
+            out.append(
+                (
+                    f"root: rebalance transfer to joiner {j}",
+                    False,
+                    freeze(
+                        setat(phases, 0, new_phase), sent, acked,
+                        installed, new_xs,
+                        push(chans, (0, j, "xfer"), "xfer"), faults_used,
+                    ),
+                )
             )
-        # Joiner applies a transfer — THE checked property lives here.
-        if phases[j] == "await_xfer" and chans.get((0, j, "xfer")):
+
+    # Joiner applies a transfer — THE checked property lives here.
+    for ji, j in enumerate(joiners):
+        chan = (0, j, "xfer")
+        if phases[j] == "await_xfer" and chans.get(chan):
             if not installed[ji]:
                 out.append(
                     (
@@ -901,32 +987,48 @@ def _join_successors(cov, cfg: CheckConfig, frozen):
                 )
                 continue
             cov.add(("join-joiner", "await_xfer", "xfer"))
-            emit(
-                f"joiner {j}: apply transfer", phases=setat(phases, j, "done"),
-                chans=pop((0, j, "xfer")),
+            ch, _msg = pop(chans, chan)
+            out.append(
+                (
+                    f"joiner {j}: apply transfer",
+                    False,
+                    freeze(
+                        setat(phases, j, "done"), sent, acked, installed,
+                        xfer_sent, ch, faults_used,
+                    ),
+                )
             )
-
-    # The admission barrier: everyone arrived -> collective release.
-    if all(p == "barrier" for p in phases):
-        cov.add(("join-all", "barrier", "release"))
-        emit(
-            f"barrier (all {cfg.size} members)",
-            phases=tuple(
-                "transfer" if r == 0 else ("await_xfer" if r in joiners else "done")
-                for r in range(cfg.size)
-            ),
-        )
 
     # Faults: duplication and delay-reordering on populated channels (the
     # in-process JOIN channels are loss-free, like the control plane).
-    if cur["faults_used"] < cfg.fault_budget:
+    if faults_used < cfg.fault_budget:
         for chan, msgs in chans.items():
-            if msgs and "dup" in cfg.faults:
-                emit(f"fault: duplicate head of {chan}", fault=True,
-                     chans=push(chan, msgs[0]))
+            if not msgs:
+                continue
+            if "dup" in cfg.faults:
+                out.append(
+                    (
+                        f"fault: duplicate head of {chan}",
+                        True,
+                        freeze(
+                            phases, sent, acked, installed, xfer_sent,
+                            push(chans, chan, msgs[0]), faults_used + 1,
+                        ),
+                    )
+                )
             if "delay" in cfg.faults and len(msgs) >= 2:
-                emit(f"fault: delay head of {chan}", fault=True,
-                     chans={**chans, chan: msgs[1:] + msgs[:1]})
+                ch = {k: list(v) for k, v in chans.items()}
+                ch[chan] = ch[chan][1:] + ch[chan][:1]
+                out.append(
+                    (
+                        f"fault: delay head of {chan}",
+                        True,
+                        freeze(
+                            phases, sent, acked, installed, xfer_sent,
+                            ch, faults_used + 1,
+                        ),
+                    )
+                )
     return out
 
 
@@ -950,25 +1052,63 @@ def _join_terminal_bugs(cfg: CheckConfig, frozen) -> list[tuple[str, str]]:
     return bugs
 
 
-def _exchange_statuses(frozen) -> list[str]:
-    return [rf[0] for rf in frozen[0]]
-
-
-def _join_phases(frozen) -> list[str]:
-    return list(frozen[0])
-
-
-#: protocol -> (initial state, successors, terminal-state checks, per-rank
-#: status, the statuses a rank ends in).
-_MODELS = {
-    "exchange": (
-        lambda cfg: _initial(cfg).freeze(), _successors, _terminal_bugs,
-        _exchange_statuses, ("settled", "aborted", *_GONE),
-    ),
-    "join": (
-        _join_initial, _join_successors, _join_terminal_bugs, _join_phases, ("done",)
-    ),
-}
+def _check_join(
+    cfg: CheckConfig, *, stop_on_violation: bool, max_violations: int
+) -> CheckResult:
+    """BFS over the join-handshake model (same harness shape as check())."""
+    res = CheckResult(config=cfg)
+    cov = res.coverage
+    init = _join_initial(cfg)
+    seen = {init: (None, None, 0)}
+    frontier = deque([init])
+    while frontier:
+        frozen = frontier.popleft()
+        depth = seen[frozen][2]
+        res.states += 1
+        phases = frozen[0]
+        if all(p == "done" for p in phases):
+            res.violations.extend(
+                Violation(kind, detail, _trace(seen, frozen))
+                for kind, detail in _join_terminal_bugs(cfg, frozen)
+            )
+            if stop_on_violation and res.violations:
+                return res
+            continue
+        if cfg.max_depth is not None and depth >= cfg.max_depth:
+            res.truncated = True
+            continue
+        succ = _join_successors(cov, cfg, frozen)
+        if not any(not is_fault for _, is_fault, _o in succ):
+            res.violations.append(
+                Violation(
+                    "deadlock",
+                    f"non-terminal join state with no enabled action "
+                    f"(phases: {list(phases)})",
+                    _trace(seen, frozen),
+                )
+            )
+            if stop_on_violation:
+                return res
+        for label, _is_fault, outcome in succ:
+            res.transitions += 1
+            if isinstance(outcome, _Bug):
+                res.violations.append(
+                    Violation(
+                        outcome.kind,
+                        outcome.detail,
+                        _trace(seen, frozen) + (label,),
+                    )
+                )
+                if stop_on_violation:
+                    return res
+                continue
+            if outcome not in seen:
+                seen[outcome] = (frozen, label, depth + 1)
+                frontier.append(outcome)
+        if len(res.violations) >= max_violations:
+            res.truncated = True
+            break
+    return res
 
 
 def check(
@@ -978,21 +1118,28 @@ def check(
     max_violations: int = 25,
 ) -> CheckResult:
     """Breadth-first exploration of every interleaving under ``cfg``."""
-    if cfg.protocol not in _MODELS:
+    if cfg.protocol == "join":
+        return _check_join(
+            cfg,
+            stop_on_violation=stop_on_violation,
+            max_violations=max_violations,
+        )
+    if cfg.protocol != "exchange":
         raise ValueError(f"unknown protocol {cfg.protocol!r}")
-    initial, successors, bugs_at, statuses, ended = _MODELS[cfg.protocol]
-    init = initial(cfg)
     res = CheckResult(config=cfg)
+    cov = res.coverage
+    init = _initial(cfg).freeze()
     seen = {init: (None, None, 0)}
     frontier = deque([init])
     while frontier:
         frozen = frontier.popleft()
         depth = seen[frozen][2]
         res.states += 1
-        if all(status in ended for status in statuses(frozen)):
+        statuses = [rf[0] for rf in frozen[0]]
+        if all(s not in _LIVE for s in statuses):
             res.violations.extend(
                 Violation(kind, detail, _trace(seen, frozen))
-                for kind, detail in bugs_at(cfg, frozen)
+                for kind, detail in _terminal_bugs(cfg, frozen)
             )
             if stop_on_violation and res.violations:
                 return res
@@ -1000,13 +1147,13 @@ def check(
         if cfg.max_depth is not None and depth >= cfg.max_depth:
             res.truncated = True
             continue
-        succ = successors(res.coverage, cfg, frozen)
+        succ = _successors(cov, cfg, frozen)
         if not any(not is_fault for _, is_fault, _o in succ):
             res.violations.append(
                 Violation(
                     "deadlock",
-                    f"non-terminal {cfg.protocol} state with no enabled "
-                    f"action (ranks: {statuses(frozen)})",
+                    f"non-terminal state with no enabled action (ranks: "
+                    f"{statuses})",
                     _trace(seen, frozen),
                 )
             )

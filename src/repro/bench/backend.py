@@ -51,7 +51,6 @@ def bench_backend(
     """
     common = dict(
         ranks=ranks, samples=samples, shape=shape, q=q, epochs=epochs, seed=seed,
-        batch_size=32,  # 16-round windows: a few fat frames per epoch
     )
     threads = _run_exchange(backend="threads", **common)
     threads["backend"] = "threads"

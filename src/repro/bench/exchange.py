@@ -24,6 +24,12 @@ from repro.shuffle import Scheduler, StorageArea
 
 __all__ = ["bench_exchange", "exchange_q_sweep"]
 
+#: The batch size ``bench_exchange`` hands its scheduler: with Q = 0.5 a
+#: window is two plan rounds, so even the smoke configuration (24 rounds an
+#: epoch) has 12 windows — more than twice ``WINDOWS_IN_FLIGHT_BOUND``, so
+#: frames that stay out until the commit show.
+_BATCH_SIZE = 4
+
 
 def _exchange_worker(
     comm, q: float, samples: int, shape: tuple, epochs: int, seed: int,
@@ -68,7 +74,7 @@ def _shard_checksum(storage: StorageArea) -> int:
 
 def _run_exchange(
     *, ranks: int, samples: int, shape: tuple, q: float,
-    epochs: int, seed: int, batch_size: int = 8, backend: str | None = None,
+    epochs: int, seed: int, batch_size: int = 32, backend: str | None = None,
 ) -> dict[str, Any]:
     result = run_spmd(
         _exchange_worker,
@@ -111,7 +117,6 @@ def bench_exchange(
     q: float = 0.5,
     epochs: int = 3,
     seed: int = 0,
-    batch_size: int = 8,
     backend: str | None = None,
 ) -> dict[str, Any]:
     """Run the exchange and report its time, copies and pool traffic.
@@ -121,17 +126,15 @@ def bench_exchange(
     ``ratios.pool_hit_rate`` (acquires served from a free list, over the
     epochs after the first) and ``exchange.max_windows_in_flight`` have
     deterministic bounds, so they are comparable across machines; wall time
-    is not.  ``batch_size`` sets the window (``Q*b`` rounds).  ``backend``
-    selects the rank host (``"threads"`` / ``"procs"``; ``None`` defers to
-    ``REPRO_BACKEND``).
+    is not.  ``backend`` selects the rank host (``"threads"`` / ``"procs"``;
+    ``None`` defers to ``REPRO_BACKEND``).
     """
-    config = dict(
-        ranks=ranks, samples=samples, shape=shape, q=q, epochs=epochs, seed=seed,
-        batch_size=batch_size,
-    )
-    run = _run_exchange(backend=backend, **config)
+    config = dict(ranks=ranks, samples=samples, shape=shape, q=q, epochs=epochs, seed=seed)
+    run = _run_exchange(backend=backend, batch_size=_BATCH_SIZE, **config)
     return {
-        "config": {**config, "shape": list(shape), "backend": backend},
+        "config": {
+            **config, "shape": list(shape), "batch_size": _BATCH_SIZE, "backend": backend,
+        },
         "exchange": run,
         "ratios": {
             "bytes_copied_per_sent_byte": (

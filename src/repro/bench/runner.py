@@ -57,7 +57,9 @@ MAX_BYTES_COPIED_PER_SENT_BYTE = 2.1
 #: epochs after the first.  A rank returns its few held frames at commit
 #: and the next epoch's first windows take them back, so the steady rate is
 #: 1 unless the ranks race each other for a parked frame; frames that live
-#: for a whole epoch again overflow the free lists and push it down.
+#: for a whole epoch again overflow the free lists and push it down (0.15 at
+#: the full size; the smoke size's 40 frames all park, and there the windows
+#: gate is the one that trips).
 MIN_STEADY_POOL_HIT_RATE = 0.5
 
 #: Floor on run-wall over rejoin-rebalance-wall.  An absolute gate, not a
@@ -74,9 +76,7 @@ MIN_REJOIN_SPEED = 5.0
 MAX_MIGRATION_SHARE = 0.5
 
 _SMOKE = {
-    # 12 windows an epoch: more than twice the in-flight bound, so frames
-    # that stay out until the commit show.
-    "exchange": dict(ranks=2, samples=48, shape=(32, 32), q=0.5, epochs=3, batch_size=4),
+    "exchange": dict(ranks=2, samples=48, shape=(32, 32), q=0.5, epochs=3),
     "q_sweep": dict(ranks=2, samples=48, shape=(32, 32), qs=(0.25, 0.5, 1.0), epochs=1),
     "telemetry": dict(ranks=2, samples=96, epochs=2, repeats=3),
     "robustness": dict(workers=3, samples=120, epochs=4, q=0.3),

@@ -164,6 +164,10 @@ class SlotOwnership(RuleBasedStateMachine):
         else:
             with pytest.raises(StorageFullError):
                 self.area.add_many(staged)
+            # A refused install leaves the rows staged (and the early block).
+            assert self.area.slots()["staged"] == len(entries) + (
+                len(self.early[1]) if self.early else 0
+            )
             self.area.unstage(staged, keep=keep)
             self._model_unstage(entries, cls, keep=keep)
 
