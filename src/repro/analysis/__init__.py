@@ -1,10 +1,10 @@
-"""SPMD correctness analysis: static lint + model checking + runtime verification.
+"""SPMD correctness analysis: static lint + protocol model checking.
 
 The shuffle/MPI stack rests on invariants no type checker can see: every
 rank must enter the same collective sequence, the exchange permutation
 must be bit-identical everywhere (Algorithm 1's precondition), requests
 must be completed, and all randomness must flow through the seed tree.
-This package enforces them three ways:
+This package enforces them two ways:
 
 * **statically** — :func:`lint_paths` / ``python -m repro lint`` runs the
   AST rules in :mod:`repro.analysis.rules` over a source tree: the
@@ -16,14 +16,8 @@ This package enforces them three ways:
   verify-protocol`` exhaustively explores the reliable-exchange round
   protocol (:mod:`repro.analysis.protocol`) under message faults and
   rank kills, proving deadlock/leak/stale-commit freedom on small
-  worlds and re-detecting every seeded protocol mutation;
-* **dynamically** — ``run_spmd(fn, size, verify=True)`` swaps in
-  :class:`CheckedCommunicator`, which cross-checks each collective call's
-  signature across ranks before executing it, asserts shared-stream
-  values are bit-identical, and flags requests left pending at rank exit.
+  worlds and re-detecting every seeded protocol mutation.
 """
-
-from repro.mpi.errors import VerificationError
 
 from .findings import Finding, Severity
 from .linter import LintReport, iter_python_files, lint_file, lint_paths, lint_source
@@ -39,7 +33,6 @@ from .protocol import (
     run_mutation_sweep,
 )
 from .rules import DEFAULT_RULES, FileContext, Rule
-from .runtime import CheckedCommunicator, fingerprint, payload_signature
 from .summaries import FunctionSummary, ModuleSummary, module_summary
 
 __all__ = [
@@ -65,8 +58,4 @@ __all__ = [
     "check_model",
     "run_mutation_sweep",
     "format_trace",
-    "CheckedCommunicator",
-    "VerificationError",
-    "payload_signature",
-    "fingerprint",
 ]

@@ -1,68 +1,47 @@
 """Explicit-state model checker for the reliable-exchange protocol.
 
-The scheduler's reliable exchange (CRC/ACK/NACK with bounded resends,
-deadline-based degraded-Q commit/rollback, pooled frame buffers that go
-back to their sender on ACK) is interleaving-sensitive code:
-its unit tests exercise *some* schedules, this module exhaustively explores
-*all* of them on small worlds.
+The reliable exchange (CRC/ACK/NACK with bounded resends, deadline-based
+degraded-Q commit/rollback, pooled frames that go back to their sender on
+ACK) is interleaving-sensitive: its unit tests exercise *some* schedules,
+this module explores *all* of them on small worlds.
 
-The abstract model mirrors the live protocol one-to-one:
+Each rank is the shipped protocol — the
+:class:`~repro.shuffle.engine.ExchangeEngine` the
+:class:`~repro.shuffle.scheduler.Scheduler` shell drives, snapshotted into
+every state and restored to take the next step.  Modelled around the
+engines is only what the shell and the world provide:
 
-* **Round state machine** — a model *round* is one frame each way: every
-  rank posts one frame and is owed one, and the two halves advance
-  through :data:`repro.shuffle.scheduler.ROUND_TRANSITIONS`, imported
-  from the scheduler itself so the checked model and the shipped protocol
-  share one transition table and cannot drift silently.  Rounds after the
-  first are posted one by one, interleaved with everything else — so an
-  ACK is consumed, and its frame reused, while later rounds are unposted.
-* **Network** — per ``(src, dst, tag)`` FIFO channels, matching the
-  in-process world's per-(source, tag) mailbox ordering.  Control
-  channels are loss-free (the chaos engine drops and corrupts *data*
-  envelopes only — ``ChaosEngine.plan_message`` gates those faults on
-  ``is_data``) but may see duplication and delay-reordering, exactly the
-  faults ``scope="all"`` clauses can apply to them.
-* **Buffer pool** — a ledger of buffer states (``in_use`` / ``released``
-  / ``adopted``) with the live pool's strict double-retire semantics and
-  the idempotent ``try_adopt`` used by abort teardown, plus which round's
-  samples a buffer holds.  A receiver verifies a frame, then copies it out
-  and only then ACKs it; the ACK hands the buffer back to its sender,
-  which packs a later round into it or returns it at commit.
+* **network** — FIFO channels per ``(src, dst)``, data per window tag as in
+  the world's per-(source, tag) mailboxes; control is loss-free (chaos
+  drops and corrupts data envelopes only) but may be duplicated or delayed;
+* **pool and FrameCache** — a ledger of buffer states (``in_use`` /
+  ``released`` / ``adopted``) with the live pool's strict double-retire
+  and idempotent ``try_adopt``, which round a buffer holds, and the
+  buffers a rank took back on ACK;
+* **schedule** — a round is one window with one frame each way, posted one
+  by one among everything else; an action list runs in order, but other
+  ranks may move after any action that sends a message, and a peer failure
+  may cut a sweep between verifying a frame and its copy-out and ACK.
 
-Explored faults (budget-bounded): ``drop`` / ``dup`` / ``corrupt`` /
-``delay`` (head-to-tail reordering) on channels, ``stale`` injection (a
-same-parity envelope from two epochs ago), and ``kill`` (fail-stop rank
-death feeding the dead-peer detection path).
+Faults (budget-bounded): ``drop`` / ``dup`` / ``corrupt`` / ``delay``
+(head-to-tail reordering), ``stale`` (a same-parity envelope two epochs
+old) and ``kill`` (fail-stop death).  Invariants: no deadlock (a non-fault
+action that changes the state is always enabled); no buffer leak, double
+release or double adopt (only a dead or failed rank may strand buffers);
+no read of bytes a sender reused and no view kept of a released buffer;
+both halves of a frame settle alike, and a settled rank keeps exactly the
+agreed commit installed; no stale payload commits; settled ranks agree;
+settled and aborted ranks end every frame in
+:data:`~repro.shuffle.engine.TERMINAL_ROUND_STATES`.
 
-Checked invariants:
+The checker also models the elastic **rejoin JOIN handshake**
+(``protocol="join"``): no transfer may reach a joiner before its state is
+installed, which is what the admission barrier buys.
 
-* no deadlock — every non-terminal state has a non-fault action enabled;
-* no buffer leak, double-adopt or double-release — pool operations are
-  checked at application time, and every ``in_use`` buffer at a terminal
-  state must still be referenced by a dead/failed rank (bytes stranded by
-  fail-stop death are the one sanctioned loss);
-* no use after release — a receiver never verifies or copies out bytes
-  its sender has since packed another round into, and a settled rank
-  never keeps a reference (an installed view) to a released buffer;
-* the halves of a frame settle alike, and what a settled rank keeps
-  installed is exactly the agreed commit (shard size);
-* stale messages never commit — a committed payload's epoch must be the
-  current epoch;
-* agreement — all settled ranks commit the same round count;
-* liveness of the round machine — settled/aborted ranks end with every
-  round half in :data:`repro.shuffle.scheduler.TERMINAL_ROUND_STATES`.
-
-Alongside the exchange, the checker models the elastic **rejoin JOIN
-handshake** (``protocol="join"``): root sends each joiner the job state,
-joiners ACK, a barrier separates admission from the rebalance transfers.
-Its invariant — no transfer can reach a joiner before its state is
-installed — is exactly what the barrier buys, and the
-``ack_join_before_barrier`` mutant demonstrates the hole left without it.
-
-**Mutant mode** re-checks seeded protocol mutations (:data:`MUTATIONS`)
-— e.g. dropping the ``adopt_if_in_use`` abort-race guard, skipping
-``_drain_late_acks``, ACKing a frame before it is copied out — and
-requires every one of them to produce at least one counterexample trace.
-A surviving mutant means the invariant net has a hole.
+**Mutant mode** re-checks seeded protocol mutations (:data:`MUTATIONS`);
+each exchange mutant is one engine method patched (:func:`mutant_engine`),
+a patch a live ``Scheduler`` runs as well.  A mutant without a
+counterexample means the invariant net has a hole.
 """
 
 from __future__ import annotations
@@ -70,7 +49,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from repro.shuffle.scheduler import ROUND_TRANSITIONS, TERMINAL_ROUND_STATES
+from repro.shuffle.engine import TERMINAL_ROUND_STATES, ExchangeEngine
 
 __all__ = [
     "CheckConfig",
@@ -78,9 +57,11 @@ __all__ = [
     "Violation",
     "MUTATIONS",
     "MUTATION_PROTOCOL",
+    "ENGINE_PATCHES",
     "DEFAULT_CONFIGS",
     "check",
     "check_model",
+    "mutant_engine",
     "run_mutation_sweep",
     "format_trace",
 ]
@@ -144,70 +125,120 @@ class CheckResult:
         return not self.violations
 
 
-#: Seeded protocol mutations for mutant mode.  Each entry removes one
-#: load-bearing line of the real protocol; the checker must produce a
-#: counterexample for every one of them.
+#: Exchange mutation -> ``(ExchangeEngine method, replacement, what breaks)``.
+ENGINE_PATCHES: dict[str, tuple] = {}
+
+
+def _mutant(method: str, breaks: str):
+    """Register the decorated function, named after the mutation, as a
+    replacement for ``ExchangeEngine.<method>``."""
+
+    def register(patch):
+        ENGINE_PATCHES[patch.__name__.lstrip("_")] = (method, patch, breaks)
+        return patch
+
+    return register
+
+
+@_mutant("post", "each frame goes back to the pool right after its isend "
+         "instead of on ACK, so the commit releases it a second time")
+def _release_before_ack(self, sends, owed):
+    acts = ExchangeEngine.post(self, sends, owed)
+    return [act for send in acts for act in (send, ("release", send[1]))]
+
+
+@_mutant("commit", "the late-ACK drain is ignored: the sender reclaims a "
+         "frame whose ACK was in flight while its receiver commits it")
+def _skip_drain_late_acks(self, agreed, late):
+    return ExchangeEngine.commit(self, agreed, ())
+
+
+@_mutant("abort", "teardown adopts strictly instead of try_adopt(), losing "
+         "the race where both sides retire one in-flight buffer")
+def _no_adopt_guard(self):
+    acts = ExchangeEngine.abort(self)
+    return [("adopt", *act[1:]) if act[0] == "try_adopt" else act for act in acts]
+
+
+@_mutant("on_data", "the (epoch, window) identity check is dropped, so a "
+         "stale same-parity envelope can verify and commit")
+def _skip_stale_check(self, f, epoch, window, verify):
+    return ExchangeEngine.on_data(self, f, self.epoch, f.window, verify)
+
+
+@_mutant("on_data", "the receiver ACKs on arrival, before the CRC check: "
+         "the sender settles as delivered a frame never validly received")
+def _ack_before_verify(self, f, epoch, window, verify):
+    acts = ExchangeEngine.on_data(self, f, epoch, window, verify)
+    if acts[0][0] == "discard":
+        return acts
+    return [("ack", f), *(act for act in acts if act[0] != "ack")]
+
+
+@_mutant("on_data", "a verified frame is ACKed before it is copied out: the "
+         "sender packs a later round into bytes still being read")
+def _ack_before_stage(self, f, epoch, window, verify):
+    acts = ExchangeEngine.on_data(self, f, epoch, window, verify)
+    return acts[::-1] if f.state == "verified" else acts
+
+
+@_mutant("commit", "a round rolled back keeps its staged rows: the receiver "
+         "keeps samples their sender kept too")
+def _stage_counts_as_commit(self, agreed, late):
+    acts = ExchangeEngine.commit(self, agreed, late)
+    return [act for act in acts if act[0] != "unstage"]
+
+
+@_mutant("on_timeout", "no NACK on timeout: a dropped data message stalls "
+         "the exchange forever without a deadline")
+def _no_timeout_nack(self, f):
+    return []
+
+
+@_mutant("commit", "a degraded commit keeps the frames taken back on ACK "
+         "instead of returning them to the pool")
+def _forget_rollback_release(self, agreed, late):
+    acts = ExchangeEngine.commit(self, agreed, late)
+    if agreed < self.windows:
+        acts = [act for act in acts if act[0] != "release_held"]
+    return acts
+
+
+@_mutant("commit", "un-ACKed send buffers are never released")
+def _forget_unacked_release(self, agreed, late):
+    acts = ExchangeEngine.commit(self, agreed, late)
+    return [act for act in acts if act[0] != "release"]
+
+
+@_mutant("on_data", "storage keeps zero-copy views of a frame instead of a "
+         "copy, and it is still ACKed: the sender reuses bytes still viewed")
+def _release_under_view(self, f, epoch, window, verify):
+    acts = ExchangeEngine.on_data(self, f, epoch, window, verify)
+    return [("stage_view", f) if act[0] == "stage" else act for act in acts]
+
+
+@_mutant("on_peer_dead", "only a dead peer of the rank's own open frames "
+         "ends its epoch: a bystander waits forever on a peer that aborted")
+def _dead_peer_filter(self, dead):
+    mine = {peer for _window, peer in (*self.unacked, *self.waiting)}
+    return ExchangeEngine.on_peer_dead(self, [d for d in dead if d in mine])
+
+
+def mutant_engine(name: str) -> type[ExchangeEngine]:
+    """:class:`ExchangeEngine` with mutation ``name``'s method patched in."""
+    method, patch, _breaks = ENGINE_PATCHES[name]
+    return type(f"ExchangeEngine[{name}]", (ExchangeEngine,), {method: patch})
+
+
+#: Seeded protocol mutations for mutant mode, each removing one load-bearing
+#: line of the real protocol: the exchange engine's patches above, and one
+#: of the JOIN handshake model.  Every one must produce a counterexample.
 MUTATIONS: dict[str, str] = {
-    "release_before_ack": (
-        "sender hands its frame back to the pool right after isend instead "
-        "of holding it until the ACK brings it back — returning the held "
-        "frames at commit retires it a second time"
-    ),
-    "skip_drain_late_acks": (
-        "commit settlement skips _drain_late_acks, so an ACK posted just "
-        "before the receiver's deadline is never seen and the sender books "
-        "as reclaimed a frame its receiver commits"
-    ),
-    "no_adopt_guard": (
-        "abort teardown uses strict adopt() instead of the idempotent "
-        "try_adopt(), losing the race where both sides of an in-flight "
-        "batch (verified, not yet copied out) retire the same buffer"
-    ),
-    "skip_stale_check": (
-        "_handle_data drops the (epoch, round) identity check, letting a "
-        "stale same-parity envelope verify and commit"
-    ),
-    "ack_before_verify": (
-        "receiver ACKs on arrival instead of after the CRC check — the "
-        "sender takes back, and settles as delivered, a frame whose "
-        "receiver never got a valid copy"
-    ),
-    "ack_before_stage": (
-        "receiver ACKs a verified frame first and copies it out after — the "
-        "sender packs a later round into bytes still being read"
-    ),
-    "stage_counts_as_commit": (
-        "a verified round beyond the agreed prefix is rolled back without "
-        "unstaging its rows — the receiver keeps samples their sender kept "
-        "too"
-    ),
-    "no_timeout_nack": (
-        "receiver never NACKs on timeout, so a dropped data message "
-        "stalls the exchange forever without a deadline"
-    ),
-    "forget_rollback_release": (
-        "a degraded commit (some round rolled back) skips returning the "
-        "frames the sender holds to the pool"
-    ),
-    "forget_unacked_release": (
-        "commit settlement forgets to release un-ACKed send buffers after "
-        "the late-ACK drain"
-    ),
-    "release_under_view": (
-        "the sweep installs zero-copy views of a frame instead of copying "
-        "the samples out, and still ACKs it — storage reads bytes the "
-        "sender reuses and returns to the pool"
-    ),
-    "dead_peer_filter": (
-        "the completion loop raises PeerFailure only for a dead peer of its "
-        "own pending or un-ACKed frames — a bystander whose frames involve "
-        "no dead rank waits forever on a live peer that already aborted"
-    ),
+    **{name: f"{method}: {breaks}" for name, (method, _p, breaks) in ENGINE_PATCHES.items()},
     "ack_join_before_barrier": (
-        "a joining rank ACKs its admission immediately instead of after "
-        "receiving the handed-over job state, so the admission barrier no "
-        "longer orders state delivery before the rebalance transfers — a "
-        "shard transfer can land on a joiner with no ledger/capacity state"
+        "a joining rank ACKs its admission before receiving the handed-over "
+        "job state, so a rebalance transfer can land on a joiner with no "
+        "ledger/capacity state"
     ),
 }
 
@@ -215,8 +246,7 @@ MUTATIONS: dict[str, str] = {
 #: matching configs (an exchange mutant is invisible to the join model and
 #: vice versa, so running the others would only waste states).
 MUTATION_PROTOCOL: dict[str, str] = {
-    name: ("join" if name == "ack_join_before_barrier" else "exchange")
-    for name in MUTATIONS
+    name: "exchange" if name in ENGINE_PATCHES else "join" for name in MUTATIONS
 }
 
 
@@ -230,94 +260,98 @@ class _Bug(Exception):
 
 
 # --------------------------------------------------------------------- state
-# A mutable working state; frozen to nested tuples for hashing.  Per-rank
-# round record keys (order is the frozen tuple layout):
-#   send, recv   -- ROUND_TRANSITIONS states of each half
-#   att, nacks   -- resend attempts honoured / NACKs sent
-#   sbuf         -- the buffer the sender's frame is out in (until its ACK)
-#   rpay         -- the buffer a receiver has verified and not yet copied
-#                   out (or views of it installed without a copy-out)
-#   pep          -- epoch of the verified payload
-#   posted       -- an irecv is outstanding
-#   staged       -- the round's rows sit in this rank's storage slots
-_RKEYS = ("send", "recv", "att", "nacks", "sbuf", "rpay", "pep", "posted", "staged")
-_SBUF, _RPAY, _STAGED = (_RKEYS.index(k) for k in ("sbuf", "rpay", "staged"))
-# Per rank: status, agreed prefix / commit, rounds posted so far, the frames
-# that came back on ACK and are held for a later round, the round records.
-_NKEYS = ("status", "prefix", "committed", "nposted", "free")
+# A state is hashable nested tuples: per rank, the channels, the buffer
+# ledger (bid -> (pool state, round whose samples the bytes hold)) and the
+# fault budget used.  Per rank (in this order): status, the agreed commit,
+# the engine's snapshot; then per round the buffer its send frame is out in
+# (sbuf), the buffer it verified and has not copied out (rpay), that
+# payload's epoch (pep) and whether its rows are staged; the buffers taken
+# back on ACK and held (free); and what is left of an action list the rank
+# is in the middle of (pending).
+_STATUS, _COMMITTED, _ENGINE, _SBUF, _RPAY, _PEP, _STAGED, _FREE, _PENDING = range(9)
 
 
-class _State:
-    __slots__ = ("ranks", "chans", "ledger", "faults_used")
+class _Model:
+    """One exploration's fixed parts: the config, and one reusable engine
+    per rank of the class under check (a mutant's patched subclass)."""
 
-    def __init__(self, ranks, chans, ledger, faults_used):
-        self.ranks = ranks          # list of dicts
-        self.chans = chans          # dict key -> list of messages
-        # bid -> (pool state "in_use"|"released"|"adopted", round whose
-        # samples the bytes hold)
-        self.ledger = ledger
-        self.faults_used = faults_used
+    def __init__(self, cfg: CheckConfig, coverage: set):
+        cls = ExchangeEngine
+        if cfg.mutation in ENGINE_PATCHES:
+            cls = mutant_engine(cfg.mutation)
+        self.cfg = cfg
+        self.engines = [
+            cls(EPOCH, max_attempts=cfg.max_attempts, coverage=coverage)
+            for _ in range(cfg.size)
+        ]
 
-    def freeze(self):
+
+class _Rank:
+    """One rank thawed: its engine restored, its shell state as lists."""
+
+    __slots__ = ("status", "committed", "engine", "sbuf", "rpay", "pep", "staged",
+                 "free", "pending")
+
+    def __init__(self, frozen: tuple, engine: ExchangeEngine):
+        (self.status, self.committed, snap, *bufs, free, pending) = frozen
+        engine.restore(snap)
+        self.engine = engine
+        self.sbuf, self.rpay, self.pep, self.staged = map(list, bufs)
+        self.free, self.pending = list(free), list(pending)
+
+    def freeze(self) -> tuple:
+        return (
+            self.status, self.committed, self.engine.snapshot(), tuple(self.sbuf),
+            tuple(self.rpay), tuple(self.pep), tuple(self.staged), tuple(self.free),
+            tuple(self.pending),
+        )
+
+
+class _Work:
+    """A mutable copy of one frozen state; ranks thaw on first use."""
+
+    def __init__(self, model: _Model, frozen: tuple):
+        self.model = model
+        self.frozen_ranks, chans, ledger, self.faults_used = frozen
+        self.chans = dict(chans)
+        self.ledger = dict(ledger)
+        self.ranks: dict[int, _Rank] = {}
+
+    def rank(self, r: int) -> _Rank:
+        if r not in self.ranks:
+            self.ranks[r] = _Rank(self.frozen_ranks[r], self.model.engines[r])
+        return self.ranks[r]
+
+    def push(self, chan, msg) -> None:
+        self.chans[chan] = self.chans.get(chan, ()) + (msg,)
+
+    def pop(self, chan):
+        head, *rest = self.chans[chan]
+        self.chans[chan] = tuple(rest)
+        return head
+
+    def freeze(self) -> tuple:
         ranks = tuple(
-            (
-                *(r[k] for k in _NKEYS),
-                tuple(tuple(rd[k] for k in _RKEYS) for rd in r["rounds"]),
-            )
-            for r in self.ranks
+            self.ranks[r].freeze() if r in self.ranks else rf
+            for r, rf in enumerate(self.frozen_ranks)
         )
-        chans = tuple(
-            sorted((k, tuple(v)) for k, v in self.chans.items() if v)
-        )
-        ledger = tuple(sorted(self.ledger.items()))
-        return (ranks, chans, ledger, self.faults_used)
-
-    @classmethod
-    def thaw(cls, frozen):
-        ranks_f, chans_f, ledger_f, faults_used = frozen
-        ranks = [
-            {**dict(zip(_NKEYS, rf)), "rounds": [dict(zip(_RKEYS, rd)) for rd in rf[-1]]}
-            for rf in ranks_f
-        ]
-        chans = {k: list(v) for k, v in chans_f}
-        return cls(ranks, chans, dict(ledger_f), faults_used)
+        chans = tuple(sorted((k, v) for k, v in self.chans.items() if v))
+        return (ranks, chans, tuple(sorted(self.ledger.items())), self.faults_used)
 
 
-def _initial(cfg: CheckConfig):
-    """The state right after every rank posted its first round (send and
-    irecv); later rounds are posted one by one, interleaved with the rest."""
-    st = _State([], {}, {}, 0)
+def _initial(model: _Model) -> tuple:
+    """Every rank has posted its first round (send and irecv); later rounds
+    are posted one by one, interleaved with the rest."""
+    cfg = model.cfg
+    none = (None,) * cfg.rounds
+    rank = ("loop", -1, (0, ()), none, none, none, (False,) * cfg.rounds, (), ())
+    w = _Work(model, ((rank,) * cfg.size, (), (), 0))
     for r in range(cfg.size):
-        rounds = [
-            {
-                "send": "inflight", "recv": "waiting", "att": 0, "nacks": 0,
-                "sbuf": None, "rpay": None, "pep": None, "posted": False,
-                "staged": False,
-            }
-            for _ in range(cfg.rounds)
-        ]
-        st.ranks.append(
-            {"status": "loop", "prefix": -1, "committed": -1, "nposted": 0,
-             "free": (), "rounds": rounds}
-        )
-    for r in range(cfg.size):
-        _apply_post(cfg, st, r)
-    return st
+        _post(w, r)
+    return w.freeze()
 
 
-# ------------------------------------------------------------------- helpers
-def _advance(cov: set, rd: dict, side: str, event: str) -> None:
-    state = rd["send"] if side == "send" else rd["recv"]
-    new = ROUND_TRANSITIONS.get((side, state, event))
-    if new is None:
-        raise RuntimeError(
-            f"model drift: no transition for ({side}, {state}, {event}) in "
-            "ROUND_TRANSITIONS"
-        )
-    cov.add((side, state, event))
-    rd["send" if side == "send" else "recv"] = new
-
-
+# ------------------------------------------------------------------- actions
 def _retire(ledger: dict, bid, to: str, *, strict: bool) -> None:
     """Pool release/adopt with the live pool's double-retire semantics."""
     if bid is None:
@@ -333,299 +367,10 @@ def _retire(ledger: dict, bid, to: str, *, strict: bool) -> None:
     ledger[bid] = (to, holds)
 
 
-def _push(st: _State, chan, msg) -> None:
-    st.chans.setdefault(chan, []).append(msg)
-
-
-def _prefix(rank: dict) -> int:
-    n = 0
-    for rd in rank["rounds"]:
-        if rd["recv"] != "verified":
-            break
-        n += 1
-    return n
-
-
-def _apply_post(cfg: CheckConfig, st: _State, r: int) -> None:
-    """_post_frame + the matched irecv of the rank's next round: pack into a
-    frame the rank holds (it came back on an ACK), else into a pool buffer."""
-    rank = st.ranks[r]
-    i = rank["nposted"]
-    rd = rank["rounds"][i]
-    if rank["free"]:
-        *rest, bid = rank["free"]
-        rank["free"] = tuple(rest)
-        st.ledger[bid] = (st.ledger[bid][0], i)  # the bytes are round i's now
-    else:
-        bid = (r, i)
-        # Mutant: the frame goes back to the pool right after isend, while
-        # the sender still counts on getting it back with the ACK.
-        released = cfg.mutation == "release_before_ack"
-        st.ledger[bid] = ("released" if released else "in_use", i)
-    rd["sbuf"] = bid
-    rd["posted"] = True
-    rank["nposted"] = i + 1
-    _push(st, (r, cfg.dest(r, i), "data", i), (EPOCH, i, bid, True))
-
-
-def _take_back(cov, rank: dict, rd: dict) -> None:
-    """An ACK: the receiver copied the frame out, its buffer is the
-    sender's again (live: Scheduler._acked)."""
-    _advance(cov, rd, "send", "ack")
-    rank["free"] += (rd["sbuf"],)
-    rd["sbuf"] = None
-
-
-def _release_held(st: _State, rank: dict) -> None:
-    for bid in rank["free"]:
-        _retire(st.ledger, bid, "released", strict=True)
-    rank["free"] = ()
-
-
-def _abort_rank(cov, cfg: CheckConfig, st: _State, r: int) -> None:
-    """PeerFailure teardown: cancel, try_adopt the frames still out (and one
-    verified but not yet copied out), unstage, release the held frames."""
-    rank = st.ranks[r]
-    strict = cfg.mutation == "no_adopt_guard"
-    for rd in rank["rounds"]:
-        if rd["send"] not in TERMINAL_ROUND_STATES:
-            _advance(cov, rd, "send", "abort")
-        if rd["recv"] not in TERMINAL_ROUND_STATES:
-            _advance(cov, rd, "recv", "abort")
-        _retire(st.ledger, rd["sbuf"], "adopted", strict=strict)
-        rd["sbuf"] = None
-        _retire(st.ledger, rd["rpay"], "adopted", strict=strict)
-        rd["rpay"] = None
-        rd["posted"] = rd["staged"] = False
-    _release_held(st, rank)
-    rank["status"] = "aborted"
-
-
-def _settle_rank(cov, cfg: CheckConfig, st: _State, r: int, committed: int) -> None:
-    """One rank's _apply_commit: drain, reclaim, return the held frames,
-    install or unstage."""
-    rank = st.ranks[r]
-    mut = cfg.mutation
-    if mut != "skip_drain_late_acks":
-        # The commit collective is a barrier, so every ACK posted before it
-        # is already in our mailbox; late NACKs are dropped.
-        for s in range(cfg.size):
-            chan = (s, r, "ctrl", 0)
-            for kind, ep, idx in st.chans.pop(chan, []):
-                if kind != "ack" or ep != EPOCH or not 0 <= idx < cfg.rounds:
-                    continue
-                rd = rank["rounds"][idx]
-                if rd["send"] == "inflight":
-                    _take_back(cov, rank, rd)
-    for i, rd in enumerate(rank["rounds"]):
-        if rd["send"] == "inflight":
-            _advance(cov, rd, "send", "reclaim")
-            if mut != "forget_unacked_release":
-                _retire(st.ledger, rd["sbuf"], "released", strict=True)
-            rd["sbuf"] = None
-        elif rd["send"] == "acked":
-            _advance(cov, rd, "send", "commit" if i < committed else "rollback")
-        if rd["recv"] == "verified":
-            if i < committed:
-                _advance(cov, rd, "recv", "commit")
-                if rd["pep"] != EPOCH:
-                    raise _Bug(
-                        "stale_commit",
-                        f"rank {r} committed round {i} with a payload from "
-                        f"epoch {rd['pep']} (current epoch {EPOCH})",
-                    )
-            else:
-                _advance(cov, rd, "recv", "rollback")
-                if mut != "stage_counts_as_commit":
-                    rd["staged"] = False  # unstage
-        elif rd["recv"] == "waiting":
-            _advance(cov, rd, "recv", "deadline")
-            rd["posted"] = False
-    if not (mut == "forget_rollback_release" and committed < cfg.rounds):
-        _release_held(st, rank)
-    rank["status"] = "settled"
-    rank["committed"] = committed
-
-
-# ------------------------------------------------------------------- actions
-def _successors(cov, cfg: CheckConfig, frozen):
-    """Yield ``(label, is_fault, outcome)`` where outcome is a frozen next
-    state or a :class:`_Bug`."""
-    out = []
-
-    def act(label, fn, *, fault=False):
-        """One enabled action: ``fn`` applied, now, to a copy of the state."""
-        st = _State.thaw(frozen)
-        try:
-            if fault:
-                st.faults_used += 1
-            fn(st)
-        except _Bug as bug:
-            out.append((label, fault, bug))
-        else:
-            out.append((label, fault, st.freeze()))
-
-    ranks_f = frozen[0]
-    chans = dict(frozen[1])
-    statuses = [rf[0] for rf in ranks_f]
-    any_gone = any(s in _GONE for s in statuses)
-    # Epochs are in lockstep (the training loop's collective every
-    # iteration), so a rank is in synchronize() — timers armed, the deadline
-    # checked — only once every rank has posted its last round.
-    all_posted = all(rf[3] == cfg.rounds for rf in ranks_f)
-
-    for r in range(cfg.size):
-        if statuses[r] != "loop":
-            continue
-        nposted, rounds_f = ranks_f[r][3], ranks_f[r][-1]
-
-        # Post the next round (live: communicate_chunk, between sweeps — so
-        # an ACK may already have brought an earlier round's frame back).
-        if nposted < cfg.rounds:
-            act(f"rank{r}: post round {nposted}", lambda st: _apply_post(cfg, st, r))
-
-        # Service one control message (live: _service_control drains FIFO).
-        for s in range(cfg.size):
-            chan = (s, r, "ctrl", 0)
-            if chans.get(chan):
-                act(f"rank{r}: ctrl from rank{s}",
-                    lambda st: _apply_ctrl(cov, cfg, st, r, chan))
-
-        for i in range(cfg.rounds):
-            rd = dict(zip(_RKEYS, rounds_f[i]))
-            src = cfg.src(r, i)
-            dchan = (src, r, "data", i)
-            # Deliver the head data message into the posted irecv: verify,
-            # copy out, ACK — one sweep, unless a peer failure interrupts it
-            # between its two passes.
-            if rd["posted"] and chans.get(dchan):
-                act(f"rank{r}: data round {i} from rank{src}",
-                    lambda st: _apply_data(cov, cfg, st, r, i, dchan))
-                if any_gone:
-                    def cut_short(st):
-                        _apply_data(cov, cfg, st, r, i, dchan, stage=False)
-                        _abort_rank(cov, cfg, st, r)
-
-                    act(f"rank{r}: data round {i} from rank{src}, peer failure "
-                        "before the copy-out, abort", cut_short)
-            # Only a mutant leaves a verified round for a later copy-out.
-            if rd["recv"] == "verified" and not rd["staged"]:
-                act(f"rank{r}: copy out round {i}", lambda st: _apply_stage(cfg, st, r, i))
-            # Timeout NACK: timers run in synchronize() only, and only when
-            # no deliverable data is waiting (the live loop sweeps before it
-            # looks at them).
-            if (
-                cfg.mutation != "no_timeout_nack"
-                and all_posted
-                and rd["recv"] == "waiting"
-                and rd["posted"]
-                and not chans.get(dchan)
-                and rd["nacks"] <= cfg.max_attempts
-            ):
-                act(f"rank{r}: timeout NACK round {i}",
-                    lambda st: _apply_nack(cov, cfg, st, r, i, timed_out=True))
-
-        # Leave the loop (no sweep half done): everything settled, or the
-        # deadline expired.
-        swept = all_posted and all(
-            rf[_STAGED] or rf[1] != "verified" for rf in rounds_f
-        )
-        if swept and all(rf[0] == "acked" and rf[1] == "verified" for rf in rounds_f):
-            act(f"rank{r}: all rounds done, enter commit", lambda st: _apply_exit(st, r))
-        elif swept and cfg.deadline:
-            act(f"rank{r}: deadline expires", lambda st: _apply_exit(st, r))
-
-        # Dead-peer detection: any gone member of the communicator ends the
-        # epoch (live: _raise_on_dead_peers) — the commit collective cannot
-        # complete without it, and a live peer that already aborted will
-        # never send the ACK or the data this rank would go on waiting for.
-        gone = any_gone
-        if cfg.mutation == "dead_peer_filter":
-            gone = any(
-                (rf[0] == "inflight" and statuses[cfg.dest(r, i)] in _GONE)
-                or (rf[1] == "waiting" and statuses[cfg.src(r, i)] in _GONE)
-                for i, rf in enumerate(rounds_f)
-            )
-        if gone:
-            act(f"rank{r}: peer failure detected, abort",
-                lambda st: _abort_rank(cov, cfg, st, r))
-
-    # Commit collective: all ranks arrived -> atomic min-allreduce + settle.
-    if all(s == "commit" for s in statuses):
-        def commit_all(st):
-            committed = min(rank["prefix"] for rank in st.ranks)
-            for r in range(cfg.size):
-                _settle_rank(cov, cfg, st, r, committed)
-
-        act(f"commit allreduce (all {cfg.size} ranks)", commit_all)
-    elif any_gone:
-        # A rank blocked in the collective while a peer is dead/failed gets
-        # PeerFailure from the rendezvous and aborts.
-        for r in range(cfg.size):
-            if statuses[r] == "commit":
-                act(f"rank{r}: peer failure at commit, abort",
-                    lambda st: _abort_rank(cov, cfg, st, r))
-
-    # ------------------------------------------------------------- faults
-    if frozen[3] >= cfg.fault_budget:
-        return out
-    for chan, msgs in chans.items():
-        if not msgs:
-            continue
-        src, dst, kind, i = chan
-        where = f"head of {kind}[{src}->{dst},{i}]"
-        if "drop" in cfg.faults and kind == "data":
-            act(f"fault: drop {where}", lambda st: st.chans[chan].pop(0), fault=True)
-        if "corrupt" in cfg.faults and kind == "data" and msgs[0][3]:
-            def corrupt(st):
-                ep, idx, bid, _ok = st.chans[chan][0]
-                st.chans[chan][0] = (ep, idx, bid, False)
-
-            act(f"fault: corrupt {where}", corrupt, fault=True)
-        if "dup" in cfg.faults:
-            act(f"fault: duplicate {where}",
-                lambda st: st.chans[chan].append(st.chans[chan][0]), fault=True)
-        if "delay" in cfg.faults and len(msgs) >= 2:
-            act(f"fault: delay {where}",
-                lambda st: st.chans[chan].append(st.chans[chan].pop(0)), fault=True)
-    for r in range(cfg.size):
-        if "stale" in cfg.faults and statuses[r] == "loop":
-            for i in range(cfg.rounds):
-                src = cfg.src(r, i)
-                act(f"fault: stale epoch-{STALE_EPOCH} data[{src}->{r},{i}]",
-                    lambda st: _push(st, (src, r, "data", i), (STALE_EPOCH, i, None, True)),
-                    fault=True)
-        if "kill" in cfg.faults and statuses[r] in _LIVE:
-            act(f"fault: kill rank{r}",
-                lambda st: st.ranks[r].update(status="dead"), fault=True)
-    return out
-
-
-def _apply_ctrl(cov, cfg: CheckConfig, st: _State, r: int, chan) -> None:
-    kind, ep, idx = st.chans[chan].pop(0)
-    rank = st.ranks[r]
-    if ep != EPOCH or not 0 <= idx < rank["nposted"]:
-        return  # stale control: discarded by the epoch / frame lookup
-    rd = rank["rounds"][idx]
-    if kind == "ack":
-        if rd["send"] == "inflight":
-            _take_back(cov, rank, rd)
-        return
-    if rd["send"] != "inflight":
-        return  # NACK for an already-ACKed round: duplicate, ignore
-    rd["att"] += 1
-    if rd["att"] > cfg.max_attempts:
-        _advance(cov, rd, "send", "nack_overflow")
-        rank["status"] = "failed"  # UnrecoveredFaultError
-        return
-    _advance(cov, rd, "send", "nack")
-    _push(st, (r, cfg.dest(r, idx), "data", idx), (EPOCH, idx, rd["sbuf"], True))
-
-
-def _read(st: _State, r: int, i: int, bid, doing: str) -> None:
+def _read(w: _Work, r: int, i: int, bid, doing: str) -> None:
     """The use-after-release check where bytes are read: the buffer must
     still hold the round the reader takes it for."""
-    holds = st.ledger[bid][1]
+    holds = w.ledger[bid][1]
     if holds != i:
         raise _Bug(
             "use_after_release",
@@ -634,60 +379,268 @@ def _read(st: _State, r: int, i: int, bid, doing: str) -> None:
         )
 
 
-def _apply_data(
-    cov, cfg: CheckConfig, st: _State, r: int, i: int, chan, *, stage: bool = True
-) -> None:
-    ep, idx, bid, ok = st.chans[chan].pop(0)
-    rd = st.ranks[r]["rounds"][i]
-    src = cfg.src(r, i)
-    if cfg.mutation != "skip_stale_check" and (ep != EPOCH or idx != i):
-        _advance(cov, rd, "recv", "data_stale")
-        return  # discarded; the re-posted irecv keeps listening
-    if cfg.mutation == "ack_before_verify":
-        _push(st, (r, src, "ctrl", 0), ("ack", EPOCH, i))
-    if ok:
+def _apply(w: _Work, r: int, rank: _Rank, action: tuple) -> bool:
+    """Carry out one engine action the way the shell does, on the modelled
+    network, pool and storage; returns whether it sent a message."""
+    verb, f, *_detail = action
+    i = None if f is None else f.window
+    if verb == "send":
+        # Pack into a frame the rank holds (it came back on an ACK), else
+        # into a fresh pool buffer.
+        if rank.free:
+            bid = rank.free.pop()
+            w.ledger[bid] = (w.ledger[bid][0], i)  # the bytes are round i's now
+        else:
+            bid = (r, i)
+            w.ledger[bid] = ("in_use", i)
+        rank.sbuf[i] = bid
+    if verb in ("send", "resend"):
+        w.push((r, f.peer, "data", i), (EPOCH, i, rank.sbuf[i], True))
+        return True
+    if verb in ("ack", "nack"):
+        w.push((r, f.peer, "ctrl", 0), (verb, EPOCH, i))
+        return True
+    if verb == "take_back":
+        rank.free.append(rank.sbuf[i])
+        rank.sbuf[i] = None
+    elif verb == "release":
+        _retire(w.ledger, rank.sbuf[i], "released", strict=True)
+    elif verb == "release_held":
+        for bid in rank.free:
+            _retire(w.ledger, bid, "released", strict=True)
+        rank.free = []
+    elif verb in ("stage", "stage_view"):
+        if rank.rpay[i] is not None:
+            _read(w, r, i, rank.rpay[i], "copies out")
+        rank.staged[i] = True
+        if verb == "stage":
+            rank.rpay[i] = None  # samples copied out: no view remains
+    elif verb == "unstage":
+        rank.staged[i] = False
+    elif verb == "install":
+        if rank.pep[i] != EPOCH:
+            raise _Bug(
+                "stale_commit",
+                f"rank {r} committed round {i} with a payload from epoch "
+                f"{rank.pep[i]} (current epoch {EPOCH})",
+            )
+    elif verb in ("try_adopt", "adopt"):
+        held = rank.sbuf if f.side == "send" else rank.rpay
+        _retire(w.ledger, held[i], "adopted", strict=verb == "adopt")
+        held[i] = None
+    elif verb == "fail":
+        rank.status = "failed"  # UnrecoveredFaultError
+    elif verb not in ("reject", "discard"):
+        raise RuntimeError(f"the model cannot carry out action {verb!r}")
+    return False
+
+
+def _run(w: _Work, r: int, rank: _Rank, acts: list) -> None:
+    """Carry out ``acts`` in order.  Other ranks may move after an action
+    that sends a message, so the rank keeps whatever follows one pending."""
+    for j, action in enumerate(acts):
+        if _apply(w, r, rank, action) and j + 1 < len(acts):
+            rank.pending = [
+                (verb, None, None, *detail) if f is None
+                else (verb, f.side, f.window, *detail)
+                for verb, f, *detail in acts[j + 1:]
+            ]
+            return
+
+
+def _resume(w: _Work, r: int) -> None:
+    rank = w.rank(r)
+    cfg, engine = w.model.cfg, rank.engine
+    acts = []
+    for verb, side, i, *detail in rank.pending:
+        f = None
+        if side == "send":
+            f = engine.sends[i, cfg.dest(r, i)]
+        elif side == "recv":
+            f = engine.owed[i, cfg.src(r, i)]
+        acts.append((verb, f, *detail))
+    rank.pending = []
+    _run(w, r, rank, acts)
+
+
+def _post(w: _Work, r: int) -> None:
+    """communicate_chunk: the rank's next round goes out (send + irecv)."""
+    rank, cfg = w.rank(r), w.model.cfg
+    i = rank.engine.windows
+    _run(w, r, rank, rank.engine.post([(cfg.dest(r, i), 1)], [(cfg.src(r, i), 1)]))
+
+
+def _ctrl(w: _Work, r: int, s: int) -> None:
+    rank = w.rank(r)
+    kind, epoch, i = w.pop((s, r, "ctrl", 0))
+    _run(w, r, rank, rank.engine.on_ctrl(kind, epoch, i, s))
+
+
+def _deliver(w: _Work, r: int, i: int, *, cut: bool = False) -> None:
+    """The head data message goes into the posted irecv — verified, copied
+    out and ACKed in one sweep, unless ``cut``: a peer failure between the
+    sweep's two passes leaves a verified frame's actions undone."""
+    rank = w.rank(r)
+    src = w.model.cfg.src(r, i)
+    epoch, idx, bid, ok = w.pop((src, r, "data", i))
+    f = rank.engine.owed[i, src]
+
+    def verify():
         if bid is not None:
-            _read(st, r, i, bid, "verifies")
-        _advance(cov, rd, "recv", "data_ok")
-        rd["rpay"] = bid
-        rd["pep"] = ep
-        rd["posted"] = False
-        if cfg.mutation == "ack_before_stage":
-            _push(st, (r, src, "ctrl", 0), ("ack", EPOCH, i))
-        elif stage:
-            _apply_stage(cfg, st, r, i)
-    else:
-        _apply_nack(cov, cfg, st, r, i, timed_out=False)
+            _read(w, r, i, bid, "verifies")
+        return 1 if ok else None
+
+    acts = rank.engine.on_data(f, epoch, idx, verify)
+    if f.state == "verified":
+        rank.rpay[i], rank.pep[i] = bid, epoch
+        if cut:
+            acts = []
+    _run(w, r, rank, acts)
+    if cut:
+        _abort(w, r)
 
 
-def _apply_stage(cfg: CheckConfig, st: _State, r: int, i: int) -> None:
-    """The sweep's second pass: copy the verified block into storage
-    slots; only then ACK."""
-    rd = st.ranks[r]["rounds"][i]
-    if rd["rpay"] is not None:
-        _read(st, r, i, rd["rpay"], "copies out")
-    rd["staged"] = True
-    if cfg.mutation != "release_under_view":
-        rd["rpay"] = None  # samples copied out: no view remains
-    if cfg.mutation not in ("ack_before_verify", "ack_before_stage"):
-        _push(st, (r, cfg.src(r, i), "ctrl", 0), ("ack", EPOCH, i))
+def _timeout(w: _Work, r: int, i: int) -> None:
+    rank = w.rank(r)
+    f = rank.engine.owed[i, w.model.cfg.src(r, i)]
+    _run(w, r, rank, rank.engine.on_timeout(f))
 
 
-def _apply_nack(cov, cfg, st: _State, r: int, i: int, *, timed_out: bool) -> None:
-    rd = st.ranks[r]["rounds"][i]
-    _advance(cov, rd, "recv", "timeout" if timed_out else "data_corrupt")
-    rd["nacks"] += 1
-    if rd["nacks"] > cfg.max_attempts:
-        _advance(cov, rd, "recv", "nack_overflow")
-        st.ranks[r]["status"] = "failed"  # UnrecoveredFaultError
-        return
-    _push(st, (r, cfg.src(r, i), "ctrl", 0), ("nack", EPOCH, i))
+def _abort(w: _Work, r: int) -> None:
+    """PeerFailure teardown (abort_exchange)."""
+    rank = w.rank(r)
+    rank.pending = []
+    for action in rank.engine.abort():
+        _apply(w, r, rank, action)
+    rank.status = "aborted"
 
 
-def _apply_exit(st: _State, r: int) -> None:
-    rank = st.ranks[r]
-    rank["status"] = "commit"
-    rank["prefix"] = _prefix(rank)
+def _commit_all(w: _Work) -> None:
+    """The commit allreduce (a barrier), then every rank settles on what
+    its late-ACK drain found."""
+    size = w.model.cfg.size
+    ranks = [w.rank(r) for r in range(size)]
+    agreed = min(rank.engine.prefix() for rank in ranks)
+    for r, rank in enumerate(ranks):
+        late = [(msg, s) for s in range(size) for msg in w.chans.pop((s, r, "ctrl", 0), ())]
+        _run(w, r, rank, rank.engine.commit(agreed, late))
+        rank.status, rank.committed = "settled", agreed
+
+
+def _successors(model: _Model, frozen: tuple) -> list:
+    """``(label, is_fault, outcome)`` for every enabled action, where
+    outcome is a frozen next state or a :class:`_Bug`."""
+    cfg = model.cfg
+    out = []
+
+    def act(label, fn, *, fault=False):
+        """One enabled action: ``fn`` applied, now, to a copy of the state."""
+        w = _Work(model, frozen)
+        try:
+            w.faults_used += fault
+            fn(w)
+        except _Bug as bug:
+            out.append((label, fault, bug))
+        else:
+            out.append((label, fault, w.freeze()))
+
+    ranks_f = frozen[0]
+    chans = dict(frozen[1])
+    statuses = [rf[_STATUS] for rf in ranks_f]
+    gone = [r for r, s in enumerate(statuses) if s in _GONE]
+    views = []
+    for r, rf in enumerate(ranks_f):
+        engine = model.engines[r]
+        engine.restore(rf[_ENGINE])
+        views.append((
+            engine.windows,
+            [f.window for f in engine.waiting.values()],
+            not engine.waiting and not engine.unacked,
+            bool(gone and engine.on_peer_dead(gone)),
+        ))
+    # Epochs are in lockstep (the training loop's collective every
+    # iteration), so a rank is in synchronize() — timers armed, the deadline
+    # checked — only once every rank has posted its last round.
+    all_posted = all(view[0] == cfg.rounds for view in views)
+
+    for r in range(cfg.size):
+        if statuses[r] != "loop":
+            continue
+        posted, waiting, done, peer_dead = views[r]
+        pending = ranks_f[r][_PENDING]
+        if pending:
+            verb, _side, i, *_ = pending[0]
+            act(f"rank{r}: {verb} round {i}", lambda w: _resume(w, r))
+        else:
+            if posted < cfg.rounds:
+                act(f"rank{r}: post round {posted}", lambda w: _post(w, r))
+            for s in range(cfg.size):
+                if chans.get((s, r, "ctrl", 0)):
+                    act(f"rank{r}: ctrl from rank{s}", lambda w: _ctrl(w, r, s))
+            for i in waiting:
+                src = cfg.src(r, i)
+                if chans.get((src, r, "data", i)):
+                    act(f"rank{r}: data round {i} from rank{src}",
+                        lambda w: _deliver(w, r, i))
+                    if gone:
+                        act(f"rank{r}: data round {i} from rank{src}, peer failure "
+                            "before the copy-out, abort",
+                            lambda w: _deliver(w, r, i, cut=True))
+                elif all_posted:
+                    # Timers run in synchronize() only, and only when no
+                    # deliverable data waits (the loop sweeps first).
+                    act(f"rank{r}: timeout NACK round {i}",
+                        lambda w: _timeout(w, r, i))
+            if all_posted and done:
+                act(f"rank{r}: all rounds done, enter commit",
+                    lambda w: setattr(w.rank(r), "status", "commit"))
+            elif all_posted and cfg.deadline:
+                act(f"rank{r}: deadline expires",
+                    lambda w: setattr(w.rank(r), "status", "commit"))
+        if peer_dead:
+            act(f"rank{r}: peer failure detected, abort", lambda w: _abort(w, r))
+
+    # Commit collective: all ranks arrived -> atomic min-allreduce + settle.
+    if all(s == "commit" for s in statuses):
+        act(f"commit allreduce (all {cfg.size} ranks)", _commit_all)
+    elif gone:
+        # A rank blocked in the collective while a peer is dead/failed gets
+        # PeerFailure from the rendezvous and aborts.
+        for r in range(cfg.size):
+            if statuses[r] == "commit":
+                act(f"rank{r}: peer failure at commit, abort", lambda w: _abort(w, r))
+
+    # ------------------------------------------------------------- faults
+    if frozen[3] >= cfg.fault_budget:
+        return out
+    for chan, msgs in chans.items():
+        src, dst, kind, i = chan
+        where = f"head of {kind}[{src}->{dst},{i}]"
+        if "drop" in cfg.faults and kind == "data":
+            act(f"fault: drop {where}", lambda w: w.pop(chan), fault=True)
+        if "corrupt" in cfg.faults and kind == "data" and msgs[0][3]:
+            def corrupt(w):
+                epoch, idx, bid, _ok = w.chans[chan][0]
+                w.chans[chan] = ((epoch, idx, bid, False), *w.chans[chan][1:])
+
+            act(f"fault: corrupt {where}", corrupt, fault=True)
+        if "dup" in cfg.faults:
+            act(f"fault: duplicate {where}",
+                lambda w: w.push(chan, w.chans[chan][0]), fault=True)
+        if "delay" in cfg.faults and len(msgs) >= 2:
+            act(f"fault: delay {where}",
+                lambda w: w.push(chan, w.pop(chan)), fault=True)
+    for r in range(cfg.size):
+        if "stale" in cfg.faults and statuses[r] == "loop":
+            for i in range(cfg.rounds):
+                src = cfg.src(r, i)
+                act(f"fault: stale epoch-{STALE_EPOCH} data[{src}->{r},{i}]",
+                    lambda w: w.push((src, r, "data", i), (STALE_EPOCH, i, None, True)),
+                    fault=True)
+        if "kill" in cfg.faults and statuses[r] in _LIVE:
+            act(f"fault: kill rank{r}",
+                lambda w: setattr(w.rank(r), "status", "dead"), fault=True)
+    return out
 
 
 # ------------------------------------------------------------------ checking
@@ -698,58 +651,63 @@ _SETTLED_PAIRS = {
 }
 
 
-def _terminal_bugs(cfg: CheckConfig, frozen) -> list[tuple[str, str]]:
+def _terminal_bugs(model: _Model, frozen: tuple) -> list[tuple[str, str]]:
     """Invariant checks on a terminal state (no live rank remains)."""
+    cfg = model.cfg
     bugs = []
-    ranks_f, chans_f, ledger_f, _ = frozen
+    ranks_f, _chans, ledger_f, _ = frozen
+    engines = model.engines
+    for r, rf in enumerate(ranks_f):
+        engines[r].restore(rf[_ENGINE])
     # Buffer leak: an in_use buffer not referenced by a dead/failed rank.
     refs_dead = set()
     for rf in ranks_f:
-        if rf[0] in _GONE:
-            refs_dead.update(rf[4])
-            for rd in rf[-1]:
-                refs_dead.update((rd[_SBUF], rd[_RPAY]))
+        if rf[_STATUS] in _GONE:
+            refs_dead.update(rf[_FREE], rf[_SBUF], rf[_RPAY])
     for bid, (state, _holds) in ledger_f:
         if state == "in_use" and bid not in refs_dead:
             bugs.append(("buffer_leak", f"buffer {bid} still in_use at exchange "
                          "end with no dead rank holding it"))
     released = {bid for bid, (state, _holds) in ledger_f if state == "released"}
-    settled = [r for r, rf in enumerate(ranks_f) if rf[0] == "settled"]
+    settled = [r for r, rf in enumerate(ranks_f) if rf[_STATUS] == "settled"]
     for r in settled:
-        committed, rounds = ranks_f[r][2], ranks_f[r][-1]
-        for i, rd in enumerate(rounds):
+        rf = ranks_f[r]
+        for i in range(cfg.rounds):
             # Use after release: a settled rank still references (installed
             # views of) a buffer that went back to the pool.
-            if rd[_RPAY] in released:
+            if rf[_RPAY][i] in released:
                 bugs.append(("use_after_release", f"rank {r} still views buffer "
-                             f"{rd[_RPAY]} of round {i} after its sender "
+                             f"{rf[_RPAY][i]} of round {i} after its sender "
                              "released it to the pool"))
             # The two halves of a frame settle alike (so a committed window
             # is committed on its sender too, and an ACK means "verified").
             peer = cfg.dest(r, i)
-            pair = (rd[0], ranks_f[peer][-1][i][1])
-            if peer in settled and pair not in _SETTLED_PAIRS:
-                bugs.append(("half_divergence", f"round {i} ended {pair[0]} on its "
-                             f"sender rank {r} and {pair[1]} on its receiver "
-                             f"rank {peer}"))
+            if peer in settled:
+                pair = (engines[r].sends[i, peer].state, engines[peer].owed[i, r].state)
+                if pair not in _SETTLED_PAIRS:
+                    bugs.append(("half_divergence", f"round {i} ended {pair[0]} on "
+                                 f"its sender rank {r} and {pair[1]} on its "
+                                 f"receiver rank {peer}"))
         # Shard size: what stays installed is what the ranks agreed on.
-        installed = sum(rd[_STAGED] for rd in rounds)
-        if installed != committed:
+        installed = sum(rf[_STAGED])
+        if installed != rf[_COMMITTED]:
             bugs.append(("shard_size", f"rank {r} keeps {installed} received "
-                         f"round(s) installed where the agreed commit is {committed}"))
+                         f"round(s) installed where the agreed commit is "
+                         f"{rf[_COMMITTED]}"))
     # Agreement on the committed prefix.
-    committed = {ranks_f[r][2] for r in settled}
+    committed = {ranks_f[r][_COMMITTED] for r in settled}
     if len(committed) > 1:
         bugs.append(
             ("commit_divergence", f"settled ranks disagree on commit: {sorted(committed)}")
         )
     # Round-machine liveness: settled/aborted ranks fully terminal.
     for r, rf in enumerate(ranks_f):
-        for i, rd in enumerate(rf[-1] if rf[0] in ("settled", "aborted") else ()):
-            for side_idx, side in ((0, "send"), (1, "recv")):
-                if rd[side_idx] not in TERMINAL_ROUND_STATES:
-                    bugs.append(("nonterminal_round", f"rank {r} ended with {side} "
-                                 f"half of round {i} in state {rd[side_idx]!r}"))
+        if rf[_STATUS] not in ("settled", "aborted"):
+            continue
+        for f in (*engines[r].sends.values(), *engines[r].owed.values()):
+            if f.state not in TERMINAL_ROUND_STATES:
+                bugs.append(("nonterminal_round", f"rank {r} ended with {f.side} "
+                             f"half of round {f.window} in state {f.state!r}"))
     return bugs
 
 
@@ -1127,19 +1085,19 @@ def check(
     if cfg.protocol != "exchange":
         raise ValueError(f"unknown protocol {cfg.protocol!r}")
     res = CheckResult(config=cfg)
-    cov = res.coverage
-    init = _initial(cfg).freeze()
+    model = _Model(cfg, res.coverage)
+    init = _initial(model)
     seen = {init: (None, None, 0)}
     frontier = deque([init])
     while frontier:
         frozen = frontier.popleft()
         depth = seen[frozen][2]
         res.states += 1
-        statuses = [rf[0] for rf in frozen[0]]
+        statuses = [rf[_STATUS] for rf in frozen[0]]
         if all(s not in _LIVE for s in statuses):
             res.violations.extend(
                 Violation(kind, detail, _trace(seen, frozen))
-                for kind, detail in _terminal_bugs(cfg, frozen)
+                for kind, detail in _terminal_bugs(model, frozen)
             )
             if stop_on_violation and res.violations:
                 return res
@@ -1147,8 +1105,10 @@ def check(
         if cfg.max_depth is not None and depth >= cfg.max_depth:
             res.truncated = True
             continue
-        succ = _successors(cov, cfg, frozen)
-        if not any(not is_fault for _, is_fault, _o in succ):
+        succ = _successors(model, frozen)
+        # A step that leaves the state as it was (an event the engine
+        # answers with nothing) is no way out.
+        if not any(not is_fault and o != frozen for _, is_fault, o in succ):
             res.violations.append(
                 Violation(
                     "deadlock",

@@ -33,7 +33,6 @@ from .errors import (
     PeerFailure,
     RankDied,
     RankFailed,
-    VerificationError,
 )
 from .launcher import (
     DEFAULT_BACKEND,
@@ -74,7 +73,6 @@ __all__ = [
     "PeerFailure",
     "RankDied",
     "RankFailed",
-    "VerificationError",
     "SpmdResult",
     "run_spmd",
     "Message",

@@ -174,9 +174,8 @@ class Communicator:
         ``test()``/``testall`` observed it done.  ``run_spmd`` consults
         this as each rank returns: leftover pending requests mean a
         message is stranded in a mailbox where a later wildcard receive
-        can steal it (warned about by default, fatal under
-        ``verify=True``).  Communicators created by ``split``/``dup``
-        track their own requests.
+        can steal it (warned about).  Communicators created by
+        ``split``/``dup`` track their own requests.
         """
         return [r for r in self._issued_requests if not r.completed]
 
@@ -429,8 +428,8 @@ class Communicator:
         # bcast-style rendezvous rather than a per-rank counter.
         ctx_slots = self._rendezvous("split-ctx", next(_context_counter))
         new_ctx = max(ctx_slots.values())
-        # type(self) so subclasses (e.g. the verifying CheckedCommunicator)
-        # keep their behaviour on derived communicators.
+        # type(self) so subclasses keep their behaviour on derived
+        # communicators.
         return type(self)(
             self.world,
             self._world_rank,

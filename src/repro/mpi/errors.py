@@ -9,7 +9,6 @@ __all__ = [
     "RankFailed",
     "RankDied",
     "PeerFailure",
-    "VerificationError",
     "UnrecoveredFaultError",
 ]
 
@@ -24,16 +23,6 @@ class MPIAbort(MPIError):
 
 class MPITimeout(MPIError):
     """A blocking operation exceeded the world's deadline."""
-
-
-class VerificationError(MPIError):
-    """An SPMD invariant was violated under ``run_spmd(verify=True)``.
-
-    Raised by :class:`~repro.analysis.runtime.CheckedCommunicator` when the
-    collective call sequence diverges across ranks or a shared-stream value
-    is not bit-identical, and by the launcher when a rank finishes with
-    non-blocking requests still pending.
-    """
 
 
 class UnrecoveredFaultError(MPIError):

@@ -31,7 +31,7 @@ import warnings
 from typing import Any, Callable, Sequence
 
 from .communicator import Communicator
-from .errors import MPIAbort, RankDied, RankFailed, VerificationError
+from .errors import MPIAbort, RankDied, RankFailed
 from .world import World
 
 __all__ = [
@@ -59,7 +59,7 @@ def _load_procs() -> Callable[..., list]:
 
 
 #: Backend name -> loader of the function that hosts the ranks: called as
-#: ``host(world, fn, args, verify=, name_prefix=, deadline_s=)``,
+#: ``host(world, fn, args, name_prefix=, deadline_s=)``,
 #: returns one :func:`_run_rank` outcome per rank.
 _BACKENDS: dict[str, Callable[[], Callable[..., list]]] = {
     "threads": lambda: _host_threads,
@@ -103,7 +103,6 @@ def run_spmd(
     deadline_s: float | None = 300.0,
     thread_name_prefix: str = "rank",
     tracing: bool = False,
-    verify: bool = False,
     flight: bool = True,
     world_factory: Callable[..., World] | None = None,
     backend: str | None = None,
@@ -128,15 +127,6 @@ def run_spmd(
         every p2p call and collective with byte counts, every Figure-10
         phase region.  When False those sites cost one flag test.  Needs
         the recorder on: ignored with ``flight=False``.
-    verify:
-        When True each rank gets a
-        :class:`~repro.analysis.runtime.CheckedCommunicator`: every
-        collective is cross-checked across ranks (op + payload signature)
-        before it runs, shared-stream values can be asserted bit-identical
-        (``comm.assert_identical``), and a rank returning with un-waited
-        non-blocking requests raises
-        :class:`~repro.mpi.errors.VerificationError` instead of the
-        default warning.  Costs one extra rendezvous per collective.
     flight:
         When False the world's always-on flight recorder is disabled (no
         ring appends; fault paths still dump, the rings are just empty).
@@ -169,7 +159,7 @@ def run_spmd(
         world.flight.enable_detail()
     outcomes = host(
         world, fn, tuple(args),
-        verify=verify, name_prefix=thread_name_prefix, deadline_s=deadline_s,
+        name_prefix=thread_name_prefix, deadline_s=deadline_s,
     )
     failures = {r: value for r, (ok, value) in enumerate(outcomes) if not ok}
     if failures:
@@ -187,7 +177,6 @@ def _host_threads(
     fn: Callable[..., Any],
     args: tuple,
     *,
-    verify: bool,
     name_prefix: str,
     deadline_s: float | None,
 ) -> list[tuple[bool, Any]]:
@@ -197,7 +186,7 @@ def _host_threads(
     outcomes: list[Any] = [None] * world.size
 
     def runner(rank: int) -> None:
-        outcomes[rank] = _run_rank(world, rank, fn, args, verify)
+        outcomes[rank] = _run_rank(world, rank, fn, args)
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"{name_prefix}{r}", daemon=True)
@@ -215,7 +204,6 @@ def _run_rank(
     rank: int,
     fn: Callable[..., Any],
     args: tuple,
-    verify: bool,
 ) -> tuple[bool, Any]:
     """Run ``fn(comm, *args)`` as ``rank`` of ``world`` and classify how it
     ended: ``(True, return value)`` — for a simulated crash the
@@ -225,16 +213,10 @@ def _run_rank(
     the world object under ``threads`` and its rank-side facade under
     ``procs``; the thread stores the outcome, the child process pickles it.
     """
-    if verify:
-        # Imported lazily: repro.analysis depends on repro.mpi, so a
-        # top-level import here would be circular.
-        from repro.analysis.runtime import CheckedCommunicator as comm_cls
-    else:
-        comm_cls = Communicator
     try:
-        comm = comm_cls(world, rank)
+        comm = Communicator(world, rank)
         value = fn(comm, *args)
-        _check_pending(comm, rank, verify)
+        _check_pending(comm, rank)
         return True, value
     except RankDied as exc:
         # A simulated node crash, not a program error: record the death
@@ -270,12 +252,12 @@ def _run_rank(
         return False, exc
 
 
-def _check_pending(comm: Communicator, rank: int, verify: bool) -> None:
-    """Flag non-blocking requests a rank left un-waited at exit.
+def _check_pending(comm: Communicator, rank: int) -> None:
+    """Warn about non-blocking requests a rank left un-waited at exit.
 
     A pending request means a message sits stranded in a mailbox where a
     later wildcard receive could steal it — the SPMD002 lint hazard,
-    checked dynamically.  Warns by default; fatal under ``verify=True``.
+    checked dynamically.
     """
     pending = comm.pending_requests()
     if not pending:
@@ -290,6 +272,4 @@ def _check_pending(comm: Communicator, rank: int, verify: bool) -> None:
         f"request(s) [{detail}{', ...' if len(pending) > 4 else ''}]; "
         "complete every isend/irecv with wait()/waitall"
     )
-    if verify:
-        raise VerificationError(message)
     warnings.warn(message, RuntimeWarning, stacklevel=2)

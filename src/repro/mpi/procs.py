@@ -668,7 +668,6 @@ def _child_main(
     fn: Callable[..., Any],
     args: tuple,
     copy_on_send: bool,
-    verify: bool,
     flight_enabled: bool,
     flight_detail: bool,
     has_chaos: bool,
@@ -688,7 +687,7 @@ def _child_main(
     world = _ClientWorld(
         rpc, rank, size, copy_on_send, flight_enabled, flight_detail, has_chaos
     )
-    ok, value = _run_rank(world, rank, fn, args, verify)
+    ok, value = _run_rank(world, rank, fn, args)
     world.lender.release_all()  # casts: they ride the exit record
     try:
         rpc.send(("__exit__", (ok, _encode(value) if ok else _pickle_safe(value))))
@@ -900,7 +899,6 @@ def host_procs(
     fn: Callable[..., Any],
     args: tuple,
     *,
-    verify: bool,
     name_prefix: str,
     deadline_s: float | None,
 ) -> list[tuple[bool, Any]]:
@@ -924,7 +922,7 @@ def host_procs(
         ctx.Process(
             target=_child_main,
             args=(
-                pipes, r, size, fn, args, world.copy_on_send, verify,
+                pipes, r, size, fn, args, world.copy_on_send,
                 world.flight.enabled, world.flight.detail, has_chaos,
             ),
             name=f"{name_prefix}{r}",

@@ -27,12 +27,13 @@ deterministic matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.utils.rng import SeedTree
 
-__all__ = ["ExchangePlan", "exchange_count"]
+__all__ = ["ExchangePlan", "FrameSpec", "exchange_count", "plan_frames"]
 
 
 def exchange_count(n_local: int, fraction: float) -> int:
@@ -115,6 +116,48 @@ class ExchangePlan:
     def self_send_count(self, rank: int) -> int:
         """How many of this rank's sends map back to itself."""
         return int((self.destinations[:, rank] == rank).sum())
+
+
+class FrameSpec(NamedTuple):
+    """One frame of an epoch: the samples of one window bound for (a send)
+    or owed by (a receive) one peer."""
+
+    window: int
+    peer: int
+    #: Indices into the rank's ``k`` selected samples, in plan-round order:
+    #: what a send frame packs, and where an owed frame's samples go when
+    #: the arrivals are merged back into plan-round order.
+    positions: np.ndarray
+
+
+def plan_frames(
+    plan: ExchangePlan, k: int, granularity: int, window: int, rank: int
+) -> list[tuple[list[FrameSpec], list[FrameSpec]]]:
+    """Cut ``rank``'s share of ``plan`` into frames: per window, ``(send
+    frames, owed frames)``, each by ascending peer.
+
+    ``k`` samples move in ``plan.rounds`` rounds of ``granularity`` samples
+    (the last round may be short) and a window is ``window`` consecutive
+    rounds.  Both sides of a frame derive it from the shared plan, so a
+    receiver knows what it is owed without any announcement, an empty
+    ``(window, peer)`` pair has no frame, and self is a peer like any other.
+    """
+    dest_of = np.repeat(plan.destinations[:, rank], granularity)[:k]
+    src_of = np.repeat(plan.sources[:, rank], granularity)[:k]
+    # Peers by bincount, not np.unique: under numpy 2 that imports numpy.ma,
+    # about 1 MB of resident memory in every rank process.
+    frames = []
+    for w, lo in enumerate(range(0, plan.rounds, window)):
+        a = min(lo * granularity, k)
+        b = min((lo + window) * granularity, k)
+        frames.append(tuple(
+            [
+                FrameSpec(w, peer, a + np.flatnonzero(of[a:b] == peer))
+                for peer in np.flatnonzero(np.bincount(of[a:b], minlength=plan.size)).tolist()
+            ]
+            for of in (dest_of, src_of)
+        ))
+    return frames
 
 
 def _draw_destinations(

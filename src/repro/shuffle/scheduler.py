@@ -18,46 +18,35 @@ The exchange follows :class:`~repro.shuffle.exchange_plan.ExchangePlan`
 samples and receives one, seed-synchronised destinations, hence balanced
 traffic.  The *plan* is per sample; the *wire* is per **frame**: the
 ``Q*b`` rounds one training iteration posts ("in each iteration, Q*b
-samples are sent/received", §III-C) form a **window**, and a window's
-rounds are grouped by destination into one frame per peer — one pack, one
-checksum, one isend / matched irecv, one ACK.  Both sides derive a frame's
-contents from the shared plan, so an empty ``(window, peer)`` pair sends
-nothing, self is a peer like any other, and at ``M >> Q*b`` a frame
-degenerates to a single round's message.
+samples are sent/received", §III-C) form a **window**, whose rounds are
+grouped by peer into one frame each way — one pack, one checksum, one
+isend / matched irecv, one ACK.  Three layers, one protocol:
 
-The exchange is hardened against *transient* faults — corrupted or dropped
-messages, stragglers — without changing the clean-run results:
+* the **planner**, :func:`~repro.shuffle.exchange_plan.plan_frames`, a pure
+  function of the plan;
+* the **engine**, :class:`~repro.shuffle.engine.ExchangeEngine`: CRC/ACK/NACK
+  with bounded resends, the deadline's degraded-Q commit and rollback, and
+  abort, as events in and actions out — the class the protocol model checker
+  (:mod:`repro.analysis.protocol`) explores;
+* :class:`Scheduler`, the **shell**: the communicator, the storage area, the
+  frame buffers (a :class:`~repro.mpi.pool.FrameCache`), the clock, the NACK
+  backoff and the flight records.  It feeds the engine what happened and
+  carries out what the engine answers.
 
-* a frame's samples are coalesced into one
-  :class:`~repro.mpi.codec.PackedBatch` (struct header + one contiguous
-  pooled payload) and travel in a CRC32
-  :class:`~repro.mpi.message.Checksummed` envelope tagged
-  ``(epoch, window, attempt)``;
-* the receiver verifies on receipt and answers with an ACK, or a NACK that
-  makes the sender retransmit from its retained buffer (bounded attempts,
-  exponential NACK backoff measured from the last sign of life, so a slow
-  but progressing peer is never NACKed) — a send buffer is only reused
-  once ACKed;
-* an optional per-epoch ``deadline_s`` turns a straggling exchange into
-  *graceful degradation*: the ranks agree (via an allreduce of their longest
-  contiguous verified-window prefix) on how many whole windows to commit,
-  train this epoch at the lower effective Q, and repay the recorded
-  Q-deficit by enlarging the next epochs' exchange, so the long-run
-  exchanged fraction converges to the configured Q.
-
-A frame's buffer never leaves its sender.  The exchange has one servicing
-routine, :meth:`Scheduler._sweep`: a non-blocking pass that CRC-verifies
-every owed frame that has arrived, then copies each verified block into
-slots the storage area owns (``StorageArea.stage``) and only then ACKs it,
-and consumes the ACKs addressed to this rank.  ``communicate_chunk()`` runs
-it under compute after every :data:`SERVICE_EVERY`-th window,
-``synchronize()`` runs it to completion.  Stage-before-ACK means an ACK
-proves the receiver is done with the bytes, so the sender takes its frame
-back on ACK, packs a later window into it without visiting the pool, and
-returns what it holds at commit (``pool.in_use() == 0`` between epochs).
-The staged rows become entries, in plan-round order, at
-``clean_local_storage()``; a verified window beyond the agreed prefix is
-unstaged — see ``docs/performance.md``.
+A frame travels as one :class:`~repro.mpi.codec.PackedBatch` in a CRC32
+:class:`~repro.mpi.message.Checksummed` envelope tagged ``(epoch, window,
+attempt)``.  :meth:`Scheduler._sweep` services the exchange: it verifies
+every owed frame that has arrived, copies the verified ones into slots the
+storage area owns and only then ACKs them, and takes the ACKs and NACKs
+addressed to this rank.  ``communicate_chunk()`` sweeps under compute after
+every :data:`SERVICE_EVERY`-th window, ``synchronize()`` until done.  An ACK
+proves the receiver is finished with the bytes, so the sender takes its
+frame back, packs a later window into it, and returns what it holds at
+commit (``pool.in_use() == 0`` between epochs).  A frame is NACKed after a
+CRC failure or after a backoff interval of silence since the last sign of
+life, so a slow but progressing peer is never NACKed.  An optional
+``deadline_s`` commits the longest prefix of complete windows all ranks
+have, and later epochs repay the Q-deficit — see ``docs/performance.md``.
 
 Fail-stop faults remain :mod:`repro.elastic`'s business: the completion loop
 polls ``comm.dead_peers()`` and re-raises a genuine death as
@@ -83,15 +72,14 @@ from repro.mpi.tags import EXCHANGE_CTRL, EXCHANGE_DATA, PARITY_BIT
 from repro.utils.retry import Backoff
 from repro.utils.rng import SeedTree
 
-from .exchange_plan import ExchangePlan, exchange_count
+from .engine import ExchangeEngine, Frame
+from .exchange_plan import ExchangePlan, exchange_count, plan_frames
 from .storage import StorageArea
 
 __all__ = [
     "Scheduler",
     "EXCHANGE_TAG_BASE",
     "EXCHANGE_CTRL_TAG",
-    "ROUND_TRANSITIONS",
-    "TERMINAL_ROUND_STATES",
     "SERVICE_EVERY",
     "WINDOWS_IN_FLIGHT_BOUND",
 ]
@@ -121,100 +109,22 @@ EXCHANGE_CTRL_TAG = EXCHANGE_CTRL.base
 SERVICE_EVERY = 2
 WINDOWS_IN_FLIGHT_BOUND = 2 * SERVICE_EVERY + 1
 
-#: The exchange protocol state machine, as an explicit transition table
-#: keyed ``(side, state, event) -> new state``.  One protocol round is one
-#: frame's trip: its sender runs the ``send`` side, its receiver the
-#: ``recv`` side.  This is the load-bearing definition:
-#: :meth:`_Frame.advance` refuses any transition not listed here, and the
-#: protocol model checker (:mod:`repro.analysis.protocol`) imports this
-#: table as its transition function, so the checked model and the live
-#: protocol cannot drift apart silently.
-#:
-#: Send side (a frame we posted): ``inflight`` until the receiver's ACK
-#: confirms a verified, copied-out delivery (``acked`` — the buffer is the
-#: sender's to reuse), looping through bounded resends on NACKs; at commit
-#: time an acked frame inside the agreed window prefix commits, an acked
-#: frame beyond it rolls back, and an un-ACKed frame (possible only under a
-#: deadline) is reclaimed — its buffer provably unobserved after
-#: :meth:`Scheduler._drain_late_acks`.
-#:
-#: Recv side (a frame the plan says we are owed): ``waiting`` absorbs
-#: stale/corrupt deliveries and timeout NACKs without leaving the state; a
-#: CRC-verified payload moves to ``verified`` (staged, then ACKed, in the
-#: same sweep); commit installs the staged rows, rollback unstages them,
-#: an expired deadline abandons a still-waiting frame, and NACK-budget
-#: exhaustion fails it.  ``abort`` (peer death) tears down either side
-#: from any non-terminal state.
-ROUND_TRANSITIONS: dict[tuple[str, str, str], str] = {
-    # --- send side ---
-    ("send", "inflight", "ack"): "acked",
-    ("send", "inflight", "nack"): "inflight",        # resend, budget left
-    ("send", "inflight", "nack_overflow"): "failed",
-    ("send", "inflight", "reclaim"): "reclaimed",    # un-ACKed at commit
-    ("send", "inflight", "abort"): "aborted",
-    ("send", "acked", "commit"): "committed",
-    ("send", "acked", "rollback"): "rolled_back",
-    ("send", "acked", "abort"): "aborted",
-    # --- recv side ---
-    ("recv", "waiting", "data_ok"): "verified",
-    ("recv", "waiting", "data_stale"): "waiting",
-    ("recv", "waiting", "data_corrupt"): "waiting",
-    ("recv", "waiting", "timeout"): "waiting",
-    ("recv", "waiting", "nack_overflow"): "failed",
-    ("recv", "waiting", "deadline"): "abandoned",    # never verified at commit
-    ("recv", "waiting", "abort"): "aborted",
-    ("recv", "verified", "commit"): "committed",
-    ("recv", "verified", "rollback"): "rolled_back",
-    ("recv", "verified", "abort"): "aborted",
-}
-
-#: States with no outgoing transitions: every exchange must leave each frame
-#: in exactly one of these (the model checker's liveness invariant).
-TERMINAL_ROUND_STATES = frozenset(
-    {"committed", "rolled_back", "reclaimed", "abandoned", "failed", "aborted"}
-)
-
 _NO_IDS = np.empty(0, dtype=np.int64)
 
 
-class _Frame:
-    """Protocol state of one frame: the samples of one window bound for (or
-    owed by) one peer."""
+class _IO:
+    """What the shell holds for one frame; the engine sees none of it."""
 
-    __slots__ = (
-        "side", "window", "peer", "tag", "samples", "nbytes", "payload",
-        "staged", "recv_req", "attempts", "nack_t", "nack_wait", "state",
-    )
+    __slots__ = ("positions", "nbytes", "payload", "staged", "req", "nack_t", "nack_wait")
 
-    def __init__(self, side: str, window: int, peer: int, tag: int, samples: int):
-        self.side = side            # "send" (we posted it) / "recv" (owed to us)
-        self.window = window
-        self.peer = peer            # destination of a send, source of a recv
-        self.tag = tag
-        self.samples = samples      # what the plan puts in this frame
-        self.nbytes = 0             # logical sample bytes (payload_nbytes model)
+    def __init__(self, positions: np.ndarray):
+        self.positions = positions  # the planner's sample positions
+        self.nbytes = 0             # send: logical sample bytes (payload_nbytes model)
         self.payload = None         # send: until ACKed; recv: verified, not staged
         self.staged = None          # recv: the rows staged in storage slots
-        self.recv_req = None        # outstanding irecv (None once verified)
-        self.attempts = 0           # send: resends performed; recv: NACKs sent
+        self.req = None             # recv: outstanding irecv
         self.nack_t = 0.0           # recv: when we last NACKed this frame
         self.nack_wait = 0.0        # recv: silence tolerated before the next NACK
-        self.state = "inflight" if side == "send" else "waiting"
-
-    def advance(self, event: str) -> str:
-        """Advance the protocol state through :data:`ROUND_TRANSITIONS`.
-
-        Raises ``RuntimeError`` on a transition the table does not allow —
-        an illegal transition here is a protocol bug, not a transient."""
-        new = ROUND_TRANSITIONS.get((self.side, self.state, event))
-        if new is None:
-            raise RuntimeError(
-                f"illegal protocol transition: {self.side} frame (window "
-                f"{self.window}, peer {self.peer}) in state {self.state!r} "
-                f"got event {event!r}"
-            )
-        self.state = new
-        return new
 
 
 class Scheduler:
@@ -309,26 +219,23 @@ class Scheduler:
 
         self.epoch: int | None = None
         self.plan: ExchangePlan | None = None
+        #: This epoch's protocol state (a fresh engine per epoch).
+        self.engine: ExchangeEngine | None = None
         self._selected_ids: list[int] = []
-        # Per selected sample, in plan-round order: where the plan sends it,
-        # who sends us its counterpart, and its gid once posted (-1 =
-        # untracked).
-        self._dest_of = self._src_of = self._sent_gids = _NO_IDS
-        self._next_round = 0  # chunked-communication cursor (whole windows)
+        # Per selected sample, in plan-round order, once posted: its gid
+        # (-1 = untracked) and the peer its frame went to.
+        self._sent_gids = self._sent_dest = _NO_IDS
         self._window = 0      # rounds per window, frozen at the first post
+        self._windows: list = []  # the planner's frames, per window
+        self._io: dict[Frame, _IO] = {}
         self._send_reqs: list[Request] = []
         self._recv_reqs: list[Request] = []
         # What the commit staged into storage slots, in plan-round order.
         self._received: Sequence[tuple[np.ndarray, int, int | None]] = ()
+        self._installed: list[_IO] = []
         # (gid, dest local rank) of the committed, gid-tracked sends.
         self._sent_moves: list[tuple[int, int]] = []
         self._cleaned = True
-        self._sends: dict[tuple[int, int], _Frame] = {}  # by (window, dest)
-        self._recvs: list[_Frame] = []                   # (window, src) order
-        # What a sweep works on: the owed frames not yet verified, and the
-        # sent ones not yet ACKed (both in post order).
-        self._pending: list[_Frame] = []
-        self._unacked: dict[tuple[int, int], _Frame] = {}
         # Send buffers this rank got back on ACK, held for a later window.
         self._frames = FrameCache(comm.pool)
         self._ctrl_tag = EXCHANGE_CTRL_TAG
@@ -418,20 +325,8 @@ class Scheduler:
                 rounds=n_messages,
                 allow_self=self.allow_self,
             )
-            rank, g = self.comm.rank, self.granularity
-            self._dest_of = np.repeat(self.plan.destinations[:, rank], g)[:k]
-            self._src_of = np.repeat(self.plan.sources[:, rank], g)[:k]
             self._sent_gids = np.full(k, -1, dtype=np.int64)
-            # Under run_spmd(verify=True) the communicator can prove the
-            # Algorithm-1 precondition: every rank derived bit-identical
-            # destination permutations from the shared seed.  scheduling()
-            # is already collective (the allreduce above), so this extra
-            # collective is safe.
-            check_identical = getattr(self.comm, "assert_identical", None)
-            if check_identical is not None:
-                check_identical(
-                    self.plan.destinations, label=f"exchange-plan/epoch{epoch}"
-                )
+            self._sent_dest = np.full(k, -1, dtype=np.int64)
             sp.set(
                 rounds=n_messages,
                 samples=k,
@@ -440,16 +335,14 @@ class Scheduler:
                 # post-mortem checks.
                 rng_fingerprint=zlib.crc32(self.plan.destinations.tobytes()),
             )
-        self._next_round = 0
+        self.engine = ExchangeEngine(self.epoch, max_attempts=self.max_attempts)
         self._window = 0
+        self._windows = []
+        self._io = {}
         self._send_reqs = []
         self._recv_reqs = []
         self._received = ()
         self._sent_moves = []
-        self._sends = {}
-        self._recvs = []
-        self._pending = []
-        self._unacked = {}
         self._ctrl_tag = EXCHANGE_CTRL.tag(parity=(self.epoch % 2) * _EPOCH_PARITY_BIT)
         self._cleaned = False
 
@@ -510,7 +403,7 @@ class Scheduler:
         :meth:`communicate_chunk` calls; it completes the posting.
         """
         self._require_scheduled()
-        self._post_windows(self.plan.rounds, mode="blocking")
+        self._post_windows(None, mode="blocking")
         return self._send_reqs, self._recv_reqs
 
     def communicate_chunk(self) -> int:
@@ -519,96 +412,154 @@ class Scheduler:
         :data:`SERVICE_EVERY`-th, service what has arrived (:meth:`_sweep`).
         Returns rounds posted."""
         self._require_scheduled()
-        before = self._next_round
-        self._post_windows(before + 1, mode="overlap")
-        posted = self._next_round - before
-        if posted and -(-self._next_round // self._window) % SERVICE_EVERY == 0:
+        window = self.engine.windows
+        self._post_windows(1, mode="overlap")
+        if self.engine.windows == window:
+            return 0
+        if self.engine.windows % SERVICE_EVERY == 0:
             self._sweep()
-        return posted
+        return min((window + 1) * self._window, self.plan.rounds) - window * self._window
 
-    def _frame_samples(self, lo: int, hi: int) -> int:
-        """Samples the plan puts in rounds ``[lo, hi)`` (the last round of
-        an epoch may be short of ``granularity``)."""
-        g, k = self.granularity, len(self._selected_ids)
-        return min(hi * g, k) - min(lo * g, k)
-
-    def _post_windows(self, upto: int, *, mode: str) -> None:
-        """Post whole windows until the cursor reaches plan round ``upto``.
+    def _post_windows(self, count: int | None, *, mode: str) -> None:
+        """Post the next ``count`` windows (``None``: all that are left).
 
         The window grid is fixed for the epoch (``chunk_rounds`` at the
         first post), so every rank cuts the plan into the same frames no
         matter how many ``communicate_chunk`` calls it made."""
-        upto = min(upto, self.plan.rounds)
-        if self._next_round >= upto:
-            return
         if not self._window:
             self._window = self.chunk_rounds
-        parity = (self.epoch % 2) * _EPOCH_PARITY_BIT
-        size = self.comm.size
-        while self._next_round < upto:
-            lo = self._next_round
-            hi = min(lo + self._window, self.plan.rounds)
-            window = lo // self._window
-            tag = EXCHANGE_DATA.tag(window, parity=parity)
-            # Group the window's samples by peer; both sides read the same
-            # plan, so a receiver knows which frames it is owed and how
-            # many samples each carries without any announcement.
-            first, dest_of, src_of = self._window_samples(lo, hi)
-            for dest in np.flatnonzero(np.bincount(dest_of, minlength=size)).tolist():
-                self._post_frame(
-                    window, dest, tag, first + np.flatnonzero(dest_of == dest), mode
-                )
-            owed = np.bincount(src_of, minlength=size)
-            for src in np.flatnonzero(owed).tolist():
-                fr = _Frame("recv", window, src, tag, int(owed[src]))
+            self._windows = plan_frames(
+                self.plan, len(self._selected_ids), self.granularity,
+                self._window, self.comm.rank,
+            )
+        engine = self.engine
+        stop = len(self._windows)
+        if count is not None:
+            stop = min(stop, engine.windows + count)
+        while engine.windows < stop:
+            window = engine.windows
+            sends, owed = self._windows[window]
+            tag = self._tag(window)
+            acts = engine.post(
+                [(s.peer, len(s.positions)) for s in sends],
+                [(o.peer, len(o.positions)) for o in owed],
+            )
+            for spec in sends:
+                self._io[engine.sends[window, spec.peer]] = _IO(spec.positions)
+            self._perform(acts, mode)
+            for spec in owed:
+                io = self._io[engine.owed[window, spec.peer]] = _IO(spec.positions)
                 # The shared seed tells us the source; a matched irecv is
                 # deterministic while remaining wire-identical to ANY_SOURCE.
-                fr.recv_req = self.comm.irecv(source=src, tag=tag)
-                self._recv_reqs.append(fr.recv_req)
-                self._recvs.append(fr)
-                self._pending.append(fr)
-            self._next_round = hi
-            if self._unacked:
-                oldest = next(iter(self._unacked))[0]
+                io.req = self.comm.irecv(source=spec.peer, tag=tag)
+                self._recv_reqs.append(io.req)
+            if engine.unacked:
+                oldest = next(iter(engine.unacked))[0]
                 self.max_windows_in_flight = max(
                     self.max_windows_in_flight, window - oldest + 1
                 )
 
-    def _window_samples(self, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """Plan rounds ``[lo, hi)`` as a run of selected samples: the index
-        of its first sample, and each sample's destination and source."""
-        g, k = self.granularity, len(self._selected_ids)
-        a, b = min(lo * g, k), min(hi * g, k)
-        return a, self._dest_of[a:b], self._src_of[a:b]
+    # --------------------------------------------------------------- actions
+    def _perform(self, acts: list, mode: str = "") -> None:
+        """Carry out the engine's actions, in order."""
+        for verb, fr, *detail in acts:
+            io = self._io.get(fr)
+            if verb == "send":
+                self._post_frame(fr, io, mode)
+            elif verb == "stage":
+                block = unpack_samples(io.payload)
+                io.staged = self.storage.stage(block)
+                self.comm.count_copy(io.payload.payload.nbytes)
+                del block  # the last view of the frame's payload
+                io.payload = None
+            elif verb == "ack":
+                self._control(verb, fr)
+            elif verb == "nack":
+                self.timeout_nacks += detail[0]
+                self._record("round.nack", fr, timed_out=detail[0], nacks=fr.attempts)
+                self._control(verb, fr)
+                io.nack_t = time.monotonic()
+                io.nack_wait = self._nack_delay(fr)
+            elif verb == "take_back":
+                self._frames.put(io.payload.buf)
+                io.payload = None
+                self._record("round.ack", fr)
+            elif verb == "resend":
+                self.resends += 1
+                self.resent_bytes += io.nbytes
+                self._record("round.resend", fr, attempt=fr.attempts)
+                self._isend(fr, io)
+            elif verb == "reject":
+                self.crc_rejects += 1
+                self._record("round.crc_reject", fr)
+            elif verb == "discard":
+                self.stale_discards += 1
+                if fr is not None:
+                    self._record("round.stale", fr, got=detail[0])
+            elif verb == "release":
+                # The reference stays: were the engine to ask for this frame
+                # back later (a protocol bug), the pool's strict retire, not
+                # a missing attribute, would report it.
+                io.payload.release()
+            elif verb == "release_held":
+                self._frames.release_all()
+            elif verb == "install":
+                self._installed.append(io)
+            elif verb == "unstage":
+                if io.staged is not None:
+                    self.storage.unstage(io.staged, keep=False)
+                    io.staged = None
+            elif verb == "try_adopt":
+                if io.payload is not None:
+                    io.payload.try_adopt()
+                    io.payload = None
+            elif verb == "fail":
+                self._unrecovered(detail[0], window=fr.window, peer=fr.peer)
+            else:
+                raise RuntimeError(f"unknown exchange action {verb!r}")
 
-    def _post_frame(
-        self, window: int, dest: int, tag: int, picked: np.ndarray, mode: str
-    ) -> None:
-        """Pack, seal and isend one frame — the selected samples at indices
-        ``picked`` (plan-round order) into a buffer this rank holds (else a
-        pool buffer); it stays out until the frame's ACK brings it back."""
+    def _post_frame(self, fr: Frame, io: _IO, mode: str) -> None:
+        """Pack, seal and isend one frame — the selected samples at the
+        planner's positions (plan-round order) into a buffer this rank holds
+        (else a pool buffer); it stays out until the frame's ACK brings it
+        back."""
         ids = self._selected_ids
-        block = self.storage.take([ids[i] for i in picked.tolist()])
-        self._sent_gids[picked] = block.gids
-        fr = _Frame("send", window, dest, tag, len(block))
+        block = self.storage.take([ids[i] for i in io.positions.tolist()])
+        self._sent_gids[io.positions] = block.gids
+        self._sent_dest[io.positions] = fr.peer
         # Byte accounting stays in logical sample bytes (the shared
         # payload_nbytes wire-size model), not envelope bytes.
-        fr.nbytes = block.nbytes
+        io.nbytes = block.nbytes
         # One flat envelope per frame: a single gather copy into a pooled
         # buffer; after this neither the wire (pass-through) nor the CRC
         # (contiguous) touches the sample bytes until the install copy.
-        fr.payload = pack_samples(block, pool=self._frames)
-        self.comm.count_copy(fr.payload.payload.nbytes)
+        io.payload = pack_samples(block, pool=self._frames)
+        self.comm.count_copy(io.payload.payload.nbytes)
         # The timed post.  The wire op under it runs suspended: this event,
         # in logical sample bytes and plan order, is the frame's one record
         # (the racy protocol must not make traces unreproducible).
         with self.flight.span(
-            "round.post", epoch=self.epoch, window=window, peer=dest,
-            nbytes=fr.nbytes, samples=fr.samples, mode=mode,
-        ), self.flight.suspended():
-            env = Checksummed.wrap(fr.payload, meta=(self.epoch, window, 0))
-            self._send_reqs.append(self.comm.isend(env, dest=dest, tag=tag))
-        self._sends[window, dest] = self._unacked[window, dest] = fr
+            "round.post", epoch=self.epoch, window=fr.window, peer=fr.peer,
+            nbytes=io.nbytes, samples=len(block), mode=mode,
+        ):
+            self._isend(fr, io)
+
+    def _record(self, kind: str, fr: Frame, **fields) -> None:
+        self.flight.record(kind, epoch=self.epoch, window=fr.window, peer=fr.peer, **fields)
+
+    def _tag(self, window: int) -> int:
+        return EXCHANGE_DATA.tag(window, parity=(self.epoch % 2) * _EPOCH_PARITY_BIT)
+
+    def _isend(self, fr: Frame, io: _IO) -> None:
+        with self.flight.suspended():
+            env = Checksummed.wrap(io.payload, meta=(self.epoch, fr.window, fr.attempts))
+            self._send_reqs.append(
+                self.comm.isend(env, dest=fr.peer, tag=self._tag(fr.window))
+            )
+
+    def _control(self, kind: str, fr: Frame) -> None:
+        with self.flight.suspended():
+            self.comm.send((kind, self.epoch, fr.window), dest=fr.peer, tag=self._ctrl_tag)
 
     # -------------------------------------------------------------- complete
     def synchronize(
@@ -624,16 +575,16 @@ class Scheduler:
         script-facing API and otherwise ignored (the per-frame state
         supersedes them)."""
         self._require_scheduled()
-        if self._next_round < self.plan.rounds:
+        posted = min(self.engine.windows * self._window, self.plan.rounds)
+        if posted < self.plan.rounds:
             raise RuntimeError(
-                f"only {self._next_round}/{self.plan.rounds} rounds posted; "
+                f"only {posted}/{self.plan.rounds} rounds posted; "
                 "call communicate() before synchronize()"
             )
         with self.flight.span("epoch.commit", epoch=self.epoch) as sp:
             committed = self._complete_rounds()
             self._apply_commit(committed, sp)
 
-    # -------------------------------------------------------- frame protocol
     def _unrecovered(self, message: str, **fields) -> None:
         """Give up on the exchange: record, dump the flight log, raise.
 
@@ -656,33 +607,63 @@ class Scheduler:
         One mailbox operation takes everything that has arrived: the frames
         still owed and the whole control backlog (ACKs bring this rank's
         frames back, NACKs are answered with a resend).  Every arrived frame
-        is classified and CRC-verified (pass 1), and only then is each
-        verified block copied into storage slots and, after that, ACKed
-        (pass 2).  The passes are not interleaved: ``zlib.crc32`` drops the
-        GIL and the row copies hold it, and alternating them made the same
-        checksums take 2.5x as long under ``threads``."""
-        pending = self._pending
-        acks = self.comm.testsome([fr.recv_req for fr in pending], self._ctrl_tag)
-        progress = self._service_control(acks)
+        is classified and CRC-verified (pass 1), and only then are the
+        verified frames' actions — copy into storage slots, then ACK — carried
+        out (pass 2).  The passes are not interleaved: ``zlib.crc32`` drops
+        the GIL and the row copies hold it, and alternating them made the
+        same checksums take 2.5x as long under ``threads``."""
+        pending = list(self.engine.waiting.values())
+        io = self._io
+        msgs = self.comm.testsome([io[fr].req for fr in pending], self._ctrl_tag)
+        progress = False
+        for (kind, ep, window), source in msgs:
+            acts = self.engine.on_ctrl(kind, ep, window, source)
+            progress = progress or any(verb != "discard" for verb, *_ in acts)
+            self._perform(acts)
         now = time.monotonic()
-        verified, still = [], []
+        verified = []
         for fr in pending:
-            if fr.recv_req.completed:
+            if io[fr].req.completed:
                 progress = True
-                self._handle_data(fr, fr.recv_req, now)
-            (still if fr.state == "waiting" else verified).append(fr)
-        self._pending = still
-        for fr in verified:
-            block = unpack_samples(fr.payload)
-            fr.staged = self.storage.stage(block)
-            self.comm.count_copy(fr.payload.payload.nbytes)
-            del block  # the last view of the frame's payload
-            fr.payload = None
-            with self.flight.suspended():
-                self.comm.send(
-                    ("ack", self.epoch, fr.window), dest=fr.peer, tag=self._ctrl_tag
-                )
+                verified += self._handle_data(fr, now)
+        self._perform(verified)
         return progress
+
+    def _handle_data(self, fr: Frame, now: float) -> list:
+        """Classify one completed receive for owed frame ``fr``; a verified
+        frame's actions are returned for the sweep's copy-out pass."""
+        io = self._io[fr]
+        req = io.req
+        env = req.wait()
+        if (
+            not isinstance(env, Checksummed)
+            or len(env.meta) != 3
+            or not isinstance(env.payload, PackedBatch)
+        ):
+            self._unrecovered(
+                f"exchange window {fr.window}: rank {fr.peer} sent a malformed "
+                "envelope; expected a checksummed PackedBatch tagged "
+                "(epoch, window, attempt)",
+                window=fr.window, peer=fr.peer,
+            )
+        ep, window, _attempt = env.meta
+        acts = self.engine.on_data(
+            fr, ep, window, lambda: env.payload.count if env.ok() else None
+        )
+        if fr.state != "verified":
+            self._perform(acts)
+            if fr.state == "waiting":  # a stale or rejected copy: listen on
+                io.req = self.comm.irecv(source=fr.peer, tag=self._tag(fr.window))
+            return []
+        io.payload = env.payload
+        io.req = None
+        # queued_s: how long the delivery sat in the mailbox before a sweep
+        # took it (service time minus post time).
+        self._record(
+            "round.verified", fr, nbytes=env.payload.nbytes, samples=fr.samples,
+            queued_s=now - req.status.posted_s,
+        )
+        return acts
 
     def _complete_rounds(self) -> int:
         """Sweep until nothing is owed or un-ACKed, then agree what to commit.
@@ -705,13 +686,14 @@ class Scheduler:
         NACK always finds its sender still serving resends; leftover control
         or duplicate data messages are discarded by the epoch check when the
         same-parity tag comes around again."""
+        engine, io = self.engine, self._io
         deadline = (
             None if self.deadline_s is None else self._epoch_t0 + self.deadline_s
         )
-        for fr in self._pending:
-            fr.nack_wait = self._nack_delay(fr)
+        for fr in engine.waiting.values():
+            io[fr].nack_wait = self._nack_delay(fr)
         quiet_since = time.monotonic()
-        while self._pending or self._unacked:
+        while engine.waiting or engine.unacked:
             self._raise_on_dead_peers()
             if self._sweep():
                 quiet_since = time.monotonic()
@@ -719,171 +701,29 @@ class Scheduler:
             # Timers and the deadline only on idle passes: content already
             # delivered is always drained and verified, even late.
             now = time.monotonic()
-            for fr in self._pending:
-                if now >= max(quiet_since, fr.nack_t) + fr.nack_wait:
-                    self._nack(fr, timed_out=True)
+            for fr in list(engine.waiting.values()):
+                if now >= max(quiet_since, io[fr].nack_t) + io[fr].nack_wait:
+                    self._perform(engine.on_timeout(fr))
             if deadline is not None and now >= deadline:
                 break
             time.sleep(0.001)
-        # Frames are kept in window order: the first one still unverified
-        # bounds the prefix of complete windows (all of them if none is).
-        windows = -(-self.plan.rounds // self._window) if self._window else 0
-        prefix = self._pending[0].window if self._pending else windows
         # Uniform collective: every rank reaches it exactly once per epoch
         # (either with a full prefix or at its deadline).
-        return int(self.comm.allreduce(prefix, op=min))
+        return int(self.comm.allreduce(engine.prefix(), op=min))
 
-    def _nack_delay(self, fr: _Frame) -> float:
+    def _nack_delay(self, fr: Frame) -> float:
         return self._nack_backoff.delay(
             fr.attempts, key=(self.epoch, fr.window, fr.peer)
         )
 
-    def _acked(self, fr: _Frame) -> None:
-        """The receiver copied the frame out: its buffer is ours again."""
-        fr.advance("ack")
-        self._frames.put(fr.payload.buf)
-        fr.payload = None
-        del self._unacked[fr.window, fr.peer]
-
-    def _service_control(self, acks: list) -> bool:
-        """Apply the ACK/NACK messages one sweep took (``(payload, source)``
-        pairs, send order); returns whether anything advanced."""
-        progress = False
-        for (kind, ep, window), source in acks:
-            fr = self._sends.get((window, source)) if ep == self.epoch else None
-            if fr is None:
-                self.stale_discards += 1
-                continue
-            if fr.state != "inflight":
-                continue  # duplicate ACK, or a NACK that crossed our ACK
-            if kind == "ack":
-                self._acked(fr)
-                self.flight.record(
-                    "round.ack", epoch=self.epoch, window=window, peer=fr.peer
-                )
-            else:  # NACK for a frame we still owe
-                fr.attempts += 1
-                if fr.attempts > self.max_attempts:
-                    fr.advance("nack_overflow")
-                    self._unrecovered(
-                        f"exchange window {window} of epoch {self.epoch}: "
-                        f"{fr.attempts} attempts to rank {fr.peer} all failed",
-                        window=window,
-                        peer=fr.peer,
-                    )
-                fr.advance("nack")
-                self.resends += 1
-                self.resent_bytes += fr.nbytes
-                self.flight.record(
-                    "round.resend", epoch=self.epoch, window=window,
-                    peer=fr.peer, attempt=fr.attempts,
-                )
-                env = Checksummed.wrap(
-                    fr.payload, meta=(self.epoch, window, fr.attempts)
-                )
-                with self.flight.suspended():
-                    self._send_reqs.append(
-                        self.comm.isend(env, dest=fr.peer, tag=fr.tag)
-                    )
-            progress = True
-        return progress
-
-    def _handle_data(self, fr: _Frame, req, now: float) -> None:
-        """Classify one completed data receive for frame ``fr``; a verified
-        payload is left on the frame for the sweep's copy-out pass."""
-        env = req.wait()
-        if (
-            not isinstance(env, Checksummed)
-            or len(env.meta) != 3
-            or not isinstance(env.payload, PackedBatch)
-        ):
-            self._malformed(fr, "expected a checksummed PackedBatch tagged "
-                            "(epoch, window, attempt)")
-        ep, window, _attempt = env.meta
-        if ep != self.epoch or window != fr.window:
-            # Leftover of an earlier same-parity epoch (a duplicate delivery
-            # or a resend that raced a deadline): discard, keep listening.
-            fr.advance("data_stale")
-            self.stale_discards += 1
-            self.flight.record(
-                "round.stale", epoch=self.epoch, window=fr.window,
-                peer=fr.peer, got=(ep, window),
-            )
-            fr.recv_req = self.comm.irecv(source=fr.peer, tag=fr.tag)
-            return
-        if env.ok():
-            if env.payload.count != fr.samples:
-                # Intact bytes that disagree with the shared plan: the two
-                # ranks cut the epoch differently.  Never install.
-                self._malformed(
-                    fr, f"it carries {env.payload.count} samples where the "
-                    f"plan puts {fr.samples}"
-                )
-            fr.advance("data_ok")
-            fr.payload = env.payload
-            fr.recv_req = None
-            self.flight.record(
-                "round.verified", epoch=self.epoch, window=fr.window,
-                peer=fr.peer, nbytes=env.payload.nbytes, samples=fr.samples,
-                # How long the delivery sat in the mailbox before a sweep
-                # took it: service time minus post time.
-                queued_s=now - req.status.posted_s,
-            )
-        else:
-            self.crc_rejects += 1
-            self.flight.record(
-                "round.crc_reject", epoch=self.epoch, window=fr.window,
-                peer=fr.peer,
-            )
-            self._nack(fr, timed_out=False)
-            fr.recv_req = self.comm.irecv(source=fr.peer, tag=fr.tag)
-
-    def _malformed(self, fr: _Frame, why: str) -> None:
-        self._unrecovered(
-            f"exchange window {fr.window}: rank {fr.peer} sent a malformed "
-            f"envelope; {why}",
-            window=fr.window,
-            peer=fr.peer,
-        )
-
-    def _nack(self, fr: _Frame, *, timed_out: bool) -> None:
-        """Ask ``fr.peer`` to retransmit its window-``fr.window`` frame."""
-        fr.advance("timeout" if timed_out else "data_corrupt")
-        fr.attempts += 1
-        if fr.attempts > self.max_attempts:
-            fr.advance("nack_overflow")
-            self._unrecovered(
-                f"exchange window {fr.window} of epoch {self.epoch}: no valid "
-                f"payload from rank {fr.peer} after {fr.attempts - 1} NACKs",
-                window=fr.window,
-                peer=fr.peer,
-            )
-        if timed_out:
-            self.timeout_nacks += 1
-        self.flight.record(
-            "round.nack", epoch=self.epoch, window=fr.window, peer=fr.peer,
-            timed_out=timed_out, nacks=fr.attempts,
-        )
-        with self.flight.suspended():
-            self.comm.send(
-                ("nack", self.epoch, fr.window), dest=fr.peer, tag=self._ctrl_tag
-            )
-        fr.nack_t = time.monotonic()
-        fr.nack_wait = self._nack_delay(fr)
-
     def _raise_on_dead_peers(self) -> None:
         """A genuinely dead counterparty is fail-stop, not transient: hand
         it to the elastic layer as a PeerFailure instead of NACKing a corpse
-        until the attempt budget runs out.
-
-        *Any* dead member of the communicator ends the epoch, not only one
-        this rank still owes or is owed a frame: the commit allreduce cannot
-        complete without it, and a live peer that already raised is in
-        ``shrink()`` and will never send the ACK this loop would wait for."""
+        until the attempt budget runs out."""
         dead = self.comm.dead_peers()
         if dead:
-            peer = min(dead)
-            raise PeerFailure(self.comm.group[peer], dead[peer] or None, op="exchange")
+            for _verb, peer in self.engine.on_peer_dead(dead):
+                raise PeerFailure(self.comm.group[peer], dead[peer] or None, op="exchange")
 
     def _apply_commit(self, committed: int, sp) -> None:
         """Make the agreed prefix of windows this epoch's exchange.
@@ -892,68 +732,48 @@ class Scheduler:
         receiver unstages their rows (if they verified) and the sender
         keeps their samples (they drop out of ``_selected_ids``), so no
         sample is lost or duplicated and every shard keeps its size."""
+        engine = self.engine
         rounds = self.plan.rounds
         committed_rounds = min(committed * self._window, rounds)
-        for fr in self._pending:
-            if not fr.recv_req.completed:
-                fr.recv_req.cancel()
-            fr.recv_req = None
-            fr.advance("deadline")
-        self._pending = []
-        # Settle the send side.  The commit allreduce is a barrier, so every
-        # ACK a receiver posted before committing is already in our mailbox:
-        # after this drain, "un-ACKed" provably means the receiver never
-        # verified (never read) the frame, and the sender reclaims it.
-        self._drain_late_acks()
-        for fr in self._sends.values():
-            if fr.state == "inflight":
-                fr.advance("reclaim")
-                fr.payload.release()
-                fr.payload = None
-            else:
-                fr.advance("commit" if fr.window < committed else "rollback")
-        self._unacked = {}
-        # The frames that came back on ACK go home: the pool's in-use balance
-        # between epochs is zero and its free lists serve the next epoch.
-        self._frames.release_all()
+        for fr in engine.waiting.values():
+            req = self._io[fr].req
+            if not req.completed:
+                req.cancel()
+            self._io[fr].req = None
+        # The commit allreduce is a barrier, so every ACK a receiver posted
+        # before committing is already in our mailbox: the engine settles
+        # the sends on what this drain finds.
+        late = self.comm.testsome((), self._ctrl_tag)
+        self._installed = []
+        self._perform(engine.commit(committed, late))
         # The rows were staged — the second (and last) copy of a sample's
         # bytes, charged like the pack gather — as each frame verified.
-        staged: list[SampleBlock] = []
-        positions: list[np.ndarray] = []
-        for fr in self._recvs:
-            if fr.state != "verified":
-                continue
-            if fr.window < committed:
-                fr.advance("commit")
-                staged.append(fr.staged)
-                first, _dest_of, src_of = self._window_samples(
-                    fr.window * self._window, (fr.window + 1) * self._window
-                )
-                positions.append(first + np.flatnonzero(src_of == fr.peer))
-            else:
-                fr.advance("rollback")
-                self.storage.unstage(fr.staged, keep=False)
-            fr.staged = None
         # Merge the frames back into plan-round order, so storage sees the
-        # same install sequence whatever the framing: a frame's samples sit
-        # where the plan names its sender as the source.
-        if staged:
-            merged = SampleBlock.concat(staged)
-            self._received = merged[np.argsort(np.concatenate(positions))]
+        # same install sequence whatever the framing.
+        if self._installed:
+            merged = SampleBlock.concat([io.staged for io in self._installed])
+            order = np.argsort(np.concatenate([io.positions for io in self._installed]))
+            self._received = merged[order]
+            for io in self._installed:
+                io.staged = None
         planned_samples = len(self._selected_ids)
-        committed_samples = self._frame_samples(0, committed_rounds)
+        committed_samples = sum(
+            len(spec.positions) for sends, _owed in self._windows[:committed]
+            for spec in sends
+        )
         self._selected_ids = self._selected_ids[:committed_samples]
         gids = self._sent_gids[:committed_samples]
         tracked = gids >= 0
         self._sent_moves = list(
             zip(
                 gids[tracked].tolist(),
-                self._dest_of[:committed_samples][tracked].tolist(),
+                self._sent_dest[:committed_samples][tracked].tolist(),
             )
         )
         self.total_sent_samples += committed_samples
         self.total_sent_bytes += sum(
-            fr.nbytes for fr in self._sends.values() if fr.state == "committed"
+            self._io[fr].nbytes for fr in engine.sends.values()
+            if fr.state == "committed"
         )
         self.total_recv_samples += len(self._received)
 
@@ -982,27 +802,10 @@ class Scheduler:
             samples=committed_samples,
             # Logical bytes installed — the receive side of ``round.post``'s
             # nbytes, taken at the commit rather than at each (racy) arrival.
-            recv_nbytes=self._received.nbytes if staged else 0,
+            recv_nbytes=self._received.nbytes if self._installed else 0,
             q_deficit=self.q_deficit,
             pool_in_use=self.comm.pool.in_use(),
         )
-
-    def _drain_late_acks(self) -> None:
-        """Drain control traffic once more after the commit collective.
-
-        A receiver that verified a frame just before its deadline posts the
-        ACK and then enters the commit allreduce; the allreduce acts as a
-        barrier, so by the time the sender is here that ACK is guaranteed
-        to be in its mailbox even if its event loop had stopped servicing
-        control.  This makes ACK state definitive — what the commit/rollback
-        bookkeeping of a sent frame, and reclaiming the un-ACKed ones,
-        relies on.  Late NACKs are dropped: the epoch is sealed and nobody
-        is listening for resends."""
-        for (kind, ep, window), source in self.comm.testsome((), self._ctrl_tag):
-            fr = self._sends.get((window, source))
-            if kind == "ack" and ep == self.epoch and fr is not None:
-                if fr.state == "inflight":
-                    self._acked(fr)
 
     def fault_stats(self) -> dict:
         """Fault-recovery counters for reporting layers."""
@@ -1102,8 +905,7 @@ class Scheduler:
         self._received = ()
         self._selected_ids = []
         self._sent_moves = []
-        self._sends = {}
-        self._recvs = []
+        self._io = {}
         self._cleaned = True
 
     def abort_exchange(self) -> None:
@@ -1117,26 +919,10 @@ class Scheduler:
         time and the rows the sweeps staged are given up; samples a commit
         had already merged (its ledger allgather met a dead peer) are not
         dropped but kept as cold replicas (``StorageArea.unstage``)."""
-        for fr in [*self._sends.values(), *self._recvs]:
-            if fr.state not in TERMINAL_ROUND_STATES:
-                fr.advance("abort")
-            if fr.recv_req is not None and not fr.recv_req.completed:
-                fr.recv_req.cancel()
-            fr.recv_req = None
-            # The buffer of a frame still out (or verified, the sweep cut
-            # short before its copy-out) is *adopted*, not released: abort
-            # is not synchronised, the counterparty may still read or resend
-            # it.  try_adopt() is idempotent — whichever side gets here
-            # first wins the retirement.
-            if fr.payload is not None:
-                fr.payload.try_adopt()
-                fr.payload = None
-            if fr.staged is not None:
-                self.storage.unstage(fr.staged, keep=False)
-                fr.staged = None
-        # Frames that came back on ACK have no reader left: they go home.
-        self._frames.release_all()
-        for req in self._send_reqs + self._recv_reqs:
+        if self.engine is not None:
+            self._perform(self.engine.abort())
+        reqs = [io.req for io in self._io.values() if io.req is not None]
+        for req in reqs + self._send_reqs + self._recv_reqs:
             if not req.completed:
                 req.cancel()
         self._send_reqs = []
@@ -1146,12 +932,10 @@ class Scheduler:
         self._received = ()
         self._selected_ids = []
         self._sent_moves = []
-        self._sends = {}
-        self._recvs = []
-        self._pending = []
-        self._unacked = {}
-        self._next_round = 0
+        self._io = {}
+        self._windows = []
         self._planned_extra = 0
+        self.engine = None
         self.plan = None
         self.epoch = None
         self._cleaned = True

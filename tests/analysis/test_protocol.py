@@ -22,7 +22,7 @@ from repro.analysis.protocol import (
     format_trace,
     run_mutation_sweep,
 )
-from repro.shuffle.scheduler import ROUND_TRANSITIONS, TERMINAL_ROUND_STATES
+from repro.shuffle.engine import ROUND_TRANSITIONS, TERMINAL_ROUND_STATES
 
 FAST_CONFIGS = tuple(c for c in DEFAULT_CONFIGS if c.name != "m2-r2-deadline")
 

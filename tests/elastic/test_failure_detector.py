@@ -135,19 +135,6 @@ class TestShrink:
         assert results[0] == ((0, 2), 1)
         assert results[2] == ((0, 2), 1)
 
-    def test_verify_mode_detects_dead_peer(self):
-        # CheckedCommunicator's extra signature rendezvous must also be
-        # failure-aware (not hang until the deadline).
-        def worker(comm):
-            if comm.rank == 1:
-                raise RankDied()
-            with pytest.raises(PeerFailure):
-                comm.allreduce(1)
-            return "ok"
-
-        results = run_spmd(worker, 2, verify=True, deadline_s=30.0)
-        assert results[0] == "ok"
-
 
 class TestRequestCancel:
     def test_cancelled_recv_not_pending(self):
@@ -160,7 +147,7 @@ class TestRequestCancel:
             comm.barrier()
             return True
 
-        assert list(run_spmd(worker, 2, verify=True)) == [True, True]
+        assert list(run_spmd(worker, 2)) == [True, True]
 
     def test_abort_still_wins_over_death(self):
         # mark_dead is non-fatal, abort is fatal: a real error elsewhere

@@ -133,8 +133,8 @@ class TestAbortAfterPeerFailure:
     def test_abort_exchange_leaves_no_pending_requests(self):
         # Regression: a survivor that catches PeerFailure mid-exchange and
         # aborts must leave the communicator clean — no leaked isend/irecv
-        # (the runtime verifier treats leftovers as an SPMD error), so the
-        # elastic layer can shrink and rerun the epoch.
+        # (the launcher warns about leftovers at rank exit), so the elastic
+        # layer can shrink and rerun the epoch.
         def worker(comm):
             storage = fill_storage(comm.rank)
             sched = Scheduler(

@@ -44,6 +44,33 @@ class TestRunSpmd:
         assert any("boom-" in str(e) for e in ei.value.failures.values())
 
 
+class TestPendingRequests:
+    def test_pending_requests_listed(self):
+        def main(comm):
+            if comm.rank == 0:
+                req = comm.irecv(source=1)
+                pending = [type(r).__name__ for r in comm.pending_requests()]
+                comm.send(None, dest=1)  # let rank 1 proceed
+                req.wait()
+                assert not comm.pending_requests()
+                return pending
+            comm.recv(source=0)
+            comm.send(123, dest=0)
+            return []
+
+        out = run_spmd(main, 2)
+        assert out[0] == ["RecvRequest"]
+
+    def test_unwaited_request_warns(self):
+        def main(comm):
+            if comm.rank == 1:
+                comm.irecv(source=0, tag=99)  # repro: noqa[SPMD002]
+            return None
+
+        with pytest.warns(RuntimeWarning, match="pending non-blocking"):
+            run_spmd(main, 2)
+
+
 class TestCommunicatorIdentity:
     def test_mpi4py_spellings(self):
         def main(comm):

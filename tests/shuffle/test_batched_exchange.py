@@ -111,9 +111,8 @@ class TestCopyAccounting:
                 storage.add(np.full(5, i, dtype=np.float32), comm.rank, gid=gid)
             sched = Scheduler(storage, comm, fraction=1.0, batch_size=4, seed=4)
             sched.scheduling(0)
-            sent = [
-                (*storage.get(sid), storage.gid_of(sid)) for sid in sched._selected_ids
-            ]
+            # Q = 1: every stored sample leaves.
+            sent = [(*storage.get(sid), storage.gid_of(sid)) for sid in storage.ids()]
             assert {gid is None for _s, _l, gid in sent} == {True, False}
             sched.synchronize(*sched.communicate())
             sched.clean_local_storage()

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.mpi import run_spmd
+from repro.mpi import RankFailed, run_spmd
 from repro.mpi.message import Checksummed
 from repro.mpi.world import World
 from repro.shuffle import Scheduler, StorageArea
@@ -212,6 +212,35 @@ def test_a_resend_crossing_its_ack_is_never_read_from_the_recycled_frame(backend
     assert result.world.pool.stats()["adopts"] == 0
 
 
+# ------------------------------------------- one protocol: checker and live
+def _release_worker(comm):
+    sched = Scheduler(_shard(comm, BATCH), comm, fraction=1.0, batch_size=BATCH, seed=5)
+    sched.run_exchange(0)
+
+
+def test_the_model_checkers_mutants_break_the_live_exchange(monkeypatch):
+    """The model checker explores the engine class the scheduler runs, so
+    patching that class with a checker mutant breaks the live exchange."""
+    import repro.shuffle.scheduler as scheduler_mod
+    from repro.analysis.protocol import mutant_engine
+
+    # Without the (epoch, window) check, the copy that lost the race to its
+    # resend is no longer discarded as stale when epoch 2 meets it.
+    monkeypatch.setattr(scheduler_mod, "ExchangeEngine", mutant_engine("skip_stale_check"))
+    _LateWorld.held = 0
+    result = run_spmd(
+        _crossing_worker, 2, args=(32,), deadline_s=120, world_factory=_LateWorld
+    )
+    assert _LateWorld.held == 1
+    assert not result[0][1]["stale_discards"] >= 1
+
+    # A frame released right after its isend comes back on its ACK all the
+    # same, and the commit releases it a second time: the pool refuses.
+    monkeypatch.setattr(scheduler_mod, "ExchangeEngine", mutant_engine("release_before_ack"))
+    with pytest.raises(RankFailed, match="already released"):
+        run_spmd(_release_worker, 1, deadline_s=60)
+
+
 # ----------------------------------------------------------- abort mid-epoch
 def _abort_worker(comm, n_local):
     storage = _shard(comm, n_local)
@@ -219,8 +248,8 @@ def _abort_worker(comm, n_local):
     sched = Scheduler(storage, comm, fraction=1.0, batch_size=BATCH, seed=5)
     _lockstep_epoch(comm, sched, 0, windows=6)
     seen = {
-        "held": sum(len(held) for held in sched._frames._held.values()),
-        "out": len(sched._unacked),
+        "back": sum(fr.state == "acked" for fr in sched.engine.sends.values()),
+        "out": len(sched.engine.unacked),
         "staged": storage.slots()["staged"],
     }
     comm.barrier()
@@ -238,8 +267,9 @@ def _abort_worker(comm, n_local):
 def test_abort_mid_epoch_settles_held_frames_and_staged_rows(backend):
     result = run_spmd(_abort_worker, 2, args=(64,), backend=backend, deadline_s=120)
     for seen in result:
-        # Mid-epoch there was something of each kind to settle.
-        assert seen["held"] > 0 and seen["out"] > 0 and seen["staged"] > 0
+        # Mid-epoch there was something of each kind to settle: frames that
+        # came back on ACK, frames still out, staged rows.
+        assert seen["back"] > 0 and seen["out"] > 0 and seen["staged"] > 0
         assert seen["slots"]["staged"] == 0
         assert seen["unchanged"] and seen["cold"] == []
         pool = seen["pool"]

@@ -22,8 +22,8 @@ def run_epochs(size, q, epochs, n_local=8, allow_self=True, chunked=False):
         for e in range(epochs):
             if chunked:
                 sched.scheduling(e)
-                while sched.plan.rounds - sched._next_round > 0:
-                    sched.communicate_chunk()
+                while sched.communicate_chunk():
+                    pass
                 sched.synchronize()
                 sched.clean_local_storage()
             else:

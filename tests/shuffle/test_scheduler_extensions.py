@@ -85,16 +85,12 @@ class TestSelectionPolicies:
             storage = fill_storage(comm.rank, n=8)
             sched = Scheduler(storage, comm, fraction=0.5, seed=5,
                               selection="stale", allow_self=False)
+            originals = set(storage.ids())
             sched.run_exchange(0)
-            fresh_ids = {
-                sid for sid, _, _ in storage.items()
-                if sched._arrival_epoch.get(sid) == 0
-            }
-            sched.scheduling(1)
-            leaving = set(sched._selected_ids)
-            sched.communicate()
-            sched.synchronize()
-            sched.clean_local_storage()
+            fresh_ids = set(storage.ids()) - originals  # epoch-0 arrivals
+            before = set(storage.ids())
+            sched.run_exchange(1)
+            leaving = before - set(storage.ids())
             # k=4 leave; fresh (epoch-0 arrivals) were 4; the 4 originals
             # must all be among the leavers.
             return leaving.isdisjoint(fresh_ids)
@@ -110,11 +106,8 @@ class TestSelectionPolicies:
             ids = storage.ids()
             for i, sid in enumerate(ids):
                 sched.set_score(sid, float(i))
-            sched.scheduling(0)
-            selected = set(sched._selected_ids)
-            sched.communicate()
-            sched.synchronize()
-            sched.clean_local_storage()
+            sched.run_exchange(0)
+            selected = set(ids) - set(storage.ids())  # the samples that left
             # top-2 scores are ids[-2:]
             return selected == set(ids[-2:])
 

@@ -11,9 +11,10 @@ outside the benchmark harness, and prints
   ranks) spent in each part of the exchange the training thread executes:
   **plan** (``scheduling``), **post** (``communicate_chunk`` +
   ``communicate``: posting, and the sweeps under compute that verify, copy
-  out and ACK what has arrived), **complete** (the residue of that in
-  ``synchronize`` and the commit collective), **commit-decode**
-  (``_apply_commit``: frames back to the pool, staged rows merged),
+  out and ACK what has arrived), **complete** (``_complete_rounds``: the
+  residue of that in ``synchronize`` and the commit collective),
+  **commit-decode** (``_apply_commit``: the engine's commit carried out —
+  frames back to the pool, staged rows merged),
   **install** (``clean_local_storage``), and the loader's
   **collate** for comparison;
 * how many Python-level calls one epoch's exchange hooks (``begin_epoch`` /
