@@ -13,7 +13,7 @@ measurable time-to-recover.
 """
 
 from repro.data import SyntheticSpec
-from repro.elastic import run_lifecycle
+from repro.elastic import LifecyclePlan, run_lifecycle
 from repro.train import TrainConfig, run_multi_seed
 from repro.train.experiments import make_experiment_data
 from repro.utils import render_table
@@ -87,7 +87,7 @@ def run_recovery():
         config=config, workers=RECOVERY_WORKERS, q=0.3,
         train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
     )
-    failed = run_lifecycle(kills=KILL, **kwargs)
+    failed = run_lifecycle(plan=LifecyclePlan.parse(kills=KILL), **kwargs)
     clean = run_lifecycle(**kwargs)
     return failed, clean
 

@@ -1,14 +1,14 @@
 """The fault-tolerant run path: degrade, checkpoint, restart, heal.
 
 One worker loop (:class:`_LifecycleRank`) wraps the Figure-3 epoch body
-with a failure boundary, and one launcher (:class:`Supervisor` /
-:func:`run_lifecycle`) drives it.  Each epoch starts from an in-memory
-snapshot of the replicated state (model, optimizer).  When a peer dies,
-every survivor observes a :class:`~repro.mpi.errors.PeerFailure` on the
-next operation that needs the dead rank; the handler (:func:`_recover`)
+with a failure boundary, and one launcher (:func:`run_lifecycle`) drives
+it.  Each epoch starts from an in-memory copy of the replicated state
+(:func:`repro.train.checkpoint.replica_state`).  When a peer dies, every
+survivor observes a :class:`~repro.mpi.errors.PeerFailure` on the next
+operation that needs the dead rank; the handler (:func:`_recover`)
 
 1. shrinks the communicator over the survivors (ULFM-style consensus),
-2. restores the epoch-start snapshot (survivors may be torn mid-epoch, but
+2. restores the epoch-start copy (survivors may be torn mid-epoch, but
    all of them identically — collectives complete on all ranks or none),
 3. aborts the in-flight exchange (nothing was installed or evicted, so
    storage and ledger are exactly their epoch-start state),
@@ -21,7 +21,7 @@ next operation that needs the dead rank; the handler (:func:`_recover`)
 :mod:`repro.elastic.rejoin` brings the rank back (*heal*), and with a
 snapshot directory the run also survives losing the whole job: every
 epoch ends with a crash-consistent full-job snapshot
-(:func:`repro.train.checkpoint.save_job_snapshot`), and the supervisor,
+(:func:`repro.train.checkpoint.save_job_snapshot`), and the launcher,
 outside the SPMD world, restarts a crashed job from the latest complete
 snapshot and replays it to bit-identity.
 
@@ -32,7 +32,7 @@ The pieces:
   dead rank is re-admitted at that epoch's boundary), and *crashes*
   (whole-job fail-stops at an epoch boundary, each followed by a
   supervised restart).
-* :func:`lifecycle_train_worker` — one rank's view.  A killed rank raises
+* :class:`_LifecycleRank` — one rank's view.  A killed rank raises
   :class:`~repro.mpi.errors.RankDied`, which the launcher records as a
   non-fatal death (the world's epitaph channel) — unless the plan
   schedules its rejoin: then it performs the launcher's death bookkeeping
@@ -42,13 +42,18 @@ The pieces:
   :meth:`~repro.mpi.communicator.Communicator.expand`.  A crash makes
   every live rank return a :class:`Crashed` marker (cooperatively — the
   world is not poisoned, so parked joiners unwind too).
-* :class:`Supervisor` / :func:`run_lifecycle` — drives segments of
-  ``run_spmd`` until no rank reports a crash, restoring the process-wide
-  RNG stream and the per-rank shard state between segments, then verifies
-  the end state: capacity at ``N/M`` per live rank, Q-deficit repaid,
-  every lifecycle transition present in the flight record.
-  ``resume=True`` starts from whatever the snapshot directory holds: the
-  way back for a job that died for real.
+* One **job record** — the replica state plus seed, job size and ledger,
+  with a shard manifest and scheduler state per rank — is what a snapshot
+  persists and what a joiner is handed; a restarted rank and a joiner
+  rebuild themselves from it through one routine
+  (:meth:`_LifecycleRank._restore_job`).
+* :func:`run_lifecycle` — drives segments of ``run_spmd`` until no rank
+  reports a crash, restoring the process-wide RNG stream and the per-rank
+  shard state between segments, then verifies the end state: every
+  training sample hot exactly once, capacity at ``N/M`` per live rank,
+  Q-deficit repaid, every lifecycle transition present in the flight
+  record.  ``resume=True`` starts from whatever the snapshot directory
+  holds: the way back for a job that died for real.
 
 One failure at a time is supported end-to-end; a second failure during an
 epoch is caught by the same handler on the next attempt, but a death during
@@ -68,6 +73,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,12 +85,11 @@ from repro.obs.telemetry import drain_pending
 from repro.shuffle.partial import PartialLocalShuffle
 from repro.shuffle.storage import StorageArea
 from repro.train.checkpoint import (
-    _history_payload,
-    _history_restore,
-    _load_optimizer_velocity,
-    _optimizer_velocity,
+    CheckpointError,
     latest_complete_snapshot,
     load_job_snapshot,
+    replica_state,
+    restore_replica_state,
     save_job_snapshot,
 )
 from repro.train.history import RunHistory
@@ -93,6 +98,7 @@ from repro.utils.rng import default_rng_state, restore_default_rng_state
 
 from .failure import FailurePlan
 from .ledger import ReplicaLedger
+from .migration import scaled_capacity
 from .recovery import RecoveryReport, ShardRecovery
 from .rejoin import RankRejoin, join_handshake, rebalance_targets
 
@@ -100,10 +106,13 @@ __all__ = [
     "Crashed",
     "LifecyclePlan",
     "LifecycleResult",
-    "Supervisor",
-    "lifecycle_train_worker",
     "run_lifecycle",
 ]
+
+#: Scheduler state the *run* owns (identical on every rank): what a joiner
+#: is handed.  Traffic counters are per-rank and restart at zero on a
+#: fresh node.
+_RUN_OWNED_SCHEDULER_STATE = ("q_deficit", "effective_q", "degraded_epochs")
 
 
 @dataclass(frozen=True)
@@ -111,8 +120,8 @@ class Crashed:
     """Marker a rank returns when the plan crashes the whole job.
 
     Not an exception: a crash is a *cooperative* fail-stop (the world is
-    left clean so ``run_spmd`` completes normally), and the supervisor
-    reads these markers to decide a restart is needed.  ``epoch`` is the
+    left clean so ``run_spmd`` completes normally), and
+    :func:`run_lifecycle` reads these markers to decide a restart is needed.  ``epoch`` is the
     boundary the job died at, ``-1`` on ranks that were parked waiting to
     rejoin when the crash hit.
     """
@@ -245,27 +254,12 @@ class LifecyclePlan:
 
 
 # ------------------------------------------------------- the failure boundary
-def _snapshot(model, optimizer) -> dict:
-    """Deep-copy the replicated state (an in-memory epoch-start checkpoint)."""
-    return {
-        "model": {k: np.copy(v) for k, v in model.state_dict().items()},
-        "velocity": _optimizer_velocity(optimizer),
-        "lr": optimizer.lr,
-    }
-
-
-def _restore(model, optimizer, snapshot: dict) -> None:
-    model.load_state_dict({k: np.copy(v) for k, v in snapshot["model"].items()})
-    _load_optimizer_velocity(optimizer, snapshot["velocity"])
-    optimizer.lr = snapshot["lr"]
-
-
 def _recover(
     comm: Communicator,
     strategy: PartialLocalShuffle,
     model,
     optimizer,
-    snapshot: dict,
+    epoch_start: dict,
     dataset: Dataset,
     epoch: int,
 ) -> tuple[Communicator, RecoveryReport]:
@@ -295,7 +289,7 @@ def _recover(
     newcomm = comm.shrink()
     detection_s = time.perf_counter() - t0
     dead = tuple(sorted(set(old_group) - set(newcomm.group)))
-    _restore(model, optimizer, snapshot)
+    restore_replica_state(epoch_start, model, optimizer)
     strategy.abort_epoch()
     recovery = ShardRecovery(
         newcomm, strategy.storage, strategy.ledger,
@@ -316,87 +310,33 @@ def _recover(
 
 
 # ------------------------------------------------------------------ the worker
-def lifecycle_train_worker(
-    comm,
-    config: TrainConfig,
-    plan: LifecyclePlan,
-    train_dataset,
-    labels,
-    val_X,
-    val_y,
-    *,
-    q: float = 0.2,
-    snapshot_dir: str | Path | None = None,
-    strategy_kwargs: dict | None = None,
-    total_workers: int | None = None,
-    live_group: tuple[int, ...] | None = None,
-    start_epoch: int = 0,
-    snapshot: dict | None = None,
-):
+class _LifecycleRank:
     """One rank of one job incarnation (segment).
 
-    Returns ``(history, model_state)`` on ranks that finish the run,
-    :class:`Crashed` on every rank when the plan crashes the job, and
-    ``None`` on a restarted segment's permanently dead ranks.  A rank
+    :meth:`run` returns ``(history, model_state)`` on ranks that finish
+    the run, :class:`Crashed` on every rank when the plan crashes the job,
+    and ``None`` on a restarted segment's permanently dead ranks.  A rank
     killed *without* a scheduled rejoin raises
     :class:`~repro.mpi.errors.RankDied`, so the launcher records its
-    epitaph.  ``snapshot_dir=None`` writes no job snapshots.
+    epitaph.  ``job`` holds :func:`run_lifecycle`'s parameters;
+    ``snapshot`` is the job record a restarted segment resumes from.
     """
-    rank = _LifecycleRank(
-        comm,
-        config,
-        plan,
-        train_dataset,
-        labels,
-        val_X,
-        val_y,
-        q=q,
-        snapshot_dir=snapshot_dir,
-        strategy_kwargs=strategy_kwargs or {},
-        total_workers=total_workers if total_workers is not None else comm.size,
-        live_group=tuple(live_group) if live_group else tuple(range(comm.size)),
-        start_epoch=start_epoch,
-        snapshot=snapshot,
-    )
-    return rank.run()
-
-
-class _LifecycleRank:
-    """Per-rank lifecycle state machine (see :func:`lifecycle_train_worker`)."""
 
     def __init__(
         self,
         comm,
-        config,
-        plan,
-        dataset,
-        labels,
-        val_X,
-        val_y,
-        *,
-        q,
-        snapshot_dir,
-        strategy_kwargs,
-        total_workers,
-        live_group,
-        start_epoch,
-        snapshot,
+        job: SimpleNamespace,
+        start_epoch: int,
+        snapshot: dict | None,
+        live_group: tuple[int, ...] | None,
     ) -> None:
         self.comm = comm
         self._comm0 = comm  # what the launcher's stranded-request check sees
-        self.config = config
-        self.plan = plan
-        self.dataset = dataset
-        self.labels = labels
-        self.val_X = val_X
-        self.val_y = val_y
-        self.q = q
-        self.snapshot_dir = None if snapshot_dir is None else Path(snapshot_dir)
-        self.strategy_kwargs = strategy_kwargs
-        self.total_workers = total_workers
-        self.live_group = live_group
+        self.job = job
+        self.plan: LifecyclePlan = job.plan
         self.segment_start = start_epoch
         self.snapshot = snapshot
+        self.live_group = live_group or tuple(range(comm.size))
         self.me = comm.group[comm.rank]
         self.model = None
         self.optimizer = None
@@ -417,12 +357,17 @@ class _LifecycleRank:
         if self.snapshot is None:
             self._fresh_setup()
         else:
-            self._restore_from_snapshot()
+            self._restore_job(self.comm, self.snapshot)
+            self.comm.flight.record(
+                "lifecycle.restart",
+                epoch=self.segment_start,
+                live=list(self.comm.group),
+            )
         return self._loop(self.segment_start)
 
     def _loop(self, start_epoch: int):
         epoch = start_epoch
-        while epoch < self.config.epochs:
+        while epoch < self.job.config.epochs:
             # Crash epochs <= the segment start already fired (the segment
             # *is* their restart), so only later ones trigger.
             if epoch in self.plan.crashes and epoch > self.segment_start:
@@ -433,12 +378,12 @@ class _LifecycleRank:
                 # loop *through* the admission (_park_and_rejoin), so it
                 # must not try to admit itself again.
                 self._admit(joiners, epoch)
-            mem = _snapshot(self.model, self.optimizer)
+            epoch_start = replica_state(self.model, self.optimizer)
             try:
                 lr = self.schedule.step(epoch)
                 record = train_one_epoch(
-                    self.comm, self.config, self.strategy, self.model,
-                    self.optimizer, epoch, lr, self.val_X, self.val_y,
+                    self.comm, self.job.config, self.strategy, self.model,
+                    self.optimizer, epoch, lr, self.job.val_X, self.job.val_y,
                     failure_point=partial(self.plan.kills.check, self.me, epoch),
                 )
             except RankDied as exc:
@@ -446,7 +391,7 @@ class _LifecycleRank:
             except PeerFailure:
                 self.comm, report = _recover(
                     self.comm, self.strategy, self.model, self.optimizer,
-                    mem, self.dataset, epoch,
+                    epoch_start, self.job.train_dataset, epoch,
                 )
                 self.recoveries.append(report)
                 continue  # redo the epoch over the survivors
@@ -519,32 +464,36 @@ class _LifecycleRank:
             "lifecycle.admitted", rank=self.me, members=newcomm.size
         )
         joiners = self.plan.joiners_at(rejoin_epoch)
-        state = join_handshake(newcomm, joiners)
-        self._adopt_state(newcomm, state, joiners)
+        record = join_handshake(newcomm, joiners)
+        self._restore_job(newcomm, record)
+        self._rebalance(newcomm, joiners, int(record["epoch"]))
         self.comm = newcomm
-        return self._loop(int(state["epoch"]))
+        return self._loop(int(record["epoch"]))
 
     def _admit(self, joiners: tuple[int, ...], epoch: int) -> None:
         """Survivor side of a rejoin: expand, hand over state, rebalance."""
         old_size = self.comm.size
         newcomm = self.comm.expand(joiners)
         root = min(r for r in newcomm.group if r not in joiners)
-        state = None
+        record = None
         if self.me == root:
-            state = self._handover_state(epoch, old_size, newcomm.size)
-        join_handshake(newcomm, joiners, state)
-        report = RankRejoin(
-            newcomm, self.strategy.storage, self.strategy.ledger,
-            old_size=old_size,
-        ).rebalance(joiners)
-        report.epoch = epoch
-        self.rejoin_reports.append(report)
+            record = self._handover(epoch, joiners, old_size, newcomm.size)
+        join_handshake(newcomm, joiners, record)
+        self._rebalance(newcomm, joiners, epoch, old_size=old_size)
         # Scheduler rebuilt over the expanded size; run-owned state (the
         # Q-deficit owed from degraded epochs) carries over and, with
         # capacity restored, repays faster by construction.
         self.strategy.attach_comm(newcomm)
         self.comm = newcomm
-        newcomm.flight.record(
+
+    def _rebalance(self, comm, joiners, epoch: int, old_size: int | None = None) -> None:
+        """Both sides of a rejoin: migrate shards back toward ``N/M``."""
+        report = RankRejoin(
+            comm, self.strategy.storage, self.strategy.ledger, old_size=old_size,
+        ).rebalance(joiners)
+        report.epoch = epoch
+        self.rejoin_reports.append(report)
+        comm.flight.record(
             "lifecycle.rebalanced",
             epoch=epoch,
             joiners=list(joiners),
@@ -553,138 +502,102 @@ class _LifecycleRank:
             bytes=report.bytes_transferred,
         )
 
-    # ------------------------------------------------------------- state moves
-    def _handover_state(self, epoch: int, old_size: int, new_size: int) -> dict:
-        """Everything a joiner missed while dead (sent on ``JOIN.tag(0)``)."""
-        cap = self.strategy.storage.capacity_bytes
-        sched = self.strategy.scheduler
+    # --------------------------------------------------------- the job record
+    def _job_record(self, epoch: int) -> dict:
+        """The replicated job state, identical on every live rank, stamped
+        with ``epoch`` (a snapshot's last finished epoch, a handover's next
+        one).  A snapshot adds the per-rank manifests and scheduler states;
+        a handover adds the joiners' (empty) ones."""
         return {
             "epoch": int(epoch),
-            "model_state": {
-                k: np.copy(v) for k, v in self.model.state_dict().items()
-            },
-            "optimizer_velocity": _optimizer_velocity(self.optimizer),
-            "optimizer_lr": self.optimizer.lr,
-            "seed": self.config.seed,
-            "total_workers": self.total_workers,
+            **replica_state(self.model, self.optimizer, self.history),
+            "seed": self.job.config.seed,
+            "total_workers": self.job.workers,
             "ledger": dict(self.strategy.ledger.holder),
-            # The joiner starts at the healed bound the survivors are about
-            # to shrink back to: (1+Q)·N/M_new.
-            "capacity_bytes": (
-                None if cap is None else -(-cap * old_size // new_size)
-            ),
-            # Replicated scheduler state only: the deficit is owed by the
-            # run (identical on every rank); traffic counters are per-rank
-            # and restart at zero on a fresh node.
-            "scheduler_shared": {
-                "q_deficit": sched.q_deficit,
-                "effective_q": sched.effective_q,
-                "degraded_epochs": sched.degraded_epochs,
-            },
-            "history": _history_payload(self.history),
         }
 
-    def _adopt_state(self, comm, state: dict, joiners: tuple[int, ...]) -> None:
-        """Joiner side: rebuild replicated state from the handshake, then
-        receive the rebalanced shard."""
-        self._restore_replica(state)
+    def _handover(self, epoch: int, joiners, old_size: int, new_size: int) -> dict:
+        """Everything a joiner missed while dead (sent on ``JOIN.tag(0)``).
+
+        Each joiner starts with an empty shard at the healed bound the
+        survivors are about to shrink back to, ``(1+Q)·N/M_new``, and the
+        scheduler state the run owns.
+        """
+        state = self.strategy.scheduler.state_dict()
+        shared = {k: state[k] for k in _RUN_OWNED_SCHEDULER_STATE}
+        empty = {
+            "hot": [],
+            "cold": [],
+            "capacity_bytes": scaled_capacity(
+                self.strategy.storage.capacity_bytes, old_size, new_size
+            ),
+        }
+        return {
+            **self._job_record(epoch),
+            "manifests": {j: empty for j in joiners},
+            "scheduler_states": {j: shared for j in joiners},
+        }
+
+    def _restore_job(self, comm, record: dict) -> None:
+        """Rebuild this rank from a job record: a snapshot on restart, the
+        handshake on rejoin.
+
+        Replicated state first — the optimizer built for the *original*
+        worker count: lr scaling follows the job, not the current
+        incarnation's size — then the ledger, then the shard (the
+        manifest's gids re-read from the source dataset in hot order),
+        then the strategy bound to ``comm``, then the history.
+        """
+        self.model, self.optimizer, self.schedule = build_replica(
+            self.job.config, workers=record["total_workers"]
+        )
+        history = restore_replica_state(record, self.model, self.optimizer)
         ledger = ReplicaLedger()
-        ledger.holder = {int(g): int(r) for g, r in state["ledger"].items()}
-        storage = StorageArea(capacity_bytes=state["capacity_bytes"])
+        ledger.holder = {int(g): int(r) for g, r in record["ledger"].items()}
+        manifest = record["manifests"][self.me]
+        storage = StorageArea(capacity_bytes=manifest["capacity_bytes"])
+        dataset = self.job.train_dataset
+        for gid in manifest["hot"]:
+            sample, label = dataset[int(gid)]
+            storage.add(np.asarray(sample), int(label), gid=int(gid))
+        for gid in manifest["cold"]:
+            # add_cold, not add+demote: a gid may be hot *and* cold, and the
+            # hot map must keep pointing at the hot copy.
+            sample, label = dataset[int(gid)]
+            storage.add_cold(np.asarray(sample), int(label), gid=int(gid))
         self.strategy = PartialLocalShuffle(
-            self.q, ledger=ledger, **self.strategy_kwargs
+            self.job.q, ledger=ledger, **self.job.strategy_kwargs
         )
-        self.strategy.adopt(comm, storage=storage, seed=state["seed"])
-        shared = state["scheduler_shared"]
-        sched = self.strategy.scheduler
-        sched.q_deficit = shared["q_deficit"]
-        sched.effective_q = shared["effective_q"]
-        sched.degraded_epochs = shared["degraded_epochs"]
-        self.history = _history_restore(state["history"])
-        report = RankRejoin(comm, storage, ledger).rebalance(joiners)
-        report.epoch = int(state["epoch"])
-        self.rejoin_reports.append(report)
-        comm.flight.record(
-            "lifecycle.rebalanced",
-            epoch=int(state["epoch"]),
-            joiners=list(joiners),
-            moved=report.moved_gids,
-            promoted=report.promoted,
-            bytes=report.bytes_transferred,
+        self.strategy.adopt(
+            comm, storage=storage, seed=record["seed"],
+            scheduler_state=record["scheduler_states"][self.me],
         )
+        self.history = history
 
     def _fresh_setup(self) -> None:
-        cfg = self.config
+        cfg = self.job.config
         self.model, self.optimizer, self.schedule = build_replica(cfg, self.comm)
         self.strategy = PartialLocalShuffle(
-            self.q, ledger=ReplicaLedger(), **self.strategy_kwargs
+            self.job.q, ledger=ReplicaLedger(), **self.job.strategy_kwargs
         )
         self.strategy.setup(
-            self.comm, self.dataset,
-            labels=self.labels, partition=cfg.partition, seed=cfg.seed,
+            self.comm, self.job.train_dataset,
+            labels=self.job.labels, partition=cfg.partition, seed=cfg.seed,
         )
         self.history = RunHistory(
             strategy=self.strategy.name, workers=self.comm.size
         )
 
-    def _restore_from_snapshot(self) -> None:
-        """Crash-restart: rebuild this rank's entire state from the
-        snapshot — replicated state directly, the shard by re-reading the
-        manifest's gids from the source dataset in hot order."""
-        snap = self.snapshot
-        self._restore_replica(snap)
-        ledger = ReplicaLedger()
-        ledger.holder = {int(g): int(r) for g, r in snap["ledger"].items()}
-        manifest = snap["manifests"][self.me]
-        storage = StorageArea(capacity_bytes=manifest["capacity_bytes"])
-        for gid in manifest["hot"]:
-            sample, label = self.dataset[int(gid)]
-            storage.add(np.asarray(sample), int(label), gid=int(gid))
-        for gid in manifest["cold"]:
-            # add_cold, not add+demote: a gid may be hot *and* cold, and the
-            # hot map must keep pointing at the hot copy.
-            sample, label = self.dataset[int(gid)]
-            storage.add_cold(np.asarray(sample), int(label), gid=int(gid))
-        self.strategy = PartialLocalShuffle(
-            self.q, ledger=ledger, **self.strategy_kwargs
-        )
-        self.strategy.adopt(
-            self.comm, storage=storage, seed=snap["seed"],
-            scheduler_state=snap["scheduler_states"][self.me],
-        )
-        self.history = _history_restore(snap["history"])
-        self.comm.flight.record(
-            "lifecycle.restart",
-            epoch=self.segment_start,
-            live=list(self.comm.group),
-        )
-
-    def _restore_replica(self, state: dict) -> None:
-        """Replicated state from a snapshot or handshake.  The optimizer is
-        built for the *original* worker count: lr scaling follows the job,
-        not the current incarnation's size."""
-        self.model, self.optimizer, self.schedule = build_replica(
-            self.config, workers=state["total_workers"]
-        )
-        _restore(
-            self.model,
-            self.optimizer,
-            {
-                "model": state["model_state"],
-                "velocity": state["optimizer_velocity"],
-                "lr": state["optimizer_lr"],
-            },
-        )
-
     # -------------------------------------------------------------- checkpoint
     def _checkpoint(self, epoch: int) -> None:
         """End-of-epoch full-job snapshot (collective; rank 0 writes)."""
-        if self.snapshot_dir is None:
+        if self.job.snapshot_dir is None:
             return
+        storage = self.strategy.storage
         manifest = {
-            "hot": [int(g) for g in self.strategy.storage.hot_gids()],
-            "cold": [int(g) for g in self.strategy.storage.cold_gids()],
-            "capacity_bytes": self.strategy.storage.capacity_bytes,
+            "hot": [int(g) for g in storage.hot_gids()],
+            "cold": [int(g) for g in storage.cold_gids()],
+            "capacity_bytes": storage.capacity_bytes,
         }
         per_rank = self.comm.allgather(
             (manifest, self.strategy.scheduler.state_dict())
@@ -692,24 +605,15 @@ class _LifecycleRank:
         if self.comm.rank == 0:
             group = self.comm.group
             payload = {
-                "epoch": int(epoch),
-                "model_state": {
-                    k: np.copy(v) for k, v in self.model.state_dict().items()
-                },
-                "optimizer_velocity": _optimizer_velocity(self.optimizer),
-                "optimizer_lr": self.optimizer.lr,
+                **self._job_record(epoch),
                 "rng": default_rng_state(),
-                "history": _history_payload(self.history),
-                "seed": self.config.seed,
-                "total_workers": self.total_workers,
                 "live_group": list(group),
-                "ledger": dict(self.strategy.ledger.holder),
                 "manifests": {group[i]: m for i, (m, _) in enumerate(per_rank)},
                 "scheduler_states": {
                     group[i]: s for i, (_, s) in enumerate(per_rank)
                 },
             }
-            path = save_job_snapshot(self.snapshot_dir, payload)
+            path = save_job_snapshot(self.job.snapshot_dir, payload)
             self.comm.flight.record(
                 "lifecycle.checkpoint", epoch=epoch, path=str(path)
             )
@@ -728,13 +632,10 @@ class _LifecycleRank:
         stats["q_deficit"] = self.strategy.scheduler.q_deficit
         stats["hot_counts"] = self.comm.allgather(len(self.strategy.storage))
         self.history.stats = stats
-        model_state = {
-            k: np.copy(v) for k, v in self.model.state_dict().items()
-        }
-        return self.history, model_state
+        return self.history, self.model.state_dict()
 
 
-# -------------------------------------------------------------- the supervisor
+# ---------------------------------------------------------------- the launcher
 @dataclass
 class LifecycleResult:
     """Outcome of a supervised lifecycle run."""
@@ -754,7 +655,8 @@ class LifecycleResult:
     q_deficit: float
     #: Every live rank back at its N/M hot-sample target.
     capacity_ok: bool
-    #: capacity_ok and deficit repaid and worker count as expected.
+    #: capacity_ok, every training sample hot, deficit repaid and worker
+    #: count as expected.
     verified: bool
     dead_ranks: tuple[int, ...]
     #: The final segment's raw per-rank results (and through ``.world`` its
@@ -770,231 +672,12 @@ class LifecycleResult:
         return [e["kind"] for e in self.events]
 
 
-class Supervisor:
-    """Drives the self-healing loop across job incarnations.
-
-    Each iteration launches one ``run_spmd`` segment.  If any rank returns
-    :class:`Crashed`, the supervisor locates the latest *complete* snapshot
-    (two-phase commit marker present), restores the process-wide RNG
-    stream, and relaunches with the snapshot's live group — dead ranks
-    re-park for their scheduled rejoin.  When a segment finishes cleanly it
-    verifies the healed state and assembles the cross-segment flight-event
-    timeline.  ``snapshot_dir=None`` runs without job snapshots, which a
-    plan with crashes (or a resume) cannot do.
-    """
-
-    def __init__(
-        self,
-        *,
-        config: TrainConfig,
-        workers: int,
-        q: float = 0.2,
-        plan: LifecyclePlan | None = None,
-        snapshot_dir: str | Path | None = None,
-        train_dataset,
-        labels,
-        val_X,
-        val_y,
-        strategy_kwargs: dict | None = None,
-        deadline_s: float = 600.0,
-        tracing: bool = False,
-        world_factory=None,
-        backend: str | None = None,
-    ) -> None:
-        self.config = config
-        self.workers = workers
-        self.q = q
-        self.plan = plan if plan is not None else LifecyclePlan()
-        self.snapshot_dir = None if snapshot_dir is None else Path(snapshot_dir)
-        self.train_dataset = train_dataset
-        self.labels = labels
-        self.val_X = val_X
-        self.val_y = val_y
-        self.strategy_kwargs = strategy_kwargs
-        self.deadline_s = deadline_s
-        self.tracing = tracing
-        self.world_factory = world_factory
-        self.backend = backend
-        if self.plan.max_epoch() >= config.epochs:
-            raise ValueError(
-                f"lifecycle plan touches epoch {self.plan.max_epoch()} but "
-                f"the run only has {config.epochs} epochs"
-            )
-        if self.plan.crashes and self.snapshot_dir is None:
-            raise ValueError(
-                "a plan with crashes needs a snapshot_dir to restart from"
-            )
-
-    def run(self, *, resume: bool = False) -> LifecycleResult:
-        """Run to completion; ``resume=True`` starts from the snapshot
-        directory's latest complete snapshot instead of epoch 0."""
-        restart = (0, None, None)
-        if resume:
-            restart = self._restart_point("resume requested")
-        segments = 0
-        events: list[dict] = []
-        while True:
-            segments += 1
-            results = self._segment(*restart)
-            events.extend(_lifecycle_events(results.world, segments))
-            crashed = [r for r in results if isinstance(r, Crashed)]
-            if not crashed:
-                break
-            results.world.flight.dump(
-                f"lifecycle segment {segments} crashed",
-                key=("lifecycle-segment", segments),
-                extra={"segment": segments},
-            )
-            # A segment only returns Crashed at one of the plan's crash
-            # epochs, and each fires once.
-            if segments > len(self.plan.crashes):
-                raise RuntimeError(
-                    f"segment {segments} crashed but the plan schedules only "
-                    f"{len(self.plan.crashes)} crash(es)"
-                )
-            restart = self._restart_point(
-                f"crash at epoch {max(c.epoch for c in crashed)}"
-            )
-        return self._verify(results, segments, events)
-
-    # --------------------------------------------------------------- internals
-    def _segment(self, start_epoch, snapshot, live_group):
-        def worker(comm):
-            return lifecycle_train_worker(
-                comm, self.config, self.plan,
-                self.train_dataset, self.labels, self.val_X, self.val_y,
-                q=self.q,
-                snapshot_dir=self.snapshot_dir,
-                strategy_kwargs=self.strategy_kwargs,
-                total_workers=self.workers,
-                live_group=live_group,
-                start_epoch=start_epoch,
-                snapshot=snapshot,
-            )
-
-        return run_spmd(
-            worker, self.workers, copy_on_send=False,
-            deadline_s=self.deadline_s, tracing=self.tracing,
-            world_factory=self.world_factory, backend=self.backend,
-        )
-
-    def _restart_point(self, why: str) -> tuple[int, dict, tuple[int, ...]]:
-        """``(start_epoch, snapshot, live_group)`` of the latest complete
-        snapshot, with the process-wide RNG stream put back where the
-        snapshot left it."""
-        path = (
-            None if self.snapshot_dir is None
-            else latest_complete_snapshot(self.snapshot_dir)
-        )
-        if path is None:
-            raise RuntimeError(
-                f"cannot restart ({why}): no complete snapshot in "
-                f"{self.snapshot_dir}"
-            )
-        snapshot = load_job_snapshot(path)
-        restore_default_rng_state(snapshot["rng"])
-        return (
-            int(snapshot["epoch"]) + 1,
-            snapshot,
-            tuple(int(r) for r in snapshot["live_group"]),
-        )
-
-    def _verify(self, results, segments: int, events: list[dict]) -> LifecycleResult:
-        finals = {
-            r: res for r, res in enumerate(results) if isinstance(res, tuple)
-        }
-        if not finals:
-            raise RuntimeError("no rank finished the lifecycle run")
-        history, model_state = finals[min(finals)]
-        stats = history.stats
-        final_group = tuple(stats["final_group"])
-        hot_counts = list(stats["hot_counts"])
-        targets = rebalance_targets(sum(hot_counts), final_group)
-        expected = [targets[r] for r in final_group]
-        if stats.get("rejoins"):
-            # A rebalance ran: the planner guarantees the exact per-rank
-            # assignment (first ``total mod M`` ranks hold the extra).
-            capacity_ok = hot_counts == expected
-        else:
-            # Degraded finish: recovery balances within one sample but the
-            # least-loaded assignment doesn't fix *which* rank holds it.
-            capacity_ok = sorted(hot_counts) == sorted(expected)
-        q_deficit = float(stats.get("q_deficit", 0.0))
-        expected_workers = self.workers - len(self.plan.dead_forever())
-        verified = (
-            capacity_ok
-            and q_deficit == 0.0
-            and stats["final_workers"] == expected_workers
-        )
-        world = results.world
-        world.flight.for_rank(final_group[0]).record(
-            "lifecycle.verified",
-            capacity_ok=capacity_ok,
-            q_deficit=q_deficit,
-            workers=stats["final_workers"],
-            segments=segments,
-        )
-        events.append(
-            {
-                "segment": segments,
-                "rank": final_group[0],
-                "kind": "lifecycle.verified",
-                "capacity_ok": capacity_ok,
-                "q_deficit": q_deficit,
-            }
-        )
-        world.flight.dump(
-            "lifecycle complete",
-            key="lifecycle-complete",
-            extra={
-                "segments": segments,
-                "restarts": segments - 1,
-                "verified": verified,
-                "transitions": [e["kind"] for e in events],
-            },
-        )
-        return LifecycleResult(
-            history=history,
-            model_state=model_state,
-            segments=segments,
-            restarts=segments - 1,
-            events=events,
-            rejoins=list(stats.get("rejoins", [])),
-            recoveries=list(stats.get("recoveries", [])),
-            final_workers=stats["final_workers"],
-            final_group=final_group,
-            q_deficit=q_deficit,
-            capacity_ok=capacity_ok,
-            verified=verified,
-            dead_ranks=self.plan.dead_forever(),
-            results=results,
-        )
-
-
-#: Flight-event kinds the supervisor lifts into the cross-segment timeline.
-_EVENT_PREFIXES = ("lifecycle.", "elastic.", "rank.died")
-
-
-def _lifecycle_events(world, segment: int) -> list[dict]:
-    """Ordered lifecycle/elastic events from every rank's flight ring."""
-    out = []
-    for rec in world.flight.recorders:
-        for event in rec.events():
-            if event["kind"].startswith(_EVENT_PREFIXES):
-                out.append({"segment": segment, "rank": rec.rank, **event})
-    out.sort(key=lambda e: e["ts"])
-    return out
-
-
 def run_lifecycle(
     *,
     config: TrainConfig,
     workers: int,
     q: float = 0.2,
     plan: LifecyclePlan | None = None,
-    kills: str = "",
-    rejoins: str = "",
-    restart_after: str = "",
     snapshot_dir: str | Path | None = None,
     resume: bool = False,
     train_dataset,
@@ -1010,21 +693,186 @@ def run_lifecycle(
     """Launch one supervised run: the entry point of tests, benchmarks and
     :func:`repro.faults.run_chaos_train` (and through it the CLI).
 
-    The schedule is ``plan``, or the :meth:`LifecyclePlan.parse` triple
-    ``kills`` / ``rejoins`` / ``restart_after``.  ``snapshot_dir`` turns on
-    end-of-epoch job snapshots (required by crashes); ``resume=True``
-    restarts a job that died — for real, on schedule, by SIGKILL — from the
-    last epoch whose two-phase snapshot committed and replays it
-    bit-identically to a run that never died.
+    Each iteration launches one ``run_spmd`` segment of ``workers`` ranks
+    training ``config`` with partial-``q`` shuffling under ``plan``
+    (``strategy_kwargs`` go to every rank's :class:`PartialLocalShuffle`).
+    If any rank returns :class:`Crashed`, the latest *complete* snapshot
+    (two-phase commit marker present) is loaded, the process-wide RNG
+    stream restored, and the job relaunched with the snapshot's live
+    group — dead ranks re-park for their scheduled rejoin.  When a segment
+    finishes cleanly the healed state is verified and the cross-segment
+    flight-event timeline assembled.
+
+    ``snapshot_dir`` turns on end-of-epoch job snapshots (required by
+    crashes); ``resume=True`` restarts a job that died — for real, on
+    schedule, by SIGKILL — from the last epoch whose two-phase snapshot
+    committed and replays it bit-identically to a run that never died.  A
+    snapshot of a job with another worker count or seed raises
+    :class:`~repro.train.checkpoint.CheckpointError`.
     """
-    if plan is None:
-        plan = LifecyclePlan.parse(
-            kills=kills, rejoins=rejoins, restart_after=restart_after
+    plan = plan if plan is not None else LifecyclePlan()
+    snapshot_dir = None if snapshot_dir is None else Path(snapshot_dir)
+    strategy_kwargs = strategy_kwargs or {}
+    if plan.max_epoch() >= config.epochs:
+        raise ValueError(
+            f"lifecycle plan touches epoch {plan.max_epoch()} but "
+            f"the run only has {config.epochs} epochs"
         )
-    return Supervisor(
-        config=config, workers=workers, q=q, plan=plan,
-        snapshot_dir=snapshot_dir, train_dataset=train_dataset, labels=labels,
-        val_X=val_X, val_y=val_y, strategy_kwargs=strategy_kwargs,
-        deadline_s=deadline_s, tracing=tracing, world_factory=world_factory,
-        backend=backend,
-    ).run(resume=resume)
+    if plan.crashes and snapshot_dir is None:
+        raise ValueError("a plan with crashes needs a snapshot_dir to restart from")
+    # The run's parameters, listed once: every segment and rank reads them
+    # from here.
+    job = SimpleNamespace(**locals())
+    restart = (0, None, None)
+    if resume:
+        restart = _restart_point(job, "resume requested")
+    segments = 0
+    events: list[dict] = []
+    while True:
+        segments += 1
+        results = run_spmd(
+            lambda comm: _LifecycleRank(comm, job, *restart).run(),
+            workers, copy_on_send=False, deadline_s=deadline_s,
+            tracing=tracing, world_factory=world_factory, backend=backend,
+        )
+        events.extend(_lifecycle_events(results.world, segments))
+        crashed = [r for r in results if isinstance(r, Crashed)]
+        if not crashed:
+            break
+        results.world.flight.dump(
+            f"lifecycle segment {segments} crashed",
+            key=("lifecycle-segment", segments),
+            extra={"segment": segments},
+        )
+        # A segment only returns Crashed at one of the plan's crash
+        # epochs, and each fires once.
+        if segments > len(plan.crashes):
+            raise RuntimeError(
+                f"segment {segments} crashed but the plan schedules only "
+                f"{len(plan.crashes)} crash(es)"
+            )
+        restart = _restart_point(
+            job, f"crash at epoch {max(c.epoch for c in crashed)}"
+        )
+    return _verify(job, results, segments, events)
+
+
+def _restart_point(job, why: str) -> tuple[int, dict, tuple[int, ...]]:
+    """``(start_epoch, snapshot, live_group)`` of the latest complete
+    snapshot, with the process-wide RNG stream put back where the
+    snapshot left it."""
+    path = (
+        None if job.snapshot_dir is None
+        else latest_complete_snapshot(job.snapshot_dir)
+    )
+    if path is None:
+        raise RuntimeError(
+            f"cannot restart ({why}): no complete snapshot in {job.snapshot_dir}"
+        )
+    snapshot = load_job_snapshot(path)
+    # A snapshot of another job must not be resumed: 4 workers' snapshot
+    # on 3 would restore ranks 0-2's manifests and silently drop rank 3's
+    # shard.
+    for key, ours in (("total_workers", job.workers), ("seed", job.config.seed)):
+        if snapshot[key] != ours:
+            raise CheckpointError(
+                f"{path}: snapshot has {key}={snapshot[key]} but this run "
+                f"has {key}={ours}"
+            )
+    restore_default_rng_state(snapshot["rng"])
+    return (
+        int(snapshot["epoch"]) + 1,
+        snapshot,
+        tuple(int(r) for r in snapshot["live_group"]),
+    )
+
+
+def _verify(job, results, segments: int, events: list[dict]) -> LifecycleResult:
+    """Check the healed end state and assemble the result."""
+    finals = {
+        r: res for r, res in enumerate(results) if isinstance(res, tuple)
+    }
+    if not finals:
+        raise RuntimeError("no rank finished the lifecycle run")
+    history, model_state = finals[min(finals)]
+    stats = history.stats
+    final_group = tuple(stats["final_group"])
+    hot_counts = list(stats["hot_counts"])
+    targets = rebalance_targets(sum(hot_counts), final_group)
+    expected = [targets[r] for r in final_group]
+    if stats.get("rejoins"):
+        # A rebalance ran: the planner guarantees the exact per-rank
+        # assignment (first ``total mod M`` ranks hold the extra).
+        capacity_ok = hot_counts == expected
+    else:
+        # Degraded finish: recovery balances within one sample but the
+        # least-loaded assignment doesn't fix *which* rank holds it.
+        capacity_ok = sorted(hot_counts) == sorted(expected)
+    q_deficit = float(stats.get("q_deficit", 0.0))
+    expected_workers = job.workers - len(job.plan.dead_forever())
+    verified = (
+        capacity_ok
+        # Every training sample hot somewhere: the balance checks above
+        # only compare the ranks with each other.
+        and sum(hot_counts) == len(job.train_dataset)
+        and q_deficit == 0.0
+        and stats["final_workers"] == expected_workers
+    )
+    world = results.world
+    world.flight.for_rank(final_group[0]).record(
+        "lifecycle.verified",
+        capacity_ok=capacity_ok,
+        q_deficit=q_deficit,
+        workers=stats["final_workers"],
+        segments=segments,
+    )
+    events.append(
+        {
+            "segment": segments,
+            "rank": final_group[0],
+            "kind": "lifecycle.verified",
+            "capacity_ok": capacity_ok,
+            "q_deficit": q_deficit,
+        }
+    )
+    world.flight.dump(
+        "lifecycle complete",
+        key="lifecycle-complete",
+        extra={
+            "segments": segments,
+            "restarts": segments - 1,
+            "verified": verified,
+            "transitions": [e["kind"] for e in events],
+        },
+    )
+    return LifecycleResult(
+        history=history,
+        model_state=model_state,
+        segments=segments,
+        restarts=segments - 1,
+        events=events,
+        rejoins=list(stats.get("rejoins", [])),
+        recoveries=list(stats.get("recoveries", [])),
+        final_workers=stats["final_workers"],
+        final_group=final_group,
+        q_deficit=q_deficit,
+        capacity_ok=capacity_ok,
+        verified=verified,
+        dead_ranks=job.plan.dead_forever(),
+        results=results,
+    )
+
+
+#: Flight-event kinds the launcher lifts into the cross-segment timeline.
+_EVENT_PREFIXES = ("lifecycle.", "elastic.", "rank.died")
+
+
+def _lifecycle_events(world, segment: int) -> list[dict]:
+    """Ordered lifecycle/elastic events from every rank's flight ring."""
+    out = []
+    for rec in world.flight.recorders:
+        for event in rec.events():
+            if event["kind"].startswith(_EVENT_PREFIXES):
+                out.append({"segment": segment, "rank": rec.rank, **event})
+    out.sort(key=lambda e: e["ts"])
+    return out

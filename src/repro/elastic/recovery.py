@@ -13,13 +13,13 @@ zero-loss training in four steps:
    that already hold a cold replica (a free promotion), never exceeding a
    survivor's capacity — the paper's ``(1+Q)·N/M`` bound re-based to the
    shrunk size ``M-1`` via ``StorageArea.resize``.
-3. **Transfer** — point-to-point ``isend``/``irecv`` of replicas whose new
-   home differs from the replica holder; gids with *no* live replica fall
-   back to re-reading the source dataset by gid (the parallel file system
-   always holds the original, §III-A).
-4. **Re-point** — every survivor applies the same assignment to its ledger
-   copy, so subsequent exchange plans and any later recovery stay
-   consistent.
+3. **Migrate** — :func:`~repro.elastic.migration.migrate`, the executor
+   rejoin shares: replicas whose new home differs from the replica holder
+   are transferred point-to-point, gids with *no* live replica are re-read
+   from the source dataset by gid (the parallel file system always holds
+   the original, §III-A), and every survivor applies the same assignment
+   to its ledger copy, so subsequent exchange plans and any later recovery
+   stay consistent.
 
 Everything after the two allgathers is deterministic, so no further
 agreement rounds are needed.
@@ -33,20 +33,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.mpi.request import waitall
 from repro.mpi.tags import RECOVERY
 from repro.shuffle.storage import StorageArea, StorageFullError
-from repro.utils.retry import default_retrier
 
 from .ledger import ReplicaLedger
+from .migration import PROMOTE, READ, TRANSFER, migrate, scaled_capacity
 
-__all__ = ["ShardRecovery", "RecoveryReport", "RECOVERY_TAG_BASE"]
-
-#: Tag space for recovery transfers (allocated in repro.mpi.tags).  Recovery
-#: runs on a freshly shrunk communicator (its own matching context), so these
-#: cannot collide with exchange traffic; the registry range just keeps them
-#: recognisable in traces and lintable by SPMD006.
-RECOVERY_TAG_BASE = RECOVERY.base
+__all__ = ["ShardRecovery", "RecoveryReport"]
 
 
 @dataclass
@@ -65,7 +58,6 @@ class RecoveryReport:
     detection_latency_s: float = 0.0
     wall_s: float = 0.0
     epoch: int = -1
-    redone_epochs: int = 0
 
     def as_dict(self) -> dict:
         """Flat summary for history stats / benchmark tables."""
@@ -141,24 +133,26 @@ class ShardRecovery:
         )
         # Step 2: deterministic assignment.
         assignments = self._assign(lost, cold_by_rank, loads)
-        # Step 3: move the bytes.
-        from_replica, from_source, transfers, nbytes = self._execute(assignments)
-        # Step 4: re-point the (replicated) ledger.
-        for gid, _src, dst in assignments:
-            self.ledger.reassign(gid, comm.group[dst])
-        missing = self.ledger.missing_from(comm.group)
-        if missing:
-            raise RuntimeError(
-                f"recovery incomplete: {len(missing)} gid(s) still "
-                f"unheld (first: {missing[:5]})"
-            )
+        # Step 3: move the bytes and re-point the (replicated) ledger.
+        moves = [
+            (gid, src, dst,
+             READ if src is None else PROMOTE if src == dst else TRANSFER)
+            for gid, src, dst in assignments
+        ]
+        # Recovery runs on a freshly shrunk communicator (its own matching
+        # context), so its tags cannot collide with exchange traffic.
+        nbytes = migrate(
+            comm, self.storage, self.ledger, moves,
+            tags=RECOVERY, dataset=self.dataset,
+        )
+        hows = [how for *_, how in moves]
         wall = time.perf_counter() - t0
         return RecoveryReport(
             dead_ranks=dead_ranks,
             lost_gids=len(lost),
-            from_replica=from_replica,
-            from_source=from_source,
-            transfers=transfers,
+            from_replica=len(moves) - hows.count(READ),
+            from_source=hows.count(READ),
+            transfers=hows.count(TRANSFER),
             bytes_transferred=nbytes,
             capacity_bytes=self.storage.capacity_bytes,
             assignments=tuple(assignments),
@@ -171,7 +165,7 @@ class ShardRecovery:
         cap = self.storage.capacity_bytes
         if cap is None or self.old_size <= self.comm.size:
             return
-        self.storage.resize(-(-cap * self.old_size // self.comm.size))
+        self.storage.resize(scaled_capacity(cap, self.old_size, self.comm.size))
 
     def _sample_nbytes(self, gid: int) -> int:
         """Deterministic size estimate for a gid with no cold replica."""
@@ -235,71 +229,3 @@ class ShardRecovery:
             proj_count[dest] += 1
             proj_bytes[dest] += nbytes
         return out
-
-    def _execute(
-        self, assignments: Sequence[tuple[int, int | None, int]]
-    ) -> tuple[int, int, int, int]:
-        """Perform the transfers; returns (from_replica, from_source,
-        p2p transfers, bytes moved over the wire)."""
-        comm = self.comm
-        me = comm.rank
-        send_reqs = []
-        recv_reqs: list[tuple[int, object]] = []
-        nbytes = transfers = from_replica = from_source = 0
-        for idx, (gid, src, dst) in enumerate(assignments):
-            # Wraps modulo the range width; FIFO matching per (source, tag)
-            # channel keeps reused tags unambiguous within one recovery.
-            tag = RECOVERY.tag(idx)
-            if src is not None and src != dst:
-                if me == src:
-                    sample, label = self.storage.get_by_gid(gid)
-                    # A copy: the by-reference transport would hand the peer
-                    # a view of our storage, valid only while our entry lives
-                    # (StorageArea's view-validity rule).
-                    send_reqs.append(
-                        comm.isend((np.array(sample), label, gid), dest=dst, tag=tag)
-                    )
-                if me == dst:
-                    recv_reqs.append((gid, comm.irecv(source=src, tag=tag)))
-            if src is not None:
-                from_replica += 1
-                if src != dst:
-                    transfers += 1
-            else:
-                from_source += 1
-        waitall(send_reqs)
-        for gid, req in recv_reqs:
-            sample, label, wire_gid = req.wait()
-            if wire_gid != gid:
-                raise RuntimeError(
-                    f"recovery transfer mismatch: expected gid {gid}, "
-                    f"got {wire_gid}"
-                )
-            nbytes += int(np.asarray(sample).nbytes)
-            self._install(np.asarray(sample), int(label), gid)
-        for gid, src, dst in assignments:
-            if dst != me:
-                continue
-            if src == me:
-                self.storage.promote(gid)
-            elif src is None:
-                # PFS fallback read: the source dataset may sit on a flaky
-                # parallel file system, so recovery retries like any other
-                # storage read (shared policy -> shared counters).
-                sample, label = default_retrier().call(
-                    lambda attempt: self.dataset[gid], key=f"recover:{gid}"
-                )
-                self._install(np.asarray(sample), int(label), gid)
-        # Byte count is global (every survivor reports the same number).
-        nbytes = comm.allreduce(nbytes)
-        return from_replica, from_source, transfers, int(nbytes)
-
-    def _install(self, sample: np.ndarray, label: int, gid: int) -> None:
-        try:
-            self.storage.add(sample, label, gid=gid)
-        except StorageFullError:
-            # The assignment already respected every survivor's capacity;
-            # reaching here means cold replicas crowded the budget — drop
-            # them (they are an opportunistic cache) and retry once.
-            self.storage.drop_cold()
-            self.storage.add(sample, label, gid=gid)

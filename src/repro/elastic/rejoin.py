@@ -18,9 +18,10 @@ re-admits the rank, three steps restore the paper's steady state:
    share (first ``N mod M`` ranks in group order hold one extra).  A
    destination already holding a cold replica promotes it for free;
    otherwise the hot holder transfers the bytes on ``JOIN.tag(2+i)``.
-   Donors demote what they gave away (the bytes stay behind as cold
-   replicas, within budget), and every rank applies the identical ledger
-   re-pointing.
+   :func:`~repro.elastic.migration.migrate`, the executor recovery
+   shares, carries the plan out: donors demote what they gave away (the
+   bytes stay behind as cold replicas, within budget), and every rank
+   applies the identical ledger re-pointing.
 3. **Shrink back** — survivors resize their capacity bound from the
    degraded ``(1+Q)·N/(M-k)`` back toward ``(1+Q)·N/M``.
 
@@ -36,13 +37,11 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from repro.mpi.request import waitall
 from repro.mpi.tags import JOIN
-from repro.shuffle.storage import StorageArea, StorageFullError
+from repro.shuffle.storage import StorageArea
 
 from .ledger import ReplicaLedger
+from .migration import PROMOTE, TRANSFER, migrate, scaled_capacity
 
 __all__ = [
     "RejoinReport",
@@ -249,22 +248,23 @@ class RankRejoin:
         hot_by_rank = {comm.group[i]: h for i, h in enumerate(hot_orders)}
         cold_by_rank = {comm.group[i]: c for i, c in enumerate(cold_gids)}
         plan = plan_rebalance(self.ledger, comm.group, hot_by_rank, cold_by_rank)
-        promoted, transfers, nbytes = self._execute(plan)
-        for gid, _src, dst, _prom in plan:
-            self.ledger.reassign(gid, dst)
-        missing = self.ledger.missing_from(comm.group)
-        if missing:
-            raise RuntimeError(
-                f"rejoin incomplete: {len(missing)} gid(s) still unheld "
-                f"(first: {missing[:5]})"
-            )
+        index = comm.group.index
+        moves = [
+            (gid, index(src), index(dst), PROMOTE if promote else TRANSFER)
+            for gid, src, dst, promote in plan
+        ]
+        nbytes = migrate(
+            comm, self.storage, self.ledger, moves,
+            tags=JOIN, first_tag=_TRANSFER_TAG_BASE,
+        )
         self._shrink_capacity()
+        promoted = sum(promote for *_, promote in plan)
         wall = time.perf_counter() - t0
         return RejoinReport(
             joiners=joiners,
             moved_gids=len(plan),
             promoted=promoted,
-            transfers=transfers,
+            transfers=len(plan) - promoted,
             bytes_transferred=nbytes,
             capacity_bytes=self.storage.capacity_bytes,
             plan=tuple(plan),
@@ -272,73 +272,9 @@ class RankRejoin:
         )
 
     # ------------------------------------------------------------------ steps
-    def _execute(
-        self, plan: Sequence[tuple[int, int, int, bool]]
-    ) -> tuple[int, int, int]:
-        """Move the bytes; returns (promotions, p2p transfers, wire bytes)."""
-        comm = self.comm
-        me = comm.group[comm.rank]
-        send_reqs = []
-        recv_reqs: list[tuple[int, object]] = []
-        nbytes = promoted = transfers = 0
-        for idx, (gid, src, dst, promote) in enumerate(plan):
-            # Wraps modulo the range width; FIFO matching per (source, tag)
-            # channel keeps reused tags unambiguous within one rebalance.
-            tag = JOIN.tag(_TRANSFER_TAG_BASE + idx)
-            if promote:
-                promoted += 1
-                continue
-            transfers += 1
-            if me == src:
-                sample, label = self.storage.get_by_gid(gid)
-                # A copy: the by-reference transport would hand the peer a
-                # view of our storage, valid only while our entry lives
-                # (StorageArea's view-validity rule).
-                send_reqs.append(
-                    comm.isend(
-                        (np.array(sample), label, gid),
-                        dest=comm.group.index(dst),
-                        tag=tag,
-                    )
-                )
-            if me == dst:
-                recv_reqs.append(
-                    (gid, comm.irecv(source=comm.group.index(src), tag=tag))
-                )
-        waitall(send_reqs)
-        for gid, req in recv_reqs:
-            sample, label, wire_gid = req.wait()
-            if wire_gid != gid:
-                raise RuntimeError(
-                    f"rejoin transfer mismatch: expected gid {gid}, got {wire_gid}"
-                )
-            nbytes += int(np.asarray(sample).nbytes)
-            self._install(np.asarray(sample), int(label), gid)
-        for gid, src, dst, promote in plan:
-            if promote and dst == me:
-                self.storage.promote(gid)
-            # The donor keeps the bytes cold: a recovery replica within the
-            # (1+Q) budget, evicted automatically under capacity pressure.
-            if src == me and dst != me:
-                sid = self.storage.sid_of(gid)
-                if sid is not None:
-                    self.storage.demote(sid)
-        # Byte count is global (every member reports the same number).
-        nbytes = comm.allreduce(nbytes)
-        return promoted, transfers, int(nbytes)
-
-    def _install(self, sample: np.ndarray, label: int, gid: int) -> None:
-        try:
-            self.storage.add(sample, label, gid=gid)
-        except StorageFullError:
-            # The plan respected every rank's hot target; reaching here means
-            # cold replicas crowded the budget — drop them and retry once.
-            self.storage.drop_cold()
-            self.storage.add(sample, label, gid=gid)
-
     def _shrink_capacity(self) -> None:
         """Return survivors' capacity bound toward (1+Q)·N/M."""
         cap = self.storage.capacity_bytes
         if cap is None or self.old_size >= self.comm.size:
             return
-        self.storage.resize(-(-cap * self.old_size // self.comm.size))
+        self.storage.resize(scaled_capacity(cap, self.old_size, self.comm.size))

@@ -87,12 +87,6 @@ class ShuffleStrategy(ABC):
     def end_epoch(self) -> None:
         """Per-epoch completion; default is a no-op."""
 
-    def fast_forward(self, epochs: int) -> None:
-        """Replay the state evolution of ``epochs`` completed epochs without
-        training (checkpoint resume).  Global/local shuffling keep no
-        epoch-dependent state (samplers are stateless in the epoch), so the
-        default is a no-op; PLS replays its exchanges."""
-
     # ------------------------------------------------------------- accounting
     @abstractmethod
     def storage_samples(self) -> int:

@@ -187,27 +187,19 @@ class PartialLocalShuffle(LocalShuffle):
         Used on crash-restart (storage rebuilt from a snapshot manifest)
         and by a rejoining rank (storage handed over in the JOIN
         handshake): like :meth:`setup` minus the partitioning, plus an
-        optional restore of the run-owned scheduler state (Q-deficit,
-        traffic totals) captured by :meth:`Scheduler.state_dict`.  The
-        ledger this strategy was constructed with is used as-is — callers
-        restore/seed it before adopting.
+        optional restore of run-owned scheduler state (Q-deficit, traffic
+        totals) in the shape of :meth:`Scheduler.state_dict` — the fields
+        it names replace the fresh scheduler's, so a joiner passes only
+        the replicated ones.  The ledger this strategy was constructed
+        with is used as-is — callers restore/seed it before adopting.
         """
         super().adopt(comm, storage=storage, seed=seed)
         self.scheduler = self._make_scheduler(comm)
         if scheduler_state is not None:
-            self.scheduler.load_state_dict(scheduler_state)
+            self.scheduler.load_state_dict(
+                {**self.scheduler.state_dict(), **scheduler_state}
+            )
         self._epoch_active = False
-
-    def fast_forward(self, epochs: int) -> None:
-        """Replay ``epochs`` exchanges so the shard matches a run that
-        actually trained through them.  The exchange for epoch *e* depends
-        only on ``(seed, e)`` and the storage contents, both deterministic,
-        so replay reconstructs the exact post-epoch shard."""
-        if self.scheduler is None:
-            raise RuntimeError("call setup() first")
-        for epoch in range(epochs):
-            self.begin_epoch(epoch)
-            self.end_epoch()
 
     # ------------------------------------------------------------- accounting
     def storage_samples(self) -> int:

@@ -1,6 +1,5 @@
 """Distributed synchronous-SGD training harness over the simulated MPI."""
 
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .distributed import allreduce_batchnorm_stats, allreduce_gradients, broadcast_model
 from .evaluate import evaluate
 from .experiments import (
@@ -17,9 +16,6 @@ from .robustness import RobustnessReport, StrategyStats, run_multi_seed
 from .tuning import TuningResult, tune_exchange_fraction
 
 __all__ = [
-    "Checkpoint",
-    "load_checkpoint",
-    "save_checkpoint",
     "allreduce_batchnorm_stats",
     "allreduce_gradients",
     "broadcast_model",

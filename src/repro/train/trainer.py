@@ -265,9 +265,6 @@ def train_worker(
     *,
     model=None,
     return_model: bool = False,
-    checkpoint_path=None,
-    checkpoint_every: int = 0,
-    resume: bool = False,
 ):
     """Run the full training on this rank; returns the shared history.
 
@@ -278,13 +275,6 @@ def train_worker(
     for the Figure 8 fine-tuning protocol); rank 0's copy is broadcast
     either way.  With ``return_model=True`` the result is
     ``(history, model)``.
-
-    ``checkpoint_path`` + ``checkpoint_every`` save the replicated state
-    (rank 0) every N epochs; with ``resume=True`` an existing checkpoint is
-    loaded, the shuffling strategy fast-forwards its exchanges, and
-    training continues from the next epoch — bitwise-identical to an
-    uninterrupted run (everything epoch-dependent derives from
-    ``(seed, epoch)``).
     """
     model, optimizer, schedule = build_replica(config, comm, model=model)
     strategy.setup(
@@ -293,45 +283,13 @@ def train_worker(
     )
 
     history = RunHistory(strategy=strategy.name, workers=comm.size)
-    start_epoch = 0
-    if checkpoint_path is not None and resume:
-        from pathlib import Path
-
-        from .checkpoint import load_checkpoint
-
-        exists = Path(checkpoint_path).exists() if comm.rank == 0 else None
-        exists = comm.bcast(exists, root=0)
-        if exists:
-            # Every rank reads the same file: replicas stay identical.
-            ckpt = load_checkpoint(checkpoint_path, model=model, optimizer=optimizer)
-            if ckpt.history is not None:
-                history = ckpt.history
-            start_epoch = ckpt.epoch + 1
-            strategy.fast_forward(start_epoch)
-
-    for epoch in range(start_epoch, config.epochs):
+    for epoch in range(config.epochs):
         lr = schedule.step(epoch)
         history.add(
             train_one_epoch(
                 comm, config, strategy, model, optimizer, epoch, lr, val_X, val_y
             )
         )
-        if (
-            checkpoint_path is not None
-            and checkpoint_every
-            and (epoch + 1) % checkpoint_every == 0
-            and comm.rank == 0
-        ):
-            from .checkpoint import save_checkpoint
-
-            save_checkpoint(
-                checkpoint_path, model=model, optimizer=optimizer,
-                epoch=epoch, history=history,
-            )
-        # Nobody starts the next epoch until the checkpoint (if any) is
-        # durable — mirrors a real job's collective checkpoint barrier.
-        if checkpoint_path is not None and checkpoint_every:
-            comm.barrier()
     # Final drain: rank 0's per-epoch drain ran *before* the last epoch's
     # barrier, so the peers' final pushes are still queued.  They are all
     # deposited by now (each peer pushed before entering that barrier).

@@ -1,6 +1,6 @@
 """The robustness bench gates: absolute, baseline-free, noise-immune.
 
-The real scenario runs in CI's ``fault-smoke`` job (and the healed
+The real scenario runs in CI's ``bench-smoke`` job (and the healed
 path itself is covered end-to-end by ``tests/elastic/test_lifecycle.py``);
 here ``check_regression`` is pinned against synthetic results so each gate
 fails for exactly its own reason.

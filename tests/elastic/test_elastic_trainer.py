@@ -9,7 +9,13 @@ snapshot directory); rejoin, crash/restart and resume are in
 import pytest
 
 from repro.data import SyntheticSpec
-from repro.elastic import FailureEvent, FailurePlan, LifecycleResult, run_lifecycle
+from repro.elastic import (
+    FailureEvent,
+    FailurePlan,
+    LifecyclePlan,
+    LifecycleResult,
+    run_lifecycle,
+)
 from repro.mpi import RankDied
 from repro.train.checkpoint import latest_complete_snapshot, load_job_snapshot
 from repro.train.experiments import make_experiment_data
@@ -57,7 +63,7 @@ class TestElasticRun:
     def test_run_completes_after_failure(self):
         config, train_ds, labels, val_X, val_y = make_setup()
         result = run_lifecycle(
-            config=config, workers=4, q=0.3, kills="1@2",
+            config=config, workers=4, q=0.3, plan=LifecyclePlan.parse(kills="1@2"),
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
         assert isinstance(result, LifecycleResult)
@@ -76,7 +82,8 @@ class TestElasticRun:
     def test_all_injection_points_recover(self, point):
         config, train_ds, labels, val_X, val_y = make_setup(epochs=3)
         result = run_lifecycle(
-            config=config, workers=3, q=0.25, kills=f"2@1:{point}",
+            config=config, workers=3, q=0.25,
+            plan=LifecyclePlan.parse(kills=f"2@1:{point}"),
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
         assert result.dead_ranks == (2,)
@@ -87,7 +94,8 @@ class TestElasticRun:
     def test_zero_sample_loss_across_survivors(self, tmp_path):
         config, train_ds, labels, val_X, val_y = make_setup()
         result = run_lifecycle(
-            config=config, workers=4, q=0.3, kills="1@2:mid_exchange",
+            config=config, workers=4, q=0.3,
+            plan=LifecyclePlan.parse(kills="1@2:mid_exchange"),
             snapshot_dir=tmp_path,
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
@@ -114,7 +122,8 @@ class TestElasticRun:
         config, train_ds, labels, val_X, val_y = make_setup(samples=120, epochs=3)
         for _ in range(8):
             result = run_lifecycle(
-                config=config, workers=4, q=0.3, kills="1@1:end,3@2:mid_exchange",
+                config=config, workers=4, q=0.3,
+                plan=LifecyclePlan.parse(kills="1@1:end,3@2:mid_exchange"),
                 deadline_s=10, backend=backend,
                 train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
             )
@@ -131,7 +140,7 @@ class TestElasticRun:
             config=config, workers=4, q=0.3,
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
-        failed = run_lifecycle(kills="1@2", **kwargs)
+        failed = run_lifecycle(plan=LifecyclePlan.parse(kills="1@2"), **kwargs)
         clean = run_lifecycle(**kwargs)
         assert clean.dead_ranks == ()
         delta = abs(failed.final_accuracy - clean.final_accuracy)
@@ -144,7 +153,8 @@ class TestElasticRun:
         config, train_ds, labels, val_X, val_y = make_setup(epochs=3)
         with pytest.raises(ValueError, match="snapshot_dir"):
             run_lifecycle(
-                config=config, workers=2, restart_after="1",
+                config=config, workers=2,
+                plan=LifecyclePlan.parse(restart_after="1"),
                 train_dataset=train_ds, labels=labels,
                 val_X=val_X, val_y=val_y,
             )

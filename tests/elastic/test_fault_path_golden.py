@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.data import SyntheticSpec
-from repro.elastic import run_lifecycle
+from repro.elastic import LifecyclePlan, run_lifecycle
 from repro.faults import run_chaos_train
 from repro.train.experiments import make_experiment_data
 from repro.train.trainer import TrainConfig
@@ -78,7 +78,9 @@ def golden():
 @pytest.mark.parametrize("backend", ["threads", "procs"])
 @pytest.mark.parametrize("kills", KILL_SCHEDULES, ids=lambda k: k or "clean")
 def test_kill_schedule_matches_parent_recording(golden, kills, backend):
-    result = run_lifecycle(kills=kills, backend=backend, **make_setup())
+    result = run_lifecycle(
+        plan=LifecyclePlan.parse(kills=kills), backend=backend, **make_setup()
+    )
     assert summary(result.history, result.recoveries) == golden["kill"][kills]
 
 

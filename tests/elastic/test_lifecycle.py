@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.data import SyntheticSpec
-from repro.elastic import LifecyclePlan, Supervisor, run_lifecycle
+from repro.elastic import LifecyclePlan, run_lifecycle
 from repro.elastic.lifecycle import Crashed
 from repro.faults import FaultProfile
 from repro.train.experiments import make_experiment_data
@@ -242,7 +242,7 @@ class TestSupervisorValidation:
     def test_plan_beyond_the_run_is_rejected(self, tmp_path):
         config, train_ds, labels, val_X, val_y = make_setup(epochs=3)
         with pytest.raises(ValueError, match="epoch"):
-            Supervisor(
+            run_lifecycle(
                 config=config, workers=3,
                 plan=LifecyclePlan.parse(
                     kills="1@1", rejoins="1@3", restart_after=""

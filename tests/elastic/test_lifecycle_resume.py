@@ -1,8 +1,9 @@
 """``run_lifecycle(resume=True)``: restart a dead job from its snapshot directory.
 
-The shape of ``tests/train/test_resume.py``, for the supervised path: an
-interrupted run resumed from disk must end with the weights of a run that
-was never interrupted.
+The job snapshot is the one resume path: an interrupted run resumed from
+disk must end with the weights of a run that was never interrupted, and a
+snapshot of a different job must be refused rather than re-dealt (the
+default RNG stream's round trip is in ``tests/train/test_checkpoint.py``).
 """
 
 import numpy as np
@@ -10,21 +11,21 @@ import pytest
 
 from repro.data import SyntheticSpec
 from repro.elastic import run_lifecycle
-from repro.train.checkpoint import latest_complete_snapshot
+from repro.train.checkpoint import CheckpointError, latest_complete_snapshot
 from repro.train.experiments import make_experiment_data
 from repro.train.trainer import TrainConfig
 
 SPEC = SyntheticSpec(n_samples=128, n_classes=4, n_features=16, seed=2)
 
 
-def run(epochs, **kwargs):
+def run(epochs, workers=2, seed=7, **kwargs):
     train_ds, labels, val_X, val_y = make_experiment_data(SPEC)
     config = TrainConfig(
         model="mlp", in_shape=(16,), num_classes=4, epochs=epochs,
-        batch_size=8, base_lr=0.05, partition="class_sorted", seed=7,
+        batch_size=8, base_lr=0.05, partition="class_sorted", seed=seed,
     )
     return run_lifecycle(
-        config=config, workers=2, q=0.5,
+        config=config, workers=workers, q=0.5,
         train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         **kwargs,
     )
@@ -73,3 +74,19 @@ class TestResume:
             run(epochs=2, snapshot_dir=tmp_path, resume=True)
         with pytest.raises(RuntimeError, match="no complete snapshot"):
             run(epochs=2, resume=True)
+
+
+class TestForeignSnapshot:
+    def test_another_worker_count_is_refused(self, tmp_path):
+        """Resuming 4 workers' snapshot on 3 used to re-deal the shards of
+        ranks 0-2 only: a quarter of the training set silently gone, and
+        the run still reported verified."""
+        run(epochs=2, workers=4, snapshot_dir=tmp_path)
+        with pytest.raises(CheckpointError, match="total_workers=4.*total_workers=3"):
+            run(epochs=4, workers=3, snapshot_dir=tmp_path, resume=True)
+
+    def test_another_seed_is_refused(self, tmp_path):
+        run(epochs=2, snapshot_dir=tmp_path)
+        with pytest.raises(CheckpointError, match="seed=7.*seed=8"):
+            run(epochs=4, seed=8, snapshot_dir=tmp_path, resume=True)
+

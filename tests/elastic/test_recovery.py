@@ -1,13 +1,18 @@
-"""Cold replica cache semantics and ShardRecovery end-to-end."""
+"""Cold replica cache semantics, ShardRecovery end-to-end, and the PFS
+fallback read of the shared migration executor."""
 
 import numpy as np
 import pytest
 
 from repro.data import SyntheticSpec, TensorDataset, make_classification
+from repro.data.folder import materialize_folder_dataset
 from repro.elastic import RecoveryReport, ReplicaLedger, ShardRecovery
+from repro.elastic.migration import READ, migrate
 from repro.mpi import PeerFailure, RankDied, run_spmd
+from repro.mpi.tags import RECOVERY
 from repro.shuffle import PartialLocalShuffle
 from repro.shuffle.storage import StorageArea, StorageFullError
+from repro.utils.retry import default_retrier
 
 
 def make_ds(n=48, classes=4, features=8, seed=0):
@@ -235,3 +240,37 @@ class TestCapacityBound:
             assert r["nbytes"] <= rebased
         held = sorted(g for r in survivors for g in r["hot"])
         assert held == list(range(n))
+
+
+class TestSourceDatasetRead:
+    def test_an_unreadable_sample_is_tried_once_per_retry_budget(self, tmp_path):
+        """The dataset retries its own reads; the executor must not wrap it
+        in a second retry loop, which replayed the same failing attempts
+        (6 x 6 reads, 7 give-ups where one sample was lost)."""
+        features = np.arange(4 * 8, dtype=np.float32).reshape(4, 8)
+        unreadable = []
+        reads = []
+
+        def hook(op, path, attempt):
+            if path in unreadable:
+                reads.append(attempt)
+                raise OSError(f"injected: {path} unreadable")
+
+        ds = materialize_folder_dataset(
+            tmp_path, features, [0, 1, 0, 1], fault_hook=hook
+        )
+        unreadable.append(str(ds.sample_path(2)))
+        retrier = default_retrier()
+        giveups = retrier.stats()["giveups"]
+
+        def worker(comm):
+            with pytest.raises(OSError, match="unreadable"):
+                migrate(
+                    comm, StorageArea(), ReplicaLedger(), [(2, None, 0, READ)],
+                    tags=RECOVERY, dataset=ds,
+                )
+            return True
+
+        assert list(run_spmd(worker, 1, deadline_s=60)) == [True]
+        assert len(reads) == retrier.attempts
+        assert retrier.stats()["giveups"] - giveups == 1

@@ -101,11 +101,6 @@ class TestMirroredConstants:
         assert scheduler.EXCHANGE_TAG_BASE == EXCHANGE_DATA.base
         assert scheduler.EXCHANGE_CTRL_TAG == EXCHANGE_CTRL.base
 
-    def test_recovery_compat_alias(self):
-        from repro.elastic.recovery import RECOVERY_TAG_BASE
-
-        assert RECOVERY_TAG_BASE == RECOVERY.base
-
     def test_collective_algorithm_tags_disjoint(self):
         # The pre-registry values had tree/barrier *inside* the ring's
         # per-step interval; the registry keeps them apart by construction.

@@ -23,9 +23,10 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.elastic import ReplicaLedger, ShardRecovery
-from repro.elastic.rejoin import RankRejoin
+from repro.elastic import ReplicaLedger
+from repro.elastic.migration import TRANSFER, migrate
 from repro.mpi import SampleBlock, run_spmd
+from repro.mpi.tags import RECOVERY
 from repro.shuffle import DiskStorageArea, Scheduler, StorageArea, StorageFullError
 
 # Two slot classes of the same byte size, so capacity arithmetic stays in
@@ -530,15 +531,12 @@ def test_exchange_into_added_storage_keeps_unsent_sids_valid():
 
 
 # ------------------------------------------------------- view validity rule
-def _handover_worker(comm, which):
+def _handover_worker(comm):
     area = StorageArea()
     original = np.arange(8, dtype=np.float32)
     if comm.rank == 0:
         _install(area, original[None].copy(), [7], labels=[3])
-    if which == "recovery":
-        ShardRecovery(comm, area, ReplicaLedger())._execute([(7, 0, 1)])
-    else:
-        RankRejoin(comm, area, ReplicaLedger())._execute([(7, 0, 1, False)])
+    migrate(comm, area, ReplicaLedger(), [(7, 0, 1, TRANSFER)], tags=RECOVERY)
     comm.barrier()
     if comm.rank == 0:
         # The owner retires gid 7 for good and the next arrival reuses its
@@ -556,14 +554,11 @@ def _handover_worker(comm, which):
     return None
 
 
-@pytest.mark.parametrize("which", ["recovery", "rejoin"])
-def test_a_sample_sent_by_the_elastic_layer_survives_its_slot_being_reused(which):
+def test_a_sample_sent_by_the_elastic_layer_survives_its_slot_being_reused():
     """``threads`` passes payloads by reference (``copy_on_send=False``):
-    the elastic send sites copy, so the receiver never holds a view into
-    the sender's slots."""
-    result = run_spmd(
-        _handover_worker, 2, args=(which,), copy_on_send=False, deadline_s=60
-    )
+    the one elastic send site (recovery's and rejoin's migration) copies,
+    so the receiver never holds a view into the sender's slots."""
+    result = run_spmd(_handover_worker, 2, copy_on_send=False, deadline_s=60)
     assert result[1] == (np.arange(8, dtype=np.float32).tolist(), 3)
 
 

@@ -190,53 +190,3 @@ class TestStrategyFromName:
     def test_unknown(self):
         with pytest.raises(ValueError):
             strategy_from_name("quantum")
-
-
-class TestFastForward:
-    def test_replays_exchange_state(self):
-        """fast_forward(n) must land the shard in exactly the state a real
-        n-epoch run leaves it in (the checkpoint-resume invariant)."""
-        ds, labels = make_ds(n=64)
-
-        def worker(comm, mode):
-            strat = PartialLocalShuffle(0.5)
-            strat.setup(comm, ds, labels=labels, partition="class_sorted", seed=5)
-            if mode == "trained":
-                for e in range(3):
-                    strat.begin_epoch(e)
-                    strat.end_epoch()
-            else:
-                strat.fast_forward(3)
-            return sorted(strat.storage.labels().tolist())
-
-        trained = run_spmd(worker, 4, args=("trained",), deadline_s=120)
-        forwarded = run_spmd(worker, 4, args=("forward",), deadline_s=120)
-        assert list(trained) == list(forwarded)
-
-    def test_zero_epochs_noop(self):
-        ds, labels = make_ds()
-
-        def worker(comm):
-            strat = PartialLocalShuffle(0.5)
-            strat.setup(comm, ds, labels=labels, seed=5)
-            before = sorted(strat.storage.labels().tolist())
-            strat.fast_forward(0)
-            return before == sorted(strat.storage.labels().tolist())
-
-        assert all(run_spmd(worker, 2, deadline_s=60))
-
-    def test_requires_setup(self):
-        strat = PartialLocalShuffle(0.5)
-        with pytest.raises(RuntimeError):
-            strat.fast_forward(1)
-
-    def test_default_strategies_noop(self):
-        ds, labels = make_ds()
-
-        def worker(comm):
-            for strat in (GlobalShuffle(), LocalShuffle()):
-                strat.setup(comm, ds, labels=labels, seed=5)
-                strat.fast_forward(5)  # must not raise or change anything
-            return True
-
-        assert all(run_spmd(worker, 2, deadline_s=60))

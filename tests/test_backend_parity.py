@@ -394,7 +394,7 @@ def test_a_sigkilled_rank_delivers_what_it_cast_and_strands_nobody(own_segments)
 
 def test_elastic_kill_parity(backend):
     from repro.data import SyntheticSpec
-    from repro.elastic import run_lifecycle
+    from repro.elastic import LifecyclePlan, run_lifecycle
     from repro.train import TrainConfig
     from repro.train.experiments import make_experiment_data
 
@@ -407,7 +407,8 @@ def test_elastic_kill_parity(backend):
 
     def run(bk):
         result = run_lifecycle(
-            config=config, workers=3, q=0.3, kills="1@1:mid_exchange",
+            config=config, workers=3, q=0.3,
+            plan=LifecyclePlan.parse(kills="1@1:mid_exchange"),
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
             backend=bk,
         )

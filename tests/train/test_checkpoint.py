@@ -1,17 +1,27 @@
-"""Checkpoint/restart."""
+"""The replica-state pair (what every job record carries for model and
+optimizer) and the default RNG stream's round trip through a job snapshot."""
 
 import numpy as np
 import pytest
 
+from repro.data import SyntheticSpec
+from repro.elastic import run_lifecycle
 from repro.nn import SGD, Tensor, build_model
 from repro.nn import functional as F
-from repro.train import EpochRecord, RunHistory
-from repro.train.checkpoint import load_checkpoint, save_checkpoint
+from repro.train import EpochRecord, RunHistory, TrainConfig, make_experiment_data
+from repro.train.checkpoint import (
+    _JOB_KEYS,
+    replica_state,
+    restore_replica_state,
+    save_job_snapshot,
+)
+from repro.utils.rng import default_rng, seed_default_rng
 
 
 def make_run(seed=0):
     model = build_model("mlp", in_shape=(8,), num_classes=3, seed=seed)
-    opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
+    # The trainer's layout: momentum buffers are views of one flat array.
+    opt = SGD(model.flatten(), lr=0.1, momentum=0.9)
     return model, opt
 
 
@@ -27,91 +37,125 @@ def one_step(model, opt, seed=1):
 
 
 class TestRoundtrip:
-    def test_model_state_restored(self, tmp_path):
+    def test_model_state_restored(self):
         model, opt = make_run()
         one_step(model, opt)
-        path = save_checkpoint(tmp_path / "ck.pkl", model=model, optimizer=opt, epoch=3)
+        state = replica_state(model, opt)
 
         model2, opt2 = make_run(seed=99)  # different init
-        ckpt = load_checkpoint(path, model=model2, optimizer=opt2)
-        assert ckpt.epoch == 3
+        assert restore_replica_state(state, model2, opt2) is None
         for (n1, p1), (n2, p2) in zip(model.named_parameters(), model2.named_parameters()):
             assert np.array_equal(p1.data, p2.data), n1
+        for v1, v2 in zip(opt._velocity, opt2._velocity):
+            assert np.array_equal(v1, v2)
 
-    def test_resumed_training_bitwise_matches_uninterrupted(self, tmp_path):
-        """The restart guarantee: save after step 1, restore into a fresh
+    def test_momentum_is_written_through_the_flat_buffers(self):
+        model, opt = make_run()
+        one_step(model, opt)
+        state = replica_state(model, opt)
+        model2, opt2 = make_run()
+        buffers = list(opt2._velocity)
+        restore_replica_state(state, model2, opt2)
+        # Same buffer objects, so the flat array the update walks moved too.
+        assert all(a is b for a, b in zip(buffers, opt2._velocity))
+        (_, flat), = opt2._groups
+        assert np.array_equal(flat, np.concatenate([v.ravel() for v in opt._velocity]))
+
+    def test_state_is_a_copy(self):
+        model, opt = make_run()
+        one_step(model, opt)
+        state = replica_state(model, opt)
+        one_step(model, opt, seed=2)  # training on does not reach the copy
+        model2, opt2 = make_run()
+        restore_replica_state(state, model2, opt2)
+        model3, opt3 = make_run()
+        one_step(model3, opt3)
+        for (n, p2), (_, p3) in zip(model2.named_parameters(), model3.named_parameters()):
+            assert np.array_equal(p2.data, p3.data), n
+
+    def test_resumed_training_bitwise_matches_uninterrupted(self):
+        """The restart guarantee: copy after step 1, restore into a fresh
         model, continue — must match the uninterrupted run exactly
         (including momentum state)."""
-        # Uninterrupted: two steps.
         m_ref, o_ref = make_run()
         one_step(m_ref, o_ref, seed=1)
         one_step(m_ref, o_ref, seed=2)
 
-        # Interrupted: one step, checkpoint, restore elsewhere, second step.
         m_a, o_a = make_run()
         one_step(m_a, o_a, seed=1)
-        path = save_checkpoint(tmp_path / "ck.pkl", model=m_a, optimizer=o_a, epoch=0)
+        state = replica_state(m_a, o_a)
         m_b, o_b = make_run(seed=50)
-        load_checkpoint(path, model=m_b, optimizer=o_b)
+        restore_replica_state(state, m_b, o_b)
         one_step(m_b, o_b, seed=2)
 
         for (n, p_ref), (_, p_b) in zip(m_ref.named_parameters(), m_b.named_parameters()):
             assert np.array_equal(p_ref.data, p_b.data), n
 
-    def test_history_roundtrip(self, tmp_path):
+    def test_history_roundtrip(self):
         model, opt = make_run()
         hist = RunHistory("partial-0.3", 8)
         hist.add(EpochRecord(0, 1.5, 0.4, 0.1, 100))
         hist.add(EpochRecord(1, 1.1, 0.6, 0.1, 100))
         hist.stats = {"sent_samples": 42}
-        path = save_checkpoint(
-            tmp_path / "ck.pkl", model=model, optimizer=opt, epoch=1, history=hist
-        )
-        ckpt = load_checkpoint(path)
-        assert ckpt.history.strategy == "partial-0.3"
-        assert ckpt.history.best_accuracy == 0.6
-        assert ckpt.history.stats == {"sent_samples": 42}
+        restored = restore_replica_state(replica_state(model, opt, hist), model, opt)
+        assert restored.strategy == "partial-0.3"
+        assert restored.records == hist.records
+        assert restored.best_accuracy == 0.6
+        assert restored.stats == {"sent_samples": 42}
 
-    def test_lr_restored(self, tmp_path):
+    def test_lr_restored(self):
         model, opt = make_run()
         opt.lr = 0.007
-        path = save_checkpoint(tmp_path / "ck.pkl", model=model, optimizer=opt, epoch=0)
         model2, opt2 = make_run()
-        load_checkpoint(path, model=model2, optimizer=opt2)
+        restore_replica_state(replica_state(model, opt), model2, opt2)
         assert opt2.lr == 0.007
 
 
 class TestErrors:
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_checkpoint(tmp_path / "nope.pkl")
-
-    def test_param_count_mismatch(self, tmp_path):
+    def test_param_count_mismatch(self):
         model, opt = make_run()
-        path = save_checkpoint(tmp_path / "ck.pkl", model=model, optimizer=opt, epoch=0)
+        state = replica_state(model, opt)
         other = build_model("mlp_wide", in_shape=(8,), num_classes=3, seed=0)
         other_opt = SGD(other.parameters()[:2], lr=0.1, momentum=0.9)
-        with pytest.raises(ValueError):
-            load_checkpoint(path, optimizer=other_opt)
+        with pytest.raises(ValueError, match="velocity"):
+            restore_replica_state(state, other, other_opt)
 
     def test_no_tmp_left_behind(self, tmp_path):
         model, opt = make_run()
-        save_checkpoint(tmp_path / "ck.pkl", model=model, optimizer=opt, epoch=0)
+        payload = dict.fromkeys(_JOB_KEYS)
+        payload.update(epoch=0, **replica_state(model, opt))
+        save_job_snapshot(tmp_path, payload)
         assert not list(tmp_path.glob("*.tmp"))
 
 
+def run_job(snapshot_dir, resume=False):
+    spec = SyntheticSpec(n_samples=64, n_classes=4, n_features=8, seed=2)
+    train_ds, labels, val_X, val_y = make_experiment_data(spec)
+    config = TrainConfig(
+        model="mlp", in_shape=(8,), num_classes=4, epochs=2, batch_size=8,
+        partition="class_sorted", seed=7,
+    )
+    return run_lifecycle(
+        config=config, workers=2, q=0.5, snapshot_dir=snapshot_dir,
+        resume=resume, train_dataset=train_ds, labels=labels,
+        val_X=val_X, val_y=val_y,
+    )
+
+
 class TestDefaultRngRoundtrip:
-    """Satellite guarantee: the default-stream RNG state survives a
-    save -> crash -> load cycle, so post-restore draws are bit-identical
-    to the draws an uninterrupted run would have made."""
+    """The default-stream RNG state survives a save -> crash -> resume
+    cycle, so post-resume draws are bit-identical to the draws an
+    uninterrupted run would have made."""
+
+    @pytest.fixture(autouse=True)
+    def _reseed_after(self):
+        yield
+        seed_default_rng()
 
     def test_save_crash_load_replays_exact_draws(self, tmp_path):
-        from repro.utils.rng import default_rng, seed_default_rng
-
         seed_default_rng(0x0DEF)
         default_rng().normal(size=7)  # advance to an arbitrary position
-        model, opt = make_run()
-        path = save_checkpoint(tmp_path / "ck.pkl", model=model, optimizer=opt, epoch=0)
+        run_job(tmp_path)  # snapshots the stream after every epoch
         expected = default_rng().normal(size=5)  # what the clean run draws next
 
         # "Crash": the process restarts, the stream is back at its origin
@@ -119,31 +163,14 @@ class TestDefaultRngRoundtrip:
         seed_default_rng(0x0DEF)
         default_rng().normal(size=123)
 
-        load_checkpoint(path)  # splices the stream back to the saved position
+        run_job(tmp_path, resume=True)  # splices the stream back, trains nothing
         assert np.array_equal(default_rng().normal(size=5), expected)
 
     def test_restore_asserts_seed_tree_position(self, tmp_path):
-        from repro.utils.rng import seed_default_rng
-
         seed_default_rng(0x0DEF)
-        model, opt = make_run()
-        path = save_checkpoint(tmp_path / "ck.pkl", model=model, optimizer=opt, epoch=0)
+        run_job(tmp_path)
         # A process rooted at a different seed must refuse the splice: the
-        # checkpointed position is meaningless in an unrelated stream.
+        # snapshotted position is meaningless in an unrelated stream.
         seed_default_rng(42)
-        try:
-            with pytest.raises(ValueError, match="rooted at seed"):
-                load_checkpoint(path)
-        finally:
-            seed_default_rng(0x0DEF)
-
-    def test_pre_rng_checkpoints_still_load(self, tmp_path):
-        import pickle
-
-        model, opt = make_run()
-        path = save_checkpoint(tmp_path / "ck.pkl", model=model, optimizer=opt, epoch=2)
-        payload = pickle.loads(path.read_bytes())
-        del payload["rng"]  # a checkpoint written before the rng block existed
-        path.write_bytes(pickle.dumps(payload))
-        ckpt = load_checkpoint(path, model=model, optimizer=opt)
-        assert ckpt.epoch == 2 and ckpt.rng_state is None
+        with pytest.raises(ValueError, match="rooted at seed"):
+            run_job(tmp_path, resume=True)
