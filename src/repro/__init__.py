@@ -18,8 +18,8 @@ Subpackages
 ``repro.train``
     Distributed synchronous-SGD training harness over ``repro.mpi``.
 ``repro.theory``
-    Section IV analysis: shuffling error (Eqs. 6-11), convergence bound
-    terms and the empirical gradient-equivalence check.
+    Section IV analysis: shuffling error (Eqs. 6-11) and convergence bound
+    terms.
 ``repro.cluster`` / ``repro.perfmodel`` / ``repro.simnet``
     Machine presets (ABCI, Fugaku, TOP500 systems of Fig. 1), the analytic
     epoch-time model behind Figures 7(b), 9 and 10, and a discrete-event

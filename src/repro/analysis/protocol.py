@@ -34,10 +34,6 @@ agreed commit installed; no stale payload commits; settled ranks agree;
 settled and aborted ranks end every frame in
 :data:`~repro.shuffle.engine.TERMINAL_ROUND_STATES`.
 
-The checker also models the elastic **rejoin JOIN handshake**
-(``protocol="join"``): no transfer may reach a joiner before its state is
-installed, which is what the admission barrier buys.
-
 **Mutant mode** re-checks seeded protocol mutations (:data:`MUTATIONS`);
 each exchange mutant is one engine method patched (:func:`mutant_engine`),
 a patch a live ``Scheduler`` runs as well.  A mutant without a
@@ -56,7 +52,6 @@ __all__ = [
     "CheckResult",
     "Violation",
     "MUTATIONS",
-    "MUTATION_PROTOCOL",
     "ENGINE_PATCHES",
     "DEFAULT_CONFIGS",
     "check",
@@ -78,11 +73,11 @@ _GONE = ("dead", "failed")
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """One exploration: a protocol, world size, fault alphabet and budget."""
+    """One exploration: world size, rounds, fault alphabet and budget."""
 
     name: str
     size: int = 2
-    #: Exchange protocol: rounds per rank.  Join protocol: joiner count.
+    #: Rounds (windows) per rank.
     rounds: int = 1
     deadline: bool = False
     faults: tuple[str, ...] = ()
@@ -91,9 +86,6 @@ class CheckConfig:
     #: BFS depth bound; ``None`` explores exhaustively.
     max_depth: int | None = None
     mutation: str | None = None
-    #: Which protocol model to explore: the reliable ``exchange`` (default)
-    #: or the elastic rejoin ``join`` handshake.
-    protocol: str = "exchange"
 
     def dest(self, rank: int, rnd: int) -> int:
         # Never self: cycle through the other ranks round-by-round.
@@ -231,22 +223,10 @@ def mutant_engine(name: str) -> type[ExchangeEngine]:
 
 
 #: Seeded protocol mutations for mutant mode, each removing one load-bearing
-#: line of the real protocol: the exchange engine's patches above, and one
-#: of the JOIN handshake model.  Every one must produce a counterexample.
+#: line of the real protocol (the engine patches above).  Every one must
+#: produce a counterexample.
 MUTATIONS: dict[str, str] = {
-    **{name: f"{method}: {breaks}" for name, (method, _p, breaks) in ENGINE_PATCHES.items()},
-    "ack_join_before_barrier": (
-        "a joining rank ACKs its admission before receiving the handed-over "
-        "job state, so a rebalance transfer can land on a joiner with no "
-        "ledger/capacity state"
-    ),
-}
-
-#: Which protocol model each mutation perturbs; sweeps only re-check the
-#: matching configs (an exchange mutant is invisible to the join model and
-#: vice versa, so running the others would only waste states).
-MUTATION_PROTOCOL: dict[str, str] = {
-    name: "exchange" if name in ENGINE_PATCHES else "join" for name in MUTATIONS
+    name: f"{method}: {breaks}" for name, (method, _p, breaks) in ENGINE_PATCHES.items()
 }
 
 
@@ -723,352 +703,6 @@ def _trace(seen, frozen) -> tuple[str, ...]:
     return tuple(reversed(labels))
 
 
-# ------------------------------------------------------- the JOIN handshake
-# Abstract model of repro.elastic.rejoin.join_handshake on the expanded
-# communicator: the root (lowest surviving member, rank 0 here) sends each
-# joiner the handed-over job state on JOIN.tag(0); the joiner ACKs on
-# JOIN.tag(1); once every ACK is in, a barrier separates admission from
-# the rebalance transfers on JOIN.tag(2+).  The property the barrier buys:
-# *no transfer bytes can reach a joiner before its state is installed* —
-# a joiner that applies shard bytes without the ledger/capacity state
-# would rebuild an inconsistent shard.
-#
-# Roles in a size-M world with J joiners (cfg.rounds = J): rank 0 is the
-# root, the last J ranks are joiners, the rest plain survivors (they only
-# participate in the barrier).
-
-_JOIN_PHASES = {
-    "root": ("announce", "collect", "barrier", "transfer", "done"),
-    "survivor": ("barrier", "done"),
-    "joiner": ("await_state", "barrier", "await_xfer", "done"),
-}
-
-
-def _join_roles(cfg: CheckConfig):
-    joiners = tuple(range(cfg.size - cfg.rounds, cfg.size))
-    if 0 in joiners or not joiners:
-        raise ValueError(
-            f"join config needs at least one survivor and one joiner "
-            f"(size={cfg.size}, joiners={cfg.rounds})"
-        )
-    return joiners
-
-
-def _join_initial(cfg: CheckConfig):
-    joiners = _join_roles(cfg)
-    phases = tuple(
-        "await_state" if r in joiners
-        else ("announce" if r == 0 else "barrier")
-        for r in range(cfg.size)
-    )
-    installed = tuple(False for _ in joiners)
-    sent = tuple(False for _ in joiners)
-    acked = tuple(False for _ in joiners)
-    xfer_sent = tuple(False for _ in joiners)
-    chans: tuple = ()
-    return (phases, sent, acked, installed, xfer_sent, chans, 0)
-
-
-def _join_successors(cov, cfg: CheckConfig, frozen):
-    """``(label, is_fault, next_frozen | _Bug)`` for the join model."""
-    phases, sent, acked, installed, xfer_sent, chans_f, faults_used = frozen
-    joiners = _join_roles(cfg)
-    chans = {k: list(v) for k, v in chans_f}
-    out = []
-
-    def freeze(phases, sent, acked, installed, xfer_sent, chans, fu):
-        return (
-            phases, sent, acked, installed, xfer_sent,
-            tuple(sorted((k, tuple(v)) for k, v in chans.items() if v)),
-            fu,
-        )
-
-    def push(ch, chan, msg):
-        ch = {k: list(v) for k, v in ch.items()}
-        ch.setdefault(chan, []).append(msg)
-        return ch
-
-    def pop(ch, chan):
-        ch = {k: list(v) for k, v in ch.items()}
-        msg = ch[chan].pop(0)
-        return ch, msg
-
-    def setat(tup, idx, value):
-        return tup[:idx] + (value,) + tup[idx + 1:]
-
-    # Root sends the job state to each joiner, one action per joiner.
-    if phases[0] == "announce":
-        for ji, j in enumerate(joiners):
-            if sent[ji]:
-                continue
-            cov.add(("join-root", "announce", f"state->j{ji}"))
-            new_sent = setat(sent, ji, True)
-            new_phase = "collect" if all(new_sent) else "announce"
-            out.append(
-                (
-                    f"root: send state to joiner {j}",
-                    False,
-                    freeze(
-                        setat(phases, 0, new_phase), new_sent, acked,
-                        installed, xfer_sent,
-                        push(chans, (0, j, "state"), "state"), faults_used,
-                    ),
-                )
-            )
-
-    # Root collects one ACK.
-    if phases[0] == "collect":
-        for ji, j in enumerate(joiners):
-            chan = (j, 0, "ack")
-            if not chans.get(chan):
-                continue
-            cov.add(("join-root", "collect", f"ack<-j{ji}"))
-            ch, _msg = pop(chans, chan)
-            new_acked = setat(acked, ji, True)
-            new_phase = "barrier" if all(new_acked) else "collect"
-            out.append(
-                (
-                    f"root: ACK from joiner {j}",
-                    False,
-                    freeze(
-                        setat(phases, 0, new_phase), sent, new_acked,
-                        installed, xfer_sent, ch, faults_used,
-                    ),
-                )
-            )
-
-    # Joiner receives the state (its sole blocking recv in the real
-    # handshake; the model also allows late delivery after the mutant let
-    # it run ahead).
-    for ji, j in enumerate(joiners):
-        chan = (0, j, "state")
-        if chans.get(chan):
-            ch, _msg = pop(chans, chan)
-            new_installed = setat(installed, ji, True)
-            if phases[j] == "await_state":
-                cov.add(("join-joiner", "await_state", "state"))
-                out.append(
-                    (
-                        f"joiner {j}: receive state, ACK",
-                        False,
-                        freeze(
-                            setat(phases, j, "barrier"), sent, acked,
-                            new_installed, xfer_sent,
-                            push(ch, (j, 0, "ack"), "ack"), faults_used,
-                        ),
-                    )
-                )
-            else:
-                cov.add(("join-joiner", phases[j], "late_state"))
-                out.append(
-                    (
-                        f"joiner {j}: late state delivery",
-                        False,
-                        freeze(
-                            phases, sent, acked, new_installed,
-                            xfer_sent, ch, faults_used,
-                        ),
-                    )
-                )
-        # The seeded mutation: ACK admission without waiting for the state.
-        if cfg.mutation == "ack_join_before_barrier" and phases[j] == "await_state":
-            cov.add(("join-joiner", "await_state", "early_ack"))
-            out.append(
-                (
-                    f"joiner {j}: ACK before receiving state (mutant)",
-                    False,
-                    freeze(
-                        setat(phases, j, "barrier"), sent, acked,
-                        installed, xfer_sent,
-                        push(chans, (j, 0, "ack"), "ack"), faults_used,
-                    ),
-                )
-            )
-
-    # The admission barrier: everyone arrived -> collective release.
-    if all(
-        p == "barrier" for p in phases
-    ):
-        cov.add(("join-all", "barrier", "release"))
-        new_phases = tuple(
-            "transfer" if r == 0
-            else ("await_xfer" if r in joiners else "done")
-            for r in range(cfg.size)
-        )
-        out.append(
-            (
-                f"barrier (all {cfg.size} members)",
-                False,
-                freeze(
-                    new_phases, sent, acked, installed, xfer_sent,
-                    chans, faults_used,
-                ),
-            )
-        )
-
-    # Root posts the rebalance transfers (one per joiner), then is done.
-    if phases[0] == "transfer":
-        for ji, j in enumerate(joiners):
-            if xfer_sent[ji]:
-                continue
-            cov.add(("join-root", "transfer", f"xfer->j{ji}"))
-            new_xs = setat(xfer_sent, ji, True)
-            new_phase = "done" if all(new_xs) else "transfer"
-            out.append(
-                (
-                    f"root: rebalance transfer to joiner {j}",
-                    False,
-                    freeze(
-                        setat(phases, 0, new_phase), sent, acked,
-                        installed, new_xs,
-                        push(chans, (0, j, "xfer"), "xfer"), faults_used,
-                    ),
-                )
-            )
-
-    # Joiner applies a transfer — THE checked property lives here.
-    for ji, j in enumerate(joiners):
-        chan = (0, j, "xfer")
-        if phases[j] == "await_xfer" and chans.get(chan):
-            if not installed[ji]:
-                out.append(
-                    (
-                        f"joiner {j}: apply transfer WITHOUT state",
-                        False,
-                        _Bug(
-                            "transfer_before_state",
-                            f"joiner {j} applied a rebalance transfer before "
-                            "its handed-over job state arrived — the barrier "
-                            "no longer separates admission from transfers",
-                        ),
-                    )
-                )
-                continue
-            cov.add(("join-joiner", "await_xfer", "xfer"))
-            ch, _msg = pop(chans, chan)
-            out.append(
-                (
-                    f"joiner {j}: apply transfer",
-                    False,
-                    freeze(
-                        setat(phases, j, "done"), sent, acked, installed,
-                        xfer_sent, ch, faults_used,
-                    ),
-                )
-            )
-
-    # Faults: duplication and delay-reordering on populated channels (the
-    # in-process JOIN channels are loss-free, like the control plane).
-    if faults_used < cfg.fault_budget:
-        for chan, msgs in chans.items():
-            if not msgs:
-                continue
-            if "dup" in cfg.faults:
-                out.append(
-                    (
-                        f"fault: duplicate head of {chan}",
-                        True,
-                        freeze(
-                            phases, sent, acked, installed, xfer_sent,
-                            push(chans, chan, msgs[0]), faults_used + 1,
-                        ),
-                    )
-                )
-            if "delay" in cfg.faults and len(msgs) >= 2:
-                ch = {k: list(v) for k, v in chans.items()}
-                ch[chan] = ch[chan][1:] + ch[chan][:1]
-                out.append(
-                    (
-                        f"fault: delay head of {chan}",
-                        True,
-                        freeze(
-                            phases, sent, acked, installed, xfer_sent,
-                            ch, faults_used + 1,
-                        ),
-                    )
-                )
-    return out
-
-
-def _join_terminal_bugs(cfg: CheckConfig, frozen) -> list[tuple[str, str]]:
-    phases, _sent, acked, installed, _xs, chans_f, _fu = frozen
-    joiners = _join_roles(cfg)
-    bugs = []
-    for ji, j in enumerate(joiners):
-        if not installed[ji]:
-            bugs.append(
-                (
-                    "joiner_without_state",
-                    f"joiner {j} finished the handshake without ever "
-                    "receiving the handed-over job state",
-                )
-            )
-        if not acked[ji]:
-            bugs.append(
-                ("missing_ack", f"root finished without joiner {j}'s ACK")
-            )
-    return bugs
-
-
-def _check_join(
-    cfg: CheckConfig, *, stop_on_violation: bool, max_violations: int
-) -> CheckResult:
-    """BFS over the join-handshake model (same harness shape as check())."""
-    res = CheckResult(config=cfg)
-    cov = res.coverage
-    init = _join_initial(cfg)
-    seen = {init: (None, None, 0)}
-    frontier = deque([init])
-    while frontier:
-        frozen = frontier.popleft()
-        depth = seen[frozen][2]
-        res.states += 1
-        phases = frozen[0]
-        if all(p == "done" for p in phases):
-            res.violations.extend(
-                Violation(kind, detail, _trace(seen, frozen))
-                for kind, detail in _join_terminal_bugs(cfg, frozen)
-            )
-            if stop_on_violation and res.violations:
-                return res
-            continue
-        if cfg.max_depth is not None and depth >= cfg.max_depth:
-            res.truncated = True
-            continue
-        succ = _join_successors(cov, cfg, frozen)
-        if not any(not is_fault for _, is_fault, _o in succ):
-            res.violations.append(
-                Violation(
-                    "deadlock",
-                    f"non-terminal join state with no enabled action "
-                    f"(phases: {list(phases)})",
-                    _trace(seen, frozen),
-                )
-            )
-            if stop_on_violation:
-                return res
-        for label, _is_fault, outcome in succ:
-            res.transitions += 1
-            if isinstance(outcome, _Bug):
-                res.violations.append(
-                    Violation(
-                        outcome.kind,
-                        outcome.detail,
-                        _trace(seen, frozen) + (label,),
-                    )
-                )
-                if stop_on_violation:
-                    return res
-                continue
-            if outcome not in seen:
-                seen[outcome] = (frozen, label, depth + 1)
-                frontier.append(outcome)
-        if len(res.violations) >= max_violations:
-            res.truncated = True
-            break
-    return res
-
-
 def check(
     cfg: CheckConfig,
     *,
@@ -1076,14 +710,6 @@ def check(
     max_violations: int = 25,
 ) -> CheckResult:
     """Breadth-first exploration of every interleaving under ``cfg``."""
-    if cfg.protocol == "join":
-        return _check_join(
-            cfg,
-            stop_on_violation=stop_on_violation,
-            max_violations=max_violations,
-        )
-    if cfg.protocol != "exchange":
-        raise ValueError(f"unknown protocol {cfg.protocol!r}")
     res = CheckResult(config=cfg)
     model = _Model(cfg, res.coverage)
     init = _initial(model)
@@ -1147,17 +773,6 @@ def check(
 #: bystander), and a bounded-depth M=3 world where three-party races (the
 #: abort-abort adopt race) live.
 DEFAULT_CONFIGS: tuple[CheckConfig, ...] = (
-    # Tiny state space first: the elastic rejoin admission handshake
-    # (root + one survivor + one joiner, dup/delay on the loss-free JOIN
-    # channels).
-    CheckConfig(
-        name="join-handshake",
-        protocol="join",
-        size=3,
-        rounds=1,
-        faults=("dup", "delay"),
-        fault_budget=1,
-    ),
     CheckConfig(
         name="m2-nodeadline",
         size=2,
@@ -1213,16 +828,9 @@ def check_model(
     mutation: str | None = None,
     stop_on_violation: bool = False,
 ) -> list[CheckResult]:
-    """Run every config (optionally with a mutation applied).
-
-    With a mutation, only configs of the protocol the mutation perturbs
-    are re-checked (:data:`MUTATION_PROTOCOL`) — the others cannot
-    observe it and would report a meaningless clean pass.
-    """
+    """Run every config (optionally with a mutation applied)."""
     results = []
     for cfg in configs:
-        if mutation is not None and cfg.protocol != MUTATION_PROTOCOL[mutation]:
-            continue
         cfg = replace(cfg, mutation=mutation, name=f"{cfg.name}" + (f"+{mutation}" if mutation else ""))
         results.append(check(cfg, stop_on_violation=stop_on_violation))
         if stop_on_violation and results[-1].violations:

@@ -61,7 +61,6 @@ COLLECTIVE_METHODS = frozenset({
 #: every-rank-must-call contract.
 COLLECTIVE_HELPERS = frozenset({
     "broadcast_model", "allreduce_gradients", "allreduce_batchnorm_stats",
-    "ring_allreduce", "tree_broadcast", "recursive_doubling_barrier",
     "hierarchical_exchange",
 })
 

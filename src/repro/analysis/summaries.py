@@ -11,11 +11,11 @@ per file:
   literals and arithmetic (``+ - * << | %``), names imported from
   :mod:`repro.mpi.tags` resolved against the live registry (both
   :class:`~repro.mpi.tags.TagRange` objects and plain ints), and
-  attribute reads like ``RING.base``.
+  attribute reads like ``RECOVERY.base``.
 * **Comm events** — every p2p call (``send``/``isend``/``recv``/
   ``irecv``/``probe``/``iprobe``) with its tag expression resolved to an
   exact integer, a :class:`~repro.mpi.tags.TagRange` (when only the base
-  is static, e.g. ``_RING_TAG + step`` or ``EXCHANGE_DATA.tag(i,
+  is static, e.g. ``_BASE + step`` or ``EXCHANGE_DATA.tag(i,
   parity=parity)``), or ``None``; plus whether the call carries a
   timeout/deadline keyword and whether it sits inside a ``while`` loop
   guarded by ``iprobe`` (the non-blocking drain idiom).
@@ -79,7 +79,7 @@ _FOLDABLE_BINOPS = {
 def module_name_for(path: str) -> str | None:
     """Dotted module name for a repo source path, or ``None``.
 
-    ``src/repro/mpi/algorithms.py`` → ``repro.mpi.algorithms``.  Paths not
+    ``src/repro/mpi/world.py`` → ``repro.mpi.world``.  Paths not
     under a ``repro`` package root return ``None`` (no ownership checks).
     """
     parts = list(Path(path).parts)
@@ -208,8 +208,8 @@ class ModuleSummary:
         """``(exact_tag, tag_range)`` for a tag expression.
 
         Additive expressions whose left spine folds resolve to the range
-        containing the static base (``_RING_TAG + size + step`` → the ring
-        range) even when the full offset is dynamic.
+        containing the static base (``_BASE + size + step`` → the range
+        holding ``_BASE``) even when the full offset is dynamic.
         """
         val = self.fold(node, local)
         if isinstance(val, int):

@@ -8,56 +8,26 @@ partitioners of Figure 2.
 """
 
 from .dataloader import DataLoader, default_collate
-from .dataset import (
-    CachedDataset,
-    ConcatDataset,
-    Dataset,
-    Subset,
-    TensorDataset,
-    TransformedDataset,
-)
+from .dataset import Dataset, TensorDataset, TransformedDataset
 from .folder import FolderDataset, materialize_folder_dataset
-from .sharded import ShardedNpzDataset, materialize_sharded_dataset
 from .prefetch import PrefetchLoader
 from .partition import PARTITION_SCHEMES, partition_indices, partition_sizes
-from .registry import TABLE1, ExperimentEntry, get_entry, list_entries
-from .sampler import (
-    BatchSampler,
-    DistributedSampler,
-    RandomSampler,
-    Sampler,
-    SequentialSampler,
-    WeightedRandomSampler,
-)
+from .registry import TABLE1, ExperimentEntry, list_entries
+from .sampler import DistributedSampler, RandomSampler, Sampler, SequentialSampler
 from .synthetic import (
     SyntheticSpec,
     make_classification,
-    make_deepcam_like,
     make_image_classification,
-    stratified_split,
     train_val_split,
-)
-from .transforms import (
-    Compose,
-    GaussianNoise,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
-    ToFloat32,
 )
 
 __all__ = [
     "DataLoader",
     "default_collate",
-    "CachedDataset",
-    "ConcatDataset",
     "Dataset",
-    "Subset",
     "TensorDataset",
     "TransformedDataset",
     "FolderDataset",
-    "ShardedNpzDataset",
-    "materialize_sharded_dataset",
     "materialize_folder_dataset",
     "PrefetchLoader",
     "PARTITION_SCHEMES",
@@ -65,24 +35,13 @@ __all__ = [
     "partition_sizes",
     "TABLE1",
     "ExperimentEntry",
-    "get_entry",
     "list_entries",
-    "BatchSampler",
     "DistributedSampler",
-    "WeightedRandomSampler",
     "RandomSampler",
     "Sampler",
     "SequentialSampler",
     "SyntheticSpec",
     "make_classification",
-    "make_deepcam_like",
     "make_image_classification",
     "train_val_split",
-    "stratified_split",
-    "Compose",
-    "GaussianNoise",
-    "Normalize",
-    "RandomCrop",
-    "RandomHorizontalFlip",
-    "ToFloat32",
 ]

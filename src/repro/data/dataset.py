@@ -8,18 +8,14 @@ so its shuffling layer drops into existing scripts with six changed lines
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
 __all__ = [
     "Dataset",
     "TensorDataset",
-    "Subset",
-    "ConcatDataset",
     "TransformedDataset",
-    "CachedDataset",
 ]
 
 
@@ -59,48 +55,6 @@ class TensorDataset(Dataset):
         return len(self.features)
 
 
-class Subset(Dataset):
-    """A view of ``dataset`` restricted to ``indices`` — the building block of
-    worker-local shards in local/partial-local shuffling."""
-
-    def __init__(self, dataset: Dataset, indices: Sequence[int]):
-        self.dataset = dataset
-        self.indices = np.asarray(indices, dtype=np.int64)
-        if len(self.indices) and (
-            self.indices.min() < 0 or self.indices.max() >= len(dataset)
-        ):
-            raise IndexError("subset indices out of parent dataset range")
-
-    def __getitem__(self, index: int) -> tuple[Any, Any]:
-        return self.dataset[int(self.indices[index])]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-class ConcatDataset(Dataset):
-    """Concatenation of several datasets (used to merge kept-local samples
-    with newly received ones)."""
-
-    def __init__(self, datasets: Sequence[Dataset]):
-        if not datasets:
-            raise ValueError("ConcatDataset needs at least one dataset")
-        self.datasets = list(datasets)
-        self.cumulative = np.cumsum([len(d) for d in self.datasets]).tolist()
-
-    def __getitem__(self, index: int) -> tuple[Any, Any]:
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(f"index {index} out of range for {len(self)} samples")
-        ds_idx = bisect_right(self.cumulative, index)
-        prev = 0 if ds_idx == 0 else self.cumulative[ds_idx - 1]
-        return self.datasets[ds_idx][index - prev]
-
-    def __len__(self) -> int:
-        return self.cumulative[-1]
-
-
 class TransformedDataset(Dataset):
     """Applies ``transform`` to the sample (not the label) on access."""
 
@@ -114,53 +68,3 @@ class TransformedDataset(Dataset):
 
     def __len__(self) -> int:
         return len(self.dataset)
-
-
-class CachedDataset(Dataset):
-    """LRU-cached view over a slow (e.g. on-disk) dataset.
-
-    Models the I/O-cache line of related work (FanStore, Quiver, Yang &
-    Cong's data-loader cache, §VI-C): repeated epochs hit memory instead of
-    storage.  ``capacity`` bounds the number of cached samples; ``hits`` /
-    ``misses`` counters make cache behaviour observable in experiments.
-    """
-
-    def __init__(self, dataset: Dataset, *, capacity: int | None = None):
-        from collections import OrderedDict
-
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.dataset = dataset
-        self.capacity = capacity
-        self._cache: "OrderedDict[int, tuple[Any, Any]]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __getitem__(self, index: int) -> tuple[Any, Any]:
-        if index < 0:
-            index += len(self.dataset)
-        if index in self._cache:
-            self.hits += 1
-            self._cache.move_to_end(index)
-            return self._cache[index]
-        self.misses += 1
-        item = self.dataset[index]
-        self._cache[index] = item
-        if self.capacity is not None and len(self._cache) > self.capacity:
-            self._cache.popitem(last=False)
-        return item
-
-    def __len__(self) -> int:
-        return len(self.dataset)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of accesses served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def clear(self) -> None:
-        """Drop all cached entries and reset the counters."""
-        self._cache.clear()
-        self.hits = 0
-        self.misses = 0

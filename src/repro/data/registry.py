@@ -15,7 +15,7 @@ from repro.utils.units import GB, MB, TB
 
 from .synthetic import SyntheticSpec
 
-__all__ = ["ExperimentEntry", "TABLE1", "get_entry", "list_entries"]
+__all__ = ["ExperimentEntry", "TABLE1", "list_entries"]
 
 
 @dataclass(frozen=True)
@@ -154,14 +154,6 @@ TABLE1: dict[str, ExperimentEntry] = {
         ),
     ]
 }
-
-
-def get_entry(key: str) -> ExperimentEntry:
-    """Look up a Table I entry; raises KeyError with the available keys."""
-    try:
-        return TABLE1[key]
-    except KeyError:
-        raise KeyError(f"unknown experiment {key!r}; available: {sorted(TABLE1)}") from None
 
 
 def list_entries() -> list[ExperimentEntry]:

@@ -19,8 +19,6 @@ __all__ = [
     "SequentialSampler",
     "RandomSampler",
     "DistributedSampler",
-    "BatchSampler",
-    "WeightedRandomSampler",
 ]
 
 
@@ -141,93 +139,6 @@ class DistributedSampler(Sampler):
     def __iter__(self) -> Iterator[int]:
         order = self._global_order()
         return iter(order[self.rank :: self.num_replicas].tolist())
-
-    def __len__(self) -> int:
-        return self.num_samples
-
-
-class BatchSampler(Sampler):
-    """Group a base sampler's indices into batches (yields lists).
-
-    Mirrors ``torch.utils.data.BatchSampler``; useful when the exchange
-    granularity is a whole batch (§III-E's grouped-samples case).
-    """
-
-    def __init__(self, sampler: Sampler, batch_size: int, *, drop_last: bool = False):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.sampler = sampler
-        self.batch_size = batch_size
-        self.drop_last = drop_last
-
-    def __iter__(self):
-        batch: list[int] = []
-        for idx in self.sampler:
-            batch.append(idx)
-            if len(batch) == self.batch_size:
-                yield batch
-                batch = []
-        if batch and not self.drop_last:
-            yield batch
-
-    def __len__(self) -> int:
-        n = len(self.sampler)
-        if self.drop_last:
-            return n // self.batch_size
-        return -(-n // self.batch_size)
-
-
-class WeightedRandomSampler(Sampler):
-    """Sample ``num_samples`` indices with probabilities ~ ``weights``.
-
-    The importance-sampling primitive (§IV-B future work): biasing which
-    samples a worker visits can counteract the shuffling bias of the
-    partial exchange.  With-replacement by default, like PyTorch.
-    """
-
-    def __init__(
-        self,
-        weights,
-        num_samples: int,
-        *,
-        replacement: bool = True,
-        seed: int = 0,
-    ):
-        import numpy as _np
-
-        self.weights = _np.asarray(weights, dtype=_np.float64)
-        if self.weights.ndim != 1 or len(self.weights) == 0:
-            raise ValueError("weights must be a non-empty 1-D sequence")
-        if (self.weights < 0).any():
-            raise ValueError("weights must be non-negative")
-        if self.weights.sum() == 0:
-            raise ValueError("at least one weight must be positive")
-        if num_samples < 1:
-            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-        if not replacement and num_samples > len(self.weights):
-            raise ValueError(
-                f"cannot draw {num_samples} without replacement from "
-                f"{len(self.weights)} items"
-            )
-        self.num_samples = num_samples
-        self.replacement = replacement
-        self.seed = seed
-        self.epoch = 0
-
-    def set_epoch(self, epoch: int) -> None:
-        """Select the epoch-specific permutation."""
-        self.epoch = int(epoch)
-
-    def __iter__(self):
-        import numpy as _np
-
-        rng = _np.random.default_rng(_np.random.SeedSequence([self.seed, self.epoch]))
-        p = self.weights / self.weights.sum()
-        drawn = rng.choice(
-            len(self.weights), size=self.num_samples,
-            replace=self.replacement, p=p,
-        )
-        return iter(drawn.tolist())
 
     def __len__(self) -> int:
         return self.num_samples

@@ -29,9 +29,7 @@ __all__ = [
     "SyntheticSpec",
     "make_classification",
     "make_image_classification",
-    "make_deepcam_like",
     "train_val_split",
-    "stratified_split",
 ]
 
 
@@ -111,35 +109,6 @@ def make_image_classification(
     return X.reshape(-1, channels, height, width), y
 
 
-def make_deepcam_like(
-    n_samples: int = 512,
-    *,
-    n_features: int = 256,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """DeepCAM analogue: few samples, high-dimensional inputs, 3 classes
-    (background / tropical cyclone / atmospheric river), moderate noise.
-
-    DeepCAM is a segmentation benchmark; what Figures 7(a)/(b) measure is
-    validation accuracy and epoch time as functions of the exchange ratio on
-    a dataset with a *small sample count* (~122K) and *huge per-sample size*
-    (~70 MB).  The small-count/large-sample regime — not pixel-level
-    labels — drives both effects, so a 3-class classification stand-in with
-    large feature vectors preserves the relevant behaviour.
-    """
-    spec = SyntheticSpec(
-        n_samples=n_samples,
-        n_classes=3,
-        n_features=n_features,
-        intra_modes=6,
-        separation=2.2,
-        mode_spread=1.2,
-        noise=1.1,
-        seed=seed,
-    )
-    return make_classification(spec)
-
-
 def train_val_split(
     X: np.ndarray,
     y: np.ndarray,
@@ -158,41 +127,4 @@ def train_val_split(
     return (
         TensorDataset(X[train_idx], y[train_idx]),
         TensorDataset(X[val_idx], y[val_idx]),
-    )
-
-
-def stratified_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    val_fraction: float = 0.2,
-    seed: int = 0,
-) -> tuple[TensorDataset, TensorDataset]:
-    """Class-stratified train/validation split.
-
-    Unlike :func:`train_val_split`'s uniform draw, every class contributes
-    (approximately) ``val_fraction`` of its samples to validation, so small
-    classes cannot vanish from the held-out set — important when the
-    experiment's point is class coverage under skewed shards.
-    """
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError(f"val_fraction must be in (0,1), got {val_fraction}")
-    y = np.asarray(y)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57A7]))
-    val_idx: list[int] = []
-    for c in np.unique(y):
-        members = np.flatnonzero(y == c)
-        members = members[rng.permutation(len(members))]
-        n_val = max(1, int(round(len(members) * val_fraction)))
-        if n_val >= len(members):
-            raise ValueError(
-                f"class {c} has only {len(members)} samples; cannot hold out "
-                f"{val_fraction:.0%} and still train on it"
-            )
-        val_idx.extend(members[:n_val].tolist())
-    val_mask = np.zeros(len(y), dtype=bool)
-    val_mask[val_idx] = True
-    return (
-        TensorDataset(X[~val_mask], y[~val_mask]),
-        TensorDataset(X[val_mask], y[val_mask]),
     )

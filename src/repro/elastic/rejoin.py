@@ -9,9 +9,9 @@ re-admits the rank, three steps restore the paper's steady state:
 1. **Handshake** — on the expanded communicator, the lowest surviving
    member sends each joiner the job state it missed (epoch, seed, ledger,
    scheduler run state, model/optimizer state, capacity) on
-   ``JOIN.tag(0)``; the joiner ACKs on ``JOIN.tag(1)``; a barrier then
-   separates admission from the transfers, so no rebalance bytes can race
-   the state hand-over.
+   ``JOIN.tag(0)``; the joiner ACKs on ``JOIN.tag(1)``.  No rebalance
+   bytes can race the state hand-over: the rebalance opens with a
+   collective the joiners enter only once their state is installed.
 2. **Rebalance** — :func:`plan_rebalance`, the deterministic inverse of
    ``ShardRecovery._assign``: overloaded ranks donate hot samples from the
    *end* of their storage order until every live rank holds its ``N/M``
@@ -175,11 +175,17 @@ def join_handshake(comm, joiners: Sequence[int], state: dict | None = None):
 
     The lowest surviving (non-joiner) member is the handshake root: it
     sends ``state`` (the job context a joiner missed while dead) to each
-    joiner; each joiner ACKs; then everyone barriers.  The barrier *after*
-    the ACK is load-bearing: it guarantees no member starts posting
-    rebalance transfers (``JOIN.tag(2+i)``) before every joiner holds the
-    state those transfers assume — the ordering the ``join-handshake``
-    model config checks, and its ``ack_join_before_barrier`` mutant breaks.
+    joiner, and each joiner ACKs.
+
+    No barrier follows.  No member can post a rebalance transfer
+    (``JOIN.tag(2+i)``) before every joiner holds the state it assumes,
+    by program order alone: a joiner installs the returned state before
+    it calls :meth:`RankRejoin.rebalance`, which opens with
+    ``comm.allgather``, and no member leaves that collective, let alone
+    reaches the transfers, before every joiner has entered it.  A live
+    heal under control-plane ``delay`` / ``dup`` runs the same with and
+    without a barrier here, on both backends
+    (``tests/faults/test_chaos_train.py`` pins the ordering).
 
     Returns the received state on joiners, ``None`` on existing members.
     """
@@ -202,7 +208,6 @@ def join_handshake(comm, joiners: Sequence[int], state: dict | None = None):
                 raise RuntimeError(
                     f"JOIN handshake: expected ack from {j}, got {(kind, who)}"
                 )
-    comm.barrier()
     return received
 
 

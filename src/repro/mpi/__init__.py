@@ -44,11 +44,10 @@ from .launcher import (
 )
 from .message import Message, Status, payload_nbytes
 from .pool import BufferPool, HeapAllocator, PoolBuffer
-from .request import RecvRequest, Request, SendRequest, testall, waitall
+from .request import RecvRequest, Request, SendRequest, waitall
 from .shm_pool import SegmentAllocator
 from .tags import TagRange
 from .tags import lookup as lookup_tag
-from .tags import ranges as tag_ranges
 from .world import World
 
 __all__ = [
@@ -81,10 +80,8 @@ __all__ = [
     "RecvRequest",
     "Request",
     "SendRequest",
-    "testall",
     "waitall",
     "TagRange",
-    "tag_ranges",
     "lookup_tag",
     "World",
 ]

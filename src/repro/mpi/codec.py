@@ -47,7 +47,7 @@ import numpy as np
 from .pool import BufferPool, PoolBuffer
 
 __all__ = [
-    "PackedBatch", "SampleBlock", "pack_samples", "unpack_samples", "packed_size",
+    "PackedBatch", "SampleBlock", "pack_samples", "unpack_samples",
 ]
 
 _MAGIC = b"RPB1"
@@ -251,15 +251,6 @@ def _block_class(samples) -> tuple[np.dtype, tuple[int, ...]] | None:
     if not shape or dtype.hasobject or len(dtype.str) > 255 or len(shape) > 255:
         return None
     return dtype, shape
-
-
-def packed_size(entries: Sequence[tuple[np.ndarray, int, int | None]]) -> int:
-    """Payload bytes :func:`pack_samples` will need for ``entries``
-    (aligned sample extents, excluding the header)."""
-    offset = 0
-    for sample, _label, _gid in entries:
-        offset = _aligned(offset) + np.asarray(sample).nbytes
-    return offset
 
 
 def _acquire(nbytes: int, pool: BufferPool | None) -> tuple[Any, memoryview]:

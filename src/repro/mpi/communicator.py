@@ -171,7 +171,7 @@ class Communicator:
         """Non-blocking requests issued here and not yet completed.
 
         A request counts as completed once ``wait()`` returned or a
-        ``test()``/``testall`` observed it done.  ``run_spmd`` consults
+        ``test()`` observed it done.  ``run_spmd`` consults
         this as each rank returns: leftover pending requests mean a
         message is stranded in a mailbox where a later wildcard receive
         can steal it (warned about).  Communicators created by

@@ -7,12 +7,12 @@ handles provide the ``test``/``wait``/``waitall`` surface it needs.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .errors import MPIError
 from .message import ANY_SOURCE, ANY_TAG, Status, payload_nbytes
 
-__all__ = ["Request", "SendRequest", "RecvRequest", "waitall", "testall"]
+__all__ = ["Request", "SendRequest", "RecvRequest", "waitall"]
 
 
 class Request:
@@ -135,22 +135,3 @@ def waitall(requests: Iterable[Request]) -> list[Any]:
     """Wait for every request; returns payloads in request order."""
     return [req.wait() for req in requests]
 
-
-def testall(requests: Sequence[Request]) -> tuple[bool, list[Any] | None]:
-    """If *all* requests are complete return ``(True, payloads)``; otherwise
-    ``(False, None)`` without blocking.
-
-    Note: like MPI_Testall, a partial check may complete some receives as a
-    side effect; their payloads are retained inside the request objects and
-    returned by a later ``wait``/``testall``.
-    """
-    payloads: list[Any] = []
-    all_done = True
-    for req in requests:
-        done, payload = req.test()
-        if not done:
-            all_done = False
-        payloads.append(payload)
-    if not all_done:
-        return False, None
-    return True, payloads

@@ -1,10 +1,10 @@
 """Central registry of every point-to-point message tag the repo uses.
 
 Each subsystem that sends tagged p2p traffic — the reliable sample
-exchange, its ACK/NACK control plane, telemetry push, elastic shard
-recovery, and the p2p collective algorithms — must allocate its tags from
-a named :class:`TagRange` declared here.  The registry is the single
-source of truth for three consumers:
+exchange, its ACK/NACK control plane, telemetry push, and elastic shard
+recovery and rejoin — must allocate its tags from a named
+:class:`TagRange` declared here.  The registry is the single source of
+truth for three consumers:
 
 * the subsystems themselves (they import their range and call
   :meth:`TagRange.tag` instead of spelling literals);
@@ -27,30 +27,19 @@ from dataclasses import dataclass
 
 __all__ = [
     "PARITY_BIT",
-    "TAG_SPACE",
     "TagRange",
     "RECOVERY",
-    "RING",
-    "TREE",
-    "BARRIER",
     "JOIN",
     "EXCHANGE_DATA",
     "EXCHANGE_CTRL",
     "TELEMETRY",
     "REGISTRY",
-    "ranges",
     "lookup",
-    "owner_of",
 ]
 
 # Epoch-parity bit OR'd into exchange tags on odd epochs.  Sits above every
 # base interval so the parity image of a range never folds back onto it.
 PARITY_BIT = 1 << 20
-
-# Wire tags must stay below Communicator.MAX_TAG (context id is folded in
-# above this); mirrored here to avoid a circular import, asserted equal in
-# tests/mpi/test_tags.py.
-TAG_SPACE = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -109,22 +98,11 @@ class TagRange:
 # --------------------------------------------------------------------------
 # Allocations.  Values are load-bearing: EXCHANGE_DATA/EXCHANGE_CTRL/
 # TELEMETRY/RECOVERY keep their historical bases (wire compatibility with
-# committed flight-recorder artifacts and tests); TREE and BARRIER moved out
-# of the ring's step interval — their old values 1<<14|1 and 1<<14|2 collided
-# with ring_allreduce steps 1 and 2.
+# committed flight-recorder artifacts and tests).
 # --------------------------------------------------------------------------
 
 #: Elastic shard recovery p2p transfers (one tag per transfer, FIFO-safe wrap).
 RECOVERY = TagRange("recovery", base=1 << 12, width=1 << 12, owner="repro.elastic", wrap=True)
-
-#: Ring allreduce chunk steps: ``2 * (size - 1)`` tags per call.
-RING = TagRange("ring_allreduce", base=1 << 14, width=4096, owner="repro.mpi")
-
-#: Binomial-tree broadcast (single tag; FIFO matching orders the rounds).
-TREE = TagRange("tree_broadcast", base=(1 << 14) + 4096, width=4096, owner="repro.mpi")
-
-#: Recursive-doubling barrier: fold-in/out plus one tag per doubling mask.
-BARRIER = TagRange("barrier", base=(1 << 14) + 8192, width=4096, owner="repro.mpi")
 
 #: Elastic rank-rejoin (JOIN) handshake and rebalance transfers.  Offset 0
 #: carries the admission state snapshot from rank 0 to each joiner, offset 1
@@ -147,19 +125,11 @@ TELEMETRY = TagRange("telemetry", base=(1 << 19) + 5, width=1, owner="repro.obs"
 
 REGISTRY: tuple[TagRange, ...] = (
     RECOVERY,
-    RING,
-    TREE,
-    BARRIER,
     JOIN,
     EXCHANGE_DATA,
     EXCHANGE_CTRL,
     TELEMETRY,
 )
-
-
-def ranges() -> tuple[TagRange, ...]:
-    """Every registered tag range."""
-    return REGISTRY
 
 
 def lookup(tag: int) -> TagRange | None:
@@ -169,8 +139,3 @@ def lookup(tag: int) -> TagRange | None:
             return r
     return None
 
-
-def owner_of(tag: int) -> str | None:
-    """Dotted module prefix owning ``tag``, or ``None`` if unregistered."""
-    r = lookup(tag)
-    return r.owner if r is not None else None

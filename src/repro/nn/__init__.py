@@ -5,19 +5,10 @@ real SGD + BatchNorm dynamics, which this package provides at laptop scale.
 """
 
 from . import functional
-from .clip import clip_grad_norm_, grad_norm
 from .gradcheck import gradcheck, numerical_grad
-from .init import (
-    compute_fans,
-    kaiming_normal,
-    kaiming_uniform,
-    xavier_normal,
-    xavier_uniform,
-)
+from .init import compute_fans, kaiming_uniform
 from .layers import (
-    AvgPool2d,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Identity,
@@ -25,18 +16,9 @@ from .layers import (
     MaxPool2d,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
-from .lr_scheduler import (
-    CosineAnnealingLR,
-    LRScheduler,
-    MultiStepLR,
-    PolynomialLR,
-    StepLR,
-    WarmupWrapper,
-)
-from .metrics import RunningAverage, accuracy, confusion_matrix, topk_accuracy
+from .lr_scheduler import LRScheduler, MultiStepLR, WarmupWrapper
+from .metrics import RunningAverage, accuracy, topk_accuracy
 from .models import (
     MODEL_NAMES,
     BasicBlock,
@@ -46,24 +28,17 @@ from .models import (
     build_model,
 )
 from .module import Module, Parameter
-from .norm import BatchNorm1d, BatchNorm2d, GroupNorm, LayerNorm
-from .optim import LARS, SGD, Adam, Optimizer
+from .norm import BatchNorm1d, BatchNorm2d, GroupNorm
+from .optim import LARS, SGD, Optimizer
 from .tensor import Tensor, concatenate, is_grad_enabled, no_grad
 
 __all__ = [
     "functional",
-    "clip_grad_norm_",
-    "grad_norm",
     "gradcheck",
     "numerical_grad",
     "compute_fans",
-    "kaiming_normal",
     "kaiming_uniform",
-    "xavier_normal",
-    "xavier_uniform",
-    "AvgPool2d",
     "Conv2d",
-    "Dropout",
     "Flatten",
     "GlobalAvgPool2d",
     "Identity",
@@ -71,17 +46,11 @@ __all__ = [
     "MaxPool2d",
     "ReLU",
     "Sequential",
-    "Sigmoid",
-    "Tanh",
-    "CosineAnnealingLR",
     "LRScheduler",
     "MultiStepLR",
-    "PolynomialLR",
-    "StepLR",
     "WarmupWrapper",
     "RunningAverage",
     "accuracy",
-    "confusion_matrix",
     "topk_accuracy",
     "MODEL_NAMES",
     "BasicBlock",
@@ -94,10 +63,8 @@ __all__ = [
     "BatchNorm1d",
     "BatchNorm2d",
     "GroupNorm",
-    "LayerNorm",
     "LARS",
     "SGD",
-    "Adam",
     "Optimizer",
     "Tensor",
     "concatenate",

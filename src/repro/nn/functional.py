@@ -1,4 +1,4 @@
-"""Functional ops: stable softmax/losses, patch-gather convolution, pooling.
+"""Functional ops: stable log-softmax/losses, patch-gather convolution, pooling.
 
 Convolution and pooling implement custom backward closures rather than
 being composed from primitives — the composite graph would be orders of
@@ -16,15 +16,11 @@ from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
     "log_softmax",
-    "softmax",
     "cross_entropy",
-    "mse_loss",
     "nll_loss",
     "one_hot",
     "conv2d",
     "max_pool2d",
-    "avg_pool2d",
-    "dropout",
     "im2col",
     "col2im",
 ]
@@ -46,11 +42,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
         out._backward = backward
     return out
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``."""
-    return log_softmax(x, axis=axis).exp()
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -94,23 +85,6 @@ def cross_entropy(
         raise ValueError(f"batch mismatch: {n} logits rows vs {labels.shape[0]} labels")
     target = one_hot(labels, c) * (1.0 - label_smoothing) + label_smoothing / c
     return -(log_probs * Tensor(target)).sum(axis=-1).mean()
-
-
-def mse_loss(pred: Tensor, target: np.ndarray | Tensor) -> Tensor:
-    """Mean squared error."""
-    target = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=pred.dtype))
-    diff = pred - target
-    return (diff * diff).mean()
-
-
-def dropout(x: Tensor, p: float, *, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: scales by ``1/(1-p)`` at train time, identity at eval."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout p must be in [0,1), got {p}")
-    if not training or p == 0.0:
-        return x
-    mask = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
-    return x * Tensor(mask)
 
 
 # --------------------------------------------------------------------- conv2d
@@ -251,25 +225,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         def backward(g: np.ndarray) -> None:
             gcols = np.zeros_like(cols)
             gcols[np.arange(cols.shape[0]), argmax] = g.reshape(-1)
-            gx = col2im(gcols, (n * c, 1, h, w), kernel, kernel, stride, 0)
-            x._push(gx.reshape(n, c, h, w))
-
-        out._backward = backward
-    return out
-
-
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Average pooling over (kernel x kernel) windows."""
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    cols, oh, ow = im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
-    out_data = cols.mean(axis=1).reshape(n, c, oh, ow)
-    out = x._make(out_data, (x,), "avg_pool2d")
-    if out.requires_grad:
-        k2 = kernel * kernel
-
-        def backward(g: np.ndarray) -> None:
-            gcols = np.repeat(g.reshape(-1, 1) / k2, k2, axis=1)
             gx = col2im(gcols, (n * c, 1, h, w), kernel, kernel, stride, 0)
             x._push(gx.reshape(n, c, h, w))
 

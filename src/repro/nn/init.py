@@ -1,4 +1,4 @@
-"""Weight initialisers (Kaiming / Xavier) with explicit RNGs.
+"""Kaiming weight initialisation with explicit RNGs.
 
 Every worker must initialise identical weights ("initialize the weights
 with the same random seed", §IV-A), so all initialisers take a Generator
@@ -11,9 +11,6 @@ import numpy as np
 
 __all__ = [
     "kaiming_uniform",
-    "kaiming_normal",
-    "xavier_uniform",
-    "xavier_normal",
     "compute_fans",
 ]
 
@@ -36,24 +33,3 @@ def kaiming_uniform(shape, *, rng: np.random.Generator, gain: float = np.sqrt(2.
     fan_in, _ = compute_fans(tuple(shape))
     bound = gain * np.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def kaiming_normal(shape, *, rng: np.random.Generator, gain: float = np.sqrt(2.0)) -> np.ndarray:
-    """He initialisation, normal variant."""
-    fan_in, _ = compute_fans(tuple(shape))
-    std = gain / np.sqrt(fan_in)
-    return rng.normal(0.0, std, size=shape).astype(np.float32)
-
-
-def xavier_uniform(shape, *, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot initialisation, uniform variant (tanh/sigmoid networks)."""
-    fan_in, fan_out = compute_fans(tuple(shape))
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_normal(shape, *, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot initialisation, normal variant."""
-    fan_in, fan_out = compute_fans(tuple(shape))
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(np.float32)

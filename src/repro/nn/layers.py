@@ -1,4 +1,4 @@
-"""Core layers: Linear, Conv2d, pooling, activations, Dropout, Sequential."""
+"""Core layers: Linear, Conv2d, pooling, ReLU, Sequential."""
 
 from __future__ import annotations
 
@@ -15,13 +15,9 @@ __all__ = [
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "Dropout",
     "Sequential",
     "Identity",
 ]
@@ -93,18 +89,6 @@ class MaxPool2d(Module):
         return F.max_pool2d(x, self.kernel_size, self.stride)
 
 
-class AvgPool2d(Module):
-    """Average-pooling module over (kernel x kernel) windows."""
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply this module to the input."""
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
-
-
 class GlobalAvgPool2d(Module):
     """Mean over spatial dims: (N,C,H,W) -> (N,C)."""
 
@@ -127,40 +111,11 @@ class ReLU(Module):
         return x.relu()
 
 
-class Tanh(Module):
-    """Elementwise tanh module."""
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply this module to the input."""
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    """Elementwise sigmoid module."""
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply this module to the input."""
-        return x.sigmoid()
-
-
 class Identity(Module):
     """Pass-through module (the 'no normalisation' option)."""
     def forward(self, x: Tensor) -> Tensor:
         """Apply this module to the input."""
         return x
-
-
-class Dropout(Module):
-    """Inverted dropout keyed off the module's train/eval mode."""
-
-    def __init__(self, p: float = 0.5, *, rng: np.random.Generator | None = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout p must be in [0,1), got {p}")
-        self.p = p
-        self.rng = rng if rng is not None else default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply this module to the input."""
-        return F.dropout(x, self.p, rng=self.rng, training=self.training)
 
 
 class Sequential(Module):

@@ -1,24 +1,20 @@
-"""Learning-rate schedules: warmup, step decay, multi-step, cosine, polynomial.
+"""Learning-rate schedules: multi-step decay with linear warmup.
 
 The paper keeps each model's original regime ("we do not change the base
 learning rate and the number of epochs", §V-C): the ImageNet recipe is
-linear warmup + step decay (Goyal et al.), CIFAR uses multi-step, and the
-large-batch LARS runs use polynomial decay (Mikami et al.).
+linear warmup + step decay (Goyal et al.) and CIFAR uses multi-step; the
+trainer builds warmup + multi-step.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .optim import Optimizer
 
 __all__ = [
     "LRScheduler",
-    "StepLR",
     "MultiStepLR",
-    "CosineAnnealingLR",
-    "PolynomialLR",
     "WarmupWrapper",
 ]
 
@@ -45,21 +41,6 @@ class LRScheduler:
         return lr
 
 
-class StepLR(LRScheduler):
-    """Multiply lr by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        if step_size < 1:
-            raise ValueError(f"step_size must be >= 1, got {step_size}")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self, epoch: int) -> float:
-        """Learning rate for the given epoch."""
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
 class MultiStepLR(LRScheduler):
     """Multiply lr by ``gamma`` at each milestone epoch (the 30/60/80 recipe)."""
 
@@ -74,44 +55,6 @@ class MultiStepLR(LRScheduler):
         """Learning rate for the given epoch."""
         passed = sum(1 for m in self.milestones if epoch >= m)
         return self.base_lr * self.gamma**passed
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from base lr to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 1e-6):
-        super().__init__(optimizer)
-        if t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {t_max}")
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def get_lr(self, epoch: int) -> float:
-        """Learning rate for the given epoch."""
-        t = min(epoch, self.t_max)
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (
-            1 + math.cos(math.pi * t / self.t_max)
-        )
-
-
-class PolynomialLR(LRScheduler):
-    """Polynomial decay to ``end_lr`` (the large-batch LARS recipe)."""
-
-    def __init__(
-        self, optimizer: Optimizer, total_epochs: int, power: float = 2.0, end_lr: float = 1e-5
-    ):
-        super().__init__(optimizer)
-        if total_epochs < 1:
-            raise ValueError(f"total_epochs must be >= 1, got {total_epochs}")
-        self.total_epochs = total_epochs
-        self.power = power
-        self.end_lr = end_lr
-
-    def get_lr(self, epoch: int) -> float:
-        """Learning rate for the given epoch."""
-        t = min(epoch, self.total_epochs)
-        frac = (1 - t / self.total_epochs) ** self.power
-        return self.end_lr + (self.base_lr - self.end_lr) * frac
 
 
 class WarmupWrapper(LRScheduler):

@@ -1,4 +1,4 @@
-"""Classification metrics: top-k accuracy, confusion matrix, running average."""
+"""Classification metrics: top-k accuracy, running average."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["topk_accuracy", "accuracy", "confusion_matrix", "RunningAverage"]
+__all__ = ["topk_accuracy", "accuracy", "RunningAverage"]
 
 
 def _logits_array(logits) -> np.ndarray:
@@ -36,15 +36,6 @@ def topk_accuracy(logits, labels: np.ndarray, k: int = 1) -> float:
 def accuracy(logits, labels: np.ndarray) -> float:
     """Top-1 accuracy."""
     return topk_accuracy(logits, labels, k=1)
-
-
-def confusion_matrix(logits, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """(true, predicted) count matrix."""
-    preds = _logits_array(logits).argmax(axis=1)
-    labels = np.asarray(labels)
-    mat = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(mat, (labels, preds), 1)
-    return mat
 
 
 class RunningAverage:

@@ -147,7 +147,7 @@ class Module:
         return self
 
     def eval(self) -> "Module":
-        """Set evaluation mode (running-stat normalisation, no dropout)."""
+        """Set evaluation mode (running-stat normalisation)."""
         return self.train(False)
 
     def zero_grad(self) -> None:

@@ -1,4 +1,4 @@
-"""Normalisation layers: BatchNorm, GroupNorm, LayerNorm.
+"""Normalisation layers: BatchNorm and GroupNorm.
 
 BatchNorm is central to the paper's story: "since batch normalization is
 typically applied to the local mini-batch of each worker, the mean and the
@@ -16,7 +16,7 @@ import numpy as np
 from .module import Module, Parameter
 from .tensor import Tensor
 
-__all__ = ["BatchNorm1d", "BatchNorm2d", "GroupNorm", "LayerNorm"]
+__all__ = ["BatchNorm1d", "BatchNorm2d", "GroupNorm"]
 
 
 class _Norm(Module):
@@ -126,17 +126,3 @@ class GroupNorm(_Norm):
         # Statistics per (sample, group), affine per channel.
         view = (x.shape[0], self.num_groups, self.num_channels // self.num_groups, -1)
         return self._normalize(x.reshape(view), (2, 3), (1, *view[1:3], 1))[0].reshape(x.shape)
-
-
-class LayerNorm(_Norm):
-    """Layer normalisation over the trailing feature dimension."""
-
-    def __init__(self, normalized_shape: int, *, eps: float = 1e-5):
-        super().__init__(normalized_shape, eps)
-        self.normalized_shape = normalized_shape
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply this module to the input."""
-        if x.shape[-1] != self.normalized_shape:
-            raise ValueError(f"LayerNorm expects last dim {self.normalized_shape}, got {x.shape}")
-        return self._normalize(x, (-1,), (1,) * (x.ndim - 1) + x.shape[-1:])[0]

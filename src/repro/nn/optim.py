@@ -14,7 +14,7 @@ import numpy as np
 
 from .module import FlatParameters, Parameter, flat_views
 
-__all__ = ["Optimizer", "SGD", "LARS", "Adam"]
+__all__ = ["Optimizer", "SGD", "LARS"]
 
 
 class Optimizer:
@@ -144,61 +144,3 @@ class LARS(Optimizer):
                 v += update
                 update = v
             p.data -= self.lr * update
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba) with optional L2 weight decay.
-
-    Not used by the paper's regimes (which are momentum-SGD/LARS), but a
-    standard member of any training toolbox — and useful for quickly
-    fitting the synthetic stand-in datasets when prototyping experiments.
-    """
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 1e-3,
-        *,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr)
-        b1, b2 = betas
-        if not 0.0 <= b1 < 1.0 or not 0.0 <= b2 < 1.0:
-            raise ValueError(f"betas must be in [0,1), got {betas}")
-        if eps <= 0:
-            raise ValueError(f"eps must be > 0, got {eps}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        self.betas = (b1, b2)
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._step = 0
-        self._m: list[np.ndarray | None] = [None] * len(self.params)
-        self._v: list[np.ndarray | None] = [None] * len(self.params)
-
-    def step(self) -> None:
-        """Apply one update using the current gradients."""
-        b1, b2 = self.betas
-        self._step += 1
-        t = self._step
-        bias1 = 1.0 - b1**t
-        bias2 = 1.0 - b2**t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self._m[i] is None:
-                self._m[i] = np.zeros_like(p.data)
-                self._v[i] = np.zeros_like(p.data)
-            m, v = self._m[i], self._v[i]
-            m *= b1
-            m += (1 - b1) * grad
-            v *= b2
-            v += (1 - b2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

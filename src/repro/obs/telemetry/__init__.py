@@ -21,7 +21,6 @@ from .aggregate import (
     drain_pending,
     push_metrics,
     to_openmetrics,
-    write_openmetrics,
     write_telemetry_json,
 )
 from .flight import (
@@ -66,6 +65,5 @@ __all__ = [
     "render_rank_summary",
     "run_health_checks",
     "to_openmetrics",
-    "write_openmetrics",
     "write_telemetry_json",
 ]

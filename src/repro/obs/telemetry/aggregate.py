@@ -50,7 +50,6 @@ __all__ = [
     "drain_pending",
     "to_openmetrics",
     "write_telemetry_json",
-    "write_openmetrics",
 ]
 
 #: Dedicated wire tag of telemetry pushes.  The authoritative allocation is
@@ -209,12 +208,4 @@ def write_telemetry_json(snapshot: dict, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(snapshot, indent=2) + "\n")
-    return path
-
-
-def write_openmetrics(snapshot: dict, path: str | Path) -> Path:
-    """Write the OpenMetrics rendering; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(to_openmetrics(snapshot))
     return path

@@ -24,7 +24,7 @@ from .partial import PartialLocalShuffle, strategy_from_name
 from .pls_dataset import PLSFolderDataset
 from .scheduler import Scheduler
 from .storage import DiskStorageArea, StorageArea, StorageDataset, StorageFullError
-from .volumes import MeasuredVolumes, ShuffleVolumes, compute_volumes, observed_volumes
+from .volumes import ShuffleVolumes, compute_volumes
 
 __all__ = [
     "ShuffleStrategy",
@@ -44,7 +44,5 @@ __all__ = [
     "StorageDataset",
     "StorageFullError",
     "ShuffleVolumes",
-    "MeasuredVolumes",
     "compute_volumes",
-    "observed_volumes",
 ]

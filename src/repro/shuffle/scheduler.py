@@ -78,7 +78,6 @@ from .storage import StorageArea
 
 __all__ = [
     "Scheduler",
-    "EXCHANGE_TAG_BASE",
     "EXCHANGE_CTRL_TAG",
     "SERVICE_EVERY",
     "WINDOWS_IN_FLIGHT_BOUND",
@@ -89,8 +88,7 @@ __all__ = [
 # epoch-parity bit.  Ranks can be at most one epoch apart
 # (synchronize() blocks until all sources posted), so parity plus per-channel
 # FIFO matching keeps epochs unambiguous.  Allocated centrally in
-# repro.mpi.tags; the module-level constants remain for compatibility.
-EXCHANGE_TAG_BASE = EXCHANGE_DATA.base
+# repro.mpi.tags.
 _EPOCH_PARITY_BIT = PARITY_BIT
 # Control plane of the exchange: ACK/NACK messages, one tag per
 # epoch parity.  Kept outside the data-round tag range so a control message

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mpi.message import payload_nbytes
-
-__all__ = ["ShuffleVolumes", "MeasuredVolumes", "compute_volumes", "observed_volumes"]
+__all__ = ["ShuffleVolumes", "compute_volumes"]
 
 
 @dataclass(frozen=True)
@@ -108,45 +106,3 @@ def compute_volumes(
             pfs_read_bytes=0,
         )
     raise ValueError(f"unknown scheme {scheme!r}; expected global/local/partial")
-
-
-@dataclass(frozen=True)
-class MeasuredVolumes:
-    """Observed per-worker volumes from a live PLS scheduler.
-
-    The measured mirror of :class:`ShuffleVolumes`: byte counts come from
-    the same wire-size model the flight recorder's events carry
-    (:func:`repro.mpi.message.payload_nbytes`), so analytic predictions,
-    trace ``nbytes`` sums and these counters are directly comparable.
-    """
-
-    scheme: str
-    workers: int
-    q: float
-    shard_wire_bytes: int  # current shard, at wire size
-    storage_peak_bytes: int  # StorageArea's observed peak
-    network_send_bytes: int  # exchange traffic actually sent
-    sent_samples: int
-    recv_samples: int
-
-
-def observed_volumes(scheduler) -> MeasuredVolumes:
-    """Snapshot the measured volumes of a :class:`~repro.shuffle.scheduler.Scheduler`.
-
-    Uses :func:`payload_nbytes` to size the resident shard exactly as the
-    exchange messages are sized, replacing per-call-site ``.nbytes`` math.
-    """
-    storage = scheduler.storage
-    shard_wire = sum(
-        payload_nbytes(storage.get(sid)) for sid in storage.ids()
-    )
-    return MeasuredVolumes(
-        scheme=f"partial-{scheduler.fraction:g}",
-        workers=scheduler.comm.size,
-        q=scheduler.fraction,
-        shard_wire_bytes=shard_wire,
-        storage_peak_bytes=storage.peak_nbytes,
-        network_send_bytes=scheduler.total_sent_bytes,
-        sent_samples=scheduler.total_sent_samples,
-        recv_samples=scheduler.total_recv_samples,
-    )

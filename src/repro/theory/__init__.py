@@ -1,14 +1,12 @@
-"""Section IV analysis: shuffling error, convergence bound, equivalence."""
+"""Section IV analysis: shuffling error and convergence bound."""
 
 from .convergence import ConvergenceBound, convergence_bound
 from .sampling import SamplingRunResult, compare_sampling_schemes, run_quadratic_sgd
-from .equivalence import epoch_mean_gradient, flatten_gradients, sgd_final_weights
 from .shuffling_error import (
     is_overcounted,
     shuffling_error_monte_carlo,
     ShufflingErrorPoint,
     dominance_threshold,
-    error_dominates,
     error_table,
     log_permutations,
     log_sigma,
@@ -24,12 +22,8 @@ __all__ = [
     "compare_sampling_schemes",
     "run_quadratic_sgd",
     "convergence_bound",
-    "epoch_mean_gradient",
-    "flatten_gradients",
-    "sgd_final_weights",
     "ShufflingErrorPoint",
     "dominance_threshold",
-    "error_dominates",
     "error_table",
     "log_permutations",
     "log_sigma",

@@ -34,7 +34,6 @@ __all__ = [
     "log_permutations",
     "shuffling_error",
     "dominance_threshold",
-    "error_dominates",
     "ShufflingErrorPoint",
     "error_table",
 ]
@@ -170,11 +169,6 @@ def dominance_threshold(n: int, m: int, b: int) -> float:
     if m < 1 or n < 1:
         raise ValueError("n and m must be positive")
     return math.sqrt(b * m / n)
-
-
-def error_dominates(n: int, m: int, q: float, b: int) -> bool:
-    """True when the shuffling error dominates the convergence bound."""
-    return shuffling_error(n, m, q) > dominance_threshold(n, m, b)
 
 
 @dataclass(frozen=True)

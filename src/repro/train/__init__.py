@@ -4,7 +4,6 @@ from .distributed import allreduce_batchnorm_stats, allreduce_gradients, broadca
 from .evaluate import evaluate
 from .experiments import (
     ExperimentResult,
-    accuracy_gap,
     make_experiment_data,
     run_comparison,
     run_pretrain_finetune,
@@ -21,7 +20,6 @@ __all__ = [
     "broadcast_model",
     "evaluate",
     "ExperimentResult",
-    "accuracy_gap",
     "make_experiment_data",
     "run_comparison",
     "run_pretrain_finetune",

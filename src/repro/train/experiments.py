@@ -27,7 +27,6 @@ __all__ = [
     "ExperimentResult",
     "run_comparison",
     "make_experiment_data",
-    "accuracy_gap",
     "run_pretrain_finetune",
     "transfer_backbone",
 ]
@@ -216,14 +215,3 @@ def transfer_backbone(src_state: dict, dst_model) -> int:
     if copied == 0:
         raise ValueError("no arrays transferred — incompatible architectures?")
     return copied
-
-
-def accuracy_gap(result: ExperimentResult, reference: str = "global") -> dict[str, float]:
-    """Accuracy deficit of each strategy vs the reference (positive = worse),
-    using best-epoch accuracy as the paper's converged-value proxy."""
-    ref = result.best(reference)
-    return {
-        name: ref - result.best(name)
-        for name in result.histories
-        if name != reference
-    }

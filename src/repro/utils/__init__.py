@@ -3,8 +3,8 @@ crash-safe file writes."""
 
 from .ascii_plot import ascii_chart, sparkline
 from .fileio import atomic_save
-from .retry import Backoff, Retrier, default_retrier, retry_call
-from .rng import SeedTree, default_rng, hash_unit, rank_rng, seed_default_rng, shared_rng
+from .retry import Backoff, Retrier, default_retrier
+from .rng import SeedTree, default_rng, hash_unit
 from .tables import print_table, render_table
 from .units import GB, GIB, KB, KIB, MB, MIB, PB, PIB, TB, TIB, format_size, parse_size
 
@@ -15,13 +15,9 @@ __all__ = [
     "Backoff",
     "Retrier",
     "default_retrier",
-    "retry_call",
     "SeedTree",
     "default_rng",
-    "seed_default_rng",
     "hash_unit",
-    "rank_rng",
-    "shared_rng",
     "print_table",
     "render_table",
     "format_size",

@@ -18,7 +18,7 @@ from typing import Callable, TypeVar
 
 from .rng import hash_unit
 
-__all__ = ["Backoff", "Retrier", "retry_call", "default_retrier"]
+__all__ = ["Backoff", "Retrier", "default_retrier"]
 
 T = TypeVar("T")
 
@@ -107,20 +107,6 @@ class Retrier:
         """Snapshot of the retry counters."""
         with self._lock:
             return {"retries": self.retries, "giveups": self.giveups}
-
-
-def retry_call(
-    fn: Callable[[int], T],
-    *,
-    attempts: int = 6,
-    backoff: Backoff | None = None,
-    retry_on: tuple[type[BaseException], ...] = (OSError, ValueError),
-    key: object = "",
-) -> T:
-    """One-shot convenience wrapper over :class:`Retrier`."""
-    return Retrier(attempts=attempts, backoff=backoff, retry_on=retry_on).call(
-        fn, key=key
-    )
 
 
 _default = Retrier()

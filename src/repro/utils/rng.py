@@ -20,10 +20,7 @@ import numpy as np
 
 __all__ = [
     "SeedTree",
-    "rank_rng",
-    "shared_rng",
     "default_rng",
-    "seed_default_rng",
     "default_rng_state",
     "restore_default_rng_state",
     "hash_unit",
@@ -87,26 +84,12 @@ def _key_to_int(key: object) -> int:
     raise TypeError(f"seed key must be int or str, got {type(key).__name__}")
 
 
-def shared_rng(seed: int, name: str = "shared", epoch: int = 0) -> np.random.Generator:
-    """Convenience: one-off shared stream without building a tree."""
-    return SeedTree(seed).shared(name, epoch)
-
-
-def rank_rng(seed: int, rank: int, name: str = "local", epoch: int = 0) -> np.random.Generator:
-    """Convenience: one-off per-rank stream without building a tree."""
-    return SeedTree(seed).per_rank(name, rank, epoch)
-
-
 # ---------------------------------------------------------------- default rng
 #: Root seed of the process-wide default stream.  Arbitrary but fixed, so a
 #: run that never passes explicit generators is still reproducible.
 DEFAULT_ROOT_SEED = 0x0DEF
 
 _default_generator: np.random.Generator | None = None
-#: Root seed the current default stream was derived from (its seed-tree
-#: position); recorded in checkpoints so a restore can assert it resumes
-#: the *same* stream rather than silently splicing a different one.
-_default_root_seed: int = DEFAULT_ROOT_SEED
 
 
 def default_rng() -> np.random.Generator:
@@ -127,17 +110,6 @@ def default_rng() -> np.random.Generator:
     return _default_generator
 
 
-def seed_default_rng(seed: int = DEFAULT_ROOT_SEED) -> np.random.Generator:
-    """Reset the shared default stream (tests / reproducible scripts).
-
-    Returns the fresh generator so callers can also use it directly.
-    """
-    global _default_generator, _default_root_seed
-    _default_generator = SeedTree(int(seed)).generator("default")
-    _default_root_seed = int(seed)
-    return _default_generator
-
-
 def default_rng_state() -> dict:
     """Snapshot the default stream for checkpointing.
 
@@ -146,7 +118,7 @@ def default_rng_state() -> dict:
     splicing into the same stream."""
     gen = default_rng()
     return {
-        "root_seed": _default_root_seed,
+        "root_seed": DEFAULT_ROOT_SEED,
         "state": gen.bit_generator.state,
     }
 
@@ -157,11 +129,10 @@ def restore_default_rng_state(snapshot: dict) -> None:
     Asserts the seed-tree position: the checkpoint must have been taken
     from a stream rooted at the same seed as the current one, otherwise the
     resumed run would silently mix two unrelated streams."""
-    if snapshot["root_seed"] != _default_root_seed:
+    if snapshot["root_seed"] != DEFAULT_ROOT_SEED:
         raise ValueError(
             f"checkpointed default stream is rooted at seed "
             f"{snapshot['root_seed']:#x} but this process uses "
-            f"{_default_root_seed:#x}; call seed_default_rng("
-            f"{snapshot['root_seed']:#x}) before restoring"
+            f"{DEFAULT_ROOT_SEED:#x}"
         )
     default_rng().bit_generator.state = snapshot["state"]

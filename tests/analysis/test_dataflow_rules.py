@@ -9,7 +9,7 @@ import textwrap
 
 from repro.analysis import lint_source
 from repro.analysis.summaries import ModuleSummary, module_name_for
-from repro.mpi.tags import EXCHANGE_DATA, PARITY_BIT, RING
+from repro.mpi.tags import EXCHANGE_DATA, PARITY_BIT, RECOVERY
 
 import ast
 
@@ -36,33 +36,33 @@ class TestTagCollision:
 
     def test_cross_subsystem_send_flagged(self):
         src = """
-        from repro.mpi.tags import RING
+        from repro.mpi.tags import RECOVERY
 
         def f(comm, x):
-            comm.send(x, dest=1, tag=RING.tag(3))
+            comm.send(x, dest=1, tag=RECOVERY.tag(3))
         """
         findings, _ = _lint(src, "src/repro/shuffle/mod.py")
         assert [f.rule_id for f in findings] == ["SPMD006"]
-        assert "repro.mpi" in findings[0].message
+        assert "repro.elastic" in findings[0].message
 
     def test_owner_module_is_clean(self):
         src = """
-        from repro.mpi.tags import RING
+        from repro.mpi.tags import RECOVERY
 
         def f(comm, x):
-            comm.send(x, dest=1, tag=RING.tag(3))
+            comm.send(x, dest=1, tag=RECOVERY.tag(3))
         """
-        assert rule_ids(src, "src/repro/mpi/mod.py") == []
+        assert rule_ids(src, "src/repro/elastic/mod.py") == []
 
     def test_folded_constant_arithmetic_resolves(self):
         # Module constants mirroring the registry fold to a registered tag.
         src = f"""
-        _BASE = {RING.base}
+        _BASE = {RECOVERY.base}
 
         def f(comm, x, step):
             comm.send(x, dest=1, tag=_BASE + step)
         """
-        assert rule_ids(src, "src/repro/mpi/mod.py") == []
+        assert rule_ids(src, "src/repro/elastic/mod.py") == []
 
     def test_local_tag_variable_resolves(self):
         src = """
@@ -78,10 +78,10 @@ class TestTagCollision:
         # Receiving from another subsystem's range is how cross-subsystem
         # messages are consumed; only *sends* claim the range.
         src = """
-        from repro.mpi.tags import RING
+        from repro.mpi.tags import RECOVERY
 
         def f(comm):
-            return comm.recv(source=0, tag=RING.tag(0))
+            return comm.recv(source=0, tag=RECOVERY.tag(0))
         """
         assert rule_ids(src, "src/repro/shuffle/mod.py") == []
 
@@ -382,8 +382,7 @@ class TestUnboundedBlockingRecv:
 
 class TestSummaries:
     def test_module_name_for(self):
-        assert module_name_for("src/repro/mpi/algorithms.py") == \
-            "repro.mpi.algorithms"
+        assert module_name_for("src/repro/mpi/world.py") == "repro.mpi.world"
         assert module_name_for("src/repro/mpi/__init__.py") == "repro.mpi"
         assert module_name_for("scripts/tool.py") is None
 
@@ -413,14 +412,14 @@ class TestSummaries:
     def test_tag_call_folds_exactly_when_static(self):
         mod = self._summary(
             """
-            from repro.mpi.tags import RING
+            from repro.mpi.tags import RECOVERY
 
             def f(comm, x):
-                comm.send(x, dest=1, tag=RING.tag(3))
+                comm.send(x, dest=1, tag=RECOVERY.tag(3))
             """
         )
         ev = mod.functions["f"].comm_events[0]
-        assert ev.tag == RING.tag(3)
+        assert ev.tag == RECOVERY.tag(3)
 
     def test_tag_call_keeps_range_when_dynamic(self):
         mod = self._summary(
@@ -438,7 +437,7 @@ class TestSummaries:
     def test_additive_spine_resolves_base_range(self):
         mod = self._summary(
             f"""
-            _BASE = {RING.base}
+            _BASE = {RECOVERY.base}
 
             def f(comm, x, size, step):
                 comm.send(x, dest=1, tag=_BASE + size + step)
@@ -446,7 +445,7 @@ class TestSummaries:
         )
         ev = mod.functions["f"].comm_events[0]
         assert ev.tag is None
-        assert ev.tag_range is RING
+        assert ev.tag_range is RECOVERY
 
     def test_collective_sequence_splices_methods(self):
         mod = self._summary(

@@ -13,7 +13,6 @@ import pytest
 from repro.analysis.protocol import (
     DEFAULT_CONFIGS,
     EPOCH,
-    MUTATION_PROTOCOL,
     MUTATIONS,
     CheckConfig,
     Violation,
@@ -42,10 +41,7 @@ class TestRealModel:
 
     def test_exploration_is_nontrivial(self, fast_results):
         for res in fast_results:
-            # The exchange worlds explode combinatorially; the JOIN
-            # handshake is a small fixed-shape protocol by design.
-            floor = 100 if res.config.protocol == "exchange" else 10
-            assert res.states > floor, res.config.name
+            assert res.states > 100, res.config.name
             assert res.transitions > res.states
 
     def test_exhaustive_configs_are_not_truncated(self, fast_results):
@@ -54,12 +50,9 @@ class TestRealModel:
                 assert not res.truncated, res.config.name
 
     def test_transition_table_fully_covered(self, fast_results):
-        # Only exchange configs exercise the scheduler's round-state table;
-        # the join model covers its own transition vocabulary.
         covered = set()
         for res in fast_results:
-            if res.config.protocol == "exchange":
-                covered |= res.coverage
+            covered |= res.coverage
         missing = set(ROUND_TRANSITIONS) - covered
         assert not missing, f"table entries never exercised: {sorted(missing)}"
         # And nothing outside the table was ever used (advance would raise,
@@ -77,7 +70,7 @@ class TestMutants:
         results = run_mutation_sweep()
         survivors = [name for name, v in results.items() if v is None]
         assert not survivors, f"mutants survived undetected: {survivors}"
-        assert set(results) == set(MUTATIONS) and len(results) == 13
+        assert set(results) == set(MUTATIONS) and len(results) == 12
 
     def test_counterexamples_carry_a_trace(self):
         results = run_mutation_sweep(mutations=("release_before_ack",))
@@ -203,54 +196,3 @@ class TestModelShape:
         res = check(cfg)
         assert res.ok
         assert res.states > 1
-
-
-class TestJoinModel:
-    """The JOIN-handshake model config and its seeded mutant."""
-
-    def test_join_config_is_registered_first_class(self):
-        byname = {c.name: c for c in DEFAULT_CONFIGS}
-        cfg = byname["join-handshake"]
-        assert cfg.protocol == "join"
-        assert cfg.rounds >= 1  # rounds doubles as the joiner count
-
-    def test_clean_join_model_verifies_exhaustively(self):
-        cfg = next(c for c in DEFAULT_CONFIGS if c.protocol == "join")
-        res = check(cfg)
-        assert res.ok, "\n".join(format_trace(v) for v in res.violations)
-        assert not res.truncated
-
-    def test_ack_before_barrier_mutant_is_detected(self):
-        results = run_mutation_sweep(mutations=("ack_join_before_barrier",))
-        v = results["ack_join_before_barrier"]
-        assert isinstance(v, Violation), "mutant survived the sweep"
-        assert v.kind == "transfer_before_state"
-        assert len(v.trace) >= 1
-
-    def test_mutation_protocol_routing(self):
-        # Every mutation maps to exactly one protocol, and the join mutant
-        # is the only one checked against the join configs.
-        assert set(MUTATION_PROTOCOL) == set(MUTATIONS)
-        assert MUTATION_PROTOCOL["ack_join_before_barrier"] == "join"
-        assert all(
-            p == "exchange"
-            for name, p in MUTATION_PROTOCOL.items()
-            if name != "ack_join_before_barrier"
-        )
-
-    def test_exchange_mutant_skips_join_configs(self):
-        # A mutation filtered to exchange configs must never be handed a
-        # join config by check_model (it would explore the wrong model).
-        res = check_model(mutation="release_before_ack")
-        assert all(r.config.protocol == "exchange" for r in res)
-        res = check_model(mutation="ack_join_before_barrier")
-        assert all(r.config.protocol == "join" for r in res)
-
-    def test_multi_joiner_world_still_clean(self):
-        cfg = CheckConfig(
-            name="join-2", protocol="join", size=4, rounds=2,
-            faults=("dup",), fault_budget=1,
-        )
-        res = check(cfg)
-        assert res.ok
-        assert not res.truncated

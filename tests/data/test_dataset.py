@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.data import ConcatDataset, Subset, TensorDataset
+from repro.data import TensorDataset
 
 
 def make_ds(n=10, d=3, offset=0):
@@ -33,54 +33,6 @@ class TestTensorDataset:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TensorDataset(np.zeros((4, 2)), np.zeros(3))
-
-
-class TestSubset:
-    def test_indirection(self):
-        ds = make_ds(10)
-        sub = Subset(ds, [7, 2, 9])
-        assert len(sub) == 3
-        assert sub[0][1] == 7
-        assert sub[1][1] == 2
-
-    def test_out_of_parent_range_rejected(self):
-        ds = make_ds(5)
-        with pytest.raises(IndexError):
-            Subset(ds, [0, 10])
-
-    def test_empty_subset_ok(self):
-        sub = Subset(make_ds(5), [])
-        assert len(sub) == 0
-
-    def test_nested_subsets(self):
-        ds = make_ds(10)
-        sub = Subset(Subset(ds, [5, 6, 7, 8]), [0, 3])
-        assert sub[0][1] == 5
-        assert sub[1][1] == 8
-
-
-class TestConcatDataset:
-    def test_concat_order(self):
-        a, b = make_ds(3), make_ds(2, offset=100)
-        cat = ConcatDataset([a, b])
-        assert len(cat) == 5
-        assert cat[0][1] == 0
-        assert cat[2][1] == 2
-        assert cat[3][1] == 100
-        assert cat[4][1] == 101
-
-    def test_negative_indexing(self):
-        cat = ConcatDataset([make_ds(3), make_ds(2, offset=100)])
-        assert cat[-1][1] == 101
-
-    def test_out_of_range(self):
-        cat = ConcatDataset([make_ds(2)])
-        with pytest.raises(IndexError):
-            cat[2]
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            ConcatDataset([])
 
 
 class TestTransformedDataset:

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from repro.data import (
+    TABLE1,
     SyntheticSpec,
-    get_entry,
     list_entries,
     make_classification,
-    make_deepcam_like,
     make_image_classification,
     train_val_split,
 )
@@ -82,13 +81,6 @@ class TestImages:
             )
 
 
-class TestDeepcamLike:
-    def test_three_classes_high_dim(self):
-        X, y = make_deepcam_like(n_samples=60, n_features=64)
-        assert X.shape == (60, 64)
-        assert set(np.unique(y)) == {0, 1, 2}
-
-
 class TestSplit:
     def test_split_sizes(self):
         X, y = make_classification(SyntheticSpec(100, 4))
@@ -119,50 +111,13 @@ class TestRegistry:
         assert "deepcam/deepcam" in keys
 
     def test_paper_scale_facts(self):
-        e = get_entry("deepcam/deepcam")
+        e = TABLE1["deepcam/deepcam"]
         assert e.paper_samples == 122_000
         assert e.paper_bytes > 8 * 10**12
         # DeepCAM samples are ~70 MB each.
         assert 50e6 < e.paper_sample_bytes < 100e6
 
-    def test_unknown_key(self):
-        with pytest.raises(KeyError, match="available"):
-            get_entry("alexnet/mnist")
-
     def test_repro_specs_are_generable(self):
         for e in list_entries():
             X, y = make_classification(e.repro_spec)
             assert len(X) == e.repro_spec.n_samples
-
-
-class TestStratifiedSplit:
-    def test_every_class_in_val(self):
-        from repro.data import stratified_split
-
-        X, y = make_classification(SyntheticSpec(100, 5))
-        tr, va = stratified_split(X, y, val_fraction=0.2, seed=1)
-        assert set(np.unique(va.labels)) == set(range(5))
-        assert len(tr) + len(va) == 100
-
-    def test_proportional_per_class(self):
-        from repro.data import stratified_split
-
-        X, y = make_classification(SyntheticSpec(200, 4))
-        _, va = stratified_split(X, y, val_fraction=0.25, seed=0)
-        counts = np.bincount(va.labels, minlength=4)
-        assert all(abs(c - 12.5) <= 1 for c in counts)
-
-    def test_tiny_class_rejected(self):
-        from repro.data import stratified_split
-
-        X = np.zeros((3, 2), dtype=np.float32)
-        y = np.array([0, 0, 1])  # class 1 has one sample
-        with pytest.raises(ValueError, match="cannot hold out"):
-            stratified_split(X, y, val_fraction=0.5)
-
-    def test_fraction_validation(self):
-        from repro.data import stratified_split
-
-        X, y = make_classification(SyntheticSpec(20, 2))
-        with pytest.raises(ValueError):
-            stratified_split(X, y, val_fraction=1.0)

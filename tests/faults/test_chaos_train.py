@@ -168,6 +168,46 @@ class TestElasticComposition:
         assert r.history.stats.get("final_workers") == WORKERS - 1
         assert r.final_accuracy > 0.5
 
+    def test_no_join_transfer_reaches_a_joiner_before_its_state_is_installed(
+        self, setup, monkeypatch
+    ):
+        # The JOIN handshake has no barrier: program order alone keeps the
+        # rebalance transfers behind the joiner's state install.  Delayed
+        # and duplicated JOIN messages plus a slow install would expose a
+        # transfer posted early.
+        import time
+
+        from repro.elastic.lifecycle import _LifecycleRank
+        from repro.mpi.communicator import Communicator
+        from repro.mpi.tags import JOIN
+        from repro.mpi.world import World
+
+        events = []
+        deliver, restore = World._deliver, _LifecycleRank._restore_job
+
+        def deliver_logged(world, msg):
+            tag = msg.tag % Communicator.MAX_TAG
+            if JOIN.contains(tag) and tag >= JOIN.tag(2):
+                events.append(("transfer", msg.dest))
+            deliver(world, msg)
+
+        def restore_slowly(rank, comm, record):
+            time.sleep(0.2)
+            restore(rank, comm, record)
+            events.append(("installed", rank.me))
+
+        monkeypatch.setattr(World, "_deliver", deliver_logged)
+        monkeypatch.setattr(_LifecycleRank, "_restore_job", restore_slowly)
+        r = run_chaos_train(
+            profile="kill:rank=1,epoch=1,point=end;rejoin:rank=1,epoch=2;"
+            "delay:p=1,ms=50@control;dup:p=0.5@control",
+            seed=0, backend="threads", **setup,
+        )
+        assert r.lifecycle.verified and len(r.lifecycle.rejoins) == 1
+        installed = events.index(("installed", 1))
+        assert ("transfer", 1) in events[installed:]
+        assert ("transfer", 1) not in events[:installed]
+
     def test_profile_object_accepted(self, setup):
         from repro.faults import FaultProfile
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.mpi import BufferPool, PackedBatch, SampleBlock, pack_samples, unpack_samples
-from repro.mpi.codec import ALIGN, packed_size
+from repro.mpi.codec import ALIGN
 from repro.mpi.message import Checksummed, copy_payload, payload_crc32, payload_nbytes
 
 
@@ -95,7 +95,7 @@ class TestRoundtrip:
         for _arr, _label, _gid in unpack_samples(batch):
             pass
         # Every sample extent starts on an ALIGN boundary by construction.
-        assert packed_size(entries) == 3 * ALIGN + 3
+        assert batch.payload.nbytes == 3 * ALIGN + 3
 
     def test_noncontiguous_and_object_dtype(self):
         strided = np.arange(16, dtype=np.int32).reshape(4, 4)[:, ::2]

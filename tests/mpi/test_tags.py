@@ -2,22 +2,17 @@
 
 import pytest
 
-from repro.mpi import tags
 from repro.mpi.communicator import Communicator
 from repro.mpi.tags import (
-    BARRIER,
     EXCHANGE_CTRL,
     EXCHANGE_DATA,
+    JOIN,
     PARITY_BIT,
     RECOVERY,
     REGISTRY,
-    RING,
-    TAG_SPACE,
     TELEMETRY,
-    TREE,
     TagRange,
     lookup,
-    owner_of,
 )
 
 
@@ -33,10 +28,7 @@ class TestUniqueness:
     def test_all_intervals_fit_the_wire(self):
         for r in REGISTRY:
             for lo, hi in r.intervals():
-                assert 0 <= lo < hi <= TAG_SPACE, r.name
-
-    def test_tag_space_matches_communicator_modulus(self):
-        assert TAG_SPACE == Communicator.MAX_TAG
+                assert 0 <= lo < hi <= Communicator.MAX_TAG, r.name
 
     def test_names_unique(self):
         names = [r.name for r in REGISTRY]
@@ -61,7 +53,7 @@ class TestTagArithmetic:
 
     def test_negative_offset_raises(self):
         with pytest.raises(ValueError, match="negative"):
-            RING.tag(-1)
+            JOIN.tag(-1)
 
     def test_wrap_folds_modulo_width(self):
         assert RECOVERY.tag(RECOVERY.width + 7) == RECOVERY.tag(7)
@@ -80,10 +72,9 @@ class TestTagArithmetic:
         assert not EXCHANGE_CTRL.contains(EXCHANGE_CTRL.base + 1)
 
     def test_lookup_and_owner(self):
-        assert lookup(RING.base + 5) is RING
-        assert owner_of(TELEMETRY.base) == "repro.obs"
+        assert lookup(JOIN.base + 5) is JOIN
+        assert lookup(TELEMETRY.base).owner == "repro.obs"
         assert lookup(0) is None
-        assert owner_of(0) is None
 
 
 class TestMirroredConstants:
@@ -98,24 +89,12 @@ class TestMirroredConstants:
     def test_scheduler_compat_aliases(self):
         from repro.shuffle import scheduler
 
-        assert scheduler.EXCHANGE_TAG_BASE == EXCHANGE_DATA.base
         assert scheduler.EXCHANGE_CTRL_TAG == EXCHANGE_CTRL.base
-
-    def test_collective_algorithm_tags_disjoint(self):
-        # The pre-registry values had tree/barrier *inside* the ring's
-        # per-step interval; the registry keeps them apart by construction.
-        from repro.mpi import algorithms
-
-        assert algorithms._RING_TAG == RING.base
-        assert algorithms._TREE_TAG == TREE.base
-        assert algorithms._BARRIER_TAG == BARRIER.base
-        assert not RING.contains(algorithms._TREE_TAG)
-        assert not RING.contains(algorithms._BARRIER_TAG)
 
 
 def test_registry_is_immutable():
     with pytest.raises(Exception):
-        RING.base = 0  # frozen dataclass
+        JOIN.base = 0  # frozen dataclass
 
     assert isinstance(REGISTRY, tuple)
-    assert all(isinstance(r, TagRange) for r in tags.ranges())
+    assert all(isinstance(r, TagRange) for r in REGISTRY)

@@ -1,50 +1,11 @@
-"""Gradient clipping and label smoothing."""
+"""Label smoothing."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Parameter, Tensor, clip_grad_norm_, grad_norm
+from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.nn.gradcheck import gradcheck
-
-
-def params_with_grads(grads):
-    out = []
-    for g in grads:
-        p = Parameter(np.zeros_like(np.asarray(g, dtype=np.float32)))
-        p.grad = np.asarray(g, dtype=np.float32)
-        out.append(p)
-    return out
-
-
-class TestGradNorm:
-    def test_global_norm(self):
-        ps = params_with_grads([[3.0], [4.0]])
-        assert grad_norm(ps) == pytest.approx(5.0)
-
-    def test_none_grads_ignored(self):
-        p = Parameter(np.zeros(2))
-        assert grad_norm([p]) == 0.0
-
-
-class TestClip:
-    def test_noop_when_under_limit(self):
-        ps = params_with_grads([[3.0], [4.0]])
-        pre = clip_grad_norm_(ps, max_norm=10.0)
-        assert pre == pytest.approx(5.0)
-        assert ps[0].grad[0] == pytest.approx(3.0)
-
-    def test_scales_when_over_limit(self):
-        ps = params_with_grads([[3.0], [4.0]])
-        pre = clip_grad_norm_(ps, max_norm=1.0)
-        assert pre == pytest.approx(5.0)
-        assert grad_norm(ps) == pytest.approx(1.0, rel=1e-5)
-        # Direction preserved.
-        assert ps[0].grad[0] / ps[1].grad[0] == pytest.approx(0.75)
-
-    def test_invalid_max_norm(self):
-        with pytest.raises(ValueError):
-            clip_grad_norm_([], max_norm=0.0)
 
 
 class TestLabelSmoothing:

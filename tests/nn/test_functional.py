@@ -23,9 +23,6 @@ class TestSoftmaxLosses:
     def test_log_softmax_grad(self):
         gradcheck(lambda t: F.log_softmax(t), randn(3, 5))
 
-    def test_softmax_grad(self):
-        gradcheck(lambda t: F.softmax(t), randn(3, 5))
-
     def test_cross_entropy_matches_manual(self):
         logits = randn(4, 3).astype(np.float32)
         labels = np.array([0, 2, 1, 1])
@@ -47,14 +44,6 @@ class TestSoftmaxLosses:
     def test_nll_batch_mismatch(self):
         with pytest.raises(ValueError):
             F.nll_loss(Tensor(randn(3, 4).astype(np.float32)), np.zeros(2, dtype=int))
-
-    def test_mse(self):
-        pred = Tensor(np.array([1.0, 2.0], dtype=np.float32))
-        assert F.mse_loss(pred, np.array([0.0, 0.0])).item() == pytest.approx(2.5)
-
-    def test_mse_grad(self):
-        target = randn(3, 2)
-        gradcheck(lambda t: F.mse_loss(t, target), randn(3, 2, seed=1))
 
     def test_one_hot(self):
         oh = F.one_hot(np.array([0, 2]), 3)
@@ -200,12 +189,11 @@ class TestConvAgainstLoops:
 
 class TestPooling:
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("pool", [F.max_pool2d, F.avg_pool2d])
+    @pytest.mark.parametrize("pool", [F.max_pool2d])
     def test_pool_gradcheck_by_stride(self, pool, stride):
         oh, ow = (5 - 2) // stride + 1, (6 - 2) // stride + 1
         proj = Tensor(randn(2, 3, oh, ow, seed=1).astype(np.float32))
         gradcheck(lambda t: pool(t, 2, stride) * proj, randn(2, 3, 5, 6))
-
 
     def test_max_pool_values(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
@@ -220,35 +208,9 @@ class TestPooling:
         expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1
         assert np.allclose(t.grad[0, 0], expected)
 
-    def test_avg_pool_values(self):
-        x = np.ones((1, 2, 4, 4), dtype=np.float32)
-        assert np.allclose(F.avg_pool2d(Tensor(x), 2).data, 1.0)
-
-    def test_avg_pool_grad(self):
-        gradcheck(lambda t: F.avg_pool2d(t, 2), randn(2, 2, 4, 4))
-
     def test_pool_with_stride(self):
         x = Tensor(randn(1, 1, 6, 6).astype(np.float32))
         assert F.max_pool2d(x, 2, stride=1).shape == (1, 1, 5, 5)
-
-
-class TestDropout:
-    def test_eval_mode_identity(self):
-        x = Tensor(np.ones(100, dtype=np.float32))
-        out = F.dropout(x, 0.5, rng=np.random.default_rng(0), training=False)
-        assert out is x
-
-    def test_train_mode_scales(self):
-        x = Tensor(np.ones(10000, dtype=np.float32))
-        out = F.dropout(x, 0.5, rng=np.random.default_rng(0), training=True)
-        kept = out.data[out.data > 0]
-        assert np.allclose(kept, 2.0)
-        assert 0.4 < (out.data > 0).mean() < 0.6
-
-    def test_invalid_p(self):
-        x = Tensor(np.ones(3))
-        with pytest.raises(ValueError):
-            F.dropout(x, 1.0, rng=np.random.default_rng(0))
 
 
 class TestIm2col:

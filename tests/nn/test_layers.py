@@ -3,7 +3,6 @@ import pytest
 
 from repro.nn import (
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Linear,
@@ -78,18 +77,6 @@ class TestSequentialAndMisc:
 
     def test_maxpool_module(self):
         assert MaxPool2d(2)(Tensor(randn(1, 1, 4, 4))).shape == (1, 1, 2, 2)
-
-    def test_dropout_respects_mode(self):
-        d = Dropout(0.5, rng=np.random.default_rng(0))
-        x = Tensor(np.ones(1000, dtype=np.float32))
-        d.train()
-        assert (d(x).data == 0).any()
-        d.eval()
-        assert np.array_equal(d(x).data, x.data)
-
-    def test_dropout_invalid_p(self):
-        with pytest.raises(ValueError):
-            Dropout(1.5)
 
     def test_module_call_coerces_numpy(self):
         layer = Linear(4, 2)

@@ -10,8 +10,8 @@ from repro.nn import (
     build_model,
 )
 from repro.nn import functional as F
-from repro.nn.init import compute_fans, kaiming_uniform, xavier_uniform
-from repro.nn.metrics import RunningAverage, confusion_matrix, topk_accuracy
+from repro.nn.init import compute_fans, kaiming_uniform
+from repro.nn.metrics import RunningAverage, topk_accuracy
 
 
 def randn(*shape, seed=0):
@@ -96,10 +96,6 @@ class TestInit:
         assert np.abs(w).max() <= bound + 1e-6
         assert w.std() == pytest.approx(bound / np.sqrt(3), rel=0.05)
 
-    def test_xavier_symmetric(self):
-        w = xavier_uniform((200, 200), rng=np.random.default_rng(0))
-        assert abs(w.mean()) < 0.01
-
     def test_scalar_shape_rejected(self):
         with pytest.raises(ValueError):
             compute_fans(())
@@ -125,11 +121,6 @@ class TestMetrics:
     def test_tensor_input(self):
         logits = Tensor(np.array([[1.0, 0.0]], dtype=np.float32))
         assert accuracy(logits, np.array([0])) == 1.0
-
-    def test_confusion_matrix(self):
-        logits = np.array([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9]])
-        mat = confusion_matrix(logits, np.array([0, 1, 1]), 2)
-        assert mat.tolist() == [[1, 0], [1, 1]]
 
     def test_running_average(self):
         ra = RunningAverage()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import BatchNorm1d, BatchNorm2d, GroupNorm, LayerNorm, Tensor
+from repro.nn import BatchNorm1d, BatchNorm2d, GroupNorm, Tensor
 from repro.nn.gradcheck import gradcheck
 
 
@@ -119,21 +119,6 @@ class TestGroupNorm:
         assert np.allclose(grouped.mean(axis=2), 0.0, atol=1e-4)
 
 
-class TestLayerNorm:
-    def test_rows_normalised(self):
-        ln = LayerNorm(8)
-        out = ln(Tensor(randn(4, 8))).data
-        assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-4)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            LayerNorm(8)(Tensor(randn(4, 7)))
-
-    def test_grad_flows(self):
-        ln = LayerNorm(6)
-        gradcheck(lambda t: ln(t), np.random.default_rng(0).normal(size=(4, 6)))
-
-
 def composed(x, weight, bias, axes, eps=1e-5):
     """Normalise + affine spelled out in primitive Tensor ops: the reference
     the fused node replaced."""
@@ -159,16 +144,11 @@ def gn_ref(layer, x):
     return out.reshape(*x.shape)
 
 
-def ln_ref(layer, x):
-    return composed(x, layer.weight, layer.bias, (-1,))
-
-
 FUSED_CASES = {
     "bn1d": (lambda: BatchNorm1d(3), (6, 3), bn1d_ref),
     "bn2d": (lambda: BatchNorm2d(2), (3, 2, 3, 2), bn2d_ref),
     "gn4d": (lambda: GroupNorm(2, 4), (2, 4, 2, 3), gn_ref),
     "gn2d": (lambda: GroupNorm(2, 6), (3, 6), gn_ref),
-    "ln": (lambda: LayerNorm(5), (2, 3, 5), ln_ref),
 }
 
 

@@ -19,7 +19,6 @@ from repro.obs.telemetry import (
     drain_pending,
     push_metrics,
     to_openmetrics,
-    write_openmetrics,
     write_telemetry_json,
 )
 
@@ -80,11 +79,6 @@ class TestExports:
     def test_json_roundtrip(self, snapshot, tmp_path):
         path = write_telemetry_json(snapshot, tmp_path / "tele.json")
         assert json.loads(path.read_text()) == snapshot
-
-    def test_openmetrics_written(self, snapshot, tmp_path):
-        path = write_openmetrics(snapshot, tmp_path / "tele.om")
-        assert path.read_text().endswith("# EOF\n")
-
 
 class TestPushWire:
     def test_tag_outside_exchange_ranges(self):

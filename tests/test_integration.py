@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    CachedDataset,
     DataLoader,
-    DistributedSampler,
     SyntheticSpec,
     make_classification,
     materialize_folder_dataset,
@@ -141,48 +139,3 @@ class TestDeterminism:
         # Destinations differ at message granularity, so trajectories are not
         # bitwise equal — but the learning outcome must be comparable.
         assert abs(accs[1] - accs[4]) < 0.1
-
-
-class TestCachePipeline:
-    def test_cached_folder_dataset_under_distributed_sampler(self, tmp_path):
-        X = np.arange(64, dtype=np.float32).reshape(32, 2)
-        y = np.arange(32) % 4
-        source = materialize_folder_dataset(tmp_path / "d", X, y, num_classes=4)
-        cached = CachedDataset(source)
-        for epoch in range(3):
-            for rank in range(2):
-                sampler = DistributedSampler(cached, 2, rank, seed=1)
-                sampler.set_epoch(epoch)
-                for _ in DataLoader(cached, 8, sampler=sampler):
-                    pass
-        # After the first epoch everything is cached.
-        assert cached.hit_rate > 0.6
-        assert cached.misses == 32
-
-
-class TestTheoryMeetsPractice:
-    def test_exchange_plan_order_preserves_epoch_gradient(self):
-        """Build a real ExchangePlan-permuted visiting order and verify the
-        §IV-A equivalence holds for it (not just abstract permutations)."""
-        from repro.shuffle import ExchangePlan
-        from repro.theory import epoch_mean_gradient
-
-        X, y = make_classification(
-            SyntheticSpec(64, 4, n_features=12, separation=2.0, seed=5)
-        )
-        m = 4
-        shard = len(X) // m
-        shards = [list(range(r * shard, (r + 1) * shard)) for r in range(m)]
-        plan = ExchangePlan.for_epoch(seed=3, epoch=0, size=m, rounds=4)
-        # Apply the exchange to the index shards.
-        for i in range(plan.rounds):
-            outgoing = [shards[r][i] for r in range(m)]
-            for r in range(m):
-                shards[int(plan.destinations[i, r])][i] = outgoing[r]
-        pls_order = np.concatenate(shards)
-        gs_order = np.random.default_rng(0).permutation(len(X))
-
-        model = build_model("mlp", in_shape=(12,), num_classes=4, seed=1, norm="group")
-        g_pls = epoch_mean_gradient(model, X, y, pls_order, batch_size=8)
-        g_gs = epoch_mean_gradient(model, X, y, gs_order, batch_size=8)
-        assert np.allclose(g_pls, g_gs, atol=1e-4)

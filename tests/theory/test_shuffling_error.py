@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.theory import (
     dominance_threshold,
-    error_dominates,
     error_table,
     is_overcounted,
     log_permutations,
@@ -71,11 +70,11 @@ class TestDominance:
         n = 1_200_000
         for m, b in [(128, 32), (1024, 32), (4096, 16)]:
             assert m * b < 100_000
-            assert error_dominates(n, m, q=0.1, b=b)
+            assert shuffling_error(n, m, 0.1) > dominance_threshold(n, m, b)
 
     def test_huge_batch_escapes_domination(self):
         # b*M/N > 1 makes the threshold > 1 >= epsilon.
-        assert not error_dominates(10_000, 5_000, q=0.1, b=4)
+        assert not shuffling_error(10_000, 5_000, 0.1) > dominance_threshold(10_000, 5_000, 4)
 
     def test_validation(self):
         with pytest.raises(ValueError):

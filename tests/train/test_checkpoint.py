@@ -15,7 +15,8 @@ from repro.train.checkpoint import (
     restore_replica_state,
     save_job_snapshot,
 )
-from repro.utils.rng import default_rng, seed_default_rng
+from repro.utils import rng as rng_mod
+from repro.utils.rng import default_rng
 
 
 def make_run(seed=0):
@@ -148,29 +149,27 @@ class TestDefaultRngRoundtrip:
     uninterrupted run would have made."""
 
     @pytest.fixture(autouse=True)
-    def _reseed_after(self):
-        yield
-        seed_default_rng()
+    def _fresh_stream(self, monkeypatch):
+        monkeypatch.setattr(rng_mod, "_default_generator", None)
 
-    def test_save_crash_load_replays_exact_draws(self, tmp_path):
-        seed_default_rng(0x0DEF)
+    def test_save_crash_load_replays_exact_draws(self, tmp_path, monkeypatch):
         default_rng().normal(size=7)  # advance to an arbitrary position
         run_job(tmp_path)  # snapshots the stream after every epoch
         expected = default_rng().normal(size=5)  # what the clean run draws next
 
         # "Crash": the process restarts, the stream is back at its origin
         # and wanders off somewhere else entirely.
-        seed_default_rng(0x0DEF)
+        monkeypatch.setattr(rng_mod, "_default_generator", None)
         default_rng().normal(size=123)
 
         run_job(tmp_path, resume=True)  # splices the stream back, trains nothing
         assert np.array_equal(default_rng().normal(size=5), expected)
 
-    def test_restore_asserts_seed_tree_position(self, tmp_path):
-        seed_default_rng(0x0DEF)
+    def test_restore_asserts_seed_tree_position(self, tmp_path, monkeypatch):
         run_job(tmp_path)
         # A process rooted at a different seed must refuse the splice: the
         # snapshotted position is meaningless in an unrelated stream.
-        seed_default_rng(42)
+        monkeypatch.setattr(rng_mod, "DEFAULT_ROOT_SEED", 42)
+        monkeypatch.setattr(rng_mod, "_default_generator", None)
         with pytest.raises(ValueError, match="rooted at seed"):
             run_job(tmp_path, resume=True)

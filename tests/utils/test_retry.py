@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.retry import Backoff, Retrier, default_retrier, retry_call
+from repro.utils.retry import Backoff, Retrier, default_retrier
 
 
 class TestBackoff:
@@ -92,9 +92,6 @@ class TestRetrier:
     def test_attempts_validation(self):
         with pytest.raises(ValueError):
             Retrier(attempts=0)
-
-    def test_retry_call_one_shot(self):
-        assert retry_call(lambda attempt: attempt, attempts=1) == 0
 
     def test_default_retrier_is_shared(self):
         # Process-wide singleton: counters aggregate across all readers.

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils import SeedTree, rank_rng, shared_rng
+from repro.utils import SeedTree
 
 
 class TestSeedTree:
@@ -51,17 +51,6 @@ class TestSeedTree:
     def test_bad_key_type_rejected(self):
         with pytest.raises(TypeError):
             SeedTree(0).generator(3.14)  # type: ignore[arg-type]
-
-    def test_convenience_wrappers_match_tree(self):
-        assert np.array_equal(
-            shared_rng(9, "n", 4).integers(0, 100, 10),
-            SeedTree(9).shared("n", 4).integers(0, 100, 10),
-        )
-        assert np.array_equal(
-            rank_rng(9, 3, "n", 4).integers(0, 100, 10),
-            SeedTree(9).per_rank("n", 3, 4).integers(0, 100, 10),
-        )
-
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1), epoch=st.integers(0, 100))
 def test_shared_stream_is_rank_agnostic_property(seed, epoch):
