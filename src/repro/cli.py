@@ -5,15 +5,6 @@ Subcommands
 ``train``
     Run a shuffling-strategy comparison on a synthetic dataset and print
     the accuracy table (the Figure 5/6 primitive).
-``plan``
-    Storage planning: which schemes fit a machine's node-local flash for
-    each Figure-1 dataset (the §II decision).
-``perf``
-    Epoch-time model sweep over worker counts (Figure 9 shape).
-``theory``
-    Shuffling-error and convergence-bound table (§IV-B).
-``volumes``
-    Per-worker storage/traffic volumes for one configuration (§III-B).
 ``trace``
     Summarize a trace file produced by a ``--trace`` run: per-phase totals,
     per-rank byte counts, top spans and an ASCII Gantt timeline.
@@ -51,7 +42,9 @@ Subcommands
     flagged.
 
 Subcommands register in ``_HANDLERS`` (one handler function per command);
-``main`` dispatches through that mapping.
+``main`` dispatches through that mapping.  No subcommand prints a paper
+table: each table has one producer, its ``benchmarks/bench_*.py`` figure
+script (``pytest benchmarks/ --benchmark-only``).
 """
 
 from __future__ import annotations
@@ -110,39 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         "suffixed -<strategy>)",
     )
     add_backend_arg(p_train)
-
-    p_plan = sub.add_parser("plan", help="storage planning for a TOP500 machine")
-    p_plan.add_argument("machine", nargs="?", default="Fugaku")
-    p_plan.add_argument("workers", nargs="?", type=int, default=4096)
-
-    p_perf = sub.add_parser("perf", help="epoch-time model sweep (Figure 9 shape)")
-    p_perf.add_argument("--machine", default="ABCI")
-    p_perf.add_argument("--profile", default="resnet50")
-    p_perf.add_argument("--batch-size", type=int, default=32)
-    p_perf.add_argument("--q", type=float, default=0.1)
-    p_perf.add_argument(
-        "--workers", type=int, nargs="+", default=[128, 256, 512, 1024, 2048]
-    )
-
-    p_theory = sub.add_parser("theory", help="shuffling-error table (SIV-B)")
-    p_theory.add_argument("--n", type=int, default=1_200_000)
-    p_theory.add_argument("--q", type=float, default=0.1)
-    p_theory.add_argument("--batch-size", type=int, default=32)
-    p_theory.add_argument(
-        "--workers", type=int, nargs="+", default=[4, 100, 1024, 4096, 100_000]
-    )
-
-    p_vol = sub.add_parser("volumes", help="per-worker volumes (SIII-B)")
-    p_vol.add_argument("--dataset-bytes", type=str, default="1.1TiB")
-    p_vol.add_argument("--samples", type=int, default=9_300_000)
-    p_vol.add_argument("--workers", type=int, default=512)
-    p_vol.add_argument("--q", type=float, nargs="+", default=[0.1, 0.3, 1.0])
-
-    p_rep = sub.add_parser(
-        "report", help="collate benchmarks/results/*.txt into one REPORT.md"
-    )
-    p_rep.add_argument("--results-dir", default="benchmarks/results")
-    p_rep.add_argument("--output", default="REPORT.md")
 
     p_trace = sub.add_parser(
         "trace", help="summarize a trace file (flight dump or Chrome JSON)"
@@ -367,96 +327,6 @@ def _cmd_train(args) -> int:
         title=(
             f"{args.workers} workers, partition={args.partition}, "
             f"norm={args.norm}, {args.epochs} epochs"
-        ),
-    )
-    return 0
-
-
-def _cmd_perf(args) -> int:
-    from repro.cluster import IMAGENET1K, get_machine
-    from repro.perfmodel import epoch_breakdown, get_profile
-
-    machine = get_machine(args.machine)
-    profile = get_profile(args.profile)
-    rows = []
-    for workers in args.workers:
-        g = epoch_breakdown(strategy="global", machine=machine, dataset=IMAGENET1K,
-                            profile=profile, workers=workers, batch_size=args.batch_size)
-        l = epoch_breakdown(strategy="local", machine=machine, dataset=IMAGENET1K,
-                            profile=profile, workers=workers, batch_size=args.batch_size)
-        p = epoch_breakdown(strategy="partial", machine=machine, dataset=IMAGENET1K,
-                            profile=profile, workers=workers, batch_size=args.batch_size,
-                            q=args.q)
-        rows.append(
-            [workers, f"{g.total:.1f}", f"{l.total:.1f}", f"{p.total:.1f}",
-             f"{g.total / l.total:.2f}x"]
-        )
-    print_table(
-        ["workers", "global (s)", "local (s)", f"partial-{args.q} (s)", "GS slowdown"],
-        rows,
-        title=f"{args.profile} on {machine.name} (analytic epoch model)",
-    )
-    return 0
-
-
-def _cmd_theory(args) -> int:
-    from repro.theory import error_table
-
-    rows = [
-        [pt.m, f"{pt.epsilon:.6f}", f"{pt.threshold:.4f}", "yes" if pt.dominates else "no"]
-        for pt in error_table(args.n, args.workers, q=args.q, b=args.batch_size)
-    ]
-    print_table(
-        ["workers", "epsilon (Eq.11)", "sqrt(bM/N)", "error dominates bound?"],
-        rows,
-        title=f"shuffling error: N={args.n:,}, Q={args.q}, b={args.batch_size}",
-    )
-    return 0
-
-
-def _cmd_volumes(args) -> int:
-    from repro.shuffle import compute_volumes
-    from repro.utils import parse_size
-
-    nbytes = parse_size(args.dataset_bytes)
-    rows = []
-    for scheme, q in [("global", None), ("local", None)] + [("partial", q) for q in args.q]:
-        v = compute_volumes(scheme, workers=args.workers, dataset_bytes=nbytes,
-                            dataset_samples=args.samples, q=q)
-        rows.append(
-            [v.scheme, format_size(v.storage_bytes), f"{v.storage_fraction:.4%}",
-             format_size(v.network_send_bytes), format_size(v.pfs_read_bytes)]
-        )
-    print_table(
-        ["scheme", "peak storage/worker", "of dataset", "sent/epoch", "PFS read/epoch"],
-        rows,
-        title=f"{format_size(nbytes)} dataset over {args.workers} workers",
-    )
-    return 0
-
-
-def _cmd_plan(args) -> int:
-    from repro.cluster import FIG1_DATASETS, get_machine
-    from repro.shuffle import compute_volumes
-
-    machine = get_machine(args.machine)
-    per_rank = machine.local_bytes_per_node // machine.ranks_per_node
-    rows = []
-    for ds in FIG1_DATASETS:
-        fits = {}
-        for scheme, q in [("global", None), ("local", None), ("partial", 0.3)]:
-            v = compute_volumes(scheme, workers=args.workers,
-                                dataset_bytes=ds.nbytes,
-                                dataset_samples=ds.samples, q=q)
-            fits[v.scheme] = "yes" if v.storage_bytes <= per_rank else "NO"
-        rows.append([ds.name, format_size(ds.nbytes), fits["global"],
-                     fits["local"], fits["partial-0.3"]])
-    print_table(
-        ["dataset", "size", "global fits?", "local fits?", "partial-0.3 fits?"],
-        rows,
-        title=(
-            f"{machine.name}: {format_size(per_rank)} flash per rank, "
-            f"{args.workers} workers"
         ),
     )
     return 0
@@ -923,64 +793,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
 
-# Presentation order for the collated report: paper artefacts first, then
-# validation and ablations.
-_REPORT_ORDER = (
-    "fig1_", "table1_", "fig5_", "fig5ef_", "fig6_", "fig7a_", "fig7b_",
-    "fig8_", "fig9_", "fig10_", "sec3b_", "sec4b_", "time_to_accuracy",
-    "robustness", "validation_", "ablation_",
-)
-
-
-def _cmd_report(args) -> int:
-    from pathlib import Path
-
-    results = Path(args.results_dir)
-    if not results.is_dir():
-        print(
-            f"no results at {results}; run "
-            "`pytest benchmarks/ --benchmark-only` first",
-            file=sys.stderr,
-        )
-        return 1
-    files = sorted(
-        results.glob("*.txt"),
-        key=lambda f: next(
-            (i for i, prefix in enumerate(_REPORT_ORDER) if f.stem.startswith(prefix)),
-            len(_REPORT_ORDER),
-        ),
-    )
-    if not files:
-        print(f"no .txt artefacts under {results}", file=sys.stderr)
-        return 1
-    parts = [
-        "# Reproduction report",
-        "",
-        "Collated benchmark artefacts (regenerate with "
-        "`pytest benchmarks/ --benchmark-only`; see EXPERIMENTS.md for "
-        "paper-vs-measured commentary).",
-        "",
-    ]
-    for f in files:
-        parts.append(f"## {f.stem}")
-        parts.append("")
-        parts.append("```")
-        parts.append(f.read_text().rstrip())
-        parts.append("```")
-        parts.append("")
-    Path(args.output).write_text("\n".join(parts))
-    print(f"wrote {args.output} ({len(files)} artefacts)")
-    return 0
-
-
 #: Subcommand dispatch table — the single registration point ``main`` uses.
 _HANDLERS = {
     "train": _cmd_train,
-    "plan": _cmd_plan,
-    "perf": _cmd_perf,
-    "theory": _cmd_theory,
-    "volumes": _cmd_volumes,
-    "report": _cmd_report,
     "trace": _cmd_trace,
     "chaos-train": _cmd_chaos_train,
     "bench": _cmd_bench,

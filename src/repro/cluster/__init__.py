@@ -10,7 +10,6 @@ from .presets import (
     TOP500_MACHINES,
     DatasetSpec,
     MachineSpec,
-    get_machine,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "TOP500_MACHINES",
     "DatasetSpec",
     "MachineSpec",
-    "get_machine",
 ]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.utils.units import GB, MB, TB
 
-__all__ = ["MachineSpec", "DatasetSpec", "TOP500_MACHINES", "FIG1_DATASETS", "get_machine"]
+__all__ = ["MachineSpec", "DatasetSpec", "TOP500_MACHINES", "FIG1_DATASETS"]
 
 
 @dataclass(frozen=True)
@@ -173,13 +173,3 @@ FIG1_DATASETS: list[DatasetSpec] = [
 IMAGENET1K = FIG1_DATASETS[7]
 IMAGENET21K = FIG1_DATASETS[5]
 DEEPCAM = FIG1_DATASETS[1]
-
-
-def get_machine(name: str) -> MachineSpec:
-    """Look up a machine preset by name (KeyError lists options)."""
-    try:
-        return TOP500_MACHINES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown machine {name!r}; available: {sorted(TOP500_MACHINES)}"
-        ) from None

@@ -17,7 +17,6 @@ from .sampler import DistributedSampler, RandomSampler, Sampler, SequentialSampl
 from .synthetic import (
     SyntheticSpec,
     make_classification,
-    make_image_classification,
     train_val_split,
 )
 
@@ -42,6 +41,5 @@ __all__ = [
     "SequentialSampler",
     "SyntheticSpec",
     "make_classification",
-    "make_image_classification",
     "train_val_split",
 ]

@@ -12,9 +12,6 @@ is captured by parameterised Gaussian-mixture classification problems:
   attributes to sample exchange;
 * class separation and noise control the achievable accuracy ceiling so
   curves saturate like the paper's (not at 100%).
-
-``make_image_classification`` renders the same mixture into (C, H, W)
-arrays with class-dependent spatial patterns for the CNN/BatchNorm models.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from .dataset import TensorDataset
 __all__ = [
     "SyntheticSpec",
     "make_classification",
-    "make_image_classification",
     "train_val_split",
 ]
 
@@ -86,27 +82,6 @@ def make_classification(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     X = np.concatenate(xs).astype(np.float32)
     y = np.concatenate(ys)
     return X, y
-
-
-def make_image_classification(
-    spec: SyntheticSpec, *, channels: int = 1, height: int = 8, width: int = 8
-) -> tuple[np.ndarray, np.ndarray]:
-    """Render the mixture as (N, C, H, W) images with class-dependent spatial
-    structure, so convolution + BatchNorm models have something to learn."""
-    if channels * height * width < spec.n_classes:
-        raise ValueError("image too small to encode class structure")
-    flat_spec = SyntheticSpec(
-        n_samples=spec.n_samples,
-        n_classes=spec.n_classes,
-        n_features=channels * height * width,
-        intra_modes=spec.intra_modes,
-        separation=spec.separation,
-        mode_spread=spec.mode_spread,
-        noise=spec.noise,
-        seed=spec.seed,
-    )
-    X, y = make_classification(flat_spec)
-    return X.reshape(-1, channels, height, width), y
 
 
 def train_val_split(

@@ -1,7 +1,6 @@
 """Section IV analysis: shuffling error and convergence bound."""
 
 from .convergence import ConvergenceBound, convergence_bound
-from .sampling import SamplingRunResult, compare_sampling_schemes, run_quadratic_sgd
 from .shuffling_error import (
     is_overcounted,
     shuffling_error_monte_carlo,
@@ -18,9 +17,6 @@ __all__ = [
     "is_overcounted",
     "shuffling_error_monte_carlo",
     "ConvergenceBound",
-    "SamplingRunResult",
-    "compare_sampling_schemes",
-    "run_quadratic_sgd",
     "convergence_bound",
     "ShufflingErrorPoint",
     "dominance_threshold",

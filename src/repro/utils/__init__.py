@@ -6,7 +6,7 @@ from .fileio import atomic_save
 from .retry import Backoff, Retrier, default_retrier
 from .rng import SeedTree, default_rng, hash_unit
 from .tables import print_table, render_table
-from .units import GB, GIB, KB, KIB, MB, MIB, PB, PIB, TB, TIB, format_size, parse_size
+from .units import GB, GIB, KB, MB, MIB, PB, TB, TIB, format_size
 
 __all__ = [
     "ascii_chart",
@@ -21,12 +21,9 @@ __all__ = [
     "print_table",
     "render_table",
     "format_size",
-    "parse_size",
-    "KIB",
     "MIB",
     "GIB",
     "TIB",
-    "PIB",
     "KB",
     "MB",
     "GB",

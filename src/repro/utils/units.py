@@ -8,70 +8,27 @@ unit arithmetic so every subsystem agrees on what a "GiB" is.
 
 from __future__ import annotations
 
-import re
-
 __all__ = [
-    "KIB",
     "MIB",
     "GIB",
     "TIB",
-    "PIB",
     "KB",
     "MB",
     "GB",
     "TB",
     "PB",
-    "parse_size",
     "format_size",
 ]
 
-KIB = 1024
 MIB = 1024**2
 GIB = 1024**3
 TIB = 1024**4
-PIB = 1024**5
 
 KB = 1000
 MB = 1000**2
 GB = 1000**3
 TB = 1000**4
 PB = 1000**5
-
-_UNITS = {
-    "b": 1,
-    "kb": KB,
-    "mb": MB,
-    "gb": GB,
-    "tb": TB,
-    "pb": PB,
-    "kib": KIB,
-    "mib": MIB,
-    "gib": GIB,
-    "tib": TIB,
-    "pib": PIB,
-}
-
-_SIZE_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+)\s*([a-zA-Z]+)?\s*$")
-
-
-def parse_size(text: str | int | float) -> int:
-    """Parse a human-readable size (``"1.5 TB"``, ``"140GiB"``) into bytes.
-
-    Bare numbers are interpreted as bytes.  Raises :class:`ValueError` for
-    unknown units or malformed input.
-    """
-    if isinstance(text, (int, float)):
-        if text < 0:
-            raise ValueError(f"size must be non-negative, got {text}")
-        return int(text)
-    m = _SIZE_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse size: {text!r}")
-    value = float(m.group(1))
-    unit = (m.group(2) or "b").lower()
-    if unit not in _UNITS:
-        raise ValueError(f"unknown size unit {unit!r} in {text!r}")
-    return int(value * _UNITS[unit])
 
 
 def format_size(nbytes: float, *, binary: bool = True, precision: int = 2) -> str:

@@ -9,7 +9,6 @@ from repro.cluster import (
     FUGAKU,
     IMAGENET1K,
     TOP500_MACHINES,
-    get_machine,
 )
 from repro.utils.units import GB, TB
 
@@ -43,11 +42,6 @@ class TestMachines:
     def test_dl_designed_starred(self):
         starred = {m.name for m in TOP500_MACHINES.values() if m.dl_designed}
         assert "ABCI" in starred
-
-    def test_get_machine(self):
-        assert get_machine("ABCI") is ABCI
-        with pytest.raises(KeyError):
-            get_machine("Aurora")
 
 
 class TestDatasets:

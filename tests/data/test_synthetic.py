@@ -6,7 +6,6 @@ from repro.data import (
     SyntheticSpec,
     list_entries,
     make_classification,
-    make_image_classification,
     train_val_split,
 )
 
@@ -65,20 +64,6 @@ class TestMakeClassification:
         # With no prototype separation and no mode structure the classes are
         # identical distributions -> near-chance accuracy.
         assert centroid_acc(0.0, 0.0) < 0.55
-
-
-class TestImages:
-    def test_image_shape(self):
-        X, y = make_image_classification(
-            SyntheticSpec(32, 4, n_features=0), channels=2, height=6, width=6
-        )
-        assert X.shape == (32, 2, 6, 6)
-
-    def test_too_small_image_rejected(self):
-        with pytest.raises(ValueError):
-            make_image_classification(
-                SyntheticSpec(32, 40), channels=1, height=2, width=2
-            )
 
 
 class TestSplit:

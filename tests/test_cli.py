@@ -16,20 +16,18 @@ class TestParser:
         args = build_parser().parse_args(["train"])
         assert args.workers == 8
         assert args.partition == "class_sorted"
-        args = build_parser().parse_args(["plan"])
-        assert args.machine == "Fugaku"
-        assert args.workers == 4096
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--partition", "by-vibes"])
 
-    def test_subcommand_set_is_the_twelve_that_remain(self, capsys):
-        # Where a thirteenth command would be registered: the dispatch
-        # table and the parser agree on exactly this set.
+    def test_subcommand_set_is_the_seven_that_remain(self, capsys):
+        # Where an eighth command would be registered: the dispatch table
+        # and the parser agree on exactly this set.  Paper tables have one
+        # producer, the benchmarks/bench_*.py figure scripts.
         expected = {
-            "train", "plan", "perf", "theory", "volumes", "report", "trace",
-            "chaos-train", "bench", "health", "lint", "verify-protocol",
+            "train", "trace", "chaos-train", "bench", "health", "lint",
+            "verify-protocol",
         }
         assert set(_HANDLERS) == expected
         (sub,) = [
@@ -44,40 +42,6 @@ class TestParser:
 
 
 class TestCommands:
-    def test_theory(self, capsys):
-        assert main(["theory", "--workers", "1024", "--n", "1200000"]) == 0
-        out = capsys.readouterr().out
-        assert "1024" in out
-        assert "epsilon" in out
-
-    def test_volumes_paper_example(self, capsys):
-        assert main(["volumes", "--q", "0.1"]) == 0
-        out = capsys.readouterr().out
-        assert "225" in out  # the SIII-B 225 MiB number
-        assert "2.20 GiB" in out
-
-    def test_volumes_custom_size(self, capsys):
-        assert main(["volumes", "--dataset-bytes", "140GB", "--samples",
-                     "1200000", "--workers", "128", "--q", "0.5"]) == 0
-        assert "partial-0.5" in capsys.readouterr().out
-
-    def test_perf(self, capsys):
-        assert main(["perf", "--workers", "128", "512"]) == 0
-        out = capsys.readouterr().out
-        assert "GS slowdown" in out
-        assert "128" in out
-
-    def test_perf_fugaku_densenet(self, capsys):
-        assert main(["perf", "--machine", "Fugaku", "--profile", "densenet161",
-                     "--workers", "512"]) == 0
-        assert "Fugaku" in capsys.readouterr().out
-
-    def test_plan(self, capsys):
-        assert main(["plan", "ABCI", "512"]) == 0
-        out = capsys.readouterr().out
-        assert "ABCI" in out
-        assert "DeepCAM" in out
-
     def test_train_small(self, capsys):
         rc = main([
             "train", "--workers", "2", "--epochs", "2", "--samples", "128",
@@ -157,31 +121,6 @@ class TestTrace:
         bad.write_text("this is not a trace\n")
         assert main(["trace", str(bad)]) == 1
         assert "not a trace file" in capsys.readouterr().err
-
-
-class TestReport:
-    def test_collates_artifacts(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "fig9_epoch_time.txt").write_text("FIG9 TABLE\n")
-        (results / "ablation_norm.txt").write_text("NORM TABLE\n")
-        out = tmp_path / "REPORT.md"
-        assert main(["report", "--results-dir", str(results),
-                     "--output", str(out)]) == 0
-        text = out.read_text()
-        assert "FIG9 TABLE" in text and "NORM TABLE" in text
-        # Paper figures come before ablations.
-        assert text.index("fig9_epoch_time") < text.index("ablation_norm")
-
-    def test_missing_dir_errors(self, tmp_path):
-        assert main(["report", "--results-dir", str(tmp_path / "none"),
-                     "--output", str(tmp_path / "r.md")]) == 1
-
-    def test_empty_dir_errors(self, tmp_path):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert main(["report", "--results-dir", str(empty),
-                     "--output", str(tmp_path / "r.md")]) == 1
 
 
 class TestHealth:

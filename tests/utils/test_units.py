@@ -1,47 +1,5 @@
-import pytest
-
-from repro.utils import GIB, MIB, TIB, format_size, parse_size
+from repro.utils import TIB, format_size
 from repro.utils.units import GB, TB
-
-
-class TestParseSize:
-    def test_plain_bytes(self):
-        assert parse_size("123") == 123
-
-    def test_int_passthrough(self):
-        assert parse_size(4096) == 4096
-
-    def test_float_truncates(self):
-        assert parse_size(10.9) == 10
-
-    def test_binary_units(self):
-        assert parse_size("1 KiB") == 1024
-        assert parse_size("1MiB") == MIB
-        assert parse_size("2 GiB") == 2 * GIB
-        assert parse_size("1.5TiB") == int(1.5 * TIB)
-
-    def test_decimal_units(self):
-        assert parse_size("140 GB") == 140 * GB
-        assert parse_size("8.2TB") == int(8.2 * TB)
-
-    def test_case_insensitive(self):
-        assert parse_size("1 gib") == GIB
-        assert parse_size("1 GIB") == GIB
-
-    def test_whitespace_tolerant(self):
-        assert parse_size("  1   GiB  ") == GIB
-
-    def test_unknown_unit_raises(self):
-        with pytest.raises(ValueError, match="unknown size unit"):
-            parse_size("5 parsecs")
-
-    def test_garbage_raises(self):
-        with pytest.raises(ValueError, match="cannot parse"):
-            parse_size("GiB 5")
-
-    def test_negative_numeric_raises(self):
-        with pytest.raises(ValueError):
-            parse_size(-1)
 
 
 class TestFormatSize:
@@ -64,6 +22,3 @@ class TestFormatSize:
     def test_negative(self):
         assert format_size(-1024) == "-1.00 KiB"
 
-    def test_roundtrip_binary(self):
-        for n in [1, 1024, 5 * MIB, 3 * GIB]:
-            assert parse_size(format_size(n)) == pytest.approx(n, rel=0.01)

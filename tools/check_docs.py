@@ -1,13 +1,14 @@
 #!/usr/bin/env python
-"""Docs CI checks: link integrity, docstrings, CLI <-> docs agreement.
+"""Docs CI checks: link integrity, docstrings, CLI <-> docs agreement,
+EXPERIMENTS.md <-> results agreement.
 
-Three independent checks, all fatal on failure:
+Four independent checks, all fatal on failure:
 
-1. **Links** — every relative markdown link in ``README.md`` and
-   ``docs/*.md`` must resolve to an existing file (anchors stripped;
-   ``http(s)``/``mailto`` targets are not fetched).  Bare inline-code
-   path references like ``src/repro/cluster/presets.py`` are verified
-   too, so module paths in prose cannot go stale.
+1. **Links** — every relative markdown link in ``README.md``,
+   ``EXPERIMENTS.md`` and ``docs/*.md`` must resolve to an existing file
+   (anchors stripped; ``http(s)``/``mailto`` targets are not fetched).
+   Bare inline-code path references like ``src/repro/cluster/presets.py``
+   are verified too, so module paths in prose cannot go stale.
 
 2. **Docstrings** — every public module, class, function and method in
    ``src/repro/mpi/`` and ``src/repro/shuffle/`` (the hot-path packages
@@ -17,6 +18,12 @@ Three independent checks, all fatal on failure:
    (inside code spans or fenced blocks) must exist in ``src/repro/cli.py``,
    and every subcommand the CLI registers must be mentioned somewhere in
    the docs, so the command surface and its documentation cannot drift.
+
+4. **Measured numbers** — every number in ``EXPERIMENTS.md`` must occur
+   verbatim in a ``benchmarks/results/*.txt`` file its ``##`` section
+   cites as a code span (thousands commas and the sign glyph aside).
+   Numbers in *italics* are quoted from the paper and skipped; so are
+   headings, code, and the number in a reference like ``Fig. 9``.
 
 Usage: ``python tools/check_docs.py`` (exit 0 = clean).
 """
@@ -30,7 +37,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 
-MARKDOWN = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+EXPERIMENTS = REPO / "EXPERIMENTS.md"
+MARKDOWN = [REPO / "README.md", EXPERIMENTS, *sorted((REPO / "docs").glob("*.md"))]
 DOCSTRING_PACKAGES = [REPO / "src/repro/mpi", REPO / "src/repro/shuffle"]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -168,8 +176,60 @@ def check_cli_coverage() -> list[str]:
     return problems
 
 
+# A number: optional sign, digits with optional thousands commas and
+# decimals, not glued to a word, a decimal point or a hyphen on its left
+# (so ``ResNet50``, ``CIFAR-100`` and ``partial-0.3`` hold none).
+_NUMBER = re.compile(r"(?<![\w.\-−])[-−]?\d+(?:,\d{3})*(?:\.\d+)?")
+_RESULTS = re.compile(r"`(benchmarks/results/[\w.-]+\.txt)`")
+# What is not a measurement, blanked before numbers are read (newlines
+# kept, so line numbers hold): fenced blocks, headings, code spans, paper
+# quotes in single-asterisk *italics* (within one paragraph; ``**bold**``
+# and list bullets are not quotes) and references such as ``Fig. 9``.
+_NOT_MEASURED = re.compile(
+    r"^```.*?^```|^#.*?$|`[^`]*`"
+    r"|(?<![*\w])\*(?![\s*])(?:(?!\n\s*\n)[^*])*?(?<![\s*])\*(?![*\w])"
+    r"|\b(?:Fig|Figure|Eq|Table)\.? ?\d+|§[\w-]+",
+    re.M | re.S,
+)
+
+
+def _numbers(text: str) -> set[str]:
+    return {
+        n.replace(",", "").replace("−", "-").lstrip("-")
+        for n in _NUMBER.findall(text)
+    }
+
+
+def check_experiments() -> list[str]:
+    """Fail on an EXPERIMENTS.md number absent from the results files its
+    ``##`` section cites."""
+    problems: list[str] = []
+    rel = EXPERIMENTS.relative_to(REPO)
+    text = EXPERIMENTS.read_text(encoding="utf-8")
+    blank = _NOT_MEASURED.sub(lambda m: " " + "\n" * m.group().count("\n"), text)
+    lines = list(enumerate(zip(text.splitlines(), blank.splitlines()), 1))
+    starts = [n for n, (line, _) in lines if line.startswith("## ")]
+    for lo, hi in zip([1, *starts], [*starts, len(lines) + 1]):
+        section = lines[lo - 1:hi - 1]
+        cited = {p for _, (line, _) in section for p in _RESULTS.findall(line)}
+        missing = sorted(p for p in cited if not (REPO / p).exists())
+        problems += [f"{rel}:{lo}: cites missing `{p}`" for p in missing]
+        known: set[str] = set()
+        for p in cited - set(missing):
+            known |= _numbers((REPO / p).read_text(encoding="utf-8"))
+        for lineno, (_, prose) in section:
+            problems += [
+                f"{rel}:{lineno}: {n} is in no results file this section cites"
+                for n in sorted(_numbers(prose) - known)
+            ]
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_docstrings() + check_cli_coverage()
+    problems = (
+        check_links() + check_docstrings() + check_cli_coverage()
+        + check_experiments()
+    )
     for p in problems:
         print(p)
     n_md = len(MARKDOWN)
@@ -180,7 +240,8 @@ def main() -> int:
     n_cmd = len(_cli_subcommands())
     print(
         f"docs OK: {n_md} markdown files linked, {n_py} python files "
-        f"documented, {n_cmd} CLI subcommands covered"
+        f"documented, {n_cmd} CLI subcommands covered, EXPERIMENTS.md "
+        "numbers found in their results files"
     )
     return 0
 
