@@ -325,7 +325,9 @@ def test_large_arrays_cross_the_pipe_as_handles_bit_identically(copy_on_send):
         # ``_take_reduced`` promises on either backend.
         assert mine[4] == ref[4] == (copy_on_send, True)
     world = runs["procs"].world
-    # One lent segment per rank and direction, reused call after call ...
+    # One lent segment per rank and direction, reused call after call (the
+    # folds run in the ranks, each over the segment its rank lends; the
+    # bcast's reply comes back in the one each broker lends) ...
     assert {r[6] for r in runs["procs"]} <= set(range(1, 7))
     assert world.pool.stats()["acquires"] == 6
     # ... handed back when the ranks ended.

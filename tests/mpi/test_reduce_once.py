@@ -1,5 +1,7 @@
 """The reducing rendezvous: the world folds an allreduce once, in rank order,
-and every rank is handed that one result."""
+and every rank is handed that one result — and under ``procs`` a fold on the
+launch communicator, run in the rank processes over shared memory, folds the
+same values in the same order."""
 
 import threading
 import time
@@ -8,7 +10,7 @@ from operator import add as SUM
 import numpy as np
 import pytest
 
-from repro.mpi import PeerFailure, RankFailed, run_spmd
+from repro.mpi import MPIAbort, MPITimeout, PeerFailure, RankFailed, run_spmd
 from repro.mpi.procs import _Broker
 from repro.mpi.world import World
 
@@ -223,3 +225,99 @@ def test_a_large_allreduce_crosses_the_procs_pipe_as_handles_both_ways():
             assert isinstance(_Lender(None).encode(np.zeros(MIN_SIZE_CLASS - 1, np.uint8)), np.ndarray)
     finally:
         world.pool.shutdown()
+
+
+# ------------------------------------------------- folds run in the ranks
+def _rendezvous_trips(result) -> list[int]:
+    return [c.get("world.rendezvous", [0, 0])[0] for c in result.world.rpc_counts]
+
+
+def test_a_fold_on_the_launch_communicator_makes_no_round_trip():
+    def main(comm):
+        grad = np.full(300, float(comm.rank), dtype=np.float32)  # a lent slot
+        return (
+            comm.allreduce(grad)[0],
+            comm.allreduce(np.array([comm.rank, 9 - comm.rank]), op=np.minimum).tolist(),
+            comm.allreduce(comm.rank + 3, op=min),
+        )
+
+    result = run_spmd(main, 3, backend="procs", deadline_s=60)
+    assert list(result) == [(3.0, [0, 7], 3)] * 3
+    assert _rendezvous_trips(result) == [0, 0, 0]
+
+
+def test_a_fold_on_a_split_communicator_stays_in_the_parent():
+    def main(comm):
+        sub = comm.split(comm.rank % 2)  # two rendezvous: split, split-ctx
+        return sub.allreduce(comm.rank)
+
+    result = run_spmd(main, 3, backend="procs", deadline_s=60)
+    assert list(result) == [2, 1, 2]
+    assert _rendezvous_trips(result) == [2 + 1] * 3
+
+
+def _fold_failure_worker(comm, case):
+    import os
+    import signal
+
+    if comm.rank == 1:
+        time.sleep(0.3)  # the peers are waiting in the allreduce by now
+        if case == "sigkill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if case == "abort":
+            comm.world.abort("test abort")
+            return None
+        if case == "deadline":
+            time.sleep(2.0)  # past the world's deadline
+            return None
+    shape = 2 + comm.rank if case == "shape" else 300
+    return comm.allreduce(np.ones(shape, dtype=np.float32))
+
+
+@pytest.mark.parametrize(
+    "case, raised",
+    [("sigkill", PeerFailure), ("abort", MPIAbort), ("deadline", MPITimeout),
+     ("shape", ValueError)],
+)
+def test_a_fold_in_the_ranks_fails_as_the_world_would(case, raised, own_segments):
+    deadline_s = 1.0 if case == "deadline" else 60.0
+    t0 = time.monotonic()
+    with pytest.raises(RankFailed) as info:
+        run_spmd(
+            _fold_failure_worker, 3, args=(case,), backend="procs", deadline_s=deadline_s,
+        )
+    assert time.monotonic() - t0 < 30
+    failures = info.value.failures
+    assert all(type(exc) is raised for exc in failures.values())
+    if case == "deadline":
+        # The first waiter to see the deadline times out; the world is
+        # aborted by then, so a later one reads MPIAbort (not reported).
+        assert failures and set(failures) <= {0, 2}
+    else:
+        assert set(failures) == ({0, 1, 2} if case == "shape" else {0, 2})
+    if case == "sigkill":
+        assert {exc.rank for exc in failures.values()} == {1}
+    if case == "abort":
+        assert all("test abort" in str(exc) for exc in failures.values())
+    assert own_segments() == []
+
+
+def test_back_to_back_folds_never_read_a_rewritten_slot():
+    """More ranks than cores, folds back to back over one lent segment per
+    rank and broadcasts from it in between: every result is exact, so no
+    rank rewrote its slot while a peer was still folding it."""
+    size, rounds = 5, 60
+
+    def main(comm):
+        wrong = 0
+        for i in range(rounds):
+            mine = np.full(300, float(i * size + comm.rank))
+            total = sum(i * size + r for r in range(size))
+            wrong += int(not np.all(comm.allreduce(mine) == total))
+            root = i % size
+            got = comm.bcast(mine + 0.5 if comm.rank == root else None, root=root)
+            wrong += int(not np.all(got == i * size + root + 0.5))
+            wrong += int(comm.allreduce(i + comm.rank, op=max) != i + size - 1)
+        return wrong
+
+    assert list(run_spmd(main, size, backend="procs", deadline_s=120)) == [0] * size

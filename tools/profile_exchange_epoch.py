@@ -3,9 +3,9 @@
 ``profile_nn_step.py``; ROADMAP item 1(b)'s deliverable).
 
 Runs the epoch the ``exchange_*`` benchmark workloads spend their time in —
-2 ranks on the ``threads`` backend, ``partial-1`` (Q = 1), 2,048 samples of
-12 KB, the ``mlp`` model, batch 32 — by calling ``train_one_epoch`` directly,
-outside the benchmark harness, and prints
+2 ranks on the ``threads`` backend (or ``--backend procs``), ``partial-1``
+(Q = 1), 2,048 samples of 12 KB, the ``mlp`` model, batch 32 — by calling
+``train_one_epoch`` directly, outside the benchmark harness, and prints
 
 * ms per epoch (min / median / max over the timed epochs, mean of the two
   ranks) spent in each part of the exchange the training thread executes:
@@ -15,20 +15,26 @@ outside the benchmark harness, and prints
   residue of that in ``synchronize`` and the commit collective),
   **commit-decode** (``_apply_commit``: the engine's commit carried out —
   frames back to the pool, staged rows merged),
-  **install** (``clean_local_storage``), and the loader's
-  **collate** for comparison;
+  **install** (``clean_local_storage``), and, for comparison, the loader's
+  **collate** and the trainer's **ge_wu** phase (the gradient allreduce
+  and the weight update, as ``flight.take_phases`` reports it);
 * how many Python-level calls one epoch's exchange hooks (``begin_epoch`` /
   ``on_iteration`` / ``end_epoch``) make into the codec and storage entry
   points and into ``ndarray.copy``, counted by ``cProfile`` in one extra
-  epoch that is not timed.
+  epoch that is not timed;
+* on ``procs``, the pipe round trips and casts per epoch (median of the
+  timed epochs, rank 0) per wire name: what ``world.rpc_counts`` counts,
+  taken per epoch at the rank's end of the pipe, with the run's total
+  checked against ``world.rpc_counts``.
 
 An epoch moves 1,024 samples per rank in 64 frames per rank, so a count near
 64 is per frame and a count near 1,024 is per sample.  Timings are taken
-with the profiler off; the two ranks share the interpreter lock, so a phase
-also pays for the time it waits to get the lock back.  BLAS is pinned to one
-thread so the numbers do not depend on the core count.
+with the profiler off; on ``threads`` the two ranks share the interpreter
+lock, so a phase also pays for the time it waits to get the lock back.
+BLAS is pinned to one thread so the numbers do not depend on the core
+count.
 
-Usage: ``python tools/profile_exchange_epoch.py [--epochs N]``
+Usage: ``python tools/profile_exchange_epoch.py [--epochs N] [--backend procs]``
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ BATCH = 32
 SEED = 1
 
 #: Rows of the timing table, in the order the epoch runs them.
-PHASES = ("plan", "post", "complete", "commit-decode", "install", "collate")
+PHASES = ("plan", "post", "complete", "commit-decode", "install", "collate", "ge_wu")
 
 #: (file name, function name) -> label of the calls to count.  Entry points
 #: a tree does not have simply count zero.
@@ -115,6 +121,33 @@ class _CountedHooks:
         self._profiled(self._inner.end_epoch)
 
 
+def _stash_ge_wu(take_phases):
+    """``take_phases`` with the epoch's ``ge_wu`` kept for the calling rank
+    (the trainer's last call in an epoch is the one that sticks)."""
+
+    def wrapper(self):
+        phases = take_phases(self)
+        _rank_state.acc["ge_wu"] = phases.get("ge_wu", 0.0)
+        return phases
+
+    return wrapper
+
+
+def _counted_send(send):
+    """``_Rpc.send`` counting what crosses the pipe into the calling rank's
+    current ``{wire name: [round trips, casts]}``, as the broker counts it."""
+
+    def wrapper(self, call, reply=False):
+        counts = _rank_state.rpc
+        for method, _args in self._queued:
+            counts.setdefault(method, [0, 0])[1] += 1
+        if call is not None and call[0] != "__exit__":
+            counts.setdefault(call[0], [0, 0])[0] += 1
+        return send(self, call, reply)
+
+    return wrapper
+
+
 def _call_counts(profiler: cProfile.Profile) -> dict[str, int]:
     counts = dict.fromkeys(COUNTED.values(), 0)
     for (filename, _line, name), row in pstats.Stats(profiler).stats.items():
@@ -128,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run the profile and print the report."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--epochs", type=int, default=6, help="timed epochs after warm-up")
+    parser.add_argument("--backend", choices=("threads", "procs"), default="threads")
     args = parser.parse_args(argv)
     if args.epochs < 1:
         parser.error("--epochs must be >= 1")
@@ -140,6 +174,8 @@ def main(argv: list[str] | None = None) -> int:
     import repro.data.dataloader as dataloader
     from repro.data.dataset import TensorDataset
     from repro.mpi.launcher import run_spmd
+    from repro.mpi.procs import _Rpc
+    from repro.obs.telemetry.flight import FlightRecorder
     from repro.shuffle.partial import PartialLocalShuffle
     from repro.shuffle.scheduler import Scheduler
     from repro.train.trainer import TrainConfig, build_replica, train_one_epoch
@@ -154,6 +190,8 @@ def main(argv: list[str] | None = None) -> int:
     ):
         for name in names:
             setattr(owner, name, _timed(getattr(owner, name), phase))
+    FlightRecorder.take_phases = _stash_ge_wu(FlightRecorder.take_phases)
+    _Rpc.send = _counted_send(_Rpc.send)  # patched before the ranks fork
 
     rng = np.random.default_rng(SEED)
     total = N_SAMPLES + N_VAL
@@ -170,15 +208,18 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     def rank_main(comm):
+        _rank_state.rpc = {}  # setup
         model, optimizer, schedule = build_replica(config, comm)
         strategy = PartialLocalShuffle(1.0)
         strategy.setup(
             comm, dataset, labels=train_y, partition=config.partition, seed=config.seed
         )
         profiler = cProfile.Profile()
-        timed = []
+        timed, rpc = [], [_rank_state.rpc]
         for epoch in range(epochs):
             _rank_state.acc = acc = defaultdict(float)
+            _rank_state.rpc = {}
+            rpc.append(_rank_state.rpc)
             hooks = strategy if epoch < epochs - 1 else _CountedHooks(strategy, profiler)
             t0 = time.perf_counter()
             train_one_epoch(
@@ -189,9 +230,12 @@ def main(argv: list[str] | None = None) -> int:
             if 1 <= epoch < epochs - 1:
                 timed.append(dict(acc))
         stats = strategy.stats()
-        return timed, _call_counts(profiler), stats["sent_samples"] // epochs
+        return timed, _call_counts(profiler), stats["sent_samples"] // epochs, rpc
 
-    results = list(run_spmd(rank_main, RANKS, copy_on_send=False, deadline_s=600.0))
+    result = run_spmd(
+        rank_main, RANKS, copy_on_send=False, deadline_s=600.0, backend=args.backend
+    )
+    results = [r[:3] for r in result]
 
     def per_epoch(phase: str) -> list[float]:
         """ms in ``phase`` per timed epoch, mean of the ranks."""
@@ -200,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
             for e in range(args.epochs)
         ]
 
-    print(f"exchange epoch: {RANKS} ranks on threads, partial-1, {N_SAMPLES} samples of "
+    print(f"exchange epoch: {RANKS} ranks on {args.backend}, partial-1, {N_SAMPLES} samples of "
           f"{4 * SAMPLE_SHAPE[0]} B, mlp, batch {BATCH}, OPENBLAS_NUM_THREADS=1, "
           f"{args.epochs} epochs after 1 warm-up")
     print(f"samples exchanged per rank per epoch: {results[0][2]}")
@@ -208,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     exposed = [0.0] * args.epochs
     for phase in (*PHASES, "epoch"):
         values = per_epoch(phase)
-        if phase not in ("collate", "epoch"):
+        if phase not in ("collate", "ge_wu", "epoch"):
             exposed = [a + b for a, b in zip(exposed, values)]
         print(f"{phase:<14} {min(values):8.2f} {statistics.median(values):8.2f} "
               f"{max(values):8.2f}")
@@ -218,7 +262,30 @@ def main(argv: list[str] | None = None) -> int:
           "(mean of the ranks):")
     for label in COUNTED.values():
         print(f"  {label:<22} {statistics.mean(c[label] for _t, c, _s in results):8.1f}")
+    if args.backend == "procs":
+        _print_pipe(result[0][3], result.world.rpc_counts[0])
     return 0
+
+
+def _print_pipe(counted: list[dict], recorded: dict) -> None:
+    """Rank 0's pipe messages per timed epoch, by wire name, from what this
+    tool ``counted`` per epoch (setup, warm-up, timed, counted), and its run
+    total against what the broker ``recorded`` in ``world.rpc_counts``."""
+    steady = counted[2:-1]
+    names = sorted({name for counts in steady for name in counts})
+    rows = [
+        (name, *(statistics.median(c.get(name, [0, 0])[i] for c in steady) for i in (0, 1)))
+        for name in names
+    ]
+    print("pipe messages per epoch, rank 0 (median of the timed epochs):")
+    print(f"  {'wire name':<24} {'round trips':>11} {'casts':>8}")
+    for name, trips, casts in sorted(rows, key=lambda row: (-row[1], -row[2], row[0])):
+        print(f"  {name:<24} {trips:11.1f} {casts:8.1f}")
+    total = [sum(c[0] for c in counts.values()) for counts in steady]
+    print(f"  {'all round trips':<24} {statistics.median(total):11.1f}")
+    whole = sum(c[0] for counts in counted for c in counts.values())
+    print(f"round trips over the whole run: {whole} counted per epoch, "
+          f"{sum(c[0] for c in recorded.values())} in world.rpc_counts")
 
 
 if __name__ == "__main__":
