@@ -2,7 +2,7 @@
 
 Algorithm 1 picks the global partition uniformly at random.  The scheduler
 also supports "stale" (oldest residents leave first — maximises sample
-circulation) and "importance" (externally scored).  This ablation trains
+circulation).  This ablation trains
 PLS under random vs stale selection on the skewed-shard problem and
 compares accuracy, plus measures circulation directly: after E epochs at
 fraction Q, what fraction of a worker's shard consists of samples it did

@@ -10,7 +10,7 @@ Subpackages
     on-disk folder datasets, synthetic dataset generators, partitioners.
 ``repro.nn``
     NumPy autograd deep-learning framework: tensors, layers (incl. BatchNorm
-    and GroupNorm), losses, SGD/LARS optimisers, LR schedules, model zoo.
+    and GroupNorm), losses, SGD optimiser, LR schedules, model zoo.
 ``repro.shuffle``
     The paper's contribution: global / local / partial-local shuffling, the
     seed-synchronised balanced exchange (Algorithm 1), the overlap scheduler,

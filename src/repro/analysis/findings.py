@@ -7,7 +7,7 @@ the tests can compare them structurally.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 __all__ = ["Severity", "Finding"]
@@ -46,12 +46,6 @@ class Finding:
             f"{self.path}:{self.line}:{self.col}: "
             f"{self.rule_id} {self.severity}: {self.message}"
         )
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (severity as its string value)."""
-        d = asdict(self)
-        d["severity"] = str(self.severity)
-        return d
 
     def render_github(self) -> str:
         """GitHub Actions workflow-command form.

@@ -45,20 +45,6 @@ class LintReport:
     #: Count of findings silenced by ``# repro: noqa`` comments.
     suppressed: int = 0
 
-    @property
-    def ok(self) -> bool:
-        """True when the run produced no (unsuppressed) findings."""
-        return not self.findings
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form for ``repro lint --format json``."""
-        return {
-            "findings": [f.to_dict() for f in self.findings],
-            "count": len(self.findings),
-            "files_checked": len(self.files),
-            "suppressed": self.suppressed,
-        }
-
 
 def _noqa_map(source: str) -> dict[int, set[str] | None]:
     """line number -> suppressed rule ids (None = all rules)."""

@@ -112,11 +112,6 @@ class CheckResult:
     #: ``(side, state, event)`` table entries the exploration exercised.
     coverage: set = field(default_factory=set)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 #: Exchange mutation -> ``(ExchangeEngine method, replacement, what breaks)``.
 ENGINE_PATCHES: dict[str, tuple] = {}
 

@@ -25,8 +25,7 @@ Subcommands
 ``lint``
     SPMD correctness lint (rules SPMD001-SPMD009, the latter four
     interprocedural-dataflow) over python sources; exits nonzero on
-    findings.  ``--format json`` for machine consumption, ``--format
-    github`` for Actions inline annotations.
+    findings.  ``--format github`` for Actions inline annotations.
 ``verify-protocol``
     Explicit-state model check of the reliable-exchange round protocol
     (send → verify → ACK/NACK → resend → commit/rollback composed with
@@ -60,6 +59,8 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI (exposed for tests)."""
+    from repro.data.partition import PARTITION_SCHEMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction toolkit for 'Why Globally Re-shuffle?' (IPDPS 2022)",
@@ -87,10 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--batch-size", type=int, default=8)
     p_train.add_argument("--lr", type=float, default=0.05)
     p_train.add_argument(
-        "--partition", choices=["random", "contiguous", "strided", "class_sorted", "dirichlet"],
-        default="class_sorted",
+        "--partition", choices=PARTITION_SCHEMES, default="class_sorted",
     )
-    p_train.add_argument("--norm", choices=["batch", "group", "none"], default="batch")
+    p_train.add_argument("--norm", choices=["batch", "group"], default="batch")
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument(
         "--strategies", nargs="+", default=["global", "local", "partial-0.3"],
@@ -129,9 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.add_argument("--lr", type=float, default=0.05)
     p_ch.add_argument("--q", type=float, default=0.3, help="exchange fraction Q")
     p_ch.add_argument(
-        "--partition",
-        choices=["random", "contiguous", "strided", "class_sorted", "dirichlet"],
-        default="class_sorted",
+        "--partition", choices=PARTITION_SCHEMES, default="class_sorted",
     )
     p_ch.add_argument("--seed", type=int, default=0, help="training seed")
     p_ch.add_argument(
@@ -255,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     p_lint.add_argument(
-        "--format", choices=["text", "json", "github"], default="text",
+        "--format", choices=["text", "github"], default="text",
         help="report format (github = Actions ::error annotations)",
     )
     p_lint.add_argument(
@@ -295,7 +293,7 @@ def _cmd_train(args) -> int:
     config = TrainConfig(
         model="mlp", epochs=args.epochs, batch_size=args.batch_size,
         base_lr=args.lr, partition=args.partition, seed=args.seed,
-        norm=None if args.norm == "none" else args.norm,
+        norm=args.norm,
     )
     result = run_comparison(
         spec=spec, config=config, workers=args.workers, strategies=args.strategies,
@@ -659,8 +657,6 @@ def _run_health_demo(args) -> dict:
 
 
 def _cmd_lint(args) -> int:
-    import json
-
     from repro.analysis import lint_paths
 
     select = args.select.split(",") if args.select else None
@@ -669,9 +665,7 @@ def _cmd_lint(args) -> int:
     except ValueError as exc:  # unknown rule id in --select
         print(str(exc), file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    elif args.format == "github":
+    if args.format == "github":
         for f in report.findings:
             print(f.render_github())
         print(

@@ -8,12 +8,12 @@ partitioners of Figure 2.
 """
 
 from .dataloader import DataLoader, default_collate
-from .dataset import Dataset, TensorDataset, TransformedDataset
+from .dataset import Dataset, TensorDataset
 from .folder import FolderDataset, materialize_folder_dataset
 from .prefetch import PrefetchLoader
 from .partition import PARTITION_SCHEMES, partition_indices, partition_sizes
 from .registry import TABLE1, ExperimentEntry, list_entries
-from .sampler import DistributedSampler, RandomSampler, Sampler, SequentialSampler
+from .sampler import DistributedSampler, RandomSampler, Sampler
 from .synthetic import (
     SyntheticSpec,
     make_classification,
@@ -25,7 +25,6 @@ __all__ = [
     "default_collate",
     "Dataset",
     "TensorDataset",
-    "TransformedDataset",
     "FolderDataset",
     "materialize_folder_dataset",
     "PrefetchLoader",
@@ -38,7 +37,6 @@ __all__ = [
     "DistributedSampler",
     "RandomSampler",
     "Sampler",
-    "SequentialSampler",
     "SyntheticSpec",
     "make_classification",
     "train_val_split",

@@ -13,7 +13,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .sampler import RandomSampler, Sampler, SequentialSampler
+from .sampler import RandomSampler, Sampler
 
 __all__ = ["DataLoader", "default_collate"]
 
@@ -38,7 +38,8 @@ class DataLoader:
         Samples per batch (the paper's per-worker ``b``).
     shuffle:
         Convenience flag building a :class:`RandomSampler`; mutually
-        exclusive with an explicit ``sampler``.
+        exclusive with an explicit ``sampler``.  With neither, batches
+        follow index order.
     sampler:
         Explicit index sampler (e.g. :class:`DistributedSampler`).
     drop_last:
@@ -66,18 +67,9 @@ class DataLoader:
         self.batch_size = batch_size
         self.drop_last = drop_last
         self.collate_fn = collate_fn or default_collate
-        if sampler is not None:
-            self.sampler = sampler
-        elif shuffle:
-            self.sampler = RandomSampler(dataset, seed=seed)
-        else:
-            self.sampler = SequentialSampler(dataset)
-
-    def set_epoch(self, epoch: int) -> None:
-        """Forward the epoch to the sampler if it is epoch-aware."""
-        set_epoch = getattr(self.sampler, "set_epoch", None)
-        if set_epoch is not None:
-            set_epoch(epoch)
+        if sampler is None:
+            sampler = RandomSampler(dataset, seed=seed) if shuffle else range(len(dataset))
+        self.sampler = sampler
 
     def __iter__(self) -> Iterator[Any]:
         batch: list[tuple[Any, Any]] = []

@@ -8,14 +8,13 @@ so its shuffling layer drops into existing scripts with six changed lines
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 __all__ = [
     "Dataset",
     "TensorDataset",
-    "TransformedDataset",
 ]
 
 
@@ -27,10 +26,6 @@ class Dataset:
 
     def __len__(self) -> int:
         raise NotImplementedError
-
-    def with_transform(self, transform: Callable[[Any], Any]) -> "TransformedDataset":
-        """Return a view applying ``transform`` to each sample."""
-        return TransformedDataset(self, transform)
 
 
 class TensorDataset(Dataset):
@@ -53,18 +48,3 @@ class TensorDataset(Dataset):
 
     def __len__(self) -> int:
         return len(self.features)
-
-
-class TransformedDataset(Dataset):
-    """Applies ``transform`` to the sample (not the label) on access."""
-
-    def __init__(self, dataset: Dataset, transform: Callable[[Any], Any]):
-        self.dataset = dataset
-        self.transform = transform
-
-    def __getitem__(self, index: int) -> tuple[Any, Any]:
-        sample, label = self.dataset[index]
-        return self.transform(sample), label
-
-    def __len__(self) -> int:
-        return len(self.dataset)

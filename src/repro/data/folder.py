@@ -11,14 +11,13 @@ single distinct physical file" (§III-E) and wraps PyTorch's ``ImageFolder``.
       class_000/sample_000001.npy
       class_001/...
 
-where each ``.npy`` holds one sample array.  It also provides the
-``save_sample`` / ``remove_sample`` hooks the PLS wrapper needs to persist
-received samples and evict transmitted ones (§III-C).
+where each ``.npy`` holds one sample array.
 
 Reads retry transient I/O failures (``OSError``/``ValueError``) with capped
 exponential backoff — parallel file systems drop the occasional read — and
-writes go through :func:`~repro.utils.fileio.atomic_save` so a crash
-mid-write can never leave a torn ``.npy``.
+:func:`materialize_folder_dataset` writes through
+:func:`~repro.utils.fileio.atomic_save` so a crash mid-write can never
+leave a torn ``.npy``.
 """
 
 from __future__ import annotations
@@ -90,35 +89,9 @@ class FolderDataset(Dataset):
     def __len__(self) -> int:
         return len(self._entries)
 
-    # -------------------------------------------------- PLS storage hooks
-    def sample_path(self, index: int) -> Path:
-        """Path of the sample's file on disk."""
-        return self._entries[index][0]
-
     def sample_label(self, index: int) -> int:
         """Class label of the sample at this index."""
         return self._entries[index][1]
-
-    def save_sample(self, sample: np.ndarray, label: int, name: str) -> int:
-        """Persist a received sample; returns its new index."""
-        cls = self.classes[label] if 0 <= label < len(self.classes) else None
-        if cls is None:
-            raise ValueError(f"label {label} unknown to this dataset")
-        path = self.root / cls / f"{name}.npy"
-        if path.exists():
-            raise FileExistsError(f"sample file {path} already exists")
-        atomic_save(path, sample)
-        self._entries.append((path, label))
-        return len(self._entries) - 1
-
-    def remove_sample(self, index: int) -> None:
-        """Evict a transmitted sample from local storage (file + entry)."""
-        path, _ = self._entries.pop(index)
-        path.unlink(missing_ok=False)
-
-    def nbytes(self) -> int:
-        """Total bytes of sample files currently stored (capacity accounting)."""
-        return sum(p.stat().st_size for p, _ in self._entries)
 
 
 def materialize_folder_dataset(

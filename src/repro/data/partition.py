@@ -19,10 +19,6 @@ Schemes
 ``class_sorted``
     Sort by label, then contiguous blocks: maximal class skew per shard,
     the worst case for local shuffling.
-``dirichlet``
-    Class proportions per shard drawn from ``Dir(alpha)`` — the standard
-    federated-learning heterogeneity knob; ``alpha -> inf`` approaches
-    ``random``, ``alpha -> 0`` approaches ``class_sorted``.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ import numpy as np
 
 __all__ = ["partition_indices", "partition_sizes", "PARTITION_SCHEMES"]
 
-PARTITION_SCHEMES = ("random", "contiguous", "strided", "class_sorted", "dirichlet")
+PARTITION_SCHEMES = ("random", "contiguous", "strided", "class_sorted")
 
 
 def partition_sizes(n: int, m: int) -> np.ndarray:
@@ -53,13 +49,12 @@ def partition_indices(
     scheme: str = "random",
     labels: np.ndarray | None = None,
     seed: int = 0,
-    alpha: float = 0.5,
 ) -> list[np.ndarray]:
     """Split ``range(n)`` into ``m`` shards; returns one index array per rank.
 
-    ``labels`` is required for the label-aware schemes (``class_sorted``,
-    ``dirichlet``).  Every scheme yields balanced shard sizes (±1) and a
-    disjoint, exhaustive cover of ``range(n)``.
+    ``labels`` is required for the label-aware ``class_sorted``.  Every
+    scheme yields balanced shard sizes (±1) and a disjoint, exhaustive
+    cover of ``range(n)``.
     """
     if scheme not in PARTITION_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {PARTITION_SCHEMES}")
@@ -74,53 +69,11 @@ def partition_indices(
         order = rng.permutation(n)
     elif scheme == "contiguous":
         order = np.arange(n)
-    elif scheme == "class_sorted":
+    else:  # class_sorted
         if labels is None:
             raise ValueError("class_sorted partitioning requires labels")
         if len(labels) != n:
             raise ValueError(f"labels length {len(labels)} != n {n}")
         order = np.argsort(np.asarray(labels), kind="stable")
-    else:  # dirichlet
-        if labels is None:
-            raise ValueError("dirichlet partitioning requires labels")
-        if alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
-        order = _dirichlet_order(np.asarray(labels), m, seed, alpha)
 
     return [order[bounds[r] : bounds[r + 1]].astype(np.int64) for r in range(m)]
-
-
-def _dirichlet_order(labels: np.ndarray, m: int, seed: int, alpha: float) -> np.ndarray:
-    """Arrange indices so contiguous blocks have Dirichlet-skewed class mixes.
-
-    For each worker, draw class proportions from Dir(alpha); then greedily
-    fill each worker's block by sampling classes according to its
-    proportions from the remaining pool.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD112]))
-    n = len(labels)
-    classes = np.unique(labels)
-    pools = {c: list(rng.permutation(np.flatnonzero(labels == c))) for c in classes}
-    proportions = rng.dirichlet(np.full(len(classes), alpha), size=m)
-    sizes = partition_sizes(n, m)
-
-    order: list[int] = []
-    for r in range(m):
-        want = int(sizes[r])
-        weights = proportions[r].copy()
-        for _ in range(want):
-            avail = np.array([len(pools[c]) for c in classes], dtype=np.float64)
-            w = weights * (avail > 0)
-            if w.sum() == 0:
-                w = avail  # fall back to whatever remains
-            w = w / w.sum()
-            c = classes[rng.choice(len(classes), p=w)]
-            order.append(pools[c].pop())
-    return np.array(order, dtype=np.int64)
-
-
-def shard_class_histogram(
-    indices: np.ndarray, labels: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """Per-class sample counts inside one shard (skew diagnostics)."""
-    return np.bincount(np.asarray(labels)[indices], minlength=n_classes)

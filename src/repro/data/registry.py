@@ -35,12 +35,6 @@ class ExperimentEntry:
     repro_model: str = "mlp"
     repro_epochs: int = 20
 
-    @property
-    def paper_sample_bytes(self) -> float:
-        """Average bytes per sample at paper scale."""
-        return self.paper_bytes / self.paper_samples
-
-
 TABLE1: dict[str, ExperimentEntry] = {
     e.key: e
     for e in [

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "Sampler",
-    "SequentialSampler",
     "RandomSampler",
     "DistributedSampler",
 ]
@@ -30,19 +29,6 @@ class Sampler:
 
     def __len__(self) -> int:
         raise NotImplementedError
-
-
-class SequentialSampler(Sampler):
-    """Yield ``0..len(dataset)-1`` in order (validation passes)."""
-
-    def __init__(self, data_source: Sized):
-        self.data_source = data_source
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self.data_source)))
-
-    def __len__(self) -> int:
-        return len(self.data_source)
 
 
 class RandomSampler(Sampler):

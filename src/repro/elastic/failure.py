@@ -46,9 +46,6 @@ class FailureEvent:
         if self.point not in POINTS:
             raise ValueError(f"point must be one of {POINTS}, got {self.point!r}")
 
-    def __str__(self) -> str:
-        return f"{self.rank}@{self.epoch}:{self.point}"
-
 
 class FailurePlan:
     """An ordered collection of :class:`FailureEvent`\\ s."""
@@ -91,9 +88,3 @@ class FailurePlan:
     def doomed(self) -> Sequence[int]:
         """World ranks the plan eventually kills."""
         return tuple(ev.rank for ev in self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
-    def __str__(self) -> str:
-        return ",".join(str(ev) for ev in self.events) or "<no failures>"

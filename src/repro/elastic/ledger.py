@@ -161,7 +161,7 @@ def reconstruct_ledger(
         # append in round order, sent samples vacate their old positions.
         received: list[list[int]] = [[] for _ in range(size)]
         for rank in range(size):
-            srcs = plan.recvs_for(rank)
+            srcs = plan.sources[:, rank]
             for i in range(n_messages):
                 src = int(srcs[i])
                 received[rank].extend(

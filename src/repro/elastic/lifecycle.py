@@ -237,22 +237,6 @@ class LifecyclePlan:
         epochs += list(self.crashes)
         return max(epochs, default=-1)
 
-    def __bool__(self) -> bool:
-        return bool(self.kills) or bool(self.rejoins) or bool(self.crashes)
-
-    def __str__(self) -> str:
-        parts = []
-        if self.kills:
-            parts.append(f"kill {self.kills}")
-        if self.rejoins:
-            parts.append(
-                "rejoin " + ",".join(f"{r}@{e}" for r, e in self.rejoins)
-            )
-        if self.crashes:
-            parts.append("crash @" + ",".join(str(c) for c in self.crashes))
-        return "; ".join(parts) or "<no events>"
-
-
 # ------------------------------------------------------- the failure boundary
 def _recover(
     comm: Communicator,

@@ -76,35 +76,6 @@ class FaultClause:
         """Whether this clause applies during exchange epoch ``epoch``."""
         return self.epochs is None or self.epochs[0] <= epoch <= self.epochs[1]
 
-    def __str__(self) -> str:
-        parts = []
-        if self.kind == "slow":
-            parts.append(f"rank={self.rank}")
-            if self.x is not None:
-                parts.append(f"x={self.x:g}")
-        elif self.kind == "kill":
-            parts.append(f"rank={self.rank}")
-            parts.append(f"epoch={self.epoch}")
-            if self.point != "begin":
-                parts.append(f"point={self.point}")
-        elif self.kind == "rejoin":
-            parts.append(f"rank={self.rank}")
-            parts.append(f"epoch={self.epoch}")
-        elif self.kind == "crash":
-            parts.append(f"epoch={self.epoch}")
-        else:
-            parts.append(f"p={self.p:g}")
-            if self.ms is not None:
-                parts.append(f"ms={self.ms:g}")
-        if self.epochs is not None:
-            lo, hi = self.epochs
-            parts.append(f"epochs={lo}" if lo == hi else f"epochs={lo}-{hi}")
-        body = self.kind + (":" + ",".join(parts) if parts else "")
-        default_scope = "exchange" if self.kind in ("corrupt", "drop") else "all"
-        if self.scope != default_scope:
-            body += f"@{self.scope}"
-        return body
-
 
 def _parse_value(name: str, value: str, clause: str):
     try:
@@ -237,9 +208,3 @@ class FaultProfile:
     def has_storage_faults(self) -> bool:
         """Whether any clause perturbs storage reads."""
         return bool(self.by_kind(*STORAGE_KINDS))
-
-    def __bool__(self) -> bool:
-        return bool(self.clauses)
-
-    def __str__(self) -> str:
-        return ";".join(str(c) for c in self.clauses) or "<no faults>"

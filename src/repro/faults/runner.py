@@ -55,16 +55,6 @@ class ChaosRunResult:
         return self.lifecycle.history
 
     @property
-    def dead_ranks(self) -> tuple[int, ...]:
-        """World ranks killed by ``kill`` clauses and never re-admitted."""
-        return self.lifecycle.dead_ranks
-
-    @property
-    def recoveries(self) -> list:
-        """Fail-stop recovery summaries (one dict per recovery)."""
-        return self.lifecycle.recoveries
-
-    @property
     def final_accuracy(self) -> float:
         return self.history.final_accuracy
 
@@ -89,13 +79,6 @@ class ChaosRunResult:
         the run only returns normally when everything was recovered, so
         this counts storage-read give-ups)."""
         return int(self.retry_stats.get("giveups", 0))
-
-    @property
-    def flight_dumps(self) -> list:
-        """Flight-recorder post-mortems of the final segment (kills and
-        shrinks each dump every rank's recent event ring; the supervisor
-        adds the ``lifecycle complete`` timeline)."""
-        return list(self.lifecycle.results.world.flight.dumps)
 
     @property
     def telemetry(self) -> dict:

@@ -38,7 +38,6 @@ from .launcher import (
     DEFAULT_BACKEND,
     REPRO_BACKEND_ENV,
     SpmdResult,
-    available_backends,
     resolve_backend_name,
     run_spmd,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "ANY_TAG",
     "DEFAULT_BACKEND",
     "REPRO_BACKEND_ENV",
-    "available_backends",
     "resolve_backend_name",
     "BufferPool",
     "HeapAllocator",

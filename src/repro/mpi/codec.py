@@ -14,13 +14,11 @@ never walks a structure calling ``tobytes()`` (a full copy per checksum):
   contiguous buffer without copying anything.
 
 Both directions speak in **columns** (:class:`SampleBlock`: samples,
-label vector, gid vector).  A *homogeneous* frame — one dtype and shape,
-which is every frame the exchange packs — has equal-sized header records
-and equally spaced sample extents, so it is written from and read back as
-one ``(n, *shape)`` block and one structured header array: no per-record
-``struct`` call, dtype parse or ``np.frombuffer``.  Anything else (mixed
-shapes, the empty batch) walks the records.  The wire format is the same
-either way, and the decoder picks by what the header says.
+label vector, gid vector).  A frame is *homogeneous* — one dtype and
+shape, which is every frame the exchange packs — so it has equal-sized
+header records and equally spaced sample extents: it is written from and
+read back as one ``(n, *shape)`` block and one structured header array,
+with no per-record ``struct`` call, dtype parse or ``np.frombuffer``.
 
 A :class:`PackedBatch` is frozen and its payload view is read-only, so it
 is safe to share by reference across ranks (the in-process transport
@@ -28,19 +26,18 @@ passes it through un-copied — see ``copy_payload``).  Ownership of a
 pooled backing buffer travels with the batch: the producing rank packs,
 the consuming rank ``release()``\\ s the buffer once no view of it is
 left (the exchange copies the samples out first, so its frames recycle)
-or ``adopt()``\\ s it to keep long-lived views valid (an aborted exchange
-whose peer may still read the frame).
+or ``try_adopt()``\\ s it to keep long-lived views valid (an aborted
+exchange whose peer may still read the frame).
 """
 
 from __future__ import annotations
 
 import math
 import struct
-import zlib
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -71,7 +68,7 @@ class PackedBatch:
 
     ``buf`` pins the backing memory (a :class:`~repro.mpi.pool.PoolBuffer`
     when packed through a pool, else the raw ``bytearray``); callers
-    retire it through :meth:`release` / :meth:`adopt` when they are done
+    retire it through :meth:`release` / :meth:`try_adopt` when they are done
     with the *views*, never directly.
     """
 
@@ -92,28 +89,18 @@ class PackedBatch:
             raise ValueError(f"bad PackedBatch magic {magic!r}")
         return n
 
-    def crc32(self) -> int:
-        """CRC32 over header + payload, computed on the contiguous bytes —
-        no ``tobytes()`` copies, unlike the structural payload hash."""
-        return zlib.crc32(self.payload, zlib.crc32(self.header)) & 0xFFFFFFFF
-
     def release(self) -> None:
         """Return a pooled backing buffer for reuse.  Only call when no
         decoded view of this batch can still be alive."""
         if isinstance(self.buf, PoolBuffer):
             self.buf.release()
 
-    def adopt(self) -> None:
-        """Detach a pooled backing buffer from its pool: decoded views now
-        own the bytes (GC frees them when the last view dies)."""
-        if isinstance(self.buf, PoolBuffer):
-            self.buf.adopt()
-
     def try_adopt(self) -> bool:
-        """Idempotent :meth:`adopt` for teardown paths: after an aborted
-        exchange the sending and receiving rank may both hold a reference
-        to the same in-flight batch, and exactly one of them should win
-        the retirement.  Returns whether this call detached the buffer."""
+        """Detach a pooled backing buffer from its pool, idempotently, for
+        teardown paths: after an aborted exchange the sending and receiving
+        rank may both hold a reference to the same in-flight batch, and
+        exactly one of them should win the retirement.  Decoded views then
+        own the bytes.  Returns whether this call detached the buffer."""
         if isinstance(self.buf, PoolBuffer):
             return self.buf.pool.adopt_if_in_use(self.buf)
         return False
@@ -134,22 +121,6 @@ class SampleBlock(SequenceABC):
     samples: np.ndarray | Sequence[np.ndarray]
     labels: np.ndarray
     gids: np.ndarray
-
-    @classmethod
-    def from_entries(
-        cls, entries: Iterable[tuple[np.ndarray, int, int | None]]
-    ) -> "SampleBlock":
-        """Columns of ``(sample, label, gid)`` triples (samples kept as a
-        list: nothing is copied)."""
-        entries = list(entries)
-        return cls(
-            [np.asarray(sample) for sample, _label, _gid in entries],
-            np.array([label for _s, label, _g in entries], dtype=np.int64),
-            np.array(
-                [-1 if gid is None else gid for _s, _l, gid in entries],
-                dtype=np.int64,
-            ),
-        )
 
     @classmethod
     def concat(cls, blocks: Sequence["SampleBlock"]) -> "SampleBlock":
@@ -270,64 +241,25 @@ def _sealed(header: bytes, buf: Any) -> PackedBatch:
     return PackedBatch(header=header, payload=payload, buf=buf)
 
 
-def pack_samples(
-    entries: Iterable[tuple[np.ndarray, int, int | None]],
-    *,
-    pool: BufferPool | None = None,
-) -> PackedBatch:
-    """Coalesce ``(sample, label, gid)`` triples into one wire envelope.
+def pack_samples(block: SampleBlock, *, pool: BufferPool | None = None) -> PackedBatch:
+    """Coalesce a :class:`SampleBlock` into one wire envelope.
 
-    Samples may have heterogeneous dtypes and shapes; each is copied once
-    (the unavoidable gather into wire form) into a contiguous buffer
-    acquired from ``pool`` when given.  Object-dtype arrays are rejected:
-    the codec's whole point is that payload bytes never meet pickle.
-
-    A :class:`SampleBlock` of one dtype and shape is written column-wise —
-    the same bytes the record walk produces, without visiting the records.
+    The samples must share one dtype and a shape of at least one dimension
+    (every frame the exchange packs does; a batch may also be empty): each
+    is copied once (the unavoidable gather into wire form) into a
+    contiguous buffer acquired from ``pool`` when given.  Object-dtype
+    arrays are rejected: the codec's whole point is that payload bytes
+    never meet pickle.
     """
-    if isinstance(entries, SampleBlock) and len(entries):
-        cls = _block_class(entries.samples)
-        if cls is not None:
-            return _pack_block(entries, *cls, pool)
-    entries = list(entries)
-    parts: list[bytes] = [_HEAD.pack(_MAGIC, len(entries))]
-    arrays: list[tuple[np.ndarray, int]] = []
-    offset = 0
-    for sample, label, gid in entries:
-        arr = np.asarray(sample)
-        if not arr.flags.c_contiguous:
-            # Note: not ascontiguousarray(), which would promote 0-d arrays
-            # to shape (1,) and break shape round-tripping.
-            arr = np.ascontiguousarray(arr)
-        if arr.dtype.hasobject:
-            raise ValueError("object-dtype arrays cannot be packed zero-copy")
-        dt = arr.dtype.str.encode("ascii")
-        if len(dt) > 255 or arr.ndim > 255:
-            raise ValueError(f"dtype/ndim too wide to pack: {arr.dtype} ndim={arr.ndim}")
-        offset = _aligned(offset)
-        parts.append(
-            _REC_FIXED.pack(
-                len(dt), arr.ndim, int(label),
-                -1 if gid is None else int(gid), offset, arr.nbytes,
-            )
+    if not len(block):
+        return _sealed(_HEAD.pack(_MAGIC, 0), bytearray())
+    cls = _block_class(block.samples)
+    if cls is None:
+        raise ValueError(
+            "a frame packs one class of samples: one non-object-dtype and one "
+            "shape of at least one dimension"
         )
-        parts.append(dt)
-        for dim in arr.shape:
-            parts.append(_DIM.pack(dim))
-        arrays.append((arr, offset))
-        offset += arr.nbytes
-    buf, dest = _acquire(offset, pool)
-    for arr, off in arrays:
-        if arr.nbytes:
-            dest[off : off + arr.nbytes] = memoryview(arr).cast("B")
-    return _sealed(b"".join(parts), buf)
-
-
-def _pack_block(
-    block: SampleBlock, dtype: np.dtype, shape: tuple[int, ...],
-    pool: BufferPool | None,
-) -> PackedBatch:
-    """Column-wise :func:`pack_samples` of a one-class block."""
+    dtype, shape = cls
     n = len(block)
     dt = dtype.str.encode("ascii")
     nbytes = dtype.itemsize * math.prod(shape)
@@ -358,19 +290,23 @@ def unpack_samples(batch: PackedBatch, *, copy: bool = False) -> SampleBlock:
 
     With ``copy=False`` (the default) the returned arrays are read-only
     views into the batch payload: zero byte copies, at the price of every
-    view pinning the *whole* backing buffer (``batch.adopt()`` records that
-    hand-off; the exchange instead copies the block into storage-owned
+    view pinning the *whole* backing buffer (``batch.try_adopt()`` records
+    that hand-off; the exchange instead copies the block into storage-owned
     slots and ``release()``\\ s the buffer).  ``copy=True`` materialises
     private writable arrays.
 
-    A header of equal-sized records describing one dtype and shape at
-    evenly spaced extents decodes into one ``(n, *shape)`` block; any other
-    header is walked record by record into a list of arrays.
+    The header's equal-sized records describe one dtype and shape at evenly
+    spaced extents and decode into one ``(n, *shape)`` block; any other
+    header is refused as corrupt.
     """
     n = batch.count
-    block = _unpack_block(batch, n) if n else None
+    if not n:
+        return SampleBlock([], np.empty(0, np.int64), np.empty(0, np.int64))
+    block = _unpack_block(batch, n)
     if block is None:
-        block = _unpack_records(batch, n)
+        raise ValueError(
+            "corrupt header: not one class of samples at evenly spaced extents"
+        )
     if not copy:
         return block
     samples = block.samples
@@ -383,7 +319,7 @@ def unpack_samples(batch: PackedBatch, *, copy: bool = False) -> SampleBlock:
 
 def _unpack_block(batch: PackedBatch, n: int) -> SampleBlock | None:
     """Column-wise decode, or None if the header is not one class at evenly
-    spaced extents (the record walk then decodes, or names the damage)."""
+    spaced extents."""
     header, payload = batch.header, batch.payload
     if len(header) < _HEAD.size + _REC_FIXED.size:
         return None
@@ -421,35 +357,4 @@ def _unpack_block(batch: PackedBatch, n: int) -> SampleBlock | None:
         )
     return SampleBlock(
         _block_view(payload, n, dtype, shape, stride), recs["label"], recs["gid"]
-    )
-
-
-def _unpack_records(batch: PackedBatch, n: int) -> SampleBlock:
-    """Record-by-record decode of any well-formed header."""
-    payload = batch.payload
-    samples: list[np.ndarray] = []
-    labels: list[int] = []
-    gids: list[int] = []
-    pos = _HEAD.size
-    header = batch.header
-    for _ in range(n):
-        dt_len, ndim, label, gid, offset, nbytes = _REC_FIXED.unpack_from(header, pos)
-        pos += _REC_FIXED.size
-        dtype = np.dtype(header[pos : pos + dt_len].decode("ascii"))
-        pos += dt_len
-        shape = tuple(
-            _DIM.unpack_from(header, pos + i * _DIM.size)[0] for i in range(ndim)
-        )
-        pos += ndim * _DIM.size
-        if offset + nbytes > payload.nbytes:
-            raise ValueError(
-                f"corrupt header: sample extent [{offset}, {offset + nbytes}) "
-                f"outside payload of {payload.nbytes} B"
-            )
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype=dtype)
-        samples.append(arr.reshape(shape))
-        labels.append(label)
-        gids.append(gid)
-    return SampleBlock(
-        samples, np.array(labels, dtype=np.int64), np.array(gids, dtype=np.int64)
     )

@@ -108,14 +108,6 @@ class Communicator:
         """Total number of elements."""
         return len(self.group)
 
-    def Get_rank(self) -> int:  # mpi4py spelling
-        """mpi4py-compatible spelling of ``rank``."""
-        return self._local_rank
-
-    def Get_size(self) -> int:
-        """mpi4py-compatible spelling of ``size``."""
-        return len(self.group)
-
     @property
     def pool(self):
         """The world's shared :class:`~repro.mpi.pool.BufferPool` — where
@@ -260,22 +252,6 @@ class Communicator:
         )
         self._track_request(req)
         return req
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        """Blocking probe: wait until a matching message exists, return its status
-        without consuming it."""
-        box = self.world.mailboxes[self._world_rank]
-        wsource, wtag = self._to_world(source), self._wire_tag(tag)
-        while True:
-            msg = box.peek(wsource, wtag)
-            if msg is not None:
-                return Status(
-                    source=self._from_world(msg.source),
-                    tag=msg.tag - self.context_id * (1 << 24),
-                    count=1,
-                )
-            with box.cond:
-                box.cond.wait(timeout=0.05)
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Non-blocking probe."""
@@ -436,23 +412,6 @@ class Communicator:
             context_id=new_ctx * 131 + color,
             group=group,
         )
-
-    def dup(self) -> "Communicator":
-        """Duplicate the communicator with an isolated matching context."""
-        ctx_slots = self._rendezvous("dup-ctx", next(_context_counter))
-        new_ctx = max(ctx_slots.values())
-        return type(self)(
-            self.world,
-            self._world_rank,
-            context_id=new_ctx * 131 + 7,
-            group=self.group,
-        )
-
-    # ---------------------------------------------------------------- failures
-    def alive_ranks(self) -> tuple[int, ...]:
-        """Communicator-local ranks whose world rank is still alive."""
-        dead = self.world.dead_ranks()
-        return tuple(i for i, wr in enumerate(self.group) if wr not in dead)
 
     def dead_peers(self) -> dict[int, str]:
         """Dead members of this communicator: local rank -> epitaph."""

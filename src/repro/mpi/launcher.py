@@ -38,7 +38,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "REPRO_BACKEND_ENV",
     "SpmdResult",
-    "available_backends",
     "resolve_backend_name",
     "run_spmd",
 ]
@@ -67,11 +66,6 @@ _BACKENDS: dict[str, Callable[[], Callable[..., list]]] = {
 }
 
 
-def available_backends() -> tuple[str, ...]:
-    """Backend names, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
 def resolve_backend_name(name: str | None = None) -> str:
     """Resolve an explicit name, the :data:`REPRO_BACKEND_ENV` variable, or
     the default — in that order — rejecting a name that is not a backend."""
@@ -79,7 +73,7 @@ def resolve_backend_name(name: str | None = None) -> str:
     if resolved not in _BACKENDS:
         raise ValueError(
             f"unknown backend {resolved!r}; available: "
-            f"{', '.join(available_backends())}"
+            f"{', '.join(sorted(_BACKENDS))}"
         )
     return resolved
 

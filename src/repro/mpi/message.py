@@ -47,14 +47,6 @@ class Status:
     #: ``Message.posted_s`` of the matched message.
     posted_s: float = 0.0
 
-    def Get_source(self) -> int:  # mpi4py-compatible spelling
-        """mpi4py-compatible accessor for the source rank."""
-        return self.source
-
-    def Get_tag(self) -> int:
-        """mpi4py-compatible accessor for the tag."""
-        return self.tag
-
 
 @dataclass(order=False)
 class Message:

@@ -18,7 +18,7 @@ business:
   release beyond the free-list bound, an adopted buffer — is the GC's.
 * :class:`~repro.mpi.shm_pool.SegmentAllocator` (the ``procs`` world): one
   named ``/dev/shm`` segment per buffer, parked without bound on release
-  and unlinked only by ``clear()`` / ``shutdown()``.
+  and unlinked only by ``shutdown()``.
 
 Ownership protocol (enforced by accounting, relied on for zero-copy):
 
@@ -27,10 +27,9 @@ Ownership protocol (enforced by accounting, relied on for zero-copy):
 * :meth:`~BufferPool.release` returns it for reuse.  Only release a buffer
   no live view can reach: the pool WILL hand the same bytes to the next
   acquirer of that size class.
-* :meth:`~BufferPool.adopt` transfers ownership *out* of the pool — used
-  when a zero-copy consumer (a storage area installing received sample
-  views, or an aborted exchange whose peer may still read the frame)
-  keeps the bytes alive indefinitely.  Adopted buffers are never
+* :meth:`~BufferPool.adopt_if_in_use` transfers ownership *out* of the
+  pool — used when an aborted exchange's peer may still read the frame,
+  so the bytes stay alive indefinitely.  Adopted buffers are never
   reused.
 
 ``in_use()`` counts acquired-but-neither-released-nor-adopted buffers, so
@@ -98,10 +97,6 @@ class PoolBuffer:
         """Return the buffer to its pool (shorthand for ``pool.release``)."""
         self.pool.release(self)
 
-    def adopt(self) -> None:
-        """Detach the buffer from its pool (shorthand for ``pool.adopt``)."""
-        self.pool.adopt(self)
-
 
 class HeapAllocator:
     """Bytes from the interpreter heap: one ``bytearray`` per buffer, given
@@ -118,10 +113,6 @@ class HeapAllocator:
     def allocate(self, size: int) -> tuple[bytearray, None]:
         """A block of ``size`` fresh bytes: ``(bytes, segment name)``."""
         return bytearray(size), None
-
-    def free(self, blocks: list) -> None:
-        """Take blocks back: the pool dropped its references, nothing else
-        holds a ``bytearray``."""
 
     def stats(self) -> dict:
         """Allocator-specific ``stats()`` keys (none)."""
@@ -236,18 +227,12 @@ class BufferPool:
         reference to its bytes — the pool will recycle them immediately."""
         self._retire(buf, "released")
 
-    def adopt(self, buf: PoolBuffer) -> None:
-        """Transfer ``buf`` out of the pool: long-lived views (e.g. samples
-        installed zero-copy into a storage area) keep the bytes alive and
-        the pool must never hand them out again.  Heap bytes are freed by
-        the GC when the last view dies; a segment stays mapped until
-        :meth:`shutdown`."""
-        self._retire(buf, "adopted")
-
     def adopt_if_in_use(self, buf: PoolBuffer) -> bool:
-        """Idempotent adopt for teardown paths (exchange abort), where the
-        sending and receiving rank of a zero-copy transfer may both try to
-        retire the same buffer; returns whether this call retired it."""
+        """Transfer ``buf`` out of the pool, idempotently: on the teardown
+        path (exchange abort) the sending and receiving rank of a zero-copy
+        transfer may both try to retire the same buffer; returns whether
+        this call retired it.  Heap bytes are freed by the GC when the last
+        view dies; a segment stays mapped until :meth:`shutdown`."""
         return self._retire(buf, "adopted", strict=False)
 
     def _retire(self, buf: PoolBuffer, new_state: str, *, strict: bool = True) -> bool:
@@ -270,8 +255,8 @@ class BufferPool:
                 limit = self._allocator.park_limit
                 if limit is None or len(free) < limit:
                     free.append(block)
-                else:
-                    self._allocator.free([block])
+                # Else the block is dropped: only the heap allocator has a
+                # bound, and the GC frees its bytes.
             else:
                 self.adopts += 1
                 if buf.segment_name is None:
@@ -284,11 +269,6 @@ class BufferPool:
         balance the exchange tests assert is zero after each epoch."""
         with self._lock:
             return self.acquires - self.releases - self.adopts
-
-    def free_buffers(self) -> int:
-        """Buffers currently parked on free lists."""
-        with self._lock:
-            return sum(len(v) for v in self._free.values())
 
     def assert_balanced(self) -> None:
         """Raise unless every acquired buffer was released or adopted."""
@@ -319,14 +299,6 @@ class BufferPool:
                 "high_water": self.high_water,
                 **self._allocator.stats(),
             }
-
-    def clear(self) -> None:
-        """Give every free-listed buffer back to the allocator (in-use and
-        adopted ones unaffected)."""
-        with self._lock:
-            for blocks in self._free.values():
-                self._allocator.free(blocks)
-            self._free.clear()
 
     def shutdown(self) -> None:
         """End of the pool's life: drop the free lists and let the

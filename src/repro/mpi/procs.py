@@ -348,34 +348,28 @@ _OPS = (
     _Op("world", "abort"),
     _Op("world", "mark_dead"),
     _Op("world", "dead_ranks"),
-    _Op("world", "is_dead"),
     _Op("world", "epitaphs", "get"),
     _Op("world", "flush_mailbox"),
     _Op("world", "announce_crash"),
     _Op("world", "shrink_rendezvous"),
     _Op("world", "expand_rendezvous"),
     _Op("world", "request_join"),
-    _Op("world", "join_requests"),
     _Op("world", "await_admission"),
     _Op("world", "aborted", "get"),
     _Op("world", "abort_reason", "get"),
     _Op("world", "crashed", "get"),
     _Op("world", "crash_reason", "get"),
-    _Op("world", "total_bytes_sent"),
     _Op("world", "total_bytes_copied"),
     _Op("mailbox", "try_take_many", codec=_HAND),
     _Op("mailbox", "peek", codec=_HAND),
     _Op("pool", "acquire", codec=_HAND),
     _Op("pool", "release", "cast", codec=_BUF),
-    _Op("pool", "adopt", "cast", codec=_BUF),
     _Op("pool", "adopt_if_in_use", codec=_BUF),
     _Op("pool", "stats"),
     _Op("pool", "in_use"),
-    _Op("pool", "free_buffers"),
     _Op("pool", "assert_balanced"),
     _Op("recorder", "append", "cast"),
     _Op("flight", "dump", codec=_HAND),
-    _Op("flight", "set_enabled"),
     _Op("telemetry", "ingest"),
     _Op("chaos", "note_epoch"),
 )
@@ -544,24 +538,6 @@ class _ClientPool:
         return ref.view(self._mapped(ref.name)).copy()
 
 
-class _PollCond:
-    """Condition-variable stand-in for mailbox proxies: waiting rank code
-    sleeps one poll interval instead of blocking on a (remote) condition."""
-
-    def __enter__(self) -> "_PollCond":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-    def wait(self, timeout: float | None = None) -> None:
-        """Sleep at most one poll interval."""
-        time.sleep(min(timeout if timeout is not None else 0.05, 0.05))
-
-    def notify_all(self) -> None:
-        """No-op (deliveries happen in the parent)."""
-
-
 @_facade("mailbox")
 class _ClientMailbox:
     """RPC-backed view of one parent-side mailbox (peek / try_take /
@@ -571,7 +547,6 @@ class _ClientMailbox:
         self._rpc = rpc
         self._rank = rank
         self._world = world
-        self.cond = _PollCond()
 
     def peek(self, source: int, tag: int) -> Message | None:
         """The first matching queued message, or ``None`` — its envelope
@@ -604,13 +579,6 @@ class _ClientFlightLog:
         self.enabled = enabled
         self.detail = detail
         self._recorders: dict[int, FlightRecorder] = {}
-
-    def set_enabled(self, flag: bool) -> None:
-        """Toggle appends in the parent and locally."""
-        self.enabled = bool(flag)
-        for rec in self._recorders.values():
-            rec.enabled = self.enabled
-        self._rpc.call("flight.set_enabled", self.enabled)
 
     def for_rank(self, rank: int) -> FlightRecorder:
         """The (cached) recorder of ``rank``: the same class as in-process,

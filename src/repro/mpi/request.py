@@ -21,10 +21,6 @@ class Request:
     #: Whether the request was abandoned via :meth:`cancel`.
     cancelled: bool = False
 
-    def test(self) -> tuple[bool, Any]:
-        """Non-blocking completion check; returns ``(done, payload_or_None)``."""
-        raise NotImplementedError
-
     def wait(self) -> Any:
         """Block until complete; returns the received payload (None for sends)."""
         raise NotImplementedError
@@ -50,10 +46,6 @@ class SendRequest(Request):
     def __init__(self, dest: int, tag: int):
         self.dest = dest
         self.tag = tag
-
-    def test(self) -> tuple[bool, Any]:
-        """Non-blocking completion check: (done, payload_or_None)."""
-        return True, None
 
     def wait(self) -> Any:
         """Block until complete; returns the payload (None for sends)."""
@@ -134,4 +126,3 @@ class RecvRequest(Request):
 def waitall(requests: Iterable[Request]) -> list[Any]:
     """Wait for every request; returns payloads in request order."""
     return [req.wait() for req in requests]
-

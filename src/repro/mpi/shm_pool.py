@@ -21,9 +21,8 @@ name.  What differs from the heap, and only that, is here:
   only orphan those mappings.  The exchange's frames in flight bound the
   high-water mark, so the free lists — and every rank's mappings — stop
   growing after the first epoch;
-* segments are unlinked only by the pool's ``clear()`` (the parked ones)
-  and ``shutdown()`` (every one ever created); the launcher invokes the
-  latter on every exit path (normal return, rank kill, exception, deadline)
+* segments are unlinked only by ``shutdown()`` (every one ever created);
+  the launcher invokes it on every exit path (normal return, rank kill, exception, deadline)
   and the allocator additionally registers it with :mod:`atexit` as a
   backstop, so repeated runs never leak ``/dev/shm`` entries.
 
@@ -112,14 +111,6 @@ class SegmentAllocator:
             )
             self._segments[seg.name] = seg
         return seg.buf, seg.name
-
-    def free(self, blocks: list) -> None:
-        """Unlink the segments behind ``blocks`` (the pool's ``clear()``)."""
-        with self._lock:
-            for _raw, name in blocks:
-                seg = self._segments.pop(name, None)
-                if seg is not None:  # None: already unlinked by shutdown()
-                    self._unlink(seg)
 
     @staticmethod
     def _unlink(seg: shared_memory.SharedMemory) -> None:

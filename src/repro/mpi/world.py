@@ -245,10 +245,6 @@ class World:
         """World ranks that have died (snapshot)."""
         return frozenset(self._dead)
 
-    def is_dead(self, rank: int) -> bool:
-        """Whether ``rank`` has been marked dead."""
-        return rank in self._dead
-
     # ------------------------------------------------------------- point2point
     def post(self, msg: Message) -> None:
         """Deliver a message to its destination mailbox (with accounting).
@@ -430,11 +426,6 @@ class World:
             self._join_requests.add(rank)
             self._coll_cond.notify_all()
 
-    def join_requests(self) -> frozenset[int]:
-        """Ranks currently waiting to be re-admitted (snapshot)."""
-        with self._coll_cond:
-            return frozenset(self._join_requests)
-
     def await_admission(self, rank: int) -> tuple[tuple[int, ...], int] | None:
         """Block until an expand admits ``rank``; returns ``(group, gen)``.
 
@@ -540,11 +531,6 @@ class World:
         with self._traffic_lock:
             self.bytes_copied[rank] += nbytes
             self.copies[rank] += 1
-
-    def total_bytes_sent(self) -> int:
-        """Sum of bytes sent by all ranks."""
-        with self._traffic_lock:
-            return sum(self.bytes_sent)
 
     def total_bytes_copied(self) -> int:
         """Sum of message-path copy bytes over all ranks."""

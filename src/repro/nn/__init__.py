@@ -9,28 +9,24 @@ from .gradcheck import gradcheck, numerical_grad
 from .init import compute_fans, kaiming_uniform
 from .layers import (
     Conv2d,
-    Flatten,
     GlobalAvgPool2d,
-    Identity,
     Linear,
-    MaxPool2d,
     ReLU,
     Sequential,
 )
-from .lr_scheduler import LRScheduler, MultiStepLR, WarmupWrapper
+from .lr_scheduler import LRScheduler, MultiStepLR
 from .metrics import RunningAverage, accuracy, topk_accuracy
 from .models import (
     MODEL_NAMES,
     BasicBlock,
-    ConvNet,
     MLPClassifier,
     TinyResNet,
     build_model,
 )
 from .module import Module, Parameter
 from .norm import BatchNorm1d, BatchNorm2d, GroupNorm
-from .optim import LARS, SGD, Optimizer
-from .tensor import Tensor, concatenate, is_grad_enabled, no_grad
+from .optim import SGD, Optimizer
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "functional",
@@ -39,22 +35,17 @@ __all__ = [
     "compute_fans",
     "kaiming_uniform",
     "Conv2d",
-    "Flatten",
     "GlobalAvgPool2d",
-    "Identity",
     "Linear",
-    "MaxPool2d",
     "ReLU",
     "Sequential",
     "LRScheduler",
     "MultiStepLR",
-    "WarmupWrapper",
     "RunningAverage",
     "accuracy",
     "topk_accuracy",
     "MODEL_NAMES",
     "BasicBlock",
-    "ConvNet",
     "MLPClassifier",
     "TinyResNet",
     "build_model",
@@ -63,11 +54,8 @@ __all__ = [
     "BatchNorm1d",
     "BatchNorm2d",
     "GroupNorm",
-    "LARS",
     "SGD",
     "Optimizer",
     "Tensor",
-    "concatenate",
-    "is_grad_enabled",
     "no_grad",
 ]

@@ -1,28 +1,24 @@
-"""Functional ops: stable log-softmax/losses, patch-gather convolution, pooling.
+"""Functional ops: stable log-softmax/losses, patch-gather convolution.
 
-Convolution and pooling implement custom backward closures rather than
-being composed from primitives — the composite graph would be orders of
-magnitude slower, and these are the hot path of every accuracy experiment.
-Both read their windows through one channels-last gather (``im2col``);
-convolution uses it again for its input gradient, pooling scatters back
-with ``col2im``.
+Convolution implements a custom backward closure rather than being
+composed from primitives — the composite graph would be orders of
+magnitude slower, and it is the hot path of every accuracy experiment.
+It reads its windows through one channels-last gather (``im2col``), and
+uses it again for its input gradient.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor
 
 __all__ = [
     "log_softmax",
     "cross_entropy",
     "nll_loss",
-    "one_hot",
     "conv2d",
-    "max_pool2d",
     "im2col",
-    "col2im",
 ]
 
 
@@ -44,18 +40,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Integer labels -> one-hot float32 matrix."""
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(
-            f"labels out of range [0,{num_classes}): min={labels.min()}, max={labels.max()}"
-        )
-    eye = np.zeros((labels.size, num_classes), dtype=np.float32)
-    eye[np.arange(labels.size), labels.ravel()] = 1.0
-    return eye.reshape(*labels.shape, num_classes)
-
-
 def nll_loss(log_probs: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer ``labels`` under ``log_probs``."""
     labels = np.asarray(labels)
@@ -66,25 +50,9 @@ def nll_loss(log_probs: Tensor, labels: np.ndarray) -> Tensor:
     return -picked.mean()
 
 
-def cross_entropy(
-    logits: Tensor, labels: np.ndarray, *, label_smoothing: float = 0.0
-) -> Tensor:
-    """Mean cross-entropy from raw logits (fused stable path).
-
-    ``label_smoothing`` mixes the one-hot target with the uniform
-    distribution (the large-batch ImageNet recipes use 0.1).
-    """
-    if not 0.0 <= label_smoothing < 1.0:
-        raise ValueError(f"label_smoothing must be in [0,1), got {label_smoothing}")
-    log_probs = log_softmax(logits, axis=-1)
-    if label_smoothing == 0.0:
-        return nll_loss(log_probs, labels)
-    labels = np.asarray(labels)
-    n, c = log_probs.shape
-    if labels.shape[0] != n:
-        raise ValueError(f"batch mismatch: {n} logits rows vs {labels.shape[0]} labels")
-    target = one_hot(labels, c) * (1.0 - label_smoothing) + label_smoothing / c
-    return -(log_probs * Tensor(target)).sum(axis=-1).mean()
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy from raw logits (fused stable path)."""
+    return nll_loss(log_softmax(logits, axis=-1), labels)
 
 
 # --------------------------------------------------------------------- conv2d
@@ -144,27 +112,6 @@ def im2col(
     return _patches(x, kh, kw, stride, padding, padding, oh, ow), oh, ow
 
 
-def col2im(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Scatter-add adjoint of :func:`im2col` (pooling's input gradient)."""
-    n, c, h, w = x_shape
-    oh, ow = _out_size(h, kh, stride, padding), _out_size(w, kw, stride, padding)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    cols6 = cols.reshape(n, oh, ow, kh, kw, c).transpose(3, 4, 0, 5, 1, 2)
-    for i in range(kh):
-        for j in range(kw):
-            padded[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += cols6[i, j]
-    if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -205,28 +152,6 @@ def conv2d(
                 gcols = _patches(g, kh, kw, 1, kh - 1 - padding, kw - 1 - padding, h, w, stride)
                 flipped = weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
                 x._push((gcols @ flipped).reshape(n, h, w, c).transpose(0, 3, 1, 2))
-
-        out._backward = backward
-    return out
-
-
-def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Max pooling over (kernel x kernel) windows."""
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    cols, oh, ow = im2col(
-        x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0
-    )  # (N*C*OH*OW, K*K)
-    argmax = cols.argmax(axis=1)
-    out_data = cols[np.arange(cols.shape[0]), argmax].reshape(n, c, oh, ow)
-    out = x._make(out_data, (x,), "max_pool2d")
-    if out.requires_grad:
-
-        def backward(g: np.ndarray) -> None:
-            gcols = np.zeros_like(cols)
-            gcols[np.arange(cols.shape[0]), argmax] = g.reshape(-1)
-            gx = col2im(gcols, (n * c, 1, h, w), kernel, kernel, stride, 0)
-            x._push(gx.reshape(n, c, h, w))
 
         out._backward = backward
     return out

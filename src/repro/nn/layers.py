@@ -1,4 +1,4 @@
-"""Core layers: Linear, Conv2d, pooling, ReLU, Sequential."""
+"""Core layers: Linear, Conv2d, global average pooling, ReLU, Sequential."""
 
 from __future__ import annotations
 
@@ -14,12 +14,9 @@ from .tensor import Tensor
 __all__ = [
     "Linear",
     "Conv2d",
-    "MaxPool2d",
     "GlobalAvgPool2d",
-    "Flatten",
     "ReLU",
     "Sequential",
-    "Identity",
 ]
 
 
@@ -77,18 +74,6 @@ class Conv2d(Module):
         return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
-class MaxPool2d(Module):
-    """Max-pooling module over (kernel x kernel) windows."""
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply this module to the input."""
-        return F.max_pool2d(x, self.kernel_size, self.stride)
-
-
 class GlobalAvgPool2d(Module):
     """Mean over spatial dims: (N,C,H,W) -> (N,C)."""
 
@@ -97,25 +82,11 @@ class GlobalAvgPool2d(Module):
         return x.mean(axis=(2, 3))
 
 
-class Flatten(Module):
-    """Flatten (N, ...) to (N, features)."""
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply this module to the input."""
-        return x.reshape(x.shape[0], -1)
-
-
 class ReLU(Module):
     """Elementwise max(x, 0) module."""
     def forward(self, x: Tensor) -> Tensor:
         """Apply this module to the input."""
         return x.relu()
-
-
-class Identity(Module):
-    """Pass-through module (the 'no normalisation' option)."""
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply this module to the input."""
-        return x
 
 
 class Sequential(Module):
@@ -132,9 +103,3 @@ class Sequential(Module):
         for layer in self.layers:
             x = layer(x)
         return x
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, idx: int) -> Module:
-        return self.layers[idx]

@@ -1,9 +1,8 @@
-"""Learning-rate schedules: multi-step decay with linear warmup.
+"""Learning-rate schedules: multi-step decay.
 
 The paper keeps each model's original regime ("we do not change the base
-learning rate and the number of epochs", §V-C): the ImageNet recipe is
-linear warmup + step decay (Goyal et al.) and CIFAR uses multi-step; the
-trainer builds warmup + multi-step.
+learning rate and the number of epochs", §V-C); CIFAR uses multi-step,
+which is what the trainer builds.
 """
 
 from __future__ import annotations
@@ -12,11 +11,7 @@ from typing import Sequence
 
 from .optim import Optimizer
 
-__all__ = [
-    "LRScheduler",
-    "MultiStepLR",
-    "WarmupWrapper",
-]
+__all__ = ["LRScheduler", "MultiStepLR"]
 
 
 class LRScheduler:
@@ -55,22 +50,3 @@ class MultiStepLR(LRScheduler):
         """Learning rate for the given epoch."""
         passed = sum(1 for m in self.milestones if epoch >= m)
         return self.base_lr * self.gamma**passed
-
-
-class WarmupWrapper(LRScheduler):
-    """Linear warmup from ``base_lr / warmup_epochs`` to the wrapped
-    schedule's lr (gradual warmup of Goyal et al. for large minibatches)."""
-
-    def __init__(self, schedule: LRScheduler, warmup_epochs: int):
-        super().__init__(schedule.optimizer)
-        if warmup_epochs < 0:
-            raise ValueError(f"warmup_epochs must be >= 0, got {warmup_epochs}")
-        self.schedule = schedule
-        self.warmup_epochs = warmup_epochs
-
-    def get_lr(self, epoch: int) -> float:
-        """Learning rate for the given epoch."""
-        target = self.schedule.get_lr(epoch)
-        if self.warmup_epochs == 0 or epoch >= self.warmup_epochs:
-            return target
-        return target * (epoch + 1) / self.warmup_epochs

@@ -58,8 +58,3 @@ class RunningAverage:
         if self.weight == 0:
             raise ValueError("no observations recorded")
         return self.total / self.weight
-
-    def reset(self) -> None:
-        """Clear accumulated state."""
-        self.total = 0.0
-        self.weight = 0.0

@@ -6,8 +6,6 @@ normalisation behaviour rather than on 25M-parameter capacity, so the zoo
 provides the same *families* at laptop scale:
 
 * :class:`MLPClassifier` — dense + BatchNorm1d/GroupNorm (feature datasets)
-* :class:`ConvNet` — conv + BatchNorm2d stacks with width/depth knobs
-  (the WideResNet / Inception stand-ins)
 * :class:`TinyResNet` — residual blocks with BatchNorm (the ResNet stand-in)
 
 ``build_model(name, ...)`` is the factory the experiment configs use; every
@@ -22,11 +20,8 @@ from repro.utils.rng import default_rng
 
 from .layers import (
     Conv2d,
-    Flatten,
     GlobalAvgPool2d,
-    Identity,
     Linear,
-    MaxPool2d,
     ReLU,
     Sequential,
 )
@@ -34,26 +29,22 @@ from .module import Module
 from .norm import BatchNorm1d, BatchNorm2d, GroupNorm
 from .tensor import Tensor
 
-__all__ = ["MLPClassifier", "ConvNet", "BasicBlock", "TinyResNet", "build_model", "MODEL_NAMES"]
+__all__ = ["MLPClassifier", "BasicBlock", "TinyResNet", "build_model", "MODEL_NAMES"]
 
 
-def _norm1d(kind: str | None, width: int) -> Module:
+def _norm1d(kind: str, width: int) -> Module:
     if kind == "batch":
         return BatchNorm1d(width)
     if kind == "group":
         return GroupNorm(min(8, width), width)
-    if kind is None or kind == "none":
-        return Identity()
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def _norm2d(kind: str | None, channels: int) -> Module:
+def _norm2d(kind: str, channels: int) -> Module:
     if kind == "batch":
         return BatchNorm2d(channels)
     if kind == "group":
         return GroupNorm(min(8, channels), channels)
-    if kind is None or kind == "none":
-        return Identity()
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -67,7 +58,7 @@ class MLPClassifier(Module):
         *,
         hidden: int = 64,
         depth: int = 2,
-        norm: str | None = "batch",
+        norm: str = "batch",
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
@@ -89,41 +80,6 @@ class MLPClassifier(Module):
         return self.net(x)
 
 
-class ConvNet(Module):
-    """Conv stack: [Conv -> Norm -> ReLU] x depth (+pool) -> GAP -> Linear."""
-
-    def __init__(
-        self,
-        in_channels: int,
-        num_classes: int,
-        *,
-        width: int = 16,
-        depth: int = 2,
-        norm: str | None = "batch",
-        rng: np.random.Generator | None = None,
-    ):
-        super().__init__()
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        rng = rng if rng is not None else default_rng()
-        layers: list[Module] = []
-        c_in = in_channels
-        for d in range(depth):
-            layers.append(Conv2d(c_in, width, 3, padding=1, bias=False, rng=rng))
-            layers.append(_norm2d(norm, width))
-            layers.append(ReLU())
-            if d == 0:
-                layers.append(MaxPool2d(2))
-            c_in = width
-        layers.append(GlobalAvgPool2d())
-        layers.append(Linear(width, num_classes, rng=rng))
-        self.net = Sequential(*layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply this module to the input."""
-        return self.net(x)
-
-
 class BasicBlock(Module):
     """Residual block: Conv-Norm-ReLU-Conv-Norm (+skip) -> ReLU."""
 
@@ -131,7 +87,7 @@ class BasicBlock(Module):
         self,
         channels: int,
         *,
-        norm: str | None = "batch",
+        norm: str = "batch",
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
@@ -158,7 +114,7 @@ class TinyResNet(Module):
         *,
         width: int = 16,
         num_blocks: int = 2,
-        norm: str | None = "batch",
+        norm: str = "batch",
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
@@ -182,9 +138,6 @@ MODEL_NAMES = (
     "mlp",
     "mlp_wide",
     "mlp_groupnorm",
-    "cnn",
-    "cnn_wide",
-    "cnn_deep",
     "resnet_tiny",
 )
 
@@ -214,17 +167,9 @@ def build_model(
             return MLPClassifier(f, num_classes, hidden=128, depth=2, norm=kind, rng=rng)
         if name == "mlp_groupnorm":
             return MLPClassifier(f, num_classes, hidden=64, depth=2, norm=kind, rng=rng)
-    if name in ("cnn", "cnn_wide", "cnn_deep", "resnet_tiny"):
+    if name == "resnet_tiny":
         if len(in_shape) != 3:
             raise ValueError(f"{name} expects (C,H,W) inputs, got {in_shape}")
-        c = in_shape[0]
         kind = norm or "batch"
-        if name == "cnn":
-            return ConvNet(c, num_classes, width=16, depth=2, norm=kind, rng=rng)
-        if name == "cnn_wide":
-            return ConvNet(c, num_classes, width=32, depth=2, norm=kind, rng=rng)
-        if name == "cnn_deep":
-            return ConvNet(c, num_classes, width=16, depth=4, norm=kind, rng=rng)
-        if name == "resnet_tiny":
-            return TinyResNet(c, num_classes, width=16, num_blocks=2, norm=kind, rng=rng)
+        return TinyResNet(in_shape[0], num_classes, width=16, num_blocks=2, norm=kind, rng=rng)
     raise ValueError(f"unknown model {name!r}; available: {MODEL_NAMES}")

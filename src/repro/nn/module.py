@@ -135,10 +135,6 @@ class Module:
         for mod in self._modules.values():
             yield from mod.modules()
 
-    def num_parameters(self) -> int:
-        """Total scalar parameter count."""
-        return sum(p.size for p in self.parameters())
-
     # ------------------------------------------------------------------ modes
     def train(self, mode: bool = True) -> "Module":
         """Set training mode on this module and all sub-modules."""
@@ -154,21 +150,6 @@ class Module:
         """Clear all parameter gradients."""
         for p in self.parameters():
             p.grad = None
-
-    def freeze(self) -> "Module":
-        """Mark all parameters as non-trainable (transfer-learning backbones:
-        the Figure-8 fine-tuning variant that trains only the new head).
-        Frozen parameters receive no gradients and optimisers skip them
-        (``trainable_parameters`` excludes them)."""
-        for p in self.parameters():
-            p.requires_grad = False
-        return self
-
-    def unfreeze(self) -> "Module":
-        """Re-enable training for all parameters."""
-        for p in self.parameters():
-            p.requires_grad = True
-        return self
 
     def trainable_parameters(self) -> list["Parameter"]:
         """Parameters with ``requires_grad`` — what an optimiser should own."""

@@ -1,20 +1,16 @@
-"""Optimisers: SGD with momentum/weight-decay, and LARS.
+"""Optimisers: SGD with momentum/weight-decay.
 
 The paper's training configuration (§V-C) uses the original recipes
-(momentum SGD per Goyal et al.) and switches to LARS (You et al.) for
-large-scale runs (>512 workers for ResNet50) — both are provided so the
-strong-scaling experiments can follow the same regime.
+(momentum SGD per Goyal et al.).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .module import FlatParameters, Parameter, flat_views
 
-__all__ = ["Optimizer", "SGD", "LARS"]
+__all__ = ["Optimizer", "SGD"]
 
 
 class Optimizer:
@@ -42,11 +38,6 @@ class Optimizer:
             return [None] * len(self.params), [(g, None) for g in owners]
         flat, views = flat_views([p.data for p in self.params])
         return views, list(zip(owners, views if self._flat is None else [flat]))
-
-    def zero_grad(self) -> None:
-        """Clear all parameter gradients."""
-        for p in self.params:
-            p.grad = None
 
     def step(self) -> None:
         """Apply one update using the current gradients."""
@@ -93,54 +84,3 @@ class SGD(Optimizer):
                 v += grad
                 grad = grad + self.momentum * v if self.nesterov else v
             g.data -= self.lr * grad
-
-
-class LARS(Optimizer):
-    """Layer-wise Adaptive Rate Scaling (You, Gitman & Ginsburg, 2017).
-
-    Each parameter's update is rescaled by the trust ratio
-    ``eta * ||w|| / (||g|| + wd * ||w||)`` so large-batch training stays
-    stable — the regime of the paper's 2,048-4,096-worker runs.
-    """
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float,
-        *,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
-        trust_coefficient: float = 0.001,
-        eps: float = 1e-9,
-    ):
-        super().__init__(params, lr)
-        if trust_coefficient <= 0:
-            raise ValueError(f"trust_coefficient must be > 0, got {trust_coefficient}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.trust_coefficient = trust_coefficient
-        self.eps = eps
-        # Layer-wise, so the update walks parameters either way.
-        self._velocity = self._momentum_groups(momentum)[0]
-
-    def step(self) -> None:
-        """Apply one update using the current gradients."""
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            w_norm = float(np.linalg.norm(p.data))
-            g_norm = float(np.linalg.norm(grad))
-            if w_norm > 0 and g_norm > 0:
-                trust = self.trust_coefficient * w_norm / (g_norm + self.eps)
-            else:
-                trust = 1.0
-            update = trust * grad
-            if self.momentum:
-                v = self._velocity[i]
-                v *= self.momentum
-                v += update
-                update = v
-            p.data -= self.lr * update

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad"]
 
 
 class _GradMode(threading.local):
@@ -43,11 +43,6 @@ def no_grad():
         yield
     finally:
         _mode.enabled = prev
-
-
-def is_grad_enabled() -> bool:
-    """Whether operations on this thread currently record the autograd graph."""
-    return _mode.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -105,43 +100,11 @@ class Tensor:
         """Total number of elements."""
         return self.data.size
 
-    @property
-    def dtype(self):
-        """NumPy dtype of the underlying array."""
-        return self.data.dtype
-
-    def numpy(self) -> np.ndarray:
-        """The underlying NumPy array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         """The value of a scalar tensor as a Python float."""
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """A new tensor sharing data but cut from the autograd graph."""
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        """Clear all parameter gradients."""
-        self.grad = None
-
-    def __repr__(self) -> str:
-        grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, op={self._op!r}{grad_flag})"
-
-    def __len__(self) -> int:
-        return len(self.data)
-
     # ------------------------------------------------------------ graph build
-    def _needs_graph(self, *others: "Tensor") -> bool:
-        return _mode.enabled and (
-            self.requires_grad
-            or any(o.requires_grad for o in others)
-            or bool(self._prev)
-            or any(bool(o._prev) for o in others)
-        )
-
     @staticmethod
     def _coerce(other) -> "Tensor":
         return other if isinstance(other, Tensor) else Tensor(other)
@@ -200,28 +163,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "Tensor":
-        return self._coerce(other) + (-self)
-
-    def __truediv__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        out = self._make(self.data / other.data, (self, other), "div")
-        if out.requires_grad:
-
-            def backward(g: np.ndarray) -> None:
-                if self.requires_grad or self._prev:
-                    self._push(_unbroadcast(g / other.data, self.shape))
-                if other.requires_grad or other._prev:
-                    other._push(
-                        _unbroadcast(-g * self.data / (other.data**2), other.shape)
-                    )
-
-            out._backward = backward
-        return out
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return self._coerce(other) / self
-
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
@@ -270,25 +211,6 @@ class Tensor:
         """Differentiable mean over ``axis`` (all elements by default)."""
         n = self.data.size if axis is None else _axis_size(self.shape, axis)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Differentiable maximum over ``axis`` (ties split the gradient)."""
-        data = self.data.max(axis=axis, keepdims=keepdims)
-        out = self._make(data, (self,), "max")
-        if out.requires_grad:
-
-            def backward(g: np.ndarray) -> None:
-                full = data if keepdims or axis is None else np.expand_dims(
-                    data, axis=axis
-                )
-                gg = g if keepdims or axis is None else np.expand_dims(g, axis=axis)
-                mask = (self.data == full).astype(self.data.dtype)
-                # Split gradient among ties (rare but keeps the op well-defined).
-                counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-                self._push(mask * gg / counts)
-
-            out._backward = backward
-        return out
 
     # ------------------------------------------------------------ shape / view
     def reshape(self, *shape) -> "Tensor":
@@ -341,68 +263,11 @@ class Tensor:
         return out
 
     # ----------------------------------------------------------- element-wise
-    def exp(self) -> "Tensor":
-        """Elementwise exponential."""
-        data = np.exp(self.data)
-        out = self._make(data, (self,), "exp")
-        if out.requires_grad:
-            out._backward = lambda g: self._push(g * data)
-        return out
-
-    def log(self) -> "Tensor":
-        """Elementwise natural logarithm."""
-        out = self._make(np.log(self.data), (self,), "log")
-        if out.requires_grad:
-            out._backward = lambda g: self._push(g / self.data)
-        return out
-
-    def sqrt(self) -> "Tensor":
-        """Elementwise square root."""
-        data = np.sqrt(self.data)
-        out = self._make(data, (self,), "sqrt")
-        if out.requires_grad:
-            out._backward = lambda g: self._push(g * 0.5 / data)
-        return out
-
-    def tanh(self) -> "Tensor":
-        """Elementwise hyperbolic tangent."""
-        data = np.tanh(self.data)
-        out = self._make(data, (self,), "tanh")
-        if out.requires_grad:
-            out._backward = lambda g: self._push(g * (1.0 - data**2))
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        """Elementwise logistic sigmoid."""
-        data = 1.0 / (1.0 + np.exp(-self.data))
-        out = self._make(data, (self,), "sigmoid")
-        if out.requires_grad:
-            out._backward = lambda g: self._push(g * data * (1.0 - data))
-        return out
-
     def relu(self) -> "Tensor":
         """Elementwise max(x, 0)."""
         out = self._make(np.maximum(self.data, 0), (self,), "relu")
         if out.requires_grad:
             mask = self.data > 0
-            out._backward = lambda g: self._push(g * mask)
-        return out
-
-    def abs(self) -> "Tensor":
-        """Elementwise absolute value (subgradient 0 at 0)."""
-        sign = np.sign(self.data)
-        out = self._make(np.abs(self.data), (self,), "abs")
-        if out.requires_grad:
-            out._backward = lambda g: self._push(g * sign)
-        return out
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        """Clamp to [low, high]; gradient is 1 inside, 0 outside."""
-        if low > high:
-            raise ValueError(f"clip requires low <= high, got [{low}, {high}]")
-        mask = ((self.data >= low) & (self.data <= high)).astype(self.data.dtype)
-        out = self._make(np.clip(self.data, low, high), (self,), "clip")
-        if out.requires_grad:
             out._backward = lambda g: self._push(g * mask)
         return out
 
@@ -459,26 +324,3 @@ def _axis_size(shape: tuple[int, ...], axis) -> int:
     for a in axes:
         n *= shape[a % len(shape)]
     return n
-
-
-def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable concatenation along ``axis``."""
-    tensors = [Tensor._coerce(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    tracked = tuple(t for t in tensors if t.requires_grad or t._prev)
-    if not _mode.enabled or not tracked:
-        return Tensor(data)
-    out = Tensor(data, _prev=tracked, _op="concat")
-    out.requires_grad = True
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray) -> None:
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._prev:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(start, stop)
-                t._push(g[tuple(sl)])
-
-    out._backward = backward
-    return out

@@ -52,18 +52,6 @@ class Reservoir:
             slot = int(hash_unit(self.key, self.n, "slot") * self.capacity)
             self._values[slot] = float(value)
 
-    def values(self) -> list[float]:
-        """Copy of the retained sample (unordered)."""
-        return list(self._values)
-
-    def quantile(self, q: float) -> float:
-        """Nearest-rank quantile of the retained sample (NaN when empty)."""
-        if not self._values:
-            return math.nan
-        ordered = sorted(self._values)
-        idx = int(round(q * (len(ordered) - 1)))
-        return ordered[min(len(ordered) - 1, max(0, idx))]
-
     def quantiles(self, qs: Iterable[float]) -> dict[str, float]:
         """Several quantiles in one sorted pass, keyed ``p50``-style.
 
@@ -84,9 +72,6 @@ class Reservoir:
             idx = int(round(q * (len(ordered) - 1)))
             out[quantile_key(q)] = ordered[min(len(ordered) - 1, max(0, idx))]
         return out
-
-    def __len__(self) -> int:
-        return len(self._values)
 
 
 def quantile_key(q: float) -> str:

@@ -281,13 +281,6 @@ class FlightRecorder:
             out.append(view)
         return out
 
-    def clear(self) -> None:
-        """Drop all retained events."""
-        self._ring.clear()
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
     def __iter__(self) -> Iterator[tuple]:
         """The ring's ``(ts, dur, kind, fields)`` tuples, oldest first."""
         return iter(list(self._ring))
@@ -406,8 +399,3 @@ class FlightLog:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(artifact, indent=2, default=str) + "\n")
         return path
-
-    @property
-    def last_dump(self) -> dict | None:
-        """The most recent dump (None if none was taken)."""
-        return self.dumps[-1] if self.dumps else None

@@ -54,16 +54,6 @@ class EpochBreakdown:
         """Sum of the phase times (the epoch total)."""
         return self.io + self.exchange + self.fw_bw + self.ge_wu
 
-    def as_dict(self) -> dict[str, float]:
-        """Phase values as a plain dict (io/exchange/fw_bw/ge_wu/total)."""
-        return {
-            "io": self.io,
-            "exchange": self.exchange,
-            "fw_bw": self.fw_bw,
-            "ge_wu": self.ge_wu,
-            "total": self.total,
-        }
-
 
 def _allreduce_time(machine: MachineSpec, grad_bytes: int, workers: int) -> float:
     """Ring allreduce: 2*(M-1)/M of the buffer at the collective's effective

@@ -97,11 +97,6 @@ class ExchangePlan:
         self._check_rank(rank)
         return self.destinations[:, rank].copy()
 
-    def recvs_for(self, rank: int) -> np.ndarray:
-        """sources of rank's receives, one per round."""
-        self._check_rank(rank)
-        return self.sources[:, rank].copy()
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} out of range [0,{self.size})")
@@ -112,10 +107,6 @@ class ExchangePlan:
         return bool(
             (np.sort(self.destinations, axis=1) == np.arange(self.size)).all()
         )
-
-    def self_send_count(self, rank: int) -> int:
-        """How many of this rank's sends map back to itself."""
-        return int((self.destinations[:, rank] == rank).sum())
 
 
 class FrameSpec(NamedTuple):

@@ -116,16 +116,3 @@ def hierarchical_exchange(
         intra_node_messages=intra_msgs,
         inter_node_messages=inter_msgs,
     )
-
-
-def flat_message_pairs(size: int, k: int) -> int:
-    """Inter-rank message count of the flat Algorithm 1 exchange: one
-    message per round per rank."""
-    return size * k
-
-
-def hierarchical_message_pairs(size: int, k: int, ranks_per_node: int) -> int:
-    """Upper bound on inter-node messages of the hierarchical exchange: at
-    most one (aggregated) message per node pair per exchange."""
-    n_nodes = size // ranks_per_node
-    return min(n_nodes * k * ranks_per_node, n_nodes * n_nodes)

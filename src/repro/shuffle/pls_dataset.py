@@ -64,8 +64,3 @@ class PLSFolderDataset(Dataset):
 
     def __len__(self) -> int:
         return len(self._view_ids)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes currently stored."""
-        return self.storage.nbytes

@@ -183,10 +183,8 @@ class Scheduler:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if granularity < 1:
             raise ValueError(f"granularity must be >= 1, got {granularity}")
-        if selection not in ("random", "stale", "importance"):
-            raise ValueError(
-                f"selection must be random/stale/importance, got {selection!r}"
-            )
+        if selection not in ("random", "stale"):
+            raise ValueError(f"selection must be random or stale, got {selection!r}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.storage = storage
@@ -200,9 +198,7 @@ class Scheduler:
         # samples share each plan round's destination (LMDB-style groups).
         self.granularity = granularity
         # Which local samples to exchange: "random" is Algorithm 1's draw;
-        # "stale" evicts the samples that have sat in the shard longest;
-        # "importance" uses externally supplied scores (highest first) — the
-        # §IV-B future-work hook for importance-sampling-aware exchange.
+        # "stale" evicts the samples that have sat in the shard longest.
         self.selection = selection
         self.ledger = ledger
         self.resend_timeout_s = resend_timeout_s
@@ -211,7 +207,6 @@ class Scheduler:
         self._nack_backoff = Backoff(
             resend_timeout_s, factor=2.0, cap_s=max(resend_timeout_s * 8, 0.05)
         )
-        self._scores: dict[int, float] = {}
         self._arrival_epoch: dict[int, int] = {}
         self._tree = SeedTree(seed)
 
@@ -351,36 +346,14 @@ class Scheduler:
         if self.selection == "random":
             perm = rng.permutation(len(ids))
             return [ids[i] for i in perm[:k].tolist()]
-        if self.selection == "stale":
-            # Oldest arrivals leave first; ties broken by the rank stream so
-            # the initial epoch (all ties) is still a uniform draw.
-            jitter = rng.random(len(ids))
-            order = sorted(
-                range(len(ids)),
-                key=lambda i: (self._arrival_epoch.get(ids[i], -1), jitter[i]),
-            )
-            return [ids[i] for i in order[:k]]
-        # importance: highest externally supplied score leaves first.
+        # stale: oldest arrivals leave first; ties broken by the rank stream
+        # so the initial epoch (all ties) is still a uniform draw.
         jitter = rng.random(len(ids))
         order = sorted(
             range(len(ids)),
-            key=lambda i: (-self._scores.get(ids[i], 0.0), jitter[i]),
+            key=lambda i: (self._arrival_epoch.get(ids[i], -1), jitter[i]),
         )
         return [ids[i] for i in order[:k]]
-
-    def set_score(self, sid: int, score: float) -> None:
-        """Record an importance score for a stored sample (e.g. its last
-        training loss); used by ``selection="importance"``."""
-        if sid not in self.storage:
-            raise KeyError(f"no sample with id {sid} in storage")
-        self._scores[sid] = float(score)
-
-    @property
-    def rounds(self) -> int:
-        """Plan rounds this worker plays this epoch.  With ``granularity``
-        g this is ceil(k / g) for k exchanged samples."""
-        self._require_scheduled()
-        return self.plan.rounds
 
     @property
     def chunk_rounds(self) -> int:
@@ -829,7 +802,6 @@ class Scheduler:
         "total_recv_samples",
         "total_sent_bytes",
         "_arrival_epoch",
-        "_scores",
         "resent_bytes",
         "resends",
         "crc_rejects",
@@ -899,7 +871,6 @@ class Scheduler:
         for sid in self._selected_ids:
             self.storage.demote(sid)
             self._arrival_epoch.pop(sid, None)
-            self._scores.pop(sid, None)
         self._received = ()
         self._selected_ids = []
         self._sent_moves = []

@@ -47,7 +47,6 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.mpi.codec import SampleBlock
 from repro.utils.fileio import atomic_save
-from repro.utils.retry import Retrier, default_retrier
 
 __all__ = ["StorageArea", "DiskStorageArea", "StorageFullError", "StorageDataset"]
 
@@ -391,21 +390,6 @@ class StorageArea:
                 ):
                     pool.release(slot)
 
-    def slots(self) -> dict[str, int]:
-        """Slot counts over all classes: ``allocated`` (in ``chunks``
-        arrays) = ``free`` + ``staged`` + ``live``."""
-        with self._lock:
-            states = b"".join(pool.state for pool in self._pools.values())
-            allocated = sum(
-                pool.per * len(pool.chunks) for pool in self._pools.values()
-            )
-            staged, live = states.count(_STAGED), states.count(_LIVE)
-            return {
-                "allocated": allocated, "free": allocated - staged - live,
-                "staged": staged, "live": live,
-                "chunks": sum(len(pool.chunks) for pool in self._pools.values()),
-            }
-
     def _own(self, sample: np.ndarray) -> np.ndarray:
         """Settle who owns the bytes of an array about to become an entry.
 
@@ -482,11 +466,6 @@ class StorageArea:
         """Hot storage id currently holding ``gid``, or None."""
         with self._lock:
             return self._sid_of.get(gid)
-
-    def has_gid(self, gid: int) -> bool:
-        """Whether ``gid`` is held hot (trainable) in this area."""
-        with self._lock:
-            return gid in self._sid_of
 
     def hot_gids(self) -> list[int]:
         """Global ids of all hot entries that carry one, insertion order."""
@@ -574,11 +553,6 @@ class StorageArea:
         with self._lock:
             return list(self._cold.keys())
 
-    def has_cold(self, gid: int) -> bool:
-        """Whether a cold replica of ``gid`` is cached."""
-        with self._lock:
-            return gid in self._cold
-
     def _evict_cold_gid(self, gid: int) -> None:
         entry = self._cold.pop(gid, None)
         if entry is not None:
@@ -592,21 +566,6 @@ class StorageArea:
             for gid in list(self._cold):
                 self._evict_cold_gid(gid)
             return n
-
-    @property
-    def cold_nbytes(self) -> int:
-        """Bytes held by cold replicas (shares the capacity budget)."""
-        with self._lock:
-            return self._cold_nbytes
-
-    @property
-    def free_bytes(self) -> int | None:
-        """Capacity headroom counting only hot bytes (cold is evictable);
-        None when the area is unbounded."""
-        with self._lock:
-            if self.capacity_bytes is None:
-                return None
-            return self.capacity_bytes - self._nbytes
 
     def resize(self, capacity_bytes: int | None) -> None:
         """Change the capacity bound (elastic recovery grows it to
@@ -647,25 +606,16 @@ class StorageArea:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, sid: int) -> bool:
-        with self._lock:
-            return sid in self._entries
-
     @property
     def nbytes(self) -> int:
         """Total bytes currently stored."""
         with self._lock:
             return self._nbytes
 
-    def labels(self) -> np.ndarray:
-        """Labels of all stored samples, in insertion order."""
-        with self._lock:
-            return np.array(
-                [label for _, label in self._entries.values()], dtype=np.int64
-            )
-
     def audit(self) -> dict[str, int]:
-        """Check the accounting invariants under the lock; returns totals.
+        """Check the accounting invariants under the lock; returns totals,
+        slot counts among them: ``allocated`` (in ``chunks`` arrays) =
+        ``free`` + ``staged`` + ``live``.
 
         The invariants a concurrent add/demote/promote race would break:
         ``nbytes`` equals the sum of hot entry bytes, ``cold_nbytes``
@@ -732,8 +682,13 @@ class StorageArea:
                     f"slot accounting drifted: {len(owned)} slots owned by "
                     f"entries, {len(live)} marked live"
                 )
+            allocated = sum(pool.per * len(pool.chunks) for pool in self._pools.values())
+            staged = sum(pool.state.count(_STAGED) for pool in self._pools.values())
             return {"hot_nbytes": hot, "cold_nbytes": cold,
-                    "entries": len(self._entries), "cold": len(self._cold)}
+                    "entries": len(self._entries), "cold": len(self._cold),
+                    "allocated": allocated, "free": allocated - staged - len(live),
+                    "staged": staged, "live": len(live),
+                    "chunks": sum(len(pool.chunks) for pool in self._pools.values())}
 
     def as_dataset(self) -> "StorageDataset":
         """Snapshot view usable by a DataLoader (ids frozen at call time)."""
@@ -745,48 +700,21 @@ class DiskStorageArea(StorageArea):
 
     Models the paper's node-local SSD deployment (§III-A: "this predefined
     area can be memory, local storage (e.g., local SSDs) as well as a
-    parallel file system"): entries survive process restart and the byte
+    parallel file system"): every hot entry is also a file, so the byte
     accounting reflects actual files.
 
     Writes go through :func:`~repro.utils.fileio.atomic_save` (temp file +
     ``os.replace``), so a crash mid-write can never leave a torn ``.npy``
-    behind; reads retry transient ``OSError``/``ValueError`` with capped
-    exponential backoff.  ``fault_hook(op, path, attempt)`` is the chaos
-    seam: it runs before each physical read attempt and may raise the
-    injected fault (see :class:`repro.faults.ChaosEngine.storage_hook`).
+    behind.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        capacity_bytes: int | None = None,
-        retrier: Retrier | None = None,
-        fault_hook=None,
-    ):
+    def __init__(self, root: str | Path, *, capacity_bytes: int | None = None):
         super().__init__(capacity_bytes=capacity_bytes)
         self.root = Path(root)
-        self.retrier = retrier if retrier is not None else default_retrier()
-        self.fault_hook = fault_hook
         self.root.mkdir(parents=True, exist_ok=True)
-        # Reload anything already on disk (restart support); each entry is
-        # re-persisted under its new id as it is added.
-        for f in sorted(self.root.glob("sample_*.npy")):
-            label = int(f.stem.split("_label_")[1])
-            sample = self._read(f)
-            f.unlink()
-            self.add(sample, label)
 
     def _path(self, sid: int, label: int) -> Path:
         return self.root / f"sample_{sid:08d}_label_{label}.npy"
-
-    def _read(self, path: Path) -> np.ndarray:
-        def load(attempt: int) -> np.ndarray:
-            if self.fault_hook is not None:
-                self.fault_hook("read", str(path), attempt)
-            return np.load(path)
-
-        return self.retrier.call(load, key=str(path))
 
     def _installed(self, sids, samples, labels) -> None:
         """One file per new hot entry, whichever way it was installed."""

@@ -34,11 +34,6 @@ class ShuffleVolumes:
     pfs_read_bytes: int  # read from the shared parallel filesystem
 
     @property
-    def shard_bytes(self) -> int:
-        """Per-worker share of the dataset (N/M bytes)."""
-        return self.dataset_bytes // self.workers
-
-    @property
     def storage_fraction(self) -> float:
         """Peak local storage as a fraction of the whole dataset — the
         paper's headline "0.03% of the dataset" number for Fugaku."""

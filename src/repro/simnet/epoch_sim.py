@@ -50,16 +50,6 @@ class SimEpochResult:
         """Sum of the phase times (the epoch total)."""
         return self.io + self.exchange + self.fw_bw + self.ge_wu
 
-    @property
-    def io_slowest(self) -> float:
-        """Largest per-worker epoch I/O time."""
-        return float(self.io_per_worker.max())
-
-    @property
-    def io_fastest(self) -> float:
-        """Smallest per-worker epoch I/O time."""
-        return float(self.io_per_worker.min())
-
 
 def _per_batch_io_params(
     machine: MachineSpec,

@@ -43,11 +43,6 @@ class FlowSimResult:
     mean_fct: float  # mean flow completion time
     max_link_utilization: dict[tuple[str, str], float]
 
-    @property
-    def p99_ish(self) -> float:
-        """Tail completion time (== makespan in the fluid model)."""
-        return self.makespan
-
 
 def _maxmin_rates(
     flows: list[Flow],

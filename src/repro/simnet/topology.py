@@ -25,10 +25,6 @@ class Topology:
     ranks: list[str]
     ranks_per_node: int
 
-    def rank_name(self, rank: int) -> str:
-        """Graph node name of a rank index."""
-        return self.ranks[rank]
-
     def path(self, src: int, dst: int) -> list[tuple[str, str]]:
         """Edge list of the (unique, shortest) route between two ranks."""
         nodes = nx.shortest_path(self.graph, self.ranks[src], self.ranks[dst])

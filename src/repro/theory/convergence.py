@@ -33,11 +33,6 @@ class ConvergenceBound:
     epsilon: float
 
     @property
-    def total(self) -> float:
-        """Sum of the phase times (the epoch total)."""
-        return self.statistical_term + self.log_term + self.shuffle_term
-
-    @property
     def dominant_term(self) -> str:
         """Name of the largest of the three bound terms."""
         terms = {

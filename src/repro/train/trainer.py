@@ -24,10 +24,10 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.mpi.communicator import Communicator
 from repro.nn import functional as F
-from repro.nn.lr_scheduler import MultiStepLR, WarmupWrapper
+from repro.nn.lr_scheduler import MultiStepLR
 from repro.nn.metrics import RunningAverage
 from repro.nn.models import build_model
-from repro.nn.optim import LARS, SGD
+from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
 from repro.obs.telemetry import drain_pending, push_metrics
 from repro.shuffle.base import ShuffleStrategy
@@ -45,8 +45,7 @@ class TrainConfig:
 
     Mirrors the paper's §V-C regime: per-worker batch size ``batch_size``,
     base learning rate scaled linearly with worker count (Goyal et al.)
-    unless ``scale_lr`` is off, optional LARS for large scale, multi-step
-    decay with warmup.
+    unless ``scale_lr`` is off, multi-step decay.
     """
 
     model: str = "mlp"
@@ -57,10 +56,8 @@ class TrainConfig:
     base_lr: float = 0.05
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    optimizer: str = "sgd"  # "sgd" | "lars"
     lr_milestones: tuple[int, ...] = ()
     lr_gamma: float = 0.1
-    warmup_epochs: int = 0
     scale_lr: bool = False
     sync_batchnorm_stats: bool = True
     norm: str | None = None
@@ -72,8 +69,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.optimizer not in ("sgd", "lars"):
-            raise ValueError(f"optimizer must be sgd or lars, got {self.optimizer!r}")
 
 
 def build_replica(
@@ -104,10 +99,7 @@ def build_replica(
         broadcast_model(model, comm)
     if workers is None:
         workers = comm.size
-    make = LARS if config.optimizer == "lars" else SGD
-    # The flat layout is fixed here, over the parameters that require grad
-    # now (a frozen backbone stays out of the gradient allreduce).
-    optimizer = make(
+    optimizer = SGD(
         model.flatten(),
         config.base_lr * (workers if config.scale_lr else 1),
         momentum=config.momentum, weight_decay=config.weight_decay,
@@ -115,8 +107,6 @@ def build_replica(
     schedule = MultiStepLR(
         optimizer, milestones=list(config.lr_milestones), gamma=config.lr_gamma
     )
-    if config.warmup_epochs:
-        schedule = WarmupWrapper(schedule, config.warmup_epochs)
     return model, optimizer, schedule
 
 

@@ -116,8 +116,7 @@ def default_retrier() -> Retrier:
     """The process-wide shared retry policy for storage reads.
 
     Shared so that retry counters aggregate across every
-    :class:`~repro.data.folder.FolderDataset` and
-    :class:`~repro.shuffle.storage.DiskStorageArea` in the process — the
-    number the chaos CLI reports as recovered read faults.
+    :class:`~repro.data.folder.FolderDataset` in the process — the number
+    the chaos CLI reports as recovered read faults.
     """
     return _default

@@ -1,7 +1,6 @@
 """Linter driver: file discovery, rule selection, reports — and the
 self-lint regression that keeps ``src/`` clean."""
 
-import json
 import subprocess
 import sys
 import textwrap
@@ -141,20 +140,11 @@ class TestLintPaths:
         assert isinstance(report, LintReport)
         assert len(report.files) == 2
         assert [f.rule_id for f in report.findings] == ["SPMD002"]
-        assert not report.ok
+        assert report.findings
 
     def test_missing_path_reported_not_raised(self, tmp_path):
         report = lint_paths([tmp_path / "nope"])
         assert [f.rule_id for f in report.findings] == ["PARSE"]
-
-    def test_report_to_dict(self, tmp_path):
-        f = tmp_path / "m.py"
-        f.write_text("def f(comm):\n    comm.isend(1, dest=0)\n")
-        d = lint_paths([f]).to_dict()
-        assert d["count"] == 1
-        assert d["files_checked"] == 1
-        assert d["findings"][0]["rule_id"] == "SPMD002"
-        json.dumps(d)  # must be JSON-serialisable
 
     def test_iter_python_files_skips_junk_dirs(self, tmp_path):
         (tmp_path / "a.py").write_text("")
@@ -172,7 +162,7 @@ class TestSelfLint:
         report = lint_paths([REPO_ROOT / "src"])
         assert len(report.files) > 0
         rendered = "\n".join(f.render() for f in report.findings)
-        assert report.ok, f"lint findings in src/:\n{rendered}"
+        assert not report.findings, f"lint findings in src/:\n{rendered}"
 
     def test_no_noqa_suppressions_in_source_tree(self):
         """The source tree passes on merit, not via noqa comments."""
@@ -204,15 +194,6 @@ class TestCli:
         assert proc.returncode == 1
         assert "SPMD002" in proc.stdout
         assert f"{f}:2:" in proc.stdout
-
-    def test_lint_json_format(self, tmp_path):
-        f = tmp_path / "bad.py"
-        f.write_text("def f(comm):\n    comm.isend(1, dest=0)\n")
-        proc = self._run("lint", str(f), "--format", "json")
-        assert proc.returncode == 1
-        payload = json.loads(proc.stdout)
-        assert payload["count"] == 1
-        assert payload["findings"][0]["rule_id"] == "SPMD002"
 
     def test_lint_unknown_rule_is_usage_error(self, tmp_path):
         proc = self._run("lint", str(tmp_path), "--select", "SPMD999")

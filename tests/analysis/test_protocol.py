@@ -34,7 +34,7 @@ def fast_results():
 class TestRealModel:
     def test_no_violations_in_any_fast_config(self, fast_results):
         for res in fast_results:
-            assert res.ok, (
+            assert not res.violations, (
                 f"{res.config.name}: "
                 + "\n".join(format_trace(v) for v in res.violations)
             )
@@ -88,11 +88,11 @@ class TestMutants:
         # undetectable there — the M=3 config is what catches it.
         m2 = tuple(c for c in DEFAULT_CONFIGS if c.size == 2)
         assert all(
-            r.ok for r in check_model(m2, mutation="no_adopt_guard")
+            not r.violations for r in check_model(m2, mutation="no_adopt_guard")
         )
         m3 = tuple(c for c in DEFAULT_CONFIGS if c.size == 3)
         results = check_model(m3, mutation="no_adopt_guard", stop_on_violation=True)
-        assert any(not r.ok for r in results)
+        assert any(r.violations for r in results)
 
     def test_dead_peer_filter_strands_a_bystander_only_without_a_deadline(self):
         # Raising only for dead peers of one's own frames leaves a survivor
@@ -100,12 +100,12 @@ class TestMutants:
         # already aborted.  It takes three ranks, and a deadline hides it:
         # the stranded rank then leaves through the commit collective.
         bystander = next(c for c in DEFAULT_CONFIGS if c.name == "m3-nodeadline-kill")
-        assert check(bystander).ok
+        assert not check(bystander).violations
         mutant = replace(bystander, mutation="dead_peer_filter")
         res = check(mutant, stop_on_violation=True)
         assert res.violations and res.violations[0].kind == "deadlock"
         assert "'loop', 'aborted', 'dead'" in res.violations[0].detail
-        assert check(replace(mutant, deadline=True)).ok
+        assert not check(replace(mutant, deadline=True)).violations
 
     def test_timeout_mutant_deadlocks_without_deadline(self):
         cfg = CheckConfig(
@@ -150,7 +150,7 @@ class TestMutants:
         # got back — and that round must still be unposted when the ACK is
         # consumed: the interleaving the lazily posted two-round world adds.
         r2 = next(c for c in DEFAULT_CONFIGS if c.name == "m2-r2-deadline")
-        assert check(replace(r2, faults=(), fault_budget=0)).ok
+        assert not check(replace(r2, faults=(), fault_budget=0)).violations
         res = check(replace(r2, mutation="ack_before_stage"), stop_on_violation=True)
         v = res.violations[0]
         assert v.kind == "use_after_release" and "copies out round 0" in v.detail
@@ -194,5 +194,5 @@ class TestModelShape:
     def test_faultfree_config_commits_everything(self):
         cfg = CheckConfig(name="clean", size=2, rounds=2, deadline=False)
         res = check(cfg)
-        assert res.ok
+        assert not res.violations
         assert res.states > 1

@@ -34,9 +34,9 @@ class TestDataLoader:
 
     def test_set_epoch_changes_shuffle(self):
         dl = DataLoader(make_ds(20), batch_size=20, shuffle=True, seed=1)
-        dl.set_epoch(0)
+        dl.sampler.set_epoch(0)
         (x0, y0), = list(dl)
-        dl.set_epoch(1)
+        dl.sampler.set_epoch(1)
         (x1, y1), = list(dl)
         assert y0.tolist() != y1.tolist()
 

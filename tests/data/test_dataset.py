@@ -33,14 +33,3 @@ class TestTensorDataset:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TensorDataset(np.zeros((4, 2)), np.zeros(3))
-
-
-class TestTransformedDataset:
-    def test_transform_applied_to_sample_only(self):
-        ds = make_ds(4).with_transform(lambda x: x * 2)
-        x, y = ds[1]
-        assert np.allclose(x, (np.arange(3, 6)) * 2)
-        assert y == 1
-
-    def test_len_preserved(self):
-        assert len(make_ds(7).with_transform(lambda x: x)) == 7

@@ -41,43 +41,9 @@ class TestFolderDataset:
         with pytest.raises(ValueError):
             FolderDataset(tmp_path / "empty")
 
-    def test_save_sample_appends(self, disk_ds):
-        n0 = len(disk_ds)
-        idx = disk_ds.save_sample(np.array([9.0, 9.0], dtype=np.float32), 1, "recv_000")
-        assert len(disk_ds) == n0 + 1
-        x, y = disk_ds[idx]
-        assert y == 1
-        assert np.allclose(x, [9.0, 9.0])
-
-    def test_save_duplicate_name_rejected(self, disk_ds):
-        disk_ds.save_sample(np.zeros(2), 0, "dup")
-        with pytest.raises(FileExistsError):
-            disk_ds.save_sample(np.zeros(2), 0, "dup")
-
-    def test_save_unknown_label_rejected(self, disk_ds):
-        with pytest.raises(ValueError):
-            disk_ds.save_sample(np.zeros(2), 99, "bad")
-
-    def test_remove_sample_deletes_file(self, disk_ds):
-        path = disk_ds.sample_path(0)
-        disk_ds.remove_sample(0)
-        assert not path.exists()
-        assert len(disk_ds) == 5
-
-    def test_nbytes_tracks_storage(self, disk_ds):
-        before = disk_ds.nbytes()
-        disk_ds.save_sample(np.zeros(100, dtype=np.float64), 0, "big")
-        assert disk_ds.nbytes() > before
-
-    def test_reload_sees_saved_samples(self, disk_ds):
-        disk_ds.save_sample(np.ones(2, dtype=np.float32), 2, "persisted")
-        reloaded = FolderDataset(disk_ds.root)
-        assert len(reloaded) == 7
-
 
 class TestRobustIO:
     def test_atomic_save_leaves_no_temp_files(self, disk_ds):
-        disk_ds.save_sample(np.ones(2, dtype=np.float32), 0, "atomic")
         leftovers = [p for p in disk_ds.root.rglob("*") if ".tmp" in p.name]
         assert leftovers == []
 

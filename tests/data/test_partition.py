@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import partition_indices, partition_sizes
-from repro.data.partition import shard_class_histogram
 
 
 class TestPartitionSizes:
@@ -54,8 +53,8 @@ class TestSchemes:
         labels = np.array([0, 1] * 10)  # interleaved classes
         shards = partition_indices(20, 2, scheme="class_sorted", labels=labels)
         _check_cover(shards, 20)
-        h0 = shard_class_histogram(shards[0], labels, 2)
-        h1 = shard_class_histogram(shards[1], labels, 2)
+        h0 = np.bincount(labels[shards[0]], minlength=2)
+        h1 = np.bincount(labels[shards[1]], minlength=2)
         assert h0.tolist() == [10, 0]
         assert h1.tolist() == [0, 10]
 
@@ -63,34 +62,9 @@ class TestSchemes:
         with pytest.raises(ValueError):
             partition_indices(10, 2, scheme="class_sorted")
 
-    def test_dirichlet_covers(self):
-        labels = np.repeat(np.arange(4), 25)
-        shards = partition_indices(100, 4, scheme="dirichlet", labels=labels, alpha=0.2, seed=2)
-        _check_cover(shards, 100)
-
-    def test_dirichlet_low_alpha_is_skewed(self):
-        labels = np.repeat(np.arange(4), 50)
-        shards = partition_indices(200, 4, scheme="dirichlet", labels=labels, alpha=0.05, seed=2)
-        # With alpha=0.05 each shard should be dominated by few classes.
-        hists = [shard_class_histogram(s, labels, 4) for s in shards]
-        max_share = np.mean([h.max() / h.sum() for h in hists])
-        assert max_share > 0.5
-
-    def test_dirichlet_high_alpha_is_balanced(self):
-        labels = np.repeat(np.arange(4), 50)
-        shards = partition_indices(200, 4, scheme="dirichlet", labels=labels, alpha=100.0, seed=2)
-        hists = [shard_class_histogram(s, labels, 4) for s in shards]
-        max_share = np.mean([h.max() / h.sum() for h in hists])
-        assert max_share < 0.5
-
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             partition_indices(10, 2, scheme="sorted-by-vibes")
-
-    def test_alpha_validation(self):
-        labels = np.zeros(10, dtype=int)
-        with pytest.raises(ValueError):
-            partition_indices(10, 2, scheme="dirichlet", labels=labels, alpha=0.0)
 
     def test_labels_length_mismatch(self):
         with pytest.raises(ValueError):

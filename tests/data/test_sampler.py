@@ -6,21 +6,12 @@ from hypothesis import strategies as st
 from repro.data import (
     DistributedSampler,
     RandomSampler,
-    SequentialSampler,
     TensorDataset,
 )
 
 
 def make_ds(n):
     return TensorDataset(np.zeros((n, 2), dtype=np.float32), np.arange(n))
-
-
-class TestSequentialSampler:
-    def test_order(self):
-        assert list(SequentialSampler(make_ds(5))) == [0, 1, 2, 3, 4]
-
-    def test_len(self):
-        assert len(SequentialSampler(make_ds(7))) == 7
 
 
 class TestRandomSampler:

@@ -100,7 +100,7 @@ class TestRegistry:
         assert e.paper_samples == 122_000
         assert e.paper_bytes > 8 * 10**12
         # DeepCAM samples are ~70 MB each.
-        assert 50e6 < e.paper_sample_bytes < 100e6
+        assert 50e6 < e.paper_bytes / e.paper_samples < 100e6
 
     def test_repro_specs_are_generable(self):
         for e in list_entries():

@@ -40,7 +40,7 @@ class TestFailurePlan:
         assert plan.events[1] == FailureEvent(3, 5, "mid_exchange")
 
     def test_parse_empty(self):
-        assert not FailurePlan.parse("")
+        assert FailurePlan.parse("").events == ()
 
     def test_duplicate_rank_rejected(self):
         with pytest.raises(ValueError):

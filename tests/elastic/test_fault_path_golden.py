@@ -91,6 +91,6 @@ def test_chaos_profile_matches_parent_recording(golden, profile, seed):
         **make_setup(),
     )
     assert (
-        summary(result.history, result.recoveries, result.injected)
+        summary(result.history, result.lifecycle.recoveries, result.injected)
         == golden["chaos"][profile]
     )

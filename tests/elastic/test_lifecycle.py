@@ -44,11 +44,10 @@ class TestLifecyclePlan:
         assert plan.rejoin_epoch(0) is None
         assert plan.dead_forever() == ()
         assert plan.max_epoch() == 3
-        assert bool(plan)
 
-    def test_empty_plan_is_falsy(self):
-        assert not LifecyclePlan()
-        assert not LifecyclePlan.parse("", "", "")
+    def test_empty_plan_has_no_events(self):
+        for plan in (LifecyclePlan(), LifecyclePlan.parse("", "", "")):
+            assert (plan.kills.events, plan.rejoins, plan.crashes) == ((), (), ())
 
     def test_rejoin_without_kill_rejected(self):
         with pytest.raises(ValueError, match="rejoin"):
@@ -88,12 +87,6 @@ class TestLifecyclePlan:
         assert plan.crashes == (2,)
         assert plan.kills.doomed() == (1,)
 
-    def test_str_roundtrips_the_schedule(self):
-        plan = LifecyclePlan.parse(
-            kills="1@1:mid_exchange", rejoins="1@3", restart_after="1"
-        )
-        text = str(plan)
-        assert "1@1" in text and "1@3" in text
 
 
 @pytest.fixture(scope="module")

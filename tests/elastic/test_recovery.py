@@ -31,11 +31,11 @@ class TestColdReplicaCache:
         st = StorageArea()
         sid = st.add(_sample(1), 0, gid=7)
         assert st.demote(sid)
-        assert not st.has_gid(7) and st.has_cold(7)
+        assert st.sid_of(7) is None and 7 in st.cold_gids()
         assert sid not in st.ids()
         sample, label = st.get_by_gid(7)
         assert sample[0] == 1.0 and label == 0
-        assert st.cold_nbytes == 32 and st.nbytes == 0
+        assert st.audit()["cold_nbytes"] == 32 and st.nbytes == 0
 
     def test_demote_without_gid_just_removes(self):
         st = StorageArea()
@@ -47,7 +47,7 @@ class TestColdReplicaCache:
         st = StorageArea()
         st.demote(st.add(_sample(3), 1, gid=3))
         sid = st.promote(3)
-        assert st.has_gid(3) and not st.has_cold(3)
+        assert st.sid_of(3) is not None and 3 not in st.cold_gids()
         assert st.get(sid)[1] == 1
 
     def test_hot_add_evicts_cold_oldest_first(self):
@@ -81,7 +81,7 @@ class TestColdReplicaCache:
         st = StorageArea()
         st.demote(st.add(_sample(1), 0, gid=5))
         st.add(_sample(2), 1, gid=5)
-        assert not st.has_cold(5)
+        assert 5 not in st.cold_gids()
         assert st.get_by_gid(5)[1] == 1
 
     def test_resize_evicts_cold_then_guards_hot(self):
@@ -98,7 +98,7 @@ class TestColdReplicaCache:
         for g in range(3):
             st.demote(st.add(_sample(g), 0, gid=g))
         assert st.drop_cold() == 3
-        assert st.cold_nbytes == 0
+        assert st.audit()["cold_nbytes"] == 0
 
 
 def _elastic_worker(
@@ -259,7 +259,8 @@ class TestSourceDatasetRead:
         ds = materialize_folder_dataset(
             tmp_path, features, [0, 1, 0, 1], fault_hook=hook
         )
-        unreadable.append(str(ds.sample_path(2)))
+        # FolderDataset index 2: the first sample of class 1, written as #1.
+        unreadable.append(str(tmp_path / "class_001" / "sample_000001.npy"))
         retrier = default_retrier()
         giveups = retrier.stats()["giveups"]
 

@@ -136,7 +136,7 @@ class TestElasticComposition:
         # segment, without an error).
         r = run_chaos_train(profile=HEAL, seed=0, **five_epochs)
         assert r.history.stats["final_workers"] == WORKERS
-        assert r.dead_ranks == ()
+        assert r.lifecycle.dead_ranks == ()
         run = r.lifecycle
         assert run.segments >= 2 and run.restarts == run.segments - 1
         assert len(run.rejoins) == 1 and run.rejoins[0]["joiners"] == [1]
@@ -162,8 +162,8 @@ class TestElasticComposition:
             profile="corrupt:p=0.03;kill:rank=1,epoch=2,point=mid_exchange",
             seed=5, **setup,
         )
-        assert r.dead_ranks == (1,)
-        assert len(r.recoveries) == 1
+        assert r.lifecycle.dead_ranks == (1,)
+        assert len(r.lifecycle.recoveries) == 1
         assert r.injected.get("corrupt", 0) > 0
         assert r.history.stats.get("final_workers") == WORKERS - 1
         assert r.final_accuracy > 0.5

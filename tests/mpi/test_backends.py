@@ -8,15 +8,13 @@ from repro.mpi import (
     DEFAULT_BACKEND,
     REPRO_BACKEND_ENV,
     World,
-    available_backends,
     resolve_backend_name,
     run_spmd,
 )
 
 
 def test_both_backends_registered():
-    names = available_backends()
-    assert "threads" in names and "procs" in names
+    assert [resolve_backend_name(n) for n in ("threads", "procs")] == ["threads", "procs"]
 
 
 def test_resolution_order(monkeypatch):
@@ -115,16 +113,16 @@ def test_every_rpc_row_resolves_on_the_real_objects():
 # facade exposed before it was generated from the table).
 _WORLD_SURFACE = (
     "post", "take_blocking", "check_alive", "count_copy", "rendezvous", "abort",
-    "mark_dead", "dead_ranks", "is_dead", "epitaphs", "flush_mailbox",
+    "mark_dead", "dead_ranks", "epitaphs", "flush_mailbox",
     "announce_crash", "shrink_rendezvous", "expand_rendezvous", "request_join",
-    "join_requests", "await_admission", "aborted", "abort_reason", "crashed",
-    "crash_reason", "total_bytes_sent", "total_bytes_copied",
+    "await_admission", "aborted", "abort_reason", "crashed",
+    "crash_reason", "total_bytes_copied",
     "size", "copy_on_send", "pool", "flight", "telemetry", "mailboxes",
 )
 _PROXY_SURFACE = {
-    "pool": ("acquire", "release", "adopt", "adopt_if_in_use", "stats",
-             "in_use", "free_buffers", "assert_balanced", "name"),
-    "flight": ("enabled", "set_enabled", "for_rank", "dump"),
+    "pool": ("acquire", "release", "adopt_if_in_use", "stats",
+             "in_use", "assert_balanced", "name"),
+    "flight": ("enabled", "for_rank", "dump"),
     "telemetry": ("ingest",),
 }
 
@@ -135,7 +133,7 @@ def _surface_worker(comm):
     for attr, names in _PROXY_SURFACE.items():
         missing += [f"{attr}.{n}" for n in names if not hasattr(getattr(world, attr), n)]
     box = world.mailboxes[comm.rank]
-    missing += [f"mailbox.{n}" for n in ("peek", "try_take", "cond") if not hasattr(box, n)]
+    missing += [f"mailbox.{n}" for n in ("peek", "try_take") if not hasattr(box, n)]
     # The traced benchmark pass wraps these two with setattr on the class.
     class_level = (
         "acquire" in vars(type(comm.pool)), "record" in vars(type(comm.flight))
@@ -144,7 +142,7 @@ def _surface_worker(comm):
     buf = comm.pool.acquire(100)
     seen = (
         world.aborted, world.crash_reason, dict(world.epitaphs),
-        world.is_dead(comm.rank), world.pool.in_use() >= 1,
+        comm.rank in world.dead_ranks(), world.pool.in_use() >= 1,
         comm.pool.adopt_if_in_use(buf), comm.pool.adopt_if_in_use(buf),
     )
     # A retire is a cast: the strict one fails in the parent, and the rank's
@@ -203,7 +201,7 @@ def _cast_rows():
 
 def test_the_rows_that_return_nothing_are_casts():
     assert _cast_rows() == [
-        "pool.adopt", "pool.release", "recorder.append", "world.count_copy",
+        "pool.release", "recorder.append", "world.count_copy",
         "world.post",
     ]
 
@@ -216,8 +214,8 @@ def test_a_failed_cast_is_raised_by_the_next_round_trip_and_only_once():
             rpc.cast(wire, "not", "what", "the", "row", "takes", None, None)
             rpc.cast("world.count_copy", comm.rank, 1)  # a good cast after it
             with pytest.raises((TypeError, ValueError, AttributeError, KeyError)):
-                comm.world.is_dead(0)  # raised in place of running...
-            assert comm.world.is_dead(0) is False  # ...once
+                comm.world.dead_ranks()  # raised in place of running...
+            assert 0 not in comm.world.dead_ranks()  # ...once
         return comm.allreduce(1)  # and the broker is still serving
 
     result = run_spmd(worker, 2, args=(_cast_rows(),), backend="procs")

@@ -1,5 +1,7 @@
 """Zero-copy batch codec: roundtrip fidelity, views, corruption detection."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,18 @@ from repro.mpi.codec import ALIGN
 from repro.mpi.message import Checksummed, copy_payload, payload_crc32, payload_nbytes
 
 
+def block(entries):
+    """The columns of ``(sample, label, gid)`` triples."""
+    entries = list(entries)
+    return SampleBlock(
+        [np.asarray(sample) for sample, _label, _gid in entries],
+        np.array([label for _s, label, _g in entries], dtype=np.int64),
+        np.array([-1 if gid is None else gid for _s, _l, gid in entries], dtype=np.int64),
+    )
+
+
 def roundtrip(entries, **kw):
-    batch = pack_samples(entries, **kw)
+    batch = pack_samples(block(entries), **kw)
     return batch, unpack_samples(batch)
 
 
@@ -28,17 +40,6 @@ def assert_entries_equal(out, entries):
 
 
 class TestRoundtrip:
-    def test_heterogeneous_batch(self):
-        entries = [
-            (np.arange(12, dtype=np.float32).reshape(3, 4), 7, 42),
-            (np.array([], dtype=np.int16), 0, None),           # 0-byte payload
-            (np.ones((2, 2, 2), dtype=np.float64), 3, 9),
-            (np.array(5, dtype=np.int64), 1, None),            # 0-d scalar array
-        ]
-        batch, out = roundtrip(entries)
-        assert_entries_equal(out, entries)
-        assert batch.count == len(entries)
-
     def test_empty_batch(self):
         batch, out = roundtrip([])
         assert list(out) == []
@@ -53,21 +54,19 @@ class TestRoundtrip:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.lists(
-            st.tuples(
-                hnp.arrays(
-                    dtype=st.sampled_from(
-                        [np.uint8, np.int16, np.int64, np.float32, np.float64]
-                    ),
-                    shape=hnp.array_shapes(min_dims=0, max_dims=3, max_side=8),
-                ),
-                st.integers(min_value=-(2**40), max_value=2**40),
-                st.one_of(st.none(), st.integers(min_value=0, max_value=2**40)),
-            ),
-            max_size=8,
-        )
+        hnp.arrays(
+            dtype=st.sampled_from([np.uint8, np.int16, np.int64, np.float32, np.float64]),
+            shape=hnp.array_shapes(min_dims=2, max_dims=4, max_side=8),
+        ),
+        st.data(),
     )
-    def test_property_roundtrip(self, entries):
+    def test_property_roundtrip(self, rows, data):
+        n = len(rows)
+        labels = data.draw(st.lists(st.integers(-(2**40), 2**40), min_size=n, max_size=n))
+        gids = data.draw(
+            st.lists(st.one_of(st.none(), st.integers(0, 2**40)), min_size=n, max_size=n)
+        )
+        entries = list(zip(rows, labels, gids))
         _batch, out = roundtrip(entries)
         assert_entries_equal(out, entries)
 
@@ -91,7 +90,7 @@ class TestRoundtrip:
 
     def test_alignment(self):
         entries = [(np.zeros(3, dtype=np.uint8), 0, None) for _ in range(4)]
-        batch = pack_samples(entries)
+        batch = pack_samples(block(entries))
         for _arr, _label, _gid in unpack_samples(batch):
             pass
         # Every sample extent starts on an ALIGN boundary by construction.
@@ -102,17 +101,17 @@ class TestRoundtrip:
         _batch, out = roundtrip([(strided, 0, None)])
         np.testing.assert_array_equal(out[0][0], strided)
         with pytest.raises(ValueError, match="object-dtype"):
-            pack_samples([(np.array([object()]), 0, None)])
+            pack_samples(block([(np.array([object()]), 0, None)]))
 
 
 class TestIntegrity:
-    def test_crc_fast_path_matches_method(self):
-        batch = pack_samples([(np.arange(9, dtype=np.int32), 4, 1)])
-        assert payload_crc32(batch) == batch.crc32()
+    def test_crc_fast_path_matches_zlib(self):
+        batch = pack_samples(block([(np.arange(9, dtype=np.int32), 4, 1)]))
+        assert payload_crc32(batch) == zlib.crc32(batch.payload, zlib.crc32(batch.header))
         assert payload_nbytes(batch) == batch.nbytes
 
     def test_checksummed_wrap_detects_payload_flip(self):
-        batch = pack_samples([(np.arange(32, dtype=np.uint8), 0, None)])
+        batch = pack_samples(block([(np.arange(32, dtype=np.uint8), 0, None)]))
         env = Checksummed.wrap(batch, meta=(0, 0, 0))
         assert env.ok()
         raw = bytearray(batch.payload)
@@ -123,7 +122,7 @@ class TestIntegrity:
         assert not Checksummed(meta=env.meta, payload=damaged, crc=env.crc).ok()
 
     def test_corrupt_header_bounds_checked(self):
-        batch = pack_samples([(np.arange(8, dtype=np.float64), 0, None)])
+        batch = pack_samples(block([(np.arange(8, dtype=np.float64), 0, None)]))
         # A header whose record extent points past the payload end must fail
         # loudly, not read out of bounds.  Truncating the payload view puts
         # every record extent outside it.
@@ -134,7 +133,7 @@ class TestIntegrity:
             unpack_samples(bad)
 
     def test_bad_magic_rejected(self):
-        batch = pack_samples([])
+        batch = pack_samples(block([]))
         bad = PackedBatch(header=b"XXXX" + batch.header[4:], payload=batch.payload)
         with pytest.raises(ValueError, match="magic"):
             bad.count
@@ -142,7 +141,7 @@ class TestIntegrity:
 
 class TestWireSemantics:
     def test_copy_payload_passes_through(self):
-        batch = pack_samples([(np.arange(4, dtype=np.float32), 0, None)])
+        batch = pack_samples(block([(np.arange(4, dtype=np.float32), 0, None)]))
         assert copy_payload(batch) is batch
         env = Checksummed.wrap(batch, meta=(1, 2, 0))
         copied = copy_payload(env)
@@ -150,9 +149,9 @@ class TestWireSemantics:
 
     def test_pooled_ownership(self):
         pool = BufferPool(name="t")
-        batch = pack_samples([(np.arange(64, dtype=np.float32), 0, None)], pool=pool)
+        batch = pack_samples(block([(np.arange(64, dtype=np.float32), 0, None)]), pool=pool)
         assert pool.in_use() == 1
-        batch.adopt()
+        batch.try_adopt()
         assert pool.in_use() == 0
         assert pool.stats()["adopts"] == 1
         # try_adopt after adopt is a no-op, not a crash.
@@ -160,10 +159,10 @@ class TestWireSemantics:
 
     def test_release_returns_buffer_for_reuse(self):
         pool = BufferPool(name="t")
-        b1 = pack_samples([(np.arange(64, dtype=np.float32), 0, None)], pool=pool)
+        b1 = pack_samples(block([(np.arange(64, dtype=np.float32), 0, None)]), pool=pool)
         raw = b1.buf.raw
         b1.release()
-        b2 = pack_samples([(np.ones(64, dtype=np.float32), 0, None)], pool=pool)
+        b2 = pack_samples(block([(np.ones(64, dtype=np.float32), 0, None)]), pool=pool)
         assert b2.buf.raw is raw  # same size class, recycled bytes
         assert pool.stats()["hits"] == 1
         b2.release()
@@ -171,7 +170,7 @@ class TestWireSemantics:
 
 
 class TestColumns:
-    """The column path writes and reads the record walk's wire format."""
+    """A frame is one class of samples, written and read as columns."""
 
     @staticmethod
     def _triples(samples, gids):
@@ -185,26 +184,25 @@ class TestColumns:
         ),
         st.data(),
     )
-    def test_block_bytes_equal_the_record_walk(self, block, data):
-        n = len(block)
+    def test_rows_and_one_array_pack_to_the_same_bytes(self, rows, data):
+        """A list of rows packs to the bytes of the same rows as one array."""
+        n = len(rows)
         gids = data.draw(
             st.lists(
                 st.one_of(st.none(), st.integers(0, 2**40)), min_size=n, max_size=n
             )
         )
-        triples = self._triples(list(block), gids)
-        walked = pack_samples(triples)
-        columns = SampleBlock.from_entries(triples)
+        triples = self._triples(list(rows), gids)
+        columns = block(triples)
         as_rows = pack_samples(columns)
         as_block = pack_samples(
-            SampleBlock(np.ascontiguousarray(block), columns.labels, columns.gids)
+            SampleBlock(np.ascontiguousarray(rows), columns.labels, columns.gids)
         )
-        for packed in (as_rows, as_block):
-            assert packed.header == walked.header
-            assert bytes(packed.payload) == bytes(walked.payload)
-        out = unpack_samples(walked)
+        assert as_block.header == as_rows.header
+        assert bytes(as_block.payload) == bytes(as_rows.payload)
+        out = unpack_samples(as_rows)
         assert isinstance(out.samples, np.ndarray)  # one class: one block
-        assert out.samples.shape == block.shape and out.samples.dtype == block.dtype
+        assert out.samples.shape == rows.shape and out.samples.dtype == rows.dtype
         assert_entries_equal(out, triples)
 
     def test_padded_extents_decode_as_a_strided_block(self):
@@ -212,7 +210,7 @@ class TestColumns:
         triples = self._triples(
             [np.full(3, i, dtype=np.uint8) for i in range(5)], [7, None, 9, None, 11]
         )
-        out = unpack_samples(pack_samples(SampleBlock.from_entries(triples)))
+        out = unpack_samples(pack_samples(block(triples)))
         assert isinstance(out.samples, np.ndarray)
         assert out.samples.strides == (ALIGN, 1)
         assert not out.samples.flags.writeable
@@ -221,8 +219,9 @@ class TestColumns:
     def test_noncontiguous_rows_are_gathered(self):
         base = np.arange(64, dtype=np.int32).reshape(4, 16)
         triples = self._triples([base[i, ::2] for i in range(4)], [0, 1, 2, 3])
-        packed = pack_samples(SampleBlock.from_entries(triples))
-        assert packed.header == pack_samples(triples).header
+        packed = pack_samples(block(triples))
+        contiguous = [(np.ascontiguousarray(s), label, gid) for s, label, gid in triples]
+        assert packed.header == pack_samples(block(contiguous)).header
         assert_entries_equal(unpack_samples(packed), triples)
 
     @pytest.mark.parametrize(
@@ -234,14 +233,13 @@ class TestColumns:
             [np.array(1, np.int64), np.array(2, np.int64)],      # 0-d samples
         ],
     )
-    def test_mixed_classes_keep_the_record_walk(self, samples):
-        triples = self._triples(samples, [1, None])
-        columns = SampleBlock.from_entries(triples)
-        packed = pack_samples(columns)
-        assert packed.header == pack_samples(triples).header
-        out = unpack_samples(packed)
-        assert isinstance(out.samples, list)
-        assert_entries_equal(out, triples)
+    def test_mixed_classes_are_refused(self, samples):
+        """A frame is one class: mixed dtypes or shapes, and 0-d samples,
+        are refused before any byte is written."""
+        pool = BufferPool(name="t")
+        with pytest.raises(ValueError, match="one class"):
+            pack_samples(block(self._triples(samples, [1, None])), pool=pool)
+        assert pool.stats()["acquires"] == 0
 
     def test_nbytes_is_the_wire_size_model(self):
         # Tracked and untracked gids both weigh 8 bytes, like the label.
@@ -249,29 +247,29 @@ class TestColumns:
             [np.zeros(6, np.float32), np.ones(6, np.float32), np.ones(6, np.float32)],
             [None, 5, 2**33],
         )
-        rows = SampleBlock.from_entries(triples)
-        block = unpack_samples(pack_samples(rows))
-        assert rows.nbytes == block.nbytes == payload_nbytes(triples)
+        rows = block(triples)
+        decoded = unpack_samples(pack_samples(rows))
+        assert rows.nbytes == decoded.nbytes == payload_nbytes(triples)
         assert payload_nbytes(triples) == 3 * (24 + 8 + 8)
 
     def test_copy_materialises_one_private_block(self):
         triples = self._triples([np.arange(8.0), np.arange(8.0) + 1], [None, None])
-        batch = pack_samples(triples)
+        batch = pack_samples(block(triples))
         out = unpack_samples(batch, copy=True)
         assert out.samples.flags.writeable and out.samples.base is None
         assert_entries_equal(out, triples)
 
     def test_reordering_and_concatenation_keep_columns_aligned(self):
         triples = self._triples([np.full(2, i, np.int16) for i in range(4)], [3, None, 1, 0])
-        block = unpack_samples(pack_samples(triples))
-        picked = block[np.array([2, 0])]
+        decoded = unpack_samples(pack_samples(block(triples)))
+        picked = decoded[np.array([2, 0])]
         assert_entries_equal(picked, [triples[2], triples[0]])
-        both = SampleBlock.concat([picked, SampleBlock.from_entries(triples[1:2])])
+        both = SampleBlock.concat([picked, block(triples[1:2])])
         assert_entries_equal(both, [triples[2], triples[0], triples[1]])
-        assert block[1][2] is None and block[0][2] == 3
+        assert decoded[1][2] is None and decoded[0][2] == 3
 
     def test_truncated_payload_under_a_block_header_is_rejected(self):
-        batch = pack_samples(self._triples([np.arange(16.0), np.arange(16.0)], [0, 1]))
+        batch = pack_samples(block(self._triples([np.arange(16.0), np.arange(16.0)], [0, 1])))
         bad = PackedBatch(header=batch.header, payload=batch.payload[:200])
         with pytest.raises(ValueError, match="corrupt header"):
             unpack_samples(bad)

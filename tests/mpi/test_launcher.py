@@ -72,13 +72,6 @@ class TestPendingRequests:
 
 
 class TestCommunicatorIdentity:
-    def test_mpi4py_spellings(self):
-        def main(comm):
-            return (comm.Get_rank(), comm.Get_size())
-
-        out = run_spmd(main, 3)
-        assert list(out) == [(0, 3), (1, 3), (2, 3)]
-
     def test_world_rank_validation(self):
         world = World(2)
         with pytest.raises(ValueError):
@@ -141,16 +134,6 @@ class TestSplitDup:
         out = run_spmd(main_safe, 4)
         assert out[2] == ("world-msg", "sub-msg")
 
-    def test_dup_isolates_collectives_context(self):
-        def main(comm):
-            dup = comm.dup()
-            a = comm.allreduce(1)
-            b = dup.allreduce(2)
-            return (a, b)
-
-        out = run_spmd(main, 3)
-        assert all(v == (3, 6) for v in out)
-
     def test_hierarchical_split_node_groups(self):
         """The hierarchical-exchange shape: world -> per-node communicators."""
 
@@ -164,27 +147,6 @@ class TestSplitDup:
         out = run_spmd(main, 8, args=(4,))
         assert out[0] == (0, 4, 0 + 1 + 2 + 3)
         assert out[7] == (1, 4, 4 + 5 + 6 + 7)
-
-
-class TestDupP2PIsolation:
-    def test_dup_messages_do_not_cross(self):
-        """A message sent on the dup must not match a recv on the parent."""
-
-        def main(comm):
-            dup = comm.dup()
-            result = None
-            if comm.rank == 0:
-                dup.send("dup-msg", dest=1, tag=7)
-                comm.send("parent-msg", dest=1, tag=7)
-            else:
-                parent_msg = comm.recv(source=0, tag=7)
-                dup_msg = dup.recv(source=0, tag=7)
-                result = (parent_msg, dup_msg)
-            comm.barrier()
-            return result
-
-        out = run_spmd(main, 2)
-        assert out[1] == ("parent-msg", "dup-msg")
 
 
 class TestWorldDeadline:

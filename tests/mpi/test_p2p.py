@@ -164,8 +164,9 @@ class TestProbe:
             if comm.rank == 0:
                 comm.send("x", dest=1, tag=4)
                 return None
-            st = comm.probe(source=0, tag=4)
-            assert st.source == 0 and st.tag == 4
+            while not comm.iprobe(source=0, tag=4):
+                pass
+            assert comm.iprobe(source=0, tag=4)  # still queued
             return comm.recv(source=0, tag=4)
 
         out = run_spmd(main, 2)

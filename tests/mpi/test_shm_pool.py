@@ -34,7 +34,7 @@ def test_adopted_segment_stays_mapped(pool):
     buf = pool.acquire(16)
     view = buf.view
     view[:4] = b"abcd"
-    pool.adopt(buf)
+    pool.adopt_if_in_use(buf)
     # The segment is out of rotation but its bytes stay addressable until
     # shutdown — that is the point of adoption — and so does its handle:
     # another process can still send the id.
@@ -55,7 +55,7 @@ def test_id_addressing_matches_handles(pool):
 def test_shutdown_unlinks_everything(own_segments):
     pool = _shm_pool("test-shm-shutdown")
     kept = pool.acquire(128)       # still in use at shutdown
-    pool.adopt(pool.acquire(64))   # adopted
+    pool.adopt_if_in_use(pool.acquire(64))   # adopted
     pool.release(pool.acquire(32))  # parked on a free list
     assert live_segments()
     pool.shutdown()
@@ -69,21 +69,19 @@ def test_shutdown_unlinks_everything(own_segments):
 def test_release_never_unlinks(own_segments):
     """Rank processes keep every segment they attached mapped, so a release
     must park the segment, never unlink it behind their backs: only
-    ``clear()`` and ``shutdown()`` remove names from ``/dev/shm``."""
+    ``shutdown()`` removes names from ``/dev/shm``."""
     pool = _shm_pool("test-shm-keep")
     bufs = [pool.acquire(64) for _ in range(40)]
     names = {b.segment_name for b in bufs}
     for buf in bufs:
         pool.release(buf)
-    assert pool.free_buffers() == 40
+    assert pool.stats()["free_buffers"] == 40
     assert names <= set(live_segments())
     again = [pool.acquire(64) for _ in range(40)]
     assert {b.segment_name for b in again} == names  # all hits, no new segment
     assert pool.stats()["segments"] == 40
     for buf in again:
         pool.release(buf)
-    pool.clear()
-    assert pool.free_buffers() == 0
-    assert not names & set(live_segments())
+    assert names <= set(live_segments())
     pool.shutdown()
     assert own_segments() == []

@@ -45,14 +45,6 @@ class TestSoftmaxLosses:
         with pytest.raises(ValueError):
             F.nll_loss(Tensor(randn(3, 4).astype(np.float32)), np.zeros(2, dtype=int))
 
-    def test_one_hot(self):
-        oh = F.one_hot(np.array([0, 2]), 3)
-        assert oh.tolist() == [[1, 0, 0], [0, 0, 1]]
-
-    def test_one_hot_out_of_range(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([3]), 3)
-
 
 class TestConv:
     def test_conv_shape(self):
@@ -187,45 +179,9 @@ class TestConvAgainstLoops:
             F.conv2d(x, w, **kwargs)
 
 
-class TestPooling:
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("pool", [F.max_pool2d])
-    def test_pool_gradcheck_by_stride(self, pool, stride):
-        oh, ow = (5 - 2) // stride + 1, (6 - 2) // stride + 1
-        proj = Tensor(randn(2, 3, oh, ow, seed=1).astype(np.float32))
-        gradcheck(lambda t: pool(t, 2, stride) * proj, randn(2, 3, 5, 6))
-
-    def test_max_pool_values(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out = F.max_pool2d(Tensor(x), 2).data
-        assert out.reshape(-1).tolist() == [5, 7, 13, 15]
-
-    def test_max_pool_grad_routes_to_argmax(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        t = Tensor(x, requires_grad=True)
-        F.max_pool2d(t, 2).sum().backward()
-        expected = np.zeros((4, 4))
-        expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1
-        assert np.allclose(t.grad[0, 0], expected)
-
-    def test_pool_with_stride(self):
-        x = Tensor(randn(1, 1, 6, 6).astype(np.float32))
-        assert F.max_pool2d(x, 2, stride=1).shape == (1, 1, 5, 5)
-
-
 class TestIm2col:
     def test_roundtrip_shapes(self):
         x = randn(2, 3, 6, 6)
         cols, oh, ow = F.im2col(x, 3, 3, 1, 1)
         assert cols.shape == (2 * 6 * 6, 3 * 9)
         assert (oh, ow) == (6, 6)
-
-    def test_col2im_adjoint_property(self):
-        """col2im must be the adjoint of im2col: <im2col(x), c> == <x, col2im(c)>."""
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(1, 2, 5, 5))
-        cols, _, _ = F.im2col(x, 3, 3, 2, 1)
-        c = rng.normal(size=cols.shape)
-        lhs = float((cols * c).sum())
-        rhs = float((x * F.col2im(c, (1, 2, 5, 5), 3, 3, 2, 1)).sum())
-        assert lhs == pytest.approx(rhs, rel=1e-9)

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    LARS,
     SGD,
     Linear,
     MultiStepLR,
     Parameter,
     Tensor,
-    WarmupWrapper,
 )
 
 
@@ -54,12 +52,6 @@ class TestSGD:
         opt.step()  # no grad set: no movement, no crash
         assert p.data[0] == 1.0
 
-    def test_zero_grad(self):
-        p = quad_param()
-        quad_grad(p)
-        SGD([p], lr=0.1).zero_grad()
-        assert p.grad is None
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SGD([], lr=0.1)
@@ -98,36 +90,6 @@ class TestSGD:
         assert loss.item() < 1e-3
 
 
-class TestLARS:
-    def test_converges_on_quadratic(self):
-        p = quad_param(5.0)
-        opt = LARS([p], lr=1.0, momentum=0.9, trust_coefficient=0.01)
-        for _ in range(500):
-            quad_grad(p)
-            opt.step()
-        assert abs(p.data[0]) < 0.5
-
-    def test_trust_ratio_scales_update(self):
-        # Large gradient norm => trust ratio shrinks the step vs raw SGD.
-        p = Parameter(np.array([1.0], dtype=np.float32))
-        opt = LARS([p], lr=1.0, momentum=0.0, trust_coefficient=0.001)
-        p.grad = np.array([1000.0], dtype=np.float32)
-        opt.step()
-        # Raw step would be 1000; LARS caps it near trust * ||w||.
-        assert abs(1.0 - p.data[0]) < 0.01
-
-    def test_zero_weight_falls_back(self):
-        p = Parameter(np.zeros(1, dtype=np.float32))
-        opt = LARS([p], lr=0.1, momentum=0.0)
-        p.grad = np.ones(1, dtype=np.float32)
-        opt.step()
-        assert p.data[0] == pytest.approx(-0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LARS([quad_param()], lr=0.1, trust_coefficient=0.0)
-
-
 class TestSchedulers:
     def _opt(self, lr=1.0):
         return SGD([quad_param()], lr=lr)
@@ -137,12 +99,6 @@ class TestSchedulers:
         sched = MultiStepLR(opt, milestones=[2, 4], gamma=0.5)
         lrs = [sched.step(e) for e in range(5)]
         assert lrs == pytest.approx([1.0, 1.0, 0.5, 0.5, 0.25])
-
-    def test_warmup_ramps_linearly(self):
-        opt = self._opt()
-        sched = WarmupWrapper(MultiStepLR(opt, milestones=[100]), warmup_epochs=5)
-        lrs = [sched.step(e) for e in range(6)]
-        assert lrs == pytest.approx([0.2, 0.4, 0.6, 0.8, 1.0, 1.0])
 
     def test_step_applies_to_optimizer(self):
         opt = self._opt()
@@ -161,5 +117,3 @@ class TestSchedulers:
         opt = self._opt()
         with pytest.raises(ValueError):
             MultiStepLR(opt, milestones=[-1])
-        with pytest.raises(ValueError):
-            WarmupWrapper(MultiStepLR(opt, milestones=[1]), warmup_epochs=-1)

@@ -25,15 +25,6 @@ class TestReservoirQuantiles:
         out = r.quantiles([0.5, 0.95, 0.99])
         assert out == {"p50": 3.0, "p95": 5.0, "p99": 5.0}
 
-    def test_one_sort_matches_per_point_reads(self):
-        r = Reservoir("lat", capacity=32)
-        for v in range(100):
-            r.add(float(v))
-        batched = r.quantiles([0.0, 0.5, 1.0])
-        assert batched["p0"] == r.quantile(0.0)
-        assert batched["p50"] == r.quantile(0.5)
-        assert batched["p100"] == r.quantile(1.0)
-
     def test_empty_reservoir_yields_nan_per_key(self):
         out = Reservoir("lat").quantiles([0.5, 0.99])
         assert set(out) == {"p50", "p99"}
@@ -46,4 +37,3 @@ class TestReservoirQuantiles:
             r.quantiles([1.5])
         with pytest.raises(ValueError):
             r.quantiles([-0.1])
-

@@ -177,7 +177,7 @@ class TestFrameProtocol:
             epochs = []
             for e in range(6):
                 sched.scheduling(e)
-                planned = sched.rounds
+                planned = sched.plan.rounds
                 before = sched.total_sent_samples
                 sched.synchronize(*sched.communicate())
                 sched.clean_local_storage()

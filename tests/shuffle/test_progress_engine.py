@@ -117,13 +117,13 @@ def _rollback_worker(comm, n_local):
         resend_timeout_s=0.02, max_attempts=1000, deadline_s=0.4,
     )
     _lockstep_epoch(comm, sched, 0)
-    staged_early = storage.slots()["staged"]
+    staged_early = storage.audit()["staged"]
     _finish(sched)
     storage.audit()
     comm.barrier()
     return {
         "staged_early": staged_early,
-        "slots": storage.slots(),
+        "slots": storage.audit(),
         "gids": _gids(storage),
         "unchanged": _gids(storage) == before,
         "committed": sched.total_sent_samples,
@@ -250,14 +250,14 @@ def _abort_worker(comm, n_local):
     seen = {
         "back": sum(fr.state == "acked" for fr in sched.engine.sends.values()),
         "out": len(sched.engine.unacked),
-        "staged": storage.slots()["staged"],
+        "staged": storage.audit()["staged"],
     }
     comm.barrier()
     sched.abort_exchange()
     storage.audit()
     comm.barrier()
     seen.update(
-        slots=storage.slots(), unchanged=_gids(storage) == before,
+        slots=storage.audit(), unchanged=_gids(storage) == before,
         cold=storage.cold_gids(), pool=comm.pool.stats(),
     )
     sched.run_exchange(1)  # the scheduler is usable again

@@ -113,7 +113,7 @@ class TestUnevenShards:
             n = 10 if comm.rank == 0 else 100
             sched = Scheduler(fill_storage(comm.rank, n=n), comm, fraction=0.5, seed=1)
             sched.scheduling(0)
-            rounds = sched.rounds
+            rounds = sched.plan.rounds
             sched.communicate()
             sched.synchronize()
             sched.clean_local_storage()

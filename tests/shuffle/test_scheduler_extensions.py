@@ -56,7 +56,7 @@ class TestGranularity:
                 granularity=g,
             )
             sched.scheduling(0)
-            rounds = sched.rounds
+            rounds = sched.plan.rounds
             sched.communicate()
             sched.synchronize()
             sched.clean_local_storage()
@@ -97,30 +97,6 @@ class TestSelectionPolicies:
 
         out = run_spmd(worker, 4, deadline_s=60)
         assert all(out)
-
-    def test_importance_evicts_highest_score(self):
-        def worker(comm):
-            storage = fill_storage(comm.rank, n=8)
-            sched = Scheduler(storage, comm, fraction=0.25, seed=5,
-                              selection="importance")
-            ids = storage.ids()
-            for i, sid in enumerate(ids):
-                sched.set_score(sid, float(i))
-            sched.run_exchange(0)
-            selected = set(ids) - set(storage.ids())  # the samples that left
-            # top-2 scores are ids[-2:]
-            return selected == set(ids[-2:])
-
-        assert all(run_spmd(worker, 2, deadline_s=60))
-
-    def test_set_score_unknown_id(self):
-        def worker(comm):
-            sched = Scheduler(fill_storage(comm.rank), comm, fraction=0.5, seed=1)
-            with pytest.raises(KeyError):
-                sched.set_score(999, 1.0)
-            return True
-
-        assert all(run_spmd(worker, 1, deadline_s=60))
 
     def test_invalid_selection(self):
         def worker(comm):

@@ -34,7 +34,8 @@ class TestAuditInvariant:
         area.add(_sample(1), 0, gid=1)
         report = area.audit()
         assert report == {
-            "hot_nbytes": 32, "cold_nbytes": 0, "entries": 1, "cold": 0
+            "hot_nbytes": 32, "cold_nbytes": 0, "entries": 1, "cold": 0,
+            "allocated": 0, "free": 0, "staged": 0, "live": 0, "chunks": 0,
         }
 
     def test_audit_detects_byte_drift(self):

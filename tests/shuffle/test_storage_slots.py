@@ -35,6 +35,12 @@ CLASSES = ((np.dtype(np.float32), (4,)), (np.dtype(np.int16), (2, 4)))
 SIZE = 16
 
 
+def slots(area):
+    """The slot counts of ``area.audit()``: allocated = free + staged + live."""
+    counts = area.audit()
+    return {k: counts[k] for k in ("allocated", "free", "staged", "live", "chunks")}
+
+
 def _block(cls: int, n: int, fill: int) -> np.ndarray:
     dtype, shape = CLASSES[cls]
     values = np.arange(n * int(np.prod(shape))).reshape(n, *shape) + 100 * fill
@@ -166,7 +172,7 @@ class SlotOwnership(RuleBasedStateMachine):
             with pytest.raises(StorageFullError):
                 self.area.add_many(staged)
             # A refused install leaves the rows staged (and the early block).
-            assert self.area.slots()["staged"] == len(entries) + (
+            assert slots(self.area)["staged"] == len(entries) + (
                 len(self.early[1]) if self.early else 0
             )
             self.area.unstage(staged, keep=keep)
@@ -312,12 +318,12 @@ class SlotOwnership(RuleBasedStateMachine):
             sample, got_label = area._cold[gid]
             assert sample.tobytes() == payload and got_label == label
         assert area.nbytes == self._hot_bytes()
-        assert area.cold_nbytes == SIZE * len(self.cold)
+        assert area.audit()["cold_nbytes"] == SIZE * len(self.cold)
 
     @invariant()
     def audit_is_clean_and_slots_are_bounded(self):
         self.area.audit()
-        counts = self.area.slots()
+        counts = slots(self.area)
         early = 0 if self.early is None else len(self.early[1])
         assert counts["staged"] == early
         assert counts["allocated"] == counts["free"] + counts["live"] + early
@@ -356,7 +362,7 @@ class TestSlots:
         assert area.get(new)[0] is rows[0]
         np.testing.assert_array_equal(rows[0], _block(0, 1, 2)[0])
         np.testing.assert_array_equal(rows[1], _block(0, 4, 1)[1])
-        assert area.slots() == {
+        assert slots(area) == {
             "allocated": 4, "free": 1, "staged": 0, "live": 3, "chunks": 1
         }
 
@@ -365,16 +371,16 @@ class TestSlots:
         for i in range(10):
             area.add(np.zeros(4, np.float32), 0, gid=i)
         _install(area, _block(0, 2, 1), [100, 101])
-        assert area.slots()["allocated"] == 10
+        assert slots(area)["allocated"] == 10
         # Samples that came through add() stay the caller's arrays.
-        assert area.slots()["live"] == 2
+        assert slots(area)["live"] == 2
 
     def test_demote_and_promote_hand_the_slot_over(self):
         area = StorageArea()
         (sid,) = _install(area, _block(0, 1, 3), [7])
         row = area.get(sid)[0]
         assert area.demote(sid)
-        assert area.get_by_gid(7)[0] is row and area.slots()["live"] == 1
+        assert area.get_by_gid(7)[0] is row and slots(area)["live"] == 1
         # A block arriving now must not be given the cold replica's slot.
         _install(area, _block(0, 1, 4), [8])
         np.testing.assert_array_equal(row, _block(0, 1, 3)[0])
@@ -387,20 +393,20 @@ class TestSlots:
         row = area.get(sid)[0]
         area.demote(sid)
         (again,) = _install(area, _block(0, 1, 1), [7])
-        assert not area.has_cold(7)
+        assert 7 not in area.cold_gids()
         assert area.get(again)[0] is row
-        assert area.slots()["allocated"] == 1
+        assert slots(area)["allocated"] == 1
 
     def test_unstage_keeps_tracked_rows_as_cold_replicas(self):
         area = StorageArea()
         staged = area.stage(
             SampleBlock(_block(0, 2, 5), np.array([1, 2]), np.array([40, -1]))
         )
-        assert area.slots()["staged"] == 2
+        assert slots(area)["staged"] == 2
         area.unstage(staged)
         assert area.cold_gids() == [40] and len(area) == 0
         np.testing.assert_array_equal(area.get_by_gid(40)[0], _block(0, 2, 5)[0])
-        assert area.slots() == {
+        assert slots(area) == {
             "allocated": 2, "free": 1, "staged": 0, "live": 1, "chunks": 1
         }
         area.audit()
@@ -417,7 +423,7 @@ class TestSlots:
             got = area.get(sid)[0]
             assert got.shape == expected.shape and got.dtype == expected.dtype
             np.testing.assert_array_equal(got, expected)
-        assert area.slots()["live"] == 3 and area.slots()["chunks"] == 2
+        assert slots(area)["live"] == 3 and slots(area)["chunks"] == 2
         area.audit()
 
     def test_block_install_settles_capacity_once(self):
@@ -462,7 +468,7 @@ def test_demoting_a_stale_duplicate_replaces_the_cold_replica():
     first = area.add(np.zeros(4, np.float32), 0, gid=7)
     second = area.add(np.ones(4, np.float32), 1, gid=7)
     assert area.demote(first) and area.demote(second)
-    assert area.cold_nbytes == SIZE and area.cold_gids() == [7]
+    assert area.audit()["cold_nbytes"] == SIZE and area.cold_gids() == [7]
     assert area.get_by_gid(7)[1] == 1
     area.audit()
     # Under slot ownership the replaced replica's slot comes back too.
@@ -470,7 +476,7 @@ def test_demoting_a_stale_duplicate_replaces_the_cold_replica():
     a, b = _install(slotted, _block(0, 2, 1), [7, 7])
     slotted.demote(a)
     slotted.demote(b)
-    assert slotted.slots()["live"] == 1 and slotted.slots()["free"] == 1
+    assert slots(slotted)["live"] == 1 and slots(slotted)["free"] == 1
     slotted.audit()
 
 
@@ -512,9 +518,9 @@ def test_exchange_into_added_storage_keeps_unsent_sids_valid():
         area = StorageArea()
         mine = range(comm.rank * 12, comm.rank * 12 + 12)
         seeded = {area.add(feats[gid], gid % 3, gid=gid): gid for gid in mine}
-        assert area.slots()["live"] == 0
+        assert slots(area)["live"] == 0
         Scheduler(area, comm, fraction=0.5, seed=9).run_exchange(0)
-        kept = [sid for sid in seeded if sid in area]
+        kept = [sid for sid in seeded if sid in area.ids()]
         assert len(kept) == 6
         for sid in kept:
             sample, label = area.get(sid)
@@ -522,7 +528,7 @@ def test_exchange_into_added_storage_keeps_unsent_sids_valid():
             assert area.gid_of(sid) == seeded[sid] and label == seeded[sid] % 3
         for sid, sample, _label in area.items():
             np.testing.assert_array_equal(sample, feats[area.gid_of(sid)])
-        assert area.slots()["live"] == 6
+        assert slots(area)["live"] == 6
         area.audit()
         return area.hot_gids()
 
@@ -542,7 +548,7 @@ def _handover_worker(comm):
         # The owner retires gid 7 for good and the next arrival reuses its
         # slot: the bytes the peer was sent must not change under it.
         row = area.get_by_gid(7)[0]
-        if area.has_gid(7):
+        if area.sid_of(7) is not None:
             area.remove(area.sid_of(7))
         area.drop_cold()
         (sid,) = _install(area, np.full((1, 8), -1, dtype=np.float32), [8])
@@ -583,14 +589,14 @@ def _abort_after_commit_worker(comm):
     )
     sched.scheduling(0)
     sched.synchronize(*sched.communicate())
-    assert area.slots()["staged"] == 4
+    assert slots(area)["staged"] == 4
     with pytest.raises(ConnectionError):
         sched.clean_local_storage()
     sched.abort_exchange()
     # Nothing installed, nothing retired, no slot left claimed; what had
     # arrived stays behind as recovery replicas.
     assert area.hot_gids() == before
-    assert area.slots()["staged"] == 0 and area.slots()["live"] == 4
+    assert slots(area)["staged"] == 0 and slots(area)["live"] == 4
     arrived = area.cold_gids()
     assert len(arrived) == 4 and not set(arrived) & set(before)
     for gid in arrived:

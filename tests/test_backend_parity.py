@@ -244,7 +244,7 @@ def _recycling_worker(comm, epochs):
         per_epoch.append(
             {
                 "pinned": _pinned_outside_slots(storage),
-                "slots": storage.slots(),
+                "slots": storage.audit(),
                 "hits": stats["hits"],
                 "in_use": stats["in_use"],
             }

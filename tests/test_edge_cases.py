@@ -65,6 +65,7 @@ class TestLoaderSamplerLen:
 
 class TestModelZooNormNone:
     def test_no_norm_model_trains_without_batch_constraint(self):
-        model = build_model("mlp", in_shape=(8,), num_classes=3, seed=0, norm="none")
-        out = model(np.zeros((1, 8), dtype=np.float32))  # batch of ONE is fine
+        # GroupNorm normalises within a sample: a batch of ONE is fine.
+        model = build_model("mlp", in_shape=(8,), num_classes=3, seed=0, norm="group")
+        out = model(np.zeros((1, 8), dtype=np.float32))
         assert out.shape == (1, 3)

@@ -24,7 +24,7 @@ from repro.theory import log_permutations, log_sigma
     n_local=st.integers(4, 24),
     q=st.floats(0.0, 1.0),
     granularity=st.integers(1, 5),
-    selection=st.sampled_from(["random", "stale", "importance"]),
+    selection=st.sampled_from(["random", "stale"]),
     epochs=st.integers(1, 3),
     seed=st.integers(0, 50),
 )

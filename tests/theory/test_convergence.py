@@ -13,9 +13,6 @@ class TestConvergenceBound:
         assert b.statistical_term == pytest.approx(math.sqrt(1 / (100 * 10_000)))
         assert b.log_term == pytest.approx(math.log(10_000) / 10_000)
         assert b.shuffle_term == pytest.approx(10_000 * 0.25 / (32 * 16))
-        assert b.total == pytest.approx(
-            b.statistical_term + b.log_term + b.shuffle_term
-        )
 
     def test_shuffle_term_dominates_paper_regime(self):
         """§IV-B: at ImageNet scale the epsilon^2 term dwarfs the others."""

@@ -46,7 +46,7 @@ class TestBroadcastModel:
 class TestAllreduceGradients:
     def test_grads_averaged(self):
         def worker(comm):
-            model = build_model("mlp", in_shape=(8,), num_classes=3, seed=0, norm="none")
+            model = build_model("mlp", in_shape=(8,), num_classes=3, seed=0, norm="group")
             X = np.full((4, 8), float(comm.rank), dtype=np.float32)
             y = np.array([0, 1, 2, 0])
             loss = F.cross_entropy(model(Tensor(X)), y)
@@ -65,7 +65,7 @@ class TestAllreduceGradients:
 
         def worker(comm):
             rng = np.random.default_rng(comm.rank)  # different local data!
-            model = build_model("mlp", in_shape=(8,), num_classes=3, seed=0, norm="none")
+            model = build_model("mlp", in_shape=(8,), num_classes=3, seed=0, norm="group")
             broadcast_model(model, comm)
             opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
             for _ in range(5):

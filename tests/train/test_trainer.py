@@ -90,29 +90,17 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainConfig(optimizer="adam")
 
-    def test_lars_runs(self):
+    def test_milestones_decay_the_base_lr(self):
         res = run_comparison(
             spec=SyntheticSpec(n_samples=256, n_classes=4, n_features=16, seed=0),
-            config=config(optimizer="lars", base_lr=0.5, epochs=3),
-            workers=2,
-            strategies=["local"],
-        )
-        assert res.histories["local"].records
-
-    def test_warmup_and_milestones(self):
-        res = run_comparison(
-            spec=SyntheticSpec(n_samples=256, n_classes=4, n_features=16, seed=0),
-            config=config(epochs=5, warmup_epochs=2, lr_milestones=(4,), lr_gamma=0.1),
+            config=config(epochs=5, lr_milestones=(4,), lr_gamma=0.1),
             workers=2,
             strategies=["local"],
         )
         lrs = [r.lr for r in res.histories["local"].records]
-        assert lrs[0] < lrs[1]  # warmup ramps...
-        assert lrs[1] == lrs[2] == lrs[3]  # ...reaching the base lr
-        assert lrs[4] < lrs[3]  # milestone decays
+        assert lrs[0] == lrs[1] == lrs[2] == lrs[3]  # the base lr...
+        assert lrs[4] < lrs[3]  # ...until the milestone decays it
 
     def test_lr_scaling(self):
         res = run_comparison(
