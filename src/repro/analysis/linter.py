@@ -23,10 +23,10 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .findings import Finding, Severity
-from .rules import DEFAULT_RULES, FileContext, Rule
+from .rules import DEFAULT_RULES, FileContext
 
 __all__ = ["LintReport", "lint_source", "lint_file", "lint_paths", "iter_python_files"]
 
@@ -101,30 +101,12 @@ def _expand_noqa(
     return out
 
 
-def _rule_subset(rules: Sequence[Rule], select: Iterable[str] | None) -> Sequence[Rule]:
-    if select is None:
-        return rules
-    wanted = {s.strip().upper() for s in select if s.strip()}
-    unknown = wanted - {r.id for r in rules}
-    if unknown:
-        known = ", ".join(r.id for r in rules)
-        raise ValueError(f"unknown rule id(s) {sorted(unknown)}; known: {known}")
-    return [r for r in rules if r.id in wanted]
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    *,
-    rules: Sequence[Rule] | None = None,
-    select: Iterable[str] | None = None,
-) -> tuple[list[Finding], int]:
-    """Lint one module's source text.
+def lint_source(source: str, path: str = "<string>") -> tuple[list[Finding], int]:
+    """Lint one module's source text with every rule.
 
     Returns ``(findings, n_suppressed)``; ``path`` is used for exemption
     decisions (test files, ``utils/rng.py``) and finding locations.
     """
-    rules = _rule_subset(rules if rules is not None else DEFAULT_RULES, select)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -140,7 +122,7 @@ def lint_source(
         ], 0
     ctx = FileContext.for_path(path, tree, source)
     raw: list[Finding] = []
-    for rule in rules:
+    for rule in DEFAULT_RULES:
         raw.extend(rule.check(ctx))
     noqa = _expand_noqa(_noqa_map(source), tree)
     findings: list[Finding] = []
@@ -157,12 +139,7 @@ def lint_source(
     return findings, suppressed
 
 
-def lint_file(
-    path: str | Path,
-    *,
-    rules: Sequence[Rule] | None = None,
-    select: Iterable[str] | None = None,
-) -> tuple[list[Finding], int]:
+def lint_file(path: str | Path) -> tuple[list[Finding], int]:
     """Lint one file on disk; see :func:`lint_source`."""
     p = Path(path)
     try:
@@ -174,7 +151,7 @@ def lint_file(
                 message=f"could not read: {exc}", severity=Severity.ERROR,
             )
         ], 0
-    return lint_source(source, path=str(p), rules=rules, select=select)
+    return lint_source(source, path=str(p))
 
 
 def iter_python_files(root: str | Path) -> list[Path]:
@@ -189,16 +166,8 @@ def iter_python_files(root: str | Path) -> list[Path]:
     )
 
 
-def lint_paths(
-    paths: Iterable[str | Path],
-    *,
-    rules: Sequence[Rule] | None = None,
-    select: Iterable[str] | None = None,
-) -> LintReport:
+def lint_paths(paths: Iterable[str | Path]) -> LintReport:
     """Lint every python file under each path; the ``repro lint`` backend."""
-    # Validate --select eagerly so an unknown rule id errors even when the
-    # walk finds no files.
-    rules = _rule_subset(rules if rules is not None else DEFAULT_RULES, select)
     report = LintReport()
     seen: set[Path] = set()
     for path in paths:
@@ -216,7 +185,7 @@ def lint_paths(
             if file in seen:
                 continue
             seen.add(file)
-            findings, suppressed = lint_file(file, rules=rules)
+            findings, suppressed = lint_file(file)
             report.findings.extend(findings)
             report.suppressed += suppressed
             report.files.append(str(file))

@@ -834,16 +834,16 @@ def check_model(
 
 
 def run_mutation_sweep(
-    configs: tuple[CheckConfig, ...] = DEFAULT_CONFIGS,
     mutations: tuple[str, ...] = tuple(MUTATIONS),
 ) -> dict[str, Violation | None]:
-    """Re-check each seeded mutant; a ``None`` value is a SURVIVOR (bad)."""
+    """Re-check each seeded mutant against :data:`DEFAULT_CONFIGS`; a
+    ``None`` value is a SURVIVOR (bad)."""
     out: dict[str, Violation | None] = {}
     for name in mutations:
         if name not in MUTATIONS:
             raise ValueError(f"unknown mutation {name!r}; known: {sorted(MUTATIONS)}")
         found = None
-        for res in check_model(configs, mutation=name, stop_on_violation=True):
+        for res in check_model(DEFAULT_CONFIGS, mutation=name, stop_on_violation=True):
             if res.violations:
                 found = res.violations[0]
                 break

@@ -10,10 +10,10 @@ the end-to-end training benchmark lives in ``benchmarks/perf/``.
 from .backend import bench_backend
 from .exchange import bench_exchange, exchange_q_sweep
 from .runner import (
+    ARTIFACTS,
     DEFAULT_RESULTS_DIR,
     MAX_MIGRATION_SHARE,
     MIN_REJOIN_SPEED,
-    SCENARIOS,
     check_regression,
     run_bench,
 )
@@ -29,7 +29,7 @@ __all__ = [
     "run_bench",
     "check_regression",
     "DEFAULT_RESULTS_DIR",
-    "SCENARIOS",
+    "ARTIFACTS",
     "FLIGHT_OVERHEAD_BUDGET",
     "MAX_MIGRATION_SHARE",
     "MIN_REJOIN_SPEED",

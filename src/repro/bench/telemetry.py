@@ -13,7 +13,7 @@ because this gate defends a 5 % budget rather than a 2x floor.
 The number that matters is ``ratios["flight_overhead"]``: the flight
 recorder + telemetry push must stay within
 :data:`FLIGHT_OVERHEAD_BUDGET` (≤5 % over disabled), which the
-``repro bench --check`` gate (run by the CI ``bench-smoke`` job) enforces.
+``repro bench`` gate (run by the CI ``bench-smoke`` job) enforces.
 Full tracing has no budget — it is opt-in precisely because it is allowed
 to cost more.
 

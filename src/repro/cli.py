@@ -6,8 +6,9 @@ Subcommands
     Run a shuffling-strategy comparison on a synthetic dataset and print
     the accuracy table (the Figure 5/6 primitive).
 ``trace``
-    Summarize a trace file produced by a ``--trace`` run: per-phase totals,
-    per-rank byte counts, top spans and an ASCII Gantt timeline.
+    Summarize a flight dump (``chaos-train --flight-dir``) or a Chrome
+    trace (``train --trace``): per-phase totals, per-rank byte counts, top
+    spans and an ASCII Gantt timeline.
 ``chaos-train``
     Supervised PLS training under a deterministic fault profile
     (``--chaos "corrupt:p=0.01;flaky-read:p=0.05;kill:rank=1,epoch=1;..."``),
@@ -33,7 +34,8 @@ Subcommands
     and rank kills; also re-checks seeded protocol mutations and fails if
     any survives undetected.
 ``health``
-    Anomaly/straggler report over a telemetry snapshot: read a JSON file
+    Lifecycle timeline of a flight dump (``chaos-train --flight-dir``), or
+    anomaly/straggler report over a telemetry snapshot: read a JSON file
     written by a previous run (``repro health telemetry.json``) or run a
     small demo job live (``--run``, optionally with one artificially
     slowed rank via ``--slow-rank/--slow-factor``) and print the per-rank
@@ -107,13 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace", help="summarize a trace file (flight dump or Chrome JSON)"
     )
-    p_trace.add_argument("file", help="trace produced by `repro train --trace`")
-    p_trace.add_argument("--top", type=int, default=10,
-                         help="how many longest spans to list")
-    p_trace.add_argument("--width", type=int, default=72,
-                         help="Gantt chart width in columns")
-    p_trace.add_argument("--no-gantt", action="store_true",
-                         help="skip the ASCII timeline")
+    p_trace.add_argument(
+        "file", help="flight dump (chaos-train --flight-dir) or Chrome JSON "
+        "(train --trace)",
+    )
 
     p_ch = sub.add_parser(
         "chaos-train",
@@ -179,41 +178,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="subsystem benchmarks (writes one BENCH_<scenario>.json each)",
-    )
-    p_bench.add_argument(
-        "--smoke", action="store_true",
-        help="small problem sizes for CI (seconds, not minutes)",
+        help="subsystem benchmark gate: runs the exchange, telemetry, "
+        "robustness and backend scenarios at CI size, writes one "
+        "BENCH_<scenario>.json each, and fails unless every absolute gate "
+        "holds: <= 2.1 bytes copied per sent byte, pool hit rate >= 0.5 "
+        "after the first epoch, a rank's frames out over <= 5 windows, "
+        "flight overhead inside its budget, bit-identical histories, "
+        "capacity restored, Q-deficit repaid, rejoin_speed >= 5, "
+        "migration_share <= 0.5, identical shards, /dev/shm clean",
     )
     p_bench.add_argument(
         "--out", default=None, metavar="DIR",
         help="artifact directory (default: benchmarks/results)",
     )
-    p_bench.add_argument(
-        "--check", action="store_true",
-        help="fail unless every absolute gate holds: <= 2.1 bytes copied "
-        "per sent byte, pool hit rate >= 0.5 after the first epoch, a rank's "
-        "frames out over <= 5 windows, flight overhead inside its "
-        "budget, bit-identical histories, capacity restored, Q-deficit "
-        "repaid, rejoin_speed >= 5, migration_share <= 0.5, identical "
-        "shards, /dev/shm clean",
-    )
     p_bench.add_argument("--seed", type=int, default=0, help="benchmark seed")
-    p_bench.add_argument(
-        "--scenario",
-        choices=["all", "exchange", "telemetry", "robustness", "backend"],
-        default="all",
-        help="which benchmark to run (default: all)",
-    )
-    add_backend_arg(p_bench)
 
     p_health = sub.add_parser(
         "health",
-        help="straggler/anomaly report over a telemetry snapshot",
+        help="lifecycle timeline of a flight dump, or straggler/anomaly "
+        "report over a telemetry snapshot",
     )
     p_health.add_argument(
         "file", nargs="?", default=None,
-        help="telemetry JSON snapshot (written by --run --out or a harness)",
+        help="flight dump (chaos-train --flight-dir) or telemetry JSON "
+        "snapshot (written by --run --out)",
     )
     p_health.add_argument(
         "--run", action="store_true",
@@ -256,27 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["text", "github"], default="text",
         help="report format (github = Actions ::error annotations)",
     )
-    p_lint.add_argument(
-        "--select", default=None, metavar="RULES",
-        help="comma-separated rule ids to run (default: all)",
-    )
 
-    p_vp = sub.add_parser(
+    sub.add_parser(
         "verify-protocol",
         help="model-check the reliable-exchange protocol (and its mutants)",
-    )
-    p_vp.add_argument(
-        "--config", default=None, metavar="NAME",
-        help="run only the named config (default: all)",
-    )
-    p_vp.add_argument(
-        "--mutants", default=None, metavar="NAMES",
-        help="comma-separated mutants to sweep (default: all); "
-        "'none' skips the sweep",
-    )
-    p_vp.add_argument(
-        "--list-mutants", action="store_true",
-        help="list the seeded protocol mutations and exit",
     )
 
     return parser
@@ -340,7 +311,7 @@ def _cmd_trace(args) -> int:
         print(f"no trace file at {path}", file=sys.stderr)
         return 1
     try:
-        summary = summarize_trace(path, top=args.top)
+        summary = summarize_trace(path)
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
         print(f"{path} is not a trace file (flight dump or Chrome JSON): {exc}",
               file=sys.stderr)
@@ -348,7 +319,7 @@ def _cmd_trace(args) -> int:
     if not summary.n_events:
         print(f"{path} holds no events", file=sys.stderr)
         return 1
-    print(render_summary(summary, width=args.width, gantt_chart=not args.no_gantt))
+    print(render_summary(summary))
     return 0
 
 
@@ -477,92 +448,66 @@ def _cmd_chaos_train(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.bench import SCENARIOS, run_bench
+    from repro.bench import ARTIFACTS, run_bench
 
-    if args.backend:
-        # The bench scenarios launch their SPMD worlds deep inside library
-        # code; the environment seam is how a CLI-wide backend choice
-        # reaches every run_spmd (the "backend" scenario still pins both
-        # backends explicitly for its comparison).
-        import os
-
-        from repro.mpi import REPRO_BACKEND_ENV
-
-        os.environ[REPRO_BACKEND_ENV] = args.backend
-    scenarios = SCENARIOS if args.scenario == "all" else (args.scenario,)
-    result = run_bench(
-        smoke=args.smoke,
-        out_dir=args.out,
-        check=args.check,
-        seed=args.seed,
-        scenarios=scenarios,
-    )
+    result = run_bench(out_dir=args.out, seed=args.seed)
     ex, tel = result["exchange"], result["telemetry"]
     rob, bk = result["robustness"], result["backend"]
-    artifact_names = {"robustness": "robustness_rejoin"}
-    artifacts = ", ".join(
-        f"BENCH_{artifact_names.get(name, name)}.json" for name in scenarios
+    print(f"wrote {', '.join(ARTIFACTS.values())} to {result['out_dir']}")
+    pool = ex["exchange"]["pool"]
+    print(
+        "exchange: {rate:.0f} samples/s, {copied:.3f} bytes copied per "
+        "sent byte, pool {hits}/{acquires} hits, {high} frames at most, "
+        "{windows} windows of a rank's frames out at most".format(
+            rate=ex["exchange"]["ops_per_s"],
+            copied=ex["ratios"]["bytes_copied_per_sent_byte"],
+            hits=pool["hits"],
+            acquires=pool["acquires"],
+            high=pool["high_water"],
+            windows=ex["exchange"]["max_windows_in_flight"],
+        )
     )
-    print(f"wrote {artifacts} to {result['out_dir']}")
-    if ex is not None:
-        pool = ex["exchange"]["pool"]
+    for q_row in ex["q_sweep"]:
         print(
-            "exchange: {rate:.0f} samples/s, {copied:.3f} bytes copied per "
-            "sent byte, pool {hits}/{acquires} hits, {high} frames at most, "
-            "{windows} windows of a rank's frames out at most".format(
-                rate=ex["exchange"]["ops_per_s"],
-                copied=ex["ratios"]["bytes_copied_per_sent_byte"],
-                hits=pool["hits"],
-                acquires=pool["acquires"],
-                high=pool["high_water"],
-                windows=ex["exchange"]["max_windows_in_flight"],
-            )
+            f"  Q={q_row['q']:<5g} exchange {q_row['wall_time_s'] * 1e3:8.1f} ms  "
+            f"{q_row['ops_per_s']:10.0f} samples/s"
         )
-        for q_row in ex["q_sweep"]:
-            print(
-                f"  Q={q_row['q']:<5g} exchange {q_row['wall_time_s'] * 1e3:8.1f} ms  "
-                f"{q_row['ops_per_s']:10.0f} samples/s"
-            )
-    if tel is not None:
-        print(
-            "telemetry: flight recorder {flight:.3f}x vs disabled "
-            "(budget {budget:.2f}x), full tracing {tracing:.3f}x".format(
-                flight=tel["ratios"]["flight_overhead"],
-                budget=tel["budget"]["flight_overhead_max"],
-                tracing=tel["ratios"]["tracing_overhead"],
-            )
+    print(
+        "telemetry: flight recorder {flight:.3f}x vs disabled "
+        "(budget {budget:.2f}x), full tracing {tracing:.3f}x".format(
+            flight=tel["ratios"]["flight_overhead"],
+            budget=tel["budget"]["flight_overhead_max"],
+            tracing=tel["ratios"]["tracing_overhead"],
         )
-    if rob is not None:
-        print(
-            "robustness: rejoin rebalance {speed:.1f}x cheaper than the run "
-            "it heals, {share:.0%} of samples migrated; bit-identical={bit}, "
-            "capacity restored={cap}, Q-deficit={qd:g}".format(
-                speed=rob["ratios"]["rejoin_speed"],
-                share=rob["ratios"]["migration_share"],
-                bit=rob["bit_identical"],
-                cap=rob["capacity_restored"],
-                qd=rob["q_deficit_final"],
-            )
+    )
+    print(
+        "robustness: rejoin rebalance {speed:.1f}x cheaper than the run "
+        "it heals, {share:.0%} of samples migrated; bit-identical={bit}, "
+        "capacity restored={cap}, Q-deficit={qd:g}".format(
+            speed=rob["ratios"]["rejoin_speed"],
+            share=rob["ratios"]["migration_share"],
+            bit=rob["bit_identical"],
+            cap=rob["capacity_restored"],
+            qd=rob["q_deficit_final"],
         )
-    if bk is not None:
-        print(
-            "backend: procs {speed:.2f}x vs threads on the exchange "
-            "({cores} core(s), recorded not gated), {trips:.2f} pipe round "
-            "trips per sent frame; shards identical={bit}, "
-            "/dev/shm clean={shm}".format(
-                speed=bk["ratios"]["procs_speedup"],
-                trips=bk["ratios"]["round_trips_per_frame"],
-                cores=bk["cores"],
-                bit=bk["identical_shards"],
-                shm=bk["shm_clean"],
-            )
+    )
+    print(
+        "backend: procs {speed:.2f}x vs threads on the exchange "
+        "({cores} core(s), recorded not gated), {trips:.2f} pipe round "
+        "trips per sent frame; shards identical={bit}, "
+        "/dev/shm clean={shm}".format(
+            speed=bk["ratios"]["procs_speedup"],
+            trips=bk["ratios"]["round_trips_per_frame"],
+            cores=bk["cores"],
+            bit=bk["identical_shards"],
+            shm=bk["shm_clean"],
         )
-    if args.check:
-        if result["problems"]:
-            for p in result["problems"]:
-                print(f"REGRESSION: {p}", file=sys.stderr)
-            return 1
-        print("bench check passed (every absolute gate holds)")
+    )
+    if result["problems"]:
+        for p in result["problems"]:
+            print(f"REGRESSION: {p}", file=sys.stderr)
+        return 1
+    print("bench check passed (every absolute gate holds)")
     return 0
 
 
@@ -659,12 +604,7 @@ def _run_health_demo(args) -> dict:
 def _cmd_lint(args) -> int:
     from repro.analysis import lint_paths
 
-    select = args.select.split(",") if args.select else None
-    try:
-        report = lint_paths(args.paths, select=select)
-    except ValueError as exc:  # unknown rule id in --select
-        print(str(exc), file=sys.stderr)
-        return 2
+    report = lint_paths(args.paths)
     if args.format == "github":
         for f in report.findings:
             print(f.render_github())
@@ -690,29 +630,14 @@ def _cmd_verify_protocol(args) -> int:
 
     from repro.analysis.protocol import (
         DEFAULT_CONFIGS,
-        MUTATIONS,
         check,
         format_trace,
         run_mutation_sweep,
     )
 
-    if args.list_mutants:
-        for name in sorted(MUTATIONS):
-            print(f"{name}: {MUTATIONS[name]}")
-        return 0
-
-    configs = DEFAULT_CONFIGS
-    if args.config is not None:
-        configs = tuple(c for c in DEFAULT_CONFIGS if c.name == args.config)
-        if not configs:
-            known = ", ".join(c.name for c in DEFAULT_CONFIGS)
-            print(f"unknown config {args.config!r}; known: {known}",
-                  file=sys.stderr)
-            return 2
-
     failed = False
-    t0, states, caught, swept = time.perf_counter(), 0, 0, 0
-    for cfg in configs:
+    t0, states = time.perf_counter(), 0
+    for cfg in DEFAULT_CONFIGS:
         res = check(cfg)
         states += res.states
         marker = "bounded" if res.truncated else "exhaustive"
@@ -724,36 +649,19 @@ def _cmd_verify_protocol(args) -> int:
             failed = True
             print(format_trace(v))
 
-    if args.mutants != "none":
-        kwargs = {}
-        if args.mutants:
-            kwargs["mutations"] = tuple(
-                m.strip() for m in args.mutants.split(",") if m.strip()
-            )
-        try:
-            sweep = run_mutation_sweep(configs, **kwargs)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        swept = len(sweep)
-        caught = sum(verdict is not None for verdict in sweep.values())
-        for name in sorted(sweep):
-            verdict = sweep[name]
-            if verdict is None:
-                failed = True
-                scope = (
-                    f"config {args.config!r}" if args.config is not None
-                    else "the selected configs"
-                )
-                print(f"mutant {name}: SURVIVED — {scope} cannot "
-                      "distinguish it from the real protocol (some mutants "
-                      "need a specific world, e.g. no_timeout_nack needs a "
-                      "no-deadline config and no_adopt_guard needs 3 ranks)")
-            else:
-                print(f"mutant {name}: detected ({verdict.kind})")
+    sweep = run_mutation_sweep()
+    caught = sum(verdict is not None for verdict in sweep.values())
+    for name in sorted(sweep):
+        verdict = sweep[name]
+        if verdict is None:
+            failed = True
+            print(f"mutant {name}: SURVIVED — no config distinguishes it "
+                  "from the real protocol")
+        else:
+            print(f"mutant {name}: detected ({verdict.kind})")
 
     print(
-        f"{len(configs)} config(s), {states} states; {caught}/{swept} mutants "
+        f"{len(DEFAULT_CONFIGS)} config(s), {states} states; {caught}/{len(sweep)} mutants "
         f"caught; {time.perf_counter() - t0:.1f} s"
     )
     if failed:

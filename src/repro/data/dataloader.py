@@ -1,14 +1,14 @@
 """Mini-batch iterator mirroring ``torch.utils.data.DataLoader``.
 
-Supports ``batch_size``, ``shuffle`` / explicit ``sampler``, ``drop_last``
-and a pluggable ``collate_fn``.  The default collate stacks NumPy samples
-into a ``(B, ...)`` batch array and labels into a 1-D array — the layout the
+Supports ``batch_size``, ``shuffle`` / explicit ``sampler`` and
+``drop_last``.  :func:`default_collate` stacks NumPy samples into a
+``(B, ...)`` batch array and labels into a 1-D array — the layout the
 ``repro.nn`` framework consumes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -44,8 +44,6 @@ class DataLoader:
         Explicit index sampler (e.g. :class:`DistributedSampler`).
     drop_last:
         Drop the final short batch.
-    collate_fn:
-        Batch assembly function; defaults to array stacking.
     """
 
     def __init__(
@@ -56,7 +54,6 @@ class DataLoader:
         shuffle: bool = False,
         sampler: Sampler | None = None,
         drop_last: bool = False,
-        collate_fn: Callable[[Sequence[tuple[Any, Any]]], Any] | None = None,
         seed: int = 0,
     ):
         if batch_size < 1:
@@ -66,7 +63,6 @@ class DataLoader:
         self.dataset = dataset
         self.batch_size = batch_size
         self.drop_last = drop_last
-        self.collate_fn = collate_fn or default_collate
         if sampler is None:
             sampler = RandomSampler(dataset, seed=seed) if shuffle else range(len(dataset))
         self.sampler = sampler
@@ -76,10 +72,10 @@ class DataLoader:
         for idx in self.sampler:
             batch.append(self.dataset[idx])
             if len(batch) == self.batch_size:
-                yield self.collate_fn(batch)
+                yield default_collate(batch)
                 batch = []
         if batch and not self.drop_last:
-            yield self.collate_fn(batch)
+            yield default_collate(batch)
 
     def __len__(self) -> int:
         n = len(self.sampler)

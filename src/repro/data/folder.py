@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.utils.fileio import atomic_save
-from repro.utils.retry import Retrier, default_retrier
+from repro.utils.retry import default_retrier
 
 from .dataset import Dataset
 
@@ -42,10 +42,9 @@ class FolderDataset(Dataset):
     Parameters
     ----------
     root:
-        Dataset root directory (one sub-directory per class).
-    retrier:
-        :class:`~repro.utils.retry.Retrier` governing read retries; the
-        process-wide default when omitted, so retry counts aggregate.
+        Dataset root directory (one sub-directory per class).  Reads retry
+        under the process-wide :func:`~repro.utils.retry.default_retrier`,
+        so retry counts aggregate.
     fault_hook:
         Optional ``hook(op, path, attempt)`` run before every physical read
         attempt; the chaos-injection seam
@@ -53,15 +52,9 @@ class FolderDataset(Dataset):
         injected fault, which the retrier then recovers from.
     """
 
-    def __init__(
-        self,
-        root: str | os.PathLike,
-        *,
-        retrier: Retrier | None = None,
-        fault_hook=None,
-    ):
+    def __init__(self, root: str | os.PathLike, *, fault_hook=None):
         self.root = Path(root)
-        self.retrier = retrier if retrier is not None else default_retrier()
+        self.retrier = default_retrier()
         self.fault_hook = fault_hook
         if not self.root.is_dir():
             raise FileNotFoundError(f"dataset root {self.root} is not a directory")
@@ -100,16 +93,14 @@ def materialize_folder_dataset(
     labels: Iterable[int],
     *,
     num_classes: int | None = None,
-    prefix: str = "sample",
-    retrier: Retrier | None = None,
     fault_hook=None,
 ) -> FolderDataset:
     """Write ``(features, labels)`` to disk in FolderDataset layout.
 
     Creates every class directory (even empty ones) so all ranks agree on
     the ``class_to_idx`` mapping — the role the paper's ``class_file`` plays
-    in ``PLS.ImageFolder(train_dir, class_file, ...)``.  ``retrier`` and
-    ``fault_hook`` are forwarded to the returned :class:`FolderDataset`.
+    in ``PLS.ImageFolder(train_dir, class_file, ...)``.  ``fault_hook``
+    is forwarded to the returned :class:`FolderDataset`.
     """
     root = Path(root)
     labels = np.asarray(list(labels))
@@ -119,5 +110,5 @@ def materialize_folder_dataset(
     for c in range(num_classes):
         (root / f"class_{c:0{width}d}").mkdir(parents=True, exist_ok=True)
     for i, (x, y) in enumerate(zip(features, labels)):
-        atomic_save(root / f"class_{int(y):0{width}d}" / f"{prefix}_{i:06d}.npy", x)
-    return FolderDataset(root, retrier=retrier, fault_hook=fault_hook)
+        atomic_save(root / f"class_{int(y):0{width}d}" / f"sample_{i:06d}.npy", x)
+    return FolderDataset(root, fault_hook=fault_hook)

@@ -115,7 +115,6 @@ def reconstruct_ledger(
     epochs: int,
     q: float,
     *,
-    granularity: int = 1,
     allow_self: bool = True,
 ) -> ReplicaLedger:
     """Rebuild the ledger offline by replaying the scheduler's decisions.
@@ -138,9 +137,8 @@ def reconstruct_ledger(
 
     for epoch in range(epochs):
         k = min(exchange_count(len(h), q) for h in holdings)
-        n_messages = -(-k // granularity) if k else 0
         plan = ExchangePlan.for_epoch(
-            seed=seed, epoch=epoch, size=size, rounds=n_messages,
+            seed=seed, epoch=epoch, size=size, rounds=k,
             allow_self=allow_self,
         )
         selected: list[list[int]] = []
@@ -149,24 +147,20 @@ def reconstruct_ledger(
             perm = rng.permutation(len(holdings[rank]))
             selected.append([holdings[rank][int(i)] for i in perm[:k]])
         applied: list[tuple[int, int, int]] = []
-        # Movement record mirrors _post_rounds: sample i of the selection
-        # rides in message i // granularity to that message's destination.
+        # Movement record mirrors the scheduler: sample i of the selection
+        # rides in plan round i to that round's destination.
         for rank in range(size):
             dests = plan.sends_for(rank)
             for i, g in enumerate(selected[rank]):
-                dst = int(dests[i // granularity])
+                dst = int(dests[i])
                 ledger.holder[g] = dst
                 applied.append((g, rank, dst))
-        # Storage reordering mirrors clean_local_storage: received groups
+        # Storage reordering mirrors clean_local_storage: received samples
         # append in round order, sent samples vacate their old positions.
-        received: list[list[int]] = [[] for _ in range(size)]
-        for rank in range(size):
-            srcs = plan.sources[:, rank]
-            for i in range(n_messages):
-                src = int(srcs[i])
-                received[rank].extend(
-                    selected[src][i * granularity : (i + 1) * granularity]
-                )
+        received = [
+            [selected[int(src)][i] for i, src in enumerate(plan.sources[:, rank])]
+            for rank in range(size)
+        ]
         for rank in range(size):
             sent = set(selected[rank])
             holdings[rank] = [

@@ -324,7 +324,6 @@ class _LifecycleRank:
         self.me = comm.group[comm.rank]
         self.model = None
         self.optimizer = None
-        self.schedule = None
         self.strategy: PartialLocalShuffle | None = None
         self.history: RunHistory | None = None
         self.recoveries: list = []
@@ -364,10 +363,9 @@ class _LifecycleRank:
                 self._admit(joiners, epoch)
             epoch_start = replica_state(self.model, self.optimizer)
             try:
-                lr = self.schedule.step(epoch)
                 record = train_one_epoch(
                     self.comm, self.job.config, self.strategy, self.model,
-                    self.optimizer, epoch, lr, self.job.val_X, self.job.val_y,
+                    self.optimizer, epoch, self.job.val_X, self.job.val_y,
                     failure_point=partial(self.plan.kills.check, self.me, epoch),
                 )
             except RankDied as exc:
@@ -417,7 +415,7 @@ class _LifecycleRank:
         if self.comm is not self._comm0:
             self.comm.forget_pending()
         # The node loses its memory: model, optimizer and shard are gone.
-        self.model = self.optimizer = self.schedule = None
+        self.model = self.optimizer = None
         self.strategy = None
         self.history = None
         return self._park_and_rejoin(rejoin_epoch)
@@ -526,15 +524,11 @@ class _LifecycleRank:
         """Rebuild this rank from a job record: a snapshot on restart, the
         handshake on rejoin.
 
-        Replicated state first — the optimizer built for the *original*
-        worker count: lr scaling follows the job, not the current
-        incarnation's size — then the ledger, then the shard (the
+        Replicated state first, then the ledger, then the shard (the
         manifest's gids re-read from the source dataset in hot order),
         then the strategy bound to ``comm``, then the history.
         """
-        self.model, self.optimizer, self.schedule = build_replica(
-            self.job.config, workers=record["total_workers"]
-        )
+        self.model, self.optimizer = build_replica(self.job.config)
         history = restore_replica_state(record, self.model, self.optimizer)
         ledger = ReplicaLedger()
         ledger.holder = {int(g): int(r) for g, r in record["ledger"].items()}
@@ -560,7 +554,7 @@ class _LifecycleRank:
 
     def _fresh_setup(self) -> None:
         cfg = self.job.config
-        self.model, self.optimizer, self.schedule = build_replica(cfg, self.comm)
+        self.model, self.optimizer = build_replica(cfg, self.comm)
         self.strategy = PartialLocalShuffle(
             self.job.q, ledger=ReplicaLedger(), **self.job.strategy_kwargs
         )
@@ -660,7 +654,7 @@ def run_lifecycle(
     *,
     config: TrainConfig,
     workers: int,
-    q: float = 0.2,
+    q: float,
     plan: LifecyclePlan | None = None,
     snapshot_dir: str | Path | None = None,
     resume: bool = False,

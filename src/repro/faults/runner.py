@@ -90,7 +90,7 @@ def run_chaos_train(
     *,
     config: TrainConfig,
     workers: int,
-    q: float = 0.3,
+    q: float,
     profile: str | FaultProfile = "",
     seed: int = 0,
     exchange_deadline_s: float | None = None,

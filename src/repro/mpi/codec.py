@@ -7,8 +7,8 @@ never walks a structure calling ``tobytes()`` (a full copy per checksum):
 * a compact ``struct``-packed **header** (dtype / shape / label / gid /
   offset per sample) — no pickle anywhere on the data plane;
 * one **contiguous payload** holding every sample's bytes back to back,
-  64-byte aligned, filled by straight ``memoryview`` copies (optionally
-  into a :class:`~repro.mpi.pool.BufferPool` buffer);
+  64-byte aligned, filled by straight ``memoryview`` copies into a
+  :class:`~repro.mpi.pool.BufferPool` buffer;
 * **zero-copy decode**: :func:`unpack_samples` returns views into the
   payload — no per-sample materialisation, and CRC32 runs over the
   contiguous buffer without copying anything.
@@ -67,7 +67,8 @@ class PackedBatch:
     """One wire envelope: header bytes + contiguous read-only payload.
 
     ``buf`` pins the backing memory (a :class:`~repro.mpi.pool.PoolBuffer`
-    when packed through a pool, else the raw ``bytearray``); callers
+    when packed, a raw ``bytearray`` when a transport copied it, ``None``
+    for an empty batch); callers
     retire it through :meth:`release` / :meth:`try_adopt` when they are done
     with the *views*, never directly.
     """
@@ -224,35 +225,18 @@ def _block_class(samples) -> tuple[np.dtype, tuple[int, ...]] | None:
     return dtype, shape
 
 
-def _acquire(nbytes: int, pool: BufferPool | None) -> tuple[Any, memoryview]:
-    """A payload buffer of ``nbytes`` and its writable view."""
-    if pool is not None:
-        buf = pool.acquire(nbytes)
-        return buf, buf.view
-    buf = bytearray(nbytes)
-    return buf, memoryview(buf)
-
-
-def _sealed(header: bytes, buf: Any) -> PackedBatch:
-    payload = (
-        buf.readonly() if isinstance(buf, PoolBuffer)
-        else memoryview(buf).toreadonly()
-    )
-    return PackedBatch(header=header, payload=payload, buf=buf)
-
-
-def pack_samples(block: SampleBlock, *, pool: BufferPool | None = None) -> PackedBatch:
+def pack_samples(block: SampleBlock, *, pool: BufferPool) -> PackedBatch:
     """Coalesce a :class:`SampleBlock` into one wire envelope.
 
     The samples must share one dtype and a shape of at least one dimension
     (every frame the exchange packs does; a batch may also be empty): each
     is copied once (the unavoidable gather into wire form) into a
-    contiguous buffer acquired from ``pool`` when given.  Object-dtype
+    contiguous buffer acquired from ``pool``.  Object-dtype
     arrays are rejected: the codec's whole point is that payload bytes
     never meet pickle.
     """
     if not len(block):
-        return _sealed(_HEAD.pack(_MAGIC, 0), bytearray())
+        return PackedBatch(header=_HEAD.pack(_MAGIC, 0), payload=memoryview(b""))
     cls = _block_class(block.samples)
     if cls is None:
         raise ValueError(
@@ -269,7 +253,8 @@ def pack_samples(block: SampleBlock, *, pool: BufferPool | None = None) -> Packe
     recs["label"], recs["gid"] = block.labels, block.gids
     recs["offset"] = _extent_offsets(n, stride)
     recs["nbytes"], recs["dims"] = nbytes, shape
-    buf, dest = _acquire((n - 1) * stride + nbytes, pool)
+    buf = pool.acquire((n - 1) * stride + nbytes)
+    dest = buf.view
     samples = block.samples
     if nbytes and isinstance(samples, np.ndarray):
         _block_view(dest, n, dtype, shape, stride)[...] = samples
@@ -281,19 +266,20 @@ def pack_samples(block: SampleBlock, *, pool: BufferPool | None = None) -> Packe
             if not row.flags.c_contiguous:
                 row = np.ascontiguousarray(row)
             dest[off : off + nbytes] = memoryview(row).cast("B")
-    return _sealed(_HEAD.pack(_MAGIC, n) + recs.tobytes(), buf)
+    return PackedBatch(
+        header=_HEAD.pack(_MAGIC, n) + recs.tobytes(), payload=buf.readonly(), buf=buf
+    )
 
 
-def unpack_samples(batch: PackedBatch, *, copy: bool = False) -> SampleBlock:
+def unpack_samples(batch: PackedBatch) -> SampleBlock:
     """Decode a :class:`PackedBatch` back into ``(sample, label, gid)``
     triples, held as the columns of a :class:`SampleBlock`.
 
-    With ``copy=False`` (the default) the returned arrays are read-only
-    views into the batch payload: zero byte copies, at the price of every
-    view pinning the *whole* backing buffer (``batch.try_adopt()`` records
-    that hand-off; the exchange instead copies the block into storage-owned
-    slots and ``release()``\\ s the buffer).  ``copy=True`` materialises
-    private writable arrays.
+    The returned arrays are read-only views into the batch payload: zero
+    byte copies, at the price of every view pinning the *whole* backing
+    buffer (``batch.try_adopt()`` records that hand-off; the exchange
+    instead copies the block into storage-owned slots and
+    ``release()``\\ s the buffer).
 
     The header's equal-sized records describe one dtype and shape at evenly
     spaced extents and decode into one ``(n, *shape)`` block; any other
@@ -307,14 +293,7 @@ def unpack_samples(batch: PackedBatch, *, copy: bool = False) -> SampleBlock:
         raise ValueError(
             "corrupt header: not one class of samples at evenly spaced extents"
         )
-    if not copy:
-        return block
-    samples = block.samples
-    if isinstance(samples, np.ndarray):
-        samples = np.array(samples)
-    else:
-        samples = [sample.copy() for sample in samples]
-    return SampleBlock(samples, block.labels, block.gids)
+    return block
 
 
 def _unpack_block(batch: PackedBatch, n: int) -> SampleBlock | None:

@@ -14,8 +14,7 @@ from .layers import (
     ReLU,
     Sequential,
 )
-from .lr_scheduler import LRScheduler, MultiStepLR
-from .metrics import RunningAverage, accuracy, topk_accuracy
+from .metrics import RunningAverage, accuracy
 from .models import (
     MODEL_NAMES,
     BasicBlock,
@@ -39,11 +38,8 @@ __all__ = [
     "Linear",
     "ReLU",
     "Sequential",
-    "LRScheduler",
-    "MultiStepLR",
     "RunningAverage",
     "accuracy",
-    "topk_accuracy",
     "MODEL_NAMES",
     "BasicBlock",
     "MLPClassifier",

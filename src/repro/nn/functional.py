@@ -56,75 +56,60 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 # --------------------------------------------------------------------- conv2d
-def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
-    return (size + 2 * padding - kernel) // stride + 1
-
-
-def _place(count: int, offset: int, step: int, size: int) -> tuple[slice, slice]:
+def _place(count: int, offset: int, size: int) -> tuple[slice, slice]:
     """Source / destination slices putting item ``i`` of ``count`` at
-    ``offset + i * step``, keeping only what lands in ``[0, size)``."""
-    lo = max(0, -(offset // step))
-    hi = max(lo, min(count, (size - 1 - offset) // step + 1))
-    return slice(lo, hi), slice(offset + lo * step, offset + hi * step, step)
+    ``offset + i``, keeping only what lands in ``[0, size)``."""
+    lo = max(0, -offset)
+    hi = max(lo, min(count, size - offset))
+    return slice(lo, hi), slice(offset + lo, offset + hi)
 
 
 def _patches(
-    x: np.ndarray, kh: int, kw: int, stride: int, top: int, left: int, oh: int, ow: int,
-    step: int = 1,
+    x: np.ndarray, kh: int, kw: int, top: int, left: int, oh: int, ow: int
 ) -> np.ndarray:
     """The one gather: (N,C,H,W) -> (N*oh*ow, kh*kw*C) patch matrix.
 
-    ``x`` is copied once into a zeroed channels-last buffer, ``step - 1``
-    zeros between its pixels and zeros beyond its edges; row ``(n, i, j)``
-    is the window whose corner sits ``(top, left)`` buffer pixels before
-    ``x``'s first pixel plus ``(i, j) * stride``.  A window row is ``kw*C``
-    contiguous floats, so materialising the matrix copies long runs.
+    ``x`` is copied once into a zeroed channels-last buffer with zeros
+    beyond its edges; row ``(n, i, j)`` is the window whose corner sits
+    ``(top, left)`` buffer pixels before ``x``'s first pixel plus
+    ``(i, j)``.  A window row is ``kw*C`` contiguous floats, so
+    materialising the matrix copies long runs.
     """
     n, c, h, w = x.shape
-    buf = np.zeros((n, (oh - 1) * stride + kh, (ow - 1) * stride + kw, c), dtype=x.dtype)
-    src_h, dst_h = _place(h, top, step, buf.shape[1])
-    src_w, dst_w = _place(w, left, step, buf.shape[2])
+    buf = np.zeros((n, oh - 1 + kh, ow - 1 + kw, c), dtype=x.dtype)
+    src_h, dst_h = _place(h, top, buf.shape[1])
+    src_w, dst_w = _place(w, left, buf.shape[2])
     buf[:, dst_h, dst_w] = x[:, :, src_h, src_w].transpose(0, 2, 3, 1)
     sn, sh, sw, sc = buf.strides
     windows = np.lib.stride_tricks.as_strided(
         buf,
         shape=(n, oh, ow, kh, kw * c),
-        strides=(sn, sh * stride, sw * stride, sh, sc),
+        strides=(sn, sh, sw, sh, sc),
         writeable=False,
     )
     return windows.reshape(n * oh * ow, kh * kw * c)
 
 
-def im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int, padding: int
-) -> tuple[np.ndarray, int, int]:
+def im2col(x: np.ndarray, kh: int, kw: int, padding: int) -> tuple[np.ndarray, int, int]:
     """(N,C,H,W) -> (N*OH*OW, kh*kw*C) channels-last patch matrix, plus output dims."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
     h, w = x.shape[2:]
-    oh, ow = _out_size(h, kh, stride, padding), _out_size(w, kw, stride, padding)
+    oh, ow = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
     if oh <= 0 or ow <= 0:
         raise ValueError(
-            f"kernel {kh}x{kw} stride {stride} padding {padding} too large for input {h}x{w}"
+            f"kernel {kh}x{kw} padding {padding} too large for input {h}x{w}"
         )
-    return _patches(x, kh, kw, stride, padding, padding, oh, ow), oh, ow
+    return _patches(x, kh, kw, padding, padding, oh, ow), oh, ow
 
 
-def conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    *,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """2-D cross-correlation: x (N,C,H,W), weight (F,C,KH,KW) -> (N,F,OH,OW).
+def conv2d(x: Tensor, weight: Tensor, *, padding: int = 0) -> Tensor:
+    """2-D stride-1 cross-correlation, no bias: x (N,C,H,W), weight
+    (F,C,KH,KW) -> (N,F,OH,OW).
 
     Forward and input gradient are the same gather + one matmul: ``dx`` is
-    the stride-1 correlation of the upstream gradient (zero-dilated by
-    ``stride``) with the 180-degree-flipped kernel.
+    the correlation of the upstream gradient with the 180-degree-flipped
+    kernel.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError(f"conv2d expects 4-D input/weight, got {x.shape}/{weight.shape}")
@@ -132,24 +117,19 @@ def conv2d(
     f, cw, kh, kw = weight.shape
     if cw != c:
         raise ValueError(f"input channels {c} != weight channels {cw}")
-    cols, oh, ow = im2col(x.data, kh, kw, stride, padding)
+    cols, oh, ow = im2col(x.data, kh, kw, padding)
     out_data = cols @ weight.data.transpose(2, 3, 1, 0).reshape(-1, f)  # (N*OH*OW, F)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(f)
     out_data = out_data.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = x._make(np.ascontiguousarray(out_data), parents, "conv2d")
+    out = x._make(np.ascontiguousarray(out_data), (x, weight), "conv2d")
     if out.requires_grad:
 
         def backward(g: np.ndarray) -> None:
             if weight.requires_grad or weight._prev:
                 gmat = g.transpose(0, 2, 3, 1).reshape(-1, f)  # (N*OH*OW, F)
                 weight._push((cols.T @ gmat).reshape(kh, kw, c, f).transpose(3, 2, 0, 1))
-            if bias is not None and (bias.requires_grad or bias._prev):
-                bias._push(g.sum(axis=(0, 2, 3)).reshape(bias.shape))
             if x.requires_grad or x._prev:
-                gcols = _patches(g, kh, kw, 1, kh - 1 - padding, kw - 1 - padding, h, w, stride)
+                gcols = _patches(g, kh, kw, kh - 1 - padding, kw - 1 - padding, h, w)
                 flipped = weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
                 x._push((gcols @ flipped).reshape(n, h, w, c).transpose(0, 3, 1, 2))
 

@@ -28,7 +28,6 @@ class Linear(Module):
         in_features: int,
         out_features: int,
         *,
-        bias: bool = True,
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
@@ -36,18 +35,16 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(kaiming_uniform((out_features, in_features), rng=rng))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
+        self.bias = Parameter(np.zeros(out_features))
 
     def forward(self, x: Tensor) -> Tensor:
         """Apply this module to the input."""
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight.T + self.bias
 
 
 class Conv2d(Module):
-    """2-D convolution over (N, C, H, W) inputs."""
+    """2-D stride-1 convolution over (N, C, H, W) inputs, without bias (a
+    normalisation layer follows every convolution of the zoo)."""
 
     def __init__(
         self,
@@ -55,23 +52,19 @@ class Conv2d(Module):
         out_channels: int,
         kernel_size: int,
         *,
-        stride: int = 1,
         padding: int = 0,
-        bias: bool = True,
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
         rng = rng if rng is not None else default_rng()
-        self.stride = stride
         self.padding = padding
         self.weight = Parameter(
             kaiming_uniform((out_channels, in_channels, kernel_size, kernel_size), rng=rng)
         )
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         """Apply this module to the input."""
-        return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return F.conv2d(x, self.weight, padding=self.padding)
 
 
 class GlobalAvgPool2d(Module):

@@ -1,4 +1,4 @@
-"""Classification metrics: top-k accuracy, running average."""
+"""Classification metrics: top-1 accuracy, running average."""
 
 from __future__ import annotations
 
@@ -6,36 +6,19 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["topk_accuracy", "accuracy", "RunningAverage"]
-
-
-def _logits_array(logits) -> np.ndarray:
-    return logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-
-
-def topk_accuracy(logits, labels: np.ndarray, k: int = 1) -> float:
-    """Fraction of rows whose true label is among the top-k logits.
-
-    The paper reports top-1 validation accuracy throughout; top-5 is the
-    usual companion for ImageNet-style tables.
-    """
-    scores = _logits_array(logits)
-    labels = np.asarray(labels)
-    if scores.ndim != 2:
-        raise ValueError(f"expected (N, C) logits, got shape {scores.shape}")
-    if k < 1 or k > scores.shape[1]:
-        raise ValueError(f"k={k} invalid for {scores.shape[1]} classes")
-    if len(labels) != scores.shape[0]:
-        raise ValueError(f"{scores.shape[0]} rows vs {len(labels)} labels")
-    if k == 1:
-        return float((scores.argmax(axis=1) == labels).mean())
-    topk = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-    return float((topk == labels[:, None]).any(axis=1).mean())
+__all__ = ["accuracy", "RunningAverage"]
 
 
 def accuracy(logits, labels: np.ndarray) -> float:
-    """Top-1 accuracy."""
-    return topk_accuracy(logits, labels, k=1)
+    """Fraction of rows whose largest logit is the true label: the top-1
+    validation accuracy the paper reports throughout."""
+    scores = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
+    labels = np.asarray(labels)
+    if scores.ndim != 2:
+        raise ValueError(f"expected (N, C) logits, got shape {scores.shape}")
+    if len(labels) != scores.shape[0]:
+        raise ValueError(f"{scores.shape[0]} rows vs {len(labels)} labels")
+    return float((scores.argmax(axis=1) == labels).mean())
 
 
 class RunningAverage:

@@ -92,9 +92,9 @@ class BasicBlock(Module):
     ):
         super().__init__()
         rng = rng if rng is not None else default_rng()
-        self.conv1 = Conv2d(channels, channels, 3, padding=1, bias=False, rng=rng)
+        self.conv1 = Conv2d(channels, channels, 3, padding=1, rng=rng)
         self.norm1 = _norm2d(norm, channels)
-        self.conv2 = Conv2d(channels, channels, 3, padding=1, bias=False, rng=rng)
+        self.conv2 = Conv2d(channels, channels, 3, padding=1, rng=rng)
         self.norm2 = _norm2d(norm, channels)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -120,7 +120,7 @@ class TinyResNet(Module):
         super().__init__()
         rng = rng if rng is not None else default_rng()
         self.stem = Sequential(
-            Conv2d(in_channels, width, 3, padding=1, bias=False, rng=rng),
+            Conv2d(in_channels, width, 3, padding=1, rng=rng),
             _norm2d(norm, width),
             ReLU(),
         )

@@ -45,8 +45,7 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """SGD with (optionally Nesterov) momentum and decoupled-from-nothing
-    classic L2 weight decay (added to the gradient, as in the ImageNet
+    """SGD with heavy-ball momentum and classic L2 weight decay (added to the gradient, as in the ImageNet
     recipes the paper follows)."""
 
     def __init__(
@@ -56,18 +55,14 @@ class SGD(Optimizer):
         *,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ):
         super().__init__(params, lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0,1), got {momentum}")
         if weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov momentum requires momentum > 0")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
         #: ``_velocity`` is per parameter: what a checkpoint stores.
         self._velocity, self._groups = self._momentum_groups(momentum)
 
@@ -82,5 +77,5 @@ class SGD(Optimizer):
             if self.momentum:
                 v *= self.momentum
                 v += grad
-                grad = grad + self.momentum * v if self.nesterov else v
+                grad = v
             g.data -= self.lr * grad

@@ -190,15 +190,15 @@ class Tensor:
         return out
 
     # ------------------------------------------------------------- reductions
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def sum(self, axis=None) -> "Tensor":
         """Differentiable sum over ``axis`` (all elements by default)."""
-        out = self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
+        out = self._make(self.data.sum(axis=axis), (self,), "sum")
         if out.requires_grad:
             in_shape = self.shape
 
             def backward(g: np.ndarray) -> None:
                 gg = g
-                if axis is not None and not keepdims:
+                if axis is not None:
                     axes = (axis,) if isinstance(axis, int) else tuple(axis)
                     axes = tuple(a % len(in_shape) for a in axes)
                     gg = np.expand_dims(gg, axis=axes)
@@ -207,10 +207,10 @@ class Tensor:
             out._backward = backward
         return out
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def mean(self, axis=None) -> "Tensor":
         """Differentiable mean over ``axis`` (all elements by default)."""
         n = self.data.size if axis is None else _axis_size(self.shape, axis)
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        return self.sum(axis=axis) * (1.0 / n)
 
     # ------------------------------------------------------------ shape / view
     def reshape(self, *shape) -> "Tensor":

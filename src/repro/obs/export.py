@@ -30,26 +30,20 @@ __all__ = [
 ]
 
 
-def chrome_trace_events(
-    events: Iterable[Event],
-    *,
-    rank_names: dict[int, str] | None = None,
-) -> list[dict]:
+def chrome_trace_events(events: Iterable[Event]) -> list[dict]:
     """Convert a timeline (:func:`~repro.obs.merge_ranks`) to a Chrome
     trace-event list: one ``pid`` per rank, the event's kind as its name
     and the kind's first component as its category.
 
     Timestamps are rebased to the earliest event so the trace opens at t=0.
-    Metadata events name each process lane ``rank <r>`` (override via
-    ``rank_names``).
+    Metadata events name each process lane ``rank <r>``.
     """
     events = sorted(events, key=lambda ev: (ev.ts, ev.rank))
     base_ts = events[0].ts if events else 0.0
     out: list[dict] = []
     for rank in sorted({ev.rank for ev in events}):
-        name = (rank_names or {}).get(rank, f"rank {rank}")
         out.append({"name": "process_name", "ph": "M", "pid": rank, "tid": 0,
-                    "args": {"name": name}})
+                    "args": {"name": f"rank {rank}"}})
         out.append({"name": "process_sort_index", "ph": "M", "pid": rank,
                     "tid": 0, "args": {"sort_index": rank}})
     for ev in events:
@@ -70,17 +64,12 @@ def chrome_trace_events(
     return out
 
 
-def write_chrome_trace(
-    events: Iterable[Event],
-    path: str | Path,
-    *,
-    rank_names: dict[int, str] | None = None,
-) -> Path:
+def write_chrome_trace(events: Iterable[Event], path: str | Path) -> Path:
     """Write the Chrome trace-event JSON array; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
-        json.dump(chrome_trace_events(events, rank_names=rank_names), fh, default=str)
+        json.dump(chrome_trace_events(events), fh, default=str)
     return path
 
 

@@ -51,9 +51,11 @@ class TraceSummary:
     events: list[Event] = field(default_factory=list, repr=False)
 
 
-def summarize_events(
-    events: Sequence[Event], *, top: int = 10
-) -> TraceSummary:
+#: How many of the longest spans a summary lists.
+TOP_SPANS = 10
+
+
+def summarize_events(events: Sequence[Event]) -> TraceSummary:
     """Digest an event list (see :class:`TraceSummary`)."""
     spans = [ev for ev in events if ev.dur]
     ranks = sorted({ev.rank for ev in events})
@@ -68,14 +70,14 @@ def summarize_events(
         bytes_by_rank=bytes_by_rank(events),
         overlap=overlap_report(events),
         service=service_report(events),
-        top_spans=sorted(spans, key=lambda ev: ev.dur, reverse=True)[:top],
+        top_spans=sorted(spans, key=lambda ev: ev.dur, reverse=True)[:TOP_SPANS],
         events=list(events),
     )
 
 
-def summarize_trace(path: str | Path, *, top: int = 10) -> TraceSummary:
+def summarize_trace(path: str | Path) -> TraceSummary:
     """Load + digest a flight dump or a Chrome trace file."""
-    return summarize_events(load_trace(path), top=top)
+    return summarize_events(load_trace(path))
 
 
 def _phase_lanes(events: Sequence[Event]) -> dict[str, list[tuple[float, float]]]:
@@ -97,9 +99,7 @@ def _phase_lanes(events: Sequence[Event]) -> dict[str, list[tuple[float, float]]
     }
 
 
-def render_summary(
-    summary: TraceSummary, *, width: int = 72, gantt_chart: bool = True
-) -> str:
+def render_summary(summary: TraceSummary) -> str:
     """Render a summary as the multi-table text block ``repro trace`` prints."""
     parts: list[str] = [
         f"{summary.n_events} events over {len(summary.ranks)} rank(s), "
@@ -168,10 +168,9 @@ def render_summary(
             title="top spans by duration",
         ))
 
-    if gantt_chart:
-        lanes = _phase_lanes(summary.events)
-        if lanes:
-            parts.append("phase timeline (per rank):")
-            parts.append(gantt(lanes, width=width))
+    lanes = _phase_lanes(summary.events)
+    if lanes:
+        parts.append("phase timeline (per rank):")
+        parts.append(gantt(lanes))
 
     return "\n\n".join(parts)

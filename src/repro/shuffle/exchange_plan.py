@@ -122,25 +122,24 @@ class FrameSpec(NamedTuple):
 
 
 def plan_frames(
-    plan: ExchangePlan, k: int, granularity: int, window: int, rank: int
+    plan: ExchangePlan, window: int, rank: int
 ) -> list[tuple[list[FrameSpec], list[FrameSpec]]]:
     """Cut ``rank``'s share of ``plan`` into frames: per window, ``(send
     frames, owed frames)``, each by ascending peer.
 
-    ``k`` samples move in ``plan.rounds`` rounds of ``granularity`` samples
-    (the last round may be short) and a window is ``window`` consecutive
-    rounds.  Both sides of a frame derive it from the shared plan, so a
-    receiver knows what it is owed without any announcement, an empty
-    ``(window, peer)`` pair has no frame, and self is a peer like any other.
+    A plan round moves one sample each way and a window is ``window``
+    consecutive rounds (the last may be short).  Both sides of a frame
+    derive it from the shared plan, so a receiver knows what it is owed
+    without any announcement, an empty ``(window, peer)`` pair has no frame,
+    and self is a peer like any other.
     """
-    dest_of = np.repeat(plan.destinations[:, rank], granularity)[:k]
-    src_of = np.repeat(plan.sources[:, rank], granularity)[:k]
+    dest_of = plan.destinations[:, rank]
+    src_of = plan.sources[:, rank]
     # Peers by bincount, not np.unique: under numpy 2 that imports numpy.ma,
     # about 1 MB of resident memory in every rank process.
     frames = []
-    for w, lo in enumerate(range(0, plan.rounds, window)):
-        a = min(lo * granularity, k)
-        b = min((lo + window) * granularity, k)
+    for w, a in enumerate(range(0, plan.rounds, window)):
+        b = a + window
         frames.append(tuple(
             [
                 FrameSpec(w, peer, a + np.flatnonzero(of[a:b] == peer))

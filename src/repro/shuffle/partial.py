@@ -30,25 +30,20 @@ class PartialLocalShuffle(LocalShuffle):
     Parameters
     ----------
     q:
-        Exchange fraction Q in [0, 1] (the paper's ``partial-x``).
-    batch_size_hint:
-        Per-worker batch size used to size the Q*b overlap chunks; the
-        trainer overrides it via ``epoch_loader``'s batch size.
-    overlap:
-        If True (default), the exchange is chunked across training
-        iterations via :meth:`on_iteration` (Figure 4).  If False, the whole
-        exchange is posted and completed in :meth:`end_epoch` — the
-        "blocking" ablation.
+        Exchange fraction Q in [0, 1] (the paper's ``partial-x``).  The
+        exchange is chunked across training iterations via
+        :meth:`on_iteration` (Figure 4), Q*b samples per iteration for
+        ``epoch_loader``'s batch size b.
     allow_self:
         Whether the destination permutation may map a rank to itself (the
         paper's plain draw).  See :class:`ExchangePlan`.
     ledger:
         Optional :class:`~repro.elastic.ReplicaLedger` the scheduler commits
         every epoch's sample movements to (see :class:`Scheduler`).
-    exchange_deadline_s / resend_timeout_s / max_attempts:
+    exchange_deadline_s / resend_timeout_s:
         Transient-fault controls forwarded to :class:`Scheduler`: the
         per-epoch exchange deadline that turns stragglers into graceful
-        Q-degradation, and the resend timing/budget.
+        Q-degradation, and the resend timing.
     """
 
     def __init__(
@@ -56,29 +51,21 @@ class PartialLocalShuffle(LocalShuffle):
         q: float,
         *,
         capacity_bytes: int | None = None,
-        batch_size_hint: int = 32,
-        overlap: bool = True,
         allow_self: bool = True,
-        granularity: int = 1,
         selection: str = "random",
         ledger=None,
         exchange_deadline_s: float | None = None,
         resend_timeout_s: float = 0.25,
-        max_attempts: int = 16,
     ) -> None:
         super().__init__(capacity_bytes=capacity_bytes)
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"exchange fraction q must be in [0,1], got {q}")
         self.q = q
-        self.batch_size_hint = batch_size_hint
-        self.overlap = overlap
         self.allow_self = allow_self
-        self.granularity = granularity
         self.selection = selection
         self.ledger = ledger
         self.exchange_deadline_s = exchange_deadline_s
         self.resend_timeout_s = resend_timeout_s
-        self.max_attempts = max_attempts
         self.name = f"partial-{q:g}"
         self.scheduler: Scheduler | None = None
         self._epoch_active = False
@@ -103,15 +90,12 @@ class PartialLocalShuffle(LocalShuffle):
             self.storage,
             comm,
             fraction=self.q,
-            batch_size=self.batch_size_hint,
             seed=self.seed,
             allow_self=self.allow_self,
-            granularity=self.granularity,
             selection=self.selection,
             ledger=self.ledger,
             deadline_s=self.exchange_deadline_s,
             resend_timeout_s=self.resend_timeout_s,
-            max_attempts=self.max_attempts,
         )
 
     # ------------------------------------------------------------ epoch hooks
@@ -132,7 +116,7 @@ class PartialLocalShuffle(LocalShuffle):
 
     def on_iteration(self) -> None:
         """Post this iteration's Q*b exchange rounds (overlap with FW+BW)."""
-        if self._epoch_active and self.overlap:
+        if self._epoch_active:
             self.scheduler.communicate_chunk()
 
     def end_epoch(self) -> None:

@@ -107,6 +107,10 @@ EXCHANGE_CTRL_TAG = EXCHANGE_CTRL.base
 SERVICE_EVERY = 2
 WINDOWS_IN_FLIGHT_BOUND = 2 * SERVICE_EVERY + 1
 
+#: Per-frame bound on both resends and NACKs before the exchange gives up
+#: with :class:`~repro.mpi.errors.UnrecoveredFaultError`.
+MAX_ATTEMPTS = 16
+
 _NO_IDS = np.empty(0, dtype=np.int64)
 
 
@@ -151,10 +155,8 @@ class Scheduler:
         consults after a failure.
     resend_timeout_s:
         Base interval of silence after which an unverified frame is NACKed
-        again (exponential backoff, deterministic jitter).
-    max_attempts:
-        Per-frame bound on both resends and NACKs before the exchange gives
-        up with :class:`~repro.mpi.errors.UnrecoveredFaultError`.
+        again (exponential backoff, deterministic jitter), at most
+        :data:`MAX_ATTEMPTS` times.
     deadline_s:
         Optional per-epoch exchange deadline (seconds, measured from
         ``scheduling()``); on expiry the remaining windows are abandoned and
@@ -170,39 +172,28 @@ class Scheduler:
         batch_size: int = 32,
         seed: int = 0,
         allow_self: bool = True,
-        granularity: int = 1,
         selection: str = "random",
         ledger=None,
         resend_timeout_s: float = 0.25,
-        max_attempts: int = 16,
         deadline_s: float | None = None,
     ):
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction Q must be in [0,1], got {fraction}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if granularity < 1:
-            raise ValueError(f"granularity must be >= 1, got {granularity}")
         if selection not in ("random", "stale"):
             raise ValueError(f"selection must be random or stale, got {selection!r}")
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.storage = storage
         self.comm = comm
         self.fraction = fraction
         self.batch_size = batch_size
         self.seed = seed
         self.allow_self = allow_self
-        # §III-E: "our scheduler could however be simply extended to exchange
-        # batches of samples instead of individual samples" — ``granularity``
-        # samples share each plan round's destination (LMDB-style groups).
-        self.granularity = granularity
         # Which local samples to exchange: "random" is Algorithm 1's draw;
         # "stale" evicts the samples that have sat in the shard longest.
         self.selection = selection
         self.ledger = ledger
         self.resend_timeout_s = resend_timeout_s
-        self.max_attempts = max_attempts
         self.deadline_s = deadline_s
         self._nack_backoff = Backoff(
             resend_timeout_s, factor=2.0, cap_s=max(resend_timeout_s * 8, 0.05)
@@ -308,27 +299,26 @@ class Scheduler:
             # settled against q_deficit at commit time.
             self._planned_extra = k - int(agreed[1])
             self._selected_ids = self._select_samples(k, epoch)
-            # A plan round moves ``granularity`` samples; the plan is built at
-            # round granularity so balance holds per round AND per sample.
-            n_messages = -(-k // self.granularity) if k else 0
+            # A plan round moves one sample, so balance holds per round AND
+            # per sample.
             self.plan = ExchangePlan.for_epoch(
                 seed=self.seed,
                 epoch=epoch,
                 size=self.comm.size,
-                rounds=n_messages,
+                rounds=k,
                 allow_self=self.allow_self,
             )
             self._sent_gids = np.full(k, -1, dtype=np.int64)
             self._sent_dest = np.full(k, -1, dtype=np.int64)
             sp.set(
-                rounds=n_messages,
+                rounds=k,
                 samples=k,
                 # CRC of the destination matrix: two ranks whose fingerprints
                 # differ diverged on the shared-seed plan — the first thing a
                 # post-mortem checks.
                 rng_fingerprint=zlib.crc32(self.plan.destinations.tobytes()),
             )
-        self.engine = ExchangeEngine(self.epoch, max_attempts=self.max_attempts)
+        self.engine = ExchangeEngine(self.epoch, max_attempts=MAX_ATTEMPTS)
         self._window = 0
         self._windows = []
         self._io = {}
@@ -359,7 +349,7 @@ class Scheduler:
     def chunk_rounds(self) -> int:
         """Plan rounds per window — what one training iteration posts under
         overlap: Q*b samples' worth (>= 1)."""
-        return max(1, int(round(self.fraction * self.batch_size / self.granularity)))
+        return max(1, int(round(self.fraction * self.batch_size)))
 
     def _require_scheduled(self) -> None:
         if self.plan is None or self.epoch is None:
@@ -399,10 +389,7 @@ class Scheduler:
         matter how many ``communicate_chunk`` calls it made."""
         if not self._window:
             self._window = self.chunk_rounds
-            self._windows = plan_frames(
-                self.plan, len(self._selected_ids), self.granularity,
-                self._window, self.comm.rank,
-            )
+            self._windows = plan_frames(self.plan, self._window, self.comm.rank)
         engine = self.engine
         stop = len(self._windows)
         if count is not None:
@@ -909,18 +896,9 @@ class Scheduler:
         self.epoch = None
         self._cleaned = True
 
-    def run_exchange(self, epoch: int, deadline_s: float | None = None) -> None:
-        """Convenience: the full blocking exchange for one epoch.
-
-        ``deadline_s`` overrides the scheduler's per-epoch exchange deadline
-        for this call only."""
-        prev = self.deadline_s
-        if deadline_s is not None:
-            self.deadline_s = deadline_s
-        try:
-            self.scheduling(epoch)
-            send_reqs, recv_reqs = self.communicate()
-            self.synchronize(send_reqs, recv_reqs)
-            self.clean_local_storage()
-        finally:
-            self.deadline_s = prev
+    def run_exchange(self, epoch: int) -> None:
+        """Convenience: the full blocking exchange for one epoch."""
+        self.scheduling(epoch)
+        send_reqs, recv_reqs = self.communicate()
+        self.synchronize(send_reqs, recv_reqs)
+        self.clean_local_storage()

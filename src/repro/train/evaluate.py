@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.metrics import RunningAverage, topk_accuracy
+from repro.nn.metrics import RunningAverage, accuracy
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, no_grad
 
@@ -18,9 +18,8 @@ def evaluate(
     y: np.ndarray,
     *,
     batch_size: int = 256,
-    k: int = 1,
 ) -> tuple[float, float]:
-    """Return ``(top-k accuracy, mean loss)`` of ``model`` on ``(X, y)``.
+    """Return ``(top-1 accuracy, mean loss)`` of ``model`` on ``(X, y)``.
 
     Switches the model to eval mode (BatchNorm running statistics) and back
     to its previous mode afterwards; no gradients are recorded.
@@ -37,7 +36,7 @@ def evaluate(
                 xb = X[start : start + batch_size]
                 yb = y[start : start + batch_size]
                 logits = model(Tensor(np.asarray(xb, dtype=np.float32)))
-                acc.update(topk_accuracy(logits, yb, k=k), weight=len(yb))
+                acc.update(accuracy(logits, yb), weight=len(yb))
                 loss_avg.update(F.cross_entropy(logits, yb).item(), weight=len(yb))
     finally:
         model.train(was_training)

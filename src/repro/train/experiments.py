@@ -76,8 +76,8 @@ def run_comparison(
 
     ``strategies`` uses the paper's naming: "global", "local",
     "partial-<q>" (e.g. "partial-0.1").  ``strategy_kwargs`` are forwarded
-    to the partial-local constructors (e.g. ``granularity``, ``selection``,
-    ``overlap``); global/local shuffling take none and ignore them.
+    to the partial-local constructors (e.g. ``selection``);
+    global/local shuffling take none and ignore them.
 
     With ``tracing=True`` every rank keeps all its events and adds the
     per-message ones (communicator traffic, Figure-10 phase regions); each

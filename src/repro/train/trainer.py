@@ -24,7 +24,6 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.mpi.communicator import Communicator
 from repro.nn import functional as F
-from repro.nn.lr_scheduler import MultiStepLR
 from repro.nn.metrics import RunningAverage
 from repro.nn.models import build_model
 from repro.nn.optim import SGD
@@ -38,14 +37,19 @@ from .history import EpochRecord, RunHistory
 
 __all__ = ["TrainConfig", "build_replica", "train_one_epoch", "train_worker"]
 
+#: SGD momentum and L2 weight decay of every run (Goyal et al.'s recipe).
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyper-parameters of one training run.
 
-    Mirrors the paper's §V-C regime: per-worker batch size ``batch_size``,
-    base learning rate scaled linearly with worker count (Goyal et al.)
-    unless ``scale_lr`` is off, multi-step decay.
+    Mirrors the paper's §V-C regime ("we do not change the base learning
+    rate and the number of epochs"): per-worker batch size ``batch_size``
+    and a constant ``base_lr`` under momentum SGD with L2 weight decay
+    (:data:`MOMENTUM`, :data:`WEIGHT_DECAY`).
     """
 
     model: str = "mlp"
@@ -54,12 +58,6 @@ class TrainConfig:
     epochs: int = 15
     batch_size: int = 16
     base_lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    lr_milestones: tuple[int, ...] = ()
-    lr_gamma: float = 0.1
-    scale_lr: bool = False
-    sync_batchnorm_stats: bool = True
     norm: str | None = None
     partition: str = "random"
     seed: int = 0
@@ -71,21 +69,12 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def build_replica(
-    config: TrainConfig,
-    comm: Communicator | None = None,
-    *,
-    model=None,
-    workers: int | None = None,
-):
-    """This rank's ``(model, optimizer, lr schedule)`` for ``config``.
+def build_replica(config: TrainConfig, comm: Communicator | None = None, *, model=None):
+    """This rank's ``(model, optimizer)`` for ``config``.
 
     With ``comm``, rank 0's weights (``model``'s, if given) are broadcast.
     Without it nothing is communicated: the caller splices snapshot or
-    handshake state into the returned objects — after the schedule has
-    captured the optimizer's base lr here.  ``workers`` is the count the
-    lr is scaled for (the *job's*, not a shrunk incarnation's); it
-    defaults to ``comm.size``.
+    handshake state into the returned objects.
     """
     if model is None:
         model = build_model(
@@ -97,17 +86,10 @@ def build_replica(
         )
     if comm is not None:
         broadcast_model(model, comm)
-    if workers is None:
-        workers = comm.size
     optimizer = SGD(
-        model.flatten(),
-        config.base_lr * (workers if config.scale_lr else 1),
-        momentum=config.momentum, weight_decay=config.weight_decay,
+        model.flatten(), config.base_lr, momentum=MOMENTUM, weight_decay=WEIGHT_DECAY
     )
-    schedule = MultiStepLR(
-        optimizer, milestones=list(config.lr_milestones), gamma=config.lr_gamma
-    )
-    return model, optimizer, schedule
+    return model, optimizer
 
 
 def train_one_epoch(
@@ -117,7 +99,6 @@ def train_one_epoch(
     model,
     optimizer,
     epoch: int,
-    lr: float,
     val_X: np.ndarray,
     val_y: np.ndarray,
     *,
@@ -146,7 +127,7 @@ def train_one_epoch(
     # regions behind.
     flight.take_phases()
     check("begin")
-    with detail("train.epoch", epoch=epoch, lr=lr):
+    with detail("train.epoch", epoch=epoch, lr=optimizer.lr):
         with flight.phase("exchange"):
             strategy.begin_epoch(epoch)
         loader = strategy.epoch_loader(epoch, config.batch_size)
@@ -179,9 +160,8 @@ def train_one_epoch(
         with flight.phase("exchange"):
             strategy.end_epoch()
 
-        if config.sync_batchnorm_stats:
-            with flight.phase("ge_wu"):
-                allreduce_batchnorm_stats(model, comm)
+        with flight.phase("ge_wu"):
+            allreduce_batchnorm_stats(model, comm)
         # Replicas are identical after the reduce, so every rank validates
         # a stride of the set and the counts are summed below.
         with detail("train.validate"):
@@ -213,7 +193,7 @@ def train_one_epoch(
         epoch=epoch,
         train_loss=loss_sum / comm.size,
         val_accuracy=int(total_correct) / len(val_y),
-        lr=lr,
+        lr=optimizer.lr,
         samples_seen=int(total_samples),
     )
 
@@ -266,7 +246,7 @@ def train_worker(
     either way.  With ``return_model=True`` the result is
     ``(history, model)``.
     """
-    model, optimizer, schedule = build_replica(config, comm, model=model)
+    model, optimizer = build_replica(config, comm, model=model)
     strategy.setup(
         comm, train_dataset,
         labels=labels, partition=config.partition, seed=config.seed,
@@ -274,11 +254,8 @@ def train_worker(
 
     history = RunHistory(strategy=strategy.name, workers=comm.size)
     for epoch in range(config.epochs):
-        lr = schedule.step(epoch)
         history.add(
-            train_one_epoch(
-                comm, config, strategy, model, optimizer, epoch, lr, val_X, val_y
-            )
+            train_one_epoch(comm, config, strategy, model, optimizer, epoch, val_X, val_y)
         )
     # Final drain: rank 0's per-epoch drain ran *before* the last epoch's
     # barrier, so the peers' final pushes are still queued.  They are all

@@ -1,12 +1,10 @@
-"""Linter driver: file discovery, rule selection, reports — and the
+"""Linter driver: file discovery, reports — and the
 self-lint regression that keeps ``src/`` clean."""
 
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
-
-import pytest
 
 from repro.analysis import LintReport, lint_paths, lint_source
 from repro.analysis.linter import iter_python_files
@@ -19,21 +17,6 @@ class TestLintSource:
         findings, _ = lint_source("def f(:\n", path="bad.py")
         assert [f.rule_id for f in findings] == ["PARSE"]
         assert findings[0].severity.value == "error"
-
-    def test_select_limits_rules(self):
-        src = textwrap.dedent(
-            """
-            def f(comm, x):
-                assert x
-                comm.isend(x, dest=0)
-            """
-        )
-        findings, _ = lint_source(src, path="src/m.py", select=["SPMD005"])
-        assert [f.rule_id for f in findings] == ["SPMD005"]
-
-    def test_unknown_select_raises(self):
-        with pytest.raises(ValueError, match="SPMD999"):
-            lint_source("x = 1\n", path="m.py", select=["SPMD999"])
 
     def test_findings_sorted_by_location(self):
         src = textwrap.dedent(
@@ -195,11 +178,6 @@ class TestCli:
         assert "SPMD002" in proc.stdout
         assert f"{f}:2:" in proc.stdout
 
-    def test_lint_unknown_rule_is_usage_error(self, tmp_path):
-        proc = self._run("lint", str(tmp_path), "--select", "SPMD999")
-        assert proc.returncode == 2
-        assert "SPMD999" in proc.stderr
-
     def test_lint_github_format_emits_annotations(self, tmp_path):
         f = tmp_path / "bad.py"
         f.write_text("def f(comm):\n    comm.isend(1, dest=0)\n")
@@ -223,24 +201,3 @@ class TestCli:
         assert "%0A" in out
         assert "100%25" in out
         assert "file=a%2Cb.py" in out
-
-    def test_verify_protocol_list_mutants(self):
-        proc = self._run("verify-protocol", "--list-mutants")
-        assert proc.returncode == 0
-        assert "release_before_ack" in proc.stdout
-
-    def test_verify_protocol_single_config_and_mutant(self):
-        proc = self._run(
-            "verify-protocol", "--config", "m2-nodeadline",
-            "--mutants", "release_before_ack",
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "m2-nodeadline" in proc.stdout
-        assert "exhaustive" in proc.stdout
-        assert "mutant release_before_ack: detected" in proc.stdout
-        assert "verify-protocol: ok" in proc.stderr
-
-    def test_verify_protocol_unknown_config_is_usage_error(self):
-        proc = self._run("verify-protocol", "--config", "nope")
-        assert proc.returncode == 2
-        assert "unknown config" in proc.stderr

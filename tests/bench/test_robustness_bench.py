@@ -6,7 +6,7 @@ here ``check_regression`` is pinned against synthetic results so each gate
 fails for exactly its own reason.
 """
 
-from repro.bench import MAX_MIGRATION_SHARE, MIN_REJOIN_SPEED, check_regression
+from repro.bench import MAX_MIGRATION_SHARE, MIN_REJOIN_SPEED
 
 
 def fake_robustness(
@@ -26,58 +26,38 @@ def fake_robustness(
 
 
 class TestRobustnessGate:
-    def test_healthy_run_passes(self):
-        assert check_regression(None, robustness=fake_robustness()) == []
+    def test_healthy_run_passes(self, gates):
+        assert gates(robustness=fake_robustness()) == []
 
-    def test_divergent_weights_fail(self):
-        problems = check_regression(
-            None, robustness=fake_robustness(bit_identical=False)
-        )
+    def test_divergent_weights_fail(self, gates):
+        problems = gates(robustness=fake_robustness(bit_identical=False))
         assert any("bit-identical" in p for p in problems)
 
-    def test_unrestored_capacity_fails(self):
-        problems = check_regression(
-            None, robustness=fake_robustness(capacity_restored=False)
-        )
+    def test_unrestored_capacity_fails(self, gates):
+        problems = gates(robustness=fake_robustness(capacity_restored=False))
         assert any("N/M" in p for p in problems)
 
-    def test_outstanding_q_deficit_fails(self):
-        problems = check_regression(
-            None, robustness=fake_robustness(q_deficit=0.25)
-        )
+    def test_outstanding_q_deficit_fails(self, gates):
+        problems = gates(robustness=fake_robustness(q_deficit=0.25))
         assert any("deficit" in p and "0.25" in p for p in problems)
 
-    def test_slow_rebalance_fails_the_floor(self):
-        problems = check_regression(
-            None,
-            robustness=fake_robustness(speed=MIN_REJOIN_SPEED - 1),
-        )
+    def test_slow_rebalance_fails_the_floor(self, gates):
+        problems = gates(robustness=fake_robustness(speed=MIN_REJOIN_SPEED - 1))
         assert any("floor" in p for p in problems)
 
-    def test_noisy_but_fast_rebalance_passes_without_a_baseline(self):
+    def test_noisy_but_fast_rebalance_passes_without_a_baseline(self, gates):
         # The whole point of the absolute floor: a 61x run and an 88x run
         # are the same healthy system measured on different machines.
         for speed in (MIN_REJOIN_SPEED, 61.0, 88.0, 500.0):
-            assert (
-                check_regression(
-                    None, robustness=fake_robustness(speed=speed)
-                )
-                == []
-            )
+            assert gates(robustness=fake_robustness(speed=speed)) == []
 
-    def test_reshuffling_planner_fails_the_share_cap(self):
-        problems = check_regression(
-            None,
-            robustness=fake_robustness(share=MAX_MIGRATION_SHARE + 0.1),
-        )
+    def test_reshuffling_planner_fails_the_share_cap(self, gates):
+        problems = gates(robustness=fake_robustness(share=MAX_MIGRATION_SHARE + 0.1))
         assert any("reshuffled" in p for p in problems)
 
-    def test_missing_ratios_reported(self):
+    def test_missing_ratios_reported(self, gates):
         broken = fake_robustness()
         broken["ratios"] = {}
-        problems = check_regression(None, robustness=broken)
+        problems = gates(robustness=broken)
         assert any("rejoin_speed" in p for p in problems)
         assert any("migration_share" in p for p in problems)
-
-    def test_skipped_scenario_stays_silent(self):
-        assert check_regression(None, robustness=None) == []

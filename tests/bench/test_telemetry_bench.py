@@ -2,21 +2,14 @@
 
 ``bench_telemetry`` measures disabled / flight-only / tracing epoch cost;
 ``check_regression`` must fail a run whose flight-recorder overhead blows
-the budget or that perturbed the training result — and must keep passing
-when the telemetry scenario was skipped.
+the budget or that perturbed the training result.
 """
 
 import json
 
 import pytest
 
-from repro.bench import (
-    FLIGHT_OVERHEAD_BUDGET,
-    SCENARIOS,
-    bench_telemetry,
-    check_regression,
-    run_bench,
-)
+from repro.bench import ARTIFACTS, FLIGHT_OVERHEAD_BUDGET, bench_telemetry
 
 
 @pytest.fixture(scope="module")
@@ -58,45 +51,18 @@ def fake_telemetry(overhead=1.01, identical=True):
 
 
 class TestOverheadGate:
-    def test_within_budget_passes(self):
-        assert check_regression(None, telemetry=fake_telemetry()) == []
+    def test_within_budget_passes(self, gates):
+        assert gates(telemetry=fake_telemetry()) == []
 
-    def test_budget_breach_fails(self):
-        problems = check_regression(
-            None, telemetry=fake_telemetry(overhead=1.2)
-        )
+    def test_budget_breach_fails(self, gates):
+        problems = gates(telemetry=fake_telemetry(overhead=1.2))
         assert any("budget" in p for p in problems)
 
-    def test_perturbed_training_fails(self):
-        problems = check_regression(
-            None, telemetry=fake_telemetry(identical=False)
-        )
+    def test_perturbed_training_fails(self, gates):
+        problems = gates(telemetry=fake_telemetry(identical=False))
         assert any("changed the training result" in p for p in problems)
-
-    def test_skipped_scenario_skips_gate(self):
-        assert check_regression(None, telemetry=None) == []
 
 
 class TestScenarioSelection:
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            run_bench(smoke=True, scenarios=("exchange", "vibes"))
-
-    def test_telemetry_only_run_writes_one_artifact(self, tmp_path):
-        out = run_bench(
-            smoke=True, out_dir=tmp_path, check=True,
-            scenarios=("telemetry",),
-        )
-        assert out["exchange"] is None
-        assert out["telemetry"] is not None
-        assert (tmp_path / "BENCH_telemetry.json").is_file()
-        assert not (tmp_path / "BENCH_exchange.json").exists()
-        # The absolute budget gate ran on the fresh measurement.
-        art = json.loads((tmp_path / "BENCH_telemetry.json").read_text())
-        assert art["schema"] == "repro.bench.telemetry/v1"
-        assert out["problems"] == [] or all(
-            "telemetry" in p for p in out["problems"]
-        )
-
     def test_scenarios_constant(self):
-        assert SCENARIOS == ("exchange", "telemetry", "robustness", "backend")
+        assert tuple(ARTIFACTS) == ("exchange", "telemetry", "robustness", "backend")

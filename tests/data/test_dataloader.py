@@ -54,10 +54,6 @@ class TestDataLoader:
                 seen.extend(y.tolist())
         assert sorted(seen) == list(range(8))
 
-    def test_custom_collate(self):
-        dl = DataLoader(make_ds(4), batch_size=2, collate_fn=lambda b: len(b))
-        assert list(dl) == [2, 2]
-
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             DataLoader(make_ds(4), batch_size=0)

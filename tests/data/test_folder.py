@@ -57,11 +57,10 @@ class TestRobustIO:
                 fails["left"] -= 1
                 raise OSError("injected")
 
-        retrier = Retrier(attempts=5, sleep=lambda _s: None)
         ds = materialize_folder_dataset(
-            tmp_path / "flaky", np.arange(4.0).reshape(2, 2), [0, 1],
-            retrier=retrier, fault_hook=flaky,
+            tmp_path / "flaky", np.arange(4.0).reshape(2, 2), [0, 1], fault_hook=flaky,
         )
+        ds.retrier = retrier = Retrier(attempts=5, sleep=lambda _s: None)
         x, y = ds[0]
         assert y == 0
         assert fails["left"] == 0
@@ -74,10 +73,9 @@ class TestRobustIO:
             raise OSError("permanently down")
 
         ds = materialize_folder_dataset(
-            tmp_path / "down", np.zeros((1, 2)), [0],
-            retrier=Retrier(attempts=2, sleep=lambda _s: None),
-            fault_hook=always_fail,
+            tmp_path / "down", np.zeros((1, 2)), [0], fault_hook=always_fail,
         )
+        ds.retrier = Retrier(attempts=2, sleep=lambda _s: None)
         with pytest.raises(OSError, match="permanently down"):
             ds[0]
 
@@ -91,9 +89,7 @@ class TestRobustIO:
 
         from repro.utils.retry import Retrier
 
-        ds = materialize_folder_dataset(
-            tmp_path / "spy", np.zeros((1, 2)), [0],
-            retrier=Retrier(attempts=3, sleep=lambda _s: None), fault_hook=spy,
-        )
+        ds = materialize_folder_dataset(tmp_path / "spy", np.zeros((1, 2)), [0], fault_hook=spy)
+        ds.retrier = Retrier(attempts=3, sleep=lambda _s: None)
         ds[0]
         assert seen == [("read", 0), ("read", 1)]

@@ -153,7 +153,7 @@ class TestElasticRun:
         config, train_ds, labels, val_X, val_y = make_setup(epochs=3)
         with pytest.raises(ValueError, match="snapshot_dir"):
             run_lifecycle(
-                config=config, workers=2,
+                config=config, workers=2, q=0.2,
                 plan=LifecyclePlan.parse(restart_after="1"),
                 train_dataset=train_ds, labels=labels,
                 val_X=val_X, val_y=val_y,

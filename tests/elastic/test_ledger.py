@@ -1,7 +1,5 @@
 """ReplicaLedger: live tracking, offline reconstruction, loss queries."""
 
-import pytest
-
 from repro.data import SyntheticSpec, TensorDataset, make_classification
 from repro.data.partition import partition_indices
 from repro.elastic import ReplicaLedger, reconstruct_ledger
@@ -16,7 +14,7 @@ def make_ds(n=48, classes=4, features=8, seed=0):
     return TensorDataset(X, y), y
 
 
-def run_exchange(workers, n, epochs, q, seed, *, granularity=1):
+def run_exchange(workers, n, epochs, q, seed):
     """Run PLS epochs with a ledger on each rank.
 
     Returns (per-rank ledgers, per-rank final hot gids, initial shards).
@@ -25,7 +23,7 @@ def run_exchange(workers, n, epochs, q, seed, *, granularity=1):
     shards = partition_indices(n, workers, scheme="contiguous", seed=seed)
 
     def worker(comm):
-        strat = PartialLocalShuffle(q, granularity=granularity, ledger=ReplicaLedger())
+        strat = PartialLocalShuffle(q, ledger=ReplicaLedger())
         strat.setup(comm, ds, labels=labels, partition="contiguous", seed=seed)
         for e in range(epochs):
             strat.begin_epoch(e)
@@ -74,19 +72,10 @@ class TestLiveLedger:
 
 
 class TestOfflineReconstruction:
-    @pytest.mark.parametrize("granularity", [1, 2])
-    def test_reconstruction_matches_live(self, granularity):
+    def test_reconstruction_matches_live(self):
         workers, n, epochs, q, seed = 4, 48, 5, 0.3, 11
-        ledgers, _, shards = run_exchange(
-            workers, n, epochs, q, seed, granularity=granularity
-        )
-        offline = reconstruct_ledger(
-            seed,
-            [[int(i) for i in s] for s in shards],
-            epochs,
-            q,
-            granularity=granularity,
-        )
+        ledgers, _, shards = run_exchange(workers, n, epochs, q, seed)
+        offline = reconstruct_ledger(seed, [[int(i) for i in s] for s in shards], epochs, q)
         assert offline == ledgers[0]
 
     def test_reconstruction_zero_epochs_is_partition(self):

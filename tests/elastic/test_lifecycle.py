@@ -236,7 +236,7 @@ class TestSupervisorValidation:
         config, train_ds, labels, val_X, val_y = make_setup(epochs=3)
         with pytest.raises(ValueError, match="epoch"):
             run_lifecycle(
-                config=config, workers=3,
+                config=config, workers=3, q=0.2,
                 plan=LifecyclePlan.parse(
                     kills="1@1", rejoins="1@3", restart_after=""
                 ),

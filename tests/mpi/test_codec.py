@@ -23,8 +23,13 @@ def block(entries):
     )
 
 
-def roundtrip(entries, **kw):
-    batch = pack_samples(block(entries), **kw)
+def pack(columns):
+    """``pack_samples`` into a fresh heap pool."""
+    return pack_samples(columns, pool=BufferPool(name="t"))
+
+
+def roundtrip(entries):
+    batch = pack(block(entries))
     return batch, unpack_samples(batch)
 
 
@@ -84,13 +89,10 @@ class TestRoundtrip:
         ):
             base = base.base
         assert isinstance(base, memoryview)
-        # copy=True materialises writable private arrays instead.
-        arr2 = unpack_samples(batch, copy=True)[0][0]
-        assert arr2.flags.writeable
 
     def test_alignment(self):
         entries = [(np.zeros(3, dtype=np.uint8), 0, None) for _ in range(4)]
-        batch = pack_samples(block(entries))
+        batch = pack(block(entries))
         for _arr, _label, _gid in unpack_samples(batch):
             pass
         # Every sample extent starts on an ALIGN boundary by construction.
@@ -101,17 +103,17 @@ class TestRoundtrip:
         _batch, out = roundtrip([(strided, 0, None)])
         np.testing.assert_array_equal(out[0][0], strided)
         with pytest.raises(ValueError, match="object-dtype"):
-            pack_samples(block([(np.array([object()]), 0, None)]))
+            pack(block([(np.array([object()]), 0, None)]))
 
 
 class TestIntegrity:
     def test_crc_fast_path_matches_zlib(self):
-        batch = pack_samples(block([(np.arange(9, dtype=np.int32), 4, 1)]))
+        batch = pack(block([(np.arange(9, dtype=np.int32), 4, 1)]))
         assert payload_crc32(batch) == zlib.crc32(batch.payload, zlib.crc32(batch.header))
         assert payload_nbytes(batch) == batch.nbytes
 
     def test_checksummed_wrap_detects_payload_flip(self):
-        batch = pack_samples(block([(np.arange(32, dtype=np.uint8), 0, None)]))
+        batch = pack(block([(np.arange(32, dtype=np.uint8), 0, None)]))
         env = Checksummed.wrap(batch, meta=(0, 0, 0))
         assert env.ok()
         raw = bytearray(batch.payload)
@@ -122,7 +124,7 @@ class TestIntegrity:
         assert not Checksummed(meta=env.meta, payload=damaged, crc=env.crc).ok()
 
     def test_corrupt_header_bounds_checked(self):
-        batch = pack_samples(block([(np.arange(8, dtype=np.float64), 0, None)]))
+        batch = pack(block([(np.arange(8, dtype=np.float64), 0, None)]))
         # A header whose record extent points past the payload end must fail
         # loudly, not read out of bounds.  Truncating the payload view puts
         # every record extent outside it.
@@ -133,7 +135,7 @@ class TestIntegrity:
             unpack_samples(bad)
 
     def test_bad_magic_rejected(self):
-        batch = pack_samples(block([]))
+        batch = pack(block([]))
         bad = PackedBatch(header=b"XXXX" + batch.header[4:], payload=batch.payload)
         with pytest.raises(ValueError, match="magic"):
             bad.count
@@ -141,7 +143,7 @@ class TestIntegrity:
 
 class TestWireSemantics:
     def test_copy_payload_passes_through(self):
-        batch = pack_samples(block([(np.arange(4, dtype=np.float32), 0, None)]))
+        batch = pack(block([(np.arange(4, dtype=np.float32), 0, None)]))
         assert copy_payload(batch) is batch
         env = Checksummed.wrap(batch, meta=(1, 2, 0))
         copied = copy_payload(env)
@@ -194,8 +196,8 @@ class TestColumns:
         )
         triples = self._triples(list(rows), gids)
         columns = block(triples)
-        as_rows = pack_samples(columns)
-        as_block = pack_samples(
+        as_rows = pack(columns)
+        as_block = pack(
             SampleBlock(np.ascontiguousarray(rows), columns.labels, columns.gids)
         )
         assert as_block.header == as_rows.header
@@ -210,7 +212,7 @@ class TestColumns:
         triples = self._triples(
             [np.full(3, i, dtype=np.uint8) for i in range(5)], [7, None, 9, None, 11]
         )
-        out = unpack_samples(pack_samples(block(triples)))
+        out = unpack_samples(pack(block(triples)))
         assert isinstance(out.samples, np.ndarray)
         assert out.samples.strides == (ALIGN, 1)
         assert not out.samples.flags.writeable
@@ -219,9 +221,9 @@ class TestColumns:
     def test_noncontiguous_rows_are_gathered(self):
         base = np.arange(64, dtype=np.int32).reshape(4, 16)
         triples = self._triples([base[i, ::2] for i in range(4)], [0, 1, 2, 3])
-        packed = pack_samples(block(triples))
+        packed = pack(block(triples))
         contiguous = [(np.ascontiguousarray(s), label, gid) for s, label, gid in triples]
-        assert packed.header == pack_samples(block(contiguous)).header
+        assert packed.header == pack(block(contiguous)).header
         assert_entries_equal(unpack_samples(packed), triples)
 
     @pytest.mark.parametrize(
@@ -248,20 +250,13 @@ class TestColumns:
             [None, 5, 2**33],
         )
         rows = block(triples)
-        decoded = unpack_samples(pack_samples(rows))
+        decoded = unpack_samples(pack(rows))
         assert rows.nbytes == decoded.nbytes == payload_nbytes(triples)
         assert payload_nbytes(triples) == 3 * (24 + 8 + 8)
 
-    def test_copy_materialises_one_private_block(self):
-        triples = self._triples([np.arange(8.0), np.arange(8.0) + 1], [None, None])
-        batch = pack_samples(block(triples))
-        out = unpack_samples(batch, copy=True)
-        assert out.samples.flags.writeable and out.samples.base is None
-        assert_entries_equal(out, triples)
-
     def test_reordering_and_concatenation_keep_columns_aligned(self):
         triples = self._triples([np.full(2, i, np.int16) for i in range(4)], [3, None, 1, 0])
-        decoded = unpack_samples(pack_samples(block(triples)))
+        decoded = unpack_samples(pack(block(triples)))
         picked = decoded[np.array([2, 0])]
         assert_entries_equal(picked, [triples[2], triples[0]])
         both = SampleBlock.concat([picked, block(triples[1:2])])
@@ -269,7 +264,7 @@ class TestColumns:
         assert decoded[1][2] is None and decoded[0][2] == 3
 
     def test_truncated_payload_under_a_block_header_is_rejected(self):
-        batch = pack_samples(block(self._triples([np.arange(16.0), np.arange(16.0)], [0, 1])))
+        batch = pack(block(self._triples([np.arange(16.0), np.arange(16.0)], [0, 1])))
         bad = PackedBatch(header=batch.header, payload=batch.payload[:200])
         with pytest.raises(ValueError, match="corrupt header"):
             unpack_samples(bad)

@@ -21,11 +21,6 @@ class TestLinear:
         out = layer(Tensor(randn(5, 4)))
         assert out.shape == (5, 3)
 
-    def test_no_bias(self):
-        layer = Linear(4, 3, bias=False)
-        assert layer.bias is None
-        assert len(layer.parameters()) == 1
-
     def test_parameters_registered(self):
         layer = Linear(4, 3)
         names = dict(layer.named_parameters())
@@ -47,10 +42,7 @@ class TestConv2dLayer:
     def test_shapes(self):
         layer = Conv2d(3, 8, 3, padding=1, rng=np.random.default_rng(0))
         assert layer(Tensor(randn(2, 3, 6, 6))).shape == (2, 8, 6, 6)
-
-    def test_stride(self):
-        layer = Conv2d(1, 2, 3, stride=2, padding=1)
-        assert layer(Tensor(randn(1, 1, 8, 8))).shape == (1, 2, 4, 4)
+        assert [name for name, _ in layer.named_parameters()] == ["weight"]
 
 
 class TestSequentialAndMisc:

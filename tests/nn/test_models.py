@@ -11,7 +11,7 @@ from repro.nn import (
 )
 from repro.nn import functional as F
 from repro.nn.init import compute_fans, kaiming_uniform
-from repro.nn.metrics import RunningAverage, topk_accuracy
+from repro.nn.metrics import RunningAverage
 
 
 def randn(*shape, seed=0):
@@ -104,19 +104,11 @@ class TestInit:
 class TestMetrics:
     def test_top1(self):
         logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
-        assert topk_accuracy(logits, np.array([0, 1, 1]), k=1) == pytest.approx(2 / 3)
-
-    def test_top2_of_3(self):
-        logits = np.array([[3.0, 2.0, 1.0], [1.0, 2.0, 3.0]])
-        assert topk_accuracy(logits, np.array([1, 0]), k=2) == pytest.approx(0.5)
-
-    def test_k_validation(self):
-        with pytest.raises(ValueError):
-            topk_accuracy(np.zeros((2, 3)), np.zeros(2, dtype=int), k=4)
+        assert accuracy(logits, np.array([0, 1, 1])) == pytest.approx(2 / 3)
 
     def test_batch_mismatch(self):
         with pytest.raises(ValueError):
-            topk_accuracy(np.zeros((2, 3)), np.zeros(3, dtype=int))
+            accuracy(np.zeros((2, 3)), np.zeros(3, dtype=int))
 
     def test_tensor_input(self):
         logits = Tensor(np.array([[1.0, 0.0]], dtype=np.float32))

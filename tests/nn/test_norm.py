@@ -122,8 +122,9 @@ class TestGroupNorm:
 def composed(x, weight, bias, axes, eps=1e-5):
     """Normalise + affine spelled out in primitive Tensor ops: the reference
     the fused node replaced."""
-    centered = x - x.mean(axis=axes, keepdims=True)
-    var = (centered * centered).mean(axis=axes, keepdims=True)
+    kept = tuple(1 if i in axes else n for i, n in enumerate(x.shape))
+    centered = x - x.mean(axis=axes).reshape(kept)
+    var = (centered * centered).mean(axis=axes).reshape(kept)
     return centered * ((var + eps) ** -0.5) * weight + bias
 
 

@@ -4,7 +4,6 @@ import pytest
 from repro.nn import (
     SGD,
     Linear,
-    MultiStepLR,
     Parameter,
     Tensor,
 )
@@ -59,19 +58,6 @@ class TestSGD:
             SGD([quad_param()], lr=0.0)
         with pytest.raises(ValueError):
             SGD([quad_param()], lr=0.1, momentum=1.5)
-        with pytest.raises(ValueError):
-            SGD([quad_param()], lr=0.1, nesterov=True)
-
-    def test_nesterov_differs_from_heavy_ball(self):
-        p1, p2 = quad_param(1.0), quad_param(1.0)
-        o1 = SGD([p1], lr=0.1, momentum=0.9)
-        o2 = SGD([p2], lr=0.1, momentum=0.9, nesterov=True)
-        for _ in range(3):
-            quad_grad(p1)
-            quad_grad(p2)
-            o1.step()
-            o2.step()
-        assert p1.data[0] != p2.data[0]
 
     def test_trains_linear_layer(self):
         rng = np.random.default_rng(0)
@@ -89,31 +75,3 @@ class TestSGD:
             opt.step()
         assert loss.item() < 1e-3
 
-
-class TestSchedulers:
-    def _opt(self, lr=1.0):
-        return SGD([quad_param()], lr=lr)
-
-    def test_multistep_lr(self):
-        opt = self._opt()
-        sched = MultiStepLR(opt, milestones=[2, 4], gamma=0.5)
-        lrs = [sched.step(e) for e in range(5)]
-        assert lrs == pytest.approx([1.0, 1.0, 0.5, 0.5, 0.25])
-
-    def test_step_applies_to_optimizer(self):
-        opt = self._opt()
-        sched = MultiStepLR(opt, milestones=[1, 2, 3], gamma=0.5)
-        sched.step(3)
-        assert opt.lr == pytest.approx(0.125)
-
-    def test_implicit_epoch_advance(self):
-        opt = self._opt()
-        sched = MultiStepLR(opt, milestones=[2], gamma=0.1)
-        assert sched.step() == 1.0  # epoch 0
-        assert sched.step() == 1.0  # epoch 1
-        assert sched.step() == pytest.approx(0.1)  # epoch 2
-
-    def test_validation(self):
-        opt = self._opt()
-        with pytest.raises(ValueError):
-            MultiStepLR(opt, milestones=[-1])

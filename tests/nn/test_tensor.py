@@ -71,7 +71,7 @@ class TestArithmeticGrads:
 class TestReductionsAndViews:
     def test_sum_axis(self):
         gradcheck(lambda t: t.sum(axis=0), randn(3, 4))
-        gradcheck(lambda t: t.sum(axis=1, keepdims=True), randn(3, 4))
+        gradcheck(lambda t: t.sum(axis=1), randn(3, 4))
 
     def test_mean(self):
         gradcheck(lambda t: t.mean(), randn(3, 4))

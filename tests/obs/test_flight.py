@@ -24,6 +24,7 @@ from repro.obs.telemetry import (
     FlightRecorder,
 )
 from repro.shuffle import Scheduler, StorageArea
+from repro.shuffle import scheduler as scheduler_mod
 from repro.train.experiments import make_experiment_data
 from repro.train.trainer import TrainConfig
 
@@ -125,14 +126,17 @@ class TestUnrecoveredFaultDump:
         def worker(comm):
             sched = Scheduler(
                 _fill_storage(comm.rank), comm, fraction=0.5, batch_size=4,
-                seed=7, resend_timeout_s=0.02, max_attempts=2,
+                seed=7, resend_timeout_s=0.02,
             )
             sched.run_exchange(0)  # clean epoch: every ring fills up
             comm.barrier()
             sched.run_exchange(1)  # fully corrupted: must give up and dump
             return sched
 
-        with pytest.raises(RankFailed):
+        # Two attempts, not sixteen: the give-up comes after ~0.1 s of
+        # backoff rather than seconds.
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(RankFailed):
+            mp.setattr(scheduler_mod, "MAX_ATTEMPTS", 2)
             run_spmd(worker, 4, deadline_s=60, world_factory=factory)
         return captured["world"]
 
@@ -219,7 +223,7 @@ class TestChaosKillDump:
         assert dump["reason"] == "lifecycle complete"
         path = tmp_path / "complete.json"
         path.write_text(json.dumps(dump, default=str))
-        assert main(["trace", str(path), "--no-gantt"]) == 0
+        assert main(["trace", str(path)]) == 0
         out = capsys.readouterr().out
         assert "bytes moved per rank" in out
         assert "exchange overlap attribution" in out
@@ -279,7 +283,7 @@ class TestTracedDump:
         for events in dump["ranks"].values():
             colls = [e for e in events if e["kind"] == "coll.allreduce"]
             assert len(colls) == 400 and all(e["dur"] > 0 for e in colls)
-        assert main(["trace", dump["path"], "--no-gantt", "--top", "3"]) == 0
+        assert main(["trace", dump["path"]]) == 0
         assert "coll.allreduce" in capsys.readouterr().out
         assert main(["health", dump["path"]]) == 0
         assert "lifecycle.checkpoint" in capsys.readouterr().out

@@ -112,6 +112,6 @@ class TestUntracedDump:
         for rank in range(RANKS):
             for phase in PHASES:
                 assert per_rank[rank][phase] == pytest.approx(pushed[rank][phase], rel=1e-9)
-        assert main(["trace", dump["path"], "--no-gantt"]) == 0
+        assert main(["trace", dump["path"]]) == 0
         out = capsys.readouterr().out
         assert all(phase in out for phase in PHASES)

@@ -24,21 +24,19 @@ GOLDEN = Path(__file__).with_name("golden_framing.json")
 EPOCHS = 3
 SEED = 5
 
-#: (M, Q, b, granularity, allow_self, N, chunked) — N mod M covers 0, 1, 2
-#: and 4; ``chunked`` posts window by window as the training loop does.
+#: (M, Q, b, allow_self, N, chunked) — N mod M covers 0, 1 and 2;
+#: ``chunked`` posts window by window as the training loop does.
 GRID = [
-    (2, 1.0, 4, 1, True, 32, True),
-    (2, 0.5, 8, 1, True, 33, False),
-    (3, 0.5, 4, 1, True, 37, True),
-    (3, 1.0, 8, 4, True, 36, False),
-    (4, 0.3, 32, 1, False, 50, False),
-    (5, 0.7, 2, 2, True, 64, True),
+    (2, 1.0, 4, True, 32, True),
+    (2, 0.5, 8, True, 33, False),
+    (3, 0.5, 4, True, 37, True),
+    (4, 0.3, 32, False, 50, False),
 ]
 
 
 def _case_id(case):
-    m, q, b, g, allow_self, n, chunked = case
-    return f"M{m}-Q{q:g}-b{b}-g{g}-self{int(allow_self)}-N{n}-chunk{int(chunked)}"
+    m, q, b, allow_self, n, chunked = case
+    return f"M{m}-Q{q:g}-b{b}-self{int(allow_self)}-N{n}-chunk{int(chunked)}"
 
 
 def _dataset(n):
@@ -55,14 +53,14 @@ def _shard_checksum(storage):
 
 
 def _worker(comm, case):
-    _m, q, b, g, allow_self, n, chunked = case
+    _m, q, b, allow_self, n, chunked = case
     x, y = _dataset(n)
     storage = StorageArea()
     for gid in range(comm.rank, n, comm.size):  # strided: sizes differ by <= 1
         storage.add(x[gid], int(y[gid]), gid=gid)
     sched = Scheduler(
         storage, comm, fraction=q, batch_size=b, seed=SEED,
-        allow_self=allow_self, granularity=g,
+        allow_self=allow_self,
     )
     epochs = []
     for epoch in range(EPOCHS):

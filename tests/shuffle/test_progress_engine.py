@@ -114,7 +114,7 @@ def _rollback_worker(comm, n_local):
     before = _gids(storage)
     sched = Scheduler(
         storage, comm, fraction=1.0, batch_size=BATCH, seed=5,
-        resend_timeout_s=0.02, max_attempts=1000, deadline_s=0.4,
+        resend_timeout_s=0.02, deadline_s=0.4,
     )
     _lockstep_epoch(comm, sched, 0)
     staged_early = storage.audit()["staged"]

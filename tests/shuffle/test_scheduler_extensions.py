@@ -1,5 +1,5 @@
-"""Scheduler extensions: grouped messages (§III-E), selection policies
-(§IV-B future work), and the uncontrolled-cache baseline (§VI-A)."""
+"""Scheduler extensions: selection policies (§IV-B future work) and the
+uncontrolled-cache baseline (§VI-A)."""
 
 import numpy as np
 import pytest
@@ -14,66 +14,6 @@ def fill_storage(rank, n=16, dim=4):
     for i in range(n):
         st.add(np.array([rank, i, 0, 0][:dim], dtype=np.float32), label=rank)
     return st
-
-
-class TestGranularity:
-    def run(self, granularity, q=0.5, n_local=16, size=4, epochs=2):
-        def worker(comm):
-            storage = fill_storage(comm.rank, n=n_local)
-            sched = Scheduler(
-                storage, comm, fraction=q, seed=3, granularity=granularity
-            )
-            for e in range(epochs):
-                sched.run_exchange(e)
-            return {
-                "n": len(storage),
-                "sent": sched.total_sent_samples,
-                "recv": sched.total_recv_samples,
-                "owners": sorted(int(s[0]) for _, s, _ in storage.items()),
-            }
-
-        return run_spmd(worker, size, deadline_s=120)
-
-    @pytest.mark.parametrize("granularity", [1, 2, 3, 4, 8])
-    def test_sample_conservation_any_granularity(self, granularity):
-        out = self.run(granularity)
-        all_owners = sorted(o for r in out for o in r["owners"])
-        assert all_owners == sorted([rank for rank in range(4) for _ in range(16)])
-        for r in out:
-            assert r["n"] == 16
-
-    def test_samples_per_epoch_unchanged_by_grouping(self):
-        for g in (1, 4):
-            out = self.run(g, q=0.5, epochs=1)
-            k = round(0.5 * 16)
-            assert all(r["sent"] == k for r in out)
-            assert all(r["recv"] == k for r in out)
-
-    def test_message_count_reduced(self):
-        def worker(comm, g):
-            sched = Scheduler(
-                fill_storage(comm.rank, n=16), comm, fraction=0.5, seed=3,
-                granularity=g,
-            )
-            sched.scheduling(0)
-            rounds = sched.plan.rounds
-            sched.communicate()
-            sched.synchronize()
-            sched.clean_local_storage()
-            return rounds
-
-        assert run_spmd(worker, 2, args=(1,), deadline_s=60)[0] == 8
-        assert run_spmd(worker, 2, args=(4,), deadline_s=60)[0] == 2
-        assert run_spmd(worker, 2, args=(3,), deadline_s=60)[0] == 3  # ceil(8/3)
-
-    def test_invalid_granularity(self):
-        def worker(comm):
-            with pytest.raises(ValueError):
-                Scheduler(fill_storage(comm.rank), comm, fraction=0.5,
-                          granularity=0, seed=1)
-            return True
-
-        assert all(run_spmd(worker, 1, deadline_s=60))
 
 
 class TestSelectionPolicies:

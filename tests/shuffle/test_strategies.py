@@ -171,9 +171,11 @@ class TestPartialLocalShuffle:
         assert all(run_spmd(worker, 1, deadline_s=60))
 
     def test_blocking_mode(self):
-        out = drive(
-            lambda: PartialLocalShuffle(0.5, overlap=False), size=4, epochs=2
-        )
+        class Blocking(PartialLocalShuffle):
+            def on_iteration(self):
+                """Post nothing under compute: end_epoch posts it all."""
+
+        out = drive(lambda: Blocking(0.5), size=4, epochs=2)
         k = round(0.5 * 16)
         for r in out:
             assert r["stats"]["sent_samples"] == 2 * k

@@ -34,7 +34,7 @@ def _once(key, thunk):
 
 # ---------------------------------------------------------------- the oracle
 # One differential test for the exchange: whatever the backend, the world
-# size, the fault profile or the plan granularity, every rank must end each
+# size, the fault profile or the window size, every rank must end each
 # epoch holding exactly the samples ``reconstruct_ledger`` — a
 # communicator-free replay of Algorithm 1 that knows nothing of windows or
 # frames — says it holds, with the source dataset's bytes.
@@ -55,13 +55,13 @@ def _oracle_shards(ranks):
     ]
 
 
-def _oracle_worker(comm, granularity, batch_size):
+def _oracle_worker(comm, batch_size):
     storage = StorageArea()
     for gid in _oracle_shards(comm.size)[comm.rank]:
         storage.add(_ORACLE_X[gid], int(_ORACLE_Y[gid]), gid=gid)
     sched = Scheduler(
         storage, comm, fraction=_ORACLE_Q, seed=_ORACLE_SEED,
-        granularity=granularity, resend_timeout_s=0.05, batch_size=batch_size,
+        resend_timeout_s=0.05, batch_size=batch_size,
     )
     after_epoch = []
     for epoch in range(_ORACLE_EPOCHS):
@@ -79,7 +79,7 @@ def _oracle_worker(comm, granularity, batch_size):
     return after_epoch
 
 
-def _check_against_oracle(backend, profile, granularity, ranks, batch_size=32):
+def _check_against_oracle(backend, profile, ranks, batch_size):
     from repro.elastic import reconstruct_ledger
     from repro.faults import ChaosEngine, ChaosWorld
 
@@ -89,16 +89,14 @@ def _check_against_oracle(backend, profile, granularity, ranks, batch_size=32):
         return ChaosWorld(size, chaos=engine, **kwargs)
 
     result = run_spmd(
-        _oracle_worker, ranks, args=(granularity, batch_size), backend=backend,
+        _oracle_worker, ranks, args=(batch_size,), backend=backend,
         deadline_s=120, world_factory=chaos_world if profile else None,
     )
     if profile:
         assert sum(engine.snapshot().values()) > 0, "chaos injected nothing"
     shards = _oracle_shards(ranks)
     for epochs in range(1, _ORACLE_EPOCHS + 1):
-        oracle = reconstruct_ledger(
-            _ORACLE_SEED, shards, epochs, _ORACLE_Q, granularity=granularity,
-        )
+        oracle = reconstruct_ledger(_ORACLE_SEED, shards, epochs, _ORACLE_Q)
         for rank, after_epoch in enumerate(result):
             hot = after_epoch[epochs - 1]
             assert sorted(gid for _sid, gid, _, _ in hot) == oracle.held_by(rank)
@@ -113,33 +111,34 @@ _CHAOS = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize("granularity", [1, 4])
+#: Rounds per window: the epoch's six rounds as six windows, or as a window
+#: of four and a short one (batch size ``2 * window`` at Q = 0.5).
+_WINDOW = pytest.mark.parametrize("window", [1, 4])
+
+
+@_WINDOW
 @_CHAOS
-def test_exchange_matches_oracle(backend, profile, granularity, monkeypatch):
+def test_exchange_matches_oracle(backend, profile, window, monkeypatch):
     """... and the servicing schedule is not observable: swept after every
     window or only in ``synchronize()`` (six one-round windows an epoch), a
     rank ends every epoch with the same samples under the same ids."""
     import repro.shuffle.scheduler as scheduler_mod
 
-    _check_against_oracle(backend, profile, granularity, ranks=3)
+    _check_against_oracle(backend, profile, ranks=3, batch_size=2 * window)
     shards = []
     for every in (1, 10**6):
         monkeypatch.setattr(scheduler_mod, "SERVICE_EVERY", every)
-        shards.append(
-            _check_against_oracle(backend, profile, granularity, ranks=3, batch_size=2)
-        )
+        shards.append(_check_against_oracle(backend, profile, ranks=3, batch_size=2))
     assert shards[0] == shards[1]
 
 
 @pytest.mark.parametrize("ranks", [2, 5])
-@pytest.mark.parametrize("granularity", [1, 4])
+@_WINDOW
 @_CHAOS
-def test_exchange_matches_oracle_at_other_world_sizes(
-    backend, profile, granularity, ranks
-):
+def test_exchange_matches_oracle_at_other_world_sizes(backend, profile, window, ranks):
     """M=2: every window is two fat frames (one to self); M=5: the epoch's
     rounds spread so thin that some (window, peer) pairs have no frame."""
-    _check_against_oracle(backend, profile, granularity, ranks)
+    _check_against_oracle(backend, profile, ranks, batch_size=2 * window)
 
 
 def test_oracle_grid_covers_an_empty_window_peer_pair():
@@ -159,6 +158,7 @@ def _miscounting_world(size, **kwargs):
     off: bytes intact, CRC valid, sample count disagreeing with the plan."""
     from repro.mpi.codec import pack_samples, unpack_samples
     from repro.mpi.message import Checksummed, Message
+    from repro.mpi.pool import BufferPool
     from repro.mpi.world import World
 
     class _MiscountingWorld(World):
@@ -167,10 +167,11 @@ def _miscounting_world(size, **kwargs):
         def _deliver(self, msg):
             env = msg.payload
             if not self.tampered and isinstance(env, Checksummed):
-                samples = unpack_samples(env.payload, copy=True)
+                samples = unpack_samples(env.payload)
                 if len(samples) > 1:
                     self.tampered = True
-                    short = Checksummed.wrap(pack_samples(samples[:-1]), env.meta)
+                    short = pack_samples(samples[:-1], pool=BufferPool(name="tamper"))
+                    short = Checksummed.wrap(short, env.meta)
                     msg = Message(msg.source, msg.dest, msg.tag, short, msg.seq)
             super()._deliver(msg)
 

@@ -101,13 +101,6 @@ class TestTrace:
         assert "fw_bw" in text
         assert "top spans" in text
 
-    def test_trace_no_gantt(self, tmp_path, capsys):
-        out = tmp_path / "run.json"
-        main([*self.TRAIN, "--strategies", "partial-0.5", "--trace", str(out)])
-        capsys.readouterr()
-        assert main(["trace", str(out), "--no-gantt", "--top", "3"]) == 0
-        assert "timeline" not in capsys.readouterr().out
-
     def test_trace_missing_file_errors(self, tmp_path):
         assert main(["trace", str(tmp_path / "nope.json")]) == 1
 
@@ -195,15 +188,6 @@ class TestHealth:
 
 
 class TestBenchScenario:
-    def test_parser_default_is_all(self):
-        assert build_parser().parse_args(["bench"]).scenario == "all"
-
-    def test_parser_accepts_each_scenario(self):
-        for name in ("exchange", "telemetry", "backend"):
-            assert build_parser().parse_args(
-                ["bench", "--scenario", name]
-            ).scenario == name
-
     def test_parser_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "--scenario", "vibes"])

@@ -7,25 +7,6 @@ from repro.data import DataLoader, DistributedSampler, TensorDataset
 from repro.mpi import ANY_SOURCE, ANY_TAG, run_spmd
 from repro.nn import build_model
 from repro.shuffle import StorageArea
-from repro.train import evaluate
-
-
-class TestEvaluateTopK:
-    def test_top5_geq_top1(self):
-        model = build_model("mlp", in_shape=(16,), num_classes=8, seed=0)
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(64, 16)).astype(np.float32)
-        y = rng.integers(0, 8, 64)
-        top1, _ = evaluate(model, X, y, k=1)
-        top5, _ = evaluate(model, X, y, k=5)
-        assert top5 >= top1
-
-    def test_k_equals_classes_is_one(self):
-        model = build_model("mlp", in_shape=(16,), num_classes=4, seed=0)
-        X = np.zeros((8, 16), dtype=np.float32)
-        y = np.zeros(8, dtype=np.int64)
-        acc, _ = evaluate(model, X, y, k=4)
-        assert acc == 1.0
 
 
 class TestStorageStaleView:

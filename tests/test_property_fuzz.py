@@ -23,13 +23,13 @@ from repro.theory import log_permutations, log_sigma
     size=st.integers(2, 6),
     n_local=st.integers(4, 24),
     q=st.floats(0.0, 1.0),
-    granularity=st.integers(1, 5),
+    batch_size=st.integers(1, 8),
     selection=st.sampled_from(["random", "stale"]),
     epochs=st.integers(1, 3),
     seed=st.integers(0, 50),
 )
 def test_exchange_conserves_samples_fuzz(
-    size, n_local, q, granularity, selection, epochs, seed
+    size, n_local, q, batch_size, selection, epochs, seed
 ):
     """For ANY configuration: the global multiset of samples is preserved,
     every shard keeps its size, and sent == received on every rank."""
@@ -40,7 +40,7 @@ def test_exchange_conserves_samples_fuzz(
             st_.add(np.array([comm.rank, i], dtype=np.float32), comm.rank)
         sched = Scheduler(
             st_, comm, fraction=q, seed=seed,
-            granularity=granularity, selection=selection,
+            batch_size=batch_size, selection=selection,
         )
         for e in range(epochs):
             sched.run_exchange(e)
@@ -122,11 +122,11 @@ def test_sigma_at_q_zero_counts_block_permutations_fuzz(n, m, q):
     size=st.integers(2, 5),
     n_local=st.integers(4, 16),
     q=st.floats(0.0, 1.0),
-    granularity=st.integers(1, 4),
+    batch_size=st.integers(1, 8),
     epochs=st.integers(0, 3),
     seed=st.integers(0, 50),
 )
-def test_ledger_tracks_exchange_fuzz(size, n_local, q, granularity, epochs, seed):
+def test_ledger_tracks_exchange_fuzz(size, n_local, q, batch_size, epochs, seed):
     """For ANY exchange sequence: every gid stays held by exactly one live
     rank, the ledger matches the true storage contents on every rank, and
     the offline reconstruction from (seed, epoch) agrees with the live
@@ -144,7 +144,7 @@ def test_ledger_tracks_exchange_fuzz(size, n_local, q, granularity, epochs, seed
         ledger.seed_partition(comm, st_.hot_gids())
         sched = Scheduler(
             st_, comm, fraction=q, seed=seed,
-            granularity=granularity, ledger=ledger,
+            batch_size=batch_size, ledger=ledger,
         )
         for e in range(epochs):
             sched.run_exchange(e)
@@ -160,5 +160,5 @@ def test_ledger_tracks_exchange_fuzz(size, n_local, q, granularity, epochs, seed
     for rank, (_, hot) in enumerate(out):
         assert ledgers[0].held_by(rank) == hot
     # And it is reconstructible offline from (seed, epoch) alone.
-    offline = reconstruct_ledger(seed, shards, epochs, q, granularity=granularity)
+    offline = reconstruct_ledger(seed, shards, epochs, q)
     assert offline == ledgers[0]

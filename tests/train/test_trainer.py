@@ -91,26 +91,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
-    def test_milestones_decay_the_base_lr(self):
-        res = run_comparison(
-            spec=SyntheticSpec(n_samples=256, n_classes=4, n_features=16, seed=0),
-            config=config(epochs=5, lr_milestones=(4,), lr_gamma=0.1),
-            workers=2,
-            strategies=["local"],
-        )
-        lrs = [r.lr for r in res.histories["local"].records]
-        assert lrs[0] == lrs[1] == lrs[2] == lrs[3]  # the base lr...
-        assert lrs[4] < lrs[3]  # ...until the milestone decays it
-
-    def test_lr_scaling(self):
-        res = run_comparison(
-            spec=SyntheticSpec(n_samples=256, n_classes=4, n_features=16, seed=0),
-            config=config(epochs=2, scale_lr=True, base_lr=0.01),
-            workers=4,
-            strategies=["local"],
-        )
-        assert res.histories["local"].records[0].lr == pytest.approx(0.04)
-
     def test_workers_validation(self):
         with pytest.raises(ValueError):
             run_comparison(spec=SPEC, config=config(), workers=0, strategies=["local"])

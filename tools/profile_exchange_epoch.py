@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def rank_main(comm):
         _rank_state.rpc = {}  # setup
-        model, optimizer, schedule = build_replica(config, comm)
+        model, optimizer = build_replica(config, comm)
         strategy = PartialLocalShuffle(1.0)
         strategy.setup(
             comm, dataset, labels=train_y, partition=config.partition, seed=config.seed
@@ -222,10 +222,7 @@ def main(argv: list[str] | None = None) -> int:
             rpc.append(_rank_state.rpc)
             hooks = strategy if epoch < epochs - 1 else _CountedHooks(strategy, profiler)
             t0 = time.perf_counter()
-            train_one_epoch(
-                comm, config, hooks, model, optimizer, epoch, schedule.step(epoch),
-                val_x, val_y,
-            )
+            train_one_epoch(comm, config, hooks, model, optimizer, epoch, val_x, val_y)
             acc["epoch"] = time.perf_counter() - t0
             if 1 <= epoch < epochs - 1:
                 timed.append(dict(acc))
