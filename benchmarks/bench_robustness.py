@@ -13,7 +13,8 @@ measurable time-to-recover.
 """
 
 from repro.data import SyntheticSpec
-from repro.elastic import LifecyclePlan, run_lifecycle
+from repro.elastic import run_lifecycle
+from repro.faults import FaultProfile
 from repro.train import TrainConfig, run_multi_seed
 from repro.train.experiments import make_experiment_data
 from repro.utils import render_table
@@ -73,7 +74,7 @@ RECOVERY_SPEC = SyntheticSpec(
     n_samples=512, n_classes=4, n_features=32, seed=0,
 )
 RECOVERY_WORKERS = 4
-KILL = "1@2:mid_exchange"  # kill rank 1 halfway through epoch 2
+KILL = "kill:rank=1,epoch=2,point=mid_exchange"  # halfway through epoch 2
 
 
 def run_recovery():
@@ -87,7 +88,7 @@ def run_recovery():
         config=config, workers=RECOVERY_WORKERS, q=0.3,
         train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
     )
-    failed = run_lifecycle(plan=LifecyclePlan.parse(kills=KILL), **kwargs)
+    failed = run_lifecycle(plan=FaultProfile.parse(KILL).lifecycle_plan(), **kwargs)
     clean = run_lifecycle(**kwargs)
     return failed, clean
 

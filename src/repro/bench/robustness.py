@@ -46,6 +46,7 @@ def bench_robustness(
 
     from repro.data import SyntheticSpec
     from repro.elastic import LifecyclePlan, run_lifecycle
+    from repro.faults import FaultProfile
     from repro.train.experiments import make_experiment_data
     from repro.train.trainer import TrainConfig
 
@@ -59,11 +60,10 @@ def bench_robustness(
         partition="class_sorted", seed=seed,
     )
     rejoin_epoch = epochs - 2
-    plan = LifecyclePlan.parse(
-        kills="1@1:mid_exchange",
-        rejoins=f"1@{rejoin_epoch}",
-        restart_after="1",
-    )
+    plan = FaultProfile.parse(
+        f"kill:rank=1,epoch=1,point=mid_exchange;rejoin:rank=1,epoch={rejoin_epoch};"
+        "crash:epoch=2"
+    ).lifecycle_plan()
     common = dict(
         config=config, workers=workers, q=q,
         train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,

@@ -2,8 +2,8 @@
 
 The paper's exchange path lives on flaky substrates — lossy interconnects,
 stragglers, parallel file systems that time out or return torn reads.  This
-package generalises :class:`repro.elastic.FailurePlan` beyond fail-stop: a
-:class:`FaultProfile` describes *transient* faults (message corruption,
+package generalises the fail-stop schedule of :mod:`repro.elastic`: a
+:class:`FaultProfile` also describes *transient* faults (message corruption,
 drops, delays, duplicates, flaky/torn storage reads, per-rank slowdown) and
 a :class:`ChaosEngine` injects them deterministically from a seed, so the
 same seed always produces the same fault sequence — and, because every

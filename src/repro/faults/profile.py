@@ -13,7 +13,8 @@ Grammar (clauses joined by ``;``)::
     flaky-read:p=0.05           5% of storage reads raise OSError
     torn-read:p=0.02            2% of storage reads raise ValueError
     slow:rank=3,x=10            rank 3 pays 10 slow-units per message sent
-    kill:rank=1,epoch=2         fail-stop (forwarded to elastic.FailurePlan)
+    kill:rank=1,epoch=2         fail-stop at epoch 2's start (point=begin,
+                                mid_exchange or end picks the moment)
     rejoin:rank=1,epoch=4       the killed rank rejoins at epoch 4's start
     crash:epoch=3               whole-job fail-stop before epoch 3 (the
                                 supervisor restarts from epoch 2's snapshot)
@@ -176,28 +177,18 @@ class FaultProfile:
             tuple(c for c in self.clauses if c.kind not in LIFECYCLE_KINDS)
         )
 
-    def failure_plan(self):
-        """The fail-stop side of the profile as an ``elastic.FailurePlan``.
-
-        This is how chaos profiles *generalise* the elastic failure spec:
-        ``kill:rank=1,epoch=2,point=mid_exchange`` maps 1:1 onto
-        ``FailurePlan.parse("1@2:mid_exchange")``.
-        """
-        from repro.elastic.failure import FailureEvent, FailurePlan
-
-        return FailurePlan(
-            FailureEvent(rank=c.rank, epoch=c.epoch, point=c.point)
-            for c in self.by_kind("kill")
-        )
-
     def lifecycle_plan(self):
-        """The full lifecycle schedule (kill + rejoin + crash clauses) as an
-        ``elastic.LifecyclePlan`` — validation (every rejoin names a killed
-        rank and comes after its death, crash epochs have a prior snapshot)
-        happens in the plan's constructor."""
+        """The kill, rejoin and crash clauses as an ``elastic.LifecyclePlan``
+        — validation (a rank killed twice, an unknown point, every rejoin
+        naming a killed rank and coming after its death, crash epochs with
+        a prior snapshot) happens in the plan's constructor."""
         from repro.elastic.lifecycle import LifecyclePlan
 
-        return LifecyclePlan.from_profile(self)
+        return LifecyclePlan(
+            kills=tuple((c.rank, c.epoch, c.point) for c in self.by_kind("kill")),
+            rejoins=tuple((c.rank, c.epoch) for c in self.by_kind("rejoin")),
+            crashes=tuple(c.epoch for c in self.by_kind("crash")),
+        )
 
     @property
     def has_message_faults(self) -> bool:

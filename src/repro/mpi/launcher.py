@@ -31,7 +31,7 @@ import warnings
 from typing import Any, Callable, Sequence
 
 from .communicator import Communicator
-from .errors import MPIAbort, RankDied, RankFailed
+from .errors import MPIAbort, PeerFailure, RankDied, RankFailed
 from .world import World
 
 __all__ = [
@@ -157,10 +157,13 @@ def run_spmd(
     )
     failures = {r: value for r, (ok, value) in enumerate(outcomes) if not ok}
     if failures:
-        # An MPIAbort is the echo of another rank's failure: report it only
-        # when no rank has a failure of its own.
+        # An MPIAbort, or a PeerFailure naming a rank that failed itself, is
+        # the echo of another rank's failure: report it only when no rank
+        # has a failure of its own.  Which echo a rank hits is a race.
         primary = {
-            r: e for r, e in failures.items() if not isinstance(e, MPIAbort)
+            r: e for r, e in failures.items()
+            if not isinstance(e, MPIAbort)
+            and not (isinstance(e, PeerFailure) and e.rank != r and e.rank in failures)
         } or failures
         raise RankFailed(primary)
     return SpmdResult([value for _ok, value in outcomes], world)

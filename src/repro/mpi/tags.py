@@ -2,7 +2,7 @@
 
 Each subsystem that sends tagged p2p traffic — the reliable sample
 exchange, its ACK/NACK control plane, telemetry push, and elastic shard
-recovery and rejoin — must allocate its tags from a named
+migration and the rejoin handshake — must allocate its tags from a named
 :class:`TagRange` declared here.  The registry is the single source of
 truth for three consumers:
 
@@ -51,7 +51,7 @@ class TagRange:
     range).  ``parity=True`` ranges also occupy ``[base | PARITY_BIT,
     base + width | PARITY_BIT)``.  ``wrap=True`` ranges fold offsets
     modulo ``width`` (safe when per-channel FIFO matching disambiguates,
-    as with shard recovery's sequential transfers); otherwise an offset
+    as with shard migration's sequential transfers); otherwise an offset
     past the width raises.
     """
 
@@ -101,13 +101,13 @@ class TagRange:
 # committed flight-recorder artifacts and tests).
 # --------------------------------------------------------------------------
 
-#: Elastic shard recovery p2p transfers (one tag per transfer, FIFO-safe wrap).
+#: Elastic shard-migration transfers after a shrink or an expand (one tag
+#: per transfer, FIFO-safe wrap).
 RECOVERY = TagRange("recovery", base=1 << 12, width=1 << 12, owner="repro.elastic", wrap=True)
 
-#: Elastic rank-rejoin (JOIN) handshake and rebalance transfers.  Offset 0
-#: carries the admission state snapshot from rank 0 to each joiner, offset 1
-#: the joiner's ACK back, and offsets 2+ the shard-rebalance transfers (one
-#: tag per transfer, FIFO-safe wrap like recovery's).
+#: Elastic rank-rejoin (JOIN) handshake.  Offset 0 carries the admission
+#: state snapshot from the lowest survivor to each joiner, offset 1 the
+#: joiner's ACK back.
 JOIN = TagRange("join", base=(1 << 15) + 4096, width=4096, owner="repro.elastic", wrap=True)
 
 #: Reliable-exchange data rounds: one tag per round index, parity per epoch.

@@ -9,13 +9,8 @@ snapshot directory); rejoin, crash/restart and resume are in
 import pytest
 
 from repro.data import SyntheticSpec
-from repro.elastic import (
-    FailureEvent,
-    FailurePlan,
-    LifecyclePlan,
-    LifecycleResult,
-    run_lifecycle,
-)
+from repro.elastic import LifecyclePlan, LifecycleResult, run_lifecycle
+from repro.faults import FaultProfile
 from repro.mpi import RankDied
 from repro.train.checkpoint import latest_complete_snapshot, load_job_snapshot
 from repro.train.experiments import make_experiment_data
@@ -33,25 +28,38 @@ def make_setup(samples=240, classes=4, features=16, seed=0, epochs=4):
     return config, train_ds, labels, val_X, val_y
 
 
+def schedule(spec):
+    return FaultProfile.parse(spec).lifecycle_plan()
+
+
 class TestFailurePlan:
+    """The kill events of a :class:`LifecyclePlan`."""
+
     def test_parse(self):
-        plan = FailurePlan.parse("1@2,3@5:mid_exchange")
-        assert plan.doomed() == (1, 3)
-        assert plan.events[1] == FailureEvent(3, 5, "mid_exchange")
+        plan = schedule("kill:rank=1,epoch=2;kill:rank=3,epoch=5,point=mid_exchange")
+        assert plan.dead_forever() == (1, 3)
+        assert plan.kills[1] == (3, 5, "mid_exchange")
 
     def test_parse_empty(self):
-        assert FailurePlan.parse("").events == ()
+        assert schedule("").kills == ()
 
     def test_duplicate_rank_rejected(self):
-        with pytest.raises(ValueError):
-            FailurePlan([FailureEvent(1, 2), FailureEvent(1, 3)])
+        with pytest.raises(ValueError, match="twice"):
+            LifecyclePlan(kills=((1, 2, "begin"), (1, 3, "begin")))
 
     def test_bad_point_rejected(self):
-        with pytest.raises(ValueError):
-            FailureEvent(0, 0, "whenever")
+        with pytest.raises(ValueError, match="point"):
+            LifecyclePlan(kills=((0, 0, "whenever"),))
+        with pytest.raises(ValueError, match="point"):
+            schedule("kill:rank=0,epoch=0,point=whenever")
+
+    def test_negative_rank_or_epoch_rejected(self):
+        for kill in ((-1, 0, "begin"), (0, -1, "begin")):
+            with pytest.raises(ValueError, match=">= 0"):
+                LifecyclePlan(kills=(kill,))
 
     def test_check_raises_only_at_its_point(self):
-        plan = FailurePlan.parse("2@1:mid_exchange")
+        plan = schedule("kill:rank=2,epoch=1,point=mid_exchange")
         plan.check(2, 1, "begin")
         plan.check(1, 1, "mid_exchange")
         plan.check(2, 0, "mid_exchange")
@@ -63,7 +71,7 @@ class TestElasticRun:
     def test_run_completes_after_failure(self):
         config, train_ds, labels, val_X, val_y = make_setup()
         result = run_lifecycle(
-            config=config, workers=4, q=0.3, plan=LifecyclePlan.parse(kills="1@2"),
+            config=config, workers=4, q=0.3, plan=schedule("kill:rank=1,epoch=2"),
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
         assert isinstance(result, LifecycleResult)
@@ -83,7 +91,7 @@ class TestElasticRun:
         config, train_ds, labels, val_X, val_y = make_setup(epochs=3)
         result = run_lifecycle(
             config=config, workers=3, q=0.25,
-            plan=LifecyclePlan.parse(kills=f"2@1:{point}"),
+            plan=schedule(f"kill:rank=2,epoch=1,point={point}"),
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
         assert result.dead_ranks == (2,)
@@ -95,7 +103,7 @@ class TestElasticRun:
         config, train_ds, labels, val_X, val_y = make_setup()
         result = run_lifecycle(
             config=config, workers=4, q=0.3,
-            plan=LifecyclePlan.parse(kills="1@2:mid_exchange"),
+            plan=schedule("kill:rank=1,epoch=2,point=mid_exchange"),
             snapshot_dir=tmp_path,
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
@@ -123,7 +131,9 @@ class TestElasticRun:
         for _ in range(8):
             result = run_lifecycle(
                 config=config, workers=4, q=0.3,
-                plan=LifecyclePlan.parse(kills="1@1:end,3@2:mid_exchange"),
+                plan=schedule(
+                    "kill:rank=1,epoch=1,point=end;kill:rank=3,epoch=2,point=mid_exchange"
+                ),
                 deadline_s=10, backend=backend,
                 train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
             )
@@ -140,7 +150,7 @@ class TestElasticRun:
             config=config, workers=4, q=0.3,
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
-        failed = run_lifecycle(plan=LifecyclePlan.parse(kills="1@2"), **kwargs)
+        failed = run_lifecycle(plan=schedule("kill:rank=1,epoch=2"), **kwargs)
         clean = run_lifecycle(**kwargs)
         assert clean.dead_ranks == ()
         delta = abs(failed.final_accuracy - clean.final_accuracy)
@@ -154,7 +164,7 @@ class TestElasticRun:
         with pytest.raises(ValueError, match="snapshot_dir"):
             run_lifecycle(
                 config=config, workers=2, q=0.2,
-                plan=LifecyclePlan.parse(restart_after="1"),
+                plan=schedule("crash:epoch=2"),
                 train_dataset=train_ds, labels=labels,
                 val_X=val_X, val_y=val_y,
             )

@@ -18,16 +18,25 @@ from pathlib import Path
 import pytest
 
 from repro.data import SyntheticSpec
-from repro.elastic import LifecyclePlan, run_lifecycle
-from repro.faults import run_chaos_train
+from repro.elastic import run_lifecycle
+from repro.faults import FaultProfile, run_chaos_train
 from repro.train.experiments import make_experiment_data
 from repro.train.trainer import TrainConfig
 
 GOLDEN = Path(__file__).with_name("golden_fault_path.json")
 WORKERS = 4
 
-#: ``FailurePlan`` specs: clean, one kill per injection point, two kills.
-KILL_SCHEDULES = ["", "1@2:mid_exchange", "2@1:begin", "1@1:end,3@2:mid_exchange"]
+#: The recording's keys (``rank@epoch:point`` kill specs) -> the same
+#: schedule as profile clauses: clean, one kill per injection point, two
+#: kills.
+KILL_SCHEDULES = {
+    "": "",
+    "1@2:mid_exchange": "kill:rank=1,epoch=2,point=mid_exchange",
+    "2@1:begin": "kill:rank=2,epoch=1,point=begin",
+    "1@1:end,3@2:mid_exchange": (
+        "kill:rank=1,epoch=1,point=end;kill:rank=3,epoch=2,point=mid_exchange"
+    ),
+}
 
 #: (profile, chaos seed) — the profiles ``tests/faults/test_chaos_train.py``
 #: pins bit-identity and composition with.
@@ -76,11 +85,10 @@ def golden():
 
 
 @pytest.mark.parametrize("backend", ["threads", "procs"])
-@pytest.mark.parametrize("kills", KILL_SCHEDULES, ids=lambda k: k or "clean")
+@pytest.mark.parametrize("kills", list(KILL_SCHEDULES), ids=lambda k: k or "clean")
 def test_kill_schedule_matches_parent_recording(golden, kills, backend):
-    result = run_lifecycle(
-        plan=LifecyclePlan.parse(kills=kills), backend=backend, **make_setup()
-    )
+    plan = FaultProfile.parse(KILL_SCHEDULES[kills]).lifecycle_plan()
+    result = run_lifecycle(plan=plan, backend=backend, **make_setup())
     assert summary(result.history, result.recoveries) == golden["kill"][kills]
 
 

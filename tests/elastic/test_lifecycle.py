@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.data import SyntheticSpec
-from repro.elastic import LifecyclePlan, run_lifecycle
+from repro.elastic import LifecyclePlan, rebalance_targets, run_lifecycle
 from repro.elastic.lifecycle import Crashed
 from repro.faults import FaultProfile
 from repro.train.experiments import make_experiment_data
@@ -30,12 +30,17 @@ def make_setup(samples=240, classes=4, features=16, seed=0, epochs=4):
     return config, train_ds, labels, val_X, val_y
 
 
+def schedule(spec):
+    return FaultProfile.parse(spec).lifecycle_plan()
+
+
 class TestLifecyclePlan:
     def test_parse_full_schedule(self):
-        plan = LifecyclePlan.parse(
-            kills="1@1:mid_exchange", rejoins="1@3", restart_after="1"
+        plan = schedule(
+            "kill:rank=1,epoch=1,point=mid_exchange;rejoin:rank=1,epoch=3;"
+            "crash:epoch=2"
         )
-        assert plan.kills.doomed() == (1,)
+        assert plan.kills == ((1, 1, "mid_exchange"),)
         assert plan.rejoins == ((1, 3),)
         assert plan.crashes == (2,)
         assert plan.joiners_at(3) == (1,)
@@ -46,35 +51,29 @@ class TestLifecyclePlan:
         assert plan.max_epoch() == 3
 
     def test_empty_plan_has_no_events(self):
-        for plan in (LifecyclePlan(), LifecyclePlan.parse("", "", "")):
-            assert (plan.kills.events, plan.rejoins, plan.crashes) == ((), (), ())
+        for plan in (LifecyclePlan(), schedule("")):
+            assert (plan.kills, plan.rejoins, plan.crashes) == ((), (), ())
 
     def test_rejoin_without_kill_rejected(self):
         with pytest.raises(ValueError, match="rejoin"):
-            LifecyclePlan.parse(kills="", rejoins="1@3", restart_after="")
+            schedule("rejoin:rank=1,epoch=3")
 
     def test_rejoin_not_after_kill_rejected(self):
         with pytest.raises(ValueError):
-            LifecyclePlan.parse(
-                kills="1@2:mid_exchange", rejoins="1@2", restart_after=""
-            )
+            schedule("kill:rank=1,epoch=2,point=mid_exchange;rejoin:rank=1,epoch=2")
 
     def test_duplicate_rejoin_rank_rejected(self):
         with pytest.raises(ValueError):
-            LifecyclePlan.parse(
-                kills="1@1", rejoins="1@2,1@3", restart_after=""
-            )
+            schedule("kill:rank=1,epoch=1;rejoin:rank=1,epoch=2;rejoin:rank=1,epoch=3")
 
     def test_crash_needs_a_prior_snapshot_epoch(self):
-        # restart_after=e crashes before epoch e+1; "-1" would put the
-        # crash at epoch 0, where no snapshot exists yet.
+        # crash:epoch=e restarts from epoch e-1's snapshot; at epoch 0 no
+        # snapshot exists yet.
         with pytest.raises(ValueError):
-            LifecyclePlan(crashes=(0,))
+            schedule("crash:epoch=0")
 
     def test_dead_forever_is_kills_minus_rejoins(self):
-        plan = LifecyclePlan.parse(
-            kills="1@1,2@2", rejoins="1@3", restart_after=""
-        )
+        plan = schedule("kill:rank=1,epoch=1;kill:rank=2,epoch=2;rejoin:rank=1,epoch=3")
         assert plan.dead_forever() == (2,)
 
     def test_from_chaos_profile(self):
@@ -85,8 +84,7 @@ class TestLifecyclePlan:
         plan = profile.lifecycle_plan()
         assert plan.rejoins == ((1, 3),)
         assert plan.crashes == (2,)
-        assert plan.kills.doomed() == (1,)
-
+        assert [rank for rank, _epoch, _point in plan.kills] == [1]
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +97,8 @@ def healed_and_clean(tmp_path_factory):
         config=config, workers=3, q=0.3,
         train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
     )
-    plan = LifecyclePlan.parse(
-        kills="1@1:mid_exchange", rejoins="1@2", restart_after="1"
+    plan = schedule(
+        "kill:rank=1,epoch=1,point=mid_exchange;rejoin:rank=1,epoch=2;crash:epoch=2"
     )
     healed = run_lifecycle(
         plan=plan, snapshot_dir=tmp_path_factory.mktemp("healed"), **common
@@ -197,9 +195,7 @@ class TestDegradedFinish:
         )
         result = run_lifecycle(
             config=config, workers=3, q=0.3,
-            plan=LifecyclePlan.parse(
-                kills="1@1:mid_exchange", rejoins="", restart_after=""
-            ),
+            plan=schedule("kill:rank=1,epoch=1,point=mid_exchange"),
             snapshot_dir=tmp_path,
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
@@ -207,6 +203,24 @@ class TestDegradedFinish:
         assert result.final_workers == 2
         assert result.dead_ranks == (1,)
         assert "lifecycle.admitted" not in result.event_kinds()
+
+    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    def test_uneven_degraded_finish_lands_exactly_on_the_targets(self, backend):
+        # 80 training samples: 20 per rank on 4, 27 / 27 / 26 on 3.
+        config, train_ds, labels, val_X, val_y = make_setup(
+            samples=100, epochs=3
+        )
+        assert len(train_ds) % 3 != 0
+        result = run_lifecycle(
+            config=config, workers=4, q=0.3,
+            plan=schedule("kill:rank=1,epoch=1,point=mid_exchange"),
+            train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
+            backend=backend,
+        )
+        assert result.verified
+        group = result.final_group
+        targets = rebalance_targets(len(train_ds), group)
+        assert result.history.stats["hot_counts"] == [targets[r] for r in group]
 
 
 class TestCrashOnly:
@@ -219,7 +233,7 @@ class TestCrashOnly:
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
         crashed = run_lifecycle(
-            plan=LifecyclePlan.parse(kills="", rejoins="", restart_after="1"),
+            plan=schedule("crash:epoch=2"),
             snapshot_dir=tmp_path / "crashed", **common,
         )
         plain = run_lifecycle(snapshot_dir=tmp_path / "plain", **common)
@@ -237,9 +251,7 @@ class TestSupervisorValidation:
         with pytest.raises(ValueError, match="epoch"):
             run_lifecycle(
                 config=config, workers=3, q=0.2,
-                plan=LifecyclePlan.parse(
-                    kills="1@1", rejoins="1@3", restart_after=""
-                ),
+                plan=schedule("kill:rank=1,epoch=1;rejoin:rank=1,epoch=3"),
                 snapshot_dir=tmp_path,
                 train_dataset=train_ds, labels=labels,
                 val_X=val_X, val_y=val_y,

@@ -1,15 +1,15 @@
-"""Cold replica cache semantics, ShardRecovery end-to-end, and the PFS
-fallback read of the shared migration executor."""
+"""Cold replica cache semantics, recovery through the one membership change
+(``rebalance``) end-to-end, and the PFS fallback read of the migration
+executor."""
 
 import numpy as np
 import pytest
 
 from repro.data import SyntheticSpec, TensorDataset, make_classification
 from repro.data.folder import materialize_folder_dataset
-from repro.elastic import RecoveryReport, ReplicaLedger, ShardRecovery
+from repro.elastic import ReplicaLedger, rebalance
 from repro.elastic.migration import READ, migrate
 from repro.mpi import PeerFailure, RankDied, run_spmd
-from repro.mpi.tags import RECOVERY
 from repro.shuffle import PartialLocalShuffle
 from repro.shuffle.storage import StorageArea, StorageFullError
 from repro.utils.retry import default_retrier
@@ -123,11 +123,10 @@ def _elastic_worker(
             strat.abort_epoch()
             if drop_cold_first:
                 strat.storage.drop_cold()
-            recovery = ShardRecovery(
+            report = rebalance(
                 newcomm, strat.storage, strat.ledger,
-                dataset=ds, old_size=comm.size,
+                old_size=comm.size, dataset=ds,
             )
-            report = recovery.recover()
             strat.attach_comm(newcomm)
             comm = newcomm
             continue
@@ -156,9 +155,9 @@ class TestShardRecovery:
         assert len(survivors) == 3
         held = sorted(g for r in survivors for g in r["hot"])
         assert held == list(range(48))  # every gid exactly once, none lost
-        report = survivors[0]["report"]
-        assert report.dead_ranks == (1,)
-        assert report.from_replica + report.from_source == report.lost_gids > 0
+        report = survivors[0]["report"].as_dict()
+        assert report["dead_ranks"] == [1]
+        assert report["from_replica"] + report["from_source"] == report["lost_gids"] > 0
 
     def test_reports_identical_on_all_survivors(self):
         ds, labels = make_ds(n=36)
@@ -171,7 +170,7 @@ class TestShardRecovery:
 
         out = run_spmd(worker, 3, deadline_s=120)
         reports = [r["report"] for r in out if isinstance(r, dict)]
-        assert all(r.assignments == reports[0].assignments for r in reports)
+        assert all(r.moves == reports[0].moves for r in reports)
         assert all(r.bytes_transferred == reports[0].bytes_transferred for r in reports)
 
     def test_pfs_fallback_when_no_replicas_survive(self):
@@ -187,9 +186,9 @@ class TestShardRecovery:
         survivors = [r for r in out if isinstance(r, dict)]
         held = sorted(g for r in survivors for g in r["hot"])
         assert held == list(range(36))
-        report = survivors[0]["report"]
-        assert report.from_replica == 0
-        assert report.from_source == report.lost_gids > 0
+        report = survivors[0]["report"].as_dict()
+        assert report["from_replica"] == 0
+        assert report["from_source"] == report["lost_gids"] > 0
 
     def test_no_replica_and_no_dataset_fails_loudly(self):
         ds, labels = make_ds(n=24)
@@ -207,12 +206,11 @@ class TestShardRecovery:
             newcomm = comm.shrink()
             strat.abort_epoch()
             strat.storage.drop_cold()
-            recovery = ShardRecovery(
-                newcomm, strat.storage, strat.ledger,
-                dataset=None, old_size=comm.size,
-            )
             with pytest.raises(RuntimeError, match="no surviving replica"):
-                recovery.recover()
+                rebalance(
+                    newcomm, strat.storage, strat.ledger,
+                    old_size=comm.size, dataset=None,
+                )
             return True
 
         out = run_spmd(worker, 2, deadline_s=120)
@@ -268,7 +266,7 @@ class TestSourceDatasetRead:
             with pytest.raises(OSError, match="unreadable"):
                 migrate(
                     comm, StorageArea(), ReplicaLedger(), [(2, None, 0, READ)],
-                    tags=RECOVERY, dataset=ds,
+                    dataset=ds,
                 )
             return True
 

@@ -179,7 +179,7 @@ class TestElasticComposition:
 
         from repro.elastic.lifecycle import _LifecycleRank
         from repro.mpi.communicator import Communicator
-        from repro.mpi.tags import JOIN
+        from repro.mpi.tags import RECOVERY
         from repro.mpi.world import World
 
         events = []
@@ -187,7 +187,7 @@ class TestElasticComposition:
 
         def deliver_logged(world, msg):
             tag = msg.tag % Communicator.MAX_TAG
-            if JOIN.contains(tag) and tag >= JOIN.tag(2):
+            if RECOVERY.contains(tag):
                 events.append(("transfer", msg.dest))
             deliver(world, msg)
 

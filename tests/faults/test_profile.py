@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.elastic import FailureEvent
 from repro.faults import FaultClause, FaultProfile
 
 
@@ -58,8 +57,8 @@ class TestParse:
 class TestKill:
     def test_kill_becomes_failure_plan(self):
         prof = FaultProfile.parse("kill:rank=1,epoch=2,point=mid_exchange")
-        plan = prof.failure_plan()
-        assert plan.events == (FailureEvent(1, 2, "mid_exchange"),)
+        plan = prof.lifecycle_plan()
+        assert plan.kills == ((1, 2, "mid_exchange"),)
 
     def test_transient_strips_kill(self):
         prof = FaultProfile.parse("corrupt:p=0.1;kill:rank=1,epoch=2")

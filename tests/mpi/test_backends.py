@@ -114,7 +114,7 @@ def test_every_rpc_row_resolves_on_the_real_objects():
 _WORLD_SURFACE = (
     "post", "take_blocking", "check_alive", "count_copy", "rendezvous", "abort",
     "mark_dead", "dead_ranks", "epitaphs", "flush_mailbox",
-    "announce_crash", "shrink_rendezvous", "expand_rendezvous", "request_join",
+    "announce_crash", "regroup_rendezvous", "request_join",
     "await_admission", "aborted", "abort_reason", "crashed",
     "crash_reason", "total_bytes_copied",
     "size", "copy_on_send", "pool", "flight", "telemetry", "mailboxes",

@@ -26,7 +26,6 @@ from hypothesis.stateful import (
 from repro.elastic import ReplicaLedger
 from repro.elastic.migration import TRANSFER, migrate
 from repro.mpi import SampleBlock, run_spmd
-from repro.mpi.tags import RECOVERY
 from repro.shuffle import DiskStorageArea, Scheduler, StorageArea, StorageFullError
 
 # Two slot classes of the same byte size, so capacity arithmetic stays in
@@ -542,7 +541,7 @@ def _handover_worker(comm):
     original = np.arange(8, dtype=np.float32)
     if comm.rank == 0:
         _install(area, original[None].copy(), [7], labels=[3])
-    migrate(comm, area, ReplicaLedger(), [(7, 0, 1, TRANSFER)], tags=RECOVERY)
+    migrate(comm, area, ReplicaLedger(), [(7, 0, 1, TRANSFER)])
     comm.barrier()
     if comm.rank == 0:
         # The owner retires gid 7 for good and the next arrival reuses its
