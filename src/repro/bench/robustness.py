@@ -6,14 +6,10 @@ rank and rebalance shards back toward ``N/M`` — then verify the healed run
 is *bit-identical* to one that executed the same kill/rejoin schedule
 without ever crashing.
 
-Reported metrics:
+Reported metrics, all counts or flags:
 
 * ``rejoin`` — the rebalance report: samples migrated back, bytes moved,
-  cold replicas promoted in place, wall seconds.
-* ``ratios.rejoin_speed`` — total run wall over rejoin-rebalance wall
-  (self-normalised: compares the healing cost to the work it protects on
-  the same machine; gated by an absolute floor rather than a baseline
-  ratio because the rebalance wall is milliseconds and noisy).
+  cold replicas promoted in place.
 * ``ratios.migration_share`` — migrated samples over total samples; a
   deterministic property of the plan (the joiner's ``N/M`` share), so a
   cap catches a planner that reshuffles instead of rebalancing.
@@ -24,22 +20,14 @@ Reported metrics:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 __all__ = ["bench_robustness"]
 
 
 def bench_robustness(
-    *,
-    workers: int = 4,
-    samples: int = 240,
-    classes: int = 4,
-    features: int = 16,
-    epochs: int = 5,
-    q: float = 0.3,
-    seed: int = 0,
+    *, workers: int, samples: int, classes: int, features: int, epochs: int,
+    q: float, seed: int,
 ) -> dict:
     """Run the kill -> crash/restart -> rejoin lifecycle and measure it."""
     import tempfile
@@ -69,10 +57,8 @@ def bench_robustness(
         train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
     )
 
-    t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="repro-bench-lc-") as tmp:
         healed = run_lifecycle(plan=plan, snapshot_dir=tmp, **common)
-    healed_wall = time.perf_counter() - t0
 
     # The reference: same kill/rejoin schedule, no crash/restart (and so
     # no snapshots either).
@@ -84,8 +70,8 @@ def bench_robustness(
         np.array_equal(healed.model_state[k], reference.model_state[k])
         for k in healed.model_state
     )
-    rejoin = healed.rejoins[-1] if healed.rejoins else {}
-    rejoin_wall = max(float(rejoin.get("wall_s", 0.0)), 1e-9)
+    rejoin = dict(healed.rejoins[-1]) if healed.rejoins else {}
+    rejoin.pop("wall_s", None)  # the artifact holds counts only
     moved = int(rejoin.get("moved_gids", 0))
     transitions = healed.event_kinds()
     return {
@@ -95,12 +81,8 @@ def bench_robustness(
         },
         "segments": healed.segments,
         "restarts": healed.restarts,
-        "rejoin": dict(rejoin),
-        "wall": {"run_s": healed_wall, "rejoin_s": rejoin_wall},
-        "ratios": {
-            "rejoin_speed": healed_wall / rejoin_wall,
-            "migration_share": moved / samples,
-        },
+        "rejoin": rejoin,
+        "ratios": {"migration_share": moved / samples},
         "bit_identical": bool(bit_identical),
         "capacity_restored": bool(healed.capacity_ok),
         "q_deficit_final": float(healed.q_deficit),

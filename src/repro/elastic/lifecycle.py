@@ -626,7 +626,7 @@ class _LifecycleRank:
 
     # ------------------------------------------------------------------ finish
     def _finish(self):
-        if self.comm.flight.enabled and self.comm.rank == 0:
+        if self.comm.rank == 0:
             drain_pending(self.comm)
         stats = self.strategy.stats()
         stats["recoveries"] = [r.as_dict() for r in self.recoveries]

@@ -97,7 +97,6 @@ def run_spmd(
     deadline_s: float | None = 300.0,
     thread_name_prefix: str = "rank",
     tracing: bool = False,
-    flight: bool = True,
     world_factory: Callable[..., World] | None = None,
     backend: str | None = None,
 ) -> SpmdResult:
@@ -119,12 +118,8 @@ def run_spmd(
         When True every rank's flight recorder (``comm.flight``) keeps all
         its events instead of the last K, and records per-message detail:
         every p2p call and collective with byte counts, every Figure-10
-        phase region.  When False those sites cost one flag test.  Needs
-        the recorder on: ignored with ``flight=False``.
-    flight:
-        When False the world's always-on flight recorder is disabled (no
-        ring appends; fault paths still dump, the rings are just empty).
-        The overhead benchmark's "disabled" baseline; leave True otherwise.
+        phase region.  When False those sites cost one flag test, and the
+        recorder keeps only its always-on events, the last K of them.
     world_factory:
         Alternative :class:`World` constructor (same keyword signature);
         the seam through which :class:`~repro.faults.ChaosWorld` injects
@@ -147,9 +142,7 @@ def run_spmd(
         raise ValueError(f"size must be >= 1, got {size}")
     make_world = world_factory if world_factory is not None else World
     world = make_world(size, copy_on_send=copy_on_send, deadline_s=deadline_s)
-    if not flight:
-        world.flight.set_enabled(False)
-    elif tracing:
+    if tracing:
         world.flight.enable_detail()
     outcomes = host(
         world, fn, tuple(args),

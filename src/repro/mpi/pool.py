@@ -281,9 +281,10 @@ class BufferPool:
             )
 
     def stats(self) -> dict:
-        """Plain-dict accounting snapshot (feeds BENCH_exchange.json and
-        the ``pool.*`` metrics gauges the scheduler emits when traced),
-        plus the allocator's own keys (``segments`` for shared memory)."""
+        """Plain-dict accounting snapshot (the ``pool`` of each backend's
+        run in BENCH_exchange.json, and the ``pool.*`` metrics gauges the
+        scheduler emits when traced), plus the allocator's own keys
+        (``segments`` for shared memory)."""
         with self._lock:
             return {
                 "name": self.name,

@@ -571,11 +571,10 @@ class _ClientMailbox:
 class _ClientFlightLog:
     """Rank-side proxy of the world's :class:`FlightLog`."""
 
-    def __init__(self, rpc: _Rpc, enabled: bool, detail: bool) -> None:
+    def __init__(self, rpc: _Rpc, detail: bool) -> None:
         self._rpc = rpc
-        #: Whether ring appends / per-message detail are on (as the
-        #: parent's log had them at launch).
-        self.enabled = enabled
+        #: Whether per-message detail is on (as the parent's log had it at
+        #: launch).
         self.detail = detail
         self._recorders: dict[int, FlightRecorder] = {}
 
@@ -586,7 +585,7 @@ class _ClientFlightLog:
         rec = self._recorders.get(rank)
         if rec is None:
             rec = self._recorders[rank] = FlightRecorder(rank)
-            rec.enabled, rec.detail = self.enabled, self.detail
+            rec.detail = self.detail
             rec.append = functools.partial(self._rpc.cast, "recorder.append", rank)
         return rec
 
@@ -632,7 +631,6 @@ class _ClientWorld(_Remote):
         rank: int,
         size: int,
         copy_on_send: bool,
-        flight_enabled: bool,
         flight_detail: bool,
         has_chaos: bool,
         board: _FoldBoard,
@@ -649,7 +647,7 @@ class _ClientWorld(_Remote):
         self._board = board
         self._folds = itertools.count(1)
         self._owed: tuple | None = None
-        self.flight = _ClientFlightLog(rpc, flight_enabled, flight_detail)
+        self.flight = _ClientFlightLog(rpc, flight_detail)
         self.telemetry = _ClientTelemetry(rpc)
         if has_chaos:
             # Duck-typed: plain worlds must NOT have the attribute at all.
@@ -766,7 +764,6 @@ def _child_main(
     fn: Callable[..., Any],
     args: tuple,
     copy_on_send: bool,
-    flight_enabled: bool,
     flight_detail: bool,
     has_chaos: bool,
     board: _FoldBoard,
@@ -784,7 +781,7 @@ def _child_main(
             child_end.close()
     rpc = _Rpc(conn)
     world = _ClientWorld(
-        rpc, rank, size, copy_on_send, flight_enabled, flight_detail, has_chaos, board
+        rpc, rank, size, copy_on_send, flight_detail, has_chaos, board
     )
     ok, value = _run_rank(world, rank, fn, args)
     # Peers may still read its last fold slot: the parent releases them.
@@ -1029,7 +1026,7 @@ def host_procs(
             target=_child_main,
             args=(
                 pipes, r, size, fn, args, world.copy_on_send,
-                world.flight.enabled, world.flight.detail, has_chaos, board,
+                world.flight.detail, has_chaos, board,
             ),
             name=f"{name_prefix}{r}",
             daemon=True,

@@ -12,8 +12,8 @@ Two regimes, one stream:
 
 * **Always on.**  The protocol-level events (``exchange.plan``,
   ``round.*``, ``epoch.*``, ``lifecycle.*``, ``elastic.*``, ``rank.died``)
-  go into a bounded ring of the last K events at near-zero cost: one
-  ``enabled`` test, one or two clock reads, one ``deque.append``.  Phase
+  go into a bounded ring of the last K events at near-zero cost: one or
+  two clock reads and one ``deque.append``.  Phase
   regions (:meth:`FlightRecorder.phase`) always add into per-epoch totals.
 * **Detail** (``run_spmd(tracing=True)``, and nothing else).  The
   per-message and per-step sites (p2p calls, collectives, phase regions)
@@ -108,24 +108,6 @@ def rank_streams(dump: dict) -> list[list[Event]]:
     ]
 
 
-class _NullSpan:
-    """Shared do-nothing context manager of a disabled recorder."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-    def set(self, **fields: Any) -> None:
-        """Ignore post-hoc fields."""
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class _Span:
     """Times one region; appends one event on exit."""
 
@@ -215,11 +197,10 @@ class FlightRecorder:
     process (:mod:`repro.mpi.procs`).
     """
 
-    __slots__ = ("rank", "enabled", "detail", "append", "_phases", "_ring")
+    __slots__ = ("rank", "detail", "append", "_phases", "_ring")
 
     def __init__(self, rank: int, capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
         self.rank = rank
-        self.enabled = True
         #: True exactly when the run was launched with ``tracing=True``:
         #: the per-message / per-step sites test it before building a span.
         self.detail = False
@@ -229,15 +210,12 @@ class FlightRecorder:
 
     def record(self, kind: str, **fields: Any) -> None:
         """Append one instant event (drops the oldest when the ring is full)."""
-        if self.enabled:
-            self.append((time.perf_counter(), 0.0, kind, fields))
+        self.append((time.perf_counter(), 0.0, kind, fields))
 
     def span(self, kind: str, **fields: Any):
         """Context manager timing one region: one event on exit, with an
         ``error`` field naming the exception if the region raised.  More
         fields can be attached inside the region with ``.set(**fields)``."""
-        if not self.enabled:
-            return _NULL_SPAN
         return _Span(self, kind, fields)
 
     def phase(self, name: str) -> _Phase:
@@ -330,16 +308,6 @@ class FlightLog:
     def for_rank(self, rank: int) -> FlightRecorder:
         """The given world rank's recorder."""
         return self.recorders[rank]
-
-    @property
-    def enabled(self) -> bool:
-        """Whether the recorders are recording (all toggled together)."""
-        return bool(self.recorders) and self.recorders[0].enabled
-
-    def set_enabled(self, flag: bool) -> None:
-        """Enable/disable every rank's recorder (the overhead-bench knob)."""
-        for rec in self.recorders:
-            rec.enabled = bool(flag)
 
     @property
     def detail(self) -> bool:

@@ -174,16 +174,15 @@ def train_one_epoch(
         # that collective is a barrier, so rank 0 passing it proves every
         # peer's push of this epoch is already deposited.  The aggregator
         # is world-owned, so the series survives a later shrink.
-        if flight.enabled:
-            phases = flight.take_phases()
-            flight.record("epoch.phases", epoch=epoch, **phases)
-            metrics = {f"phase.{k}_s": v for k, v in phases.items()}
-            metrics["train.loss"] = loss_avg.value
-            sched = getattr(strategy, "scheduler", None)
-            if sched is not None:
-                metrics["exchange.q_deficit"] = sched.q_deficit
-            metrics["pool.in_use"] = comm.pool.in_use()
-            push_metrics(comm, epoch, metrics)
+        phases = flight.take_phases()
+        flight.record("epoch.phases", epoch=epoch, **phases)
+        metrics = {f"phase.{k}_s": v for k, v in phases.items()}
+        metrics["train.loss"] = loss_avg.value
+        sched = getattr(strategy, "scheduler", None)
+        if sched is not None:
+            metrics["exchange.q_deficit"] = sched.q_deficit
+        metrics["pool.in_use"] = comm.pool.in_use()
+        push_metrics(comm, epoch, metrics)
         # One collective for the epoch's three sums (float64 holds the
         # integer counts exactly).
         loss_sum, total_samples, total_correct = comm.allreduce(
@@ -260,7 +259,7 @@ def train_worker(
     # Final drain: rank 0's per-epoch drain ran *before* the last epoch's
     # barrier, so the peers' final pushes are still queued.  They are all
     # deposited by now (each peer pushed before entering that barrier).
-    if comm.flight.enabled and comm.rank == 0:
+    if comm.rank == 0:
         drain_pending(comm)
     history.stats = strategy.stats()
     if return_model:

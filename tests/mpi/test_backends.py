@@ -122,7 +122,7 @@ _WORLD_SURFACE = (
 _PROXY_SURFACE = {
     "pool": ("acquire", "release", "adopt_if_in_use", "stats",
              "in_use", "assert_balanced", "name"),
-    "flight": ("enabled", "for_rank", "dump"),
+    "flight": ("detail", "for_rank", "dump"),
     "telemetry": ("ingest",),
 }
 

@@ -41,12 +41,6 @@ class TestFlightRecorder:
         assert all(e["kind"] == "tick" for e in events)
         assert all("ts" in e for e in events)
 
-    def test_disabled_records_nothing(self):
-        rec = FlightRecorder(0, capacity=8)
-        rec.enabled = False
-        rec.record("tick")
-        assert len(rec.events()) == 0
-
     def test_default_capacity_covers_many_rounds(self):
         # ~4 events per reliable round: 512 keeps >= 100 rounds of context.
         assert DEFAULT_FLIGHT_CAPACITY >= 4 * 100
@@ -88,14 +82,6 @@ class TestFlightLog:
         log = FlightLog(1)
         log.dump("env routed")
         assert list(tmp_path.glob("flight-*.json"))
-
-    def test_set_enabled_toggles_all_ranks(self):
-        log = FlightLog(3)
-        log.set_enabled(False)
-        assert not log.enabled
-        for rec in log.recorders:
-            rec.record("dropped")
-        assert all(len(rec.events()) == 0 for rec in log.recorders)
 
 
 def _fill_storage(rank, n=8, dim=4):
@@ -287,15 +273,3 @@ class TestTracedDump:
         assert "coll.allreduce" in capsys.readouterr().out
         assert main(["health", dump["path"]]) == 0
         assert "lifecycle.checkpoint" in capsys.readouterr().out
-
-
-class TestFlightDisabled:
-    def test_flight_false_keeps_rings_empty(self):
-        def worker(comm):
-            comm.flight.record("never kept")
-            comm.allreduce(1.0)
-            return len(comm.flight.events())
-
-        res = run_spmd(worker, 2, flight=False)
-        assert list(res) == [0, 0]
-        assert not res.world.flight.enabled

@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.obs import FlightRecorder
-from repro.obs.telemetry.flight import _NULL_SPAN
 
 
 def only(rec):
@@ -105,22 +104,6 @@ class TestPhases:
 
 
 class TestDisabledNoOp:
-    def test_disabled_records_nothing(self):
-        rec = FlightRecorder(0)
-        rec.enabled = False
-        with rec.span("x", big=list(range(10))):
-            pass
-        rec.record("y")
-        assert len(rec.events()) == 0
-
-    def test_disabled_span_is_shared_null_object(self):
-        # No per-call allocation: the disabled path returns one singleton.
-        rec = FlightRecorder(0)
-        rec.enabled = False
-        assert rec.span("a") is rec.span("b") is _NULL_SPAN
-        with rec.span("x") as sp:
-            sp.set(nbytes=1)
-
     def test_disabled_overhead_guard(self):
         """A per-message site on a recorder with ``detail`` off must stay
         within noise of a bare loop.
@@ -143,13 +126,5 @@ class TestDisabledNoOp:
                     pass
         gated = time.perf_counter() - t0
 
-        rec.enabled = False
-        t0 = time.perf_counter()
-        for _ in range(n):
-            with rec.span("op"):
-                pass
-        null_span = time.perf_counter() - t0
-
         assert len(rec.events()) == 0
         assert gated < max(20 * baseline, 20e-6 * n)
-        assert null_span < max(60 * baseline, 20e-6 * n)

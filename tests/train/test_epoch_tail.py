@@ -16,7 +16,9 @@ SAMPLES = 64
 STEPS = SAMPLES // RANKS // BATCH  # k
 
 
-def traced_run(model, in_shape, strategy):
+def traced_run(model, in_shape, strategy, *, tracing=True, backend="threads"):
+    """Two epochs of ``train_worker``; each rank returns its history and
+    its final weights."""
     rng = np.random.default_rng(5)
     X = rng.normal(size=(SAMPLES, *in_shape)).astype(np.float32)
     y = rng.integers(0, 4, size=SAMPLES)
@@ -25,12 +27,16 @@ def traced_run(model, in_shape, strategy):
     )
 
     def worker(comm):
-        return train_worker(
+        history, trained = train_worker(
             comm, config, strategy_from_name(strategy), TensorDataset(X, y), y,
-            X[:10], y[:10],
+            X[:10], y[:10], return_model=True,
         )
+        return history, trained.state_dict()
 
-    return run_spmd(worker, RANKS, copy_on_send=False, tracing=True, deadline_s=300)
+    return run_spmd(
+        worker, RANKS, copy_on_send=False, tracing=tracing, deadline_s=300,
+        backend=backend,
+    )
 
 
 def collectives_per_epoch(result):
@@ -55,6 +61,22 @@ def test_an_epoch_of_k_steps_issues_k_plus_3_collectives(model, in_shape):
     assert collectives_per_epoch(local) == [STEPS + 3] * (2 * RANKS)
     partial = traced_run(model, in_shape, "partial-0.5")
     assert collectives_per_epoch(partial) == [STEPS + 3 + 2] * (2 * RANKS)
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+def test_tracing_does_not_change_training(backend):
+    """Tracing only records: the run it traces has the same history and
+    byte-equal final weights as the same run untraced, on either backend."""
+    plain, traced = (
+        traced_run("mlp", (16,), "partial-0.5", tracing=tracing, backend=backend)
+        for tracing in (False, True)
+    )
+    assert not plain.world.flight.detail and traced.world.flight.detail
+    for (history, state), (traced_history, traced_state) in zip(plain, traced):
+        assert traced_history.records == history.records
+        assert traced_state.keys() == state.keys()
+        for key, weights in state.items():
+            assert traced_state[key].tobytes() == weights.tobytes(), key
 
 
 @pytest.mark.parametrize("n_val,ranks", [(7, 2), (7, 3), (2, 3), (1, 4)])
