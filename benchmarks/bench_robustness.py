@@ -14,7 +14,6 @@ measurable time-to-recover.
 
 from repro.data import SyntheticSpec
 from repro.elastic import run_lifecycle
-from repro.faults import FaultProfile
 from repro.train import TrainConfig, run_multi_seed
 from repro.train.experiments import make_experiment_data
 from repro.utils import render_table
@@ -88,7 +87,7 @@ def run_recovery():
         config=config, workers=RECOVERY_WORKERS, q=0.3,
         train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
     )
-    failed = run_lifecycle(plan=FaultProfile.parse(KILL).lifecycle_plan(), **kwargs)
+    failed = run_lifecycle(profile=KILL, **kwargs)
     clean = run_lifecycle(**kwargs)
     return failed, clean
 
@@ -131,8 +130,6 @@ SLOW_PROFILE = "slow:rank=1,x=40,epochs=1-2"
 
 
 def run_chaos():
-    from repro.faults import run_chaos_train
-
     train_ds, labels, val_X, val_y = make_experiment_data(RECOVERY_SPEC)
     config = TrainConfig(
         model="mlp", in_shape=(RECOVERY_SPEC.n_features,),
@@ -144,15 +141,15 @@ def run_chaos():
         resend_timeout_s=0.05,
         train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
     )
-    clean = run_chaos_train(profile="", seed=0, **kwargs)
+    clean = run_lifecycle(**kwargs)
     sweep = [
-        (p, run_chaos_train(
-            profile=f"corrupt:p={p};drop:p={p}", seed=1, **kwargs,
+        (p, run_lifecycle(
+            profile=f"corrupt:p={p};drop:p={p}", chaos_seed=1, **kwargs,
         ))
         for p in CHAOS_RATES
     ]
-    slow = run_chaos_train(
-        profile=SLOW_PROFILE, seed=0, exchange_deadline_s=0.15, **kwargs
+    slow = run_lifecycle(
+        profile=SLOW_PROFILE, exchange_deadline_s=0.15, **kwargs
     )
     return clean, sweep, slow
 

@@ -30,11 +30,8 @@ def bench_robustness(
     q: float, seed: int,
 ) -> dict:
     """Run the kill -> crash/restart -> rejoin lifecycle and measure it."""
-    import tempfile
-
     from repro.data import SyntheticSpec
-    from repro.elastic import LifecyclePlan, run_lifecycle
-    from repro.faults import FaultProfile
+    from repro.elastic import run_lifecycle
     from repro.train.experiments import make_experiment_data
     from repro.train.trainer import TrainConfig
 
@@ -48,23 +45,18 @@ def bench_robustness(
         partition="class_sorted", seed=seed,
     )
     rejoin_epoch = epochs - 2
-    plan = FaultProfile.parse(
-        f"kill:rank=1,epoch=1,point=mid_exchange;rejoin:rank=1,epoch={rejoin_epoch};"
-        "crash:epoch=2"
-    ).lifecycle_plan()
+    schedule = (
+        f"kill:rank=1,epoch=1,point=mid_exchange;rejoin:rank=1,epoch={rejoin_epoch}"
+    )
     common = dict(
         config=config, workers=workers, q=q,
         train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
     )
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-lc-") as tmp:
-        healed = run_lifecycle(plan=plan, snapshot_dir=tmp, **common)
-
+    # The crash restarts from a temporary snapshot directory.
+    healed = run_lifecycle(profile=schedule + ";crash:epoch=2", **common)
     # The reference: same kill/rejoin schedule, no crash/restart (and so
     # no snapshots either).
-    reference = run_lifecycle(
-        plan=LifecyclePlan(kills=plan.kills, rejoins=plan.rejoins), **common
-    )
+    reference = run_lifecycle(profile=schedule, **common)
 
     bit_identical = set(healed.model_state) == set(reference.model_state) and all(
         np.array_equal(healed.model_state[k], reference.model_state[k])

@@ -329,14 +329,14 @@ def _cmd_chaos_train(args) -> int:
     import numpy as np
 
     from repro.data import SyntheticSpec
-    from repro.faults import FaultProfile, run_chaos_train
+    from repro.elastic import run_lifecycle
+    from repro.faults import FaultProfile
     from repro.obs.telemetry import FLIGHT_DIR_ENV
     from repro.train import TrainConfig
     from repro.train.experiments import make_experiment_data
 
     try:
         profile = FaultProfile.parse(args.chaos)
-        profile.lifecycle_plan()  # rejoin-without-kill, crash at epoch 0, ...
     except ValueError as exc:
         print(f"bad --chaos spec: {exc}", file=sys.stderr)
         return 2
@@ -362,19 +362,18 @@ def _cmd_chaos_train(args) -> int:
         # dump taken during the run (fault post-mortems, lifecycle
         # transitions, the supervisor's final timeline) lands there.
         os.environ[FLIGHT_DIR_ENV] = args.flight_dir
-    result = run_chaos_train(
-        profile=profile, seed=args.chaos_seed,
+    run = run_lifecycle(
+        profile=profile, chaos_seed=args.chaos_seed,
         snapshot_dir=args.snapshot_dir, **common,
     )
-    run = result.lifecycle
 
-    injected = result.injected or {"(none)": 0}
+    injected = run.injected or {"(none)": 0}
     print_table(
         ["fault", "injected"],
         [[k, v] for k, v in sorted(injected.items())],
         title=f"chaos profile: {args.chaos or '(clean)'}",
     )
-    fs = result.fault_stats
+    fs = run.fault_stats
     if fs:
         eq = fs.get("effective_q", [])
         print(
@@ -389,7 +388,7 @@ def _cmd_chaos_train(args) -> int:
             f"final q deficit: {run.q_deficit:g}, "
             f"effective Q: [{', '.join(f'{x:.2f}' for x in eq)}]"
         )
-    rs = result.retry_stats
+    rs = run.retry_stats
     if rs.get("retries") or rs.get("giveups"):
         print(f"storage reads: {rs.get('retries', 0)} retried, "
               f"{rs.get('giveups', 0)} gave up")
@@ -410,7 +409,7 @@ def _cmd_chaos_train(args) -> int:
         f"chaos run: {args.workers} -> {run.final_workers} workers "
         f"{list(run.final_group)}, {run.segments} segment(s), "
         f"{run.restarts} restart(s), capacity_ok={run.capacity_ok}, "
-        f"final top-1 {result.final_accuracy:.3f}"
+        f"final top-1 {run.final_accuracy:.3f}"
     )
     # A Q-deficit still owed is reported, not failed: it is what a run whose
     # last epochs degraded under --exchange-deadline legitimately ends with.
@@ -427,15 +426,12 @@ def _cmd_chaos_train(args) -> int:
     # names restart at 001 in every world, so the baseline's timeline
     # would overwrite the run's.
     os.environ.pop(FLIGHT_DIR_ENV, None)
-    clean = run_chaos_train(
-        profile="", seed=args.chaos_seed,
-        materialize=profile.has_storage_faults, **common,
-    )
-    mine, ref = run.model_state, clean.lifecycle.model_state
+    clean = run_lifecycle(materialize=profile.has_storage_faults, **common)
+    mine, ref = run.model_state, clean.model_state
     identical = set(mine) == set(ref) and all(
         np.array_equal(mine[k], ref[k]) for k in mine
     )
-    delta = abs(result.final_accuracy - clean.final_accuracy)
+    delta = abs(run.final_accuracy - clean.final_accuracy)
     print(
         f"clean run final top-1 {clean.final_accuracy:.3f} "
         f"(|delta| = {delta:.6f}, tolerance {args.tolerance:.6f}, "
@@ -547,7 +543,7 @@ def _run_health_demo(args) -> dict:
     :func:`~repro.obs.telemetry.detect_stragglers` looks for.
     """
     from repro.data import SyntheticSpec
-    from repro.faults import run_chaos_train
+    from repro.elastic import run_lifecycle
     from repro.train import TrainConfig
     from repro.train.experiments import make_experiment_data
 
@@ -563,11 +559,10 @@ def _run_health_demo(args) -> dict:
         epochs=args.epochs, batch_size=8, base_lr=0.05, seed=args.seed,
     )
     train_ds, labels, val_X, val_y = make_experiment_data(spec)
-    result = run_chaos_train(
+    return run_lifecycle(
         config=config, workers=args.workers, q=args.q, profile=chaos,
         train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
-    )
-    return result.telemetry
+    ).telemetry
 
 
 def _cmd_lint(args) -> int:

@@ -47,7 +47,7 @@ class FolderDataset(Dataset):
         so retry counts aggregate.
     fault_hook:
         Optional ``hook(op, path, attempt)`` run before every physical read
-        attempt; the chaos-injection seam
+        attempt, ``path`` relative to ``root``; the chaos-injection seam
         (:meth:`repro.faults.ChaosEngine.storage_hook`) — it raises the
         injected fault, which the retrier then recovers from.
     """
@@ -71,13 +71,16 @@ class FolderDataset(Dataset):
 
     def __getitem__(self, index: int) -> tuple[np.ndarray, int]:
         path, label = self._entries[index]
+        # The sample's identity, not where this copy happens to live: the
+        # same dataset under another root sees the same injected faults.
+        key = path.relative_to(self.root).as_posix()
 
         def load(attempt: int) -> np.ndarray:
             if self.fault_hook is not None:
-                self.fault_hook("read", str(path), attempt)
+                self.fault_hook("read", key, attempt)
             return np.load(path)
 
-        return self.retrier.call(load, key=str(path)), label
+        return self.retrier.call(load, key=key), label
 
     def __len__(self) -> int:
         return len(self._entries)

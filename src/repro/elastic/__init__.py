@@ -15,18 +15,17 @@ every sample hot on exactly one live rank, each holding its
 exchange replicas first, the source dataset as the PFS fallback; a
 rejoined rank is refilled from the survivors' newest samples.
 
-:func:`run_lifecycle` — the one failure-aware launcher — drives the whole
+:func:`run_lifecycle` — the one supervised launcher — drives the whole
 sequence: detect, shrink, continue degraded, checkpoint, crash/restart (or
 resume) from the latest complete job snapshot, rejoin, rebalance, verify.
-Its schedule is a :class:`LifecyclePlan`, spelled as the ``kill`` /
-``rejoin`` / ``crash`` clauses of a :class:`~repro.faults.FaultProfile`
-(``kill:rank=1,epoch=2,point=mid_exchange`` kills rank 1 midway through
-epoch 2); :func:`repro.faults.run_chaos_train` composes it with
-transient-fault injection under one profile.
+Its schedule is a :class:`~repro.faults.FaultProfile`: the ``kill`` /
+``rejoin`` / ``crash`` clauses (``kill:rank=1,epoch=2,point=mid_exchange``
+kills rank 1 midway through epoch 2), and transient faults injected in the
+same run.
 """
 
 from .ledger import ReplicaLedger, reconstruct_ledger
-from .lifecycle import Crashed, LifecyclePlan, LifecycleResult, run_lifecycle
+from .lifecycle import Crashed, LifecycleResult, run_lifecycle
 from .migration import RebalanceReport, plan_moves, rebalance, rebalance_targets
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "rebalance",
     "rebalance_targets",
     "Crashed",
-    "LifecyclePlan",
     "LifecycleResult",
     "run_lifecycle",
 ]

@@ -28,14 +28,17 @@ snapshot and replays it to bit-identity.
 
 The pieces:
 
-* :class:`LifecyclePlan` — the failure schedule: *kills* (a rank dies at
-  an epoch and a point within it), *rejoins* (the dead rank is re-admitted
-  at a later epoch's boundary), and *crashes* (whole-job fail-stops at an
-  epoch boundary, each followed by a supervised restart).
+* The schedule is a :class:`~repro.faults.FaultProfile`: its *kills* (a
+  rank dies at an epoch and a point within it), *rejoins* (the dead rank
+  is re-admitted at a later epoch's boundary) and *crashes* (whole-job
+  fail-stops at an epoch boundary, each followed by a supervised
+  restart), and its transient clauses, which a
+  :class:`~repro.faults.ChaosEngine` injects into message delivery and
+  storage reads.
 * :class:`_LifecycleRank` — one rank's view.  A killed rank raises
   :class:`~repro.mpi.errors.RankDied`, which the launcher records as a
-  non-fatal death (the world's epitaph channel) — unless the plan
-  schedules its rejoin: then it performs the launcher's death bookkeeping
+  non-fatal death (the world's epitaph channel) — unless the schedule
+  has its rejoin: then it performs the launcher's death bookkeeping
   itself (flight dump + epitaph), discards its node-local state, and
   parks in :meth:`~repro.mpi.communicator.Communicator.rejoin` until the
   survivors re-admit it through
@@ -52,8 +55,8 @@ The pieces:
   shard state between segments, then verifies the end state: every
   training sample hot exactly once, capacity at ``N/M`` per live rank,
   Q-deficit repaid, every lifecycle transition present in the flight
-  record.  ``resume=True`` starts from whatever the snapshot directory
-  holds: the way back for a job that died for real.
+  record.  A snapshot directory that already holds a complete snapshot
+  is resumed: the way back for a job that died for real.
 
 One failure at a time is supported end-to-end; a second failure during an
 epoch is caught by the same handler on the next attempt, but a death during
@@ -69,6 +72,8 @@ an uninterrupted run executing the same shrink/expand schedule.
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -79,6 +84,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.data.folder import materialize_folder_dataset
+from repro.faults import ChaosEngine, ChaosWorld, FaultProfile
 from repro.mpi.communicator import Communicator
 from repro.mpi.errors import PeerFailure, RankDied
 from repro.mpi.launcher import SpmdResult, run_spmd
@@ -96,6 +103,7 @@ from repro.train.checkpoint import (
 )
 from repro.train.history import RunHistory
 from repro.train.trainer import TrainConfig, build_replica, train_one_epoch
+from repro.utils.retry import default_retrier
 from repro.utils.rng import default_rng_state, restore_default_rng_state
 
 from .ledger import ReplicaLedger
@@ -109,7 +117,6 @@ from .migration import (
 
 __all__ = [
     "Crashed",
-    "LifecyclePlan",
     "LifecycleResult",
     "run_lifecycle",
 ]
@@ -122,7 +129,7 @@ _RUN_OWNED_SCHEDULER_STATE = ("q_deficit", "effective_q", "degraded_epochs")
 
 @dataclass(frozen=True)
 class Crashed:
-    """Marker a rank returns when the plan crashes the whole job.
+    """Marker a rank returns when the schedule crashes the whole job.
 
     Not an exception: a crash is a *cooperative* fail-stop (the world is
     left clean so ``run_spmd`` completes normally), and
@@ -134,102 +141,6 @@ class Crashed:
     epoch: int
     rank: int | None = None
 
-
-#: Kill points within an epoch, in execution order: ``begin`` fires before
-#: the epoch's first collective, ``mid_exchange`` halfway through the
-#: training iterations (while exchange chunks are in flight), ``end`` after
-#: the last iteration but before the exchange completes.
-POINTS = ("begin", "mid_exchange", "end")
-
-
-@dataclass(frozen=True)
-class LifecyclePlan:
-    """The full chaos schedule of one lifecycle run, as the ``kill`` /
-    ``rejoin`` / ``crash`` clauses of a :class:`~repro.faults.FaultProfile`
-    spell it (:meth:`~repro.faults.FaultProfile.lifecycle_plan`).
-
-    ``kills`` fail-stop single ranks: ``(world_rank, epoch, point)``, the
-    rank raising :class:`~repro.mpi.errors.RankDied` at that point of that
-    epoch (:meth:`check`).  ``rejoins`` re-admit them at a later epoch
-    boundary; ``crashes`` are whole-job fail-stops at an epoch boundary
-    (epoch ``e`` in ``crashes`` means the job dies *before* training epoch
-    ``e``, so the restart resumes from epoch ``e-1``'s snapshot).
-    """
-
-    kills: tuple[tuple[int, int, str], ...] = ()
-    #: ``(world_rank, epoch)`` pairs: the rank rejoins at that epoch's start.
-    rejoins: tuple[tuple[int, int], ...] = ()
-    #: Epochs at whose *start* the whole job crashes.
-    crashes: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        kills = tuple((int(r), int(e), str(p)) for r, e, p in self.kills)
-        rejoins = tuple(sorted((int(r), int(e)) for r, e in self.rejoins))
-        crashes = tuple(sorted({int(c) for c in self.crashes}))
-        object.__setattr__(self, "kills", kills)
-        object.__setattr__(self, "rejoins", rejoins)
-        object.__setattr__(self, "crashes", crashes)
-        kill_epoch: dict[int, int] = {}
-        for rank, epoch, point in kills:
-            if rank < 0 or epoch < 0:
-                raise ValueError(
-                    f"kill rank and epoch must be >= 0, got rank {rank} "
-                    f"epoch {epoch}"
-                )
-            if point not in POINTS:
-                raise ValueError(f"point must be one of {POINTS}, got {point!r}")
-            if rank in kill_epoch:
-                raise ValueError(f"rank {rank} scheduled to die twice")
-            kill_epoch[rank] = epoch
-        seen: set[int] = set()
-        for rank, epoch in rejoins:
-            if rank in seen:
-                raise ValueError(f"rank {rank} scheduled to rejoin twice")
-            seen.add(rank)
-            if rank not in kill_epoch:
-                raise ValueError(
-                    f"rank {rank} rejoins at epoch {epoch} but is never killed"
-                )
-            if epoch <= kill_epoch[rank]:
-                raise ValueError(
-                    f"rank {rank} rejoins at epoch {epoch} but only dies at "
-                    f"epoch {kill_epoch[rank]}; rejoin must come later"
-                )
-        for c in crashes:
-            if c < 1:
-                raise ValueError(
-                    f"crash epoch must be >= 1 (epoch {c} has no prior "
-                    "snapshot to restart from)"
-                )
-
-    # ------------------------------------------------------------------ queries
-    def joiners_at(self, epoch: int) -> tuple[int, ...]:
-        """World ranks scheduled to rejoin at ``epoch``'s boundary."""
-        return tuple(sorted(r for r, e in self.rejoins if e == epoch))
-
-    def rejoin_epoch(self, rank: int) -> int | None:
-        """When ``rank`` rejoins, or ``None`` if it stays dead."""
-        return next((e for r, e in self.rejoins if r == rank), None)
-
-    def check(self, rank: int, epoch: int, point: str) -> None:
-        """Raise :class:`RankDied` if the plan kills ``rank`` here."""
-        if (rank, epoch, point) in self.kills:
-            raise RankDied(
-                f"injected fault: rank {rank} at epoch {epoch} ({point})"
-            )
-
-    def dead_forever(self) -> tuple[int, ...]:
-        """Ranks the plan kills and never brings back."""
-        return tuple(
-            r for r, _e, _p in self.kills if self.rejoin_epoch(r) is None
-        )
-
-    def max_epoch(self) -> int:
-        """Largest epoch any scheduled event touches (-1 when empty)."""
-        epochs = [e for _r, e, _p in self.kills]
-        epochs += [e for _, e in self.rejoins]
-        epochs += list(self.crashes)
-        return max(epochs, default=-1)
 
 # ------------------------------------------------------- the failure boundary
 def _recover(
@@ -324,7 +235,7 @@ class _LifecycleRank:
     """One rank of one job incarnation (segment).
 
     :meth:`run` returns ``(history, model_state)`` on ranks that finish
-    the run, :class:`Crashed` on every rank when the plan crashes the job,
+    the run, :class:`Crashed` on every rank when the schedule crashes the job,
     and ``None`` on a restarted segment's permanently dead ranks.  A rank
     killed *without* a scheduled rejoin raises
     :class:`~repro.mpi.errors.RankDied`, so the launcher records its
@@ -343,7 +254,7 @@ class _LifecycleRank:
         self.comm = comm
         self._comm0 = comm  # what the launcher's stranded-request check sees
         self.job = job
-        self.plan: LifecyclePlan = job.plan
+        self.profile: FaultProfile = job.profile
         self.segment_start = start_epoch
         self.snapshot = snapshot
         self.live_group = live_group or tuple(range(comm.size))
@@ -379,9 +290,9 @@ class _LifecycleRank:
         while epoch < self.job.config.epochs:
             # Crash epochs <= the segment start already fired (the segment
             # *is* their restart), so only later ones trigger.
-            if epoch in self.plan.crashes and epoch > self.segment_start:
+            if epoch in self.profile.crashes and epoch > self.segment_start:
                 return self._crash(epoch)
-            joiners = self.plan.joiners_at(epoch)
+            joiners = self.profile.joiners_at(epoch)
             if joiners and self.me not in joiners:
                 # Survivor side of the rejoin; the joiner itself enters the
                 # loop *through* the admission (_park_and_rejoin), so it
@@ -392,7 +303,7 @@ class _LifecycleRank:
                 record = train_one_epoch(
                     self.comm, self.job.config, self.strategy, self.model,
                     self.optimizer, epoch, self.job.val_X, self.job.val_y,
-                    failure_point=partial(self.plan.check, self.me, epoch),
+                    failure_point=partial(self.profile.check, self.me, epoch),
                 )
             except RankDied as exc:
                 return self._die(exc)
@@ -426,7 +337,7 @@ class _LifecycleRank:
         """This rank was killed.  With a rejoin scheduled it performs the
         launcher's death bookkeeping itself and parks; otherwise the death
         propagates and the launcher records the epitaph."""
-        rejoin_epoch = self.plan.rejoin_epoch(self.me)
+        rejoin_epoch = self.profile.rejoin_epoch(self.me)
         if rejoin_epoch is None:
             raise exc
         world = self.comm.world
@@ -449,7 +360,7 @@ class _LifecycleRank:
     def _offline_start(self):
         """A restarted segment's dead rank: publish the death, then either
         park for the scheduled rejoin or leave quietly."""
-        rejoin_epoch = self.plan.rejoin_epoch(self.me)
+        rejoin_epoch = self.profile.rejoin_epoch(self.me)
         self.comm.world.mark_dead(
             self.me, f"offline at restart (segment begins at epoch "
             f"{self.segment_start})",
@@ -471,7 +382,7 @@ class _LifecycleRank:
         newcomm.flight.record(
             "lifecycle.admitted", rank=self.me, members=newcomm.size
         )
-        joiners = self.plan.joiners_at(rejoin_epoch)
+        joiners = self.profile.joiners_at(rejoin_epoch)
         record = _join_handshake(newcomm, joiners)
         self._restore_job(newcomm, record)
         self._rebalance(newcomm, int(record["epoch"]))
@@ -569,21 +480,24 @@ class _LifecycleRank:
             # hot map must keep pointing at the hot copy.
             sample, label = dataset[int(gid)]
             storage.add_cold(np.asarray(sample), int(label), gid=int(gid))
-        self.strategy = PartialLocalShuffle(
-            self.job.q, ledger=ledger, **self.job.strategy_kwargs
-        )
+        self.strategy = self._strategy(ledger)
         self.strategy.adopt(
             comm, storage=storage, seed=record["seed"],
             scheduler_state=record["scheduler_states"][self.me],
         )
         self.history = history
 
+    def _strategy(self, ledger: ReplicaLedger) -> PartialLocalShuffle:
+        return PartialLocalShuffle(
+            self.job.q, ledger=ledger,
+            exchange_deadline_s=self.job.exchange_deadline_s,
+            resend_timeout_s=self.job.resend_timeout_s,
+        )
+
     def _fresh_setup(self) -> None:
         cfg = self.job.config
         self.model, self.optimizer = build_replica(cfg, self.comm)
-        self.strategy = PartialLocalShuffle(
-            self.job.q, ledger=ReplicaLedger(), **self.job.strategy_kwargs
-        )
+        self.strategy = self._strategy(ReplicaLedger())
         self.strategy.setup(
             self.comm, self.job.train_dataset,
             labels=self.job.labels, partition=cfg.partition, seed=cfg.seed,
@@ -667,9 +581,42 @@ class LifecycleResult:
     #: flight dumps and telemetry).
     results: SpmdResult
 
+    #: Injected-fault counts by kind, as the chaos engine recorded them.
+    injected: dict
+    #: This run's storage-read retry counters (the process-wide retrier's
+    #: delta).
+    retry_stats: dict
+
     @property
     def final_accuracy(self) -> float:
         return self.history.final_accuracy
+
+    @property
+    def fault_stats(self) -> dict:
+        """The first finisher's exchange fault-recovery counters (resends,
+        crc_rejects, q_deficit, effective_q, ...)."""
+        stats = self.history.stats
+        return {
+            k: stats[k]
+            for k in (
+                "resends", "resent_bytes", "crc_rejects", "timeout_nacks",
+                "stale_discards", "degraded_epochs", "q_deficit",
+                "effective_q",
+            )
+            if k in stats
+        }
+
+    @property
+    def unrecovered(self) -> int:
+        """Faults that defeated the defensive machinery (0 on success:
+        the run only returns normally when everything was recovered, so
+        this counts storage-read give-ups)."""
+        return int(self.retry_stats.get("giveups", 0))
+
+    @property
+    def telemetry(self) -> dict:
+        """The aggregated cross-rank telemetry snapshot of the run."""
+        return self.results.world.telemetry.snapshot()
 
     def event_kinds(self) -> list[str]:
         """The ordered transition sequence (for assertions and reports)."""
@@ -681,84 +628,130 @@ def run_lifecycle(
     config: TrainConfig,
     workers: int,
     q: float,
-    plan: LifecyclePlan | None = None,
+    profile: str | FaultProfile = "",
+    chaos_seed: int = 0,
     snapshot_dir: str | Path | None = None,
-    resume: bool = False,
     train_dataset,
     labels,
     val_X,
     val_y,
-    strategy_kwargs: dict | None = None,
+    exchange_deadline_s: float | None = None,
+    resend_timeout_s: float = 0.25,
+    materialize: bool = False,
     deadline_s: float = 600.0,
     tracing: bool = False,
-    world_factory=None,
     backend: str | None = None,
 ) -> LifecycleResult:
-    """Launch one supervised run: the entry point of tests, benchmarks and
-    :func:`repro.faults.run_chaos_train` (and through it the CLI).
+    """Launch one supervised run: the entry point of the CLI, tests and
+    benchmarks.
 
     Each iteration launches one ``run_spmd`` segment of ``workers`` ranks
-    training ``config`` with partial-``q`` shuffling under ``plan``
-    (``strategy_kwargs`` go to every rank's :class:`PartialLocalShuffle`).
-    If any rank returns :class:`Crashed`, the latest *complete* snapshot
-    (two-phase commit marker present) is loaded, the process-wide RNG
-    stream restored, and the job relaunched with the snapshot's live
-    group — dead ranks re-park for their scheduled rejoin.  When a segment
-    finishes cleanly the healed state is verified and the cross-segment
-    flight-event timeline assembled.
+    training ``config`` with partial-``q`` shuffling under ``profile``
+    (a :class:`~repro.faults.FaultProfile` or its spec string; empty means
+    a clean run).  If any rank returns :class:`Crashed`, the latest
+    *complete* snapshot (two-phase commit marker present) is loaded, the
+    process-wide RNG stream restored, and the job relaunched with the
+    snapshot's live group — dead ranks re-park for their scheduled rejoin.
+    When a segment finishes cleanly the healed state is verified and the
+    cross-segment flight-event timeline assembled.
 
-    ``snapshot_dir`` turns on end-of-epoch job snapshots (required by
-    crashes); ``resume=True`` restarts a job that died — for real, on
-    schedule, by SIGKILL — from the last epoch whose two-phase snapshot
-    committed and replays it bit-identically to a run that never died.  A
-    snapshot of a job with another worker count or seed raises
+    The profile's transient clauses are injected by a
+    :class:`~repro.faults.ChaosEngine` rooted at ``chaos_seed`` (independent
+    of ``config.seed``, so one training run can face different fault
+    sequences): message faults through a :class:`~repro.faults.ChaosWorld`,
+    storage faults through the reads of an on-disk copy of the training
+    set, written to a temporary directory removed when the run ends.
+    ``materialize=True`` writes that copy without storage faults: the
+    folder layout orders samples by class, so only a clean baseline on the
+    same substrate sees the same global indices (and can be bit-identical).
+    ``exchange_deadline_s`` and ``resend_timeout_s`` go to every rank's
+    :class:`PartialLocalShuffle`; a deadline lets ``slow:`` clauses degrade
+    an epoch rather than stall it.
+
+    ``snapshot_dir`` turns on end-of-epoch job snapshots; a profile with
+    ``crash:`` clauses and no ``snapshot_dir`` gets a temporary one.  A
+    ``snapshot_dir`` that already holds a complete snapshot is resumed:
+    a job that died — for real, on schedule, by SIGKILL — restarts from
+    the last epoch whose two-phase snapshot committed and replays it
+    bit-identically to a run that never died.  A snapshot of a job with
+    another worker count or seed raises
     :class:`~repro.train.checkpoint.CheckpointError`.
     """
-    plan = plan if plan is not None else LifecyclePlan()
-    snapshot_dir = None if snapshot_dir is None else Path(snapshot_dir)
-    strategy_kwargs = strategy_kwargs or {}
-    if plan.max_epoch() >= config.epochs:
+    if isinstance(profile, str):
+        profile = FaultProfile.parse(profile)
+    if profile.max_epoch() >= config.epochs:
         raise ValueError(
-            f"lifecycle plan touches epoch {plan.max_epoch()} but "
+            f"fault profile touches epoch {profile.max_epoch()} but "
             f"the run only has {config.epochs} epochs"
         )
-    if plan.crashes and snapshot_dir is None:
-        raise ValueError("a plan with crashes needs a snapshot_dir to restart from")
-    # The run's parameters, listed once: every segment and rank reads them
-    # from here.
-    job = SimpleNamespace(**locals())
-    restart = (0, None, None)
-    if resume:
-        restart = _restart_point(job, "resume requested")
-    segments = 0
-    events: list[dict] = []
-    while True:
-        segments += 1
-        results = run_spmd(
-            lambda comm: _LifecycleRank(comm, job, *restart).run(),
-            workers, copy_on_send=False, deadline_s=deadline_s,
-            tracing=tracing, world_factory=world_factory, backend=backend,
-        )
-        events.extend(_lifecycle_events(results.world, segments))
-        crashed = [r for r in results if isinstance(r, Crashed)]
-        if not crashed:
-            break
-        results.world.flight.dump(
-            f"lifecycle segment {segments} crashed",
-            key=("lifecycle-segment", segments),
-            extra={"segment": segments},
-        )
-        # A segment only returns Crashed at one of the plan's crash
-        # epochs, and each fires once.
-        if segments > len(plan.crashes):
-            raise RuntimeError(
-                f"segment {segments} crashed but the plan schedules only "
-                f"{len(plan.crashes)} crash(es)"
+    engine = ChaosEngine(profile, seed=chaos_seed)
+    world_factory = (
+        partial(ChaosWorld, chaos=engine) if profile.has_message_faults else None
+    )
+    with contextlib.ExitStack() as scratch:
+        if materialize or profile.has_storage_faults:
+            # Real files give flaky/torn reads a physical read path to
+            # perturb; the retrying FolderDataset recovers.
+            features = np.stack(
+                [np.asarray(train_dataset[i][0]) for i in range(len(train_dataset))]
             )
-        restart = _restart_point(
-            job, f"crash at epoch {max(c.epoch for c in crashed)}"
+            train_dataset = materialize_folder_dataset(
+                scratch.enter_context(tempfile.TemporaryDirectory(prefix="chaos-data-")),
+                features, np.asarray(labels), num_classes=config.num_classes,
+                fault_hook=engine.storage_hook,
+            )
+        if snapshot_dir is None and profile.crashes:
+            snapshot_dir = scratch.enter_context(
+                tempfile.TemporaryDirectory(prefix="chaos-snapshots-")
+            )
+        # The run's parameters, listed once: every segment and rank reads
+        # them from here.
+        job = SimpleNamespace(
+            config=config, workers=workers, q=q, profile=profile,
+            snapshot_dir=None if snapshot_dir is None else Path(snapshot_dir),
+            train_dataset=train_dataset, labels=labels, val_X=val_X, val_y=val_y,
+            exchange_deadline_s=exchange_deadline_s,
+            resend_timeout_s=resend_timeout_s,
         )
-    return _verify(job, results, segments, events)
+        retry_before = default_retrier().stats()
+        restart = (0, None, None)
+        if job.snapshot_dir and latest_complete_snapshot(job.snapshot_dir):
+            restart = _restart_point(job, "resuming the snapshot directory")
+        segments = 0
+        events: list[dict] = []
+        while True:
+            segments += 1
+            results = run_spmd(
+                lambda comm: _LifecycleRank(comm, job, *restart).run(),
+                workers, copy_on_send=False, deadline_s=deadline_s,
+                tracing=tracing, world_factory=world_factory, backend=backend,
+            )
+            events.extend(_lifecycle_events(results.world, segments))
+            crashed = [r for r in results if isinstance(r, Crashed)]
+            if not crashed:
+                break
+            results.world.flight.dump(
+                f"lifecycle segment {segments} crashed",
+                key=("lifecycle-segment", segments),
+                extra={"segment": segments},
+            )
+            # A segment only returns Crashed at one of the profile's crash
+            # epochs, and each fires once.
+            if segments > len(profile.crashes):
+                raise RuntimeError(
+                    f"segment {segments} crashed but the profile schedules "
+                    f"only {len(profile.crashes)} crash(es)"
+                )
+            restart = _restart_point(
+                job, f"crash at epoch {max(c.epoch for c in crashed)}"
+            )
+        retry_after = default_retrier().stats()
+        retry_stats = {
+            k: retry_after[k] - retry_before.get(k, 0) for k in retry_after
+        }
+        return _verify(
+            job, results, segments, events, engine.snapshot(), retry_stats
+        )
 
 
 def _restart_point(job, why: str) -> tuple[int, dict, tuple[int, ...]]:
@@ -791,7 +784,10 @@ def _restart_point(job, why: str) -> tuple[int, dict, tuple[int, ...]]:
     )
 
 
-def _verify(job, results, segments: int, events: list[dict]) -> LifecycleResult:
+def _verify(
+    job, results, segments: int, events: list[dict], injected: dict,
+    retry_stats: dict,
+) -> LifecycleResult:
     """Check the healed end state and assemble the result."""
     finals = {
         r: res for r, res in enumerate(results) if isinstance(res, tuple)
@@ -807,7 +803,7 @@ def _verify(job, results, segments: int, events: list[dict]) -> LifecycleResult:
     # ``total mod M`` ranks hold the extra).
     capacity_ok = hot_counts == [targets[r] for r in final_group]
     q_deficit = float(stats.get("q_deficit", 0.0))
-    expected_workers = job.workers - len(job.plan.dead_forever())
+    expected_workers = job.workers - len(job.profile.dead_forever())
     verified = (
         capacity_ok
         # Every training sample hot somewhere: the balance checks above
@@ -856,8 +852,10 @@ def _verify(job, results, segments: int, events: list[dict]) -> LifecycleResult:
         q_deficit=q_deficit,
         capacity_ok=capacity_ok,
         verified=verified,
-        dead_ranks=job.plan.dead_forever(),
+        dead_ranks=job.profile.dead_forever(),
         results=results,
+        injected=injected,
+        retry_stats=retry_stats,
     )
 
 

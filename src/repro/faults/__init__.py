@@ -14,20 +14,18 @@ degraded-Q), the same final model.
 Division of labour with :mod:`repro.elastic`: elastic handles *fail-stop*
 (a rank or the whole job dies — shrink, recover shards, retrain, re-admit,
 restart); faults handles *transient* (the rank and its data survive, the
-operation is retried/resent until it succeeds).  The ``kill:`` / ``rejoin:``
-/ ``crash:`` clauses of a profile become the ``LifecyclePlan`` of the one
-supervised launcher, so one spec exercises both.
+operation is retried/resent until it succeeds).  One profile drives both:
+:func:`repro.elastic.run_lifecycle`, the one supervised launcher, reads its
+``kill:`` / ``rejoin:`` / ``crash:`` clauses as the failure schedule and
+injects the rest through a :class:`ChaosEngine`.
 """
 
 from .engine import ChaosEngine, ChaosWorld
 from .profile import FaultClause, FaultProfile
-from .runner import ChaosRunResult, run_chaos_train
 
 __all__ = [
     "ChaosEngine",
     "ChaosWorld",
     "FaultClause",
     "FaultProfile",
-    "ChaosRunResult",
-    "run_chaos_train",
 ]

@@ -19,6 +19,13 @@ Grammar (clauses joined by ``;``)::
     crash:epoch=3               whole-job fail-stop before epoch 3 (the
                                 supervisor restarts from epoch 2's snapshot)
 
+The ``kill`` / ``rejoin`` / ``crash`` clauses are the failure schedule of
+:func:`repro.elastic.run_lifecycle`; :class:`FaultProfile` answers its
+queries (:meth:`~FaultProfile.check`, :meth:`~FaultProfile.joiners_at`, ...)
+and validates it when it is built: a rank killed twice or at an unknown
+point, a rejoin of a rank that never died or not after its death, and a
+crash at epoch 0 (no snapshot to restart from) are rejected.
+
 Optional on any message kind: ``epochs=a`` or ``epochs=a-b`` restricts the
 clause to those exchange epochs.  ``@scope`` narrows which messages a
 ``delay``/``dup`` clause may hit: ``exchange`` (checksummed data-plane
@@ -33,16 +40,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["FaultClause", "FaultProfile", "KINDS", "LIFECYCLE_KINDS", "SCOPES"]
+from repro.mpi.errors import RankDied
+
+__all__ = [
+    "FaultClause", "FaultProfile", "KINDS", "LIFECYCLE_KINDS", "POINTS", "SCOPES",
+]
 
 #: Recognised clause kinds, grouped by the subsystem they perturb.
 MESSAGE_KINDS = ("corrupt", "drop", "delay", "dup", "slow")
 STORAGE_KINDS = ("flaky-read", "torn-read")
-#: Fail-stop / lifecycle kinds, consumed by ``elastic.LifecyclePlan``.
+#: Fail-stop / lifecycle kinds: the schedule of ``elastic.run_lifecycle``.
 LIFECYCLE_KINDS = ("kill", "rejoin", "crash")
 KINDS = MESSAGE_KINDS + STORAGE_KINDS + LIFECYCLE_KINDS
 
 SCOPES = ("exchange", "control", "all")
+
+#: Kill points within an epoch, in execution order: ``begin`` fires before
+#: the epoch's first collective, ``mid_exchange`` halfway through the
+#: training iterations (while exchange chunks are in flight), ``end`` after
+#: the last iteration but before the exchange completes.
+POINTS = ("begin", "mid_exchange", "end")
 
 #: Which parameters each kind accepts (None means required-less default).
 _PARAMS = {
@@ -151,10 +168,55 @@ def _parse_clause(text: str) -> FaultClause:
 
 
 class FaultProfile:
-    """An ordered collection of :class:`FaultClause`\\ s."""
+    """An ordered collection of :class:`FaultClause`\\ s.
+
+    Its ``kill`` / ``rejoin`` / ``crash`` clauses are also read as the
+    failure schedule: ``kills`` are ``(rank, epoch, point)`` fail-stops,
+    ``rejoins`` ``(rank, epoch)`` re-admissions at a later epoch's start,
+    and ``crashes`` the epochs at whose start the whole job dies (the
+    restart resumes from the previous epoch's snapshot).
+    """
 
     def __init__(self, clauses: tuple[FaultClause, ...] = ()) -> None:
         self.clauses = tuple(clauses)
+        self.kills = tuple((c.rank, c.epoch, c.point) for c in self.by_kind("kill"))
+        self.rejoins = tuple(sorted((c.rank, c.epoch) for c in self.by_kind("rejoin")))
+        self.crashes = tuple(sorted({c.epoch for c in self.by_kind("crash")}))
+        self._validate_schedule()
+
+    def _validate_schedule(self) -> None:
+        kill_epoch: dict[int, int] = {}
+        for rank, epoch, point in self.kills:
+            if rank < 0 or epoch < 0:
+                raise ValueError(
+                    f"kill rank and epoch must be >= 0, got rank {rank} "
+                    f"epoch {epoch}"
+                )
+            if point not in POINTS:
+                raise ValueError(f"point must be one of {POINTS}, got {point!r}")
+            if rank in kill_epoch:
+                raise ValueError(f"rank {rank} scheduled to die twice")
+            kill_epoch[rank] = epoch
+        seen: set[int] = set()
+        for rank, epoch in self.rejoins:
+            if rank in seen:
+                raise ValueError(f"rank {rank} scheduled to rejoin twice")
+            seen.add(rank)
+            if rank not in kill_epoch:
+                raise ValueError(
+                    f"rank {rank} rejoins at epoch {epoch} but is never killed"
+                )
+            if epoch <= kill_epoch[rank]:
+                raise ValueError(
+                    f"rank {rank} rejoins at epoch {epoch} but only dies at "
+                    f"epoch {kill_epoch[rank]}; rejoin must come later"
+                )
+        for c in self.crashes:
+            if c < 1:
+                raise ValueError(
+                    f"crash epoch must be >= 1 (epoch {c} has no prior "
+                    "snapshot to restart from)"
+                )
 
     @classmethod
     def parse(cls, spec: str) -> "FaultProfile":
@@ -177,19 +239,6 @@ class FaultProfile:
             tuple(c for c in self.clauses if c.kind not in LIFECYCLE_KINDS)
         )
 
-    def lifecycle_plan(self):
-        """The kill, rejoin and crash clauses as an ``elastic.LifecyclePlan``
-        — validation (a rank killed twice, an unknown point, every rejoin
-        naming a killed rank and coming after its death, crash epochs with
-        a prior snapshot) happens in the plan's constructor."""
-        from repro.elastic.lifecycle import LifecyclePlan
-
-        return LifecyclePlan(
-            kills=tuple((c.rank, c.epoch, c.point) for c in self.by_kind("kill")),
-            rejoins=tuple((c.rank, c.epoch) for c in self.by_kind("rejoin")),
-            crashes=tuple(c.epoch for c in self.by_kind("crash")),
-        )
-
     @property
     def has_message_faults(self) -> bool:
         """Whether any clause perturbs message delivery."""
@@ -199,3 +248,32 @@ class FaultProfile:
     def has_storage_faults(self) -> bool:
         """Whether any clause perturbs storage reads."""
         return bool(self.by_kind(*STORAGE_KINDS))
+
+    # ------------------------------------------------------ the failure schedule
+    def joiners_at(self, epoch: int) -> tuple[int, ...]:
+        """World ranks scheduled to rejoin at ``epoch``'s boundary."""
+        return tuple(sorted(r for r, e in self.rejoins if e == epoch))
+
+    def rejoin_epoch(self, rank: int) -> int | None:
+        """When ``rank`` rejoins, or ``None`` if it stays dead."""
+        return next((e for r, e in self.rejoins if r == rank), None)
+
+    def check(self, rank: int, epoch: int, point: str) -> None:
+        """Raise :class:`RankDied` if the schedule kills ``rank`` here."""
+        if (rank, epoch, point) in self.kills:
+            raise RankDied(
+                f"injected fault: rank {rank} at epoch {epoch} ({point})"
+            )
+
+    def dead_forever(self) -> tuple[int, ...]:
+        """Ranks the schedule kills and never brings back."""
+        return tuple(
+            r for r, _e, _p in self.kills if self.rejoin_epoch(r) is None
+        )
+
+    def max_epoch(self) -> int:
+        """Largest epoch any scheduled event touches (-1 when empty)."""
+        epochs = [e for _r, e, _p in self.kills]
+        epochs += [e for _, e in self.rejoins]
+        epochs += list(self.crashes)
+        return max(epochs, default=-1)

@@ -107,8 +107,8 @@ def train_one_epoch(
     """One epoch of the Figure-3 loop on this rank.
 
     ``failure_point`` is called with each of
-    :data:`repro.elastic.lifecycle.POINTS` as the epoch reaches it; a
-    :meth:`~repro.elastic.LifecyclePlan.check` raises
+    :data:`repro.faults.profile.POINTS` as the epoch reaches it; a
+    :meth:`~repro.faults.FaultProfile.check` raises
     :class:`~repro.mpi.errors.RankDied` there on a doomed rank.
 
     Phase regions follow the Figure 10 accounting (io / exchange / fw_bw /

@@ -9,7 +9,7 @@ snapshot directory); rejoin, crash/restart and resume are in
 import pytest
 
 from repro.data import SyntheticSpec
-from repro.elastic import LifecyclePlan, LifecycleResult, run_lifecycle
+from repro.elastic import LifecycleResult, run_lifecycle
 from repro.faults import FaultProfile
 from repro.mpi import RankDied
 from repro.train.checkpoint import latest_complete_snapshot, load_job_snapshot
@@ -28,50 +28,47 @@ def make_setup(samples=240, classes=4, features=16, seed=0, epochs=4):
     return config, train_ds, labels, val_X, val_y
 
 
-def schedule(spec):
-    return FaultProfile.parse(spec).lifecycle_plan()
-
-
 class TestFailurePlan:
-    """The kill events of a :class:`LifecyclePlan`."""
+    """The kill clauses of a :class:`~repro.faults.FaultProfile`, checked
+    when it is parsed."""
 
     def test_parse(self):
-        plan = schedule("kill:rank=1,epoch=2;kill:rank=3,epoch=5,point=mid_exchange")
-        assert plan.dead_forever() == (1, 3)
-        assert plan.kills[1] == (3, 5, "mid_exchange")
+        prof = FaultProfile.parse(
+            "kill:rank=1,epoch=2;kill:rank=3,epoch=5,point=mid_exchange"
+        )
+        assert prof.dead_forever() == (1, 3)
+        assert prof.kills[1] == (3, 5, "mid_exchange")
 
     def test_parse_empty(self):
-        assert schedule("").kills == ()
+        assert FaultProfile.parse("").kills == ()
 
     def test_duplicate_rank_rejected(self):
         with pytest.raises(ValueError, match="twice"):
-            LifecyclePlan(kills=((1, 2, "begin"), (1, 3, "begin")))
+            FaultProfile.parse("kill:rank=1,epoch=2;kill:rank=1,epoch=3")
 
     def test_bad_point_rejected(self):
         with pytest.raises(ValueError, match="point"):
-            LifecyclePlan(kills=((0, 0, "whenever"),))
-        with pytest.raises(ValueError, match="point"):
-            schedule("kill:rank=0,epoch=0,point=whenever")
+            FaultProfile.parse("kill:rank=0,epoch=0,point=whenever")
 
     def test_negative_rank_or_epoch_rejected(self):
-        for kill in ((-1, 0, "begin"), (0, -1, "begin")):
+        for spec in ("kill:rank=-1,epoch=0", "kill:rank=0,epoch=-1"):
             with pytest.raises(ValueError, match=">= 0"):
-                LifecyclePlan(kills=(kill,))
+                FaultProfile.parse(spec)
 
     def test_check_raises_only_at_its_point(self):
-        plan = schedule("kill:rank=2,epoch=1,point=mid_exchange")
-        plan.check(2, 1, "begin")
-        plan.check(1, 1, "mid_exchange")
-        plan.check(2, 0, "mid_exchange")
+        prof = FaultProfile.parse("kill:rank=2,epoch=1,point=mid_exchange")
+        prof.check(2, 1, "begin")
+        prof.check(1, 1, "mid_exchange")
+        prof.check(2, 0, "mid_exchange")
         with pytest.raises(RankDied):
-            plan.check(2, 1, "mid_exchange")
+            prof.check(2, 1, "mid_exchange")
 
 
 class TestElasticRun:
     def test_run_completes_after_failure(self):
         config, train_ds, labels, val_X, val_y = make_setup()
         result = run_lifecycle(
-            config=config, workers=4, q=0.3, plan=schedule("kill:rank=1,epoch=2"),
+            config=config, workers=4, q=0.3, profile="kill:rank=1,epoch=2",
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
         assert isinstance(result, LifecycleResult)
@@ -91,7 +88,7 @@ class TestElasticRun:
         config, train_ds, labels, val_X, val_y = make_setup(epochs=3)
         result = run_lifecycle(
             config=config, workers=3, q=0.25,
-            plan=schedule(f"kill:rank=2,epoch=1,point={point}"),
+            profile=f"kill:rank=2,epoch=1,point={point}",
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
         assert result.dead_ranks == (2,)
@@ -103,7 +100,7 @@ class TestElasticRun:
         config, train_ds, labels, val_X, val_y = make_setup()
         result = run_lifecycle(
             config=config, workers=4, q=0.3,
-            plan=schedule("kill:rank=1,epoch=2,point=mid_exchange"),
+            profile="kill:rank=1,epoch=2,point=mid_exchange",
             snapshot_dir=tmp_path,
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
@@ -131,9 +128,7 @@ class TestElasticRun:
         for _ in range(8):
             result = run_lifecycle(
                 config=config, workers=4, q=0.3,
-                plan=schedule(
-                    "kill:rank=1,epoch=1,point=end;kill:rank=3,epoch=2,point=mid_exchange"
-                ),
+                profile="kill:rank=1,epoch=1,point=end;kill:rank=3,epoch=2,point=mid_exchange",
                 deadline_s=10, backend=backend,
                 train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
             )
@@ -150,7 +145,7 @@ class TestElasticRun:
             config=config, workers=4, q=0.3,
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
-        failed = run_lifecycle(plan=schedule("kill:rank=1,epoch=2"), **kwargs)
+        failed = run_lifecycle(profile="kill:rank=1,epoch=2", **kwargs)
         clean = run_lifecycle(**kwargs)
         assert clean.dead_ranks == ()
         delta = abs(failed.final_accuracy - clean.final_accuracy)
@@ -158,13 +153,3 @@ class TestElasticRun:
             f"accuracy after failure diverged: {failed.final_accuracy:.3f} "
             f"vs clean {clean.final_accuracy:.3f}"
         )
-
-    def test_crash_without_snapshot_dir_rejected(self):
-        config, train_ds, labels, val_X, val_y = make_setup(epochs=3)
-        with pytest.raises(ValueError, match="snapshot_dir"):
-            run_lifecycle(
-                config=config, workers=2, q=0.2,
-                plan=schedule("crash:epoch=2"),
-                train_dataset=train_ds, labels=labels,
-                val_X=val_X, val_y=val_y,
-            )

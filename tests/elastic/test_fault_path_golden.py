@@ -3,8 +3,8 @@
 ``golden_fault_path.json`` was recorded at the parent commit (6f53648),
 which still had a second failure-aware worker loop and launcher beside the
 lifecycle stack: the kill schedules went through that elastic launcher
-(``failures=<spec>``), the chaos profiles through that tree's
-``run_chaos_train`` (which forwarded to it), each on both backends where
+(``failures=<spec>``), the chaos profiles through that tree's chaos
+runner (which forwarded to it), each on both backends where
 listed, and :func:`summary` below was applied to what they returned.  The
 supervised lifecycle loop is now the only path, so for every case the
 history records (floats as ``.hex()``), the recovery reports minus their
@@ -19,7 +19,6 @@ import pytest
 
 from repro.data import SyntheticSpec
 from repro.elastic import run_lifecycle
-from repro.faults import FaultProfile, run_chaos_train
 from repro.train.experiments import make_experiment_data
 from repro.train.trainer import TrainConfig
 
@@ -87,18 +86,19 @@ def golden():
 @pytest.mark.parametrize("backend", ["threads", "procs"])
 @pytest.mark.parametrize("kills", list(KILL_SCHEDULES), ids=lambda k: k or "clean")
 def test_kill_schedule_matches_parent_recording(golden, kills, backend):
-    plan = FaultProfile.parse(KILL_SCHEDULES[kills]).lifecycle_plan()
-    result = run_lifecycle(plan=plan, backend=backend, **make_setup())
+    result = run_lifecycle(
+        profile=KILL_SCHEDULES[kills], backend=backend, **make_setup()
+    )
     assert summary(result.history, result.recoveries) == golden["kill"][kills]
 
 
 @pytest.mark.parametrize("profile,seed", CHAOS_CASES, ids=[p for p, _ in CHAOS_CASES])
 def test_chaos_profile_matches_parent_recording(golden, profile, seed):
-    result = run_chaos_train(
-        profile=profile, seed=seed, resend_timeout_s=0.05, backend="threads",
-        **make_setup(),
+    result = run_lifecycle(
+        profile=profile, chaos_seed=seed, resend_timeout_s=0.05,
+        backend="threads", **make_setup(),
     )
     assert (
-        summary(result.history, result.lifecycle.recoveries, result.injected)
+        summary(result.history, result.recoveries, result.injected)
         == golden["chaos"][profile]
     )

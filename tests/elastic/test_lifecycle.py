@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from repro.data import SyntheticSpec
-from repro.elastic import LifecyclePlan, rebalance_targets, run_lifecycle
+from repro.elastic import rebalance_targets, run_lifecycle
 from repro.elastic.lifecycle import Crashed
-from repro.faults import FaultProfile
 from repro.train.experiments import make_experiment_data
 from repro.train.trainer import TrainConfig
 
@@ -30,63 +29,6 @@ def make_setup(samples=240, classes=4, features=16, seed=0, epochs=4):
     return config, train_ds, labels, val_X, val_y
 
 
-def schedule(spec):
-    return FaultProfile.parse(spec).lifecycle_plan()
-
-
-class TestLifecyclePlan:
-    def test_parse_full_schedule(self):
-        plan = schedule(
-            "kill:rank=1,epoch=1,point=mid_exchange;rejoin:rank=1,epoch=3;"
-            "crash:epoch=2"
-        )
-        assert plan.kills == ((1, 1, "mid_exchange"),)
-        assert plan.rejoins == ((1, 3),)
-        assert plan.crashes == (2,)
-        assert plan.joiners_at(3) == (1,)
-        assert plan.joiners_at(2) == ()
-        assert plan.rejoin_epoch(1) == 3
-        assert plan.rejoin_epoch(0) is None
-        assert plan.dead_forever() == ()
-        assert plan.max_epoch() == 3
-
-    def test_empty_plan_has_no_events(self):
-        for plan in (LifecyclePlan(), schedule("")):
-            assert (plan.kills, plan.rejoins, plan.crashes) == ((), (), ())
-
-    def test_rejoin_without_kill_rejected(self):
-        with pytest.raises(ValueError, match="rejoin"):
-            schedule("rejoin:rank=1,epoch=3")
-
-    def test_rejoin_not_after_kill_rejected(self):
-        with pytest.raises(ValueError):
-            schedule("kill:rank=1,epoch=2,point=mid_exchange;rejoin:rank=1,epoch=2")
-
-    def test_duplicate_rejoin_rank_rejected(self):
-        with pytest.raises(ValueError):
-            schedule("kill:rank=1,epoch=1;rejoin:rank=1,epoch=2;rejoin:rank=1,epoch=3")
-
-    def test_crash_needs_a_prior_snapshot_epoch(self):
-        # crash:epoch=e restarts from epoch e-1's snapshot; at epoch 0 no
-        # snapshot exists yet.
-        with pytest.raises(ValueError):
-            schedule("crash:epoch=0")
-
-    def test_dead_forever_is_kills_minus_rejoins(self):
-        plan = schedule("kill:rank=1,epoch=1;kill:rank=2,epoch=2;rejoin:rank=1,epoch=3")
-        assert plan.dead_forever() == (2,)
-
-    def test_from_chaos_profile(self):
-        profile = FaultProfile.parse(
-            "kill:rank=1,epoch=1,point=mid_exchange;"
-            "rejoin:rank=1,epoch=3;crash:epoch=2"
-        )
-        plan = profile.lifecycle_plan()
-        assert plan.rejoins == ((1, 3),)
-        assert plan.crashes == (2,)
-        assert [rank for rank, _epoch, _point in plan.kills] == [1]
-
-
 @pytest.fixture(scope="module")
 def healed_and_clean(tmp_path_factory):
     """One kill -> crash -> restart -> rejoin run plus its no-crash twin."""
@@ -97,15 +39,13 @@ def healed_and_clean(tmp_path_factory):
         config=config, workers=3, q=0.3,
         train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
     )
-    plan = schedule(
-        "kill:rank=1,epoch=1,point=mid_exchange;rejoin:rank=1,epoch=2;crash:epoch=2"
-    )
+    schedule = "kill:rank=1,epoch=1,point=mid_exchange;rejoin:rank=1,epoch=2"
     healed = run_lifecycle(
-        plan=plan, snapshot_dir=tmp_path_factory.mktemp("healed"), **common
+        profile=schedule + ";crash:epoch=2",
+        snapshot_dir=tmp_path_factory.mktemp("healed"), **common
     )
     clean = run_lifecycle(
-        plan=LifecyclePlan(kills=plan.kills, rejoins=plan.rejoins),
-        snapshot_dir=tmp_path_factory.mktemp("clean"),
+        profile=schedule, snapshot_dir=tmp_path_factory.mktemp("clean"),
         **common,
     )
     return healed, clean
@@ -195,7 +135,7 @@ class TestDegradedFinish:
         )
         result = run_lifecycle(
             config=config, workers=3, q=0.3,
-            plan=schedule("kill:rank=1,epoch=1,point=mid_exchange"),
+            profile="kill:rank=1,epoch=1,point=mid_exchange",
             snapshot_dir=tmp_path,
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
@@ -213,7 +153,7 @@ class TestDegradedFinish:
         assert len(train_ds) % 3 != 0
         result = run_lifecycle(
             config=config, workers=4, q=0.3,
-            plan=schedule("kill:rank=1,epoch=1,point=mid_exchange"),
+            profile="kill:rank=1,epoch=1,point=mid_exchange",
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
             backend=backend,
         )
@@ -233,7 +173,7 @@ class TestCrashOnly:
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
         crashed = run_lifecycle(
-            plan=schedule("crash:epoch=2"),
+            profile="crash:epoch=2",
             snapshot_dir=tmp_path / "crashed", **common,
         )
         plain = run_lifecycle(snapshot_dir=tmp_path / "plain", **common)
@@ -251,7 +191,7 @@ class TestSupervisorValidation:
         with pytest.raises(ValueError, match="epoch"):
             run_lifecycle(
                 config=config, workers=3, q=0.2,
-                plan=schedule("kill:rank=1,epoch=1;rejoin:rank=1,epoch=3"),
+                profile="kill:rank=1,epoch=1;rejoin:rank=1,epoch=3",
                 snapshot_dir=tmp_path,
                 train_dataset=train_ds, labels=labels,
                 val_X=val_X, val_y=val_y,

@@ -1,4 +1,5 @@
-"""``run_lifecycle(resume=True)``: restart a dead job from its snapshot directory.
+"""``run_lifecycle(snapshot_dir=...)``: a directory holding a complete
+snapshot restarts the dead job it came from.
 
 The job snapshot is the one resume path: an interrupted run resumed from
 disk must end with the weights of a run that was never interrupted, and a
@@ -46,7 +47,7 @@ class TestResume:
     def test_resumed_run_matches_uninterrupted(self, tmp_path, reference):
         """Run 2 of 4 epochs into a directory, resume to 4."""
         run(epochs=2, snapshot_dir=tmp_path)
-        resumed = run(epochs=4, snapshot_dir=tmp_path, resume=True)
+        resumed = run(epochs=4, snapshot_dir=tmp_path)
         assert resumed.segments == 1
         assert resumed.event_kinds()[0] == "lifecycle.restart"
         assert [r.epoch for r in resumed.history.records] == [0, 1, 2, 3]
@@ -60,20 +61,23 @@ class TestResume:
         (tmp_path / "snap-2.ok").unlink()
         (tmp_path / "snap-2.ckpt").write_bytes(b"torn")
         assert latest_complete_snapshot(tmp_path).name == "snap-1.ckpt"
-        resumed = run(epochs=4, snapshot_dir=tmp_path, resume=True)
+        resumed = run(epochs=4, snapshot_dir=tmp_path)
         assert_same_weights(resumed, reference)
 
     def test_resume_past_the_end_trains_nothing(self, tmp_path, reference):
         run(epochs=4, snapshot_dir=tmp_path)
-        again = run(epochs=4, snapshot_dir=tmp_path, resume=True)
+        again = run(epochs=4, snapshot_dir=tmp_path)
         assert "lifecycle.checkpoint" not in again.event_kinds()
         assert_same_weights(again, reference)
 
-    def test_resume_needs_a_complete_snapshot(self, tmp_path):
-        with pytest.raises(RuntimeError, match="no complete snapshot"):
-            run(epochs=2, snapshot_dir=tmp_path, resume=True)
-        with pytest.raises(RuntimeError, match="no complete snapshot"):
-            run(epochs=2, resume=True)
+    def test_resume_needs_a_complete_snapshot(self, tmp_path, reference):
+        """A directory holding only a torn snapshot is not resumed: the
+        run starts at epoch 0."""
+        (tmp_path / "snap-0.ckpt").write_bytes(b"torn")
+        fresh = run(epochs=4, snapshot_dir=tmp_path)
+        assert "lifecycle.restart" not in fresh.event_kinds()
+        assert fresh.history.records == reference.history.records
+        assert_same_weights(fresh, reference)
 
 
 class TestForeignSnapshot:
@@ -83,10 +87,10 @@ class TestForeignSnapshot:
         the run still reported verified."""
         run(epochs=2, workers=4, snapshot_dir=tmp_path)
         with pytest.raises(CheckpointError, match="total_workers=4.*total_workers=3"):
-            run(epochs=4, workers=3, snapshot_dir=tmp_path, resume=True)
+            run(epochs=4, workers=3, snapshot_dir=tmp_path)
 
     def test_another_seed_is_refused(self, tmp_path):
         run(epochs=2, snapshot_dir=tmp_path)
         with pytest.raises(CheckpointError, match="seed=7.*seed=8"):
-            run(epochs=4, seed=8, snapshot_dir=tmp_path, resume=True)
+            run(epochs=4, seed=8, snapshot_dir=tmp_path)
 

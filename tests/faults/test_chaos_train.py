@@ -1,14 +1,17 @@
-"""run_chaos_train end-to-end: full PLS training under fault profiles.
+"""run_lifecycle end-to-end under fault profiles: full PLS training with
+transient faults injected, alone and beside kills, rejoins and crashes.
 
 The headline property: every recoverable profile yields a final model
 bit-identical to the clean run (tolerance 0), because checksummed resend,
 retrying reads and deterministic injection make faults invisible.
 """
 
+import tempfile
+
 import pytest
 
 from repro.data import SyntheticSpec
-from repro.faults import run_chaos_train
+from repro.elastic import run_lifecycle
 from repro.train.experiments import make_experiment_data
 from repro.train.trainer import TrainConfig
 
@@ -39,42 +42,37 @@ def history_signature(result):
 class TestBitIdenticalTraining:
     @pytest.fixture(scope="class")
     def clean(self, setup):
-        return run_chaos_train(profile="", seed=0, **setup)
+        return run_lifecycle(**setup)
 
     @pytest.fixture(scope="class")
-    def clean_on_disk(self, setup, tmp_path_factory):
+    def clean_on_disk(self, setup):
         # Storage-fault comparisons need the same substrate: materializing
         # to a folder dataset reorders samples by class, so the baseline
         # must be materialized too.
-        return run_chaos_train(
-            profile="", seed=0, materialize=True,
-            data_root=tmp_path_factory.mktemp("clean"), **setup,
-        )
+        return run_lifecycle(materialize=True, **setup)
 
     def test_corrupt_bit_identical(self, setup, clean):
-        r = run_chaos_train(profile="corrupt:p=0.01", seed=1, **setup)
+        r = run_lifecycle(profile="corrupt:p=0.01", chaos_seed=1, **setup)
         assert r.injected.get("corrupt", 0) > 0
         assert history_signature(r) == history_signature(clean)
         assert r.unrecovered == 0
 
     def test_drop_bit_identical(self, setup, clean):
-        r = run_chaos_train(profile="drop:p=0.05", seed=2, **setup)
+        r = run_lifecycle(profile="drop:p=0.05", chaos_seed=2, **setup)
         assert r.injected.get("drop", 0) > 0
         assert history_signature(r) == history_signature(clean)
 
-    def test_flaky_read_bit_identical(self, setup, clean_on_disk, tmp_path):
-        r = run_chaos_train(
-            profile="flaky-read:p=0.05", seed=3, data_root=tmp_path, **setup
-        )
+    def test_flaky_read_bit_identical(self, setup, clean_on_disk):
+        r = run_lifecycle(profile="flaky-read:p=0.05", chaos_seed=3, **setup)
         assert r.injected.get("flaky-read", 0) > 0
         assert r.retry_stats["retries"] > 0
         assert r.unrecovered == 0
         assert history_signature(r) == history_signature(clean_on_disk)
 
-    def test_combined_profile_bit_identical(self, setup, clean_on_disk, tmp_path):
-        r = run_chaos_train(
+    def test_combined_profile_bit_identical(self, setup, clean_on_disk):
+        r = run_lifecycle(
             profile="corrupt:p=0.01;drop:p=0.01;flaky-read:p=0.05",
-            seed=4, data_root=tmp_path, **setup,
+            chaos_seed=4, **setup,
         )
         assert sum(r.injected.values()) > 0
         assert history_signature(r) == history_signature(clean_on_disk)
@@ -88,7 +86,7 @@ def world_total(result, counter):
     """``counter`` summed over every rank that finished the run."""
     return sum(
         res[0].stats[counter]
-        for res in result.lifecycle.results
+        for res in result.results
         if isinstance(res, tuple)
     )
 
@@ -96,8 +94,8 @@ def world_total(result, counter):
 class TestDeterminism:
     def test_same_chaos_seed_twice(self, setup):
         profile = "corrupt:p=0.02;drop:p=0.02"
-        r1 = run_chaos_train(profile=profile, seed=7, **setup)
-        r2 = run_chaos_train(profile=profile, seed=7, **setup)
+        r1 = run_lifecycle(profile=profile, chaos_seed=7, **setup)
+        r2 = run_lifecycle(profile=profile, chaos_seed=7, **setup)
         assert r1.injected == r2.injected
         assert sum(r1.injected.values()) > 0
         assert history_signature(r1) == history_signature(r2)
@@ -115,6 +113,36 @@ class TestDeterminism:
             assert world_total(r, "timeout_nacks") >= dropped
             assert world_total(r, "resends") >= dropped + corrupted
             assert world_total(r, "resent_bytes") >= world_total(r, "resends")
+
+    def test_storage_faults_follow_the_sample_not_the_copy(
+        self, setup, tmp_path, monkeypatch
+    ):
+        # Each run writes its on-disk copy under a fresh directory; the
+        # injected read faults must not depend on where it landed.
+        runs = []
+        for root in ("a", "b"):
+            (tmp_path / root).mkdir()
+            monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / root))
+            runs.append(
+                run_lifecycle(profile="flaky-read:p=0.1", chaos_seed=3, **setup)
+            )
+        assert runs[0].injected["flaky-read"] > 0
+        assert runs[0].injected == runs[1].injected
+        assert runs[0].retry_stats == runs[1].retry_stats
+
+
+class TestScratch:
+    def test_on_disk_copy_and_snapshots_are_removed(self, setup, tmp_path, monkeypatch):
+        # The launcher's temporary directories (the storage-fault copy of
+        # the training set, the snapshots a crash restarts from) are gone
+        # when the run returns.
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        r = run_lifecycle(
+            profile="flaky-read:p=0.05;crash:epoch=2", chaos_seed=3, **setup
+        )
+        assert r.injected["flaky-read"] > 0 and r.restarts == 1
+        assert list(tmp_path.glob("chaos-*")) == []
 
 
 #: Every lifecycle clause of the documented grammar in one profile.
@@ -134,10 +162,9 @@ class TestElasticComposition:
         # Every lifecycle clause of the grammar takes effect (a runner
         # that forwards only the kills ends this "4 -> 3 workers" in one
         # segment, without an error).
-        r = run_chaos_train(profile=HEAL, seed=0, **five_epochs)
-        assert r.history.stats["final_workers"] == WORKERS
-        assert r.lifecycle.dead_ranks == ()
-        run = r.lifecycle
+        run = run_lifecycle(profile=HEAL, **five_epochs)
+        assert run.history.stats["final_workers"] == WORKERS
+        assert run.dead_ranks == ()
         assert run.segments >= 2 and run.restarts == run.segments - 1
         assert len(run.rejoins) == 1 and run.rejoins[0]["joiners"] == [1]
         # The shrink happened before the crash, so it is in the
@@ -146,24 +173,24 @@ class TestElasticComposition:
         assert run.verified
 
     def test_both_stacks_faults_in_one_run(self, five_epochs):
-        r = run_chaos_train(
-            profile=HEAL + ";corrupt:p=0.02", seed=3, **five_epochs
+        r = run_lifecycle(
+            profile=HEAL + ";corrupt:p=0.02", chaos_seed=3, **five_epochs
         )
         assert r.injected.get("corrupt", 0) > 0
-        assert r.lifecycle.final_workers == WORKERS
-        assert len(r.lifecycle.rejoins) == 1
-        assert r.lifecycle.verified
+        assert r.final_workers == WORKERS
+        assert len(r.rejoins) == 1
+        assert r.verified
 
     def test_kill_plus_transient(self, setup):
         # One profile drives both recovery stacks: rank 1 fail-stops at
         # epoch 2 (elastic shrinks + recovers its shard) while corruption
         # keeps hitting the survivors' exchange.
-        r = run_chaos_train(
+        r = run_lifecycle(
             profile="corrupt:p=0.03;kill:rank=1,epoch=2,point=mid_exchange",
-            seed=5, **setup,
+            chaos_seed=5, **setup,
         )
-        assert r.lifecycle.dead_ranks == (1,)
-        assert len(r.lifecycle.recoveries) == 1
+        assert r.dead_ranks == (1,)
+        assert len(r.recoveries) == 1
         assert r.injected.get("corrupt", 0) > 0
         assert r.history.stats.get("final_workers") == WORKERS - 1
         assert r.final_accuracy > 0.5
@@ -198,12 +225,12 @@ class TestElasticComposition:
 
         monkeypatch.setattr(World, "_deliver", deliver_logged)
         monkeypatch.setattr(_LifecycleRank, "_restore_job", restore_slowly)
-        r = run_chaos_train(
+        r = run_lifecycle(
             profile="kill:rank=1,epoch=1,point=end;rejoin:rank=1,epoch=2;"
             "delay:p=1,ms=50@control;dup:p=0.5@control",
-            seed=0, backend="threads", **setup,
+            backend="threads", **setup,
         )
-        assert r.lifecycle.verified and len(r.lifecycle.rejoins) == 1
+        assert r.verified and len(r.rejoins) == 1
         installed = events.index(("installed", 1))
         assert ("transfer", 1) in events[installed:]
         assert ("transfer", 1) not in events[:installed]
@@ -212,5 +239,7 @@ class TestElasticComposition:
         from repro.faults import FaultProfile
 
         prof = FaultProfile.parse("corrupt:p=0.01")
-        r = run_chaos_train(profile=prof, seed=0, **setup)
-        assert r.profile is prof
+        by_object = run_lifecycle(profile=prof, chaos_seed=1, **setup)
+        by_spec = run_lifecycle(profile="corrupt:p=0.01", chaos_seed=1, **setup)
+        assert by_object.injected == by_spec.injected
+        assert by_object.injected.get("corrupt", 0) > 0

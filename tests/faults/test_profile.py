@@ -1,4 +1,5 @@
-"""FaultProfile grammar: parse, round-trip, validation."""
+"""FaultProfile grammar: parse, round-trip, validation, and the failure
+schedule its kill / rejoin / crash clauses spell."""
 
 import pytest
 
@@ -57,8 +58,8 @@ class TestParse:
 class TestKill:
     def test_kill_becomes_failure_plan(self):
         prof = FaultProfile.parse("kill:rank=1,epoch=2,point=mid_exchange")
-        plan = prof.lifecycle_plan()
-        assert plan.kills == ((1, 2, "mid_exchange"),)
+        assert prof.kills == ((1, 2, "mid_exchange"),)
+        assert prof.dead_forever() == (1,)
 
     def test_transient_strips_kill(self):
         prof = FaultProfile.parse("corrupt:p=0.1;kill:rank=1,epoch=2")
@@ -71,6 +72,69 @@ class TestKill:
             FaultProfile.parse("kill:rank=1")
         with pytest.raises(ValueError):
             FaultProfile.parse("kill:epoch=1")
+
+
+class TestSchedule:
+    """The kill / rejoin / crash clauses as the lifecycle's schedule,
+    checked when the profile is parsed."""
+
+    def test_parse_full_schedule(self):
+        prof = FaultProfile.parse(
+            "kill:rank=1,epoch=1,point=mid_exchange;rejoin:rank=1,epoch=3;"
+            "crash:epoch=2"
+        )
+        assert prof.kills == ((1, 1, "mid_exchange"),)
+        assert prof.rejoins == ((1, 3),)
+        assert prof.crashes == (2,)
+        assert prof.joiners_at(3) == (1,)
+        assert prof.joiners_at(2) == ()
+        assert prof.rejoin_epoch(1) == 3
+        assert prof.rejoin_epoch(0) is None
+        assert prof.dead_forever() == ()
+        assert prof.max_epoch() == 3
+
+    def test_empty_schedule_has_no_events(self):
+        for prof in (FaultProfile(), FaultProfile.parse("corrupt:p=0.1")):
+            assert (prof.kills, prof.rejoins, prof.crashes) == ((), (), ())
+            assert prof.max_epoch() == -1
+
+    def test_rejoin_without_kill_rejected(self):
+        with pytest.raises(ValueError, match="never killed"):
+            FaultProfile.parse("rejoin:rank=1,epoch=3")
+
+    def test_rejoin_not_after_kill_rejected(self):
+        with pytest.raises(ValueError, match="must come later"):
+            FaultProfile.parse(
+                "kill:rank=1,epoch=2,point=mid_exchange;rejoin:rank=1,epoch=2"
+            )
+
+    def test_duplicate_rejoin_rank_rejected(self):
+        with pytest.raises(ValueError, match="rejoin twice"):
+            FaultProfile.parse(
+                "kill:rank=1,epoch=1;rejoin:rank=1,epoch=2;rejoin:rank=1,epoch=3"
+            )
+
+    def test_crash_needs_a_prior_snapshot_epoch(self):
+        # crash:epoch=e restarts from epoch e-1's snapshot; at epoch 0 no
+        # snapshot exists yet.
+        with pytest.raises(ValueError, match="no prior snapshot"):
+            FaultProfile.parse("crash:epoch=0")
+
+    def test_dead_forever_is_kills_minus_rejoins(self):
+        prof = FaultProfile.parse(
+            "kill:rank=1,epoch=1;kill:rank=2,epoch=2;rejoin:rank=1,epoch=3"
+        )
+        assert prof.dead_forever() == (2,)
+
+    def test_schedule_clauses_mix_with_transient_ones(self):
+        prof = FaultProfile.parse(
+            "corrupt:p=0.1;kill:rank=1,epoch=1,point=mid_exchange;"
+            "rejoin:rank=1,epoch=3;flaky-read:p=0.1;crash:epoch=2"
+        )
+        assert prof.rejoins == ((1, 3),)
+        assert prof.crashes == (2,)
+        assert [rank for rank, _epoch, _point in prof.kills] == [1]
+        assert prof.transient().max_epoch() == -1
 
 
 class TestErrors:

@@ -14,7 +14,8 @@ import pytest
 
 from repro.cli import main
 from repro.data import SyntheticSpec
-from repro.faults import ChaosEngine, ChaosWorld, run_chaos_train
+from repro.elastic import run_lifecycle
+from repro.faults import ChaosEngine, ChaosWorld
 from repro.mpi import RankFailed, run_spmd
 from repro.obs.telemetry import (
     DEFAULT_FLIGHT_CAPACITY,
@@ -174,22 +175,21 @@ class TestChaosKillDump:
             epochs=3, batch_size=8, base_lr=0.05,
             partition="class_sorted", seed=0,
         )
-        return run_chaos_train(
-            config=config, workers=4, q=0.3,
-            profile="kill:rank=1,epoch=2", seed=0,
+        return run_lifecycle(
+            config=config, workers=4, q=0.3, profile="kill:rank=1,epoch=2",
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
 
     def test_kill_produced_dumps(self, result):
-        assert result.lifecycle.dead_ranks == (1,)
-        assert result.lifecycle.results.world.flight.dumps, "chaos kill left no flight dump"
-        reasons = " | ".join(d["reason"] for d in result.lifecycle.results.world.flight.dumps)
+        assert result.dead_ranks == (1,)
+        assert result.results.world.flight.dumps, "chaos kill left no flight dump"
+        reasons = " | ".join(d["reason"] for d in result.results.world.flight.dumps)
         assert "died" in reasons or "death" in reasons
 
     def test_survivors_have_exchange_and_phase_events(self, result):
         # The death-at-epoch-2 dump must carry every surviving rank's
         # recent exchange rounds and per-epoch phase breakdowns.
-        dump = result.lifecycle.results.world.flight.dumps[0]
+        dump = result.results.world.flight.dumps[0]
         for rank in ("0", "2", "3"):
             kinds = {e["kind"] for e in dump["ranks"][rank]}
             assert any(k.startswith("round.") for k in kinds), (
@@ -205,7 +205,7 @@ class TestChaosKillDump:
         # One loader: the dump `repro health` renders as a timeline is also
         # a stream `repro trace` can summarise — the always-on events alone
         # give the exchange's bytes and its timed posts and commits.
-        dump = result.lifecycle.results.world.flight.dumps[-1]
+        dump = result.results.world.flight.dumps[-1]
         assert dump["reason"] == "lifecycle complete"
         path = tmp_path / "complete.json"
         path.write_text(json.dumps(dump, default=str))

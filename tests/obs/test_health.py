@@ -214,7 +214,7 @@ class TestSlowedRankEndToEnd:
     @pytest.fixture(scope="class")
     def snapshot(self):
         from repro.data import SyntheticSpec
-        from repro.faults import run_chaos_train
+        from repro.elastic import run_lifecycle
         from repro.train.experiments import make_experiment_data
         from repro.train.trainer import TrainConfig
 
@@ -225,9 +225,8 @@ class TestSlowedRankEndToEnd:
             epochs=3, batch_size=8, base_lr=0.05,
             partition="class_sorted", seed=0,
         )
-        result = run_chaos_train(
-            config=config, workers=4, q=0.3,
-            profile="slow:rank=2,x=12", seed=0,
+        result = run_lifecycle(
+            config=config, workers=4, q=0.3, profile="slow:rank=2,x=12",
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
         )
         return result.telemetry

@@ -398,7 +398,6 @@ def test_a_sigkilled_rank_delivers_what_it_cast_and_strands_nobody(own_segments)
 def test_elastic_kill_parity(backend):
     from repro.data import SyntheticSpec
     from repro.elastic import run_lifecycle
-    from repro.faults import FaultProfile
     from repro.train import TrainConfig
     from repro.train.experiments import make_experiment_data
 
@@ -409,11 +408,10 @@ def test_elastic_kill_parity(backend):
     )
     train_ds, labels, val_X, val_y = make_experiment_data(spec)
 
-    plan = FaultProfile.parse("kill:rank=1,epoch=1,point=mid_exchange").lifecycle_plan()
-
     def run(bk):
         result = run_lifecycle(
-            config=config, workers=3, q=0.3, plan=plan,
+            config=config, workers=3, q=0.3,
+            profile="kill:rank=1,epoch=1,point=mid_exchange",
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
             backend=bk,
         )
@@ -432,7 +430,7 @@ def test_elastic_kill_parity(backend):
 
 def test_chaos_corruption_parity(backend):
     from repro.data import SyntheticSpec
-    from repro.faults import run_chaos_train
+    from repro.elastic import run_lifecycle
     from repro.train import TrainConfig
     from repro.train.experiments import make_experiment_data
 
@@ -444,8 +442,8 @@ def test_chaos_corruption_parity(backend):
     train_ds, labels, val_X, val_y = make_experiment_data(spec)
 
     def run(bk):
-        result = run_chaos_train(
-            config=config, workers=2, q=0.3, profile="corrupt:p=0.1", seed=1,
+        result = run_lifecycle(
+            config=config, workers=2, q=0.3, profile="corrupt:p=0.1", chaos_seed=1,
             train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
             backend=bk,
         )

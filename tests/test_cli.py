@@ -235,6 +235,13 @@ class TestLifecycleTrain:
         assert rc == 2
         assert "bad --chaos spec" in capsys.readouterr().err
 
+    def test_schedule_is_checked_when_the_spec_is_parsed(self, capsys):
+        # The profile validates its own schedule: the run never starts.
+        rc = main(["chaos-train", "--chaos", "rejoin:rank=1,epoch=3"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert "never killed" in err and out == ""
+
     def test_crash_restart_run_verifies_and_compares_clean(
         self, tmp_path, capsys
     ):

@@ -129,7 +129,8 @@ class TestErrors:
         assert not list(tmp_path.glob("*.tmp"))
 
 
-def run_job(snapshot_dir, resume=False):
+def run_job(snapshot_dir):
+    """Train 2 epochs into ``snapshot_dir``, or resume the snapshot it holds."""
     spec = SyntheticSpec(n_samples=64, n_classes=4, n_features=8, seed=2)
     train_ds, labels, val_X, val_y = make_experiment_data(spec)
     config = TrainConfig(
@@ -138,7 +139,7 @@ def run_job(snapshot_dir, resume=False):
     )
     return run_lifecycle(
         config=config, workers=2, q=0.5, snapshot_dir=snapshot_dir,
-        resume=resume, train_dataset=train_ds, labels=labels,
+        train_dataset=train_ds, labels=labels,
         val_X=val_X, val_y=val_y,
     )
 
@@ -162,7 +163,7 @@ class TestDefaultRngRoundtrip:
         monkeypatch.setattr(rng_mod, "_default_generator", None)
         default_rng().normal(size=123)
 
-        run_job(tmp_path, resume=True)  # splices the stream back, trains nothing
+        run_job(tmp_path)  # resumes: splices the stream back, trains nothing
         assert np.array_equal(default_rng().normal(size=5), expected)
 
     def test_restore_asserts_seed_tree_position(self, tmp_path, monkeypatch):
@@ -172,4 +173,4 @@ class TestDefaultRngRoundtrip:
         monkeypatch.setattr(rng_mod, "DEFAULT_ROOT_SEED", 42)
         monkeypatch.setattr(rng_mod, "_default_generator", None)
         with pytest.raises(ValueError, match="rooted at seed"):
-            run_job(tmp_path, resume=True)
+            run_job(tmp_path)
