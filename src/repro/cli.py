@@ -7,8 +7,10 @@ Subcommands
     the accuracy table (the Figure 5/6 primitive).
 ``trace``
     Summarize a flight dump (``chaos-train --flight-dir``) or a Chrome
-    trace (``train --trace``): per-phase totals, per-rank byte counts, top
-    spans and an ASCII Gantt timeline.
+    trace (``train --trace``), the one reader of a run's artifacts: the
+    lifecycle timeline (kill, shrink, checkpoint, crash, restart, rejoin,
+    rebalance) when the stream holds one, per-phase totals, per-rank byte
+    counts, top spans and an ASCII Gantt timeline.
 ``chaos-train``
     Supervised PLS training under a deterministic fault profile
     (``--chaos "corrupt:p=0.01;flaky-read:p=0.05;kill:rank=1,epoch=1;..."``),
@@ -33,14 +35,6 @@ Subcommands
     buffer-pool ownership) under message drop/dup/delay/stale/corruption
     and rank kills; also re-checks seeded protocol mutations and fails if
     any survives undetected.
-``health``
-    Lifecycle timeline of a flight dump (``chaos-train --flight-dir``), or
-    anomaly/straggler report over a telemetry snapshot: read a JSON file
-    written by a previous run (``repro health telemetry.json``) or run a
-    small demo job live (``--run``, optionally with one artificially
-    slowed rank via ``--slow-rank/--slow-factor``) and print the per-rank
-    summary plus named findings.  ``--strict`` exits 1 when anything is
-    flagged.
 
 Subcommands register in ``_HANDLERS`` (one handler function per command);
 ``main`` dispatches through that mapping.  No subcommand prints a paper
@@ -107,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_backend_arg(p_train)
 
     p_trace = sub.add_parser(
-        "trace", help="summarize a trace file (flight dump or Chrome JSON)"
+        "trace", help="summarize a trace file (flight dump or Chrome JSON): "
+        "lifecycle timeline, phase totals, bytes moved, top spans, Gantt"
     )
     p_trace.add_argument(
         "file", help="flight dump (chaos-train --flight-dir) or Chrome JSON "
@@ -172,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--flight-dir", default=None, metavar="DIR",
         help="write flight-recorder dumps (fault and lifecycle-transition "
         "post-mortems plus the final 'lifecycle complete' timeline) as "
-        "JSON files into DIR — readable by 'repro health <file>'",
+        "JSON files into DIR — readable by 'repro trace <file>'",
     )
     add_backend_arg(p_ch)
 
@@ -192,46 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", required=True, metavar="DIR", help="artifact directory",
     )
     p_bench.add_argument("--seed", type=int, default=0, help="benchmark seed")
-
-    p_health = sub.add_parser(
-        "health",
-        help="lifecycle timeline of a flight dump, or straggler/anomaly "
-        "report over a telemetry snapshot",
-    )
-    p_health.add_argument(
-        "file", nargs="?", default=None,
-        help="flight dump (chaos-train --flight-dir) or telemetry JSON "
-        "snapshot (written by --run --out)",
-    )
-    p_health.add_argument(
-        "--run", action="store_true",
-        help="run a small live demo job and report on its telemetry",
-    )
-    p_health.add_argument("--workers", type=int, default=4)
-    p_health.add_argument("--samples", type=int, default=256)
-    p_health.add_argument("--epochs", type=int, default=3)
-    p_health.add_argument("--q", type=float, default=0.3)
-    p_health.add_argument("--seed", type=int, default=0)
-    p_health.add_argument(
-        "--slow-rank", type=int, default=None, metavar="RANK",
-        help="with --run: artificially slow this rank's message sends",
-    )
-    p_health.add_argument(
-        "--slow-factor", type=float, default=10.0, metavar="X",
-        help="slowdown multiplier of --slow-rank (default 10)",
-    )
-    p_health.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="with --run: also write the telemetry JSON snapshot here",
-    )
-    p_health.add_argument(
-        "--openmetrics", default=None, metavar="PATH",
-        help="also export the snapshot as OpenMetrics text",
-    )
-    p_health.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 when any finding is raised",
-    )
 
     p_lint = sub.add_parser(
         "lint", help="SPMD correctness lint (AST rules SPMD001-SPMD009)"
@@ -337,6 +292,7 @@ def _cmd_chaos_train(args) -> int:
 
     try:
         profile = FaultProfile.parse(args.chaos)
+        profile.check_run(args.epochs, args.workers)
     except ValueError as exc:
         print(f"bad --chaos spec: {exc}", file=sys.stderr)
         return 2
@@ -476,95 +432,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_health(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.obs.telemetry import (
-        FLIGHT_SCHEMA,
-        render_findings,
-        render_flight_timeline,
-        render_rank_summary,
-        run_health_checks,
-        to_openmetrics,
-        write_telemetry_json,
-    )
-
-    if args.run:
-        snapshot = _run_health_demo(args)
-        if args.out:
-            write_telemetry_json(snapshot, args.out)
-            print(f"wrote telemetry snapshot: {args.out}", file=sys.stderr)
-    elif args.file:
-        path = Path(args.file)
-        if not path.is_file():
-            print(f"no telemetry snapshot at {path}", file=sys.stderr)
-            return 1
-        try:
-            snapshot = json.loads(path.read_text())
-        except ValueError as exc:
-            print(f"{path} is not valid JSON: {exc}", file=sys.stderr)
-            return 1
-        if isinstance(snapshot, dict) and snapshot.get("schema") == FLIGHT_SCHEMA:
-            # A flight-recorder dump (e.g. from chaos-train
-            # --flight-dir): render the lifecycle transition timeline
-            # instead of the metric detectors.
-            print(render_flight_timeline(snapshot))
-            return 0
-        if not isinstance(snapshot, dict) or "series" not in snapshot:
-            print(
-                f"{path} is not a telemetry snapshot (no 'series' key) nor "
-                "a flight dump",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        print("health: pass a telemetry JSON file or --run", file=sys.stderr)
-        return 2
-
-    if args.openmetrics:
-        Path(args.openmetrics).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.openmetrics).write_text(to_openmetrics(snapshot))
-        print(f"wrote OpenMetrics export: {args.openmetrics}", file=sys.stderr)
-
-    print(render_rank_summary(snapshot))
-    findings = run_health_checks(snapshot)
-    print(render_findings(findings))
-    if findings and args.strict:
-        return 1
-    return 0
-
-
-def _run_health_demo(args) -> dict:
-    """Run a small chaos-train job and return its telemetry snapshot.
-
-    With ``--slow-rank`` the chaos engine stretches that rank's message
-    sends, which balloons its exchange phase time — exactly the signature
-    :func:`~repro.obs.telemetry.detect_stragglers` looks for.
-    """
-    from repro.data import SyntheticSpec
-    from repro.elastic import run_lifecycle
-    from repro.train import TrainConfig
-    from repro.train.experiments import make_experiment_data
-
-    chaos = ""
-    if args.slow_rank is not None:
-        chaos = f"slow:rank={args.slow_rank},x={args.slow_factor:g}"
-        print(f"health demo: injecting {chaos}", file=sys.stderr)
-    spec = SyntheticSpec(
-        n_samples=args.samples, n_classes=4, n_features=32, seed=args.seed,
-    )
-    config = TrainConfig(
-        model="mlp", in_shape=(32,), num_classes=4,
-        epochs=args.epochs, batch_size=8, base_lr=0.05, seed=args.seed,
-    )
-    train_ds, labels, val_X, val_y = make_experiment_data(spec)
-    return run_lifecycle(
-        config=config, workers=args.workers, q=args.q, profile=chaos,
-        train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
-    ).telemetry
-
-
 def _cmd_lint(args) -> int:
     from repro.analysis import lint_paths
 
@@ -665,7 +532,6 @@ _HANDLERS = {
     "trace": _cmd_trace,
     "chaos-train": _cmd_chaos_train,
     "bench": _cmd_bench,
-    "health": _cmd_health,
     "lint": _cmd_lint,
     "verify-protocol": _cmd_verify_protocol,
 }

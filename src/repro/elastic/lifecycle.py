@@ -90,6 +90,7 @@ from repro.mpi.communicator import Communicator
 from repro.mpi.errors import PeerFailure, RankDied
 from repro.mpi.launcher import SpmdResult, run_spmd
 from repro.mpi.tags import JOIN
+from repro.obs import LIFECYCLE_PREFIXES
 from repro.obs.telemetry import drain_pending
 from repro.shuffle.partial import PartialLocalShuffle
 from repro.shuffle.storage import StorageArea
@@ -613,11 +614,6 @@ class LifecycleResult:
         this counts storage-read give-ups)."""
         return int(self.retry_stats.get("giveups", 0))
 
-    @property
-    def telemetry(self) -> dict:
-        """The aggregated cross-rank telemetry snapshot of the run."""
-        return self.results.world.telemetry.snapshot()
-
     def event_kinds(self) -> list[str]:
         """The ordered transition sequence (for assertions and reports)."""
         return [e["kind"] for e in self.events]
@@ -679,11 +675,7 @@ def run_lifecycle(
     """
     if isinstance(profile, str):
         profile = FaultProfile.parse(profile)
-    if profile.max_epoch() >= config.epochs:
-        raise ValueError(
-            f"fault profile touches epoch {profile.max_epoch()} but "
-            f"the run only has {config.epochs} epochs"
-        )
+    profile.check_run(config.epochs, workers)
     engine = ChaosEngine(profile, seed=chaos_seed)
     world_factory = (
         partial(ChaosWorld, chaos=engine) if profile.has_message_faults else None
@@ -859,16 +851,12 @@ def _verify(
     )
 
 
-#: Flight-event kinds the launcher lifts into the cross-segment timeline.
-_EVENT_PREFIXES = ("lifecycle.", "elastic.", "rank.died")
-
-
 def _lifecycle_events(world, segment: int) -> list[dict]:
     """Ordered lifecycle/elastic events from every rank's flight ring."""
     out = []
     for rec in world.flight.recorders:
         for event in rec.events():
-            if event["kind"].startswith(_EVENT_PREFIXES):
+            if event["kind"].startswith(LIFECYCLE_PREFIXES):
                 out.append({"segment": segment, "rank": rec.rank, **event})
     out.sort(key=lambda e: e["ts"])
     return out

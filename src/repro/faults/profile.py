@@ -25,6 +25,8 @@ queries (:meth:`~FaultProfile.check`, :meth:`~FaultProfile.joiners_at`, ...)
 and validates it when it is built: a rank killed twice or at an unknown
 point, a rejoin of a rank that never died or not after its death, and a
 crash at epoch 0 (no snapshot to restart from) are rejected.
+:meth:`~FaultProfile.check_run` rejects a schedule that does not fit the
+run: an event past its last epoch, or a kill of a rank it does not have.
 
 Optional on any message kind: ``epochs=a`` or ``epochs=a-b`` restricts the
 clause to those exchange epochs.  ``@scope`` narrows which messages a
@@ -277,3 +279,20 @@ class FaultProfile:
         epochs += [e for _, e in self.rejoins]
         epochs += list(self.crashes)
         return max(epochs, default=-1)
+
+    def check_run(self, epochs: int, workers: int) -> None:
+        """Raise ``ValueError`` unless the schedule fits a run of ``epochs``
+        epochs on ``workers`` ranks: every event falls in an epoch the run
+        has, and every kill / rejoin names one of its ranks (a rejoin names a
+        killed rank, so checking the kills covers both)."""
+        if self.max_epoch() >= epochs:
+            raise ValueError(
+                f"fault profile touches epoch {self.max_epoch()} but "
+                f"the run only has {epochs} epochs"
+            )
+        for rank, _e, _p in self.kills:
+            if rank >= workers:
+                raise ValueError(
+                    f"fault profile names rank {rank} but the run only has "
+                    f"{workers} workers"
+                )

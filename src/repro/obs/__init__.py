@@ -9,14 +9,14 @@ The subsystem the paper's measurements hang off:
   / per-step events, so the full stream is the same ring.  One event
   shape, :class:`Event`.
 * Merge + summary — cross-rank timeline reconstruction, Figure 10 phase
-  totals, §III-B byte volumes and the overlap / blocking attribution as
-  views over event kinds, and the digest behind the ``repro trace`` CLI.
+  totals, §III-B byte volumes, the overlap / blocking attribution and the
+  lifecycle transitions as views over event kinds, and the digest behind
+  ``repro trace``, the one reader of a run's artifacts.
 * Exporters — the flight dump itself and Chrome trace-event JSON (one
   ``pid`` per rank; opens directly in ``chrome://tracing`` / Perfetto);
   :func:`load_trace` reads both.
-* :class:`TelemetryAggregator` (collective-free cross-rank metric series
-  with streaming quantiles) and the health detectors behind
-  ``repro health``.
+* :class:`TelemetryAggregator` — collective-free cross-rank per-epoch
+  metric series (``world.telemetry``).
 
 Quick example::
 
@@ -33,6 +33,7 @@ Quick example::
 
 from .export import chrome_trace_events, load_trace, write_chrome_trace
 from .merge import (
+    LIFECYCLE_PREFIXES,
     PHASE_ORDER,
     bytes_by_rank,
     merge_ranks,
@@ -41,17 +42,13 @@ from .merge import (
     phase_totals,
     phase_totals_by_rank,
 )
-from .metrics import Reservoir, quantile_key
 from .summary import TraceSummary, render_summary, summarize_events, summarize_trace
 from .telemetry import (
     Event,
     FlightLog,
     FlightRecorder,
-    HealthFinding,
     TelemetryAggregator,
     push_metrics,
-    run_health_checks,
-    to_openmetrics,
 )
 
 __all__ = [
@@ -66,17 +63,13 @@ __all__ = [
     "overlap_report",
     "service_report",
     "PHASE_ORDER",
+    "LIFECYCLE_PREFIXES",
     "TraceSummary",
     "summarize_events",
     "summarize_trace",
     "render_summary",
-    "Reservoir",
-    "quantile_key",
     "FlightLog",
     "FlightRecorder",
     "TelemetryAggregator",
-    "HealthFinding",
     "push_metrics",
-    "run_health_checks",
-    "to_openmetrics",
 ]

@@ -41,6 +41,11 @@ PHASE_PREFIX = "phase."
 #: Canonical Figure 10 phase order.
 PHASE_ORDER = ("io", "exchange", "fw_bw", "ge_wu")
 
+#: Kind prefixes of a run's lifecycle transitions — kill, shrink, degraded
+#: continue, checkpoint, crash, restart, rejoin, rebalance: the timeline
+#: ``repro trace`` prints and ``LifecycleResult.events`` holds.
+LIFECYCLE_PREFIXES = ("lifecycle.", "elastic.", "rank.")
+
 
 def merge_ranks(
     source: FlightLog | dict | Sequence[Iterable[Event] | None],

@@ -3,6 +3,8 @@
 Turns an event stream (a flight dump or a Chrome JSON array) into the
 tables an experimenter actually wants on the terminal:
 
+* the lifecycle timeline — every kill, shrink, checkpoint, crash, restart,
+  rejoin and rebalance, in time order (only when the stream holds one);
 * per-phase totals — the Figure 10 split, per rank and aggregated;
 * per-rank byte counts — the §III-B traffic view;
 * top spans by duration — where the time actually went;
@@ -22,6 +24,7 @@ from repro.utils.units import format_size
 
 from .export import load_trace
 from .merge import (
+    LIFECYCLE_PREFIXES,
     PHASE_ORDER,
     PHASE_PREFIX,
     bytes_by_rank,
@@ -47,6 +50,7 @@ class TraceSummary:
     bytes_by_rank: dict[int, dict[str, int]]
     overlap: dict[int, dict[str, float]]
     service: dict[tuple[int, int], dict[str, float]]
+    transitions: list[Event] = field(default_factory=list)
     top_spans: list[Event] = field(default_factory=list)
     events: list[Event] = field(default_factory=list, repr=False)
 
@@ -70,6 +74,10 @@ def summarize_events(events: Sequence[Event]) -> TraceSummary:
         bytes_by_rank=bytes_by_rank(events),
         overlap=overlap_report(events),
         service=service_report(events),
+        transitions=sorted(
+            (ev for ev in events if ev.kind.startswith(LIFECYCLE_PREFIXES)),
+            key=lambda ev: ev.ts,
+        ),
         top_spans=sorted(spans, key=lambda ev: ev.dur, reverse=True)[:TOP_SPANS],
         events=list(events),
     )
@@ -101,10 +109,22 @@ def _phase_lanes(events: Sequence[Event]) -> dict[str, list[tuple[float, float]]
 
 def render_summary(summary: TraceSummary) -> str:
     """Render a summary as the multi-table text block ``repro trace`` prints."""
-    parts: list[str] = [
+    parts: list[str] = []
+    if summary.transitions:
+        t0 = summary.transitions[0].ts
+        rows = [
+            [f"+{ev.ts - t0:.3f}s", ev.rank, ev.kind,
+             ", ".join(f"{k}={v}" for k, v in ev.fields.items())]
+            for ev in summary.transitions
+        ]
+        parts.append(render_table(
+            ["t", "rank", "transition", "detail"], rows,
+            title=f"lifecycle timeline: {len(rows)} event(s)",
+        ))
+    parts.append(
         f"{summary.n_events} events over {len(summary.ranks)} rank(s), "
         f"wall {summary.wall_s:.4f} s"
-    ]
+    )
 
     if summary.phase_totals:
         known = [p for p in PHASE_ORDER if p in summary.phase_totals]

@@ -1,7 +1,7 @@
 """Shared utilities: size units, RNG trees, retry/backoff, ASCII tables,
 crash-safe file writes."""
 
-from .ascii_plot import ascii_chart, sparkline
+from .ascii_plot import ascii_chart
 from .fileio import atomic_save
 from .retry import Backoff, Retrier, default_retrier
 from .rng import SeedTree, default_rng, hash_unit
@@ -10,7 +10,6 @@ from .units import GB, GIB, KB, MB, MIB, PB, TB, TIB, format_size
 
 __all__ = [
     "ascii_chart",
-    "sparkline",
     "atomic_save",
     "Backoff",
     "Retrier",

@@ -10,25 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["ascii_chart", "gantt", "sparkline"]
-
-_SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line sparkline of a numeric series."""
-    values = list(values)
-    if not values:
-        raise ValueError("cannot sparkline an empty series")
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        return _SPARK_LEVELS[0] * len(values)
-    span = hi - lo
-    out = []
-    for v in values:
-        idx = int((v - lo) / span * (len(_SPARK_LEVELS) - 1))
-        out.append(_SPARK_LEVELS[idx])
-    return "".join(out)
+__all__ = ["ascii_chart", "gantt"]
 
 
 def ascii_chart(

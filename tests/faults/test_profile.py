@@ -120,6 +120,14 @@ class TestSchedule:
         with pytest.raises(ValueError, match="no prior snapshot"):
             FaultProfile.parse("crash:epoch=0")
 
+    def test_schedule_must_fit_the_run(self):
+        prof = FaultProfile.parse("kill:rank=1,epoch=1;rejoin:rank=1,epoch=3")
+        prof.check_run(epochs=4, workers=2)
+        with pytest.raises(ValueError, match="only has 3 epochs"):
+            prof.check_run(epochs=3, workers=2)
+        with pytest.raises(ValueError, match="names rank 1"):
+            prof.check_run(epochs=4, workers=1)
+
     def test_dead_forever_is_kills_minus_rejoins(self):
         prof = FaultProfile.parse(
             "kill:rank=1,epoch=1;kill:rank=2,epoch=2;rejoin:rank=1,epoch=3"

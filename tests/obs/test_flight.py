@@ -202,25 +202,29 @@ class TestChaosKillDump:
     def test_lifecycle_complete_dump_loads_through_repro_trace(
         self, result, tmp_path, capsys
     ):
-        # One loader: the dump `repro health` renders as a timeline is also
-        # a stream `repro trace` can summarise — the always-on events alone
-        # give the exchange's bytes and its timed posts and commits.
+        # One reader: `repro trace` prints the run's lifecycle timeline
+        # first, then what the always-on events alone give — the
+        # exchange's bytes and its timed posts and commits.
         dump = result.results.world.flight.dumps[-1]
         assert dump["reason"] == "lifecycle complete"
         path = tmp_path / "complete.json"
         path.write_text(json.dumps(dump, default=str))
         assert main(["trace", str(path)]) == 0
         out = capsys.readouterr().out
+        assert out.startswith("lifecycle timeline: ")
+        timeline = out[: out.index("\n\n")]
+        died = [row.split("|") for row in timeline.splitlines() if "rank.died" in row]
+        assert died and all(cells[2].strip() == "1" for cells in died)
+        assert "elastic." in timeline
+        assert "exchange.send" not in timeline and "epoch.phases" not in timeline
         assert "bytes moved per rank" in out
         assert "exchange overlap attribution" in out
         assert "epoch.commit" in out  # among the top spans
-        assert main(["health", str(path)]) == 0
-        assert "lifecycle timeline" in capsys.readouterr().out
 
     def test_telemetry_survived_the_shrink(self, result):
         # The aggregator lives on the world: series keep flowing after the
         # shrink, keyed by world rank.
-        snap = result.telemetry
+        snap = result.results.world.telemetry.snapshot()
         assert snap["pushes"] > 0
         assert "train.loss" in snap["series"]
 
@@ -254,7 +258,8 @@ class TestStampedAtTheRank:
 class TestTracedDump:
     def test_a_traced_runs_dump_is_its_trace(self, tmp_path, capsys):
         """`tracing=True` adds no second stream: the dump holds the detail
-        events, unbounded, and loads through both commands."""
+        events, unbounded, and `repro trace` reads both them and the
+        lifecycle timeline from it."""
 
         def worker(comm):
             for _ in range(400):  # more than the always-on ring keeps
@@ -270,6 +275,7 @@ class TestTracedDump:
             colls = [e for e in events if e["kind"] == "coll.allreduce"]
             assert len(colls) == 400 and all(e["dur"] > 0 for e in colls)
         assert main(["trace", dump["path"]]) == 0
-        assert "coll.allreduce" in capsys.readouterr().out
-        assert main(["health", dump["path"]]) == 0
-        assert "lifecycle.checkpoint" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "coll.allreduce" in out
+        assert out.startswith("lifecycle timeline: 2 event(s)")
+        assert "lifecycle.checkpoint" in out

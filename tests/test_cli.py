@@ -21,13 +21,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--partition", "by-vibes"])
 
-    def test_subcommand_set_is_the_seven_that_remain(self, capsys):
-        # Where an eighth command would be registered: the dispatch table
+    def test_subcommand_set_is_the_six_that_remain(self, capsys):
+        # Where a seventh command would be registered: the dispatch table
         # and the parser agree on exactly this set.  Paper tables have one
-        # producer, the benchmarks/bench_*.py figure scripts.
+        # producer, the benchmarks/bench_*.py figure scripts; a run's
+        # artifacts have one reader, ``repro trace``.
         expected = {
-            "train", "trace", "chaos-train", "bench", "health", "lint",
-            "verify-protocol",
+            "train", "trace", "chaos-train", "bench", "lint", "verify-protocol",
         }
         assert set(_HANDLERS) == expected
         (sub,) = [
@@ -116,77 +116,6 @@ class TestTrace:
         assert "not a trace file" in capsys.readouterr().err
 
 
-class TestHealth:
-    @staticmethod
-    def snapshot_file(tmp_path, slow_rank=None):
-        series = {}
-        for metric, base in (("phase.io_s", 0.01), ("phase.exchange_s", 0.5),
-                             ("phase.fw_bw_s", 0.01), ("phase.ge_wu_s", 0.26)):
-            series[metric] = {
-                str(r): [[e, base] for e in range(3)] for r in range(4)
-            }
-        if slow_rank is not None:
-            series["phase.exchange_s"][str(slow_rank)] = [[e, 0.75] for e in range(3)]
-            series["phase.ge_wu_s"][str(slow_rank)] = [[e, 0.02] for e in range(3)]
-        snap = {
-            "schema": "repro.obs.telemetry/v1",
-            "pushes": 12,
-            "ranks": [0, 1, 2, 3],
-            "series": series,
-            "last": {},
-            "quantiles": {},
-        }
-        path = tmp_path / "tele.json"
-        path.write_text(json.dumps(snap))
-        return path
-
-    def test_clean_snapshot_reports_ok(self, tmp_path, capsys):
-        path = self.snapshot_file(tmp_path)
-        assert main(["health", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "OK" in out
-        assert "4 rank(s)" in out
-
-    def test_straggler_named_from_file(self, tmp_path, capsys):
-        path = self.snapshot_file(tmp_path, slow_rank=2)
-        assert main(["health", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "straggler" in out
-        assert "rank 2" in out
-
-    def test_strict_exits_nonzero_on_findings(self, tmp_path):
-        path = self.snapshot_file(tmp_path, slow_rank=1)
-        assert main(["health", str(path), "--strict"]) == 1
-
-    def test_openmetrics_export(self, tmp_path):
-        path = self.snapshot_file(tmp_path)
-        om = tmp_path / "tele.om"
-        assert main(["health", str(path), "--openmetrics", str(om)]) == 0
-        assert om.read_text().endswith("# EOF\n")
-
-    def test_missing_file_errors(self, tmp_path):
-        assert main(["health", str(tmp_path / "nope.json")]) == 1
-
-    def test_invalid_json_errors(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("not json")
-        assert main(["health", str(bad)]) == 1
-
-    def test_non_snapshot_json_errors(self, tmp_path):
-        bad = tmp_path / "other.json"
-        bad.write_text('{"some": "dict"}')
-        assert main(["health", str(bad)]) == 1
-
-    def test_no_input_errors(self):
-        assert main(["health"]) == 2
-
-    def test_parser_accepts_demo_flags(self):
-        args = build_parser().parse_args(
-            ["health", "--run", "--slow-rank", "2", "--slow-factor", "8"]
-        )
-        assert args.run and args.slow_rank == 2 and args.slow_factor == 8.0
-
-
 class TestBenchScenario:
     def test_parser_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
@@ -241,6 +170,21 @@ class TestLifecycleTrain:
         out, err = capsys.readouterr()
         assert rc == 2
         assert "never killed" in err and out == ""
+
+    @pytest.mark.parametrize("spec, why", [
+        ("kill:rank=1,epoch=5", "only has 3 epochs"),
+        ("kill:rank=7,epoch=1", "only has 2 workers"),
+    ], ids=["epoch-past-the-run", "rank-not-in-the-run"])
+    def test_schedule_that_does_not_fit_the_run_exits_2(self, spec, why, capsys):
+        # An event past the last epoch, or a kill of a rank the run does not
+        # have, is a spec error like any other: no rank starts training.
+        rc = main([
+            "chaos-train", "--epochs", "3", "--samples", "96", "--workers", "2",
+            "--chaos", spec,
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("bad --chaos spec") and why in err
 
     def test_crash_restart_run_verifies_and_compares_clean(
         self, tmp_path, capsys

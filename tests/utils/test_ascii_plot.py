@@ -1,20 +1,6 @@
 import pytest
 
-from repro.utils import ascii_chart, sparkline
-
-
-class TestSparkline:
-    def test_monotone_series(self):
-        s = sparkline([1, 2, 3, 4])
-        assert len(s) == 4
-        assert s[0] == "▁" and s[-1] == "█"
-
-    def test_flat_series(self):
-        assert sparkline([5, 5, 5]) == "▁▁▁"
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sparkline([])
+from repro.utils import ascii_chart
 
 
 class TestAsciiChart:
