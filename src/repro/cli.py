@@ -171,23 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_backend_arg(p_ch)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="subsystem benchmark gate: runs the exchange scenario on the "
-        "threads and procs backends and the robustness scenario at CI size, "
-        "writes BENCH_exchange.json and BENCH_robustness_rejoin.json, and "
-        "fails unless every gate holds, each a count or a ratio of counts: "
-        "<= 2.1 bytes copied per sent byte, pool hit rate >= 0.5 after the "
-        "first epoch and a rank's frames out over <= 5 windows on each "
-        "backend; identical shards, /dev/shm clean, <= 3 pipe round trips "
-        "per sent frame; a bit-identical healed run, capacity restored, "
-        "Q-deficit repaid, migration_share <= 0.5",
-    )
-    p_bench.add_argument(
-        "--out", required=True, metavar="DIR", help="artifact directory",
-    )
-    p_bench.add_argument("--seed", type=int, default=0, help="benchmark seed")
-
     p_lint = sub.add_parser(
         "lint", help="SPMD correctness lint (AST rules SPMD001-SPMD009)"
     )
@@ -399,39 +382,6 @@ def _cmd_chaos_train(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import ARTIFACTS, run_bench
-
-    result = run_bench(out_dir=args.out, seed=args.seed)
-    ex, rob = result["exchange"], result["robustness"]
-    print(f"wrote {', '.join(ARTIFACTS.values())} to {result['out_dir']}")
-    for backend, run in ex["modes"].items():
-        pool = run["pool"]
-        print(
-            f"exchange [{backend}]: "
-            f"{run['ratios']['bytes_copied_per_sent_byte']:.3f} bytes copied "
-            f"per sent byte, pool {pool['hits']}/{pool['acquires']} hits, "
-            f"{pool['high_water']} frames at most, "
-            f"{run['max_windows_in_flight']} windows of a rank's frames out at most"
-        )
-    print(
-        f"exchange: {ex['ratios']['round_trips_per_frame']:.2f} pipe round "
-        f"trips per sent frame under procs; shards identical="
-        f"{ex['identical_shards']}, /dev/shm clean={ex['shm_clean']}"
-    )
-    print(
-        f"robustness: {rob['ratios']['migration_share']:.0%} of samples "
-        f"migrated; bit-identical={rob['bit_identical']}, capacity "
-        f"restored={rob['capacity_restored']}, Q-deficit={rob['q_deficit_final']:g}"
-    )
-    if result["problems"]:
-        for p in result["problems"]:
-            print(f"REGRESSION: {p}", file=sys.stderr)
-        return 1
-    print("bench check passed (every absolute gate holds)")
-    return 0
-
-
 def _cmd_lint(args) -> int:
     from repro.analysis import lint_paths
 
@@ -531,7 +481,6 @@ _HANDLERS = {
     "train": _cmd_train,
     "trace": _cmd_trace,
     "chaos-train": _cmd_chaos_train,
-    "bench": _cmd_bench,
     "lint": _cmd_lint,
     "verify-protocol": _cmd_verify_protocol,
 }

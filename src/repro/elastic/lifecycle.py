@@ -614,10 +614,6 @@ class LifecycleResult:
         this counts storage-read give-ups)."""
         return int(self.retry_stats.get("giveups", 0))
 
-    def event_kinds(self) -> list[str]:
-        """The ordered transition sequence (for assertions and reports)."""
-        return [e["kind"] for e in self.events]
-
 
 def run_lifecycle(
     *,

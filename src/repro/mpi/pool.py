@@ -124,24 +124,32 @@ class HeapAllocator:
 
 class FrameCache:
     """The buffers one owner holds on to between uses: ``acquire`` hands a
-    held buffer of the size class out again — with the new active length,
-    without visiting the pool — and falls back to ``pool.acquire``; ``put``
-    takes back a buffer nobody else can still read.  Whatever is held stays
+    held buffer that fits out again — with the new active length, without
+    visiting the pool — and falls back to ``pool.acquire``; ``put`` takes
+    back a buffer nobody else can still read.  Whatever is held stays
     ``in_use`` in the pool's ledger until :meth:`release_all`.  Not
-    thread-safe: one exchange scheduler, one cache."""
+    thread-safe: one exchange scheduler, one cache.
+
+    The owner's buffers never outnumber the most it had out at once: a held
+    buffer of a larger class serves a smaller frame, and one too small for
+    the frame goes back to the pool before a new one is taken."""
 
     def __init__(self, pool) -> None:
         self.pool = pool
         self._held: dict[int, list[PoolBuffer]] = {}
 
     def acquire(self, nbytes: int) -> PoolBuffer:
-        """A held buffer of the size class, else one from the pool."""
-        held = self._held.get(_size_class(nbytes))
-        if not held:
-            return self.pool.acquire(nbytes)
-        buf = held.pop()
-        buf.nbytes = nbytes
-        return buf
+        """The smallest held buffer that fits, else one from the pool."""
+        cls = _size_class(nbytes)
+        fits = [c for c, held in self._held.items() if held and c >= cls]
+        if fits:
+            buf = self._held[min(fits)].pop()
+            buf.nbytes = nbytes
+            return buf
+        spare = next((held for held in self._held.values() if held), None)
+        if spare:
+            spare.pop().release()
+        return self.pool.acquire(nbytes)
 
     def put(self, buf: PoolBuffer) -> None:
         """Hold ``buf`` (no reader left) for a later :meth:`acquire`."""
@@ -281,8 +289,8 @@ class BufferPool:
             )
 
     def stats(self) -> dict:
-        """Plain-dict accounting snapshot (the ``pool`` of each backend's
-        run in BENCH_exchange.json, and the ``pool.*`` metrics gauges the
+        """Plain-dict accounting snapshot (what the exchange tests gate the
+        hit rate and high water on, and the ``pool.*`` metrics gauges the
         scheduler emits when traced), plus the allocator's own keys
         (``segments`` for shared memory)."""
         with self._lock:

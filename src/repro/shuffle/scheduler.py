@@ -80,7 +80,6 @@ __all__ = [
     "Scheduler",
     "EXCHANGE_CTRL_TAG",
     "SERVICE_EVERY",
-    "WINDOWS_IN_FLIGHT_BOUND",
 ]
 
 # Tag space reserved for sample-exchange frames: one tag per window within an
@@ -101,11 +100,12 @@ EXCHANGE_CTRL_TAG = EXCHANGE_CTRL.base
 #: training — a collective every iteration — a peer's sweep ACKs a window at
 #: most ``SERVICE_EVERY`` iterations after its post and the sender's own
 #: sweep takes the ACK at most ``SERVICE_EVERY`` later, so a rank has send
-#: frames of at most :data:`WINDOWS_IN_FLIGHT_BOUND` windows out however
-#: long the epoch: ``WINDOWS_IN_FLIGHT_BOUND * Q*b`` samples in flight
-#: beside the paper's ``(1+Q)*N/M``, not ``Q*N/M``.
+#: frames of at most ``2 * SERVICE_EVERY + 1`` windows out however long the
+#: epoch: that many times ``Q*b`` samples in flight beside the paper's
+#: ``(1+Q)*N/M``, not ``Q*N/M``.  Its frame buffers are at most those
+#: frames (a :class:`~repro.mpi.pool.FrameCache` never holds an idle buffer
+#: while it takes a new one from the pool).
 SERVICE_EVERY = 2
-WINDOWS_IN_FLIGHT_BOUND = 2 * SERVICE_EVERY + 1
 
 #: Per-frame bound on both resends and NACKs before the exchange gives up
 #: with :class:`~repro.mpi.errors.UnrecoveredFaultError`.
@@ -243,7 +243,7 @@ class Scheduler:
         self.total_sent_bytes = 0
         self.resent_bytes = 0
         #: Most windows this rank had send frames out of at once (oldest
-        #: un-ACKed to newest posted); see :data:`WINDOWS_IN_FLIGHT_BOUND`.
+        #: un-ACKed to newest posted); see :data:`SERVICE_EVERY`.
         self.max_windows_in_flight = 0
 
         # Fault-recovery accounting.

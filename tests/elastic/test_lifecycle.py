@@ -18,6 +18,11 @@ from repro.train.experiments import make_experiment_data
 from repro.train.trainer import TrainConfig
 
 
+def kinds_of(result):
+    """The ordered transition sequence of a lifecycle run."""
+    return [e["kind"] for e in result.events]
+
+
 def make_setup(samples=240, classes=4, features=16, seed=0, epochs=4):
     spec = SyntheticSpec(samples, classes, n_features=features, seed=seed)
     train_ds, labels, val_X, val_y = make_experiment_data(spec)
@@ -91,12 +96,14 @@ class TestEndToEnd:
         assert len(healed.rejoins) == 1
         report = healed.rejoins[0]
         assert report["joiners"] == [1]
-        assert report["moved_gids"] > 0
+        # The joiner's ~1/M share comes back (32 of 120 samples); more than
+        # half the dataset would mean the planner reshuffled instead.
+        assert 0 < report["moved_gids"] <= 0.5 * 120
         assert report["epoch"] == 2
 
     def test_transition_sequence_is_ordered(self, healed_and_clean):
         healed, clean = healed_and_clean
-        kinds = healed.event_kinds()
+        kinds = kinds_of(healed)
         # The supervised story in order: checkpoint, death, recovery,
         # crash, restart, admission, rebalance, verification.
         for earlier, later in [
@@ -113,14 +120,14 @@ class TestEndToEnd:
                 f"{earlier} not before {later}: {kinds}"
             )
         assert kinds[-1] == "lifecycle.verified"
-        assert "lifecycle.crash" not in clean.event_kinds()
-        assert "lifecycle.restart" not in clean.event_kinds()
+        assert "lifecycle.crash" not in kinds_of(clean)
+        assert "lifecycle.restart" not in kinds_of(clean)
 
     def test_rejoin_requested_recorded_before_admission(
         self, healed_and_clean
     ):
         healed, _ = healed_and_clean
-        kinds = healed.event_kinds()
+        kinds = kinds_of(healed)
         assert kinds.index("lifecycle.rejoin_requested") < kinds.index(
             "lifecycle.admitted"
         )
@@ -142,7 +149,7 @@ class TestDegradedFinish:
         assert result.verified
         assert result.final_workers == 2
         assert result.dead_ranks == (1,)
-        assert "lifecycle.admitted" not in result.event_kinds()
+        assert "lifecycle.admitted" not in kinds_of(result)
 
     @pytest.mark.parametrize("backend", ["threads", "procs"])
     def test_uneven_degraded_finish_lands_exactly_on_the_targets(self, backend):

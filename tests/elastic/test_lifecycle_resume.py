@@ -49,7 +49,7 @@ class TestResume:
         run(epochs=2, snapshot_dir=tmp_path)
         resumed = run(epochs=4, snapshot_dir=tmp_path)
         assert resumed.segments == 1
-        assert resumed.event_kinds()[0] == "lifecycle.restart"
+        assert resumed.events[0]["kind"] == "lifecycle.restart"
         assert [r.epoch for r in resumed.history.records] == [0, 1, 2, 3]
         assert resumed.history.records == reference.history.records
         assert_same_weights(resumed, reference)
@@ -67,7 +67,7 @@ class TestResume:
     def test_resume_past_the_end_trains_nothing(self, tmp_path, reference):
         run(epochs=4, snapshot_dir=tmp_path)
         again = run(epochs=4, snapshot_dir=tmp_path)
-        assert "lifecycle.checkpoint" not in again.event_kinds()
+        assert "lifecycle.checkpoint" not in [e["kind"] for e in again.events]
         assert_same_weights(again, reference)
 
     def test_resume_needs_a_complete_snapshot(self, tmp_path, reference):
@@ -75,7 +75,7 @@ class TestResume:
         run starts at epoch 0."""
         (tmp_path / "snap-0.ckpt").write_bytes(b"torn")
         fresh = run(epochs=4, snapshot_dir=tmp_path)
-        assert "lifecycle.restart" not in fresh.event_kinds()
+        assert "lifecycle.restart" not in [e["kind"] for e in fresh.events]
         assert fresh.history.records == reference.history.records
         assert_same_weights(fresh, reference)
 

@@ -169,7 +169,7 @@ class TestElasticComposition:
         assert len(run.rejoins) == 1 and run.rejoins[0]["joiners"] == [1]
         # The shrink happened before the crash, so it is in the
         # cross-segment timeline, not in the final segment's reports.
-        assert "elastic.recovered" in run.event_kinds()
+        assert "elastic.recovered" in [e["kind"] for e in run.events]
         assert run.verified
 
     def test_both_stacks_faults_in_one_run(self, five_epochs):

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.mpi import BufferPool, HeapAllocator, SegmentAllocator
-from repro.mpi.pool import _size_class
+from repro.mpi.pool import FrameCache, _size_class
 
 
 class _OverAnAllocator:
@@ -202,3 +202,28 @@ class TestStats(StatsCases):
 
 class TestSharedMemory(ReuseCases, OwnershipCases, StatsCases):
     allocator = SegmentAllocator
+
+
+class TestFrameCache:
+    """An owner's buffers never outnumber the most it had out at once,
+    whatever mix of size classes its frames need."""
+
+    def test_a_larger_held_buffer_serves_a_smaller_frame(self):
+        pool = BufferPool()
+        cache = FrameCache(pool)
+        big = cache.acquire(1000)
+        cache.put(big)
+        small = cache.acquire(100)
+        assert small is big and small.nbytes == 100 and small.size_class == 1024
+        assert pool.stats()["acquires"] == 1
+
+    def test_a_held_buffer_too_small_goes_back_before_a_new_one(self):
+        pool = BufferPool()
+        cache = FrameCache(pool)
+        cache.put(cache.acquire(100))
+        big = cache.acquire(1000)
+        assert big.size_class == 1024
+        assert pool.stats()["releases"] == 1 and pool.in_use() == 1
+        cache.put(big)
+        cache.release_all()
+        pool.assert_balanced()

@@ -15,6 +15,7 @@ import inspect
 import time
 
 import numpy as np
+import pytest
 
 from repro.faults import ChaosEngine, ChaosWorld
 from repro.mpi import run_spmd
@@ -62,7 +63,7 @@ def make_worker(*, q=0.5, epochs=EPOCHS, deadline_s=None, n_local=8, dim=4):
     return worker
 
 
-def run_exchange(chaos=None, **kw):
+def run_exchange(chaos=None, backend="threads", **kw):
     factory = None
     if chaos is not None:
         engine = ChaosEngine(chaos, seed=1, slow_unit_s=0.005)
@@ -71,7 +72,8 @@ def run_exchange(chaos=None, **kw):
             return ChaosWorld(size, chaos=engine, **kwargs)
 
     out = run_spmd(
-        make_worker(**kw), RANKS, deadline_s=120, world_factory=factory
+        make_worker(**kw), RANKS, deadline_s=120, world_factory=factory,
+        backend=backend,
     )
     return list(out), out.world
 
@@ -86,14 +88,15 @@ def test_the_exchange_has_no_mode_flags():
 
 
 class TestCopyAccounting:
-    def test_two_copies_per_sent_byte(self):
+    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    def test_two_copies_per_sent_byte(self, backend):
         """A sample is copied exactly twice — the pack gather into its
         frame and the install copy out of it (the price of recycled frames
-        and a physical storage bound); neither the wire nor the CRC touches
-        the bytes.  A third copy anywhere on the path would read 3x.  (1 KB
-        samples: the envelope's per-sample header is noise, as at
-        benchmark sizes.)"""
-        out, world = run_exchange(dim=256)
+        and a physical storage bound); neither the wire, the shared-memory
+        transport nor the CRC touches the bytes.  A third copy anywhere on
+        the path would read 3x.  (1 KB samples: the envelope's per-sample
+        header is noise, as at benchmark sizes.)"""
+        out, world = run_exchange(dim=256, backend=backend)
         copied = world.total_bytes_copied()
         sent = sum(r["sent_bytes"] for r in out)
         assert 1.9 * sent <= copied <= 2.1 * sent, (copied, sent)

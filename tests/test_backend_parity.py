@@ -247,6 +247,7 @@ def _recycling_worker(comm, epochs):
                 "pinned": _pinned_outside_slots(storage),
                 "slots": storage.audit(),
                 "hits": stats["hits"],
+                "acquires": stats["acquires"],
                 "in_use": stats["in_use"],
             }
         )
@@ -266,10 +267,22 @@ def test_frames_recycle_and_pin_nothing(backend):
             assert seen["slots"]["live"] >= 64 and seen["slots"]["staged"] == 0
             assert seen["slots"]["allocated"] <= 4 * 64
             assert seen["in_use"] == 0
-            if epoch >= 1:
-                assert seen["hits"] > 0, "epoch 1 did not reuse epoch 0's frames"
-    result.world.pool.assert_balanced()
-    assert result.world.pool.stats()["adopts"] == 0
+        # Epoch 0's acquires all allocate; the frames returned at each commit
+        # serve at least half of the later epochs' acquires.
+        warm, last = per_epoch[0], per_epoch[-1]
+        hit_rate = (last["hits"] - warm["hits"]) / (last["acquires"] - warm["acquires"])
+        assert hit_rate >= 0.5, hit_rate
+    world = result.world
+    world.pool.assert_balanced()
+    assert world.pool.stats()["adopts"] == 0
+    if backend == "procs":
+        # A frame costs its acquire plus a share of the epoch's collectives
+        # and sweeps (about 1.6): a round trip per post or per pending
+        # receive would add at least 1 more.  A clean run sends each frame
+        # once and one ACK for it.
+        frames = sum(world.messages_sent) / 2
+        trips = sum(calls for rank in world.rpc_counts for calls, _casts in rank.values())
+        assert trips <= 3 * frames, (trips, frames)
 
 
 def test_procs_exchange_fits_a_small_fd_budget(own_segments):

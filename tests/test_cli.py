@@ -21,24 +21,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--partition", "by-vibes"])
 
-    def test_subcommand_set_is_the_six_that_remain(self, capsys):
-        # Where a seventh command would be registered: the dispatch table
+    def test_subcommand_set_is_the_five_that_remain(self, capsys):
+        # Where a sixth command would be registered: the dispatch table
         # and the parser agree on exactly this set.  Paper tables have one
         # producer, the benchmarks/bench_*.py figure scripts; a run's
-        # artifacts have one reader, ``repro trace``.
-        expected = {
-            "train", "trace", "chaos-train", "bench", "lint", "verify-protocol",
-        }
+        # artifacts have one reader, ``repro trace``; the count gates are
+        # tier-1 tests, not a command.
+        expected = {"train", "trace", "chaos-train", "lint", "verify-protocol"}
         assert set(_HANDLERS) == expected
         (sub,) = [
             a for a in build_parser()._actions if hasattr(a, "choices") and a.choices
         ]
         assert set(sub.choices) == expected
-        # ``repro bench`` gates are absolute: there is no baseline to name.
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["bench", "--baseline", "x"])
+            build_parser().parse_args(["bench"])
         assert exc.value.code == 2
-        capsys.readouterr()
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -116,18 +114,6 @@ class TestTrace:
         assert "not a trace file" in capsys.readouterr().err
 
 
-class TestBenchScenario:
-    def test_parser_rejects_unknown_scenario(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--scenario", "vibes"])
-
-    def test_chaos_train_flight_dir_flag(self):
-        args = build_parser().parse_args(
-            ["chaos-train", "--flight-dir", "/tmp/fl"]
-        )
-        assert args.flight_dir == "/tmp/fl"
-
-
 HEAL = "kill:rank=1,epoch=1,point=mid_exchange;rejoin:rank=1,epoch=3;crash:epoch=2"
 
 
@@ -138,6 +124,12 @@ class TestLifecycleTrain:
         args = build_parser().parse_args(["chaos-train"])
         assert args.chaos == "" and args.snapshot_dir is None
         assert not args.compare_clean and args.tolerance == 0.0
+
+    def test_chaos_train_flight_dir_flag(self):
+        args = build_parser().parse_args(
+            ["chaos-train", "--flight-dir", "/tmp/fl"]
+        )
+        assert args.flight_dir == "/tmp/fl"
 
     def test_parser_accepts_full_schedule(self):
         args = build_parser().parse_args([
