@@ -334,15 +334,13 @@ def _cmd_chaos_train(args) -> int:
     for r in run.recoveries:
         print(
             f"rank {r['dead_ranks']} died at epoch {r['epoch']}: recovered "
-            f"{r['lost_gids']} samples ({r['from_replica']} replica, "
-            f"{r['from_source']} source)"
+            f"{r['from_source']} samples from the source dataset"
         )
     for r in run.rejoins:
         print(
             f"rejoin at epoch {r['epoch']}: ranks {r['joiners']} re-admitted, "
             f"{r['moved_gids']} samples migrated back "
-            f"({format_size(r['bytes_transferred'])}, {r['promoted']} promoted "
-            f"from cold replicas)"
+            f"({format_size(r['bytes_transferred'])})"
         )
     print(
         f"chaos run: {args.workers} -> {run.final_workers} workers "

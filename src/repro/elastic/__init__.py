@@ -10,10 +10,10 @@ direction (:meth:`repro.mpi.Communicator.shrink`, ``expand``); the
 exchanges; and :func:`rebalance`, one planner and one executor for a shrink
 and an expand alike, puts back the paper's steady state after each change:
 every sample hot on exactly one live rank, each holding its
-:func:`rebalance_targets` share of ``N/M`` within the re-based
-``(1+Q)·N/M`` storage bound.  A dead rank's samples come back from cold
-exchange replicas first, the source dataset as the PFS fallback; a
-rejoined rank is refilled from the survivors' newest samples.
+:func:`rebalance_targets` share of ``N/M``, so the ``(1+Q)·N/M``
+storage bound holds for the new ``M``.  A dead rank's samples are re-read from the
+source dataset (the PFS holds every original); a rejoined rank is refilled
+from the survivors' newest samples.
 
 :func:`run_lifecycle` — the one supervised launcher — drives the whole
 sequence: detect, shrink, continue degraded, checkpoint, crash/restart (or

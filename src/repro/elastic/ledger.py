@@ -6,8 +6,8 @@ pins it down: seeded from the initial partition and updated after every
 exchange round with a small allgather of ``(gid, dest)`` movement deltas,
 every rank carries an identical gid -> holder map.  After a failure, any
 survivor can therefore compute exactly which samples died with a rank and
-where surviving replicas (the storage areas' cold caches, or the source
-dataset itself) can be found.
+which survivor each of the rest lives on; the lost ones are re-read from
+the source dataset.
 
 Because every input to an exchange — the destination permutation, the
 per-rank selection stream, the exchanged count — derives deterministically
@@ -15,7 +15,7 @@ from ``(seed, epoch)``, the ledger is also *reconstructible offline*:
 :func:`reconstruct_ledger` replays the scheduler's decisions without any
 communication and must agree with the live ledger (property-tested).  The
 live ledger remains authoritative: reconstruction assumes the default
-``selection="random"`` policy and no capacity-pressure spills.
+``selection="random"`` policy.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ operation that needs the dead rank; the handler (:func:`_recover`)
 3. aborts the in-flight exchange (nothing was installed or evicted, so
    storage and ledger are exactly their epoch-start state),
 4. runs :func:`~repro.elastic.rebalance` to re-home the dead rank's
-   samples onto survivors (cold replicas first, source dataset as the PFS
-   fallback) under the re-based ``(1+Q)·N/(M-1)`` capacity bound,
+   samples onto survivors, re-read from the source dataset (the PFS
+   holds every original),
 5. re-binds the shuffling strategy to the shrunk communicator and redoes
    the epoch over ``M-1`` workers (*degrade*).
 
@@ -108,13 +108,7 @@ from repro.utils.retry import default_retrier
 from repro.utils.rng import default_rng_state, restore_default_rng_state
 
 from .ledger import ReplicaLedger
-from .migration import (
-    PROMOTE,
-    RebalanceReport,
-    rebalance,
-    rebalance_targets,
-    scaled_capacity,
-)
+from .migration import RebalanceReport, rebalance, rebalance_targets
 
 __all__ = [
     "Crashed",
@@ -178,10 +172,7 @@ def _recover(
     detection_s = time.perf_counter() - t0
     restore_replica_state(epoch_start, model, optimizer)
     strategy.abort_epoch()
-    report = rebalance(
-        newcomm, strategy.storage, strategy.ledger,
-        old_size=comm.size, dataset=dataset,
-    )
+    report = rebalance(newcomm, strategy.storage, strategy.ledger, dataset=dataset)
     strategy.attach_comm(newcomm)
     report.detection_latency_s = detection_s
     report.epoch = epoch
@@ -392,25 +383,22 @@ class _LifecycleRank:
 
     def _admit(self, joiners: tuple[int, ...], epoch: int) -> None:
         """Survivor side of a rejoin: expand, hand over state, rebalance."""
-        old_size = self.comm.size
         newcomm = self.comm.expand(joiners)
         root = min(r for r in newcomm.group if r not in joiners)
         record = None
         if self.me == root:
-            record = self._handover(epoch, joiners, old_size, newcomm.size)
+            record = self._handover(epoch, joiners)
         _join_handshake(newcomm, joiners, record)
-        self._rebalance(newcomm, epoch, old_size=old_size)
+        self._rebalance(newcomm, epoch)
         # Scheduler rebuilt over the expanded size; run-owned state (the
         # Q-deficit owed from degraded epochs) carries over and, with
         # capacity restored, repays faster by construction.
         self.strategy.attach_comm(newcomm)
         self.comm = newcomm
 
-    def _rebalance(self, comm, epoch: int, old_size: int | None = None) -> None:
+    def _rebalance(self, comm, epoch: int) -> None:
         """Both sides of a rejoin: migrate shards back toward ``N/M``."""
-        report = rebalance(
-            comm, self.strategy.storage, self.strategy.ledger, old_size=old_size,
-        )
+        report = rebalance(comm, self.strategy.storage, self.strategy.ledger)
         report.epoch = epoch
         self.rejoin_reports.append(report)
         comm.flight.record(
@@ -418,7 +406,6 @@ class _LifecycleRank:
             epoch=epoch,
             joiners=list(report.joiners),
             moved=len(report.moves),
-            promoted=report.count(PROMOTE),
             bytes=report.bytes_transferred,
         )
 
@@ -436,22 +423,15 @@ class _LifecycleRank:
             "ledger": dict(self.strategy.ledger.holder),
         }
 
-    def _handover(self, epoch: int, joiners, old_size: int, new_size: int) -> dict:
+    def _handover(self, epoch: int, joiners) -> dict:
         """Everything a joiner missed while dead (sent on ``JOIN.tag(0)``).
 
-        Each joiner starts with an empty shard at the healed bound the
-        survivors are about to shrink back to, ``(1+Q)·N/M_new``, and the
-        scheduler state the run owns.
+        Each joiner starts with an empty shard and the scheduler state the
+        run owns.
         """
         state = self.strategy.scheduler.state_dict()
         shared = {k: state[k] for k in _RUN_OWNED_SCHEDULER_STATE}
-        empty = {
-            "hot": [],
-            "cold": [],
-            "capacity_bytes": scaled_capacity(
-                self.strategy.storage.capacity_bytes, old_size, new_size
-            ),
-        }
+        empty = {"hot": []}
         return {
             **self._job_record(epoch),
             "manifests": {j: empty for j in joiners},
@@ -471,16 +451,11 @@ class _LifecycleRank:
         ledger = ReplicaLedger()
         ledger.holder = {int(g): int(r) for g, r in record["ledger"].items()}
         manifest = record["manifests"][self.me]
-        storage = StorageArea(capacity_bytes=manifest["capacity_bytes"])
+        storage = StorageArea()
         dataset = self.job.train_dataset
         for gid in manifest["hot"]:
             sample, label = dataset[int(gid)]
             storage.add(np.asarray(sample), int(label), gid=int(gid))
-        for gid in manifest["cold"]:
-            # add_cold, not add+demote: a gid may be hot *and* cold, and the
-            # hot map must keep pointing at the hot copy.
-            sample, label = dataset[int(gid)]
-            storage.add_cold(np.asarray(sample), int(label), gid=int(gid))
         self.strategy = self._strategy(ledger)
         self.strategy.adopt(
             comm, storage=storage, seed=record["seed"],
@@ -512,12 +487,7 @@ class _LifecycleRank:
         """End-of-epoch full-job snapshot (collective; rank 0 writes)."""
         if self.job.snapshot_dir is None:
             return
-        storage = self.strategy.storage
-        manifest = {
-            "hot": [int(g) for g in storage.hot_gids()],
-            "cold": [int(g) for g in storage.cold_gids()],
-            "capacity_bytes": storage.capacity_bytes,
-        }
+        manifest = {"hot": [int(g) for g in self.strategy.storage.hot_gids()]}
         per_rank = self.comm.allgather(
             (manifest, self.strategy.scheduler.state_dict())
         )

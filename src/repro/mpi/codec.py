@@ -37,7 +37,7 @@ import struct
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -145,10 +145,6 @@ class SampleBlock(SequenceABC):
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __iter__(self) -> Iterator[tuple[np.ndarray, int, int | None]]:
-        gids = (None if gid < 0 else gid for gid in self.gids.tolist())
-        return zip(self.samples, self.labels.tolist(), gids)
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):

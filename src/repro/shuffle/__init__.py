@@ -7,7 +7,7 @@
 * :class:`Scheduler` — the Figure 3/4 exchange manager (scheduling /
   communicate / synchronize / clean_local_storage, with Q*b-per-iteration
   overlap chunks).
-* :class:`StorageArea` / :class:`DiskStorageArea` — capacity-accounted
+* :class:`StorageArea` / :class:`DiskStorageArea` — byte-accounted
   worker-local stores; :class:`PLSFolderDataset` — the ``PLS.ImageFolder``
   analogue over real files.
 * :func:`compute_volumes` — §III closed-form storage/traffic volumes.
@@ -23,7 +23,7 @@ from .local import LocalShuffle
 from .partial import PartialLocalShuffle, strategy_from_name
 from .pls_dataset import PLSFolderDataset
 from .scheduler import Scheduler
-from .storage import DiskStorageArea, StorageArea, StorageDataset, StorageFullError
+from .storage import DiskStorageArea, StorageArea, StorageDataset
 from .volumes import ShuffleVolumes, compute_volumes
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "DiskStorageArea",
     "StorageArea",
     "StorageDataset",
-    "StorageFullError",
     "ShuffleVolumes",
     "compute_volumes",
 ]

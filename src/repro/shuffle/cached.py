@@ -45,7 +45,7 @@ class UncontrolledCachedShuffle(ShuffleStrategy):
         read), so per-worker traffic fluctuates freely.
     """
 
-    def __init__(self, mean_refresh: float = 0.3, *, capacity_bytes: int | None = None):
+    def __init__(self, mean_refresh: float = 0.3):
         super().__init__()
         if not 0.0 <= mean_refresh <= 0.5:
             raise ValueError(
@@ -54,7 +54,7 @@ class UncontrolledCachedShuffle(ShuffleStrategy):
             )
         self.mean_refresh = mean_refresh
         self.name = f"cached-{mean_refresh:g}"
-        self.storage = StorageArea(capacity_bytes=capacity_bytes)
+        self.storage = StorageArea()
         self.dataset: Dataset | None = None
         self._tree: SeedTree | None = None
         self.per_epoch_refreshes: list[int] = []

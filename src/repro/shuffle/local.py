@@ -28,9 +28,9 @@ class LocalShuffle(ShuffleStrategy):
 
     name = "local"
 
-    def __init__(self, *, capacity_bytes: int | None = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.storage = StorageArea(capacity_bytes=capacity_bytes)
+        self.storage = StorageArea()
         self._tree: SeedTree | None = None
 
     def setup(

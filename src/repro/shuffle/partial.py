@@ -50,14 +50,13 @@ class PartialLocalShuffle(LocalShuffle):
         self,
         q: float,
         *,
-        capacity_bytes: int | None = None,
         allow_self: bool = True,
         selection: str = "random",
         ledger=None,
         exchange_deadline_s: float | None = None,
         resend_timeout_s: float = 0.25,
     ) -> None:
-        super().__init__(capacity_bytes=capacity_bytes)
+        super().__init__()
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"exchange fraction q must be in [0,1], got {q}")
         self.q = q

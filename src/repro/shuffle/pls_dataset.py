@@ -39,7 +39,6 @@ class PLSFolderDataset(Dataset):
         *,
         partition: str = "random",
         seed: int = 0,
-        capacity_bytes: int | None = None,
     ):
         self.comm = comm
         self.classes = list(source.classes)
@@ -48,7 +47,7 @@ class PLSFolderDataset(Dataset):
             len(source), comm.size, scheme=partition, labels=labels, seed=seed
         )
         local_dir = Path(local_dir) / f"rank{comm.rank:04d}"
-        self.storage = DiskStorageArea(local_dir, capacity_bytes=capacity_bytes)
+        self.storage = DiskStorageArea(local_dir)
         for idx in shards[comm.rank]:
             sample, label = source[int(idx)]
             self.storage.add(np.asarray(sample), int(label))

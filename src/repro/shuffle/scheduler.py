@@ -465,7 +465,7 @@ class Scheduler:
                 self._installed.append(io)
             elif verb == "unstage":
                 if io.staged is not None:
-                    self.storage.unstage(io.staged, keep=False)
+                    self.storage.unstage(io.staged)
                     io.staged = None
             elif verb == "try_adopt":
                 if io.payload is not None:
@@ -837,10 +837,8 @@ class Scheduler:
         requirement (§III-A), which :class:`StorageArea` records via
         ``peak_nbytes``/``peak_count``.
 
-        Transmitted samples with a global id are *demoted* to the storage
-        area's cold replica cache rather than deleted: the bytes already
-        resident become recovery replicas for the elastic layer, evicted
-        automatically whenever a hot add needs the room.
+        Transmitted samples are removed, so their slots are free for the
+        next epoch's arrivals and each sample is held by one rank only.
         """
         self._require_scheduled()
         if len(self._received) != len(self._selected_ids):
@@ -856,7 +854,7 @@ class Scheduler:
         new_ids = self.storage.add_many(self._received)
         self._arrival_epoch.update(dict.fromkeys(new_ids, self.epoch))
         for sid in self._selected_ids:
-            self.storage.demote(sid)
+            self.storage.remove(sid)
             self._arrival_epoch.pop(sid, None)
         self._received = ()
         self._selected_ids = []
@@ -872,9 +870,9 @@ class Scheduler:
         :meth:`scheduling` can be called again (typically on a shrunk
         communicator via a rebuilt scheduler).  Nothing was installed or
         retired, so the hot set is exactly what it was at ``scheduling()``
-        time and the rows the sweeps staged are given up; samples a commit
-        had already merged (its ledger allgather met a dead peer) are not
-        dropped but kept as cold replicas (``StorageArea.unstage``)."""
+        time and the rows the sweeps staged are freed — also those a commit
+        had already merged when its ledger allgather met a dead peer: the
+        senders still hold those samples."""
         if self.engine is not None:
             self._perform(self.engine.abort())
         reqs = [io.req for io in self._io.values() if io.req is not None]

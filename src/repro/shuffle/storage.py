@@ -1,4 +1,4 @@
-"""Per-worker local storage area with capacity accounting.
+"""Per-worker local storage area with byte accounting.
 
 "We assume that each worker's designated portion of the training data
 samples is loaded into a predefined storage area before training.  During
@@ -6,8 +6,8 @@ training, a worker only processes data samples in its designated storage
 area." (§III-A)
 
 :class:`StorageArea` is that predefined area: an id-addressed store of
-``(sample, label)`` entries with byte-level capacity accounting, so the
-paper's ``(1+Q) * N/M`` storage bound can be asserted rather than assumed.
+``(sample, label)`` entries with byte-level accounting, so the paper's
+``(1+Q) * N/M`` storage bound can be asserted rather than assumed.
 A memory-backed store models node-local RAM/tmpfs; a directory-backed store
 (:class:`DiskStorageArea`) models node-local SSD with real files.
 
@@ -18,14 +18,11 @@ Two layers of identity coexist:
 * **gid** — the sample's *global* id (its index in the source dataset),
   attached at ``add`` time.  Gids are what the elastic layer reasons
   about: the :class:`~repro.elastic.ReplicaLedger` records which rank
-  holds which gid, and shard recovery re-fetches lost gids from peers.
+  holds which gid, and shard recovery re-reads lost gids from the source
+  dataset.
 
-On top of the hot (trainable) entries sits a **cold replica cache**:
-when the exchange scheduler retires a sent sample it is *demoted* rather
-than deleted, so the bytes already paid for double as a replica another
-rank can recover from after a failure.  Cold entries share the capacity
-budget but are evicted automatically whenever a hot add needs the room,
-so the paper's storage bound still holds for the working set.
+The area holds only its hot (trainable) entries: a sent sample is removed
+once the exchange commits, so each sample is held by exactly one rank.
 
 What the exchange installs lives in **slots**: fixed-size rows of arrays
 the area allocates itself (:meth:`StorageArea.stage`), so a received frame
@@ -48,16 +45,11 @@ from repro.data.dataset import Dataset
 from repro.mpi.codec import SampleBlock
 from repro.utils.fileio import atomic_save
 
-__all__ = ["StorageArea", "DiskStorageArea", "StorageFullError", "StorageDataset"]
-
-
-class StorageFullError(RuntimeError):
-    """Adding a sample would exceed the storage area's byte capacity."""
+__all__ = ["StorageArea", "DiskStorageArea", "StorageDataset"]
 
 
 # Life of a slot: FREE (in its pool's heap) -> STAGED (claimed by stage())
-# -> LIVE (owned by exactly one hot or cold entry; demote and promote move
-# the entry's array, and the slot with it, between the two maps) -> FREE.
+# -> LIVE (owned by exactly one hot entry) -> FREE.
 _FREE, _STAGED, _LIVE = range(3)
 
 
@@ -133,7 +125,7 @@ class _SlotPool:
 
 
 class StorageArea:
-    """In-memory sample store with byte capacity accounting.
+    """In-memory sample store with byte accounting.
 
     Entries are addressed by opaque integer ids that remain stable across
     removals (unlike list indices), which is what the exchange scheduler
@@ -142,11 +134,10 @@ class StorageArea:
 
     Thread-safe: every mutating operation (and every multi-field read)
     runs under one re-entrant lock, so an area shared between threads
-    never shows a half-applied add / demote / promote — the byte and
-    count totals, the sid <-> gid maps and the cold cache move together
+    never shows a half-applied add / remove — the byte and count totals
+    and the sid <-> gid maps move together
     (``tests/shuffle/test_storage_concurrency.py``).  The lock is
-    re-entrant because ``demote`` reads through ``get`` and ``add_many`` /
-    ``unstage`` compose ``add`` / ``add_cold``.
+    re-entrant because ``add_many`` composes ``add``.
 
     **Slots.**  :meth:`stage` copies a block of same-shaped samples into
     free slots of chunked arrays this area owns and hands back one
@@ -156,80 +147,53 @@ class StorageArea:
     the class was first staged (the shard), and another chunk is allocated
     only when every slot of the class is taken — exactly where a dict of
     private arrays would have grown.  The lowest free slot is claimed
-    first.  A slot has one owner (the staging caller, then one hot or cold
-    entry — ``demote`` and ``promote`` hand it over) and is free again once
-    that entry has left both the hot map and the cold cache.  Samples that
-    arrive through :meth:`add` are kept as the caller's arrays, as before.
+    first.  A slot has one owner (the staging caller, then one hot entry)
+    and is free again once that entry is removed — so a departed sample's
+    slot is the next arrival's.  Samples that arrive through :meth:`add`
+    are kept as the caller's arrays, as before.
 
     **View validity.**  An array obtained from ``get`` / ``get_by_gid`` /
     ``items`` / :meth:`take` is valid for as long as its entry stays in
-    the area, hot or cold.  After the entry is removed or evicted its slot
-    may be rewritten by the next :meth:`stage`; whoever needs the bytes
-    past that point — another rank's storage under the by-reference
-    ``threads`` transport, a cache — takes a copy while the entry is live.
+    the area.  After the entry is removed its slot may be rewritten by the
+    next :meth:`stage`; whoever needs the bytes past that point — another
+    rank's storage under the by-reference ``threads`` transport, a cache —
+    takes a copy while the entry is live.
     The exchange packs (copies) rows before it retires them, and the
     elastic transfers send copies.
     """
 
-    def __init__(self, *, capacity_bytes: int | None = None):
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity_bytes}")
+    def __init__(self):
         self._lock = threading.RLock()
-        self.capacity_bytes = capacity_bytes
         self._entries: dict[int, tuple[np.ndarray, int]] = {}
         self._ids = itertools.count()
         self._nbytes = 0
         self.peak_nbytes = 0
         self.peak_count = 0
-        # Global-id bookkeeping for the hot entries (sid <-> gid), plus the
-        # cold replica cache keyed by gid.  Cold entries are insertion
-        # ordered so eviction is oldest-first.
+        # Global-id bookkeeping for the hot entries (sid <-> gid).
         self._gid_of: dict[int, int] = {}
         self._sid_of: dict[int, int] = {}
-        self._cold: dict[int, tuple[np.ndarray, int]] = {}
-        self._cold_nbytes = 0
         # Slot storage: one pool per (dtype, shape), and which pool and slot
         # a row view (by identity) belongs to.
         self._pools: dict[tuple, _SlotPool] = {}
         self._slot_of: dict[int, tuple[_SlotPool, int]] = {}
-        # Gids whose cold replica a stage() evicted and whose staged
-        # successor is neither installed nor unstaged yet.
-        self._displaced: set[int] = set()
 
     # ------------------------------------------------------------------ CRUD
     def add(self, sample: np.ndarray, label: int, gid: int | None = None) -> int:
         """Store a sample; returns its id.  ``gid`` attaches the sample's
-        global identity (source-dataset index) for replica tracking.
-
-        If the configured capacity would be exceeded, cold replicas are
-        evicted oldest-first to make room; only when the *hot* set alone
-        cannot fit is :class:`StorageFullError` raised."""
-        sample = np.asarray(sample)
+        global identity (source-dataset index) for replica tracking."""
+        label = int(label)
         with self._lock:
-            return self._register(sample, int(label), gid, own=True)
-
-    def _register(
-        self, sample: np.ndarray, label: int, gid: int | None, *, own: bool = False
-    ) -> int:
-        """Make ``sample`` a hot entry (runs under the lock).  ``own`` settles
-        the ownership of a caller's array first; without it the array is
-        one this area already holds (``promote``)."""
-        if gid is not None:
-            # A hot add supersedes any cold replica of the same sample.
-            self._evict_cold_gid(gid)
-        self._make_room(sample.nbytes)
-        if own:
-            sample = self._own(sample)
-        sid = next(self._ids)
-        self._entries[sid] = (sample, label)
-        self._nbytes += sample.nbytes
-        if gid is not None:
-            self._gid_of[sid] = int(gid)
-            self._sid_of[int(gid)] = sid
-        self.peak_nbytes = max(self.peak_nbytes, self._nbytes)
-        self.peak_count = max(self.peak_count, len(self._entries))
-        self._installed([sid], [sample], [label])
-        return sid
+            sample = self._own(np.asarray(sample))
+            sid = next(self._ids)
+            self._entries[sid] = (sample, label)
+            self._nbytes += sample.nbytes
+            if gid is not None:
+                self._gid_of[sid] = int(gid)
+                self._sid_of[int(gid)] = sid
+            self.peak_nbytes = max(self.peak_nbytes, self._nbytes)
+            self.peak_count = max(self.peak_count, len(self._entries))
+            self._installed([sid], [sample], [label])
+            return sid
 
     def add_many(
         self, entries: Iterable[tuple[np.ndarray, int, int | None]]
@@ -240,9 +204,7 @@ class StorageArea:
         :class:`~repro.mpi.codec.SampleBlock` whose samples are the rows
         :meth:`stage` returned is registered as it stands — its bytes are
         already in this area's slots, so nothing is copied or allocated and
-        the capacity is settled once for the block (same-gid cold replicas
-        superseded, then cold evicted oldest-first, then
-        :class:`StorageFullError` with nothing installed).  Any other
+        the accounting is settled once for the block.  Any other
         iterable goes through :meth:`add` sample by sample; read-only
         zero-copy views into a received envelope are kept un-copied, so
         the envelope's backing buffer stays alive as long as they do."""
@@ -284,35 +246,17 @@ class StorageArea:
                 sample, label = self._entries[sid]
             except KeyError:
                 raise KeyError(f"no sample with id {sid} in storage") from None
-            self._unregister(sid, sample, label)
+            del self._entries[sid]
+            self._nbytes -= sample.nbytes
+            gid = self._gid_of.pop(sid, None)
+            if gid is not None and self._sid_of.get(gid) == sid:
+                del self._sid_of[gid]
+            self._removed(sid, label)
             self._release(sample)
 
-    def _unregister(self, sid: int, sample: np.ndarray, label: int) -> int | None:
-        """Take an entry out of the hot map (its bytes are the caller's to
-        release or to file elsewhere); returns its gid."""
-        del self._entries[sid]
-        self._nbytes -= sample.nbytes
-        gid = self._gid_of.pop(sid, None)
-        if gid is not None and self._sid_of.get(gid) == sid:
-            del self._sid_of[gid]
-        self._removed(sid, label)
-        return gid
-
-    def _make_room(self, size: int) -> None:
-        """Evict cold replicas oldest-first until ``size`` more bytes fit;
-        :class:`StorageFullError` if the hot set alone leaves no room."""
-        if self.capacity_bytes is None:
-            return
-        while (
-            self._nbytes + self._cold_nbytes + size > self.capacity_bytes
-            and self._cold
-        ):
-            self._evict_cold_gid(next(iter(self._cold)))
-        if self._nbytes + size > self.capacity_bytes:
-            raise StorageFullError(
-                f"adding {size} B would exceed capacity "
-                f"({self._nbytes}/{self.capacity_bytes} B used)"
-            )
+    # Only a name: ``benchmarks/perf`` times the retire of a sent sample
+    # through it as well as through ``remove``.
+    demote = remove
 
     def _installed(
         self, sids: Sequence[int], samples: Sequence[np.ndarray], labels: Sequence[int]
@@ -328,20 +272,13 @@ class StorageArea:
         """Copy a block's samples into free slots; returns the block with
         its samples replaced by their read-only row views there.
 
-        Cold replicas of the block's gids are evicted first: the arriving
-        copies supersede them (as a hot :meth:`add` would), and the slots
-        they vacate are the first this block fills.  A ``(n, *shape)``
-        array goes into one slot class; a list of arrays is staged sample
-        by sample, each into the class of its own dtype and shape.  The
-        slots stay claimed, outside the capacity accounting like the frame
-        the bytes came from, until the rows are handed to :meth:`add_many`
-        (which makes them entries) or :meth:`unstage`."""
+        A ``(n, *shape)`` array goes into one slot class; a list of arrays
+        is staged sample by sample, each into the class of its own dtype
+        and shape.  The slots stay claimed, outside the byte accounting
+        like the frame the bytes came from, until the rows are handed to
+        :meth:`add_many` (which makes them entries) or :meth:`unstage`."""
         samples = block.samples
         with self._lock:
-            displaced = self._cold.keys() & set(block.gids.tolist())
-            for gid in displaced:
-                self._evict_cold_gid(gid)
-            self._displaced |= displaced
             if isinstance(samples, np.ndarray):
                 rows = self._stage_rows(samples)
             else:
@@ -366,28 +303,14 @@ class StorageArea:
         rows = pool.rows
         return [rows[slot] for slot in slots]
 
-    def unstage(self, block: SampleBlock, *, keep: bool = True) -> None:
-        """Give up staged rows that will not be installed.
-
-        With ``keep`` (an exchange aborted between its commit and its
-        install) a row with a gid that is not hot here stays as a cold
-        replica, budget permitting — its bytes are resident anyway.
-        Without (a window rolled back, an exchange aborted before its
-        commit: the sender still holds the sample) the area goes back to
-        what it was before the rows were staged: a row takes the place of
-        the cold replica :meth:`stage` evicted for it, if it did.  The rest
-        are freed."""
+    def unstage(self, block: SampleBlock) -> None:
+        """Free the slots of staged rows that will not be installed (a
+        window rolled back, an exchange aborted: nothing was retired, so
+        the senders still hold those samples)."""
         with self._lock:
-            for row, label, gid in block:
+            for row in block.samples:
                 pool, slot = self._slot_of.get(id(row), (None, None))
-                if pool is None or pool.state[slot] != _STAGED:
-                    continue
-                wanted = keep or gid in self._displaced
-                self._displaced.discard(gid)
-                if (
-                    not wanted or gid is None or gid in self._sid_of
-                    or not self.add_cold(row, label, gid)
-                ):
+                if pool is not None and pool.state[slot] == _STAGED:
                     pool.release(slot)
 
     def _own(self, sample: np.ndarray) -> np.ndarray:
@@ -411,8 +334,8 @@ class StorageArea:
         )
 
     def _release(self, sample: np.ndarray) -> None:
-        """Give up the slot of an entry that just left the hot map or the
-        cold cache (no-op for a sample that lives outside the slots)."""
+        """Give up the slot of an entry that just left the hot map (no-op
+        for a sample that lives outside the slots)."""
         pool, slot = self._slot_of.get(id(sample), (None, None))
         if pool is not None:
             pool.release(slot)
@@ -438,11 +361,6 @@ class StorageArea:
         labels = block.labels.tolist()
         size = sum(row.nbytes for row in rows)
         tracked = [(i, gid) for i, gid in enumerate(block.gids.tolist()) if gid >= 0]
-        gids = {gid for _i, gid in tracked}
-        for gid in self._cold.keys() & gids:
-            self._evict_cold_gid(gid)
-        self._make_room(size)
-        self._displaced -= gids
         sids = list(itertools.islice(self._ids, len(rows)))
         for pool, slot in slots:
             pool.state[slot] = _LIVE
@@ -473,119 +391,12 @@ class StorageArea:
             return [self._gid_of[sid] for sid in self._entries if sid in self._gid_of]
 
     def get_by_gid(self, gid: int) -> tuple[np.ndarray, int]:
-        """Fetch ``(sample, label)`` for a global id, hot or cold."""
+        """Fetch ``(sample, label)`` for a hot global id."""
         with self._lock:
-            sid = self._sid_of.get(gid)
-            if sid is not None:
-                return self._entries[sid]
             try:
-                return self._cold[gid]
+                return self._entries[self._sid_of[gid]]
             except KeyError:
-                raise KeyError(
-                    f"gid {gid} neither hot nor cold in storage"
-                ) from None
-
-    # ----------------------------------------------------- cold replica cache
-    def demote(self, sid: int) -> bool:
-        """Retire a hot entry into the cold replica cache.
-
-        The entry stops being trainable (it leaves ``ids()``/``items()``)
-        but its bytes stay resident as a recovery replica, evictable the
-        moment a hot add needs the room.  Entries without a gid cannot be
-        addressed for recovery, so they are simply removed; returns True
-        iff a cold replica was retained."""
-        with self._lock:
-            sample, label = self.get(sid)
-            gid = self._unregister(sid, sample, label)
-            if gid is None:
-                self._release(sample)
-                return False
-            # An older replica of the same gid (a stale duplicate was
-            # demoted earlier) is replaced, not leaked into the byte count.
-            if gid in self._cold:
-                self._evict_cold_gid(gid)
-            # The array moves from one map to the other and its slot, if it
-            # has one, with it.
-            self._cold[gid] = (sample, label)
-            self._cold_nbytes += sample.nbytes
-            return True
-
-    def add_cold(self, sample: np.ndarray, label: int, gid: int) -> bool:
-        """Install a cold replica directly, without touching the hot map.
-
-        The snapshot-restore path re-creates a manifest's cold cache with
-        this instead of ``add`` + ``demote``: a gid can legitimately be
-        both hot and cold (demoting a stale duplicate leaves the newer hot
-        entry live), and the ``add`` would rebind ``sid_of(gid)`` to the
-        throwaway entry, unbinding the hot copy when it is demoted again.
-        Cold replicas are best-effort — returns False instead of raising
-        when the budget cannot hold the bytes."""
-        sample = np.asarray(sample)
-        with self._lock:
-            self._evict_cold_gid(gid)
-            try:
-                self._make_room(sample.nbytes)
-            except StorageFullError:
-                return False
-            self._cold[int(gid)] = (self._own(sample), int(label))
-            self._cold_nbytes += sample.nbytes
-            return True
-
-    def promote(self, gid: int) -> int:
-        """Re-activate a cold replica as a hot entry; returns its new sid."""
-        with self._lock:
-            try:
-                sample, label = self._cold.pop(gid)
-            except KeyError:
-                raise KeyError(
-                    f"gid {gid} has no cold replica to promote"
-                ) from None
-            self._cold_nbytes -= sample.nbytes
-            try:
-                # The array moves back to the hot map, its slot with it.
-                return self._register(sample, label, gid)
-            except StorageFullError:
-                self._release(sample)
-                raise
-
-    def cold_gids(self) -> list[int]:
-        """Global ids of the cold replicas currently cached (oldest first)."""
-        with self._lock:
-            return list(self._cold.keys())
-
-    def _evict_cold_gid(self, gid: int) -> None:
-        entry = self._cold.pop(gid, None)
-        if entry is not None:
-            self._cold_nbytes -= entry[0].nbytes
-            self._release(entry[0])
-
-    def drop_cold(self) -> int:
-        """Evict every cold replica; returns the number evicted."""
-        with self._lock:
-            n = len(self._cold)
-            for gid in list(self._cold):
-                self._evict_cold_gid(gid)
-            return n
-
-    def resize(self, capacity_bytes: int | None) -> None:
-        """Change the capacity bound (elastic recovery grows it to
-        ``(1+Q)*N/(M-1)`` after a shrink).  Cold replicas are evicted as
-        needed; shrinking below the hot footprint raises
-        :class:`StorageFullError`."""
-        with self._lock:
-            if capacity_bytes is not None:
-                if capacity_bytes <= 0:
-                    raise ValueError(
-                        f"capacity must be positive, got {capacity_bytes}"
-                    )
-                if self._nbytes > capacity_bytes:
-                    raise StorageFullError(
-                        f"hot entries occupy {self._nbytes} B; cannot resize to "
-                        f"{capacity_bytes} B"
-                    )
-                while self._cold and self._nbytes + self._cold_nbytes > capacity_bytes:
-                    self._evict_cold_gid(next(iter(self._cold)))
-            self.capacity_bytes = capacity_bytes
+                raise KeyError(f"gid {gid} not in storage") from None
 
     def ids(self) -> list[int]:
         """Current ids in insertion order."""
@@ -617,30 +428,21 @@ class StorageArea:
         slot counts among them: ``allocated`` (in ``chunks`` arrays) =
         ``free`` + ``staged`` + ``live``.
 
-        The invariants a concurrent add/demote/promote race would break:
-        ``nbytes`` equals the sum of hot entry bytes, ``cold_nbytes``
-        equals the sum of cold replica bytes, the sid<->gid maps are
-        mutually inverse, the capacity bound holds, and the slots are
-        consistent: no two live entries share one, none merely aliases slot
-        storage, and the slots marked live are exactly those an entry owns
-        (so free + staged + owned = allocated).  A gid may be hot *and*
-        cold (see :meth:`add_cold`; a sample the exchange sent to its own
-        rank ends up so).  Raises :class:`RuntimeError` on the first
+        The invariants a concurrent add/remove race would break: ``nbytes``
+        equals the sum of hot entry bytes, the sid<->gid maps are mutually
+        inverse, and the slots are consistent: no two live entries share
+        one, none merely aliases slot storage, and the slots marked live
+        are exactly those an entry owns (so free + staged + owned =
+        allocated).  Raises :class:`RuntimeError` on the first
         violation — the concurrency hammer test calls this between (and
         after) thread storms.
         """
         with self._lock:
             hot = sum(sample.nbytes for sample, _ in self._entries.values())
-            cold = sum(sample.nbytes for sample, _ in self._cold.values())
             if hot != self._nbytes:
                 raise RuntimeError(
                     f"hot byte accounting drifted: tracked {self._nbytes}, "
                     f"actual {hot}"
-                )
-            if cold != self._cold_nbytes:
-                raise RuntimeError(
-                    f"cold byte accounting drifted: tracked {self._cold_nbytes}, "
-                    f"actual {cold}"
                 )
             for sid, gid in self._gid_of.items():
                 if sid not in self._entries:
@@ -654,16 +456,8 @@ class StorageArea:
                     raise RuntimeError(
                         f"sid<->gid maps disagree for gid {gid} / sid {sid}"
                     )
-            if (
-                self.capacity_bytes is not None
-                and self._nbytes > self.capacity_bytes
-            ):
-                raise RuntimeError(
-                    f"hot bytes {self._nbytes} exceed capacity "
-                    f"{self.capacity_bytes}"
-                )
             owned = []
-            for sample, _ in (*self._entries.values(), *self._cold.values()):
+            for sample, _ in self._entries.values():
                 where = self._slot_of.get(id(sample))
                 if where is not None:
                     owned.append((id(where[0]), where[1]))
@@ -684,8 +478,7 @@ class StorageArea:
                 )
             allocated = sum(pool.per * len(pool.chunks) for pool in self._pools.values())
             staged = sum(pool.state.count(_STAGED) for pool in self._pools.values())
-            return {"hot_nbytes": hot, "cold_nbytes": cold,
-                    "entries": len(self._entries), "cold": len(self._cold),
+            return {"hot_nbytes": hot, "entries": len(self._entries),
                     "allocated": allocated, "free": allocated - staged - len(live),
                     "staged": staged, "live": len(live),
                     "chunks": sum(len(pool.chunks) for pool in self._pools.values())}
@@ -708,8 +501,8 @@ class DiskStorageArea(StorageArea):
     behind.
     """
 
-    def __init__(self, root: str | Path, *, capacity_bytes: int | None = None):
-        super().__init__(capacity_bytes=capacity_bytes)
+    def __init__(self, root: str | Path):
+        super().__init__()
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 

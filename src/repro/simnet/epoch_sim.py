@@ -97,8 +97,9 @@ def simulate_epoch(
     ``strategy`` in {"global", "local", "partial"} as in the analytic model.
     ``worker_heterogeneity`` is the lognormal sigma of a *persistent*
     per-worker I/O slowdown factor applied to PFS reads (bad OST placement,
-    cold caches): it controls how much of the straggling is the same worker
-    every iteration versus transient per-batch noise.  Zero disables it.
+    a cold client page cache): it controls how much of the straggling is
+    the same worker every iteration versus transient per-batch noise.
+    Zero disables it.
     """
     if worker_heterogeneity < 0:
         raise ValueError(f"worker_heterogeneity must be >= 0, got {worker_heterogeneity}")

@@ -10,6 +10,14 @@ supervised lifecycle loop is now the only path, so for every case the
 history records (floats as ``.hex()``), the recovery reports minus their
 wall times, the final worker count and the injected-fault counts must
 equal the recording exactly — on ``threads`` and on ``procs``.
+
+The four entries that kill a rank were re-recorded (on both backends, which
+agreed) when the storage area lost its cold replica cache: every lost
+sample is now re-read from the source dataset, and without a cold holder
+to prefer, a tie between survivors goes to the lowest rank, so lost
+samples land elsewhere and the epochs from the kill on train on other
+shards.  The clean entry and the chaos entries without a kill are the
+original recording.
 """
 
 import json

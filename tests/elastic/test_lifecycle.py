@@ -3,9 +3,8 @@
 The expensive end-to-end pair (a killed/crashed/restarted/rejoined run and
 its no-crash reference) runs once per module; everything downstream
 asserts against those two results.  The schedule deliberately rejoins at
-the *restart* epoch — the corner where restored storage must reproduce
-the live hot/cold dual-state semantics bit-for-bit (the `add_cold`
-regression this suite pins down).
+the *restart* epoch — the corner where storage restored from a snapshot
+must reproduce the live shard bit-for-bit.
 """
 
 import numpy as np

@@ -1,6 +1,6 @@
-"""Cold replica cache semantics, recovery through the one membership change
-(``rebalance``) end-to-end, and the PFS fallback read of the migration
-executor."""
+"""Recovery through the one membership change (``rebalance``) end-to-end:
+every lost sample is re-read from the source dataset, and the executor's
+read of it."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from repro.elastic import ReplicaLedger, rebalance
 from repro.elastic.migration import READ, migrate
 from repro.mpi import PeerFailure, RankDied, run_spmd
 from repro.shuffle import PartialLocalShuffle
-from repro.shuffle.storage import StorageArea, StorageFullError
+from repro.shuffle.storage import StorageArea
 from repro.utils.retry import default_retrier
 
 
@@ -22,91 +22,9 @@ def make_ds(n=48, classes=4, features=8, seed=0):
     return TensorDataset(X, y), y
 
 
-def _sample(v, nbytes=32):
-    return np.full(nbytes // 8, float(v))
-
-
-class TestColdReplicaCache:
-    def test_demote_keeps_bytes_resident_but_not_trainable(self):
-        st = StorageArea()
-        sid = st.add(_sample(1), 0, gid=7)
-        assert st.demote(sid)
-        assert st.sid_of(7) is None and 7 in st.cold_gids()
-        assert sid not in st.ids()
-        sample, label = st.get_by_gid(7)
-        assert sample[0] == 1.0 and label == 0
-        assert st.audit()["cold_nbytes"] == 32 and st.nbytes == 0
-
-    def test_demote_without_gid_just_removes(self):
-        st = StorageArea()
-        sid = st.add(_sample(1), 0)
-        assert not st.demote(sid)
-        assert st.cold_gids() == []
-
-    def test_promote_reactivates(self):
-        st = StorageArea()
-        st.demote(st.add(_sample(3), 1, gid=3))
-        sid = st.promote(3)
-        assert st.sid_of(3) is not None and 3 not in st.cold_gids()
-        assert st.get(sid)[1] == 1
-
-    def test_hot_add_evicts_cold_oldest_first(self):
-        st = StorageArea(capacity_bytes=96)  # room for 3 samples
-        for g in range(3):
-            st.demote(st.add(_sample(g), 0, gid=g))
-        assert st.cold_gids() == [0, 1, 2]
-        st.add(_sample(10), 0, gid=10)  # fits without eviction
-        st.add(_sample(11), 0, gid=11)  # fits without eviction
-        st.add(_sample(12), 0, gid=12)  # needs all cold slots evicted...
-        assert st.cold_gids() == []
-        assert sorted(st.hot_gids()) == [10, 11, 12]
-
-    def test_partial_cold_eviction(self):
-        st = StorageArea(capacity_bytes=96)
-        for g in range(2):
-            st.demote(st.add(_sample(g), 0, gid=g))
-        st.add(_sample(10), 0, gid=10)
-        # 2 cold + 1 hot = 96 B: adding one more hot evicts only gid 0.
-        st.add(_sample(11), 0, gid=11)
-        assert st.cold_gids() == [1]
-
-    def test_hot_set_alone_overflowing_raises(self):
-        st = StorageArea(capacity_bytes=64)
-        st.add(_sample(0), 0, gid=0)
-        st.add(_sample(1), 0, gid=1)
-        with pytest.raises(StorageFullError):
-            st.add(_sample(2), 0, gid=2)
-
-    def test_hot_add_supersedes_cold_copy_of_same_gid(self):
-        st = StorageArea()
-        st.demote(st.add(_sample(1), 0, gid=5))
-        st.add(_sample(2), 1, gid=5)
-        assert 5 not in st.cold_gids()
-        assert st.get_by_gid(5)[1] == 1
-
-    def test_resize_evicts_cold_then_guards_hot(self):
-        st = StorageArea(capacity_bytes=128)
-        st.demote(st.add(_sample(0), 0, gid=0))
-        st.add(_sample(1), 0, gid=1)
-        st.resize(32)  # hot still fits; the cold replica must go
-        assert st.cold_gids() == [] and st.capacity_bytes == 32
-        with pytest.raises(StorageFullError):
-            st.resize(16)
-
-    def test_drop_cold(self):
-        st = StorageArea()
-        for g in range(3):
-            st.demote(st.add(_sample(g), 0, gid=g))
-        assert st.drop_cold() == 3
-        assert st.audit()["cold_nbytes"] == 0
-
-
-def _elastic_worker(
-    comm, ds, labels, *, q, seed, epochs, victim, kill_epoch,
-    capacity=None, drop_cold_first=False,
-):
+def _elastic_worker(comm, ds, labels, *, q, seed, epochs, victim, kill_epoch):
     """Drive PLS epochs, kill ``victim`` at ``kill_epoch``, recover."""
-    strat = PartialLocalShuffle(q, capacity_bytes=capacity, ledger=ReplicaLedger())
+    strat = PartialLocalShuffle(q, ledger=ReplicaLedger())
     strat.setup(comm, ds, labels=labels, partition="contiguous", seed=seed)
     report = None
     epoch = 0
@@ -121,12 +39,7 @@ def _elastic_worker(
         except PeerFailure:
             newcomm = comm.shrink()
             strat.abort_epoch()
-            if drop_cold_first:
-                strat.storage.drop_cold()
-            report = rebalance(
-                newcomm, strat.storage, strat.ledger,
-                old_size=comm.size, dataset=ds,
-            )
+            report = rebalance(newcomm, strat.storage, strat.ledger, dataset=ds)
             strat.attach_comm(newcomm)
             comm = newcomm
             continue
@@ -134,8 +47,6 @@ def _elastic_worker(
     return {
         "hot": sorted(strat.storage.hot_gids()),
         "report": report,
-        "nbytes": strat.storage.nbytes,
-        "capacity": strat.storage.capacity_bytes,
         "group": comm.group,
     }
 
@@ -157,7 +68,7 @@ class TestShardRecovery:
         assert held == list(range(48))  # every gid exactly once, none lost
         report = survivors[0]["report"].as_dict()
         assert report["dead_ranks"] == [1]
-        assert report["from_replica"] + report["from_source"] == report["lost_gids"] > 0
+        assert report["from_source"] == report["lost_gids"] > 0
 
     def test_reports_identical_on_all_survivors(self):
         ds, labels = make_ds(n=36)
@@ -172,23 +83,6 @@ class TestShardRecovery:
         reports = [r["report"] for r in out if isinstance(r, dict)]
         assert all(r.moves == reports[0].moves for r in reports)
         assert all(r.bytes_transferred == reports[0].bytes_transferred for r in reports)
-
-    def test_pfs_fallback_when_no_replicas_survive(self):
-        ds, labels = make_ds(n=36)
-
-        def worker(comm):
-            return _elastic_worker(
-                comm, ds, labels, q=0.25, seed=5, epochs=3,
-                victim=0, kill_epoch=1, drop_cold_first=True,
-            )
-
-        out = run_spmd(worker, 3, deadline_s=120)
-        survivors = [r for r in out if isinstance(r, dict)]
-        held = sorted(g for r in survivors for g in r["hot"])
-        assert held == list(range(36))
-        report = survivors[0]["report"].as_dict()
-        assert report["from_replica"] == 0
-        assert report["from_source"] == report["lost_gids"] > 0
 
     def test_no_replica_and_no_dataset_fails_loudly(self):
         ds, labels = make_ds(n=24)
@@ -205,39 +99,12 @@ class TestShardRecovery:
                 strat.end_epoch()
             newcomm = comm.shrink()
             strat.abort_epoch()
-            strat.storage.drop_cold()
-            with pytest.raises(RuntimeError, match="no surviving replica"):
-                rebalance(
-                    newcomm, strat.storage, strat.ledger,
-                    old_size=comm.size, dataset=None,
-                )
+            with pytest.raises(RuntimeError, match="no source dataset"):
+                rebalance(newcomm, strat.storage, strat.ledger, dataset=None)
             return True
 
         out = run_spmd(worker, 2, deadline_s=120)
         assert out[0] is True
-
-
-class TestCapacityBound:
-    def test_survivors_respect_rebased_bound(self):
-        n, workers, q = 48, 4, 0.25
-        ds, labels = make_ds(n=n)
-        sample_bytes = int(np.asarray(ds[0][0]).nbytes)
-        cap = -(-int((1 + q) * n) // workers) * sample_bytes
-
-        def worker(comm):
-            return _elastic_worker(
-                comm, ds, labels, q=q, seed=9, epochs=4,
-                victim=3, kill_epoch=2, capacity=cap,
-            )
-
-        out = run_spmd(worker, workers, deadline_s=120)
-        survivors = [r for r in out if isinstance(r, dict)]
-        rebased = -(-cap * workers // (workers - 1))
-        for r in survivors:
-            assert r["capacity"] == rebased
-            assert r["nbytes"] <= rebased
-        held = sorted(g for r in survivors for g in r["hot"])
-        assert held == list(range(n))
 
 
 class TestSourceDatasetRead:

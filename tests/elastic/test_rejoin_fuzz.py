@@ -9,51 +9,44 @@ on after *every* step:
 * every gid has exactly one live hot holder, and it is the ledger's;
 * hot counts hit ``rebalance_targets`` exactly, also where ``N mod M``
   is not 0;
-* hot + cold never exceeds the ``(1+Q)·N/M_live`` sample budget;
+* a lost gid is re-read from the source dataset, any other moves from its
+  one live holder;
 * the whole trajectory is a deterministic function of the seed.
 """
 
-import math
 import random
 
 import pytest
 
 from repro.elastic import ReplicaLedger
-from repro.elastic.migration import PROMOTE, TRANSFER, plan_moves, rebalance_targets
+from repro.elastic.migration import READ, TRANSFER, plan_moves, rebalance_targets
 
 N = 96
 #: Both sizes run every trajectory: 97 divides by none of 2, 3 or 4.
 SIZES = (N, 97)
 M = 4
-Q = 0.5
 
 
 class PlannerModel:
-    """Replicated-state model: ledger + per-rank hot orders + cold sets."""
+    """Replicated-state model: ledger + per-rank hot orders."""
 
-    def __init__(self, n=N, m=M, q=Q):
-        self.n, self.m, self.q = n, m, q
+    def __init__(self, n=N, m=M):
+        self.n, self.m = n, m
         self.live = list(range(m))
         self.dead = []
         self.ledger = ReplicaLedger()
         self.hot = {r: [] for r in range(m)}
-        self.cold = {r: set() for r in range(m)}
         for gid in range(n):
             r = gid % m
             self.ledger.holder[gid] = r
             self.hot[r].append(gid)
 
-    def budget(self):
-        """Per-rank sample budget at the current live size."""
-        return math.ceil((1 + self.q) * self.n / len(self.live))
-
     def kill(self, rank):
-        """Fail-stop: the rank's hot and cold copies are gone; the planner
-        re-homes its gids (the ledger still names it)."""
+        """Fail-stop: the rank's copies are gone; the planner re-homes its
+        gids (the ledger still names it)."""
         self.live.remove(rank)
         self.dead.append(rank)
         self.hot.pop(rank)
-        self.cold.pop(rank)
         return self._apply()
 
     def rejoin(self, rank):
@@ -62,38 +55,27 @@ class PlannerModel:
         self.live.append(rank)
         self.live.sort()
         self.hot[rank] = []
-        self.cold[rank] = set()
         return self._apply()
 
     def plan(self):
         """The one planner's moves for the current picture."""
         lost = self.ledger.lost_to(self.dead)
-        return plan_moves(len(self.ledger), self.live, self.hot, self.cold, lost)
+        return plan_moves(len(self.ledger), self.live, self.hot, lost)
 
     def _apply(self):
         plan = self.plan()
+        lost = set(self.ledger.lost_to(self.dead))
         # As the executor does: received transfers install first, then
-        # promotes and reads, each in plan order.
+        # reads, each in plan order; a source gives its copy up.
         for gid, src, dst, how in sorted(plan, key=lambda m: m[3] != TRANSFER):
-            if src is not None and gid in self.hot.get(src, ()):
+            if gid in lost:
+                assert (src, how) == (None, READ), (gid, src, how)
+            else:
+                assert how == TRANSFER and src == self.ledger.holder[gid], (gid, src)
                 self.hot[src].remove(gid)
-                self.cold[src].add(gid)  # a live donor keeps the bytes cold
-            if how == PROMOTE:
-                self.cold[dst].discard(gid)
             self.hot[dst].append(gid)
             self.ledger.reassign(gid, dst)
-        self._evict_to_budget()
         return plan
-
-    def _evict_to_budget(self):
-        cap = self.budget()
-        for r in self.live:
-            over = len(self.hot[r]) + len(self.cold[r]) - cap
-            if over > 0:
-                # Cold replicas are evictable, oldest-first in the live
-                # system; the set model just drops the smallest gids.
-                for gid in sorted(self.cold[r])[:over]:
-                    self.cold[r].discard(gid)
 
     # ------------------------------------------------------------- invariants
     def check(self):
@@ -111,18 +93,11 @@ class PlannerModel:
                 f"actual holder {r}"
             )
         assert self.ledger.missing_from(self.live) == []
-        cap = self.budget()
-        for r in self.live:
-            assert len(self.hot[r]) + len(self.cold[r]) <= cap, (
-                f"rank {r} over budget: {len(self.hot[r])} hot + "
-                f"{len(self.cold[r])} cold > {cap}"
-            )
 
     def signature(self):
         return (
             tuple(self.live),
             tuple((r, tuple(self.hot[r])) for r in sorted(self.hot)),
-            tuple((r, tuple(sorted(self.cold[r]))) for r in sorted(self.cold)),
             tuple(sorted(self.ledger.holder.items())),
         )
 
@@ -169,7 +144,6 @@ def test_plan_is_pure_and_repeatable():
     model.live.append(1)
     model.live.sort()
     model.hot[1] = []
-    model.cold[1] = set()
     a = model.plan()
     b = model.plan()
     assert a == b

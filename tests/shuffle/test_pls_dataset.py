@@ -66,14 +66,3 @@ class TestPLSFolderDataset:
         # Class-sorted start: each shard is one class; after a 50% exchange
         # at least one worker must hold a different label multiset.
         assert any(before != after for before, after, _, _ in out)
-
-    def test_capacity_forwarded(self, source, tmp_path):
-        from repro.shuffle import StorageFullError
-
-        def worker(comm):
-            with pytest.raises(StorageFullError):
-                PLSFolderDataset(source, comm, tmp_path / "local",
-                                 seed=3, capacity_bytes=17)
-            return True
-
-        assert all(run_spmd(worker, 2, deadline_s=60))

@@ -194,6 +194,19 @@ class TestLifecycleTrain:
         # The two-phase snapshots are on disk where --snapshot-dir said.
         assert any(p.name.endswith(".ok") for p in tmp_path.iterdir())
 
+    def test_recovery_and_rejoin_lines_name_where_samples_came_from(self, capsys):
+        rc = main([
+            "chaos-train", "--samples", "96", "--workers", "3", "--epochs", "3",
+            "--chaos", "kill:rank=1,epoch=1,point=mid_exchange;rejoin:rank=1,epoch=2",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        # Every sample a dead rank held is re-read from the source dataset:
+        # no survivor keeps a copy of what it sent.
+        assert "rank [1] died at epoch 1: recovered 26 samples from the source dataset" in out
+        assert "samples migrated back (" in out
+        assert "replica" not in out and "promoted" not in out
+
     def test_snapshot_dir_resumes_across_invocations(self, tmp_path, capsys):
         base = [
             "chaos-train", "--samples", "96", "--workers", "2",

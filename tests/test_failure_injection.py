@@ -11,12 +11,7 @@ import pytest
 
 from repro.data import SyntheticSpec, TensorDataset, make_classification
 from repro.mpi import MPIAbort, RankFailed, run_spmd
-from repro.shuffle import (
-    PartialLocalShuffle,
-    Scheduler,
-    StorageArea,
-    StorageFullError,
-)
+from repro.shuffle import PartialLocalShuffle, Scheduler, StorageArea
 from repro.train import TrainConfig, train_worker
 from repro.train.experiments import make_experiment_data
 
@@ -61,23 +56,6 @@ class TestTrainingCrashes:
         with pytest.raises(RankFailed) as ei:
             run_spmd(worker, 4, deadline_s=60)
         assert 2 in ei.value.failures
-
-    def test_storage_overflow_surfaces(self):
-        """A worker whose storage cannot absorb the received samples must
-        fail loudly, not silently drop data."""
-
-        def worker(comm):
-            # Capacity fits the shard exactly but not shard + in-flight.
-            st = StorageArea(capacity_bytes=8 * 16)
-            for i in range(8):
-                st.add(np.zeros(4, dtype=np.float32), comm.rank)  # 16 B each
-            sched = Scheduler(st, comm, fraction=0.5, seed=3)
-            sched.run_exchange(0)
-            return True
-
-        with pytest.raises(RankFailed) as ei:
-            run_spmd(worker, 2, deadline_s=60)
-        assert any(isinstance(e, StorageFullError) for e in ei.value.failures.values())
 
     def test_secondary_aborts_not_reported_as_primary(self, problem):
         train_ds, labels, val_X, val_y = problem

@@ -28,7 +28,7 @@ def make_payload(epoch=1):
         total_workers=3,
         live_group=[0, 1, 2],
         ledger={0: 0, 1: 1},
-        manifests={0: {"hot": [0], "cold": []}},
+        manifests={0: {"hot": [0]}},
         scheduler_states={},
     )
     return payload

@@ -74,6 +74,7 @@ COUNTED = {
     ("storage.py", "add"): "StorageArea.add",
     ("storage.py", "add_many"): "StorageArea.add_many",
     ("storage.py", "demote"): "StorageArea.demote",
+    ("storage.py", "remove"): "StorageArea.remove",
     ("~", "<method 'copy' of 'numpy.ndarray' objects>"): "ndarray.copy",
 }
 
