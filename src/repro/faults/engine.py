@@ -128,6 +128,23 @@ class ChaosEngine:
         """Record that ``world_rank`` entered exchange epoch ``epoch``."""
         self._epoch[int(world_rank)] = int(epoch)
 
+    def handback(self, world_rank: int) -> tuple:
+        """What a copy of this engine that posted ``world_rank``'s messages
+        (a ``procs`` rank process) hands back when it ends: the rank, its
+        epoch and its control channels' attempt counters."""
+        with self._lock:
+            chans = {c: n for c, n in self._chan_seq.items() if c[0] == world_rank}
+            return world_rank, self._epoch.get(world_rank), chans
+
+    def resume(self, handback: tuple) -> None:
+        """Take a :meth:`handback` in, so the next run (a restarted
+        segment) draws on from where that copy stopped."""
+        world_rank, epoch, chans = handback
+        with self._lock:
+            if epoch is not None:
+                self._epoch[world_rank] = epoch
+            self._chan_seq.update(chans)
+
     def _u(self, *key: object) -> float:
         return hash_unit(self.seed, *key)
 

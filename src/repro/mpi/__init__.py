@@ -19,9 +19,9 @@ Quick example::
 
 Where ranks execute is the backend: the default ``threads`` backend runs
 them as OS threads; ``run_spmd(..., backend="procs")`` runs them as forked
-processes that reach the same world over a pipe, payloads in shared memory
-— for a rank that can really be killed and for per-process RSS, not for
-speed.  See ``docs/backends.md``.
+processes, p2p rank to rank over shared memory and the rest of the same
+world over a pipe — for a rank that can really be killed and for
+per-process RSS.  See ``docs/backends.md``.
 """
 
 from .codec import PackedBatch, SampleBlock, pack_samples, unpack_samples

@@ -33,6 +33,10 @@ __all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG"]
 _context_counter = itertools.count(1)
 
 
+def _nothing(_acc: Any, _value: Any) -> None:
+    """The fold of a barrier (module level, so it pickles by name)."""
+
+
 def _regroup_context(gen: int) -> int:
     # The 1<<20 offset keeps shrink/expand contexts out of the split/dup id
     # space, so a regrouped communicator can never alias a sibling's tags;
@@ -262,7 +266,7 @@ class Communicator:
         with ``drain_tag``, also receive everything queued under that tag
         from any source — returned as ``(payload, source)`` pairs in send
         order.  One mailbox operation however many requests: one lock
-        acquisition, or under ``procs`` one round trip."""
+        acquisition (under ``procs`` after one drain of the rank's rings)."""
         wants = [(req.source, req.tag, False) for req in requests]
         if drain_tag is not None:
             wants.append((ANY_SOURCE, self._wire_tag(drain_tag), True))
@@ -301,8 +305,10 @@ class Communicator:
         return copied
 
     def barrier(self) -> None:
-        """Block until every rank in the communicator has entered."""
-        self._rendezvous("barrier", None)
+        """Block until every rank in the communicator has entered: a fold
+        of nothing (under ``procs``, on the launch communicator, one the
+        ranks run among themselves)."""
+        self._rendezvous("barrier", None, _nothing)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns root's value."""

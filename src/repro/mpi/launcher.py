@@ -11,12 +11,12 @@ raised in the caller.
 *Where* a rank executes is the backend.  ``threads`` (the default) runs each
 rank as an OS thread in this process, zero-copy on one shared heap; numpy
 releases the GIL, so compute overlaps there too.  ``procs``
-(:mod:`repro.mpi.procs`) forks one process per rank and reaches the same
-world over a pipe, ``PackedBatch`` payloads and gradients riding ``/dev/shm``
-segments: it is there for what threads cannot give — a rank that can really
-be ``SIGKILL``-ed, per-process RSS — and pays one pipe round trip per world
-call that returns something for it; one that returns nothing is a queued
-cast (``docs/backends.md`` has the measured matrix).  The world, its
+(:mod:`repro.mpi.procs`) forks one process per rank: p2p, the exchange
+pool and the launch folds run rank to rank over ``/dev/shm``, the rest of
+the same world is a pipe round trip to this process away.  It is there for
+what threads cannot give — a rank that can really be ``SIGKILL``-ed,
+per-process RSS, an interpreter per rank (``docs/backends.md`` has the
+measured matrix).  The world, its
 flight recorders, what happens when a rank ends (:func:`_run_rank`) and the
 :class:`SpmdResult` / :class:`~repro.mpi.errors.RankFailed` assembly are
 the same code either way.  Select with ``run_spmd(..., backend="procs")`` or
@@ -124,8 +124,8 @@ def run_spmd(
         Alternative :class:`World` constructor (same keyword signature);
         the seam through which :class:`~repro.faults.ChaosWorld` injects
         message faults without the MPI layer knowing about chaos.  Works on
-        both backends (the ``procs`` backend hosts the factory's world in
-        the parent process).
+        both backends (under ``procs`` the factory's world is hosted here,
+        and its ``_deliver`` seam runs on each sender's forked copy).
     backend:
         Where the ranks execute: ``"threads"`` (default) or ``"procs"``.
         ``None`` consults the ``REPRO_BACKEND`` environment variable.

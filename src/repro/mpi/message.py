@@ -52,9 +52,8 @@ class Status:
 class Message:
     """An in-flight message. ``seq`` preserves global send order so that the
     non-overtaking guarantee holds for wildcard receives too; ``posted_s``
-    is ``time.monotonic()`` when the message was built for ``World.post``
-    (in the parent under ``procs``) — what a receiver's service time is
-    measured from."""
+    is ``time.monotonic()`` when the sender built the message for
+    ``World.post`` — what a receiver's service time is measured from."""
 
     source: int
     dest: int

@@ -9,7 +9,7 @@ serialization/allocation overhead, not by the shuffle itself.
 steady-state exchange windows run allocation-free.
 
 There is one pool class.  Size classes, free lists, the ownership state
-machine, the accounting and the id -> buffer ledger live here; where the
+machine and the accounting (the "ledger") live here; where the
 bytes come from, and when they may be given back, is the *allocator*'s
 business:
 
@@ -63,9 +63,8 @@ class PoolBuffer:
     length, not the size-class capacity) as a writable memoryview; fill it,
     then freeze the contents behind ``readonly()`` before letting the
     buffer escape to other threads.  ``buf_id`` is the buffer's identity in
-    its pool's ledger — what crosses a process boundary in place of the
-    bytes; ``segment_name`` is the ``/dev/shm`` name another process maps
-    the same bytes by (``None`` for heap bytes).
+    its pool (issued once); ``segment_name`` is the ``/dev/shm`` name another
+    process maps the same bytes by (``None`` for heap bytes).
     """
 
     __slots__ = (
@@ -181,9 +180,6 @@ class BufferPool:
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._free: dict[int, list[tuple]] = {}
-        # In-use buffers by id, plus adopted ones whose bytes have a name:
-        # another process can still send a handle to those.
-        self._ledger: dict[int, PoolBuffer] = {}
         # Accounting (guarded by _lock; all monotone except the balance).
         self.acquires = 0
         self.releases = 0
@@ -219,16 +215,7 @@ class BufferPool:
             in_use = self.acquires - self.releases - self.adopts
             if in_use > self.high_water:
                 self.high_water = in_use
-            buf = PoolBuffer(raw, nbytes, cls, self, next(self._ids), segment_name)
-            self._ledger[buf.buf_id] = buf
-        return buf
-
-    def buffer(self, buf_id: int) -> PoolBuffer:
-        """The pool's own handle for ``buf_id`` — how a transport that sent
-        the id in place of the bytes finds them again.  ``KeyError`` once
-        the buffer was released (ids are issued once, never reused)."""
-        with self._lock:
-            return self._ledger[buf_id]
+            return PoolBuffer(raw, nbytes, cls, self, next(self._ids), segment_name)
 
     def release(self, buf: PoolBuffer) -> None:
         """Return ``buf`` for reuse.  The caller must hold the only live
@@ -257,7 +244,6 @@ class BufferPool:
             buf.state = new_state
             if new_state == "released":
                 self.releases += 1
-                del self._ledger[buf.buf_id]
                 block = (buf.raw, buf.segment_name)
                 free = self._free.setdefault(buf.size_class, [])
                 limit = self._allocator.park_limit
@@ -267,8 +253,6 @@ class BufferPool:
                 # bound, and the GC frees its bytes.
             else:
                 self.adopts += 1
-                if buf.segment_name is None:
-                    del self._ledger[buf.buf_id]
         return True
 
     # ------------------------------------------------------------ accounting

@@ -1,53 +1,40 @@
 """``procs`` backend: ranks as forked processes, shared-memory transport.
 
 ``procs`` is a transport under the one :class:`~repro.mpi.world.World`, not
-a second implementation of it:
+a second implementation of it.  :func:`~repro.mpi.launcher.run_spmd` builds
+the real world (or the ``world_factory`` chaos world) in the launching
+process as it does for ``threads``, and each rank runs the shared rank
+runner (``launcher._run_rank``) in a **forked** child whose
+:class:`~repro.mpi.Communicator` wraps a :class:`_ClientWorld` facade.
 
-* :func:`~repro.mpi.launcher.run_spmd` builds the real world (or the
-  ``world_factory`` chaos world) in the launching process exactly as it
-  does for ``threads`` — rendezvous bookkeeping, the epitaph channel, the
-  chaos ``_deliver`` seam and the flight-recorder rings are the very same
-  objects and code paths.
-* Each rank runs the shared rank runner (``launcher._run_rank``) in a
-  **forked** child process whose :class:`~repro.mpi.Communicator` wraps a
-  :class:`_ClientWorld` facade.  A world call that returns something is one
-  round trip over a per-rank duplex pipe; one that returns nothing (a
-  ``post``, a buffer release, a flight event) is a **cast**: queued, it
-  rides the rank's next message out and no reply crosses back.
-* In the parent, one **broker thread per rank** services that rank's casts
-  and calls *in order*, calling the real world methods on the rank's behalf.
-  A blocking call (``take_blocking``, a rendezvous) blocks the broker thread
-  just as it would block the rank's thread under the ``threads`` backend —
-  so all cross-rank blocking semantics hold by construction.  A cast that
-  raises is raised by the rank's next round trip (:meth:`_Broker.run`): a
-  strict double release or a post into an aborted world surfaces one call
-  later, never not at all.
-
-What may cross the pipe is written down once, in the RPC table
-(:data:`_RPC`): the facade's forwarders are generated from it and the
-broker dispatches by it, so the two ends cannot drift, and a name that is
-not in the table is refused.
-
-One call skips the pipe: the ranks run a fold on the launch communicator
-among themselves over shared memory (:meth:`_ClientWorld._fold_here`) —
-the parent's result, bit for bit.  All else, p2p included, stays there.
-
-Bulk payloads never ride the pipe: a :class:`~repro.mpi.codec.PackedBatch`
-packed through the pool travels as a :class:`_ShmRef` *handle envelope*
-(segment name + pool id), an ndarray of a collective — a broadcast model
-— as a :class:`_ShmArray` handle to a segment its sender lends
-(:class:`_Lender`), and both sides map the same
-``multiprocessing.shared_memory`` segment.  The world's pool is the same
-:class:`~repro.mpi.pool.BufferPool`, over a
-:class:`~repro.mpi.shm_pool.SegmentAllocator`, and stays in the parent, so
-the acquire/adopt/release ownership discipline — including the idempotent
-teardown adopt on abort paths — stays globally exact.  Control messages,
-plans and small values simply pickle through the pipe — a reduction's
-operator too, and what comes back is the one result the world folded, not
-the ranks' contributions.
+* **Point-to-point never visits the parent.**  A rank posts on its forked
+  copy of the launch world, so the chaos ``_deliver`` seam runs at the
+  sender, and delivery writes a descriptor into one single-producer /
+  single-consumer ring per ordered rank pair on the :class:`_Board`, an
+  anonymous mapping made before the fork.  A ``PackedBatch`` frame lies in
+  a segment of the sender's own pool, so a pool miss is a local
+  ``shm_open``; the receiver maps the segment by name once and reads the
+  frame in place, and the frame goes back to its sender on ACK.  A read
+  drains the rank's M − 1 inbound rings into a local mailbox first (FIFO
+  per pair; order across sources is a race on ``threads`` too), and a
+  blocking receive waits on the rank's doorbell semaphore.
+* **A fold on the launch communicator** (allreduce, reduce, barrier) runs
+  among the ranks over the board too (:meth:`_ClientWorld._fold_here`).
+* **Liveness and accounting need no round trip**: the parent writes the
+  abort and dead words inside ``World.abort`` / ``mark_dead``, and every
+  ring operation reads them; the ranks count traffic, copies, their pool's
+  ledger and the chaos engine's faults on the board, where the parent adds
+  them up after the run (a ``SIGKILL`` notwithstanding).
+* Every other world call crosses a per-rank pipe to **one broker thread
+  per rank** in the parent, which runs it on the real world, in order: a
+  call is one round trip; one that returns nothing (a flight event) is a
+  **cast**, sent with the rank's next message.  What may cross is the RPC
+  table (:data:`_RPC`), once: the facade's forwarders are generated from
+  it and the broker dispatches by it.
 
 Children are forked *before* the broker threads start (fork + threads do
-not mix), and the parent unlinks every shared segment on every exit path.
+not mix), and the parent unlinks every segment of the launch — its own and
+every rank's, dead or alive — on every exit path.
 """
 
 from __future__ import annotations
@@ -63,7 +50,7 @@ import struct
 import threading
 import time
 from dataclasses import replace as _dc_replace
-from multiprocessing import resource_tracker, shared_memory
+from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -75,34 +62,32 @@ from .errors import MPIAbort, MPITimeout, PeerFailure
 from .launcher import _run_rank
 from .message import Checksummed, Message
 from .pool import MIN_SIZE_CLASS, BufferPool, PoolBuffer, _size_class
-from .shm_pool import SegmentAllocator, quiet_close
-from .world import _POLL_INTERVAL, World, _fold
+from .shm_pool import SegmentAllocator, attach, quiet_close, unlink
+from .world import _POLL_INTERVAL, World, _fold, _Mailbox
 
 __all__ = ["host_procs"]
 
 
 # --------------------------------------------------------------------------
-# Wire envelopes: what payloads look like on the pipe.
+# Wire envelopes: what payloads look like between processes.
 # --------------------------------------------------------------------------
 
 
 class _ShmRef:
     """Handle envelope for a pool-backed ``PackedBatch``: the payload stays
-    in its shared segment; only the coordinates cross the pipe."""
+    in its shared segment; only its name and length travel."""
 
-    __slots__ = ("header", "buf_id", "name", "nbytes", "size_class")
+    __slots__ = ("header", "name", "nbytes")
 
-    def __init__(self, header: bytes, buf_id: int, name: str, nbytes: int, size_class: int):
+    def __init__(self, header: bytes, name: str, nbytes: int):
         self.header = header
-        self.buf_id = buf_id
         self.name = name
         self.nbytes = nbytes
-        self.size_class = size_class
 
 
 class _RawBatch:
-    """A ``PackedBatch`` *not* backed by the shared pool (e.g. a chaos-
-    corrupted copy) — its bytes are copied through the pipe."""
+    """A ``PackedBatch`` *not* backed by a shared pool (e.g. a chaos-
+    corrupted copy) — its bytes travel with the envelope."""
 
     __slots__ = ("header", "payload")
 
@@ -115,10 +100,9 @@ class _ShmArray:
     """Handle envelope for an ndarray of a collective: its bytes lie in a
     segment the sending side lends for the one message."""
 
-    __slots__ = ("buf_id", "name", "dtype", "shape")
+    __slots__ = ("name", "dtype", "shape")
 
-    def __init__(self, buf_id: int, name: str, dtype: str, shape: tuple):
-        self.buf_id = buf_id
+    def __init__(self, name: str, dtype: str, shape: tuple):
         self.name = name
         self.dtype = dtype
         self.shape = shape
@@ -161,57 +145,48 @@ class _Lender:
         bufs = self._bufs.setdefault(cls, [])
         if nth == len(bufs):
             bufs.append(self._acquire(cls))
-        ref = _ShmArray(bufs[nth].buf_id, bufs[nth].segment_name, arr.dtype.str, arr.shape)
+        ref = _ShmArray(bufs[nth].segment_name, arr.dtype.str, arr.shape)
         ref.view(bufs[nth].raw)[...] = arr
         return ref
 
     def release_all(self) -> None:
-        """Hand every lent segment back to the pool (the rank has ended)."""
+        """Hand every lent segment back to the pool (its end has ended)."""
         for bufs in self._bufs.values():
             for buf in bufs:
                 buf.release()
         self._bufs = {}
 
 
-#: Bytes of a :class:`_FoldBoard` header: the stamp, then the pickled slot.
-_HEADER = 1024
+class _Peers:
+    """The segments other processes own, mapped by name on first use and
+    kept mapped (an owner recycles a segment, never unlinks it early)."""
 
+    def __init__(self) -> None:
+        self._segments: dict[str, mmap.mmap] = {}
 
-class _FoldBoard:
-    """What the ranks of one launch share to fold among themselves, made
-    before the fork: per rank, two counting semaphores every peer releases
-    once per fold (``ready``: its slot is posted; ``done``: it has folded)
-    and a slot header in an anonymous mapping — a small contribution, or
-    the segment a large one is lent in, stamped with the fold's number."""
+    def mapped(self, name: str) -> mmap.mmap:
+        seg = self._segments.get(name)
+        if seg is None:
+            seg = self._segments[name] = attach(name, 0)
+        return seg
 
-    def __init__(self, size: int, ctx) -> None:
-        self.ready = [ctx.Semaphore(0) for _ in range(size)]
-        self.done = [ctx.Semaphore(0) for _ in range(size)]
-        self._mem = mmap.mmap(-1, size * _HEADER)
+    def batch(self, ref: _ShmRef) -> PackedBatch:
+        """A received ``PackedBatch``, viewing its sender's segment (which
+        the sender retires: ``buf`` pins the mapping, not a pool buffer)."""
+        seg = self.mapped(ref.name)
+        payload = memoryview(seg)[: ref.nbytes].toreadonly()
+        return PackedBatch(header=ref.header, payload=payload, buf=seg)
 
-    @staticmethod
-    def release(sems: list, rank: int) -> None:
-        """Release every peer of ``rank`` once."""
-        for peer, sem in enumerate(sems):
-            if peer != rank:
-                sem.release()
+    def array(self, ref: _ShmArray) -> np.ndarray:
+        """A lent ndarray where it lies."""
+        return ref.view(self.mapped(ref.name))
 
-    def publish(self, rank: int, gen: int, slot: tuple) -> None:
-        """Post ``slot`` as ``rank``'s part of fold ``gen``."""
-        data = pickle.dumps(slot)
-        if len(data) > _HEADER - 8:
-            raise ValueError(f"slot header of {len(data)} B exceeds {_HEADER - 8} B")
-        at = rank * _HEADER
-        self._mem[at + 8 : at + 8 + len(data)] = data
-        struct.pack_into("q", self._mem, at, gen)
-
-    def stamp(self, rank: int) -> int:
-        """The last fold ``rank`` posted (0: none)."""
-        return struct.unpack_from("q", self._mem, rank * _HEADER)[0]
-
-    def slot(self, rank: int) -> tuple:
-        """What ``rank`` posted last (pickle ignores the bytes past it)."""
-        return pickle.loads(self._mem[rank * _HEADER + 8 : (rank + 1) * _HEADER])
+    def close_all(self) -> None:
+        """Unmap every attachment; mappings pinned by live zero-copy views
+        are left for process teardown."""
+        for seg in self._segments.values():
+            quiet_close(seg)
+        self._segments.clear()
 
 
 def _lendable(obj: Any) -> bool:
@@ -230,10 +205,7 @@ def _encode(obj: Any, lend: Callable[[np.ndarray], _ShmArray] | None = None) -> 
         if isinstance(buf, PoolBuffer) and buf.segment_name is not None:
             # The batch's own length: a frame its sender reused is shorter
             # or longer than the pool recorded when it was first acquired.
-            return _ShmRef(
-                bytes(obj.header), buf.buf_id, buf.segment_name,
-                obj.payload.nbytes, buf.size_class,
-            )
+            return _ShmRef(bytes(obj.header), buf.segment_name, obj.payload.nbytes)
         return _RawBatch(bytes(obj.header), bytes(obj.payload))
     if isinstance(obj, np.ndarray):
         return lend(obj) if lend is not None and _lendable(obj) else obj
@@ -292,21 +264,151 @@ def _pickle_safe(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach a segment without registering it with the resource tracker.
+# --------------------------------------------------------------------------
+# The board: what the ranks of one launch share, made before the fork.
+# --------------------------------------------------------------------------
 
-    The parent owns every segment's lifetime (create + unlink); a rank
-    process registering its attachment too would double-book the name in
-    the shared tracker and produce spurious leak warnings/KeyErrors at
-    exit.  Rank code is single-threaded, so briefly stubbing the tracker's
-    ``register`` around the attach is race-free.
+#: Bytes of a slot header: the stamp, then the pickled slot.
+_HEADER = 1024
+#: Bytes of one rank-to-rank ring, and of the largest entry it carries
+#: inline: a larger one (a big pickle) goes in a segment of its own, which
+#: its reader unlinks.
+_RING = 1 << 16
+_INLINE = 1 << 13
+#: Per-rank counters on the board: the world's traffic lists, then the
+#: rank pool's accounting.
+_TRAFFIC = ("bytes_sent", "messages_sent", "bytes_copied", "copies")
+_POOL = (
+    "acquires", "releases", "adopts", "hits", "misses",
+    "bytes_served", "bytes_allocated", "high_water",
+)
+
+
+class _Board:
+    """One anonymous shared mapping plus semaphores, made before the fork.
+
+    * **Folds**: per rank two counting semaphores every peer releases once
+      per fold (``ready``: its slot is posted; ``done``: it has folded) and
+      a slot header — a small contribution, or the segment a large one is
+      lent in, stamped with the fold's number.
+    * **Rings**: per ordered pair ``(src, dest)`` a byte ring of
+      length-prefixed entries; ``head`` is written by ``src`` only,
+      ``tail`` by ``dest`` only, ``cut`` by the parent (a rejoin), so an
+      entry is published by one aligned store after its bytes.  Per rank a
+      doorbell semaphore, released after every entry put for it.
+    * **Liveness** (written by the parent): the ``abort`` word, per rank
+      ``dead`` (the world's dead set) and ``exited`` (its pipe has ended).
+    * **Counters**: per rank the traffic and pool counters, and a second
+      slot header (slot ``size + rank``) for its chaos engine's counts.
     """
-    original = resource_tracker.register
-    resource_tracker.register = lambda *a, **k: None  # type: ignore[assignment]
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original  # type: ignore[assignment]
+
+    def __init__(self, size: int, ctx) -> None:
+        self.size = size
+        self.ready = [ctx.Semaphore(0) for _ in range(size)]
+        self.done = [ctx.Semaphore(0) for _ in range(size)]
+        self.bell = [ctx.Semaphore(0) for _ in range(size)]
+        pairs, ncount = size * size, len(_TRAFFIC) + len(_POOL)
+        nwords = 1 + 2 * size + 3 * pairs + size * ncount
+        self._slots = 8 * nwords
+        self._rings = self._slots + 2 * size * _HEADER
+        self._mem = mmap.mmap(-1, self._rings + pairs * _RING)
+        words = np.frombuffer(self._mem, np.int64, nwords)
+        self.abort, self.dead = words[:1], words[1 : 1 + size]
+        self.exited = words[1 + size : 1 + 2 * size]
+        self._ends = words[1 + 2 * size : 1 + 2 * size + 3 * pairs].reshape(pairs, 3)
+        counters = words[1 + 2 * size + 3 * pairs :].reshape(size, ncount)
+        self.traffic, self.pools = counters[:, : len(_TRAFFIC)], counters[:, len(_TRAFFIC) :]
+
+    # ------------------------------------------------------------ liveness
+    def publish(self, aborted: bool, dead) -> None:
+        """Write the world's abort flag and dead set (the parent, at every
+        change) and ring every doorbell, so a blocked receive re-checks."""
+        self.dead[:] = [r in dead for r in range(self.size)]
+        self.abort[0] = aborted
+        for bell in self.bell:
+            bell.release()
+
+    # --------------------------------------------------------------- folds
+    @staticmethod
+    def release(sems: list, rank: int) -> None:
+        """Release every peer of ``rank`` once."""
+        for peer, sem in enumerate(sems):
+            if peer != rank:
+                sem.release()
+
+    def post_slot(self, rank: int, gen: int, slot: Any) -> None:
+        """Post ``slot`` as ``rank``'s part of fold ``gen``."""
+        data = pickle.dumps(slot)
+        if len(data) > _HEADER - 8:
+            raise ValueError(f"slot header of {len(data)} B exceeds {_HEADER - 8} B")
+        at = self._slots + rank * _HEADER
+        self._mem[at + 8 : at + 8 + len(data)] = data
+        struct.pack_into("q", self._mem, at, gen)
+
+    def stamp(self, rank: int) -> int:
+        """The last fold ``rank`` posted (0: none)."""
+        return struct.unpack_from("q", self._mem, self._slots + rank * _HEADER)[0]
+
+    def slot(self, rank: int) -> Any:
+        """What ``rank`` posted last (pickle ignores the bytes past it)."""
+        at = self._slots + rank * _HEADER
+        return pickle.loads(self._mem[at + 8 : at + _HEADER])
+
+    # --------------------------------------------------------------- rings
+    def put(self, src: int, dest: int, entry: bytes) -> bool:
+        """Append ``entry`` to ring ``src -> dest``; False if it is full."""
+        ring = src * self.size + dest
+        ends = self._ends[ring]
+        head, data = int(ends[0]), len(entry).to_bytes(4, "little") + entry
+        if head - int(ends[1]) + len(data) > _RING:
+            return False
+        (a, k), (b, rest) = self._spans(ring, head, len(data))
+        self._mem[a : a + k] = data[:k]
+        self._mem[b : b + rest] = data[k:]
+        ends[0] = head + len(data)
+        return True
+
+    def drain(self, dest: int) -> list[tuple[int, bytes]]:
+        """Every ``(src, entry)`` put for ``dest`` since its last drain, in
+        put order per source."""
+        out = []
+        for src in range(self.size):
+            ring = src * self.size + dest
+            ends = self._ends[ring]
+            head, tail = int(ends[0]), int(ends[1])
+            while tail < head:
+                n = int.from_bytes(self._read(ring, tail, 4), "little")
+                out.append((src, self._read(ring, tail + 4, n)))
+                tail += 4 + n
+            ends[1] = tail
+        return out
+
+    def _read(self, ring: int, pos: int, n: int) -> bytes:
+        (a, k), (b, rest) = self._spans(ring, pos, n)
+        return self._mem[a : a + k] + self._mem[b : b + rest]
+
+    def _spans(self, ring: int, pos: int, n: int) -> tuple[tuple[int, int], ...]:
+        """Where ``n`` bytes from ``pos`` of ``ring`` lie in the mapping:
+        ``(offset, length)`` up to the ring's end, then from its start."""
+        base, at = self._rings + ring * _RING, pos % _RING
+        first = min(n, _RING - at)
+        return (base + at, first), (base, n - first)
+
+    def cut(self, rank: int, dead) -> None:
+        """A rejoin flushes ``rank``'s mailbox (the parent, in the regroup
+        that revives it): what its rings hold now was sent to its previous
+        incarnation.  ``rank`` skips it when admitted (:meth:`skip`)."""
+        for src in range(self.size):
+            ends = self._ends[src * self.size + rank]
+            ends[2] = ends[0]
+        self.publish(bool(self.abort[0]), dead)
+
+    def skip(self, rank: int) -> None:
+        """Drop what the last :meth:`cut` of ``rank`` flushed (``rank``
+        itself: only a ring's reader moves its tail)."""
+        for src in range(self.size):
+            ends = self._ends[src * self.size + rank]
+            ends[1] = max(ends[1], ends[2])
 
 
 # --------------------------------------------------------------------------
@@ -315,22 +417,20 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 
 #: How an operation's arguments and result cross the pipe.
 _PLAIN = "plain"  # pickled as they are
-_BUF = "buf"      # argument 0 is a pool buffer: its ``buf_id`` crosses, the
-                 # parent finds the buffer again in its pool's ledger
 _HAND = "hand"    # something is built on one side (a ``_ShmRef`` through
-                 # ``_encode`` / ``_decode``, an attached segment, a pickle
-                 # guard): both halves are written out by hand below
+                 # ``_encode`` / ``_decode``, a pickle guard): both halves
+                 # are written out by hand below
 
 
 class _Op(NamedTuple):
     """One row: ``name`` on ``target``, reached from a rank.
 
     ``target`` is ``"world"`` or the name of one of its attributes;
-    ``"mailbox"`` and ``"recorder"`` are per-rank (``world.mailboxes[r]``,
-    ``world.flight.for_rank(r)``, ``r`` the leading argument).  ``kind`` is
-    ``"call"`` (one round trip), ``"cast"`` (returns nothing: queued at the
-    rank, no reply crosses the pipe, a failure is raised by the rank's next
-    round trip) or ``"get"`` (an attribute read, one round trip).
+    ``"recorder"`` is per-rank (``world.flight.for_rank(r)``, ``r`` the
+    leading argument).  ``kind`` is ``"call"`` (one round trip), ``"cast"``
+    (returns nothing: queued at the rank, no reply crosses the pipe, a
+    failure is raised by the rank's next round trip) or ``"get"`` (an
+    attribute read, one round trip).
     """
 
     target: str
@@ -340,14 +440,10 @@ class _Op(NamedTuple):
 
 
 _OPS = (
-    _Op("world", "post", "cast", codec=_HAND),
-    _Op("world", "take_blocking", codec=_HAND),
     _Op("world", "rendezvous", codec=_HAND),
     _Op("world", "check_alive"),
-    _Op("world", "count_copy", "cast"),
     _Op("world", "abort"),
     _Op("world", "mark_dead"),
-    _Op("world", "dead_ranks"),
     _Op("world", "epitaphs", "get"),
     _Op("world", "flush_mailbox"),
     _Op("world", "announce_crash"),
@@ -358,19 +454,9 @@ _OPS = (
     _Op("world", "abort_reason", "get"),
     _Op("world", "crashed", "get"),
     _Op("world", "crash_reason", "get"),
-    _Op("world", "total_bytes_copied"),
-    _Op("mailbox", "try_take_many", codec=_HAND),
-    _Op("mailbox", "peek", codec=_HAND),
-    _Op("pool", "acquire", codec=_HAND),
-    _Op("pool", "release", "cast", codec=_BUF),
-    _Op("pool", "adopt_if_in_use", codec=_BUF),
-    _Op("pool", "stats"),
-    _Op("pool", "in_use"),
-    _Op("pool", "assert_balanced"),
     _Op("recorder", "append", "cast"),
     _Op("flight", "dump", codec=_HAND),
     _Op("telemetry", "ingest"),
-    _Op("chaos", "note_epoch"),
 )
 
 #: Name on the wire -> row.  The whitelist: the broker refuses any other name.
@@ -381,8 +467,6 @@ def _target(world: World, op: _Op, args: tuple) -> tuple[Any, tuple]:
     """The parent-side object a row names, and the arguments left for it."""
     if op.target == "world":
         return world, args
-    if op.target == "mailbox":
-        return world.mailboxes[args[0]], args[1:]
     if op.target == "recorder":
         return world.flight.for_rank(args[0]), args[1:]
     return getattr(world, op.target), args
@@ -403,10 +487,9 @@ class _Rpc:
     A message to the parent is ``(casts, call)``: the ``(method, args)``
     casts queued since the last message, then at most one call, whose
     ``(ok, value)`` reply is all that crosses back.  A cast rides the next
-    message out — a call, a :meth:`flush` (a ``post`` flushes: a peer is
-    waiting for it), the exit record — or leaves once :data:`_MAX_QUEUED`
-    have gathered.  The pipe is FIFO and one broker serves it, so the
-    parent sees casts and calls in program order.
+    message out — a call, the exit record — or leaves once
+    :data:`_MAX_QUEUED` have gathered.  The pipe is FIFO and one broker
+    serves it, so the parent sees casts and calls in program order.
     """
 
     def __init__(self, conn) -> None:
@@ -436,15 +519,10 @@ class _Rpc:
         """Queue a no-reply invoke (ordered before any later ``call``)."""
         self._queued.append((method, args))
         if len(self._queued) >= _MAX_QUEUED:
-            self.flush()
-
-    def flush(self) -> None:
-        """Send the queued casts now."""
-        try:
-            if self._queued:
+            try:
                 self.send(None)
-        except (EOFError, OSError):
-            pass
+            except (EOFError, OSError):
+                pass
 
 
 def _forwarder(wire: str, op: _Op) -> Any:
@@ -455,12 +533,10 @@ def _forwarder(wire: str, op: _Op) -> Any:
             doc=f"``{wire}`` as the parent sees it now (one round trip).",
         )
     send = _Rpc.cast if op.kind == "cast" else _Rpc.call
-    if op.codec == _BUF:
-        def forward(self, buf: PoolBuffer, *args: Any) -> Any:
-            return send(self._rpc, wire, buf.buf_id, *args)
-    else:
-        def forward(self, *args: Any) -> Any:
-            return send(self._rpc, wire, *args)
+
+    def forward(self, *args: Any) -> Any:
+        return send(self._rpc, wire, *args)
+
     forward.__name__ = op.name
     forward.__doc__ = (
         f"``{wire}`` on the parent-hosted world "
@@ -488,83 +564,38 @@ def _facade(target: str) -> Callable[[type], type]:
     return install
 
 
-@_facade("pool")
-class _ClientPool:
-    """Rank-process facade of the parent's pool.
+class _RankPool(BufferPool):
+    """The exchange pool a rank process owns, over its own segments.  Its
+    ledger is the rank's alone (a frame comes back to it on ACK); each
+    change of its counters is mirrored into the rank's row of the board,
+    where the parent adds the ranks up after the run."""
 
-    A rank's :class:`PoolBuffer` maps the segment the parent's buffer of
-    the same ``buf_id`` names; every ownership transition is an RPC against
-    the parent's authoritative ledger (the rank-side ``state`` is not kept
-    up), so double-release detection and idempotent teardown adopts work
-    across process boundaries.
-    """
-
-    name = "world-shm"
-
-    def __init__(self, rpc: _Rpc) -> None:
-        self._rpc = rpc
-        # Attach once, reuse for every buffer the segment ever backs.
-        self._segments: dict[str, shared_memory.SharedMemory] = {}
-
-    def _mapped(self, name: str) -> memoryview:
-        seg = self._segments.get(name)
-        if seg is None:
-            seg = self._segments[name] = _attach_untracked(name)
-        return seg.buf
-
-    def _attached(self, buf_id: int, name: str, nbytes: int, size_class: int) -> PoolBuffer:
-        return PoolBuffer(self._mapped(name), nbytes, size_class, self, buf_id, name)
-
-    def close_all(self) -> None:
-        """Unmap every attachment (called at rank-process exit); mappings
-        pinned by live zero-copy views are left for process teardown."""
-        for seg in self._segments.values():
-            quiet_close(seg)
-        self._segments.clear()
+    def __init__(self, allocator: SegmentAllocator, row: np.ndarray) -> None:
+        super().__init__(allocator, name="rank-shm")
+        self._row = row
 
     def acquire(self, nbytes: int) -> PoolBuffer:
-        """Acquire a segment-backed buffer from the parent pool."""
-        return self._attached(*self._rpc.call("pool.acquire", int(nbytes)))
+        """:meth:`BufferPool.acquire`, counted on the board."""
+        buf = super().acquire(nbytes)
+        self._publish()
+        return buf
 
-    def ref_batch(self, ref: _ShmRef) -> PackedBatch:
-        """Rebuild a received ``PackedBatch`` view onto its shared segment."""
-        buf = self._attached(ref.buf_id, ref.name, ref.nbytes, ref.size_class)
-        return PackedBatch(header=ref.header, payload=buf.readonly(), buf=buf)
+    def _retire(self, buf: PoolBuffer, new_state: str, *, strict: bool = True) -> bool:
+        retired = super()._retire(buf, new_state, strict=strict)
+        self._publish()
+        return retired
 
-    def copy_array(self, ref: _ShmArray) -> np.ndarray:
-        """A received ndarray, copied out of the segment the parent lent
-        (which its next reply overwrites) into memory the rank owns."""
-        return ref.view(self._mapped(ref.name)).copy()
+    def _publish(self) -> None:
+        self._row[:] = [getattr(self, key) for key in _POOL]
 
 
-@_facade("mailbox")
-class _ClientMailbox:
-    """RPC-backed view of one parent-side mailbox (peek / try_take /
-    try_take_many; each checks the world is alive in the same round trip)."""
+class _Tally(dict):
+    """The chaos engine's injected-fault counts in a rank process, each
+    update posted (``post``) in the rank's counts slot on the board."""
 
-    def __init__(self, rpc: _Rpc, rank: int, world: "_ClientWorld") -> None:
-        self._rpc = rpc
-        self._rank = rank
-        self._world = world
-
-    def peek(self, source: int, tag: int) -> Message | None:
-        """The first matching queued message, or ``None`` — its envelope
-        only (source and tag are all a probe reads), the payload stays put."""
-        info = self._rpc.call("mailbox.peek", self._rank, source, tag)
-        if info is None:
-            return None
-        return Message(source=info[0], dest=self._rank, tag=info[1], payload=None)
-
-    def try_take(self, source: int, tag: int) -> Message | None:
-        """Non-blocking matched take: a batch of one."""
-        got = self.try_take_many([(source, tag, False)])[0]
-        return got[0] if got else None
-
-    def try_take_many(self, wants) -> list[list[Message]]:
-        """Every want's matches, taken in one round trip, with any
-        shared-segment payloads decoded."""
-        taken = self._rpc.call("mailbox.try_take_many", self._rank, wants)
-        return [[self._world._wire_to_msg(wire) for wire in got] for got in taken]
+    def __setitem__(self, kind: str, count: int) -> None:
+        super().__setitem__(kind, count)
+        self.post(dict(self))
 
 
 @_facade("flight")
@@ -606,74 +637,154 @@ class _ClientTelemetry(_Remote):
     """Rank-side proxy of the world's telemetry aggregator (rank 0 ingests)."""
 
 
-@_facade("chaos")
-class _ClientChaos(_Remote):
-    """Rank-side proxy of the chaos engine's epoch hook (present only when
-    the parent world is a ``ChaosWorld``, preserving the duck-typed seam).
-    ``note_epoch`` is a round trip, so epoch-scoped fault clauses activate
-    before the rank's next send."""
-
-
 @_facade("world")
 class _ClientWorld(_Remote):
     """The World facade a rank process programs against.
 
     Carries every attribute and method the :class:`Communicator`,
     :class:`~repro.mpi.request.RecvRequest`, scheduler, elastic and
-    telemetry layers touch, each an RPC against the real parent-hosted
-    world.  Blocking calls block in the parent broker with the same
+    telemetry layers touch.  Point-to-point, the pool, the copy counters
+    and liveness are local (the rank's forked copy of the launch world
+    over the board); the rest is an RPC against the real parent-hosted
+    world, and a blocking one blocks in the parent broker with the same
     semantics (abort/deadline/PeerFailure) as the threaded world.
     """
 
-    def __init__(
-        self,
-        rpc: _Rpc,
-        rank: int,
-        size: int,
-        copy_on_send: bool,
-        flight_detail: bool,
-        has_chaos: bool,
-        board: _FoldBoard,
-    ) -> None:
+    def __init__(self, rpc: _Rpc, rank: int, launch: World, board: _Board) -> None:
         super().__init__(rpc)
         self.rank = rank
-        self.size = size
-        self.copy_on_send = copy_on_send
-        self.pool = _ClientPool(rpc)
+        self.size = launch.size
+        self.copy_on_send = launch.copy_on_send
+        self._board = board
+        self._launch = launch
+        # The copy counters are the board's: counted here, read by all.
+        self.count_copy, self.total_bytes_copied = launch.count_copy, launch.total_bytes_copied
+        self._peers = _Peers()
+        self._alloc = launch.pool._allocator.for_rank(rank)
+        self._spills = itertools.count(1)
+        #: One lock for this rank's ring operations: a chaos-delayed
+        #: delivery puts from a timer thread.
+        self._lock = threading.RLock()
+        self.pool = _RankPool(self._alloc, board.pools[rank])
         #: Segments lent to the arrays this rank contributes to collectives.
         self.lender = _Lender(self.pool.acquire)
-        #: Folds run in the ranks: the board, their number, and ``(key,
-        #: number)`` of the last one while peers may still read its slot.
-        self._board = board
+        #: Folds run in the ranks: their number, and ``(key, number)`` of
+        #: the last one while peers may still read its slot.
         self._folds = itertools.count(1)
         self._owed: tuple | None = None
-        self.flight = _ClientFlightLog(rpc, flight_detail)
+        self.flight = _ClientFlightLog(rpc, launch.flight.detail)
         self.telemetry = _ClientTelemetry(rpc)
-        if has_chaos:
+        chaos = getattr(launch, "chaos", None)
+        if chaos is not None:
             # Duck-typed: plain worlds must NOT have the attribute at all.
-            self.chaos = _ClientChaos(rpc)
-        self.mailboxes = [_ClientMailbox(rpc, r, self) for r in range(size)]
+            self.chaos = chaos
+            chaos.counts = _Tally()
+            chaos.counts.post = functools.partial(board.post_slot, self.size + rank, 1)
+        # The rank's own mailbox: every read first checks liveness and
+        # drains the inbound rings into it.
+        self._inbox = _Mailbox(self._poll)
+        self.mailboxes = [self._inbox if r == rank else None for r in range(self.size)]
+        # The launch world's delivery seam (and a chaos world's) ends in
+        # this rank's outbound rings, or for a self-send in its own inbox.
+        launch.board = None
+        launch.mailboxes = [
+            self._inbox if r == rank else SimpleNamespace(deposit=functools.partial(self._put, r))
+            for r in range(self.size)
+        ]
 
-    def _wire_to_msg(self, wire: tuple) -> Message:
-        source, dest, tag, seq, posted_s, enc = wire
-        payload = _decode(enc, self.pool.ref_batch)
-        return Message(source, dest, tag, payload, seq=seq, posted_s=posted_s)
+    # -------------------------------------------------------------- liveness
+    def check_alive(self) -> None:
+        """Raise if the world was aborted or its deadline passed: read on
+        the board, the parent is asked only then (its exception, its
+        reason)."""
+        deadline = self._launch._deadline
+        if self._board.abort[0] or (deadline is not None and time.monotonic() > deadline):
+            self._rpc.call("world.check_alive")
 
+    def dead_ranks(self) -> frozenset[int]:
+        """World ranks that have died, as the board has them now."""
+        return frozenset(np.flatnonzero(self._board.dead).tolist())
+
+    # ------------------------------------------------------- point-to-point
     def post(self, msg: Message) -> None:
-        """Send (a cast, flushed at once): the parent constructs the
-        authoritative ``Message`` (with a parent-global sequence number) and
-        runs the real delivery path — liveness check, accounting and the
-        chaos ``_deliver`` seam; only the destination range is checked here."""
+        """Send: check the destination and liveness, charge the sender,
+        and run the launch world's delivery seam here, at the sender."""
         if not 0 <= msg.dest < self.size:
             raise ValueError(f"destination rank {msg.dest} out of range [0,{self.size})")
-        self._rpc.cast("world.post", msg.source, msg.dest, msg.tag, _encode(msg.payload))
-        self._rpc.flush()
+        self.check_alive()
+        self._launch._account(msg)
+        self._launch._deliver(msg)
+
+    def _put(self, dest: int, msg: Message) -> None:
+        """Deliver ``msg`` into ring ``rank -> dest``.  A full ring waits
+        for its reader, draining this rank's own rings meanwhile (the
+        reader may be waiting on its ring to us); a message for a rank that
+        will never read again, or into an aborted world, is dropped."""
+        entry = pickle.dumps((msg.tag, msg.posted_s, _encode(msg.payload)), protocol=5)
+        if len(entry) > _INLINE:
+            name = f"{self._alloc.prefix}s{next(self._spills)}"
+            seg = attach(name, len(entry))
+            seg[:] = entry
+            seg.close()
+            entry = pickle.dumps(name)
+        board = self._board
+        with self._lock:
+            while not board.put(self.rank, dest, entry):
+                if board.abort[0] or board.dead[dest] or board.exited[dest]:
+                    return
+                self._drain()
+                time.sleep(0.001)
+        board.bell[dest].release()
+
+    def _drain(self) -> None:
+        """Move what the inbound rings hold into the inbox, in put order
+        per source, each message a new arrival (``seq``) of this rank."""
+        with self._lock:
+            for src, entry in self._board.drain(self.rank):
+                item = pickle.loads(entry)
+                if isinstance(item, str):  # a spilled entry: its own segment
+                    seg = attach(item, 0)
+                    unlink(item)
+                    item = pickle.loads(seg)
+                    seg.close()
+                tag, posted_s, enc = item
+                self._inbox.deposit(Message(
+                    src, self.rank, tag, _decode(enc, self._peers.batch), posted_s=posted_s
+                ))
+
+    def _poll(self) -> None:
+        """What every read of the inbox starts with."""
+        self.check_alive()
+        self._drain()
 
     def take_blocking(self, dest: int, source: int, tag: int) -> Message:
-        """Blocking matched receive (parks the parent broker, exactly like a
-        rank thread; PeerFailure/MPIAbort/MPITimeout propagate)."""
-        return self._wire_to_msg(self._rpc.call("world.take_blocking", dest, source, tag))
+        """Blocking matched receive: poll, then wait on the doorbell.  A
+        receive from a specific dead source fails with :class:`PeerFailure`
+        once nothing it sent before its death matches."""
+        bell = self._board.bell[dest]
+        while True:
+            while bell.acquire(False):  # stale rings: the poll below sees them
+                pass
+            dead = source >= 0 and self._board.dead[source]
+            msg = self._inbox.try_take(source, tag)
+            if msg is not None:
+                return msg
+            if dead:
+                raise PeerFailure(source, self.epitaphs.get(source), op="recv")
+            bell.acquire(timeout=_POLL_INTERVAL)
 
+    def await_admission(self, rank: int):
+        """Block (in the parent) until an expand admits ``rank``; then drop
+        what was sent to this rank's previous incarnation."""
+        admission = self._rpc.call("world.await_admission", rank)
+        if admission is not None:
+            with self._lock:
+                self._board.skip(rank)
+                with self._inbox.lock:
+                    self._inbox.messages.clear()
+        return admission
+
+    # ------------------------------------------------------------ collectives
     def rendezvous(self, key: tuple, rank: int, contribution: Any, group=None, fold=None):
         """Collective rendezvous (a fold on the launch communicator, context
         0, runs in the ranks); the contribution and the reply (the slot
@@ -684,14 +795,10 @@ class _ClientWorld(_Remote):
             return self._fold_here(key, rank, contribution, fold)
         self._settle()
         reply = self._rpc.call(
-            "world.rendezvous",
-            key,
-            rank,
-            self.lender.encode(contribution),
-            None if group is None else tuple(group),
-            fold,
+            "world.rendezvous", key, rank, self.lender.encode(contribution),
+            None if group is None else tuple(group), fold,
         )
-        return _decode(reply, self.pool.ref_batch, self.pool.copy_array)
+        return _decode(reply, self._peers.batch, lambda ref: self._peers.array(ref).copy())
 
     def _fold_here(self, key: tuple, rank: int, contribution: Any, fold) -> Any:
         """A fold among the rank processes, with no round trip: post this
@@ -710,7 +817,7 @@ class _ClientWorld(_Remote):
             if len(data) > _HEADER // 2:
                 data = self.lender.lend(np.frombuffer(data, np.uint8))
             slot = (data, True)
-        board.publish(rank, gen, slot)
+        board.post_slot(rank, gen, slot)
         board.release(board.ready, rank)
         self._take(board.ready[rank], key, gen)
         self._owed = (key, gen)
@@ -719,7 +826,7 @@ class _ClientWorld(_Remote):
             for peer in range(self.size):
                 data, pickled = board.slot(peer)
                 if isinstance(data, _ShmArray):
-                    data = data.view(self.pool._mapped(data.name))
+                    data = self._peers.array(data)
                 values.append(pickle.loads(data) if pickled else data)
             return _fold(values, fold)
         finally:
@@ -756,17 +863,20 @@ class _ClientWorld(_Remote):
         if failure is not None:
             raise failure
 
+    def finish(self) -> None:
+        """The rank has ended: let its chaos-delayed deliveries land, hand
+        its lent segments back to its pool (peers may still read its last
+        fold slot: released, a segment is neither reused nor unlinked) and
+        unmap its peers' segments."""
+        for timer in threading.enumerate():
+            if isinstance(timer, threading.Timer):
+                timer.join(timeout=1.0)
+        self.lender.release_all()
+        self._peers.close_all()
+
 
 def _child_main(
-    pipes: list,
-    rank: int,
-    size: int,
-    fn: Callable[..., Any],
-    args: tuple,
-    copy_on_send: bool,
-    flight_detail: bool,
-    has_chaos: bool,
-    board: _FoldBoard,
+    pipes: list, rank: int, fn: Callable[..., Any], args: tuple, launch: World, board: _Board
 ) -> None:
     """Rank-process entry point: run the shared rank runner against the
     facade and report its outcome over the pipe as a final ``__exit__``
@@ -780,21 +890,18 @@ def _child_main(
         if child_end is not conn:
             child_end.close()
     rpc = _Rpc(conn)
-    world = _ClientWorld(
-        rpc, rank, size, copy_on_send, flight_detail, has_chaos, board
-    )
+    world = _ClientWorld(rpc, rank, launch, board)
     ok, value = _run_rank(world, rank, fn, args)
-    # Peers may still read its last fold slot: the parent releases them.
-    lent = [buf.buf_id for bufs in world.lender._bufs.values() for buf in bufs]
+    world.finish()
     try:
         value = _encode(value) if ok else _pickle_safe(value)
-        rpc.send(("__exit__", (ok, value, lent)))
+        chaos = getattr(launch, "chaos", None)  # its state goes on in a restart
+        rpc.send(("__exit__", (ok, value, chaos and chaos.handback(rank))))
         conn.close()
     except Exception:
         # Nothing left to tell the parent with: its broker sees the pipe
         # close without a record and reports the rank as lost.
         pass
-    world.pool.close_all()
 
 
 # --------------------------------------------------------------------------
@@ -811,16 +918,18 @@ class _Broker:
         self._rank = rank
         self._conn = conn
         self._world = world
+        self._board = world.board
         #: Segments lent to the arrays of this rank's replies.
         self._lender = _Lender(world.pool.acquire)
+        #: The rank's segments its contributions arrive in.
+        self._peers = _Peers()
         #: What the first cast to raise since the last round trip raised:
         #: the rank's next call gets it in place of running.
         self._failed_cast: BaseException | None = None
-        #: The rank's final ``(ok, payload)`` record; stays
-        #: ``None`` when its pipe dies first.
+        #: The rank's final ``(ok, payload)`` record, and its chaos engine's
+        #: handback; ``None`` when its pipe dies first.
         self.outcome: tuple | None = None
-        #: The ``buf_id``s of the segments the rank lent, from its exit record.
-        self.lent: list[int] = []
+        self.handback: tuple | None = None
         #: What crossed the pipe: wire name -> ``[round trips, casts]``.
         self.counts: dict[str, list[int]] = {}
 
@@ -853,7 +962,9 @@ class _Broker:
         except (EOFError, OSError):
             self._lost()
         finally:
+            self._board.exited[self._rank] = 1
             self._lender.release_all()
+            self._peers.close_all()
 
     def _call(self, method: str, args: tuple, failed: BaseException | None) -> None:
         """Run one call and reply — with ``failed``, an earlier cast's
@@ -861,7 +972,7 @@ class _Broker:
         cast that failed behind the rank's last round trip becomes its
         outcome, and aborts the world as the raise would have."""
         if method == "__exit__":
-            ok, payload, self.lent = args
+            ok, payload, self.handback = args
             if ok and failed is not None:
                 ok, payload = False, failed
                 if not self._world.aborted:
@@ -890,70 +1001,18 @@ class _Broker:
             # A snapshot: the reply is pickled after this returns, while
             # the other ranks' brokers keep running.
             return copy.copy(getattr(target, op.name))
-        if op.codec == _BUF:
-            args = (self._buffer(args[0]), *args[1:])
         return getattr(target, op.name)(*args)
 
-    def _buffer(self, buf_id: int) -> PoolBuffer:
-        """The parent pool's own handle for a rank's ``buf_id``."""
-        try:
-            return self._world.pool.buffer(buf_id)
-        except KeyError:
-            # Ids are issued once and the ledger forgets a buffer only when
-            # it is released, so this names a released buffer: a handle in
-            # that state (no bytes) makes a strict retire raise and the
-            # idempotent adopt lose quietly, as they would in-process.
-            gone = PoolBuffer(None, 0, 0, self._world.pool, buf_id)
-            gone.state = "released"
-            return gone
-
-    def _ref_batch(self, ref: _ShmRef) -> PackedBatch:
-        """Rebuild a ``PackedBatch`` on the parent's canonical pool handle
-        (so chaos corruption and accounting see real payload bytes)."""
-        buf = self._world.pool.buffer(ref.buf_id)
-        payload = memoryview(buf.raw)[: ref.nbytes].toreadonly()
-        return PackedBatch(header=ref.header, payload=payload, buf=buf)
-
-    def _msg_to_wire(self, msg: Message) -> tuple:
-        return (msg.source, msg.dest, msg.tag, msg.seq, msg.posted_s, _encode(msg.payload))
-
     # The parent halves of the rows marked _HAND, named _<target>_<name>.
-    def _world_post(self, source: int, dest: int, tag: int, enc: Any) -> None:
-        payload = _decode(enc, self._ref_batch)
-        self._world.post(Message(source=source, dest=dest, tag=tag, payload=payload))
-
-    def _world_take_blocking(self, dest: int, source: int, tag: int) -> tuple:
-        return self._msg_to_wire(self._world.take_blocking(dest, source, tag))
-
     def _world_rendezvous(self, key: tuple, rank: int, enc: Any, group, fold) -> Any:
+        # A contribution with no fold outlives the call in the slot map its
+        # peers are handed, so it is copied out of the lent segment; a fold
+        # has read it where it lies by the time the rank is replied to.
         contribution = _decode(
-            enc, self._ref_batch, self._copy_array if fold is None else self._read_array
+            enc, self._peers.batch,
+            (lambda ref: self._peers.array(ref).copy()) if fold is None else self._peers.array,
         )
-        return self._lender.encode(
-            self._world.rendezvous(key, rank, contribution, group, fold)
-        )
-
-    def _read_array(self, ref: _ShmArray) -> np.ndarray:
-        """A contribution where it lies, in the segment its rank lent: the
-        fold has read it by the time the rank is replied to."""
-        return ref.view(self._world.pool.buffer(ref.buf_id).raw)
-
-    def _copy_array(self, ref: _ShmArray) -> np.ndarray:
-        """A contribution with no fold outlives the call in the slot map its
-        peers are handed, so it is copied out of the lent segment."""
-        return self._read_array(ref).copy()
-
-    def _mailbox_try_take_many(self, rank: int, wants: list) -> list[list[tuple]]:
-        taken = self._world.mailboxes[rank].try_take_many(wants)
-        return [[self._msg_to_wire(msg) for msg in got] for got in taken]
-
-    def _mailbox_peek(self, rank: int, source: int, tag: int) -> tuple | None:
-        msg = self._world.mailboxes[rank].peek(source, tag)
-        return None if msg is None else (msg.source, msg.tag)
-
-    def _pool_acquire(self, nbytes: int) -> tuple[int, str, int, int]:
-        buf = self._world.pool.acquire(nbytes)
-        return (buf.buf_id, buf.segment_name, buf.nbytes, buf.size_class)
+        return self._lender.encode(self._world.rendezvous(key, rank, contribution, group, fold))
 
     def _flight_dump(self, reason: str, key: object, extra: dict | None):
         value = self._world.flight.dump(reason, key=key, extra=extra)
@@ -989,10 +1048,12 @@ def _await_children(procs: list, world: World, deadline_s: float | None) -> None
             proc.join(timeout=5.0)
 
 
-def _copy_out(ref: _ShmRef, pool: BufferPool) -> PackedBatch:
+def _copy_out(ref: _ShmRef) -> PackedBatch:
     """Materialise a returned shared-segment batch into private bytes (the
     segments are unlinked when the run ends, so results must not view them)."""
-    raw = bytearray(memoryview(pool.buffer(ref.buf_id).raw)[: ref.nbytes])
+    seg = attach(ref.name, 0)
+    raw = bytearray(seg[: ref.nbytes])
+    seg.close()
     return PackedBatch(header=ref.header, payload=memoryview(raw).toreadonly(), buf=raw)
 
 
@@ -1007,27 +1068,26 @@ def host_procs(
     """The ``procs`` backend: fork one rank process per slot of ``world``,
     broker their world calls, and return one outcome per rank.
 
-    Shared-memory segments are unlinked on **every** exit path — normal
-    return, rank kill, exception, deadline — plus an ``atexit`` backstop in
-    the allocator itself.
+    Shared-memory segments — the parent's and every rank's — are unlinked
+    on **every** exit path: normal return, rank kill, exception, deadline,
+    plus an ``atexit`` backstop in the allocator itself.  Afterwards
+    ``world.pool`` counts every rank pool's buffers too.
     """
     size = world.size
     ctx = multiprocessing.get_context("fork")
-    # The world's pool *is* the shared pool in this backend, so stats and
-    # leak assertions read from one authoritative place.
+    # The launch's allocator: the brokers' reply segments, and the names
+    # every rank's own segments are made under (and unlinked by).
     pool = world.pool = BufferPool(SegmentAllocator(), name="world-shm")
-    has_chaos = getattr(world, "chaos", None) is not None
+    board = world.board = _Board(size, ctx)
+    for name, column in zip(_TRAFFIC, board.traffic.T):
+        setattr(world, name, column)
     pipes = [ctx.Pipe() for _ in range(size)]
-    board = _FoldBoard(size, ctx)
     # Fork every child BEFORE starting broker threads: forking a
     # multi-threaded process can deadlock the child on inherited locks.
     procs = [
         ctx.Process(
             target=_child_main,
-            args=(
-                pipes, r, size, fn, args, world.copy_on_send,
-                world.flight.detail, has_chaos, board,
-            ),
+            args=(pipes, r, fn, args, world, board),
             name=f"{name_prefix}{r}",
             daemon=True,
         )
@@ -1048,9 +1108,6 @@ def host_procs(
         _await_children(procs, world, deadline_s)
         for thread in threads:
             thread.join(timeout=10.0)
-        for broker in brokers:
-            for buf_id in broker.lent:
-                pool.buffer(buf_id).release()
         outcomes: list[tuple[bool, Any]] = []
         for r, broker in enumerate(brokers):
             if broker.outcome is None:
@@ -1061,8 +1118,10 @@ def host_procs(
                 )))
                 continue
             ok, payload = broker.outcome
+            if broker.handback is not None:
+                world.chaos.resume(broker.handback)
             if ok:
-                payload = _decode(payload, lambda ref: _copy_out(ref, pool))
+                payload = _decode(payload, _copy_out)
             outcomes.append((ok, payload))
         world.rpc_counts = [broker.counts for broker in brokers]
         return outcomes
@@ -1070,4 +1129,15 @@ def host_procs(
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
+        # What the ranks counted on the board, added to the parent's own.
+        world.board = None
+        for name in _TRAFFIC:
+            setattr(world, name, [int(v) for v in getattr(world, name)])
+        for name, total in zip(_POOL, board.pools.sum(axis=0)):
+            setattr(pool, name, getattr(pool, name) + int(total))
+        chaos = getattr(world, "chaos", None)
+        for r in range(size if chaos is not None else 0):
+            counts = board.slot(size + r) if board.stamp(size + r) else {}
+            for kind, count in counts.items():
+                chaos.counts[kind] = chaos.counts.get(kind, 0) + count
         pool.shutdown()

@@ -3,43 +3,38 @@
 The ``procs`` backend moves ranks into real OS processes, so the zero-copy
 discipline of :class:`~repro.mpi.pool.BufferPool` needs bytes both sides can
 map.  The pool stays the same class; :class:`SegmentAllocator` gives it
-``multiprocessing.shared_memory`` segments in place of heap bytes, and
-every :class:`~repro.mpi.pool.PoolBuffer` it hands out carries the segment's
-name.  What differs from the heap, and only that, is here:
+``/dev/shm`` segments in place of heap bytes, each
+:class:`~repro.mpi.pool.PoolBuffer` carrying its segment's name:
 
-* the pool lives in the **parent** (world-host) process and is the single
-  authority for acquire/release/adopt accounting — rank processes retire a
-  buffer by its ``buf_id`` over the backend RPC channel, so double-release
-  detection and the idempotent teardown adopt (``adopt_if_in_use``) stay
-  exact even when sender and receiver race across process boundaries;
-* a segment travels on the wire as a *handle envelope* (name + id + length),
-  never as payload bytes — the receiving process attaches the same segment
-  and reads the bytes in place;
+* each rank process owns its pool and the segments behind it
+  (:meth:`SegmentAllocator.for_rank`): a pool miss is a local
+  ``shm_open`` and the ledger is the rank's;
+* a segment travels as a *handle* (name + length), never as payload
+  bytes: a receiver maps it by name (:func:`attach`), keeps the mapping,
+  and reads in place;
 * a released segment **always** goes back on its size class's free list
-  (``park_limit`` is ``None``): rank processes keep every segment they ever
-  attached mapped (two fds each), so unlinking one behind their backs would
-  only orphan those mappings.  The exchange's frames in flight bound the
-  high-water mark, so the free lists — and every rank's mappings — stop
-  growing after the first epoch;
-* segments are unlinked only by ``shutdown()`` (every one ever created);
-  the launcher invokes it on every exit path (normal return, rank kill, exception, deadline)
-  and the allocator additionally registers it with :mod:`atexit` as a
-  backstop, so repeated runs never leak ``/dev/shm`` entries.
-
-Segment names carry the :data:`SEGMENT_PREFIX` so tests (and operators) can
-assert a clean ``/dev/shm`` namespace between runs.
+  (``park_limit`` is ``None``): receivers keep what they mapped, and the
+  frames in flight bound the high-water mark after the first epoch;
+* names carry the launch and, for a rank's, the rank
+  (``repro-shm-<pid>-<token>-r<rank>-<n>``).  The launch's
+  :meth:`~SegmentAllocator.shutdown` unlinks every one of them — in use or
+  not, a live rank's or a dead one's — on every exit path of the launcher,
+  with :mod:`atexit` as a backstop.  Nothing is registered with the
+  resource tracker: a rank's death must not unlink what survivors map.
 """
 
 from __future__ import annotations
 
+import _posixshmem
 import atexit
+import copy
 import itertools
+import mmap
 import os
 import secrets
 import threading
-from multiprocessing import shared_memory
 
-__all__ = ["SEGMENT_PREFIX", "SegmentAllocator", "live_segments", "quiet_close"]
+__all__ = ["SEGMENT_PREFIX", "SegmentAllocator", "attach", "live_segments", "quiet_close"]
 
 #: Prefix of every shared-memory segment the allocator creates; the
 #: leak-check fixture globs ``/dev/shm/<SEGMENT_PREFIX>*`` to assert nothing
@@ -62,27 +57,45 @@ def live_segments() -> list[str]:
         return []
 
 
-def quiet_close(seg: shared_memory.SharedMemory) -> None:
+def attach(name: str, size: int) -> mmap.mmap:
+    """Map segment ``name``: a new one of ``size`` bytes, or with ``size``
+    0 the existing one, whole.  The mapping holds one descriptor; nothing
+    is registered with the resource tracker."""
+    flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if size else 0)
+    fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
+    try:
+        if size:
+            os.ftruncate(fd, size)
+        return mmap.mmap(fd, size)
+    finally:
+        os.close(fd)
+
+
+def unlink(name: str) -> None:
+    """Remove ``name`` from ``/dev/shm`` (mappings of it stay valid)."""
+    try:
+        _posixshmem.shm_unlink("/" + name)
+    except FileNotFoundError:
+        pass
+
+
+def quiet_close(seg: mmap.mmap) -> None:
     """Close a segment's mapping, tolerating live zero-copy views.
 
     When adopted sample views still pin the mapping, ``mmap.close`` raises
-    ``BufferError`` — and would raise again, noisily, from
-    ``SharedMemory.__del__`` at GC time.  Unlinking does not need the map
-    closed, so on a pinned map we silence the destructor's retry and let
-    the OS reclaim the pages when the process exits.
+    ``BufferError``.  Unlinking does not need the map closed, so a pinned
+    map is left for the OS to reclaim when the process exits.
     """
     try:
         seg.close()
     except BufferError:
-        seg.close = lambda: None  # type: ignore[method-assign]
-    except Exception:
         pass
 
 
 class SegmentAllocator:
     """Bytes two processes can map: one named ``/dev/shm`` segment per
-    buffer, owned (created, unlinked) by the process that made the
-    allocator."""
+    buffer.  The process that made the allocator owns the launch's names
+    and unlinks them all at :meth:`shutdown`."""
 
     #: Never hand a released segment back early (see the module docstring).
     park_limit = None
@@ -90,35 +103,31 @@ class SegmentAllocator:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._names = itertools.count(1)
-        self._token = secrets.token_hex(4)
         self._owner_pid = os.getpid()
-        # Every segment created and not yet unlinked, whatever its buffer's
-        # state, for the unconditional unlink at shutdown.
-        self._segments: dict[str, shared_memory.SharedMemory] = {}
+        self.prefix = f"{SEGMENT_PREFIX}{self._owner_pid}-{secrets.token_hex(4)}-"
+        # Every segment this process created and not yet unlinked, whatever
+        # its buffer's state, for the unconditional unlink at shutdown.
+        self._segments: dict[str, mmap.mmap] = {}
         self._closed = False
         atexit.register(self.shutdown)
+
+    def for_rank(self, rank: int) -> "SegmentAllocator":
+        """The allocator rank process ``rank`` of this launch makes its own
+        segments with: names under ``<launch>r<rank>-``, unlinked by this
+        (the launching) allocator's :meth:`shutdown`, never by the rank."""
+        mine = copy.copy(self)
+        mine._lock, mine._names, mine._segments = threading.Lock(), itertools.count(1), {}
+        mine.prefix = f"{self.prefix}r{rank}-"
+        return mine
 
     def allocate(self, size: int) -> tuple[memoryview, str]:
         """A fresh segment of ``size`` bytes: ``(mapped bytes, name)``."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("shared-memory allocator is shut down")
-            seg = shared_memory.SharedMemory(
-                name=f"{SEGMENT_PREFIX}{self._owner_pid}-{self._token}-"
-                f"{next(self._names)}",
-                create=True,
-                size=size,
-            )
-            self._segments[seg.name] = seg
-        return seg.buf, seg.name
-
-    @staticmethod
-    def _unlink(seg: shared_memory.SharedMemory) -> None:
-        quiet_close(seg)
-        try:
-            seg.unlink()
-        except FileNotFoundError:
-            pass
+            name = f"{self.prefix}{next(self._names)}"
+            seg = self._segments[name] = attach(name, size)
+        return memoryview(seg), name
 
     def stats(self) -> dict:
         """The live segment count, for the pool's ``stats()``."""
@@ -126,18 +135,23 @@ class SegmentAllocator:
             return {"segments": len(self._segments)}
 
     def shutdown(self) -> None:
-        """Unlink every segment this allocator ever created.  Idempotent;
-        reached through the pool's ``shutdown()`` on all launcher exit
-        paths and registered with ``atexit`` as a backstop.  A forked child
-        inheriting the registration is a no-op (only the creating process
-        owns the names)."""
+        """Unlink every segment of the launch — this process's and every
+        rank's.  Idempotent; reached through the pool's ``shutdown()`` on
+        all launcher exit paths and registered with ``atexit`` as a
+        backstop.  In any other process (a rank's allocator, or a fork
+        inheriting the registration) it is a no-op: only the launch owns
+        the names."""
         if os.getpid() != self._owner_pid:
             return
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            for seg in self._segments.values():
-                self._unlink(seg)
+            for name, seg in self._segments.items():
+                quiet_close(seg)
+                unlink(name)
             self._segments.clear()
+            for name in live_segments():
+                if name.startswith(self.prefix):
+                    unlink(name)
         atexit.unregister(self.shutdown)

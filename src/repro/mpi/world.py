@@ -48,8 +48,8 @@ class _Mailbox:
     """Per-rank inbox of undelivered messages, ordered by send sequence.
 
     Every non-blocking read first runs ``check_alive`` (the owning world's),
-    so a poll observes an abort or the deadline in the same operation —
-    under ``procs`` in the same round trip — as the read itself.
+    so a poll observes an abort or the deadline in the same operation as
+    the read itself (under ``procs``: the words on the shared board).
     """
 
     def __init__(self, check_alive: Callable[[], None] = lambda: None) -> None:
@@ -87,7 +87,7 @@ class _Mailbox:
         """One list per ``(source, tag, every)`` want: what :meth:`try_take`
         would have returned for it, asked want by want in order — the
         earliest match, or with ``every`` all of them in send order — in one
-        operation (one lock acquisition; under ``procs`` one round trip)."""
+        operation (one lock acquisition)."""
         self._check_alive()
         taken: list[list[Message]] = []
         with self.lock:
@@ -167,6 +167,10 @@ class World:
         #: After a ``procs`` run, per rank: pipe wire name -> ``[round
         #: trips, casts]`` (``None``: the ranks were threads, no pipe).
         self.rpc_counts: list[dict[str, list[int]]] | None = None
+        #: Under ``procs``, what the rank processes share (``None``: the
+        #: ranks are threads): an abort, a death or a flush is published
+        #: there too, for ranks that read it without a round trip.
+        self.board = None
 
         #: Always-on flight recorder: one bounded event ring per rank.  Any
         #: fault path (chaos kill, unrecovered exchange, shrink, abort) can
@@ -211,6 +215,13 @@ class World:
                 self.abort_reason = reason
             self.aborted = True
             self._coll_cond.notify_all()
+        self._wake()
+
+    def _wake(self) -> None:
+        """Wake every waiter blocked on a mailbox — here, and under
+        ``procs`` in the rank processes, which read the published words."""
+        if self.board is not None:
+            self.board.publish(self.aborted, self._dead)
         for box in self.mailboxes:
             with box.cond:
                 box.cond.notify_all()
@@ -245,9 +256,7 @@ class World:
                 self.abort_reason = f"rank {rank} {reason}"
                 self.aborted = True
             self._coll_cond.notify_all()
-        for box in self.mailboxes:
-            with box.cond:
-                box.cond.notify_all()
+        self._wake()
 
     def dead_ranks(self) -> frozenset[int]:
         """World ranks that have died (snapshot)."""
@@ -373,9 +382,7 @@ class World:
             if self.crash_reason is None:
                 self.crash_reason = reason
             self._coll_cond.notify_all()
-        for box in self.mailboxes:
-            with box.cond:
-                box.cond.notify_all()
+        self._wake()
 
     def request_join(self, rank: int) -> None:
         """Ring the doorbell: ``rank`` asks to be re-admitted to the job.
@@ -470,8 +477,11 @@ class World:
 
         Called when a rank rejoins: messages addressed to its previous
         incarnation (pre-death sends still buffered) must not be matched by
-        the revived rank's receives.  Returns the number dropped.
+        the revived rank's receives.  Returns the number dropped (under
+        ``procs`` the rank drops what its rings held, when admitted).
         """
+        if self.board is not None:
+            self.board.cut(rank, self._dead)
         box = self.mailboxes[rank]
         with box.cond:
             dropped = len(box.messages)

@@ -96,7 +96,7 @@ EXCHANGE_CTRL_TAG = EXCHANGE_CTRL.base
 
 #: Servicing cadence: ``communicate_chunk()`` sweeps after every
 #: ``SERVICE_EVERY``-th window it posts (a sweep is one mailbox operation,
-#: under ``procs`` one round trip).  Stated as what it buys: in lockstep
+#: under ``procs`` a drain of the rank's rings).  Stated as what it buys: in lockstep
 #: training — a collective every iteration — a peer's sweep ACKs a window at
 #: most ``SERVICE_EVERY`` iterations after its post and the sender's own
 #: sweep takes the ACK at most ``SERVICE_EVERY`` later, so a rank has send

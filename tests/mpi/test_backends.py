@@ -145,18 +145,16 @@ def _surface_worker(comm):
         comm.rank in world.dead_ranks(), world.pool.in_use() >= 1,
         comm.pool.adopt_if_in_use(buf), comm.pool.adopt_if_in_use(buf),
     )
-    # A retire is a cast: the strict one fails in the parent, and the rank's
-    # next round trip raises it.
-    buf.release()
+    # The pool is the rank's own: a strict retire of an adopted buffer
+    # raises where it is called, as in-process.
     with pytest.raises(RuntimeError, match="already adopted"):
-        comm.pool.in_use()
-    # A released id has left the parent's ledger: retiring it again is still
-    # refused (strict) or lost quietly (idempotent), as in-process.
+        buf.release()
+    # A released buffer is refused again (strict) or lost quietly
+    # (idempotent).
     gone = comm.pool.acquire(100)
     gone.release()
-    gone.release()
     with pytest.raises(RuntimeError, match="already released"):
-        comm.pool.in_use()
+        gone.release()
     assert comm.pool.adopt_if_in_use(gone) is False
     comm.barrier()
     return missing, hasattr(world, "chaos"), class_level, seen
@@ -200,10 +198,10 @@ def _cast_rows():
 
 
 def test_the_rows_that_return_nothing_are_casts():
-    assert _cast_rows() == [
-        "pool.release", "recorder.append", "world.count_copy",
-        "world.post",
-    ]
+    # Posts, copies and buffer retires are the rank's own business (the
+    # rings, the board's counters, the rank's pool): a flight event is the
+    # one world call that returns nothing.
+    assert _cast_rows() == ["recorder.append"]
 
 
 def test_a_failed_cast_is_raised_by_the_next_round_trip_and_only_once():
@@ -212,16 +210,18 @@ def test_a_failed_cast_is_raised_by_the_next_round_trip_and_only_once():
         for wire in wires:
             # No row takes this argument list: the parent half raises.
             rpc.cast(wire, "not", "what", "the", "row", "takes", None, None)
-            rpc.cast("world.count_copy", comm.rank, 1)  # a good cast after it
+            comm.flight.record("good.cast")  # a good cast after it
             with pytest.raises((TypeError, ValueError, AttributeError, KeyError)):
-                comm.world.dead_ranks()  # raised in place of running...
-            assert 0 not in comm.world.dead_ranks()  # ...once
+                comm.world.abort_reason  # raised in place of running...
+            assert comm.world.abort_reason is None  # ...once
         return comm.allreduce(1)  # and the broker is still serving
 
     result = run_spmd(worker, 2, args=(_cast_rows(),), backend="procs")
     assert list(result) == [2, 2]
     # The good casts behind each failed one were all applied.
-    assert result.world.copies == [len(_cast_rows())] * 2
+    for rank in range(2):
+        kinds = [e["kind"] for e in result.world.flight.for_rank(rank).events()]
+        assert kinds.count("good.cast") == len(_cast_rows())
 
 
 def test_a_failed_cast_with_no_later_call_fails_the_ranks_outcome():
@@ -241,7 +241,7 @@ def test_a_failed_cast_with_no_later_call_fails_the_ranks_outcome():
     assert "already released" in str(err.value.failures[1])
 
 
-def test_a_post_into_an_aborted_world_surfaces_one_call_later():
+def test_a_post_into_an_aborted_world_raises_at_once():
     from repro.mpi import MPIAbort
     from repro.mpi.message import Message
 
@@ -249,10 +249,11 @@ def test_a_post_into_an_aborted_world_surfaces_one_call_later():
         comm.barrier()
         if comm.rank == 0:
             comm.world.abort("test abort")
-            comm.isend("late", dest=1, tag=1)  # a cast: returns
+            # The abort word is on the board: the post reads it, and asks
+            # the parent only for the reason.
             with pytest.raises(MPIAbort, match="test abort"):
-                comm.pool.in_use()
-            # The destination range is still checked at the rank, at once.
+                comm.isend("late", dest=1, tag=1)
+            # The destination range is checked at the rank too.
             with pytest.raises(ValueError, match=r"rank 5 out of range \[0,2\)"):
                 comm.world.post(Message(source=0, dest=5, tag=1, payload=None))
         return comm.rank
@@ -263,24 +264,98 @@ def test_a_post_into_an_aborted_world_surfaces_one_call_later():
 
 
 def test_casts_and_calls_reach_the_parent_in_program_order():
+    """What still crosses the pipe keeps program order: a call sees every
+    cast queued before it.  What does not — p2p, over the rank-to-rank
+    rings — keeps one sender's send order, and the copy counters on the
+    board reach the parent however the rank ends."""
+
     def worker(comm):
         peer = 1 - comm.rank
         for i in range(5):
-            comm.world.count_copy(comm.rank, 10 ** i)  # queued ...
-            comm.isend(i, dest=peer, tag=2)            # ... flushed with the post
-            # The call behind them sees both applied.
-            assert comm.world.total_bytes_copied() >= sum(10 ** k for k in range(i + 1))
+            comm.flight.record("step", i=i)     # queued ...
+            comm.isend(i, dest=peer, tag=2)     # ... not flushed by a post
+            comm.world.count_copy(comm.rank, 10 ** i)
+            # The call behind them sees the casts applied.
+            dump = comm.world.flight.dump(f"at {i} on {comm.rank}")
+            steps = [e["i"] for e in dump["ranks"][str(comm.rank)] if e["kind"] == "step"]
+            assert steps == list(range(i + 1))
         got = [comm.recv(source=peer, tag=2) for _ in range(5)]
-        comm.world.count_copy(comm.rank, 7)  # rides the exit record
+        comm.world.count_copy(comm.rank, 7)
         return got
 
     result = run_spmd(worker, 2, backend="procs")
     assert list(result) == [[0, 1, 2, 3, 4]] * 2
     assert result.world.bytes_copied == [11118, 11118]
+    assert result.world.messages_sent == [5, 5]
     for counts in result.world.rpc_counts:
-        assert counts["world.post"] == [0, 5]
-        assert counts["world.count_copy"] == [0, 6]
-        assert counts["world.take_blocking"] == [5, 0]
+        assert counts["recorder.append"] == [0, 5]
+        assert counts["flight.dump"] == [5, 0]
+        assert set(counts) == {"recorder.append", "flight.dump"}
+
+
+def _rejoin_worker(comm):
+    import time
+
+    from repro.mpi.message import ANY_TAG
+
+    if comm.rank == 0:
+        comm.send("stale", dest=1, tag=5)  # to rank 1's first incarnation
+        comm.barrier()
+        while 1 not in comm.dead_peers():
+            time.sleep(0.01)
+        new = comm.shrink().expand([1])
+        new.send("fresh", dest=new.group.index(1), tag=5)
+        return None
+    comm.barrier()
+    comm.world.mark_dead(1, "test death")
+    new = comm.rejoin()
+    # A wildcard tag would match the old context's message too: only the
+    # flush at the regroup keeps it from this incarnation.
+    return new.recv(source=new.group.index(0), tag=ANY_TAG)
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+def test_a_rejoiner_drops_what_its_previous_incarnation_was_sent(backend):
+    """The regroup that revives a rank flushes its mailbox; under ``procs``
+    it cuts the rank's inbound rings there, and the rank skips to the cut
+    when its admission returns."""
+    assert list(run_spmd(_rejoin_worker, 2, backend=backend, deadline_s=60)) == [None, "fresh"]
+
+
+def _flood_worker(comm, count):
+    peer = 1 - comm.rank
+    big = np.arange(5000, dtype=np.float32) + comm.rank  # 20 KB: spilled
+    for i in range(count):
+        comm.send((i, bytes(600)), dest=peer, tag=1)
+    comm.send(big, dest=peer, tag=2)
+    got = [comm.recv(source=peer, tag=1)[0] for _ in range(count)]
+    return got == list(range(count)), comm.recv(source=peer, tag=2).tobytes()
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+def test_a_full_ring_waits_for_its_reader_and_a_big_message_spills(backend):
+    """Both ranks send three rings' worth before either receives: under
+    ``procs`` a sender that finds its ring full drains its own rings while
+    it waits, so neither blocks the other; an entry above the inline size
+    travels in a segment of its own, which its reader unlinks."""
+    result = run_spmd(_flood_worker, 2, args=(300,), backend=backend, deadline_s=60)
+    for rank, (in_order, big) in enumerate(result):
+        assert in_order
+        assert big == (np.arange(5000, dtype=np.float32) + (1 - rank)).tobytes()
+
+
+def _unread_worker(comm, count):
+    if comm.rank == 1:
+        for i in range(count):  # three rings' worth nobody will read
+            comm.send((i, bytes(600)), dest=0, tag=1)
+    return comm.rank
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+def test_sends_to_a_rank_that_has_ended_do_not_block(backend):
+    """Under ``threads`` they sit unread in its mailbox; under ``procs``,
+    once its ring is full, they are dropped: the rank's pipe has ended."""
+    assert list(run_spmd(_unread_worker, 2, args=(300,), backend=backend, deadline_s=60)) == [0, 1]
 
 
 # --------------------------------------------------- ndarrays as handles

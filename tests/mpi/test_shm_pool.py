@@ -38,20 +38,10 @@ def test_adopted_segment_stays_mapped(pool):
     view[:4] = b"abcd"
     pool.adopt_if_in_use(buf)
     # The segment is out of rotation but its bytes stay addressable until
-    # shutdown — that is the point of adoption — and so does its handle:
-    # another process can still send the id.
+    # shutdown — that is the point of adoption: a receiver may still read
+    # them by the segment's name.
     assert bytes(buf.readonly()[:4]) == b"abcd"
     assert buf.segment_name in live_segments()
-    assert pool.buffer(buf.buf_id) is buf
-
-
-def test_id_addressing_matches_handles(pool):
-    buf = pool.acquire(48)
-    assert pool.buffer(buf.buf_id) is buf
-    pool.release(buf)
-    with pytest.raises(KeyError):  # released: the ledger forgot the id
-        pool.buffer(buf.buf_id)
-    assert pool.acquire(48).buf_id != buf.buf_id  # same segment, new id
 
 
 def test_shutdown_unlinks_everything(own_segments):

@@ -10,6 +10,7 @@ read out of the recycled buffer; an abort mid-epoch settles held frames
 and staged rows.
 """
 
+import multiprocessing
 import threading
 import time
 
@@ -158,9 +159,11 @@ class _LateWorld(World):
     """Holds back the first copy of rank 1's window-0 frame to rank 0 in
     epoch 0 until rank 0 has timed out and NACKed: the resend and the
     original are both delivered, one is verified and ACKed, and the other
-    stays in the mailbox while its buffer goes back to rank 1."""
+    stays in the mailbox while its buffer goes back to rank 1.  Under
+    ``procs`` the seam runs at the sender, in rank 1's process: ``held`` is
+    shared memory, so the count reaches the test."""
 
-    held = 0
+    held = multiprocessing.Value("i", 0)
 
     def _deliver(self, msg):
         env = msg.payload
@@ -168,7 +171,8 @@ class _LateWorld(World):
             isinstance(env, Checksummed) and (msg.source, msg.dest) == (1, 0)
             and tuple(env.meta) == (0, 0, 0)
         ):
-            type(self).held += 1
+            with self.held.get_lock():
+                self.held.value += 1
             timer = threading.Timer(0.15, World._deliver, args=(self, msg))
             timer.daemon = True
             timer.start()
@@ -195,12 +199,12 @@ def _crossing_worker(comm, n_local):
 
 
 def test_a_resend_crossing_its_ack_is_never_read_from_the_recycled_frame(backend):
-    _LateWorld.held = 0
+    _LateWorld.held.value = 0
     result = run_spmd(
         _crossing_worker, 2, args=(32,), backend=backend, deadline_s=120,
         world_factory=_LateWorld,
     )
-    assert _LateWorld.held == 1
+    assert _LateWorld.held.value == 1
     stats = [fault for _hot, fault in result]
     assert stats[0]["timeout_nacks"] >= 1 and stats[1]["resends"] >= 1
     # The copy that lost the race was met again under epoch 2's tags and
@@ -229,11 +233,11 @@ def test_the_model_checkers_mutants_break_the_live_exchange(monkeypatch):
     # Without the (epoch, window) check, the copy that lost the race to its
     # resend is no longer discarded as stale when epoch 2 meets it.
     monkeypatch.setattr(scheduler_mod, "ExchangeEngine", mutant_engine("skip_stale_check"))
-    _LateWorld.held = 0
+    _LateWorld.held.value = 0
     result = run_spmd(
         _crossing_worker, 2, args=(32,), deadline_s=120, world_factory=_LateWorld
     )
-    assert _LateWorld.held == 1
+    assert _LateWorld.held.value == 1
     assert not result[0][1]["stale_discards"] >= 1
 
     # A frame released right after its isend comes back on its ACK all the

@@ -276,13 +276,34 @@ def test_frames_recycle_and_pin_nothing(backend):
     world.pool.assert_balanced()
     assert world.pool.stats()["adopts"] == 0
     if backend == "procs":
-        # A frame costs its acquire plus a share of the epoch's collectives
-        # and sweeps (about 1.6): a round trip per post or per pending
-        # receive would add at least 1 more.  A clean run sends each frame
-        # once and one ACK for it.
+        # A frame never visits the parent: posts and ACKs go through the
+        # rank-to-rank rings, sweeps drain them, a pool miss is the rank's
+        # own, and the barriers fold among the ranks.  A clean run sends
+        # each frame once and one ACK for it; two round trips per rank and
+        # epoch would already break the bound.
         frames = sum(world.messages_sent) / 2
         trips = sum(calls for rank in world.rpc_counts for calls, _casts in rank.values())
-        assert trips <= 3 * frames, (trips, frames)
+        assert trips <= 0.1 * frames, (trips, frames)
+        wires = {wire for rank in world.rpc_counts for wire in rank}
+        assert not {"world.post", "pool.acquire"} & wires, wires
+        assert not [wire for wire in wires if wire.startswith("mailbox.")], wires
+
+
+def test_rank_pools_are_counted_in_the_parent():
+    """Under ``procs`` each rank owns its pool; what ``world.pool.stats()``
+    reads after the run is every rank pool's ledger, added up from the
+    board, and the world's traffic counters are the ``threads`` run's."""
+    runs = {
+        backend: run_spmd(_recycling_worker, 2, args=(3,), backend=backend, deadline_s=120)
+        for backend in ("threads", "procs")
+    }
+    procs = runs["procs"]
+    stats = procs.world.pool.stats()
+    assert stats["acquires"] == stats["releases"] > 0 and stats["in_use"] == 0
+    assert stats["acquires"] == sum(per_epoch[-1]["acquires"] for per_epoch in procs)
+    assert stats["hits"] == sum(per_epoch[-1]["hits"] for per_epoch in procs)
+    for counter in ("messages_sent", "bytes_sent"):
+        assert getattr(procs.world, counter) == getattr(runs["threads"].world, counter)
 
 
 def test_procs_exchange_fits_a_small_fd_budget(own_segments):
@@ -408,6 +429,53 @@ def test_a_sigkilled_rank_delivers_what_it_cast_and_strands_nobody(own_segments)
     assert own_segments() == []
 
 
+def _miss_then_die_worker(comm, deadline_s):
+    import os
+    import signal
+    import time
+
+    if comm.rank == 1:
+        comm.pool.acquire(4096)  # a pool miss: a segment of rank 1's own
+        os.kill(os.getpid(), signal.SIGKILL)  # before its first post
+    t0 = time.monotonic()
+    try:
+        comm.recv(source=1, tag=3)
+    finally:
+        assert time.monotonic() - t0 < deadline_s
+
+
+def test_a_rank_killed_after_a_pool_miss_leaves_no_segment(own_segments):
+    """A rank's segments are its own, named under the launch and the rank:
+    the parent unlinks them whether the rank ends or is killed, and the
+    survivors' receives fail inside the deadline."""
+    from repro.mpi import World
+
+    worlds = []
+
+    def factory(size, **kwargs):
+        worlds.append(World(size, **kwargs))
+        return worlds[0]
+
+    deadline_s = 60.0
+    with pytest.raises(RankFailed) as info:
+        run_spmd(
+            _miss_then_die_worker, 3, args=(deadline_s,), backend="procs",
+            deadline_s=deadline_s, world_factory=factory,
+        )
+    assert set(info.value.failures) == {1}
+    assert isinstance(info.value.failures[1], PeerFailure)
+    # The survivors' own exceptions, as the launcher recorded them.
+    for rank in (0, 2):
+        raised = [
+            e["error"] for e in worlds[0].flight.for_rank(rank).events()
+            if e["kind"] == "rank.failed"
+        ]
+        assert raised in ([], ["PeerFailure"]), raised  # MPIAbort records none
+    # The miss reached the parent through the board, the kill notwithstanding.
+    assert worlds[0].pool.stats()["misses"] == 1
+    assert own_segments() == []
+
+
 def test_elastic_kill_parity(backend):
     from repro.data import SyntheticSpec
     from repro.elastic import run_lifecycle
@@ -467,5 +535,37 @@ def test_chaos_corruption_parity(backend):
     got = run(backend)
     ref = _once(
         "chaos-corrupt", lambda: got if backend == "threads" else run("threads")
+    )
+    assert got == ref
+
+
+def test_chaos_control_faults_parity_across_a_restart(backend):
+    """Under ``procs`` each rank process posts on its own copy of the chaos
+    engine; what a copy drew (its control channels' attempt counters) is
+    handed back when the rank ends, so a segment restarted after a crash
+    draws on as the one engine does under ``threads``."""
+    from repro.data import SyntheticSpec
+    from repro.elastic import run_lifecycle
+    from repro.train import TrainConfig
+    from repro.train.experiments import make_experiment_data
+
+    spec = SyntheticSpec(n_samples=96, n_classes=4, n_features=16, seed=0)
+    config = TrainConfig(
+        model="mlp", in_shape=(16,), num_classes=4, epochs=3,
+        batch_size=8, base_lr=0.05, partition="class_sorted", seed=0,
+    )
+    train_ds, labels, val_X, val_y = make_experiment_data(spec)
+
+    def run(bk):
+        result = run_lifecycle(
+            config=config, workers=2, q=0.3, profile="dup:p=0.3@control;crash:epoch=1",
+            chaos_seed=3, train_dataset=train_ds, labels=labels, val_X=val_X, val_y=val_y,
+            backend=bk,
+        )
+        return (result.final_accuracy, dict(result.injected))
+
+    got = run(backend)
+    ref = _once(
+        "chaos-control-restart", lambda: got if backend == "threads" else run("threads")
     )
     assert got == ref

@@ -25,7 +25,9 @@ Runs the epoch the ``exchange_*`` benchmark workloads spend their time in —
 * on ``procs``, the pipe round trips and casts per epoch (median of the
   timed epochs, rank 0) per wire name: what ``world.rpc_counts`` counts,
   taken per epoch at the rank's end of the pipe, with the run's total
-  checked against ``world.rpc_counts``.
+  checked against ``world.rpc_counts``; and beside them the entries rank 0
+  put into its rank-to-rank rings and took out of them per epoch (a tree
+  without the rings prints none).
 
 An epoch moves 1,024 samples per rank in 64 frames per rank, so a count near
 64 is per frame and a count near 1,024 is per sample.  Timings are taken
@@ -149,6 +151,24 @@ def _counted_send(send):
     return wrapper
 
 
+def _counted_ring(board_cls) -> None:
+    """Count the entries the calling rank puts into and drains out of its
+    rank-to-rank rings into its current ``[puts, takes]``."""
+    put, drain = board_cls.put, board_cls.drain
+
+    def counted_put(self, src, dest, entry):
+        done = put(self, src, dest, entry)
+        _rank_state.ring[0] += done
+        return done
+
+    def counted_drain(self, dest):
+        got = drain(self, dest)
+        _rank_state.ring[1] += len(got)
+        return got
+
+    board_cls.put, board_cls.drain = counted_put, counted_drain
+
+
 def _call_counts(profiler: cProfile.Profile) -> dict[str, int]:
     counts = dict.fromkeys(COUNTED.values(), 0)
     for (filename, _line, name), row in pstats.Stats(profiler).stats.items():
@@ -174,8 +194,8 @@ def main(argv: list[str] | None = None) -> int:
 
     import repro.data.dataloader as dataloader
     from repro.data.dataset import TensorDataset
+    import repro.mpi.procs as procs
     from repro.mpi.launcher import run_spmd
-    from repro.mpi.procs import _Rpc
     from repro.obs.telemetry.flight import FlightRecorder
     from repro.shuffle.partial import PartialLocalShuffle
     from repro.shuffle.scheduler import Scheduler
@@ -192,7 +212,9 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             setattr(owner, name, _timed(getattr(owner, name), phase))
     FlightRecorder.take_phases = _stash_ge_wu(FlightRecorder.take_phases)
-    _Rpc.send = _counted_send(_Rpc.send)  # patched before the ranks fork
+    procs._Rpc.send = _counted_send(procs._Rpc.send)  # patched before the ranks fork
+    if hasattr(procs, "_Board"):
+        _counted_ring(procs._Board)
 
     rng = np.random.default_rng(SEED)
     total = N_SAMPLES + N_VAL
@@ -209,18 +231,19 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     def rank_main(comm):
-        _rank_state.rpc = {}  # setup
+        _rank_state.rpc, _rank_state.ring = {}, [0, 0]  # setup
         model, optimizer = build_replica(config, comm)
         strategy = PartialLocalShuffle(1.0)
         strategy.setup(
             comm, dataset, labels=train_y, partition=config.partition, seed=config.seed
         )
         profiler = cProfile.Profile()
-        timed, rpc = [], [_rank_state.rpc]
+        timed, rpc, ring = [], [_rank_state.rpc], [_rank_state.ring]
         for epoch in range(epochs):
             _rank_state.acc = acc = defaultdict(float)
-            _rank_state.rpc = {}
+            _rank_state.rpc, _rank_state.ring = {}, [0, 0]
             rpc.append(_rank_state.rpc)
+            ring.append(_rank_state.ring)
             hooks = strategy if epoch < epochs - 1 else _CountedHooks(strategy, profiler)
             t0 = time.perf_counter()
             train_one_epoch(comm, config, hooks, model, optimizer, epoch, val_x, val_y)
@@ -228,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
             if 1 <= epoch < epochs - 1:
                 timed.append(dict(acc))
         stats = strategy.stats()
-        return timed, _call_counts(profiler), stats["sent_samples"] // epochs, rpc
+        return timed, _call_counts(profiler), stats["sent_samples"] // epochs, rpc, ring
 
     result = run_spmd(
         rank_main, RANKS, copy_on_send=False, deadline_s=600.0, backend=args.backend
@@ -262,6 +285,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {label:<22} {statistics.mean(c[label] for _t, c, _s in results):8.1f}")
     if args.backend == "procs":
         _print_pipe(result[0][3], result.world.rpc_counts[0])
+        if hasattr(procs, "_Board"):
+            steady = result[0][4][2:-1]
+            print("ring entries per epoch, rank 0 (median of the timed epochs): "
+                  f"{statistics.median(p for p, _t in steady):.1f} put, "
+                  f"{statistics.median(t for _p, t in steady):.1f} taken")
     return 0
 
 
