@@ -56,8 +56,10 @@ def run_selection_ablation():
             from repro.shuffle import Scheduler, StorageArea
 
             st = StorageArea()
-            for i in range(64):
-                st.add(np.array([comm.rank, i], dtype=np.float32), comm.rank)
+            st.add_many(
+                (np.array([comm.rank, i], dtype=np.float32), comm.rank, None)
+                for i in range(64)
+            )
             sched = Scheduler(st, comm, fraction=Q, seed=5, selection=selection,
                               allow_self=False)
             for e in range(EPOCHS):

@@ -453,9 +453,7 @@ class _LifecycleRank:
         manifest = record["manifests"][self.me]
         storage = StorageArea()
         dataset = self.job.train_dataset
-        for gid in manifest["hot"]:
-            sample, label = dataset[int(gid)]
-            storage.add(np.asarray(sample), int(label), gid=int(gid))
+        storage.add_many((*dataset[int(gid)], int(gid)) for gid in manifest["hot"])
         self.strategy = self._strategy(ledger)
         self.strategy.adopt(
             comm, storage=storage, seed=record["seed"],

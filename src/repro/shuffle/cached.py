@@ -76,9 +76,7 @@ class UncontrolledCachedShuffle(ShuffleStrategy):
         shard = self._shard_indices(
             dataset, comm, labels=labels, partition=partition, seed=seed
         )
-        for idx in shard:
-            sample, label = dataset[int(idx)]
-            self.storage.add(np.asarray(sample), int(label))
+        self.storage.add_many((*dataset[int(idx)], None) for idx in shard)
 
     def begin_epoch(self, epoch: int) -> None:
         """Refresh a random, *uncontrolled* fraction of the cache."""
@@ -92,9 +90,7 @@ class UncontrolledCachedShuffle(ShuffleStrategy):
         for v in victims:
             self.storage.remove(ids[int(v)])
         fresh = rng.integers(0, len(self.dataset), size=n_refresh)
-        for idx in fresh:
-            sample, label = self.dataset[int(idx)]
-            self.storage.add(np.asarray(sample), int(label))
+        self.storage.add_many((*self.dataset[int(idx)], None) for idx in fresh)
         self.remote_reads += n_refresh
         self.per_epoch_refreshes.append(n_refresh)
 

@@ -49,12 +49,11 @@ class LocalShuffle(ShuffleStrategy):
         shard = self._shard_indices(
             dataset, comm, labels=labels, partition=partition, seed=seed
         )
-        for idx in shard:
-            sample, label = dataset[int(idx)]
-            # The dataset index is the sample's *global* id: it gives every
-            # sample a cluster-wide identity the elastic layer can track
-            # across exchanges and re-fetch by after a failure.
-            self.storage.add(np.asarray(sample), int(label), gid=int(idx))
+        # One call: the shard is copied into slots sized by it.  The dataset
+        # index is the sample's *global* id: it gives every sample a
+        # cluster-wide identity the elastic layer can track across exchanges
+        # and re-fetch by after a failure.
+        self.storage.add_many((*dataset[int(idx)], int(idx)) for idx in shard)
 
     def adopt(
         self,

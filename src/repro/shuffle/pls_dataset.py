@@ -48,9 +48,7 @@ class PLSFolderDataset(Dataset):
         )
         local_dir = Path(local_dir) / f"rank{comm.rank:04d}"
         self.storage = DiskStorageArea(local_dir)
-        for idx in shards[comm.rank]:
-            sample, label = source[int(idx)]
-            self.storage.add(np.asarray(sample), int(label))
+        self.storage.add_many((*source[int(idx)], None) for idx in shards[comm.rank])
         self._view_ids = self.storage.ids()
 
     def refresh(self) -> None:

@@ -24,9 +24,11 @@ Two layers of identity coexist:
 The area holds only its hot (trainable) entries: a sent sample is removed
 once the exchange commits, so each sample is held by exactly one rank.
 
-What the exchange installs lives in **slots**: fixed-size rows of arrays
-the area allocates itself (:meth:`StorageArea.stage`), so a received frame
-is copied in with one indexed assignment and a departed sample's bytes are
+Every hot entry lives in a **slot**: a fixed-size row of arrays the area
+allocates itself.  The shard a worker starts from is copied in at setup
+and a received frame through :meth:`StorageArea.stage`, so the area owns
+every byte it serves — the paper's ``(1+Q) * N/M`` holds in physical
+rows, not only in the accounting — and a departed sample's bytes are
 reused by an arriving one instead of being freed and re-allocated.
 """
 
@@ -133,33 +135,36 @@ class StorageArea:
     at ``clean_local_storage()`` time even though receives interleave.
 
     Thread-safe: every mutating operation (and every multi-field read)
-    runs under one re-entrant lock, so an area shared between threads
-    never shows a half-applied add / remove — the byte and count totals
-    and the sid <-> gid maps move together
-    (``tests/shuffle/test_storage_concurrency.py``).  The lock is
-    re-entrant because ``add_many`` composes ``add``.
+    runs under one lock, so an area shared between threads never shows a
+    half-applied add / remove — the byte and count totals and the sid <->
+    gid maps move together (``tests/shuffle/test_storage_concurrency.py``).
+    The lock is re-entrant because the ``_installed`` / ``_removed`` hooks
+    run under it, and a subclass's hook may read the area back.
 
-    **Slots.**  :meth:`stage` copies a block of same-shaped samples into
-    free slots of chunked arrays this area owns and hands back one
-    read-only row view per sample; :meth:`add_many` registers such rows as
-    entries without touching their bytes.  A slot class is a ``(dtype,
-    shape)``; its chunks hold as many slots as the area had entries when
-    the class was first staged (the shard), and another chunk is allocated
-    only when every slot of the class is taken — exactly where a dict of
-    private arrays would have grown.  The lowest free slot is claimed
-    first.  A slot has one owner (the staging caller, then one hot entry)
-    and is free again once that entry is removed — so a departed sample's
-    slot is the next arrival's.  Samples that arrive through :meth:`add`
-    are kept as the caller's arrays, as before.
+    **Slots.**  Every hot entry is a row of a slot this area owns, in
+    chunked arrays it allocates itself, one pool per ``(dtype, shape)``
+    class.  :meth:`stage` copies a block of samples into free slots and
+    hands back one read-only row view per sample; :meth:`add_many`
+    registers such rows as entries without touching their bytes, and
+    stages anything else first, so no caller's array is kept.  A class's
+    chunks hold as many slots as the first call that used it needed, or as
+    the area had entries then if that is more (a shard put in with one
+    ``add_many``); another chunk is allocated only when every slot of the
+    class is taken.  The lowest free slot is claimed first.  A slot has one
+    owner (the staging caller, then one hot entry) and is free again once
+    that entry is removed — so a departed sample's slot is the next
+    arrival's.
 
     **View validity.**  An array obtained from ``get`` / ``get_by_gid`` /
-    ``items`` / :meth:`take` is valid for as long as its entry stays in
-    the area.  After the entry is removed its slot may be rewritten by the
-    next :meth:`stage`; whoever needs the bytes past that point — another
-    rank's storage under the by-reference ``threads`` transport, a cache —
-    takes a copy while the entry is live.
+    ``items`` / :meth:`take` is a read-only slot row, valid for as long as
+    its entry stays in the area.  After the entry is removed its slot may
+    be rewritten by the next :meth:`stage` or ``add``; whoever needs the
+    bytes past that point — another rank's storage under the by-reference
+    ``threads`` transport, a cache — takes a copy while the entry is live.
     The exchange packs (copies) rows before it retires them, and the
-    elastic transfers send copies.
+    elastic transfers send copies.  The other way round, ``add`` and
+    :meth:`add_many` copy what they are given: changing the caller's array
+    afterwards changes no entry.
     """
 
     def __init__(self):
@@ -179,41 +184,35 @@ class StorageArea:
 
     # ------------------------------------------------------------------ CRUD
     def add(self, sample: np.ndarray, label: int, gid: int | None = None) -> int:
-        """Store a sample; returns its id.  ``gid`` attaches the sample's
-        global identity (source-dataset index) for replica tracking."""
-        label = int(label)
-        with self._lock:
-            sample = self._own(np.asarray(sample))
-            sid = next(self._ids)
-            self._entries[sid] = (sample, label)
-            self._nbytes += sample.nbytes
-            if gid is not None:
-                self._gid_of[sid] = int(gid)
-                self._sid_of[int(gid)] = sid
-            self.peak_nbytes = max(self.peak_nbytes, self._nbytes)
-            self.peak_count = max(self.peak_count, len(self._entries))
-            self._installed([sid], [sample], [label])
-            return sid
+        """Store a copy of one sample; returns its id.  ``gid`` attaches the
+        sample's global identity (source-dataset index) for replica
+        tracking.  A one-sample :meth:`add_many`: put a shard in with one
+        call, or an empty area's slot chunks are one sample each."""
+        return self.add_many([(sample, label, gid)])[0]
 
     def add_many(
         self, entries: Iterable[tuple[np.ndarray, int, int | None]]
     ) -> list[int]:
-        """Store ``(sample, label, gid)`` triples in order; returns their ids.
+        """Store ``(sample, label, gid)`` triples (or a
+        :class:`~repro.mpi.codec.SampleBlock`) in order; returns their ids.
 
-        The exchange installs a whole committed epoch with one call: a
-        :class:`~repro.mpi.codec.SampleBlock` whose samples are the rows
-        :meth:`stage` returned is registered as it stands — its bytes are
-        already in this area's slots, so nothing is copied or allocated and
-        the accounting is settled once for the block.  Any other
-        iterable goes through :meth:`add` sample by sample; read-only
-        zero-copy views into a received envelope are kept un-copied, so
-        the envelope's backing buffer stays alive as long as they do."""
+        A sample that is a row :meth:`stage` returned is registered as it
+        stands: the exchange installs a committed epoch this way, copying
+        and allocating nothing.  Any other sample is staged first, copied
+        straight from the caller's array into a slot of its class, each
+        class's samples claimed at once.  Either way the accounting is
+        settled once for the call."""
+        if isinstance(entries, SampleBlock):
+            samples = entries.samples
+            labels, gids = entries.labels.tolist(), entries.gids.tolist()
+        else:
+            samples, labels, gids = list(zip(*entries)) or ((), (), ())
+            labels = [int(label) for label in labels]
+            gids = [-1 if gid is None else int(gid) for gid in gids]
+        if not labels:
+            return []
         with self._lock:
-            if isinstance(entries, SampleBlock):
-                slots = self._staged_slots(entries.samples)
-                if slots is not None:
-                    return self._install_staged(entries, slots)
-            return [self.add(sample, label, gid=gid) for sample, label, gid in entries]
+            return self._install_staged(self._claim(samples), labels, gids)
 
     def get(self, sid: int) -> tuple[np.ndarray, int]:
         """Fetch the (sample, label) pair for an id (KeyError if absent)."""
@@ -240,7 +239,7 @@ class StorageArea:
         )
 
     def remove(self, sid: int) -> None:
-        """Delete a stored sample by id."""
+        """Delete a stored sample by id; its slot is free again."""
         with self._lock:
             try:
                 sample, label = self._entries[sid]
@@ -252,7 +251,8 @@ class StorageArea:
             if gid is not None and self._sid_of.get(gid) == sid:
                 del self._sid_of[gid]
             self._removed(sid, label)
-            self._release(sample)
+            pool, slot = self._slot_of[id(sample)]
+            pool.release(slot)
 
     # Only a name: ``benchmarks/perf`` times the retire of a sent sample
     # through it as well as through ``remove``.
@@ -261,8 +261,8 @@ class StorageArea:
     def _installed(
         self, sids: Sequence[int], samples: Sequence[np.ndarray], labels: Sequence[int]
     ) -> None:
-        """Hook: these hot entries were just registered (by ``add`` or by a
-        block ``add_many``).  A persistent subclass writes them out."""
+        """Hook: these hot entries were just registered (by ``add`` /
+        ``add_many``).  A persistent subclass writes them out."""
 
     def _removed(self, sid: int, label: int) -> None:
         """Hook: this hot entry was just removed."""
@@ -273,35 +273,63 @@ class StorageArea:
         its samples replaced by their read-only row views there.
 
         A ``(n, *shape)`` array goes into one slot class; a list of arrays
-        is staged sample by sample, each into the class of its own dtype
-        and shape.  The slots stay claimed, outside the byte accounting
-        like the frame the bytes came from, until the rows are handed to
-        :meth:`add_many` (which makes them entries) or :meth:`unstage`."""
-        samples = block.samples
+        is split by class, each class's samples claimed at once.  The slots
+        stay claimed, outside the byte accounting like the frame the bytes
+        came from, until the rows are handed to :meth:`add_many` (which
+        makes them entries) or :meth:`unstage`."""
         with self._lock:
-            if isinstance(samples, np.ndarray):
-                rows = self._stage_rows(samples)
-            else:
-                rows = [
-                    row
-                    for sample in samples
-                    for row in self._stage_rows(np.asarray(sample)[None, ...])
-                ]
-        return SampleBlock(rows, block.labels, block.gids)
+            slots = self._stage(block.samples)
+        return SampleBlock(
+            [pool.rows[slot] for pool, slot in slots], block.labels, block.gids
+        )
 
-    def _stage_rows(self, samples: np.ndarray) -> list[np.ndarray]:
-        key = (samples.dtype, samples.shape[1:])
+    def _stage(self, samples) -> list[tuple[_SlotPool, int]]:
+        """Copy samples into free slots of their classes, each class's
+        claimed at once; their slots, in order (runs under the lock)."""
+        if isinstance(samples, np.ndarray):  # a block: one class
+            return self._stage_class((samples.dtype, samples.shape[1:]), samples)
+        arrays = [np.asarray(sample) for sample in samples]
+        classes: dict[tuple, list[int]] = {}
+        for i, array in enumerate(arrays):
+            classes.setdefault((array.dtype, array.shape), []).append(i)
+        slots: list = [None] * len(arrays)
+        for key, members in classes.items():
+            staged = self._stage_class(key, [arrays[i] for i in members])
+            for i, where in zip(members, staged):
+                slots[i] = where
+        return slots
+
+    def _stage_class(self, key: tuple, samples) -> list[tuple[_SlotPool, int]]:
+        """Copy samples of one ``(dtype, shape)`` class into its lowest free
+        slots, now STAGED; the slots, in order."""
         pool = self._pools.get(key)
         if pool is None:
             per = max(len(self._entries), len(samples), 1)
             pool = self._pools[key] = _SlotPool(*key, per, self._slot_of)
         slots = pool.claim(len(samples))
-        if not samples.flags.c_contiguous:  # whole rows may still be apart
-            samples = [np.ascontiguousarray(sample) for sample in samples]
         for slot, sample in zip(slots, samples):
-            pool.write(slot, sample)
-        rows = pool.rows
-        return [rows[slot] for slot in slots]
+            # Whole rows of a block may still be apart, and so may a view.
+            pool.write(slot, sample if sample.flags.c_contiguous else sample.copy())
+        return [(pool, slot) for slot in slots]
+
+    def _claim(self, samples) -> list[tuple[_SlotPool, int]]:
+        """The slot each of ``samples`` is to be an entry in, in order (runs
+        under the lock): a row this area staged keeps its own slot, once;
+        anything else — a foreign array, a live entry's row, a repeat — is
+        staged into a fresh one."""
+        slots: list = []
+        outside: list[int] = []
+        taken = set()
+        for i, sample in enumerate(samples):
+            where = self._slot_of.get(id(sample))
+            if where is None or where[0].state[where[1]] != _STAGED or where in taken:
+                outside.append(i)
+            taken.add(where)
+            slots.append(where)
+        staged = self._stage([samples[i] for i in outside])
+        for i, where in zip(outside, staged):
+            slots[i] = where
+        return slots
 
     def unstage(self, block: SampleBlock) -> None:
         """Free the slots of staged rows that will not be installed (a
@@ -313,59 +341,18 @@ class StorageArea:
                 if pool is not None and pool.state[slot] == _STAGED:
                     pool.release(slot)
 
-    def _own(self, sample: np.ndarray) -> np.ndarray:
-        """Settle who owns the bytes of an array about to become an entry.
-
-        A staged row of this area's slots is claimed.  Any other view into
-        the slots is copied, because a slot has one owner.  A foreign array
-        is kept as it is."""
-        pool, slot = self._slot_of.get(id(sample), (None, None))
-        if pool is None:
-            return sample.copy() if self._aliases_slots(sample) else sample
-        if pool.state[slot] != _STAGED:
-            return sample.copy()
-        pool.state[slot] = _LIVE
-        return sample
-
-    def _aliases_slots(self, sample: np.ndarray) -> bool:
-        base = sample.base
-        return base is not None and any(
-            base is chunk for pool in self._pools.values() for chunk in pool.chunks
-        )
-
-    def _release(self, sample: np.ndarray) -> None:
-        """Give up the slot of an entry that just left the hot map (no-op
-        for a sample that lives outside the slots)."""
-        pool, slot = self._slot_of.get(id(sample), (None, None))
-        if pool is not None:
-            pool.release(slot)
-
-    def _staged_slots(self, samples) -> list[tuple[_SlotPool, int]] | None:
-        """Where ``samples`` sit if they are, one for one, staged rows of
-        this area; else None."""
-        if isinstance(samples, np.ndarray) or not len(samples):
-            return None
-        slots = list(map(self._slot_of.get, map(id, samples)))
-        if None in slots or len(set(slots)) != len(slots):
-            return None
-        if any(pool.state[slot] != _STAGED for pool, slot in slots):
-            return None
-        return slots
-
     def _install_staged(
-        self, block: SampleBlock, slots: list[tuple[_SlotPool, int]]
+        self, slots: list[tuple[_SlotPool, int]], labels: list[int], gids: list[int]
     ) -> list[int]:
-        """Register staged rows as hot entries, in order (runs under the
-        lock): ``add``'s bookkeeping, settled once for the block."""
-        rows = block.samples
-        labels = block.labels.tolist()
-        size = sum(row.nbytes for row in rows)
-        tracked = [(i, gid) for i, gid in enumerate(block.gids.tolist()) if gid >= 0]
+        """Register claimed slots' rows as hot entries, in order (runs under
+        the lock); gid ``-1`` is untracked."""
+        rows = [pool.rows[slot] for pool, slot in slots]
+        tracked = [(i, gid) for i, gid in enumerate(gids) if gid >= 0]
         sids = list(itertools.islice(self._ids, len(rows)))
         for pool, slot in slots:
             pool.state[slot] = _LIVE
         self._entries.update(zip(sids, zip(rows, labels)))
-        self._nbytes += size
+        self._nbytes += sum(pool.size for pool, _slot in slots)
         first = sids[0]
         self._gid_of.update((first + i, gid) for i, gid in tracked)
         self._sid_of.update((gid, first + i) for i, gid in tracked)
@@ -430,9 +417,9 @@ class StorageArea:
 
         The invariants a concurrent add/remove race would break: ``nbytes``
         equals the sum of hot entry bytes, the sid<->gid maps are mutually
-        inverse, and the slots are consistent: no two live entries share
-        one, none merely aliases slot storage, and the slots marked live
-        are exactly those an entry owns (so free + staged + owned =
+        inverse, and the slots are consistent: every entry is a slot row,
+        no two live entries share one, and the slots marked live are
+        exactly those an entry owns (so free + staged + owned =
         allocated).  Raises :class:`RuntimeError` on the first
         violation — the concurrency hammer test calls this between (and
         after) thread storms.
@@ -459,10 +446,9 @@ class StorageArea:
             owned = []
             for sample, _ in self._entries.values():
                 where = self._slot_of.get(id(sample))
-                if where is not None:
-                    owned.append((id(where[0]), where[1]))
-                elif self._aliases_slots(sample):
-                    raise RuntimeError("an entry aliases slot storage it does not own")
+                if where is None:
+                    raise RuntimeError("an entry is not a slot row of this area")
+                owned.append((id(where[0]), where[1]))
             if len(set(owned)) != len(owned):
                 raise RuntimeError("two live entries share a slot")
             live = [
@@ -510,9 +496,9 @@ class DiskStorageArea(StorageArea):
         return self.root / f"sample_{sid:08d}_label_{label}.npy"
 
     def _installed(self, sids, samples, labels) -> None:
-        """One file per new hot entry, whichever way it was installed."""
+        """One file per new hot entry."""
         for sid, sample, label in zip(sids, samples, labels):
-            atomic_save(self._path(sid, label), np.asarray(sample))
+            atomic_save(self._path(sid, label), sample)
 
     def _removed(self, sid: int, label: int) -> None:
         path = self._path(sid, label)

@@ -8,6 +8,7 @@ test that left it behind.
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.mpi.shm_pool import SEGMENT_PREFIX, live_segments
@@ -38,6 +39,34 @@ def own_segments():
     """``live_segments()`` minus those of another live process: what a test
     body may assert is empty while a second pytest run shares the host."""
     return _own_segments
+
+
+def _pinned_outside_slots(storage) -> int:
+    """Bytes the hot samples keep alive that are not the storage area's own
+    slot chunks (following ``.base`` / ``memoryview.obj`` to whatever owns
+    the memory): a pinned frame or dataset array would show up here."""
+    chunks = {id(c) for pool in storage._pools.values() for c in pool.chunks}
+    roots = {}
+    for _sid, sample, _label in storage.items():
+        root = sample
+        while True:
+            if isinstance(root, np.ndarray) and root.base is not None:
+                root = root.base
+            elif isinstance(root, memoryview):
+                root = root.obj
+            else:
+                break
+        if id(root) not in chunks:
+            roots[id(root)] = root.nbytes if isinstance(root, np.ndarray) else len(root)
+    return sum(roots.values())
+
+
+@pytest.fixture
+def pinned_outside_slots():
+    """The function ``storage -> bytes its hot entries pin outside its slot
+    chunks``; a rank function takes it as an argument (it runs on a forked
+    copy under ``procs``)."""
+    return _pinned_outside_slots
 
 
 @pytest.fixture(autouse=True)

@@ -1,15 +1,16 @@
-"""Slot ownership: what the exchange installs lives in storage-owned slots.
+"""Slot ownership: every hot entry is a row of a slot the storage area owns.
 
 A hypothesis state machine drives every mutating entry point of
 ``StorageArea`` against a dict-of-copies model and checks, after every
 step, that each entry still reads back the model's bytes — a slot reused
-under a live entry shows up as a wrong byte — that ``audit()`` is clean,
-and that the slots allocated never exceed the most ever in use plus one
-chunk — including while a block the exchange staged under compute waits,
-across other installs and removals, to be installed or rolled back.
-Around it: the block path through the two subclasses that
-override ``add`` / ``get`` / ``remove``, and the view-validity rule under
-the by-reference ``threads`` transport.
+under a live entry, or a caller's array kept instead of copied, shows up
+as a wrong byte — that ``audit()`` is clean, and that the slots allocated
+never exceed the most ever in use plus one chunk — including while a
+block the exchange staged under compute waits, across other installs and
+removals, to be installed or rolled back.  Around it: the block path
+through ``DiskStorageArea``, the view-validity rule under the
+by-reference ``threads`` transport, and the paper's ``(1+Q)·N/M`` counted
+in physical rows after a training run on either backend.
 """
 
 import numpy as np
@@ -23,10 +24,12 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.data import SyntheticSpec
 from repro.elastic import ReplicaLedger
 from repro.elastic.migration import TRANSFER, migrate
 from repro.mpi import SampleBlock, run_spmd
-from repro.shuffle import DiskStorageArea, Scheduler, StorageArea
+from repro.shuffle import DiskStorageArea, Scheduler, StorageArea, strategy_from_name
+from repro.train import TrainConfig, make_experiment_data, train_worker
 
 # Two slot classes of the same byte size, so byte counts stay in whole
 # samples while two pools are exercised.
@@ -53,7 +56,7 @@ class SlotOwnership(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.area = StorageArea()
-        # sid -> [bytes, label, gid, slot class or None].
+        # sid -> [bytes, label, gid, slot class].
         self.hot: dict[int, list] = {}
         self.next_gid = 0
         self.fill = 0
@@ -85,11 +88,26 @@ class SlotOwnership(RuleBasedStateMachine):
     # ---------------------------------------------------------------- rules
     @rule(cls=st.integers(0, 1), tracked=st.booleans(), label=st.integers(0, 9))
     def add(self, cls, tracked, label):
+        """One sample claims a slot of its class; the caller's array is
+        copied, so changing it afterwards changes no entry."""
         self.fill += 1
         sample = _block(cls, 1, self.fill)[0]
         gid = self._fresh_gid(tracked)
         sid = self.area.add(sample, label, gid=gid)
-        self.hot[sid] = [sample.tobytes(), label, gid, None]
+        self.hot[sid] = [sample.tobytes(), label, gid, cls]
+        sample[...] = -1
+
+    @rule(classes=st.lists(st.integers(0, 1), min_size=1, max_size=6))
+    def add_many_of_the_callers_arrays(self, classes):
+        """What setup does: the caller's arrays, of any classes, with one
+        ``add_many`` — each class's samples claimed at once."""
+        self.fill += 1
+        samples = [_block(cls, 1, self.fill + i)[0] for i, cls in enumerate(classes)]
+        gids = [self._fresh_gid(i % 2 == 0) for i in range(len(classes))]
+        sids = self.area.add_many(zip(samples, range(len(classes)), gids))
+        for label, (sid, sample, cls) in enumerate(zip(sids, samples, classes)):
+            self.hot[sid] = [sample.tobytes(), label, gids[label], cls]
+            sample[...] = -1
 
     @rule(
         cls=st.integers(0, 1), n=st.integers(1, 5), tracked=st.booleans(),
@@ -169,7 +187,7 @@ class SlotOwnership(RuleBasedStateMachine):
         view, label = self.area.get(sid)
         gid = self._fresh_gid(True)
         new = self.area.add(view, label, gid=gid)
-        self.hot[new] = [self.hot[sid][0], label, gid, None]
+        self.hot[new] = [self.hot[sid][0], label, gid, self.hot[sid][3]]
 
     # ----------------------------------------------------------- invariants
     @invariant()
@@ -230,12 +248,31 @@ class TestSlots:
 
     def test_first_chunk_is_sized_by_the_shard(self):
         area = StorageArea()
-        for i in range(10):
-            area.add(np.zeros(4, np.float32), 0, gid=i)
+        shard = np.zeros((10, 4), np.float32)
+        area.add_many((shard[i], 0, i) for i in range(10))
+        assert slots(area) == {
+            "allocated": 10, "free": 0, "staged": 0, "live": 10, "chunks": 1
+        }
+        # An epoch's arrivals come in while its departures still live: one
+        # more chunk of the shard's size, its rows made only as used.
         _install(area, _block(0, 2, 1), [100, 101])
-        assert slots(area)["allocated"] == 10
-        # Samples that came through add() stay the caller's arrays.
-        assert slots(area)["live"] == 2
+        assert slots(area) == {
+            "allocated": 20, "free": 8, "staged": 0, "live": 12, "chunks": 2
+        }
+        assert len(area._pools[CLASSES[0]].rows) == 12
+
+    def test_the_callers_array_is_copied_not_kept(self):
+        area = StorageArea()
+        shard = np.arange(12, dtype=np.float32).reshape(3, 4)
+        one = np.full(4, 7, dtype=np.float32)
+        sids = area.add_many((shard[i], i, i) for i in range(3))
+        sid = area.add(one, 0, gid=9)
+        shard[...] = -1
+        one[...] = -1
+        for i, s in enumerate(sids):
+            np.testing.assert_array_equal(area.get(s)[0], np.arange(4) + 4 * i)
+            assert not np.shares_memory(area.get(s)[0], shard)
+        np.testing.assert_array_equal(area.get(sid)[0], np.full(4, 7))
 
     def test_unstage_frees_the_rows_slots(self):
         area = StorageArea()
@@ -254,18 +291,27 @@ class TestSlots:
         area.audit()
 
     def test_a_list_of_mixed_samples_is_staged_by_class(self):
-        area = StorageArea()
-        for i in range(4):  # a shard: the size of a class's chunks
-            area.add(np.zeros(3), 0, gid=100 + i)
         samples = [np.arange(3.0), np.array(5, dtype=np.int64), np.arange(3.0) + 1]
-        sids = area.add_many(
-            area.stage(SampleBlock(samples, np.array([0, 1, 2]), np.array([1, 2, 3])))
-        )
+        block = SampleBlock(samples, np.array([0, 1, 2]), np.array([1, 2, 3]))
+        # Into an empty area: each class's samples are claimed at once, so
+        # its first chunk is sized by them (two float rows, one int row).
+        area = StorageArea()
+        area.add_many(area.stage(block))
+        assert slots(area) == {
+            "allocated": 3, "free": 0, "staged": 0, "live": 3, "chunks": 2
+        }
+        area = StorageArea()
+        area.add_many((np.zeros(3), 0, 100 + i) for i in range(4))  # a shard
+        sids = area.add_many(area.stage(block))
         for sid, expected in zip(sids, samples):
             got = area.get(sid)[0]
             assert got.shape == expected.shape and got.dtype == expected.dtype
             np.testing.assert_array_equal(got, expected)
-        assert slots(area)["live"] == 3 and slots(area)["chunks"] == 2
+        # The shard's class grew a second chunk of the shard's size; the new
+        # class's first one is that size too.
+        assert slots(area) == {
+            "allocated": 12, "free": 5, "staged": 0, "live": 7, "chunks": 3
+        }
         area.audit()
 
     def test_audit_catches_two_entries_on_one_slot(self):
@@ -275,6 +321,14 @@ class TestSlots:
             area._entries[99] = area._entries[sid]
             area._nbytes += SIZE
         with pytest.raises(RuntimeError, match="share a slot"):
+            area.audit()
+
+    def test_audit_catches_an_entry_outside_the_slots(self):
+        area = StorageArea()
+        (sid,) = _install(area, _block(0, 1, 1), [1])
+        with area._lock:
+            area._entries[sid] = (area._entries[sid][0].copy(), 0)
+        with pytest.raises(RuntimeError, match="not a slot row"):
             area.audit()
 
     def test_audit_catches_a_leaked_slot(self):
@@ -290,9 +344,8 @@ class TestSlots:
 # ------------------------------------------- the block path and subclasses
 def _disk_worker(comm, root):
     area = DiskStorageArea(root / f"rank{comm.rank}")
-    for i in range(8):
-        gid = comm.rank * 8 + i
-        area.add(np.full(4, gid, dtype=np.float32), gid % 3, gid=gid)
+    gids = range(comm.rank * 8, comm.rank * 8 + 8)
+    area.add_many((np.full(4, gid, dtype=np.float32), gid % 3, gid) for gid in gids)
     sched = Scheduler(area, comm, fraction=0.5, seed=5)
     for epoch in range(3):
         sched.run_exchange(epoch)
@@ -316,26 +369,28 @@ def test_exchange_into_disk_storage_leaves_one_file_per_installed_sample(tmp_pat
 
 
 def test_exchange_into_added_storage_keeps_unsent_sids_valid():
-    """A shard seeded through ``add`` holds the caller's arrays, not slots:
-    the sids the exchange does not send keep reading those arrays, and what
-    arrives lands in slots beside them."""
+    """A shard seeded through ``add_many`` is copied into slots: the sids
+    the exchange does not send keep reading rows equal to the source that
+    share no memory with it, and what arrives lands in slots beside them."""
     feats = np.arange(24 * 4, dtype=np.float32).reshape(24, 4)
 
     def worker(comm):
         area = StorageArea()
         mine = range(comm.rank * 12, comm.rank * 12 + 12)
-        seeded = {area.add(feats[gid], gid % 3, gid=gid): gid for gid in mine}
-        assert slots(area)["live"] == 0
+        sids = area.add_many((feats[gid], gid % 3, gid) for gid in mine)
+        seeded = dict(zip(sids, mine))
+        assert slots(area)["live"] == 12
         Scheduler(area, comm, fraction=0.5, seed=9).run_exchange(0)
         kept = [sid for sid in seeded if sid in area.ids()]
         assert len(kept) == 6
         for sid in kept:
             sample, label = area.get(sid)
-            assert np.shares_memory(sample, feats)
+            assert not np.shares_memory(sample, feats)
+            np.testing.assert_array_equal(sample, feats[seeded[sid]])
             assert area.gid_of(sid) == seeded[sid] and label == seeded[sid] % 3
         for sid, sample, _label in area.items():
             np.testing.assert_array_equal(sample, feats[area.gid_of(sid)])
-        assert slots(area)["live"] == 6
+        assert slots(area)["live"] == 12
         area.audit()
         return area.hot_gids()
 
@@ -384,9 +439,8 @@ class _UnreachableLedger:
 
 def _abort_after_commit_worker(comm):
     area = StorageArea()
-    for i in range(8):
-        gid = comm.rank * 8 + i
-        area.add(np.full(4, gid, dtype=np.float32), 0, gid=gid)
+    gids = range(comm.rank * 8, comm.rank * 8 + 8)
+    area.add_many((np.full(4, gid, dtype=np.float32), 0, gid) for gid in gids)
     before = area.hot_gids()
     sched = Scheduler(
         area, comm, fraction=0.5, seed=2, allow_self=False,
@@ -399,9 +453,10 @@ def _abort_after_commit_worker(comm):
         sched.clean_local_storage()
     sched.abort_exchange()
     # Nothing installed, nothing retired, and the arrived rows gave their
-    # slots back: the senders still hold those samples.
+    # slots back: the senders still hold those samples, and the live slots
+    # are the shard's.
     assert area.hot_gids() == before
-    assert slots(area)["staged"] == 0 and slots(area)["live"] == 0
+    assert slots(area)["staged"] == 0 and slots(area)["live"] == 8
     area.audit()
     comm.barrier()
     return comm.pool.stats()["in_use"]
@@ -409,3 +464,49 @@ def _abort_after_commit_worker(comm):
 
 def test_abort_between_commit_and_install_gives_the_slots_back():
     assert list(run_spmd(_abort_after_commit_worker, 2, deadline_s=60)) == [0, 0]
+
+
+# ------------------------------------------- (1+Q)·N/M in physical rows
+BOUND_SPEC = SyntheticSpec(
+    n_samples=320, n_classes=4, n_features=16, intra_modes=2,
+    separation=2.4, noise=1.0, seed=3,
+)
+BOUND_CONFIG = TrainConfig(
+    model="mlp", in_shape=(16,), num_classes=4, epochs=3, batch_size=16, seed=4,
+)
+
+
+def _bound_worker(comm, strategy_name, data, pinned_outside_slots):
+    strategy = strategy_from_name(strategy_name)
+    train_worker(comm, BOUND_CONFIG, strategy, *data)
+    storage = strategy.storage
+    scheduler = getattr(strategy, "scheduler", None)
+    storage.audit()
+    return {
+        "pinned": pinned_outside_slots(storage),
+        "rows": sum(len(pool.rows) for pool in storage._pools.values()),
+        "held": len(storage),
+        "k": 0 if scheduler is None else scheduler.plan.rounds,
+    }
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+@pytest.mark.parametrize("strategy", ["local", "partial-0.3", "partial-1"])
+def test_training_holds_its_shard_in_the_areas_own_rows(
+    backend, strategy, pinned_outside_slots
+):
+    """After a training run every hot entry is a row of the area's own slot
+    chunks — no dataset array or frame is kept alive — and the rows the
+    area ever made number at most the shard plus one epoch's agreed
+    arrivals: the paper's ``(1+Q)·N/M``, counted in physical rows."""
+    data = make_experiment_data(BOUND_SPEC)
+    per_rank = len(data[0]) // 2
+    result = run_spmd(
+        _bound_worker, 2, args=(strategy, data, pinned_outside_slots),
+        backend=backend, deadline_s=120,
+    )
+    for seen in result:
+        assert seen["pinned"] == 0
+        assert seen["held"] == per_rank
+        assert (seen["k"] > 0) == (strategy != "local")
+        assert per_rank <= seen["rows"] <= per_rank + seen["k"], seen

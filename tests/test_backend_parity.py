@@ -211,31 +211,10 @@ def test_frame_count_disagreeing_with_plan_is_malformed(backend, own_segments):
 
 
 # ------------------------------------------------------- frames recycle
-def _pinned_outside_slots(storage):
-    """Bytes the hot samples keep alive that are not the storage area's own
-    slot chunks (following ``.base`` / ``memoryview.obj`` to whatever owns
-    the memory): a pinned frame or dataset array would show up here."""
-    chunks = {id(c) for pool in storage._pools.values() for c in pool.chunks}
-    roots = {}
-    for _sid, sample, _label in storage.items():
-        root = sample
-        while True:
-            if isinstance(root, np.ndarray) and root.base is not None:
-                root = root.base
-            elif isinstance(root, memoryview):
-                root = root.obj
-            else:
-                break
-        if id(root) not in chunks:
-            roots[id(root)] = root.nbytes if isinstance(root, np.ndarray) else len(root)
-    return sum(roots.values())
-
-
-def _recycling_worker(comm, epochs):
+def _recycling_worker(comm, epochs, pinned_outside_slots):
     storage = StorageArea()
     x = np.random.default_rng(comm.rank).random((64, 32)).astype(np.float32)
-    for i in range(len(x)):
-        storage.add(x[i], i % 5, gid=comm.rank * len(x) + i)
+    storage.add_many((x[i], i % 5, comm.rank * len(x) + i) for i in range(len(x)))
     sched = Scheduler(storage, comm, fraction=1.0, batch_size=8, seed=3)
     per_epoch = []
     for epoch in range(epochs):
@@ -244,7 +223,7 @@ def _recycling_worker(comm, epochs):
         stats = comm.pool.stats()
         per_epoch.append(
             {
-                "pinned": _pinned_outside_slots(storage),
+                "pinned": pinned_outside_slots(storage),
                 "slots": storage.audit(),
                 "hits": stats["hits"],
                 "acquires": stats["acquires"],
@@ -255,16 +234,19 @@ def _recycling_worker(comm, epochs):
     return per_epoch
 
 
-def test_frames_recycle_and_pin_nothing(backend):
-    result = run_spmd(_recycling_worker, 2, args=(3,), backend=backend, deadline_s=120)
+def test_frames_recycle_and_pin_nothing(backend, pinned_outside_slots):
+    result = run_spmd(
+        _recycling_worker, 2, args=(3, pinned_outside_slots), backend=backend,
+        deadline_s=120,
+    )
     for per_epoch in result:
         for epoch, seen in enumerate(per_epoch):
-            # Q=1: every hot sample was installed by the exchange, into the
-            # area's own slots — no entry keeps a frame (or the dataset)
-            # alive — and those never outgrow the paper's (1+Q)·N/M: the
-            # shard plus one epoch's arrivals, two chunks of 64 slots.
+            # Every hot sample is a row of the area's own slots — no entry
+            # keeps a frame (or the dataset) alive — and those never outgrow
+            # the paper's (1+Q)·N/M at Q=1: the shard plus one epoch's
+            # arrivals, two chunks of 64 slots.
             assert seen["pinned"] == 0
-            assert seen["slots"]["live"] >= 64 and seen["slots"]["staged"] == 0
+            assert seen["slots"]["live"] == 64 and seen["slots"]["staged"] == 0
             assert seen["slots"]["allocated"] <= 2 * 64
             assert seen["in_use"] == 0
         # Epoch 0's acquires all allocate; the frames returned at each commit
@@ -289,12 +271,15 @@ def test_frames_recycle_and_pin_nothing(backend):
         assert not [wire for wire in wires if wire.startswith("mailbox.")], wires
 
 
-def test_rank_pools_are_counted_in_the_parent():
+def test_rank_pools_are_counted_in_the_parent(pinned_outside_slots):
     """Under ``procs`` each rank owns its pool; what ``world.pool.stats()``
     reads after the run is every rank pool's ledger, added up from the
     board, and the world's traffic counters are the ``threads`` run's."""
     runs = {
-        backend: run_spmd(_recycling_worker, 2, args=(3,), backend=backend, deadline_s=120)
+        backend: run_spmd(
+            _recycling_worker, 2, args=(3, pinned_outside_slots), backend=backend,
+            deadline_s=120,
+        )
         for backend in ("threads", "procs")
     }
     procs = runs["procs"]
@@ -306,7 +291,7 @@ def test_rank_pools_are_counted_in_the_parent():
         assert getattr(procs.world, counter) == getattr(runs["threads"].world, counter)
 
 
-def test_procs_exchange_fits_a_small_fd_budget(own_segments):
+def test_procs_exchange_fits_a_small_fd_budget(own_segments, pinned_outside_slots):
     """Regression: a rank process used to map one fresh segment (two fds)
     per message and never let go, running out of descriptors after a few
     epochs.  Released segments now always return to the free list, so six
@@ -317,7 +302,8 @@ def test_procs_exchange_fits_a_small_fd_budget(own_segments):
     resource.setrlimit(resource.RLIMIT_NOFILE, (512, hard))
     try:
         result = run_spmd(
-            _recycling_worker, 2, args=(6,), backend="procs", deadline_s=120
+            _recycling_worker, 2, args=(6, pinned_outside_slots), backend="procs",
+            deadline_s=120,
         )
     finally:
         resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
