@@ -22,6 +22,12 @@ destination permutation is shared, the *source* of each incoming message is
 also known (the inverse permutation), letting the implementation post
 matched ``irecv(source=...)`` instead of ``ANY_SOURCE`` — same traffic,
 deterministic matching.
+
+A rank may draw itself: that round's sample stays where it is — "a wasted
+slot but still balanced".  :func:`plan_frames` lists such rounds as *kept*
+positions rather than as frames, so the wire carries only samples that
+cross ranks, as in the protocol model checker's plans, which never send to
+self.
 """
 
 from __future__ import annotations
@@ -75,7 +81,8 @@ class ExchangePlan:
 
         ``allow_self`` keeps the paper's plain permutation draw, under which
         a rank may draw itself (the sample then stays local — a wasted slot
-        but still balanced).  ``allow_self=False`` re-draws fixed points into
+        but still balanced — and :func:`plan_frames` keeps it off the
+        wire).  ``allow_self=False`` re-draws fixed points into
         a derangement-ish matching, an ablation knob.
         """
         if size < 1:
@@ -123,15 +130,18 @@ class FrameSpec(NamedTuple):
 
 def plan_frames(
     plan: ExchangePlan, window: int, rank: int
-) -> list[tuple[list[FrameSpec], list[FrameSpec]]]:
+) -> list[tuple[list[FrameSpec], list[FrameSpec], np.ndarray]]:
     """Cut ``rank``'s share of ``plan`` into frames: per window, ``(send
-    frames, owed frames)``, each by ascending peer.
+    frames, owed frames, kept positions)``, the frames by ascending peer.
 
     A plan round moves one sample each way and a window is ``window``
     consecutive rounds (the last may be short).  Both sides of a frame
     derive it from the shared plan, so a receiver knows what it is owed
-    without any announcement, an empty ``(window, peer)`` pair has no frame,
-    and self is a peer like any other.
+    without any announcement, and an empty ``(window, peer)`` pair has no
+    frame.  Self is no frame peer: a round whose destination is ``rank``
+    is also the round whose source is ``rank`` (a fixed point of that
+    round's permutation), and its sample stays — ``kept`` lists those
+    positions, in plan-round order, and nothing of them goes on the wire.
     """
     dest_of = plan.destinations[:, rank]
     src_of = plan.sources[:, rank]
@@ -140,13 +150,15 @@ def plan_frames(
     frames = []
     for w, a in enumerate(range(0, plan.rounds, window)):
         b = a + window
-        frames.append(tuple(
+        sends, owed = (
             [
                 FrameSpec(w, peer, a + np.flatnonzero(of[a:b] == peer))
                 for peer in np.flatnonzero(np.bincount(of[a:b], minlength=plan.size)).tolist()
+                if peer != rank
             ]
             for of in (dest_of, src_of)
-        ))
+        )
+        frames.append((sends, owed, a + np.flatnonzero(dest_of[a:b] == rank)))
     return frames
 
 

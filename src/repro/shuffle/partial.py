@@ -196,6 +196,7 @@ class PartialLocalShuffle(LocalShuffle):
             out.update(
                 sent_samples=self.scheduler.total_sent_samples,
                 recv_samples=self.scheduler.total_recv_samples,
+                kept_samples=self.scheduler.total_kept_samples,
                 sent_bytes=self.scheduler.total_sent_bytes,
                 **self.scheduler.fault_stats(),
             )

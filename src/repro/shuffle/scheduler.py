@@ -20,7 +20,11 @@ traffic.  The *plan* is per sample; the *wire* is per **frame**: the
 ``Q*b`` rounds one training iteration posts ("in each iteration, Q*b
 samples are sent/received", §III-C) form a **window**, whose rounds are
 grouped by peer into one frame each way — one pack, one checksum, one
-isend / matched irecv, one ACK.  Three layers, one protocol:
+isend / matched irecv, one ACK.  A round whose destination is this rank
+itself is no frame: its sample is **kept** where it is (no pack, checksum,
+message, ACK or second slot row) and, at the install, re-registered in
+place at its plan-round position like any arrival.  Three layers, one
+protocol:
 
 * the **planner**, :func:`~repro.shuffle.exchange_plan.plan_frames`, a pure
   function of the plan;
@@ -112,6 +116,7 @@ SERVICE_EVERY = 2
 MAX_ATTEMPTS = 16
 
 _NO_IDS = np.empty(0, dtype=np.int64)
+_NO_SAMPLES = SampleBlock([], _NO_IDS, _NO_IDS)
 
 
 class _IO:
@@ -214,8 +219,10 @@ class Scheduler:
         self._io: dict[Frame, _IO] = {}
         self._send_reqs: list[Request] = []
         self._recv_reqs: list[Request] = []
-        # What the commit staged into storage slots, in plan-round order.
-        self._received: Sequence[tuple[np.ndarray, int, int | None]] = ()
+        # What the commit staged into storage slots, the plan positions of
+        # those rows, and those of the committed rounds this rank kept.
+        self._received = _NO_SAMPLES
+        self._received_at = self._kept = _NO_IDS
         self._installed: list[_IO] = []
         # (gid, dest local rank) of the committed, gid-tracked sends.
         self._sent_moves: list[tuple[int, int]] = []
@@ -238,8 +245,11 @@ class Scheduler:
         # they agree with the events' nbytes fields and the world's counters.
         # Sent totals are counted at *commit* (what the exchange actually
         # achieved); retransmissions go to resent_bytes.
+        # Sample totals count every committed plan round, kept ones too;
+        # sent bytes are only what left the rank.
         self.total_sent_samples = 0
         self.total_recv_samples = 0
+        self.total_kept_samples = 0
         self.total_sent_bytes = 0
         self.resent_bytes = 0
         #: Most windows this rank had send frames out of at once (oldest
@@ -324,7 +334,8 @@ class Scheduler:
         self._io = {}
         self._send_reqs = []
         self._recv_reqs = []
-        self._received = ()
+        self._received = _NO_SAMPLES
+        self._received_at = self._kept = _NO_IDS
         self._sent_moves = []
         self._ctrl_tag = EXCHANGE_CTRL.tag(parity=(self.epoch % 2) * _EPOCH_PARITY_BIT)
         self._cleaned = False
@@ -396,7 +407,7 @@ class Scheduler:
             stop = min(stop, engine.windows + count)
         while engine.windows < stop:
             window = engine.windows
-            sends, owed = self._windows[window]
+            sends, owed, _kept = self._windows[window]
             tag = self._tag(window)
             acts = engine.post(
                 [(s.peer, len(s.positions)) for s in sends],
@@ -689,7 +700,8 @@ class Scheduler:
         Windows beyond ``committed`` are rolled back symmetrically: the
         receiver unstages their rows (if they verified) and the sender
         keeps their samples (they drop out of ``_selected_ids``), so no
-        sample is lost or duplicated and every shard keeps its size."""
+        sample is lost or duplicated and every shard keeps its size.  A
+        kept round beyond it simply stays as it is."""
         engine = self.engine
         rounds = self.plan.rounds
         committed_rounds = min(committed * self._window, rounds)
@@ -706,44 +718,46 @@ class Scheduler:
         self._perform(engine.commit(committed, late))
         # The rows were staged — the second (and last) copy of a sample's
         # bytes, charged like the pack gather — as each frame verified.
-        # Merge the frames back into plan-round order, so storage sees the
-        # same install sequence whatever the framing.
         if self._installed:
-            merged = SampleBlock.concat([io.staged for io in self._installed])
-            order = np.argsort(np.concatenate([io.positions for io in self._installed]))
-            self._received = merged[order]
+            self._received = SampleBlock.concat([io.staged for io in self._installed])
+            self._received_at = np.concatenate([io.positions for io in self._installed])
             for io in self._installed:
                 io.staged = None
         planned_samples = len(self._selected_ids)
-        committed_samples = sum(
-            len(spec.positions) for sends, _owed in self._windows[:committed]
-            for spec in sends
+        self._selected_ids = self._selected_ids[:committed_rounds]
+        kept = self._kept = np.concatenate(
+            [kept for _sends, _owed, kept in self._windows[:committed]] or [_NO_IDS]
         )
-        self._selected_ids = self._selected_ids[:committed_samples]
-        gids = self._sent_gids[:committed_samples]
+        # No frame carried the kept rounds: their movement record is
+        # (gid, this rank).
+        ids = self._selected_ids
+        self._sent_gids[kept] = self.storage.take([ids[i] for i in kept.tolist()]).gids
+        self._sent_dest[kept] = self.comm.rank
+        gids = self._sent_gids[:committed_rounds]
         tracked = gids >= 0
         self._sent_moves = list(
             zip(
                 gids[tracked].tolist(),
-                self._sent_dest[:committed_samples][tracked].tolist(),
+                self._sent_dest[:committed_rounds][tracked].tolist(),
             )
         )
-        self.total_sent_samples += committed_samples
+        self.total_sent_samples += committed_rounds
+        self.total_kept_samples += len(kept)
         self.total_sent_bytes += sum(
             self._io[fr].nbytes for fr in engine.sends.values()
             if fr.state == "committed"
         )
-        self.total_recv_samples += len(self._received)
+        self.total_recv_samples += len(self._received) + len(kept)
 
         # Deficit bookkeeping: this plan contained ``_planned_extra`` samples
         # of repayment; whatever the commit fell short of the plan is newly
         # owed.  Both quantities are globally agreed, so q_deficit stays
         # identical on every rank (and provably >= 0: the agreed k never
         # exceeds min(base) + deficit).
-        short = planned_samples - committed_samples
+        short = planned_samples - committed_rounds
         self.q_deficit = self.q_deficit - self._planned_extra + short
         self.effective_q.append(
-            committed_samples / self._n_local if self._n_local else 0.0
+            committed_rounds / self._n_local if self._n_local else 0.0
         )
         if committed_rounds < rounds:
             self.degraded_epochs += 1
@@ -757,10 +771,12 @@ class Scheduler:
             committed=committed_rounds,
             planned=rounds,
             windows=committed,
-            samples=committed_samples,
-            # Logical bytes installed — the receive side of ``round.post``'s
-            # nbytes, taken at the commit rather than at each (racy) arrival.
-            recv_nbytes=self._received.nbytes if self._installed else 0,
+            samples=committed_rounds,
+            kept=len(kept),
+            # Logical bytes installed off the wire — the receive side of
+            # ``round.post``'s nbytes, taken at the commit rather than at
+            # each (racy) arrival.
+            recv_nbytes=self._received.nbytes,
             q_deficit=self.q_deficit,
             pool_in_use=self.comm.pool.in_use(),
         )
@@ -787,6 +803,7 @@ class Scheduler:
     STATE_FIELDS = (
         "total_sent_samples",
         "total_recv_samples",
+        "total_kept_samples",
         "total_sent_bytes",
         "_arrival_epoch",
         "resent_bytes",
@@ -838,10 +855,15 @@ class Scheduler:
         ``peak_nbytes``/``peak_count``.
 
         Transmitted samples are removed, so their slots are free for the
-        next epoch's arrivals and each sample is held by one rank only.
+        next epoch's arrivals and each sample is held by one rank only.  A
+        kept sample is turned back into a staged row of its own slot and
+        installed among the arrivals at its plan-round position, under a
+        fresh id: storage order, the next epoch's selection and the ledger
+        see it exactly as if it had gone round the wire, and no byte of it
+        is copied.
         """
         self._require_scheduled()
-        if len(self._received) != len(self._selected_ids):
+        if len(self._received) + len(self._kept) != len(self._selected_ids):
             raise RuntimeError("call synchronize() before clean_local_storage()")
         if self.ledger is not None:
             # Replicate this epoch's movement record on every rank (small
@@ -851,12 +873,20 @@ class Scheduler:
             # PeerFailure on every survivor with both ledger and storage
             # untouched, so abort_exchange() leaves a consistent state.
             self.ledger.commit_epoch(self.comm, self.epoch, self._sent_moves)
-        new_ids = self.storage.add_many(self._received)
+        # One install in plan-round order (the planner's positions), frames
+        # and kept rounds merged, so storage sees the same sequence whatever
+        # the framing.
+        kept = self.storage.restage([self._selected_ids[i] for i in self._kept.tolist()])
+        order = np.argsort(np.concatenate([self._received_at, self._kept]))
+        new_ids = self.storage.add_many(SampleBlock.concat([self._received, kept])[order])
         self._arrival_epoch.update(dict.fromkeys(new_ids, self.epoch))
-        for sid in self._selected_ids:
-            self.storage.remove(sid)
+        stays = set(self._kept.tolist())
+        for i, sid in enumerate(self._selected_ids):
+            if i not in stays:
+                self.storage.remove(sid)
             self._arrival_epoch.pop(sid, None)
-        self._received = ()
+        self._received = _NO_SAMPLES
+        self._received_at = self._kept = _NO_IDS
         self._selected_ids = []
         self._sent_moves = []
         self._io = {}
@@ -881,9 +911,9 @@ class Scheduler:
                 req.cancel()
         self._send_reqs = []
         self._recv_reqs = []
-        if self._received:
-            self.storage.unstage(self._received)
-        self._received = ()
+        self.storage.unstage(self._received)
+        self._received = _NO_SAMPLES
+        self._received_at = self._kept = _NO_IDS
         self._selected_ids = []
         self._sent_moves = []
         self._io = {}

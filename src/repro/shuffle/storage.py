@@ -51,7 +51,8 @@ __all__ = ["StorageArea", "DiskStorageArea", "StorageDataset"]
 
 
 # Life of a slot: FREE (in its pool's heap) -> STAGED (claimed by stage())
-# -> LIVE (owned by exactly one hot entry) -> FREE.
+# -> LIVE (owned by exactly one hot entry) -> FREE, or back to STAGED when
+# restage() takes its entry out of the hot set to register it again.
 _FREE, _STAGED, _LIVE = range(3)
 
 
@@ -241,22 +242,48 @@ class StorageArea:
     def remove(self, sid: int) -> None:
         """Delete a stored sample by id; its slot is free again."""
         with self._lock:
-            try:
-                sample, label = self._entries[sid]
-            except KeyError:
-                raise KeyError(f"no sample with id {sid} in storage") from None
-            del self._entries[sid]
-            self._nbytes -= sample.nbytes
-            gid = self._gid_of.pop(sid, None)
-            if gid is not None and self._sid_of.get(gid) == sid:
-                del self._sid_of[gid]
-            self._removed(sid, label)
+            sample, _label, _gid = self._pop(sid)
             pool, slot = self._slot_of[id(sample)]
             pool.release(slot)
 
     # Only a name: ``benchmarks/perf`` times the retire of a sent sample
     # through it as well as through ``remove``.
     demote = remove
+
+    def restage(self, sids: Sequence[int]) -> SampleBlock:
+        """Turn the entries of ``sids`` back into staged rows of their own
+        slots, in order, with no byte copied: they leave the hot set like a
+        :meth:`remove`, but their slots stay claimed until the block is
+        handed to :meth:`add_many` (which registers them again under fresh
+        sids — how the exchange keeps a plan round that stays on its rank)
+        or :meth:`unstage`."""
+        rows, labels, gids = [], [], []
+        with self._lock:
+            for sid in sids:
+                row, label, gid = self._pop(sid)
+                pool, slot = self._slot_of[id(row)]
+                pool.state[slot] = _STAGED
+                rows.append(row)
+                labels.append(label)
+                gids.append(gid)
+        return SampleBlock(
+            rows, np.array(labels, dtype=np.int64), np.array(gids, dtype=np.int64)
+        )
+
+    def _pop(self, sid: int) -> tuple[np.ndarray, int, int]:
+        """Take entry ``sid`` out of the hot set and its accounting; its
+        row, label and gid (``-1``: untracked).  Its slot is left as it was,
+        LIVE, for the caller to settle (runs under the lock)."""
+        try:
+            sample, label = self._entries.pop(sid)
+        except KeyError:
+            raise KeyError(f"no sample with id {sid} in storage") from None
+        self._nbytes -= sample.nbytes
+        gid = self._gid_of.pop(sid, -1)
+        if gid >= 0 and self._sid_of.get(gid) == sid:
+            del self._sid_of[gid]
+        self._removed(sid, label)
+        return sample, label, gid
 
     def _installed(
         self, sids: Sequence[int], samples: Sequence[np.ndarray], labels: Sequence[int]
@@ -265,7 +292,8 @@ class StorageArea:
         ``add_many``).  A persistent subclass writes them out."""
 
     def _removed(self, sid: int, label: int) -> None:
-        """Hook: this hot entry was just removed."""
+        """Hook: this hot entry just left the hot set (``remove``, or
+        ``restage`` before it is registered again under a new sid)."""
 
     # ------------------------------------------------------------------ slots
     def stage(self, block: SampleBlock) -> SampleBlock:
@@ -484,7 +512,9 @@ class DiskStorageArea(StorageArea):
 
     Writes go through :func:`~repro.utils.fileio.atomic_save` (temp file +
     ``os.replace``), so a crash mid-write can never leave a torn ``.npy``
-    behind.
+    behind.  An entry re-keyed in place (``restage`` then ``add_many``: an
+    exchange round the rank drew itself) leaves its old file and is written
+    under its new sid, so the files stay one per hot entry.
     """
 
     def __init__(self, root: str | Path):

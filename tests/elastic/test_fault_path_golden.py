@@ -18,6 +18,11 @@ to prefer, a tie between survivors goes to the lowest rank, so lost
 samples land elsewhere and the epochs from the kill on train on other
 shards.  The clean entry and the chaos entries without a kill are the
 original recording.
+
+Two ``injected`` counts were re-recorded when a rank stopped sending its
+self-drawn plan rounds to itself: ``drop:p=0.05`` 8 -> 5 and the
+``corrupt:p=0.03`` kill case 3 -> 1, the faults that had hit those
+self-addressed frames.  Their histories and recoveries are the recording's.
 """
 
 import json

@@ -93,7 +93,10 @@ def world_total(result, counter):
 
 class TestDeterminism:
     def test_same_chaos_seed_twice(self, setup):
-        profile = "corrupt:p=0.02;drop:p=0.02"
+        # At p = 0.02 every fault seed 7 draws lands on a message a rank
+        # no longer sends (a self-drawn round stays put); at 0.03 the same
+        # seed corrupts one frame and drops five.
+        profile = "corrupt:p=0.03;drop:p=0.03"
         r1 = run_lifecycle(profile=profile, chaos_seed=7, **setup)
         r2 = run_lifecycle(profile=profile, chaos_seed=7, **setup)
         assert r1.injected == r2.injected

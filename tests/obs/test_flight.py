@@ -26,6 +26,7 @@ from repro.obs.telemetry import (
 )
 from repro.shuffle import Scheduler, StorageArea
 from repro.shuffle import scheduler as scheduler_mod
+from repro.shuffle.exchange_plan import ExchangePlan, plan_frames
 from repro.train.experiments import make_experiment_data
 from repro.train.trainer import TrainConfig
 
@@ -152,15 +153,21 @@ class TestUnrecoveredFaultDump:
             # history is what the ring preserves for the post-mortem.
             assert "epoch.commit" in kinds, f"rank {rank} missing epoch 0"
             # One record per frame, addressed by (window, peer): epoch 0's
-            # 4 samples left in two Q*b = 2-round windows, each cut into at
-            # most one frame per destination.
-            posts = [
-                e for e in events if e["kind"] == "round.post" and e["epoch"] == 0
+            # 4 plan rounds in two Q*b = 2-round windows, each cut into at
+            # most one frame per other rank — the rounds a rank drew itself
+            # stay and post nothing.
+            plan = ExchangePlan.for_epoch(seed=7, epoch=0, size=4, rounds=4)
+            frames = [
+                (f.window, f.peer, len(f.positions))
+                for sends, _owed, _kept in plan_frames(plan, 2, int(rank))
+                for f in sends
             ]
-            assert 2 <= len(posts) <= 4
-            assert sum(e["samples"] for e in posts) == 4
-            assert {e["window"] for e in posts} == {0, 1}
-            assert all(0 <= e["peer"] < 4 for e in posts)
+            posts = [
+                (e["window"], e["peer"], e["samples"])
+                for e in events if e["kind"] == "round.post" and e["epoch"] == 0
+            ]
+            assert posts and posts == frames
+            assert all(peer != int(rank) for _w, peer, _n in posts)
 
 
 class TestChaosKillDump:

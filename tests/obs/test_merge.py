@@ -16,6 +16,7 @@ from repro.obs import (
     phase_totals_by_rank,
 )
 from repro.shuffle import Scheduler, StorageArea
+from repro.shuffle.exchange_plan import ExchangePlan, plan_frames
 
 SEED = 7
 RANKS = 4
@@ -44,6 +45,19 @@ def exchange_worker(comm):
     for epoch in range(2):
         sched.run_exchange(epoch)
     return sched.total_sent_bytes
+
+
+def planned_posts(ranks=RANKS):
+    """Per rank, the ``(epoch, window, peer, samples)`` of every frame the
+    plan has it send in :func:`exchange_worker`: 4 rounds of its 8 samples
+    per epoch, in one Q*b = 16-round window, a frame per other rank drawn."""
+    out = {rank: [] for rank in range(ranks)}
+    for epoch in range(2):
+        plan = ExchangePlan.for_epoch(seed=SEED, epoch=epoch, size=ranks, rounds=4)
+        for rank in range(ranks):
+            for sends, _owed, _kept in plan_frames(plan, 16, rank):
+                out[rank] += [(epoch, f.window, f.peer, len(f.positions)) for f in sends]
+    return out
 
 
 def run_traced(ranks=RANKS, backend=None):
@@ -101,10 +115,13 @@ class TestMergeDeterminism:
     def test_bytes_by_rank_matches_scheduler_counters(self):
         result = run_traced()
         per_rank = bytes_by_rank(merge_ranks(result.world.flight))
+        planned = planned_posts()
         for rank in range(RANKS):
             # round.post nbytes must add up to what the scheduler counted
-            # (both use the shared payload_nbytes wire-size model).
+            # (both use the shared payload_nbytes wire-size model: 16 bytes
+            # of sample, 8 of label, 8 of gid), and to the plan's frames.
             assert per_rank[rank]["p2p_sent"] == result[rank]
+            assert result[rank] == 32 * sum(n for *_f, n in planned[rank]) > 0
             # Balanced exchange: every rank receives what it sends.
             assert per_rank[rank]["p2p_recv"] == per_rank[rank]["p2p_sent"]
 
@@ -116,18 +133,17 @@ class TestMergeDeterminism:
         for ev in posts:
             assert ev.dur > 0  # the timed post
             assert ev.fields["mode"] == "blocking"  # run_exchange posts at once
-            assert ev.fields["samples"] >= 1
-            assert ev.fields["nbytes"] > 0
-            # One event per frame: 4 rounds fit one Q*b = 16-round window.
-            assert ev.fields["window"] == 0
-            assert 0 <= ev.fields["peer"] < RANKS
+            assert ev.fields["nbytes"] == 32 * ev.fields["samples"]
         assert all(
             ev.fields["q"] == 0.5 for ev in merged if ev.kind == "exchange.plan"
         )
-        # A frame per (epoch, rank, destination drawn), never per sample —
-        # but between them the frames carry every planned sample.
-        assert len(posts) <= 2 * RANKS * RANKS
-        assert sum(ev.fields["samples"] for ev in posts) == 2 * RANKS * 4
+        # One event per frame, never per sample: a frame per (epoch, rank,
+        # other rank drawn), exactly as the plan cuts them.
+        for rank, frames in planned_posts().items():
+            assert [
+                tuple(ev.fields[f] for f in ("epoch", "window", "peer", "samples"))
+                for ev in posts if ev.rank == rank
+            ] == frames
 
     def test_overlap_report_attributes_blocking_rounds(self):
         result = run_traced()

@@ -19,7 +19,9 @@ import pytest
 
 from repro.faults import ChaosEngine, ChaosWorld
 from repro.mpi import run_spmd
+from repro.mpi.tags import EXCHANGE_DATA
 from repro.shuffle import Scheduler, StorageArea
+from repro.shuffle.exchange_plan import plan_frames
 
 RANKS = 4
 EPOCHS = 3
@@ -63,6 +65,41 @@ def make_worker(*, q=0.5, epochs=EPOCHS, deadline_s=None, n_local=8, dim=4):
     return worker
 
 
+def _wire_worker(comm):
+    """Three window-by-window epochs at Q = 1, recording the destination of
+    every data message this rank posts, beside what the plan cuts."""
+    sched = Scheduler(
+        fill_storage(comm.rank, n=32), comm, fraction=1.0, batch_size=4, seed=3
+    )
+    dests = []
+    isend = comm.isend
+
+    def recording(obj, dest, tag=0):
+        if EXCHANGE_DATA.contains(tag):
+            dests.append(dest)
+        return isend(obj, dest, tag)
+
+    comm.isend = recording
+    epochs = []
+    for epoch in range(EPOCHS):
+        sched.scheduling(epoch)
+        while sched.communicate_chunk():
+            pass
+        sched.synchronize()
+        sched.clean_local_storage()
+        windows = plan_frames(sched.plan, sched.chunk_rounds, comm.rank)
+        epochs.append({
+            "rank": comm.rank,
+            "k": sched.plan.rounds,
+            "dests": list(dests),
+            "frames": sum(len(sends) for sends, _owed, _kept in windows),
+            "wire": sum(len(f.positions) for sends, _o, _k in windows for f in sends),
+            "kept": sum(len(kept) for _s, _o, kept in windows),
+        })
+        dests.clear()
+    return epochs, sched.total_kept_samples, sched.total_sent_samples
+
+
 def run_exchange(chaos=None, backend="threads", **kw):
     factory = None
     if chaos is not None:
@@ -103,8 +140,9 @@ class TestCopyAccounting:
 
     def test_frame_bytes_follow_the_payload_nbytes_model(self):
         """Frames are sized from their columns, not by walking the triples:
-        the totals must still be ``payload_nbytes`` of what was sent —
-        ``sample.nbytes + 8 + 8`` per entry, whether or not it has a gid."""
+        the totals must still be ``payload_nbytes`` of what left the rank —
+        ``sample.nbytes + 8 + 8`` per entry, whether or not it has a gid.
+        A round the plan keeps on its rank sends nothing."""
         from repro.mpi import payload_nbytes
 
         def worker(comm):
@@ -114,15 +152,41 @@ class TestCopyAccounting:
                 storage.add(np.full(5, i, dtype=np.float32), comm.rank, gid=gid)
             sched = Scheduler(storage, comm, fraction=1.0, batch_size=4, seed=4)
             sched.scheduling(0)
-            # Q = 1: every stored sample leaves.
-            sent = [(*storage.get(sid), storage.gid_of(sid)) for sid in storage.ids()]
-            assert {gid is None for _s, _l, gid in sent} == {True, False}
+            # Q = 1: every stored sample is selected.
+            held = [(*storage.get(sid), storage.gid_of(sid)) for sid in storage.ids()]
+            marks = [int(sample[0]) for sample, _l, _g in held]
             sched.synchronize(*sched.communicate())
             sched.clean_local_storage()
-            return sched.total_sent_bytes, payload_nbytes(sent)
+            # What stayed is this rank's label; the rest left the rank.
+            stayed = {int(s[0]) for _sid, s, label in storage.items() if label == comm.rank}
+            left = [t for t, mark in zip(held, marks) if mark not in stayed]
+            wire = int((sched.plan.destinations[:, comm.rank] != comm.rank).sum())
+            return sched.total_sent_bytes, payload_nbytes(left), len(left), wire, {
+                gid is None for _s, _l, gid in left
+            }
 
-        for total, model in run_spmd(worker, RANKS, deadline_s=60):
-            assert total == model == 8 * (20 + 8 + 8)
+        kinds = set()
+        for total, model, left, wire, tracked in run_spmd(worker, RANKS, deadline_s=60):
+            assert left == wire
+            assert total == model == wire * (20 + 8 + 8)
+            kinds |= tracked
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    def test_a_round_that_stays_never_goes_on_the_wire(self, backend):
+        """At M = 2 and Q = 1 about half of a rank's plan rounds draw the
+        rank itself.  Those rounds are kept in place: no data message is
+        addressed to self, the data messages of an epoch are exactly the
+        plan's ``(window, peer != self)`` frames, and kept plus wire rounds
+        make up the epoch's ``k``."""
+        out = run_spmd(_wire_worker, 2, backend=backend, deadline_s=120)
+        for epochs, kept, sent in out:
+            for e in epochs:
+                assert e["dests"] and set(e["dests"]) == {1 - e["rank"]}
+                assert len(e["dests"]) == e["frames"]
+                assert e["kept"] > 0 and e["kept"] + e["wire"] == e["k"] == 32
+            assert kept == sum(e["kept"] for e in epochs)
+            assert sent == EPOCHS * 32
 
     def test_pool_balanced_after_clean_run(self):
         out, world = run_exchange()

@@ -6,7 +6,12 @@ the parent commit, whose scheduler put every plan round in its own message
 --record``).  Grouping a window's rounds into one frame per peer must not
 move a single sample differently: for every case of the grid, after each
 epoch every rank's ``(sid, gid)`` storage sequence, its shard checksum and
-the scheduler's committed sample/byte totals equal the recording.
+the scheduler's committed sample total equal the recording.
+
+The recording's wire sent a rank's self-drawn rounds to itself; now they
+stay in place and never leave the rank, so its byte total must be the
+recording's minus those rounds' bytes, counted from the plan.  Where the
+sample stays the placement is still the recording's, sid for sid.
 """
 
 import json
@@ -63,6 +68,7 @@ def _worker(comm, case):
         allow_self=allow_self,
     )
     epochs = []
+    kept_bytes = 0
     for epoch in range(EPOCHS):
         if chunked:
             sched.scheduling(epoch)
@@ -72,12 +78,15 @@ def _worker(comm, case):
             sched.clean_local_storage()
         else:
             sched.run_exchange(epoch)
+        kept = int((sched.plan.destinations[:, comm.rank] == comm.rank).sum())
+        kept_bytes += kept * (x[0].nbytes + 8 + 8)  # the payload_nbytes model
         epochs.append(
             {
                 "placement": [[sid, storage.gid_of(sid)] for sid in storage.ids()],
                 "checksum": _shard_checksum(storage),
                 "sent_samples": sched.total_sent_samples,
                 "sent_bytes": sched.total_sent_bytes,
+                "kept_bytes": kept_bytes,
             }
         )
     return epochs
@@ -90,12 +99,32 @@ def _run(case):
 @pytest.mark.parametrize("case", GRID, ids=_case_id)
 def test_matches_per_sample_recording(case):
     golden = json.loads(GOLDEN.read_text())[_case_id(case)]
-    assert _run(case) == golden
+    got = _run(case)
+    kept = [epoch.pop("kept_bytes") for rank in got for epoch in rank]
+    # Only the plain permutation draw lets a rank draw itself.
+    assert (sum(kept) > 0) == case[3]
+    assert got == [
+        [
+            {**want, "sent_bytes": want["sent_bytes"] - kept_bytes}
+            for want, kept_bytes in zip(rank, kept[i * EPOCHS:])
+        ]
+        for i, rank in enumerate(golden)
+    ]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_framing_golden.py --record  (against the parent commit)")
     GOLDEN.write_text(
-        json.dumps({_case_id(c): _run(c) for c in GRID}, separators=(",", ":")) + "\n"
+        json.dumps(
+            {
+                _case_id(c): [
+                    [{k: v for k, v in e.items() if k != "kept_bytes"} for e in rank]
+                    for rank in _run(c)
+                ]
+                for c in GRID
+            },
+            separators=(",", ":"),
+        )
+        + "\n"
     )

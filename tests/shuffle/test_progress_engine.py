@@ -240,10 +240,11 @@ def test_the_model_checkers_mutants_break_the_live_exchange(monkeypatch):
     assert not result[0][1]["stale_discards"] >= 1
 
     # A frame released right after its isend comes back on its ACK all the
-    # same, and the commit releases it a second time: the pool refuses.
+    # same, and the commit releases it a second time: the pool refuses.  On
+    # two ranks, since a lone rank keeps every round and sends no frame.
     monkeypatch.setattr(scheduler_mod, "ExchangeEngine", mutant_engine("release_before_ack"))
     with pytest.raises(RankFailed, match="already released"):
-        run_spmd(_release_worker, 1, deadline_s=60)
+        run_spmd(_release_worker, 2, deadline_s=60)
 
 
 # ----------------------------------------------------------- abort mid-epoch

@@ -29,6 +29,7 @@ from repro.elastic import ReplicaLedger
 from repro.elastic.migration import TRANSFER, migrate
 from repro.mpi import SampleBlock, run_spmd
 from repro.shuffle import DiskStorageArea, Scheduler, StorageArea, strategy_from_name
+from repro.shuffle.exchange_plan import ExchangePlan
 from repro.train import TrainConfig, make_experiment_data, train_worker
 
 # Two slot classes of the same byte size, so byte counts stay in whole
@@ -368,6 +369,43 @@ def test_exchange_into_disk_storage_leaves_one_file_per_installed_sample(tmp_pat
     assert all(received == 12 for _gids, received in result)
 
 
+def _on_disk_training_worker(comm, root, data):
+    strategy = strategy_from_name("partial-1")
+    if root is not None:
+        strategy.storage = DiskStorageArea(root / f"rank{comm.rank}")
+    history = train_worker(comm, BOUND_CONFIG, strategy, *data)
+    area = strategy.storage
+    area.audit()
+    files = None
+    if root is not None:
+        files = {
+            int(path.stem.split("_")[1]):
+                (int(path.stem.split("_label_")[1]), np.load(path).tobytes())
+            for path in area.root.glob("sample_*.npy")
+        }
+    held = {sid: (label, sample.tobytes()) for sid, sample, label in area.items()}
+    return (
+        [(r.epoch, r.train_loss, r.val_accuracy) for r in history.records],
+        files, held, strategy.scheduler.total_kept_samples,
+    )
+
+
+def test_kept_rounds_keep_the_files_of_a_disk_area_consistent(tmp_path):
+    """A round a rank draws itself is re-keyed in place; on disk its file
+    follows the new sid.  Three epochs of ``partial-1`` on two ranks leave
+    a clean audit, exactly one file per hot entry, and the history of the
+    same run in memory."""
+    data = make_experiment_data(BOUND_SPEC)
+    on_disk = run_spmd(
+        _on_disk_training_worker, 2, args=(tmp_path, data), deadline_s=120
+    )
+    in_memory = run_spmd(_on_disk_training_worker, 2, args=(None, data), deadline_s=120)
+    for (history, files, held, kept), (memory_history, *_rest) in zip(on_disk, in_memory):
+        assert kept > 0
+        assert files == held and len(held) == len(data[0]) // 2
+        assert history == memory_history
+
+
 def test_exchange_into_added_storage_keeps_unsent_sids_valid():
     """A shard seeded through ``add_many`` is copied into slots: the sids
     the exchange does not send keep reading rows equal to the source that
@@ -437,18 +475,21 @@ class _UnreachableLedger:
         raise ConnectionError("peer died during the ledger allgather")
 
 
-def _abort_after_commit_worker(comm):
+def _abort_after_commit_worker(comm, allow_self):
     area = StorageArea()
     gids = range(comm.rank * 8, comm.rank * 8 + 8)
     area.add_many((np.full(4, gid, dtype=np.float32), 0, gid) for gid in gids)
     before = area.hot_gids()
     sched = Scheduler(
-        area, comm, fraction=0.5, seed=2, allow_self=False,
+        area, comm, fraction=0.5, seed=2, allow_self=allow_self,
         ledger=_UnreachableLedger(),
     )
     sched.scheduling(0)
     sched.synchronize(*sched.communicate())
-    assert slots(area)["staged"] == 4
+    # The rounds this rank drew itself staged nothing; they are still
+    # plain entries when the ledger fails.
+    kept = int((sched.plan.destinations[:, comm.rank] == comm.rank).sum())
+    assert slots(area)["staged"] == 4 - kept
     with pytest.raises(ConnectionError):
         sched.clean_local_storage()
     sched.abort_exchange()
@@ -459,11 +500,21 @@ def _abort_after_commit_worker(comm):
     assert slots(area)["staged"] == 0 and slots(area)["live"] == 8
     area.audit()
     comm.barrier()
-    return comm.pool.stats()["in_use"]
+    return comm.pool.stats()["in_use"], kept
 
 
 def test_abort_between_commit_and_install_gives_the_slots_back():
-    assert list(run_spmd(_abort_after_commit_worker, 2, deadline_s=60)) == [0, 0]
+    result = run_spmd(_abort_after_commit_worker, 2, args=(False,), deadline_s=60)
+    assert list(result) == [(0, 0), (0, 0)]
+
+
+def test_abort_between_commit_and_install_leaves_kept_rounds_in_place():
+    """The same abort where ranks drew themselves: a kept round is turned
+    back into a staged row only after the ledger commit, so it is still an
+    entry of the shard when that commit fails."""
+    result = run_spmd(_abort_after_commit_worker, 2, args=(True,), deadline_s=60)
+    assert [in_use for in_use, _kept in result] == [0, 0]
+    assert sum(kept for _in_use, kept in result) > 0
 
 
 # ------------------------------------------- (1+Q)·N/M in physical rows
@@ -482,11 +533,22 @@ def _bound_worker(comm, strategy_name, data, pinned_outside_slots):
     storage = strategy.storage
     scheduler = getattr(strategy, "scheduler", None)
     storage.audit()
+    k = 0 if scheduler is None else scheduler.plan.rounds
+    # Per epoch, the rounds that cross ranks: k minus those this rank drew
+    # itself, which stay in their slots.
+    wire = [
+        int((ExchangePlan.for_epoch(
+            seed=scheduler.seed, epoch=epoch, size=comm.size, rounds=k,
+            allow_self=scheduler.allow_self,
+        ).destinations[:, comm.rank] != comm.rank).sum())
+        for epoch in range(BOUND_CONFIG.epochs)
+    ] if k else [0]
     return {
         "pinned": pinned_outside_slots(storage),
         "rows": sum(len(pool.rows) for pool in storage._pools.values()),
         "held": len(storage),
-        "k": 0 if scheduler is None else scheduler.plan.rounds,
+        "k": k,
+        "wire": max(wire),
     }
 
 
@@ -497,8 +559,9 @@ def test_training_holds_its_shard_in_the_areas_own_rows(
 ):
     """After a training run every hot entry is a row of the area's own slot
     chunks — no dataset array or frame is kept alive — and the rows the
-    area ever made number at most the shard plus one epoch's agreed
-    arrivals: the paper's ``(1+Q)·N/M``, counted in physical rows."""
+    area ever made number at most the shard plus one epoch's arrivals off
+    the wire: within the paper's ``(1+Q)·N/M``, counted in physical rows,
+    since a round the rank drew itself keeps its sample in its slot."""
     data = make_experiment_data(BOUND_SPEC)
     per_rank = len(data[0]) // 2
     result = run_spmd(
@@ -509,4 +572,5 @@ def test_training_holds_its_shard_in_the_areas_own_rows(
         assert seen["pinned"] == 0
         assert seen["held"] == per_rank
         assert (seen["k"] > 0) == (strategy != "local")
-        assert per_rank <= seen["rows"] <= per_rank + seen["k"], seen
+        assert seen["wire"] < seen["k"] or strategy == "local"
+        assert per_rank <= seen["rows"] <= per_rank + seen["wire"], seen
