@@ -4,14 +4,15 @@ Convolution implements a custom backward closure rather than being
 composed from primitives — the composite graph would be orders of
 magnitude slower, and it is the hot path of every accuracy experiment.
 It reads its windows through one channels-last gather (``im2col``), and
-uses it again for its input gradient.
+uses it again for its input gradient.  Every activation-sized array it
+makes comes from the current arena (see :mod:`repro.nn.tensor`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, _empty
 
 __all__ = [
     "log_softmax",
@@ -69,17 +70,20 @@ def _patches(
 ) -> np.ndarray:
     """The one gather: (N,C,H,W) -> (N*oh*ow, kh*kw*C) patch matrix.
 
-    ``x`` is copied once into a zeroed channels-last buffer with zeros
-    beyond its edges; row ``(n, i, j)`` is the window whose corner sits
+    ``x`` is copied once into a channels-last buffer with zeros beyond
+    its edges; row ``(n, i, j)`` is the window whose corner sits
     ``(top, left)`` buffer pixels before ``x``'s first pixel plus
     ``(i, j)``.  A window row is ``kw*C`` contiguous floats, so
     materialising the matrix copies long runs.
     """
     n, c, h, w = x.shape
-    buf = np.zeros((n, oh - 1 + kh, ow - 1 + kw, c), dtype=x.dtype)
+    buf = _empty((n, oh - 1 + kh, ow - 1 + kw, c), x.dtype)
     src_h, dst_h = _place(h, top, buf.shape[1])
     src_w, dst_w = _place(w, left, buf.shape[2])
     buf[:, dst_h, dst_w] = x[:, :, src_h, src_w].transpose(0, 2, 3, 1)
+    # Zero the frame around what was copied in (an arena array is not zeroed).
+    buf[:, : dst_h.start] = buf[:, dst_h.stop :] = 0
+    buf[:, dst_h, : dst_w.start] = buf[:, dst_h, dst_w.stop :] = 0
     sn, sh, sw, sc = buf.strides
     windows = np.lib.stride_tricks.as_strided(
         buf,
@@ -87,7 +91,9 @@ def _patches(
         strides=(sn, sh, sw, sh, sc),
         writeable=False,
     )
-    return windows.reshape(n * oh * ow, kh * kw * c)
+    cols = _empty((n * oh * ow, kh * kw * c), x.dtype)
+    np.copyto(cols.reshape(windows.shape), windows)
+    return cols
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, padding: int) -> tuple[np.ndarray, int, int]:
@@ -118,20 +124,31 @@ def conv2d(x: Tensor, weight: Tensor, *, padding: int = 0) -> Tensor:
     if cw != c:
         raise ValueError(f"input channels {c} != weight channels {cw}")
     cols, oh, ow = im2col(x.data, kh, kw, padding)
-    out_data = cols @ weight.data.transpose(2, 3, 1, 0).reshape(-1, f)  # (N*OH*OW, F)
-    out_data = out_data.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
+    wmat = weight.data.transpose(2, 3, 1, 0).reshape(-1, f)
+    gemm = _matmul(cols, wmat)  # (N*OH*OW, F)
+    out_data = _empty((n, f, oh, ow), gemm.dtype)
+    np.copyto(out_data, gemm.reshape(n, oh, ow, f).transpose(0, 3, 1, 2))
 
-    out = x._make(np.ascontiguousarray(out_data), (x, weight), "conv2d")
+    out = x._make(out_data, (x, weight), "conv2d")
     if out.requires_grad:
 
         def backward(g: np.ndarray) -> None:
+            nonlocal cols
             if weight.requires_grad or weight._prev:
-                gmat = g.transpose(0, 2, 3, 1).reshape(-1, f)  # (N*OH*OW, F)
+                gmat = _empty((n * oh * ow, f), g.dtype)
+                np.copyto(gmat.reshape(n, oh, ow, f), g.transpose(0, 2, 3, 1))
                 weight._push((cols.T @ gmat).reshape(kh, kw, c, f).transpose(3, 2, 0, 1))
+                del gmat  # and its block, for ``dx``
+            cols = None  # the gather below reuses its block
             if x.requires_grad or x._prev:
                 gcols = _patches(g, kh, kw, kh - 1 - padding, kw - 1 - padding, h, w)
                 flipped = weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
-                x._push((gcols @ flipped).reshape(n, h, w, c).transpose(0, 3, 1, 2))
+                x._push(_matmul(gcols, flipped).reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
         out._backward = backward
     return out
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D operands, written into an arena array."""
+    return np.matmul(a, b, out=_empty((a.shape[0], b.shape[1]), np.result_type(a, b)))

@@ -11,7 +11,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Arena, Tensor, _mode
 
 __all__ = ["Parameter", "FlatParameters", "Module", "flat_views"]
 
@@ -163,8 +163,9 @@ class Module:
 
     def __getstate__(self) -> dict:
         # A copy (a model returned across the ``procs`` pipe) owns separate
-        # arrays: the views no longer alias, so it lays itself out afresh.
-        return {k: v for k, v in self.__dict__.items() if k != "_flat"}
+        # arrays: the views no longer alias, so it lays itself out afresh,
+        # and it makes its own arena on its first call.
+        return {k: v for k, v in self.__dict__.items() if k not in ("_flat", "_arena")}
 
     # ------------------------------------------------------------- state dict
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -210,4 +211,12 @@ class Module:
     def __call__(self, x) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float32))
-        return self.forward(x)
+        if _mode.arena is not None:  # a sub-module: the outermost call's arena
+            return self.forward(x)
+        if "_arena" not in self.__dict__:
+            object.__setattr__(self, "_arena", Arena())
+        _mode.arena = self._arena
+        try:
+            return self.forward(x)
+        finally:
+            _mode.arena = None

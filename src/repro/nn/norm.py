@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .module import Module, Parameter
-from .tensor import Tensor
+from .tensor import Tensor, _empty
 
 __all__ = ["BatchNorm1d", "BatchNorm2d", "GroupNorm"]
 
@@ -34,26 +34,34 @@ class _Norm(Module):
         weight plus bias, both seen as ``param_shape`` (same rank as ``x``).
         Returns the node and the batch mean and variance (``keepdims``)."""
         weight, bias = self.weight, self.bias
+        shape = x.shape
         mean = x.data.mean(axis=axes, keepdims=True)
-        x_hat = x.data - mean
-        var = np.square(x_hat).mean(axis=axes, keepdims=True)
+        x_hat = np.subtract(x.data, mean, out=_empty(shape, np.result_type(x.data, mean)))
+        var = np.square(x_hat, out=_empty(shape, x_hat.dtype)).mean(axis=axes, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat *= inv_std
         w = weight.data.reshape(param_shape)
-        out = x._make(x_hat * w + bias.data.reshape(param_shape), (x, weight, bias), "normalize")
+        out_data = np.multiply(x_hat, w, out=_empty(shape, np.result_type(x_hat, w)))
+        out_data += bias.data.reshape(param_shape)
+        out = x._make(out_data, (x, weight, bias), "normalize")
         if out.requires_grad:
             param_axes = tuple(i for i, s in enumerate(param_shape) if s == 1)
 
             def backward(g: np.ndarray) -> None:
+                scratch = _empty(shape, g.dtype)
                 if bias.requires_grad or bias._prev:
                     bias._push(g.sum(axis=param_axes).reshape(bias.shape))
                 if weight.requires_grad or weight._prev:
-                    weight._push((g * x_hat).sum(axis=param_axes).reshape(weight.shape))
+                    np.multiply(g, x_hat, out=scratch)
+                    weight._push(scratch.sum(axis=param_axes).reshape(weight.shape))
                 if x.requires_grad or x._prev:
                     # gx = inv_std * (gh - mean(gh) - x_hat * mean(gh * x_hat)), gh = g * w
-                    gh = g * w
-                    gx = gh - gh.mean(axis=axes, keepdims=True)
-                    gx -= x_hat * (gh * x_hat).mean(axis=axes, keepdims=True)
+                    gh = np.multiply(g, w, out=_empty(shape, g.dtype))
+                    gx = _empty(shape, g.dtype)
+                    np.subtract(gh, gh.mean(axis=axes, keepdims=True), out=gx)
+                    np.multiply(gh, x_hat, out=scratch)
+                    np.multiply(x_hat, scratch.mean(axis=axes, keepdims=True), out=scratch)
+                    gx -= scratch
                     gx *= inv_std
                     x._push(gx)
 

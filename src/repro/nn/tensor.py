@@ -4,7 +4,14 @@ The training experiments need real gradients (the paper's accuracy results
 are about SGD dynamics under different shuffling schemes, with BatchNorm
 behaviour as a key mechanism), so this module implements a compact
 tape-based autograd: every operation records a backward closure, and
-:meth:`Tensor.backward` runs the tape in reverse topological order.
+:meth:`Tensor.backward` runs the tape in reverse topological order,
+releasing each node as it goes (PyTorch's ``retain_graph=False``).
+
+A model's step allocates its activation-sized arrays from the model's
+:class:`Arena` (the outermost ``Module.__call__`` makes it current; each
+tape node keeps it for its backward), so every step after the first runs
+in the arrays the first one made instead of handing pages back to the
+allocator.
 
 Design notes (per the HPC guides): all heavy math stays inside vectorised
 NumPy calls; backward closures reuse forward intermediates instead of
@@ -15,19 +22,23 @@ recomputing; broadcasting gradients are reduced with a single
 from __future__ import annotations
 
 import contextlib
+import math
+import sys
 import threading
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad"]
+__all__ = ["Arena", "Tensor", "no_grad"]
 
 
 class _GradMode(threading.local):
-    """Whether this thread records the graph: rank threads validate at the
-    same time, and one's ``no_grad()`` must not switch the others off."""
+    """Whether this thread records the graph, and the arena its ops take
+    arrays from: rank threads step their own replicas at the same time, and
+    one's ``no_grad()`` or arena must not leak into the others."""
 
     enabled = True
+    arena: "Arena | None" = None
 
 
 _mode = _GradMode()
@@ -43,6 +54,67 @@ def no_grad():
         yield
     finally:
         _mode.enabled = prev
+
+
+class Arena:
+    """One model's step arrays by ``(shape, dtype)``: :meth:`take` hands a
+    block out again once nothing but the arena references it, so the arena
+    holds at most the step's working set per shape (a caching allocator, as
+    under PyTorch).  What it hands out is a view of the block, and so is
+    every view of that: a block a live tensor, closure or view still reads
+    is never handed out.  One thread steps a model at a time (each rank
+    steps its own replica); two calling one arena at once could share a
+    block."""
+
+    def __init__(self) -> None:
+        self._blocks: dict[tuple, list[tuple[np.ndarray, int]]] = {}
+        self._made = 0
+
+    def __len__(self) -> int:
+        return self._made
+
+    def take(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        """An array of ``shape`` / ``dtype`` on an idle block (contents
+        undefined)."""
+        bucket = self._blocks.setdefault((shape, dtype), [])
+        for i in range(len(bucket) - 1, -1, -1):  # the last one used first: still in cache
+            if sys.getrefcount(bucket[i][0]) == _IDLE:
+                bucket.append(bucket.pop(i))
+                break
+        else:
+            # numpy's allocator, which asks for huge pages on large blocks.
+            # Each new array starts five cache lines further into its page
+            # than the last, so the operands of one elementwise loop never
+            # share a page offset (4K aliasing: such loops ran a third slower).
+            self._made += 1
+            block = np.empty(math.prod(shape) * dtype.itemsize + 4096, np.uint8)
+            bucket.append((block, (self._made * 320 - block.ctypes.data) % 4096))
+        block, offset = bucket[-1]
+        return np.ndarray(shape, dtype, buffer=block, offset=offset)
+
+
+def _idle_refs() -> int:
+    # What ``Arena.take`` counts for a block only its bucket holds.
+    bucket = [(np.empty(0), 0)]
+    return sys.getrefcount(bucket[0][0])
+
+
+_IDLE = _idle_refs()
+
+
+#: Below this an array is malloc's to recycle: its free lists hand small
+#: blocks back without a page fault, for less than the arena's bookkeeping.
+_ARENA_MIN_BYTES = 1 << 16
+
+
+def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array from the current arena, or a fresh one when
+    it is small or no model's call or tape is running (a bare functional
+    call)."""
+    arena, dtype = _mode.arena, np.dtype(dtype)
+    if arena is None or math.prod(shape) * dtype.itemsize < _ARENA_MIN_BYTES:
+        return np.empty(shape, dtype)
+    return arena.take(tuple(shape), dtype)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -73,7 +145,7 @@ class Tensor:
     :meth:`backward` can traverse the graph.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op", "_arena")
     __array_priority__ = 100  # numpy defers binary ops to Tensor
 
     def __init__(self, data, requires_grad: bool = False, _prev: tuple = (), _op: str = ""):
@@ -81,8 +153,10 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._prev: tuple[Tensor, ...] = _prev if _mode.enabled else ()
+        # ``None`` once backward() released this node.
+        self._prev: tuple[Tensor, ...] | None = _prev if _mode.enabled else ()
         self._op = _op
+        self._arena: Arena | None = None
 
     # ------------------------------------------------------------- properties
     @property
@@ -115,19 +189,26 @@ class Tensor:
         tracked = tuple(p for p in parents if p.requires_grad or p._prev)
         out = Tensor(data, _prev=tracked, _op=op)
         out.requires_grad = bool(tracked)
+        out._arena = _mode.arena
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             # C order: closures may push transposed views (conv2d does).
-            self.grad = grad.astype(self.data.dtype, order="C", copy=True)
+            self.grad = _empty(grad.shape, self.data.dtype)
+            np.copyto(self.grad, grad, casting="unsafe")
         else:
             self.grad += grad
 
     # -------------------------------------------------------------- arithmetic
     def __add__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out = self._make(self.data + other.data, (self, other), "add")
+        a, b = self.data, other.data
+        if a.shape == b.shape and a.dtype == b.dtype and a.ndim:  # the residual add
+            data = np.add(a, b, out=_empty(a.shape, a.dtype))
+        else:
+            data = a + b
+        out = self._make(data, (self, other), "add")
         if out.requires_grad:
 
             def backward(g: np.ndarray) -> None:
@@ -202,7 +283,7 @@ class Tensor:
                     axes = (axis,) if isinstance(axis, int) else tuple(axis)
                     axes = tuple(a % len(in_shape) for a in axes)
                     gg = np.expand_dims(gg, axis=axes)
-                self._push(np.broadcast_to(gg, in_shape).astype(self.data.dtype))
+                self._push(np.broadcast_to(gg, in_shape).astype(self.data.dtype, copy=False))
 
             out._backward = backward
         return out
@@ -265,10 +346,13 @@ class Tensor:
     # ----------------------------------------------------------- element-wise
     def relu(self) -> "Tensor":
         """Elementwise max(x, 0)."""
-        out = self._make(np.maximum(self.data, 0), (self,), "relu")
+        data = self.data
+        out = self._make(np.maximum(data, 0, out=_empty(data.shape, data.dtype)), (self,), "relu")
         if out.requires_grad:
-            mask = self.data > 0
-            out._backward = lambda g: self._push(g * mask)
+            mask = np.greater(data, 0, out=_empty(data.shape, np.bool_))
+            out._backward = lambda g: self._push(
+                np.multiply(g, mask, out=_empty(g.shape, g.dtype))
+            )
         return out
 
     # ------------------------------------------------------------ backward pass
@@ -281,7 +365,10 @@ class Tensor:
 
         ``grad`` defaults to ones (so a scalar loss needs no argument).
         Gradients accumulate into every reachable tensor with
-        ``requires_grad=True``.
+        ``requires_grad=True``.  The walk releases the graph: each node
+        drops its closure and parents once it has run, so what the closures
+        saved goes back to the arena before the next node runs, and a
+        second ``backward()`` through it raises ``RuntimeError``.
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -302,6 +389,11 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._prev is None:
+                raise RuntimeError(
+                    "backward() through a graph an earlier backward() released; "
+                    "run the forward again"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._prev:
@@ -309,13 +401,21 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                # Interior activations (nodes with parents) don't need to
-                # retain grads; freeing them bounds memory on deep graphs.
-                if node._prev and node is not self:
-                    node.grad = None
+        outer = _mode.arena
+        try:
+            while topo:
+                node = topo.pop()  # the walk holds no node it has passed
+                if not node._prev:
+                    continue  # a leaf
+                if node._backward is not None and node.grad is not None:
+                    _mode.arena = node._arena
+                    node._backward(node.grad)
+                    # Interior activations don't need to retain grads.
+                    if node is not self:
+                        node.grad = None
+                node._backward, node._prev, node._arena = None, None, None
+        finally:
+            _mode.arena = outer
 
 
 def _axis_size(shape: tuple[int, ...], axis) -> int:

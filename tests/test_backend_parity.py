@@ -316,6 +316,43 @@ def test_procs_exchange_fits_a_small_fd_budget(own_segments, pinned_outside_slot
     assert own_segments() == []
 
 
+def _resnet_worker(comm):
+    import zlib
+
+    from repro.data import TensorDataset
+    from repro.shuffle import strategy_from_name
+    from repro.train import TrainConfig, train_worker
+
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(64, 3, 8, 8)).astype(np.float32)
+    y = rng.integers(0, 4, size=64)
+    config = TrainConfig(
+        model="resnet_tiny", in_shape=(3, 8, 8), num_classes=4, epochs=2, batch_size=8
+    )
+    strategy = strategy_from_name("partial-0.5")
+    history, model = train_worker(
+        comm, config, strategy, TensorDataset(X, y), y, X[:16], y[:16], return_model=True
+    )
+    shard = [
+        (strategy.storage.gid_of(sid), int(label), zlib.crc32(np.asarray(sample).tobytes()))
+        for sid, sample, label in strategy.storage.items()
+    ]
+    weights = {k: v.tobytes() for k, v in model.state_dict().items()}
+    return history.records, shard, weights, len(model._arena)
+
+
+def test_resnet_training_matches_across_backends(backend):
+    """Two rank replicas step at once, each in its own arena (two threads
+    of one process, or two processes): history, shards and weights are the
+    threads reference's, bit for bit."""
+    reference = _once(
+        "resnet", lambda: list(run_spmd(_resnet_worker, 2, copy_on_send=False, deadline_s=300))
+    )
+    got = list(run_spmd(_resnet_worker, 2, copy_on_send=False, deadline_s=300, backend=backend))
+    assert all(arena > 0 for *_, arena in got)
+    assert got == reference
+
+
 def test_dead_peer_epitaph_crosses_backends(backend):
     def worker(comm):
         if comm.rank == 1:

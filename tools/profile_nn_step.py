@@ -2,11 +2,20 @@
 """Profile one ``repro.nn`` training step (ROADMAP item 2's deliverable).
 
 Runs the step the ``compute_*`` benchmark workloads spend 95 % of their
-time in — ``resnet_tiny`` on ``(3, 16, 16)`` samples, batch 32: forward,
-``cross_entropy``, ``zero_grad``, ``backward``, SGD update — and prints
+time in — ``resnet_tiny`` on ``(3, 16, 16)`` samples, batch 32 — in the
+loop shape of ``train_one_epoch``: forward, ``cross_entropy``,
+``zero_grad``, ``backward``, the flat-model SGD update, with ``logits`` and
+``loss`` held from one iteration into the next.  It prints
 
 * the step's wall time with the profiler off (median of ``--steps``),
-* how many tape nodes one forward + loss records,
+* minor page faults per step over the same steps (median and max),
+* a steady step's ``tracemalloc`` peak: what the process holds at the
+  step's worst moment, arena included (a separate model, traced from its
+  construction),
+* how many arrays the model's arena holds after warm-up and after the
+  timed steps (a step after the first makes none),
+* how many tape nodes one forward + loss records (counted before
+  ``backward()``, which releases the tape),
 * per-function *self* time under ``cProfile`` as ms per step and share.
 
 cProfile charges every Python call but not the work inside numpy, so the
@@ -23,9 +32,11 @@ import argparse
 import cProfile
 import os
 import pstats
+import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -67,43 +78,70 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.nn import SGD, Tensor, build_model
     from repro.nn import functional as F
+    from repro.train.trainer import MOMENTUM, WEIGHT_DECAY
 
     rng = np.random.default_rng(0)
     x = rng.normal(size=(BATCH, *SAMPLE_SHAPE)).astype(np.float32)
     y = rng.integers(0, CLASSES, size=BATCH)
-    model = build_model("resnet_tiny", in_shape=SAMPLE_SHAPE, num_classes=CLASSES, seed=0)
-    optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
 
-    def step():
-        loss = F.cross_entropy(model(Tensor(x)), y)
-        model.zero_grad()
-        loss.backward()
-        optimizer.step()
-        return loss
+    def resnet():
+        return build_model("resnet_tiny", in_shape=SAMPLE_SHAPE, num_classes=CLASSES, seed=0)
 
+    def trainer_loop(model):
+        """Steps shaped like ``train_one_epoch``: the last step's ``logits``
+        / ``loss`` stay bound while the next forward runs.  Each ``next()``
+        is one step: the pending backward and update, then the next
+        forward, whose loss it returns."""
+        optimizer = SGD(model.flatten(), lr=0.05, momentum=MOMENTUM, weight_decay=WEIGHT_DECAY)
+        while True:
+            logits = model(Tensor(x))
+            loss = F.cross_entropy(logits, y)
+            yield loss  # before backward(): the tape is still there to count
+            model.zero_grad()
+            loss.backward()
+            optimizer.step()
+
+    tracemalloc.start()
+    steps = trainer_loop(resnet())
+    for _ in range(WARMUP_STEPS + 1):
+        next(steps)
+    tracemalloc.reset_peak()
+    next(steps)
+    peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    del steps
+
+    model = resnet()
+    steps = trainer_loop(model)
     for _ in range(WARMUP_STEPS):
-        loss = step()
-    nodes = tape_nodes(loss)
+        nodes = tape_nodes(next(steps))
+    warm_arrays = len(model._arena)
 
-    walls = []
+    walls, faults = [], []
     for _ in range(args.steps):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
-        step()
+        next(steps)
         walls.append((time.perf_counter() - t0) * 1e3)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
 
     profiler = cProfile.Profile()
     profiler.enable()
     for _ in range(args.steps):
-        step()
+        next(steps)
     profiler.disable()
     stats = pstats.Stats(profiler).stats  # (file, line, name) -> (cc, nc, tt, ct, callers)
     total = sum(row[2] for row in stats.values())
     rows = sorted(stats.items(), key=lambda kv: kv[1][2], reverse=True)[: args.top]
 
-    print(f"resnet_tiny step, batch {BATCH}, sample {SAMPLE_SHAPE}, "
+    print(f"resnet_tiny step, batch {BATCH}, sample {SAMPLE_SHAPE}, trainer-shaped loop, "
           f"OPENBLAS_NUM_THREADS=1, {args.steps} steps after {WARMUP_STEPS} warm-up")
     print(f"step wall (profiler off): median {statistics.median(walls):.2f} ms, "
           f"min {min(walls):.2f} ms, max {max(walls):.2f} ms")
+    print(f"minor faults per step: median {statistics.median(faults):g}, max {max(faults)}")
+    print(f"steady step tracemalloc peak: {peak_mib:.1f} MiB")
+    print(f"arena arrays: {warm_arrays} after warm-up, {len(model._arena)} after "
+          f"{2 * args.steps} more steps")
     print(f"tape nodes per forward + cross_entropy: {nodes}")
     print(f"self time under cProfile: {total / args.steps * 1e3:.2f} ms per step")
     print(f"{'ms/step':>8} {'share':>6} {'calls/step':>10}  function")
