@@ -32,12 +32,10 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     out_data = shifted - np.log(denom)
     out = x._make(out_data, (x,), "log_softmax")
     if out.requires_grad:
-        softmax_data = exp / denom
-
-        def backward(g: np.ndarray) -> None:
-            x._push(g - softmax_data * g.sum(axis=axis, keepdims=True))
-
-        out._backward = backward
+        (xn,), softmax_data = out._node.parents, exp / denom
+        out._node.backward = lambda g: xn.push(
+            g - softmax_data * g.sum(axis=axis, keepdims=True)
+        )
     return out
 
 
@@ -131,21 +129,22 @@ def conv2d(x: Tensor, weight: Tensor, *, padding: int = 0) -> Tensor:
 
     out = x._make(out_data, (x, weight), "conv2d")
     if out.requires_grad:
+        (xn, wn), wdata = out._node.parents, weight.data
 
         def backward(g: np.ndarray) -> None:
             nonlocal cols
-            if weight.requires_grad or weight._prev:
+            if wn is not None:
                 gmat = _empty((n * oh * ow, f), g.dtype)
                 np.copyto(gmat.reshape(n, oh, ow, f), g.transpose(0, 2, 3, 1))
-                weight._push((cols.T @ gmat).reshape(kh, kw, c, f).transpose(3, 2, 0, 1))
+                wn.push((cols.T @ gmat).reshape(kh, kw, c, f).transpose(3, 2, 0, 1))
                 del gmat  # and its block, for ``dx``
             cols = None  # the gather below reuses its block
-            if x.requires_grad or x._prev:
+            if xn is not None:
                 gcols = _patches(g, kh, kw, kh - 1 - padding, kw - 1 - padding, h, w)
-                flipped = weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
-                x._push(_matmul(gcols, flipped).reshape(n, h, w, c).transpose(0, 3, 1, 2))
+                flipped = wdata[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
+                xn.push(_matmul(gcols, flipped).reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
-        out._backward = backward
+        out._node.backward = backward
     return out
 
 

@@ -99,9 +99,8 @@ class BasicBlock(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """Apply this module to the input."""
-        out = self.norm1(self.conv1(x)).relu()
-        out = self.norm2(self.conv2(out))
-        return (out + x).relu()
+        # One expression: no local holds an activation past its last reader.
+        return (self.norm2(self.conv2(self.norm1(self.conv1(x)).relu())) + x).relu()
 
 
 class TinyResNet(Module):

@@ -33,6 +33,11 @@ class Parameter(Tensor):
         else:
             super()._accumulate(grad)
 
+    def __getstate__(self):
+        # A copy lays out its own flat gradient (``Module.__getstate__``).
+        state = {k: v for k, v in self.__dict__.items() if k != "_grad_view"}
+        return state or None, {k: getattr(self, k) for k in Tensor.__slots__}
+
 
 def flat_views(like: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """A zeroed flat float32 array, and one view of it per array of ``like``

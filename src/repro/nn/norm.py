@@ -30,7 +30,7 @@ class _Norm(Module):
         self.bias = Parameter(np.zeros(channels))
 
     def _normalize(self, x: Tensor, axes, param_shape):
-        """One tape node: ``x`` standardised over ``axes`` (biased variance) times
+        """One graph node: ``x`` standardised over ``axes`` (biased variance) times
         weight plus bias, both seen as ``param_shape`` (same rank as ``x``).
         Returns the node and the batch mean and variance (``keepdims``)."""
         weight, bias = self.weight, self.bias
@@ -45,27 +45,29 @@ class _Norm(Module):
         out_data += bias.data.reshape(param_shape)
         out = x._make(out_data, (x, weight, bias), "normalize")
         if out.requires_grad:
+            xn, wn, bn = out._node.parents
             param_axes = tuple(i for i, s in enumerate(param_shape) if s == 1)
 
             def backward(g: np.ndarray) -> None:
                 scratch = _empty(shape, g.dtype)
-                if bias.requires_grad or bias._prev:
-                    bias._push(g.sum(axis=param_axes).reshape(bias.shape))
-                if weight.requires_grad or weight._prev:
+                if bn is not None:
+                    bn.push(g.sum(axis=param_axes).reshape(-1))
+                if wn is not None:
                     np.multiply(g, x_hat, out=scratch)
-                    weight._push(scratch.sum(axis=param_axes).reshape(weight.shape))
-                if x.requires_grad or x._prev:
-                    # gx = inv_std * (gh - mean(gh) - x_hat * mean(gh * x_hat)), gh = g * w
-                    gh = np.multiply(g, w, out=_empty(shape, g.dtype))
-                    gx = _empty(shape, g.dtype)
-                    np.subtract(gh, gh.mean(axis=axes, keepdims=True), out=gx)
-                    np.multiply(gh, x_hat, out=scratch)
-                    np.multiply(x_hat, scratch.mean(axis=axes, keepdims=True), out=scratch)
+                    wn.push(scratch.sum(axis=param_axes).reshape(-1))
+                if xn is not None:
+                    # gx = inv_std * (gh - mean(gh) - x_hat * mean(gh * x_hat)), gh = g * w,
+                    # written over gh once both means are taken
+                    gx = np.multiply(g, w, out=_empty(shape, g.dtype))
+                    np.multiply(gx, x_hat, out=scratch)
+                    mean_gh_x_hat = scratch.mean(axis=axes, keepdims=True)
+                    gx -= gx.mean(axis=axes, keepdims=True)
+                    np.multiply(x_hat, mean_gh_x_hat, out=scratch)
                     gx -= scratch
                     gx *= inv_std
-                    x._push(gx)
+                    xn.push(gx, fresh=True)
 
-            out._backward = backward
+            out._node.backward = backward
         return out, mean, var
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .module import FlatParameters, Parameter, flat_views
 
 __all__ = ["Optimizer", "SGD"]
@@ -65,17 +67,19 @@ class SGD(Optimizer):
         self.weight_decay = weight_decay
         #: ``_velocity`` is per parameter: what a checkpoint stores.
         self._velocity, self._groups = self._momentum_groups(momentum)
+        #: Where a step writes its temporaries: it allocates nothing.
+        self._scratch = [np.empty_like(g.data) for g, _ in self._groups]
 
     def step(self) -> None:
         """Apply one update using the current gradients."""
-        for g, v in self._groups:
+        for (g, v), scratch in zip(self._groups, self._scratch):
             grad = g.grad
             if grad is None:
                 continue
             if self.weight_decay:
-                grad = grad + self.weight_decay * g.data
+                grad = np.add(grad, np.multiply(self.weight_decay, g.data, out=scratch), out=scratch)
             if self.momentum:
                 v *= self.momentum
                 v += grad
                 grad = v
-            g.data -= self.lr * grad
+            g.data -= np.multiply(self.lr, grad, out=scratch)

@@ -3,13 +3,16 @@
 The training experiments need real gradients (the paper's accuracy results
 are about SGD dynamics under different shuffling schemes, with BatchNorm
 behaviour as a key mechanism), so this module implements a compact
-tape-based autograd: every operation records a backward closure, and
-:meth:`Tensor.backward` runs the tape in reverse topological order,
-releasing each node as it goes (PyTorch's ``retain_graph=False``).
+tape-based autograd: every operation records a graph node, and
+:meth:`Tensor.backward` runs the nodes in reverse topological order,
+releasing each one as it goes (PyTorch's ``retain_graph=False``).  A node
+holds no tensor data: its parents are nodes, and its backward closure
+keeps only the arrays it reads, so an activation no backward needs goes
+back to the arena as soon as the forward drops it.
 
 A model's step allocates its activation-sized arrays from the model's
 :class:`Arena` (the outermost ``Module.__call__`` makes it current; each
-tape node keeps it for its backward), so every step after the first runs
+graph node keeps it for its backward), so every step after the first runs
 in the arrays the first one made instead of handing pages back to the
 allocator.
 
@@ -137,26 +140,62 @@ def _as_array(value, dtype=np.float32) -> np.ndarray:
     return arr
 
 
+def _add_into(acc: np.ndarray | None, grad: np.ndarray, dtype) -> np.ndarray:
+    """``acc + grad`` in ``acc``; a C-order ``dtype`` array when ``acc`` is
+    ``None`` (closures may push transposed views: conv2d does)."""
+    if acc is None:
+        acc = _empty(grad.shape, dtype)
+        np.copyto(acc, grad, casting="unsafe")
+    else:
+        acc += grad
+    return acc
+
+
+class _Node:
+    """A tensor's place in the graph, without its data: the gradient pushed
+    into it so far, the closure that sends it on to the parent nodes
+    (``None`` where no gradient flows), the arena that closure allocates
+    from, and the op's name.  A leaf's node has no parents and routes what
+    is pushed into its tensor's ``_accumulate``.  :meth:`Tensor.backward`
+    sets ``parents`` to ``None`` once the node has run."""
+
+    __slots__ = ("grad", "backward", "parents", "arena", "op", "dtype", "leaf")
+
+    def __init__(self, parents: tuple, op: str, dtype=None, leaf: "Tensor | None" = None):
+        self.grad: np.ndarray | None = None
+        self.backward: Callable[[np.ndarray], None] | None = None
+        self.parents: tuple[_Node | None, ...] | None = parents
+        self.arena = _mode.arena if parents else None
+        self.op, self.dtype, self.leaf = op, dtype, leaf
+
+    def push(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Accumulate ``grad`` during the walk; a ``fresh`` one (a C-order
+        array the caller made and drops) may become this node's grad."""
+        if self.leaf is not None:
+            self.leaf._accumulate(grad)
+        elif fresh and self.grad is None and grad.dtype == self.dtype:
+            self.grad = grad
+        else:
+            self.grad = _add_into(self.grad, grad, self.dtype)
+
+
 class Tensor:
     """N-dimensional array with reverse-mode autodiff.
 
     Only float tensors participate in differentiation; ``requires_grad``
-    marks leaves (parameters).  Intermediate tensors track their parents so
-    :meth:`backward` can traverse the graph.
+    marks leaves (parameters).  An op's result that a gradient flows
+    through holds its graph node, whose parents are the inputs' nodes, so
+    :meth:`backward` can traverse the graph without holding their data.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op", "_arena")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
     __array_priority__ = 100  # numpy defers binary ops to Tensor
 
-    def __init__(self, data, requires_grad: bool = False, _prev: tuple = (), _op: str = ""):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = data if isinstance(data, np.ndarray) else _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Callable[[np.ndarray], None] | None = None
-        # ``None`` once backward() released this node.
-        self._prev: tuple[Tensor, ...] | None = _prev if _mode.enabled else ()
-        self._op = _op
-        self._arena: Arena | None = None
+        self._node: _Node | None = None
 
     # ------------------------------------------------------------- properties
     @property
@@ -183,22 +222,26 @@ class Tensor:
     def _coerce(other) -> "Tensor":
         return other if isinstance(other, Tensor) else Tensor(other)
 
+    def _graph_node(self) -> _Node | None:
+        """Where a gradient for this tensor goes: its op's node, a node
+        routing into this leaf when it requires grad, or ``None``."""
+        if self._node is None and self.requires_grad:
+            return _Node((), "", leaf=self)
+        return self._node
+
     def _make(self, data: np.ndarray, parents: tuple, op: str) -> "Tensor":
-        if not _mode.enabled:
-            return Tensor(data)
-        tracked = tuple(p for p in parents if p.requires_grad or p._prev)
-        out = Tensor(data, _prev=tracked, _op=op)
-        out.requires_grad = bool(tracked)
-        out._arena = _mode.arena
+        """An op's result; when a gradient flows into any of ``parents``,
+        its node's ``parents`` are theirs, in the same order."""
+        out = Tensor(data)
+        if _mode.enabled:
+            nodes = tuple(p._graph_node() for p in parents)
+            if any(nodes):
+                out.requires_grad = True
+                out._node = _Node(nodes, op, out.data.dtype)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            # C order: closures may push transposed views (conv2d does).
-            self.grad = _empty(grad.shape, self.data.dtype)
-            np.copyto(self.grad, grad, casting="unsafe")
-        else:
-            self.grad += grad
+        self.grad = _add_into(self.grad, grad, self.data.dtype)
 
     # -------------------------------------------------------------- arithmetic
     def __add__(self, other) -> "Tensor":
@@ -210,30 +253,33 @@ class Tensor:
             data = a + b
         out = self._make(data, (self, other), "add")
         if out.requires_grad:
+            (sn, on), s_shape, o_shape = out._node.parents, self.shape, other.shape
 
             def backward(g: np.ndarray) -> None:
-                if self.requires_grad or self._prev:
-                    self._push(_unbroadcast(g, self.shape))
-                if other.requires_grad or other._prev:
-                    other._push(_unbroadcast(g, other.shape))
+                if sn is not None:
+                    sn.push(_unbroadcast(g, s_shape))
+                if on is not None:
+                    on.push(_unbroadcast(g, o_shape))
 
-            out._backward = backward
+            out._node.backward = backward
         return out
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out = self._make(self.data * other.data, (self, other), "mul")
+        a, b = self.data, other.data
+        out = self._make(a * b, (self, other), "mul")
         if out.requires_grad:
+            sn, on = out._node.parents
 
             def backward(g: np.ndarray) -> None:
-                if self.requires_grad or self._prev:
-                    self._push(_unbroadcast(g * other.data, self.shape))
-                if other.requires_grad or other._prev:
-                    other._push(_unbroadcast(g * self.data, other.shape))
+                if sn is not None:
+                    sn.push(_unbroadcast(g * b, a.shape))
+                if on is not None:
+                    on.push(_unbroadcast(g * a, b.shape))
 
-            out._backward = backward
+            out._node.backward = backward
         return out
 
     __rmul__ = __mul__
@@ -247,27 +293,27 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out = self._make(self.data**exponent, (self,), "pow")
+        a = self.data
+        out = self._make(a**exponent, (self,), "pow")
         if out.requires_grad:
-
-            def backward(g: np.ndarray) -> None:
-                self._push(g * exponent * self.data ** (exponent - 1))
-
-            out._backward = backward
+            (sn,) = out._node.parents
+            out._node.backward = lambda g: sn.push(g * exponent * a ** (exponent - 1))
         return out
 
     def __matmul__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out = self._make(self.data @ other.data, (self, other), "matmul")
+        a, b = self.data, other.data
+        out = self._make(a @ b, (self, other), "matmul")
         if out.requires_grad:
+            sn, on = out._node.parents
 
             def backward(g: np.ndarray) -> None:
-                if self.requires_grad or self._prev:
-                    self._push(_unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape))
-                if other.requires_grad or other._prev:
-                    other._push(_unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape))
+                if sn is not None:
+                    sn.push(_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape))
+                if on is not None:
+                    on.push(_unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
 
-            out._backward = backward
+            out._node.backward = backward
         return out
 
     # ------------------------------------------------------------- reductions
@@ -275,7 +321,7 @@ class Tensor:
         """Differentiable sum over ``axis`` (all elements by default)."""
         out = self._make(self.data.sum(axis=axis), (self,), "sum")
         if out.requires_grad:
-            in_shape = self.shape
+            (sn,), in_shape, dtype = out._node.parents, self.shape, self.data.dtype
 
             def backward(g: np.ndarray) -> None:
                 gg = g
@@ -283,9 +329,9 @@ class Tensor:
                     axes = (axis,) if isinstance(axis, int) else tuple(axis)
                     axes = tuple(a % len(in_shape) for a in axes)
                     gg = np.expand_dims(gg, axis=axes)
-                self._push(np.broadcast_to(gg, in_shape).astype(self.data.dtype, copy=False))
+                sn.push(np.broadcast_to(gg, in_shape).astype(dtype, copy=False))
 
-            out._backward = backward
+            out._node.backward = backward
         return out
 
     def mean(self, axis=None) -> "Tensor":
@@ -300,12 +346,8 @@ class Tensor:
             shape = tuple(shape[0])
         out = self._make(self.data.reshape(shape), (self,), "reshape")
         if out.requires_grad:
-            in_shape = self.shape
-
-            def backward(g: np.ndarray) -> None:
-                self._push(g.reshape(in_shape))
-
-            out._backward = backward
+            (sn,), in_shape = out._node.parents, self.shape
+            out._node.backward = lambda g: sn.push(g.reshape(in_shape))
         return out
 
     def transpose(self, *axes) -> "Tensor":
@@ -313,15 +355,9 @@ class Tensor:
         axes_ = tuple(axes) if axes else None
         out = self._make(self.data.transpose(axes_), (self,), "transpose")
         if out.requires_grad:
-
-            def backward(g: np.ndarray) -> None:
-                if axes_ is None:
-                    self._push(g.transpose())
-                else:
-                    inv = np.argsort(axes_)
-                    self._push(g.transpose(inv))
-
-            out._backward = backward
+            (sn,) = out._node.parents
+            inv = None if axes_ is None else tuple(np.argsort(axes_))
+            out._node.backward = lambda g: sn.push(g.transpose(inv))
         return out
 
     @property
@@ -332,15 +368,14 @@ class Tensor:
     def __getitem__(self, key) -> "Tensor":
         out = self._make(self.data[key], (self,), "getitem")
         if out.requires_grad:
-            in_shape = self.shape
-            dtype = self.data.dtype
+            (sn,), in_shape, dtype = out._node.parents, self.shape, self.data.dtype
 
             def backward(g: np.ndarray) -> None:
                 full = np.zeros(in_shape, dtype=dtype)
                 np.add.at(full, key, g)
-                self._push(full)
+                sn.push(full)
 
-            out._backward = backward
+            out._node.backward = backward
         return out
 
     # ----------------------------------------------------------- element-wise
@@ -349,26 +384,23 @@ class Tensor:
         data = self.data
         out = self._make(np.maximum(data, 0, out=_empty(data.shape, data.dtype)), (self,), "relu")
         if out.requires_grad:
+            (sn,) = out._node.parents
             mask = np.greater(data, 0, out=_empty(data.shape, np.bool_))
-            out._backward = lambda g: self._push(
-                np.multiply(g, mask, out=_empty(g.shape, g.dtype))
+            out._node.backward = lambda g: sn.push(
+                np.multiply(g, mask, out=_empty(g.shape, g.dtype)), fresh=True
             )
         return out
 
     # ------------------------------------------------------------ backward pass
-    def _push(self, grad: np.ndarray) -> None:
-        """Accumulate into this node's grad buffer during the tape walk."""
-        self._accumulate(grad)
-
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode AD from this tensor.
 
-        ``grad`` defaults to ones (so a scalar loss needs no argument).
-        Gradients accumulate into every reachable tensor with
-        ``requires_grad=True``.  The walk releases the graph: each node
-        drops its closure and parents once it has run, so what the closures
-        saved goes back to the arena before the next node runs, and a
-        second ``backward()`` through it raises ``RuntimeError``.
+        ``grad`` defaults to ones (so a scalar loss needs no argument) and
+        stays in this tensor's ``grad``.  Gradients accumulate into every
+        reachable tensor with ``requires_grad=True``.  The walk releases the
+        graph: each node drops its closure and parents once it has run, so
+        what the closures saved goes back to the arena before the next node
+        runs, and a second ``backward()`` through it raises ``RuntimeError``.
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -379,9 +411,9 @@ class Tensor:
                     f"backward grad shape {grad.shape} != tensor shape {self.data.shape}"
                 )
 
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [] if self._node is None else [(self._node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -389,31 +421,30 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
-            if node._prev is None:
+            if node.parents is None:
                 raise RuntimeError(
                     "backward() through a graph an earlier backward() released; "
                     "run the forward again"
                 )
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._prev:
-                if id(parent) not in visited:
+            for parent in node.parents:
+                if parent is not None and id(parent) not in visited:
                     stack.append((parent, False))
 
         self._accumulate(grad)
+        if topo:
+            topo[-1].grad = self.grad
         outer = _mode.arena
         try:
             while topo:
                 node = topo.pop()  # the walk holds no node it has passed
-                if not node._prev:
+                if not node.parents:
                     continue  # a leaf
-                if node._backward is not None and node.grad is not None:
-                    _mode.arena = node._arena
-                    node._backward(node.grad)
-                    # Interior activations don't need to retain grads.
-                    if node is not self:
-                        node.grad = None
-                node._backward, node._prev, node._arena = None, None, None
+                if node.backward is not None and node.grad is not None:
+                    _mode.arena = node.arena
+                    node.backward(node.grad)
+                node.grad, node.backward, node.parents, node.arena = None, None, None, None
         finally:
             _mode.arena = outer
 

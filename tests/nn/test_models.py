@@ -62,13 +62,13 @@ class TestFactory:
         each BatchNorm was ~12 composed ops, 27 with one node per layer)."""
         model = build_model("resnet_tiny", in_shape=(3, 16, 16), num_classes=8, seed=0)
         loss = F.cross_entropy(model(Tensor(randn(32, 3, 16, 16))), np.arange(32) % 8)
-        seen, stack, nodes = set(), [loss], 0
+        seen, stack, nodes = set(), [loss._node], 0
         while stack:
             node = stack.pop()
-            if id(node) not in seen:
+            if node is not None and id(node) not in seen:
                 seen.add(id(node))
-                nodes += node._backward is not None
-                stack.extend(node._prev)
+                nodes += node.backward is not None
+                stack.extend(node.parents)
         assert nodes <= 45
 
     def test_mlp_learns_separable_data(self):

@@ -170,11 +170,11 @@ def fused_case(request):
 class TestFusedNormalize:
     def test_one_tape_node(self, fused_case):
         layer, x, _proj, _ref = fused_case
-        out = layer(Tensor(x, requires_grad=True))
-        while out._op == "reshape":  # GroupNorm views the input per group
-            (out,) = out._prev
-        assert out._op == "normalize"
-        assert {p._op for p in out._prev} <= {"", "reshape"}
+        node = layer(Tensor(x, requires_grad=True))._node
+        while node.op == "reshape":  # GroupNorm views the input per group
+            (node,) = node.parents
+        assert node.op == "normalize"
+        assert {p.op for p in node.parents} <= {"", "reshape"}
 
     def test_matches_composed_primitives(self, fused_case):
         layer, x, proj, ref = fused_case

@@ -14,7 +14,7 @@ def randn(*shape, seed=0):
 
 def recording() -> bool:
     """Whether operations on this thread record the autograd graph."""
-    return bool((Tensor([1.0], requires_grad=True) * 1.0)._prev)
+    return (Tensor([1.0], requires_grad=True) * 1.0)._node is not None
 
 
 class TestBasics:
@@ -132,7 +132,7 @@ class TestBackwardMechanics:
         t = Tensor([1.0], requires_grad=True)
         with no_grad():
             out = t * 2 + 1
-        assert out._prev == ()
+        assert out._node is None
         assert not out.requires_grad
 
     def test_no_grad_is_per_thread(self):
@@ -170,7 +170,7 @@ class TestBackwardMechanics:
 
     def test_non_requires_grad_builds_no_graph(self):
         out = Tensor([1.0]) * Tensor([2.0])
-        assert out._prev == ()
+        assert out._node is None
 
     def test_interior_grads_freed(self):
         t = Tensor([1.0], requires_grad=True)

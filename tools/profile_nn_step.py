@@ -13,9 +13,12 @@ loop shape of ``train_one_epoch``: forward, ``cross_entropy``,
   step's worst moment, arena included (a separate model, traced from its
   construction),
 * how many arrays the model's arena holds after warm-up and after the
-  timed steps (a step after the first makes none),
-* how many tape nodes one forward + loss records (counted before
-  ``backward()``, which releases the tape),
+  timed steps (a step after the first makes none), and its blocks per
+  ``(shape, dtype)`` with their bytes,
+* how many graph nodes one forward + loss records (counted before
+  ``backward()``, which releases the graph),
+* the model's pickled size fresh and after the timed steps and
+  ``zero_grad()`` (a copy carries no arena and no gradient view),
 * per-function *self* time under ``cProfile`` as ms per step and share.
 
 cProfile charges every Python call but not the work inside numpy, so the
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import os
+import pickle
 import pstats
 import resource
 import statistics
@@ -47,18 +51,18 @@ CLASSES = 8
 WARMUP_STEPS = 3
 
 
-def tape_nodes(root) -> int:
-    """Tensors reachable from ``root`` that carry a backward closure."""
+def graph_nodes(root) -> int:
+    """Graph nodes reachable from ``root``'s that carry a backward closure."""
     seen: set[int] = set()
-    stack = [root]
+    stack = [root._node]
     count = 0
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node is None or id(node) in seen:
             continue
         seen.add(id(node))
-        count += node._backward is not None
-        stack.extend(node._prev)
+        count += node.backward is not None
+        stack.extend(node.parents)
     return count
 
 
@@ -96,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
         while True:
             logits = model(Tensor(x))
             loss = F.cross_entropy(logits, y)
-            yield loss  # before backward(): the tape is still there to count
+            yield loss  # before backward(): the graph is still there to count
             model.zero_grad()
             loss.backward()
             optimizer.step()
@@ -111,10 +115,11 @@ def main(argv: list[str] | None = None) -> int:
     tracemalloc.stop()
     del steps
 
+    fresh_bytes = len(pickle.dumps(resnet()))
     model = resnet()
     steps = trainer_loop(model)
     for _ in range(WARMUP_STEPS):
-        nodes = tape_nodes(next(steps))
+        nodes = graph_nodes(next(steps))
     warm_arrays = len(model._arena)
 
     walls, faults = [], []
@@ -142,7 +147,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"steady step tracemalloc peak: {peak_mib:.1f} MiB")
     print(f"arena arrays: {warm_arrays} after warm-up, {len(model._arena)} after "
           f"{2 * args.steps} more steps")
-    print(f"tape nodes per forward + cross_entropy: {nodes}")
+    for (shape, dtype), bucket in model._arena._blocks.items():
+        print(f"  {len(bucket):3d} x {str(shape):20s} {str(dtype):8s} "
+              f"{sum(block.nbytes for block, _ in bucket) / 2**20:6.2f} MiB")
+    print(f"graph nodes per forward + cross_entropy: {nodes}")
+    model.zero_grad()
+    print(f"pickled model: {fresh_bytes} B fresh, {len(pickle.dumps(model))} B after the "
+          f"steps and zero_grad()")
     print(f"self time under cProfile: {total / args.steps * 1e3:.2f} ms per step")
     print(f"{'ms/step':>8} {'share':>6} {'calls/step':>10}  function")
     for (filename, lineno, name), (_cc, ncalls, tottime, _ct, _callers) in rows:
