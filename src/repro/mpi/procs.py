@@ -25,12 +25,16 @@ runner (``launcher._run_rank``) in a **forked** child whose
   ring operation reads them; the ranks count traffic, copies, their pool's
   ledger and the chaos engine's faults on the board, where the parent adds
   them up after the run (a ``SIGKILL`` notwithstanding).
+* **A flight event** is stamped at the rank and put on the rank's own
+  flight ring on the board, which the parent drains: when the ring is full
+  (the rank's one ``flight.collect`` round trip), before any
+  ``flight.dump``, and when the rank's pipe ends, so what a killed rank
+  recorded outlives it.
 * Every other world call crosses a per-rank pipe to **one broker thread
-  per rank** in the parent, which runs it on the real world, in order: a
-  call is one round trip; one that returns nothing (a flight event) is a
-  **cast**, sent with the rank's next message.  What may cross is the RPC
-  table (:data:`_RPC`), once: the facade's forwarders are generated from
-  it and the broker dispatches by it.
+  per rank** in the parent, which runs it on the real world, in order, as
+  one round trip.  What may cross is the RPC table (:data:`_RPC`), once:
+  the facade's forwarders are generated from it and the broker dispatches
+  by it.
 
 Children are forked *before* the broker threads start (fork + threads do
 not mix), and the parent unlinks every segment of the launch — its own and
@@ -295,7 +299,10 @@ class _Board:
       length-prefixed entries; ``head`` is written by ``src`` only,
       ``tail`` by ``dest`` only, ``cut`` by the parent (a rejoin), so an
       entry is published by one aligned store after its bytes.  Per rank a
-      doorbell semaphore, released after every entry put for it.
+      doorbell semaphore, released after every entry put for it.  No
+      message uses ring ``(r, r)`` (a self-send goes to the rank's own
+      inbox): it is rank ``r``'s **flight ring**, taken by the parent
+      (:meth:`collect`) and passed by every rank-to-rank read.
     * **Liveness** (written by the parent): the ``abort`` word, per rank
       ``dead`` (the world's dead set) and ``exited`` (its pipe has ended).
     * **Counters**: per rank the traffic and pool counters, and a second
@@ -318,6 +325,8 @@ class _Board:
         self._ends = words[1 + 2 * size : 1 + 2 * size + 3 * pairs].reshape(pairs, 3)
         counters = words[1 + 2 * size + 3 * pairs :].reshape(size, ncount)
         self.traffic, self.pools = counters[:, : len(_TRAFFIC)], counters[:, len(_TRAFFIC) :]
+        #: The parent's brokers take the flight rings one at a time.
+        self._collecting = threading.Lock()
 
     # ------------------------------------------------------------ liveness
     def publish(self, aborted: bool, dead) -> None:
@@ -369,18 +378,34 @@ class _Board:
         return True
 
     def drain(self, dest: int) -> list[tuple[int, bytes]]:
-        """Every ``(src, entry)`` put for ``dest`` since its last drain, in
-        put order per source."""
+        """Every ``(src, entry)`` another rank put for ``dest`` since its
+        last drain, in put order per source."""
+        return [(src, entry) for src, ring in self._inbound(dest) for entry in self._take(ring)]
+
+    def collect(self, flight, ranks) -> None:
+        """Move what the flight rings of ``ranks`` hold into the parent's
+        ``flight`` log, each rank's in put order: ``(owner, event)``, the
+        event as its rank stamped it."""
+        with self._collecting:
+            for rank in ranks:
+                for entry in self._take(rank * (self.size + 1)):
+                    owner, event = pickle.loads(entry)
+                    flight.for_rank(owner).append(event)
+
+    def _inbound(self, dest: int) -> list[tuple[int, int]]:
+        """``(src, ring)`` of the rings other ranks put into for ``dest``."""
+        return [(src, src * self.size + dest) for src in range(self.size) if src != dest]
+
+    def _take(self, ring: int) -> list[bytes]:
+        """Every entry put on ``ring`` since its reader last took, in order."""
+        ends = self._ends[ring]
+        head, tail = int(ends[0]), int(ends[1])
         out = []
-        for src in range(self.size):
-            ring = src * self.size + dest
-            ends = self._ends[ring]
-            head, tail = int(ends[0]), int(ends[1])
-            while tail < head:
-                n = int.from_bytes(self._read(ring, tail, 4), "little")
-                out.append((src, self._read(ring, tail + 4, n)))
-                tail += 4 + n
-            ends[1] = tail
+        while tail < head:
+            n = int.from_bytes(self._read(ring, tail, 4), "little")
+            out.append(self._read(ring, tail + 4, n))
+            tail += 4 + n
+        ends[1] = tail
         return out
 
     def _read(self, ring: int, pos: int, n: int) -> bytes:
@@ -397,18 +422,17 @@ class _Board:
     def cut(self, rank: int, dead) -> None:
         """A rejoin flushes ``rank``'s mailbox (the parent, in the regroup
         that revives it): what its rings hold now was sent to its previous
-        incarnation.  ``rank`` skips it when admitted (:meth:`skip`)."""
-        for src in range(self.size):
-            ends = self._ends[src * self.size + rank]
-            ends[2] = ends[0]
+        incarnation.  ``rank`` skips it when admitted (:meth:`skip`); its
+        flight ring keeps what the parent has not read yet."""
+        for _src, ring in self._inbound(rank):
+            self._ends[ring, 2] = self._ends[ring, 0]
         self.publish(bool(self.abort[0]), dead)
 
     def skip(self, rank: int) -> None:
         """Drop what the last :meth:`cut` of ``rank`` flushed (``rank``
         itself: only a ring's reader moves its tail)."""
-        for src in range(self.size):
-            ends = self._ends[src * self.size + rank]
-            ends[1] = max(ends[1], ends[2])
+        for _src, ring in self._inbound(rank):
+            self._ends[ring, 1] = max(self._ends[ring, 1], self._ends[ring, 2])
 
 
 # --------------------------------------------------------------------------
@@ -423,14 +447,12 @@ _HAND = "hand"    # something is built on one side (a ``_ShmRef`` through
 
 
 class _Op(NamedTuple):
-    """One row: ``name`` on ``target``, reached from a rank.
+    """One row: ``name`` on ``target``, reached from a rank in one round
+    trip.
 
-    ``target`` is ``"world"`` or the name of one of its attributes;
-    ``"recorder"`` is per-rank (``world.flight.for_rank(r)``, ``r`` the
-    leading argument).  ``kind`` is ``"call"`` (one round trip), ``"cast"``
-    (returns nothing: queued at the rank, no reply crosses the pipe, a
-    failure is raised by the rank's next round trip) or ``"get"`` (an
-    attribute read, one round trip).
+    ``target`` is ``"world"`` or the name of one of its attributes.
+    ``kind`` is ``"call"`` (a method call) or ``"get"`` (an attribute
+    read).
     """
 
     target: str
@@ -454,7 +476,7 @@ _OPS = (
     _Op("world", "abort_reason", "get"),
     _Op("world", "crashed", "get"),
     _Op("world", "crash_reason", "get"),
-    _Op("recorder", "append", "cast"),
+    _Op("flight", "collect", codec=_HAND),
     _Op("flight", "dump", codec=_HAND),
     _Op("telemetry", "ingest"),
 )
@@ -463,13 +485,9 @@ _OPS = (
 _RPC: dict[str, _Op] = {f"{op.target}.{op.name}": op for op in _OPS}
 
 
-def _target(world: World, op: _Op, args: tuple) -> tuple[Any, tuple]:
-    """The parent-side object a row names, and the arguments left for it."""
-    if op.target == "world":
-        return world, args
-    if op.target == "recorder":
-        return world.flight.for_rank(args[0]), args[1:]
-    return getattr(world, op.target), args
+def _target(world: World, op: _Op) -> Any:
+    """The parent-side object a row names."""
+    return world if op.target == "world" else getattr(world, op.target)
 
 
 # --------------------------------------------------------------------------
@@ -477,52 +495,29 @@ def _target(world: World, op: _Op, args: tuple) -> tuple[Any, tuple]:
 # --------------------------------------------------------------------------
 
 
-#: Casts queued at a rank before they go out on their own.
-_MAX_QUEUED = 64
-
-
 class _Rpc:
-    """The rank's end of the pipe: ordered casts, one call at a time.
+    """The rank's end of the pipe: one round trip at a time.
 
-    A message to the parent is ``(casts, call)``: the ``(method, args)``
-    casts queued since the last message, then at most one call, whose
-    ``(ok, value)`` reply is all that crosses back.  A cast rides the next
-    message out — a call, the exit record — or leaves once
-    :data:`_MAX_QUEUED` have gathered.  The pipe is FIFO and one broker
-    serves it, so the parent sees casts and calls in program order.
+    A message to the parent is one call ``(method, args)``; its ``(ok,
+    value)`` reply is all that crosses back.  One broker serves the pipe,
+    so the parent runs a rank's calls in program order.
     """
 
     def __init__(self, conn) -> None:
         self._conn = conn
-        self._queued: list[tuple[str, tuple]] = []
         self._lock = threading.Lock()
 
-    def send(self, call: tuple | None, reply: bool = False) -> Any:
-        """One message: the queued casts, then ``call`` (its reply awaited)."""
-        with self._lock:
-            casts, self._queued = self._queued, []
-            self._conn.send((casts, call))
-            return self._conn.recv() if reply else None
-
     def call(self, method: str, *args: Any) -> Any:
-        """Invoke ``method`` in the parent and return (or raise) its result;
-        raises the failure of an earlier cast in place of running."""
+        """Invoke ``method`` in the parent and return (or raise) its result."""
         try:
-            ok, value = self.send((method, args), reply=True)
+            with self._lock:
+                self._conn.send((method, args))
+                ok, value = self._conn.recv()
         except (EOFError, OSError) as exc:
             raise MPIAbort(f"lost connection to world host: {exc}") from exc
         if ok:
             return value
         raise value
-
-    def cast(self, method: str, *args: Any) -> None:
-        """Queue a no-reply invoke (ordered before any later ``call``)."""
-        self._queued.append((method, args))
-        if len(self._queued) >= _MAX_QUEUED:
-            try:
-                self.send(None)
-            except (EOFError, OSError):
-                pass
 
 
 def _forwarder(wire: str, op: _Op) -> Any:
@@ -532,16 +527,12 @@ def _forwarder(wire: str, op: _Op) -> Any:
             lambda self: self._rpc.call(wire),
             doc=f"``{wire}`` as the parent sees it now (one round trip).",
         )
-    send = _Rpc.cast if op.kind == "cast" else _Rpc.call
 
     def forward(self, *args: Any) -> Any:
-        return send(self._rpc, wire, *args)
+        return self._rpc.call(wire, *args)
 
     forward.__name__ = op.name
-    forward.__doc__ = (
-        f"``{wire}`` on the parent-hosted world "
-        f"({'a cast, no reply' if op.kind == 'cast' else 'one round trip'})."
-    )
+    forward.__doc__ = f"``{wire}`` on the parent-hosted world (one round trip)."
     return forward
 
 
@@ -602,8 +593,9 @@ class _Tally(dict):
 class _ClientFlightLog:
     """Rank-side proxy of the world's :class:`FlightLog`."""
 
-    def __init__(self, rpc: _Rpc, detail: bool) -> None:
+    def __init__(self, rpc: _Rpc, put: Callable[[int, tuple], None], detail: bool) -> None:
         self._rpc = rpc
+        self._put = put
         #: Whether per-message detail is on (as the parent's log had it at
         #: launch).
         self.detail = detail
@@ -611,14 +603,18 @@ class _ClientFlightLog:
 
     def for_rank(self, rank: int) -> FlightRecorder:
         """The (cached) recorder of ``rank``: the same class as in-process,
-        stamping each event here, at the rank — only its ``append`` is a
-        cast to the parent-hosted ring (it rides the next message out)."""
+        stamping each event here, at the rank — only its ``append`` puts the
+        event on this rank's flight ring, which the parent drains."""
         rec = self._recorders.get(rank)
         if rec is None:
             rec = self._recorders[rank] = FlightRecorder(rank)
             rec.detail = self.detail
-            rec.append = functools.partial(self._rpc.cast, "recorder.append", rank)
+            rec.append = functools.partial(self._put, rank)
         return rec
+
+    def collect(self) -> None:
+        """Have the parent drain this rank's flight ring (one round trip)."""
+        self._rpc.call("flight.collect")
 
     def dump(self, reason: str, *, key: object = None, extra: dict | None = None):
         """Trigger a parent-side post-mortem dump (blocking, deduped by key)."""
@@ -672,7 +668,7 @@ class _ClientWorld(_Remote):
         #: the last one while peers may still read its slot.
         self._folds = itertools.count(1)
         self._owed: tuple | None = None
-        self.flight = _ClientFlightLog(rpc, launch.flight.detail)
+        self.flight = _ClientFlightLog(rpc, self._record, launch.flight.detail)
         self.telemetry = _ClientTelemetry(rpc)
         chaos = getattr(launch, "chaos", None)
         if chaos is not None:
@@ -751,6 +747,16 @@ class _ClientWorld(_Remote):
                 self._inbox.deposit(Message(
                     src, self.rank, tag, _decode(enc, self._peers.batch), posted_s=posted_s
                 ))
+
+    def _record(self, rank: int, event: tuple) -> None:
+        """Put ``rank``'s flight ``event`` on this rank's flight ring; a
+        full ring is emptied by the parent first, so none is lost."""
+        entry, board, me = pickle.dumps((rank, event)), self._board, self.rank
+        with self._lock:
+            if not board.put(me, me, entry):
+                self.flight.collect()
+                if not board.put(me, me, entry):
+                    raise ValueError(f"flight event of {len(entry)} B exceeds its ring")
 
     def _poll(self) -> None:
         """What every read of the inbox starts with."""
@@ -847,16 +853,16 @@ class _ClientWorld(_Remote):
                 self._check_peers(key, gen)
 
     def _check_peers(self, key: tuple, gen: int) -> None:
-        """One round trip (``check_alive`` cast ahead of an ``epitaphs``
-        read) raising what ``World.rendezvous`` would: :class:`PeerFailure`
-        for a peer that died before posting its slot (ahead of the abort a
+        """Liveness (:meth:`check_alive`), then one ``epitaphs`` read,
+        raising what ``World.rendezvous`` would: :class:`PeerFailure` for a
+        peer that died before posting its slot (ahead of the abort a
         process death brings), else ``MPIAbort`` / ``MPITimeout``."""
         failure = None
         try:
-            self._rpc.cast("world.check_alive")
-            dead = self.epitaphs
+            self.check_alive()
         except (MPIAbort, MPITimeout) as exc:
-            failure, dead = exc, self.epitaphs
+            failure = exc
+        dead = self.epitaphs
         for peer in range(self.size):  # the launch group: local = world rank
             if peer in dead and self._board.stamp(peer) != gen:
                 raise PeerFailure(peer, dead[peer], op=str(key[1]))
@@ -889,14 +895,13 @@ def _child_main(
         parent_end.close()
         if child_end is not conn:
             child_end.close()
-    rpc = _Rpc(conn)
-    world = _ClientWorld(rpc, rank, launch, board)
+    world = _ClientWorld(_Rpc(conn), rank, launch, board)
     ok, value = _run_rank(world, rank, fn, args)
     world.finish()
     try:
         value = _encode(value) if ok else _pickle_safe(value)
         chaos = getattr(launch, "chaos", None)  # its state goes on in a restart
-        rpc.send(("__exit__", (ok, value, chaos and chaos.handback(rank))))
+        conn.send(("__exit__", (ok, value, chaos and chaos.handback(rank))))
         conn.close()
     except Exception:
         # Nothing left to tell the parent with: its broker sees the pipe
@@ -923,15 +928,12 @@ class _Broker:
         self._lender = _Lender(world.pool.acquire)
         #: The rank's segments its contributions arrive in.
         self._peers = _Peers()
-        #: What the first cast to raise since the last round trip raised:
-        #: the rank's next call gets it in place of running.
-        self._failed_cast: BaseException | None = None
         #: The rank's final ``(ok, payload)`` record, and its chaos engine's
         #: handback; ``None`` when its pipe dies first.
         self.outcome: tuple | None = None
         self.handback: tuple | None = None
-        #: What crossed the pipe: wire name -> ``[round trips, casts]``.
-        self.counts: dict[str, list[int]] = {}
+        #: What crossed the pipe: wire name -> round trips.
+        self.counts: dict[str, int] = {}
 
     def _lost(self) -> None:
         """The pipe died without a final record: a hard process death.
@@ -942,48 +944,32 @@ class _Broker:
             self._world.mark_dead(self._rank, "process terminated unexpectedly", abort=True)
 
     def run(self) -> None:
-        """Service the rank's messages until it reports its outcome or its
+        """Service the rank's calls until it reports its outcome or its
         pipe dies (what it wrote before dying is served first: the pipe
-        drains before it reads EOF)."""
-        conn = self._conn
+        drains before it reads EOF).  Either way the parent takes what the
+        rank recorded before it records the rank's death."""
         try:
             while self.outcome is None:
-                casts, call = conn.recv()
-                for method, args in casts:
-                    self.counts.setdefault(method, [0, 0])[1] += 1
-                    try:
-                        self._dispatch(method, args)
-                    except BaseException as exc:  # noqa: BLE001 - raised by the next call
-                        if self._failed_cast is None:
-                            self._failed_cast = _pickle_safe(exc)
-                if call is not None:
-                    failed, self._failed_cast = self._failed_cast, None
-                    self._call(*call, failed)
+                self._call(*self._conn.recv())
         except (EOFError, OSError):
-            self._lost()
+            pass  # no final record: handled below
         finally:
+            self._flight_collect()
+            if self.outcome is None:
+                self._lost()
             self._board.exited[self._rank] = 1
             self._lender.release_all()
             self._peers.close_all()
 
-    def _call(self, method: str, args: tuple, failed: BaseException | None) -> None:
-        """Run one call and reply — with ``failed``, an earlier cast's
-        exception, in place of running it.  The exit record has no reply: a
-        cast that failed behind the rank's last round trip becomes its
-        outcome, and aborts the world as the raise would have."""
+    def _call(self, method: str, args: tuple) -> None:
+        """Run one call and reply; the exit record has no reply."""
         if method == "__exit__":
             ok, payload, self.handback = args
-            if ok and failed is not None:
-                ok, payload = False, failed
-                if not self._world.aborted:
-                    self._world.abort(f"rank {self._rank}: {type(failed).__name__}: {failed}")
             self.outcome = (ok, payload)
             self._conn.close()
             return
-        self.counts.setdefault(method, [0, 0])[0] += 1
+        self.counts[method] = self.counts.get(method, 0) + 1
         try:
-            if failed is not None:
-                raise failed
             reply = (True, self._dispatch(method, args))
         except BaseException as exc:  # noqa: BLE001 - ship errors to the rank
             reply = (False, _pickle_safe(exc))
@@ -996,7 +982,7 @@ class _Broker:
             raise ValueError(f"unknown backend RPC {method!r}")
         if op.codec == _HAND:
             return getattr(self, f"_{op.target}_{op.name}")(*args)
-        target, args = _target(self._world, op, args)
+        target = _target(self._world, op)
         if op.kind == "get":
             # A snapshot: the reply is pickled after this returns, while
             # the other ranks' brokers keep running.
@@ -1014,7 +1000,13 @@ class _Broker:
         )
         return self._lender.encode(self._world.rendezvous(key, rank, contribution, group, fold))
 
+    def _flight_collect(self) -> None:
+        self._board.collect(self._world.flight, (self._rank,))
+
     def _flight_dump(self, reason: str, key: object, extra: dict | None):
+        # Every rank's flight ring first: what a peer recorded before the
+        # fold that led here is in the dump.
+        self._board.collect(self._world.flight, range(self._board.size))
         value = self._world.flight.dump(reason, key=key, extra=extra)
         try:
             pickle.dumps(value)

@@ -164,9 +164,9 @@ class World:
         #: Shared exchange buffer pool: packed envelopes are gathered into
         #: pooled buffers and the pool's leak balance is asserted by tests.
         self.pool = BufferPool(name="world")
-        #: After a ``procs`` run, per rank: pipe wire name -> ``[round
-        #: trips, casts]`` (``None``: the ranks were threads, no pipe).
-        self.rpc_counts: list[dict[str, list[int]]] | None = None
+        #: After a ``procs`` run, per rank: pipe wire name -> round trips
+        #: (``None``: the ranks were threads, no pipe).
+        self.rpc_counts: list[dict[str, int]] | None = None
         #: Under ``procs``, what the rank processes share (``None``: the
         #: ranks are threads): an abort, a death or a flush is published
         #: there too, for ranks that read it without a round trip.

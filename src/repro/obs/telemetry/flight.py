@@ -25,8 +25,8 @@ When something dies — a chaos kill, an :class:`UnrecoveredFaultError`, a
 shrink after a rank death, a world abort — the fault path calls
 :meth:`FlightLog.dump` and gets a post-mortem artifact containing every
 rank's recent history, because the rings live on the shared
-:class:`~repro.mpi.world.World`: the survivors' state is right there, no
-collection protocol needed.  Dumps are deduplicated by key so N survivors
+:class:`~repro.mpi.world.World`: the survivors' state is right there (a
+``procs`` parent drains every rank's board ring into them first).  Dumps are deduplicated by key so N survivors
 observing one failure produce one artifact, and are optionally written as
 JSON next to the run (``dump_dir`` or the ``REPRO_FLIGHT_DIR`` environment
 variable).
@@ -192,9 +192,9 @@ class FlightRecorder:
     Events are ``(ts, dur, kind, fields)`` tuples; ``fields`` must be
     JSON-serialisable scalars/tuples so a dump can always be written.
     ``append`` is the one step that differs between backends: the ring's
-    own ``append`` here (atomic under CPython, so no lock), a
-    fire-and-forget cast to the parent-hosted ring in a ``procs`` rank
-    process (:mod:`repro.mpi.procs`).
+    own ``append`` here (atomic under CPython, so no lock); in a ``procs``
+    rank process, a put on the rank's flight ring on the shared board,
+    which the parent drains into its own recorder (:mod:`repro.mpi.procs`).
     """
 
     __slots__ = ("rank", "detail", "append", "_phases", "_ring")

@@ -95,15 +95,22 @@ def test_procs_world_factory(monkeypatch):
 
 # ------------------------------------------------------------ the RPC table
 def test_every_rpc_row_resolves_on_the_real_objects():
-    """A row names something a real World / BufferPool / FlightLog /
-    TelemetryAggregator / ChaosEngine has, of the kind the row says."""
+    """Every row is a round trip: a call or a get.  A row names something a
+    real World / FlightLog / TelemetryAggregator / ChaosEngine has, of the
+    kind the row says; a row written by hand has its parent half on the
+    broker, and ``flight.collect`` (the broker drains the rank's flight
+    ring) is the one row with nothing behind it on the world."""
     from repro.faults import ChaosEngine, ChaosWorld
-    from repro.mpi.procs import _RPC, _target
+    from repro.mpi.procs import _HAND, _RPC, _Broker, _target
 
     world = ChaosWorld(2, chaos=ChaosEngine("", seed=0))
     for wire, op in _RPC.items():
-        target, rest = _target(world, op, (0, "rest"))
-        assert rest == (("rest",) if op.target in ("mailbox", "recorder") else (0, "rest"))
+        assert op.kind in ("call", "get"), wire
+        if op.codec == _HAND:
+            assert callable(getattr(_Broker, f"_{op.target}_{op.name}")), wire
+            if wire == "flight.collect":
+                continue
+        target = _target(world, op)
         assert hasattr(target, op.name), f"{wire}: no {op.name} on {type(target).__name__}"
         assert callable(getattr(target, op.name)) == (op.kind != "get"), wire
 
@@ -190,41 +197,7 @@ def test_unknown_rpc_is_refused_by_the_broker():
     assert list(run_spmd(worker, 2, backend="procs")) == [2, 2]
 
 
-# ------------------------------------------------- casts and deferred errors
-def _cast_rows():
-    from repro.mpi.procs import _RPC
-
-    return sorted(wire for wire, op in _RPC.items() if op.kind == "cast")
-
-
-def test_the_rows_that_return_nothing_are_casts():
-    # Posts, copies and buffer retires are the rank's own business (the
-    # rings, the board's counters, the rank's pool): a flight event is the
-    # one world call that returns nothing.
-    assert _cast_rows() == ["recorder.append"]
-
-
-def test_a_failed_cast_is_raised_by_the_next_round_trip_and_only_once():
-    def worker(comm, wires):
-        rpc = comm.world._rpc
-        for wire in wires:
-            # No row takes this argument list: the parent half raises.
-            rpc.cast(wire, "not", "what", "the", "row", "takes", None, None)
-            comm.flight.record("good.cast")  # a good cast after it
-            with pytest.raises((TypeError, ValueError, AttributeError, KeyError)):
-                comm.world.abort_reason  # raised in place of running...
-            assert comm.world.abort_reason is None  # ...once
-        return comm.allreduce(1)  # and the broker is still serving
-
-    result = run_spmd(worker, 2, args=(_cast_rows(),), backend="procs")
-    assert list(result) == [2, 2]
-    # The good casts behind each failed one were all applied.
-    for rank in range(2):
-        kinds = [e["kind"] for e in result.world.flight.for_rank(rank).events()]
-        assert kinds.count("good.cast") == len(_cast_rows())
-
-
-def test_a_failed_cast_with_no_later_call_fails_the_ranks_outcome():
+def test_a_strict_double_release_fails_the_ranks_outcome():
     from repro.mpi import RankFailed
 
     def worker(comm):
@@ -263,19 +236,20 @@ def test_a_post_into_an_aborted_world_raises_at_once():
     assert result.world.messages_sent == [0, 0]  # the late post never counted
 
 
-def test_casts_and_calls_reach_the_parent_in_program_order():
-    """What still crosses the pipe keeps program order: a call sees every
-    cast queued before it.  What does not — p2p, over the rank-to-rank
+def test_flight_events_and_calls_reach_the_parent_in_program_order():
+    """A call sees every flight event the rank recorded before it: the
+    events wait on the rank's flight ring, and a dump drains the rings
+    first.  What does not cross the pipe — p2p, over the rank-to-rank
     rings — keeps one sender's send order, and the copy counters on the
     board reach the parent however the rank ends."""
 
     def worker(comm):
         peer = 1 - comm.rank
         for i in range(5):
-            comm.flight.record("step", i=i)     # queued ...
-            comm.isend(i, dest=peer, tag=2)     # ... not flushed by a post
+            comm.flight.record("step", i=i)     # on the flight ring ...
+            comm.isend(i, dest=peer, tag=2)     # ... beside a p2p ring entry
             comm.world.count_copy(comm.rank, 10 ** i)
-            # The call behind them sees the casts applied.
+            # The call behind them sees the events.
             dump = comm.world.flight.dump(f"at {i} on {comm.rank}")
             steps = [e["i"] for e in dump["ranks"][str(comm.rank)] if e["kind"] == "step"]
             assert steps == list(range(i + 1))
@@ -287,10 +261,8 @@ def test_casts_and_calls_reach_the_parent_in_program_order():
     assert list(result) == [[0, 1, 2, 3, 4]] * 2
     assert result.world.bytes_copied == [11118, 11118]
     assert result.world.messages_sent == [5, 5]
-    for counts in result.world.rpc_counts:
-        assert counts["recorder.append"] == [0, 5]
-        assert counts["flight.dump"] == [5, 0]
-        assert set(counts) == {"recorder.append", "flight.dump"}
+    # The dumps are the only round trips: no flight event crossed the pipe.
+    assert result.world.rpc_counts == [{"flight.dump": 5}] * 2
 
 
 def _rejoin_worker(comm):

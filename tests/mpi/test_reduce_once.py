@@ -229,7 +229,7 @@ def test_a_large_allreduce_crosses_the_procs_pipe_as_handles_both_ways():
 
 # ------------------------------------------------- folds run in the ranks
 def _rendezvous_trips(result) -> list[int]:
-    return [c.get("world.rendezvous", [0, 0])[0] for c in result.world.rpc_counts]
+    return [c.get("world.rendezvous", 0) for c in result.world.rpc_counts]
 
 
 def test_a_fold_on_the_launch_communicator_makes_no_round_trip():

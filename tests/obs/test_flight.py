@@ -7,6 +7,8 @@ surviving rank — without tracing, without any flag, at ring-buffer cost.
 """
 
 import json
+import os
+import signal
 import time
 
 import numpy as np
@@ -16,7 +18,7 @@ from repro.cli import main
 from repro.data import SyntheticSpec
 from repro.elastic import run_lifecycle
 from repro.faults import ChaosEngine, ChaosWorld
-from repro.mpi import RankFailed, run_spmd
+from repro.mpi import RankFailed, World, run_spmd
 from repro.obs.telemetry import (
     DEFAULT_FLIGHT_CAPACITY,
     FLIGHT_DIR_ENV,
@@ -238,8 +240,8 @@ class TestChaosKillDump:
 
 class TestStampedAtTheRank:
     """An event's ``ts`` is when it happened at the rank — not when a
-    ``procs`` parent's broker thread got round to the cast (which was
-    hundreds of µs later, and later than a whole frame post under load)."""
+    ``procs`` parent took it off the rank's flight ring, which can be
+    epochs later."""
 
     @pytest.mark.parametrize("backend", ["threads", "procs"])
     def test_ts_is_the_ranks_own_clock(self, backend):
@@ -260,6 +262,78 @@ class TestStampedAtTheRank:
             # Two adjacent clock reads.  Every event, bar the very few where
             # the scheduler took the rank off its core between them.
             assert lag[int(0.98 * n)] < 50e-6, lag[-10:]
+
+
+class TestEveryEventReachesTheParent:
+    """Under ``procs`` a rank's events wait on its flight ring on the board
+    until the parent drains it — before a dump, when the ring is full, when
+    the rank's pipe ends — so the parent's log holds what ``threads``
+    holds: a kill or a fold loses nothing."""
+
+    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    def test_a_rank_that_dies_leaves_every_event_it_recorded(self, backend):
+        def worker(comm):
+            if comm.rank == 1:
+                for i in range(10):
+                    comm.flight.record("last.words", i=i)
+                if backend == "procs":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("rank 1 dies")
+            return comm.rank
+
+        worlds = []
+
+        def factory(size, **kwargs):
+            worlds.append(World(size, **kwargs))
+            return worlds[0]
+
+        with pytest.raises(RankFailed) as err:
+            run_spmd(worker, 2, backend=backend, world_factory=factory, deadline_s=60)
+        assert set(err.value.failures) == {1}
+        events = worlds[0].flight.for_rank(1).events()
+        assert [e["i"] for e in events if e["kind"] == "last.words"] == list(range(10))
+
+    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    def test_a_dump_after_a_fold_holds_what_the_peer_recorded_before_it(self, backend):
+        def worker(comm):
+            if comm.rank == 1:
+                for i in range(5):
+                    comm.flight.record("before.fold", i=i)
+            comm.barrier()  # under procs a fold among the ranks: no round trip
+            dump = comm.world.flight.dump("after the fold") if comm.rank == 0 else None
+            comm.barrier()  # rank 1 outlives the dump
+            return dump and [e["i"] for e in dump["ranks"]["1"] if e["kind"] == "before.fold"]
+
+        assert list(run_spmd(worker, 2, backend=backend)) == [list(range(5)), None]
+
+    @pytest.mark.parametrize("tracing", [False, True])
+    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    def test_several_ring_fulls_keep_every_event_in_order(self, backend, tracing):
+        n = 5000  # about four flight rings' worth under procs
+
+        def worker(comm):
+            for i in range(n):
+                comm.flight.record("many", i=i)
+
+        result = run_spmd(worker, 2, backend=backend, tracing=tracing)
+        kept = n if tracing else DEFAULT_FLIGHT_CAPACITY
+        for rec in result.world.flight.recorders:
+            assert [e["i"] for e in rec.events() if e["kind"] == "many"] == list(range(n - kept, n))
+        if backend == "procs":  # the rings did fill: each rank had its own drained
+            assert all(counts["flight.collect"] >= 3 for counts in result.world.rpc_counts)
+
+    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    def test_a_ring_that_never_fills_costs_no_round_trip(self, backend):
+        def worker(comm):
+            for i in range(100):
+                comm.flight.record("few", i=i)
+            comm.barrier()
+
+        result = run_spmd(worker, 2, backend=backend)
+        for rec in result.world.flight.recorders:
+            assert [e["i"] for e in rec.events() if e["kind"] == "few"] == list(range(100))
+        # Nothing crossed the pipe, no flight.collect either (threads: no pipe).
+        assert result.world.rpc_counts == (None if backend == "threads" else [{}, {}])
 
 
 class TestTracedDump:

@@ -264,7 +264,7 @@ def test_frames_recycle_and_pin_nothing(backend, pinned_outside_slots):
         # each frame once and one ACK for it; two round trips per rank and
         # epoch would already break the bound.
         frames = sum(world.messages_sent) / 2
-        trips = sum(calls for rank in world.rpc_counts for calls, _casts in rank.values())
+        trips = sum(sum(rank.values()) for rank in world.rpc_counts)
         assert trips <= 0.1 * frames, (trips, frames)
         wires = {wire for rank in world.rpc_counts for wire in rank}
         assert not {"world.post", "pool.acquire"} & wires, wires
@@ -404,7 +404,7 @@ def _sigkill_worker(comm, deadline_s, kill=True):
     sched = Scheduler(storage, comm, fraction=1.0, batch_size=8, seed=5)
     sched.scheduling(0)
     if comm.rank == 1:
-        sched.communicate_chunk()  # one window: a frame per peer, each a cast
+        sched.communicate_chunk()  # one window: a frame per peer, each a ring entry
         if kill:
             os.kill(os.getpid(), signal.SIGKILL)  # right behind its last isend
     if not kill:  # the reference: what rank 1's one window puts on the wire
@@ -419,10 +419,10 @@ def _sigkill_worker(comm, deadline_s, kill=True):
 
 def test_a_sigkilled_rank_delivers_what_it_cast_and_strands_nobody(own_segments):
     """What only ``procs`` can do: a rank really dies, between two
-    instructions.  The frames it cast just before are still served (the
-    pipe drains before its broker reads EOF), the survivors leave the
-    exchange with MPIAbort / PeerFailure well inside the deadline, and no
-    segment outlives the run."""
+    instructions.  The frames it posted just before are still delivered
+    and counted (its rings and traffic words on the board outlive it), the
+    survivors leave the exchange with MPIAbort / PeerFailure well inside
+    the deadline, and no segment outlives the run."""
     from repro.mpi import MPIAbort, World
 
     worlds = []

@@ -22,8 +22,8 @@ Runs the epoch the ``exchange_*`` benchmark workloads spend their time in —
   ``on_iteration`` / ``end_epoch``) make into the codec and storage entry
   points and into ``ndarray.copy``, counted by ``cProfile`` in one extra
   epoch that is not timed;
-* on ``procs``, the pipe round trips and casts per epoch (median of the
-  timed epochs, rank 0) per wire name: what ``world.rpc_counts`` counts,
+* on ``procs``, the pipe round trips per epoch (median of the timed
+  epochs, rank 0) per wire name: what ``world.rpc_counts`` counts,
   taken per epoch at the rank's end of the pipe, with the run's total
   checked against ``world.rpc_counts``; and beside them the entries rank 0
   put into its rank-to-rank rings and took out of them per epoch (a tree
@@ -136,29 +136,27 @@ def _stash_ge_wu(take_phases):
     return wrapper
 
 
-def _counted_send(send):
-    """``_Rpc.send`` counting what crosses the pipe into the calling rank's
-    current ``{wire name: [round trips, casts]}``, as the broker counts it."""
+def _counted_call(call):
+    """``_Rpc.call`` counting each round trip into the calling rank's
+    current ``{wire name: round trips}``, as the broker counts it."""
 
-    def wrapper(self, call, reply=False):
+    def wrapper(self, method, *args):
         counts = _rank_state.rpc
-        for method, _args in self._queued:
-            counts.setdefault(method, [0, 0])[1] += 1
-        if call is not None and call[0] != "__exit__":
-            counts.setdefault(call[0], [0, 0])[0] += 1
-        return send(self, call, reply)
+        counts[method] = counts.get(method, 0) + 1
+        return call(self, method, *args)
 
     return wrapper
 
 
 def _counted_ring(board_cls) -> None:
     """Count the entries the calling rank puts into and drains out of its
-    rank-to-rank rings into its current ``[puts, takes]``."""
+    rank-to-rank rings into its current ``[puts, takes]`` (not its flight
+    events, which go on ring ``(rank, rank)``)."""
     put, drain = board_cls.put, board_cls.drain
 
     def counted_put(self, src, dest, entry):
         done = put(self, src, dest, entry)
-        _rank_state.ring[0] += done
+        _rank_state.ring[0] += done and src != dest
         return done
 
     def counted_drain(self, dest):
@@ -212,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             setattr(owner, name, _timed(getattr(owner, name), phase))
     FlightRecorder.take_phases = _stash_ge_wu(FlightRecorder.take_phases)
-    procs._Rpc.send = _counted_send(procs._Rpc.send)  # patched before the ranks fork
+    procs._Rpc.call = _counted_call(procs._Rpc.call)  # patched before the ranks fork
     if hasattr(procs, "_Board"):
         _counted_ring(procs._Board)
 
@@ -294,24 +292,21 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _print_pipe(counted: list[dict], recorded: dict) -> None:
-    """Rank 0's pipe messages per timed epoch, by wire name, from what this
+    """Rank 0's pipe round trips per timed epoch, by wire name, from what this
     tool ``counted`` per epoch (setup, warm-up, timed, counted), and its run
     total against what the broker ``recorded`` in ``world.rpc_counts``."""
     steady = counted[2:-1]
     names = sorted({name for counts in steady for name in counts})
-    rows = [
-        (name, *(statistics.median(c.get(name, [0, 0])[i] for c in steady) for i in (0, 1)))
-        for name in names
-    ]
-    print("pipe messages per epoch, rank 0 (median of the timed epochs):")
-    print(f"  {'wire name':<24} {'round trips':>11} {'casts':>8}")
-    for name, trips, casts in sorted(rows, key=lambda row: (-row[1], -row[2], row[0])):
-        print(f"  {name:<24} {trips:11.1f} {casts:8.1f}")
-    total = [sum(c[0] for c in counts.values()) for counts in steady]
+    rows = [(name, statistics.median(c.get(name, 0) for c in steady)) for name in names]
+    print("pipe round trips per epoch, rank 0 (median of the timed epochs):")
+    print(f"  {'wire name':<24} {'round trips':>11}")
+    for name, trips in sorted(rows, key=lambda row: (-row[1], row[0])):
+        print(f"  {name:<24} {trips:11.1f}")
+    total = [sum(counts.values()) for counts in steady]
     print(f"  {'all round trips':<24} {statistics.median(total):11.1f}")
-    whole = sum(c[0] for counts in counted for c in counts.values())
+    whole = sum(sum(counts.values()) for counts in counted)
     print(f"round trips over the whole run: {whole} counted per epoch, "
-          f"{sum(c[0] for c in recorded.values())} in world.rpc_counts")
+          f"{sum(recorded.values())} in world.rpc_counts")
 
 
 if __name__ == "__main__":
