@@ -48,7 +48,7 @@ def run_both():
         strat = UncontrolledCachedShuffle(mean_refresh=Q / 2)  # same mean volume
         return train_worker(comm, cfg, strat, train_ds, labels, val_X, val_y)
 
-    cached_histories = run_spmd(worker, WORKERS, copy_on_send=False, deadline_s=600)
+    cached_histories = run_spmd(worker, WORKERS, deadline_s=600)
     per_worker_remote = [h.stats["remote_reads"] for h in cached_histories]
     return pls_res, cached_histories[0], per_worker_remote
 

@@ -46,7 +46,7 @@ def run_selection_ablation():
             strat = PartialLocalShuffle(Q, selection=selection)
             return train_worker(comm, cfg, strat, train_ds, labels, val_X, val_y)
 
-        hist = run_spmd(worker, WORKERS, copy_on_send=False, deadline_s=600)[0]
+        hist = run_spmd(worker, WORKERS, deadline_s=600)[0]
         accuracies[selection] = hist.best_accuracy
 
     # Circulation: owner-tagged storage, measure foreign fraction after E epochs.

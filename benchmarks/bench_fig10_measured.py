@@ -47,7 +47,7 @@ def run_measured():
                 comm, config, strategy_from_name(name), ds, y, X[:64], y[:64]
             )
 
-        run = run_spmd(worker, WORKERS, copy_on_send=False, deadline_s=600)
+        run = run_spmd(worker, WORKERS, deadline_s=600)
         series = run.world.telemetry.snapshot()["series"]
         results[name] = {
             phase: float(np.mean([

@@ -65,8 +65,8 @@ COLLECTIVE_HELPERS = frozenset({
 })
 
 #: Method names that hand a buffer to a peer (p2p or collective
-#: contribution).  Mutating a bare-name argument afterwards aliases the
-#: receiver's copy under ``copy_on_send=False``.
+#: contribution).  Mutating a bare-name argument afterwards writes into the
+#: receiver's object: payloads travel by reference.
 _SENDING_METHODS = frozenset({
     "send", "isend", "bcast", "allreduce", "reduce", "alltoall",
     "allgather", "gather", "scatter",
@@ -393,7 +393,7 @@ class RawRandomSource(Rule):
 class MutateAfterSend(Rule):
     """Variable mutated after being sent/contributed in the same scope.
 
-    With ``copy_on_send=False`` the payload travels by reference: until
+    A payload travels by reference: until
     every peer has completed the matching receive/collective, the sender
     and receivers alias one buffer, and an in-place write on the sender
     corrupts data mid-flight (the MPI buffer-ownership rule).  Send a
@@ -467,9 +467,9 @@ class MutateAfterSend(Rule):
                 yield self._finding(
                     ctx, node,
                     f"'{name}' is mutated after being sent/contributed on "
-                    f"line {in_flight[name]}; under copy_on_send=False the "
-                    "peers still alias this buffer — send a .copy() or "
-                    "move the mutation past the synchronisation point",
+                    f"line {in_flight[name]}; the peers still alias this "
+                    "buffer — send a .copy() or move the mutation past the "
+                    "synchronisation point",
                 )
                 del in_flight[name]  # one finding per send is enough
 

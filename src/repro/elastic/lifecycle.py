@@ -679,8 +679,8 @@ def run_lifecycle(
             segments += 1
             results = run_spmd(
                 lambda comm: _LifecycleRank(comm, job, *restart).run(),
-                workers, copy_on_send=False, deadline_s=deadline_s,
-                tracing=tracing, world_factory=world_factory, backend=backend,
+                workers, deadline_s=deadline_s, tracing=tracing,
+                world_factory=world_factory, backend=backend,
             )
             events.extend(_lifecycle_events(results.world, segments))
             crashed = [r for r in results if isinstance(r, Crashed)]

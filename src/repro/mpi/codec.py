@@ -22,7 +22,7 @@ with no per-record ``struct`` call, dtype parse or ``np.frombuffer``.
 
 A :class:`PackedBatch` is frozen and its payload view is read-only, so it
 is safe to share by reference across ranks (the in-process transport
-passes it through un-copied — see ``copy_payload``).  Ownership of a
+passes every payload by reference).  Ownership of a
 pooled backing buffer travels with the batch: the producing rank packs,
 the consuming rank ``release()``\\ s the buffer once no view of it is
 left (the exchange copies the samples out first, so its frames recycle)

@@ -21,8 +21,6 @@ from .message import (
     ANY_TAG,
     Message,
     Status,
-    copied_nbytes,
-    copy_payload,
     payload_nbytes,
 )
 from .request import RecvRequest, Request, SendRequest
@@ -52,11 +50,10 @@ class Communicator:
     a ``split()`` or ``dup()`` communicator can never match receives posted
     on the parent — the same isolation real MPI communicators give.
 
-    Zero-copy contract: when the world was created with
-    ``copy_on_send=False``, payloads and collective contributions are shared
-    by reference.  A rank must not mutate a buffer it sent or contributed
-    until the matching receive/collective has completed *on every peer* —
-    exactly the aliasing rule real MPI imposes on its buffers.  Contribute a
+    Zero-copy contract: payloads and collective contributions are shared by
+    reference.  A rank must not mutate a buffer it sent or contributed until
+    the matching receive/collective has completed *on every peer* — exactly
+    the aliasing rule real MPI imposes on its buffers.  Contribute a
     ``.copy()`` when in doubt (cheap relative to the op it protects).
     """
 
@@ -117,9 +114,8 @@ class Communicator:
 
         Feeds the world's deterministic ``bytes_copied`` counters
         (``world.total_bytes_copied()``) — the numbers the fast-path
-        benchmark gates on.  Called by the message layer for send-time
-        buffering and by the scheduler for checksum ``tobytes()`` walks and
-        pack gathers.
+        benchmark gates on.  Called by the scheduler for checksum
+        ``tobytes()`` walks and pack gathers.
         """
         self.world.count_copy(self._world_rank, nbytes)
 
@@ -198,17 +194,9 @@ class Communicator:
         return self._track_request(self._post_send(obj, dest, tag))
 
     def _post_send(self, obj: Any, dest: int, tag: int) -> Request:
-        payload = copy_payload(obj) if self.world.copy_on_send else obj
-        if payload is not obj:
-            # Charge only the bytes genuinely duplicated: immutable payloads
-            # (scalars, sealed PackedBatch envelopes) pass through, even
-            # when their container was rebuilt around them.
-            nb = copied_nbytes(obj, payload)
-            if nb:
-                self.count_copy(nb)
         world_dest = self._to_world(dest)
         self.world.post(
-            Message(source=self._world_rank, dest=world_dest, tag=self._wire_tag(tag), payload=payload)
+            Message(source=self._world_rank, dest=world_dest, tag=self._wire_tag(tag), payload=obj)
         )
         return SendRequest(dest=dest, tag=tag)
 
@@ -295,15 +283,6 @@ class Communicator:
             key, self._local_rank, contribution, self.group, fold
         )
 
-    def _copy_in(self, value: Any) -> Any:
-        """Copy a collective result for this rank, charging the copy."""
-        copied = copy_payload(value)
-        if copied is not value:
-            nb = copied_nbytes(value, copied)
-            if nb:
-                self.count_copy(nb)
-        return copied
-
     def barrier(self) -> None:
         """Block until every rank in the communicator has entered: a fold
         of nothing (under ``procs``, on the launch communicator, one the
@@ -313,10 +292,7 @@ class Communicator:
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns root's value."""
         slots = self._rendezvous("bcast", obj if self._local_rank == root else None)
-        value = slots[root]
-        if self._local_rank == root:
-            return value
-        return self._copy_in(value) if self.world.copy_on_send else value
+        return slots[root]
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one value per rank to ``root`` (rank order); None elsewhere."""
@@ -339,17 +315,12 @@ class Communicator:
                     f"{None if objs is None else len(objs)}"
                 )
         slots = self._rendezvous("scatter", list(objs) if self._local_rank == root else None)
-        value = slots[root][self._local_rank]
-        if self._local_rank == root:
-            return value
-        return self._copy_in(value) if self.world.copy_on_send else value
+        return slots[root][self._local_rank]
 
     def _take_reduced(self, total: Any) -> Any:
-        """This rank's hold on the one result the world folded for everyone: a
-        private copy in a copying world, else the shared object — read-only
-        if an array, so an in-place edit raises instead of racing the peers."""
-        if self.world.copy_on_send:
-            return self._copy_in(total)
+        """This rank's hold on the one result the world folded for everyone:
+        the shared object — read-only if an array, so an in-place edit raises
+        instead of racing the peers."""
         if isinstance(total, np.ndarray):
             total.flags.writeable = False
         return total
@@ -382,10 +353,7 @@ class Communicator:
         if len(objs) != self.size:
             raise ValueError(f"alltoall needs {self.size} items, got {len(objs)}")
         slots = self._rendezvous("alltoall", list(objs))
-        out = [slots[src][self._local_rank] for src in range(self.size)]
-        if self.world.copy_on_send:
-            out = [self._copy_in(v) for v in out]
-        return out
+        return [slots[src][self._local_rank] for src in range(self.size)]
 
     # -------------------------------------------------------------- sub-groups
     def split(self, color: int, key: int | None = None) -> "Communicator":

@@ -58,7 +58,7 @@ def _load_procs() -> Callable[..., list]:
 
 
 #: Backend name -> loader of the function that hosts the ranks: called as
-#: ``host(world, fn, args, name_prefix=, deadline_s=)``,
+#: ``host(world, fn, args, deadline_s=)``,
 #: returns one :func:`_run_rank` outcome per rank.
 _BACKENDS: dict[str, Callable[[], Callable[..., list]]] = {
     "threads": lambda: _host_threads,
@@ -93,9 +93,8 @@ def run_spmd(
     size: int,
     *,
     args: Sequence[Any] = (),
-    copy_on_send: bool = True,
+    copy_on_send: bool = False,
     deadline_s: float | None = 300.0,
-    thread_name_prefix: str = "rank",
     tracing: bool = False,
     world_factory: Callable[..., World] | None = None,
     backend: str | None = None,
@@ -110,8 +109,8 @@ def run_spmd(
     size:
         Number of ranks (threads or processes, per ``backend``).
     copy_on_send:
-        Forwarded to :class:`World`; keep True unless profiling shows the
-        copies matter and the program never mutates sent buffers.
+        Only ``False`` is accepted: a payload always travels by reference
+        (the buffer rule the :class:`Communicator` docstring states).
     deadline_s:
         Wall-clock budget guarding against deadlock; ``None`` disables.
     tracing:
@@ -121,7 +120,8 @@ def run_spmd(
         phase region.  When False those sites cost one flag test, and the
         recorder keeps only its always-on events, the last K of them.
     world_factory:
-        Alternative :class:`World` constructor (same keyword signature);
+        Alternative :class:`World` constructor, called as
+        ``world_factory(size, deadline_s=...)``;
         the seam through which :class:`~repro.faults.ChaosWorld` injects
         message faults without the MPI layer knowing about chaos.  Works on
         both backends (under ``procs`` the factory's world is hosted here,
@@ -137,17 +137,18 @@ def run_spmd(
         traffic counters (``bytes_sent`` etc.) and, as ``world.flight``, the
         per-rank event streams.
     """
+    # The keyword stays only because the benchmark harness passes it by
+    # name; it goes when the harness stops passing it (ROADMAP item 4).
+    if copy_on_send is not False:
+        raise ValueError("copy_on_send must be False: payloads travel by reference")
     host = _BACKENDS[resolve_backend_name(backend)]()
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     make_world = world_factory if world_factory is not None else World
-    world = make_world(size, copy_on_send=copy_on_send, deadline_s=deadline_s)
+    world = make_world(size, deadline_s=deadline_s)
     if tracing:
         world.flight.enable_detail()
-    outcomes = host(
-        world, fn, tuple(args),
-        name_prefix=thread_name_prefix, deadline_s=deadline_s,
-    )
+    outcomes = host(world, fn, tuple(args), deadline_s=deadline_s)
     failures = {r: value for r, (ok, value) in enumerate(outcomes) if not ok}
     if failures:
         # An MPIAbort, or a PeerFailure naming a rank that failed itself, is
@@ -167,7 +168,6 @@ def _host_threads(
     fn: Callable[..., Any],
     args: tuple,
     *,
-    name_prefix: str,
     deadline_s: float | None,
 ) -> list[tuple[bool, Any]]:
     """The ``threads`` backend: one OS thread per rank, each holding the
@@ -179,7 +179,7 @@ def _host_threads(
         outcomes[rank] = _run_rank(world, rank, fn, args)
 
     threads = [
-        threading.Thread(target=runner, args=(r,), name=f"{name_prefix}{r}", daemon=True)
+        threading.Thread(target=runner, args=(r,), name=f"rank{r}", daemon=True)
         for r in range(world.size)
     ]
     for t in threads:

@@ -25,8 +25,6 @@ __all__ = [
     "Message",
     "Status",
     "Checksummed",
-    "copy_payload",
-    "copied_nbytes",
     "payload_crc32",
     "payload_nbytes",
 ]
@@ -101,7 +99,7 @@ def payload_crc32(obj: Any) -> int:
     """Content CRC32 of a payload (arrays hashed over dtype+shape+bytes).
 
     Computed structurally rather than over a serialisation so the in-process
-    zero-copy transport (``copy_on_send=False``) checksums the same bytes a
+    transport, which passes payloads by reference, checksums the same bytes a
     wire transfer would have carried.
     """
     return _crc(obj, 0) & 0xFFFFFFFF
@@ -131,61 +129,6 @@ class Checksummed:
     def ok(self) -> bool:
         """Whether the payload still matches the CRC computed at wrap time."""
         return payload_crc32(self.payload) == self.crc
-
-
-def copy_payload(obj: Any) -> Any:
-    """Copy a payload so sender-side mutation after ``isend`` is safe.
-
-    NumPy arrays take the fast path; everything else goes through pickle,
-    which matches what a real MPI + mpi4py transfer would have done anyway.
-    """
-    if isinstance(obj, np.ndarray):
-        return obj.copy()
-    if isinstance(obj, (int, float, complex, str, bytes, bool, type(None))):
-        return obj
-    if isinstance(obj, PackedBatch):
-        # Zero-copy pass-through: the batch is frozen and its payload view
-        # is read-only, so no sender-side mutation can reach the receiver.
-        # The aliasing hazard moves to the buffer pool — a pooled backing
-        # buffer must only be release()d once no receiver-side view of it
-        # can be alive (the exchange protocol's ACK/commit points).
-        return obj
-    if isinstance(obj, Checksummed):
-        # Keep the envelope cheap to copy: the CRC was computed at wrap
-        # time and stays valid for a faithful payload copy.
-        return Checksummed(
-            meta=obj.meta, payload=copy_payload(obj.payload), crc=obj.crc
-        )
-    if isinstance(obj, tuple):
-        # Element-wise, so pass-through members (a PackedBatch riding in a
-        # protocol tuple) stay zero-copy while mutable siblings are still
-        # defensively copied.
-        return tuple(copy_payload(x) for x in obj)
-    if isinstance(obj, list):
-        return [copy_payload(x) for x in obj]
-    return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def copied_nbytes(orig: Any, copied: Any) -> int:
-    """Bytes genuinely duplicated by ``copy_payload(orig) -> copied``.
-
-    The copy-accounting counterpart of :func:`payload_nbytes`: structures
-    that passed through by reference (a :class:`~repro.mpi.codec.PackedBatch`,
-    immutable scalars) cost nothing even when their *container* was rebuilt
-    — e.g. re-wrapping a ``Checksummed`` envelope around a pass-through
-    payload charges only the envelope's own meta + CRC word.
-    """
-    if copied is orig:
-        return 0
-    if isinstance(orig, Checksummed) and isinstance(copied, Checksummed):
-        return copied_nbytes(orig.payload, copied.payload) + payload_nbytes(orig.meta) + 4
-    if (
-        isinstance(orig, (tuple, list))
-        and isinstance(copied, (tuple, list))
-        and len(orig) == len(copied)
-    ):
-        return sum(copied_nbytes(a, b) for a, b in zip(orig, copied))
-    return payload_nbytes(copied)
 
 
 def payload_nbytes(obj: Any) -> int:

@@ -650,7 +650,6 @@ class _ClientWorld(_Remote):
         super().__init__(rpc)
         self.rank = rank
         self.size = launch.size
-        self.copy_on_send = launch.copy_on_send
         self._board = board
         self._launch = launch
         # The copy counters are the board's: counted here, read by all.
@@ -1054,7 +1053,6 @@ def host_procs(
     fn: Callable[..., Any],
     args: tuple,
     *,
-    name_prefix: str,
     deadline_s: float | None,
 ) -> list[tuple[bool, Any]]:
     """The ``procs`` backend: fork one rank process per slot of ``world``,
@@ -1080,7 +1078,7 @@ def host_procs(
         ctx.Process(
             target=_child_main,
             args=(pipes, r, fn, args, world, board),
-            name=f"{name_prefix}{r}",
+            name=f"rank{r}",
             daemon=True,
         )
         for r in range(size)
@@ -1092,7 +1090,7 @@ def host_procs(
             child_end.close()
         brokers = [_Broker(r, pipes[r][0], world) for r in range(size)]
         threads = [
-            threading.Thread(target=b.run, name=f"{name_prefix}{r}-broker", daemon=True)
+            threading.Thread(target=b.run, name=f"rank{r}-broker", daemon=True)
             for r, b in enumerate(brokers)
         ]
         for thread in threads:

@@ -113,15 +113,15 @@ class _Mailbox:
 class World:
     """All shared state for a set of simulated ranks.
 
+    A payload travels by reference: a message or collective contribution is
+    the receiver's object, and the sender must not mutate it until every
+    peer is done with it (the buffer rule of MPI, which
+    :class:`~repro.mpi.communicator.Communicator` states).
+
     Parameters
     ----------
     size:
         Number of ranks.
-    copy_on_send:
-        If True (default) payloads are copied at send time, so sender-side
-        mutation after an ``isend`` cannot corrupt the receiver — matching
-        real-MPI buffered semantics.  Disable for zero-copy speed when the
-        application guarantees it never mutates sent buffers.
     deadline_s:
         Optional wall-clock budget; blocking calls raise :class:`MPITimeout`
         once it is exceeded.  Guards tests against accidental deadlock.
@@ -131,13 +131,11 @@ class World:
         self,
         size: int,
         *,
-        copy_on_send: bool = True,
         deadline_s: float | None = None,
     ) -> None:
         if size < 1:
             raise ValueError(f"world size must be >= 1, got {size}")
         self.size = size
-        self.copy_on_send = copy_on_send
         self.mailboxes = [_Mailbox(self.check_alive) for _ in range(size)]
         self.aborted = False
         self.abort_reason: str | None = None
@@ -156,8 +154,7 @@ class World:
         self.bytes_sent = [0] * size
         self.messages_sent = [0] * size
         # Copy accounting: bytes materialised into fresh memory on the
-        # message path (send-time buffering, checksum tobytes() walks,
-        # pack gathers).  The fast-path benchmark's "bytes copied" metric —
+        # message path (checksum tobytes() walks, pack gathers).  The fast-path benchmark's "bytes copied" metric —
         # deterministic, unlike wall time.
         self.bytes_copied = [0] * size
         self.copies = [0] * size

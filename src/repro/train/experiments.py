@@ -103,8 +103,8 @@ def run_comparison(
             return train_worker(comm, config, strategy, train_ds, labels, val_X, val_y)
 
         results = run_spmd(
-            worker, workers, copy_on_send=False, deadline_s=deadline_s,
-            tracing=tracing, backend=backend,
+            worker, workers, deadline_s=deadline_s, tracing=tracing,
+            backend=backend,
         )
         histories[name] = results[0]
         flight[name] = results.world.flight
@@ -160,8 +160,7 @@ def run_pretrain_finetune(
             return history, (model.state_dict() if comm.rank == 0 else None)
 
         results = run_spmd(
-            up_worker, workers, copy_on_send=False, deadline_s=deadline_s,
-            backend=backend,
+            up_worker, workers, deadline_s=deadline_s, backend=backend,
         )
         up_histories[name], backbone_state = results[0]
 
@@ -181,7 +180,7 @@ def run_pretrain_finetune(
 
         results = run_spmd(
             down_worker, workers, args=(backbone_state,),
-            copy_on_send=False, deadline_s=deadline_s, backend=backend,
+            deadline_s=deadline_s, backend=backend,
         )
         down_histories[name] = results[0]
 

@@ -80,8 +80,8 @@ def test_procs_env_default(monkeypatch):
 def test_procs_world_factory(monkeypatch):
     created = []
 
-    def factory(size, copy_on_send, deadline_s):
-        world = World(size, copy_on_send=copy_on_send, deadline_s=deadline_s)
+    def factory(size, deadline_s):
+        world = World(size, deadline_s=deadline_s)
         created.append(world)
         return world
 
@@ -124,7 +124,7 @@ _WORLD_SURFACE = (
     "announce_crash", "regroup_rendezvous", "request_join",
     "await_admission", "aborted", "abort_reason", "crashed",
     "crash_reason", "total_bytes_copied",
-    "size", "copy_on_send", "pool", "flight", "telemetry", "mailboxes",
+    "size", "pool", "flight", "telemetry", "mailboxes",
 )
 _PROXY_SURFACE = {
     "pool": ("acquire", "release", "adopt_if_in_use", "stats",
@@ -347,16 +347,13 @@ def _large_array_worker(comm):
     return total, at_root, shared, small, writeable, again, comm.pool.in_use()
 
 
-@pytest.mark.parametrize("copy_on_send", [True, False])
-def test_large_arrays_cross_the_pipe_as_handles_bit_identically(copy_on_send):
+def test_large_arrays_cross_the_pipe_as_handles_bit_identically():
     import os
 
     from repro.mpi.shm_pool import SEGMENT_PREFIX, live_segments
 
     runs = {
-        backend: run_spmd(
-            _large_array_worker, 3, backend=backend, copy_on_send=copy_on_send
-        )
+        backend: run_spmd(_large_array_worker, 3, backend=backend)
         for backend in ("threads", "procs")
     }
     for mine, ref in zip(runs["procs"], runs["threads"]):
@@ -366,9 +363,8 @@ def test_large_arrays_cross_the_pipe_as_handles_bit_identically(copy_on_send):
                 and got.tobytes() == want.tobytes()
             )
         assert mine[5].tobytes() == ref[5].tobytes()
-        # Private (a copying world) or read-only (a zero-copy one), as
-        # ``_take_reduced`` promises on either backend.
-        assert mine[4] == ref[4] == (copy_on_send, True)
+        # Read-only, as ``_take_reduced`` promises on either backend.
+        assert mine[4] == ref[4] == (False, True)
     world = runs["procs"].world
     # One lent segment per rank and direction, reused call after call (the
     # folds run in the ranks, each over the segment its rank lends; the

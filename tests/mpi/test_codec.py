@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.mpi import BufferPool, PackedBatch, SampleBlock, pack_samples, unpack_samples
 from repro.mpi.codec import ALIGN
-from repro.mpi.message import Checksummed, copy_payload, payload_crc32, payload_nbytes
+from repro.mpi.message import Checksummed, payload_crc32, payload_nbytes
 
 
 def block(entries):
@@ -142,13 +142,6 @@ class TestIntegrity:
 
 
 class TestWireSemantics:
-    def test_copy_payload_passes_through(self):
-        batch = pack(block([(np.arange(4, dtype=np.float32), 0, None)]))
-        assert copy_payload(batch) is batch
-        env = Checksummed.wrap(batch, meta=(1, 2, 0))
-        copied = copy_payload(env)
-        assert copied.payload is batch  # envelope rebuilt, payload shared
-
     def test_pooled_ownership(self):
         pool = BufferPool(name="t")
         batch = pack_samples(block([(np.arange(64, dtype=np.float32), 0, None)]), pool=pool)

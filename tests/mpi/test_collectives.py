@@ -30,18 +30,6 @@ class TestBarrierBcast:
 
         assert list(run_spmd(main, 4)) == [2, 2, 2, 2]
 
-    def test_bcast_numpy_is_copied(self):
-        def main(comm):
-            arr = np.ones(3) if comm.rank == 0 else None
-            got = comm.bcast(arr, root=0)
-            if comm.rank == 1:
-                got[:] = -1  # must not affect other ranks
-            comm.barrier()
-            return got.sum()
-
-        out = run_spmd(main, 3)
-        assert out[0] == 3.0 and out[2] == 3.0 and out[1] == -3.0
-
 
 class TestReductions:
     def test_allreduce_sum_default(self):

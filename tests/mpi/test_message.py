@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mpi.message import ANY_SOURCE, ANY_TAG, Message, copy_payload, payload_nbytes
+from repro.mpi.message import ANY_SOURCE, ANY_TAG, Message, payload_nbytes
 
 
 class TestMessageMatching:
@@ -25,26 +25,6 @@ class TestMessageMatching:
         a = Message(0, 1, 0, None)
         b = Message(0, 1, 0, None)
         assert b.seq > a.seq
-
-
-class TestCopyPayload:
-    def test_ndarray_deep_copied(self):
-        src = np.arange(4)
-        dst = copy_payload(src)
-        dst[0] = 99
-        assert src[0] == 0
-
-    def test_scalars_passthrough(self):
-        for v in (1, 2.5, "s", b"b", True, None):
-            assert copy_payload(v) == v or copy_payload(v) is v
-
-    def test_nested_structure_copied(self):
-        src = {"arr": np.ones(2), "lst": [1, 2]}
-        dst = copy_payload(src)
-        dst["lst"].append(3)
-        dst["arr"][0] = -1
-        assert src["lst"] == [1, 2]
-        assert src["arr"][0] == 1
 
 
 class TestPayloadNbytes:

@@ -28,20 +28,6 @@ class TestSendRecv:
         out = run_spmd(main, 2)
         assert out[1] == pytest.approx(4950.0)
 
-    def test_copy_on_send_isolates_sender_mutation(self):
-        def main(comm):
-            if comm.rank == 0:
-                buf = np.zeros(4)
-                comm.isend(buf, dest=1, tag=0)
-                buf[:] = 99.0  # mutate after send; receiver must see zeros
-                comm.barrier()
-                return None
-            comm.barrier()
-            return comm.recv(source=0, tag=0)
-
-        out = run_spmd(main, 2, copy_on_send=True)
-        assert np.array_equal(out[1], np.zeros(4))
-
     def test_tag_matching(self):
         def main(comm):
             if comm.rank == 0:
@@ -98,6 +84,36 @@ class TestSendRecv:
 
         with pytest.raises(RankFailed):
             run_spmd(main, 2, deadline_s=10)
+
+
+def _send_by_reference_worker(comm):
+    if comm.rank == 0:
+        buf = np.arange(1000, dtype=np.float64)
+        comm.isend(buf, dest=1, tag=3).wait()
+        comm.barrier()
+        return buf
+    got = comm.recv(source=0, tag=3)
+    comm.barrier()
+    return got
+
+
+class TestOneSendSemantics:
+    """A payload travels by reference on every world, with ``run_spmd``'s
+    defaults: under ``threads`` the receiver holds the sender's object and
+    nothing is charged as a copy; under ``procs`` the same bytes arrive."""
+
+    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    def test_isend_passes_the_array_by_reference(self, backend):
+        result = run_spmd(_send_by_reference_worker, 2, backend=backend)
+        sent, got = result
+        assert got.tobytes() == sent.tobytes()
+        if backend == "threads":
+            assert got is sent
+        assert result.world.total_bytes_copied() == 0
+
+    def test_a_copying_world_cannot_be_asked_for(self):
+        with pytest.raises(ValueError, match="copy_on_send"):
+            run_spmd(_send_by_reference_worker, 2, copy_on_send=True)
 
 
 class TestNonBlocking:

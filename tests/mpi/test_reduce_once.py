@@ -86,25 +86,11 @@ def test_zero_copy_result_is_shared_and_read_only(backend):
         mine += 1.0
         return id(total), total.copy(), mine.flags.writeable
 
-    out = run_spmd(main, 3, backend=backend, copy_on_send=False, deadline_s=60)
+    out = run_spmd(main, 3, backend=backend, deadline_s=60)
     assert all(np.array_equal(total, np.full(4, 3.0)) for _id, total, _w in out)
     assert all(writeable for _id, _total, writeable in out)
     if backend == "threads":
         assert len({ident for ident, _total, _w in out}) == 1  # one object
-
-
-def test_copying_world_hands_each_rank_a_private_charged_copy():
-    def main(comm):
-        total = comm.allreduce(np.full(4, float(comm.rank)))
-        total /= comm.size  # private: writeable, and no peer sees it
-        comm.barrier()
-        return id(total), total
-
-    result = run_spmd(main, 3, deadline_s=60)
-    assert len({ident for ident, _total in result}) == 3
-    assert all(np.array_equal(total, np.full(4, 1.0)) for _id, total in result)
-    # Charged as bcast charges its copies: 4 float64 per rank.
-    assert result.world.bytes_copied == [32, 32, 32]
 
 
 def test_result_is_never_a_contribution():
@@ -113,7 +99,7 @@ def test_result_is_never_a_contribution():
         total = comm.allreduce(mine, op=np.minimum)
         return total is mine, mine.flags.writeable
 
-    assert list(run_spmd(main, 1, copy_on_send=False)) == [(False, True)]
+    assert list(run_spmd(main, 1)) == [(False, True)]
 
 
 def test_a_participant_dying_before_its_deposit_fails_the_waiters():
@@ -160,7 +146,7 @@ def test_one_result_not_m_contributions_crosses_the_procs_pipe():
     """What the broker sends back down a rank's pipe for an allreduce is the
     folded value; for a gather-style rendezvous it is still the slot map."""
     size = 3
-    world = World(size, copy_on_send=False)
+    world = World(size)
     replies: dict[tuple, object] = {}
 
     def rank_side(rank):
@@ -196,7 +182,7 @@ def test_a_large_allreduce_crosses_the_procs_pipe_as_handles_both_ways():
     from repro.mpi.shm_pool import SegmentAllocator, attach
 
     size = 2
-    world = World(size, copy_on_send=False)
+    world = World(size)
     world.pool = BufferPool(SegmentAllocator(), name="world-shm")
     replies = {}
 

@@ -62,7 +62,7 @@ def planned_posts(ranks=RANKS):
 
 def run_traced(ranks=RANKS, backend=None):
     return run_spmd(
-        exchange_worker, ranks, copy_on_send=False, tracing=True, backend=backend
+        exchange_worker, ranks, tracing=True, backend=backend
     )
 
 

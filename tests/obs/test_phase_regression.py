@@ -35,7 +35,7 @@ def run(tracing):
             comm, config, strategy_from_name("partial-0.5"), ds, y, X[:16], y[:16]
         )
 
-    return run_spmd(worker, RANKS, copy_on_send=False, tracing=tracing, deadline_s=300)
+    return run_spmd(worker, RANKS, tracing=tracing, deadline_s=300)
 
 
 @pytest.fixture(scope="module")

@@ -459,10 +459,10 @@ def _handover_worker(comm):
 
 
 def test_a_sample_sent_by_the_elastic_layer_survives_its_slot_being_reused():
-    """``threads`` passes payloads by reference (``copy_on_send=False``):
+    """``threads`` passes payloads by reference:
     the one elastic send site (recovery's and rejoin's migration) copies,
     so the receiver never holds a view into the sender's slots."""
-    result = run_spmd(_handover_worker, 2, copy_on_send=False, deadline_s=60)
+    result = run_spmd(_handover_worker, 2, deadline_s=60)
     assert result[1] == (np.arange(8, dtype=np.float32).tolist(), 3)
 
 

@@ -346,9 +346,9 @@ def test_resnet_training_matches_across_backends(backend):
     of one process, or two processes): history, shards and weights are the
     threads reference's, bit for bit."""
     reference = _once(
-        "resnet", lambda: list(run_spmd(_resnet_worker, 2, copy_on_send=False, deadline_s=300))
+        "resnet", lambda: list(run_spmd(_resnet_worker, 2, deadline_s=300))
     )
-    got = list(run_spmd(_resnet_worker, 2, copy_on_send=False, deadline_s=300, backend=backend))
+    got = list(run_spmd(_resnet_worker, 2, deadline_s=300, backend=backend))
     assert all(arena > 0 for *_, arena in got)
     assert got == reference
 

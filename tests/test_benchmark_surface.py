@@ -8,6 +8,8 @@ module fails it here.  The harness is imported read-only from its own
 directory and every wrapper is removed again.
 """
 
+import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -59,3 +61,18 @@ def test_rank_wrappers_find_the_pool_and_the_recorder(harness, backend):
         for e in rec.events() if e["kind"] == "probe"
     ]
     assert probes == [0, 1]
+
+
+def test_the_harness_launch_binds_to_run_spmd():
+    """The harness launches its ranks with keywords (``copy_on_send`` among
+    them): each ``run_spmd(...)`` call in ``harness/onepass.py`` must still
+    bind to the signature."""
+    tree = ast.parse((PERF / "harness" / "onepass.py").read_text())
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_spmd"
+    ]
+    assert calls
+    signature = inspect.signature(run_spmd)
+    for call in calls:
+        signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})

@@ -35,7 +35,7 @@ class TestTrainingCrashes:
             return train_worker(comm, config, strat, train_ds, labels, val_X, val_y)
 
         with pytest.raises(RankFailed) as ei:
-            run_spmd(worker, 4, copy_on_send=False, deadline_s=60)
+            run_spmd(worker, 4, deadline_s=60)
         assert isinstance(ei.value.failures[1], MemoryError)
 
     def test_rank_dies_mid_exchange(self):
@@ -69,7 +69,7 @@ class TestTrainingCrashes:
             return train_worker(comm, config, strat, train_ds, labels, val_X, val_y)
 
         with pytest.raises(RankFailed) as ei:
-            run_spmd(worker, 4, copy_on_send=False, deadline_s=60)
+            run_spmd(worker, 4, deadline_s=60)
         # Only the primary ValueError is reported; MPIAbort victims filtered.
         primaries = {
             r: e for r, e in ei.value.failures.items()
@@ -94,7 +94,7 @@ class TestTrainingCrashes:
             return history
 
         with pytest.raises(RankFailed) as ei:
-            run_spmd(worker, 4, copy_on_send=False, deadline_s=60)
+            run_spmd(worker, 4, deadline_s=60)
         assert isinstance(ei.value.failures[3], OSError)
 
 

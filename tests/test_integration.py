@@ -112,7 +112,7 @@ class TestDeterminism:
                 return train_worker(comm, config, strat, train_ds, labels,
                                     val_X, val_y)
 
-            return run_spmd(worker, 4, copy_on_send=False, deadline_s=300)[0]
+            return run_spmd(worker, 4, deadline_s=300)[0]
 
         h_over, h_block = run(True), run(False)
         assert [r.val_accuracy for r in h_over.records] == [

@@ -34,7 +34,7 @@ def traced_run(model, in_shape, strategy, *, tracing=True, backend="threads"):
         return history, trained.state_dict()
 
     return run_spmd(
-        worker, RANKS, copy_on_send=False, tracing=tracing, deadline_s=300,
+        worker, RANKS, tracing=tracing, deadline_s=300,
         backend=backend,
     )
 
@@ -107,7 +107,7 @@ def test_training_with_fewer_validation_samples_than_ranks():
             comm, config, strategy_from_name("local"), TensorDataset(X, y), y, X[:2], y[:2]
         )
 
-    histories = list(run_spmd(worker, 3, copy_on_send=False, deadline_s=300))
+    histories = list(run_spmd(worker, 3, deadline_s=300))
     assert all(h.records == histories[0].records for h in histories)
     for record in histories[0].records:
         assert record.val_accuracy in (0.0, 0.5, 1.0)

@@ -29,7 +29,7 @@ def train(name, problem, workers=2, **kwargs):
             comm, config, strategy_from_name(name), ds, y, val_X, val_y
         )
 
-    return run_spmd(worker, workers, copy_on_send=False, deadline_s=300, **kwargs)
+    return run_spmd(worker, workers, deadline_s=300, **kwargs)
 
 
 def measure(name, problem, workers=2):

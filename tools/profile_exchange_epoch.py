@@ -251,9 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         stats = strategy.stats()
         return timed, _call_counts(profiler), stats["sent_samples"] // epochs, rpc, ring
 
-    result = run_spmd(
-        rank_main, RANKS, copy_on_send=False, deadline_s=600.0, backend=args.backend
-    )
+    result = run_spmd(rank_main, RANKS, deadline_s=600.0, backend=args.backend)
     results = [r[:3] for r in result]
 
     def per_epoch(phase: str) -> list[float]:
