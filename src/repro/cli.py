@@ -65,14 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_backend_arg(p) -> None:
         # Shared by every subcommand that launches an SPMD world.  Default
-        # None defers to the REPRO_BACKEND environment variable (and then
-        # to "threads") inside run_spmd.
+        # None is run_spmd's default, "threads".
         p.add_argument(
             "--backend", choices=["threads", "procs"], default=None,
             help="communicator backend hosting the ranks: 'threads' "
             "(in-process, default) or 'procs' (forked processes with "
             "shared-memory transport: real SIGKILL, per-process RSS; not "
-            "faster); default: $REPRO_BACKEND or 'threads'",
+            "faster)",
         )
 
     p_train = sub.add_parser("train", help="compare shuffling strategies on synthetic data")

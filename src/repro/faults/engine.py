@@ -19,9 +19,6 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any
-
-import numpy as np
 
 from repro.mpi.codec import PackedBatch
 from repro.mpi.message import Checksummed, Message
@@ -33,51 +30,21 @@ from .profile import FaultProfile
 __all__ = ["ChaosEngine", "ChaosWorld"]
 
 
-def _corrupt_leaf(obj: Any, u: float) -> tuple[Any, bool]:
-    """Damage the first corruptible leaf of ``obj`` (depth-first), returning
-    a rebuilt copy — the original structure is never mutated."""
-    if isinstance(obj, PackedBatch):
-        # Damage a *copy* of the envelope, never the sender's pooled resend
-        # buffer.  The copy is plain-bytearray-backed, so the receiver can
-        # NACK and drop it without any pool bookkeeping.
-        if obj.payload.nbytes:
-            raw = bytearray(obj.payload)
-            raw[int(u * len(raw)) % len(raw)] ^= 0xFF
-            return (
-                PackedBatch(
-                    header=obj.header,
-                    payload=memoryview(raw).toreadonly(),
-                    buf=raw,
-                ),
-                True,
-            )
-        head = bytearray(obj.header)
-        head[int(u * len(head)) % len(head)] ^= 0xFF
-        return PackedBatch(header=bytes(head), payload=obj.payload, buf=obj.buf), True
-    if isinstance(obj, np.ndarray) and obj.nbytes:
-        raw = bytearray(obj.tobytes())
+def _corrupt_frame(batch: PackedBatch, u: float) -> PackedBatch:
+    """A damaged copy of ``batch``: one byte of a private copy of the
+    payload flipped (one header byte when the payload is empty).  The
+    sender's pooled resend buffer is never touched, and the copy is
+    plain-bytearray-backed, so the receiver can NACK and drop it without
+    any pool bookkeeping."""
+    if batch.payload.nbytes:
+        raw = bytearray(batch.payload)
         raw[int(u * len(raw)) % len(raw)] ^= 0xFF
-        return np.frombuffer(bytes(raw), dtype=obj.dtype).reshape(obj.shape), True
-    if isinstance(obj, (list, tuple)):
-        out, done = [], False
-        for item in obj:
-            if done:
-                out.append(item)
-            else:
-                new, done = _corrupt_leaf(item, u)
-                out.append(new)
-        return (tuple(out) if isinstance(obj, tuple) else out), done
-    if isinstance(obj, bool):
-        return obj, False
-    if isinstance(obj, int):
-        return obj ^ (1 << int(u * 8)), True
-    if isinstance(obj, float):
-        return obj + 1.0, True
-    if isinstance(obj, (bytes, bytearray)) and len(obj):
-        raw = bytearray(obj)
-        raw[int(u * len(raw)) % len(raw)] ^= 0xFF
-        return bytes(raw), True
-    return obj, False
+        return PackedBatch(
+            header=batch.header, payload=memoryview(raw).toreadonly(), buf=raw
+        )
+    head = bytearray(batch.header)
+    head[int(u * len(head)) % len(head)] ^= 0xFF
+    return PackedBatch(header=bytes(head), payload=batch.payload, buf=batch.buf)
 
 
 class ChaosEngine:
@@ -200,7 +167,7 @@ class ChaosEngine:
         for c in self._corrupt:
             if is_data and c.active(epoch) and self._u("corrupt", ident) < c.p:
                 self._count("corrupt")
-                damaged, _ = _corrupt_leaf(env.payload, self._u("corrupt-at", ident))
+                damaged = _corrupt_frame(env.payload, self._u("corrupt-at", ident))
                 out = Message(
                     source=msg.source,
                     dest=msg.dest,

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .launcher import (
     DEFAULT_BACKEND,
-    REPRO_BACKEND_ENV,
     SpmdResult,
     resolve_backend_name,
     run_spmd,
@@ -53,7 +52,6 @@ __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
     "DEFAULT_BACKEND",
-    "REPRO_BACKEND_ENV",
     "resolve_backend_name",
     "BufferPool",
     "HeapAllocator",

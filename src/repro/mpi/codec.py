@@ -4,8 +4,9 @@ Each exchange frame's ``(sample, label, gid)`` triples travel as one flat
 envelope, so the wire layer never pickles a sample and the integrity layer
 never walks a structure calling ``tobytes()`` (a full copy per checksum):
 
-* a compact ``struct``-packed **header** (dtype / shape / label / gid /
-  offset per sample) — no pickle anywhere on the data plane;
+* a compact ``struct``-packed **header**: magic and sample count, the
+  frame's one sample class (dtype string, ndim, dims), then ``n`` int64
+  labels and ``n`` int64 gids — no pickle anywhere on the data plane;
 * one **contiguous payload** holding every sample's bytes back to back,
   64-byte aligned, filled by straight ``memoryview`` copies into a
   :class:`~repro.mpi.pool.BufferPool` buffer;
@@ -15,10 +16,10 @@ never walks a structure calling ``tobytes()`` (a full copy per checksum):
 
 Both directions speak in **columns** (:class:`SampleBlock`: samples,
 label vector, gid vector).  A frame is *homogeneous* — one dtype and
-shape, which is every frame the exchange packs — so it has equal-sized
-header records and equally spaced sample extents: it is written from and
-read back as one ``(n, *shape)`` block and one structured header array,
-with no per-record ``struct`` call, dtype parse or ``np.frombuffer``.
+shape, which is every frame the exchange packs — so its header names the
+class once and the sample extents follow from ``n`` and the class's
+aligned stride: it is written from and read back as one ``(n, *shape)``
+block and two int64 columns.
 
 A :class:`PackedBatch` is frozen and its payload view is read-only, so it
 is safe to share by reference across ranks (the in-process transport
@@ -36,7 +37,6 @@ import math
 import struct
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Sequence
 
 import numpy as np
@@ -47,12 +47,12 @@ __all__ = [
     "PackedBatch", "SampleBlock", "pack_samples", "unpack_samples",
 ]
 
-_MAGIC = b"RPB1"
-# Per-record fixed part: dtype-string length (u8), ndim (u8), label (i64),
-# gid (i64, -1 = untracked), payload offset (u64), payload nbytes (u64).
-_REC_FIXED = struct.Struct("<BBqqQQ")
-_DIM = struct.Struct("<Q")
+_MAGIC = b"RPB2"
+# Magic and sample count, then the class record's dtype-string length (u8)
+# and ndim (u8); the dtype string, ndim u64 dims and the label and gid
+# columns (n int64 each, gid -1 = untracked) follow.
 _HEAD = struct.Struct("<4sI")
+_CLASS = struct.Struct("<BB")
 #: Payload alignment: every sample starts on a 64-byte boundary so the
 #: decoded views are cache-line aligned regardless of dtype.
 ALIGN = 64
@@ -158,41 +158,6 @@ class SampleBlock(SequenceABC):
         return SampleBlock(samples, self.labels[key], self.gids[key])
 
 
-@lru_cache(maxsize=32)
-def _record_dtype(dt_len: int, ndim: int) -> np.dtype:
-    """One header record (``_REC_FIXED`` + dtype string + dims) as a packed
-    structured dtype, so ``n`` equal-sized records are one array."""
-    names = ["dt_len", "ndim", "label", "gid", "offset", "nbytes", "dt"]
-    formats = ["u1", "u1", "<i8", "<i8", "<u8", "<u8", f"S{dt_len}"]
-    offsets = [0, 1, 2, 10, 18, 26, _REC_FIXED.size]
-    if ndim:
-        names.append("dims")
-        formats.append(("<u8", (ndim,)))
-        offsets.append(_REC_FIXED.size + dt_len)
-    return np.dtype(
-        {
-            "names": names, "formats": formats, "offsets": offsets,
-            "itemsize": _REC_FIXED.size + dt_len + ndim * _DIM.size,
-        }
-    )
-
-
-@lru_cache(maxsize=32)
-def _extent_offsets(n: int, stride: int) -> np.ndarray:
-    """Payload offsets of ``n`` equally spaced sample extents.  Cached
-    (frames come in a handful of sizes) because ``np.arange`` drops the GIL
-    even for sixteen elements, and a rank thread that drops it at the end
-    of an epoch waits milliseconds to get it back."""
-    offsets = np.arange(n, dtype=np.uint64) * np.uint64(stride)
-    offsets.flags.writeable = False
-    return offsets
-
-
-#: Bytes of a record that name its class: (dt_len, ndim) lead it, and
-#: (nbytes, dtype string, dims) are its tail from this offset on.
-_CLASS_TAIL = 26
-
-
 def _block_view(
     buffer: memoryview, n: int, dtype: np.dtype, shape: tuple[int, ...], stride: int
 ) -> np.ndarray:
@@ -241,14 +206,8 @@ def pack_samples(block: SampleBlock, *, pool: BufferPool) -> PackedBatch:
         )
     dtype, shape = cls
     n = len(block)
-    dt = dtype.str.encode("ascii")
     nbytes = dtype.itemsize * math.prod(shape)
     stride = _aligned(nbytes)
-    recs = np.empty(n, _record_dtype(len(dt), len(shape)))
-    recs["dt_len"], recs["ndim"], recs["dt"] = len(dt), len(shape), dt
-    recs["label"], recs["gid"] = block.labels, block.gids
-    recs["offset"] = _extent_offsets(n, stride)
-    recs["nbytes"], recs["dims"] = nbytes, shape
     buf = pool.acquire((n - 1) * stride + nbytes)
     dest = buf.view
     samples = block.samples
@@ -262,9 +221,16 @@ def pack_samples(block: SampleBlock, *, pool: BufferPool) -> PackedBatch:
             if not row.flags.c_contiguous:
                 row = np.ascontiguousarray(row)
             dest[off : off + nbytes] = memoryview(row).cast("B")
-    return PackedBatch(
-        header=_HEAD.pack(_MAGIC, n) + recs.tobytes(), payload=buf.readonly(), buf=buf
-    )
+    dt = dtype.str.encode("ascii")
+    header = b"".join((
+        _HEAD.pack(_MAGIC, n),
+        _CLASS.pack(len(dt), len(shape)),
+        dt,
+        struct.pack(f"<{len(shape)}Q", *shape),
+        np.asarray(block.labels, "<i8").tobytes(),
+        np.asarray(block.gids, "<i8").tobytes(),
+    ))
+    return PackedBatch(header=header, payload=buf.readonly(), buf=buf)
 
 
 def unpack_samples(batch: PackedBatch) -> SampleBlock:
@@ -277,9 +243,10 @@ def unpack_samples(batch: PackedBatch) -> SampleBlock:
     instead copies the block into storage-owned slots and
     ``release()``\\ s the buffer).
 
-    The header's equal-sized records describe one dtype and shape at evenly
-    spaced extents and decode into one ``(n, *shape)`` block; any other
-    header is refused as corrupt.
+    The header names one dtype and shape, whose ``n`` aligned extents
+    decode into one ``(n, *shape)`` block; a header of any other length, an
+    object, zero-dim or unparsable class, or extents past the payload are
+    refused as corrupt.
     """
     n = batch.count
     if not n:
@@ -287,49 +254,38 @@ def unpack_samples(batch: PackedBatch) -> SampleBlock:
     block = _unpack_block(batch, n)
     if block is None:
         raise ValueError(
-            "corrupt header: not one class of samples at evenly spaced extents"
+            "corrupt header: not one sample class followed by n labels and n gids"
         )
     return block
 
 
 def _unpack_block(batch: PackedBatch, n: int) -> SampleBlock | None:
-    """Column-wise decode, or None if the header is not one class at evenly
-    spaced extents."""
+    """Column-wise decode, or None if the header is not one class record
+    and two columns of ``n``."""
     header, payload = batch.header, batch.payload
-    if len(header) < _HEAD.size + _REC_FIXED.size:
+    dt_at = _HEAD.size + _CLASS.size
+    if len(header) < dt_at:
         return None
-    dt_len, ndim, _label, _gid, _offset, nbytes = _REC_FIXED.unpack_from(
-        header, _HEAD.size
-    )
-    if not (ndim and dt_len):
-        return None
-    rec = _record_dtype(dt_len, ndim)
-    if len(header) != _HEAD.size + n * rec.itemsize:
-        return None
-    recs = np.frombuffer(header, rec, n, _HEAD.size)
-    raw = recs.view(np.uint8).reshape(n, rec.itemsize)
-    stride = _aligned(nbytes)
-    # Record i starts where the walk would find it as long as records
-    # 0..i-1 have record 0's (dt_len, ndim), so these comparisons are the
-    # walk's answer, not a guess.
-    if not (
-        (raw[:, :2] == raw[0, :2]).all()
-        and (raw[:, _CLASS_TAIL:] == raw[0, _CLASS_TAIL:]).all()
-        and (recs["offset"] == _extent_offsets(n, stride)).all()
-    ):
+    dt_len, ndim = _CLASS.unpack_from(header, _HEAD.size)
+    dims_at = dt_at + dt_len
+    cols_at = dims_at + 8 * ndim
+    if not (ndim and dt_len) or len(header) != cols_at + 16 * n:
         return None
     try:
-        dtype = np.dtype(bytes(recs["dt"][0]).decode("ascii"))
-    except (TypeError, UnicodeDecodeError):
+        dtype = np.dtype(header[dt_at:dims_at].decode("ascii"))
+    except (TypeError, ValueError):
         return None
-    shape = tuple(recs["dims"][0].tolist())
-    if dtype.hasobject or nbytes != dtype.itemsize * math.prod(shape):
+    if dtype.hasobject:
         return None
+    shape = struct.unpack_from(f"<{ndim}Q", header, dims_at)
+    nbytes = dtype.itemsize * math.prod(shape)
+    stride = _aligned(nbytes)
     if (n - 1) * stride + nbytes > payload.nbytes:
         raise ValueError(
             f"corrupt header: sample extents end at {(n - 1) * stride + nbytes} B, "
             f"outside payload of {payload.nbytes} B"
         )
+    cols = np.frombuffer(header, "<i8", 2 * n, cols_at)
     return SampleBlock(
-        _block_view(payload, n, dtype, shape, stride), recs["label"], recs["gid"]
+        _block_view(payload, n, dtype, shape, stride), cols[:n], cols[n:]
     )

@@ -22,6 +22,7 @@ from .message import (
     Message,
     Status,
     payload_nbytes,
+    received,
 )
 from .request import RecvRequest, Request, SendRequest
 from .world import World
@@ -54,7 +55,10 @@ class Communicator:
     reference.  A rank must not mutate a buffer it sent or contributed until
     the matching receive/collective has completed *on every peer* — exactly
     the aliasing rule real MPI imposes on its buffers.  Contribute a
-    ``.copy()`` when in doubt (cheap relative to the op it protects).
+    ``.copy()`` when in doubt (cheap relative to the op it protects).  The
+    receiving side is enforced: a top-level ndarray received by p2p or
+    from a peer in a collective is read-only on both backends, so write
+    into a ``.copy()`` of it.
     """
 
     def __init__(
@@ -114,8 +118,8 @@ class Communicator:
 
         Feeds the world's deterministic ``bytes_copied`` counters
         (``world.total_bytes_copied()``) — the numbers the fast-path
-        benchmark gates on.  Called by the scheduler for checksum
-        ``tobytes()`` walks and pack gathers.
+        benchmark gates on.  Called by the scheduler for its pack
+        gathers.
         """
         self.world.count_copy(self._world_rank, nbytes)
 
@@ -221,7 +225,7 @@ class Communicator:
             status.source = self._from_world(msg.source)
             status.tag = msg.tag - self.context_id * (1 << 24)
             status.count = 1
-        return msg.payload
+        return received(msg.payload)
 
     def _take_msg(self, source: int, tag: int) -> Message:
         return self.world.take_blocking(
@@ -264,7 +268,7 @@ class Communicator:
                 req._complete(got[0])
         if drain_tag is None:
             return []
-        return [(msg.payload, self._from_world(msg.source)) for msg in taken[-1]]
+        return [(received(msg.payload), self._from_world(msg.source)) for msg in taken[-1]]
 
     # --------------------------------------------------------------- collectives
     def _rendezvous(self, op: str, contribution: Any, fold: Callable | None = None) -> Any:
@@ -289,22 +293,28 @@ class Communicator:
         ranks run among themselves)."""
         self._rendezvous("barrier", None, _nothing)
 
+    def _from(self, src: int, item: Any) -> Any:
+        """``item`` as this rank holds it when local rank ``src`` sent it:
+        a peer's top-level ndarray read-only (:func:`received`), its own
+        as it was."""
+        return item if src == self._local_rank else received(item)
+
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns root's value."""
         slots = self._rendezvous("bcast", obj if self._local_rank == root else None)
-        return slots[root]
+        return self._from(root, slots[root])
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one value per rank to ``root`` (rank order); None elsewhere."""
         slots = self._rendezvous("gather", obj)
         if self._local_rank != root:
             return None
-        return [slots[r] for r in range(self.size)]
+        return [self._from(r, slots[r]) for r in range(self.size)]
 
     def allgather(self, obj: Any) -> list[Any]:
         """Gather one value per rank to every rank (rank order)."""
         slots = self._rendezvous("allgather", obj)
-        return [slots[r] for r in range(self.size)]
+        return [self._from(r, slots[r]) for r in range(self.size)]
 
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter ``objs[i]`` from ``root`` to rank ``i``."""
@@ -315,7 +325,7 @@ class Communicator:
                     f"{None if objs is None else len(objs)}"
                 )
         slots = self._rendezvous("scatter", list(objs) if self._local_rank == root else None)
-        return slots[root][self._local_rank]
+        return self._from(root, slots[root][self._local_rank])
 
     def _take_reduced(self, total: Any) -> Any:
         """This rank's hold on the one result the world folded for everyone:
@@ -353,7 +363,7 @@ class Communicator:
         if len(objs) != self.size:
             raise ValueError(f"alltoall needs {self.size} items, got {len(objs)}")
         slots = self._rendezvous("alltoall", list(objs))
-        return [slots[src][self._local_rank] for src in range(self.size)]
+        return [self._from(src, slots[src][self._local_rank]) for src in range(self.size)]
 
     # -------------------------------------------------------------- sub-groups
     def split(self, color: int, key: int | None = None) -> "Communicator":

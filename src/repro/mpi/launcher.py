@@ -19,13 +19,11 @@ per-process RSS, an interpreter per rank (``docs/backends.md`` has the
 measured matrix).  The world, its
 flight recorders, what happens when a rank ends (:func:`_run_rank`) and the
 :class:`SpmdResult` / :class:`~repro.mpi.errors.RankFailed` assembly are
-the same code either way.  Select with ``run_spmd(..., backend="procs")`` or
-the ``REPRO_BACKEND`` environment variable.
+the same code either way.  Select with ``run_spmd(..., backend="procs")``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import warnings
 from typing import Any, Callable, Sequence
@@ -36,16 +34,12 @@ from .world import World
 
 __all__ = [
     "DEFAULT_BACKEND",
-    "REPRO_BACKEND_ENV",
     "SpmdResult",
     "resolve_backend_name",
     "run_spmd",
 ]
 
-#: Environment variable consulted when no explicit backend is requested.
-REPRO_BACKEND_ENV = "REPRO_BACKEND"
-
-#: Backend used when neither the call site nor the environment names one.
+#: Backend used when the call site names none.
 DEFAULT_BACKEND = "threads"
 
 
@@ -67,9 +61,9 @@ _BACKENDS: dict[str, Callable[[], Callable[..., list]]] = {
 
 
 def resolve_backend_name(name: str | None = None) -> str:
-    """Resolve an explicit name, the :data:`REPRO_BACKEND_ENV` variable, or
-    the default — in that order — rejecting a name that is not a backend."""
-    resolved = name or os.environ.get(REPRO_BACKEND_ENV) or DEFAULT_BACKEND
+    """Resolve an explicit name, or the default when there is none,
+    rejecting a name that is not a backend."""
+    resolved = name or DEFAULT_BACKEND
     if resolved not in _BACKENDS:
         raise ValueError(
             f"unknown backend {resolved!r}; available: "
@@ -127,8 +121,8 @@ def run_spmd(
         both backends (under ``procs`` the factory's world is hosted here,
         and its ``_deliver`` seam runs on each sender's forked copy).
     backend:
-        Where the ranks execute: ``"threads"`` (default) or ``"procs"``.
-        ``None`` consults the ``REPRO_BACKEND`` environment variable.
+        Where the ranks execute: ``"threads"`` (default, also for
+        ``None``) or ``"procs"``.
 
     Returns
     -------

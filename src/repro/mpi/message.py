@@ -27,6 +27,7 @@ __all__ = [
     "Checksummed",
     "payload_crc32",
     "payload_nbytes",
+    "received",
 ]
 
 ANY_SOURCE = -1
@@ -67,47 +68,31 @@ class Message:
         )
 
 
-def _crc(obj: Any, acc: int) -> int:
-    if isinstance(obj, PackedBatch):
-        # Fast path: the batch is already contiguous bytes — CRC runs over
-        # header + payload directly, with zero copies (the structural walk
-        # below pays one tobytes() copy per array).
-        return zlib.crc32(obj.payload, zlib.crc32(obj.header, acc))
-    if isinstance(obj, np.ndarray):
-        acc = zlib.crc32(repr((obj.dtype.str, obj.shape)).encode(), acc)
-        return zlib.crc32(obj.tobytes(), acc)
-    if isinstance(obj, (bytes, bytearray)):
-        return zlib.crc32(bytes(obj), acc)
-    if isinstance(obj, str):
-        return zlib.crc32(obj.encode(), acc)
-    if isinstance(obj, (bool, int, float, complex, type(None))):
-        return zlib.crc32(repr(obj).encode(), acc)
-    if isinstance(obj, (tuple, list)):
-        acc = zlib.crc32(f"[{len(obj)}".encode(), acc)
-        for item in obj:
-            acc = _crc(item, acc)
-        return zlib.crc32(b"]", acc)
-    if isinstance(obj, dict):
-        acc = zlib.crc32(f"{{{len(obj)}".encode(), acc)
-        for k, v in obj.items():
-            acc = _crc(v, _crc(k, acc))
-        return zlib.crc32(b"}", acc)
-    return zlib.crc32(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL), acc)
+def received(payload: Any) -> Any:
+    """What a receiving rank is handed of a payload: a top-level ndarray as
+    a read-only view (the sender's own flags untouched), so an in-place
+    edit raises on either backend instead of changing the sender's array
+    under ``threads``."""
+    if isinstance(payload, np.ndarray) and payload.flags.writeable:
+        payload = payload.view()
+        payload.flags.writeable = False
+    return payload
 
 
-def payload_crc32(obj: Any) -> int:
-    """Content CRC32 of a payload (arrays hashed over dtype+shape+bytes).
+def payload_crc32(batch: PackedBatch) -> int:
+    """CRC32 of a frame: its header, then its payload.
 
-    Computed structurally rather than over a serialisation so the in-process
-    transport, which passes payloads by reference, checksums the same bytes a
-    wire transfer would have carried.
+    Both are contiguous bytes, so the checksum reads them in place (no
+    copy) and covers exactly what a wire transfer carries; the in-process
+    transport, which passes the frame by reference, checksums the same
+    bytes.
     """
-    return _crc(obj, 0) & 0xFFFFFFFF
+    return zlib.crc32(batch.payload, zlib.crc32(batch.header))
 
 
 @dataclass(frozen=True)
 class Checksummed:
-    """A data-plane payload wrapped in an integrity envelope.
+    """A data-plane frame wrapped in an integrity envelope.
 
     ``meta`` identifies the transfer (the exchange uses
     ``(epoch, round, attempt)``) and is *not* covered by the CRC — it is the
@@ -118,12 +103,17 @@ class Checksummed:
     """
 
     meta: tuple
-    payload: Any
+    payload: PackedBatch
     crc: int
 
     @classmethod
-    def wrap(cls, payload: Any, meta: tuple = ()) -> "Checksummed":
-        """Seal ``payload`` with its content CRC."""
+    def wrap(cls, payload: PackedBatch, meta: tuple = ()) -> "Checksummed":
+        """Seal the frame ``payload`` with its CRC; anything else is a
+        ``TypeError`` (only frames travel on the data plane)."""
+        if not isinstance(payload, PackedBatch):
+            raise TypeError(
+                f"Checksummed seals a PackedBatch frame, not {type(payload).__name__}"
+            )
         return cls(meta=tuple(meta), payload=payload, crc=payload_crc32(payload))
 
     def ok(self) -> bool:

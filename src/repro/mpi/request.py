@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from .errors import MPIError
-from .message import ANY_SOURCE, ANY_TAG, Status, payload_nbytes
+from .message import ANY_SOURCE, ANY_TAG, Status, payload_nbytes, received
 
 __all__ = ["Request", "SendRequest", "RecvRequest", "waitall"]
 
@@ -105,7 +105,7 @@ class RecvRequest(Request):
         return self._payload
 
     def _complete(self, msg) -> None:
-        self._payload = msg.payload
+        self._payload = received(msg.payload)
         self.status = Status(msg.source, msg.tag, 1, msg.posted_s)
         self._done = True
 

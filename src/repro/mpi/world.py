@@ -154,8 +154,8 @@ class World:
         self.bytes_sent = [0] * size
         self.messages_sent = [0] * size
         # Copy accounting: bytes materialised into fresh memory on the
-        # message path (checksum tobytes() walks, pack gathers).  The fast-path benchmark's "bytes copied" metric —
-        # deterministic, unlike wall time.
+        # message path (pack gathers).  The fast-path benchmark's "bytes
+        # copied" metric — deterministic, unlike wall time.
         self.bytes_copied = [0] * size
         self.copies = [0] * size
         #: Shared exchange buffer pool: packed envelopes are gathered into

@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 
 from repro.faults import ChaosEngine
-from repro.faults.engine import _corrupt_leaf
+from repro.mpi import BufferPool, SampleBlock, pack_samples, unpack_samples
 from repro.mpi.message import Checksummed, Message
 
 
+def frame(value=1.0, n=1):
+    """A frame of ``n`` four-float samples, as the exchange packs one."""
+    rows = np.full((n, 4), value, dtype=np.float32)
+    return pack_samples(
+        SampleBlock(rows, np.zeros(n, np.int64), np.full(n, 7, np.int64)),
+        pool=BufferPool(name="t"),
+    )
+
+
 def data_msg(source=0, dest=1, tag=100, epoch=0, rnd=0, attempt=0, value=1.0):
-    payload = [(np.full(4, value, dtype=np.float32), 0, 7)]
     return Message(
         source=source, dest=dest, tag=tag,
-        payload=Checksummed.wrap(payload, meta=(epoch, rnd, attempt)),
+        payload=Checksummed.wrap(frame(value), meta=(epoch, rnd, attempt)),
     )
 
 
@@ -62,23 +70,28 @@ class TestCorruptSafety:
     def test_corrupt_never_mutates_original(self):
         eng = ChaosEngine("corrupt:p=1.0", seed=0)
         msg = data_msg()
-        original = msg.payload.payload[0][0].copy()
+        sent = msg.payload.payload
+        original = bytes(sent.payload)
         (_, out), = eng.plan_message(msg)
         # Sender's buffer (the resend source) is untouched...
-        np.testing.assert_array_equal(msg.payload.payload[0][0], original)
+        assert bytes(sent.payload) == original
+        assert unpack_samples(sent).samples.tolist() == [[1.0] * 4]
         # ...while the delivered copy is damaged but keeps the original crc,
         # so the receiver's verification fails and triggers a NACK.
-        assert not np.array_equal(out.payload.payload[0][0], original)
+        damaged = out.payload.payload
+        assert damaged.header == sent.header
+        assert bytes(damaged.payload) != original
+        assert damaged.buf is not sent.buf
         assert out.payload.crc == msg.payload.crc
         assert not out.payload.ok()
 
-    def test_corrupt_leaf_rebuilds(self):
-        arr = np.arange(8, dtype=np.float32)
-        damaged, done = _corrupt_leaf((arr, 3, 1.5), 0.4)
-        assert done
-        np.testing.assert_array_equal(arr, np.arange(8, dtype=np.float32))
-        assert isinstance(damaged, tuple)
-        assert not np.array_equal(damaged[0], arr)
+    def test_an_empty_frame_is_damaged_in_its_header(self):
+        eng = ChaosEngine("corrupt:p=1.0", seed=0)
+        sent = frame(n=0)
+        msg = Message(0, 1, 100, Checksummed.wrap(sent, meta=(0, 0, 0)))
+        (_, out), = eng.plan_message(msg)
+        assert out.payload.payload.header != sent.header
+        assert not out.payload.ok()
 
 
 class TestScoping:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.mpi import (
     DEFAULT_BACKEND,
-    REPRO_BACKEND_ENV,
     World,
     resolve_backend_name,
     run_spmd,
@@ -18,20 +17,18 @@ def test_both_backends_registered():
 
 
 def test_resolution_order(monkeypatch):
-    monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
-    assert resolve_backend_name(None) == DEFAULT_BACKEND
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "procs")
-    assert resolve_backend_name(None) == "procs"
-    # An explicit choice beats the environment.
-    assert resolve_backend_name("threads") == "threads"
+    assert resolve_backend_name(None) == DEFAULT_BACKEND == "threads"
+    assert resolve_backend_name("procs") == "procs"
+    # The environment chooses nothing: only the argument names a backend.
+    monkeypatch.setenv("REPRO_BACKEND", "procs")
+    assert resolve_backend_name(None) == "threads"
 
 
-def test_unknown_backend_rejected(monkeypatch):
+def test_unknown_backend_rejected():
     with pytest.raises(ValueError, match="unknown backend"):
         resolve_backend_name("smoke-signals")
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "carrier-pigeon")
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend_name(None)
+    with pytest.raises(ValueError, match="available: procs, threads"):
+        run_spmd(lambda comm: None, 1, backend="carrier-pigeon")
 
 
 def test_procs_collectives_match_threads():
@@ -61,16 +58,13 @@ def test_procs_p2p_roundtrip():
     assert results == [None, 56]
 
 
-def test_procs_env_default(monkeypatch):
-    monkeypatch.setenv(REPRO_BACKEND_ENV, "procs")
-
+def test_procs_ranks_are_processes_distinct_from_the_parent():
     def worker(comm):
         import os
 
-        # Under procs every rank is a real process distinct from the parent.
         return os.getpid()
 
-    result = run_spmd(worker, 2)
+    result = run_spmd(worker, 2, backend="procs")
     pids = set(result)
     import os
 
@@ -331,6 +325,44 @@ def test_sends_to_a_rank_that_has_ended_do_not_block(backend):
 
 
 # --------------------------------------------------- ndarrays as handles
+def _edit_what_rank_0_sent(comm):
+    """Rank 1 edits, in place, the array rank 0 sent it by every route."""
+    mine = np.zeros(4)
+    got = {
+        "bcast": comm.bcast(mine if comm.rank == 0 else None),
+        "scatter": comm.scatter([mine, mine] if comm.rank == 0 else None),
+        "alltoall": comm.alltoall([mine, mine])[0],
+        "allgather": comm.allgather(mine)[0],
+        "gather": (comm.gather(mine, root=1) or [None])[0],
+    }
+    own = comm.allgather(mine)[comm.rank]  # a rank's own item stays writeable
+    if comm.rank == 0:
+        comm.send(mine, dest=1, tag=1)
+        comm.send(mine, dest=1, tag=2)
+        comm.barrier()
+        return mine.tolist(), mine.flags.writeable
+    got["recv"] = comm.recv(source=0, tag=1)
+    got["irecv"] = comm.irecv(source=0, tag=2).wait()
+    refused = []
+    for route, arr in got.items():
+        try:
+            arr += 5
+        except ValueError:
+            refused.append(route)
+    comm.barrier()
+    return refused, own.flags.writeable
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+def test_a_rank_never_holds_a_writeable_alias_of_a_peers_array(backend):
+    """Under ``threads`` the receiver holds the sender's very array: it gets
+    a read-only view, and the sender's own flags stay as they were."""
+    sender, receiver = run_spmd(_edit_what_rank_0_sent, 2, backend=backend)
+    assert sender == ([0.0] * 4, True)
+    routes = ["bcast", "scatter", "alltoall", "allgather", "gather", "recv", "irecv"]
+    assert receiver == (routes, True)
+
+
 def _large_array_worker(comm):
     from repro.mpi.pool import MIN_SIZE_CLASS
 
@@ -341,7 +373,8 @@ def _large_array_worker(comm):
     at_root = comm.reduce(mine, op=np.maximum, root=1)
     shared = comm.bcast(mine if comm.rank == 0 else None, root=0)
     small = comm.allreduce(mine[0, :3])  # under the threshold: pickled
-    writeable = (total.flags.writeable, shared.flags.writeable or comm.rank == 0)
+    # A bcast hands root's array back to root as it was, read-only elsewhere.
+    writeable = (total.flags.writeable, shared.flags.writeable == (comm.rank == 0))
     grad += 1.0  # the contribution is the rank's own again
     again = comm.allreduce(grad)  # and the lent segments are reused
     return total, at_root, shared, small, writeable, again, comm.pool.in_use()

@@ -1,5 +1,6 @@
 """Zero-copy batch codec: roundtrip fidelity, views, corruption detection."""
 
+import struct
 import zlib
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.mpi import BufferPool, PackedBatch, SampleBlock, pack_samples, unpack_samples
-from repro.mpi.codec import ALIGN
+from repro.mpi.codec import ALIGN, _CLASS, _HEAD
 from repro.mpi.message import Checksummed, payload_crc32, payload_nbytes
 
 
@@ -139,6 +140,69 @@ class TestIntegrity:
         bad = PackedBatch(header=b"XXXX" + batch.header[4:], payload=batch.payload)
         with pytest.raises(ValueError, match="magic"):
             bad.count
+
+    def test_a_header_in_the_old_per_record_format_is_refused(self):
+        batch = pack(block([(np.arange(4, dtype=np.float32), 0, None)]))
+        old = PackedBatch(header=b"RPB1" + batch.header[4:], payload=batch.payload)
+        with pytest.raises(ValueError, match="magic"):
+            unpack_samples(old)
+
+    def test_wrap_refuses_anything_but_a_frame(self):
+        with pytest.raises(TypeError, match="PackedBatch"):
+            Checksummed.wrap((np.arange(4), 0, 7), meta=(0, 0, 0))
+
+
+def _header(n, dt=b"<f4", dims=(4,), cols=None):
+    """A hand-written header: magic, class record, then the two columns."""
+    cols = bytes(16 * n) if cols is None else cols
+    return (
+        _HEAD.pack(b"RPB2", n) + _CLASS.pack(len(dt), len(dims)) + dt
+        + struct.pack(f"<{len(dims)}Q", *dims) + cols
+    )
+
+
+class TestHeader:
+    """The header names the frame's class once: 16 B per sample beside it."""
+
+    @pytest.mark.parametrize("shape, n", [((3072,), 16), ((3, 16, 16), 5)])
+    def test_header_is_one_class_record_and_two_columns(self, shape, n):
+        rows = np.zeros((n, *shape), np.float32)
+        batch = pack(SampleBlock(rows, np.arange(n), np.full(n, -1)))
+        class_bytes = _CLASS.size + len("<f4") + 8 * len(shape)
+        assert len(batch.header) == 8 + class_bytes + 16 * n
+        assert batch.header == _header(
+            n, dims=shape,
+            cols=np.arange(n, dtype="<i8").tobytes() + np.full(n, -1, "<i8").tobytes(),
+        )
+
+    def test_a_hand_written_header_decodes(self):
+        # Sample extents sit ALIGN bytes apart: 16 B, 48 B of padding, 16 B.
+        rows = np.arange(8, dtype=np.float32).reshape(2, 4)
+        payload = memoryview(rows[0].tobytes() + bytes(ALIGN - 16) + rows[1].tobytes())
+        cols = np.array([3, 5, 9, -1], dtype="<i8").tobytes()
+        out = unpack_samples(PackedBatch(header=_header(2, cols=cols), payload=payload))
+        np.testing.assert_array_equal(out.samples, rows)
+        assert out[0][1:] == (3, 9)
+        assert out[1][1:] == (5, None)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            _header(2)[:-1],                   # one byte short of n columns
+            _header(2) + b"\0",                # one byte too many
+            _header(1)[:10],                   # cut inside the class record
+            _header(2, dims=()),               # zero-dim class
+            _header(2, dt=b""),                # no dtype string
+            _header(2, dt=b"<x9"),             # unparsable dtype
+            _header(2, dt=b"\xff\xfe"),         # not ascii
+            _header(2, dt=b"|O"),              # object dtype
+            _header(2, dims=(1 << 40,)),       # extents past the payload
+        ],
+    )
+    def test_a_header_that_is_not_one_class_and_n_columns_is_refused(self, header):
+        payload = memoryview(bytes(2 * ALIGN))
+        with pytest.raises(ValueError, match="corrupt header"):
+            unpack_samples(PackedBatch(header=header, payload=payload))
 
 
 class TestWireSemantics:

@@ -99,8 +99,8 @@ def _send_by_reference_worker(comm):
 
 class TestOneSendSemantics:
     """A payload travels by reference on every world, with ``run_spmd``'s
-    defaults: under ``threads`` the receiver holds the sender's object and
-    nothing is charged as a copy; under ``procs`` the same bytes arrive."""
+    defaults: under ``threads`` the receiver holds a read-only view of the
+    sender's object and nothing is charged as a copy; under ``procs`` the same bytes arrive."""
 
     @pytest.mark.parametrize("backend", ["threads", "procs"])
     def test_isend_passes_the_array_by_reference(self, backend):
@@ -108,7 +108,9 @@ class TestOneSendSemantics:
         sent, got = result
         assert got.tobytes() == sent.tobytes()
         if backend == "threads":
-            assert got is sent
+            # The sender's very bytes, as a read-only view: no copy.
+            assert got.base is sent and not got.flags.writeable
+            assert sent.flags.writeable
         assert result.world.total_bytes_copied() == 0
 
     def test_a_copying_world_cannot_be_asked_for(self):
