@@ -13,9 +13,7 @@ Because every input to an exchange — the destination permutation, the
 per-rank selection stream, the exchanged count — derives deterministically
 from ``(seed, epoch)``, the ledger is also *reconstructible offline*:
 :func:`reconstruct_ledger` replays the scheduler's decisions without any
-communication and must agree with the live ledger (property-tested).  The
-live ledger remains authoritative: reconstruction assumes the default
-``selection="random"`` policy.
+communication and must agree with the live ledger (property-tested).
 """
 
 from __future__ import annotations
@@ -114,18 +112,16 @@ def reconstruct_ledger(
     shard_gids: Sequence[Sequence[int]],
     epochs: int,
     q: float,
-    *,
-    allow_self: bool = True,
 ) -> ReplicaLedger:
     """Rebuild the ledger offline by replaying the scheduler's decisions.
 
     ``shard_gids[r]`` is rank *r*'s initial shard in storage-insertion
     order (the order ``LocalShuffle.setup`` added them).  The replay
-    mirrors :class:`~repro.shuffle.scheduler.Scheduler` exactly for the
-    default ``selection="random"`` policy: same exchanged count ``k``
-    (global minimum), same per-rank selection permutation, same
-    seed-synchronised destination plan, and the same storage reordering
-    (received samples append after the survivors of the old order).
+    mirrors :class:`~repro.shuffle.scheduler.Scheduler` exactly: same
+    exchanged count ``k`` (global minimum), same per-rank selection
+    permutation, same seed-synchronised destination plan, and the same
+    storage reordering (received samples append after the survivors of
+    the old order).
     """
     size = len(shard_gids)
     holdings: list[list[int]] = [list(map(int, gids)) for gids in shard_gids]
@@ -137,10 +133,7 @@ def reconstruct_ledger(
 
     for epoch in range(epochs):
         k = min(exchange_count(len(h), q) for h in holdings)
-        plan = ExchangePlan.for_epoch(
-            seed=seed, epoch=epoch, size=size, rounds=k,
-            allow_self=allow_self,
-        )
+        plan = ExchangePlan.for_epoch(seed=seed, epoch=epoch, size=size, rounds=k)
         selected: list[list[int]] = []
         for rank in range(size):
             rng = tree.per_rank("select", rank, epoch)

@@ -523,6 +523,15 @@ class _LifecycleRank:
 
 
 # ---------------------------------------------------------------- the launcher
+
+#: Exchange counters each rank keeps for its own frames.
+_PER_RANK_COUNTERS = (
+    "resends", "resent_bytes", "crc_rejects", "timeout_nacks", "stale_discards",
+)
+#: Exchange counters every rank of the run holds alike.
+_REPLICATED_COUNTERS = ("degraded_epochs", "q_deficit", "effective_q")
+
+
 @dataclass
 class LifecycleResult:
     """Outcome of a supervised lifecycle run."""
@@ -562,18 +571,15 @@ class LifecycleResult:
 
     @property
     def fault_stats(self) -> dict:
-        """The first finisher's exchange fault-recovery counters (resends,
-        crc_rejects, q_deficit, effective_q, ...)."""
+        """The exchange's fault-recovery counters for the world: the ones a
+        rank counts for itself (resends, crc_rejects, ...) summed over every
+        rank that finished, the ones every rank holds alike (degraded_epochs,
+        q_deficit, effective_q) as the first finisher holds them."""
         stats = self.history.stats
-        return {
-            k: stats[k]
-            for k in (
-                "resends", "resent_bytes", "crc_rejects", "timeout_nacks",
-                "stale_discards", "degraded_epochs", "q_deficit",
-                "effective_q",
-            )
-            if k in stats
-        }
+        finished = [res[0].stats for res in self.results if isinstance(res, tuple)]
+        out = {k: sum(s[k] for s in finished) for k in _PER_RANK_COUNTERS if k in stats}
+        out.update((k, stats[k]) for k in _REPLICATED_COUNTERS if k in stats)
+        return out
 
     @property
     def unrecovered(self) -> int:

@@ -211,8 +211,9 @@ def migrate(
     the wire, summed over every member.
 
     Move ``i`` transfers on ``RECOVERY.tag(i)``.  Received transfers
-    install first, in plan order; then reads and the sources' removals
-    run, in plan order.
+    install first, as one :meth:`~StorageArea.add_many` in plan order; then
+    the sources remove what they sent and the reads install as a second
+    ``add_many``, also in plan order.
     """
     me = comm.rank
     send_reqs = []
@@ -235,6 +236,7 @@ def migrate(
             recv_reqs.append((gid, comm.irecv(source=src, tag=tag)))
     waitall(send_reqs)
     nbytes = 0
+    received = []
     for gid, req in recv_reqs:
         sample, label, wire_gid = req.wait()
         if wire_gid != gid:
@@ -242,14 +244,17 @@ def migrate(
                 f"migration transfer mismatch: expected gid {gid}, got {wire_gid}"
             )
         nbytes += int(np.asarray(sample).nbytes)
-        storage.add(np.asarray(sample), int(label), gid=gid)
+        received.append((np.asarray(sample), int(label), gid))
+    storage.add_many(received)
+    read = []
     for gid, src, dst, how in moves:
         if dst == me and how == READ:
             # One read: the dataset retries its own flaky reads.
             sample, label = dataset[gid]
-            storage.add(np.asarray(sample), int(label), gid=gid)
+            read.append((np.asarray(sample), int(label), gid))
         elif src == me:
             storage.remove(storage.sid_of(gid))
+    storage.add_many(read)
     # Byte count is global (every member reports the same number).
     nbytes = int(comm.allreduce(nbytes))
     for gid, _src, dst, _how in moves:

@@ -293,28 +293,28 @@ class Communicator:
         ranks run among themselves)."""
         self._rendezvous("barrier", None, _nothing)
 
-    def _from(self, src: int, item: Any) -> Any:
-        """``item`` as this rank holds it when local rank ``src`` sent it:
-        a peer's top-level ndarray read-only (:func:`received`), its own
-        as it was."""
-        return item if src == self._local_rank else received(item)
+    def _from(self, src: int, item: Any, own: Any) -> Any:
+        """``item`` as this rank holds it when local rank ``src`` sent it: a
+        peer's top-level ndarray read-only (:func:`received`); this rank's
+        own item is ``own``, the object it passed in, on every backend."""
+        return own if src == self._local_rank else received(item)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns root's value."""
         slots = self._rendezvous("bcast", obj if self._local_rank == root else None)
-        return self._from(root, slots[root])
+        return self._from(root, slots[root], obj)
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one value per rank to ``root`` (rank order); None elsewhere."""
         slots = self._rendezvous("gather", obj)
         if self._local_rank != root:
             return None
-        return [self._from(r, slots[r]) for r in range(self.size)]
+        return [self._from(r, slots[r], obj) for r in range(self.size)]
 
     def allgather(self, obj: Any) -> list[Any]:
         """Gather one value per rank to every rank (rank order)."""
         slots = self._rendezvous("allgather", obj)
-        return [self._from(r, slots[r]) for r in range(self.size)]
+        return [self._from(r, slots[r], obj) for r in range(self.size)]
 
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter ``objs[i]`` from ``root`` to rank ``i``."""
@@ -324,8 +324,10 @@ class Communicator:
                     f"root must provide exactly {self.size} items, got "
                     f"{None if objs is None else len(objs)}"
                 )
-        slots = self._rendezvous("scatter", list(objs) if self._local_rank == root else None)
-        return self._from(root, slots[root][self._local_rank])
+        at_root = self._local_rank == root
+        slots = self._rendezvous("scatter", list(objs) if at_root else None)
+        own = objs[root] if at_root else None
+        return self._from(root, slots[root][self._local_rank], own)
 
     def _take_reduced(self, total: Any) -> Any:
         """This rank's hold on the one result the world folded for everyone:
@@ -363,7 +365,8 @@ class Communicator:
         if len(objs) != self.size:
             raise ValueError(f"alltoall needs {self.size} items, got {len(objs)}")
         slots = self._rendezvous("alltoall", list(objs))
-        return [self._from(src, slots[src][self._local_rank]) for src in range(self.size)]
+        me = self._local_rank
+        return [self._from(src, slots[src][me], objs[me]) for src in range(self.size)]
 
     # -------------------------------------------------------------- sub-groups
     def split(self, color: int, key: int | None = None) -> "Communicator":

@@ -105,7 +105,7 @@ class HeapAllocator:
     #: back instead of growing the pool without limit (``None``: no bound).
     #: The overlapped exchange keeps a few windows of frames per rank, far
     #: below it; it can still bind when more than 32 frames of one class are
-    #: alive at once — a blocking ``run_exchange`` of a long epoch, or many
+    #: alive at once — a blocking ``communicate()`` of a long epoch, or many
     #: ranks' frames returned at the same commit.
     park_limit: int | None = 32
 

@@ -75,22 +75,22 @@ class ExchangePlan:
         epoch: int,
         size: int,
         rounds: int,
-        allow_self: bool = True,
     ) -> "ExchangePlan":
         """Build the plan every rank derives identically from ``seed``.
 
-        ``allow_self`` keeps the paper's plain permutation draw, under which
-        a rank may draw itself (the sample then stays local — a wasted slot
+        A rank may draw itself (the sample then stays local — a wasted slot
         but still balanced — and :func:`plan_frames` keeps it off the
-        wire).  ``allow_self=False`` re-draws fixed points into
-        a derangement-ish matching, an ablation knob.
+        wire).  The ``rounds`` destination permutations come from one
+        ``Generator.permuted`` call over a ``(rounds, size)`` matrix, which
+        consumes the stream exactly as ``rounds`` successive
+        ``rng.permutation(size)`` calls do.
         """
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
         if rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {rounds}")
         rng = SeedTree(seed).shared("exchange-dest", epoch)
-        destinations = _draw_destinations(rng, rounds, size, allow_self)
+        destinations = rng.permuted(np.tile(np.arange(size), (rounds, 1)), axis=1)
         # sources[i, dest] = src  <=>  destinations[i, src] = dest
         sources = np.argsort(destinations, axis=1)
         return cls(
@@ -160,38 +160,3 @@ def plan_frames(
         )
         frames.append((sends, owed, a + np.flatnonzero(dest_of[a:b] == rank)))
     return frames
-
-
-def _draw_destinations(
-    rng: np.random.Generator, rounds: int, size: int, allow_self: bool
-) -> np.ndarray:
-    """``rounds`` destination permutations of ``range(size)`` off ``rng``.
-
-    One ``Generator.permuted`` call over a ``(rounds, size)`` matrix
-    consumes the stream exactly as ``rounds`` successive
-    ``rng.permutation(size)`` calls do, so the plan (and the generator's
-    end state) is the row loop's.  Only ``allow_self=False`` draws row by
-    row: :func:`_deranged` takes from the same stream between rows.
-    """
-    if allow_self or size == 1:
-        return rng.permuted(np.tile(np.arange(size), (rounds, 1)), axis=1)
-    destinations = np.empty((rounds, size), dtype=np.int64)
-    for i in range(rounds):
-        destinations[i] = _deranged(rng.permutation(size), rng)
-    return destinations
-
-
-def _deranged(perm: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Remove fixed points from a permutation by swapping them pairwise."""
-    perm = perm.copy()
-    fixed = np.flatnonzero(perm == np.arange(len(perm)))
-    if len(fixed) == 1:
-        # Swap the lone fixed point with a random other position.
-        other = int(rng.integers(0, len(perm) - 1))
-        if other >= fixed[0]:
-            other += 1
-        perm[fixed[0]], perm[other] = perm[other], perm[fixed[0]]
-    elif len(fixed) > 1:
-        rotated = np.roll(fixed, 1)
-        perm[fixed] = perm[rotated]
-    return perm

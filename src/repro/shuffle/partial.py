@@ -34,9 +34,6 @@ class PartialLocalShuffle(LocalShuffle):
         exchange is chunked across training iterations via
         :meth:`on_iteration` (Figure 4), Q*b samples per iteration for
         ``epoch_loader``'s batch size b.
-    allow_self:
-        Whether the destination permutation may map a rank to itself (the
-        paper's plain draw).  See :class:`ExchangePlan`.
     ledger:
         Optional :class:`~repro.elastic.ReplicaLedger` the scheduler commits
         every epoch's sample movements to (see :class:`Scheduler`).
@@ -50,8 +47,6 @@ class PartialLocalShuffle(LocalShuffle):
         self,
         q: float,
         *,
-        allow_self: bool = True,
-        selection: str = "random",
         ledger=None,
         exchange_deadline_s: float | None = None,
         resend_timeout_s: float = 0.25,
@@ -60,8 +55,6 @@ class PartialLocalShuffle(LocalShuffle):
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"exchange fraction q must be in [0,1], got {q}")
         self.q = q
-        self.allow_self = allow_self
-        self.selection = selection
         self.ledger = ledger
         self.exchange_deadline_s = exchange_deadline_s
         self.resend_timeout_s = resend_timeout_s
@@ -90,8 +83,6 @@ class PartialLocalShuffle(LocalShuffle):
             comm,
             fraction=self.q,
             seed=self.seed,
-            allow_self=self.allow_self,
-            selection=self.selection,
             ledger=self.ledger,
             deadline_s=self.exchange_deadline_s,
             resend_timeout_s=self.resend_timeout_s,
@@ -203,15 +194,15 @@ class PartialLocalShuffle(LocalShuffle):
         return out
 
 
-def strategy_from_name(name: str, **kwargs):
+def strategy_from_name(name: str):
     """Parse "global" / "local" / "partial-<q>" into a strategy instance."""
     from .global_ import GlobalShuffle
 
     if name == "global":
         return GlobalShuffle()
     if name == "local":
-        return LocalShuffle(**kwargs)
+        return LocalShuffle()
     if name.startswith("partial-"):
         q = float(name.split("-", 1)[1])
-        return PartialLocalShuffle(q, **kwargs)
+        return PartialLocalShuffle(q)
     raise ValueError(f"unknown strategy {name!r}; expected global/local/partial-<q>")

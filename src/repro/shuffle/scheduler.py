@@ -11,7 +11,6 @@ Mirrors the paper's user-facing object (Figure 3)::
         send_req, recv_req = scheduler.communicate()   # non-blocking
         scheduler.synchronize(send_req, recv_req)      # wait for exchange
         scheduler.clean_local_storage()      # evict sent, install received
-    scheduler.run_exchange(epoch)            # or: all four steps at once
 
 The exchange follows :class:`~repro.shuffle.exchange_plan.ExchangePlan`
 (Algorithm 1): per plan round every rank sends one message's worth of
@@ -150,8 +149,6 @@ class Scheduler:
     seed:
         Shared seed from which all ranks derive identical destination
         permutations (and their own local selection stream).
-    allow_self:
-        Forwarded to the plan; see :class:`ExchangePlan`.
     ledger:
         Optional :class:`~repro.elastic.ReplicaLedger`.  When given, every
         ``clean_local_storage()`` commits the epoch's sample movements to it
@@ -176,8 +173,6 @@ class Scheduler:
         fraction: float,
         batch_size: int = 32,
         seed: int = 0,
-        allow_self: bool = True,
-        selection: str = "random",
         ledger=None,
         resend_timeout_s: float = 0.25,
         deadline_s: float | None = None,
@@ -186,24 +181,17 @@ class Scheduler:
             raise ValueError(f"fraction Q must be in [0,1], got {fraction}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if selection not in ("random", "stale"):
-            raise ValueError(f"selection must be random or stale, got {selection!r}")
         self.storage = storage
         self.comm = comm
         self.fraction = fraction
         self.batch_size = batch_size
         self.seed = seed
-        self.allow_self = allow_self
-        # Which local samples to exchange: "random" is Algorithm 1's draw;
-        # "stale" evicts the samples that have sat in the shard longest.
-        self.selection = selection
         self.ledger = ledger
         self.resend_timeout_s = resend_timeout_s
         self.deadline_s = deadline_s
         self._nack_backoff = Backoff(
             resend_timeout_s, factor=2.0, cap_s=max(resend_timeout_s * 8, 0.05)
         )
-        self._arrival_epoch: dict[int, int] = {}
         self._tree = SeedTree(seed)
 
         self.epoch: int | None = None
@@ -312,11 +300,7 @@ class Scheduler:
             # A plan round moves one sample, so balance holds per round AND
             # per sample.
             self.plan = ExchangePlan.for_epoch(
-                seed=self.seed,
-                epoch=epoch,
-                size=self.comm.size,
-                rounds=k,
-                allow_self=self.allow_self,
+                seed=self.seed, epoch=epoch, size=self.comm.size, rounds=k
             )
             self._sent_gids = np.full(k, -1, dtype=np.int64)
             self._sent_dest = np.full(k, -1, dtype=np.int64)
@@ -341,20 +325,11 @@ class Scheduler:
         self._cleaned = False
 
     def _select_samples(self, k: int, epoch: int) -> list[int]:
-        """Pick the k local samples forming this epoch's global partition."""
+        """Pick the k local samples forming this epoch's global partition:
+        Algorithm 1's uniform draw, off this rank's own stream."""
         ids = self.storage.ids()
-        rng = self._tree.per_rank("select", self.comm.rank, epoch)
-        if self.selection == "random":
-            perm = rng.permutation(len(ids))
-            return [ids[i] for i in perm[:k].tolist()]
-        # stale: oldest arrivals leave first; ties broken by the rank stream
-        # so the initial epoch (all ties) is still a uniform draw.
-        jitter = rng.random(len(ids))
-        order = sorted(
-            range(len(ids)),
-            key=lambda i: (self._arrival_epoch.get(ids[i], -1), jitter[i]),
-        )
-        return [ids[i] for i in order[:k]]
+        perm = self._tree.per_rank("select", self.comm.rank, epoch).permutation(len(ids))
+        return [ids[i] for i in perm[:k].tolist()]
 
     @property
     def chunk_rounds(self) -> int:
@@ -796,8 +771,8 @@ class Scheduler:
 
     # ------------------------------------------------------------- state carry
     #: Fields that belong to the *run* rather than to one communicator
-    #: incarnation: traffic totals, per-sample bookkeeping, and the
-    #: fault-recovery counters including the Q-deficit.  The same set that
+    #: incarnation: traffic totals and the fault-recovery counters
+    #: including the Q-deficit.  The same set that
     #: ``PartialLocalShuffle.attach_comm`` carries across a shrink/expand,
     #: and the set a full-job snapshot must persist across a crash/restart.
     STATE_FIELDS = (
@@ -805,7 +780,6 @@ class Scheduler:
         "total_recv_samples",
         "total_kept_samples",
         "total_sent_bytes",
-        "_arrival_epoch",
         "resent_bytes",
         "resends",
         "crc_rejects",
@@ -820,17 +794,13 @@ class Scheduler:
         """Run-owned exchange state as a picklable dict.
 
         Only valid between epochs (no exchange in flight) — exactly when
-        snapshots are taken.  Dict/list fields are shallow-copied so a
+        snapshots are taken.  The list field is shallow-copied so a
         snapshot is not mutated by subsequent epochs.
         """
         out = {}
         for name in self.STATE_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, dict):
-                value = dict(value)
-            elif isinstance(value, list):
-                value = list(value)
-            out[name] = value
+            out[name] = list(value) if isinstance(value, list) else value
         return out
 
     def load_state_dict(self, state: dict) -> None:
@@ -839,11 +809,7 @@ class Scheduler:
             if name not in state:
                 raise KeyError(f"scheduler state missing field {name!r}")
             value = state[name]
-            if isinstance(value, dict):
-                value = dict(value)
-            elif isinstance(value, list):
-                value = list(value)
-            setattr(self, name, value)
+            setattr(self, name, list(value) if isinstance(value, list) else value)
 
     # ----------------------------------------------------------------- commit
     def clean_local_storage(self) -> None:
@@ -878,13 +844,11 @@ class Scheduler:
         # the framing.
         kept = self.storage.restage([self._selected_ids[i] for i in self._kept.tolist()])
         order = np.argsort(np.concatenate([self._received_at, self._kept]))
-        new_ids = self.storage.add_many(SampleBlock.concat([self._received, kept])[order])
-        self._arrival_epoch.update(dict.fromkeys(new_ids, self.epoch))
+        self.storage.add_many(SampleBlock.concat([self._received, kept])[order])
         stays = set(self._kept.tolist())
         for i, sid in enumerate(self._selected_ids):
             if i not in stays:
                 self.storage.remove(sid)
-            self._arrival_epoch.pop(sid, None)
         self._received = _NO_SAMPLES
         self._received_at = self._kept = _NO_IDS
         self._selected_ids = []
@@ -923,10 +887,3 @@ class Scheduler:
         self.plan = None
         self.epoch = None
         self._cleaned = True
-
-    def run_exchange(self, epoch: int) -> None:
-        """Convenience: the full blocking exchange for one epoch."""
-        self.scheduling(epoch)
-        send_reqs, recv_reqs = self.communicate()
-        self.synchronize(send_reqs, recv_reqs)
-        self.clean_local_storage()

@@ -68,16 +68,13 @@ def run_comparison(
     workers: int,
     strategies: list[str],
     deadline_s: float = 600.0,
-    strategy_kwargs: dict | None = None,
     tracing: bool = False,
     backend: str | None = None,
 ) -> ExperimentResult:
     """Train every strategy on identical data/model/seed; return the curves.
 
     ``strategies`` uses the paper's naming: "global", "local",
-    "partial-<q>" (e.g. "partial-0.1").  ``strategy_kwargs`` are forwarded
-    to the partial-local constructors (e.g. ``selection``);
-    global/local shuffling take none and ignore them.
+    "partial-<q>" (e.g. "partial-0.1").
 
     With ``tracing=True`` every rank keeps all its events and adds the
     per-message ones (communicator traffic, Figure-10 phase regions); each
@@ -92,14 +89,12 @@ def run_comparison(
         num_classes=spec.n_classes,
     )
     train_ds, labels, val_X, val_y = make_experiment_data(spec)
-    strategy_kwargs = strategy_kwargs or {}
 
     histories: dict[str, RunHistory] = {}
     flight: dict[str, FlightLog] = {}
     for name in strategies:
         def worker(comm):
-            kwargs = strategy_kwargs if name.startswith("partial") else {}
-            strategy = strategy_from_name(name, **kwargs)
+            strategy = strategy_from_name(name)
             return train_worker(comm, config, strategy, train_ds, labels, val_X, val_y)
 
         results = run_spmd(

@@ -82,15 +82,6 @@ class TestBitIdenticalTraining:
 SEEDED = ("crc_rejects", "degraded_epochs", "q_deficit", "effective_q")
 
 
-def world_total(result, counter):
-    """``counter`` summed over every rank that finished the run."""
-    return sum(
-        res[0].stats[counter]
-        for res in result.results
-        if isinstance(res, tuple)
-    )
-
-
 class TestDeterminism:
     def test_same_chaos_seed_twice(self, setup):
         # At p = 0.02 every fault seed 7 draws lands on a message a rank
@@ -112,10 +103,20 @@ class TestDeterminism:
         dropped = r1.injected.get("drop", 0)
         corrupted = r1.injected.get("corrupt", 0)
         for r in (r1, r2):
-            assert world_total(r, "crc_rejects") == corrupted
-            assert world_total(r, "timeout_nacks") >= dropped
-            assert world_total(r, "resends") >= dropped + corrupted
-            assert world_total(r, "resent_bytes") >= world_total(r, "resends")
+            fs = r.fault_stats
+            assert fs["crc_rejects"] == corrupted
+            assert fs["timeout_nacks"] >= dropped
+            assert fs["resends"] >= dropped + corrupted
+            assert fs["resent_bytes"] >= fs["resends"]
+
+    def test_fault_stats_are_world_totals(self, setup):
+        """Corruptions that land on several ranks are all counted: each
+        rank rejects the frames it received, and ``fault_stats`` sums the
+        ranks, so it matches the world-wide injected count."""
+        r = run_lifecycle(profile="corrupt:p=0.05", chaos_seed=1, **setup)
+        per_rank = [res[0].stats["crc_rejects"] for res in r.results if isinstance(res, tuple)]
+        assert sum(n > 0 for n in per_rank) > 1
+        assert r.fault_stats["crc_rejects"] == r.injected["corrupt"] == sum(per_rank)
 
     def test_storage_faults_follow_the_sample_not_the_copy(
         self, setup, tmp_path, monkeypatch

@@ -8,6 +8,8 @@ from repro.faults import ChaosEngine, ChaosWorld
 from repro.mpi import run_spmd
 from repro.shuffle import Scheduler, StorageArea
 
+from exchange_steps import exchange_epoch
+
 RANKS = 4
 EPOCHS = 5
 Q = 0.3
@@ -23,7 +25,7 @@ def worker(comm):
         resend_timeout_s=0.05, deadline_s=0.15,
     )
     for e in range(EPOCHS):
-        sched.run_exchange(e)
+        exchange_epoch(sched, e)
     return {"n": len(st), "stats": sched.fault_stats()}
 
 
@@ -84,7 +86,7 @@ class TestDegradedQ:
                 resend_timeout_s=0.05,
             )
             for e in range(EPOCHS):
-                sched.run_exchange(e)
+                exchange_epoch(sched, e)
             return sched.fault_stats()
 
         out = run_spmd(clean_worker, RANKS, deadline_s=120)

@@ -12,6 +12,8 @@ from repro.faults import ChaosEngine, ChaosWorld
 from repro.mpi import PeerFailure, RankDied, run_spmd
 from repro.shuffle import Scheduler, StorageArea
 
+from exchange_steps import exchange_epoch
+
 RANKS = 4
 EPOCHS = 3
 
@@ -30,7 +32,7 @@ def exchange_worker(comm):
         resend_timeout_s=0.05,
     )
     for e in range(EPOCHS):
-        sched.run_exchange(e)
+        exchange_epoch(sched, e)
     signature = sorted(
         (int(label), sample.tobytes()) for _, sample, label in storage.items()
     )
@@ -145,7 +147,7 @@ class TestAbortAfterPeerFailure:
                 sched.scheduling(0)  # join the collectives, then die
                 raise RankDied()
             with pytest.raises(PeerFailure):
-                sched.run_exchange(0)
+                exchange_epoch(sched, 0)
             sched.abort_exchange()
             return comm.pending_requests() == []
 

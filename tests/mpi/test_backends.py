@@ -363,6 +363,42 @@ def test_a_rank_never_holds_a_writeable_alias_of_a_peers_array(backend):
     assert receiver == (routes, True)
 
 
+def _own_items(comm):
+    """The item each collective hands a rank back from itself: every rank is
+    root once for ``bcast``, ``scatter`` and ``gather``."""
+    mine = np.zeros(3)
+    own = {
+        "allgather": comm.allgather(mine)[comm.rank],
+        "alltoall": comm.alltoall([mine] * comm.size)[comm.rank],
+    }
+    for root in range(comm.size):
+        at_root = comm.rank == root
+        got = {
+            "bcast": comm.bcast(mine if at_root else None, root=root),
+            "scatter": comm.scatter([mine] * comm.size if at_root else None, root=root),
+            "gather": (comm.gather(mine, root=root) or [None] * comm.size)[root],
+        }
+        if at_root:
+            own.update(got)
+    comm.barrier()
+    seen = {}
+    for route, item in own.items():
+        before = float(mine[0])
+        item += 1
+        seen[route] = (item is mine, float(mine[0]) - before)
+    return seen
+
+
+@pytest.mark.parametrize("backend", ["threads", "procs"])
+def test_a_ranks_own_item_of_a_collective_is_the_object_it_passed_in(backend):
+    """On both backends a rank's own item of a collective is ``mine`` itself,
+    so an in-place edit of it edits ``mine``; peers' items stay read-only."""
+    for seen in run_spmd(_own_items, 2, backend=backend):
+        assert seen == dict.fromkeys(
+            ["allgather", "alltoall", "bcast", "scatter", "gather"], (True, 1.0)
+        )
+
+
 def _large_array_worker(comm):
     from repro.mpi.pool import MIN_SIZE_CLASS
 

@@ -32,6 +32,8 @@ from repro.shuffle.exchange_plan import ExchangePlan, plan_frames
 from repro.train.experiments import make_experiment_data
 from repro.train.trainer import TrainConfig
 
+from exchange_steps import exchange_epoch
+
 
 class TestFlightRecorder:
     def test_ring_bounded_at_capacity(self):
@@ -118,9 +120,9 @@ class TestUnrecoveredFaultDump:
                 _fill_storage(comm.rank), comm, fraction=0.5, batch_size=4,
                 seed=7, resend_timeout_s=0.02,
             )
-            sched.run_exchange(0)  # clean epoch: every ring fills up
+            exchange_epoch(sched, 0)  # clean epoch: every ring fills up
             comm.barrier()
-            sched.run_exchange(1)  # fully corrupted: must give up and dump
+            exchange_epoch(sched, 1)  # fully corrupted: must give up and dump
             return sched
 
         # Two attempts, not sixteen: the give-up comes after ~0.1 s of

@@ -18,6 +18,8 @@ from repro.obs import (
 from repro.shuffle import Scheduler, StorageArea
 from repro.shuffle.exchange_plan import ExchangePlan, plan_frames
 
+from exchange_steps import exchange_epoch
+
 SEED = 7
 RANKS = 4
 
@@ -43,7 +45,7 @@ def exchange_worker(comm):
         storage.add(rng.random(4).astype(np.float32), comm.rank)
     sched = Scheduler(storage, comm, fraction=0.5, seed=SEED)
     for epoch in range(2):
-        sched.run_exchange(epoch)
+        exchange_epoch(sched, epoch)
     return sched.total_sent_bytes
 
 
@@ -132,7 +134,7 @@ class TestMergeDeterminism:
         assert posts
         for ev in posts:
             assert ev.dur > 0  # the timed post
-            assert ev.fields["mode"] == "blocking"  # run_exchange posts at once
+            assert ev.fields["mode"] == "blocking"  # exchange_epoch posts at once
             assert ev.fields["nbytes"] == 32 * ev.fields["samples"]
         assert all(
             ev.fields["q"] == 0.5 for ev in merged if ev.kind == "exchange.plan"

@@ -23,6 +23,8 @@ from repro.mpi.tags import EXCHANGE_DATA
 from repro.shuffle import Scheduler, StorageArea
 from repro.shuffle.exchange_plan import plan_frames
 
+from exchange_steps import exchange_epoch
+
 RANKS = 4
 EPOCHS = 3
 
@@ -50,7 +52,7 @@ def make_worker(*, q=0.5, epochs=EPOCHS, deadline_s=None, n_local=8, dim=4):
             resend_timeout_s=0.05, deadline_s=deadline_s,
         )
         for e in range(epochs):
-            sched.run_exchange(e)
+            exchange_epoch(sched, e)
         # The pool is world-shared: wait until every rank has applied its
         # last commit before sampling the balance.
         comm.barrier()

@@ -59,14 +59,6 @@ class TestExchangePlan:
         assert plan.rounds == 0
         assert plan.is_balanced()
 
-    def test_no_self_option(self):
-        plan = ExchangePlan.for_epoch(
-            seed=5, epoch=0, size=6, rounds=50, allow_self=False
-        )
-        assert plan.is_balanced()
-        for r in range(6):
-            assert int((plan.destinations[:, r] == r).sum()) == 0
-
     def test_self_sends_happen_by_default(self):
         plan = ExchangePlan.for_epoch(seed=5, epoch=0, size=4, rounds=100)
         total_self = sum(int((plan.destinations[:, r] == r).sum()) for r in range(4))
@@ -96,29 +88,22 @@ class TestExchangePlan:
     epoch=st.integers(0, 20),
     size=st.integers(1, 32),
     rounds=st.integers(0, 16),
-    no_self=st.booleans(),
 )
-def test_plan_always_balanced_property(seed, epoch, size, rounds, no_self):
+def test_plan_always_balanced_property(seed, epoch, size, rounds):
     """Algorithm 1's guarantee: every rank sends and receives exactly
     ``rounds`` samples, for any seed/epoch/size."""
-    plan = ExchangePlan.for_epoch(
-        seed=seed, epoch=epoch, size=size, rounds=rounds, allow_self=not no_self
-    )
+    plan = ExchangePlan.for_epoch(seed=seed, epoch=epoch, size=size, rounds=rounds)
     assert plan.is_balanced()
     for i in range(rounds):
         # sources row is also a permutation.
         assert sorted(plan.sources[i].tolist()) == list(range(size))
-    if no_self and size > 1:
-        for r in range(size):
-            assert int((plan.destinations[:, r] == r).sum()) == 0
 
 
 # --------------------------------------------------- plan stream identity
 def _row_loop_plan(rng, rounds, size):
     """The plan as it was drawn before the vectorised draw: one
     ``rng.permutation(size)`` per round, each inverted on its own.  Kept
-    here as the reference the one-call draw must reproduce, stream position
-    included."""
+    here as the reference the one-call draw must reproduce."""
     destinations = np.empty((rounds, size), dtype=np.int64)
     for i in range(rounds):
         destinations[i] = rng.permutation(size)
@@ -131,7 +116,6 @@ def _row_loop_plan(rng, rounds, size):
 @pytest.mark.parametrize("rounds", [0, 1, 7, 1024])
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 64])
 def test_vectorised_draw_consumes_the_stream_like_the_row_loop(size, rounds):
-    from repro.shuffle.exchange_plan import _draw_destinations
     from repro.utils.rng import SeedTree
 
     seed, epoch = 11, 3
@@ -142,12 +126,6 @@ def test_vectorised_draw_consumes_the_stream_like_the_row_loop(size, rounds):
     assert plan.destinations.dtype == destinations.dtype
     assert np.array_equal(plan.destinations, destinations)
     assert np.array_equal(plan.sources, sources)
-
-    # The helper for_epoch hands its generator to leaves it exactly where
-    # the row loop does, so whatever is drawn next is unchanged too.
-    rng = SeedTree(seed).shared("exchange-dest", epoch)
-    assert np.array_equal(_draw_destinations(rng, rounds, size, True), destinations)
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_is_balanced_rejects_a_repeated_destination():

@@ -1,17 +1,23 @@
 """Framing is a pure regrouping: golden placements from the per-sample wire.
 
 ``golden_framing.json`` was recorded by running this very module against
-the parent commit, whose scheduler put every plan round in its own message
-(``PYTHONPATH=<parent>/src python tests/shuffle/test_framing_golden.py
---record``).  Grouping a window's rounds into one frame per peer must not
-move a single sample differently: for every case of the grid, after each
+a commit whose scheduler put every plan round in its own message
+(``PYTHONPATH=<that tree>/src python tests/shuffle/test_framing_golden.py
+--record``); the M = 4 case was recorded later, against the framed wire,
+when the plan's only draw became the one that lets a rank draw itself.
+The three earlier cases came out byte-identical in that recording.
+
+Grouping a window's rounds into one frame per peer must not move a
+single sample differently: for every case of the grid, after each
 epoch every rank's ``(sid, gid)`` storage sequence, its shard checksum and
 the scheduler's committed sample total equal the recording.
 
 The recording's wire sent a rank's self-drawn rounds to itself; now they
 stay in place and never leave the rank, so its byte total must be the
 recording's minus those rounds' bytes, counted from the plan.  Where the
-sample stays the placement is still the recording's, sid for sid.
+sample stays the placement is still the recording's, sid for sid.  A
+``--record`` run adds those bytes back, so a recording made against any
+later commit keeps the per-sample wire's totals.
 """
 
 import json
@@ -29,19 +35,20 @@ GOLDEN = Path(__file__).with_name("golden_framing.json")
 EPOCHS = 3
 SEED = 5
 
-#: (M, Q, b, allow_self, N, chunked) — N mod M covers 0, 1 and 2;
-#: ``chunked`` posts window by window as the training loop does.
+#: (M, Q, b, N, chunked) — N mod M covers 0, 1 and 2; ``chunked`` posts
+#: window by window as the training loop does.
 GRID = [
-    (2, 1.0, 4, True, 32, True),
-    (2, 0.5, 8, True, 33, False),
-    (3, 0.5, 4, True, 37, True),
-    (4, 0.3, 32, False, 50, False),
+    (2, 1.0, 4, 32, True),
+    (2, 0.5, 8, 33, False),
+    (3, 0.5, 4, 37, True),
+    (4, 0.3, 32, 50, False),
 ]
 
 
 def _case_id(case):
-    m, q, b, allow_self, n, chunked = case
-    return f"M{m}-Q{q:g}-b{b}-self{int(allow_self)}-N{n}-chunk{int(chunked)}"
+    m, q, b, n, chunked = case
+    # "self1": the plan's draw lets a rank draw itself.
+    return f"M{m}-Q{q:g}-b{b}-self1-N{n}-chunk{int(chunked)}"
 
 
 def _dataset(n):
@@ -58,26 +65,20 @@ def _shard_checksum(storage):
 
 
 def _worker(comm, case):
-    _m, q, b, allow_self, n, chunked = case
+    _m, q, b, n, chunked = case
     x, y = _dataset(n)
     storage = StorageArea()
     for gid in range(comm.rank, n, comm.size):  # strided: sizes differ by <= 1
         storage.add(x[gid], int(y[gid]), gid=gid)
-    sched = Scheduler(
-        storage, comm, fraction=q, batch_size=b, seed=SEED,
-        allow_self=allow_self,
-    )
+    sched = Scheduler(storage, comm, fraction=q, batch_size=b, seed=SEED)
     epochs = []
     kept_bytes = 0
     for epoch in range(EPOCHS):
-        if chunked:
-            sched.scheduling(epoch)
-            while sched.communicate_chunk():
-                pass
-            sched.synchronize(*sched.communicate())
-            sched.clean_local_storage()
-        else:
-            sched.run_exchange(epoch)
+        sched.scheduling(epoch)
+        while chunked and sched.communicate_chunk():
+            pass
+        sched.synchronize(*sched.communicate())
+        sched.clean_local_storage()
         kept = int((sched.plan.destinations[:, comm.rank] == comm.rank).sum())
         kept_bytes += kept * (x[0].nbytes + 8 + 8)  # the payload_nbytes model
         epochs.append(
@@ -101,8 +102,8 @@ def test_matches_per_sample_recording(case):
     golden = json.loads(GOLDEN.read_text())[_case_id(case)]
     got = _run(case)
     kept = [epoch.pop("kept_bytes") for rank in got for epoch in rank]
-    # Only the plain permutation draw lets a rank draw itself.
-    assert (sum(kept) > 0) == case[3]
+    # Every case draws some self rounds, so the byte restatement is exercised.
+    assert sum(kept) > 0
     assert got == [
         [
             {**want, "sent_bytes": want["sent_bytes"] - kept_bytes}
@@ -112,6 +113,13 @@ def test_matches_per_sample_recording(case):
     ]
 
 
+def _as_recorded(epoch):
+    """An epoch as the per-sample wire reported it: kept rounds' bytes sent."""
+    out = {k: v for k, v in epoch.items() if k != "kept_bytes"}
+    out["sent_bytes"] += epoch["kept_bytes"]
+    return out
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_framing_golden.py --record  (against the parent commit)")
@@ -119,7 +127,7 @@ if __name__ == "__main__":
         json.dumps(
             {
                 _case_id(c): [
-                    [{k: v for k, v in e.items() if k != "kept_bytes"} for e in rank]
+                    [_as_recorded(e) for e in rank]
                     for rank in _run(c)
                 ]
                 for c in GRID

@@ -7,6 +7,8 @@ from repro.data import materialize_folder_dataset
 from repro.mpi import run_spmd
 from repro.shuffle import PLSFolderDataset, Scheduler
 
+from exchange_steps import exchange_epoch
+
 
 @pytest.fixture
 def source(tmp_path):
@@ -52,7 +54,7 @@ class TestPLSFolderDataset:
                                    partition="class_sorted", seed=3)
             labels_before = sorted(pls[i][1] for i in range(len(pls)))
             sched = Scheduler(pls.storage, comm, fraction=0.5, seed=3)
-            sched.run_exchange(epoch=0)
+            exchange_epoch(sched, epoch=0)
             pls.refresh()
             labels_after = sorted(pls[i][1] for i in range(len(pls)))
             nfiles = len(list(pls.storage.root.glob("*.npy")))

@@ -23,6 +23,8 @@ from repro.mpi.world import World
 from repro.shuffle import Scheduler, StorageArea
 from repro.shuffle.scheduler import SERVICE_EVERY
 
+from exchange_steps import exchange_epoch
+
 BATCH = 8  # Q = 1: a window is 8 rounds
 
 
@@ -220,7 +222,7 @@ def test_a_resend_crossing_its_ack_is_never_read_from_the_recycled_frame(backend
 # ------------------------------------------- one protocol: checker and live
 def _release_worker(comm):
     sched = Scheduler(_shard(comm, BATCH), comm, fraction=1.0, batch_size=BATCH, seed=5)
-    sched.run_exchange(0)
+    exchange_epoch(sched, 0)
 
 
 def test_the_model_checkers_mutants_break_the_live_exchange(monkeypatch):
@@ -266,7 +268,7 @@ def _abort_worker(comm, n_local):
         slots=storage.audit(), unchanged=_gids(storage) == before,
         pool=comm.pool.stats(),
     )
-    sched.run_exchange(1)  # the scheduler is usable again
+    exchange_epoch(sched, 1)  # the scheduler is usable again
     return seen
 
 

@@ -6,6 +6,8 @@ import pytest
 from repro.mpi import run_spmd
 from repro.shuffle import Scheduler, StorageArea
 
+from exchange_steps import exchange_epoch
+
 
 def fill_storage(rank, n=8, dim=4):
     """Storage whose samples encode (owner_rank, index) for provenance checks."""
@@ -15,10 +17,10 @@ def fill_storage(rank, n=8, dim=4):
     return st
 
 
-def run_epochs(size, q, epochs, n_local=8, allow_self=True, chunked=False):
+def run_epochs(size, q, epochs, n_local=8, chunked=False):
     def worker(comm):
         storage = fill_storage(comm.rank, n=n_local)
-        sched = Scheduler(storage, comm, fraction=q, batch_size=4, seed=11, allow_self=allow_self)
+        sched = Scheduler(storage, comm, fraction=q, batch_size=4, seed=11)
         for e in range(epochs):
             if chunked:
                 sched.scheduling(e)
@@ -27,7 +29,7 @@ def run_epochs(size, q, epochs, n_local=8, allow_self=True, chunked=False):
                 sched.synchronize()
                 sched.clean_local_storage()
             else:
-                sched.run_exchange(e)
+                exchange_epoch(sched, e)
         owners = sorted(int(s[0]) for _, s, _ in storage.items())
         return {
             "n": len(storage),
@@ -59,7 +61,7 @@ class TestExchangeCorrectness:
             assert r["sent"] == 0
 
     def test_samples_actually_move(self):
-        out = run_epochs(4, q=0.5, epochs=3, allow_self=False)
+        out = run_epochs(4, q=0.5, epochs=3)
         moved = sum(1 for rank, r in enumerate(out) for o in r["owners"] if o != rank)
         assert moved > 0
 
@@ -99,7 +101,7 @@ class TestUnevenShards:
             storage = fill_storage(comm.rank, n=n)
             sched = Scheduler(storage, comm, fraction=0.5, seed=13)
             for e in range(3):
-                sched.run_exchange(e)
+                exchange_epoch(sched, e)
             return (len(storage), sched.total_sent_samples)
 
         out = run_spmd(worker, 6, deadline_s=60)

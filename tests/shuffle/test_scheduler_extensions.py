@@ -1,64 +1,10 @@
-"""Scheduler extensions: selection policies (§IV-B future work) and the
-uncontrolled-cache baseline (§VI-A)."""
+"""Scheduler extensions: the uncontrolled-cache baseline (§VI-A)."""
 
-import numpy as np
 import pytest
 
 from repro.data import SyntheticSpec, TensorDataset, make_classification
 from repro.mpi import run_spmd
-from repro.shuffle import Scheduler, StorageArea, UncontrolledCachedShuffle
-
-
-def fill_storage(rank, n=16, dim=4):
-    st = StorageArea()
-    for i in range(n):
-        st.add(np.array([rank, i, 0, 0][:dim], dtype=np.float32), label=rank)
-    return st
-
-
-class TestSelectionPolicies:
-    def test_stale_evicts_oldest_first(self):
-        """After the first exchange, 'stale' must prefer original samples
-        over freshly received ones."""
-
-        def worker(comm):
-            storage = fill_storage(comm.rank, n=8)
-            sched = Scheduler(storage, comm, fraction=0.5, seed=5,
-                              selection="stale", allow_self=False)
-            originals = set(storage.ids())
-            sched.run_exchange(0)
-            fresh_ids = set(storage.ids()) - originals  # epoch-0 arrivals
-            before = set(storage.ids())
-            sched.run_exchange(1)
-            leaving = before - set(storage.ids())
-            # k=4 leave; fresh (epoch-0 arrivals) were 4; the 4 originals
-            # must all be among the leavers.
-            return leaving.isdisjoint(fresh_ids)
-
-        out = run_spmd(worker, 4, deadline_s=60)
-        assert all(out)
-
-    def test_invalid_selection(self):
-        def worker(comm):
-            with pytest.raises(ValueError):
-                Scheduler(fill_storage(comm.rank), comm, fraction=0.5,
-                          selection="vibes", seed=1)
-            return True
-
-        assert all(run_spmd(worker, 1, deadline_s=60))
-
-    def test_random_selection_still_conserves(self):
-        def worker(comm):
-            storage = fill_storage(comm.rank, n=12)
-            sched = Scheduler(storage, comm, fraction=1.0, seed=5,
-                              selection="stale")
-            for e in range(3):
-                sched.run_exchange(e)
-            return sorted(int(s[0]) for _, s, _ in storage.items())
-
-        out = run_spmd(worker, 3, deadline_s=60)
-        all_owners = sorted(o for r in out for o in r)
-        assert all_owners == sorted([rank for rank in range(3) for _ in range(12)])
+from repro.shuffle import UncontrolledCachedShuffle
 
 
 class TestUncontrolledCachedBaseline:

@@ -32,6 +32,8 @@ from repro.shuffle import DiskStorageArea, Scheduler, StorageArea, strategy_from
 from repro.shuffle.exchange_plan import ExchangePlan
 from repro.train import TrainConfig, make_experiment_data, train_worker
 
+from exchange_steps import exchange_epoch
+
 # Two slot classes of the same byte size, so byte counts stay in whole
 # samples while two pools are exercised.
 CLASSES = ((np.dtype(np.float32), (4,)), (np.dtype(np.int16), (2, 4)))
@@ -349,7 +351,7 @@ def _disk_worker(comm, root):
     area.add_many((np.full(4, gid, dtype=np.float32), gid % 3, gid) for gid in gids)
     sched = Scheduler(area, comm, fraction=0.5, seed=5)
     for epoch in range(3):
-        sched.run_exchange(epoch)
+        exchange_epoch(sched, epoch)
     area.audit()
     on_disk = {}
     for path in area.root.glob("sample_*.npy"):
@@ -418,7 +420,7 @@ def test_exchange_into_added_storage_keeps_unsent_sids_valid():
         sids = area.add_many((feats[gid], gid % 3, gid) for gid in mine)
         seeded = dict(zip(sids, mine))
         assert slots(area)["live"] == 12
-        Scheduler(area, comm, fraction=0.5, seed=9).run_exchange(0)
+        exchange_epoch(Scheduler(area, comm, fraction=0.5, seed=9), 0)
         kept = [sid for sid in seeded if sid in area.ids()]
         assert len(kept) == 6
         for sid in kept:
@@ -466,6 +468,23 @@ def test_a_sample_sent_by_the_elastic_layer_survives_its_slot_being_reused():
     assert result[1] == (np.arange(8, dtype=np.float32).tolist(), 3)
 
 
+def _migrate_into_empty_worker(comm):
+    area = StorageArea()
+    gids = [10, 11, 12, 13]
+    if comm.rank == 0:
+        _install(area, np.arange(32, dtype=np.float32).reshape(4, 8), gids)
+    migrate(comm, area, ReplicaLedger(), [(gid, 0, 1, TRANSFER) for gid in gids])
+    return slots(area), area.hot_gids()
+
+
+def test_a_migration_into_an_empty_area_installs_its_arrivals_as_one_chunk():
+    """A rejoining rank's area is empty when the migration reaches it: the
+    arrivals go in with one ``add_many``, so they share one slot chunk."""
+    _sender, (counts, hot) = run_spmd(_migrate_into_empty_worker, 2, deadline_s=60)
+    assert counts["chunks"] == 1 and counts["live"] == 4
+    assert list(hot) == [10, 11, 12, 13]
+
+
 # ------------------------------------------------- abort after the commit
 class _UnreachableLedger:
     """A ledger whose epoch commit meets a dead peer — after the exchange
@@ -475,15 +494,12 @@ class _UnreachableLedger:
         raise ConnectionError("peer died during the ledger allgather")
 
 
-def _abort_after_commit_worker(comm, allow_self):
+def _abort_after_commit_worker(comm):
     area = StorageArea()
     gids = range(comm.rank * 8, comm.rank * 8 + 8)
     area.add_many((np.full(4, gid, dtype=np.float32), 0, gid) for gid in gids)
     before = area.hot_gids()
-    sched = Scheduler(
-        area, comm, fraction=0.5, seed=2, allow_self=allow_self,
-        ledger=_UnreachableLedger(),
-    )
+    sched = Scheduler(area, comm, fraction=0.5, seed=2, ledger=_UnreachableLedger())
     sched.scheduling(0)
     sched.synchronize(*sched.communicate())
     # The rounds this rank drew itself staged nothing; they are still
@@ -503,16 +519,11 @@ def _abort_after_commit_worker(comm, allow_self):
     return comm.pool.stats()["in_use"], kept
 
 
-def test_abort_between_commit_and_install_gives_the_slots_back():
-    result = run_spmd(_abort_after_commit_worker, 2, args=(False,), deadline_s=60)
-    assert list(result) == [(0, 0), (0, 0)]
-
-
 def test_abort_between_commit_and_install_leaves_kept_rounds_in_place():
     """The same abort where ranks drew themselves: a kept round is turned
     back into a staged row only after the ledger commit, so it is still an
     entry of the shard when that commit fails."""
-    result = run_spmd(_abort_after_commit_worker, 2, args=(True,), deadline_s=60)
+    result = run_spmd(_abort_after_commit_worker, 2, deadline_s=60)
     assert [in_use for in_use, _kept in result] == [0, 0]
     assert sum(kept for _in_use, kept in result) > 0
 
@@ -539,7 +550,6 @@ def _bound_worker(comm, strategy_name, data, pinned_outside_slots):
     wire = [
         int((ExchangePlan.for_epoch(
             seed=scheduler.seed, epoch=epoch, size=comm.size, rounds=k,
-            allow_self=scheduler.allow_self,
         ).destinations[:, comm.rank] != comm.rank).sum())
         for epoch in range(BOUND_CONFIG.epochs)
     ] if k else [0]

@@ -14,6 +14,8 @@ import pytest
 from repro.mpi import PeerFailure, RankDied, RankFailed, run_spmd
 from repro.shuffle import Scheduler, StorageArea
 
+from exchange_steps import exchange_epoch
+
 
 @pytest.fixture(params=["threads", "procs"])
 def backend(request):
@@ -187,7 +189,7 @@ def _miscount_worker(comm):
     before = storage.hot_gids()
     sched = Scheduler(storage, comm, fraction=1.0, seed=_ORACLE_SEED)
     try:
-        sched.run_exchange(0)
+        exchange_epoch(sched, 0)
     except UnrecoveredFaultError:
         assert storage.hot_gids() == before, "a malformed frame was installed"
         raise
@@ -218,7 +220,7 @@ def _recycling_worker(comm, epochs, pinned_outside_slots):
     sched = Scheduler(storage, comm, fraction=1.0, batch_size=8, seed=3)
     per_epoch = []
     for epoch in range(epochs):
-        sched.run_exchange(epoch)
+        exchange_epoch(sched, epoch)
         comm.barrier()  # every rank settled its frames: the pool is quiet
         stats = comm.pool.stats()
         per_epoch.append(
@@ -375,11 +377,11 @@ def _abort_worker(comm, samples, q, seed):
     for _ in range(samples):
         storage.add(rng.random((16, 16)).astype(np.float32), int(rng.integers(0, 8)))
     sched = Scheduler(storage, comm, fraction=q, seed=seed)
-    sched.run_exchange(0)
+    exchange_epoch(sched, 0)
     if comm.rank == 1:
         raise ValueError("injected mid-run failure")
     comm.barrier()
-    sched.run_exchange(1)
+    exchange_epoch(sched, 1)
     return True
 
 

@@ -17,6 +17,8 @@ from repro.shuffle import Scheduler, StorageArea
 from repro.shuffle.volumes import compute_volumes
 from repro.theory import log_permutations, log_sigma
 
+from exchange_steps import exchange_epoch
+
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -24,13 +26,10 @@ from repro.theory import log_permutations, log_sigma
     n_local=st.integers(4, 24),
     q=st.floats(0.0, 1.0),
     batch_size=st.integers(1, 8),
-    selection=st.sampled_from(["random", "stale"]),
     epochs=st.integers(1, 3),
     seed=st.integers(0, 50),
 )
-def test_exchange_conserves_samples_fuzz(
-    size, n_local, q, batch_size, selection, epochs, seed
-):
+def test_exchange_conserves_samples_fuzz(size, n_local, q, batch_size, epochs, seed):
     """For ANY configuration: the global multiset of samples is preserved,
     every shard keeps its size, and sent == received on every rank."""
 
@@ -38,12 +37,9 @@ def test_exchange_conserves_samples_fuzz(
         st_ = StorageArea()
         for i in range(n_local):
             st_.add(np.array([comm.rank, i], dtype=np.float32), comm.rank)
-        sched = Scheduler(
-            st_, comm, fraction=q, seed=seed,
-            batch_size=batch_size, selection=selection,
-        )
+        sched = Scheduler(st_, comm, fraction=q, seed=seed, batch_size=batch_size)
         for e in range(epochs):
-            sched.run_exchange(e)
+            exchange_epoch(sched, e)
         owners = sorted(int(s[0]) for _, s, _ in st_.items())
         return (len(st_), owners, sched.total_sent_samples, sched.total_recv_samples)
 
@@ -147,7 +143,7 @@ def test_ledger_tracks_exchange_fuzz(size, n_local, q, batch_size, epochs, seed)
             batch_size=batch_size, ledger=ledger,
         )
         for e in range(epochs):
-            sched.run_exchange(e)
+            exchange_epoch(sched, e)
         return ledger, sorted(st_.hot_gids())
 
     out = run_spmd(worker, size, deadline_s=120)
